@@ -458,3 +458,31 @@ func BenchmarkSecureAggregation(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkFleetBuild builds the benchmark's fleet job (buffered oort over a
+// lognormal churn fleet) at 2k and 20k parties and reports ns/party: the
+// per-job set-up FLIPS pays once in front of round 1. A build linear in the
+// fleet keeps the two ns/party values close; a per-party rescan of the fleet
+// anywhere in dataset → partition → parties → devices → selector shows up as
+// their ratio.
+func BenchmarkFleetBuild(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		parties int
+	}{{"2k", 2000}, {"20k", 20000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			setting, scale, err := fleetConfig(bc.parties).resolve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiment.Build(setting, scale); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.parties), "ns/party")
+		})
+	}
+}

@@ -109,26 +109,12 @@ func (r *DistRunner) Run(cfg SimulationConfig, onRound func(RoundPoint)) (*Simul
 	defer r.untrack(handle)
 
 	built.Config.Transport = job
-	if onRound != nil {
-		built.Config.OnRound = func(h fl.RoundStats) { onRound(roundPoint(h)) }
-	}
+	built.Config.OnRound = roundHook(onRound)
 	res, err := fl.Run(built.Config)
 	if err != nil {
 		return nil, err
 	}
-	out := &SimulationResult{
-		PeakAccuracy:   res.PeakAccuracy,
-		RoundsToTarget: res.RoundsToTarget,
-		TimeToTarget:   res.TimeToTarget,
-		SimTime:        res.SimTime,
-		TargetAccuracy: built.Config.TargetAccuracy,
-		TotalCommBytes: res.TotalCommBytes,
-		NumClusters:    len(built.Clusters),
-	}
-	for _, h := range res.History {
-		out.History = append(out.History, roundPoint(h))
-	}
-	return out, nil
+	return newSimulationResult(res, built.Config.TargetAccuracy, len(built.Clusters)), nil
 }
 
 // WorkerStats snapshots every active job's shard slots, tagged with a stable

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"flips/internal/dataset"
 	"flips/internal/experiment"
+	"flips/internal/rng"
 )
 
 func groupedLabelDists(groups, perGroup, labels int) [][]float64 {
@@ -168,26 +170,29 @@ func TestRunSimulationStreamMatchesHistory(t *testing.T) {
 	}
 }
 
+// badConfigs are submissions Validate must refuse, one reason each.
+var badConfigs = []SimulationConfig{
+	{Dataset: "cifar-zillion"},
+	{Dataset: "mit-bih-ecg", Aggregation: "bogus"},
+	{Dataset: "mit-bih-ecg", Strategy: "psychic"},
+	{Dataset: "mit-bih-ecg", DeviceProfile: "quantum"},
+	{Dataset: "mit-bih-ecg", Fold: "geometric"},
+	{Dataset: "mit-bih-ecg", FaultModel: "gremlins"},
+	{Dataset: "mit-bih-ecg", FaultModel: "byzantine"}, // no FaultFraction
+	{Dataset: "mit-bih-ecg", FaultFraction: 0.2},      // no FaultModel
+	{Dataset: "mit-bih-ecg", FaultModel: "byzantine", FaultFraction: 2},
+	{Dataset: "mit-bih-ecg", Mask: true, Fold: "median"},      // masking needs the mean fold
+	{Dataset: "mit-bih-ecg", Mask: true, Algorithm: "feddyn"}, // masking excludes FedDyn state
+	{Dataset: "mit-bih-ecg", Epsilon: 2},                      // DP noise needs a clip bound
+	{Dataset: "mit-bih-ecg", ShareThreshold: 3},               // threshold is meaningless unmasked
+	{Dataset: "mit-bih-ecg", Mask: true, Clip: 1 << 40},       // clip overflows fixed-point headroom
+}
+
 func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
 	if err := (SimulationConfig{Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	for _, cfg := range []SimulationConfig{
-		{Dataset: "cifar-zillion"},
-		{Dataset: "mit-bih-ecg", Aggregation: "bogus"},
-		{Dataset: "mit-bih-ecg", Strategy: "psychic"},
-		{Dataset: "mit-bih-ecg", DeviceProfile: "quantum"},
-		{Dataset: "mit-bih-ecg", Fold: "geometric"},
-		{Dataset: "mit-bih-ecg", FaultModel: "gremlins"},
-		{Dataset: "mit-bih-ecg", FaultModel: "byzantine"}, // no FaultFraction
-		{Dataset: "mit-bih-ecg", FaultFraction: 0.2},      // no FaultModel
-		{Dataset: "mit-bih-ecg", FaultModel: "byzantine", FaultFraction: 2},
-		{Dataset: "mit-bih-ecg", Mask: true, Fold: "median"},      // masking needs the mean fold
-		{Dataset: "mit-bih-ecg", Mask: true, Algorithm: "feddyn"}, // masking excludes FedDyn state
-		{Dataset: "mit-bih-ecg", Epsilon: 2},                      // DP noise needs a clip bound
-		{Dataset: "mit-bih-ecg", ShareThreshold: 3},               // threshold is meaningless unmasked
-		{Dataset: "mit-bih-ecg", Mask: true, Clip: 1 << 40},       // clip overflows fixed-point headroom
-	} {
+	for _, cfg := range badConfigs {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("config %+v validated", cfg)
 		}
@@ -195,6 +200,192 @@ func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
 	// Masking alone is legal and Validate fills the default clip bound.
 	if err := (SimulationConfig{Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8, Mask: true}).Validate(); err != nil {
 		t.Fatalf("masked config rejected: %v", err)
+	}
+}
+
+// validateByBuilding is what Validate did while it still built the fleet:
+// assemble the whole job, then ask the engine. It is the oracle for the
+// fleet-free Validate.
+func validateByBuilding(setting experiment.Setting, scale experiment.Scale) error {
+	built, err := experiment.Build(setting, scale)
+	if err != nil {
+		return err
+	}
+	return built.Config.Validate()
+}
+
+// TestValidateAgreesWithBuild: the fleet-free Validate accepts exactly the
+// jobs that building the fleet and validating the engine config accepts, and
+// refuses the others with the same message.
+func TestValidateAgreesWithBuild(t *testing.T) {
+	accepted, rejected := 0, 0
+	agree := func(name string, setting experiment.Setting, scale experiment.Scale) {
+		t.Helper()
+		want, got := validateByBuilding(setting, scale), experiment.Validate(setting, scale)
+		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
+			t.Errorf("%s: Validate = %v, build + engine validation = %v", name, got, want)
+		}
+		if want == nil {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	agreeConfig := func(name string, cfg SimulationConfig) {
+		t.Helper()
+		setting, scale, err := cfg.resolve()
+		if err != nil {
+			// Refused before either path is reached.
+			if cfg.Validate() == nil {
+				t.Errorf("%s: Validate accepted a config resolve refuses: %v", name, err)
+			}
+			return
+		}
+		agree(name, setting, scale)
+	}
+
+	for i, cfg := range badConfigs {
+		agreeConfig(fmt.Sprintf("bad config %d", i), cfg)
+	}
+	small := SimulationConfig{Dataset: "mit-bih-ecg", Rounds: 2, Parties: 8, Seed: 3}
+	with := func(edit func(*SimulationConfig)) SimulationConfig {
+		c := small
+		edit(&c)
+		return c
+	}
+	for name, cfg := range map[string]SimulationConfig{
+		"valid":                 small,
+		"masked":                with(func(c *SimulationConfig) { c.Mask = true }),
+		"masked headroom":       with(func(c *SimulationConfig) { c.Mask, c.Clip = true, 1<<22 }),
+		"masked fleet headroom": with(func(c *SimulationConfig) { c.Mask, c.Clip, c.Parties = true, 1<<12, 3000 }),
+		"nan alpha":             with(func(c *SimulationConfig) { c.Alpha = math.NaN() }),
+		"negative alpha":        with(func(c *SimulationConfig) { c.Alpha = -0.3 }),
+		"fraction above one":    with(func(c *SimulationConfig) { c.PartyFraction = 1.5 }),
+		"negative fraction":     with(func(c *SimulationConfig) { c.PartyFraction = -0.1 }),
+		"candidate factor":      with(func(c *SimulationConfig) { c.Strategy, c.CandidateFactor = "power-of-choice", 0.5 }),
+		"unknown algorithm":     with(func(c *SimulationConfig) { c.Algorithm = "fedmagic" }),
+		"buffer above cohort":   with(func(c *SimulationConfig) { c.Aggregation, c.BufferSize = "buffered", 5 }),
+		"semisync no deadline":  with(func(c *SimulationConfig) { c.Aggregation = "semisync" }),
+		"straggler rate":        with(func(c *SimulationConfig) { c.StragglerRate = 1 }),
+		"negative shards":       with(func(c *SimulationConfig) { c.Shards = -1 }),
+
+		// The benchmark's workloads (benchmark/workloads.go) at full scale.
+		"paper_noniid": {
+			Dataset: "femnist", Algorithm: "fedyogi", Strategy: "flips", Alpha: 0.3, PartyFraction: 0.2,
+			DeviceProfile: "lognormal", Availability: "churn", PaperScale: true, Rounds: 105, Seed: 7,
+		},
+		"fleet_async, dist_fleet": fleetConfig(20000),
+		"masked_sync": {
+			Dataset: "mit-bih-ecg", Strategy: "flips", DeviceProfile: "lognormal", Availability: "churn",
+			Deadline: 60, Mask: true, Clip: 1, Parties: 200, Rounds: 136, Seed: 7,
+		},
+		"server_mixed stragglers": {Dataset: "mit-bih-ecg", Strategy: "flips", StragglerRate: 0.1, Parties: 60, Rounds: 100},
+		"server_mixed churn":      {Dataset: "mit-bih-ecg", Strategy: "oort", DeviceProfile: "lognormal", Availability: "churn", Parties: 60, Rounds: 100},
+		"server_mixed buffered":   {Dataset: "mit-bih-ecg", Strategy: "random", Aggregation: "buffered", DeviceProfile: "lognormal", Parties: 60, Rounds: 100},
+		"server_mixed femnist":    {Dataset: "femnist", Strategy: "flips", Parties: 60, Rounds: 100},
+		"server_mixed byzantine": {
+			Dataset: "mit-bih-ecg", Strategy: "flips", Fold: "median", FaultModel: "byzantine", FaultFraction: 0.2,
+			DeviceProfile: "lognormal", Parties: 60, Rounds: 100,
+		},
+		"server_mixed semisync": {
+			Dataset: "mit-bih-ecg", Strategy: "tifl", Aggregation: "semisync", DeviceProfile: "lognormal",
+			Availability: "churn", Deadline: 60, Parties: 60, Rounds: 100,
+		},
+	} {
+		agreeConfig(name, cfg)
+	}
+
+	// Shapes resolve never produces: fewer samples than parties, no parties.
+	setting, scale, err := small.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale.TrainSize, scale.Parties = 10, 20
+	agree("train size below parties", setting, scale)
+	scale.TrainSize, scale.Parties = 100, 0
+	agree("no parties", setting, scale)
+
+	// A seeded sweep: every knob drawn from values that are mostly legal, so
+	// the sweep lands on both sides of most rules.
+	r := rng.New(20260928)
+	for i := 0; i < 200; i++ {
+		cfg := SimulationConfig{
+			Dataset:           pick(r, []string{"mit-bih-ecg", "mit-bih-ecg", "ham10000", "femnist", "fashion-mnist"}, []string{"cifar-zillion"}),
+			Algorithm:         pick(r, []string{"", "fedavg", "fedprox", "fedyogi", "fedadam", "fedadagrad", "feddyn", "fedsgd"}, []string{"fedmagic"}),
+			Strategy:          pick(r, append(Strategies(), ""), []string{"psychic"}),
+			CandidateFactor:   pick(r, []float64{0, 0, 1, 3}, []float64{0.5, -1}),
+			Alpha:             pick(r, []float64{0, 0.05, 0.6, 5}, []float64{-1, math.NaN(), math.Inf(1)}),
+			PartyFraction:     pick(r, []float64{0, 0.01, 0.3, 1}, []float64{1.5, -0.1}),
+			StragglerRate:     pick(r, []float64{0, 0, 0.2}, []float64{1, -0.1}),
+			DeviceProfile:     pick(r, []string{"", "uniform", "lognormal", "lognormal"}, []string{"quantum"}),
+			Availability:      pick(r, []string{"", "", "always-on", "churn", "diurnal"}, []string{"sometimes"}),
+			Deadline:          pick(r, []float64{0, 0, 0, 2, 60}, []float64{-1}),
+			Aggregation:       pick(r, []string{"", "", "sync", "buffered", "semisync"}, []string{"bogus"}),
+			BufferSize:        pick(r, []int{0, 0, 1, 2}, []int{-1, 100}),
+			StalenessHalfLife: pick(r, []float64{0, 0, 2}, []float64{-1}),
+			Rounds:            pick(r, []int{0, 1, 3}, []int{-2}),
+			Parties:           pick(r, []int{0, 1, 7, 40}, []int{-3}),
+			Shards:            pick(r, []int{0, 0, 4, 1000}, []int{-1}),
+			Fold:              pick(r, []string{"", "", "mean", "median", "trimmed-mean", "krum"}, []string{"geometric"}),
+			FaultModel:        pick(r, []string{"", "", "", "none", "label-flip", "scaled", "sign-flip", "byzantine"}, []string{"gremlins"}),
+			FaultScale:        pick(r, []float64{0, 0, 5}, []float64{-1}),
+			Mask:              r.Float64() < 0.25,
+			Clip:              pick(r, []float64{0, 0, 1, 1 << 30}, []float64{-1, 1 << 40}),
+			Epsilon:           pick(r, []float64{0, 0, 0, 2}, []float64{-1}),
+			ShareThreshold:    pick(r, []int{0, 0, 0, 2}, []int{-1}),
+			Seed:              r.Uint64(),
+		}
+		if cfg.FaultModel != "" && cfg.FaultModel != "none" {
+			cfg.FaultFraction = pick(r, []float64{0.2, 0.2, 1}, []float64{0, 2})
+		}
+		agreeConfig(fmt.Sprintf("sweep %d (%+v)", i, cfg), cfg)
+	}
+	if accepted < 40 || rejected < 40 {
+		t.Fatalf("cases lean one way: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
+// pick draws one of the legal values, or now and then an illegal one.
+func pick[T any](r *rng.Source, legal, illegal []T) T {
+	if r.Float64() < 0.04 {
+		return illegal[r.Intn(len(illegal))]
+	}
+	return legal[r.Intn(len(legal))]
+}
+
+// TestOneBuildPerRepeat pins the cost of a submitted job's set-up: checking
+// it and running one round of it allocates about what one fleet build does,
+// so a build creeping back into Validate or in front of the repeat loop —
+// each would add a whole build's bytes — fails here.
+func TestOneBuildPerRepeat(t *testing.T) {
+	cfg := fleetConfig(2000)
+	setting, scale, err := cfg.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	build := allocated(func() {
+		if _, err := experiment.Build(setting, scale); err != nil {
+			t.Fatal(err)
+		}
+	})
+	job := allocated(func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunSimulationStream(cfg, func(RoundPoint) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one build %d B, Validate + one-round job %d B (%.2fx)", build, job, float64(job)/float64(build))
+	if float64(job) >= 1.5*float64(build) {
+		t.Fatalf("Validate + a one-round job allocated %d B, %.2fx one fleet build (%d B): more than one build per repeat", job, float64(job)/float64(build), build)
 	}
 }
 
@@ -642,5 +833,16 @@ func TestRunHeterogeneityWritesTable(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "time to attain target accuracy") {
 		t.Fatalf("output:\n%s", buf.String())
+	}
+}
+
+// fleetConfig is the benchmark's fleet_async job at a given population: a
+// buffered oort run over a sharded lognormal churn fleet.
+func fleetConfig(parties int) SimulationConfig {
+	return SimulationConfig{
+		Dataset: "mit-bih-ecg", Strategy: "oort", Aggregation: "buffered",
+		DeviceProfile: "lognormal", Availability: "churn",
+		Parties: parties, Rounds: 1, PartyFraction: 0.0016, Shards: 64,
+		Parallelism: 1, Seed: 7,
 	}
 }

@@ -279,8 +279,18 @@ type BuildResult struct {
 	Clusters [][]int // non-nil only for FLIPS
 }
 
-// Build assembles (but does not run) the FL job for a setting.
-func Build(setting Setting, scale Scale) (*BuildResult, error) {
+// plan is the part of a job that follows from (setting, scale) alone, before
+// any data exists: the sized dataset spec, the training profile and an
+// fl.Config complete but for Parties, Test, Selector and Faults. Producing it
+// performs every argument check the experiment layer has, so a job is checked
+// the same way whether or not its fleet is then built.
+type plan struct {
+	spec    dataset.Spec
+	profile TrainingProfile
+	cfg     fl.Config
+}
+
+func newPlan(setting Setting, scale Scale) (*plan, error) {
 	if setting.PartyFraction <= 0 || setting.PartyFraction > 1 {
 		return nil, fmt.Errorf("experiment: party fraction %v out of (0,1]", setting.PartyFraction)
 	}
@@ -291,45 +301,21 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	if scale.TrainSize > 0 {
 		spec = spec.WithSizes(scale.TrainSize, max(scale.TestSize, 1))
 	}
-	root := rng.New(setting.Seed)
-
-	train, test, err := dataset.Generate(spec, root.Split(1))
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := partition.Dirichlet(train, scale.Parties, setting.Alpha, root.Split(2))
-	if err != nil {
+	if err := partition.CheckDirichlet(spec.TrainSize, scale.Parties, setting.Alpha); err != nil {
 		return nil, err
-	}
-	profile := DefaultProfile(spec)
-	parties := fl.BuildParties(train, part, profile.LatencySigma, root.Split(3))
-	if profile.FeatureShiftSigma > 0 {
-		applyFeatureShift(parties, spec.Dim, profile.FeatureShiftSigma, root.Split(5))
 	}
 	if setting.Device != nil {
 		if err := setting.Device.Validate(); err != nil {
 			return nil, err
 		}
-		// Devices draw from a fresh root split not used by the legacy path,
-		// so Device == nil settings reproduce pre-device runs byte-exactly.
-		fl.AttachDevices(parties, *setting.Device, root.Split(7))
 	}
-
-	classes := len(spec.LabelNames)
-	var factory model.Factory
-	var paramDim int
-	if profile.Hidden > 0 {
-		factory = model.MLPFactory(spec.Dim, profile.Hidden, classes)
-		paramDim = model.NewMLP(spec.Dim, profile.Hidden, classes, root.Split(6)).NumParams()
-	} else {
-		factory = model.LogRegFactory(spec.Dim, classes)
-		paramDim = model.NewLogReg(spec.Dim, classes).NumParams()
-	}
-
-	sel, clusters, err := buildSelector(setting, parties, paramDim, root.Split(4))
-	if err != nil {
+	if err := selection.Check(setting.Strategy); err != nil {
 		return nil, err
 	}
+	profile := DefaultProfile(spec)
 	baseSGD := profile.SGD
 	if usesPlainAveraging(setting.Algorithm) {
 		baseSGD = profile.AvgFamilySGD
@@ -337,15 +323,6 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	opt, sgd, dynAlpha, err := buildAlgorithm(setting.Algorithm, baseSGD)
 	if err != nil {
 		return nil, err
-	}
-
-	perRound := int(setting.PartyFraction * float64(scale.Parties))
-	if perRound < 1 {
-		perRound = 1
-	}
-	shards := setting.Shards
-	if shards == 0 {
-		shards = scale.Shards
 	}
 	policy, err := fl.PolicyByName(setting.Aggregation, setting.BufferSize, setting.StalenessHalfLife)
 	if err != nil {
@@ -355,29 +332,29 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var faults fl.FaultInjector
 	if setting.Chaos != nil {
-		inj, err := chaos.New(*setting.Chaos, scale.Parties)
-		if err != nil {
+		if err := setting.Chaos.Validate(); err != nil {
 			return nil, err
 		}
-		// Label flips poison the faulty parties' data once, here at build
-		// time (party Data slices hold per-party Sample copies, so only the
-		// flipped party sees its labels move); the injector's other hooks
-		// fire inside the engine. A FaultNone spec still passes through so
-		// outage/surge-only scenarios work.
-		for _, id := range inj.FaultyParties() {
-			inj.FlipLabels(id, parties[id].Data, classes)
-		}
-		faults = inj
 	}
-	cfg := fl.Config{
-		Parties:         parties,
-		Test:            test.Samples,
+
+	classes := len(spec.LabelNames)
+	factory := model.LogRegFactory(spec.Dim, classes)
+	if profile.Hidden > 0 {
+		factory = model.MLPFactory(spec.Dim, profile.Hidden, classes)
+	}
+	perRound := int(setting.PartyFraction * float64(scale.Parties))
+	if perRound < 1 {
+		perRound = 1
+	}
+	shards := setting.Shards
+	if shards == 0 {
+		shards = scale.Shards
+	}
+	return &plan{spec: spec, profile: profile, cfg: fl.Config{
 		NumClasses:      classes,
 		Factory:         factory,
 		Optimizer:       opt,
-		Selector:        sel,
 		Rounds:          scale.Rounds,
 		PartiesPerRound: perRound,
 		SGD:             sgd,
@@ -393,9 +370,83 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 		Shards:          shards,
 		Aggregation:     policy,
 		Fold:            fold,
-		Faults:          faults,
 		Privacy:         setting.Privacy,
 		Seed:            setting.Seed,
+	}}, nil
+}
+
+// Validate reports whether Build followed by fl.Run would accept the job,
+// without building it. Every refusal either can produce is a function of
+// (setting, scale): the fleet Build assembles has scale.Parties parties,
+// devices on all of them or none, and the train set's size as its total
+// weight, which is all fl.Config's own validation reads of it.
+func Validate(setting Setting, scale Scale) error {
+	pl, err := newPlan(setting, scale)
+	if err != nil {
+		return err
+	}
+	return pl.cfg.ValidateShape(fl.FleetShape{
+		Parties:     scale.Parties,
+		Devices:     setting.Device != nil,
+		TotalWeight: float64(pl.spec.TrainSize),
+	})
+}
+
+// Build assembles (but does not run) the FL job for a setting.
+func Build(setting Setting, scale Scale) (*BuildResult, error) {
+	pl, err := newPlan(setting, scale)
+	if err != nil {
+		return nil, err
+	}
+	spec, profile := pl.spec, pl.profile
+	root := rng.New(setting.Seed)
+
+	train, test, err := dataset.Generate(spec, root.Split(1))
+	if err != nil {
+		return nil, err
+	}
+	part, err := partition.Dirichlet(train, scale.Parties, setting.Alpha, root.Split(2))
+	if err != nil {
+		return nil, err
+	}
+	parties := fl.BuildParties(train, part, profile.LatencySigma, root.Split(3))
+	if profile.FeatureShiftSigma > 0 {
+		applyFeatureShift(parties, spec.Dim, profile.FeatureShiftSigma, root.Split(5))
+	}
+	if setting.Device != nil {
+		// Devices draw from a fresh root split not used by the legacy path,
+		// so Device == nil settings reproduce pre-device runs byte-exactly.
+		fl.AttachDevices(parties, *setting.Device, root.Split(7))
+	}
+
+	classes := pl.cfg.NumClasses
+	var paramDim int
+	if profile.Hidden > 0 {
+		paramDim = model.NewMLP(spec.Dim, profile.Hidden, classes, root.Split(6)).NumParams()
+	} else {
+		paramDim = model.NewLogReg(spec.Dim, classes).NumParams()
+	}
+
+	sel, clusters, err := buildSelector(setting, parties, paramDim, root.Split(4))
+	if err != nil {
+		return nil, err
+	}
+	cfg := pl.cfg
+	cfg.Parties, cfg.Test, cfg.Selector = parties, test.Samples, sel
+	if setting.Chaos != nil {
+		inj, err := chaos.New(*setting.Chaos, scale.Parties)
+		if err != nil {
+			return nil, err
+		}
+		// Label flips poison the faulty parties' data once, here at build
+		// time (party Data slices hold per-party Sample copies, so only the
+		// flipped party sees its labels move); the injector's other hooks
+		// fire inside the engine. A FaultNone spec still passes through so
+		// outage/surge-only scenarios work.
+		for _, id := range inj.FaultyParties() {
+			inj.FlipLabels(id, parties[id].Data, classes)
+		}
+		cfg.Faults = inj
 	}
 	return &BuildResult{
 		Parties:  parties,
@@ -506,14 +557,24 @@ func RunSetting(setting Setting, scale Scale) (*fl.Result, error) {
 // unrelated trajectories). The hook runs on the first repeat's engine
 // goroutine; see fl.Config.OnRound for its retention contract.
 func RunSettingStream(setting Setting, scale Scale, onRound func(fl.RoundStats)) (*fl.Result, error) {
+	res, _, err := RunSettingClusters(setting, scale, onRound)
+	return res, err
+}
+
+// RunSettingClusters is RunSettingStream that also returns the first repeat's
+// party clusters (BuildResult.Clusters: nil unless the strategy clusters), so
+// a caller reporting the cluster count does not build the fleet a second time
+// to learn it.
+func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats)) (*fl.Result, [][]int, error) {
 	repeats := max(scale.Repeats, 1)
 	budget := parallel.New(scale.Parallelism).Width()
 	repWidth := min(budget, repeats)
 	innerScale := scale
 	innerScale.Parallelism = max(budget/repWidth, 1)
 	type repOut struct {
-		res *fl.Result
-		err error
+		res      *fl.Result
+		clusters [][]int
+		err      error
 	}
 	outs := parallel.Map(parallel.New(repWidth), repeats, func(rep int) repOut {
 		s := setting
@@ -526,13 +587,13 @@ func RunSettingStream(setting Setting, scale Scale, onRound func(fl.RoundStats))
 			built.Config.OnRound = onRound
 		}
 		res, err := fl.Run(built.Config)
-		return repOut{res: res, err: err}
+		return repOut{res: res, clusters: built.Clusters, err: err}
 	})
 	var peakSum, simSum, tttSum float64
 	var rttSum, rttCount int
 	for _, o := range outs {
 		if o.err != nil {
-			return nil, o.err
+			return nil, nil, o.err
 		}
 		peakSum += o.res.PeakAccuracy
 		simSum += o.res.SimTime
@@ -553,7 +614,7 @@ func RunSettingStream(setting Setting, scale Scale, onRound func(fl.RoundStats))
 		first.RoundsToTarget = -1
 		first.TimeToTarget = -1
 	}
-	return first, nil
+	return first, outs[0].clusters, nil
 }
 
 func max(a, b int) int {

@@ -156,8 +156,45 @@ func (c *Config) policy() AggregationPolicy {
 // violations before committing to a run.
 func (c *Config) Validate() error { return c.validate() }
 
+// FleetShape is all that validation reads of the party pool. A front-end that
+// knows the shape its fleet will have — the experiment layer does, from the
+// setting alone — can run every configuration check through ValidateShape
+// before building a single party.
+type FleetShape struct {
+	// Parties is the population size N.
+	Parties int
+	// Devices reports whether the parties carry devices (all of them; a
+	// mixed fleet is rejected before it has a shape).
+	Devices bool
+	// TotalWeight is the fleet's total aggregation weight, the sum of the
+	// parties' sample counts.
+	TotalWeight float64
+}
+
 func (c *Config) validate() error {
-	if len(c.Parties) == 0 {
+	if c.Selector == nil {
+		return fmt.Errorf("fl: nil selector")
+	}
+	shape := FleetShape{Parties: len(c.Parties)}
+	withDevice := 0
+	for _, p := range c.Parties {
+		if p.Device != nil {
+			withDevice++
+		}
+		shape.TotalWeight += float64(p.NumSamples())
+	}
+	if withDevice > 0 && withDevice < len(c.Parties) {
+		return fmt.Errorf("fl: %d of %d parties have devices; attach devices to all parties or none", withDevice, len(c.Parties))
+	}
+	shape.Devices = withDevice > 0
+	return c.ValidateShape(shape)
+}
+
+// ValidateShape is Validate for a fleet described by its shape instead of
+// c.Parties (which it does not read, nor the selector built over them): every
+// check Run performs on the configuration, none of them needing the data.
+func (c *Config) ValidateShape(fleet FleetShape) error {
+	if fleet.Parties <= 0 {
 		return fmt.Errorf("fl: no parties")
 	}
 	if c.Factory == nil {
@@ -166,14 +203,11 @@ func (c *Config) validate() error {
 	if c.Optimizer == nil {
 		return fmt.Errorf("fl: nil server optimizer")
 	}
-	if c.Selector == nil {
-		return fmt.Errorf("fl: nil selector")
-	}
 	if c.Rounds <= 0 {
 		return fmt.Errorf("fl: non-positive rounds %d", c.Rounds)
 	}
-	if c.PartiesPerRound <= 0 || c.PartiesPerRound > len(c.Parties) {
-		return fmt.Errorf("fl: parties per round %d out of range [1,%d]", c.PartiesPerRound, len(c.Parties))
+	if c.PartiesPerRound <= 0 || c.PartiesPerRound > fleet.Parties {
+		return fmt.Errorf("fl: parties per round %d out of range [1,%d]", c.PartiesPerRound, fleet.Parties)
 	}
 	if c.StragglerRate < 0 || c.StragglerRate >= 1 {
 		return fmt.Errorf("fl: straggler rate %v out of [0,1)", c.StragglerRate)
@@ -189,15 +223,6 @@ func (c *Config) validate() error {
 	}
 	if err := c.Fold.validate(); err != nil {
 		return err
-	}
-	withDevice := 0
-	for _, p := range c.Parties {
-		if p.Device != nil {
-			withDevice++
-		}
-	}
-	if withDevice > 0 && withDevice < len(c.Parties) {
-		return fmt.Errorf("fl: %d of %d parties have devices; attach devices to all parties or none", withDevice, len(c.Parties))
 	}
 	if err := c.Privacy.validate(); err != nil {
 		return err
@@ -217,12 +242,8 @@ func (c *Config) validate() error {
 		// encodes weight), so the worst-case cohort sum is bounded by the
 		// fleet's total weight times max(Clip, 1). Reject configurations whose
 		// sums could wrap in Z_{2^64} instead of folding silent garbage.
-		var totalWeight float64
-		for _, p := range c.Parties {
-			totalWeight += float64(p.NumSamples())
-		}
-		if err := secagg.CheckSumHeadroom(totalWeight * math.Max(c.Privacy.Clip, 1)); err != nil {
-			return fmt.Errorf("fl: masked aggregation overflows the fixed-point ring (total weight %v × clip %v): %w; shrink the cohort weight or the clip bound", totalWeight, c.Privacy.Clip, err)
+		if err := secagg.CheckSumHeadroom(fleet.TotalWeight * math.Max(c.Privacy.Clip, 1)); err != nil {
+			return fmt.Errorf("fl: masked aggregation overflows the fixed-point ring (total weight %v × clip %v): %w; shrink the cohort weight or the clip bound", fleet.TotalWeight, c.Privacy.Clip, err)
 		}
 	}
 	if c.Privacy.Mask || c.Privacy.Epsilon > 0 {
@@ -238,7 +259,7 @@ func (c *Config) validate() error {
 	}
 	switch p := c.policy().(type) {
 	case SyncRounds:
-		if c.Deadline > 0 && withDevice == 0 {
+		if c.Deadline > 0 && !fleet.Devices {
 			return fmt.Errorf("fl: deadline %v set but no party has a device", c.Deadline)
 		}
 	case Buffered:

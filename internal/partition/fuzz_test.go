@@ -28,7 +28,8 @@ func fuzzDataset(n, classes int, seed uint64) *dataset.Dataset {
 // FuzzDirichletPartition asserts the partitioner's invariants over arbitrary
 // (seed, parties, alpha, size, classes) inputs: valid inputs must yield a
 // partition that assigns every sample exactly once with no empty party, and
-// invalid inputs must error rather than panic.
+// invalid inputs must error rather than panic. Valid partitions must also equal
+// the reference implementation's (partition_test.go).
 func FuzzDirichletPartition(f *testing.F) {
 	f.Add(uint64(1), 5, 0.3, 200, 5)
 	f.Add(uint64(7), 1, 1.0, 50, 2)
@@ -58,6 +59,8 @@ func FuzzDirichletPartition(f *testing.F) {
 		if p.NumParties() != parties {
 			t.Fatalf("partition has %d parties, want %d", p.NumParties(), parties)
 		}
+		// Byte-for-byte the partition the quadratic reference loops produce.
+		assertSamePartition(t, referenceDirichlet(ds, parties, alpha, rng.New(seed)), p)
 		// Every sample index is assigned exactly once.
 		seen := make([]bool, n)
 		for pi, indices := range p.Parties {

@@ -9,8 +9,10 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"flips/internal/dataset"
 	"flips/internal/rng"
@@ -40,16 +42,8 @@ func (p *Partition) TotalSamples() int {
 // (zero-sample parties are topped up from the largest party) so that local
 // training is always defined.
 func Dirichlet(ds *dataset.Dataset, parties int, alpha float64, r *rng.Source) (*Partition, error) {
-	if parties <= 0 {
-		return nil, fmt.Errorf("partition: non-positive party count %d", parties)
-	}
-	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-		// NaN slips through a plain sign test and then hangs the Gamma
-		// sampler; Inf degenerates the proportion vector. Reject both.
-		return nil, fmt.Errorf("partition: alpha %v not a positive finite number", alpha)
-	}
-	if ds.Len() < parties {
-		return nil, fmt.Errorf("partition: %d samples cannot cover %d parties", ds.Len(), parties)
+	if err := CheckDirichlet(ds.Len(), parties, alpha); err != nil {
+		return nil, err
 	}
 
 	// Bucket sample indices by label.
@@ -59,7 +53,7 @@ func Dirichlet(ds *dataset.Dataset, parties int, alpha float64, r *rng.Source) (
 	}
 
 	p := &Partition{Parties: make([][]int, parties)}
-	for label, indices := range byLabel {
+	for _, indices := range byLabel {
 		if len(indices) == 0 {
 			continue
 		}
@@ -71,10 +65,27 @@ func Dirichlet(ds *dataset.Dataset, parties int, alpha float64, r *rng.Source) (
 			p.Parties[party] = append(p.Parties[party], indices[pos:pos+c]...)
 			pos += c
 		}
-		_ = label
 	}
 	topUpEmptyParties(p, r)
 	return p, nil
+}
+
+// CheckDirichlet reports whether Dirichlet accepts a samples-sized dataset,
+// a party count and a concentration — every reason it can refuse, none of
+// which needs the data, so a caller can check a job before generating it.
+func CheckDirichlet(samples, parties int, alpha float64) error {
+	if parties <= 0 {
+		return fmt.Errorf("partition: non-positive party count %d", parties)
+	}
+	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
+		// NaN slips through a plain sign test and then hangs the Gamma
+		// sampler; Inf degenerates the proportion vector. Reject both.
+		return fmt.Errorf("partition: alpha %v not a positive finite number", alpha)
+	}
+	if samples < parties {
+		return fmt.Errorf("partition: %d samples cannot cover %d parties", samples, parties)
+	}
+	return nil
 }
 
 // IID partitions ds across parties uniformly at random with near-equal
@@ -163,58 +174,100 @@ func NormalizedLabelDistributions(ds *dataset.Dataset, p *Partition) []tensor.Ve
 }
 
 // largestRemainderApportion converts fractional proportions over n items to
-// integer counts summing exactly to n (Hamilton's method).
+// integer counts summing exactly to n (Hamilton's method): every party gets
+// the floor of its exact share, and the items left over go one each to the
+// largest fractional remainders, ties to the lower index. One sort replaces
+// a rescan of all parties per leftover item, so a label costs O(N log N)
+// instead of O(N · leftover) — the leftover count is itself ~N/2.
 func largestRemainderApportion(props []float64, n int) []int {
 	counts := make([]int, len(props))
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, len(props))
+	fracs := make([]float64, len(props))
 	assigned := 0
 	for i, p := range props {
 		exact := p * float64(n)
 		counts[i] = int(exact)
-		rems[i] = rem{idx: i, frac: exact - float64(counts[i])}
+		fracs[i] = exact - float64(counts[i])
 		assigned += counts[i]
 	}
-	// Distribute the remaining items to the largest remainders
-	// (deterministic tie-break by index).
-	for assigned < n {
-		best := -1
-		for j := range rems {
-			if best == -1 || rems[j].frac > rems[best].frac {
-				best = j
-			}
+	left := n - assigned
+	if left <= 0 || len(props) == 0 {
+		return counts
+	}
+	order := make([]int, len(props))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(fracs[b], fracs[a]); c != 0 {
+			return c
 		}
-		counts[rems[best].idx]++
-		rems[best].frac = -1
-		assigned++
+		return cmp.Compare(a, b)
+	})
+	for _, i := range order[:min(left, len(order))] {
+		counts[i]++
+	}
+	if left > len(order) {
+		// Proportions that sum below one (a zero-mass vector) leave more
+		// items than parties; once every remainder is spent the rest land on
+		// party 0.
+		counts[0] += left - len(order)
 	}
 	return counts
 }
 
-// topUpEmptyParties moves one sample from the largest party to each empty
-// party so every party can train locally.
+// topUpEmptyParties moves one sample from the largest party (ties to the
+// lower index) to each empty party, in party order, so every party can train
+// locally. The donors sit in a binary heap, so a top-up costs O(log N)
+// instead of a scan of all parties — at alpha 0.05 most of a fleet starts
+// empty. A topped-up party holds one sample and a donor needs two, so
+// recipients never enter the heap.
 func topUpEmptyParties(p *Partition, r *rng.Source) {
-	for i := range p.Parties {
-		if len(p.Parties[i]) > 0 {
-			continue
+	var empty, donors []int
+	for i, idx := range p.Parties {
+		if len(idx) == 0 {
+			empty = append(empty, i)
+		} else {
+			donors = append(donors, i)
 		}
-		// Find the largest donor.
-		donor := -1
-		for j := range p.Parties {
-			if donor == -1 || len(p.Parties[j]) > len(p.Parties[donor]) {
-				donor = j
+	}
+	if len(empty) == 0 || len(donors) == 0 {
+		return
+	}
+	before := func(a, b int) bool {
+		if la, lb := len(p.Parties[a]), len(p.Parties[b]); la != lb {
+			return la > lb
+		}
+		return a < b
+	}
+	// siftDown restores the heap below position i after its party shrank.
+	siftDown := func(i int) {
+		for {
+			top := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(donors); c++ {
+				if before(donors[c], donors[top]) {
+					top = c
+				}
 			}
+			if top == i {
+				return
+			}
+			donors[i], donors[top] = donors[top], donors[i]
+			i = top
 		}
-		if donor == -1 || len(p.Parties[donor]) <= 1 {
+	}
+	for i := len(donors)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for _, i := range empty {
+		donor := donors[0]
+		d := p.Parties[donor]
+		if len(d) <= 1 {
 			return // nothing to donate; caller's size validation prevents this
 		}
-		d := p.Parties[donor]
 		pick := r.Intn(len(d))
 		p.Parties[i] = append(p.Parties[i], d[pick])
 		d[pick] = d[len(d)-1]
 		p.Parties[donor] = d[:len(d)-1]
+		siftDown(0)
 	}
 }

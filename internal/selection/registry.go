@@ -84,15 +84,23 @@ func (reg *Registry) Names() []string {
 	return append([]string(nil), reg.names...)
 }
 
+// Check reports whether a name is registered, without building anything.
+func (reg *Registry) Check(name string) error {
+	if _, ok := reg.builders[name]; !ok {
+		return fmt.Errorf("selection: unknown selector %q (registered: %s)",
+			name, strings.Join(reg.names, ", "))
+	}
+	return nil
+}
+
 // Build resolves a name and runs its builder. Unknown names are rejected
 // with the full registered list, so a typo at any edge (CLI flag, job
 // submission, config file) reports what would have worked.
 func (reg *Registry) Build(name string, ctx BuildContext) (fl.Selector, [][]int, error) {
-	b, ok := reg.builders[name]
-	if !ok {
-		return nil, nil, fmt.Errorf("selection: unknown selector %q (registered: %s)",
-			name, strings.Join(reg.names, ", "))
+	if err := reg.Check(name); err != nil {
+		return nil, nil, err
 	}
+	b := reg.builders[name]
 	if ctx.NumParties < 1 {
 		return nil, nil, fmt.Errorf("selection: selector %q needs at least one party", name)
 	}
@@ -113,6 +121,9 @@ func Register(name string, b Builder) { defaultRegistry.Register(name, b) }
 
 // Names lists the default registry's selector names in registration order.
 func Names() []string { return defaultRegistry.Names() }
+
+// Check reports whether the default registry has a name.
+func Check(name string) error { return defaultRegistry.Check(name) }
 
 // Build resolves a name against the default registry.
 func Build(name string, ctx BuildContext) (fl.Selector, [][]int, error) {

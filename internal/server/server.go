@@ -400,6 +400,10 @@ func (s *Server) runProtected(j *job) (res *flips.SimulationResult, err error) {
 		p.PerLabel = append([]float64(nil), p.PerLabel...)
 		j.mu.Lock()
 		j.rounds = append(j.rounds, p)
+		// Wake followers now, not at the terminal state change. A follower
+		// takes everything appended since its last read, so rounds landing
+		// faster than it writes coalesce into one batch and one flush.
+		j.cond.Broadcast()
 		shards := p.ShardsTouched
 		j.mu.Unlock()
 		s.mu.Lock()

@@ -129,10 +129,15 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobFailureIsReported: a config that validated (202) and then fails in
+// the runner — which is where anything Validate cannot see without the fleet
+// now surfaces — ends failed with the runner's message, on the status and as
+// the stream's terminal event after the rounds it did produce.
 func TestJobFailureIsReported(t *testing.T) {
 	t.Parallel()
 	s := New(Config{
 		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			onRound(flips.RoundPoint{Round: 1, Accuracy: 0.3})
 			return nil, errors.New("synthetic engine failure")
 		},
 	})
@@ -140,10 +145,33 @@ func TestJobFailureIsReported(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain()
 
-	st, _ := submit(t, ts, validBody(t))
+	st, resp := submit(t, ts, validBody(t))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
 	final := waitTerminal(t, ts, st.ID)
-	if final.State != StateFailed || !strings.Contains(final.Error, "synthetic engine failure") {
+	if final.State != StateFailed || !strings.Contains(final.Error, "synthetic engine failure") || final.Result != nil {
 		t.Fatalf("final = %+v", final)
+	}
+	stream, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	var events []StreamEvent
+	for sc := bufio.NewScanner(stream.Body); sc.Scan(); {
+		var ev StreamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	if len(events) != 2 || events[0].Round == nil || !events[1].Done ||
+		events[1].State != StateFailed || !strings.Contains(events[1].Error, "synthetic engine failure") {
+		t.Fatalf("stream = %+v", events)
+	}
+	if got := s.Stats(); got.Failed != 1 || got.Done != 0 {
+		t.Fatalf("stats = %+v", got)
 	}
 }
 
@@ -373,6 +401,76 @@ func TestStreamReplaysAndFollows(t *testing.T) {
 	}
 	if sc.Scan() {
 		t.Fatalf("stream continued past terminal event: %s", sc.Text())
+	}
+}
+
+// TestStreamFollowerWakesPerRound: a follower already connected must receive
+// a round when it lands, not when the job ends. The runner is gated, so the
+// job is provably still running when the round arrives.
+func TestStreamFollowerWakesPerRound(t *testing.T) {
+	t.Parallel()
+	emit, finish := make(chan struct{}), make(chan struct{})
+	s := New(Config{
+		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			onRound(flips.RoundPoint{Round: 1, Accuracy: 0.3})
+			<-emit
+			onRound(flips.RoundPoint{Round: 2, Accuracy: 0.5})
+			<-finish
+			return &flips.SimulationResult{PeakAccuracy: 0.5}, nil
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+	var once sync.Once
+	release := func() { once.Do(func() { close(finish) }) }
+	defer release() // before Drain, so a failing test does not hang in it
+
+	st, _ := submit(t, ts, validBody(t))
+	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := make(chan StreamEvent)
+	go func() {
+		defer close(events)
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			var ev StreamEvent
+			if json.Unmarshal(sc.Bytes(), &ev) != nil {
+				return
+			}
+			events <- ev
+		}
+	}()
+	next := func(what string) StreamEvent {
+		t.Helper()
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				t.Fatalf("stream ended before %s", what)
+			}
+			return ev
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %s within 5s: the follower was not woken", what)
+		}
+		return StreamEvent{}
+	}
+	// Round 1 has been read, so the handler is connected and has nothing
+	// more to send: round 2 can only reach it through a wake-up.
+	if ev := next("round 1"); ev.Round == nil || ev.Round.Round != 1 {
+		t.Fatalf("event 0 = %+v", ev)
+	}
+	close(emit)
+	if ev := next("round 2"); ev.Round == nil || ev.Round.Round != 2 {
+		t.Fatalf("event 1 = %+v", ev)
+	}
+	if got := getStatus(t, ts, st.ID); got.State != StateRunning || got.Rounds != 2 {
+		t.Fatalf("status when round 2 arrived = %+v, want running with 2 rounds", got)
+	}
+	release()
+	if final := next("terminal event"); !final.Done || final.State != StateDone {
+		t.Fatalf("final = %+v", final)
 	}
 }
 

@@ -285,23 +285,19 @@ func (c SimulationConfig) resolveDevice() (*device.Config, error) {
 	return &cfg, nil
 }
 
-// Validate checks the configuration without running it: unknown datasets,
-// strategies, device profiles, availability processes and aggregation modes
-// are reported immediately. The job server uses it to answer a malformed
-// submission with 400 instead of accepting a job doomed to fail.
+// Validate checks the configuration without running it or building its
+// fleet: unknown datasets, strategies, device profiles, availability processes
+// and aggregation modes are reported immediately, and so are the engine's
+// cross-field rules — masking with a robust fold, fixed-point headroom for
+// this fleet's total weight — which depend on the fleet only through its
+// size, device model and train-set size. The job server uses it to answer a
+// malformed submission with 400 instead of accepting a job doomed to fail.
 func (c SimulationConfig) Validate() error {
 	setting, scale, err := c.resolve()
 	if err != nil {
 		return err
 	}
-	built, err := experiment.Build(setting, scale)
-	if err != nil {
-		return err
-	}
-	// The engine's own validation catches the cross-field privacy rules —
-	// masking with a robust fold, fixed-point headroom for this fleet's
-	// total weight, checkpointing under masks — before a job is accepted.
-	return built.Config.Validate()
+	return experiment.Validate(setting, scale)
 }
 
 // RunSimulation executes one FL job and returns its convergence history.
@@ -319,31 +315,36 @@ func RunSimulationStream(cfg SimulationConfig, onRound func(RoundPoint)) (*Simul
 	if err != nil {
 		return nil, err
 	}
-	built, err := experiment.Build(setting, scale)
+	res, clusters, err := experiment.RunSettingClusters(setting, scale, roundHook(onRound))
 	if err != nil {
 		return nil, err
 	}
-	var hook func(fl.RoundStats)
-	if onRound != nil {
-		hook = func(h fl.RoundStats) { onRound(roundPoint(h)) }
+	return newSimulationResult(res, setting.TargetAccuracy, len(clusters)), nil
+}
+
+// roundHook adapts a public round hook to the engine's, keeping nil nil.
+func roundHook(onRound func(RoundPoint)) func(fl.RoundStats) {
+	if onRound == nil {
+		return nil
 	}
-	res, err := experiment.RunSettingStream(setting, scale, hook)
-	if err != nil {
-		return nil, err
-	}
+	return func(h fl.RoundStats) { onRound(roundPoint(h)) }
+}
+
+// newSimulationResult maps a finished engine run onto the public result.
+func newSimulationResult(res *fl.Result, target float64, clusters int) *SimulationResult {
 	out := &SimulationResult{
 		PeakAccuracy:   res.PeakAccuracy,
 		RoundsToTarget: res.RoundsToTarget,
 		TimeToTarget:   res.TimeToTarget,
 		SimTime:        res.SimTime,
-		TargetAccuracy: setting.TargetAccuracy,
+		TargetAccuracy: target,
 		TotalCommBytes: res.TotalCommBytes,
-		NumClusters:    len(built.Clusters),
+		NumClusters:    clusters,
 	}
 	for _, h := range res.History {
 		out.History = append(out.History, roundPoint(h))
 	}
-	return out, nil
+	return out
 }
 
 // roundPoint maps the engine's RoundStats onto the public round shape.
