@@ -494,7 +494,7 @@ func (c *eventCore) settleMaskedWaves(halfLife float64, settleAll bool) (int, er
 			kept = append(kept, w)
 			continue
 		}
-		res, err := c.priv.settleWave(w, c.pool)
+		res, err := c.priv.settleWave(w)
 		if err != nil {
 			return 0, err
 		}

@@ -296,7 +296,7 @@ func newEventCore(cfg *Config) *eventCore {
 	c.selectedMark = newShardedSlice[bool](c.space)
 	c.offlineMark = newShardedSlice[bool](c.space)
 	if cfg.Privacy.Enabled() {
-		c.priv = newPrivacyState(cfg, len(c.globalParams), c.space.count())
+		c.priv = newPrivacyState(cfg, len(c.globalParams), c.pool)
 	}
 	return c
 }

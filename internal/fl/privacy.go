@@ -118,27 +118,69 @@ type maskWave struct {
 	settled    bool
 }
 
+// partyKeys is one party's deterministic key material: the derived secret
+// scalar the cohort escrows, and its X25519 key pair.
+type partyKeys struct {
+	secret [32]byte
+	priv   *ecdh.PrivateKey
+	pub    *ecdh.PublicKey
+}
+
+// pairMiss names a cohort pair (by member index, i < j) whose mask seed is
+// not cached yet.
+type pairMiss struct{ i, j int }
+
+// maskWorker is the scratch one pool worker owns during a wave pass: a full
+// dim+1 accumulator for the masked sum, the Shamir coefficient buffer, and
+// the lowest-index error its items reported.
+type maskWorker struct {
+	acc   []uint64
+	coeff []uint64
+	err   error
+	errAt int
+}
+
+func (mw *maskWorker) fail(item int, err error) {
+	if mw.err == nil || item < mw.errAt {
+		mw.err, mw.errAt = err, item
+	}
+}
+
 // privacyState is the engine-side state of the privacy middleware: cached
 // deterministic key material, the active mask waves, and the reusable
 // scratch that keeps steady-state masking allocation-free.
+//
+// A wave's crypto runs on the coordinator's pool in three passes — pair
+// agreements and Shamir splits at enrolment, the masked sum with its dropout
+// unmasking at settlement. Each pass is a method value bound once here and
+// parameterized through the fields below, so dispatching it allocates
+// nothing; items write index-addressed storage or a per-worker accumulator,
+// and the maps are only touched on the policy goroutine between passes.
 type privacyState struct {
-	pc     PrivacyConfig
-	seed   uint64
-	dim    int // model parameter count; masked vectors carry dim+1 coordinates
-	ranges []foldRange
+	pc   PrivacyConfig
+	seed uint64
+	dim  int // model parameter count; masked vectors carry dim+1 coordinates
+	pool *parallel.Pool
 
-	secrets   map[int][32]byte
-	privs     map[int]*ecdh.PrivateKey
-	pubs      map[int]*ecdh.PublicKey
+	keys      map[int]partyKeys
 	pairSeeds map[uint64][32]byte
 
-	acc      []uint64       // masked-sum accumulator, dim+1
-	coeff    []uint64       // Shamir coefficient scratch
-	xs       []uint64       // Shamir holder-point scratch
-	shareRow []secagg.Share // per-member share scatter scratch
-	combine  []secagg.Share // reconstruction input scratch
-	recSeeds [][32]byte     // reconstructed (dropout × survivor) pair seeds
-	recSigns []bool         // matching mask signs for the unmask pass
+	acc     []uint64     // the settled wave's masked sum, dim+1; worker 0 accumulates into it
+	workers []maskWorker // per pool worker, grown to the widest pass so far
+
+	wave       *maskWave   // the wave the running pass works on
+	cohortKeys []partyKeys // its members' key material, by member index
+	holderXs   []uint64    // share evaluation points: the cohort's at enrolment, the recovery holders' at settlement
+	misses     []pairMiss  // its pairs that need a first-use agreement
+	sumSplit   int         // coordinate blocks per contributor in the sum pass
+	sumItems   int         // contributor × block items; the rest of the pass unmasks recSeeds
+
+	agreePass, splitPass, sumPass func(worker, item int)
+
+	basis    secagg.LagrangeBasis // over the first splitT survivors of the settling wave
+	combine  []secagg.Share       // reconstruction input scratch
+	recSeeds [][32]byte           // (dropout × survivor) pair seeds left in the survivors' sum
+	recSigns []bool               // matching mask signs for the unmask items
 
 	waves     []*maskWave // active (unsettled) waves in dispatch order
 	freeWaves []*maskWave
@@ -149,38 +191,37 @@ type privacyState struct {
 	noiseSteps uint64
 }
 
-func newPrivacyState(cfg *Config, dim, shards int) *privacyState {
+func newPrivacyState(cfg *Config, dim int, pool *parallel.Pool) *privacyState {
 	ps := &privacyState{
 		pc:   cfg.Privacy,
 		seed: cfg.Seed,
 		dim:  dim,
+		pool: pool,
 	}
 	if ps.pc.Mask {
-		ps.ranges = paramRanges(dim+1, foldShards(shards, dim))
-		ps.secrets = make(map[int][32]byte)
-		ps.privs = make(map[int]*ecdh.PrivateKey)
-		ps.pubs = make(map[int]*ecdh.PublicKey)
+		ps.keys = make(map[int]partyKeys)
 		ps.pairSeeds = make(map[uint64][32]byte)
 		ps.acc = make([]uint64, dim+1)
+		ps.workers = []maskWorker{{acc: ps.acc}}
+		ps.agreePass, ps.splitPass, ps.sumPass = ps.agreeItem, ps.splitItem, ps.sumItem
 	}
 	return ps
 }
 
-// keysFor returns party id's deterministic X25519 key pair, caching across
-// waves (ECDH key expansion is the expensive part of enrollment).
-func (ps *privacyState) keysFor(id int) (*ecdh.PrivateKey, *ecdh.PublicKey, error) {
-	if priv, ok := ps.privs[id]; ok {
-		return priv, ps.pubs[id], nil
+// keysFor returns party id's deterministic key material, caching across
+// waves (ECDH key expansion is the expensive part of a party's first wave).
+func (ps *privacyState) keysFor(id int) (partyKeys, error) {
+	if pk, ok := ps.keys[id]; ok {
+		return pk, nil
 	}
-	secret := secagg.DeriveSecret(ps.seed, id)
-	priv, err := secagg.PrivateKeyFromSecret(&secret)
+	pk := partyKeys{secret: secagg.DeriveSecret(ps.seed, id)}
+	priv, err := secagg.PrivateKeyFromSecret(&pk.secret)
 	if err != nil {
-		return nil, nil, err
+		return partyKeys{}, err
 	}
-	ps.secrets[id] = secret
-	ps.privs[id] = priv
-	ps.pubs[id] = priv.PublicKey()
-	return priv, ps.pubs[id], nil
+	pk.priv, pk.pub = priv, priv.PublicKey()
+	ps.keys[id] = pk
+	return pk, nil
 }
 
 func pairKey(a, b int) uint64 {
@@ -188,29 +229,6 @@ func pairKey(a, b int) uint64 {
 		a, b = b, a
 	}
 	return uint64(a)<<32 | uint64(b)
-}
-
-// pairSeedFor returns the cached pairwise mask seed for (a, b), deriving it
-// from the real X25519 agreement on first use.
-func (ps *privacyState) pairSeedFor(a, b int) ([32]byte, error) {
-	k := pairKey(a, b)
-	if s, ok := ps.pairSeeds[k]; ok {
-		return s, nil
-	}
-	privA, _, err := ps.keysFor(a)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	_, pubB, err := ps.keysFor(b)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	s, err := secagg.PairSeed(privA, pubB)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	ps.pairSeeds[k] = s
-	return s, nil
 }
 
 // effectiveThreshold resolves the reconstruction threshold for a k-member
@@ -222,10 +240,42 @@ func (ps *privacyState) effectiveThreshold(k int) int {
 	return k/2 + 1
 }
 
-// beginWave enrolls a cohort: it derives (cached) pairwise mask seeds for
-// every pair and Shamir-shares each member's key secret among the other
-// members — the escrow dropout recovery draws on. cohort is engine scratch;
-// the wave copies it. Steady state reuses pooled wave storage end to end.
+// passWorkers returns the scratch of the workers an n-item pass can run on,
+// growing the set on first use of a wider pass.
+func (ps *privacyState) passWorkers(n int) []maskWorker {
+	nw := min(ps.pool.Width(), n)
+	for len(ps.workers) < nw {
+		ps.workers = append(ps.workers, maskWorker{acc: make([]uint64, ps.dim+1)})
+	}
+	return ps.workers[:nw]
+}
+
+// runPass runs one enrolment pass over n items of ps.wave on the pool and
+// returns the error of the lowest failing item, so the reported error does
+// not depend on how the items were spread over workers.
+func (ps *privacyState) runPass(n int, pass func(worker, item int)) error {
+	workers := ps.passWorkers(n)
+	ps.pool.ForEachWorker(n, pass)
+	var err error
+	at := n
+	for wi := range workers {
+		if mw := &workers[wi]; mw.err != nil {
+			if mw.errAt < at {
+				err, at = mw.err, mw.errAt
+			}
+			mw.err = nil
+		}
+	}
+	return err
+}
+
+// beginWave enrolls a cohort: every pair gets its mask seed — cached, or
+// agreed by real X25519 on the pool when the pair meets for the first time —
+// and every member Shamir-shares its key secret among the cohort, the escrow
+// dropout recovery draws on. Seeds and shares are pure functions of (job
+// seed, party, tag), so the wave is the same at every pool width. cohort is
+// engine scratch; the wave copies it. Steady state reuses pooled wave
+// storage end to end.
 func (ps *privacyState) beginWave(tag uint64, version int, cohort []int) (*maskWave, error) {
 	var w *maskWave
 	if n := len(ps.freeWaves); n > 0 {
@@ -248,20 +298,38 @@ func (ps *privacyState) beginWave(tag uint64, version int, cohort []int) (*maskW
 	w.settled = false
 	w.threshold = ps.effectiveThreshold(k)
 	w.splitT = min(w.threshold, k-1)
+	ps.wave = w
+
+	// Share evaluation points are party IDs + 1 (distinct, nonzero).
+	ps.cohortKeys, ps.holderXs = ps.cohortKeys[:0], ps.holderXs[:0]
+	for _, id := range w.members {
+		pk, err := ps.keysFor(id)
+		if err != nil {
+			return nil, err
+		}
+		ps.cohortKeys = append(ps.cohortKeys, pk)
+		ps.holderXs = append(ps.holderXs, uint64(id)+1)
+	}
 
 	if cap(w.pairs) < k*k {
 		w.pairs = make([][32]byte, k*k)
 	}
 	w.pairs = w.pairs[:k*k]
+	ps.misses = ps.misses[:0]
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			s, err := ps.pairSeedFor(w.members[i], w.members[j])
-			if err != nil {
-				return nil, err
+			if s, ok := ps.pairSeeds[pairKey(w.members[i], w.members[j])]; ok {
+				w.pairs[i*k+j], w.pairs[j*k+i] = s, s
+			} else {
+				ps.misses = append(ps.misses, pairMiss{i, j})
 			}
-			w.pairs[i*k+j] = s
-			w.pairs[j*k+i] = s
 		}
+	}
+	if err := ps.runPass(len(ps.misses), ps.agreePass); err != nil {
+		return nil, err
+	}
+	for _, m := range ps.misses {
+		ps.pairSeeds[pairKey(w.members[m.i], w.members[m.j])] = w.pairs[m.i*k+m.j]
 	}
 
 	if w.splitT >= 1 && k >= 2 {
@@ -269,44 +337,39 @@ func (ps *privacyState) beginWave(tag uint64, version int, cohort []int) (*maskW
 			w.shares = make([]secagg.Share, k*k)
 		}
 		w.shares = w.shares[:k*k]
-		if cap(ps.xs) < k-1 {
-			ps.xs = make([]uint64, k-1)
-			ps.shareRow = make([]secagg.Share, k-1)
+		if err := ps.runPass(k, ps.splitPass); err != nil {
+			return nil, err
 		}
-		xs := ps.xs[:0]
-		for i := 0; i < k; i++ {
-			// Every member holds shares for every other member; evaluation
-			// points are party IDs + 1 (distinct, nonzero).
-			if _, _, err := ps.keysFor(w.members[i]); err != nil {
-				return nil, err
-			}
-			secret := ps.secrets[w.members[i]]
-			xs = xs[:0]
-			for j := 0; j < k; j++ {
-				if j != i {
-					xs = append(xs, uint64(w.members[j])+1)
-				}
-			}
-			row := ps.shareRow[:len(xs)]
-			var err error
-			ps.coeff, err = secagg.SplitSecretInto(row, &secret, xs, w.splitT, tag, ps.coeff)
-			if err != nil {
-				return nil, err
-			}
-			ri := 0
-			for j := 0; j < k; j++ {
-				if j == i {
-					continue
-				}
-				w.shares[i*k+j] = row[ri]
-				ri++
-			}
-		}
-		ps.xs = xs[:cap(xs)]
 	} else {
 		w.shares = w.shares[:0]
 	}
 	return w, nil
+}
+
+// agreeItem runs the first-use X25519 agreement of one missing cohort pair
+// into the wave's seed table.
+func (ps *privacyState) agreeItem(worker, item int) {
+	w, m := ps.wave, ps.misses[item]
+	s, err := secagg.PairSeed(ps.cohortKeys[m.i].priv, ps.cohortKeys[m.j].pub)
+	if err != nil {
+		ps.workers[worker].fail(item, err)
+		return
+	}
+	k := len(w.members)
+	w.pairs[m.i*k+m.j], w.pairs[m.j*k+m.i] = s, s
+}
+
+// splitItem escrows member item's key secret: one polynomial, evaluated at
+// every cohort member's point straight into the member's share row. The
+// diagonal — a member's share of its own secret — is never read.
+func (ps *privacyState) splitItem(worker, item int) {
+	w, mw := ps.wave, &ps.workers[worker]
+	k := len(w.members)
+	var err error
+	mw.coeff, err = secagg.SplitSecretInto(w.shares[item*k:(item+1)*k], &ps.cohortKeys[item].secret, ps.holderXs, w.splitT, w.tag, mw.coeff)
+	if err != nil {
+		mw.fail(item, err)
+	}
 }
 
 // contribute records member memberIdx's usable (finite, clipped) update.
@@ -361,13 +424,18 @@ type waveResult struct {
 
 // settleWave closes a wave: it computes the masked sum of the survivors'
 // encoded contributions (every survivor masked against the full cohort),
-// reconstructs and removes the residual masks of every dropout from the
-// escrowed shares, and decodes the weighted-mean delta. With dropouts
-// present and fewer than threshold survivors it aborts instead — nothing is
-// decoded, nothing is applied. The masked sum and the unmask/decode passes
-// shard on the parameter axis across pool; uint64 addition is associative,
-// so the result is bit-identical at every parallelism and shard count.
-func (ps *privacyState) settleWave(w *maskWave, pool *parallel.Pool) (waveResult, error) {
+// removes the residual masks of every dropout — recovered from the escrowed
+// shares — and decodes the weighted-mean delta. With dropouts present and
+// fewer than threshold survivors it aborts instead — nothing is decoded,
+// nothing is applied.
+//
+// The sum runs on the pool in one pass whose items are the contributors
+// (split into coordinate blocks when there are fewer contributors than
+// workers) followed by the dropout seeds to unmask. Every item adds into its
+// worker's own accumulator and the accumulators are added up afterwards;
+// addition in Z_2^64 is associative and commutative, so the sum is the same
+// bit for bit however the items were spread.
+func (ps *privacyState) settleWave(w *maskWave) (waveResult, error) {
 	w.settled = true
 	nsurv := len(w.contribs)
 	ndrop := len(w.members) - nsurv
@@ -380,115 +448,128 @@ func (ps *privacyState) settleWave(w *maskWave, pool *parallel.Pool) (waveResult
 		return waveResult{survivors: 0}, nil
 	}
 
-	// Phase 1: the survivors' masked sum. Each survivor's vector is its
-	// encoded weighted delta (plus the weight coordinate at index dim) plus
-	// pairwise masks against every other cohort member — exactly what an
-	// honest client uploads, so masking cost is accounted per party.
-	pool.ForEach(len(ps.ranges), func(ri int) {
-		r := ps.ranges[ri]
-		ps.maskedSumRange(w, r.lo, r.hi)
-	})
-
-	// Phase 2: dropout recovery. For each dropout, combine the escrowed
-	// shares held by the first splitT survivors, re-derive its pairwise
-	// seeds with every survivor by real ECDH, and subtract the residual
-	// masks the survivors' uploads still carry against it.
+	// Dropout recovery comes first, so a wave whose escrow does not verify
+	// fails before anything is summed.
+	ps.recSeeds, ps.recSigns = ps.recSeeds[:0], ps.recSigns[:0]
 	if ndrop > 0 {
 		if err := ps.reconstructDropouts(w); err != nil {
 			return waveResult{}, err
 		}
-		nrec := len(ps.recSeeds)
-		pool.ForEach(len(ps.ranges), func(ri int) {
-			r := ps.ranges[ri]
-			for i := 0; i < nrec; i++ {
-				secagg.AddPairMask(ps.acc, &ps.recSeeds[i], w.tag, r.lo, r.hi, ps.recSigns[i])
-			}
-		})
 	}
 
-	// Phase 3: decode. The weight coordinate gives Σw; each parameter
-	// coordinate decodes to Σ w_i·d_i, so the mean delta is their ratio.
+	ps.wave = w
+	ps.sumSplit = 1
+	if width := ps.pool.Width(); nsurv < width {
+		ps.sumSplit = min((width+nsurv-1)/nsurv, ps.maskBlocks())
+	}
+	ps.sumItems = nsurv * ps.sumSplit
+	n := ps.sumItems + len(ps.recSeeds)
+	workers := ps.passWorkers(n)
+	for wi := range workers {
+		clear(workers[wi].acc)
+	}
+	ps.pool.ForEachWorker(n, ps.sumPass)
+	for wi := 1; wi < len(workers); wi++ {
+		for c, v := range workers[wi].acc {
+			ps.acc[c] += v
+		}
+	}
+
+	// Decode. The weight coordinate gives Σw; each parameter coordinate
+	// decodes to Σ w_i·d_i, so the mean delta is their ratio.
 	wsum := secagg.DecodeFixed(ps.acc[ps.dim])
 	if wsum <= 0 {
 		return waveResult{survivors: nsurv}, nil
 	}
 	out := ps.nextDecoded()
-	pool.ForEach(len(ps.ranges), func(ri int) {
-		r := ps.ranges[ri]
-		hi := min(r.hi, ps.dim)
-		for c := r.lo; c < hi; c++ {
-			out[c] = secagg.DecodeFixed(ps.acc[c]) / wsum
-		}
-	})
+	for c := range out {
+		out[c] = secagg.DecodeFixed(ps.acc[c]) / wsum
+	}
 	return waveResult{delta: out, weight: wsum, survivors: nsurv}, nil
 }
 
-// maskedSumRange accumulates the survivors' masked uploads over acc[lo:hi):
-// encoded weighted delta coordinates (index dim carries the weight) plus
-// every survivor's pairwise masks against the full cohort. Pure function of
-// the wave over a disjoint range — safe to shard on the parameter axis —
-// and allocation-free in steady state.
-func (ps *privacyState) maskedSumRange(w *maskWave, lo, hi int) {
-	acc := ps.acc
-	for c := lo; c < hi; c++ {
-		acc[c] = 0
+// maskBlocks is the number of 4-word mask hash blocks in a masked vector's
+// dim+1 coordinates.
+func (ps *privacyState) maskBlocks() int { return (ps.dim + 4) / 4 }
+
+// sumItem is one item of the settlement pass: a contributor's masked upload
+// over one coordinate block, or — past sumItems — one dropout seed to
+// unmask over the whole vector.
+func (ps *privacyState) sumItem(worker, item int) {
+	w, acc := ps.wave, ps.workers[worker].acc
+	if item >= ps.sumItems {
+		r := item - ps.sumItems
+		secagg.AddPairMask(acc, &ps.recSeeds[r], w.tag, 0, ps.dim+1, ps.recSigns[r])
+		return
 	}
-	k := len(w.members)
-	for ci := range w.contribs {
-		cb := &w.contribs[ci]
-		for c := lo; c < hi; c++ {
-			var x float64
-			if c < ps.dim {
-				x = cb.weight * cb.delta[c]
-			} else {
-				x = cb.weight
-			}
-			v, err := secagg.EncodeFixed(x)
-			if err != nil {
-				// Unreachable by construction: contributions are finite and
-				// clipped, and validate bounded weight × clip against the
-				// fixed-point headroom.
-				panic(fmt.Sprintf("fl: masked encode of validated contribution failed: %v", err))
-			}
-			acc[c] += v
+	// Blocks are cut on 4-word boundaries so no mask hash is computed twice.
+	blocks, b := ps.maskBlocks(), item%ps.sumSplit
+	lo, hi := b*blocks/ps.sumSplit*4, min((b+1)*blocks/ps.sumSplit*4, ps.dim+1)
+	ps.addMaskedUpload(acc, w, &w.contribs[item/ps.sumSplit], lo, hi)
+}
+
+// addMaskedUpload adds what an honest client uploads over [lo, hi) into acc:
+// its encoded weighted delta (index dim carries the weight) plus its
+// pairwise masks against every other cohort member — so masking cost is
+// accounted per party. Allocation-free.
+func (ps *privacyState) addMaskedUpload(acc []uint64, w *maskWave, cb *maskContrib, lo, hi int) {
+	for c := lo; c < hi; c++ {
+		x := cb.weight
+		if c < ps.dim {
+			x *= cb.delta[c]
 		}
-		si := cb.memberIdx
-		for oj := 0; oj < k; oj++ {
-			if oj == si {
-				continue
-			}
-			// Member a adds the pair mask when a < b, subtracts otherwise;
-			// survivor pairs cancel exactly in the uint64 sum.
-			secagg.AddPairMask(acc, &w.pairs[si*k+oj], w.tag, lo, hi, w.members[si] > w.members[oj])
+		v, err := secagg.EncodeFixed(x)
+		if err != nil {
+			// Unreachable by construction: contributions are finite and
+			// clipped, and validate bounded weight × clip against the
+			// fixed-point headroom.
+			panic(fmt.Sprintf("fl: masked encode of validated contribution failed: %v", err))
 		}
+		acc[c] += v
+	}
+	k, si := len(w.members), cb.memberIdx
+	for oj := 0; oj < k; oj++ {
+		if oj == si {
+			continue
+		}
+		// Member a adds the pair mask when a < b, subtracts otherwise;
+		// survivor pairs cancel exactly in the uint64 sum.
+		secagg.AddPairMask(acc, &w.pairs[si*k+oj], w.tag, lo, hi, w.members[si] > w.members[oj])
 	}
 }
 
-// reconstructDropouts rebuilds every dropout's pairwise seeds with the
-// surviving members from the escrowed Shamir shares, filling
-// recSeeds/recSigns for the unmask pass. The reconstruction is honest: it
-// combines shares back into the dropout's key secret and re-runs the real
-// X25519 agreement against each survivor's public key, rather than peeking
-// at the engine's cached seeds.
+// reconstructDropouts recovers every dropout's key from the escrow and fills
+// recSeeds/recSigns with the (dropout, survivor) masks the survivors' sum
+// still carries. All dropouts of a wave are recovered from the same first
+// splitT survivors (contribution order — deterministic at every pool width),
+// so the Lagrange basis over those holders is computed once. Each dropout's
+// shares combine into its secret, the secret rebuilds its private key, and
+// the key's public half must equal the public key the dropout enrolled with.
+// A matching public key means the rebuilt scalar is the one that made the
+// enrolment agreements, so its seeds with the survivors are exactly the
+// wave's enrolled w.pairs and no agreement is run twice; a mismatch means a
+// holder returned a bad share, and the wave fails instead of folding a sum
+// unmasked with the wrong streams.
 func (ps *privacyState) reconstructDropouts(w *maskWave) error {
 	k := len(w.members)
-	ps.recSeeds = ps.recSeeds[:0]
-	ps.recSigns = ps.recSigns[:0]
+	holders := w.contribs[:w.splitT]
+	ps.holderXs = ps.holderXs[:0]
+	for ci := range holders {
+		ps.holderXs = append(ps.holderXs, uint64(w.members[holders[ci].memberIdx])+1)
+	}
+	if err := ps.basis.Reset(ps.holderXs); err != nil {
+		return fmt.Errorf("fl: mask reconstruction: %w", err)
+	}
 	for di := 0; di < k; di++ {
 		if w.arrived[di] {
 			continue
 		}
 		d := w.members[di]
-		// Collect the dropout's shares held by the first splitT survivors
-		// (contribution order — deterministic at every parallelism).
 		ps.combine = ps.combine[:0]
-		for ci := range w.contribs {
-			if len(ps.combine) == w.splitT {
-				break
-			}
-			ps.combine = append(ps.combine, w.shares[di*k+w.contribs[ci].memberIdx])
+		for ci := range holders {
+			ps.combine = append(ps.combine, w.shares[di*k+holders[ci].memberIdx])
 		}
-		secret, err := secagg.CombineShares(ps.combine, w.splitT)
+		secret, err := ps.basis.Combine(ps.combine)
 		if err != nil {
 			return fmt.Errorf("fl: mask reconstruction for party %d: %w", d, err)
 		}
@@ -496,21 +577,15 @@ func (ps *privacyState) reconstructDropouts(w *maskWave) error {
 		if err != nil {
 			return fmt.Errorf("fl: mask reconstruction for party %d: %w", d, err)
 		}
+		if !priv.PublicKey().Equal(ps.keys[d].pub) {
+			return fmt.Errorf("fl: mask reconstruction for party %d: reconstructed key does not match its enrolled public key", d)
+		}
 		for ci := range w.contribs {
 			si := w.contribs[ci].memberIdx
-			s := w.members[si]
-			_, pubS, err := ps.keysFor(s)
-			if err != nil {
-				return err
-			}
-			seed, err := secagg.PairSeed(priv, pubS)
-			if err != nil {
-				return fmt.Errorf("fl: mask reconstruction for party %d: %w", d, err)
-			}
-			ps.recSeeds = append(ps.recSeeds, seed)
+			ps.recSeeds = append(ps.recSeeds, w.pairs[di*k+si])
 			// Survivor s contributed the mask with sign +(s < d); removal
 			// applies the opposite sign.
-			ps.recSigns = append(ps.recSigns, s < d)
+			ps.recSigns = append(ps.recSigns, w.members[si] < d)
 		}
 	}
 	return nil

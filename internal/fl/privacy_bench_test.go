@@ -7,13 +7,19 @@ import (
 	"flips/internal/tensor"
 )
 
-// benchMaskWave builds a settled-ready wave: a k-member cohort, all enrolled
-// (pairwise seeds + Shamir escrow), with survivors of them contributing
-// clipped unit-weight deltas of the given dimension.
-func benchMaskWave(b *testing.B, k, survivors, dim int) (*privacyState, *maskWave) {
+// ecgModelDim is the parameter count of the benchmark's masked_sync model:
+// logistic regression over the mit-bih-ecg spec (32 features × 5 classes
+// plus 5 biases).
+const ecgModelDim = 165
+
+// benchMaskWave builds a settled-ready wave on pool: a k-member cohort, all
+// enrolled (pairwise seeds + Shamir escrow at the given ShareThreshold, 0
+// for the majority default), with survivors of them contributing clipped
+// unit-weight deltas of the given dimension.
+func benchMaskWave(b *testing.B, pool *parallel.Pool, k, survivors, dim, threshold int) (*privacyState, *maskWave) {
 	b.Helper()
-	cfg := &Config{Privacy: PrivacyConfig{Mask: true, Clip: 1, ShareThreshold: 2}, Seed: 42}
-	ps := newPrivacyState(cfg, dim, 1)
+	cfg := &Config{Privacy: PrivacyConfig{Mask: true, Clip: 1, ShareThreshold: threshold}, Seed: 42}
+	ps := newPrivacyState(cfg, dim, pool)
 	cohort := make([]int, k)
 	for i := range cohort {
 		cohort[i] = i
@@ -34,52 +40,52 @@ func benchMaskWave(b *testing.B, k, survivors, dim int) (*privacyState, *maskWav
 }
 
 // BenchmarkMaskedFold measures the steady-state masked accumulation kernel —
-// the per-aggregation cost of secure aggregation: encode every survivor's
+// the per-contributor cost of secure aggregation: encode a survivor's
 // weighted delta into the uint64 ring and apply its pairwise masks against
-// the full cohort. This is the inner loop settleWave shards across the
-// worker pool; it must stay allocation-free (the CI bench-alloc ratchet pins
-// it at 0 allocs/op), because it runs once per parameter range per wave.
+// the full cohort. These are the items settleWave spreads over the worker
+// pool; the kernel must stay allocation-free (the CI bench-alloc ratchet
+// pins it at 0 allocs/op), because it runs once per contributor per wave.
 func BenchmarkMaskedFold(b *testing.B) {
 	const (
 		k   = 16
 		dim = 4096
 	)
-	ps, w := benchMaskWave(b, k, k, dim)
+	ps, w := benchMaskWave(b, parallel.New(1), k, k, dim, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.maskedSumRange(w, 0, dim+1)
+		for ci := range w.contribs {
+			ps.addMaskedUpload(ps.acc, w, &w.contribs[ci], 0, dim+1)
+		}
 	}
 	coords := float64(dim+1) * float64(k) // encoded coords × survivors per pass
 	b.ReportMetric(coords*float64(b.N)/b.Elapsed().Seconds(), "coords/sec")
 }
 
-// BenchmarkMaskedSettle measures a full wave settlement with dropouts: the
-// sharded masked sum, Shamir reconstruction of the missing members' seeds
-// (share combination + real X25519 agreements per survivor), the unmask
-// pass and the fixed-point decode. The dropout arm prices what a deadline
-// miss costs the server per wave.
+// BenchmarkMaskedSettle measures a full wave settlement at pool width 1:
+// recovery of the missing members' keys from the escrow (one Lagrange basis
+// per wave, one key rebuild and public-key check per dropout), the masked
+// sum with the dropout seeds unmasked in the same pass, and the fixed-point
+// decode. The dropout arms price what a deadline miss costs the server per
+// wave; masked-sync is the benchmark workload's wave (40-party cohort, 8
+// deadline misses, majority threshold, the mit-bih-ecg model). Everything
+// but the rebuilt keys (crypto/ecdh allocates 4 objects per key) comes from
+// pooled scratch, which the CI ratchet pins.
 func BenchmarkMaskedSettle(b *testing.B) {
-	const (
-		k   = 16
-		dim = 4096
-	)
 	for _, tc := range []struct {
-		name      string
-		survivors int
+		name                         string
+		k, survivors, dim, threshold int
 	}{
-		{name: "full-cohort", survivors: k},
-		{name: "2-dropouts", survivors: k - 2},
+		{name: "full-cohort", k: 16, survivors: 16, dim: 4096, threshold: 2},
+		{name: "2-dropouts", k: 16, survivors: 14, dim: 4096, threshold: 2},
+		{name: "masked-sync", k: 40, survivors: 32, dim: ecgModelDim},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			ps, w := benchMaskWave(b, k, tc.survivors, dim)
-			pool := parallel.New(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			ps, w := benchMaskWave(b, parallel.New(1), tc.k, tc.survivors, tc.dim, tc.threshold)
+			settle := func() {
 				w.settled = false
 				ps.ndecoded = 0
-				res, err := ps.settleWave(w, pool)
+				res, err := ps.settleWave(w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +93,33 @@ func BenchmarkMaskedSettle(b *testing.B) {
 					b.Fatal("wave did not settle")
 				}
 			}
+			settle() // grow the pooled scratch: the ratchet runs at -benchtime 1x
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				settle()
+			}
 		})
+	}
+}
+
+// BenchmarkMaskedEnroll measures steady-state enrolment at pool width 1: a
+// masked_sync-sized cohort whose pairs have all met before (warm seed
+// cache), so a wave costs k² cache reads and k Shamir splits into pooled
+// wave storage — 0 allocs/op, pinned by the CI ratchet.
+func BenchmarkMaskedEnroll(b *testing.B) {
+	const k = 40
+	ps, w := benchMaskWave(b, parallel.New(1), k, 0, ecgModelDim, 0)
+	cohort := append([]int(nil), w.members...)
+	ps.freeWave(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := ps.beginWave(uint64(i)+2, 0, cohort)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps.freeWave(w)
 	}
 }
 

@@ -1,12 +1,15 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"flips/internal/chaos"
+	"flips/internal/parallel"
 	"flips/internal/rng"
+	"flips/internal/secagg"
 	"flips/internal/tensor"
 )
 
@@ -519,5 +522,336 @@ func TestModelVersionFreezesOnAbort(t *testing.T) {
 		if math.Float64bits(initial[i]) != math.Float64bits(res.FinalParams[i]) {
 			t.Fatalf("aborted run moved parameter %d under an adaptive optimizer", i)
 		}
+	}
+}
+
+// referenceSettlement is what referenceSettle computes for a wave: the
+// masked sum after unmasking, the reconstructed dropout seeds with their
+// signs, and the decoded mean delta with its total weight.
+type referenceSettlement struct {
+	acc      []uint64
+	recSeeds [][32]byte
+	recSigns []bool
+	delta    tensor.Vec
+	weight   float64
+}
+
+// referenceSettle settles an enrolled wave the way the engine did before
+// settlement moved onto the pool, on one goroutine and with nothing reused:
+// a coordinate-major masked sum over the survivors, and for every dropout a
+// CombineShares of its escrowed shares followed by a fresh X25519 agreement
+// between the rebuilt key and every survivor's public key. settleWave must
+// agree with it bit for bit at every pool width.
+func referenceSettle(t *testing.T, ps *privacyState, w *maskWave) referenceSettlement {
+	t.Helper()
+	k, words := len(w.members), ps.dim+1
+	ref := referenceSettlement{acc: make([]uint64, words)}
+	for _, cb := range w.contribs {
+		for c := 0; c < words; c++ {
+			x := cb.weight
+			if c < ps.dim {
+				x = cb.weight * cb.delta[c]
+			}
+			v, err := secagg.EncodeFixed(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.acc[c] += v
+		}
+		si := cb.memberIdx
+		for oj := 0; oj < k; oj++ {
+			if oj != si {
+				secagg.AddPairMask(ref.acc, &w.pairs[si*k+oj], w.tag, 0, words, w.members[si] > w.members[oj])
+			}
+		}
+	}
+	for di := 0; di < k; di++ {
+		if w.arrived[di] {
+			continue
+		}
+		var shares []secagg.Share
+		for _, cb := range w.contribs[:w.splitT] {
+			shares = append(shares, w.shares[di*k+cb.memberIdx])
+		}
+		secret, err := secagg.CombineShares(shares, w.splitT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priv, err := secagg.PrivateKeyFromSecret(&secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cb := range w.contribs {
+			s := w.members[cb.memberIdx]
+			seed, err := secagg.PairSeed(priv, ps.keys[s].pub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.recSeeds = append(ref.recSeeds, seed)
+			ref.recSigns = append(ref.recSigns, s < w.members[di])
+		}
+	}
+	for i := range ref.recSeeds {
+		secagg.AddPairMask(ref.acc, &ref.recSeeds[i], w.tag, 0, words, ref.recSigns[i])
+	}
+	ref.weight = secagg.DecodeFixed(ref.acc[ps.dim])
+	ref.delta = tensor.NewVec(ps.dim)
+	for c := range ref.delta {
+		ref.delta[c] = secagg.DecodeFixed(ref.acc[c]) / ref.weight
+	}
+	return ref
+}
+
+// requireReferenceEnrolment checks an enrolled wave against enrolment done
+// the plain way: one X25519 agreement per pair, and per member one Shamir
+// split among the other members only.
+func requireReferenceEnrolment(t *testing.T, ps *privacyState, w *maskWave) {
+	t.Helper()
+	k := len(w.members)
+	for i := 0; i < k; i++ {
+		ki := ps.keys[w.members[i]]
+		var xs []uint64
+		for j := 0; j < k; j++ {
+			if j == i {
+				continue
+			}
+			xs = append(xs, uint64(w.members[j])+1)
+			seed, err := secagg.PairSeed(ki.priv, ps.keys[w.members[j]].pub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.pairs[i*k+j] != seed {
+				t.Fatalf("pair seed (%d,%d) differs from a direct agreement", i, j)
+			}
+		}
+		row, err := secagg.SplitSecret(&ki.secret, xs, w.splitT, w.tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, ri := 0, 0; j < k; j++ {
+			if j == i {
+				continue
+			}
+			if w.shares[i*k+j] != row[ri] {
+				t.Fatalf("member %d's share for holder %d differs from a direct split", i, j)
+			}
+			ri++
+		}
+	}
+}
+
+// randomWave enrolls a k-member cohort of distinct parties drawn from a
+// 64-party population (so pair seeds repeat across waves and both the
+// cached and the first-use enrolment paths run) and lets all but ndrop
+// members contribute random clipped deltas in a random arrival order.
+func randomWave(t *testing.T, ps *privacyState, r *rng.Source, tag uint64, k, ndrop int) *maskWave {
+	t.Helper()
+	cohort := r.Perm(64)[:k]
+	for i := range cohort {
+		cohort[i] += 1000
+	}
+	w, err := ps.beginWave(tag, 0, cohort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mi := range r.Perm(k)[:k-ndrop] {
+		delta := tensor.NewVec(ps.dim)
+		for c := range delta {
+			delta[c] = r.NormFloat64()
+		}
+		clipDeltaInPlace(delta, ps.pc.Clip)
+		ps.contribute(w, mi, delta, 1+float64(r.Intn(200)))
+	}
+	return w
+}
+
+// requireSettlesLikeReference settles w and requires the masked sum, the
+// recovered seeds and the decoded delta to equal referenceSettle's.
+func requireSettlesLikeReference(t *testing.T, ps *privacyState, w *maskWave, what string) {
+	t.Helper()
+	ref := referenceSettle(t, ps, w)
+	res, err := ps.settleWave(w)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if res.aborted || res.survivors != len(w.contribs) {
+		t.Fatalf("%s: settled as %+v", what, res)
+	}
+	for c := range ref.acc {
+		if ps.acc[c] != ref.acc[c] {
+			t.Fatalf("%s: masked sum differs at coordinate %d", what, c)
+		}
+	}
+	if len(ps.recSeeds) != len(ref.recSeeds) {
+		t.Fatalf("%s: %d recovered seeds, reference %d", what, len(ps.recSeeds), len(ref.recSeeds))
+	}
+	for i := range ref.recSeeds {
+		if ps.recSeeds[i] != ref.recSeeds[i] || ps.recSigns[i] != ref.recSigns[i] {
+			t.Fatalf("%s: recovered seed %d differs from a fresh agreement", what, i)
+		}
+	}
+	if !bitsEqual(res.weight, ref.weight) {
+		t.Fatalf("%s: weight %v vs %v", what, res.weight, ref.weight)
+	}
+	for c := range ref.delta {
+		if !bitsEqual(res.delta[c], ref.delta[c]) {
+			t.Fatalf("%s: decoded delta differs at %d", what, c)
+		}
+	}
+}
+
+// TestSettleWaveMatchesReference is the bit-identity pin of the pool passes:
+// over seeded random waves — every cohort size class, dropout count up to
+// the threshold limit, the three threshold regimes, dimensions that end
+// inside and on a 4-word mask block, and pool widths that run settlement as
+// whole contributors (width ≤ survivors) and as contributor × coordinate
+// block (width > survivors) — enrolment equals the direct computation and
+// settleWave equals referenceSettle in the masked sum, the recovered seeds
+// and the decoded delta.
+func TestSettleWaveMatchesReference(t *testing.T) {
+	t.Parallel()
+	dims, maxK, reps := []int{1, 3, 4, 5, 187, 4096}, 48, 3
+	if testing.Short() {
+		// X25519 under the race detector is ~1 ms an agreement.
+		dims, maxK, reps = dims[:5], 16, 1
+	}
+	for _, dim := range dims {
+		for _, width := range []int{1, 2, 8} {
+			dim, width := dim, width
+			t.Run(fmt.Sprintf("dim=%d/width=%d", dim, width), func(t *testing.T) {
+				t.Parallel()
+				r := rng.New(uint64(dim)<<8 | uint64(width))
+				maxK := maxK
+				if dim == 4096 {
+					maxK = 12 // k²·dim/4 hashes per wave, twice
+				}
+				// One state per cell: pairs that met in an earlier wave enrol
+				// from the cache, the rest by first-use agreement on the pool.
+				cfg := &Config{Privacy: PrivacyConfig{Mask: true, Clip: 1}, Seed: 99}
+				ps := newPrivacyState(cfg, dim, parallel.New(width))
+				tag := uint64(0)
+				for _, regime := range []string{"majority", "two", "k-1"} {
+					for rep := 0; rep < reps; rep++ {
+						k := 2 + r.Intn(maxK-1)
+						switch regime {
+						case "majority":
+							ps.pc.ShareThreshold = 0
+						case "two":
+							ps.pc.ShareThreshold = 2
+						case "k-1":
+							ps.pc.ShareThreshold = max(k-1, 1)
+						}
+						ndrop := r.Intn(k - min(ps.effectiveThreshold(k), k) + 1)
+						tag++
+						w := randomWave(t, ps, r, tag, k, ndrop)
+						if rep == 0 {
+							requireReferenceEnrolment(t, ps, w)
+						}
+						requireSettlesLikeReference(t, ps, w, fmt.Sprintf("%s k=%d ndrop=%d", regime, k, ndrop))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMaskedSettleTamperedShare pins the verified reconstruction. An honest
+// wave with dropouts decodes the survivors' weighted mean within the
+// quantization bound. The same wave with one bit flipped in one escrowed
+// share that reconstruction reads rebuilds a key whose public half is not
+// the one the dropout enrolled with: the settlement must fail and hand back
+// nothing to apply, where unmasking with the rebuilt key's streams would
+// decode garbage without any error.
+func TestMaskedSettleTamperedShare(t *testing.T) {
+	t.Parallel()
+	const (
+		k, ndrop, dim = 9, 3, 21
+	)
+	for _, width := range []int{1, 4} {
+		cfg := &Config{Privacy: PrivacyConfig{Mask: true, Clip: 1, ShareThreshold: 4}, Seed: 3}
+		ps := newPrivacyState(cfg, dim, parallel.New(width))
+		w := randomWave(t, ps, rng.New(17), 5, k, ndrop)
+
+		res, err := ps.settleWave(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean, wsum := tensor.NewVec(dim), 0.0
+		for _, cb := range w.contribs {
+			mean.Axpy(cb.weight, cb.delta)
+			wsum += cb.weight
+		}
+		mean.ScaleInPlace(1 / wsum)
+		requireCloseParams(t, res.delta, mean, maskedQuantBound, "honest dropout recovery vs plaintext mean")
+
+		// The last dropout's share held by the last reconstruction holder.
+		di := k - 1
+		for w.arrived[di] {
+			di--
+		}
+		w.shares[di*k+w.contribs[w.splitT-1].memberIdx].Y[2] ^= 1 << 40
+		ps.endCycle()
+		res, err = ps.settleWave(w)
+		if err == nil || !strings.Contains(err.Error(), "does not match its enrolled public key") {
+			t.Fatalf("width %d: tampered escrow settled with error %v", width, err)
+		}
+		if res.delta != nil || res.weight != 0 || ps.ndecoded != 0 {
+			t.Fatalf("width %d: failed settlement handed back %+v", width, res)
+		}
+	}
+}
+
+// TestMaskedDropoutsInvariantAcrossPoolAndShards is the engine-level pin:
+// under each aggregation policy a masked job that loses cohort members
+// (sync and semi-sync deadlines; a poisoned member under buffered, which has
+// no deadline) produces one result at every Parallelism × Shards point.
+// Settlement no longer reads Shards at all; Parallelism only sets how the
+// wave's items are spread.
+func TestMaskedDropoutsInvariantAcrossPoolAndShards(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		base func(*testing.T) Config
+		mut  func(*Config)
+	}{
+		{"sync", goldenDeviceConfig, func(*Config) {}},
+		{"buffered", goldenAsyncConfig, func(c *Config) {
+			c.Rounds = 12
+			c.Faults = singlePoisonInjector{target: 3}
+		}},
+		{"semisync", goldenSemiSyncConfig, func(c *Config) { c.Rounds = 8 }},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			mk := func(par, shards int) Config {
+				cfg := tc.base(t)
+				cfg.Optimizer = &FedAvg{ServerLR: 1}
+				cfg.Privacy = PrivacyConfig{Mask: true, Clip: 1, ShareThreshold: 2}
+				tc.mut(&cfg)
+				cfg.Parallelism, cfg.Shards = par, shards
+				return cfg
+			}
+			base, err := Run(mk(1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lost := 0
+			for _, h := range base.History {
+				lost += h.Invited - h.Completed + h.Rejected
+			}
+			if lost == 0 {
+				t.Fatal("no cohort member was lost; dropout recovery was not exercised")
+			}
+			for _, par := range []int{1, 2, 8} {
+				for _, shards := range []int{1, 5} {
+					res, err := Run(mk(par, shards))
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireIdenticalResults(t, base, res)
+				}
+			}
+		})
 	}
 }

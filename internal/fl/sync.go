@@ -214,7 +214,7 @@ func (p SyncRounds) run(c *eventCore) error {
 		}
 
 		if mw != nil {
-			res, err := c.priv.settleWave(mw, c.pool)
+			res, err := c.priv.settleWave(mw)
 			if err != nil {
 				return err
 			}

@@ -61,3 +61,27 @@ func FuzzFixedPoint(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAddPairMaskRanges cuts [0, n) into ranges of fuzzer-chosen lengths
+// (zero-length ranges included) and requires the partitioned expansion of a
+// pair-mask stream to equal the one-call expansion and the stream's
+// word-by-word definition — the property that lets a settlement spread one
+// contributor's masks over coordinate blocks and workers.
+func FuzzAddPairMaskRanges(f *testing.F) {
+	f.Add(uint16(1), []byte{}, uint64(0), false)
+	f.Add(uint16(5), []byte{4}, uint64(1), true)
+	f.Add(uint16(166), []byte{40, 44, 40}, uint64(68), false)
+	f.Add(uint16(19), []byte{0, 3, 1, 0, 7}, uint64(4), true)
+	f.Add(uint16(1030), []byte{255, 255, 255, 255, 1}, uint64(1)<<63, false)
+	f.Fuzz(func(t *testing.T, n uint16, steps []byte, tag uint64, negate bool) {
+		size := int(n)%2048 + 1
+		var bounds []int
+		at := 0
+		for _, s := range steps {
+			at = min(at+int(s), size)
+			bounds = append(bounds, at)
+		}
+		seed := DeriveSecret(tag, size)
+		requireMaskPartition(t, &seed, tag, size, bounds, negate)
+	})
+}

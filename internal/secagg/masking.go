@@ -130,12 +130,14 @@ func PairSeed(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) ([32]byte, error) {
 
 // AddPairMask adds (negate=false) or subtracts (negate=true) the pairwise
 // mask stream identified by (seed, tag) into acc over the coordinate range
-// [lo, hi). acc is indexed absolutely, so parameter-axis shards can expand
-// disjoint ranges of the same logical stream concurrently: the mask word
-// for coordinate c is a pure function of (seed, tag, c) — sha256 over a
-// stack buffer, four 64-bit words per hash — independent of range
-// boundaries. tag is the wave/round counter, giving every aggregation wave
-// a fresh stream from the same pair seed. Allocation-free.
+// [lo, hi). acc is indexed absolutely, so callers can expand disjoint ranges
+// of the same logical stream concurrently, or the same range into separate
+// accumulators that are later summed: the mask word for coordinate c is a
+// pure function of (seed, tag, c) — sha256 over a stack buffer, four 64-bit
+// words per hash — independent of range boundaries. Only the (at most two)
+// 4-word blocks that straddle lo or hi pay a per-word range test. tag is the
+// wave/round counter, giving every aggregation wave a fresh stream from the
+// same pair seed. Allocation-free.
 func AddPairMask(acc []uint64, seed *[32]byte, tag uint64, lo, hi int, negate bool) {
 	if lo < 0 || hi > len(acc) || lo >= hi {
 		if lo >= hi {
@@ -149,17 +151,16 @@ func AddPairMask(acc []uint64, seed *[32]byte, tag uint64, lo, hi int, negate bo
 	for blk := lo >> 2; blk <= (hi-1)>>2; blk++ {
 		binary.LittleEndian.PutUint64(buf[40:48], uint64(blk))
 		d := sha256.Sum256(buf[:])
-		base := blk << 2
-		for w := 0; w < 4; w++ {
-			c := base + w
-			if c < lo || c >= hi {
-				continue
+		first, last := max(blk<<2, lo), min(blk<<2+4, hi)
+		a := acc[first:last]
+		m := d[(first&3)*8:]
+		if negate {
+			for w := range a {
+				a[w] -= binary.LittleEndian.Uint64(m[w*8:])
 			}
-			m := binary.LittleEndian.Uint64(d[w*8 : w*8+8])
-			if negate {
-				acc[c] -= m
-			} else {
-				acc[c] += m
+		} else {
+			for w := range a {
+				a[w] += binary.LittleEndian.Uint64(m[w*8:])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package secagg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"math/big"
 	"testing"
@@ -270,6 +272,78 @@ func TestAddPairMaskCancelsAndShards(t *testing.T) {
 	}
 	if same == dim {
 		t.Fatal("tag 4 and tag 5 produced identical mask streams")
+	}
+}
+
+// maskStreamWordRef is the definition of the pair-mask stream, one word at a
+// time: coordinate c is little-endian word c mod 4 of
+// sha256(seed ‖ tag ‖ c div 4).
+func maskStreamWordRef(seed *[32]byte, tag uint64, c int) uint64 {
+	var buf [48]byte
+	copy(buf[:32], seed[:])
+	binary.LittleEndian.PutUint64(buf[32:40], tag)
+	binary.LittleEndian.PutUint64(buf[40:48], uint64(c>>2))
+	d := sha256.Sum256(buf[:])
+	return binary.LittleEndian.Uint64(d[(c&3)*8:])
+}
+
+// requireMaskPartition expands one stream over the consecutive ranges cut at
+// bounds (ascending, within [0, n]; empty ranges allowed) on top of a
+// non-zero accumulator, and requires every coordinate to equal both the
+// single [0, n) call and the word-by-word definition of the stream.
+func requireMaskPartition(t *testing.T, seed *[32]byte, tag uint64, n int, bounds []int, negate bool) {
+	t.Helper()
+	whole, parts := make([]uint64, n), make([]uint64, n)
+	for c := range whole {
+		whole[c] = uint64(c) * 0x9E3779B97F4A7C15
+		parts[c] = whole[c]
+	}
+	AddPairMask(whole, seed, tag, 0, n, negate)
+	lo := 0
+	for _, hi := range append(append([]int(nil), bounds...), n) {
+		AddPairMask(parts, seed, tag, lo, hi, negate)
+		lo = hi
+	}
+	for c := range whole {
+		m := maskStreamWordRef(seed, tag, c)
+		if negate {
+			m = -m
+		}
+		want := uint64(c)*0x9E3779B97F4A7C15 + m
+		if whole[c] != want {
+			t.Fatalf("n=%d coordinate %d: whole-range expansion is not the stream's word", n, c)
+		}
+		if parts[c] != want {
+			t.Fatalf("n=%d bounds %v coordinate %d: partitioned expansion differs from the whole range", n, bounds, c)
+		}
+	}
+}
+
+// TestAddPairMaskPartitions pins range independence: however [0, n) is cut
+// — inside a 4-word hash block, on its edges, into single words, with empty
+// ranges — the ranges add up to the one-call expansion.
+func TestAddPairMaskPartitions(t *testing.T) {
+	seed := DeriveSecret(11, 3)
+	for _, tc := range []struct {
+		n      int
+		bounds []int
+	}{
+		{1, nil},
+		{1, []int{0, 1}},
+		{3, []int{1, 2}},
+		{4, []int{4}},
+		{5, []int{4}},
+		{5, []int{1, 2, 3, 4}},
+		{8, []int{4}},
+		{9, []int{3, 3, 7}},
+		{166, []int{40, 84, 124}},
+		{166, []int{41, 83, 125}},
+		{188, []int{1, 186, 187}},
+		{4097, []int{1024, 2048, 3072, 4096}},
+	} {
+		for _, negate := range []bool{false, true} {
+			requireMaskPartition(t, &seed, 7, tc.n, tc.bounds, negate)
+		}
 	}
 }
 

@@ -144,47 +144,109 @@ func SplitSecret(secret *[32]byte, xs []uint64, threshold int, tag uint64) ([]Sh
 	return dst, nil
 }
 
-// CombineShares reconstructs the 32-byte secret from at least threshold
-// shares by Lagrange interpolation at zero over the first threshold shares.
-// Share X coordinates must be distinct and nonzero.
-func CombineShares(shares []Share, threshold int) ([32]byte, error) {
-	var secret [32]byte
-	if threshold < 1 {
-		return secret, fmt.Errorf("secagg: threshold %d < 1", threshold)
+// LagrangeBasis is the Lagrange-at-zero basis over one fixed set of share
+// holders. Every secret shared among the same holders reconstructs through
+// the same basis, so a coordinator recovering several dropouts from one
+// survivor set pays the O(t²) products and the field inversion once (Reset)
+// and 4·t multiplications per secret (Combine). The zero value is ready to
+// use; storage is reused across Resets.
+type LagrangeBasis struct {
+	xs, coef, prefix []uint64
+}
+
+// Reset computes the basis for the holder evaluation points xs, which must
+// be distinct and nonzero. coef[i] = Π_{j≠i} x_j / (x_i ⊕ x_j) (subtraction
+// is xor in characteristic 2) is rewritten as P / (x_i · Π_{j≠i}(x_i ⊕ x_j))
+// with P = Π x_j, and the t denominators are inverted together by
+// Montgomery's trick: one gf64Inv for the whole basis.
+func (b *LagrangeBasis) Reset(xs []uint64) error {
+	t := len(xs)
+	if t < 1 {
+		return fmt.Errorf("secagg: threshold %d < 1", t)
 	}
-	if len(shares) < threshold {
-		return secret, fmt.Errorf("secagg: %d shares below reconstruction threshold %d", len(shares), threshold)
-	}
-	use := shares[:threshold]
-	for i := range use {
-		if use[i].X == 0 {
-			return secret, fmt.Errorf("secagg: share %d has evaluation point 0", i)
+	for i, x := range xs {
+		if x == 0 {
+			return fmt.Errorf("secagg: share %d has evaluation point 0", i)
 		}
-		for j := range use[:i] {
-			if use[j].X == use[i].X {
-				return secret, fmt.Errorf("secagg: duplicate share evaluation point %d", use[i].X)
+		for _, xj := range xs[:i] {
+			if xj == x {
+				return fmt.Errorf("secagg: duplicate share evaluation point %d", x)
 			}
 		}
+	}
+	if cap(b.xs) < t {
+		b.xs, b.coef, b.prefix = make([]uint64, t), make([]uint64, t), make([]uint64, t)
+	}
+	b.xs, b.coef, b.prefix = b.xs[:t], b.coef[:t], b.prefix[:t]
+	copy(b.xs, xs)
+	// coef[i] first holds the denominator x_i·Π_{j≠i}(x_i ⊕ x_j), prefix[i]
+	// the running product of denominators 0..i.
+	all, run := uint64(1), uint64(1)
+	for i, x := range xs {
+		all = gf64Mul(all, x)
+		den := x
+		for j, xj := range xs {
+			if j != i {
+				den = gf64Mul(den, x^xj)
+			}
+		}
+		b.coef[i] = den
+		run = gf64Mul(run, den)
+		b.prefix[i] = run
+	}
+	inv := gf64Inv(run)
+	for i := t - 1; i >= 0; i-- {
+		den, invDen := b.coef[i], inv
+		if i > 0 {
+			invDen = gf64Mul(inv, b.prefix[i-1])
+		}
+		b.coef[i] = gf64Mul(all, invDen)
+		inv = gf64Mul(inv, den)
+	}
+	return nil
+}
+
+// Combine reconstructs the 32-byte secret from one share per holder, in the
+// holder order given to Reset.
+func (b *LagrangeBasis) Combine(shares []Share) ([32]byte, error) {
+	var secret [32]byte
+	if len(shares) != len(b.xs) {
+		return secret, fmt.Errorf("secagg: %d shares for a %d-holder basis", len(shares), len(b.xs))
 	}
 	var s [4]uint64
-	for i := range use {
-		// Lagrange basis at 0: Π_{j≠i} x_j / (x_i ⊕ x_j) (subtraction is xor
-		// in characteristic 2).
-		num, den := uint64(1), uint64(1)
-		for j := range use {
-			if j == i {
-				continue
-			}
-			num = gf64Mul(num, use[j].X)
-			den = gf64Mul(den, use[i].X^use[j].X)
+	for i := range shares {
+		if shares[i].X != b.xs[i] {
+			return secret, fmt.Errorf("secagg: share %d has evaluation point %d, basis holder has %d", i, shares[i].X, b.xs[i])
 		}
-		li := gf64Mul(num, gf64Inv(den))
 		for l := 0; l < 4; l++ {
-			s[l] ^= gf64Mul(li, use[i].Y[l])
+			s[l] ^= gf64Mul(b.coef[i], shares[i].Y[l])
 		}
 	}
 	for l := 0; l < 4; l++ {
 		binary.LittleEndian.PutUint64(secret[l*8:l*8+8], s[l])
 	}
 	return secret, nil
+}
+
+// CombineShares reconstructs the 32-byte secret from at least threshold
+// shares by Lagrange interpolation at zero over the first threshold shares.
+// Share X coordinates must be distinct and nonzero. It is the one-secret
+// convenience form of LagrangeBasis.
+func CombineShares(shares []Share, threshold int) ([32]byte, error) {
+	if threshold < 1 {
+		return [32]byte{}, fmt.Errorf("secagg: threshold %d < 1", threshold)
+	}
+	if len(shares) < threshold {
+		return [32]byte{}, fmt.Errorf("secagg: %d shares below reconstruction threshold %d", len(shares), threshold)
+	}
+	use := shares[:threshold]
+	xs := make([]uint64, threshold)
+	for i := range use {
+		xs[i] = use[i].X
+	}
+	var b LagrangeBasis
+	if err := b.Reset(xs); err != nil {
+		return [32]byte{}, err
+	}
+	return b.Combine(use)
 }

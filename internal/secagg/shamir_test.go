@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"testing"
 
@@ -189,5 +190,138 @@ func TestSplitSecretIntoReusesScratch(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SplitSecretInto allocates %.0f/op, want 0", allocs)
+	}
+}
+
+// combineSharesRef is reconstruction one share at a time: every share's
+// Lagrange-at-zero basis value from its own numerator and denominator
+// products and its own field inversion. LagrangeBasis must agree with it.
+func combineSharesRef(use []Share) [32]byte {
+	var s [4]uint64
+	for i := range use {
+		num, den := uint64(1), uint64(1)
+		for j := range use {
+			if j != i {
+				num = gf64Mul(num, use[j].X)
+				den = gf64Mul(den, use[i].X^use[j].X)
+			}
+		}
+		li := gf64Mul(num, gf64Inv(den))
+		for l := 0; l < 4; l++ {
+			s[l] ^= gf64Mul(li, use[i].Y[l])
+		}
+	}
+	var secret [32]byte
+	for l := 0; l < 4; l++ {
+		binary.LittleEndian.PutUint64(secret[l*8:l*8+8], s[l])
+	}
+	return secret
+}
+
+// TestLagrangeBasisMatchesPerShareInversion drives the once-per-holder-set
+// basis with random holder points (small party-ID-like and full 64-bit),
+// thresholds and secrets: one Reset serves every secret shared among the
+// same holders, and each Combine equals both the secret and the per-share
+// reference — on the honest shares and on a forged one, where the two must
+// agree on the same wrong secret.
+func TestLagrangeBasisMatchesPerShareInversion(t *testing.T) {
+	r := rng.New(0x5A)
+	var basis LagrangeBasis
+	for trial := 0; trial < 60; trial++ {
+		holders := 1 + r.Intn(24)
+		threshold := 1 + r.Intn(holders)
+		xs := make([]uint64, 0, holders)
+		seen := map[uint64]bool{0: true}
+		for len(xs) < holders {
+			x := r.Uint64()
+			if trial%2 == 0 {
+				x = 1 + uint64(r.Intn(5000))
+			}
+			if !seen[x] {
+				seen[x] = true
+				xs = append(xs, x)
+			}
+		}
+		// The reconstruction holders: a random threshold-sized subset in a
+		// random order.
+		pick := r.Perm(holders)[:threshold]
+		pickXs := make([]uint64, threshold)
+		for i, h := range pick {
+			pickXs[i] = xs[h]
+		}
+		if err := basis.Reset(pickXs); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 3; s++ {
+			secret := DeriveSecret(r.Uint64(), s)
+			shares, err := SplitSecret(&secret, xs, threshold, uint64(trial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			use := make([]Share, threshold)
+			for i, h := range pick {
+				use[i] = shares[h]
+			}
+			got, err := basis.Combine(use)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != secret || got != combineSharesRef(use) {
+				t.Fatalf("trial %d: %d-of-%d basis reconstruction is wrong", trial, threshold, holders)
+			}
+			if viaOne, err := CombineShares(use, threshold); err != nil || viaOne != secret {
+				t.Fatalf("trial %d: CombineShares disagrees with the basis (%v)", trial, err)
+			}
+			use[r.Intn(threshold)].Y[r.Intn(4)] ^= 1 << uint(r.Intn(64))
+			forged, err := basis.Combine(use)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forged == secret || forged != combineSharesRef(use) {
+				t.Fatalf("trial %d: forged share reconstruction disagrees with the reference", trial)
+			}
+		}
+	}
+}
+
+func TestLagrangeBasisValidation(t *testing.T) {
+	var basis LagrangeBasis
+	if err := basis.Reset(nil); err == nil {
+		t.Fatal("empty holder set accepted")
+	}
+	if err := basis.Reset([]uint64{3, 9, 3}); err == nil {
+		t.Fatal("duplicate evaluation points accepted")
+	}
+	if err := basis.Reset([]uint64{3, 0}); err == nil {
+		t.Fatal("zero evaluation point accepted")
+	}
+	secret := DeriveSecret(2, 2)
+	shares, err := SplitSecret(&secret, []uint64{5, 6, 7}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := basis.Reset([]uint64{5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := basis.Combine(shares); err == nil {
+		t.Fatal("three shares accepted by a two-holder basis")
+	}
+	if _, err := basis.Combine([]Share{shares[1], shares[0]}); err == nil {
+		t.Fatal("shares out of holder order accepted")
+	}
+	if _, err := basis.Combine([]Share{shares[0], shares[2]}); err == nil {
+		t.Fatal("a share from outside the holder set accepted")
+	}
+	// Steady state — same holder count, fresh points — reuses its storage.
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := basis.Reset([]uint64{6, 7}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := basis.Combine(shares[1:]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state basis Reset+Combine allocates %.0f/op, want 0", allocs)
 	}
 }
