@@ -12,7 +12,6 @@ package flips
 
 import (
 	"io"
-	"math/big"
 	"testing"
 
 	"flips/internal/cluster"
@@ -22,7 +21,6 @@ import (
 	"flips/internal/fl"
 	"flips/internal/model"
 	"flips/internal/rng"
-	"flips/internal/secagg"
 	"flips/internal/selection"
 	"flips/internal/tensor"
 )
@@ -40,21 +38,22 @@ func benchScale() experiment.Scale {
 // (α × party% × straggler-column) grid for the table's dataset/algorithm,
 // rendered to io.Discard.
 func benchmarkTable(b *testing.B, tableID int) {
-	spec, err := experiment.TableSpecByID(tableID)
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := experiment.TableSpecs()[tableID-1]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		grid, err := experiment.RunGrid(spec.Dataset, spec.Algorithm, benchScale(), benchSeed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		grid.RenderTable(io.Discard, spec)
-		// Surface the headline cell (α=0.3, 20%, no stragglers, FLIPS) as
-		// benchmark metrics so regressions in the science are visible in
-		// bench output, not only in timing.
-		if cell, ok := grid.Rows[0].Cell(experiment.StrategyFLIPS, 0); ok {
+		experiment.RenderTable(io.Discard, grid, spec)
+		// Surface the headline cell (α=0.3, 20%, no stragglers, FLIPS — row 0,
+		// the first FLIPS column) as benchmark metrics so regressions in the
+		// science are visible in bench output, not only in timing.
+		for c, col := range grid.Cols {
+			if col.Name != experiment.StrategyFLIPS {
+				continue
+			}
+			cell := grid.Cells[0][c]
 			if spec.Metric == experiment.MetricRounds {
 				rtt := float64(cell.RoundsToTarget)
 				if cell.RoundsToTarget < 0 {
@@ -64,6 +63,7 @@ func benchmarkTable(b *testing.B, tableID int) {
 			} else {
 				b.ReportMetric(100*cell.PeakAccuracy, "flips-peak-%")
 			}
+			break
 		}
 	}
 }
@@ -312,149 +312,6 @@ func BenchmarkAblationClusterSignal(b *testing.B) {
 			rtt, peak := runWithSelector(b, ecgSetting(0), scale, sel)
 			b.ReportMetric(rtt, "rounds")
 			b.ReportMetric(100*peak, "peak-%")
-		}
-	})
-}
-
-// BenchmarkRoundParallelism measures the parallel round execution engine on
-// its hot path: a 32-party FL job with full participation (every party
-// trains an MLP every round), run at Parallelism: 1 (the sequential
-// baseline) vs Parallelism: GOMAXPROCS. Both produce bit-identical Results
-// (see internal/fl determinism tests); on a multi-core runner the parallel
-// case should show ≥2x wall-clock speedup. Job assembly (dataset synthesis,
-// partitioning, clustering) is excluded from the timed section.
-func BenchmarkRoundParallelism(b *testing.B) {
-	run := func(b *testing.B, parallelism int) {
-		scale := experiment.Scale{
-			Parties: 32, Rounds: 4, TrainSize: 3200, TestSize: 1600,
-			Repeats: 1, EvalEvery: 2, Parallelism: parallelism,
-		}
-		setting := experiment.Setting{
-			Spec:           dataset.FEMNIST(),
-			Algorithm:      experiment.AlgoFedYogi,
-			Alpha:          0.3,
-			PartyFraction:  1, // all 32 parties train every round
-			Strategy:       experiment.StrategyRandom,
-			TargetAccuracy: experiment.TargetFor(dataset.FEMNIST()),
-			Seed:           benchSeed,
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			built, err := experiment.Build(setting, scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, err := fl.Run(built.Config); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("parallelism=1", func(b *testing.B) { run(b, 1) })
-	b.Run("parallelism=gomaxprocs", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkGridParallelism measures experiment-grid fan-out: one full
-// (dataset, algorithm) table grid — 44 cells — at sequential vs GOMAXPROCS
-// cell parallelism. The rendered Grid is bit-identical in both cases.
-func BenchmarkGridParallelism(b *testing.B) {
-	run := func(b *testing.B, parallelism int) {
-		scale := benchScale()
-		scale.Parallelism = parallelism
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiment.RunGrid(dataset.ECG(), experiment.AlgoFedAvg, scale, benchSeed, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("parallelism=1", func(b *testing.B) { run(b, 1) })
-	b.Run("parallelism=gomaxprocs", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkSecureAggregation compares the per-round cost of the three
-// aggregation-privacy mechanisms the paper discusses in §2.4 on one
-// ECG-model-sized update (paper claim: HE costs two to three orders of
-// magnitude more than hardware-assisted approaches; masking sits between).
-func BenchmarkSecureAggregation(b *testing.B) {
-	const parties = 10
-	spec := dataset.ECG()
-	dim := model.NewLogReg(spec.Dim, len(spec.LabelNames)).NumParams()
-	r := rng.New(benchSeed)
-	updates := make([][]float64, parties)
-	for p := range updates {
-		u := make([]float64, dim)
-		for j := range u {
-			u[j] = r.NormFloat64()
-		}
-		updates[p] = u
-	}
-
-	b.Run("plain", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sum := make([]float64, dim)
-			for _, u := range updates {
-				for j, x := range u {
-					sum[j] += x
-				}
-			}
-		}
-	})
-
-	b.Run("masking-x25519", func(b *testing.B) {
-		members := make([]*secagg.Party, parties)
-		peers := make([]secagg.Peer, parties)
-		for p := 0; p < parties; p++ {
-			sp, err := secagg.NewParty(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			members[p] = sp
-			peers[p] = secagg.Peer{ID: p, PublicKey: sp.PublicKey()}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			masked := make([]*secagg.MaskedUpdate, parties)
-			for p, sp := range members {
-				m, err := sp.Mask(updates[p], peers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				masked[p] = m
-			}
-			if _, err := secagg.Aggregate(masked, dim); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("paillier-1024", func(b *testing.B) {
-		sk, err := secagg.GeneratePaillierKey(1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			vectors := make([][]*big.Int, parties)
-			for p := range updates {
-				enc, err := sk.EncryptVector(updates[p])
-				if err != nil {
-					b.Fatal(err)
-				}
-				vectors[p] = enc
-			}
-			agg, err := sk.AggregateCiphertexts(vectors)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sk.DecryptVectorSum(agg, parties); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

@@ -13,8 +13,9 @@
 //	flipsbench -exp privacy                # privacy-ladder sweep (clip, masking, masking+DP)
 //	flipsbench -exp tournament             # every registered selector ranked across fleet regimes
 //	flipsbench -exp tournament -selector random,oort  # ... a chosen subset
-//	flipsbench -exp tee                    # TEE clustering overhead
+//	flipsbench -exp tee                    # TEE clustering: cluster counts (timings on stderr)
 //	flipsbench -exp scale -shards 64       # fleet-scale sweep (1k/10k/100k parties)
+//	flipsbench -exp scale -selector oort   # ... under a chosen selector
 //	flipsbench -exp dist                   # multi-process aggregation sweep (subprocess shard workers)
 //	flipsbench -exp all-tables             # every table (12 grids)
 //	flipsbench -exp all-figures            # every figure
@@ -22,7 +23,14 @@
 //	flipsbench -scale paper -exp table1    # full 200-party/400-round scale
 //	flipsbench -seed 7 -exp fig2           # change the master seed
 //
-// Output goes to stdout; progress lines go to stderr.
+// Every experiment is an entry of internal/experiment's registry; -exp is a
+// lookup into it, and a flag no selected experiment consumes (-trace without
+// async, -selector without tournament or scale, ...) is an error.
+//
+// Artifacts go to stdout and are a pure function of (flags, seed): two runs,
+// at any -parallel, print the same bytes. Banners, per-cell progress and
+// everything measured on the host (rounds/sec, heap, wire bytes, TEE
+// timings) go to stderr.
 package main
 
 import (
@@ -33,7 +41,6 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -53,8 +60,8 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("flipsbench", flag.ContinueOnError)
-	exps := fs.String("exp", "all", "comma-separated experiments: tableN, figN, het, async, chaos, privacy, tournament, tee, all-tables, all-figures, all")
-	selector := fs.String("selector", "", "comma-separated selector registry names: the tournament's competitors (default: every registered selector); a single name also picks the scale sweep's strategy")
+	exps := fs.String("exp", "all", "comma-separated experiments: "+experiment.Usage())
+	selector := fs.String("selector", "", "comma-separated selector registry names: the tournament's competitors (default: every registered selector); a single name picks the scale sweep's strategy")
 	tracePath := fs.String("trace", "", "CSV/JSON device availability trace replayed by the async sweep (one row of 0/1 slots per device, mapped onto parties by ID)")
 	chaosMatrix := fs.String("chaos-matrix", "", "JSON fault-matrix file for the chaos sweep (fault arms × folds × strategies; default: built-in matrix)")
 	scaleName := fs.String("scale", "laptop", "experiment scale: laptop or paper")
@@ -107,278 +114,50 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	var scale experiment.Scale
+	opts := experiment.Options{
+		Seed:      *seed,
+		Selectors: parseSelectors(*selector),
+		Spawn:     subprocessWorkers(stderr),
+		Log:       func(msg string) { fmt.Fprintln(stderr, msg) },
+	}
+	if !*quiet {
+		opts.Progress = func(msg string) { fmt.Fprintln(stderr, "  "+msg) }
+	}
+	if *selector != "" && len(opts.Selectors) == 0 {
+		return fmt.Errorf("-selector: no selector names given")
+	}
 	switch *scaleName {
 	case "laptop":
-		scale = experiment.LaptopScale()
+		opts.Scale = experiment.LaptopScale()
 	case "paper":
-		scale = experiment.PaperScale()
+		opts.Scale = experiment.PaperScale()
 	default:
 		return fmt.Errorf("unknown scale %q (laptop or paper)", *scaleName)
 	}
-	scale.Parallelism = *par
-	scale.Shards = *shards
+	opts.Scale.Parallelism = *par
+	opts.Scale.Shards = *shards
 
-	ids, err := expandExperiments(*exps)
-	if err != nil {
-		return err
-	}
-
-	// Validate -selector names against the registry at the edge, before any
-	// compute is spent: a typo reports what would have worked.
-	selectors, err := parseSelectors(*selector)
-	if err != nil {
-		return err
-	}
-
-	var trace *device.TraceSet
+	var err error
 	if *tracePath != "" {
-		trace, err = device.LoadTraceFile(*tracePath)
-		if err != nil {
+		if opts.Trace, err = device.LoadTraceFile(*tracePath); err != nil {
 			return err
 		}
-		hasAsync := false
-		for _, id := range ids {
-			hasAsync = hasAsync || id == "async"
-		}
-		if !hasAsync {
-			return fmt.Errorf("-trace applies to the async sweep; add async to -exp")
-		}
 	}
-
-	var matrix *chaos.Matrix
 	if *chaosMatrix != "" {
-		matrix, err = chaos.LoadMatrixFile(*chaosMatrix)
-		if err != nil {
+		if opts.Matrix, err = chaos.LoadMatrixFile(*chaosMatrix); err != nil {
 			return err
 		}
-		hasChaos := false
-		for _, id := range ids {
-			hasChaos = hasChaos || id == "chaos"
-		}
-		if !hasChaos {
-			return fmt.Errorf("-chaos-matrix applies to the chaos sweep; add chaos to -exp")
-		}
 	}
-
-	progress := func(msg string) {
-		if !*quiet {
-			fmt.Fprintln(stderr, "  "+msg)
-		}
+	if opts.Parties, err = parseIntList(*scaleParties); err != nil {
+		return fmt.Errorf("-scale-parties: %w", err)
 	}
-
-	// Tables that share a (dataset, algorithm) grid are computed once.
-	type gridKey struct{ ds, algo string }
-	grids := map[gridKey]*experiment.Grid{}
-
-	for _, id := range ids {
-		switch {
-		case strings.HasPrefix(id, "table"):
-			n, err := strconv.Atoi(strings.TrimPrefix(id, "table"))
-			if err != nil {
-				return fmt.Errorf("bad table id %q", id)
-			}
-			spec, err := experiment.TableSpecByID(n)
-			if err != nil {
-				return err
-			}
-			key := gridKey{spec.Dataset.Name, spec.Algorithm}
-			grid, ok := grids[key]
-			if !ok {
-				fmt.Fprintf(stderr, "running grid %s/%s (%d cells)...\n", key.ds, key.algo, 4*11)
-				grid, err = experiment.RunGrid(spec.Dataset, spec.Algorithm, scale, *seed, progress)
-				if err != nil {
-					return err
-				}
-				grids[key] = grid
-			}
-			grid.RenderTable(stdout, spec)
-			fmt.Fprintln(stdout)
-		case strings.HasPrefix(id, "fig"):
-			fmt.Fprintf(stderr, "running %s...\n", id)
-			fig, err := experiment.RunFigure(id, scale, *seed)
-			if err != nil {
-				return err
-			}
-			fig.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "het":
-			fmt.Fprintln(stderr, "running device-heterogeneity sweep (9 scenarios x 3 strategies)...")
-			table, err := experiment.RunHeterogeneity(scale, *seed, progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "async":
-			fmt.Fprintln(stderr, "running aggregation-mode sweep (5 arms x 3 strategies)...")
-			table, err := experiment.RunAsync(scale, *seed, trace, progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "chaos":
-			fmt.Fprintln(stderr, "running chaos fault-matrix sweep (faults x folds x strategies)...")
-			table, err := experiment.RunChaos(scale, *seed, matrix, progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "privacy":
-			fmt.Fprintln(stderr, "running privacy-ladder sweep (4 arms x 3 strategies)...")
-			table, err := experiment.RunPrivacy(scale, *seed, nil, progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "tournament":
-			fmt.Fprintln(stderr, "running selector tournament (selectors x fleet regimes)...")
-			table, err := experiment.RunTournament(scale, *seed, selectors, progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "scale":
-			fmt.Fprintln(stderr, "running fleet-scale sweep (parties x shards)...")
-			sweep := experiment.ScaleSweep{Seed: *seed, Parallelism: *par}
-			if len(selectors) == 1 {
-				sweep.Strategy = selectors[0]
-			}
-			if *shards > 0 {
-				sweep.Shards = []int{*shards}
-			}
-			parties, err := parseIntList(*scaleParties)
-			if err != nil {
-				return fmt.Errorf("-scale-parties: %w", err)
-			}
-			sweep.Parties = parties
-			table, err := experiment.RunScale(sweep, progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "dist":
-			fmt.Fprintln(stderr, "running distributed-aggregation sweep (parties x worker processes)...")
-			sweep := experiment.DistSweep{Seed: *seed, Parallelism: *par}
-			if *shards > 0 {
-				sweep.Shards = *shards
-			}
-			parties, err := parseIntList(*scaleParties)
-			if err != nil {
-				return fmt.Errorf("-scale-parties: %w", err)
-			}
-			sweep.Parties = parties
-			workers, err := parseIntList(*distWorkerCounts)
-			if err != nil {
-				return fmt.Errorf("-dist-workers: %w", err)
-			}
-			sweep.Workers = workers
-			table, err := experiment.RunDist(sweep, subprocessWorkers(stderr), progress)
-			if err != nil {
-				return err
-			}
-			table.Render(stdout)
-			fmt.Fprintln(stdout)
-		case id == "tee":
-			fmt.Fprintln(stderr, "running tee overhead...")
-			res, err := experiment.RunTEEOverhead(scale, 5, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, res)
-			fmt.Fprintln(stdout)
-		default:
-			return fmt.Errorf("unknown experiment %q", id)
-		}
+	if opts.Workers, err = parseIntList(*distWorkerCounts); err != nil {
+		return fmt.Errorf("-dist-workers: %w", err)
 	}
-	return nil
-}
-
-func expandExperiments(spec string) ([]string, error) {
-	var out []string
-	seen := map[string]bool{}
-	add := func(id string) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, raw := range strings.Split(spec, ",") {
-		id := strings.TrimSpace(raw)
-		switch id {
-		case "":
-		case "all":
-			for i := 1; i <= 24; i++ {
-				add("table" + strconv.Itoa(i))
-			}
-			for _, f := range experiment.FigureIDs() {
-				add(f)
-			}
-			add("het")
-			add("async")
-			add("chaos")
-			add("privacy")
-			add("tournament")
-			add("scale")
-			add("dist")
-			add("tee")
-		case "all-tables":
-			for i := 1; i <= 24; i++ {
-				add("table" + strconv.Itoa(i))
-			}
-		case "all-figures":
-			for _, f := range experiment.FigureIDs() {
-				add(f)
-			}
-		default:
-			add(id)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no experiments selected")
-	}
-	// Stable order: tables numerically, then figures, then het, async,
-	// chaos, privacy, tournament, scale, dist, tee.
-	sort.SliceStable(out, func(i, j int) bool { return expRank(out[i]) < expRank(out[j]) })
-	return out, nil
-}
-
-func expRank(id string) int {
-	if strings.HasPrefix(id, "table") {
-		n, _ := strconv.Atoi(strings.TrimPrefix(id, "table"))
-		return n
-	}
-	if strings.HasPrefix(id, "fig") {
-		n, _ := strconv.Atoi(strings.TrimPrefix(id, "fig"))
-		return 100 + n
-	}
-	if id == "het" {
-		return 150
-	}
-	if id == "async" {
-		return 160
-	}
-	if id == "chaos" {
-		return 165
-	}
-	if id == "privacy" {
-		return 167
-	}
-	if id == "tournament" {
-		return 168
-	}
-	if id == "scale" {
-		return 170
-	}
-	if id == "dist" {
-		return 175
-	}
-	return 200
+	// Run checks the rest before spending any compute: experiment and
+	// selector names against their registries, and every input given above
+	// against what the selected experiments consume.
+	return experiment.Run(stdout, *exps, opts)
 }
 
 // subprocessWorkers re-execs this binary as shard-worker processes — the
@@ -419,32 +198,16 @@ func subprocessWorkers(stderr io.Writer) experiment.WorkerSpawner {
 	}
 }
 
-// parseSelectors parses and validates a comma-separated selector list
-// against the selection registry ("" -> nil, meaning every registrant).
-func parseSelectors(spec string) ([]string, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	registered := map[string]bool{}
-	for _, name := range experiment.ExtendedStrategies() {
-		registered[name] = true
-	}
+// parseSelectors splits a comma-separated selector list ("" -> nil, meaning
+// every registrant); experiment.Run checks the names against the registry.
+func parseSelectors(spec string) []string {
 	var out []string
 	for _, f := range strings.Split(spec, ",") {
-		name := strings.TrimSpace(f)
-		if name == "" {
-			continue
+		if name := strings.TrimSpace(f); name != "" {
+			out = append(out, name)
 		}
-		if !registered[name] {
-			return nil, fmt.Errorf("-selector: unknown selector %q (registered: %s)",
-				name, strings.Join(experiment.ExtendedStrategies(), ", "))
-		}
-		out = append(out, name)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-selector: no selector names given")
-	}
-	return out, nil
+	return out
 }
 
 // parseIntList parses a comma-separated list of positive ints ("" -> nil).

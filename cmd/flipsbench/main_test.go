@@ -7,10 +7,22 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flips/internal/experiment"
 )
 
+// expandNames is the -exp expansion as the names of the entries it selects.
+func expandNames(spec string) ([]string, error) {
+	entries, err := experiment.Expand(spec)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name
+	}
+	return names, err
+}
+
 func TestExpandExperimentsAll(t *testing.T) {
-	ids, err := expandExperiments("all")
+	ids, err := expandNames("all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +43,7 @@ func TestExpandExperimentsAll(t *testing.T) {
 }
 
 func TestExpandExperimentsDedupAndOrder(t *testing.T) {
-	ids, err := expandExperiments("fig5, table2,table2 ,fig2")
+	ids, err := expandNames("fig5, table2,table2 ,fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +59,7 @@ func TestExpandExperimentsDedupAndOrder(t *testing.T) {
 }
 
 func TestExpandExperimentsEmpty(t *testing.T) {
-	if _, err := expandExperiments(" , "); err == nil {
+	if _, err := experiment.Expand(" , "); err == nil {
 		t.Fatal("empty selection accepted")
 	}
 }
@@ -94,6 +106,18 @@ func TestRunScaleExperiment(t *testing.T) {
 	if !strings.Contains(got, "3000\t16\t") {
 		t.Fatalf("missing 3000-party x 16-shard cell:\n%s", got)
 	}
+	// Stdout is a pure oracle: a second run prints the same bytes, and what
+	// the host measured is on the progress stream only.
+	var again, progress bytes.Buffer
+	if err := run(args[:len(args)-1], &again, &progress); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != got {
+		t.Fatalf("two runs differ:\n%s\nvs\n%s", got, again.String())
+	}
+	if !strings.Contains(progress.String(), "rounds/sec") || strings.Contains(got, "/sec") {
+		t.Fatalf("throughput belongs on stderr only.\nstdout:\n%s\nstderr:\n%s", got, progress.String())
+	}
 }
 
 // TestDistWorkerConnectFailsFast pins the internal worker flag: with nothing
@@ -139,18 +163,59 @@ func TestRunDistExperiment(t *testing.T) {
 }
 
 func TestParseSelectors(t *testing.T) {
-	if got, err := parseSelectors(""); err != nil || got != nil {
-		t.Fatalf("empty list: %v, %v", got, err)
+	if got := parseSelectors(""); got != nil {
+		t.Fatalf("empty list: %v", got)
 	}
-	got, err := parseSelectors(" random, loss-prop ")
-	if err != nil || len(got) != 2 || got[0] != "random" || got[1] != "loss-prop" {
-		t.Fatalf("parsed %v, %v", got, err)
+	got := parseSelectors(" random, loss-prop ")
+	if len(got) != 2 || got[0] != "random" || got[1] != "loss-prop" {
+		t.Fatalf("parsed %v", got)
 	}
-	if _, err := parseSelectors("psychic"); err == nil || !strings.Contains(err.Error(), "flips") {
+	// Names are checked once, against the selection registry, before any
+	// compute is spent; the error lists what would have worked.
+	var out, errBuf bytes.Buffer
+	err := run([]string{"-exp", "tournament", "-selector", "psychic"}, &out, &errBuf)
+	if err == nil || !strings.Contains(err.Error(), "psychic") || !strings.Contains(err.Error(), "flips") {
 		t.Fatalf("unknown selector: err = %v, want error listing registered names", err)
 	}
-	if _, err := parseSelectors(" , "); err == nil {
+	if err := run([]string{"-exp", "tournament", "-selector", " , "}, &out, &errBuf); err == nil {
 		t.Fatal("blank list accepted")
+	}
+}
+
+// TestUnconsumedFlagsAreRejected pins the generic flag hygiene: every input
+// flag is checked against what the selected experiments' registry entries
+// consume, so none is accepted and silently dropped — and nothing runs first.
+func TestUnconsumedFlagsAreRejected(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "trace.csv")
+	if err := os.WriteFile(trace, []byte("1,0,1\n1,1,0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // a consumer the error must name
+	}{
+		{[]string{"-exp", "het", "-selector", "oort"}, "tournament"},
+		{[]string{"-exp", "het", "-scale-parties", "500"}, "scale"},
+		{[]string{"-exp", "chaos", "-dist-workers", "2"}, "dist"},
+		{[]string{"-exp", "tee", "-trace", trace}, "async"},
+		{[]string{"-exp", "scale", "-scale-parties", "300", "-selector", "random,oort"}, "one selector"},
+	} {
+		var out, errBuf bytes.Buffer
+		err := run(append(tc.args, "-q"), &out, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: err = %v, want a rejection naming %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: wrote %q before rejecting the flag", tc.args, out.String())
+		}
+	}
+	// The same flags pass when an experiment that consumes them is selected.
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-exp", "scale", "-scale-parties", "300", "-selector", "oort", "-q"}, &out, &errBuf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "strategy: oort") {
+		t.Fatalf("scale ignored its selector:\n%s", out.String())
 	}
 }
 
@@ -232,11 +297,15 @@ func TestChaosMatrixRequiresChaosExperiment(t *testing.T) {
 
 func TestRunTeeExperiment(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-exp", "tee", "-q"}, &out, &errBuf); err != nil {
+	if err := run([]string{"-exp", "tee"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "TEE clustering overhead") {
 		t.Fatalf("output:\n%s", out.String())
+	}
+	// The durations are wall-clock: progress stream only.
+	if strings.Contains(out.String(), "ms") || !strings.Contains(errBuf.String(), "in-enclave=") {
+		t.Fatalf("timings belong on stderr only.\nstdout:\n%s\nstderr:\n%s", out.String(), errBuf.String())
 	}
 }
 

@@ -30,7 +30,7 @@ func main() {
 		fmt.Println("Aggregation-mode sweep: lognormal fleet, ECG workload, FedYogi")
 		fmt.Println("(sync vs buffered vs semisync x staleness, FLIPS vs Oort vs Random, time-to-accuracy)")
 		fmt.Println()
-		if err := flips.RunAsync(os.Stdout, false, *seed); err != nil {
+		if err := flips.RunExperiment(os.Stdout, "async", flips.ExperimentOptions{Seed: *seed}); err != nil {
 			log.Fatal(err)
 		}
 		return

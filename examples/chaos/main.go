@@ -29,7 +29,7 @@ func main() {
 		fmt.Println("Chaos fault-matrix sweep: ECG workload, FedYogi over a lognormal churn fleet")
 		fmt.Println("(clean/outage/flash-crowd/label-flip/byzantine x folds x strategies, time-to-accuracy degradation)")
 		fmt.Println()
-		if err := flips.RunChaos(os.Stdout, false, *seed); err != nil {
+		if err := flips.RunExperiment(os.Stdout, "chaos", flips.ExperimentOptions{Seed: *seed}); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -5,8 +5,10 @@
 // allocated, and the selectors' fleet-scale paths (top-k utility heaps,
 // sparse cohort sampling) cost O(cohort) per step, not O(population). The
 // science is untouched: results are bit-identical at every shard count, so
-// the sweep below reports pure throughput and memory — the Oort regime of
+// the sweep below prints each cell's shard locality — the Oort regime of
 // guided selection over ~1.3M clients (Lai et al., OSDI'21) on a laptop.
+// Throughput and memory are properties of the host, not the run: `flipsbench
+// -exp scale` reports them per cell on stderr.
 //
 //	go run ./examples/fleetscale             # 1k / 10k / 100k parties at 1 and 64 shards
 //	go run ./examples/fleetscale -quick      # 1k / 10k only
@@ -28,26 +30,24 @@ func main() {
 	seed := flag.Uint64("seed", 1, "master random seed")
 	flag.Parse()
 
-	cfg := flips.ScaleConfig{
-		Parties:  []int{1_000, 10_000, 100_000},
-		Shards:   []int{1, 64},
-		Strategy: "random",
-		Seed:     *seed,
+	opts := flips.ExperimentOptions{
+		Populations: []int{1_000, 10_000, 100_000},
+		Selectors:   []string{"random"},
+		Seed:        *seed,
 	}
 	if *quick {
-		cfg.Parties = cfg.Parties[:2]
+		opts.Populations = opts.Populations[:2]
 	}
 	if *oort {
-		cfg.Strategy = "oort"
+		opts.Selectors = []string{"oort"}
 	}
 
 	fmt.Println("Fleet-scale demo: buffered (FedBuff-style) aggregation over a synthetic device fleet")
-	fmt.Println("Each cell is one full FL job; rounds/sec is wall-clock aggregation throughput.")
+	fmt.Println("Each cell is one full FL job at 1 and 64 shards.")
 	fmt.Println()
-	if err := flips.RunScale(os.Stdout, cfg); err != nil {
+	if err := flips.RunExperiment(os.Stdout, "scale", opts); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println()
 	fmt.Println("The shard count never moves a result bit — rerun any cell with a different")
 	fmt.Println("-shards via `flipsbench -exp scale` and diff the science: it is byte-identical.")
 }

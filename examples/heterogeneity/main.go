@@ -28,7 +28,7 @@ func main() {
 		fmt.Println("Device heterogeneity sweep: lognormal fleet, ECG workload, FedYogi")
 		fmt.Println("(availability x deadline, FLIPS vs Oort vs Random, time-to-accuracy)")
 		fmt.Println()
-		if err := flips.RunHeterogeneity(os.Stdout, false, *seed); err != nil {
+		if err := flips.RunExperiment(os.Stdout, "het", flips.ExperimentOptions{Seed: *seed}); err != nil {
 			log.Fatal(err)
 		}
 		return

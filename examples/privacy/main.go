@@ -30,7 +30,7 @@ func main() {
 		fmt.Println("Privacy-ladder sweep: ECG workload, FedYogi over a lognormal churn fleet")
 		fmt.Println("(plaintext/clip/masked/masked+dp x strategies, time-to-accuracy cost)")
 		fmt.Println()
-		if err := flips.RunPrivacy(os.Stdout, false, *seed); err != nil {
+		if err := flips.RunExperiment(os.Stdout, "privacy", flips.ExperimentOptions{Seed: *seed}); err != nil {
 			log.Fatal(err)
 		}
 		return

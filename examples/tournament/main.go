@@ -38,7 +38,7 @@ func main() {
 	fmt.Println()
 	// Reduced scale so the full 13-selector x 4-arm grid finishes in about a
 	// minute; drop the overrides for the laptop-scale ranking.
-	err := flips.RunTournament(os.Stdout, flips.TournamentConfig{
+	err := flips.RunExperiment(os.Stdout, "tournament", flips.ExperimentOptions{
 		Selectors: names,
 		Rounds:    30,
 		Parties:   30,

@@ -463,12 +463,11 @@ func TestRunSimulationAllStrategies(t *testing.T) {
 func TestRunTableWritesTable(t *testing.T) {
 	var buf bytes.Buffer
 	// Table 23 = fashion-mnist fedavg rounds (cheapest dataset at low scale
-	// thanks to the halved budget); run it at laptop scale but overridden by
-	// the small default? RunTable has no scale override, so pick laptop.
+	// thanks to the halved budget), at the default laptop scale.
 	if testing.Short() {
 		t.Skip("full table at laptop scale")
 	}
-	if err := RunTable(&buf, 23, false, 1); err != nil {
+	if err := RunExperiment(&buf, "table23", ExperimentOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -479,21 +478,21 @@ func TestRunTableWritesTable(t *testing.T) {
 
 func TestRunTableRejectsBadID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunTable(&buf, 99, false, 1); err == nil {
+	if err := RunExperiment(&buf, "table99", ExperimentOptions{Seed: 1}); err == nil {
 		t.Fatal("bad table id accepted")
 	}
 }
 
 func TestRunFigureRejectsBadID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunFigure(&buf, "fig-nope", false, 1); err == nil {
+	if err := RunExperiment(&buf, "fig-nope", ExperimentOptions{Seed: 1}); err == nil {
 		t.Fatal("bad figure id accepted")
 	}
 }
 
 func TestRunTournamentWritesRanking(t *testing.T) {
 	var buf bytes.Buffer
-	err := RunTournament(&buf, TournamentConfig{
+	err := RunExperiment(&buf, "tournament", ExperimentOptions{
 		Selectors: []string{"random", "loss-prop"},
 		Rounds:    6,
 		Parties:   16,
@@ -506,8 +505,12 @@ func TestRunTournamentWritesRanking(t *testing.T) {
 	if !strings.Contains(out, "Selector tournament") || !strings.Contains(out, "clean arm reached by") {
 		t.Fatalf("tournament output:\n%s", out)
 	}
-	if err := RunTournament(&buf, TournamentConfig{Selectors: []string{"nope"}}); err == nil {
+	if err := RunExperiment(&buf, "tournament", ExperimentOptions{Selectors: []string{"nope"}}); err == nil {
 		t.Fatal("unknown selector accepted")
+	}
+	// An option the named experiment does not use is refused, not dropped.
+	if err := RunExperiment(&buf, "het", ExperimentOptions{Selectors: []string{"random"}}); err == nil {
+		t.Fatal("selector list accepted by an experiment that ignores it")
 	}
 }
 
@@ -517,6 +520,10 @@ func TestDatasetAndStrategyLists(t *testing.T) {
 	}
 	if len(Strategies()) != 13 {
 		t.Fatalf("strategies %v", Strategies())
+	}
+	exps := Experiments()
+	if len(exps) != 24+10+8 || exps[0] != "table1" || exps[24] != "fig2" || exps[len(exps)-1] != "tee" {
+		t.Fatalf("experiments %v", exps)
 	}
 }
 
@@ -585,8 +592,7 @@ func TestRunGridShortScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	_, peak := grid.Tables()
-	grid.RenderTable(&buf, peak)
+	experiment.RenderTable(&buf, grid, experiment.TableSpecs()[23])
 	out := buf.String()
 	if !strings.Contains(out, "Table 24") || !strings.Contains(out, "fashion-mnist") {
 		t.Fatalf("table output:\n%s", out)
@@ -794,7 +800,7 @@ func TestRunChaosWritesTable(t *testing.T) {
 		t.Skip("chaos sweep runs the full fault matrix at laptop scale")
 	}
 	var buf bytes.Buffer
-	if err := RunChaos(&buf, false, 3); err != nil {
+	if err := RunExperiment(&buf, "chaos", ExperimentOptions{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Chaos fault-matrix sweep", "byzantine-20", "krum", "clean"} {
@@ -810,7 +816,7 @@ func TestRunAsyncWritesTable(t *testing.T) {
 		t.Skip("async sweep is a multi-second run at laptop scale")
 	}
 	var buf bytes.Buffer
-	if err := RunAsync(&buf, false, 3); err != nil {
+	if err := RunExperiment(&buf, "async", ExperimentOptions{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Aggregation-mode sweep", "buffered H=1", "semisync H=4"} {
@@ -828,7 +834,7 @@ func TestRunHeterogeneityWritesTable(t *testing.T) {
 		t.Skip("het sweep is a multi-second run at laptop scale")
 	}
 	var buf bytes.Buffer
-	if err := RunHeterogeneity(&buf, false, 3); err != nil {
+	if err := RunExperiment(&buf, "het", ExperimentOptions{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "time to attain target accuracy") {

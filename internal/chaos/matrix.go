@@ -8,10 +8,10 @@ import (
 	"os"
 )
 
-// The declarative fault matrix: the configuration the chaos sweep
-// (experiment.RunChaos, flipsbench -exp chaos) consumes. A matrix names a
-// set of fault arms (scenario Specs), the aggregation folds and the
-// selection strategies to cross them with; the sweep runs every
+// The declarative fault matrix: the configuration the chaos sweep (the
+// experiment registry's "chaos" entry, flipsbench -exp chaos) consumes. A
+// matrix names a set of fault arms (scenario Specs), the aggregation folds
+// and the selection strategies to cross them with; the sweep runs every
 // fault × fold × strategy cell and reports time-to-accuracy degradation
 // against the matching clean cell.
 

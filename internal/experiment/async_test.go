@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -67,26 +65,21 @@ func TestRunAsyncShapeAndRender(t *testing.T) {
 	if testing.Short() {
 		scale = Scale{Parties: 12, Rounds: 4, TrainSize: 600, TestSize: 150, Repeats: 1, EvalEvery: 2}
 	}
-	table, err := RunAsync(scale, 3, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := runSweep(t, asyncSweep, Options{Scale: scale, Seed: 3}, nil)
 	if len(table.Rows) != 5 { // sync + 2 buffered + 2 semisync arms
 		t.Fatalf("async table has %d rows, want 5", len(table.Rows))
 	}
-	for _, row := range table.Rows {
-		if len(row.Cells) != len(HetStrategies()) {
-			t.Fatalf("row %s has %d cells", row.Arm, len(row.Cells))
+	for r, row := range table.Rows {
+		if len(table.Cells[r]) != len(hetStrategies) {
+			t.Fatalf("row %v has %d cells", row.Labels, len(table.Cells[r]))
 		}
-		for _, c := range row.Cells {
-			if c.SimTime <= 0 {
-				t.Fatalf("row %s strategy %s: no simulated time", row.Arm, c.Strategy)
+		for c, cell := range table.Cells[r] {
+			if cell.SimTime <= 0 {
+				t.Fatalf("row %v strategy %s: no simulated time", row.Labels, table.Cols[c].Name)
 			}
 		}
 	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	out := buf.String()
+	out := rendered(table)
 	for _, want := range []string{"Aggregation-mode sweep", "FLIPS tta", "OORT rtt", "sync", "buffered H=1", "semisync H=4", "churn-80%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -104,43 +97,11 @@ func TestRunAsyncTraceAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	scale := Scale{Parties: 10, Rounds: 4, TrainSize: 500, TestSize: 120, Repeats: 1, EvalEvery: 2}
-	table, err := RunAsync(scale, 7, trace, nil)
-	if err != nil {
-		t.Fatal(err)
+	table := runSweep(t, asyncSweep, Options{Scale: scale, Seed: 7, Trace: trace}, nil)
+	if table.Base.Device.Availability.Trace != trace {
+		t.Fatal("trace not threaded into the sweep's fleet")
 	}
-	if !strings.Contains(table.Availability, "trace") {
-		t.Fatalf("availability %q", table.Availability)
-	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	if !strings.Contains(buf.String(), "trace (3 devices)") {
-		t.Fatalf("render missing trace note:\n%s", buf.String())
-	}
-}
-
-// TestRunAsyncParallelismDeterminism extends the sweep determinism pin to
-// the async sweep: parallel and sequential sweeps must agree cell for cell,
-// including the event clock.
-func TestRunAsyncParallelismDeterminism(t *testing.T) {
-	t.Parallel()
-	run := func(par int) *AsyncTable {
-		scale := Scale{Parties: 10, Rounds: 4, TrainSize: 500, TestSize: 120, Repeats: 1, EvalEvery: 2, Parallelism: par}
-		table, err := RunAsync(scale, 7, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return table
-	}
-	seq, par := run(1), run(8)
-	for i := range seq.Rows {
-		for j := range seq.Rows[i].Cells {
-			a, b := seq.Rows[i].Cells[j], par.Rows[i].Cells[j]
-			if a.Strategy != b.Strategy ||
-				math.Float64bits(a.TimeToTarget) != math.Float64bits(b.TimeToTarget) ||
-				math.Float64bits(a.SimTime) != math.Float64bits(b.SimTime) ||
-				math.Float64bits(a.PeakAccuracy) != math.Float64bits(b.PeakAccuracy) {
-				t.Fatalf("row %d cell %d: %+v vs %+v", i, j, a, b)
-			}
-		}
+	if out := rendered(table); !strings.Contains(out, "trace (3 devices)") {
+		t.Fatalf("render missing trace note:\n%s", out)
 	}
 }

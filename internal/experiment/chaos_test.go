@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -27,42 +26,42 @@ func smokeMatrix() *chaos.Matrix {
 func TestRunChaosSweepSmoke(t *testing.T) {
 	t.Parallel()
 	var lines []string
-	table, err := RunChaos(tinyScale(), 17, smokeMatrix(), func(s string) { lines = append(lines, s) })
-	if err != nil {
-		t.Fatal(err)
+	table := runSweep(t, chaosSweep, Options{Scale: tinyScale(), Seed: 17, Matrix: smokeMatrix(),
+		Progress: func(s string) { lines = append(lines, s) }}, nil)
+	if len(table.Rows) != 4 {
+		t.Fatalf("%d rows, want 4 (faults × folds)", len(table.Rows))
 	}
-	if len(table.Rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(table.Rows))
-	}
-	for _, row := range table.Rows {
-		if len(row.Cells) != 2 {
-			t.Fatalf("arm %q has %d cells, want 2 (folds × strategies)", row.Arm, len(row.Cells))
+	for r, row := range table.Rows {
+		if len(table.Cells[r]) != 1 {
+			t.Fatalf("row %v has %d cells, want 1 strategy", row.Labels, len(table.Cells[r]))
 		}
-		for _, c := range row.Cells {
+		for _, c := range table.Cells[r] {
 			if c.PeakAccuracy <= 0 || c.PeakAccuracy > 1 {
-				t.Fatalf("cell %s/%s/%s peak accuracy %v", c.Fault, c.Fold, c.Strategy, c.PeakAccuracy)
+				t.Fatalf("row %v peak accuracy %v", row.Labels, c.PeakAccuracy)
 			}
 			if c.SimTime <= 0 {
-				t.Fatalf("cell %s/%s/%s sim time %v", c.Fault, c.Fold, c.Strategy, c.SimTime)
+				t.Fatalf("row %v sim time %v", row.Labels, c.SimTime)
+			}
+			if len(c.Counts) != 1 || c.Counts[0] < 0 {
+				t.Fatalf("row %v rejected-update counter %v", row.Labels, c.Counts)
 			}
 		}
 	}
 	// The clean arm is its own degradation baseline: ×1 where the target was
 	// reached, NaN where the clean cell itself never got there.
-	for _, c := range table.Rows[0].Cells {
-		if c.TimeToTarget > 0 && c.Degradation != 1 {
-			t.Fatalf("clean cell %s/%s degradation %v, want 1", c.Fold, c.Strategy, c.Degradation)
+	for r := 0; r < 2; r++ {
+		c := table.Cells[r][0]
+		if c.TimeToTarget > 0 && c.Ratio != 1 {
+			t.Fatalf("clean row %v degradation %v, want 1", table.Rows[r].Labels, c.Ratio)
 		}
-		if c.TimeToTarget < 0 && !math.IsNaN(c.Degradation) {
-			t.Fatalf("unreached clean cell %s/%s degradation %v, want NaN", c.Fold, c.Strategy, c.Degradation)
+		if c.TimeToTarget < 0 && !math.IsNaN(c.Ratio) {
+			t.Fatalf("unreached clean row %v degradation %v, want NaN", table.Rows[r].Labels, c.Ratio)
 		}
 	}
 	if len(lines) != 4 {
 		t.Fatalf("progress reported %d cells, want 4", len(lines))
 	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	out := buf.String()
+	out := rendered(table)
 	for _, want := range []string{"Chaos fault-matrix sweep", "clean", "byz", "median"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
@@ -70,29 +69,39 @@ func TestRunChaosSweepSmoke(t *testing.T) {
 	}
 }
 
-// TestRunChaosIsDeterministic pins the sweep's reproducibility: two runs at
-// different parallelism must produce bit-identical tables.
-func TestRunChaosIsDeterministic(t *testing.T) {
+// TestRatioRendering pins the ratio column's three shapes — "×" against a
+// baseline that got there, "never" when only the baseline did, "—" without a
+// reference — and that a row's baseline is the so-named row under the same
+// remaining labels.
+func TestRatioRendering(t *testing.T) {
 	t.Parallel()
-	run := func(parallelism int) *ChaosTable {
-		scale := tinyScale()
-		scale.Parallelism = parallelism
-		table, err := RunChaos(scale, 17, smokeMatrix(), nil)
-		if err != nil {
-			t.Fatal(err)
+	reached, missed := Cell{TimeToTarget: 10}, Cell{TimeToTarget: -1}
+	for _, tc := range []struct {
+		cell, base Cell
+		want       string
+	}{
+		{Cell{TimeToTarget: 13.7}, reached, "×1.37"},
+		{missed, reached, "never"},
+		{reached, missed, "—"},
+		{missed, missed, "—"},
+	} {
+		tc.cell.Ratio = ratio(tc.cell, tc.base)
+		if got := fieldRatio("").Text(tc.cell); got != tc.want {
+			t.Fatalf("ratio of %v over %v renders %q, want %q", tc.cell.TimeToTarget, tc.base.TimeToTarget, got, tc.want)
 		}
-		return table
 	}
-	a, b := run(1), run(4)
-	for r := range a.Rows {
-		for c := range a.Rows[r].Cells {
-			x, y := a.Rows[r].Cells[c], b.Rows[r].Cells[c]
-			if math.Float64bits(x.PeakAccuracy) != math.Float64bits(y.PeakAccuracy) ||
-				math.Float64bits(x.TimeToTarget) != math.Float64bits(y.TimeToTarget) ||
-				x.Rejected != y.Rejected {
-				t.Fatalf("cell %s/%s/%s diverges across parallelism: %+v vs %+v", x.Fault, x.Fold, x.Strategy, x, y)
-			}
+	s := Sweep{Baseline: "clean", Rows: []Arm{
+		{Labels: []string{"clean", "mean"}}, {Labels: []string{"clean", "median"}},
+		{Labels: []string{"byz", "mean"}}, {Labels: []string{"byz", "median"}},
+	}}
+	for r, want := range []int{0, 1, 0, 1} {
+		if got := s.baselineRow(r); got != want {
+			t.Fatalf("row %v baseline %d, want %d", s.Rows[r].Labels, got, want)
 		}
+	}
+	s.Baseline = "absent"
+	if got := s.baselineRow(2); got != -1 {
+		t.Fatalf("baseline of a sweep without its baseline arm: %d", got)
 	}
 }
 

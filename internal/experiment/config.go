@@ -167,12 +167,6 @@ type Setting struct {
 	Seed uint64
 }
 
-// String renders a compact cell identifier.
-func (s Setting) String() string {
-	return fmt.Sprintf("%s/%s/%s a=%.1f p=%.0f%% strag=%.0f%%",
-		s.Spec.Name, s.Algorithm, s.Strategy, s.Alpha, 100*s.PartyFraction, 100*s.StragglerRate)
-}
-
 // TrainingProfile bundles the local-SGD hyperparameters per dataset, mirroring
 // the paper's §4.2 setup (lr 0.001 with decay every 20–30 rounds there; here
 // scaled to the synthetic substrate).
@@ -615,18 +609,4 @@ func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats
 		first.TimeToTarget = -1
 	}
 	return first, outs[0].clusters, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

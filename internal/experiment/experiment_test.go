@@ -27,24 +27,29 @@ func TestTableSpecsEnumerate24(t *testing.T) {
 		}
 		seen[s.ID] = true
 	}
-	// Spot-check the paper's assignments.
-	t1, _ := TableSpecByID(1)
+	// Spot-check the paper's assignments (table N is specs[N-1]).
+	t1 := specs[0]
 	if t1.Dataset.Name != "mit-bih-ecg" || t1.Algorithm != AlgoFedYogi || t1.Metric != MetricRounds {
 		t.Fatalf("table 1 = %+v", t1)
 	}
-	t8, _ := TableSpecByID(8)
+	t8 := specs[7]
 	if t8.Dataset.Name != "fashion-mnist" || t8.Algorithm != AlgoFedYogi || t8.Metric != MetricPeak {
 		t.Fatalf("table 8 = %+v", t8)
 	}
-	t9, _ := TableSpecByID(9)
+	t9 := specs[8]
 	if t9.Dataset.Name != "mit-bih-ecg" || t9.Algorithm != AlgoFedProx {
 		t.Fatalf("table 9 = %+v", t9)
 	}
-	t24, _ := TableSpecByID(24)
+	t24 := specs[23]
 	if t24.Dataset.Name != "fashion-mnist" || t24.Algorithm != AlgoFedAvg || t24.Metric != MetricPeak {
 		t.Fatalf("table 24 = %+v", t24)
 	}
-	if _, err := TableSpecByID(25); err == nil {
+	for i, s := range specs {
+		if s.ID != i+1 {
+			t.Fatalf("specs[%d] is table %d: the enumeration is not in paper order", i, s.ID)
+		}
+	}
+	if _, err := Expand("table25"); err == nil {
 		t.Fatal("table 25 should not exist")
 	}
 }
@@ -185,34 +190,37 @@ func TestRunSettingAveragesRepeats(t *testing.T) {
 
 func TestRunGridShapeAndRender(t *testing.T) {
 	t.Parallel()
-	scale := tinyScale()
-	grid, err := RunGrid(dataset.FashionMNIST(), AlgoFedAvg, scale, 7, nil)
+	grid, err := RunGrid(dataset.FashionMNIST(), AlgoFedAvg, tinyScale(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(grid.Rows) != 4 {
 		t.Fatalf("grid has %d rows, want 4", len(grid.Rows))
 	}
-	for _, row := range grid.Rows {
-		if len(row.Cells) != 11 { // 5 + 3 + 3
-			t.Fatalf("row has %d cells, want 11", len(row.Cells))
-		}
-		if _, ok := row.Cell(StrategyFLIPS, 0.10); !ok {
-			t.Fatal("missing FLIPS@10% cell")
-		}
-		if _, ok := row.Cell(StrategyGradClus, 0.10); ok {
-			t.Fatal("GradClus should not appear in straggler columns")
+	cols := map[string]bool{}
+	for _, col := range grid.Cols {
+		cols[col.Labels[0]] = true
+	}
+	if len(grid.Cols) != 11 || len(cols) != 11 { // 5 + 3 + 3
+		t.Fatalf("grid has %d columns (%d distinct), want 11", len(grid.Cols), len(cols))
+	}
+	if !cols["FLIPS@10%"] {
+		t.Fatal("missing FLIPS@10% column")
+	}
+	if cols["GradCls@10%"] {
+		t.Fatal("GradClus should not appear in straggler columns")
+	}
+	for r := range grid.Rows {
+		if len(grid.Cells[r]) != 11 {
+			t.Fatalf("row %d has %d cells, want 11", r, len(grid.Cells[r]))
 		}
 	}
-	rounds, peak := grid.Tables()
-	if rounds.Metric != MetricRounds || peak.Metric != MetricPeak {
-		t.Fatal("grid tables metrics wrong")
-	}
-	if rounds.ID != 23 || peak.ID != 24 {
-		t.Fatalf("fashion-mnist fedavg tables = %d, %d; want 23, 24", rounds.ID, peak.ID)
+	rounds := TableSpecs()[22]
+	if rounds.Dataset.Name != "fashion-mnist" || rounds.Algorithm != AlgoFedAvg || rounds.Metric != MetricRounds {
+		t.Fatalf("table 23 = %+v, want the fashion-mnist fedavg rounds table", rounds)
 	}
 	var buf bytes.Buffer
-	grid.RenderTable(&buf, rounds)
+	RenderTable(&buf, grid, rounds)
 	out := buf.String()
 	if !strings.Contains(out, "Table 23") || !strings.Contains(out, "FLIPS@0%") {
 		t.Fatalf("render missing headers:\n%s", out)
@@ -361,37 +369,5 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	if flipsPeak < randomPeak-0.01 {
 		t.Fatalf("FLIPS peak %v below Random peak %v", flipsPeak, randomPeak)
-	}
-}
-
-// TestRunGridParallelismDeterminism pins the grid fan-out's index
-// bookkeeping: the same grid at cell-parallelism 1 and 8 must be
-// bit-identical, cell for cell.
-func TestRunGridParallelismDeterminism(t *testing.T) {
-	t.Parallel()
-	run := func(par int) *Grid {
-		scale := Scale{Parties: 16, Rounds: 6, TrainSize: 800, TestSize: 200, Repeats: 2, EvalEvery: 3, Parallelism: par}
-		grid, err := RunGrid(dataset.ECG(), AlgoFedAvg, scale, 3, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return grid
-	}
-	seq, par := run(1), run(8)
-	if len(seq.Rows) != len(par.Rows) {
-		t.Fatalf("row counts %d vs %d", len(seq.Rows), len(par.Rows))
-	}
-	for i := range seq.Rows {
-		if len(seq.Rows[i].Cells) != len(par.Rows[i].Cells) {
-			t.Fatalf("row %d cell counts differ", i)
-		}
-		for j := range seq.Rows[i].Cells {
-			a, b := seq.Rows[i].Cells[j], par.Rows[i].Cells[j]
-			if a.Strategy != b.Strategy || a.StragglerRate != b.StragglerRate ||
-				a.RoundsToTarget != b.RoundsToTarget ||
-				math.Float64bits(a.PeakAccuracy) != math.Float64bits(b.PeakAccuracy) {
-				t.Fatalf("row %d cell %d: %+v vs %+v", i, j, a, b)
-			}
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -89,61 +88,29 @@ func TestRunHeterogeneityShapeAndRender(t *testing.T) {
 	if testing.Short() {
 		scale = Scale{Parties: 12, Rounds: 4, TrainSize: 600, TestSize: 150, Repeats: 1, EvalEvery: 2}
 	}
-	table, err := RunHeterogeneity(scale, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := runSweep(t, hetSweep, Options{Scale: scale, Seed: 3}, nil)
 	if len(table.Rows) != 9 { // 3 availability × 3 deadlines
 		t.Fatalf("het table has %d rows, want 9", len(table.Rows))
 	}
 	scenarios := map[string]bool{}
-	for _, row := range table.Rows {
-		scenarios[row.Scenario] = true
-		if len(row.Cells) != len(HetStrategies()) {
-			t.Fatalf("row %s/%v has %d cells", row.Scenario, row.Deadline, len(row.Cells))
+	for r, row := range table.Rows {
+		scenarios[row.Labels[0]] = true
+		if len(table.Cells[r]) != len(hetStrategies) {
+			t.Fatalf("row %v has %d cells", row.Labels, len(table.Cells[r]))
 		}
-		for _, c := range row.Cells {
-			if c.SimTime <= 0 {
-				t.Fatalf("row %s/%v strategy %s: no simulated time", row.Scenario, row.Deadline, c.Strategy)
+		for c, cell := range table.Cells[r] {
+			if cell.SimTime <= 0 {
+				t.Fatalf("row %v strategy %s: no simulated time", row.Labels, table.Cols[c].Name)
 			}
 		}
 	}
 	if len(scenarios) != 3 {
 		t.Fatalf("scenarios %v", scenarios)
 	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	out := buf.String()
+	out := rendered(table)
 	for _, want := range []string{"time to attain target accuracy", "FLIPS tta", "OORT rtt", "always-on", "churn-80%", "diurnal", "none"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRunHeterogeneityParallelismDeterminism extends the grid determinism
-// pin to the het sweep: parallel and sequential sweeps must agree cell for
-// cell, including the simulated clock.
-func TestRunHeterogeneityParallelismDeterminism(t *testing.T) {
-	t.Parallel()
-	run := func(par int) *HetTable {
-		scale := Scale{Parties: 10, Rounds: 4, TrainSize: 500, TestSize: 120, Repeats: 1, EvalEvery: 2, Parallelism: par}
-		table, err := RunHeterogeneity(scale, 7, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return table
-	}
-	seq, par := run(1), run(8)
-	for i := range seq.Rows {
-		for j := range seq.Rows[i].Cells {
-			a, b := seq.Rows[i].Cells[j], par.Rows[i].Cells[j]
-			if a.Strategy != b.Strategy ||
-				math.Float64bits(a.TimeToTarget) != math.Float64bits(b.TimeToTarget) ||
-				math.Float64bits(a.SimTime) != math.Float64bits(b.SimTime) ||
-				math.Float64bits(a.PeakAccuracy) != math.Float64bits(b.PeakAccuracy) {
-				t.Fatalf("row %d cell %d: %+v vs %+v", i, j, a, b)
-			}
 		}
 	}
 }

@@ -1,15 +1,11 @@
 package experiment
 
-import (
-	"sync"
-
-	"flips/internal/parallel"
-)
+import "flips/internal/parallel"
 
 // runJobs fans n independent jobs out over a pool bounded by parallelism
 // and returns their results in index order, or the first error in index
-// order. This is the shared skeleton of every sweep runner (table grids,
-// figures, the heterogeneity sweep): the jobs are the coarsest — and
+// order. This is the shared skeleton of Sweep.Run and the figure runners:
+// the jobs are the coarsest — and
 // therefore cheapest — level to spend the whole concurrency budget on, job
 // interiors must run sequentially (callers set Parallelism: 1 on the
 // interior scale), and index-ordered assembly keeps results bit-identical
@@ -31,19 +27,4 @@ func runJobs[T any](parallelism, n int, run func(int) (T, error)) ([]T, error) {
 		results[i] = o.v
 	}
 	return results, nil
-}
-
-// serialProgress wraps a progress callback with a mutex so concurrent jobs
-// can report through sinks that are not goroutine-safe (a terminal, a test
-// buffer). Returns nil for a nil callback.
-func serialProgress(progress func(string)) func(string) {
-	if progress == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	return func(msg string) {
-		mu.Lock()
-		defer mu.Unlock()
-		progress(msg)
-	}
 }

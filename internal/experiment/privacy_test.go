@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -10,88 +9,55 @@ import (
 	"flips/internal/fl"
 )
 
-// smokeArms is a 2-rung ladder small enough for the unit-test budget: the
-// plaintext baseline and full masking with dropout recovery.
-func smokeArms() []PrivacyArm {
-	return []PrivacyArm{
-		{Name: "plaintext"},
-		{Name: "masked", Config: fl.PrivacyConfig{Mask: true, Clip: 1, ShareThreshold: 2}},
-	}
-}
+// smokeLadder trims the ladder to two rungs small enough for the unit-test
+// budget: the plaintext baseline and full masking with dropout recovery.
+func smokeLadder(s *Sweep) { s.Rows = []Arm{s.Rows[0], s.Rows[2]} }
 
 func TestRunPrivacySweepSmoke(t *testing.T) {
 	t.Parallel()
 	var lines []string
-	table, err := RunPrivacy(tinyScale(), 17, smokeArms(), func(s string) { lines = append(lines, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := runSweep(t, privacySweep, Options{Scale: tinyScale(), Seed: 17,
+		Progress: func(s string) { lines = append(lines, s) }}, smokeLadder)
 	if len(table.Rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(table.Rows))
 	}
-	for _, row := range table.Rows {
-		if len(row.Cells) != len(table.Strategies) {
-			t.Fatalf("arm %q has %d cells, want %d", row.Arm, len(row.Cells), len(table.Strategies))
+	for r, row := range table.Rows {
+		if len(table.Cells[r]) != len(table.Cols) {
+			t.Fatalf("arm %v has %d cells, want %d", row.Labels, len(table.Cells[r]), len(table.Cols))
 		}
-		for _, c := range row.Cells {
-			if c.PeakAccuracy <= 0 || c.PeakAccuracy > 1 {
-				t.Fatalf("cell %s/%s peak accuracy %v", c.Arm, c.Strategy, c.PeakAccuracy)
+		for c, cell := range table.Cells[r] {
+			if cell.PeakAccuracy <= 0 || cell.PeakAccuracy > 1 {
+				t.Fatalf("cell %v/%s peak accuracy %v", row.Labels, table.Cols[c].Name, cell.PeakAccuracy)
 			}
-			if c.SimTime <= 0 {
-				t.Fatalf("cell %s/%s sim time %v", c.Arm, c.Strategy, c.SimTime)
+			if cell.SimTime <= 0 {
+				t.Fatalf("cell %v/%s sim time %v", row.Labels, table.Cols[c].Name, cell.SimTime)
 			}
 		}
 	}
 	// The plaintext arm is its own slowdown baseline: ×1 where the target was
 	// reached, NaN where the baseline itself never got there.
-	for _, c := range table.Rows[0].Cells {
-		if c.TimeToTarget > 0 && c.Slowdown != 1 {
-			t.Fatalf("plaintext cell %s slowdown %v, want 1", c.Strategy, c.Slowdown)
+	for c, cell := range table.Cells[0] {
+		name := table.Cols[c].Name
+		if cell.TimeToTarget > 0 && cell.Ratio != 1 {
+			t.Fatalf("plaintext cell %s slowdown %v, want 1", name, cell.Ratio)
 		}
-		if c.TimeToTarget < 0 && !math.IsNaN(c.Slowdown) {
-			t.Fatalf("unreached plaintext cell %s slowdown %v, want NaN", c.Strategy, c.Slowdown)
+		if cell.TimeToTarget < 0 && !math.IsNaN(cell.Ratio) {
+			t.Fatalf("unreached plaintext cell %s slowdown %v, want NaN", name, cell.Ratio)
 		}
-		if c.MaskAborts != 0 {
-			t.Fatalf("plaintext cell %s reports %d mask aborts", c.Strategy, c.MaskAborts)
+		if aborts := cell.Counts[0]; aborts != 0 {
+			t.Fatalf("plaintext cell %s reports %d mask aborts", name, aborts)
 		}
 	}
-	if want := 2 * len(table.Strategies); len(lines) != want {
+	if want := 2 * len(table.Cols); len(lines) != want {
 		t.Fatalf("progress reported %d cells, want %d", len(lines), want)
 	}
-	var buf bytes.Buffer
-	table.Render(&buf)
-	out := buf.String()
+	if !strings.Contains(lines[0], "aborts=") || !strings.Contains(lines[0], "dropouts=") {
+		t.Fatalf("progress line %q missing the abort and dropout counters", lines[0])
+	}
+	out := rendered(table)
 	for _, want := range []string{"Privacy-ladder sweep", "plaintext", "masked(t=2)", "slow"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestRunPrivacyIsDeterministic pins the sweep's reproducibility: two runs
-// at different parallelism must produce bit-identical tables — the masked
-// cells included, since the uint64 ring fold and the Laplace noise stream
-// are both width-invariant.
-func TestRunPrivacyIsDeterministic(t *testing.T) {
-	t.Parallel()
-	run := func(parallelism int) *PrivacyTable {
-		scale := tinyScale()
-		scale.Parallelism = parallelism
-		table, err := RunPrivacy(scale, 17, smokeArms(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return table
-	}
-	a, b := run(1), run(4)
-	for r := range a.Rows {
-		for c := range a.Rows[r].Cells {
-			x, y := a.Rows[r].Cells[c], b.Rows[r].Cells[c]
-			if math.Float64bits(x.PeakAccuracy) != math.Float64bits(y.PeakAccuracy) ||
-				math.Float64bits(x.TimeToTarget) != math.Float64bits(y.TimeToTarget) ||
-				x.MaskAborts != y.MaskAborts || x.Dropouts != y.Dropouts {
-				t.Fatalf("cell %s/%s diverges across parallelism: %+v vs %+v", x.Arm, x.Strategy, x, y)
-			}
 		}
 	}
 }

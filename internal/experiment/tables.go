@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"flips/internal/dataset"
 )
@@ -19,13 +18,6 @@ const (
 	// (even-numbered tables).
 	MetricPeak
 )
-
-func (m Metric) String() string {
-	if m == MetricRounds {
-		return "rounds-to-target"
-	}
-	return "peak-accuracy"
-}
 
 // TableSpec identifies one of the paper's Tables 1–24.
 type TableSpec struct {
@@ -65,220 +57,59 @@ func TableSpecs() []TableSpec {
 	return specs
 }
 
-// TableSpecByID returns the spec for Tables 1..24.
-func TableSpecByID(id int) (TableSpec, error) {
-	for _, s := range TableSpecs() {
-		if s.ID == id {
-			return s, nil
+// paperGrid declares the evaluation grid behind one (dataset, algorithm) pair
+// — i.e. behind one rounds-table and one peak-table: (α ∈ {0.3, 0.6}) ×
+// (party% ∈ {20, 15}) rows, and the paper's column layout — all five
+// strategies at 0% stragglers, the three best (FLIPS, Oort, TiFL) at 10% and
+// 20%. Which of its two tables a run renders as is RenderTable's choice.
+func paperGrid(ds dataset.Spec, algorithm string, scale Scale, seed uint64) Sweep {
+	s := Sweep{
+		RowHead: []string{"alpha", "party%"},
+		Base:    Setting{Spec: ds, Algorithm: algorithm, TargetAccuracy: TargetFor(ds), Seed: seed},
+		Rounds:  RoundsFor(ds, scale),
+	}
+	for _, alpha := range []float64{0.3, 0.6} {
+		for _, frac := range []float64{0.20, 0.15} {
+			s.Rows = append(s.Rows, Arm{
+				Labels: []string{fmt.Sprintf("%.1f", alpha), fmt.Sprintf("%.0f", frac*100)},
+				Patch:  func(st *Setting) { st.Alpha, st.PartyFraction = alpha, frac },
+			})
 		}
 	}
-	return TableSpec{}, fmt.Errorf("experiment: no table %d (valid: 1-24)", id)
-}
-
-// Cell is one table entry: a (strategy, straggler-rate) measurement.
-type Cell struct {
-	Strategy       string
-	StragglerRate  float64
-	RoundsToTarget int // -1 encodes ">R"
-	PeakAccuracy   float64
-	// TimeToTarget is the simulated seconds to reach the target (-1 when
-	// unreached) and SimTime the cell's total simulated wall-clock — the
-	// time-to-accuracy axis the device model adds.
-	TimeToTarget float64
-	SimTime      float64
-}
-
-// Row is one evaluation setting (α, party fraction) with all its cells.
-type Row struct {
-	Alpha         float64
-	PartyFraction float64
-	Cells         []Cell
-}
-
-// Cell returns the cell for (strategy, stragglerRate), or false.
-func (r *Row) Cell(strategy string, stragglerRate float64) (Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Strategy == strategy && c.StragglerRate == stragglerRate {
-			return c, true
-		}
-	}
-	return Cell{}, false
-}
-
-// Grid holds every run needed for one (dataset, algorithm) pair — i.e. for
-// one rounds-table and one peak-table.
-type Grid struct {
-	Dataset   dataset.Spec
-	Algorithm string
-	Rounds    int
-	Target    float64
-	Rows      []Row
-}
-
-// stragglerColumns mirrors the paper's table layout: all five strategies at
-// 0% stragglers, and the three best (FLIPS, Oort, TiFL) at 10% and 20%.
-func stragglerColumns() []struct {
-	rate       float64
-	strategies []string
-} {
-	return []struct {
+	for _, col := range []struct {
 		rate       float64
 		strategies []string
 	}{
 		{0, AllStrategies()},
 		{0.10, []string{StrategyFLIPS, StrategyOort, StrategyTiFL}},
 		{0.20, []string{StrategyFLIPS, StrategyOort, StrategyTiFL}},
+	} {
+		for _, strategy := range col.strategies {
+			s.Cols = append(s.Cols, Arm{
+				Name:   strategy,
+				Labels: []string{fmt.Sprintf("%s@%.0f%%", displayName(strategy), col.rate*100)},
+				Patch:  func(st *Setting) { st.Strategy, st.StragglerRate = strategy, col.rate },
+			})
+		}
 	}
+	return s
 }
 
-// RunGrid executes the full evaluation grid for one (dataset, algorithm)
-// pair: (α ∈ {0.3, 0.6}) × (party% ∈ {20, 15}) × the paper's straggler
-// columns. progress (may be nil) receives one line per completed cell.
-//
-// Independent cells fan out over a pool bounded by scale.Parallelism, and
-// each cell's interior (repeats, local training, eval shards) runs
-// sequentially: the grid's 44 cells are the coarsest — and therefore
-// cheapest — level to spend the whole concurrency budget on, and claiming
-// it here keeps nested pools from multiplying past the budget. Cells are
-// assembled into rows by index, so the Grid is bit-identical at every pool
-// width; only the arrival order of progress lines varies (completion order
-// when parallel, grid order when sequential).
-func RunGrid(ds dataset.Spec, algorithm string, scale Scale, seed uint64, progress func(string)) (*Grid, error) {
-	grid := &Grid{
-		Dataset:   ds,
-		Algorithm: algorithm,
-		Rounds:    RoundsFor(ds, scale),
-		Target:    TargetFor(ds),
-	}
-	runScale := scale
-	runScale.Rounds = grid.Rounds
-
-	type job struct {
-		row     int
-		setting Setting
-	}
-	var jobs []job
-	var rows []Row
-	for _, alpha := range []float64{0.3, 0.6} {
-		for _, frac := range []float64{0.20, 0.15} {
-			rows = append(rows, Row{Alpha: alpha, PartyFraction: frac})
-			for _, col := range stragglerColumns() {
-				for _, strategy := range col.strategies {
-					jobs = append(jobs, job{
-						row: len(rows) - 1,
-						setting: Setting{
-							Spec:           ds,
-							Algorithm:      algorithm,
-							Alpha:          alpha,
-							PartyFraction:  frac,
-							StragglerRate:  col.rate,
-							Strategy:       strategy,
-							TargetAccuracy: grid.Target,
-							Seed:           seed,
-						},
-					})
-				}
-			}
-		}
-	}
-
-	cellScale := runScale
-	cellScale.Parallelism = 1
-	progress = serialProgress(progress)
-	cells, err := runJobs(scale.Parallelism, len(jobs), func(i int) (Cell, error) {
-		setting := jobs[i].setting
-		res, err := RunSetting(setting, cellScale)
-		if err != nil {
-			return Cell{}, fmt.Errorf("run %s: %w", setting, err)
-		}
-		cell := Cell{
-			Strategy:       setting.Strategy,
-			StragglerRate:  setting.StragglerRate,
-			RoundsToTarget: res.RoundsToTarget,
-			PeakAccuracy:   res.PeakAccuracy,
-			TimeToTarget:   res.TimeToTarget,
-			SimTime:        res.SimTime,
-		}
-		if progress != nil {
-			progress(fmt.Sprintf("%s -> rtt=%s peak=%.2f%%",
-				setting, formatRounds(cell.RoundsToTarget, grid.Rounds), 100*cell.PeakAccuracy))
-		}
-		return cell, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, cell := range cells {
-		rows[jobs[i].row].Cells = append(rows[jobs[i].row].Cells, cell)
-	}
-	grid.Rows = rows
-	return grid, nil
+// RunGrid executes the paper grid for one (dataset, algorithm) pair; see
+// Sweep.Run for the fan-out and its bit-identity contract.
+func RunGrid(ds dataset.Spec, algorithm string, scale Scale, seed uint64, progress func(string)) (*Table, error) {
+	return paperGrid(ds, algorithm, scale, seed).Run(scale, progress)
 }
 
-// RenderTable writes the grid as one of its two paper tables.
-func (g *Grid) RenderTable(w io.Writer, spec TableSpec) {
-	fmt.Fprintln(w, spec.Title())
+// RenderTable writes a finished grid as one of its two paper tables.
+func RenderTable(w io.Writer, grid *Table, spec TableSpec) {
+	view := *grid
+	view.Title = []string{spec.Title()}
+	view.Fields = []Field{{"", func(c Cell) string { return fmt.Sprintf("%.2f", 100*c.PeakAccuracy) }}}
 	if spec.Metric == MetricRounds {
-		fmt.Fprintf(w, "Target balanced accuracy: %.0f%%, rounds threshold: %d\n", 100*g.Target, g.Rounds)
+		view.Title = append(view.Title, fmt.Sprintf("Target balanced accuracy: %.0f%%, rounds threshold: %d",
+			100*grid.Base.TargetAccuracy, grid.Rounds))
+		view.Fields = []Field{fieldRTT("", grid.Rounds)}
 	}
-	header := []string{"alpha", "party%"}
-	for _, col := range stragglerColumns() {
-		for _, s := range col.strategies {
-			header = append(header, fmt.Sprintf("%s@%.0f%%", displayName(s), col.rate*100))
-		}
-	}
-	fmt.Fprintln(w, strings.Join(header, "\t"))
-	for _, row := range g.Rows {
-		fields := []string{
-			fmt.Sprintf("%.1f", row.Alpha),
-			fmt.Sprintf("%.0f", row.PartyFraction*100),
-		}
-		for _, c := range row.Cells {
-			if spec.Metric == MetricRounds {
-				fields = append(fields, formatRounds(c.RoundsToTarget, g.Rounds))
-			} else {
-				fields = append(fields, fmt.Sprintf("%.2f", 100*c.PeakAccuracy))
-			}
-		}
-		fmt.Fprintln(w, strings.Join(fields, "\t"))
-	}
-}
-
-// Tables returns the grid's two TableSpecs (rounds, peak) with their paper
-// IDs resolved from the canonical enumeration.
-func (g *Grid) Tables() (rounds, peak TableSpec) {
-	for _, s := range TableSpecs() {
-		if s.Dataset.Name == g.Dataset.Name && s.Algorithm == g.Algorithm {
-			if s.Metric == MetricRounds {
-				rounds = s
-			} else {
-				peak = s
-			}
-		}
-	}
-	return rounds, peak
-}
-
-func formatRounds(rtt, budget int) string {
-	if rtt < 0 {
-		return fmt.Sprintf(">%d", budget)
-	}
-	return fmt.Sprintf("%d", rtt)
-}
-
-func displayName(strategy string) string {
-	switch strategy {
-	case StrategyRandom:
-		return "Random"
-	case StrategyFLIPS:
-		return "FLIPS"
-	case StrategyOort:
-		return "OORT"
-	case StrategyGradClus:
-		return "GradCls"
-	case StrategyTiFL:
-		return "TiFL"
-	default:
-		return strategy
-	}
+	view.Render(w)
 }

@@ -4,188 +4,98 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"flips/internal/chaos"
-	"flips/internal/dataset"
 	"flips/internal/device"
 )
 
-// The selector tournament (ISSUE 10) ranks every registered selection
-// strategy on time-to-target-accuracy across a small grid of fleet regimes:
-// a clean homogeneous-availability baseline, a harsher non-IID partition, a
-// churning fleet, and a byzantine minority behind a robust fold. One arm is
-// one regime; every selector runs every arm under identical seeds, so the
-// only varying factor in a column is the selection policy. The final order
-// is the across-arm mean of normalized per-arm ranks — a selector wins by
-// being consistently near the top, not by one lucky cell.
+// The selector tournament ranks selection strategies on time-to-target-
+// accuracy across a small grid of fleet regimes: a clean always-on baseline,
+// a harsher non-IID partition, a churning fleet, and a byzantine minority
+// behind a robust fold. One row arm is one regime; every selector runs every
+// regime under identical seeds, so the only varying factor in a column is
+// the selection policy. It is the same Sweep as the others plus a ranking
+// pass: the final order is the across-regime mean of normalized per-regime
+// ranks — a selector wins by being consistently near the top, not by one
+// lucky cell.
 
-// TournamentArm is one fleet regime every selector competes under.
-type TournamentArm struct {
-	Name string
-	// Alpha is the Dirichlet non-IIDness of the arm's partition.
-	Alpha float64
-	// Fleet is the arm's device heterogeneity model.
-	Fleet device.Config
-	// Fold names the aggregation fold ("" = mean).
-	Fold string
-	// Chaos, when non-nil, attaches the arm's fault scenario.
-	Chaos *chaos.Spec
-}
-
-// TournamentCell is one (arm, selector) measurement.
-type TournamentCell struct {
-	Arm      string
-	Selector string
-	// TimeToTarget / RoundsToTarget are -1 when the target was never reached.
-	TimeToTarget   float64
-	RoundsToTarget int
-	PeakAccuracy   float64
-	// Rank is this selector's position in the arm, 0 = best. Reached cells
-	// rank before unreached ones; within each group ties break on peak
-	// accuracy, then name.
-	Rank int
-}
-
-// TournamentRow is one selector's full tournament record.
-type TournamentRow struct {
-	Selector string
-	// Score is the across-arm mean of normalized rank points: rank 0 of N
-	// earns 1.0, last earns 0.0. Higher is better.
-	Score float64
-	// Wins counts arms where this selector ranked first.
-	Wins  int
-	Cells []TournamentCell // one per arm, in arm order
-}
-
-// TournamentTable is the full selector tournament result, rows sorted best
-// first.
-type TournamentTable struct {
-	Dataset string
-	Rounds  int
-	Target  float64
-	Arms    []TournamentArm
-	Rows    []TournamentRow
-}
-
-// tournamentArms builds the four-regime grid. The clean arm doubles as the
-// CI sanity anchor: a healthy always-on fleet at the milder non-IIDness,
-// where every reasonable selector should attain the target.
-func tournamentArms(seed uint64) []TournamentArm {
-	mkFleet := func(a device.Availability) device.Config {
-		c := device.Lognormal()
-		c.Availability = a
-		return c
-	}
-	alwaysOn := mkFleet(device.Availability{Kind: device.AlwaysOn})
-	churn := mkFleet(device.Availability{Kind: device.Churn, OnlineProb: 0.8})
-	return []TournamentArm{
-		{Name: cleanArmName, Alpha: 0.6, Fleet: alwaysOn},
-		{Name: "non-iid", Alpha: 0.3, Fleet: alwaysOn},
-		{Name: "churn-80%", Alpha: 0.6, Fleet: churn},
-		{Name: "byzantine-20%", Alpha: 0.6, Fleet: churn, Fold: "median",
-			Chaos: &chaos.Spec{Seed: seed, Fault: chaos.FaultByzantine, FaultFraction: 0.2}},
-	}
-}
-
-// RunTournament executes the selector tournament: every name in selectors
-// (nil or empty = every registered selector, registry order) across every
-// arm. Names are validated up front against the selection registry, so a
-// typo fails before any compute is spent. Cells fan out over a pool bounded
-// by scale.Parallelism with sequential interiors, assembled in index order —
-// bit-identical at every width, the contract all sweep runners share.
-// progress (may be nil) receives one line per completed cell.
-func RunTournament(scale Scale, seed uint64, selectors []string, progress func(string)) (*TournamentTable, error) {
+// tournamentSweep declares the regimes × selectors grid; o.Selectors (empty =
+// every registered selector, registry order) are the competitors. The clean
+// regime doubles as the CI sanity anchor: a healthy always-on fleet at the
+// milder non-IIDness, where every reasonable selector should attain the
+// target.
+func tournamentSweep(o Options) (Sweep, error) {
+	selectors := o.Selectors
 	if len(selectors) == 0 {
 		selectors = ExtendedStrategies()
 	}
-	seen := map[string]bool{}
-	for _, name := range selectors {
-		if err := validStrategy(name); err != nil {
-			return nil, fmt.Errorf("experiment: tournament: %w", err)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("experiment: tournament: selector %q listed twice", name)
-		}
-		seen[name] = true
+	base := ecgBase(0.6, 0.25, o.Seed)
+	base.Deadline = 3
+	rounds := RoundsFor(base.Spec, o.Scale)
+	alwaysOn := lognormalFleet(device.Availability{Kind: device.AlwaysOn})
+	churn := lognormalFleet(churn80)
+	byzantine := &chaos.Spec{Seed: o.Seed, Fault: chaos.FaultByzantine, FaultFraction: 0.2}
+	regime := func(name string, patch func(*Setting)) Arm {
+		return Arm{Labels: []string{name}, Patch: patch}
 	}
+	rows := []Arm{
+		regime(cleanArm, func(s *Setting) { s.Device = alwaysOn }),
+		regime("non-iid", func(s *Setting) { s.Device, s.Alpha = alwaysOn, 0.3 }),
+		regime("churn-80%", func(s *Setting) { s.Device = churn }),
+		regime("byzantine-20%", func(s *Setting) { s.Device, s.Fold, s.Chaos = churn, "median", byzantine }),
+	}
+	return Sweep{
+		Title: []string{
+			fmt.Sprintf("Selector tournament: %s — %d selectors ranked on time to target accuracy across %d fleet regimes, FL algorithm: fedyogi",
+				base.Spec.Name, len(selectors), len(rows)),
+			fmt.Sprintf("Target balanced accuracy: %.0f%%, aggregation steps: %d; score is the across-arm mean of normalized rank points (1 = first everywhere)",
+				100*base.TargetAccuracy, rounds),
+		},
+		Base:   base,
+		Rounds: rounds,
+		Rows:   rows,
+		Cols:   strategyArms(selectors...),
+	}, nil
+}
 
-	ds := dataset.ECG()
-	arms := tournamentArms(seed)
-	table := &TournamentTable{
-		Dataset: ds.Name,
-		Rounds:  RoundsFor(ds, scale),
-		Target:  TargetFor(ds),
-		Arms:    arms,
-	}
+// RankRow is one selector's full tournament record.
+type RankRow struct {
+	Selector string
+	// Score is the across-regime mean of normalized rank points: rank 0 of N
+	// earns 1.0, last earns 0.0. Higher is better.
+	Score float64
+	// Wins counts regimes where this selector ranked first.
+	Wins int
+	// Cells and Ranks hold one entry per regime, in regime order; rank 0 is
+	// best.
+	Cells []Cell
+	Ranks []int
+}
 
-	type job struct {
-		arm, sel int
-	}
-	var jobs []job
-	for a := range arms {
-		for s := range selectors {
-			jobs = append(jobs, job{arm: a, sel: s})
-		}
-	}
+// Ranking is a finished tournament: the regimes × selectors table and its
+// rows, best selector first.
+type Ranking struct {
+	Table *Table
+	Rows  []RankRow
+}
 
-	cellScale := scale
-	cellScale.Rounds = table.Rounds
-	cellScale.Parallelism = 1
-	progress = serialProgress(progress)
-	cells, err := runJobs(scale.Parallelism, len(jobs), func(i int) (TournamentCell, error) {
-		arm := arms[jobs[i].arm]
-		fleet := arm.Fleet
-		setting := Setting{
-			Spec:           ds,
-			Algorithm:      AlgoFedYogi,
-			Alpha:          arm.Alpha,
-			PartyFraction:  0.25,
-			Device:         &fleet,
-			Deadline:       3,
-			Strategy:       selectors[jobs[i].sel],
-			Fold:           arm.Fold,
-			Chaos:          arm.Chaos,
-			TargetAccuracy: table.Target,
-			Seed:           seed,
-		}
-		res, err := RunSetting(setting, cellScale)
-		if err != nil {
-			return TournamentCell{}, fmt.Errorf("run %s/%s: %w", arm.Name, setting.Strategy, err)
-		}
-		cell := TournamentCell{
-			Arm:            arm.Name,
-			Selector:       setting.Strategy,
-			TimeToTarget:   res.TimeToTarget,
-			RoundsToTarget: res.RoundsToTarget,
-			PeakAccuracy:   res.PeakAccuracy,
-		}
-		if progress != nil {
-			progress(fmt.Sprintf("%s %s -> tta=%s rtt=%s peak=%.2f%%",
-				cell.Arm, cell.Selector,
-				FormatSimDuration(cell.TimeToTarget), formatRounds(cell.RoundsToTarget, table.Rounds),
-				100*cell.PeakAccuracy))
-		}
-		return cell, nil
-	})
-	if err != nil {
-		return nil, err
+// rank orders each regime — reached cells first by time-to-target ascending,
+// then unreached by peak accuracy descending; names break every tie so the
+// order is total and layout-independent — and sorts selectors by score, wins,
+// name.
+func rank(t *Table) *Ranking {
+	n := len(t.Cols)
+	rows := make([]RankRow, n)
+	for s, col := range t.Cols {
+		rows[s] = RankRow{Selector: col.Name, Cells: make([]Cell, len(t.Rows)), Ranks: make([]int, len(t.Rows))}
 	}
-
-	// Rank each arm: reached cells first by time-to-target ascending, then
-	// unreached by peak accuracy descending; names break every tie so the
-	// order is total and layout-independent.
-	rows := make([]TournamentRow, len(selectors))
-	for s, name := range selectors {
-		rows[s] = TournamentRow{Selector: name, Cells: make([]TournamentCell, len(arms))}
-	}
-	for a := range arms {
-		armCells := make([]TournamentCell, len(selectors))
-		for s := range selectors {
-			armCells[s] = cells[a*len(selectors)+s]
+	for a, cells := range t.Cells {
+		order := make([]int, n)
+		for s := range order {
+			order[s] = s
 		}
-		sort.Slice(armCells, func(i, j int) bool {
-			ci, cj := armCells[i], armCells[j]
+		sort.Slice(order, func(i, j int) bool {
+			ci, cj := cells[order[i]], cells[order[j]]
 			ri, rj := ci.TimeToTarget >= 0, cj.TimeToTarget >= 0
 			if ri != rj {
 				return ri
@@ -196,22 +106,16 @@ func RunTournament(scale Scale, seed uint64, selectors []string, progress func(s
 			if ci.PeakAccuracy != cj.PeakAccuracy {
 				return ci.PeakAccuracy > cj.PeakAccuracy
 			}
-			return ci.Selector < cj.Selector
+			return t.Cols[order[i]].Name < t.Cols[order[j]].Name
 		})
-		byName := map[string]TournamentCell{}
-		for pos, c := range armCells {
-			c.Rank = pos
-			byName[c.Selector] = c
-		}
-		for s := range rows {
-			cell := byName[rows[s].Selector]
-			rows[s].Cells[a] = cell
-			if len(selectors) > 1 {
-				rows[s].Score += (float64(len(selectors)-1-cell.Rank) / float64(len(selectors)-1)) / float64(len(arms))
-			} else {
-				rows[s].Score += 1.0 / float64(len(arms))
+		for pos, s := range order {
+			rows[s].Cells[a], rows[s].Ranks[a] = cells[s], pos
+			points := 1.0
+			if n > 1 {
+				points = float64(n-1-pos) / float64(n-1)
 			}
-			if cell.Rank == 0 {
+			rows[s].Score += points / float64(len(t.Cells))
+			if pos == 0 {
 				rows[s].Wins++
 			}
 		}
@@ -225,71 +129,44 @@ func RunTournament(scale Scale, seed uint64, selectors []string, progress func(s
 		}
 		return rows[i].Selector < rows[j].Selector
 	})
-	table.Rows = rows
-	return table, nil
-}
-
-// validStrategy checks a selector name against the registry's accepted list.
-func validStrategy(name string) error {
-	for _, s := range ExtendedStrategies() {
-		if s == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown selector %q (registered: %s)", name, strings.Join(ExtendedStrategies(), ", "))
+	return &Ranking{Table: t, Rows: rows}
 }
 
 // CleanArmReached counts how many selectors attained the target in the clean
-// arm — the tournament's sanity metric (CI asserts it is non-zero: a healthy
-// fleet where nothing converges means the harness, not the selectors, broke).
-func (t *TournamentTable) CleanArmReached() int {
-	cleanIdx := -1
-	for i, arm := range t.Arms {
-		if arm.Name == cleanArmName {
-			cleanIdx = i
-		}
-	}
-	if cleanIdx < 0 {
-		return 0
-	}
+// regime — the tournament's sanity metric (CI asserts it is non-zero: a
+// healthy fleet where nothing converges means the harness, not the
+// selectors, broke).
+func (r *Ranking) CleanArmReached() int {
 	reached := 0
-	for _, row := range t.Rows {
-		if row.Cells[cleanIdx].TimeToTarget >= 0 {
-			reached++
+	for a, arm := range r.Table.Rows {
+		for _, cell := range r.Table.Cells[a] {
+			if arm.Labels[0] == cleanArm && cell.TimeToTarget >= 0 {
+				reached++
+			}
 		}
 	}
 	return reached
 }
 
-// Render writes the tournament as a text table, best selector first: overall
-// score and wins, then each arm's time-to-target (peak accuracy in
+// Render writes the ranking as a text table, best selector first: overall
+// score and wins, then each regime's time-to-target (peak accuracy in
 // parentheses when the target was never reached, so no cell renders as a
 // bare sentinel).
-func (t *TournamentTable) Render(w io.Writer) {
-	fmt.Fprintf(w, "Selector tournament: %s — %d selectors ranked on time to target accuracy across %d fleet regimes, FL algorithm: fedyogi\n",
-		t.Dataset, len(t.Rows), len(t.Arms))
-	fmt.Fprintf(w, "Target balanced accuracy: %.0f%%, aggregation steps: %d; score is the across-arm mean of normalized rank points (1 = first everywhere)\n",
-		100*t.Target, t.Rounds)
-	header := []string{"rank", "selector", "score", "wins"}
-	for _, arm := range t.Arms {
-		header = append(header, arm.Name+" tta")
-	}
-	fmt.Fprintln(w, strings.Join(header, "\t"))
-	for i, row := range t.Rows {
-		fields := []string{
-			fmt.Sprintf("%d", i+1),
-			displayName(row.Selector),
-			fmt.Sprintf("%.3f", row.Score),
-			fmt.Sprintf("%d", row.Wins),
+func (r *Ranking) Render(w io.Writer) {
+	view := Table{Sweep: r.Table.Sweep}
+	view.RowHead = []string{"rank", "selector", "score", "wins"}
+	view.Cols, view.Rows = r.Table.Rows, nil
+	view.Fields = []Field{{" tta", func(c Cell) string {
+		if c.TimeToTarget < 0 {
+			return fmt.Sprintf("never (peak %.0f%%)", 100*c.PeakAccuracy)
 		}
-		for _, cell := range row.Cells {
-			s := FormatSimDuration(cell.TimeToTarget)
-			if cell.TimeToTarget < 0 {
-				s = fmt.Sprintf("never (peak %.0f%%)", 100*cell.PeakAccuracy)
-			}
-			fields = append(fields, s)
-		}
-		fmt.Fprintln(w, strings.Join(fields, "\t"))
+		return FormatSimDuration(c.TimeToTarget)
+	}}}
+	for i, row := range r.Rows {
+		view.Rows = append(view.Rows, Arm{Labels: []string{
+			fmt.Sprint(i + 1), displayName(row.Selector), fmt.Sprintf("%.3f", row.Score), fmt.Sprint(row.Wins)}})
+		view.Cells = append(view.Cells, row.Cells)
 	}
-	fmt.Fprintf(w, "clean arm reached by %d/%d selectors\n", t.CleanArmReached(), len(t.Rows))
+	view.Render(w)
+	fmt.Fprintf(w, "clean arm reached by %d/%d selectors\n", r.CleanArmReached(), len(r.Rows))
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -15,71 +16,87 @@ import (
 func TestRunTournamentSmoke(t *testing.T) {
 	t.Parallel()
 	var lines []string
-	table, err := RunTournament(tinyScale(), 21, nil, func(s string) { lines = append(lines, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := runSweep(t, tournamentSweep, Options{Scale: tinyScale(), Seed: 21,
+		Progress: func(s string) { lines = append(lines, s) }}, nil)
+	ranking := rank(table)
 	selectors := ExtendedStrategies()
-	if len(table.Rows) != len(selectors) {
-		t.Fatalf("%d rows, want %d (every registered selector)", len(table.Rows), len(selectors))
+	if len(ranking.Rows) != len(selectors) {
+		t.Fatalf("%d rows, want %d (every registered selector)", len(ranking.Rows), len(selectors))
 	}
-	if len(table.Arms) != 4 {
-		t.Fatalf("%d arms, want 4", len(table.Arms))
+	arms := table.Rows
+	if len(arms) != 4 {
+		t.Fatalf("%d arms, want 4", len(arms))
 	}
-	if len(lines) != len(selectors)*len(table.Arms) {
-		t.Fatalf("progress reported %d cells, want %d", len(lines), len(selectors)*len(table.Arms))
+	if len(lines) != len(selectors)*len(arms) {
+		t.Fatalf("progress reported %d cells, want %d", len(lines), len(selectors)*len(arms))
 	}
 	seen := map[string]bool{}
-	for _, row := range table.Rows {
+	for _, row := range ranking.Rows {
 		if seen[row.Selector] {
 			t.Fatalf("selector %q ranked twice", row.Selector)
 		}
 		seen[row.Selector] = true
-		if len(row.Cells) != len(table.Arms) {
-			t.Fatalf("%s has %d cells, want %d", row.Selector, len(row.Cells), len(table.Arms))
+		if len(row.Cells) != len(arms) || len(row.Ranks) != len(arms) {
+			t.Fatalf("%s has %d cells and %d ranks, want %d", row.Selector, len(row.Cells), len(row.Ranks), len(arms))
 		}
 		if row.Score < 0 || row.Score > 1 || math.IsNaN(row.Score) {
 			t.Fatalf("%s score %v out of [0,1]", row.Selector, row.Score)
 		}
 		for a, cell := range row.Cells {
-			if cell.Selector != row.Selector || cell.Arm != table.Arms[a].Name {
-				t.Fatalf("cell mislabeled: %+v under row %s arm %s", cell, row.Selector, table.Arms[a].Name)
-			}
 			if cell.PeakAccuracy <= 0 || cell.PeakAccuracy > 1 {
-				t.Fatalf("cell %s/%s peak accuracy %v", cell.Arm, cell.Selector, cell.PeakAccuracy)
+				t.Fatalf("cell %v/%s peak accuracy %v", arms[a].Labels, row.Selector, cell.PeakAccuracy)
 			}
 		}
 	}
-	for _, name := range selectors {
+	for s, name := range selectors {
 		if !seen[name] {
 			t.Fatalf("registered selector %q missing from the ranking", name)
 		}
-	}
-	// Per-arm ranks are a permutation of 0..N-1.
-	for a := range table.Arms {
-		got := map[int]bool{}
-		for _, row := range table.Rows {
-			got[row.Cells[a].Rank] = true
-		}
-		for r := 0; r < len(table.Rows); r++ {
-			if !got[r] {
-				t.Fatalf("arm %s missing rank %d", table.Arms[a].Name, r)
+		// A ranked row carries the selector's own cells, not a neighbour's.
+		for _, row := range ranking.Rows {
+			for a := range arms {
+				if row.Selector == name && row.Cells[a].PeakAccuracy != table.Cells[a][s].PeakAccuracy {
+					t.Fatalf("row %s arm %v holds another selector's cell", name, arms[a].Labels)
+				}
 			}
 		}
 	}
-	// Rows are sorted best first.
-	for i := 1; i < len(table.Rows); i++ {
-		if table.Rows[i].Score > table.Rows[i-1].Score {
-			t.Fatalf("rows unsorted: %s (%.3f) after %s (%.3f)",
-				table.Rows[i].Selector, table.Rows[i].Score, table.Rows[i-1].Selector, table.Rows[i-1].Score)
+	// Per-arm ranks are a permutation of 0..N-1, and wins count the zeros.
+	for a := range arms {
+		got := map[int]bool{}
+		for _, row := range ranking.Rows {
+			got[row.Ranks[a]] = true
+		}
+		for r := 0; r < len(ranking.Rows); r++ {
+			if !got[r] {
+				t.Fatalf("arm %v missing rank %d", arms[a].Labels, r)
+			}
 		}
 	}
-	if got := table.CleanArmReached(); got < 0 || got > len(table.Rows) {
+	for _, row := range ranking.Rows {
+		wins := 0
+		for _, r := range row.Ranks {
+			if r == 0 {
+				wins++
+			}
+		}
+		if wins != row.Wins {
+			t.Fatalf("%s: %d wins recorded, %d first places", row.Selector, row.Wins, wins)
+		}
+	}
+	// Rows are sorted best first.
+	for i := 1; i < len(ranking.Rows); i++ {
+		if ranking.Rows[i].Score > ranking.Rows[i-1].Score {
+			t.Fatalf("rows unsorted: %s (%.3f) after %s (%.3f)",
+				ranking.Rows[i].Selector, ranking.Rows[i].Score, ranking.Rows[i-1].Selector, ranking.Rows[i-1].Score)
+		}
+	}
+	if got := ranking.CleanArmReached(); got < 0 || got > len(ranking.Rows) {
 		t.Fatalf("clean-arm reached count %d out of range", got)
 	}
 
 	var buf bytes.Buffer
-	table.Render(&buf)
+	ranking.Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"Selector tournament", "clean arm reached by", "non-iid", "byzantine-20%"} {
 		if !strings.Contains(out, want) {
@@ -100,48 +117,54 @@ func TestRunTournamentSmoke(t *testing.T) {
 	}
 }
 
+// TestRankOrdersAndScores pins the ranking pass on a hand-built table:
+// reached cells rank by time-to-target before unreached ones by peak
+// accuracy, names break ties, and the score is the mean of normalized rank
+// points.
+func TestRankOrdersAndScores(t *testing.T) {
+	t.Parallel()
+	table := &Table{
+		Sweep: Sweep{Rows: []Arm{{Labels: []string{cleanArm}}, {Labels: []string{"hard"}}}, Cols: strategyArms("b", "a", "c")},
+		Cells: [][]Cell{
+			{{TimeToTarget: 20}, {TimeToTarget: 10}, {TimeToTarget: -1, PeakAccuracy: 0.5}},
+			{{TimeToTarget: -1, PeakAccuracy: 0.4}, {TimeToTarget: -1, PeakAccuracy: 0.4}, {TimeToTarget: 99}},
+		},
+	}
+	ranking := rank(table)
+	want := []struct {
+		selector string
+		score    float64
+		wins     int
+		ranks    [2]int
+	}{
+		{"a", 0.75, 1, [2]int{0, 1}},
+		{"c", 0.5, 1, [2]int{2, 0}},
+		{"b", 0.25, 0, [2]int{1, 2}},
+	}
+	for i, w := range want {
+		got := ranking.Rows[i]
+		if got.Selector != w.selector || got.Score != w.score || got.Wins != w.wins || got.Ranks[0] != w.ranks[0] || got.Ranks[1] != w.ranks[1] {
+			t.Fatalf("rank %d: got %s score %v wins %d ranks %v, want %+v", i+1, got.Selector, got.Score, got.Wins, got.Ranks, w)
+		}
+	}
+	if got := ranking.CleanArmReached(); got != 2 {
+		t.Fatalf("clean arm reached by %d, want 2", got)
+	}
+}
+
 // TestRunTournamentValidatesSelectors pins the edge validation: unknown and
 // duplicated selector names fail before any compute is spent, and the error
 // lists what would have worked.
 func TestRunTournamentValidatesSelectors(t *testing.T) {
 	t.Parallel()
-	_, err := RunTournament(tinyScale(), 1, []string{"psychic"}, nil)
+	err := Run(io.Discard, "tournament", Options{Scale: tinyScale(), Seed: 1, Selectors: []string{"psychic"}})
 	if err == nil {
 		t.Fatal("unknown selector accepted")
 	}
 	if !strings.Contains(err.Error(), "psychic") || !strings.Contains(err.Error(), StrategyFLIPS) {
 		t.Fatalf("error %q should name the typo and the registered list", err)
 	}
-	if _, err := RunTournament(tinyScale(), 1, []string{StrategyRandom, StrategyRandom}, nil); err == nil {
+	if err := Run(io.Discard, "tournament", Options{Scale: tinyScale(), Seed: 1, Selectors: []string{StrategyRandom, StrategyRandom}}); err == nil {
 		t.Fatal("duplicate selector accepted")
-	}
-}
-
-// TestRunTournamentIsDeterministic pins the fan-out bookkeeping: the same
-// tournament at parallelism 1 and 4 must be bit-identical, cell for cell.
-func TestRunTournamentIsDeterministic(t *testing.T) {
-	t.Parallel()
-	run := func(parallelism int) *TournamentTable {
-		scale := tinyScale()
-		scale.Parallelism = parallelism
-		table, err := RunTournament(scale, 9, []string{StrategyRandom, StrategyGradNorm}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return table
-	}
-	a, b := run(1), run(4)
-	for r := range a.Rows {
-		if a.Rows[r].Selector != b.Rows[r].Selector ||
-			math.Float64bits(a.Rows[r].Score) != math.Float64bits(b.Rows[r].Score) {
-			t.Fatalf("row %d diverges across parallelism: %+v vs %+v", r, a.Rows[r], b.Rows[r])
-		}
-		for c := range a.Rows[r].Cells {
-			x, y := a.Rows[r].Cells[c], b.Rows[r].Cells[c]
-			if math.Float64bits(x.TimeToTarget) != math.Float64bits(y.TimeToTarget) ||
-				math.Float64bits(x.PeakAccuracy) != math.Float64bits(y.PeakAccuracy) || x.Rank != y.Rank {
-				t.Fatalf("cell %s/%s diverges across parallelism: %+v vs %+v", x.Arm, x.Selector, x, y)
-			}
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"flips/internal/parallel"
-	"flips/internal/privacy"
 	"flips/internal/rng"
 	"flips/internal/secagg"
 	"flips/internal/tensor"
@@ -629,6 +628,6 @@ func (ps *privacyState) addNoise(delta tensor.Vec, contributors int) {
 	r := rng.New(ps.seed ^ 0xD05EB10C ^ ps.noiseSteps*0x9E3779B97F4A7C15)
 	b := 2 * ps.pc.Clip / (ps.pc.Epsilon * float64(contributors))
 	for i := range delta {
-		delta[i] += privacy.Laplace(b, r)
+		delta[i] += r.Laplace(b)
 	}
 }

@@ -215,6 +215,24 @@ func TestGammaMean(t *testing.T) {
 	}
 }
 
+func TestLaplaceMoments(t *testing.T) {
+	r := New(1)
+	const b, n = 2.0, 200000
+	var sum, sumAbs float64
+	for i := 0; i < n; i++ {
+		x := r.Laplace(b)
+		sum += x
+		sumAbs += math.Abs(x)
+	}
+	if mean := sum / n; math.Abs(mean) > 0.05 {
+		t.Fatalf("laplace mean %v", mean)
+	}
+	// E|X| = b for Laplace(b).
+	if meanAbs := sumAbs / n; math.Abs(meanAbs-b) > 0.05 {
+		t.Fatalf("laplace E|X| = %v, want %v", meanAbs, b)
+	}
+}
+
 func TestCategoricalRespectsWeights(t *testing.T) {
 	t.Parallel()
 	r := New(21)

@@ -171,3 +171,14 @@ func (r *Source) sampleSparse(n, k int) []int {
 	}
 	return out
 }
+
+// Laplace draws from the Laplace distribution with scale b (mean 0) by
+// inverse-CDF sampling — the noise of the (ε, 0)-differential-privacy
+// mechanism the privacy middleware applies to the folded delta.
+func (r *Source) Laplace(b float64) float64 {
+	u := r.Float64() - 0.5
+	if u < 0 {
+		return b * math.Log(1+2*u)
+	}
+	return -b * math.Log(1-2*u)
+}

@@ -1,29 +1,19 @@
-// Package secagg implements the secure-aggregation techniques the FLIPS
-// paper surveys in §2.4 and proposes to combine with FLIPS in §8:
+// Package secagg holds the primitives of Bonawitz-style secure aggregation
+// (CCS'17) that the fl engine's privacy middleware (fl/privacy.go) composes:
 //
-//   - pairwise additive masking (the core of practical secure aggregation,
-//     Bonawitz et al. CCS'17): every pair of parties derives a shared mask
-//     from a real X25519 key agreement; each party adds the mask with
-//     opposite signs, so the masks cancel in the aggregate and the server
-//     learns only the sum;
+//   - fixed-point encoding of float64 model updates into the ring Z_{2^64}
+//     and its headroom check;
+//   - pairwise additive masks: every pair of parties derives a shared seed
+//     from a real X25519 key agreement and expands it into a mask stream one
+//     side adds and the other subtracts, so the masks cancel in the sum and
+//     the server learns only the aggregate;
 //   - Shamir secret sharing over GF(2^64) (shamir.go), which lets a cohort
 //     escrow each member's mask-seed secret so the coordinator can
-//     reconstruct exactly the masks of parties that drop mid-round — the
-//     dropout-recovery half of the Bonawitz protocol, consumed by the fl
-//     engine's privacy middleware;
-//   - Paillier additively homomorphic encryption (Paillier '99), the
-//     building block of BatchCrypt-style cross-silo FL, implemented on
-//     math/big with the standard g = n+1 simplification.
-//
-// All of it operates on fixed-point encodings of float64 model updates in
-// the ring Z_{2^64}. The comparison benchmark in bench_test.go reproduces
-// the paper's §2.4 claim that HE costs two to three orders of magnitude more
-// than hardware-assisted (TEE) aggregation.
+//     reconstruct exactly the masks of parties that drop mid-round.
 package secagg
 
 import (
 	"crypto/ecdh"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -164,128 +154,4 @@ func AddPairMask(acc []uint64, seed *[32]byte, tag uint64, lo, hi int, negate bo
 			}
 		}
 	}
-}
-
-// MaskedUpdate is a masked, fixed-point-encoded model update.
-type MaskedUpdate struct {
-	PartyID int
-	Values  []uint64
-}
-
-// Party is one secure-aggregation participant with an X25519 key pair.
-type Party struct {
-	ID   int
-	priv *ecdh.PrivateKey
-}
-
-// NewParty generates the party's key pair from the system entropy source
-// (the decentralized-aggregation path; the fl engine's privacy middleware
-// derives keys deterministically via DeriveSecret instead).
-func NewParty(id int) (*Party, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("secagg: keygen: %w", err)
-	}
-	return &Party{ID: id, priv: priv}, nil
-}
-
-// PublicKey returns the party's key-agreement public key, which parties
-// exchange through the aggregator (the aggregator learns nothing useful
-// from public keys alone).
-func (p *Party) PublicKey() []byte { return p.priv.PublicKey().Bytes() }
-
-// maskSeed derives the pairwise mask seed from the X25519 shared secret.
-func (p *Party) maskSeed(peerPub []byte) ([32]byte, error) {
-	pub, err := ecdh.X25519().NewPublicKey(peerPub)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("secagg: peer key: %w", err)
-	}
-	shared, err := p.priv.ECDH(pub)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("secagg: ecdh: %w", err)
-	}
-	return sha256.Sum256(append([]byte("flips-secagg-v1"), shared...)), nil
-}
-
-// maskStream expands a seed into a deterministic stream of ring elements.
-func maskStream(seed [32]byte, n int) []uint64 {
-	out := make([]uint64, n)
-	var counter uint64
-	var block [8]byte
-	h := seed
-	for i := 0; i < n; i++ {
-		binary.BigEndian.PutUint64(block[:], counter)
-		d := sha256.Sum256(append(h[:], block[:]...))
-		out[i] = binary.BigEndian.Uint64(d[:8])
-		counter++
-	}
-	return out
-}
-
-// Peer identifies another participant in the aggregation round.
-type Peer struct {
-	ID        int
-	PublicKey []byte
-}
-
-// Mask produces the party's masked update: the fixed-point encoding of
-// update plus, for every peer, a pairwise mask added with sign determined by
-// ID ordering so all masks cancel in the sum. update is typically already
-// weighted by the party's aggregation weight. A non-finite or out-of-range
-// value anywhere in update is an error: it cannot be encoded, so the party
-// must drop out of the round rather than upload a poisoned vector.
-func (p *Party) Mask(update []float64, peers []Peer) (*MaskedUpdate, error) {
-	values := make([]uint64, len(update))
-	for i, x := range update {
-		v, err := EncodeFixed(x)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: party %d coordinate %d: %w", p.ID, i, err)
-		}
-		values[i] = v
-	}
-	for _, peer := range peers {
-		if peer.ID == p.ID {
-			continue
-		}
-		seed, err := p.maskSeed(peer.PublicKey)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: peer %d: %w", peer.ID, err)
-		}
-		mask := maskStream(seed, len(update))
-		if p.ID < peer.ID {
-			for i := range values {
-				values[i] += mask[i]
-			}
-		} else {
-			for i := range values {
-				values[i] -= mask[i]
-			}
-		}
-	}
-	return &MaskedUpdate{PartyID: p.ID, Values: values}, nil
-}
-
-// Aggregate sums masked updates (the aggregator's only computation) and
-// decodes the result. Every party that contributed a mask pair must be
-// present, otherwise residual masks corrupt the sum — dropout recovery
-// (Shamir-escrowed seeds, shamir.go) lives in the fl engine's privacy
-// middleware, which reconstructs missing masks before this decode step.
-func Aggregate(updates []*MaskedUpdate, dim int) ([]float64, error) {
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("secagg: no updates")
-	}
-	sum := make([]uint64, dim)
-	for _, u := range updates {
-		if len(u.Values) != dim {
-			return nil, fmt.Errorf("secagg: update from party %d has dim %d, want %d", u.PartyID, len(u.Values), dim)
-		}
-		for i, v := range u.Values {
-			sum[i] += v
-		}
-	}
-	out := make([]float64, dim)
-	for i, v := range sum {
-		out[i] = DecodeFixed(v)
-	}
-	return out, nil
 }

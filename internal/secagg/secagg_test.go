@@ -4,127 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"math/big"
 	"testing"
 	"testing/quick"
 
 	"flips/internal/rng"
 )
-
-func buildParties(t testing.TB, n int) ([]*Party, []Peer) {
-	t.Helper()
-	parties := make([]*Party, n)
-	peers := make([]Peer, n)
-	for i := 0; i < n; i++ {
-		p, err := NewParty(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parties[i] = p
-		peers[i] = Peer{ID: i, PublicKey: p.PublicKey()}
-	}
-	return parties, peers
-}
-
-func TestMaskedAggregationRecoversSum(t *testing.T) {
-	const n, dim = 8, 50
-	parties, peers := buildParties(t, n)
-	r := rng.New(1)
-	updates := make([][]float64, n)
-	want := make([]float64, dim)
-	for i := range updates {
-		u := make([]float64, dim)
-		for j := range u {
-			u[j] = r.NormFloat64()
-			want[j] += u[j]
-		}
-		updates[i] = u
-	}
-	masked := make([]*MaskedUpdate, n)
-	for i, p := range parties {
-		m, err := p.Mask(updates[i], peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		masked[i] = m
-	}
-	got, err := Aggregate(masked, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if math.Abs(got[j]-want[j]) > 1e-6 {
-			t.Fatalf("dim %d: got %v want %v", j, got[j], want[j])
-		}
-	}
-}
-
-func TestMaskedUpdateHidesPlaintext(t *testing.T) {
-	// A single party's masked vector must not equal its fixed-point
-	// plaintext when peers exist (the mask is cryptographically random).
-	parties, peers := buildParties(t, 3)
-	update := []float64{1, 2, 3, 4}
-	masked, err := parties[0].Mask(update, peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := 0
-	for i, x := range update {
-		if masked.Values[i] == mustEncode(t, x) {
-			same++
-		}
-	}
-	if same == len(update) {
-		t.Fatal("masked update equals plaintext encoding")
-	}
-}
-
-func TestMaskedAggregationMissingPartyCorrupts(t *testing.T) {
-	// Dropping a contributor leaves unmatched masks: the decoded sum must
-	// differ from the true partial sum (this is why full secure aggregation
-	// needs dropout recovery).
-	const n, dim = 4, 8
-	parties, peers := buildParties(t, n)
-	masked := make([]*MaskedUpdate, 0, n-1)
-	truth := make([]float64, dim)
-	for i, p := range parties {
-		update := make([]float64, dim)
-		for j := range update {
-			update[j] = 1
-		}
-		m, err := p.Mask(update, peers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == n-1 {
-			continue // drop the last party's contribution
-		}
-		for j := range truth {
-			truth[j] += update[j]
-		}
-		masked = append(masked, m)
-	}
-	got, err := Aggregate(masked, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0.0
-	for j := range truth {
-		diff += math.Abs(got[j] - truth[j])
-	}
-	if diff < 1 {
-		t.Fatal("partial aggregate decoded cleanly; masks should not cancel")
-	}
-}
-
-func TestAggregateValidation(t *testing.T) {
-	if _, err := Aggregate(nil, 4); err == nil {
-		t.Fatal("empty aggregate accepted")
-	}
-	if _, err := Aggregate([]*MaskedUpdate{{PartyID: 0, Values: make([]uint64, 3)}}, 4); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}
 
 func mustEncode(t testing.TB, x float64) uint64 {
 	t.Helper()
@@ -344,125 +228,5 @@ func TestAddPairMaskPartitions(t *testing.T) {
 		for _, negate := range []bool{false, true} {
 			requireMaskPartition(t, &seed, 7, tc.n, tc.bounds, negate)
 		}
-	}
-}
-
-func testKey(t testing.TB) *PaillierPrivateKey {
-	t.Helper()
-	sk, err := GeneratePaillierKey(512) // small modulus keeps tests fast
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sk
-}
-
-func TestPaillierEncryptDecrypt(t *testing.T) {
-	sk := testKey(t)
-	for _, m := range []int64{0, 1, 42, 1 << 40} {
-		c, err := sk.Encrypt(big.NewInt(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.Decrypt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Int64() != m {
-			t.Fatalf("decrypt(%d) = %v", m, got)
-		}
-	}
-}
-
-func TestPaillierProbabilistic(t *testing.T) {
-	sk := testKey(t)
-	c1, _ := sk.Encrypt(big.NewInt(7))
-	c2, _ := sk.Encrypt(big.NewInt(7))
-	if c1.Cmp(c2) == 0 {
-		t.Fatal("two encryptions of the same plaintext are identical")
-	}
-}
-
-func TestPaillierHomomorphicAddition(t *testing.T) {
-	sk := testKey(t)
-	c1, _ := sk.Encrypt(big.NewInt(100))
-	c2, _ := sk.Encrypt(big.NewInt(23))
-	sum, err := sk.Decrypt(sk.AddCipher(c1, c2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Int64() != 123 {
-		t.Fatalf("homomorphic sum %v", sum)
-	}
-}
-
-func TestPaillierRejectsBadInputs(t *testing.T) {
-	sk := testKey(t)
-	if _, err := sk.Encrypt(big.NewInt(-1)); err == nil {
-		t.Fatal("negative plaintext accepted")
-	}
-	if _, err := sk.Encrypt(new(big.Int).Set(sk.N)); err == nil {
-		t.Fatal("plaintext >= n accepted")
-	}
-	if _, err := sk.Decrypt(big.NewInt(0)); err == nil {
-		t.Fatal("zero ciphertext accepted")
-	}
-	if _, err := GeneratePaillierKey(64); err == nil {
-		t.Fatal("tiny modulus accepted")
-	}
-}
-
-func TestPaillierVectorAggregation(t *testing.T) {
-	sk := testKey(t)
-	r := rng.New(3)
-	const parties, dim = 5, 12
-	vectors := make([][]*big.Int, parties)
-	want := make([]float64, dim)
-	for p := 0; p < parties; p++ {
-		update := make([]float64, dim)
-		for j := range update {
-			update[j] = r.NormFloat64()
-			want[j] += update[j]
-		}
-		enc, err := sk.EncryptVector(update)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vectors[p] = enc
-	}
-	aggCipher, err := sk.AggregateCiphertexts(vectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.DecryptVectorSum(aggCipher, parties)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if math.Abs(got[j]-want[j]) > 1e-6 {
-			t.Fatalf("dim %d: got %v want %v", j, got[j], want[j])
-		}
-	}
-}
-
-func TestPaillierAggregateValidation(t *testing.T) {
-	sk := testKey(t)
-	if _, err := sk.AggregateCiphertexts(nil); err == nil {
-		t.Fatal("empty aggregation accepted")
-	}
-	v1, _ := sk.EncryptVector([]float64{1, 2})
-	v2, _ := sk.EncryptVector([]float64{1})
-	if _, err := sk.AggregateCiphertexts([][]*big.Int{v1, v2}); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}
-
-func TestEncodeDecodeFloatSum(t *testing.T) {
-	xs := []float64{-5.5, 0, 2.25}
-	sum := new(big.Int)
-	for _, x := range xs {
-		sum.Add(sum, EncodeFloat(x))
-	}
-	if got := DecodeFloatSum(sum, len(xs)); math.Abs(got-(-3.25)) > 1e-6 {
-		t.Fatalf("decoded %v", got)
 	}
 }

@@ -365,205 +365,68 @@ func roundPoint(h fl.RoundStats) RoundPoint {
 	}
 }
 
-// RunTable regenerates one of the paper's Tables 1–24 and writes it to w.
-// paperScale switches to the 200-party/400-round grid.
-func RunTable(w io.Writer, tableID int, paperScale bool, seed uint64) error {
-	spec, err := experiment.TableSpecByID(tableID)
-	if err != nil {
-		return err
-	}
-	scale := experiment.LaptopScale()
-	if paperScale {
-		scale = experiment.PaperScale()
-	}
-	grid, err := experiment.RunGrid(spec.Dataset, spec.Algorithm, scale, seed, nil)
-	if err != nil {
-		return err
-	}
-	grid.RenderTable(w, spec)
-	return nil
-}
-
-// RunHeterogeneity runs the device-heterogeneity sweep — FLIPS vs Oort vs
-// Random over a lognormal fleet under always-on/churn/diurnal availability ×
-// round deadlines — and writes its time-to-target-accuracy table to w. This
-// is the scenario family the paper's flat straggler drop cannot express.
-func RunHeterogeneity(w io.Writer, paperScale bool, seed uint64) error {
-	scale := experiment.LaptopScale()
-	if paperScale {
-		scale = experiment.PaperScale()
-	}
-	table, err := experiment.RunHeterogeneity(scale, seed, nil)
-	if err != nil {
-		return err
-	}
-	table.Render(w)
-	return nil
-}
-
-// RunAsync runs the aggregation-mode sweep — FLIPS vs Oort vs Random over a
-// lognormal device fleet under synchronous rounds, FedBuff-style buffered
-// aggregation and semi-synchronous deadline windows, crossed with two
-// staleness half-lives — and writes its time-to-target-accuracy table to w.
-// This is the execution-model family the synchronous round loop cannot
-// express: slow devices stop stalling the round, and their late updates are
-// folded with staleness-discounted weights instead of being dropped.
-func RunAsync(w io.Writer, paperScale bool, seed uint64) error {
-	scale := experiment.LaptopScale()
-	if paperScale {
-		scale = experiment.PaperScale()
-	}
-	table, err := experiment.RunAsync(scale, seed, nil, nil)
-	if err != nil {
-		return err
-	}
-	table.Render(w)
-	return nil
-}
-
-// RunChaos runs the fault-matrix sweep — a clean control plus correlated
-// regional outages, flash-crowd surges, label flips and byzantine parties,
-// crossed with the mean and robust aggregation folds and the selection
-// strategies — and writes its time-to-target-accuracy degradation table to
-// w. This is the fault-tolerance family the clean evaluation cannot
-// express: it answers which (selector, fold) pairs keep converging when the
-// fleet misbehaves, and what that robustness costs when nothing goes wrong.
-func RunChaos(w io.Writer, paperScale bool, seed uint64) error {
-	scale := experiment.LaptopScale()
-	if paperScale {
-		scale = experiment.PaperScale()
-	}
-	table, err := experiment.RunChaos(scale, seed, nil, nil)
-	if err != nil {
-		return err
-	}
-	table.Render(w)
-	return nil
-}
-
-// RunPrivacy runs the privacy-ladder sweep — a plaintext control, clipping
-// alone, pairwise secure-aggregation masking with Shamir dropout recovery,
-// and masking plus differential-privacy noise, crossed with the selection
-// strategies over a lognormal churn fleet — and writes its
-// time-to-target-accuracy cost table to w. This is the deployment family the
-// plaintext evaluation cannot express: it prices each rung of the privacy
-// ladder in convergence time and counts the rounds lost to below-threshold
-// mask aborts.
-func RunPrivacy(w io.Writer, paperScale bool, seed uint64) error {
-	scale := experiment.LaptopScale()
-	if paperScale {
-		scale = experiment.PaperScale()
-	}
-	table, err := experiment.RunPrivacy(scale, seed, nil, nil)
-	if err != nil {
-		return err
-	}
-	table.Render(w)
-	return nil
-}
-
-// TournamentConfig configures the selector tournament.
-type TournamentConfig struct {
-	// Selectors lists the competitors by registry name; nil or empty enters
-	// every registered selector (see Strategies()).
-	Selectors []string
+// ExperimentOptions configures RunExperiment. The zero value runs at laptop
+// scale, seed 0, on every core.
+type ExperimentOptions struct {
 	// PaperScale runs the 200-party/400-round configuration instead of the
 	// laptop default.
 	PaperScale bool
-	// Rounds overrides the round budget when positive.
-	Rounds int
-	// Parties overrides the population size when positive.
-	Parties int
-	// Parallelism bounds concurrent cells (0 = GOMAXPROCS).
+	// Rounds and Parties override the scale's round budget and population
+	// when positive.
+	Rounds, Parties int
+	// Parallelism bounds concurrent cells (0 = GOMAXPROCS, 1 = sequential);
+	// the rendered artifact is identical at every width.
 	Parallelism int
 	// Seed fixes the run.
 	Seed uint64
+	// Selectors names selectors from Strategies(): the tournament's
+	// competitors (empty enters all of them) or the scale sweep's one
+	// strategy (default "random").
+	Selectors []string
+	// Populations lists the scale and dist sweeps' fleet sizes (defaults 1k,
+	// 10k, 100k and 10k, 100k).
+	Populations []int
 }
 
-// RunTournament runs the selector tournament — every registered selection
-// strategy (or the configured subset) ranked on time-to-target-accuracy
-// across clean, non-IID, churn and byzantine fleet regimes — and writes its
-// ranking table to w. The final order is the across-arm mean of normalized
-// per-arm ranks, so a selector wins by being consistently near the top, not
-// by one lucky cell.
-func RunTournament(w io.Writer, cfg TournamentConfig) error {
+// Experiments lists every evaluation artifact RunExperiment can regenerate,
+// in the order a combined run produces them: the paper's "table1".."table24"
+// and "fig2".."fig13"; the sweeps beyond the paper — "het" (device
+// heterogeneity × round deadlines), "async" (sync / buffered / semi-sync
+// aggregation × staleness), "chaos" (fault matrix × robust folds), "privacy"
+// (clip / masking / masking+DP ladder) and "tournament" (every selector
+// ranked across fleet regimes), each a time-to-target-accuracy table; and
+// the simulator's own "scale" (parties × shards), "dist" (shard-worker
+// processes, checked bit-identical to in-process) and "tee" (§5.1
+// clustering inside the enclave).
+func Experiments() []string { return experiment.Names() }
+
+// RunExperiment regenerates the named artifacts — a name from Experiments(),
+// "all-tables", "all-figures", "all", or a comma-separated list of those —
+// and writes each one's text table, followed by a blank line, to w. The
+// output is a pure function of (name, opts). An option none of the named
+// experiments uses (Selectors for "het", say) is an error, not ignored.
+func RunExperiment(w io.Writer, name string, opts ExperimentOptions) error {
 	scale := experiment.LaptopScale()
-	if cfg.PaperScale {
+	if opts.PaperScale {
 		scale = experiment.PaperScale()
 	}
-	if cfg.Rounds > 0 {
-		scale.Rounds = cfg.Rounds
+	if opts.Rounds > 0 {
+		scale.Rounds = opts.Rounds
 	}
-	if cfg.Parties > 0 {
-		scale.Parties = cfg.Parties
+	if opts.Parties > 0 {
+		scale.Parties = opts.Parties
+		// Dirichlet partitioning needs at least one sample per party.
 		if scale.TrainSize > 0 && scale.TrainSize < 2*scale.Parties {
 			scale.TrainSize = 2 * scale.Parties
 		}
 	}
-	scale.Parallelism = cfg.Parallelism
-	table, err := experiment.RunTournament(scale, cfg.Seed, cfg.Selectors, nil)
-	if err != nil {
-		return err
-	}
-	table.Render(w)
-	return nil
-}
-
-// ScaleConfig configures the fleet-scale sweep.
-type ScaleConfig struct {
-	// Parties lists population sizes (default 1k, 10k, 100k).
-	Parties []int
-	// Shards lists shard counts crossed with each population (default 1, 64).
-	Shards []int
-	// Rounds is the aggregation-step budget per cell (default 8).
-	Rounds int
-	// Strategy picks the selector by registry name — any name in
-	// Strategies() is accepted (default "random").
-	Strategy string
-	// Repeats re-runs each cell, reporting streaming mean ± std (default 1).
-	Repeats int
-	// Parallelism bounds the engine worker pool (0 = GOMAXPROCS).
-	Parallelism int
-	// Seed fixes the run.
-	Seed uint64
-}
-
-// RunScale runs the fleet-scale sweep — parties × shards over the buffered
-// (FedBuff-style) engine, measuring wall-clock aggregation throughput,
-// arrivals/sec, shard locality and heap growth — and writes its table to w.
-// This is the harness behind `flipsbench -exp scale`; a 100k-party cell
-// completes in seconds because the engine's per-party state is shard-local
-// and the selectors' fleet-scale paths are O(cohort), not O(population).
-func RunScale(w io.Writer, cfg ScaleConfig) error {
-	table, err := experiment.RunScale(experiment.ScaleSweep{
-		Parties:     cfg.Parties,
-		Shards:      cfg.Shards,
-		Rounds:      cfg.Rounds,
-		Repeats:     cfg.Repeats,
-		Strategy:    cfg.Strategy,
-		Seed:        cfg.Seed,
-		Parallelism: cfg.Parallelism,
-	}, nil)
-	if err != nil {
-		return err
-	}
-	table.Render(w)
-	return nil
-}
-
-// RunFigure regenerates one of the paper's figures ("fig2", "fig5".."fig13")
-// and writes its plottable data to w.
-func RunFigure(w io.Writer, figureID string, paperScale bool, seed uint64) error {
-	scale := experiment.LaptopScale()
-	if paperScale {
-		scale = experiment.PaperScale()
-	}
-	fig, err := experiment.RunFigure(figureID, scale, seed)
-	if err != nil {
-		return err
-	}
-	fig.Render(w)
-	return nil
+	scale.Parallelism = opts.Parallelism
+	return experiment.Run(w, name, experiment.Options{
+		Scale:     scale,
+		Seed:      opts.Seed,
+		Selectors: opts.Selectors,
+		Parties:   opts.Populations,
+	})
 }
 
 // Datasets lists the built-in workload names.
