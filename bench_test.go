@@ -1,17 +1,14 @@
-// bench_test.go regenerates every evaluation artifact of the FLIPS paper as
-// a Go benchmark: one benchmark per table (1–24), one per figure (2, 5–13),
-// the §5.1 TEE-overhead measurement, and the ablation studies DESIGN.md
-// calls out. Benchmarks run a reduced "bench scale" (30 parties, 24 rounds)
-// so `go test -bench=. -benchmem` finishes in minutes; `cmd/flipsbench`
-// regenerates the same artifacts at laptop or paper scale.
+// bench_test.go holds the measurements that are not `flipsbench` artifacts:
+// the §5.1 TEE-overhead measurement, the ablation studies DESIGN.md calls
+// out and the fleet build. Benchmarks run a reduced "bench scale" (30
+// parties, 24 rounds) so `go test -bench=. -benchmem` finishes in minutes;
+// the paper's tables and figures are `flipsbench -exp tableN,figN`.
 //
 // Convergence results are reported as custom benchmark metrics:
-// rounds-to-target (the paper's odd tables) and peak balanced accuracy in
-// percent (the even tables).
+// rounds-to-target and peak balanced accuracy in percent.
 package flips
 
 import (
-	"io"
 	"testing"
 
 	"flips/internal/cluster"
@@ -33,87 +30,6 @@ func benchScale() experiment.Scale {
 		Repeats: 1, EvalEvery: 6,
 	}
 }
-
-// benchmarkTable regenerates one paper table per iteration: the full
-// (α × party% × straggler-column) grid for the table's dataset/algorithm,
-// rendered to io.Discard.
-func benchmarkTable(b *testing.B, tableID int) {
-	spec := experiment.TableSpecs()[tableID-1]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		grid, err := experiment.RunGrid(spec.Dataset, spec.Algorithm, benchScale(), benchSeed, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiment.RenderTable(io.Discard, grid, spec)
-		// Surface the headline cell (α=0.3, 20%, no stragglers, FLIPS — row 0,
-		// the first FLIPS column) as benchmark metrics so regressions in the
-		// science are visible in bench output, not only in timing.
-		for c, col := range grid.Cols {
-			if col.Name != experiment.StrategyFLIPS {
-				continue
-			}
-			cell := grid.Cells[0][c]
-			if spec.Metric == experiment.MetricRounds {
-				rtt := float64(cell.RoundsToTarget)
-				if cell.RoundsToTarget < 0 {
-					rtt = float64(grid.Rounds + 1)
-				}
-				b.ReportMetric(rtt, "flips-rounds")
-			} else {
-				b.ReportMetric(100*cell.PeakAccuracy, "flips-peak-%")
-			}
-			break
-		}
-	}
-}
-
-func BenchmarkTable01(b *testing.B) { benchmarkTable(b, 1) }
-func BenchmarkTable02(b *testing.B) { benchmarkTable(b, 2) }
-func BenchmarkTable03(b *testing.B) { benchmarkTable(b, 3) }
-func BenchmarkTable04(b *testing.B) { benchmarkTable(b, 4) }
-func BenchmarkTable05(b *testing.B) { benchmarkTable(b, 5) }
-func BenchmarkTable06(b *testing.B) { benchmarkTable(b, 6) }
-func BenchmarkTable07(b *testing.B) { benchmarkTable(b, 7) }
-func BenchmarkTable08(b *testing.B) { benchmarkTable(b, 8) }
-func BenchmarkTable09(b *testing.B) { benchmarkTable(b, 9) }
-func BenchmarkTable10(b *testing.B) { benchmarkTable(b, 10) }
-func BenchmarkTable11(b *testing.B) { benchmarkTable(b, 11) }
-func BenchmarkTable12(b *testing.B) { benchmarkTable(b, 12) }
-func BenchmarkTable13(b *testing.B) { benchmarkTable(b, 13) }
-func BenchmarkTable14(b *testing.B) { benchmarkTable(b, 14) }
-func BenchmarkTable15(b *testing.B) { benchmarkTable(b, 15) }
-func BenchmarkTable16(b *testing.B) { benchmarkTable(b, 16) }
-func BenchmarkTable17(b *testing.B) { benchmarkTable(b, 17) }
-func BenchmarkTable18(b *testing.B) { benchmarkTable(b, 18) }
-func BenchmarkTable19(b *testing.B) { benchmarkTable(b, 19) }
-func BenchmarkTable20(b *testing.B) { benchmarkTable(b, 20) }
-func BenchmarkTable21(b *testing.B) { benchmarkTable(b, 21) }
-func BenchmarkTable22(b *testing.B) { benchmarkTable(b, 22) }
-func BenchmarkTable23(b *testing.B) { benchmarkTable(b, 23) }
-func BenchmarkTable24(b *testing.B) { benchmarkTable(b, 24) }
-
-func benchmarkFigure(b *testing.B, id string) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.RunFigure(id, benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig.Render(io.Discard)
-	}
-}
-
-func BenchmarkFigure02Elbow(b *testing.B)        { benchmarkFigure(b, "fig2") }
-func BenchmarkFigure05ECG(b *testing.B)          { benchmarkFigure(b, "fig5") }
-func BenchmarkFigure06ECGStrag(b *testing.B)     { benchmarkFigure(b, "fig6") }
-func BenchmarkFigure07HAM(b *testing.B)          { benchmarkFigure(b, "fig7") }
-func BenchmarkFigure08HAMStrag(b *testing.B)     { benchmarkFigure(b, "fig8") }
-func BenchmarkFigure09FEMNIST(b *testing.B)      { benchmarkFigure(b, "fig9") }
-func BenchmarkFigure10FEMNISTStrag(b *testing.B) { benchmarkFigure(b, "fig10") }
-func BenchmarkFigure11Fashion(b *testing.B)      { benchmarkFigure(b, "fig11") }
-func BenchmarkFigure12FashionStrag(b *testing.B) { benchmarkFigure(b, "fig12") }
-func BenchmarkFigure13Underrep(b *testing.B)     { benchmarkFigure(b, "fig13") }
 
 // BenchmarkTEEClusteringOverhead reproduces §5.1: in-enclave vs plain
 // clustering time, reported as a percentage metric.

@@ -9,13 +9,13 @@
 //     inside a simulated TEE with remote attestation via NewPrivateMiddleware)
 //     and call SelectParticipants each round.
 //
-//   - RunSimulation / RunTable / RunFigure drive the full evaluation stack —
-//     synthetic workloads, Dirichlet non-IID partitioning, five selection
-//     strategies, seven FL algorithms, straggler emulation — and regenerate
-//     the paper's Tables 1–24 and Figures 2, 5–13.
+//   - RunSimulation and RunExperiment drive the full evaluation stack —
+//     synthetic workloads, Dirichlet non-IID partitioning, the registered
+//     selection strategies, seven FL algorithms, straggler emulation.
+//     RunExperiment regenerates any artifact Experiments() lists: the paper's
+//     Tables 1–24 and Figures 2, 5–13, and the sweeps beyond them.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for
-// paper-vs-measured results.
+// See DESIGN.md for the system inventory.
 package flips
 
 import (

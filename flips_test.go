@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"flips/internal/dataset"
 	"flips/internal/experiment"
 	"flips/internal/rng"
 )
@@ -587,12 +586,10 @@ func TestMiddlewareConcurrentRounds(t *testing.T) {
 func TestRunGridShortScale(t *testing.T) {
 	t.Parallel()
 	scale := experiment.Scale{Parties: 16, Rounds: 6, TrainSize: 800, TestSize: 200, Repeats: 1, EvalEvery: 3}
-	grid, err := experiment.RunGrid(dataset.FashionMNIST(), experiment.AlgoFedAvg, scale, 1, nil)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := experiment.Run(&buf, "table24", experiment.Options{Scale: scale, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	experiment.RenderTable(&buf, grid, experiment.TableSpecs()[23])
 	out := buf.String()
 	if !strings.Contains(out, "Table 24") || !strings.Contains(out, "fashion-mnist") {
 		t.Fatalf("table output:\n%s", out)

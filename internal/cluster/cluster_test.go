@@ -247,11 +247,26 @@ func TestOptimalKOnBlobs(t *testing.T) {
 	}
 }
 
+// euclideanDistanceMatrix is the pairwise distance matrix the Agglomerative
+// tests cluster on (production callers pass CosineDistanceMatrix).
+func euclideanDistanceMatrix(points []tensor.Vec) *tensor.Mat {
+	n := len(points)
+	d := tensor.NewMat(n, n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := points[i].Dist(points[j])
+			d.Set(i, j, v)
+			d.Set(j, i, v)
+		}
+	}
+	return d
+}
+
 func TestAgglomerativeRecoversBlobs(t *testing.T) {
 	t.Parallel()
 	r := rng.New(9)
 	points, truth := blobPoints(3, 20, 5, 25, 0.5, r)
-	d := EuclideanDistanceMatrix(points)
+	d := euclideanDistanceMatrix(points)
 	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
 		assign, err := Agglomerative(d, 3, linkage)
 		if err != nil {
@@ -276,7 +291,7 @@ func TestAgglomerativeRecoversBlobs(t *testing.T) {
 
 func TestAgglomerativeValidation(t *testing.T) {
 	t.Parallel()
-	d := EuclideanDistanceMatrix([]tensor.Vec{{1}, {2}})
+	d := euclideanDistanceMatrix([]tensor.Vec{{1}, {2}})
 	if _, err := Agglomerative(d, 0, AverageLinkage); err == nil {
 		t.Fatal("expected error for k=0")
 	}
@@ -302,7 +317,7 @@ func TestAgglomerativeAssignmentsDense(t *testing.T) {
 			points[i] = tensor.Vec{r.NormFloat64(), r.NormFloat64()}
 		}
 		k := 1 + r.Intn(n)
-		assign, err := Agglomerative(EuclideanDistanceMatrix(points), k, AverageLinkage)
+		assign, err := Agglomerative(euclideanDistanceMatrix(points), k, AverageLinkage)
 		if err != nil {
 			return false
 		}

@@ -121,20 +121,6 @@ func CosineDistanceMatrix(points []tensor.Vec) *tensor.Mat {
 	return d
 }
 
-// EuclideanDistanceMatrix builds the pairwise Euclidean distance matrix.
-func EuclideanDistanceMatrix(points []tensor.Vec) *tensor.Mat {
-	n := len(points)
-	d := tensor.NewMat(n, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := points[i].Dist(points[j])
-			d.Set(i, j, v)
-			d.Set(j, i, v)
-		}
-	}
-	return d
-}
-
 func minF(a, b float64) float64 {
 	if a < b {
 		return a

@@ -49,17 +49,6 @@ func (d *Dataset) LabelCounts() []int {
 	return counts
 }
 
-// Subset returns a view-dataset containing the samples at the given indices.
-// The sample structs are shared (not copied); treat them as read-only.
-func (d *Dataset) Subset(indices []int) *Dataset {
-	sub := &Dataset{Name: d.Name, LabelNames: d.LabelNames, Dim: d.Dim}
-	sub.Samples = make([]Sample, len(indices))
-	for i, idx := range indices {
-		sub.Samples[i] = d.Samples[idx]
-	}
-	return sub
-}
-
 // Spec describes a synthetic dataset generator.
 type Spec struct {
 	// Name identifies the emulated dataset.
@@ -154,14 +143,4 @@ func Generate(spec Spec, r *rng.Source) (train, test *Dataset, err error) {
 	train = draw(r.Split(0x7EA1), spec.TrainSize, spec.ClassPriors)
 	test = draw(r.Split(0x7E57), spec.TestSize, uniform)
 	return train, test, nil
-}
-
-// MustGenerate is Generate for specs known valid at compile/config time;
-// it panics on error and is intended for the built-in specs below.
-func MustGenerate(spec Spec, r *rng.Source) (train, test *Dataset) {
-	train, test, err := Generate(spec, r)
-	if err != nil {
-		panic(err)
-	}
-	return train, test
 }

@@ -193,21 +193,6 @@ func TestClassesAreSeparable(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	t.Parallel()
-	train, _, err := Generate(FashionMNIST().WithSizes(100, 50), rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := train.Subset([]int{5, 10, 15})
-	if sub.Len() != 3 {
-		t.Fatalf("subset len %d", sub.Len())
-	}
-	if sub.Samples[1].Y != train.Samples[10].Y {
-		t.Fatal("subset sample mismatch")
-	}
-}
-
 func TestLabelCountsSumToLen(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {

@@ -189,20 +189,22 @@ func (c *Coordinator) unregister(w *workerConn) {
 	w.conn.Close()
 }
 
-// claimIdle blocks until an idle worker is available (or the coordinator
-// closes) and detaches it from the pool.
-func (c *Coordinator) claimIdle() (*workerConn, error) {
+// claimIdle blocks until n idle workers are available (or the coordinator
+// closes) and detaches them from the pool together. Taking them one at a time
+// would let two jobs that each want the whole pool hold half of it and wait
+// for the other half forever.
+func (c *Coordinator) claimIdle(n int) ([]*workerConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.idle) == 0 && !c.closed {
+	for len(c.idle) < n && !c.closed {
 		c.cond.Wait()
 	}
 	if c.closed {
 		return nil, fmt.Errorf("dist: coordinator closed")
 	}
-	w := c.idle[0]
-	c.idle = c.idle[1:]
-	return w, nil
+	claimed := append([]*workerConn(nil), c.idle[:n]...)
+	c.idle = c.idle[n:]
+	return claimed, nil
 }
 
 // release returns a job's worker to the idle pool for the next job.
@@ -371,17 +373,19 @@ func NewJob(c *Coordinator, spec []byte, parties, workers int) (*Job, error) {
 			syncedVersion: unsyncedVersion,
 		})
 	}
-	for _, s := range j.slots {
-		w, err := c.claimIdle()
-		if err != nil {
-			j.Close()
-			return nil, err
-		}
-		if err := j.assign(s, w); err != nil {
+	claimed, err := c.claimIdle(workers)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range j.slots {
+		if err := j.assign(s, claimed[i]); err != nil {
 			// A worker that cannot take the assignment is dead weight for
 			// every job; drop it and fail loudly — the caller decides
 			// whether to retry with fewer workers.
-			c.unregister(w)
+			c.unregister(claimed[i])
+			for _, w := range claimed[i+1:] {
+				c.release(w)
+			}
 			j.Close()
 			return nil, err
 		}
@@ -438,10 +442,11 @@ func (j *Job) acquire(s *slot) (*workerConn, error) {
 		return w, nil
 	}
 	for {
-		fresh, err := j.c.claimIdle()
+		claimed, err := j.c.claimIdle(1)
 		if err != nil {
 			return nil, err
 		}
+		fresh := claimed[0]
 		if err := j.assign(s, fresh); err != nil {
 			j.c.unregister(fresh)
 			j.c.logf("dist: job %d shard %d replacement rejected: %v", j.id, s.idx, err)

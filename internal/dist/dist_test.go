@@ -523,3 +523,41 @@ func TestCoordinatorCloseUnblocksJobCreation(t *testing.T) {
 		t.Fatal("NewJob still blocked after Close")
 	}
 }
+
+// TestConcurrentJobsClaimWorkersTogether: two jobs that each want both of
+// two registered workers must take turns. Claiming one worker at a time let
+// each hold one and wait for the other's forever.
+func TestConcurrentJobsClaimWorkersTogether(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	for i := 0; i < 2; i++ {
+		startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	}
+	if err := coord.AwaitWorkers(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustGoldenSpec(t)
+	done := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			for i := 0; i < 10; i++ {
+				job, err := NewJob(coord, spec, 12, 2)
+				if err != nil {
+					done <- err
+					return
+				}
+				job.Close()
+			}
+			done <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("two NewJob calls deadlocked, each holding one of the two workers")
+		}
+	}
+}

@@ -14,6 +14,12 @@ func tinyScale() Scale {
 	return Scale{Parties: 24, Rounds: 12, TrainSize: 1200, TestSize: 300, Repeats: 1, EvalEvery: 3}
 }
 
+// tinySession is a registry session at tinyScale, for building one figure or
+// grid without rendering it.
+func tinySession(seed uint64) *session {
+	return &session{Options: Options{Scale: tinyScale(), Seed: seed}, cells: map[cellKey]Cell{}}
+}
+
 func TestTableSpecsEnumerate24(t *testing.T) {
 	t.Parallel()
 	specs := TableSpecs()
@@ -190,7 +196,7 @@ func TestRunSettingAveragesRepeats(t *testing.T) {
 
 func TestRunGridShapeAndRender(t *testing.T) {
 	t.Parallel()
-	grid, err := RunGrid(dataset.FashionMNIST(), AlgoFedAvg, tinyScale(), 7, nil)
+	grid, err := tinySession(7).grid(dataset.FashionMNIST(), AlgoFedAvg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +239,7 @@ func TestRunGridShapeAndRender(t *testing.T) {
 
 func TestFigure2Elbow(t *testing.T) {
 	t.Parallel()
-	fig, err := RunFigure("fig2", tinyScale(), 11)
+	fig, err := figure2(tinySession(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +259,7 @@ func TestFigure2Elbow(t *testing.T) {
 
 func TestConvergenceFigureStructure(t *testing.T) {
 	t.Parallel()
-	fig, err := RunFigure("fig11", tinyScale(), 13)
+	fig, err := convergenceFigure("fig11", dataset.FashionMNIST(), false)(tinySession(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +275,7 @@ func TestConvergenceFigureStructure(t *testing.T) {
 
 func TestStragglerFigureStructure(t *testing.T) {
 	t.Parallel()
-	fig, err := RunFigure("fig12", tinyScale(), 13)
+	fig, err := convergenceFigure("fig12", dataset.FashionMNIST(), true)(tinySession(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +293,7 @@ func TestStragglerFigureStructure(t *testing.T) {
 
 func TestFigure13Structure(t *testing.T) {
 	t.Parallel()
-	fig, err := RunFigure("fig13", tinyScale(), 17)
+	fig, err := figure13(tinySession(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +310,16 @@ func TestFigure13Structure(t *testing.T) {
 
 func TestUnknownFigure(t *testing.T) {
 	t.Parallel()
-	if _, err := RunFigure("fig99", tinyScale(), 1); err == nil {
-		t.Fatal("unknown figure accepted")
+	var buf bytes.Buffer
+	err := Run(&buf, "fig99", Options{Scale: tinyScale(), Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "fig2..fig13") {
+		t.Fatalf("unknown figure: err = %v, want one listing what is valid", err)
 	}
 }
 
 func TestFigureRender(t *testing.T) {
 	t.Parallel()
-	fig, err := RunFigure("fig2", tinyScale(), 19)
+	fig, err := figure2(tinySession(19))
 	if err != nil {
 		t.Fatal(err)
 	}

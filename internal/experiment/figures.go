@@ -12,48 +12,6 @@ import (
 	"flips/internal/rng"
 )
 
-// figureJob is one independent (panel, series) cell of a figure; figure
-// runners fan jobs out over a pool and assemble series by index so figure
-// data is bit-identical at every pool width.
-type figureJob struct {
-	panel   int
-	label   string
-	setting Setting
-	scale   Scale
-	labels  []int // per-label recall subset; nil means balanced accuracy
-}
-
-// runFigureJobs executes jobs concurrently via the shared runJobs fan-out
-// and appends each resulting Series to its panel, preserving job order.
-func runFigureJobs(panels []Panel, jobs []figureJob, parallelism int) ([]Panel, error) {
-	series, err := runJobs(parallelism, len(jobs), func(i int) (Series, error) {
-		j := jobs[i]
-		jobScale := j.scale
-		jobScale.Parallelism = 1
-		res, err := RunSetting(j.setting, jobScale)
-		if err != nil {
-			return Series{}, err
-		}
-		s := Series{Label: j.label}
-		for _, h := range res.History {
-			s.Rounds = append(s.Rounds, h.Round)
-			if j.labels != nil {
-				s.Accuracy = append(s.Accuracy, meanRecall(h.PerLabel, j.labels))
-			} else {
-				s.Accuracy = append(s.Accuracy, h.Accuracy)
-			}
-		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range series {
-		panels[jobs[i].panel].Series = append(panels[jobs[i].panel].Series, s)
-	}
-	return panels, nil
-}
-
 // Series is one labeled convergence curve.
 type Series struct {
 	Label    string
@@ -105,42 +63,11 @@ func (f *Figure) Render(w io.Writer) {
 	}
 }
 
-// FigureIDs lists the reproducible figures in paper order.
-func FigureIDs() []string {
-	return []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
-}
-
-// RunFigure regenerates the named figure's data.
-func RunFigure(id string, scale Scale, seed uint64) (*Figure, error) {
-	switch id {
-	case "fig2":
-		return runFigure2(scale, seed)
-	case "fig5":
-		return runConvergenceFigure(id, dataset.ECG(), false, scale, seed)
-	case "fig6":
-		return runConvergenceFigure(id, dataset.ECG(), true, scale, seed)
-	case "fig7":
-		return runConvergenceFigure(id, dataset.HAM10000(), false, scale, seed)
-	case "fig8":
-		return runConvergenceFigure(id, dataset.HAM10000(), true, scale, seed)
-	case "fig9":
-		return runConvergenceFigure(id, dataset.FEMNIST(), false, scale, seed)
-	case "fig10":
-		return runConvergenceFigure(id, dataset.FEMNIST(), true, scale, seed)
-	case "fig11":
-		return runConvergenceFigure(id, dataset.FashionMNIST(), false, scale, seed)
-	case "fig12":
-		return runConvergenceFigure(id, dataset.FashionMNIST(), true, scale, seed)
-	case "fig13":
-		return runFigure13(scale, seed)
-	default:
-		return nil, fmt.Errorf("experiment: unknown figure %q (valid: %v)", id, FigureIDs())
-	}
-}
-
-// runFigure2 reproduces the elbow-point determination plot: cluster size k
-// vs Davies-Bouldin score over the ECG parties' label distributions.
-func runFigure2(scale Scale, seed uint64) (*Figure, error) {
+// figure2 reproduces the elbow-point determination plot: cluster size k vs
+// Davies-Bouldin score over the ECG parties' label distributions. It trains
+// nothing, so it is the one figure that is not a view of a grid.
+func figure2(s *session) (*Figure, error) {
+	scale, seed := s.Scale, s.Seed
 	spec := dataset.ECG()
 	if scale.TrainSize > 0 {
 		spec = spec.WithSizes(scale.TrainSize, max(scale.TestSize, 1))
@@ -175,125 +102,88 @@ func runFigure2(scale Scale, seed uint64) (*Figure, error) {
 	}, nil
 }
 
-// runConvergenceFigure reproduces Figures 5, 7, 9, 11 (without stragglers:
-// five strategies) or 6, 8, 10, 12 (with stragglers: FLIPS/Oort/TiFL at 10%
-// and 20%), each with 15%- and 20%-participation panels at α=0.3 and α=0.6.
-func runConvergenceFigure(id string, ds dataset.Spec, stragglers bool, scale Scale, seed uint64) (*Figure, error) {
-	fig := &Figure{
-		ID:     id,
-		XLabel: "communication rounds",
-		YLabel: "balanced accuracy",
-	}
-	mode := "without stragglers"
-	if stragglers {
-		mode = "with stragglers"
-	}
-	fig.Title = fmt.Sprintf("Convergence on %s %s, FL algorithm: FedYogi", ds.Name, mode)
-
-	runScale := scale
-	runScale.Rounds = RoundsFor(ds, scale)
-	var panels []Panel
-	var jobs []figureJob
-	for _, alpha := range []float64{0.3, 0.6} {
-		for _, frac := range []float64{0.15, 0.20} {
-			panels = append(panels, Panel{Name: fmt.Sprintf("alpha=%.1f party=%.0f%%", alpha, frac*100)})
-			type variant struct {
-				strategy string
-				rate     float64
-			}
-			var variants []variant
-			if stragglers {
-				for _, s := range []string{StrategyFLIPS, StrategyOort, StrategyTiFL} {
-					variants = append(variants, variant{s, 0.10}, variant{s, 0.20})
-				}
-			} else {
-				for _, s := range AllStrategies() {
-					variants = append(variants, variant{s, 0})
-				}
-			}
-			for _, v := range variants {
-				label := displayName(v.strategy)
-				if stragglers {
-					label = fmt.Sprintf("%s %.0f%% stragglers", label, v.rate*100)
-				}
-				jobs = append(jobs, figureJob{
-					panel: len(panels) - 1,
-					label: label,
-					setting: Setting{
-						Spec:           ds,
-						Algorithm:      AlgoFedYogi,
-						Alpha:          alpha,
-						PartyFraction:  frac,
-						StragglerRate:  v.rate,
-						Strategy:       v.strategy,
-						TargetAccuracy: TargetFor(ds),
-						Seed:           seed,
-					},
-					scale: runScale,
-				})
-			}
-		}
-	}
-	panels, err := runFigureJobs(panels, jobs, scale.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	fig.Panels = panels
-	return fig, nil
+// gridView is the part of a figure drawn from one dataset's FedYogi paper
+// grid (tables.go): each listed row is a panel, each listed column a series
+// of every such panel. The convergence figures and the rounds-to-target and
+// peak-accuracy tables are the same runs, so a figure computes nothing a
+// table would not: it asks the session for the cells and reads their History.
+type gridView struct {
+	ds   dataset.Spec
+	rows []int
+	cols []int
+	// name is the panel's name; empty derives it from the row's labels.
+	name string
+	// recall lists the labels whose mean recall is drawn; nil draws balanced
+	// accuracy.
+	recall []int
 }
 
-// runFigure13 reproduces the underrepresented-label convergence curves:
-// mean recall over the arrhythmia (non-N) classes of the ECG dataset, and
-// recall of the bcc label of HAM10000, per strategy.
-func runFigure13(scale Scale, seed uint64) (*Figure, error) {
-	fig := &Figure{
+// gridFigure fills fig's panels from the views, in order.
+func (s *session) gridFigure(fig Figure, views ...gridView) (*Figure, error) {
+	for _, v := range views {
+		grid, err := s.grid(v.ds, AlgoFedYogi, v.rows, v.cols)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range v.rows {
+			panel := Panel{Name: v.name}
+			if panel.Name == "" {
+				panel.Name = fmt.Sprintf("alpha=%s party=%s%%", grid.Rows[r].Labels[0], grid.Rows[r].Labels[1])
+			}
+			for _, c := range v.cols {
+				var arm Setting
+				grid.Cols[c].Patch(&arm)
+				series := Series{Label: displayName(arm.Strategy)}
+				if arm.StragglerRate > 0 {
+					series.Label += fmt.Sprintf(" %.0f%% stragglers", arm.StragglerRate*100)
+				}
+				for _, h := range grid.Cells[r][c].History {
+					series.Rounds = append(series.Rounds, h.Round)
+					if v.recall != nil {
+						series.Accuracy = append(series.Accuracy, meanRecall(h.PerLabel, v.recall))
+					} else {
+						series.Accuracy = append(series.Accuracy, h.Accuracy)
+					}
+				}
+				panel.Series = append(panel.Series, series)
+			}
+			fig.Panels = append(fig.Panels, panel)
+		}
+	}
+	return &fig, nil
+}
+
+// convergenceFigure declares Figures 5, 7, 9, 11 (without stragglers) or 6,
+// 8, 10, 12 (with stragglers), four panels each.
+func convergenceFigure(id string, ds dataset.Spec, stragglers bool) func(*session) (*Figure, error) {
+	mode, cols := "without stragglers", gridPlainCols
+	if stragglers {
+		mode, cols = "with stragglers", gridStragglerCols
+	}
+	return func(s *session) (*Figure, error) {
+		return s.gridFigure(Figure{
+			ID:     id,
+			Title:  fmt.Sprintf("Convergence on %s %s, FL algorithm: FedYogi", ds.Name, mode),
+			XLabel: "communication rounds",
+			YLabel: "balanced accuracy",
+		}, gridView{ds: ds, rows: gridPanelRows, cols: cols})
+	}
+}
+
+// figure13 declares the underrepresented-label convergence curves: mean
+// recall over the arrhythmia (non-N) classes of the ECG dataset, and recall
+// of the bcc label of HAM10000, per strategy at α 0.3, 20% participation and
+// no stragglers.
+func figure13(s *session) (*Figure, error) {
+	return s.gridFigure(Figure{
 		ID:     "fig13",
 		Title:  "Convergence on underrepresented labels, FL algorithm: FedYogi",
 		XLabel: "communication rounds",
 		YLabel: "per-label recall",
-	}
-
-	type panelSpec struct {
-		name   string
-		ds     dataset.Spec
-		labels []int
-	}
-	ecg := dataset.ECG()
-	ham := dataset.HAM10000()
-	panels := []panelSpec{
-		{name: "ecg-arrhythmia(S,V,F,Q)", ds: ecg, labels: []int{1, 2, 3, 4}},
-		{name: "ham10000-bcc", ds: ham, labels: []int{1}},
-	}
-	var figPanels []Panel
-	var jobs []figureJob
-	for _, ps := range panels {
-		runScale := scale
-		runScale.Rounds = RoundsFor(ps.ds, scale)
-		figPanels = append(figPanels, Panel{Name: ps.name})
-		for _, strategy := range AllStrategies() {
-			jobs = append(jobs, figureJob{
-				panel: len(figPanels) - 1,
-				label: displayName(strategy),
-				setting: Setting{
-					Spec:           ps.ds,
-					Algorithm:      AlgoFedYogi,
-					Alpha:          0.3,
-					PartyFraction:  0.20,
-					Strategy:       strategy,
-					TargetAccuracy: TargetFor(ps.ds),
-					Seed:           seed,
-				},
-				scale:  runScale,
-				labels: ps.labels,
-			})
-		}
-	}
-	figPanels, err := runFigureJobs(figPanels, jobs, scale.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	fig.Panels = figPanels
-	return fig, nil
+	},
+		gridView{ds: dataset.ECG(), rows: []int{0}, cols: gridPlainCols, name: "ecg-arrhythmia(S,V,F,Q)", recall: []int{1, 2, 3, 4}},
+		gridView{ds: dataset.HAM10000(), rows: []int{0}, cols: gridPlainCols, name: "ham10000-bcc", recall: []int{1}},
+	)
 }
 
 func meanRecall(perLabel []float64, labels []int) float64 {

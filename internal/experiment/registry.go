@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"flips/internal/chaos"
+	"flips/internal/dataset"
 	"flips/internal/device"
 	"flips/internal/selection"
 )
@@ -80,11 +81,58 @@ type Experiment struct {
 	run   func(w io.Writer, s *session) error
 }
 
-// session is one Run: its options plus the grids already computed, so tables
-// that share a (dataset, algorithm) grid compute it once.
+// session is one Run: its options plus every paper-grid cell already
+// computed, so the tables and figures that draw on the same (dataset,
+// algorithm, row, column) run it once between them.
 type session struct {
 	Options
-	grids map[string]*Table
+	cells map[cellKey]Cell
+}
+
+// cellKey names one cell of one paper grid: "dataset/algorithm" and the
+// cell's row-major index.
+type cellKey struct {
+	grid  string
+	index int
+}
+
+// grid returns the paper grid of (ds, algorithm) with the cells at rows ×
+// cols filled in (nil = every row, every column), running whichever of them
+// no earlier entry of this session has.
+func (s *session) grid(ds dataset.Spec, algorithm string, rows, cols []int) (*Table, error) {
+	sweep := paperGrid(ds, algorithm, s.Scale, s.Seed)
+	if rows == nil {
+		rows = upTo(len(sweep.Rows))
+	}
+	if cols == nil {
+		cols = upTo(len(sweep.Cols))
+	}
+	name, nc := ds.Name+"/"+algorithm, len(sweep.Cols)
+	var missing []int
+	for _, r := range rows {
+		for _, c := range cols {
+			if _, ok := s.cells[cellKey{name, r*nc + c}]; !ok {
+				missing = append(missing, r*nc+c)
+			}
+		}
+	}
+	if len(missing) > 0 {
+		s.log("running grid %s (%d cells)...", name, len(missing))
+		cells, err := sweep.runCells(s.Scale, missing, s.Progress)
+		if err != nil {
+			return nil, err
+		}
+		for k, i := range missing {
+			s.cells[cellKey{name, i}] = cells[k]
+		}
+	}
+	t := sweep.table()
+	for _, r := range rows {
+		for _, c := range cols {
+			t.Cells[r][c] = s.cells[cellKey{name, r*nc + c}]
+		}
+	}
+	return t, nil
 }
 
 func (s *session) log(format string, args ...any) {
@@ -113,16 +161,9 @@ func sweepEntry(name, banner string, consumes Input, declare func(Options) (Swee
 // tableEntry registers one of the paper's tables.
 func tableEntry(spec TableSpec) Experiment {
 	return Experiment{Name: fmt.Sprintf("table%d", spec.ID), Group: "all-tables", run: func(w io.Writer, s *session) error {
-		key := spec.Dataset.Name + "/" + spec.Algorithm
-		grid, ok := s.grids[key]
-		if !ok {
-			sweep := paperGrid(spec.Dataset, spec.Algorithm, s.Scale, s.Seed)
-			s.log("running grid %s (%d cells)...", key, len(sweep.Rows)*len(sweep.Cols))
-			var err error
-			if grid, err = sweep.Run(s.Scale, s.Progress); err != nil {
-				return err
-			}
-			s.grids[key] = grid
+		grid, err := s.grid(spec.Dataset, spec.Algorithm, nil, nil)
+		if err != nil {
+			return err
 		}
 		RenderTable(w, grid, spec)
 		return nil
@@ -130,9 +171,9 @@ func tableEntry(spec TableSpec) Experiment {
 }
 
 // figureEntry registers one of the paper's figures.
-func figureEntry(id string) Experiment {
+func figureEntry(id string, build func(*session) (*Figure, error)) Experiment {
 	return Experiment{Name: id, Group: "all-figures", Banner: id, run: func(w io.Writer, s *session) error {
-		fig, err := RunFigure(id, s.Scale, s.Seed)
+		fig, err := build(s)
 		if err != nil {
 			return err
 		}
@@ -148,9 +189,14 @@ func buildRegistry() []Experiment {
 	for _, spec := range TableSpecs() {
 		reg = append(reg, tableEntry(spec))
 	}
-	for _, id := range FigureIDs() {
-		reg = append(reg, figureEntry(id))
+	reg = append(reg, figureEntry("fig2", figure2))
+	for i, ds := range dataset.AllSpecs() { // fig5/6 ECG … fig11/12 Fashion-MNIST
+		plain, straggling := fmt.Sprintf("fig%d", 5+2*i), fmt.Sprintf("fig%d", 6+2*i)
+		reg = append(reg,
+			figureEntry(plain, convergenceFigure(plain, ds, false)),
+			figureEntry(straggling, convergenceFigure(straggling, ds, true)))
 	}
+	reg = append(reg, figureEntry("fig13", figure13))
 	return append(reg,
 		sweepEntry("het", "device-heterogeneity sweep", 0, hetSweep, (*Table).Render),
 		sweepEntry("async", "aggregation-mode sweep", InTrace, asyncSweep, (*Table).Render),
@@ -263,7 +309,7 @@ func Run(w io.Writer, spec string, o Options) error {
 			}
 		}
 	}
-	s := &session{Options: o, grids: map[string]*Table{}}
+	s := &session{Options: o, cells: map[cellKey]Cell{}}
 	for _, e := range selected {
 		if e.Banner != "" {
 			s.log("running %s...", e.Banner)

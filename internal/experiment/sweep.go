@@ -10,6 +10,7 @@ import (
 	"flips/internal/dataset"
 	"flips/internal/device"
 	"flips/internal/fl"
+	"flips/internal/parallel"
 )
 
 // The paper's whole evaluation is one shape — settings × selectors →
@@ -73,7 +74,10 @@ type Cell struct {
 	RoundsToTarget int
 	PeakAccuracy   float64
 	SimTime        float64
-	Counts         []int
+	// History is the run's evaluated rounds (the first repeat's): what a
+	// convergence figure draws of the cell.
+	History []fl.RoundStats
+	Counts  []int
 	// Ratio is TimeToTarget over the baseline row's same-column cell: 1 means
 	// unharmed, +Inf that this cell never reached a target its baseline did,
 	// NaN that there is no baseline or it never got there itself.
@@ -86,21 +90,67 @@ type Table struct {
 	Cells [][]Cell
 }
 
-// Run executes every cell. Cells fan out over a pool bounded by
+// Run executes every cell; see runCells for the fan-out and its bit-identity
+// contract.
+func (s Sweep) Run(scale Scale, progress func(string)) (*Table, error) {
+	cells, err := s.runCells(scale, upTo(len(s.Rows)*len(s.Cols)), progress)
+	if err != nil {
+		return nil, err
+	}
+	t := s.table()
+	for i, cell := range cells {
+		t.Cells[i/len(s.Cols)][i%len(s.Cols)] = cell
+	}
+	for r := range t.Cells {
+		if base := s.baselineRow(r); base >= 0 {
+			for c := range t.Cells[r] {
+				t.Cells[r][c].Ratio = ratio(t.Cells[r][c], t.Cells[base][c])
+			}
+		}
+	}
+	return t, nil
+}
+
+// upTo returns the indices 0 … n-1.
+func upTo(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// table returns the sweep's Table with every cell still to be filled in.
+func (s Sweep) table() *Table {
+	t := &Table{Sweep: s, Cells: make([][]Cell, len(s.Rows))}
+	for r := range t.Cells {
+		t.Cells[r] = make([]Cell, len(s.Cols))
+	}
+	return t
+}
+
+// runCells executes the listed cells (row-major indices, row*len(Cols)+col)
+// and returns them in the order listed. It is the one place a declared
+// Setting becomes a run. Cells fan out over a pool bounded by
 // scale.Parallelism and each cell's interior (repeats, local training, eval
 // shards) runs sequentially: cells are the coarsest — and therefore cheapest
 // — level to spend the whole concurrency budget on, and claiming it here
 // keeps nested pools from multiplying past it. Results are placed by index,
-// so a Table is bit-identical at every pool width; only the arrival order of
-// progress lines (one per finished cell; progress may be nil) varies.
-func (s Sweep) Run(scale Scale, progress func(string)) (*Table, error) {
+// so a cell is bit-identical at every pool width and whichever cells run
+// beside it; only the arrival order of progress lines (one per finished cell;
+// progress may be nil) varies.
+func (s Sweep) runCells(scale Scale, idx []int, progress func(string)) ([]Cell, error) {
 	cellScale := scale
 	cellScale.Rounds = s.Rounds
 	cellScale.Parallelism = 1
 	var reporting sync.Mutex // progress sinks need not be goroutine-safe
 	nc := len(s.Cols)
-	cells, err := runJobs(scale.Parallelism, len(s.Rows)*nc, func(i int) (Cell, error) {
-		row, col := s.Rows[i/nc], s.Cols[i%nc]
+	type out struct {
+		cell Cell
+		err  error
+	}
+	outs := parallel.Map(parallel.New(scale.Parallelism), len(idx), func(i int) out {
+		row, col := s.Rows[idx[i]/nc], s.Cols[idx[i]%nc]
 		setting := s.Base
 		for _, arm := range []Arm{row, col} {
 			if arm.Patch != nil {
@@ -110,13 +160,14 @@ func (s Sweep) Run(scale Scale, progress func(string)) (*Table, error) {
 		what := strings.Join(row.Labels, " ") + " " + col.Labels[0]
 		res, err := RunSetting(setting, cellScale)
 		if err != nil {
-			return Cell{}, fmt.Errorf("run %s: %w", what, err)
+			return out{err: fmt.Errorf("run %s: %w", what, err)}
 		}
 		cell := Cell{
 			TimeToTarget:   res.TimeToTarget,
 			RoundsToTarget: res.RoundsToTarget,
 			PeakAccuracy:   res.PeakAccuracy,
 			SimTime:        res.SimTime,
+			History:        res.History,
 			Counts:         make([]int, len(s.Counters)),
 			Ratio:          math.NaN(),
 		}
@@ -133,23 +184,16 @@ func (s Sweep) Run(scale Scale, progress func(string)) (*Table, error) {
 			progress(msg)
 			reporting.Unlock()
 		}
-		return cell, nil
+		return out{cell: cell}
 	})
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Sweep: s, Cells: make([][]Cell, len(s.Rows))}
-	for r := range t.Cells {
-		t.Cells[r] = cells[r*nc : (r+1)*nc]
-	}
-	for r := range t.Cells {
-		if base := s.baselineRow(r); base >= 0 {
-			for c := range t.Cells[r] {
-				t.Cells[r][c].Ratio = ratio(t.Cells[r][c], t.Cells[base][c])
-			}
+	cells := make([]Cell, len(idx))
+	for i, o := range outs {
+		if o.err != nil {
+			return nil, o.err // the first in index order
 		}
+		cells[i] = o.cell
 	}
-	return t, nil
+	return cells, nil
 }
 
 // baselineRow returns the index of row r's reference row, or -1.

@@ -31,19 +31,20 @@ func rendered(t *Table) string {
 	return buf.String()
 }
 
-// TestSweepsMatchParentGoldens is the refactor's oracle at unit-test cost:
-// testdata/*.golden is what the six hand-rolled harnesses this engine
-// replaced rendered (captured from the parent commit, seed 7, tinyScale with
-// an 80-round budget so that cells reach their targets and the ratio, rank
-// and rounds columns carry values rather than "never"); the declarations
-// must reproduce every byte.
+// TestSweepsMatchParentGoldens is the refactors' oracle at unit-test cost:
+// testdata/*.golden is what the code this engine replaced rendered — the six
+// hand-rolled harnesses, and for figures.golden the figures' own cell runner
+// (each captured from the parent commit of its refactor, seed 7, tinyScale
+// with an 80-round budget so that cells reach their targets and the ratio,
+// rank and rounds columns carry values rather than "never"); the
+// declarations and grid views must reproduce every byte.
 func TestSweepsMatchParentGoldens(t *testing.T) {
 	t.Parallel()
 	scale := tinyScale()
 	scale.Rounds, scale.EvalEvery = 80, 2
 	for name, spec := range map[string]string{
 		"het": "het", "async": "async", "chaos": "chaos", "privacy": "privacy",
-		"tournament": "tournament", "grid": "table23,table24",
+		"tournament": "tournament", "grid": "table23,table24", "figures": "fig5,fig6,fig11,fig13",
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -113,6 +114,46 @@ func TestExperimentsAreParallelismInvariant(t *testing.T) {
 	}
 }
 
+// TestPaperCellsRunOnce counts finished-cell progress callbacks: a run
+// executes the union of the distinct paper cells its entries draw on — a
+// figure beside its dataset's FedYogi tables costs nothing more — and a
+// figure on its own only the cells it draws. What a figure renders does not
+// depend on who computed its cells.
+func TestPaperCellsRunOnce(t *testing.T) {
+	t.Parallel()
+	run := func(spec string) (string, int) {
+		cells := 0
+		var buf bytes.Buffer
+		err := Run(&buf, spec, Options{
+			Scale: Scale{Parties: 10, Rounds: 4, TrainSize: 500, TestSize: 120, Repeats: 1, EvalEvery: 2},
+			Seed:  7, Progress: func(string) { cells++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), cells
+	}
+	joint, n := run("table1,table2,fig5,fig6,fig13")
+	if n != 49 { // the ECG grid's 44 + fig13's HAM10000 row of 5
+		t.Fatalf("tables 1-2 with figures 5, 6 and 13 ran %d cells, want 49", n)
+	}
+	for spec, want := range map[string]int{"fig13": 10, "fig5": 20} {
+		alone, n := run(spec)
+		if n != want {
+			t.Fatalf("%s alone ran %d cells, want %d", spec, n, want)
+		}
+		if !strings.Contains(joint, alone) {
+			t.Fatalf("%s renders differently beside the tables than alone:\n%s", spec, alone)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	if _, n := run("all-tables,all-figures"); n != 528 { // 12 grids of 44
+		t.Fatalf("every table and figure ran %d cells, want 528", n)
+	}
+}
+
 // TestRunChecksInputsUpFront pins the generic flag hygiene: an optional input
 // none of the selected experiments consumes is an error that names who would
 // have, and scale refuses a selector list it cannot use — both before any
@@ -153,7 +194,7 @@ func TestUsageAndExpand(t *testing.T) {
 	if err != nil || len(all) != len(Names()) {
 		t.Fatalf("Expand(all) = %v, %v", all, err)
 	}
-	if figs, err := Expand("all-figures"); err != nil || len(figs) != len(FigureIDs()) {
+	if figs, err := Expand("all-figures"); err != nil || len(figs) != 10 {
 		t.Fatalf("Expand(all-figures) = %v, %v", figs, err)
 	}
 	if _, err := Expand("table99"); err == nil || !strings.Contains(err.Error(), "table1..table24") {

@@ -95,11 +95,17 @@ func paperGrid(ds dataset.Spec, algorithm string, scale Scale, seed uint64) Swee
 	return s
 }
 
-// RunGrid executes the paper grid for one (dataset, algorithm) pair; see
-// Sweep.Run for the fan-out and its bit-identity contract.
-func RunGrid(ds dataset.Spec, algorithm string, scale Scale, seed uint64, progress func(string)) (*Table, error) {
-	return paperGrid(ds, algorithm, scale, seed).Run(scale, progress)
-}
+// The views in figures.go name the grid's cells by index; the layout
+// paperGrid declares fixes what the indices mean.
+var (
+	// gridPanelRows orders the rows as the figures' panels: α 0.3 then 0.6,
+	// 15% before 20% participation within each.
+	gridPanelRows = []int{1, 0, 3, 2}
+	// gridPlainCols are the five strategies at 0% stragglers.
+	gridPlainCols = []int{0, 1, 2, 3, 4}
+	// gridStragglerCols are FLIPS, Oort and TiFL at 10% then 20% each.
+	gridStragglerCols = []int{5, 8, 6, 9, 7, 10}
+)
 
 // RenderTable writes a finished grid as one of its two paper tables.
 func RenderTable(w io.Writer, grid *Table, spec TableSpec) {

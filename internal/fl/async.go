@@ -78,9 +78,6 @@ func (p Buffered) run(c *eventCore) error {
 
 	buffer := make([]*pendingUpdate, 0, k)
 	for step := start; step < cfg.Rounds; step++ {
-		if cfg.BeforeRound != nil {
-			cfg.BeforeRound(step, cfg.Parties)
-		}
 		c.decayLR(step)
 		prevClock := c.clock
 
@@ -156,9 +153,6 @@ func (p SemiSync) run(c *eventCore) error {
 
 	buffer := make([]*pendingUpdate, 0, cfg.PartiesPerRound)
 	for round := start; round < cfg.Rounds; round++ {
-		if cfg.BeforeRound != nil {
-			cfg.BeforeRound(round, cfg.Parties)
-		}
 		c.decayLR(round)
 
 		// One selection wave per window; parties still training from
@@ -446,7 +440,7 @@ func (c *eventCore) aggregateAsync(step int, buffer []*pendingUpdate, halfLife f
 		}
 	}
 	if len(c.updates) > 0 {
-		c.foldDelta()
+		c.fold(nil)
 		if c.priv != nil {
 			c.priv.addNoise(c.delta, contributors)
 		}

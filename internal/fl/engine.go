@@ -56,12 +56,6 @@ type Config struct {
 	// FedDynAlpha enables the (simplified) FedDyn dynamic-regularization
 	// local objective when positive.
 	FedDynAlpha float64
-	// BeforeRound, when non-nil, runs at the start of every round with the
-	// full party pool. It supports streaming/drift scenarios (paper §8
-	// future work) where party data changes during the FL job; combined
-	// with a Swappable selector, the orchestrator can detect label
-	// distribution drift and re-cluster mid-job.
-	BeforeRound func(round int, parties []*Party)
 	// Resume continues a job from an aggregator checkpoint (§7 fault
 	// tolerance). The configuration must match the checkpointed job (same
 	// seed, optimizer and model); a resumed run with a stateless selector
@@ -128,9 +122,6 @@ type Config struct {
 	// transport.go and internal/dist). Everything but training — device
 	// simulation, chaos, privacy, folds, server optimization — stays
 	// in-process, so transported runs are byte-identical to local ones.
-	// Incompatible with BeforeRound: a hook mutating the party pool runs
-	// coordinator-side only and would silently diverge from the workers'
-	// view of the data.
 	Transport ShardTransport
 	// Aggregation selects the execution model: SyncRounds (nil default,
 	// classic synchronization rounds — the paper's setting), Buffered
@@ -226,9 +217,6 @@ func (c *Config) ValidateShape(fleet FleetShape) error {
 	}
 	if err := c.Privacy.validate(); err != nil {
 		return err
-	}
-	if c.Transport != nil && c.BeforeRound != nil {
-		return fmt.Errorf("fl: Transport and BeforeRound are incompatible (the hook mutates parties the workers cannot see)")
 	}
 	if c.Privacy.Mask {
 		if c.Fold.Kind != FoldMean {

@@ -354,26 +354,20 @@ func (c *eventCore) admitUpdate(update tensor.Vec, weight float64) {
 	c.weights = append(c.weights, weight)
 }
 
-// foldAverageDelta folds raw trained parameters (sync semantics: the current
-// global model is subtracted inside) into c.delta across the configured
-// shard count; foldDelta folds pre-computed dispatch-time deltas (async
-// semantics). Both are bit-identical to the sequential fold at every shard
-// count and parallelism. A non-mean Config.Fold routes both through the
-// robust folds (robust.go), which carry the same invariance contract.
-func (c *eventCore) foldAverageDelta() {
+// fold folds the cycle's updates into c.delta across the configured shard
+// count. global is c.globalParams when the updates are raw trained parameters
+// (sync semantics: the current global model is subtracted inside) and nil
+// when they are pre-computed dispatch-time deltas (async semantics). Either
+// way the result is bit-identical to the sequential fold at every shard count
+// and parallelism. A non-mean Config.Fold routes through the robust folds
+// (robust.go), which carry the same invariance contract.
+func (c *eventCore) fold(global tensor.Vec) {
+	shards := foldShards(c.space.count(), len(c.delta))
 	if c.cfg.Fold.Kind != FoldMean {
-		RobustDeltaShardedInto(c.cfg.Fold, c.delta, c.globalParams, c.updates, c.pool, foldShards(c.space.count(), len(c.delta)))
+		RobustDeltaShardedInto(c.cfg.Fold, c.delta, global, c.updates, c.pool, shards)
 		return
 	}
-	WeightedAverageDeltaShardedInto(c.delta, c.globalParams, c.updates, c.weights, c.pool, foldShards(c.space.count(), len(c.delta)))
-}
-
-func (c *eventCore) foldDelta() {
-	if c.cfg.Fold.Kind != FoldMean {
-		RobustDeltaShardedInto(c.cfg.Fold, c.delta, nil, c.updates, c.pool, foldShards(c.space.count(), len(c.delta)))
-		return
-	}
-	WeightedDeltaShardedInto(c.delta, c.updates, c.weights, c.pool, foldShards(c.space.count(), len(c.delta)))
+	WeightedAverageDeltaShardedInto(c.delta, global, c.updates, c.weights, c.pool, shards)
 }
 
 // restoreCommon applies the policy-independent checkpoint state: global
@@ -439,8 +433,7 @@ func (c *eventCore) selectParties(round, target int) ([]int, error) {
 }
 
 // prepareFeedback resets the reusable feedback maps for a new aggregation
-// cycle and re-gates Update materialization for the current selector
-// (re-checked every cycle so a Swappable swap takes effect).
+// cycle and re-gates Update materialization for the current selector.
 func (c *eventCore) prepareFeedback(round int) (needsUpdates bool) {
 	c.fb.Round = round
 	clear(c.fb.MeanLoss)

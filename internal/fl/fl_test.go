@@ -445,21 +445,23 @@ func TestWeightedAverageDelta(t *testing.T) {
 	global := tensor.Vec{0, 0}
 	updates := []tensor.Vec{{2, 0}, {0, 4}}
 	weights := []float64{1, 3}
-	delta := WeightedAverageDelta(global, updates, weights)
+	delta := tensor.Vec{9, 9} // dirty: the fold zeroes it first
+	WeightedAverageDeltaInto(delta, global, updates, weights)
 	if math.Abs(delta[0]-0.5) > 1e-12 || math.Abs(delta[1]-3) > 1e-12 {
 		t.Fatalf("delta %v", delta)
 	}
 	// Identical updates average to themselves regardless of weights.
 	same := []tensor.Vec{{1, 1}, {1, 1}}
-	delta = WeightedAverageDelta(global, same, []float64{5, 1})
+	WeightedAverageDeltaInto(delta, global, same, []float64{5, 1})
 	if delta[0] != 1 || delta[1] != 1 {
 		t.Fatalf("identical-update delta %v", delta)
 	}
 	// Empty and zero-weight cases are zero deltas.
-	if d := WeightedAverageDelta(global, nil, nil); d[0] != 0 || d[1] != 0 {
+	if WeightedAverageDeltaInto(delta, global, nil, nil); delta[0] != 0 || delta[1] != 0 {
 		t.Fatal("empty update delta not zero")
 	}
-	if d := WeightedAverageDelta(global, same, []float64{0, 0}); d[0] != 0 {
+	delta[0] = 9
+	if WeightedAverageDeltaInto(delta, global, same, []float64{0, 0}); delta[0] != 0 {
 		t.Fatal("zero-weight delta not zero")
 	}
 }
@@ -563,56 +565,6 @@ func TestRunRejectsOutOfRangeSelection(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("out-of-range selection accepted")
-	}
-}
-
-func TestSwappableSwapsMidJob(t *testing.T) {
-	a := &fixedSelector{ids: []int{0, 1}}
-	b := &fixedSelector{ids: []int{2, 3}}
-	sw := NewSwappable(a)
-	if got := sw.Select(0, 2); got[0] != 0 {
-		t.Fatalf("initial selection %v", got)
-	}
-	if prev := sw.Swap(b); prev != a {
-		t.Fatal("Swap did not return previous selector")
-	}
-	if got := sw.Select(1, 2); got[0] != 2 {
-		t.Fatalf("post-swap selection %v", got)
-	}
-	sw.Observe(RoundFeedback{Round: 1})
-	if len(b.observed) != 1 || len(a.observed) != 0 {
-		t.Fatal("Observe routed to wrong selector")
-	}
-	if sw.Name() != "fixed" {
-		t.Fatalf("name %q", sw.Name())
-	}
-}
-
-func TestBeforeRoundHook(t *testing.T) {
-	parties, test, spec := buildTestJob(t, 15, 6, 0.5)
-	var rounds []int
-	_, err := Run(Config{
-		Parties:         parties,
-		Test:            test.Samples,
-		NumClasses:      len(spec.LabelNames),
-		Factory:         model.LogRegFactory(spec.Dim, len(spec.LabelNames)),
-		Optimizer:       &FedAvg{},
-		Selector:        &fixedSelector{ids: []int{0, 1}},
-		Rounds:          4,
-		PartiesPerRound: 2,
-		BeforeRound: func(round int, ps []*Party) {
-			if len(ps) != 6 {
-				t.Errorf("hook saw %d parties", len(ps))
-			}
-			rounds = append(rounds, round)
-		},
-		Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) != 4 || rounds[0] != 0 || rounds[3] != 3 {
-		t.Fatalf("hook rounds %v", rounds)
 	}
 }
 

@@ -151,69 +151,57 @@ func sign(x float64) float64 {
 	}
 }
 
-// WeightedAverageDelta computes the FedAvg aggregation rule
-// x^(r) = (1/N) Σ n_i x_i over the completed updates, returned as the delta
-// from the current global parameters. weights are the per-update n_i; they
-// are renormalized over whatever subset completed, so dropped stragglers
-// simply vanish from the average (paper Algorithm 1 line 43).
-func WeightedAverageDelta(global tensor.Vec, updates []tensor.Vec, weights []float64) tensor.Vec {
-	delta := tensor.NewVec(len(global))
-	WeightedAverageDeltaInto(delta, global, updates, weights)
-	return delta
+// WeightedAverageDeltaInto computes the FedAvg aggregation rule
+// x^(r) = (1/N) Σ n_i x_i over the completed updates, as the delta from the
+// current global parameters, into the caller-provided dst — the engine reuses
+// one buffer across rounds instead of allocating a parameter-sized vector per
+// round. weights are the per-update n_i; they are renormalized over whatever
+// subset completed, so dropped stragglers simply vanish from the average
+// (paper Algorithm 1 line 43).
+//
+// global, when non-nil, is subtracted from each update per coordinate (sync
+// semantics: updates are raw trained parameters). nil means updates are
+// already deltas x_i − m^(v_i), each taken against the model its party
+// downloaded (async semantics: by fold time the global model has moved on, so
+// subtracting the current one would be wrong): dst[i] = Σ_j (w_j/Σw) δ_j[i].
+func WeightedAverageDeltaInto(dst, global tensor.Vec, updates []tensor.Vec, weights []float64) {
+	meanDeltaRange(dst, global, updates, weights, totalWeight(weights), 0, len(dst))
 }
 
-// WeightedAverageDeltaInto is WeightedAverageDelta accumulating into the
-// caller-provided dst (len(global)), which is zeroed first — the engine
-// reuses one buffer across rounds instead of allocating a parameter-sized
-// vector per round. The accumulation order (update-major, parameter-minor)
-// is identical to the historical allocating version, so results are
-// bit-exact.
-func WeightedAverageDeltaInto(dst, global tensor.Vec, updates []tensor.Vec, weights []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	if len(updates) == 0 {
-		return
-	}
+// totalWeight sums a fold's weights in update order.
+func totalWeight(weights []float64) float64 {
 	var total float64
 	for _, w := range weights {
 		total += w
+	}
+	return total
+}
+
+// meanDeltaRange is the WeightedAverageDeltaInto fold over the coordinates
+// [lo, hi): the range is zeroed, then accumulated update-major,
+// coordinate-minor, so a coordinate sees the same operation sequence whatever
+// range it is folded in. total is totalWeight(weights); zero (no updates, or
+// none with weight) leaves the range zero.
+func meanDeltaRange(dst, global tensor.Vec, updates []tensor.Vec, weights []float64, total float64, lo, hi int) {
+	dst = dst[lo:hi]
+	for i := range dst {
+		dst[i] = 0
 	}
 	if total == 0 {
 		return
 	}
 	for j, u := range updates {
 		w := weights[j] / total
-		for i := range dst {
-			dst[i] += w * (u[i] - global[i])
+		u = u[lo:hi]
+		if global == nil {
+			for i := range dst {
+				dst[i] += w * u[i]
+			}
+			continue
 		}
-	}
-}
-
-// WeightedDeltaInto folds pre-computed update deltas (x_i − m^(v_i), taken
-// against each update's own dispatch-time model) into dst as their
-// weighted average: dst[i] = Σ_j (w_j/Σw) δ_j[i]. This is the async
-// aggregation rule — unlike WeightedAverageDeltaInto it does not subtract
-// the current global model, because buffered/semi-sync deltas were already
-// taken against the (possibly stale) model their party downloaded.
-func WeightedDeltaInto(dst tensor.Vec, deltas []tensor.Vec, weights []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	if len(deltas) == 0 {
-		return
-	}
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total == 0 {
-		return
-	}
-	for j, d := range deltas {
-		w := weights[j] / total
+		g := global[lo:hi]
 		for i := range dst {
-			dst[i] += w * d[i]
+			dst[i] += w * (u[i] - g[i])
 		}
 	}
 }

@@ -163,71 +163,21 @@ func paramRanges(n, shards int) []foldRange {
 	return out
 }
 
-// WeightedAverageDeltaShardedInto is WeightedAverageDeltaInto with the
-// parameter axis partitioned into shards contiguous ranges executed on pool.
-// Each range replays the complete update sequence in order over its own
-// indices, so every parameter's operation sequence — and therefore every
-// result bit — is identical to the sequential fold at any shard count and
-// pool width. shards <= 1 takes the sequential path directly.
+// WeightedAverageDeltaShardedInto is WeightedAverageDeltaInto (either
+// semantics: global nil means pre-computed deltas) with the parameter axis
+// partitioned into shards contiguous ranges executed on pool. Each range
+// replays the complete update sequence in order over its own indices, so
+// every parameter's operation sequence — and therefore every result bit — is
+// identical to the sequential fold at any shard count and pool width.
+// shards <= 1 takes the sequential path directly.
 func WeightedAverageDeltaShardedInto(dst, global tensor.Vec, updates []tensor.Vec, weights []float64, pool *parallel.Pool, shards int) {
 	if shards <= 1 {
 		WeightedAverageDeltaInto(dst, global, updates, weights)
 		return
 	}
+	total := totalWeight(weights)
 	ranges := paramRanges(len(dst), shards)
 	pool.ForEach(len(ranges), func(ri int) {
-		r := ranges[ri]
-		for i := r.lo; i < r.hi; i++ {
-			dst[i] = 0
-		}
-		if len(updates) == 0 {
-			return
-		}
-		var total float64
-		for _, w := range weights {
-			total += w
-		}
-		if total == 0 {
-			return
-		}
-		for j, u := range updates {
-			w := weights[j] / total
-			for i := r.lo; i < r.hi; i++ {
-				dst[i] += w * (u[i] - global[i])
-			}
-		}
-	})
-}
-
-// WeightedDeltaShardedInto is WeightedDeltaInto (the async fold over
-// pre-computed dispatch-time deltas) with the same parameter-axis sharding
-// and the same bit-exactness argument as WeightedAverageDeltaShardedInto.
-func WeightedDeltaShardedInto(dst tensor.Vec, deltas []tensor.Vec, weights []float64, pool *parallel.Pool, shards int) {
-	if shards <= 1 {
-		WeightedDeltaInto(dst, deltas, weights)
-		return
-	}
-	ranges := paramRanges(len(dst), shards)
-	pool.ForEach(len(ranges), func(ri int) {
-		r := ranges[ri]
-		for i := r.lo; i < r.hi; i++ {
-			dst[i] = 0
-		}
-		if len(deltas) == 0 {
-			return
-		}
-		var total float64
-		for _, w := range weights {
-			total += w
-		}
-		if total == 0 {
-			return
-		}
-		for j, d := range deltas {
-			w := weights[j] / total
-			for i := r.lo; i < r.hi; i++ {
-				dst[i] += w * d[i]
-			}
-		}
+		meanDeltaRange(dst, global, updates, weights, total, ranges[ri].lo, ranges[ri].hi)
 	})
 }

@@ -99,10 +99,28 @@ func TestShardedFoldsAreBitExact(t *testing.T) {
 		weights[j] = 1 + r.Float64()*50
 	}
 
-	wantAvg := tensor.NewVec(dim)
-	WeightedAverageDeltaInto(wantAvg, global, updates, weights)
-	wantDelta := tensor.NewVec(dim)
-	WeightedDeltaInto(wantDelta, updates, weights)
+	// The reference is the definition, one coordinate at a time: the same
+	// operation sequence per coordinate as the range kernel's update-major
+	// loops, written independently of it. shards 1 below is the sequential
+	// fold.
+	reference := func(global tensor.Vec) tensor.Vec {
+		var total float64
+		for _, w := range weights {
+			total += w
+		}
+		out := tensor.NewVec(dim)
+		for i := range out {
+			for j, u := range updates {
+				v := u[i]
+				if global != nil {
+					v -= global[i]
+				}
+				out[i] += weights[j] / total * v
+			}
+		}
+		return out
+	}
+	wantAvg, wantDelta := reference(global), reference(nil)
 
 	for _, shards := range []int{1, 2, 3, 8, 64, 200} {
 		for _, width := range []int{1, 4} {
@@ -110,7 +128,7 @@ func TestShardedFoldsAreBitExact(t *testing.T) {
 			gotAvg := tensor.NewVec(dim)
 			WeightedAverageDeltaShardedInto(gotAvg, global, updates, weights, pool, shards)
 			gotDelta := tensor.NewVec(dim)
-			WeightedDeltaShardedInto(gotDelta, updates, weights, pool, shards)
+			WeightedAverageDeltaShardedInto(gotDelta, nil, updates, weights, pool, shards)
 			for i := range wantAvg {
 				if math.Float64bits(wantAvg[i]) != math.Float64bits(gotAvg[i]) {
 					t.Fatalf("shards=%d width=%d: avg fold bit-diverges at %d", shards, width, i)
@@ -137,7 +155,7 @@ func TestShardedFoldsAreBitExact(t *testing.T) {
 	for i := range dirty {
 		dirty[i] = 1
 	}
-	WeightedDeltaShardedInto(dirty, updates, zeroW, parallel.New(2), 8)
+	WeightedAverageDeltaShardedInto(dirty, nil, updates, zeroW, parallel.New(2), 8)
 	for i := range dirty {
 		if dirty[i] != 0 {
 			t.Fatal("zero-mass sharded fold left stale data")

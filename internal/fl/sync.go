@@ -39,9 +39,6 @@ func (p SyncRounds) run(c *eventCore) error {
 		roundRng := c.root.Split(uint64(round) + 1)
 		c.waves++
 
-		if cfg.BeforeRound != nil {
-			cfg.BeforeRound(round, cfg.Parties)
-		}
 		c.decayLR(round)
 
 		invited, err := c.selectParties(round, c.cohortTarget(round))
@@ -229,12 +226,12 @@ func (p SyncRounds) run(c *eventCore) error {
 				// fold and optimizer seam unchanged.
 				c.updates = append(c.updates, res.delta)
 				c.weights = append(c.weights, res.weight)
-				c.foldDelta()
+				c.fold(nil)
 				c.priv.addNoise(c.delta, res.survivors)
 				c.applyDelta()
 			}
 		} else if len(c.updates) > 0 {
-			c.foldAverageDelta()
+			c.fold(c.globalParams)
 			if c.priv != nil {
 				c.priv.addNoise(c.delta, len(c.updates))
 			}

@@ -1,15 +1,13 @@
 // Package metrics provides the evaluation statistics the FLIPS harness
-// reports beyond raw balanced accuracy: confusion matrices with per-class
-// precision/recall/F1 (used to analyse the under-represented labels of
-// Figure 13), summary statistics over repeated runs (the paper averages
-// 6 seeds per cell), and the sharded parallel evaluation path the FL engine
-// uses on the global test set.
+// reports beyond raw balanced accuracy: summary statistics over repeated
+// measurements, and the sharded parallel evaluation path (per-class counts,
+// hence the per-label recall of Figure 13) the FL engine uses on the global
+// test set.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"flips/internal/dataset"
 	"flips/internal/model"
@@ -85,127 +83,6 @@ func PerLabelRecallFromCounts(correct, total []int) []float64 {
 		out[c] = float64(correct[c]) / float64(total[c])
 	}
 	return out
-}
-
-// ConfusionMatrix counts predictions: Counts[true][predicted].
-type ConfusionMatrix struct {
-	Labels []string
-	Counts [][]int
-}
-
-// NewConfusionMatrix evaluates m over samples.
-func NewConfusionMatrix(m model.Model, samples []dataset.Sample, labels []string) *ConfusionMatrix {
-	k := len(labels)
-	cm := &ConfusionMatrix{Labels: labels, Counts: make([][]int, k)}
-	for i := range cm.Counts {
-		cm.Counts[i] = make([]int, k)
-	}
-	for _, s := range samples {
-		pred := m.Predict(s.X)
-		if s.Y >= 0 && s.Y < k && pred >= 0 && pred < k {
-			cm.Counts[s.Y][pred]++
-		}
-	}
-	return cm
-}
-
-// Recall returns per-class recall (NaN for absent classes).
-func (cm *ConfusionMatrix) Recall(class int) float64 {
-	total := 0
-	for _, c := range cm.Counts[class] {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(cm.Counts[class][class]) / float64(total)
-}
-
-// Precision returns per-class precision (NaN when the class is never
-// predicted).
-func (cm *ConfusionMatrix) Precision(class int) float64 {
-	total := 0
-	for t := range cm.Counts {
-		total += cm.Counts[t][class]
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(cm.Counts[class][class]) / float64(total)
-}
-
-// F1 returns the per-class harmonic mean of precision and recall.
-func (cm *ConfusionMatrix) F1(class int) float64 {
-	p, r := cm.Precision(class), cm.Recall(class)
-	if math.IsNaN(p) || math.IsNaN(r) || p+r == 0 {
-		return math.NaN()
-	}
-	return 2 * p * r / (p + r)
-}
-
-// BalancedAccuracy is the paper's §4.4 metric: the mean of per-class recalls
-// over classes present in the sample set.
-func (cm *ConfusionMatrix) BalancedAccuracy() float64 {
-	var sum float64
-	n := 0
-	for class := range cm.Counts {
-		r := cm.Recall(class)
-		if !math.IsNaN(r) {
-			sum += r
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// Accuracy is plain (micro) accuracy.
-func (cm *ConfusionMatrix) Accuracy() float64 {
-	correct, total := 0, 0
-	for t := range cm.Counts {
-		for p, c := range cm.Counts[t] {
-			total += c
-			if t == p {
-				correct += c
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
-// String renders the matrix with per-class recall, compactly.
-func (cm *ConfusionMatrix) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "true\\pred")
-	for _, l := range cm.Labels {
-		fmt.Fprintf(&b, "%8s", truncate(l, 7))
-	}
-	fmt.Fprintf(&b, "%8s\n", "recall")
-	for t, row := range cm.Counts {
-		fmt.Fprintf(&b, "%-10s", truncate(cm.Labels[t], 9))
-		for _, c := range row {
-			fmt.Fprintf(&b, "%8d", c)
-		}
-		r := cm.Recall(t)
-		if math.IsNaN(r) {
-			fmt.Fprintf(&b, "%8s\n", "-")
-		} else {
-			fmt.Fprintf(&b, "%7.1f%%\n", 100*r)
-		}
-	}
-	return b.String()
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n]
 }
 
 // Summary holds order statistics over repeated measurements.

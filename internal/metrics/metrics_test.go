@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -24,83 +23,6 @@ func (c *constModel) Loss([]dataset.Sample) float64                     { return
 func (c *constModel) Gradient([]dataset.Sample, tensor.Vec)             {}
 func (c *constModel) LossGradient([]dataset.Sample, tensor.Vec) float64 { return 0 }
 func (c *constModel) Predict(tensor.Vec) int                            { return c.class }
-
-func samplesWithLabels(labels ...int) []dataset.Sample {
-	out := make([]dataset.Sample, len(labels))
-	for i, y := range labels {
-		out[i] = dataset.Sample{X: tensor.Vec{0}, Y: y}
-	}
-	return out
-}
-
-func TestConfusionMatrixConstantPredictor(t *testing.T) {
-	t.Parallel()
-	m := &constModel{class: 0, params: 1}
-	samples := samplesWithLabels(0, 0, 0, 1, 2)
-	cm := NewConfusionMatrix(m, samples, []string{"a", "b", "c"})
-	if cm.Counts[0][0] != 3 || cm.Counts[1][0] != 1 || cm.Counts[2][0] != 1 {
-		t.Fatalf("counts %v", cm.Counts)
-	}
-	if r := cm.Recall(0); r != 1 {
-		t.Fatalf("recall(0)=%v", r)
-	}
-	if r := cm.Recall(1); r != 0 {
-		t.Fatalf("recall(1)=%v", r)
-	}
-	if p := cm.Precision(0); math.Abs(p-0.6) > 1e-12 {
-		t.Fatalf("precision(0)=%v", p)
-	}
-	if !math.IsNaN(cm.Precision(1)) {
-		t.Fatal("precision of never-predicted class should be NaN")
-	}
-	if acc := cm.Accuracy(); math.Abs(acc-0.6) > 1e-12 {
-		t.Fatalf("accuracy=%v", acc)
-	}
-	// Balanced accuracy = (1+0+0)/3.
-	if b := cm.BalancedAccuracy(); math.Abs(b-1.0/3) > 1e-12 {
-		t.Fatalf("balanced=%v", b)
-	}
-}
-
-func TestConfusionMatrixMatchesModelBalancedAccuracy(t *testing.T) {
-	t.Parallel()
-	r := rng.New(1)
-	train, test, err := dataset.Generate(dataset.ECG().WithSizes(1000, 400), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lr := model.NewLogReg(train.Dim, train.NumClasses())
-	model.TrainLocal(lr, train.Samples, model.SGDConfig{LearningRate: 0.1, LocalEpochs: 3}, nil, r)
-	cm := NewConfusionMatrix(lr, test.Samples, train.LabelNames)
-	want := model.BalancedAccuracy(lr, test.Samples, train.NumClasses())
-	if got := cm.BalancedAccuracy(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("confusion-matrix balanced accuracy %v != model %v", got, want)
-	}
-}
-
-func TestF1(t *testing.T) {
-	t.Parallel()
-	m := &constModel{class: 1, params: 1}
-	samples := samplesWithLabels(1, 1, 0, 0)
-	cm := NewConfusionMatrix(m, samples, []string{"a", "b"})
-	// precision(1)=0.5, recall(1)=1 -> F1 = 2*0.5/1.5 = 2/3.
-	if f := cm.F1(1); math.Abs(f-2.0/3) > 1e-12 {
-		t.Fatalf("f1=%v", f)
-	}
-	if !math.IsNaN(cm.F1(0)) {
-		t.Fatal("F1 of never-predicted class should be NaN")
-	}
-}
-
-func TestConfusionMatrixString(t *testing.T) {
-	t.Parallel()
-	m := &constModel{class: 0, params: 1}
-	cm := NewConfusionMatrix(m, samplesWithLabels(0, 1), []string{"normal", "arrhythmia"})
-	s := cm.String()
-	if !strings.Contains(s, "normal") || !strings.Contains(s, "recall") {
-		t.Fatalf("render:\n%s", s)
-	}
-}
 
 func TestSummarize(t *testing.T) {
 	t.Parallel()

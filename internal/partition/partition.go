@@ -88,60 +88,6 @@ func CheckDirichlet(samples, parties int, alpha float64) error {
 	return nil
 }
 
-// IID partitions ds across parties uniformly at random with near-equal
-// sizes.
-func IID(ds *dataset.Dataset, parties int, r *rng.Source) (*Partition, error) {
-	if parties <= 0 {
-		return nil, fmt.Errorf("partition: non-positive party count %d", parties)
-	}
-	if ds.Len() < parties {
-		return nil, fmt.Errorf("partition: %d samples cannot cover %d parties", ds.Len(), parties)
-	}
-	perm := r.Perm(ds.Len())
-	p := &Partition{Parties: make([][]int, parties)}
-	for i, idx := range perm {
-		party := i % parties
-		p.Parties[party] = append(p.Parties[party], idx)
-	}
-	return p, nil
-}
-
-// LabelShard emulates the "pathological" non-IID split of McMahan et al.:
-// the label-sorted data is cut into parties*shardsPerParty shards and each
-// party receives shardsPerParty shards, so each party sees at most
-// shardsPerParty distinct labels.
-func LabelShard(ds *dataset.Dataset, parties, shardsPerParty int, r *rng.Source) (*Partition, error) {
-	if parties <= 0 || shardsPerParty <= 0 {
-		return nil, fmt.Errorf("partition: invalid parties=%d shards=%d", parties, shardsPerParty)
-	}
-	total := parties * shardsPerParty
-	if ds.Len() < total {
-		return nil, fmt.Errorf("partition: %d samples cannot fill %d shards", ds.Len(), total)
-	}
-	// Sort indices by label (stable bucketing preserves determinism).
-	sorted := make([]int, 0, ds.Len())
-	byLabel := make([][]int, ds.NumClasses())
-	for i, s := range ds.Samples {
-		byLabel[s.Y] = append(byLabel[s.Y], i)
-	}
-	for _, idxs := range byLabel {
-		sorted = append(sorted, idxs...)
-	}
-	shardSize := len(sorted) / total
-	shardOrder := r.Perm(total)
-	p := &Partition{Parties: make([][]int, parties)}
-	for i, shard := range shardOrder {
-		party := i / shardsPerParty
-		lo := shard * shardSize
-		hi := lo + shardSize
-		if shard == total-1 {
-			hi = len(sorted) // last shard absorbs the remainder
-		}
-		p.Parties[party] = append(p.Parties[party], sorted[lo:hi]...)
-	}
-	return p, nil
-}
-
 // LabelDistribution returns the label-count vector ld_i = {l_1 ... l_g}
 // (paper §3.1) for the samples at the given indices.
 func LabelDistribution(ds *dataset.Dataset, indices []int) tensor.Vec {

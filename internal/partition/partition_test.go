@@ -107,54 +107,6 @@ func TestDirichletValidation(t *testing.T) {
 	}
 }
 
-func TestIIDBalanced(t *testing.T) {
-	t.Parallel()
-	ds := makeDataset(t, 1000, 6)
-	p, err := IID(ds, 10, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertExactCover(t, ds, p)
-	for i, party := range p.Parties {
-		if len(party) != 100 {
-			t.Fatalf("party %d has %d samples, want 100", i, len(party))
-		}
-	}
-}
-
-func TestLabelShardLimitsLabels(t *testing.T) {
-	t.Parallel()
-	ds := makeDataset(t, 2000, 7)
-	shards := 2
-	p, err := LabelShard(ds, 20, shards, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertExactCover(t, ds, p)
-	for i, party := range p.Parties {
-		labels := make(map[int]bool)
-		for _, idx := range party {
-			labels[ds.Samples[idx].Y] = true
-		}
-		// A party holding s shards can see at most 2*s labels (each shard
-		// straddles at most one label boundary).
-		if len(labels) > 2*shards {
-			t.Fatalf("party %d sees %d labels with %d shards", i, len(labels), shards)
-		}
-	}
-}
-
-func TestLabelShardValidation(t *testing.T) {
-	t.Parallel()
-	ds := makeDataset(t, 100, 8)
-	if _, err := LabelShard(ds, 200, 1, rng.New(1)); err == nil {
-		t.Fatal("expected error when shards exceed samples")
-	}
-	if _, err := LabelShard(ds, 0, 1, rng.New(1)); err == nil {
-		t.Fatal("expected error for zero parties")
-	}
-}
-
 func TestLabelDistributionMatchesCounts(t *testing.T) {
 	t.Parallel()
 	ds := makeDataset(t, 1000, 9)

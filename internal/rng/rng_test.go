@@ -251,24 +251,6 @@ func TestCategoricalRespectsWeights(t *testing.T) {
 	}
 }
 
-func TestMultinomialConservesTrials(t *testing.T) {
-	t.Parallel()
-	check := func(seed uint64) bool {
-		r := New(seed)
-		n := r.Intn(500)
-		p := r.Dirichlet(0.5, 5)
-		counts := r.Multinomial(n, p)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == n
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSampleWithoutReplacementDistinct(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {

@@ -101,16 +101,6 @@ func (r *Source) Categorical(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Multinomial distributes n trials over the probability vector p and returns
-// per-category counts. p need not be normalized.
-func (r *Source) Multinomial(n int, p []float64) []int {
-	counts := make([]int, len(p))
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(p)]++
-	}
-	return counts
-}
-
 // sparseSampleThreshold is the population size above which
 // SampleWithoutReplacement switches from the dense partial Fisher-Yates
 // (O(n) scratch) to the sparse virtual shuffle (O(k) scratch). Both paths

@@ -16,20 +16,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: NewVec(rows * cols)}
 }
 
-// FromRows builds a matrix whose rows are copies of the given vectors, which
-// must all share the same length.
-func FromRows(rows []Vec) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	m := NewMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		assertSameLen(len(r), m.Cols)
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Row returns a mutable view of row i.
 func (m *Mat) Row(i int) Vec {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
@@ -46,17 +32,9 @@ func (m *Mat) Clone() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
 }
 
-// MulVec computes y = m * x for a column vector x of length Cols.
-func (m *Mat) MulVec(x Vec) Vec {
-	y := NewVec(m.Rows)
-	m.MulVecInto(y, x)
-	return y
-}
-
-// MulVecInto computes dst = m * x into the caller-provided dst of length
-// Rows, allocating nothing. Each dst element is overwritten with a row dot
-// product in the same accumulation order MulVec uses, so results are
-// bit-identical to MulVec.
+// MulVecInto computes dst = m * x, for a column vector x of length Cols,
+// into the caller-provided dst of length Rows, allocating nothing. Each dst
+// element is overwritten with a row dot product.
 func (m *Mat) MulVecInto(dst, x Vec) {
 	assertSameLen(len(x), m.Cols)
 	assertSameLen(len(dst), m.Rows)
@@ -65,16 +43,9 @@ func (m *Mat) MulVecInto(dst, x Vec) {
 	}
 }
 
-// MulVecT computes y = mᵀ * x for a column vector x of length Rows.
-func (m *Mat) MulVecT(x Vec) Vec {
-	y := NewVec(m.Cols)
-	m.MulVecTInto(y, x)
-	return y
-}
-
-// MulVecTInto computes dst = mᵀ * x into the caller-provided dst of length
-// Cols, allocating nothing. dst is zeroed first; the row-axpy accumulation
-// order matches MulVecT exactly, so results are bit-identical to MulVecT.
+// MulVecTInto computes dst = mᵀ * x, for a column vector x of length Rows,
+// into the caller-provided dst of length Cols, allocating nothing. dst is
+// zeroed first, then accumulated by row axpy.
 func (m *Mat) MulVecTInto(dst, x Vec) {
 	assertSameLen(len(x), m.Rows)
 	assertSameLen(len(dst), m.Cols)

@@ -166,27 +166,13 @@ func TestMatRowViewIsMutable(t *testing.T) {
 	}
 }
 
-func TestFromRows(t *testing.T) {
-	t.Parallel()
-	m := FromRows([]Vec{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 {
-		t.Fatalf("shape %dx%d", m.Rows, m.Cols)
-	}
-	if m.At(2, 1) != 6 {
-		t.Fatalf("At(2,1) = %v", m.At(2, 1))
-	}
-	empty := FromRows(nil)
-	if empty.Rows != 0 || empty.Cols != 0 {
-		t.Fatal("FromRows(nil) should be 0x0")
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	t.Parallel()
-	m := FromRows([]Vec{{1, 2}, {3, 4}})
-	y := m.MulVec(Vec{1, 1})
+	m := &Mat{Rows: 2, Cols: 2, Data: Vec{1, 2, 3, 4}}
+	y := Vec{-1, -1} // overwritten, not accumulated into
+	m.MulVecInto(y, Vec{1, 1})
 	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("MulVec = %v", y)
+		t.Fatalf("MulVecInto = %v", y)
 	}
 }
 
@@ -208,8 +194,11 @@ func TestMulVecTIsTranspose(t *testing.T) {
 			y[i] = r.NormFloat64()
 		}
 		// <m x_cols-domain... check adjoint identity: (m y) . x == y . (mᵀ x)
-		lhs := m.MulVec(y).Dot(x)
-		rhs := y.Dot(m.MulVecT(x))
+		my, mtx := NewVec(rows), NewVec(cols)
+		m.MulVecInto(my, y)
+		m.MulVecTInto(mtx, x)
+		lhs := my.Dot(x)
+		rhs := y.Dot(mtx)
 		return almostEqual(lhs, rhs, 1e-9*(1+math.Abs(lhs)))
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -234,7 +223,7 @@ func TestAddOuterInPlace(t *testing.T) {
 
 func TestMatClone(t *testing.T) {
 	t.Parallel()
-	m := FromRows([]Vec{{1, 2}})
+	m := &Mat{Rows: 1, Cols: 2, Data: Vec{1, 2}}
 	c := m.Clone()
 	c.Set(0, 0, 9)
 	if m.At(0, 0) != 1 {
