@@ -33,9 +33,14 @@
 //     server with both and refuse to submit label distributions to any
 //     enclave that fails verification.
 //
-//   - Selftest (-selftest): deployment smoke — run one short device-model FL
-//     job through the full pipeline (clustering, FLIPS selection, training)
-//     and report time-to-target accuracy, then exit.
+//   - Selftest (-selftest [job.json]): deployment smoke — run one job through
+//     the full pipeline (clustering, selection, training) in-process and
+//     report time-to-target accuracy, then exit. The optional job file is a
+//     flips.SimulationConfig in exactly the schema POST /jobs accepts, read
+//     by the same strict decoder, so a deployment smokes the very job it will
+//     submit; without one the built-in job runs (FLIPS selection, 24 parties
+//     on a churning lognormal device fleet, 20 sync rounds with a 3 s
+//     deadline). A job knob is a SimulationConfig field, never a flipsd flag.
 //
 // Usage:
 //
@@ -43,7 +48,8 @@
 //	flipsd -dist-listen 127.0.0.1:9090 -dist-workers 2     # + shard coordinator
 //	flipsd -worker -connect 127.0.0.1:9090                 # shard worker
 //	flipsd -mode tee -listen 127.0.0.1:7443 -maxk 20       # TEE service
-//	flipsd -selftest -aggregation buffered -parallel 4     # smoke
+//	flipsd -selftest                                       # smoke, built-in job
+//	flipsd -selftest -parallel 4 job.json                  # smoke, your job
 package main
 
 import (
@@ -57,8 +63,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -66,7 +70,6 @@ import (
 	"flips"
 	"flips/internal/dist"
 	"flips/internal/experiment"
-	"flips/internal/fl"
 	"flips/internal/server"
 	"flips/internal/tee"
 )
@@ -88,8 +91,7 @@ func run(args []string, stdout, stderr io.Writer, stop chan os.Signal) error {
 	mode := fs.String("mode", "jobs", "serve mode: jobs (simulation job server) or tee (TEE clustering service)")
 	maxK := fs.Int("maxk", 20, "tee mode: maximum cluster count for the Davies-Bouldin sweep")
 	repeats := fs.Int("repeats", 20, "tee mode: K-Means restarts per k (the paper's T)")
-	version := fs.String("version", "flips-kmeans-v1", "tee mode: clustering code version (part of the measurement)")
-	par := fs.Int("parallel", 0, "CPU cap: GOMAXPROCS for the serve modes, the simulation worker-pool width for -selftest (0 = all cores)")
+	par := fs.Int("parallel", 0, "CPU cap: GOMAXPROCS for the serve modes; for -selftest the simulation worker-pool width, unless the job file sets Parallelism (0 = all cores)")
 	queueDepth := fs.Int("queue", 64, "jobs mode: bound on queued-but-not-running jobs; beyond it submissions get 429")
 	workers := fs.Int("workers", 0, "jobs mode: concurrently running jobs (0 = GOMAXPROCS)")
 	jobPar := fs.Int("job-parallel", 1, "jobs mode: per-job worker-pool width applied when a submitted config leaves Parallelism at 0")
@@ -97,42 +99,27 @@ func run(args []string, stdout, stderr io.Writer, stop chan os.Signal) error {
 	distWorkers := fs.Int("dist-workers", 2, "jobs mode with -dist-listen: shard slots each job partitions its party space across")
 	worker := fs.Bool("worker", false, "run as a shard worker: dial -connect and serve local-training waves until the coordinator shuts down")
 	connect := fs.String("connect", "", "-worker: coordinator address to dial")
-	selftest := fs.Bool("selftest", false, "run a short device-model FL simulation (clustering + selection + training pipeline) instead of serving, report time-to-target accuracy, and exit")
-	seed := fs.Uint64("seed", 1, "random seed for -selftest")
-	selector := fs.String("selector", "flips", "-selftest selection strategy, any selector registry name — smoke the selector a deployment will run")
-	aggregation := fs.String("aggregation", "sync", "-selftest execution model: sync, buffered or semisync")
-	shards := fs.Int("shards", 0, "-selftest aggregation shard count (0 = single shard; results are identical at every value)")
-	fold := fs.String("fold", "", "-selftest aggregation fold: mean (default), trimmed-mean, median or krum — smoke the robust fold a deployment will run")
-	mask := fs.Bool("mask", false, "-selftest: enable pairwise secure-aggregation masking with Shamir dropout recovery")
-	clip := fs.Float64("clip", 0, "-selftest: L2 update clip bound (required by -mask; defaults to 1 when masking)")
-	epsilon := fs.Float64("epsilon", 0, "-selftest: per-round differential-privacy ε (Laplace noise on the folded delta; requires -clip)")
-	shareThreshold := fs.Int("share-threshold", 0, "-selftest: minimum survivors for mask dropout reconstruction (0 = cohort majority)")
+	selftest := fs.Bool("selftest", false, "run one job in-process instead of serving, report time-to-target accuracy, and exit; an optional argument names a job file in the POST /jobs schema (default: a short FLIPS job over a churning lognormal device fleet)")
 	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage: flipsd [flags]\n       flipsd -selftest [-parallel n] [job.json]\nFlags:")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Fail fast on a bad execution model or fold instead of deep inside the
-	// run.
-	switch *aggregation {
-	case "sync", "buffered", "semisync":
-	default:
-		return fmt.Errorf("unknown -aggregation %q (valid: sync, buffered, semisync)", *aggregation)
-	}
-	if _, err := fl.FoldByName(*fold); err != nil {
-		return fmt.Errorf("-fold: %w", err)
-	}
-	if !validSelector(*selector) {
-		return fmt.Errorf("unknown -selector %q (registered: %s)", *selector, strings.Join(flips.Strategies(), ", "))
-	}
-
 	if *selftest {
+		if fs.NArg() > 1 {
+			return fmt.Errorf("-selftest takes at most one job file, got %d arguments", fs.NArg())
+		}
 		// The CPU cap is applied exactly once: as the simulation's
 		// worker-pool width. (The serve modes below use GOMAXPROCS instead;
 		// doing both here used to double-apply the cap.)
-		return runSelftest(stdout, *seed, *par, *aggregation, *shards, *fold, *selector, privacyFlags{
-			mask: *mask, clip: *clip, epsilon: *epsilon, shareThreshold: *shareThreshold,
-		})
+		return runSelftest(stdout, fs.Arg(0), *par)
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (only -selftest takes one: its job file)", fs.Arg(0))
 	}
 
 	if *worker {
@@ -152,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer, stop chan os.Signal) error {
 	case "jobs":
 		return serveJobs(stdout, *listen, *queueDepth, *workers, *jobPar, *distListen, *distWorkers, stop)
 	case "tee":
-		return serveTEE(stdout, *listen, *maxK, *repeats, *version, stop)
+		return serveTEE(stdout, *listen, *maxK, *repeats, stop)
 	default:
 		return fmt.Errorf("unknown -mode %q (valid: jobs, tee)", *mode)
 	}
@@ -190,7 +177,9 @@ func serveJobs(stdout io.Writer, listen string, queueDepth, workers, jobPar int,
 		defer coord.Close()
 		runner := &flips.DistRunner{Coord: coord, Workers: distWorkers}
 		cfg.Run = runner.Run
-		cfg.DistStats = func() server.DistSnapshot { return distSnapshot(coord, runner) }
+		cfg.DistStats = func() (int, map[uint64][]dist.WorkerStat) {
+			return coord.WorkerCount(), runner.WorkerStats()
+		}
 		fmt.Fprintf(stdout, "flipsd: shard coordinator on %s (jobs train across %d worker slots)\n", distAddr, distWorkers)
 	}
 	srv := server.New(cfg)
@@ -231,35 +220,6 @@ func workersOrCores(w int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return w
-}
-
-// distSnapshot maps the coordinator's registry and the runner's per-job slot
-// stats onto the server's metrics shape.
-func distSnapshot(coord *dist.Coordinator, runner *flips.DistRunner) server.DistSnapshot {
-	snap := server.DistSnapshot{WorkersRegistered: coord.WorkerCount()}
-	for jobID, slots := range runner.WorkerStats() {
-		for _, st := range slots {
-			snap.Slots = append(snap.Slots, server.DistWorkerStat{
-				Job:       fmt.Sprintf("%d", jobID),
-				Slot:      st.Slot,
-				WorkerID:  st.WorkerID,
-				PartyLo:   st.PartyLo,
-				PartyHi:   st.PartyHi,
-				Connected: st.Connected,
-				Waves:     st.Waves,
-				LagWaves:  st.LagWaves,
-				BytesIn:   st.BytesIn,
-				BytesOut:  st.BytesOut,
-			})
-		}
-	}
-	sort.Slice(snap.Slots, func(i, j int) bool {
-		if snap.Slots[i].Job != snap.Slots[j].Job {
-			return snap.Slots[i].Job < snap.Slots[j].Job
-		}
-		return snap.Slots[i].Slot < snap.Slots[j].Slot
-	})
-	return snap
 }
 
 // serveWorker runs the shard-worker mode: dial the coordinator and serve
@@ -325,8 +285,8 @@ func serveWorker(stdout, stderr io.Writer, addr string, par int, stop chan os.Si
 }
 
 // serveTEE runs the TEE clustering service until a stop signal.
-func serveTEE(stdout io.Writer, listen string, maxK, repeats int, version string, stop chan os.Signal) error {
-	code := tee.ClusteringCode{Version: version, MaxK: maxK, Repeats: repeats}
+func serveTEE(stdout io.Writer, listen string, maxK, repeats int, stop chan os.Signal) error {
+	code := tee.ClusteringCode{Version: tee.CodeVersion, MaxK: maxK, Repeats: repeats}
 	hwPub, hwPriv, err := tee.GenerateHardwareKey()
 	if err != nil {
 		return err
@@ -355,71 +315,72 @@ func serveTEE(stdout io.Writer, listen string, maxK, repeats int, version string
 	return nil
 }
 
-// privacyFlags bundles the -selftest secure-aggregation knobs.
-type privacyFlags struct {
-	mask           bool
-	clip           float64
-	epsilon        float64
-	shareThreshold int
-}
-
-// validSelector reports whether name is a registered selection strategy.
-func validSelector(name string) bool {
-	for _, s := range flips.Strategies() {
-		if s == name {
-			return true
-		}
-	}
-	return false
+// selftestJob is the job -selftest runs when no job file is given.
+var selftestJob = flips.SimulationConfig{
+	Dataset:       "mit-bih-ecg",
+	Strategy:      "flips",
+	DeviceProfile: "lognormal",
+	Availability:  "churn",
+	Deadline:      3,
+	Aggregation:   "sync",
+	Rounds:        20,
+	Parties:       24,
+	Seed:          1,
 }
 
 // runSelftest exercises the full pipeline the service host will carry —
-// clustering, participant selection, FL rounds over a heterogeneous device
-// fleet — and reports rounds- and simulated time-to-target-accuracy.
-// aggregation picks the execution model ("sync" rounds with a 3s deadline,
-// "buffered" FedBuff-style async, or "semisync" 3s windows) and selector the
-// selection strategy, so a deployment can smoke whichever combination it
-// will run; priv smokes the secure-aggregation middleware (masking, dropout
-// reconstruction, clipping, DP noise) the same way.
-func runSelftest(stdout io.Writer, seed uint64, par int, aggregation string, shards int, fold, selector string, priv privacyFlags) error {
-	cfg := flips.SimulationConfig{
-		Dataset:        "mit-bih-ecg",
-		Strategy:       selector,
-		DeviceProfile:  "lognormal",
-		Availability:   "churn",
-		Deadline:       3,
-		Aggregation:    aggregation,
-		Rounds:         20,
-		Parties:        24,
-		Parallelism:    par,
-		Shards:         shards,
-		Fold:           fold,
-		Mask:           priv.mask,
-		Clip:           priv.clip,
-		Epsilon:        priv.epsilon,
-		ShareThreshold: priv.shareThreshold,
-		Seed:           seed,
+// clustering, participant selection, FL rounds — and reports rounds- and
+// simulated time-to-target-accuracy. The job is selftestJob, or the job file
+// at path decoded and validated exactly as POST /jobs would, so a deployment
+// can smoke whichever selector, execution model, fold and privacy
+// middleware it will run; nothing is printed before the job is accepted.
+func runSelftest(stdout io.Writer, path string, par int) error {
+	cfg := selftestJob
+	if path != "" {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		cfg, err = flips.DecodeSimulationConfig(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("job file %s: %w", path, err)
+		}
 	}
-	if aggregation == "buffered" {
-		cfg.Deadline = 0 // buffered aggregation has no deadline concept
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = par
 	}
 	res, err := flips.RunSimulation(cfg)
 	if err != nil {
 		return err
 	}
-	foldNote := ""
-	if fold != "" {
-		foldNote = ", " + fold + " fold"
+	strategy, aggregation := cfg.Strategy, cfg.Aggregation
+	if strategy == "" {
+		strategy = "flips"
 	}
-	if priv.mask {
-		foldNote += ", masked"
-	} else if priv.clip > 0 {
-		foldNote += ", clipped"
+	if aggregation == "" {
+		aggregation = "sync"
 	}
-	if priv.epsilon > 0 {
-		foldNote += fmt.Sprintf(", ε=%g", priv.epsilon)
+	fleet := "the legacy straggler model"
+	if cfg.DeviceProfile != "" {
+		fleet = fmt.Sprintf("a %s device fleet", cfg.DeviceProfile)
+		if cfg.Availability != "" {
+			fleet += " (" + cfg.Availability + ")"
+		}
 	}
-	fmt.Fprintf(stdout, "flipsd selftest: %s selection over a lognormal device fleet (churn, %s aggregation%s)\n", selector, aggregation, foldNote)
+	notes := ""
+	if cfg.Fold != "" {
+		notes += ", " + cfg.Fold + " fold"
+	}
+	if cfg.Mask {
+		notes += ", masked"
+	} else if cfg.Clip > 0 {
+		notes += ", clipped"
+	}
+	if cfg.Epsilon > 0 {
+		notes += fmt.Sprintf(", ε=%g", cfg.Epsilon)
+	}
+	fmt.Fprintf(stdout, "flipsd selftest: %s selection over %s, %s aggregation%s\n", strategy, fleet, aggregation, notes)
 	if res.NumClusters > 0 {
 		fmt.Fprintf(stdout, "  clusters:            %d\n", res.NumClusters)
 	}
@@ -427,7 +388,7 @@ func runSelftest(stdout io.Writer, seed uint64, par int, aggregation string, sha
 	fmt.Fprintf(stdout, "  simulated job time:  %s\n", experiment.FormatSimDuration(res.SimTime))
 	fmt.Fprintf(stdout, "  rounds to %.0f%%:       %s\n", 100*res.TargetAccuracy, formatRounds(res.RoundsToTarget))
 	fmt.Fprintf(stdout, "  time to %.0f%%:         %s\n", 100*res.TargetAccuracy, experiment.FormatSimDuration(res.TimeToTarget))
-	if priv.mask {
+	if cfg.Mask {
 		aborts := 0
 		for _, h := range res.History {
 			if h.MaskAborted {

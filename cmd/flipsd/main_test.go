@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -33,6 +34,23 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// jobFile writes a -selftest job file: the built-in job at seed 3 with extra
+// JSON members spliced in (a later duplicate key wins, so extra may override
+// any of them).
+func jobFile(t *testing.T, extra string) string {
+	t.Helper()
+	body := `{"Dataset":"mit-bih-ecg","Strategy":"flips","DeviceProfile":"lognormal","Availability":"churn",` +
+		`"Deadline":3,"Aggregation":"sync","Rounds":20,"Parties":24,"Seed":3`
+	if extra != "" {
+		body += "," + extra
+	}
+	path := filepath.Join(t.TempDir(), "job.json")
+	if err := os.WriteFile(path, []byte(body+"}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
@@ -42,6 +60,27 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-maxk", "banana"}, &out, &errBuf, stop); err == nil {
 		t.Fatal("non-numeric maxk accepted")
+	}
+	// Job knobs live in the job file, not on the command line.
+	for _, gone := range []string{"-seed", "-selector", "-aggregation", "-shards", "-fold", "-clip", "-epsilon", "-share-threshold", "-version"} {
+		if err := run([]string{"-selftest", gone, "1"}, &out, &errBuf, stop); err == nil {
+			t.Fatalf("removed flag %s still accepted", gone)
+		}
+	}
+	if err := run([]string{"-selftest", "-mask"}, &out, &errBuf, stop); err == nil {
+		t.Fatal("removed flag -mask still accepted")
+	}
+	if err := run([]string{"-selftest", "a.json", "b.json"}, &out, &errBuf, stop); err == nil {
+		t.Fatal("two job files accepted")
+	}
+	if err := run([]string{"stray.json"}, &out, &errBuf, stop); err == nil {
+		t.Fatal("a job file without -selftest accepted")
+	}
+	if err := run([]string{"-selftest", filepath.Join(t.TempDir(), "missing.json")}, &out, &errBuf, stop); err == nil {
+		t.Fatal("missing job file accepted")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a rejected invocation wrote to stdout:\n%s", out.String())
 	}
 }
 
@@ -67,13 +106,14 @@ func TestRunRejectsUnknownMode(t *testing.T) {
 }
 
 // TestRunRejectsUnknownAggregation pins the fail-fast contract: a typo'd
-// execution model must be caught at flag time, not deep inside a simulation.
+// execution model in the job file is caught by the decoder's validation — the
+// one POST /jobs runs — before the selftest prints or runs anything.
 func TestRunRejectsUnknownAggregation(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
-	err := run([]string{"-selftest", "-aggregation", "asink"}, &out, &errBuf, make(chan os.Signal))
-	if err == nil || !strings.Contains(err.Error(), "unknown -aggregation") {
-		t.Fatalf("unknown aggregation not rejected at flag time: %v", err)
+	err := run([]string{"-selftest", jobFile(t, `"Aggregation":"asink"`)}, &out, &errBuf, make(chan os.Signal))
+	if err == nil || !strings.Contains(err.Error(), `unknown aggregation policy "asink"`) {
+		t.Fatalf("unknown aggregation not rejected by the job decoder: %v", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("selftest ran before validation:\n%s", out.String())
@@ -85,9 +125,9 @@ func TestRunRejectsUnknownAggregation(t *testing.T) {
 func TestRunRejectsUnknownFold(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
-	err := run([]string{"-selftest", "-fold", "geometric"}, &out, &errBuf, make(chan os.Signal))
-	if err == nil || !strings.Contains(err.Error(), "-fold") {
-		t.Fatalf("unknown fold not rejected at flag time: %v", err)
+	err := run([]string{"-selftest", jobFile(t, `"Fold":"geometric"`)}, &out, &errBuf, make(chan os.Signal))
+	if err == nil || !strings.Contains(err.Error(), `unknown fold "geometric"`) {
+		t.Fatalf("unknown fold not rejected by the job decoder: %v", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("selftest ran before validation:\n%s", out.String())
@@ -95,26 +135,31 @@ func TestRunRejectsUnknownFold(t *testing.T) {
 }
 
 // TestRunRejectsUnknownSelector pins the same fail-fast contract for the
-// -selector registry name, and checks the error lists what would have worked.
+// Strategy registry name, and checks the error lists what would have worked;
+// a field POST /jobs does not know is refused the same way.
 func TestRunRejectsUnknownSelector(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
-	err := run([]string{"-selftest", "-selector", "psychic"}, &out, &errBuf, make(chan os.Signal))
-	if err == nil || !strings.Contains(err.Error(), "-selector") || !strings.Contains(err.Error(), "oort") {
-		t.Fatalf("unknown selector not rejected at flag time with the registered list: %v", err)
+	err := run([]string{"-selftest", jobFile(t, `"Strategy":"psychic"`)}, &out, &errBuf, make(chan os.Signal))
+	if err == nil || !strings.Contains(err.Error(), `unknown selector "psychic"`) || !strings.Contains(err.Error(), "oort") {
+		t.Fatalf("unknown selector not rejected by the job decoder with the registered list: %v", err)
+	}
+	err = run([]string{"-selftest", jobFile(t, `"Selector":"oort"`)}, &out, &errBuf, make(chan os.Signal))
+	if err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("unknown job-file field not rejected: %v", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("selftest ran before validation:\n%s", out.String())
 	}
 }
 
-// TestSelftestRunsAlternateSelector smokes the -selector flag end to end:
-// the selftest must thread the strategy through the public config and name
-// it in its banner.
+// TestSelftestRunsAlternateSelector smokes a job file's Strategy end to end:
+// the selftest must run the strategy the file names and name it in its
+// banner.
 func TestSelftestRunsAlternateSelector(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-selftest", "-seed", "3", "-selector", "loss-prop"}, &out, &errBuf, make(chan os.Signal)); err != nil {
+	if err := run([]string{"-selftest", jobFile(t, `"Strategy":"loss-prop"`)}, &out, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
 	o := out.String()
@@ -385,7 +430,7 @@ func TestSelftestReportsTimeToAccuracy(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
 	stop := make(chan os.Signal)
-	if err := run([]string{"-selftest", "-seed", "3"}, &out, &errBuf, stop); err != nil {
+	if err := run([]string{"-selftest", jobFile(t, "")}, &out, &errBuf, stop); err != nil {
 		t.Fatal(err)
 	}
 	o := out.String()
@@ -397,14 +442,25 @@ func TestSelftestReportsTimeToAccuracy(t *testing.T) {
 	if strings.Contains(o, "simulated job time:  0s") {
 		t.Fatalf("selftest accumulated no simulated time:\n%s", o)
 	}
+	// No job file runs the built-in job: the same job at seed 1.
+	var builtin, same bytes.Buffer
+	if err := run([]string{"-selftest"}, &builtin, &errBuf, stop); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-selftest", jobFile(t, `"Seed":1`)}, &same, &errBuf, stop); err != nil {
+		t.Fatal(err)
+	}
+	if builtin.String() != same.String() {
+		t.Fatalf("bare -selftest differs from its built-in job written out as a file:\n%s\nvs\n%s", builtin.String(), same.String())
+	}
 }
 
-// TestSelftestRunsRobustFold smokes the -fold flag end to end: the selftest
-// must thread the fold through the public config and say so in its banner.
+// TestSelftestRunsRobustFold smokes a job file's Fold end to end: the selftest
+// must run the fold the file names and say so in its banner.
 func TestSelftestRunsRobustFold(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-selftest", "-seed", "3", "-fold", "median"}, &out, &errBuf, make(chan os.Signal)); err != nil {
+	if err := run([]string{"-selftest", jobFile(t, `"Fold":"median"`)}, &out, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
 	o := out.String()
@@ -418,18 +474,18 @@ func TestSelftestRunsRobustFold(t *testing.T) {
 
 // TestSelftestIsShardInvariant pins the public-stack half of the sharded
 // byte-exactness contract: the selftest report — accuracies, clocks,
-// rounds-to-target — must be identical at any -shards value.
+// rounds-to-target — must be identical at any Shards value.
 func TestSelftestIsShardInvariant(t *testing.T) {
 	t.Parallel()
 	var base, sharded, errBuf bytes.Buffer
-	if err := run([]string{"-selftest", "-seed", "3"}, &base, &errBuf, make(chan os.Signal)); err != nil {
+	if err := run([]string{"-selftest", jobFile(t, "")}, &base, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-selftest", "-seed", "3", "-shards", "5"}, &sharded, &errBuf, make(chan os.Signal)); err != nil {
+	if err := run([]string{"-selftest", jobFile(t, `"Shards":5`)}, &sharded, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
 	if base.String() != sharded.String() {
-		t.Fatalf("selftest output moved under -shards 5:\n%s\nvs\n%s", base.String(), sharded.String())
+		t.Fatalf("selftest output moved under Shards 5:\n%s\nvs\n%s", base.String(), sharded.String())
 	}
 }
 
@@ -440,10 +496,11 @@ func TestSelftestIsShardInvariant(t *testing.T) {
 func TestSelftestParallelismIsResultInvariant(t *testing.T) {
 	t.Parallel()
 	var base, capped, errBuf bytes.Buffer
-	if err := run([]string{"-selftest", "-seed", "3"}, &base, &errBuf, make(chan os.Signal)); err != nil {
+	job := jobFile(t, "")
+	if err := run([]string{"-selftest", job}, &base, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-selftest", "-seed", "3", "-parallel", "2"}, &capped, &errBuf, make(chan os.Signal)); err != nil {
+	if err := run([]string{"-selftest", "-parallel", "2", job}, &capped, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
 	if base.String() != capped.String() {
@@ -451,13 +508,13 @@ func TestSelftestParallelismIsResultInvariant(t *testing.T) {
 	}
 }
 
-// TestSelftestRunsMasked smokes the secure-aggregation flags end to end: the
-// selftest must thread masking through the public config, say so in its
-// banner, and report the abort counter.
+// TestSelftestRunsMasked smokes a masked job file end to end: the selftest
+// must run the secure-aggregation middleware, say so in its banner, and
+// report the abort counter.
 func TestSelftestRunsMasked(t *testing.T) {
 	t.Parallel()
 	var out, errBuf bytes.Buffer
-	if err := run([]string{"-selftest", "-seed", "3", "-mask", "-share-threshold", "2"}, &out, &errBuf, make(chan os.Signal)); err != nil {
+	if err := run([]string{"-selftest", jobFile(t, `"Mask":true,"ShareThreshold":2`)}, &out, &errBuf, make(chan os.Signal)); err != nil {
 		t.Fatal(err)
 	}
 	o := out.String()
@@ -473,8 +530,11 @@ func TestSelftestRunsMasked(t *testing.T) {
 	// An invalid privacy combination fails fast through the same validation
 	// the job server uses.
 	var bad bytes.Buffer
-	err := run([]string{"-selftest", "-mask", "-fold", "median"}, &bad, &errBuf, make(chan os.Signal))
+	err := run([]string{"-selftest", jobFile(t, `"Mask":true,"Fold":"median"`)}, &bad, &errBuf, make(chan os.Signal))
 	if err == nil || !strings.Contains(err.Error(), "mask") {
 		t.Fatalf("err = %v, want masking-over-robust-fold rejection", err)
+	}
+	if bad.Len() != 0 {
+		t.Fatalf("selftest ran before validation:\n%s", bad.String())
 	}
 }

@@ -1,6 +1,7 @@
 package flips
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -11,18 +12,24 @@ import (
 )
 
 // DistWorkerBuilder returns the dist.Builder a flipsd shard-worker process
-// serves jobs with: the job spec is the coordinator's SimulationConfig JSON,
-// and the worker rebuilds exactly the coordinator's fleet from it —
-// experiment.Build is deterministic in (setting, scale) — then keeps only its
-// assigned [lo, hi) party range. The slice is copied onto a fresh backing
+// serves jobs with: the job spec is the SimulationConfig JSON of one repeat
+// (DistRunner.Run), decoded and validated like any other submission — a spec
+// the job server would have refused draws an error frame, not a build — and
+// the worker rebuilds exactly the coordinator's fleet from it
+// (experiment.Build is deterministic in (setting, scale)), then keeps only
+// its assigned [lo, hi) party range. The slice is copied onto a fresh backing
 // array so the rest of the fleet is collectable.
 func DistWorkerBuilder() dist.Builder {
 	return func(spec []byte, lo, hi int) (dist.JobSetup, error) {
-		var cfg SimulationConfig
-		if err := json.Unmarshal(spec, &cfg); err != nil {
-			return dist.JobSetup{}, fmt.Errorf("flips: decode job spec: %w", err)
+		cfg, err := DecodeSimulationConfig(bytes.NewReader(spec))
+		if err != nil {
+			return dist.JobSetup{}, err
 		}
-		built, _, err := distBuild(cfg)
+		setting, scale, err := cfg.resolve()
+		if err != nil {
+			return dist.JobSetup{}, err
+		}
+		built, err := experiment.Build(setting, scale)
 		if err != nil {
 			return dist.JobSetup{}, err
 		}
@@ -34,24 +41,6 @@ func DistWorkerBuilder() dist.Builder {
 			Factory: built.Config.Factory,
 		}, nil
 	}
-}
-
-// distBuild is the shared coordinator/worker build path for distributed jobs:
-// resolve the config and build the fleet with repeats pinned to one. The
-// repeat loop re-seeds per repeat, so a multi-repeat distributed job would
-// hand workers a fleet built from the wrong seed; a distributed run is always
-// a single repeat of the exact spec both sides share.
-func distBuild(cfg SimulationConfig) (*experiment.BuildResult, experiment.Scale, error) {
-	setting, scale, err := cfg.resolve()
-	if err != nil {
-		return nil, experiment.Scale{}, err
-	}
-	scale.Repeats = 1
-	built, err := experiment.Build(setting, scale)
-	if err != nil {
-		return nil, experiment.Scale{}, err
-	}
-	return built, scale, nil
 }
 
 // DistRunner runs simulation jobs with local training distributed across the
@@ -83,38 +72,35 @@ type distJob struct {
 // job still sees its per-worker series.
 const retainedJobStats = 4
 
-// Run executes one job over the worker fleet. The party space is split into
-// Workers contiguous shard ranges, each assigned to a claimed worker; the
-// coordinator keeps every other stage of the round — device simulation,
-// chaos, privacy, folds, server optimization, evaluation — so the result is
-// byte-identical to the in-process engine at any worker count.
+// Run executes one job over the worker fleet: the in-process run path with
+// every repeat's local training attached to its own dist.Job. Each repeat's
+// party space is split into Workers contiguous shard ranges, each assigned to
+// a claimed worker along with the job description carrying that repeat's
+// seed; the coordinator keeps every other stage of the round — device
+// simulation, chaos, privacy, folds, server optimization, evaluation — and the
+// across-repeat reduction, so the result is byte-identical to the in-process
+// engine at any worker count.
 func (r *DistRunner) Run(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
 	if r.Coord == nil || r.Workers <= 0 {
 		return nil, fmt.Errorf("flips: distributed runner needs a coordinator and a positive worker count")
 	}
-	built, scale, err := distBuild(cfg)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := json.Marshal(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("flips: encode job spec: %w", err)
-	}
-	job, err := dist.NewJob(r.Coord, spec, scale.Parties, r.Workers)
-	if err != nil {
-		return nil, err
-	}
-	defer job.Close()
-	handle := r.track(job)
-	defer r.untrack(handle)
-
-	built.Config.Transport = job
-	built.Config.OnRound = roundHook(onRound)
-	res, err := fl.Run(built.Config)
-	if err != nil {
-		return nil, err
-	}
-	return newSimulationResult(res, built.Config.TargetAccuracy, len(built.Clusters)), nil
+	return runSimulation(cfg, onRound, func(built *experiment.BuildResult) (fl.ShardTransport, func(), error) {
+		repeat := cfg
+		repeat.Seed = built.Config.Seed
+		spec, err := json.Marshal(repeat)
+		if err != nil {
+			return nil, nil, fmt.Errorf("flips: encode job spec: %w", err)
+		}
+		job, err := dist.NewJob(r.Coord, spec, len(built.Parties), r.Workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		handle := r.track(job)
+		return job, func() {
+			r.untrack(handle)
+			job.Close()
+		}, nil
+	})
 }
 
 // WorkerStats snapshots every active job's shard slots, tagged with a stable

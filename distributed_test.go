@@ -2,6 +2,7 @@ package flips
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +108,67 @@ func TestDistRunnerMatchesInProcess(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDistRunnerAveragesRepeatsLikeInProcess pins the one run path on a
+// PaperScale-shaped job: six repeats, each with its own seed. The headline
+// numbers are across-seed means, so a distributed run that executed a single
+// repeat — or handed its workers a fleet built from the wrong seed — returns
+// a different result. The label-flip variant poisons party data at build
+// time from the chaos seed, which a repeat re-seeds too, so it also checks
+// that every worker rebuilt every repeat's poisoned fleet.
+func TestDistRunnerAveragesRepeatsLikeInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six PaperScale-sized fleets per run")
+	}
+	r := startRunner(t, 2)
+	for name, cfg := range map[string]SimulationConfig{
+		"plain":      {Dataset: "mit-bih-ecg", Strategy: "random", PaperScale: true, Parties: 12, Rounds: 4, Seed: 5},
+		"label-flip": {Dataset: "mit-bih-ecg", Strategy: "random", PaperScale: true, Parties: 12, Rounds: 4, Seed: 5, FaultModel: "label-flip", FaultFraction: 0.5},
+	} {
+		want, err := RunSimulation(cfg)
+		if err != nil {
+			t.Fatalf("%s: in-process run: %v", name, err)
+		}
+		firstPeak := 0.0
+		for _, p := range want.History {
+			firstPeak = math.Max(firstPeak, p.Accuracy)
+		}
+		if sameBits(firstPeak, want.PeakAccuracy) {
+			t.Fatalf("%s: the six-seed mean equals the first seed's peak; the job cannot tell one repeat from six", name)
+		}
+		got, err := r.Run(cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: distributed run: %v", name, err)
+		}
+		requireSameResult(t, name, want, got)
+		if !sameBits(want.TimeToTarget, got.TimeToTarget) {
+			t.Fatalf("%s: time to target %v, want %v", name, got.TimeToTarget, want.TimeToTarget)
+		}
+	}
+	if stats := r.WorkerStats(); len(stats) != retainedJobStats {
+		t.Fatalf("worker stats retained %d jobs, want %d of the 12 repeats", len(stats), retainedJobStats)
+	}
+}
+
+// TestDistWorkerBuilderRefusesWhatTheServerRefuses assigns a worker specs
+// POST /jobs would answer with 400. The worker must decode them with the same
+// strict decoder and answer with an error frame instead of building a fleet.
+func TestDistWorkerBuilderRefusesWhatTheServerRefuses(t *testing.T) {
+	for name, tc := range map[string]struct{ spec, want string }{
+		"unknown field": {`{"Dataset":"mit-bih-ecg","Carburetor":true}`, "unknown field"},
+		"invalid":       {`{"Dataset":"mit-bih-ecg","Mask":true,"Fold":"median"}`, "mask"},
+		"not json":      {`{not json`, "malformed job config"},
+	} {
+		r := startRunner(t, 1)
+		_, err := dist.NewJob(r.Coord, []byte(tc.spec), 8, 1)
+		if err == nil || !strings.Contains(err.Error(), "peer error") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewJob error %v, want the worker's error frame mentioning %q", name, err, tc.want)
+		}
+	}
+	if _, err := DistWorkerBuilder()([]byte(`{"Dataset":"mit-bih-ecg","Parties":8,"Rounds":1}`), 0, 8); err != nil {
+		t.Fatalf("valid spec refused: %v", err)
 	}
 }
 

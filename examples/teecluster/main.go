@@ -26,7 +26,7 @@ func main() {
 
 func run() error {
 	// --- Aggregator side: boot the enclave and serve it over TCP. ---
-	code := tee.ClusteringCode{Version: "flips-kmeans-v1", MaxK: 10, Repeats: 10}
+	code := tee.ClusteringCode{Version: tee.CodeVersion, MaxK: 10, Repeats: 10}
 	hwPub, hwPriv, err := tee.GenerateHardwareKey()
 	if err != nil {
 		return err
@@ -59,19 +59,18 @@ func run() error {
 		{1, 2, 3, 90, 80}, // labels 3 and 4
 	}
 	const parties = 30
-	for id := 0; id < parties; id++ {
-		remote, err := tee.DialEnclave(addr)
-		if err != nil {
-			return err
-		}
-		client := tee.NewPartyClient(id, attest)
-		if err := client.Handshake(remote); err != nil {
-			return fmt.Errorf("party %d attestation: %w", id, err)
-		}
-		if err := client.SubmitLabelDistribution(remote, groups[id%3]); err != nil {
-			return fmt.Errorf("party %d submit: %w", id, err)
-		}
-		remote.Close()
+	dists := make([]tensor.Vec, parties)
+	for id := range dists {
+		dists[id] = groups[id%3]
+	}
+	remote, err := tee.DialEnclave(addr)
+	if err != nil {
+		return err
+	}
+	err = tee.SubmitAll(remote, attest, dists)
+	remote.Close()
+	if err != nil {
+		return err
 	}
 	fmt.Printf("parties: %d label distributions submitted over encrypted channels\n", parties)
 

@@ -40,6 +40,23 @@ type MiddlewareOptions struct {
 	Seed uint64
 }
 
+// toVecs copies the caller's label distributions.
+func toVecs(labelDists [][]float64) []tensor.Vec {
+	lds := make([]tensor.Vec, len(labelDists))
+	for i, d := range labelDists {
+		lds[i] = append(tensor.Vec(nil), d...)
+	}
+	return lds
+}
+
+// maxK resolves the sweep bound for n parties.
+func (o MiddlewareOptions) maxK(n int) int {
+	if o.MaxK > 0 {
+		return o.MaxK
+	}
+	return core.DefaultMaxK(n)
+}
+
 // Middleware is the FLIPS participant-selection middleware: it clusters
 // parties by label distribution once, then serves equitable, straggler-aware
 // selections for every FL round (Algorithm 1 of the paper).
@@ -60,18 +77,8 @@ func NewMiddleware(labelDists [][]float64, opts MiddlewareOptions) (*Middleware,
 	if len(labelDists) == 0 {
 		return nil, fmt.Errorf("flips: no label distributions")
 	}
-	lds := make([]tensor.Vec, len(labelDists))
-	for i, d := range labelDists {
-		lds[i] = append(tensor.Vec(nil), d...)
-	}
-	maxK := opts.MaxK
-	if maxK <= 0 {
-		maxK = len(lds) / 4
-		if maxK < 2 {
-			maxK = 2
-		}
-	}
-	clusters, err := core.ClusterLabelDistributions(lds, maxK, opts.Repeats, rng.New(opts.Seed))
+	lds := toVecs(labelDists)
+	clusters, err := core.ClusterLabelDistributions(lds, opts.maxK(len(lds)), opts.Repeats, rng.New(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -91,18 +98,12 @@ func NewPrivateMiddleware(labelDists [][]float64, opts MiddlewareOptions) (*Midd
 	if len(labelDists) == 0 {
 		return nil, fmt.Errorf("flips: no label distributions")
 	}
-	maxK := opts.MaxK
-	if maxK <= 0 {
-		maxK = len(labelDists) / 4
-		if maxK < 2 {
-			maxK = 2
-		}
-	}
+	lds := toVecs(labelDists)
 	repeats := opts.Repeats
 	if repeats <= 0 {
 		repeats = 20
 	}
-	code := tee.ClusteringCode{Version: "flips-kmeans-v1", MaxK: maxK, Repeats: repeats}
+	code := tee.ClusteringCode{Version: tee.CodeVersion, MaxK: opts.maxK(len(lds)), Repeats: repeats}
 	hwPub, hwPriv, err := tee.GenerateHardwareKey()
 	if err != nil {
 		return nil, err
@@ -115,14 +116,8 @@ func NewPrivateMiddleware(labelDists [][]float64, opts MiddlewareOptions) (*Midd
 	if err != nil {
 		return nil, err
 	}
-	for partyID, ld := range labelDists {
-		client := tee.NewPartyClient(partyID, attest)
-		if err := client.Handshake(enclave); err != nil {
-			return nil, fmt.Errorf("party %d: %w", partyID, err)
-		}
-		if err := client.SubmitLabelDistribution(enclave, append(tensor.Vec(nil), ld...)); err != nil {
-			return nil, fmt.Errorf("party %d: %w", partyID, err)
-		}
+	if err := tee.SubmitAll(enclave, attest, lds); err != nil {
+		return nil, err
 	}
 	if err := enclave.Cluster(opts.Seed); err != nil {
 		return nil, err

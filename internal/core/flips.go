@@ -277,6 +277,10 @@ func (s *Selector) PickCounts() map[int]int {
 	return out
 }
 
+// DefaultMaxK is the Davies-Bouldin sweep bound when none is configured: a
+// quarter of the parties, at least 2.
+func DefaultMaxK(parties int) int { return max(parties/4, 2) }
+
 // ClusterLabelDistributions builds the FLIPS clustering (paper §3.1): it
 // finds the optimal k on the Davies-Bouldin elbow and K-Means-partitions the
 // normalized label distributions, returning per-cluster party-ID lists.

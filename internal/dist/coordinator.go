@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -46,9 +45,19 @@ type workerConn struct {
 	enc   buf
 }
 
-// roundTrip sends one request frame and reads its response. The response
-// payload aliases the codec's receive buffer — decode before the next call.
+// frameTimeout bounds one request/response exchange with a worker — the
+// slowest being an assignment, whose answer waits for the worker to build its
+// fleet. A worker that stays silent past it is treated like one whose
+// connection broke. A variable only so the tests can shorten it.
+var frameTimeout = 2 * time.Minute
+
+// roundTrip sends one request frame and reads its response, both under one
+// frameTimeout deadline. The response payload aliases the codec's receive
+// buffer — decode before the next call.
 func (w *workerConn) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
+	if err := w.conn.SetDeadline(time.Now().Add(frameTimeout)); err != nil {
+		return 0, nil, err
+	}
 	if err := w.codec.Send(typ, payload); err != nil {
 		return 0, nil, err
 	}
@@ -300,8 +309,13 @@ type WorkerStat struct {
 	Connected bool
 	Waves     uint64 // waves this slot completed
 	LagWaves  uint64 // dispatch waves the slot is behind the job's cursor
-	BytesIn   int64
-	BytesOut  int64
+	// BytesIn/BytesOut are the running totals of every connection that has
+	// served the slot, frames of the jobs those connections carried earlier
+	// included: benchmark/layers.go subtracts the previous job's snapshot
+	// from them, and that directory is frozen. JobBytesIn/JobBytesOut count
+	// this job's frames only and are what /metrics shows.
+	BytesIn, BytesOut       int64
+	JobBytesIn, JobBytesOut int64
 }
 
 // slot is one shard-worker seat of a job: a contiguous party range, the
@@ -316,18 +330,20 @@ type slot struct {
 	syncedVersion uint64 // unsyncedVersion until params streamed
 	waves         uint64
 	// Byte counters accumulated from detached workers; live counters come
-	// from the attached codec.
+	// from the attached codec. A codec counts for its connection's life, so
+	// prior* sums what each worker seated here had already moved for earlier
+	// jobs when it was assigned.
 	accumIn, accumOut int64
+	priorIn, priorOut int64
 
 	// Per-wave scratch, reused across waves (owned by the slot goroutine).
 	idxs []int
 	enc  buf
 }
 
-// Job attaches a worker fleet to one FL run. It implements fl.ShardTransport
-// (training waves cross the wire) and fl.RoundObserver (round stats are
-// broadcast to workers). A Job is driven by the engine's single goroutine;
-// its own concurrency is the per-slot fan-out inside TrainWave.
+// Job attaches a worker fleet to one FL run. It implements fl.ShardTransport:
+// training waves cross the wire. A Job is driven by the engine's single
+// goroutine; its own concurrency is the per-slot fan-out inside TrainWave.
 type Job struct {
 	c       *Coordinator
 	id      uint64
@@ -340,10 +356,7 @@ type Job struct {
 	waveSeq uint64
 }
 
-var (
-	_ fl.ShardTransport = (*Job)(nil)
-	_ fl.RoundObserver  = (*Job)(nil)
-)
+var _ fl.ShardTransport = (*Job)(nil)
 
 // NewJob claims `workers` registered workers, partitions the contiguous
 // party-ID space [0, parties) into that many shard ranges, and streams the
@@ -403,6 +416,7 @@ func (j *Job) assign(s *slot, w *workerConn) error {
 	s.enc.u32(uint32(s.hi))
 	s.enc.u32(uint32(len(j.spec)))
 	s.enc.raw(j.spec)
+	priorIn, priorOut := w.codec.BytesIn(), w.codec.BytesOut()
 	typ, payload, err := w.roundTrip(ftAssignShards, s.enc.bytes())
 	if err != nil {
 		return fmt.Errorf("dist: assign shard %d: %w", s.idx, err)
@@ -413,6 +427,8 @@ func (j *Job) assign(s *slot, w *workerConn) error {
 	s.mu.Lock()
 	s.w = w
 	s.syncedVersion = unsyncedVersion
+	s.priorIn += priorIn
+	s.priorOut += priorOut
 	s.mu.Unlock()
 	return nil
 }
@@ -661,34 +677,10 @@ func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispa
 	return nil
 }
 
-// ObserveRound implements fl.RoundObserver: broadcast the round's stats to
-// every attached worker. A worker failing the broadcast is detached (its
-// slot replays onto a replacement at the next wave); the round itself never
-// fails on observability.
-func (j *Job) ObserveRound(stats fl.RoundStats) {
-	body, err := json.Marshal(stats)
-	if err != nil {
-		return
-	}
-	for _, s := range j.slots {
-		s.mu.Lock()
-		w := s.w
-		s.mu.Unlock()
-		if w == nil {
-			continue
-		}
-		s.enc.reset()
-		s.enc.u64(j.id)
-		s.enc.raw(body)
-		typ, payload, err := w.roundTrip(ftRoundStats, s.enc.bytes())
-		if err == nil {
-			err = expect(ftRoundStatsAck, typ, payload)
-		}
-		if err != nil {
-			j.dropWorker(s, w, fmt.Errorf("round-stats broadcast: %w", err))
-		}
-	}
-}
+// ObserveRound does nothing. The per-round stats broadcast it used to send
+// had no consumer on the worker side; the method stays only because
+// benchmark/trace.go forwards to it and that directory is frozen.
+func (j *Job) ObserveRound(fl.RoundStats) {}
 
 // Stats snapshots per-slot worker observability for /metrics.
 func (j *Job) Stats() []WorkerStat {
@@ -713,6 +705,7 @@ func (j *Job) Stats() []WorkerStat {
 			st.BytesIn += s.w.codec.BytesIn()
 			st.BytesOut += s.w.codec.BytesOut()
 		}
+		st.JobBytesIn, st.JobBytesOut = st.BytesIn-s.priorIn, st.BytesOut-s.priorOut
 		if wave > s.waves {
 			st.LagWaves = wave - s.waves
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,16 +252,91 @@ func TestWorkerKillMidWaveReplaysByteIdentical(t *testing.T) {
 	job.Close()
 }
 
-// TestRoundStatsReachWorkers verifies the per-round stats broadcast lands on
-// the worker-side observability hook.
-func TestRoundStatsReachWorkers(t *testing.T) {
+// TestStatsCountOnlyThisJobsBytes runs the same job twice over one worker
+// connection. The codec's byte counters run for the connection's life; a
+// slot's JobBytes must report only what its job moved, so the second job's
+// equal the first's instead of starting from them.
+func TestStatsCountOnlyThisJobsBytes(t *testing.T) {
 	spec := mustGoldenSpec(t)
-	var seen atomic.Int64
 	coord, addr := startCoordinator(t)
-	startWorker(t, addr, WorkerOptions{
-		Builder: goldenBuilder,
-		OnStats: func(fl.RoundStats) { seen.Add(1) },
-	})
+	startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	if err := coord.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var runs [2]WorkerStat
+	for i := range runs {
+		job, err := NewJob(coord, spec, 12, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := fl.GoldenLegacyConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Transport = job
+		if _, err := fl.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = job.Stats()[0]
+		job.Close()
+	}
+	if runs[0].JobBytesIn == 0 || runs[0].JobBytesOut == 0 {
+		t.Fatalf("first job moved no bytes: %+v", runs[0])
+	}
+	if runs[1].JobBytesIn != runs[0].JobBytesIn || runs[1].JobBytesOut != runs[0].JobBytesOut {
+		t.Fatalf("second job on the same connection reports in=%d out=%d, want the first job's in=%d out=%d",
+			runs[1].JobBytesIn, runs[1].JobBytesOut, runs[0].JobBytesIn, runs[0].JobBytesOut)
+	}
+	if got := runs[1].BytesIn - runs[0].BytesIn; got != runs[1].JobBytesIn {
+		t.Fatalf("connection total grew by %d over the second job, which reports %d", got, runs[1].JobBytesIn)
+	}
+}
+
+// TestSilentWorkerIsReplacedAfterFrameTimeout scripts a hostile peer: it
+// registers, accepts its shard assignment, then never answers again while
+// keeping its socket open. The first wave must time out, drop it and replay
+// onto a real worker, bit-equal to the in-process run — not hang.
+func TestSilentWorkerIsReplacedAfterFrameTimeout(t *testing.T) {
+	old := frameTimeout
+	frameTimeout = time.Second
+	t.Cleanup(func() { frameTimeout = old })
+
+	spec := mustGoldenSpec(t)
+	baseCfg, err := fl.GoldenLegacyConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := fl.Run(baseCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord, addr := startCoordinator(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	peer := wire.NewCodec(conn, Version)
+	if err := peer.Send(ftHello, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := peer.Recv(); err != nil || typ != ftHelloAck {
+		t.Fatalf("hello: type %d err %v", typ, err)
+	}
+	assigned := make(chan error, 1)
+	go func() {
+		typ, payload, err := peer.Recv()
+		if err == nil && typ != ftAssignShards {
+			err = fmt.Errorf("frame type %d, want assign-shards", typ)
+		}
+		if err == nil {
+			err = peer.Send(ftAssignAck, payload[:8]) // the job ID
+		}
+		assigned <- err
+		// Silent from here on; the deferred conn.Close ends the script.
+	}()
+
 	if err := coord.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -271,17 +345,36 @@ func TestRoundStatsReachWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer job.Close()
+	if err := <-assigned; err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+
 	cfg, err := fl.GoldenLegacyConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Transport = job
-	res, err := fl.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		res *fl.Result
+		err error
 	}
-	if got := seen.Load(); got != int64(len(res.History)) {
-		t.Fatalf("worker observed %d round-stats broadcasts, want %d", got, len(res.History))
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := fl.Run(cfg)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		requireIdenticalResults(t, "silent worker replaced", base, o.res)
+	case <-time.After(30 * time.Second):
+		t.Fatal("job hung on a worker that stopped answering")
+	}
+	if st := job.Stats()[0]; !st.Connected || st.LagWaves != 0 {
+		t.Fatalf("slot not recovered: %+v", st)
 	}
 }
 
@@ -359,19 +452,19 @@ func TestDispatchBeforeCheckpointFails(t *testing.T) {
 		jobs: make(map[uint64]*workerJob),
 	}
 	var e buf
-	e.u64(9)            // job ID
-	e.u32(0)            // lo
-	e.u32(4)            // hi
-	e.u32(0)            // spec length
+	e.u64(9) // job ID
+	e.u32(0) // lo
+	e.u32(4) // hi
+	e.u32(0) // spec length
 	typ, _, err := w.assign(e.bytes())
 	if err != nil || typ != ftAssignAck {
 		t.Fatalf("assign: type %d err %v", typ, err)
 	}
 
 	e.reset()
-	e.u64(9)  // job
-	e.u64(1)  // wave
-	e.u64(0)  // version the worker never received
+	e.u64(9) // job
+	e.u64(1) // wave
+	e.u64(0) // version the worker never received
 	e.f64(0.05)
 	e.u32(16)
 	e.u32(1)

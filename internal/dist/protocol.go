@@ -25,8 +25,9 @@ import (
 
 // Version is the dist protocol's wire version byte. It is distinct from the
 // TEE protocol's version so a worker dialed at the wrong port fails with an
-// explicit version error instead of undefined framing.
-const Version byte = 2
+// explicit version error instead of undefined framing. Version 3 dropped the
+// per-round stats broadcast (frame types 7 and 8 of version 2).
+const Version byte = 3
 
 // Frame types. Every coordinator→worker frame draws exactly one response
 // frame (strict request/response), so each side always knows whether it is
@@ -38,13 +39,11 @@ const (
 	ftAssignAck     byte = 4  // worker→coord
 	ftDispatchWave  byte = 5  // coord→worker: one training wave
 	ftPartialFold   byte = 6  // worker→coord: the wave's local results
-	ftRoundStats    byte = 7  // coord→worker: per-round stats broadcast
-	ftRoundStatsAck byte = 8  // worker→coord
-	ftCheckpoint    byte = 9  // coord→worker: one chunk of global parameters
-	ftCheckpointAck byte = 10 // worker→coord
-	ftShutdown      byte = 11 // coord→worker: drain and exit
-	ftShutdownAck   byte = 12 // worker→coord
-	ftError         byte = 13 // either: string payload answering a request
+	ftCheckpoint    byte = 7  // coord→worker: one chunk of global parameters
+	ftCheckpointAck byte = 8  // worker→coord
+	ftShutdown      byte = 9  // coord→worker: drain and exit
+	ftShutdownAck   byte = 10 // worker→coord
+	ftError         byte = 11 // either: string payload answering a request
 )
 
 // checkpointChunkFloats bounds one parameter-sync chunk. 64Ki float64s is
@@ -58,13 +57,13 @@ const checkpointChunkFloats = 64 * 1024
 // as IEEE-754 bit patterns so values round-trip bit-exactly.
 type buf struct{ b []byte }
 
-func (e *buf) reset()          { e.b = e.b[:0] }
-func (e *buf) bytes() []byte   { return e.b }
-func (e *buf) u32(v uint32)    { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *buf) u64(v uint64)    { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *buf) f64(v float64)   { e.u64(math.Float64bits(v)) }
-func (e *buf) raw(p []byte)    { e.b = append(e.b, p...) }
-func (e *buf) str(s string)    { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
+func (e *buf) reset()        { e.b = e.b[:0] }
+func (e *buf) bytes() []byte { return e.b }
+func (e *buf) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *buf) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *buf) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *buf) raw(p []byte)  { e.b = append(e.b, p...) }
+func (e *buf) str(s string)  { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
 
 // reader is the matching decoder. The first malformed read poisons it; the
 // caller checks err once after decoding a whole payload instead of after

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -37,9 +36,6 @@ type WorkerOptions struct {
 	// GOMAXPROCS. Any width produces bit-identical results (the same
 	// index-addressed deposit argument as the in-process engine).
 	Parallelism int
-	// OnStats, when non-nil, receives every round-stats broadcast the
-	// coordinator pushes — the worker-side observability hook.
-	OnStats func(fl.RoundStats)
 }
 
 // maxRetainedJobs bounds the per-connection job cache: a long-lived worker
@@ -81,8 +77,8 @@ func RunWorker(addr string, opt WorkerOptions) error {
 }
 
 // ServeConn runs the worker protocol over an established connection: it
-// registers with a hello frame, then answers assign-shards, checkpoint,
-// dispatch-wave and round-stats requests until shutdown or error.
+// registers with a hello frame, then answers assign-shards, checkpoint and
+// dispatch-wave requests until shutdown or error.
 func ServeConn(conn net.Conn, opt WorkerOptions) error {
 	if opt.Builder == nil {
 		return fmt.Errorf("dist worker: nil builder")
@@ -114,8 +110,6 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 			respType, resp, err = w.checkpoint(payload)
 		case ftDispatchWave:
 			respType, resp, err = w.dispatch(payload)
-		case ftRoundStats:
-			respType, resp, err = w.roundStats(payload)
 		case ftShutdown:
 			_ = codec.Send(ftShutdownAck, nil)
 			wire.Drain(conn, 250*time.Millisecond)
@@ -340,24 +334,4 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 		}
 	}
 	return ftPartialFold, w.enc.bytes(), nil
-}
-
-// roundStats handles the coordinator's per-round stats broadcast.
-func (w *workerState) roundStats(payload []byte) (byte, []byte, error) {
-	r := reader{b: payload}
-	jobID := r.u64()
-	body := r.bytes(len(payload) - r.off)
-	if err := r.done(); err != nil {
-		return 0, nil, err
-	}
-	if w.opt.OnStats != nil {
-		var stats fl.RoundStats
-		if err := json.Unmarshal(body, &stats); err != nil {
-			return 0, nil, fmt.Errorf("round stats: %w", err)
-		}
-		w.opt.OnStats(stats)
-	}
-	w.enc.reset()
-	w.enc.u64(jobID)
-	return ftRoundStatsAck, w.enc.bytes(), nil
 }

@@ -49,7 +49,7 @@ func TestRunSettingAsyncModes(t *testing.T) {
 			Aggregation: tc.aggregation, Deadline: tc.deadline,
 			TargetAccuracy: 0.99, Seed: 5,
 		}
-		res, err := RunSetting(s, tinyScale())
+		res, err := runSetting(s, tinyScale())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.aggregation, err)
 		}

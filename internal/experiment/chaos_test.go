@@ -127,7 +127,7 @@ func TestByzantineRobustFoldAcceptance(t *testing.T) {
 			TargetAccuracy: target,
 			Seed:           11,
 		}
-		res, err := RunSetting(s, scale)
+		res, err := runSetting(s, scale)
 		if err != nil {
 			t.Fatal(err)
 		}

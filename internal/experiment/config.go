@@ -532,34 +532,33 @@ func buildAlgorithm(name string, sgd model.SGDConfig) (fl.ServerOptimizer, model
 	}
 }
 
-// RunSetting builds and executes one cell, averaging scale.Repeats seeds.
-// The returned result is the first seed's run with PeakAccuracy and
-// RoundsToTarget replaced by across-seed means (the paper reports 6-run
-// averages). Repeats run concurrently, and scale.Parallelism is a total
+// Attach hands one repeat's built job to an external training transport — a
+// dist.Job whose workers rebuild the same fleet from built.Config.Seed — and
+// returns the release to call once that repeat has run.
+type Attach func(built *BuildResult) (transport fl.ShardTransport, release func(), err error)
+
+// RunSettingClusters builds and executes one cell, averaging scale.Repeats
+// seeds: the package's only repeat loop and across-seed reduction. The
+// returned result is the first seed's run with PeakAccuracy, SimTime,
+// RoundsToTarget and TimeToTarget replaced by across-seed means (the paper
+// reports 6-run averages), alongside the first repeat's party clusters
+// (BuildResult.Clusters: nil unless the strategy clusters). A repeat re-seeds
+// everything the job seeds — the data, and the chaos scenario if there is one
+// — by the same offset, so a worker handed the repeat's seed rebuilds the
+// repeat's fleet. Repeats run concurrently, and scale.Parallelism is a total
 // budget divided between the repeat fan-out and each run's training workers
 // (repeat-width × training-width ≤ budget), so nested pools never multiply
-// past the requested concurrency. The across-seed reduction always folds in
-// repeat order, so the averages are bit-identical at every width.
-func RunSetting(setting Setting, scale Scale) (*fl.Result, error) {
-	return RunSettingStream(setting, scale, nil)
-}
-
-// RunSettingStream is RunSetting with a per-round streaming hook: onRound,
-// when non-nil, receives every evaluated RoundStats of the *first* repeat as
-// it happens (later repeats re-run the same cell under different seeds only
-// to average the headline numbers, so streaming them would interleave
-// unrelated trajectories). The hook runs on the first repeat's engine
-// goroutine; see fl.Config.OnRound for its retention contract.
-func RunSettingStream(setting Setting, scale Scale, onRound func(fl.RoundStats)) (*fl.Result, error) {
-	res, _, err := RunSettingClusters(setting, scale, onRound)
-	return res, err
-}
-
-// RunSettingClusters is RunSettingStream that also returns the first repeat's
-// party clusters (BuildResult.Clusters: nil unless the strategy clusters), so
-// a caller reporting the cluster count does not build the fleet a second time
-// to learn it.
-func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats)) (*fl.Result, [][]int, error) {
+// past the requested concurrency. The reduction always folds in repeat order,
+// so the averages are bit-identical at every width.
+//
+// onRound, when non-nil, receives every evaluated RoundStats of the *first*
+// repeat as it happens (later repeats re-run the same cell under different
+// seeds only to average the headline numbers, so streaming them would
+// interleave unrelated trajectories). The hook runs on the first repeat's
+// engine goroutine; see fl.Config.OnRound for its retention contract.
+// attach, when non-nil, routes every repeat's local training through the
+// transport it returns.
+func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats), attach Attach) (*fl.Result, [][]int, error) {
 	repeats := max(scale.Repeats, 1)
 	budget := parallel.New(scale.Parallelism).Width()
 	repWidth := min(budget, repeats)
@@ -572,13 +571,27 @@ func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats
 	}
 	outs := parallel.Map(parallel.New(repWidth), repeats, func(rep int) repOut {
 		s := setting
-		s.Seed = setting.Seed + uint64(rep)*0x9E37
+		offset := uint64(rep) * 0x9E37
+		s.Seed += offset
+		if s.Chaos != nil {
+			ch := *s.Chaos
+			ch.Seed += offset
+			s.Chaos = &ch
+		}
 		built, err := Build(s, innerScale)
 		if err != nil {
 			return repOut{err: err}
 		}
 		if rep == 0 {
 			built.Config.OnRound = onRound
+		}
+		if attach != nil {
+			transport, release, err := attach(built)
+			if err != nil {
+				return repOut{err: err}
+			}
+			defer release()
+			built.Config.Transport = transport
 		}
 		res, err := fl.Run(built.Config)
 		return repOut{res: res, clusters: built.Clusters, err: err}

@@ -7,11 +7,18 @@ import (
 	"testing"
 
 	"flips/internal/dataset"
+	"flips/internal/fl"
 )
 
 // tinyScale keeps unit tests fast while exercising every code path.
 func tinyScale() Scale {
 	return Scale{Parties: 24, Rounds: 12, TrainSize: 1200, TestSize: 300, Repeats: 1, EvalEvery: 3}
+}
+
+// runSetting runs one cell in-process without a round hook.
+func runSetting(setting Setting, scale Scale) (*fl.Result, error) {
+	res, _, err := RunSettingClusters(setting, scale, nil, nil)
+	return res, err
 }
 
 // tinySession is a registry session at tinyScale, for building one figure or
@@ -156,7 +163,7 @@ func TestCandidateFactorValidation(t *testing.T) {
 func TestCandidateFactorDefaultBitIdentical(t *testing.T) {
 	t.Parallel()
 	run := func(factor float64) float64 {
-		res, err := RunSetting(Setting{
+		res, err := runSetting(Setting{
 			Spec: dataset.ECG(), Algorithm: AlgoFedAvg, Alpha: 0.6,
 			PartyFraction: 0.25, Strategy: StrategyPowerOfChoice,
 			CandidateFactor: factor, TargetAccuracy: 0.9, Seed: 13,
@@ -178,7 +185,7 @@ func TestRunSettingAveragesRepeats(t *testing.T) {
 	t.Parallel()
 	scale := tinyScale()
 	scale.Repeats = 2
-	res, err := RunSetting(Setting{
+	res, err := runSetting(Setting{
 		Spec: dataset.ECG(), Algorithm: AlgoFedAvg, Alpha: 0.6,
 		PartyFraction: 0.25, Strategy: StrategyRandom, TargetAccuracy: 0.9, Seed: 5,
 	}, scale)
@@ -356,7 +363,7 @@ func TestHeadlineShape(t *testing.T) {
 	scale := LaptopScale()
 	scale.Rounds = 60
 	run := func(strategy string) (int, float64) {
-		res, err := RunSetting(Setting{
+		res, err := runSetting(Setting{
 			Spec: dataset.ECG(), Algorithm: AlgoFedYogi, Alpha: 0.3,
 			PartyFraction: 0.2, Strategy: strategy,
 			TargetAccuracy: TargetFor(dataset.ECG()), Seed: 1,

@@ -45,7 +45,7 @@ type FleetSweep struct {
 	Rounds, PartiesPerRound int
 	// Strategy picks the selector by registry name; any registered selector
 	// is accepted — see selection.Names(). Every selector has a fleet-scale
-	// path above its ScaleThreshold, so per-round cost stays O(cohort +
+	// path above the 2048-party scale threshold, so per-round cost stays O(cohort +
 	// pool), not O(population).
 	Strategy string
 	// Seed fixes the run; Parallelism bounds the engine worker pool (0 =

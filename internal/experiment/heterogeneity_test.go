@@ -46,11 +46,11 @@ func TestBuildLegacyUnchangedByDeviceCode(t *testing.T) {
 		Spec: dataset.ECG(), Algorithm: AlgoFedAvg, Alpha: 0.3,
 		PartyFraction: 0.2, Strategy: StrategyRandom, TargetAccuracy: 0.6, Seed: 21,
 	}
-	a, err := RunSetting(s, tinyScale())
+	a, err := runSetting(s, tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSetting(s, tinyScale())
+	b, err := runSetting(s, tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunSettingDeviceReportsSimTime(t *testing.T) {
 	}
 	scale := tinyScale()
 	scale.Repeats = 2
-	res, err := RunSetting(s, scale)
+	res, err := runSetting(s, scale)
 	if err != nil {
 		t.Fatal(err)
 	}

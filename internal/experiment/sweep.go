@@ -158,7 +158,7 @@ func (s Sweep) runCells(scale Scale, idx []int, progress func(string)) ([]Cell, 
 			}
 		}
 		what := strings.Join(row.Labels, " ") + " " + col.Labels[0]
-		res, err := RunSetting(setting, cellScale)
+		res, _, err := RunSettingClusters(setting, cellScale, nil, nil)
 		if err != nil {
 			return out{err: fmt.Errorf("run %s: %w", what, err)}
 		}

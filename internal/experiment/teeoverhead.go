@@ -10,7 +10,6 @@ import (
 	"flips/internal/partition"
 	"flips/internal/rng"
 	"flips/internal/tee"
-	"flips/internal/tensor"
 )
 
 // TEEOverheadResult reproduces the §5.1 measurement: clustering label
@@ -53,10 +52,7 @@ func RunTEEOverhead(scale Scale, repeats int, seed uint64) (*TEEOverheadResult, 
 		return nil, err
 	}
 	lds := partition.NormalizedLabelDistributions(train, part)
-	maxK := scale.Parties / 4
-	if maxK < 2 {
-		maxK = 2
-	}
+	maxK := core.DefaultMaxK(scale.Parties)
 	const kmRepeats = 20 // the paper's T
 
 	res := &TEEOverheadResult{Parties: scale.Parties}
@@ -74,7 +70,7 @@ func RunTEEOverhead(scale Scale, repeats int, seed uint64) (*TEEOverheadResult, 
 	res.PlainK = len(plainClusters)
 
 	// TEE path: boot, attest every party, submit encrypted, cluster inside.
-	code := tee.ClusteringCode{Version: "flips-kmeans-v1", MaxK: maxK, Repeats: kmRepeats}
+	code := tee.ClusteringCode{Version: tee.CodeVersion, MaxK: maxK, Repeats: kmRepeats}
 	hwPub, hwPriv, err := tee.GenerateHardwareKey()
 	if err != nil {
 		return nil, err
@@ -92,14 +88,8 @@ func RunTEEOverhead(scale Scale, repeats int, seed uint64) (*TEEOverheadResult, 
 			return nil, err
 		}
 		protoStart := time.Now()
-		for partyID, ld := range lds {
-			client := tee.NewPartyClient(partyID, attest)
-			if err := client.Handshake(enclave); err != nil {
-				return nil, fmt.Errorf("party %d: %w", partyID, err)
-			}
-			if err := client.SubmitLabelDistribution(enclave, tensor.Vec(ld)); err != nil {
-				return nil, fmt.Errorf("party %d: %w", partyID, err)
-			}
+		if err := tee.SubmitAll(enclave, attest, lds); err != nil {
+			return nil, err
 		}
 		protoTime += time.Since(protoStart)
 		clusterStart := time.Now()

@@ -552,11 +552,6 @@ func (c *eventCore) maybeEval(step, invited, completed int, commBytes int64, mea
 	if c.cfg.OnRound != nil {
 		c.cfg.OnRound(stats)
 	}
-	if c.cfg.Transport != nil {
-		if ro, ok := c.cfg.Transport.(RoundObserver); ok {
-			ro.ObserveRound(stats)
-		}
-	}
 	if stats.Accuracy > c.res.PeakAccuracy {
 		c.res.PeakAccuracy = stats.Accuracy
 	}

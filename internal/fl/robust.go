@@ -31,7 +31,7 @@ const (
 	// that uses aggregation weights (n_i, staleness discounts).
 	FoldMean FoldKind = iota
 	// FoldTrimmedMean sorts each coordinate across updates, drops the
-	// TrimFraction tails, and averages the rest.
+	// trimFraction tails, and averages the rest.
 	FoldTrimmedMean
 	// FoldMedian takes the coordinate-wise median across updates.
 	FoldMedian
@@ -57,23 +57,14 @@ func (k FoldKind) String() string {
 	}
 }
 
-// defaultTrimFraction is the per-tail trim of FoldTrimmedMean when
-// TrimFraction is zero: 20% from each tail survives any corrupted minority
-// below 20%.
-const defaultTrimFraction = 0.2
+// trimFraction is the fraction FoldTrimmedMean trims from EACH tail: 20%
+// survives any corrupted minority below 20%.
+const trimFraction = 0.2
 
 // FoldConfig configures the aggregation fold.
 type FoldConfig struct {
 	// Kind selects the fold; the zero value is the weighted FedAvg mean.
 	Kind FoldKind
-	// TrimFraction is the fraction trimmed from EACH tail under
-	// FoldTrimmedMean, in [0, 0.5); zero defaults to 0.2.
-	TrimFraction float64
-	// KrumByzantine is Krum's assumed byzantine count f. Zero derives
-	// f = ⌊(n−3)/2⌋ from each cycle's update count n — the largest f the
-	// n ≥ 2f+3 requirement admits; values too large for a cycle are clamped
-	// the same way.
-	KrumByzantine int
 }
 
 // FoldByName parses a fold name: "" or "mean", "trimmed-mean", "median",
@@ -99,20 +90,7 @@ func (f FoldConfig) validate() error {
 	default:
 		return fmt.Errorf("fl: unknown fold kind %d", int(f.Kind))
 	}
-	if f.TrimFraction < 0 || f.TrimFraction >= 0.5 {
-		return fmt.Errorf("fl: trim fraction %v out of [0, 0.5)", f.TrimFraction)
-	}
-	if f.KrumByzantine < 0 {
-		return fmt.Errorf("fl: negative Krum byzantine count %d", f.KrumByzantine)
-	}
 	return nil
-}
-
-func (f FoldConfig) trim() float64 {
-	if f.TrimFraction == 0 {
-		return defaultTrimFraction
-	}
-	return f.TrimFraction
 }
 
 // RobustDeltaShardedInto folds updates into dst under a robust fold, with
@@ -143,7 +121,7 @@ func RobustDeltaShardedInto(fold FoldConfig, dst, global tensor.Vec, updates []t
 	ranges := paramRanges(len(dst), shards)
 
 	if fold.Kind == FoldKrum {
-		win := updates[krumWinner(updates, fold.KrumByzantine)]
+		win := updates[krumWinner(updates)]
 		pool.ForEach(len(ranges), func(ri int) {
 			r := ranges[ri]
 			if global == nil {
@@ -158,7 +136,7 @@ func RobustDeltaShardedInto(fold FoldConfig, dst, global tensor.Vec, updates []t
 	}
 
 	n := len(updates)
-	k := int(fold.trim() * float64(n)) // per tail; trim < 0.5 ⇒ n−2k ≥ 1
+	k := int(trimFraction * float64(n)) // per tail; trimFraction < 0.5 ⇒ n−2k ≥ 1
 	pool.ForEach(len(ranges), func(ri int) {
 		r := ranges[ri]
 		vals := make([]float64, n)
@@ -191,24 +169,18 @@ func RobustDeltaShardedInto(fold FoldConfig, dst, global tensor.Vec, updates []t
 
 // krumWinner returns the index of the Krum-selected update: the one whose
 // score — the sum of its m = n−f−2 smallest squared distances to the other
-// updates — is minimal, ties broken toward the lowest index. f is clamped
-// into [0, ⌊(n−3)/2⌋] (Krum's n ≥ 2f+3 requirement); tiny cohorts degrade
-// to nearest-neighbor scoring. Distances are computed on the vectors as
+// updates — is minimal, ties broken toward the lowest index. The assumed
+// byzantine count is f = max(⌊(n−3)/2⌋, 0), the largest Krum's n ≥ 2f+3
+// requirement admits; tiny cohorts degrade to nearest-neighbor scoring. Distances are computed on the vectors as
 // given — squared distance is translation invariant, so raw parameters and
 // deltas rank identically up to rounding, and each mode uses one fixed
 // formulation.
-func krumWinner(updates []tensor.Vec, f int) int {
+func krumWinner(updates []tensor.Vec) int {
 	n := len(updates)
 	if n == 1 {
 		return 0
 	}
-	if maxF := (n - 3) / 2; f <= 0 || f > maxF {
-		f = maxF
-	}
-	if f < 0 {
-		f = 0
-	}
-	m := n - f - 2
+	m := n - max((n-3)/2, 0) - 2
 	if m < 1 {
 		m = 1
 	}

@@ -52,10 +52,3 @@ type TrainDispatch struct {
 type ShardTransport interface {
 	TrainWave(d TrainDispatch, out []model.LocalResult) error
 }
-
-// RoundObserver is optionally implemented by a ShardTransport that wants the
-// engine's per-round statistics as they are recorded — the distributed
-// coordinator implements it to broadcast round-stats frames to workers.
-type RoundObserver interface {
-	ObserveRound(RoundStats)
-}

@@ -8,27 +8,6 @@ import (
 	"flips/internal/tensor"
 )
 
-// DPPConfig tunes the fleet-scale behavior of the DPP selector.
-type DPPConfig struct {
-	// PoolSize bounds the candidate pool in fleet-scale mode, exactly as
-	// GradClusConfig.PoolSize bounds the clustering pool (default 192).
-	PoolSize int
-	// ScaleThreshold is the population size above which the selector
-	// switches to the bounded pool and lazy gradient storage (default 2048;
-	// set to 1 to force fleet-scale mode for testing).
-	ScaleThreshold int
-}
-
-func (c DPPConfig) withDefaults() DPPConfig {
-	if c.PoolSize == 0 {
-		c.PoolSize = 192
-	}
-	if c.ScaleThreshold == 0 {
-		c.ScaleThreshold = scaleModeThreshold
-	}
-	return c
-}
-
 // DPP selects a diverse cohort by greedy MAP inference over a determinantal
 // point process whose kernel is the cosine similarity of the parties'
 // last-known model updates (the data-heterogeneity-aware DPP selection of
@@ -42,8 +21,8 @@ func (c DPPConfig) withDefaults() DPPConfig {
 // makes each of the k steps O(pool), so a full Select is O(k·pool·dim)
 // rather than the naive O(k·pool³).
 //
-// Gradient memory is the shared gradPool: below DPPConfig.ScaleThreshold
-// the pool is the full population in id order (Select consumes no
+// Gradient memory is the shared gradPool: below the scale threshold the
+// pool is the full population in id order (Select consumes no
 // randomness), above it the bounded recency pool. Never-observed parties
 // carry the pool's random placeholder gradients, which look maximally
 // diverse to the kernel — exploration falls out of the model.
@@ -65,12 +44,15 @@ var _ fl.UpdateConsumer = (*DPP)(nil)
 
 // NewDPP builds a DPP selector. gradDim is the model parameter count
 // (placeholder-gradient dimensionality).
-func NewDPP(numParties, gradDim int, cfg DPPConfig, r *rng.Source) *DPP {
-	cfg = cfg.withDefaults()
+func NewDPP(numParties, gradDim int, r *rng.Source) *DPP {
+	return newDPP(numParties, gradDim, scaleModeThreshold, r)
+}
+
+func newDPP(numParties, gradDim, scaleThreshold int, r *rng.Source) *DPP {
 	return &DPP{
 		numParties: numParties,
 		r:          r,
-		pool:       newGradPool(numParties, gradDim, cfg.PoolSize, cfg.ScaleThreshold, r),
+		pool:       newGradPool(numParties, gradDim, scaleThreshold, r),
 	}
 }
 

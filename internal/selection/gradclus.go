@@ -7,30 +7,6 @@ import (
 	"flips/internal/tensor"
 )
 
-// GradClusConfig tunes the fleet-scale behavior of the GradClus selector.
-type GradClusConfig struct {
-	// PoolSize bounds the clustering pool in fleet-scale mode: each round
-	// clusters at most max(PoolSize, 2·target) parties — the most recently
-	// observed gradients topped up with uniformly drawn unobserved parties —
-	// instead of the full population (default 192). Hierarchical clustering
-	// is O(pool²·dim), so an unbounded pool is quadratic in the fleet.
-	PoolSize int
-	// ScaleThreshold is the population size above which the selector
-	// switches to the bounded pool and lazy gradient storage (default 2048;
-	// set to 1 to force fleet-scale mode for testing).
-	ScaleThreshold int
-}
-
-func (c GradClusConfig) withDefaults() GradClusConfig {
-	if c.PoolSize == 0 {
-		c.PoolSize = 192
-	}
-	if c.ScaleThreshold == 0 {
-		c.ScaleThreshold = scaleModeThreshold
-	}
-	return c
-}
-
 // GradClus implements clustered sampling over party gradients (Fraboni et
 // al. 2021, the paper's §4.1 third baseline): every round it hierarchically
 // clusters the parties' last-known model updates into Nr groups by cosine
@@ -40,8 +16,8 @@ func (c GradClusConfig) withDefaults() GradClusConfig {
 // party gets picked").
 //
 // The gradient memory and its bounded fleet-scale pool live in gradPool
-// (shared with the DPP selector). Below GradClusConfig.ScaleThreshold the
-// full population is clustered, as the original algorithm specifies
+// (shared with the DPP selector). Below the scale threshold the full
+// population is clustered, as the original algorithm specifies
 // (bit-identical to the pre-scale implementation); above it clustering runs
 // over the bounded pool.
 type GradClus struct {
@@ -54,20 +30,17 @@ type GradClus struct {
 var _ fl.Selector = (*GradClus)(nil)
 var _ fl.UpdateConsumer = (*GradClus)(nil)
 
-// NewGradClus builds a GradClus selector with default fleet-scale knobs.
-// gradDim is the model parameter count (placeholder-gradient
-// dimensionality).
+// NewGradClus builds a GradClus selector. gradDim is the model parameter
+// count (placeholder-gradient dimensionality).
 func NewGradClus(numParties, gradDim int, r *rng.Source) *GradClus {
-	return NewGradClusConfig(numParties, gradDim, GradClusConfig{}, r)
+	return newGradClus(numParties, gradDim, scaleModeThreshold, r)
 }
 
-// NewGradClusConfig is NewGradClus with explicit fleet-scale configuration.
-func NewGradClusConfig(numParties, gradDim int, cfg GradClusConfig, r *rng.Source) *GradClus {
-	cfg = cfg.withDefaults()
+func newGradClus(numParties, gradDim, scaleThreshold int, r *rng.Source) *GradClus {
 	return &GradClus{
 		numParties: numParties,
 		r:          r,
-		pool:       newGradPool(numParties, gradDim, cfg.PoolSize, cfg.ScaleThreshold, r),
+		pool:       newGradPool(numParties, gradDim, scaleThreshold, r),
 		linkage:    cluster.AverageLinkage,
 	}
 }

@@ -19,7 +19,6 @@ import (
 type gradPool struct {
 	numParties int
 	gradDim    int
-	poolSize   int
 
 	grads []tensor.Vec
 
@@ -37,14 +36,18 @@ type gradPool struct {
 	inPool     map[int]bool
 }
 
+// gradPoolCap bounds the fleet-scale pool: each round works over at most
+// max(gradPoolCap, 2·target) parties. Hierarchical clustering is
+// O(pool²·dim), so an unbounded pool is quadratic in the fleet.
+const gradPoolCap = 192
+
 // newGradPool builds the pool, consuming RNG exactly as the historical
 // GradClus constructor did: one Uint64 for the placeholder seed in scale
 // mode, else numParties·gradDim NormFloat64 draws in id-then-dim order.
-func newGradPool(numParties, gradDim, poolSize, scaleThreshold int, r *rng.Source) *gradPool {
+func newGradPool(numParties, gradDim, scaleThreshold int, r *rng.Source) *gradPool {
 	p := &gradPool{
 		numParties: numParties,
 		gradDim:    gradDim,
-		poolSize:   poolSize,
 		grads:      make([]tensor.Vec, numParties),
 	}
 	if numParties > scaleThreshold {
@@ -81,7 +84,7 @@ func (p *gradPool) pool(target int, r *rng.Source) []int {
 		}
 		return pool
 	}
-	size := p.poolSize
+	size := gradPoolCap
 	if size < 2*target {
 		size = 2 * target
 	}

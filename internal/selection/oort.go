@@ -8,68 +8,43 @@ import (
 	"flips/internal/rng"
 )
 
-// scaleModeThreshold is the default population size above which the adaptive
+// scaleModeThreshold is the population size above which the adaptive
 // selectors switch from their exact small-fleet algorithms (full scans /
 // full pairwise clustering) to the bounded fleet-scale structures (top-k
 // utility heaps, swap-removed exploration pools, bounded clustering pools).
 // Below the threshold behavior is bit-identical to the pre-scale selectors;
 // above it, per-round cost and memory stop growing with the population (Oort
 // runs guided selection over ~1.3M clients this way — Lai et al., OSDI'21).
+// The exported constructors pass it to the unexported ones, whose
+// scaleThreshold parameter exists so the in-package tests can run a
+// fleet-scale twin at a testable size.
 const scaleModeThreshold = 2048
 
-// OortConfig tunes the Oort selector. Zero values take the defaults from the
-// Oort paper's reference implementation.
-type OortConfig struct {
-	// ExplorationFraction is the share of each round reserved for parties
-	// never tried before (default 0.3, decaying by ExplorationDecay).
-	ExplorationFraction float64
-	// ExplorationDecay multiplies the exploration fraction each round
-	// (default 0.98, floored at 0.1).
-	ExplorationDecay float64
-	// OverProvisionFactor inflates the request size when stragglers have
-	// been observed; the FLIPS paper runs Oort with 1.3x (§5.3).
-	OverProvisionFactor float64
-	// StalenessWeight scales the exploration bonus sqrt(log(r)/last_used)
-	// added to utilities (default 0.1 of the mean utility).
-	StalenessWeight float64
-	// SlowPenalty divides the utility of parties whose observed duration
-	// exceeds the round's median (Oort's systemic utility; default 2).
-	SlowPenalty float64
-	// CandidatePool bounds the exploitation candidate band in fleet-scale
-	// mode: each round pops the top max(CandidatePool, 2·request) parties
-	// by utility from the heap instead of scoring every tried party
-	// (default 256). Ignored below ScaleThreshold.
-	CandidatePool int
-	// ScaleThreshold is the population size above which the selector
-	// switches to the bounded heap structures (default 2048; set to 1 to
-	// force fleet-scale mode for testing).
-	ScaleThreshold int
-}
-
-func (c OortConfig) withDefaults() OortConfig {
-	if c.ExplorationFraction == 0 {
-		c.ExplorationFraction = 0.3
-	}
-	if c.ExplorationDecay == 0 {
-		c.ExplorationDecay = 0.98
-	}
-	if c.OverProvisionFactor == 0 {
-		c.OverProvisionFactor = 1.3
-	}
-	if c.StalenessWeight == 0 {
-		c.StalenessWeight = 0.1
-	}
-	if c.SlowPenalty == 0 {
-		c.SlowPenalty = 2
-	}
-	if c.CandidatePool == 0 {
-		c.CandidatePool = 256
-	}
-	if c.ScaleThreshold == 0 {
-		c.ScaleThreshold = scaleModeThreshold
-	}
-	return c
-}
+// The comparison baselines run at fixed published settings (DESIGN.md,
+// "Selector constants"): Oort's reference-implementation defaults, with the
+// 1.3× over-provisioning the FLIPS paper runs it at (§5.3). The scored family
+// shares the exploration schedule and the candidate band.
+const (
+	// explorationFraction is the share of each round reserved for parties
+	// never tried before; it decays by explorationDecay per round down to
+	// explorationFloor.
+	explorationFraction = 0.3
+	explorationDecay    = 0.98
+	explorationFloor    = 0.1
+	// overProvisionFactor inflates Oort's request once stragglers have been
+	// observed.
+	overProvisionFactor = 1.3
+	// stalenessWeight scales the exploration bonus sqrt(log(r)/age) added to
+	// a tried party's utility.
+	stalenessWeight = 0.1
+	// slowPenalty divides the utility of parties slower than 1.5× the round's
+	// median duration, and of stragglers (Oort's systemic utility).
+	slowPenalty = 2
+	// candidatePool bounds the fleet-scale exploitation band: each round pops
+	// the top max(candidatePool, 2·request) parties by utility from the heap
+	// instead of scoring every tried party.
+	candidatePool = 256
+)
 
 // Oort implements guided participant selection: parties are ranked by a
 // statistical utility |B_i| * sqrt(mean loss²) — high-loss parties
@@ -77,14 +52,13 @@ func (c OortConfig) withDefaults() OortConfig {
 // with an exploration budget for never-tried parties and over-provisioning
 // once stragglers appear.
 //
-// Below OortConfig.ScaleThreshold the selector scans the full population per
+// Below the scale threshold the selector scans the full population per
 // round (bit-identical to the original implementation). Above it, it runs in
 // fleet-scale mode: tried parties live in a top-k utility heap and
 // exploitation samples from a bounded top-utility candidate band, untried
 // parties live in a swap-removed pool, and per-round cost is
 // O((invited + candidates)·log tried) regardless of population size.
 type Oort struct {
-	cfg        OortConfig
 	numParties int
 	r          *rng.Source
 
@@ -117,9 +91,12 @@ var _ fl.Selector = (*Oort)(nil)
 // NewOort builds an Oort selector. dataSizes gives |B_i| per party (Oort
 // weights statistical utility by the party's data volume); pass nil for
 // uniform sizes.
-func NewOort(numParties int, dataSizes []int, cfg OortConfig, r *rng.Source) *Oort {
+func NewOort(numParties int, dataSizes []int, r *rng.Source) *Oort {
+	return newOort(numParties, dataSizes, scaleModeThreshold, r)
+}
+
+func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source) *Oort {
 	o := &Oort{
-		cfg:        cfg.withDefaults(),
 		numParties: numParties,
 		r:          r,
 		utility:    make([]float64, numParties),
@@ -127,8 +104,8 @@ func NewOort(numParties int, dataSizes []int, cfg OortConfig, r *rng.Source) *Oo
 		tried:      make([]bool, numParties),
 		duration:   make([]float64, numParties),
 		dataSizes:  make([]float64, numParties),
+		explore:    explorationFraction,
 	}
-	o.explore = o.cfg.ExplorationFraction
 	for i := range o.dataSizes {
 		if dataSizes != nil && i < len(dataSizes) {
 			o.dataSizes[i] = float64(dataSizes[i])
@@ -136,7 +113,7 @@ func NewOort(numParties int, dataSizes []int, cfg OortConfig, r *rng.Source) *Oo
 			o.dataSizes[i] = 1
 		}
 	}
-	if numParties > o.cfg.ScaleThreshold {
+	if numParties > scaleThreshold {
 		o.scaleMode = true
 		o.untried = make([]int, numParties)
 		o.untriedPos = make([]int, numParties)
@@ -159,7 +136,7 @@ func (s *Oort) Select(round, target int) []int {
 	}
 	request := target
 	if s.sawStrag {
-		request = int(math.Ceil(s.cfg.OverProvisionFactor * float64(target)))
+		request = int(math.Ceil(overProvisionFactor * float64(target)))
 		if request > s.numParties {
 			request = s.numParties
 		}
@@ -244,7 +221,7 @@ func (s *Oort) selectScale(round, request int) []int {
 		}
 	}
 	if nExploit > 0 {
-		band := s.cfg.CandidatePool
+		band := candidatePool
 		if band < 2*request {
 			band = 2 * request
 		}
@@ -279,7 +256,7 @@ func (s *Oort) score(id, round int) float64 {
 	// Staleness exploration bonus (Oort Eq. 2's confidence term).
 	age := round - s.lastUsed[id]
 	if age > 0 && round > 0 {
-		u += s.cfg.StalenessWeight * u * math.Sqrt(math.Log(float64(round+1))/float64(age))
+		u += stalenessWeight * u * math.Sqrt(math.Log(float64(round+1))/float64(age))
 	}
 	return u
 }
@@ -341,7 +318,7 @@ func (s *Oort) Observe(fb fl.RoundFeedback) {
 		sq := fb.SqLoss[id]
 		util := s.dataSizes[id] * math.Sqrt(math.Max(sq, 0))
 		if med > 0 && fb.Duration[id] > med*1.5 {
-			util /= s.cfg.SlowPenalty
+			util /= slowPenalty
 		}
 		s.setUtility(id, util)
 		s.duration[id] = fb.Duration[id]
@@ -349,9 +326,9 @@ func (s *Oort) Observe(fb fl.RoundFeedback) {
 	// Stragglers burn their utility so repeat offenders fall in rank.
 	for _, id := range fb.Stragglers {
 		s.markTried(id)
-		s.setUtility(id, s.utility[id]/s.cfg.SlowPenalty)
+		s.setUtility(id, s.utility[id]/slowPenalty)
 	}
-	s.explore = math.Max(0.1, s.explore*s.cfg.ExplorationDecay)
+	s.explore = math.Max(explorationFloor, s.explore*explorationDecay)
 }
 
 func median(xs []float64) float64 {

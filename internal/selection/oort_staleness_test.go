@@ -11,8 +11,8 @@ import (
 // Observe records lastUsed[id] = fb.Round, and nothing stops a caller from
 // invoking Select for the same step afterwards (the Selector interface makes
 // no ordering promise, and async policies re-select between aggregations), so
-// age reaches exactly 0 for just-observed parties. The age > 0 guard at
-// oort.go:281 must keep that division out; these tests pin it in both the
+// age reaches exactly 0 for just-observed parties. The age > 0 guard in
+// score must keep that division out; these tests pin it in both the
 // small-fleet scan path and the fleet-scale heap path.
 
 // observeThenScore drives one Observe at round then returns every tried
@@ -30,7 +30,7 @@ func observeThenScore(t *testing.T, s *Oort, ids []int, round int) []float64 {
 func TestOortScoreAgeZeroSmallFleet(t *testing.T) {
 	t.Parallel()
 	const n = 16
-	s := NewOort(n, nil, OortConfig{}, rng.New(11))
+	s := NewOort(n, nil, rng.New(11))
 	ids := []int{0, 3, 7}
 	for _, round := range []int{0, 4} {
 		for i, sc := range observeThenScore(t, s, ids, round) {
@@ -55,8 +55,8 @@ func TestOortScoreAgeZeroSmallFleet(t *testing.T) {
 func TestOortScoreAgeZeroFleetScale(t *testing.T) {
 	t.Parallel()
 	const n = 64
-	// ScaleThreshold 1 forces the fleet-scale heap path at a testable size.
-	s := NewOort(n, nil, OortConfig{ScaleThreshold: 1}, rng.New(12))
+	// Scale threshold 1 forces the fleet-scale heap path at a testable size.
+	s := newOort(n, nil, 1, rng.New(12))
 	if !s.scaleMode {
 		t.Fatal("selector did not enter fleet-scale mode")
 	}
@@ -85,7 +85,7 @@ func TestOortScoreAgeZeroFleetScale(t *testing.T) {
 // the score above the raw utility.
 func TestOortStalenessBonusPositiveAtPositiveAge(t *testing.T) {
 	t.Parallel()
-	s := NewOort(8, nil, OortConfig{}, rng.New(13))
+	s := NewOort(8, nil, rng.New(13))
 	s.Observe(feedbackWithLoss(0, []int{2}, func(int) float64 { return 2 }))
 	base := s.utility[2]
 	if base <= 0 {

@@ -29,8 +29,10 @@ import (
 // The registry half of the suite enumerates selection.Names() and fails if a
 // registered selector has no registryCaseProps entry: a selector cannot be
 // added to the registry without declaring its invariants here and passing
-// them. Fleet-scale twins are exercised at small n by forcing ScaleThreshold
-// to 1; the pool-based ones (Oort's untried pool, GradClus/DPP's recency
+// them. Fleet-scale twins are exercised at small n by passing the unexported
+// constructors a scale threshold of 1 — plus one pre-warmed 640-party scenario
+// whose tried set outgrows candidatePool and gradPoolCap, so the band and
+// pool bounds actually engage; the pool-based ones (Oort's untried pool, GradClus/DPP's recency
 // list, TiFL's streaming tiers) are order-sensitive by construction, so they
 // assert determinism but not permutation invariance — the Scored family's
 // scale mode shares all state with its exact mode and stays fully invariant.
@@ -43,6 +45,9 @@ type selectorCase struct {
 	wantLen func(n, target int, sawStrag bool) (int, int)
 	// orderInvariant asserts the re-indexed-feedback invariance too.
 	orderInvariant bool
+	// fleetTwin marks a forced fleet-scale twin, which also runs the
+	// pre-warmed large scenario.
+	fleetTwin bool
 }
 
 // selectorProps declares a registered selector's invariants for the suite.
@@ -147,18 +152,12 @@ func selectorCases(t *testing.T) []selectorCase {
 			orderInvariant: props.orderInvariant,
 		})
 	}
-	// Fleet-scale twins, forced at small n with ScaleThreshold 1 and tight
-	// pools so the band/pool bounding logic actually engages.
-	scored := func(mk func(int, ScoredConfig, *rng.Source) *Scored) func(n int, seed uint64) fl.Selector {
-		return func(n int, seed uint64) fl.Selector {
-			return mk(n, ScoredConfig{ScaleThreshold: 1, CandidatePool: 8}, rng.New(seed))
-		}
-	}
+	// Fleet-scale twins, forced with a scale threshold of 1.
 	cases = append(cases,
 		selectorCase{
 			name: "oort-scale",
 			build: func(n int, seed uint64) fl.Selector {
-				return NewOort(n, nil, OortConfig{ScaleThreshold: 1, CandidatePool: 8}, rng.New(seed))
+				return newOort(n, nil, 1, rng.New(seed))
 			},
 			wantLen: oortLen,
 		},
@@ -171,30 +170,39 @@ func selectorCases(t *testing.T) []selectorCase {
 				for i := range ls {
 					ls[i] = 0.1 + lr.Float64()
 				}
-				return NewTiFL(ls, TiFLConfig{ScaleThreshold: 1}, r.Split(2))
+				return newTiFL(ls, 1, r.Split(2))
 			},
 			wantLen: exactLen,
 		},
 		selectorCase{
 			name: "gradclus-scale",
 			build: func(n int, seed uint64) fl.Selector {
-				return NewGradClusConfig(n, 6, GradClusConfig{ScaleThreshold: 1, PoolSize: 8}, rng.New(seed))
+				return newGradClus(n, 6, 1, rng.New(seed))
 			},
 			wantLen: exactLen,
 		},
 		selectorCase{
 			name: "dpp-scale",
 			build: func(n int, seed uint64) fl.Selector {
-				return NewDPP(n, 6, DPPConfig{ScaleThreshold: 1, PoolSize: 8}, rng.New(seed))
+				return newDPP(n, 6, 1, rng.New(seed))
 			},
 			wantLen: exactLen,
 		},
-		selectorCase{name: "grad-norm-scale", build: scored(NewGradNorm), wantLen: exactLen, orderInvariant: true},
-		selectorCase{name: "loss-prop-scale", build: scored(NewLossProportional), wantLen: exactLen, orderInvariant: true},
-		selectorCase{name: "divergence-scale", build: scored(NewUpdateDivergence), wantLen: exactLen, orderInvariant: true},
-		selectorCase{name: "soft-deadline-scale", build: scored(NewSoftDeadline), wantLen: exactLen, orderInvariant: true},
-		selectorCase{name: "hard-deadline-scale", build: scored(NewHardDeadline), wantLen: exactLen, orderInvariant: true},
 	)
+	for _, kind := range scoredKinds {
+		kind := kind
+		cases = append(cases, selectorCase{
+			name: kind.String() + "-scale",
+			build: func(n int, seed uint64) fl.Selector {
+				return newScored(kind, n, 0, 1, rng.New(seed))
+			},
+			wantLen:        exactLen,
+			orderInvariant: true,
+		})
+	}
+	for i := len(Names()); i < len(cases); i++ {
+		cases[i].fleetTwin = true
+	}
 	return cases
 }
 
@@ -294,15 +302,40 @@ func TestSelectorInvariantSuite(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			type scenario struct {
+				seed            uint64
+				n, target, warm int
+			}
+			var scenarios []scenario
 			for seed := uint64(1); seed <= 6; seed++ {
 				scen := rng.New(seed * 0x51)
 				n := 8 + scen.Intn(40)
-				target := 1 + scen.Intn(n)
+				scenarios = append(scenarios, scenario{seed: seed, n: n, target: 1 + scen.Intn(n)})
+			}
+			if tc.fleetTwin {
+				// 400 tried parties against a 40-party request: the candidate
+				// band (256) and the gradient pool (192) are both bounded.
+				scenarios = append(scenarios, scenario{seed: 7, n: 640, target: 40, warm: 400})
+			}
+			for _, sc := range scenarios {
+				seed, n, target := sc.seed, sc.n, sc.target
 				a := tc.build(n, seed)
 				b := tc.build(n, seed) // identical twin, re-indexed feedback
 				needUpdates := false
 				if uc, ok := a.(fl.UpdateConsumer); ok {
 					needUpdates = uc.NeedsUpdates()
+				}
+				if sc.warm > 0 {
+					ids := make([]int, sc.warm)
+					for i := range ids {
+						ids[i] = i
+					}
+					fb, _ := scenarioFeedback(0, ids, gradDim, needUpdates)
+					a.Observe(fb)
+					if tc.orderInvariant {
+						fb = permuteFeedback(fb)
+					}
+					b.Observe(fb)
 				}
 				sawStrag := false
 				for round := 0; round < 6; round++ {

@@ -50,57 +50,120 @@ type BuildContext struct {
 // ablation benches reuse them.
 type Builder func(ctx BuildContext) (fl.Selector, [][]int, error)
 
-// Registry is a name-indexed selector registry with deterministic iteration
-// order: Names returns registrants in registration order, which is the order
-// every consumer (strategy lists, tournament arms, property suites) sees.
-type Registry struct {
-	names    []string
-	builders map[string]Builder
+// entry is one registry row.
+type entry struct {
+	name  string
+	build Builder
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{builders: map[string]Builder{}}
+// registry is the one ordered table of built-in strategies. Its order is the
+// canonical strategy order every consumer (strategy lists, tournament arms,
+// property suites) sees: the paper's five comparisons first (matching
+// experiment.AllStrategies), then the extension baselines, then the scored,
+// deadline-aware and diversity families.
+var registry = []entry{
+	{"random", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		return NewRandom(ctx.NumParties, ctx.RNG), nil, nil
+	}},
+	{"flips", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		clusters, err := labelClusters("flips", ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		sel, err := core.NewSelector(clusters)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sel, clusters, nil
+	}},
+	{"oort", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		var sizes []int
+		if ctx.DataSizes != nil {
+			sizes = ctx.DataSizes()
+		}
+		return NewOort(ctx.NumParties, sizes, ctx.RNG), nil, nil
+	}},
+	{"gradclus", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		return NewGradClus(ctx.NumParties, ctx.ParamDim, ctx.RNG), nil, nil
+	}},
+	{"tifl", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		if ctx.Latencies == nil {
+			return nil, nil, fmt.Errorf("selection: selector %q needs per-party latencies", "tifl")
+		}
+		return NewTiFL(ctx.Latencies(), ctx.RNG), nil, nil
+	}},
+	{"power-of-choice", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		factor := ctx.CandidateFactor
+		if factor < 0 || (factor > 0 && factor < 1) {
+			return nil, nil, fmt.Errorf("selection: power-of-choice candidate factor %v must be 0 (default 2) or >= 1", factor)
+		}
+		if factor == 0 {
+			factor = 2
+		}
+		return NewPowerOfChoice(ctx.NumParties, factor, ctx.RNG), nil, nil
+	}},
+	{"cluster-proportional", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		clusters, err := labelClusters("cluster-proportional", ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		sel, err := NewClusterProportional(clusters, ctx.RNG.Split(2))
+		if err != nil {
+			return nil, nil, err
+		}
+		return sel, clusters, nil
+	}},
+	scoredEntry(scoreGradNorm),
+	scoredEntry(scoreLossProp),
+	scoredEntry(scoreDivergence),
+	scoredEntry(scoreSoftDeadline),
+	scoredEntry(scoreHardDeadline),
+	{"dpp", func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		return NewDPP(ctx.NumParties, ctx.ParamDim, ctx.RNG), nil, nil
+	}},
 }
 
-// Register adds a named builder. Empty names, nil builders and duplicate
-// registrations are programming errors and panic.
-func (reg *Registry) Register(name string, b Builder) {
-	if name == "" {
-		panic("selection: Register with empty name")
-	}
-	if b == nil {
-		panic(fmt.Sprintf("selection: Register(%q) with nil builder", name))
-	}
-	if _, dup := reg.builders[name]; dup {
-		panic(fmt.Sprintf("selection: selector %q registered twice", name))
-	}
-	reg.builders[name] = b
-	reg.names = append(reg.names, name)
+// scoredEntry is the registry row of one Scored kind, named by the kind.
+func scoredEntry(kind scoredKind) entry {
+	return entry{kind.String(), func(ctx BuildContext) (fl.Selector, [][]int, error) {
+		return newScored(kind, ctx.NumParties, ctx.Deadline, scaleModeThreshold, ctx.RNG), nil, nil
+	}}
 }
 
-// Names lists the registered selector names in registration order.
-func (reg *Registry) Names() []string {
-	return append([]string(nil), reg.names...)
+// Names lists the registered selector names in registry order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// lookup returns a name's builder, or an error listing what would have
+// worked — so a typo at any edge (CLI flag, job submission, config file)
+// reports the registered names.
+func lookup(name string) (Builder, error) {
+	for _, e := range registry {
+		if e.name == name {
+			return e.build, nil
+		}
+	}
+	return nil, fmt.Errorf("selection: unknown selector %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
 // Check reports whether a name is registered, without building anything.
-func (reg *Registry) Check(name string) error {
-	if _, ok := reg.builders[name]; !ok {
-		return fmt.Errorf("selection: unknown selector %q (registered: %s)",
-			name, strings.Join(reg.names, ", "))
-	}
-	return nil
+func Check(name string) error {
+	_, err := lookup(name)
+	return err
 }
 
-// Build resolves a name and runs its builder. Unknown names are rejected
-// with the full registered list, so a typo at any edge (CLI flag, job
-// submission, config file) reports what would have worked.
-func (reg *Registry) Build(name string, ctx BuildContext) (fl.Selector, [][]int, error) {
-	if err := reg.Check(name); err != nil {
+// Build resolves a name and runs its builder.
+func Build(name string, ctx BuildContext) (fl.Selector, [][]int, error) {
+	b, err := lookup(name)
+	if err != nil {
 		return nil, nil, err
 	}
-	b := reg.builders[name]
 	if ctx.NumParties < 1 {
 		return nil, nil, fmt.Errorf("selection: selector %q needs at least one party", name)
 	}
@@ -108,26 +171,6 @@ func (reg *Registry) Build(name string, ctx BuildContext) (fl.Selector, [][]int,
 		return nil, nil, fmt.Errorf("selection: selector %q needs a random source", name)
 	}
 	return b(ctx)
-}
-
-// defaultRegistry holds the built-in strategies. Registration order is the
-// canonical strategy order: the paper's five comparisons first (matching
-// experiment.AllStrategies), then the extension baselines, then the scored,
-// deadline-aware and diversity families this registry introduced.
-var defaultRegistry = newBuiltinRegistry()
-
-// Register adds a builder to the default registry (see Registry.Register).
-func Register(name string, b Builder) { defaultRegistry.Register(name, b) }
-
-// Names lists the default registry's selector names in registration order.
-func Names() []string { return defaultRegistry.Names() }
-
-// Check reports whether the default registry has a name.
-func Check(name string) error { return defaultRegistry.Check(name) }
-
-// Build resolves a name against the default registry.
-func Build(name string, ctx BuildContext) (fl.Selector, [][]int, error) {
-	return defaultRegistry.Build(name, ctx)
 }
 
 // Fleet-scale bounds for the label-distribution clustering builders: the
@@ -165,78 +208,4 @@ func labelClusters(name string, ctx BuildContext) ([][]int, error) {
 		repeats = fleetClusterRepeats
 	}
 	return core.ClusterLabelDistributions(lds, maxK, repeats, ctx.RNG.Split(1))
-}
-
-func newBuiltinRegistry() *Registry {
-	reg := NewRegistry()
-	reg.Register("random", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewRandom(ctx.NumParties, ctx.RNG), nil, nil
-	})
-	reg.Register("flips", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		clusters, err := labelClusters("flips", ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		sel, err := core.NewSelector(clusters)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sel, clusters, nil
-	})
-	reg.Register("oort", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		var sizes []int
-		if ctx.DataSizes != nil {
-			sizes = ctx.DataSizes()
-		}
-		return NewOort(ctx.NumParties, sizes, OortConfig{}, ctx.RNG), nil, nil
-	})
-	reg.Register("gradclus", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewGradClus(ctx.NumParties, ctx.ParamDim, ctx.RNG), nil, nil
-	})
-	reg.Register("tifl", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		if ctx.Latencies == nil {
-			return nil, nil, fmt.Errorf("selection: selector %q needs per-party latencies", "tifl")
-		}
-		return NewTiFL(ctx.Latencies(), TiFLConfig{}, ctx.RNG), nil, nil
-	})
-	reg.Register("power-of-choice", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		factor := ctx.CandidateFactor
-		if factor < 0 || (factor > 0 && factor < 1) {
-			return nil, nil, fmt.Errorf("selection: power-of-choice candidate factor %v must be 0 (default 2) or >= 1", factor)
-		}
-		if factor == 0 {
-			factor = 2
-		}
-		return NewPowerOfChoice(ctx.NumParties, factor, ctx.RNG), nil, nil
-	})
-	reg.Register("cluster-proportional", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		clusters, err := labelClusters("cluster-proportional", ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		sel, err := NewClusterProportional(clusters, ctx.RNG.Split(2))
-		if err != nil {
-			return nil, nil, err
-		}
-		return sel, clusters, nil
-	})
-	reg.Register("grad-norm", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewGradNorm(ctx.NumParties, ScoredConfig{}, ctx.RNG), nil, nil
-	})
-	reg.Register("loss-prop", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewLossProportional(ctx.NumParties, ScoredConfig{}, ctx.RNG), nil, nil
-	})
-	reg.Register("divergence", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewUpdateDivergence(ctx.NumParties, ScoredConfig{}, ctx.RNG), nil, nil
-	})
-	reg.Register("soft-deadline", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewSoftDeadline(ctx.NumParties, ScoredConfig{Deadline: ctx.Deadline}, ctx.RNG), nil, nil
-	})
-	reg.Register("hard-deadline", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewHardDeadline(ctx.NumParties, ScoredConfig{Deadline: ctx.Deadline}, ctx.RNG), nil, nil
-	})
-	reg.Register("dpp", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewDPP(ctx.NumParties, ctx.ParamDim, DPPConfig{}, ctx.RNG), nil, nil
-	})
-	return reg
 }

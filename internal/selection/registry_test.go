@@ -67,19 +67,6 @@ func TestRegistryRejects(t *testing.T) {
 	}
 }
 
-func TestRegistryDuplicatePanics(t *testing.T) {
-	t.Parallel()
-	reg := NewRegistry()
-	b := func(BuildContext) (fl.Selector, [][]int, error) { return nil, nil, nil }
-	reg.Register("x", b)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	reg.Register("x", b)
-}
-
 // TestRegistryBuildsAtBothScales builds every registrant below and above the
 // fleet-scale threshold and runs one Select/Observe/Select cycle: name
 // agreement, in-range unique ids, non-empty cohort. The 10k build covers the

@@ -32,47 +32,10 @@ const (
 	scoreHardDeadline
 )
 
-// ScoredConfig tunes the Scored selector family. Zero values take the same
-// exploration defaults as OortConfig.
-type ScoredConfig struct {
-	// ExplorationFraction is the share of each round reserved for parties
-	// never tried before (default 0.3, decaying by ExplorationDecay).
-	ExplorationFraction float64
-	// ExplorationDecay multiplies the exploration fraction each round
-	// (default 0.98, floored at 0.1).
-	ExplorationDecay float64
-	// CandidatePool bounds the exploitation candidate band in fleet-scale
-	// mode: each round pops the top max(CandidatePool, 2·target) parties by
-	// score from the heap instead of the full tried set (default 256).
-	// Ignored below ScaleThreshold.
-	CandidatePool int
-	// ScaleThreshold is the population size above which the candidate band
-	// is bounded (default 2048; set to 1 to force fleet-scale mode for
-	// testing). Unlike Oort, the exact and fleet-scale paths share all
-	// state and RNG draws — the threshold only caps the band size — so a
-	// threshold-1 twin with CandidatePool ≥ population is bit-identical.
-	ScaleThreshold int
-	// Deadline is the reporting deadline in simulated seconds for the
-	// deadline kinds. 0 means adaptive: the mean observed completion
-	// duration (every party fits until the first durations arrive).
-	Deadline float64
-}
+// scoredNames are the kinds' selector registry names.
+var scoredNames = [...]string{"grad-norm", "loss-prop", "divergence", "soft-deadline", "hard-deadline"}
 
-func (c ScoredConfig) withDefaults() ScoredConfig {
-	if c.ExplorationFraction == 0 {
-		c.ExplorationFraction = 0.3
-	}
-	if c.ExplorationDecay == 0 {
-		c.ExplorationDecay = 0.98
-	}
-	if c.CandidatePool == 0 {
-		c.CandidatePool = 256
-	}
-	if c.ScaleThreshold == 0 {
-		c.ScaleThreshold = scaleModeThreshold
-	}
-	return c
-}
+func (k scoredKind) String() string { return scoredNames[k] }
 
 // Scored is the shared engine behind the score-driven selector family
 // (grad-norm, loss-prop, divergence, soft-deadline, hard-deadline): tried
@@ -83,17 +46,19 @@ func (c ScoredConfig) withDefaults() ScoredConfig {
 //
 // State updates consume feedback through a sorted copy of the party lists,
 // so Observe — and therefore every later Select — is invariant to feedback
-// ordering. Below ScaleThreshold the candidate band is the whole tried set;
-// above it the band is bounded by CandidatePool. Nothing else differs
+// ordering. Below the scale threshold the candidate band is the whole tried
+// set; above it the band is bounded by candidatePool. Nothing else differs
 // between the modes, so the fleet-scale path's below-threshold twin is
 // bit-identical by construction.
 type Scored struct {
 	kind       scoredKind
-	name       string
-	cfg        ScoredConfig
 	numParties int
 	scaleMode  bool
 	r          *rng.Source
+	// fixedDeadline is the reporting deadline in simulated seconds for the
+	// deadline kinds. 0 means adaptive: the mean observed completion duration
+	// (every party fits until the first durations arrive).
+	fixedDeadline float64
 
 	utility  []float64
 	tried    []bool
@@ -118,58 +83,26 @@ type Scored struct {
 var _ fl.Selector = (*Scored)(nil)
 var _ fl.UpdateConsumer = (*Scored)(nil)
 
-func newScored(kind scoredKind, name string, numParties int, cfg ScoredConfig, r *rng.Source) *Scored {
-	s := &Scored{
-		kind:       kind,
-		name:       name,
-		cfg:        cfg.withDefaults(),
-		numParties: numParties,
-		r:          r,
-		utility:    make([]float64, numParties),
-		tried:      make([]bool, numParties),
-		heapItem:   make([]*utilItem, numParties),
-		inRound:    make([]bool, numParties),
+// newScored builds the kind's selector: the exploration schedule and the
+// candidate band are Oort's (oort.go); deadline only matters to the deadline
+// kinds.
+func newScored(kind scoredKind, numParties int, deadline float64, scaleThreshold int, r *rng.Source) *Scored {
+	return &Scored{
+		kind:          kind,
+		numParties:    numParties,
+		scaleMode:     numParties > scaleThreshold,
+		r:             r,
+		fixedDeadline: deadline,
+		utility:       make([]float64, numParties),
+		tried:         make([]bool, numParties),
+		heapItem:      make([]*utilItem, numParties),
+		inRound:       make([]bool, numParties),
+		explore:       explorationFraction,
 	}
-	s.scaleMode = numParties > s.cfg.ScaleThreshold
-	s.explore = s.cfg.ExplorationFraction
-	return s
-}
-
-// NewGradNorm builds a gradient-norm scorer: parties are sampled
-// proportionally to the Euclidean norm of their last observed model update.
-func NewGradNorm(numParties int, cfg ScoredConfig, r *rng.Source) *Scored {
-	return newScored(scoreGradNorm, "grad-norm", numParties, cfg, r)
-}
-
-// NewLossProportional builds a loss-proportional scorer: parties are sampled
-// proportionally to their last observed mean local loss.
-func NewLossProportional(numParties int, cfg ScoredConfig, r *rng.Source) *Scored {
-	return newScored(scoreLossProp, "loss-prop", numParties, cfg, r)
-}
-
-// NewUpdateDivergence builds an update-divergence scorer: parties are
-// sampled proportionally to their update's distance from the round's mean
-// update.
-func NewUpdateDivergence(numParties int, cfg ScoredConfig, r *rng.Source) *Scored {
-	return newScored(scoreDivergence, "divergence", numParties, cfg, r)
-}
-
-// NewSoftDeadline builds a soft-deadline system selector: parties that
-// complete inside the deadline score 1, overshooters decay quadratically
-// with the overshoot ratio, and stragglers are quartered.
-func NewSoftDeadline(numParties int, cfg ScoredConfig, r *rng.Source) *Scored {
-	return newScored(scoreSoftDeadline, "soft-deadline", numParties, cfg, r)
-}
-
-// NewHardDeadline builds a hard-deadline system selector: parties that miss
-// the deadline (or straggle) score 0 and drop out of exploitation until they
-// complete inside it again.
-func NewHardDeadline(numParties int, cfg ScoredConfig, r *rng.Source) *Scored {
-	return newScored(scoreHardDeadline, "hard-deadline", numParties, cfg, r)
 }
 
 // Name implements fl.Selector.
-func (s *Scored) Name() string { return s.name }
+func (s *Scored) Name() string { return s.kind.String() }
 
 // NeedsUpdates implements fl.UpdateConsumer: only the update-driven kinds
 // make the engine materialize delta vectors.
@@ -226,7 +159,7 @@ func (s *Scored) Select(_, target int) []int {
 	if nExploit > 0 {
 		band := s.nTried
 		if s.scaleMode {
-			band = s.cfg.CandidatePool
+			band = candidatePool
 			if band < 2*target {
 				band = 2 * target
 			}
@@ -326,14 +259,14 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 			}
 		}
 	}
-	s.explore = math.Max(0.1, s.explore*s.cfg.ExplorationDecay)
+	s.explore = math.Max(explorationFloor, s.explore*explorationDecay)
 }
 
 // deadline resolves the active deadline: the configured one, else the mean
 // observed duration, else +Inf (every party fits until history exists).
 func (s *Scored) deadline() float64 {
-	if s.cfg.Deadline > 0 {
-		return s.cfg.Deadline
+	if s.fixedDeadline > 0 {
+		return s.fixedDeadline
 	}
 	if s.durCount == 0 {
 		return math.Inf(1)

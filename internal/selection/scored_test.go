@@ -10,20 +10,11 @@ import (
 	"flips/internal/tensor"
 )
 
-var scoredKinds = []struct {
-	name string
-	mk   func(int, ScoredConfig, *rng.Source) *Scored
-}{
-	{"grad-norm", NewGradNorm},
-	{"loss-prop", NewLossProportional},
-	{"divergence", NewUpdateDivergence},
-	{"soft-deadline", NewSoftDeadline},
-	{"hard-deadline", NewHardDeadline},
-}
+var scoredKinds = []scoredKind{scoreGradNorm, scoreLossProp, scoreDivergence, scoreSoftDeadline, scoreHardDeadline}
 
 // TestScoredThresholdForcingBitIdentical is the PR 4–5 twin rule for the
 // Scored family: a threshold-1 (forced fleet-scale) instance whose candidate
-// band is wide enough to cover the tried set must produce byte-identical
+// band (candidatePool ≥ n here) covers the tried set must produce byte-identical
 // trajectories to the default-threshold exact instance — the scale threshold
 // only bounds the band, it must not touch state or RNG consumption.
 func TestScoredThresholdForcingBitIdentical(t *testing.T) {
@@ -31,10 +22,10 @@ func TestScoredThresholdForcingBitIdentical(t *testing.T) {
 	const n, target, gradDim = 40, 9, 6
 	for _, kind := range scoredKinds {
 		kind := kind
-		t.Run(kind.name, func(t *testing.T) {
+		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			exact := kind.mk(n, ScoredConfig{}, rng.New(11))
-			forced := kind.mk(n, ScoredConfig{ScaleThreshold: 1, CandidatePool: n}, rng.New(11))
+			exact := newScored(kind, n, 0, scaleModeThreshold, rng.New(11))
+			forced := newScored(kind, n, 0, 1, rng.New(11))
 			needUpdates := exact.NeedsUpdates()
 			for round := 0; round < 8; round++ {
 				a := exact.Select(round, target)
@@ -74,16 +65,16 @@ func TestScoredRanksBySignal(t *testing.T) {
 		}
 	}
 
-	gn := NewGradNorm(n, ScoredConfig{}, rng.New(1))
+	gn := newScored(scoreGradNorm, n, 0, scaleModeThreshold, rng.New(1))
 	gn.Observe(fb)
 	check("grad-norm", gn, 0, 1)
 
-	lp := NewLossProportional(n, ScoredConfig{}, rng.New(1))
+	lp := newScored(scoreLossProp, n, 0, scaleModeThreshold, rng.New(1))
 	lp.Observe(fb)
 	check("loss-prop", lp, 0, 1)
 
 	// Divergence: party 1's update is far from the round mean ((0.1+3)/2).
-	dv := NewUpdateDivergence(n, ScoredConfig{}, rng.New(1))
+	dv := newScored(scoreDivergence, n, 0, scaleModeThreshold, rng.New(1))
 	dv.Observe(fb)
 	if math.Abs(dv.utility[0]-dv.utility[1]) > 1e-12 {
 		t.Errorf("divergence: two-party round should score both parties equally far from the mean: %v vs %v",
@@ -91,14 +82,14 @@ func TestScoredRanksBySignal(t *testing.T) {
 	}
 
 	// Deadline kinds: fixed deadline 2.0; party 0 fits, party 1 overshoots.
-	sd := NewSoftDeadline(n, ScoredConfig{Deadline: 2}, rng.New(1))
+	sd := newScored(scoreSoftDeadline, n, 2, scaleModeThreshold, rng.New(1))
 	sd.Observe(fb)
 	check("soft-deadline", sd, 1, 0)
 	if want := (2.0 / 5.0) * (2.0 / 5.0); math.Abs(sd.utility[1]-want) > 1e-12 {
 		t.Errorf("soft-deadline overshoot score %v, want %v", sd.utility[1], want)
 	}
 
-	hd := NewHardDeadline(n, ScoredConfig{Deadline: 2}, rng.New(1))
+	hd := newScored(scoreHardDeadline, n, 2, scaleModeThreshold, rng.New(1))
 	hd.Observe(fb)
 	if hd.utility[1] != 0 {
 		t.Errorf("hard-deadline: overshooting party scored %v, want 0", hd.utility[1])
@@ -109,7 +100,7 @@ func TestScoredRanksBySignal(t *testing.T) {
 
 	// Adaptive deadline: resolved from history *before* this round's
 	// durations are ingested — the first round judges everyone against +Inf.
-	ad := NewHardDeadline(n, ScoredConfig{}, rng.New(1))
+	ad := newScored(scoreHardDeadline, n, 0, scaleModeThreshold, rng.New(1))
 	ad.Observe(fb)
 	if ad.utility[0] != 1 || ad.utility[1] != 1 {
 		t.Errorf("adaptive hard-deadline first round scored %v/%v, want 1/1", ad.utility[0], ad.utility[1])
@@ -132,8 +123,8 @@ func TestScoredRanksBySignal(t *testing.T) {
 
 // buildScoredFleet warms a fleet-scale Scored selector with enough observed
 // history that Select exercises the bounded candidate band.
-func buildScoredFleet(mk func(int, ScoredConfig, *rng.Source) *Scored, n int) (*Scored, fl.RoundFeedback) {
-	s := mk(n, ScoredConfig{}, rng.New(5))
+func buildScoredFleet(kind scoredKind, n int) (*Scored, fl.RoundFeedback) {
+	s := newScored(kind, n, 0, scaleModeThreshold, rng.New(5))
 	const cohort = 1000
 	ids := make([]int, cohort)
 	fb := fl.RoundFeedback{
@@ -171,8 +162,8 @@ func buildScoredFleet(mk func(int, ScoredConfig, *rng.Source) *Scored, n int) (*
 func BenchmarkScoredSelect(b *testing.B) {
 	const n = 100_000
 	for _, kind := range scoredKinds {
-		b.Run(kind.name, func(b *testing.B) {
-			s, _ := buildScoredFleet(kind.mk, n)
+		b.Run(kind.String(), func(b *testing.B) {
+			s, _ := buildScoredFleet(kind, n)
 			s.Select(0, 64) // warm the band scratch
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -188,8 +179,8 @@ func BenchmarkScoredSelect(b *testing.B) {
 func BenchmarkScoredObserve(b *testing.B) {
 	const n = 100_000
 	for _, kind := range scoredKinds {
-		b.Run(kind.name, func(b *testing.B) {
-			s, fb := buildScoredFleet(kind.mk, n)
+		b.Run(kind.String(), func(b *testing.B) {
+			s, fb := buildScoredFleet(kind, n)
 			fb.Round = 1
 			s.Observe(fb) // warm the sort scratch and heap entries
 			b.ReportAllocs()

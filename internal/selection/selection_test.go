@@ -82,7 +82,7 @@ func feedbackWithLoss(round int, ids []int, loss func(int) float64) fl.RoundFeed
 func TestOortPrefersHighLossParties(t *testing.T) {
 	t.Parallel()
 	const n = 40
-	s := NewOort(n, nil, OortConfig{ExplorationFraction: 0.2}, rng.New(4))
+	s := NewOort(n, nil, rng.New(4))
 	// Feed several rounds of feedback: parties 0-9 have 10x the loss.
 	loss := func(id int) float64 {
 		if id < 10 {
@@ -113,7 +113,7 @@ func TestOortPrefersHighLossParties(t *testing.T) {
 
 func TestOortExploresUntriedParties(t *testing.T) {
 	t.Parallel()
-	s := NewOort(30, nil, OortConfig{ExplorationFraction: 0.5}, rng.New(5))
+	s := NewOort(30, nil, rng.New(5))
 	// Before any feedback every party is untried: selection must still fill.
 	sel := s.Select(0, 10)
 	if len(sel) != 10 {
@@ -124,7 +124,7 @@ func TestOortExploresUntriedParties(t *testing.T) {
 
 func TestOortOverprovisionsAfterStragglers(t *testing.T) {
 	t.Parallel()
-	s := NewOort(40, nil, OortConfig{}, rng.New(6))
+	s := NewOort(40, nil, rng.New(6))
 	all := make([]int, 40)
 	for i := range all {
 		all[i] = i
@@ -142,7 +142,7 @@ func TestOortOverprovisionsAfterStragglers(t *testing.T) {
 
 func TestOortStragglersLoseUtility(t *testing.T) {
 	t.Parallel()
-	s := NewOort(10, nil, OortConfig{}, rng.New(7))
+	s := NewOort(10, nil, rng.New(7))
 	fb := feedbackWithLoss(0, []int{0, 1}, func(int) float64 { return 2 })
 	fb.Stragglers = []int{2}
 	fb.Selected = []int{0, 1, 2}
@@ -168,7 +168,7 @@ func TestOortDataSizeWeighting(t *testing.T) {
 		sizes[i] = 10
 	}
 	sizes[3] = 1000
-	s := NewOort(10, sizes, OortConfig{ExplorationFraction: 0.01}, rng.New(8))
+	s := NewOort(10, sizes, rng.New(8))
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	s.Observe(feedbackWithLoss(0, all, func(int) float64 { return 1 }))
 	sel := s.Select(1, 1)
@@ -242,7 +242,7 @@ func TestGradClusColdStartRandomGradients(t *testing.T) {
 // tombstones compact away, and positions stay consistent.
 func TestGradClusScaleRecency(t *testing.T) {
 	t.Parallel()
-	s := NewGradClusConfig(20, 3, GradClusConfig{ScaleThreshold: 1, PoolSize: 4}, rng.New(21))
+	s := newGradClus(20, 3, 1, rng.New(21))
 	observe := func(id int) {
 		s.Observe(fl.RoundFeedback{
 			Completed: []int{id},
@@ -291,7 +291,7 @@ func TestGradClusScaleRecency(t *testing.T) {
 func TestTiFLTiersByLatency(t *testing.T) {
 	t.Parallel()
 	latencies := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := NewTiFL(latencies, TiFLConfig{NumTiers: 5}, rng.New(12))
+	s := NewTiFL(latencies, rng.New(12))
 	// Parties 0,1 are tier 0 (fastest); 8,9 tier 4 (slowest).
 	if s.tierOf[0] != 0 || s.tierOf[1] != 0 {
 		t.Fatalf("fastest parties in tier %d/%d", s.tierOf[0], s.tierOf[1])
@@ -307,7 +307,7 @@ func TestTiFLSelectsWithinOneTier(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := NewTiFL(latencies, TiFLConfig{NumTiers: 5}, rng.New(13))
+	s := NewTiFL(latencies, rng.New(13))
 	sel := s.Select(0, 4) // tier size is exactly 4
 	if len(sel) != 4 {
 		t.Fatalf("selected %d", len(sel))
@@ -327,7 +327,7 @@ func TestTiFLTopsUpFromNeighbours(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := NewTiFL(latencies, TiFLConfig{NumTiers: 5}, rng.New(14))
+	s := NewTiFL(latencies, rng.New(14))
 	sel := s.Select(0, 6) // tier size 2 < 6: must borrow neighbours
 	if len(sel) != 6 {
 		t.Fatalf("selected %d", len(sel))
@@ -341,27 +341,29 @@ func TestTiFLAdaptsTowardHighLossTiers(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := NewTiFL(latencies, TiFLConfig{NumTiers: 2, Adaptivity: 1}, rng.New(15))
-	// Tier 0 = parties 0..9, tier 1 = 10..19. Make tier 1's loss huge.
+	s := NewTiFL(latencies, rng.New(15))
+	// Five tiers of four parties, fastest first. Make the slowest tier's loss
+	// huge: at adaptivity 0.7 its weight is 0.3+0.7·100 against ≈0.3 each for
+	// the other four, so it should be chosen ≈98% of the time.
 	all := make([]int, 20)
 	for i := range all {
 		all[i] = i
 	}
 	s.Observe(feedbackWithLoss(0, all, func(id int) float64 {
-		if id >= 10 {
+		if id >= 16 {
 			return 100
 		}
 		return 0.001
 	}))
-	tier1 := 0
+	slowest := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		if s.chooseTier() == 1 {
-			tier1++
+		if s.chooseTier() == 4 {
+			slowest++
 		}
 	}
-	if tier1 < trials*9/10 {
-		t.Fatalf("high-loss tier chosen only %d/%d times", tier1, trials)
+	if slowest < trials*9/10 {
+		t.Fatalf("high-loss tier chosen only %d/%d times", slowest, trials)
 	}
 }
 
@@ -399,9 +401,9 @@ func TestAllSelectorsReturnValidSelections(t *testing.T) {
 		}
 		selectors := []fl.Selector{
 			NewRandom(n, r.Split(1)),
-			NewOort(n, nil, OortConfig{}, r.Split(2)),
+			NewOort(n, nil, r.Split(2)),
 			NewGradClus(n, 4, r.Split(3)),
-			NewTiFL(latencies, TiFLConfig{}, r.Split(4)),
+			NewTiFL(latencies, r.Split(4)),
 			NewPowerOfChoice(n, 2, r.Split(5)),
 		}
 		for _, s := range selectors {

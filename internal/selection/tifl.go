@@ -8,46 +8,22 @@ import (
 	"flips/internal/rng"
 )
 
-// TiFLConfig tunes the TiFL selector.
-type TiFLConfig struct {
-	// NumTiers is the number of latency tiers (default 5, as in TiFL).
-	NumTiers int
-	// CreditsPerTier caps how many rounds each tier can be chosen, spreading
-	// rounds across tiers over the job (default rounds budget / tiers; here
-	// a large default of 1<<30 ≈ unlimited unless set).
-	CreditsPerTier int
-	// Adaptivity blends uniform tier choice with loss-weighted choice in
-	// [0,1] (default 0.7): TiFL's "adaptive tier selection approach to
-	// update the tiering on the fly based on the observed ... accuracy".
-	Adaptivity float64
-	// ScaleThreshold is the population size above which tier mean losses are
-	// maintained as streaming incremental sums (O(completed) per round)
-	// instead of being recomputed by scanning every tier member (O(parties)
-	// per round). Default 2048; set to 1 to force fleet-scale mode.
-	ScaleThreshold int
-}
-
-func (c TiFLConfig) withDefaults() TiFLConfig {
-	if c.NumTiers <= 0 {
-		c.NumTiers = 5
-	}
-	if c.CreditsPerTier <= 0 {
-		c.CreditsPerTier = 1 << 30
-	}
-	if c.Adaptivity == 0 {
-		c.Adaptivity = 0.7
-	}
-	if c.ScaleThreshold == 0 {
-		c.ScaleThreshold = scaleModeThreshold
-	}
-	return c
-}
+// TiFL's published settings (DESIGN.md, "Selector constants").
+const (
+	// tiflTiers is the number of latency tiers (5, as in TiFL); a fleet
+	// smaller than that gets one tier per party.
+	tiflTiers = 5
+	// tiflAdaptivity blends uniform tier choice with loss-weighted choice in
+	// [0,1]: TiFL's "adaptive tier selection approach to update the tiering
+	// on the fly based on the observed ... accuracy".
+	tiflAdaptivity = 0.7
+)
 
 // TiFL groups parties into latency tiers from an offline profiling pass and
 // draws each round's participants from a single tier, which bounds the
 // round's completion time by the tier's speed. Tier choice is adaptive:
-// tiers whose parties currently exhibit higher training loss are favored,
-// within per-tier credits. Because tiers reflect *platform* speed rather
+// tiers whose parties currently exhibit higher training loss are favored.
+// Because tiers reflect *platform* speed rather
 // than *data*, tier-homogeneous rounds do not improve label coverage — the
 // behaviour the FLIPS paper observes ("TiFL's adaptive tiering approach is
 // unable to group the parties with under-represented labels into a single
@@ -57,15 +33,13 @@ func (c TiFLConfig) withDefaults() TiFLConfig {
 // neighbour top-ups are sampled as a virtual concatenation (identical RNG
 // consumption and output to the historical pool-copy implementation), so a
 // fleet-scale tier of tens of thousands of parties costs nothing to draw
-// from. Above ScaleThreshold, tier mean losses are additionally maintained
+// from. Above the scale threshold, tier mean losses are additionally maintained
 // as streaming sums updated per observed party.
 type TiFL struct {
-	cfg     TiFLConfig
-	r       *rng.Source
-	tiers   [][]int // tier -> party ids, fastest first
-	tierOf  []int
-	credits []int
-	loss    []float64 // last observed mean loss per party
+	r      *rng.Source
+	tiers  [][]int // tier -> party ids, fastest first
+	tierOf []int
+	loss   []float64 // last observed mean loss per party
 
 	// scaleMode switches chooseTier to the incremental tierLossSum instead
 	// of rescanning tier members.
@@ -79,18 +53,17 @@ var _ fl.Selector = (*TiFL)(nil)
 
 // NewTiFL builds a TiFL selector from profiled per-party latencies
 // (the offline profiling phase of the TiFL system).
-func NewTiFL(latencies []float64, cfg TiFLConfig, r *rng.Source) *TiFL {
-	cfg = cfg.withDefaults()
+func NewTiFL(latencies []float64, r *rng.Source) *TiFL {
+	return newTiFL(latencies, scaleModeThreshold, r)
+}
+
+func newTiFL(latencies []float64, scaleThreshold int, r *rng.Source) *TiFL {
 	n := len(latencies)
-	if cfg.NumTiers > n {
-		cfg.NumTiers = n
-	}
+	numTiers := min(tiflTiers, n)
 	t := &TiFL{
-		cfg:     cfg,
-		r:       r,
-		tierOf:  make([]int, n),
-		credits: make([]int, cfg.NumTiers),
-		loss:    make([]float64, n),
+		r:      r,
+		tierOf: make([]int, n),
+		loss:   make([]float64, n),
 	}
 	// Quantile tiering: sort by latency, cut into equal tiers.
 	order := make([]int, n)
@@ -103,24 +76,18 @@ func NewTiFL(latencies []float64, cfg TiFLConfig, r *rng.Source) *TiFL {
 		}
 		return order[a] < order[b]
 	})
-	t.tiers = make([][]int, cfg.NumTiers)
+	t.tiers = make([][]int, numTiers)
 	for rank, id := range order {
-		tier := rank * cfg.NumTiers / n
-		if tier >= cfg.NumTiers {
-			tier = cfg.NumTiers - 1
-		}
+		tier := rank * numTiers / n
 		t.tiers[tier] = append(t.tiers[tier], id)
 		t.tierOf[id] = tier
-	}
-	for i := range t.credits {
-		t.credits[i] = cfg.CreditsPerTier
 	}
 	for i := range t.loss {
 		t.loss[i] = 1 // optimistic prior so fresh tiers stay eligible
 	}
-	if n > cfg.ScaleThreshold {
+	if n > scaleThreshold {
 		t.scaleMode = true
-		t.tierLossSum = make([]float64, cfg.NumTiers)
+		t.tierLossSum = make([]float64, numTiers)
 		for tier, members := range t.tiers {
 			t.tierLossSum[tier] = float64(len(members)) // prior loss of 1 each
 		}
@@ -142,12 +109,12 @@ func (s *TiFL) Select(_, target int) []int {
 	segs := append(s.segScratch[:0], s.tiers[tier])
 	total := len(s.tiers[tier])
 	// Top up from adjacent tiers if this tier is too small.
-	for delta := 1; total < target && delta < s.cfg.NumTiers; delta++ {
+	for delta := 1; total < target && delta < len(s.tiers); delta++ {
 		if t := tier - delta; t >= 0 {
 			segs = append(segs, s.tiers[t])
 			total += len(s.tiers[t])
 		}
-		if t := tier + delta; t < s.cfg.NumTiers {
+		if t := tier + delta; t < len(s.tiers) {
 			segs = append(segs, s.tiers[t])
 			total += len(s.tiers[t])
 		}
@@ -167,22 +134,19 @@ func (s *TiFL) Select(_, target int) []int {
 			j -= len(seg)
 		}
 	}
-	if s.credits[tier] > 0 {
-		s.credits[tier]--
-	}
 	return out
 }
 
-// chooseTier blends uniform and loss-weighted tier selection over tiers with
-// remaining credits.
+// chooseTier blends uniform and loss-weighted tier selection.
 func (s *TiFL) chooseTier() int {
-	weights := make([]float64, s.cfg.NumTiers)
-	anyCredit := false
+	// A variable, so 1−adaptivity is float64 arithmetic rather than an exact
+	// constant expression: the blend weights keep their historical bits.
+	adaptivity := tiflAdaptivity
+	weights := make([]float64, len(s.tiers))
 	for tier, members := range s.tiers {
-		if s.credits[tier] <= 0 || len(members) == 0 {
+		if len(members) == 0 {
 			continue
 		}
-		anyCredit = true
 		var meanLoss float64
 		if s.scaleMode {
 			meanLoss = s.tierLossSum[tier] / float64(len(members))
@@ -192,14 +156,7 @@ func (s *TiFL) chooseTier() int {
 			}
 			meanLoss /= float64(len(members))
 		}
-		weights[tier] = (1-s.cfg.Adaptivity)*1 + s.cfg.Adaptivity*math.Max(meanLoss, 1e-6)
-	}
-	if !anyCredit {
-		// Credits exhausted everywhere: reset (TiFL re-tiers periodically).
-		for i := range s.credits {
-			s.credits[i] = s.cfg.CreditsPerTier
-		}
-		return s.chooseTier()
+		weights[tier] = (1-adaptivity)*1 + adaptivity*math.Max(meanLoss, 1e-6)
 	}
 	return s.r.Categorical(weights)
 }

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
+
+	"flips/internal/dist"
 )
 
 // arrivalRateWindow is the sliding window of the arrivals/sec gauge.
@@ -58,7 +61,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("flipsd_round_shards_touched_mean", "Mean aggregation shards touched per evaluated round (shard locality).", shardMean)
 
 	if s.cfg.DistStats != nil {
-		writeDistMetrics(&b, s.cfg.DistStats())
+		registered, jobs := s.cfg.DistStats()
+		writeDistMetrics(&b, registered, jobs)
 	}
 
 	const lat = "flipsd_job_latency_seconds"
@@ -74,41 +78,48 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeDistMetrics renders the distributed shard-worker fleet: one
-// registration gauge plus per-slot labeled series keyed by (job, slot), with
-// the holding worker's ID as a third label so reattachments are visible in
-// the series stream.
-func writeDistMetrics(b *strings.Builder, snap DistSnapshot) {
+// registration gauge plus per-slot labeled series keyed by (job, slot) in
+// that order, with the holding worker's ID as a third label so reattachments
+// are visible in the series stream.
+func writeDistMetrics(b *strings.Builder, registered int, jobs map[uint64][]dist.WorkerStat) {
 	fmt.Fprintf(b, "# HELP flipsd_dist_workers_registered Shard worker processes currently registered with the coordinator.\n# TYPE flipsd_dist_workers_registered gauge\n")
-	fmt.Fprintf(b, "flipsd_dist_workers_registered %d\n", snap.WorkersRegistered)
-	if len(snap.Slots) == 0 {
+	fmt.Fprintf(b, "flipsd_dist_workers_registered %d\n", registered)
+	if len(jobs) == 0 {
 		return
 	}
-	series := func(name, help, typ string, value func(DistWorkerStat) string) {
+	ids := make([]uint64, 0, len(jobs))
+	for id := range jobs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	series := func(name, help, typ string, value func(dist.WorkerStat) any) {
 		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, st := range snap.Slots {
-			fmt.Fprintf(b, "%s{job=%q,slot=\"%d\",worker=\"%d\"} %s\n", name, st.Job, st.Slot, st.WorkerID, value(st))
+		for _, id := range ids {
+			for _, st := range jobs[id] {
+				fmt.Fprintf(b, "%s{job=\"%d\",slot=\"%d\",worker=\"%d\"} %d\n", name, id, st.Slot, st.WorkerID, value(st))
+			}
 		}
 	}
-	series("flipsd_dist_worker_connected", "1 while a live worker holds the shard slot, 0 mid-recovery.", "gauge", func(st DistWorkerStat) string {
+	series("flipsd_dist_worker_connected", "1 while a live worker holds the shard slot, 0 mid-recovery.", "gauge", func(st dist.WorkerStat) any {
 		if st.Connected {
-			return "1"
+			return 1
 		}
-		return "0"
+		return 0
 	})
-	series("flipsd_dist_worker_parties", "Parties in the slot's contiguous shard range.", "gauge", func(st DistWorkerStat) string {
-		return fmt.Sprintf("%d", st.PartyHi-st.PartyLo)
+	series("flipsd_dist_worker_parties", "Parties in the slot's contiguous shard range.", "gauge", func(st dist.WorkerStat) any {
+		return st.PartyHi - st.PartyLo
 	})
-	series("flipsd_dist_worker_lag_waves", "Dispatch waves the slot trails the job cursor (nonzero during reconnect replay).", "gauge", func(st DistWorkerStat) string {
-		return fmt.Sprintf("%d", st.LagWaves)
+	series("flipsd_dist_worker_lag_waves", "Dispatch waves the slot trails the job cursor (nonzero during reconnect replay).", "gauge", func(st dist.WorkerStat) any {
+		return st.LagWaves
 	})
-	series("flipsd_dist_worker_waves_total", "Training waves the slot has completed.", "counter", func(st DistWorkerStat) string {
-		return fmt.Sprintf("%d", st.Waves)
+	series("flipsd_dist_worker_waves_total", "Training waves the slot has completed.", "counter", func(st dist.WorkerStat) any {
+		return st.Waves
 	})
-	series("flipsd_dist_worker_bytes_in_total", "Wire bytes received from the slot's workers, replacements included.", "counter", func(st DistWorkerStat) string {
-		return fmt.Sprintf("%d", st.BytesIn)
+	series("flipsd_dist_worker_bytes_in_total", "Wire bytes the job received from the slot's workers, replacements included.", "counter", func(st dist.WorkerStat) any {
+		return st.JobBytesIn
 	})
-	series("flipsd_dist_worker_bytes_out_total", "Wire bytes sent to the slot's workers, replacements included.", "counter", func(st DistWorkerStat) string {
-		return fmt.Sprintf("%d", st.BytesOut)
+	series("flipsd_dist_worker_bytes_out_total", "Wire bytes the job sent to the slot's workers, replacements included.", "counter", func(st dist.WorkerStat) any {
+		return st.JobBytesOut
 	})
 }
 

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"flips"
+	"flips/internal/dist"
 	"flips/internal/metrics"
 	"flips/internal/parallel"
 )
@@ -59,38 +60,11 @@ type Config struct {
 	// distributed runner when shard workers are configured.
 	Run func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error)
 	// DistStats, when non-nil, snapshots the distributed shard-worker fleet
-	// for /metrics (per-worker lag, byte counters, connectivity). Nil keeps
-	// the distributed gauges off the exposition.
-	DistStats func() DistSnapshot
-}
-
-// DistWorkerStat is one job shard slot of the distributed runner, as exposed
-// on /metrics. It mirrors dist.WorkerStat without importing the transport.
-type DistWorkerStat struct {
-	// Job is the server job ID the slot belongs to.
-	Job string
-	// Slot indexes the job's shard seats; WorkerID is the registered worker
-	// holding it (-1 while vacant after a failure).
-	Slot, WorkerID int
-	// PartyLo, PartyHi bound the slot's contiguous party-ID range.
-	PartyLo, PartyHi int
-	// Connected reports whether a live worker holds the slot right now.
-	Connected bool
-	// Waves counts completed training waves; LagWaves how many dispatch
-	// waves the slot trails the job's cursor (nonzero mid-recovery).
-	Waves, LagWaves uint64
-	// BytesIn/BytesOut are the slot's cumulative wire bytes, replacement
-	// workers included.
-	BytesIn, BytesOut int64
-}
-
-// DistSnapshot is one point-in-time read of the distributed worker fleet.
-type DistSnapshot struct {
-	// WorkersRegistered counts live registered shard workers (idle or
-	// attached).
-	WorkersRegistered int
-	// Slots lists every active job's shard slots.
-	Slots []DistWorkerStat
+	// for /metrics: how many workers are registered, and every recent job's
+	// shard slots keyed by the runner's job sequence number
+	// (dist.Coordinator.WorkerCount and flips.DistRunner.WorkerStats). Nil
+	// keeps the distributed gauges off the exposition.
+	DistStats func() (registered int, jobs map[uint64][]dist.WorkerStat)
 }
 
 func (c Config) withDefaults() Config {
@@ -259,15 +233,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var cfg flips.SimulationConfig
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed config: %v", err)
-		return
-	}
-	if err := cfg.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
+	cfg, err := flips.DecodeSimulationConfig(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if cfg.Parallelism == 0 {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"flips"
+	"flips/internal/dist"
 )
 
 // validBody is a real, fast SimulationConfig: submissions go through the
@@ -594,14 +595,11 @@ func TestMetricsDistExposition(t *testing.T) {
 		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			return &flips.SimulationResult{}, nil
 		},
-		DistStats: func() DistSnapshot {
-			return DistSnapshot{
-				WorkersRegistered: 3,
-				Slots: []DistWorkerStat{
-					{Job: "1", Slot: 0, WorkerID: 1, PartyLo: 0, PartyHi: 15, Connected: true, Waves: 7, BytesIn: 1024, BytesOut: 2048},
-					{Job: "1", Slot: 1, WorkerID: -1, PartyLo: 15, PartyHi: 30, LagWaves: 2},
-				},
-			}
+		DistStats: func() (int, map[uint64][]dist.WorkerStat) {
+			return 3, map[uint64][]dist.WorkerStat{1: {
+				{Slot: 0, WorkerID: 1, PartyLo: 0, PartyHi: 15, Connected: true, Waves: 7, BytesIn: 9000, BytesOut: 9000, JobBytesIn: 1024, JobBytesOut: 2048},
+				{Slot: 1, WorkerID: -1, PartyLo: 15, PartyHi: 30, LagWaves: 2},
+			}}
 		},
 	})
 	ts := httptest.NewServer(s.Handler())

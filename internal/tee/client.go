@@ -76,3 +76,19 @@ func (p *PartyClient) SubmitLabelDistribution(enclave EnclaveAPI, counts tensor.
 	}
 	return enclave.Submit(p.session, ciphertext)
 }
+
+// SubmitAll plays every party's side of Figure 3 against one enclave, local
+// or remote: party i attests it, opens its own secure channel and submits
+// dists[i]. It stops at the first party that fails.
+func SubmitAll(enclave EnclaveAPI, attest *AttestationServer, dists []tensor.Vec) error {
+	for partyID, counts := range dists {
+		client := NewPartyClient(partyID, attest)
+		if err := client.Handshake(enclave); err != nil {
+			return fmt.Errorf("party %d: %w", partyID, err)
+		}
+		if err := client.SubmitLabelDistribution(enclave, counts); err != nil {
+			return fmt.Errorf("party %d: %w", partyID, err)
+		}
+	}
+	return nil
+}

@@ -33,6 +33,11 @@ type Measurement [32]byte
 // String renders the measurement as hex.
 func (m Measurement) String() string { return hex.EncodeToString(m[:]) }
 
+// CodeVersion names the clustering implementation this repository loads into
+// its enclaves. It is part of the measurement: an enclave booted from other
+// code fails attestation.
+const CodeVersion = "flips-kmeans-v1"
+
 // ClusteringCode identifies the code loaded into the enclave. Any change to
 // these fields changes the measurement and breaks attestation, exactly like
 // re-building an SEV/SGX image.

@@ -1,6 +1,7 @@
 package flips
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -300,6 +301,24 @@ func (c SimulationConfig) Validate() error {
 	return experiment.Validate(setting, scale)
 }
 
+// DecodeSimulationConfig reads one job description — a JSON object with
+// SimulationConfig's field names — rejecting unknown fields and everything
+// Validate rejects. It is the only place a SimulationConfig is decoded from
+// JSON: the job server's POST /jobs body, the job file `flipsd -selftest`
+// takes and the job spec a shard worker is assigned all pass through it.
+func DecodeSimulationConfig(r io.Reader) (SimulationConfig, error) {
+	var cfg SimulationConfig
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return SimulationConfig{}, fmt.Errorf("flips: malformed job config: %w", err)
+	}
+	if err := cfg.Validate(); err != nil {
+		return SimulationConfig{}, err
+	}
+	return cfg, nil
+}
+
 // RunSimulation executes one FL job and returns its convergence history.
 func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 	return RunSimulationStream(cfg, nil)
@@ -311,40 +330,38 @@ func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 // runs on the engine goroutine, so it should hand off quickly; the PerLabel
 // slice must be copied if retained.
 func RunSimulationStream(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
+	return runSimulation(cfg, onRound, nil)
+}
+
+// runSimulation is the one run path: in-process when attach is nil, with each
+// repeat's local training on the transport attach returns when it is not
+// (DistRunner.Run).
+func runSimulation(cfg SimulationConfig, onRound func(RoundPoint), attach experiment.Attach) (*SimulationResult, error) {
 	setting, scale, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	res, clusters, err := experiment.RunSettingClusters(setting, scale, roundHook(onRound))
+	var hook func(fl.RoundStats)
+	if onRound != nil {
+		hook = func(h fl.RoundStats) { onRound(roundPoint(h)) }
+	}
+	res, clusters, err := experiment.RunSettingClusters(setting, scale, hook, attach)
 	if err != nil {
 		return nil, err
 	}
-	return newSimulationResult(res, setting.TargetAccuracy, len(clusters)), nil
-}
-
-// roundHook adapts a public round hook to the engine's, keeping nil nil.
-func roundHook(onRound func(RoundPoint)) func(fl.RoundStats) {
-	if onRound == nil {
-		return nil
-	}
-	return func(h fl.RoundStats) { onRound(roundPoint(h)) }
-}
-
-// newSimulationResult maps a finished engine run onto the public result.
-func newSimulationResult(res *fl.Result, target float64, clusters int) *SimulationResult {
 	out := &SimulationResult{
 		PeakAccuracy:   res.PeakAccuracy,
 		RoundsToTarget: res.RoundsToTarget,
 		TimeToTarget:   res.TimeToTarget,
 		SimTime:        res.SimTime,
-		TargetAccuracy: target,
+		TargetAccuracy: setting.TargetAccuracy,
 		TotalCommBytes: res.TotalCommBytes,
-		NumClusters:    clusters,
+		NumClusters:    len(clusters),
 	}
 	for _, h := range res.History {
 		out.History = append(out.History, roundPoint(h))
 	}
-	return out
+	return out, nil
 }
 
 // roundPoint maps the engine's RoundStats onto the public round shape.
