@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"testing"
 
 	"flips/internal/rng"
@@ -58,6 +59,31 @@ func BenchmarkTrainLocal(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				TrainLocal(m, data, cfg, nil, rng.New(uint64(i)+1))
+			}
+		})
+	}
+}
+
+// BenchmarkMulVecInto measures the forward-pass kernel at the shapes the
+// benchmark's jobs run it at: the ECG logistic regression (5×32), the
+// FEMNIST one (10×32) and an MLP hidden layer (32×36).
+func BenchmarkMulVecInto(b *testing.B) {
+	for _, shape := range [][2]int{{5, 32}, {10, 32}, {32, 36}} {
+		rows, cols := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			r := rng.New(17)
+			m := tensor.NewMat(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = r.NormFloat64()
+			}
+			x, dst := tensor.NewVec(cols), tensor.NewVec(rows)
+			for i := range x {
+				x[i] = r.NormFloat64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.MulVecInto(dst, x)
 			}
 		})
 	}

@@ -40,8 +40,8 @@ const (
 	// slowPenalty divides the utility of parties slower than 1.5× the round's
 	// median duration, and of stragglers (Oort's systemic utility).
 	slowPenalty = 2
-	// candidatePool bounds the fleet-scale exploitation band: each round pops
-	// the top max(candidatePool, 2·request) parties by utility from the heap
+	// candidatePool bounds the fleet-scale exploitation band: each round reads
+	// the top max(candidatePool, 2·request) parties by utility off the heap
 	// instead of scoring every tried party.
 	candidatePool = 256
 )
@@ -57,7 +57,8 @@ const (
 // fleet-scale mode: tried parties live in a top-k utility heap and
 // exploitation samples from a bounded top-utility candidate band, untried
 // parties live in a swap-removed pool, and per-round cost is
-// O((invited + candidates)·log tried) regardless of population size.
+// O(candidates·log candidates + invited·log tried) regardless of population
+// size.
 type Oort struct {
 	numParties int
 	r          *rng.Source
@@ -65,24 +66,22 @@ type Oort struct {
 	utility   []float64
 	lastUsed  []int
 	tried     []bool
-	duration  []float64
 	sawStrag  bool
 	explore   float64
 	dataSizes []float64
 
 	// Fleet-scale state (scaleMode only). untried is an unordered pool with
-	// untriedPos tracking each id's slot for O(1) swap-removal; heapItem
-	// maps tried ids to their utilityHeap entries.
+	// untriedPos tracking each id's slot for O(1) swap-removal; heap holds
+	// the tried ids keyed by utility.
 	scaleMode  bool
 	untried    []int
 	untriedPos []int
 	heap       utilityHeap
-	heapItem   []*utilItem
 
 	// Reusable per-round scratch.
-	cand       []*utilItem
 	candIDs    []int
 	candScores []float64
+	frontier   []int
 	durScratch []float64
 }
 
@@ -102,7 +101,6 @@ func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source)
 		utility:    make([]float64, numParties),
 		lastUsed:   make([]int, numParties),
 		tried:      make([]bool, numParties),
-		duration:   make([]float64, numParties),
 		dataSizes:  make([]float64, numParties),
 		explore:    explorationFraction,
 	}
@@ -121,7 +119,7 @@ func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source)
 			o.untried[i] = i
 			o.untriedPos[i] = i
 		}
-		o.heapItem = make([]*utilItem, numParties)
+		o.heap = newUtilityHeap(numParties)
 	}
 	return o
 }
@@ -182,8 +180,9 @@ func (s *Oort) Select(round, target int) []int {
 		// the whole vector and a zeroed entry could be picked twice.
 		cand := append([]int(nil), tried...)
 		scores := make([]float64, len(cand))
+		logRound := math.Log(float64(round + 1))
 		for j, id := range cand {
-			scores[j] = s.score(id, round)
+			scores[j] = s.scoreAt(id, round, logRound)
 		}
 		for i := 0; i < nExploit && len(cand) > 0; i++ {
 			j := s.r.Categorical(scores)
@@ -197,13 +196,12 @@ func (s *Oort) Select(round, target int) []int {
 }
 
 // selectScale is the fleet-scale Select path: exploration samples the
-// swap-removed untried pool, exploitation pops a bounded top-utility
-// candidate band from the heap, scores it with the staleness bonus, samples
-// within it, and pushes the band back. Cost is independent of the population
-// size beyond the O(log tried) heap operations.
+// swap-removed untried pool, exploitation reads a bounded top-utility
+// candidate band off the heap in place, scores it with the staleness bonus
+// and samples within it. Cost is independent of the population size.
 func (s *Oort) selectScale(round, request int) []int {
 	nUntried := len(s.untried)
-	nTried := s.heap.Len()
+	nTried := s.heap.len()
 	nExplore := int(math.Round(s.explore * float64(request)))
 	if nExplore > nUntried {
 		nExplore = nUntried
@@ -228,12 +226,10 @@ func (s *Oort) selectScale(round, request int) []int {
 		if band > nTried {
 			band = nTried
 		}
-		s.cand, s.candIDs, s.candScores = s.cand[:0], s.candIDs[:0], s.candScores[:0]
-		for len(s.cand) < band {
-			it := s.heap.pop()
-			s.cand = append(s.cand, it)
-			s.candIDs = append(s.candIDs, it.id)
-			s.candScores = append(s.candScores, s.score(it.id, round))
+		s.candIDs, s.candScores, s.frontier = s.heap.top(band, s.candIDs[:0], s.candScores[:0], s.frontier)
+		logRound := math.Log(float64(round + 1))
+		for j, id := range s.candIDs {
+			s.candScores[j] = s.scoreAt(id, round, logRound)
 		}
 		ids, scores := s.candIDs, s.candScores
 		for i := 0; i < nExploit && len(ids) > 0; i++ {
@@ -243,20 +239,23 @@ func (s *Oort) selectScale(round, request int) []int {
 			ids[j], scores[j] = ids[last], scores[last]
 			ids, scores = ids[:last], scores[:last]
 		}
-		for _, it := range s.cand {
-			s.heap.push(it)
-		}
 	}
 	return selected
 }
 
 // score combines statistical utility, staleness bonus and systemic penalty.
 func (s *Oort) score(id, round int) float64 {
+	return s.scoreAt(id, round, math.Log(float64(round+1)))
+}
+
+// scoreAt is score with log(round+1), the same for every candidate of a
+// Select, computed once by the caller.
+func (s *Oort) scoreAt(id, round int, logRound float64) float64 {
 	u := s.utility[id]
 	// Staleness exploration bonus (Oort Eq. 2's confidence term).
 	age := round - s.lastUsed[id]
 	if age > 0 && round > 0 {
-		u += stalenessWeight * u * math.Sqrt(math.Log(float64(round+1))/float64(age))
+		u += stalenessWeight * u * math.Sqrt(logRound/float64(age))
 	}
 	return u
 }
@@ -279,9 +278,7 @@ func (s *Oort) markTried(id int) {
 	s.untriedPos[moved] = j
 	s.untried = s.untried[:last]
 	s.untriedPos[id] = -1
-	it := &utilItem{id: id, util: s.utility[id]}
-	s.heapItem[id] = it
-	s.heap.push(it)
+	s.heap.push(id, s.utility[id])
 }
 
 // setUtility writes a party's utility, re-keying its heap entry in
@@ -289,10 +286,7 @@ func (s *Oort) markTried(id int) {
 func (s *Oort) setUtility(id int, u float64) {
 	s.utility[id] = u
 	if s.scaleMode {
-		if it := s.heapItem[id]; it != nil && it.util != u {
-			it.util = u
-			s.heap.fix(it)
-		}
+		s.heap.set(id, u)
 	}
 }
 
@@ -321,7 +315,6 @@ func (s *Oort) Observe(fb fl.RoundFeedback) {
 			util /= slowPenalty
 		}
 		s.setUtility(id, util)
-		s.duration[id] = fb.Duration[id]
 	}
 	// Stragglers burn their utility so repeat offenders fall in rank.
 	for _, id := range fb.Stragglers {
@@ -331,17 +324,17 @@ func (s *Oort) Observe(fb fl.RoundFeedback) {
 	s.explore = math.Max(explorationFloor, s.explore*explorationDecay)
 }
 
+// median sorts xs in place and returns its median (0 when empty).
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
+	sort.Float64s(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
 	}
-	return (sorted[mid-1] + sorted[mid]) / 2
+	return (xs[mid-1] + xs[mid]) / 2
 }
 
 func minInt(a, b int) int {

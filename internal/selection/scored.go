@@ -60,12 +60,11 @@ type Scored struct {
 	// (every party fits until the first durations arrive).
 	fixedDeadline float64
 
-	utility  []float64
-	tried    []bool
-	nTried   int
-	heap     utilityHeap
-	heapItem []*utilItem
-	explore  float64
+	utility []float64
+	tried   []bool
+	nTried  int
+	heap    utilityHeap
+	explore float64
 
 	// Adaptive-deadline accumulator (deadline kinds only).
 	durSum   float64
@@ -73,9 +72,9 @@ type Scored struct {
 
 	// Reusable per-round scratch.
 	inRound     []bool
-	cand        []*utilItem
 	candIDs     []int
 	candScores  []float64
+	frontier    []int
 	obsScratch  []int
 	meanScratch tensor.Vec
 }
@@ -95,7 +94,7 @@ func newScored(kind scoredKind, numParties int, deadline float64, scaleThreshold
 		fixedDeadline: deadline,
 		utility:       make([]float64, numParties),
 		tried:         make([]bool, numParties),
-		heapItem:      make([]*utilItem, numParties),
+		heap:          newUtilityHeap(numParties),
 		inRound:       make([]bool, numParties),
 		explore:       explorationFraction,
 	}
@@ -167,16 +166,10 @@ func (s *Scored) Select(_, target int) []int {
 				band = s.nTried
 			}
 		}
-		// Pop the band in (score desc, id asc) order — uniquely determined
+		// Read the band in (score desc, id asc) order — uniquely determined
 		// by the heap's strict total order regardless of internal layout —
-		// sample within it, and push it back.
-		s.cand, s.candIDs, s.candScores = s.cand[:0], s.candIDs[:0], s.candScores[:0]
-		for len(s.cand) < band {
-			it := s.heap.pop()
-			s.cand = append(s.cand, it)
-			s.candIDs = append(s.candIDs, it.id)
-			s.candScores = append(s.candScores, it.util)
-		}
+		// and sample within it.
+		s.candIDs, s.candScores, s.frontier = s.heap.top(band, s.candIDs[:0], s.candScores[:0], s.frontier)
 		ids, scores := s.candIDs, s.candScores
 		for i := 0; i < nExploit && len(ids) > 0; i++ {
 			j := s.r.Categorical(scores)
@@ -184,9 +177,6 @@ func (s *Scored) Select(_, target int) []int {
 			last := len(ids) - 1
 			ids[j], scores[j] = ids[last], scores[last]
 			ids, scores = ids[:last], scores[:last]
-		}
-		for _, it := range s.cand {
-			s.heap.push(it)
 		}
 	}
 	return selected
@@ -308,16 +298,11 @@ func (s *Scored) markTried(id int) {
 	}
 	s.tried[id] = true
 	s.nTried++
-	it := &utilItem{id: id, util: s.utility[id]}
-	s.heapItem[id] = it
-	s.heap.push(it)
+	s.heap.push(id, s.utility[id])
 }
 
 // setScore writes a party's score, re-keying its heap entry.
 func (s *Scored) setScore(id int, u float64) {
 	s.utility[id] = u
-	if it := s.heapItem[id]; it != nil && it.util != u {
-		it.util = u
-		s.heap.fix(it)
-	}
+	s.heap.set(id, u)
 }

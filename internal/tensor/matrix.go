@@ -34,11 +34,32 @@ func (m *Mat) Clone() *Mat {
 
 // MulVecInto computes dst = m * x, for a column vector x of length Cols,
 // into the caller-provided dst of length Rows, allocating nothing. Each dst
-// element is overwritten with a row dot product.
+// element is overwritten with a row dot product; dst must not overlap x.
+//
+// Rows are taken four at a time, one accumulator per row: each accumulator
+// adds its own row's products in column order, so dst[i] is bit-equal to
+// Row(i).Dot(x), while the four add chains are independent of each other and
+// share every load of x.
 func (m *Mat) MulVecInto(dst, x Vec) {
 	assertSameLen(len(x), m.Cols)
 	assertSameLen(len(dst), m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	cols := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*cols : (i+1)*cols]
+		r1 := m.Data[(i+1)*cols : (i+2)*cols]
+		r2 := m.Data[(i+2)*cols : (i+3)*cols]
+		r3 := m.Data[(i+3)*cols : (i+4)*cols]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		dst[i] = m.Row(i).Dot(x)
 	}
 }

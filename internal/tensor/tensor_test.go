@@ -176,6 +176,61 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// TestMulVecIntoMatchesRowDot pins the row-blocked kernel to the loop it
+// replaced, dst[i] = Row(i).Dot(x), bit for bit: shapes on both sides of the
+// four-row block and its remainder, data salted with signed zeros,
+// infinities, NaN and subnormals.
+func TestMulVecIntoMatchesRowDot(t *testing.T) {
+	t.Parallel()
+	salt := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+	}
+	r := rng.New(31)
+	fill := func(v Vec, salted bool) {
+		for i := range v {
+			v[i] = r.NormFloat64()
+			if salted && r.Intn(6) == 0 {
+				v[i] = salt[r.Intn(len(salt))]
+			}
+		}
+	}
+	for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 32, 33} {
+		for _, cols := range []int{1, 3, 32, 36, 187} {
+			for _, salted := range []bool{false, true} {
+				m := NewMat(rows, cols)
+				x, dst := NewVec(cols), NewVec(rows)
+				fill(m.Data, salted)
+				fill(x, salted)
+				fill(dst, false) // overwritten, never read
+				m.MulVecInto(dst, x)
+				for i := 0; i < rows; i++ {
+					want := m.Row(i).Dot(x)
+					if math.Float64bits(dst[i]) != math.Float64bits(want) {
+						t.Fatalf("%dx%d salted=%v: dst[%d] = %v (%#x), Row(%d).Dot(x) = %v (%#x)",
+							rows, cols, salted, i, dst[i], math.Float64bits(dst[i]), i, want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+
+	m := NewMat(5, 3)
+	for name, call := range map[string]func(){
+		"x":   func() { m.MulVecInto(NewVec(5), NewVec(4)) },
+		"dst": func() { m.MulVecInto(NewVec(4), NewVec(3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MulVecInto accepted a %s of the wrong length", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestMulVecTIsTranspose(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {
