@@ -7,7 +7,8 @@
 #   1. The job completes (state "done") with training distributed across
 #      both workers.
 #   2. /metrics exposes the registration gauge and the per-worker slot
-#      series (connectivity, waves, lag, byte counters).
+#      series (connectivity, waves, lag, byte counters), and no slot of the
+#      finished job reports a wave outstanding.
 #   3. SIGTERM drains without losing a job, and the coordinator's shutdown
 #      frames release both workers with exit code 0.
 set -euo pipefail
@@ -63,6 +64,11 @@ grep -q '^flipsd_dist_workers_registered 2$' "$BIN/metrics.txt"
 grep -q 'flipsd_dist_worker_connected{' "$BIN/metrics.txt"
 grep -q 'flipsd_dist_worker_waves_total{' "$BIN/metrics.txt"
 grep -q 'flipsd_dist_worker_lag_waves{' "$BIN/metrics.txt"
+if grep '^flipsd_dist_worker_lag_waves{' "$BIN/metrics.txt" | grep -qv ' 0$'; then
+  echo "a slot of a finished job still lags:" >&2
+  grep '^flipsd_dist_worker_lag_waves{' "$BIN/metrics.txt" >&2
+  exit 1
+fi
 grep -q 'flipsd_dist_worker_bytes_in_total{' "$BIN/metrics.txt"
 grep -q 'flipsd_dist_worker_bytes_out_total{' "$BIN/metrics.txt"
 

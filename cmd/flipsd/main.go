@@ -23,7 +23,7 @@
 //     serves local-training waves until the coordinator sends a shutdown
 //     frame. Workers redial with backoff if the coordinator restarts;
 //     mid-wave worker loss is recovered by the coordinator via reassignment
-//     and checkpoint replay, byte-identically.
+//     and replay of the wave, byte-identically.
 //
 //   - TEE clustering service (-mode tee): boots a simulated secure enclave
 //     with the label-distribution clustering code and serves the

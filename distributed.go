@@ -15,10 +15,11 @@ import (
 // serves jobs with: the job spec is the SimulationConfig JSON of one repeat
 // (DistRunner.Run), decoded and validated like any other submission — a spec
 // the job server would have refused draws an error frame, not a build — and
-// the worker rebuilds exactly the coordinator's fleet from it
-// (experiment.Build is deterministic in (setting, scale)), then keeps only
-// its assigned [lo, hi) party range. The slice is copied onto a fresh backing
-// array so the rest of the fleet is collectable.
+// the worker rebuilds its assigned [lo, hi) party range of exactly the
+// coordinator's fleet from it (experiment.BuildShard is Build's data path over
+// a range, deterministic in (setting, scale)); the fleet-wide work only the
+// coordinator reads — latencies, label distributions, devices, the selector —
+// is never done.
 func DistWorkerBuilder() dist.Builder {
 	return func(spec []byte, lo, hi int) (dist.JobSetup, error) {
 		cfg, err := DecodeSimulationConfig(bytes.NewReader(spec))
@@ -29,17 +30,11 @@ func DistWorkerBuilder() dist.Builder {
 		if err != nil {
 			return dist.JobSetup{}, err
 		}
-		built, err := experiment.Build(setting, scale)
+		parties, factory, err := experiment.BuildShard(setting, scale, lo, hi)
 		if err != nil {
 			return dist.JobSetup{}, err
 		}
-		if hi > len(built.Parties) {
-			return dist.JobSetup{}, fmt.Errorf("flips: shard range [%d,%d) exceeds %d-party fleet", lo, hi, len(built.Parties))
-		}
-		return dist.JobSetup{
-			Parties: append([]*fl.Party(nil), built.Parties[lo:hi]...),
-			Factory: built.Config.Factory,
-		}, nil
+		return dist.JobSetup{Parties: parties, Factory: factory}, nil
 	}
 }
 

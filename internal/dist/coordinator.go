@@ -53,12 +53,17 @@ var frameTimeout = 2 * time.Minute
 
 // roundTrip sends one request frame and reads its response, both under one
 // frameTimeout deadline. The response payload aliases the codec's receive
-// buffer — decode before the next call.
+// buffer — decode before the next call. A request the codec refuses as larger
+// than a frame is no fault of this worker and would be refused on any other:
+// it comes back as a fatalError, not as a transport failure.
 func (w *workerConn) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
 	if err := w.conn.SetDeadline(time.Now().Add(frameTimeout)); err != nil {
 		return 0, nil, err
 	}
 	if err := w.codec.Send(typ, payload); err != nil {
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			err = &fatalError{err: fmt.Errorf("dist: %d-byte request: %w", len(payload), err)}
+		}
 		return 0, nil, err
 	}
 	return w.codec.Recv()
@@ -308,7 +313,7 @@ type WorkerStat struct {
 	PartyHi   int
 	Connected bool
 	Waves     uint64 // waves this slot completed
-	LagWaves  uint64 // dispatch waves the slot is behind the job's cursor
+	LagWaves  uint64 // waves dispatched to the slot and not yet completed
 	// BytesIn/BytesOut are the running totals of every connection that has
 	// served the slot, frames of the jobs those connections carried earlier
 	// included: benchmark/layers.go subtracts the previous job's snapshot
@@ -327,8 +332,9 @@ type slot struct {
 
 	mu            sync.Mutex
 	w             *workerConn
-	syncedVersion uint64 // unsyncedVersion until params streamed
-	waves         uint64
+	syncedVersion uint64 // version of the params the worker holds; unsyncedVersion if none
+	dispatched    uint64 // waves that addressed this slot
+	waves         uint64 // … of which completed
 	// Byte counters accumulated from detached workers; live counters come
 	// from the attached codec. A codec counts for its connection's life, so
 	// prior* sums what each worker seated here had already moved for earlier
@@ -352,8 +358,7 @@ type Job struct {
 
 	slots []*slot
 
-	mu      sync.Mutex
-	waveSeq uint64
+	waveSeq uint64 // engine goroutine only
 }
 
 var _ fl.ShardTransport = (*Job)(nil)
@@ -390,25 +395,42 @@ func NewJob(c *Coordinator, spec []byte, parties, workers int) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every worker builds its shard while the others build theirs: the
+	// assignments go out together and NewJob waits for the slowest ack, not
+	// for their sum.
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
 	for i, s := range j.slots {
-		if err := j.assign(s, claimed[i]); err != nil {
-			// A worker that cannot take the assignment is dead weight for
-			// every job; drop it and fail loudly — the caller decides
-			// whether to retry with fewer workers.
-			c.unregister(claimed[i])
-			for _, w := range claimed[i+1:] {
-				c.release(w)
-			}
-			j.Close()
-			return nil, err
+		wg.Add(1)
+		go func(s *slot, w *workerConn) {
+			defer wg.Done()
+			errs[s.idx] = j.assign(s, w)
+		}(s, claimed[i])
+	}
+	wg.Wait()
+	var failed error
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
+		// A worker that cannot take the assignment is dead weight for every
+		// job; drop it and fail loudly — the caller decides whether to retry
+		// with fewer workers. Close releases the workers that were seated.
+		c.unregister(claimed[i])
+		if failed == nil {
+			failed = err
+		}
+	}
+	if failed != nil {
+		j.Close()
+		return nil, failed
 	}
 	return j, nil
 }
 
 // assign sends the slot's shard assignment to a worker and seats it. The
-// slot's parameter sync state resets: the next wave streams a full
-// checkpoint, which is also exactly the reconnect-replay path.
+// slot's parameter sync state resets: the next dispatch frame carries the
+// full parameter vector, which is also exactly the reconnect-replay path.
 func (j *Job) assign(s *slot, w *workerConn) error {
 	s.enc.reset()
 	s.enc.u64(j.id)
@@ -472,42 +494,6 @@ func (j *Job) acquire(s *slot) (*workerConn, error) {
 	}
 }
 
-// syncParams streams the global parameter vector to the slot's worker in
-// bounded checkpoint chunks. The coordinator never materializes more than
-// one chunk beyond the params it already owns.
-func (j *Job) syncParams(s *slot, w *workerConn, version uint64, params tensor.Vec) error {
-	total := len(params)
-	for off := 0; off < total || total == 0; off += checkpointChunkFloats {
-		count := total - off
-		if count > checkpointChunkFloats {
-			count = checkpointChunkFloats
-		}
-		s.enc.reset()
-		s.enc.u64(j.id)
-		s.enc.u64(version)
-		s.enc.u32(uint32(total))
-		s.enc.u32(uint32(off))
-		s.enc.u32(uint32(count))
-		for _, v := range params[off : off+count] {
-			s.enc.f64(v)
-		}
-		typ, payload, err := w.roundTrip(ftCheckpoint, s.enc.bytes())
-		if err != nil {
-			return err
-		}
-		if err := expect(ftCheckpointAck, typ, payload); err != nil {
-			return err
-		}
-		if total == 0 {
-			break
-		}
-	}
-	s.mu.Lock()
-	s.syncedVersion = version
-	s.mu.Unlock()
-	return nil
-}
-
 // slotOf maps a party ID to its slot index. Ranges are the contiguous even
 // split from NewJob, so a binary search over the lower bounds suffices.
 func (j *Job) slotOf(id int) int {
@@ -517,14 +503,12 @@ func (j *Job) slotOf(id int) int {
 // TrainWave implements fl.ShardTransport: partition the wave across the
 // shard slots, run every slot's sub-wave concurrently, and deposit the
 // results index-addressed into out. Worker failures mid-wave detach the
-// worker and replay the slot's assignment — spec, full parameter checkpoint,
-// then the identical sub-wave — onto a replacement, so a disturbed run
-// produces bit-identical results to an undisturbed one.
+// worker and replay the slot's assignment — the spec, then the identical
+// sub-wave with the parameters back on its frame — onto a replacement, so a
+// disturbed run produces bit-identical results to an undisturbed one.
 func (j *Job) TrainWave(d fl.TrainDispatch, out []model.LocalResult) error {
-	j.mu.Lock()
 	j.waveSeq++
 	wave := j.waveSeq
-	j.mu.Unlock()
 
 	for _, s := range j.slots {
 		s.idxs = s.idxs[:0]
@@ -564,6 +548,9 @@ func (j *Job) TrainWave(d fl.TrainDispatch, out []model.LocalResult) error {
 // worker (an ftError frame) are fatal: they are deterministic — a
 // replacement worker would compute the same answer.
 func (j *Job) runSlotWave(s *slot, wave uint64, d fl.TrainDispatch, out []model.LocalResult) error {
+	s.mu.Lock()
+	s.dispatched++
+	s.mu.Unlock()
 	for {
 		w, err := j.acquire(s)
 		if err != nil {
@@ -589,35 +576,29 @@ type fatalError struct{ err error }
 
 func (e *fatalError) Error() string { return e.err.Error() }
 
-// trySlotWave syncs parameters if the worker is behind, then dispatches the
-// slot's sub-wave (split to respect the frame bound) and decodes the partial
-// folds into out.
+// trySlotWave dispatches the slot's sub-wave (split to respect the frame
+// bound) and decodes the partial folds into out. The first frame carries the
+// global parameters when the worker is behind d.Version.
 func (j *Job) trySlotWave(s *slot, w *workerConn, wave uint64, d fl.TrainDispatch, out []model.LocalResult) error {
-	version := uint64(d.Version)
 	s.mu.Lock()
-	synced := s.syncedVersion
+	behind := s.syncedVersion != uint64(d.Version)
 	s.mu.Unlock()
-	if synced != version {
-		if err := j.syncParams(s, w, version, d.Params); err != nil {
-			return err
-		}
-	}
 	batch := maxWaveParties(len(d.Params))
 	for start := 0; start < len(s.idxs); start += batch {
-		end := start + batch
-		if end > len(s.idxs) {
-			end = len(s.idxs)
-		}
-		if err := j.dispatchBatch(s, w, wave, d, s.idxs[start:end], out); err != nil {
+		end := min(start+batch, len(s.idxs))
+		if err := j.dispatchBatch(s, w, wave, d, s.idxs[start:end], behind && start == 0, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// dispatchBatch sends one dispatch frame for idxs (indices into d.IDs) and
-// decodes the partial-fold response into out at those same indices.
-func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispatch, idxs []int, out []model.LocalResult) error {
+// dispatchBatch sends one dispatch frame for idxs (indices into d.IDs),
+// carrying d.Params when withParams, and decodes the partial-fold response
+// into out at those same indices. The slot counts as synced to d.Version once
+// the fold of a params-carrying frame is accepted: the worker commits the
+// version before it trains, so a fold is proof it holds the vector.
+func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispatch, idxs []int, withParams bool, out []model.LocalResult) error {
 	s.enc.reset()
 	s.enc.u64(j.id)
 	s.enc.u64(wave)
@@ -627,6 +608,12 @@ func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispa
 	s.enc.u32(uint32(d.SGD.LocalEpochs))
 	s.enc.f64(d.SGD.ProxMu)
 	s.enc.f64(d.SGD.MaxGradNorm)
+	if withParams {
+		s.enc.u32(uint32(len(d.Params)))
+		s.enc.f64s(d.Params)
+	} else {
+		s.enc.u32(0)
+	}
 	s.enc.u32(uint32(len(idxs)))
 	for _, i := range idxs {
 		s.enc.u32(uint32(d.IDs[i]))
@@ -667,12 +654,15 @@ func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispa
 		// clone. Reusing out's previous capacity here corrupts in-flight
 		// async deltas.
 		lr.Params = tensor.NewVec(dim)
-		for k := 0; k < dim; k++ {
-			lr.Params[k] = r.f64()
-		}
+		r.f64s(lr.Params)
 	}
 	if err := r.done(); err != nil {
 		return err
+	}
+	if withParams {
+		s.mu.Lock()
+		s.syncedVersion = uint64(d.Version)
+		s.mu.Unlock()
 	}
 	return nil
 }
@@ -684,9 +674,6 @@ func (j *Job) ObserveRound(fl.RoundStats) {}
 
 // Stats snapshots per-slot worker observability for /metrics.
 func (j *Job) Stats() []WorkerStat {
-	j.mu.Lock()
-	wave := j.waveSeq
-	j.mu.Unlock()
 	stats := make([]WorkerStat, 0, len(j.slots))
 	for _, s := range j.slots {
 		s.mu.Lock()
@@ -696,6 +683,7 @@ func (j *Job) Stats() []WorkerStat {
 			PartyLo:  s.lo,
 			PartyHi:  s.hi,
 			Waves:    s.waves,
+			LagWaves: s.dispatched - s.waves,
 			BytesIn:  s.accumIn,
 			BytesOut: s.accumOut,
 		}
@@ -706,9 +694,6 @@ func (j *Job) Stats() []WorkerStat {
 			st.BytesOut += s.w.codec.BytesOut()
 		}
 		st.JobBytesIn, st.JobBytesOut = st.BytesIn-s.priorIn, st.BytesOut-s.priorOut
-		if wave > s.waves {
-			st.LagWaves = wave - s.waves
-		}
 		s.mu.Unlock()
 		stats = append(stats, st)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"flips/internal/fl"
 	"flips/internal/model"
+	"flips/internal/rng"
 	"flips/internal/tensor"
 	"flips/internal/wire"
 )
@@ -378,10 +379,9 @@ func TestSilentWorkerIsReplacedAfterFrameTimeout(t *testing.T) {
 	}
 }
 
-// echoBuilder builds data-free parties: TrainLocalScratch on an empty party
-// returns the model's current parameters untouched, so a dispatch round-trip
-// echoes back exactly the parameter vector the worker holds — the probe the
-// checkpoint-chunking test needs.
+// echoBuilder builds data-free parties: training an empty party returns the
+// model's current parameters untouched, so a dispatch round-trip echoes back
+// exactly the parameter vector the worker holds.
 func echoBuilder(dim, classes int) Builder {
 	return func(spec []byte, lo, hi int) (JobSetup, error) {
 		parties := make([]*fl.Party, hi-lo)
@@ -392,11 +392,12 @@ func echoBuilder(dim, classes int) Builder {
 	}
 }
 
-// TestCheckpointChunkingStreamsLargeParams syncs a parameter vector bigger
-// than one checkpoint chunk (forcing multi-chunk streaming) and dispatches a
-// data-free wave whose echoed result proves every chunk landed bit-exactly.
+// TestCheckpointChunkingStreamsLargeParams: a parameter vector larger than
+// the old 64 Ki-float checkpoint chunk crosses in the dispatch frame itself,
+// and a data-free wave echoes it back bit-exactly — what the in-process
+// engine's TrainLocalScratch returns for the same parties.
 func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
-	const dim, classes = 40000, 2 // 80002 params: two chunks at 64Ki floats
+	const dim, classes = 40000, 2 // 80002 params, 640 KB on the wire
 	coord, addr := startCoordinator(t)
 	startWorker(t, addr, WorkerOptions{Builder: echoBuilder(dim, classes), Parallelism: 1})
 	if err := coord.AwaitWorkers(1, 5*time.Second); err != nil {
@@ -409,8 +410,8 @@ func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
 	defer job.Close()
 
 	params := tensor.NewVec(dim*classes + classes)
-	if len(params) <= checkpointChunkFloats {
-		t.Fatalf("test vector (%d floats) does not exceed one chunk (%d)", len(params), checkpointChunkFloats)
+	if len(params) <= 64*1024 {
+		t.Fatalf("test vector (%d floats) does not exceed 64 Ki", len(params))
 	}
 	for i := range params {
 		params[i] = math.Sqrt(float64(i)) * math.Copysign(1, math.Sin(float64(i)))
@@ -426,107 +427,154 @@ func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
 	if err := job.TrainWave(d, out); err != nil {
 		t.Fatal(err)
 	}
+	local := model.LogRegFactory(dim, classes)(rng.New(0))
 	for p, lr := range out {
-		if len(lr.Params) != len(params) {
-			t.Fatalf("party %d echoed %d params, want %d", p, len(lr.Params), len(params))
+		local.SetParams(params)
+		var scratch model.TrainScratch
+		want := model.TrainLocalScratch(local, nil, d.SGD, params, rng.FromState(d.RngStates[p]), &scratch)
+		if lr.NumSamples != want.NumSamples || lr.Steps != want.Steps || len(lr.Params) != len(want.Params) {
+			t.Fatalf("party %d: got %d samples %d steps %d params, want %d %d %d", p,
+				lr.NumSamples, lr.Steps, len(lr.Params), want.NumSamples, want.Steps, len(want.Params))
 		}
-		for i := range params {
-			if !bitsEqual(params[i], lr.Params[i]) {
+		for i := range want.Params {
+			if !bitsEqual(want.Params[i], lr.Params[i]) {
 				t.Fatalf("party %d param %d corrupted in transit", p, i)
 			}
 		}
 	}
 
-	// Same version again: the transport must skip re-syncing (the dispatch
-	// succeeds against the retained worker copy).
+	// Same version again: the frame carries no parameters (the dispatch
+	// succeeds against the worker's retained copy and moves few bytes).
+	before := job.Stats()[0].BytesOut
 	if err := job.TrainWave(d, out); err != nil {
 		t.Fatal(err)
 	}
+	if sent := job.Stats()[0].BytesOut - before; sent > 1024 {
+		t.Fatalf("second wave at the same version sent %d bytes: the parameters crossed again", sent)
+	}
 }
 
-// TestDispatchBeforeCheckpointDraws an explicit protocol error, not garbage
-// training: drive the worker state machine directly.
-func TestDispatchBeforeCheckpointFails(t *testing.T) {
+// testWorker assigns job `id` with parties [0, hi) of a data-free LogReg(2,2)
+// fleet (6 parameters) to a bare worker state machine.
+func testWorker(t *testing.T, id uint64, hi int) *workerState {
+	t.Helper()
 	w := &workerState{
 		opt:  WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1},
 		jobs: make(map[uint64]*workerJob),
 	}
 	var e buf
-	e.u64(9) // job ID
+	e.u64(id)
 	e.u32(0) // lo
-	e.u32(4) // hi
+	e.u32(uint32(hi))
 	e.u32(0) // spec length
 	typ, _, err := w.assign(e.bytes())
 	if err != nil || typ != ftAssignAck {
 		t.Fatalf("assign: type %d err %v", typ, err)
 	}
+	return w
+}
 
-	e.reset()
-	e.u64(9) // job
-	e.u64(1) // wave
-	e.u64(0) // version the worker never received
-	e.f64(0.05)
-	e.u32(16)
-	e.u32(1)
-	e.f64(0)
-	e.f64(0)
-	e.u32(0) // zero parties
-	if _, _, err := w.dispatch(e.bytes()); err == nil {
+// dispatchFrame encodes an ftDispatchWave payload for job 9: params is the
+// parameter section (nil: paramCount 0), ids the wave's parties.
+func dispatchFrame(wave, version uint64, params []float64, ids ...int) []byte {
+	var e buf
+	e.u64(9)
+	e.u64(wave)
+	e.u64(version)
+	e.f64(0.05) // learning rate
+	e.u32(16)   // batch
+	e.u32(1)    // epochs
+	e.f64(0)    // prox mu
+	e.f64(0)    // max grad norm
+	e.u32(uint32(len(params)))
+	e.f64s(params)
+	e.u32(uint32(len(ids)))
+	for _, id := range ids {
+		e.u32(uint32(id))
+		for k := 0; k < 4; k++ {
+			e.u64(uint64(id*4 + k + 1))
+		}
+	}
+	return e.bytes()
+}
+
+// TestDispatchBeforeCheckpointFails: a dispatch that carries no parameters to
+// a worker that holds none draws an explicit protocol error, not garbage
+// training — and so does one at a version the worker is not at.
+func TestDispatchBeforeCheckpointFails(t *testing.T) {
+	w := testWorker(t, 9, 4)
+	if _, _, err := w.dispatch(dispatchFrame(1, 0, nil)); err == nil {
 		t.Fatal("dispatch against unsynced params succeeded")
+	}
+	if _, _, err := w.dispatch(dispatchFrame(2, 5, []float64{1, 2, 3, 4, 5, 6}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.dispatch(dispatchFrame(3, 5, nil, 1)); err != nil {
+		t.Fatalf("dispatch at the synced version: %v", err)
+	}
+	if _, _, err := w.dispatch(dispatchFrame(4, 6, nil, 1)); err == nil {
+		t.Fatal("dispatch at a stale version with no parameters succeeded")
+	}
+	if got := w.jobs[9].version; got != 5 {
+		t.Fatalf("a refused paramless dispatch moved the version to %d", got)
 	}
 }
 
-// TestCheckpointCommitsOnlyOnCoveringChunk: a partial chunk leaves the job
-// unsynced; the final covering chunk commits the version.
+// TestCheckpointCommitsOnlyOnCoveringChunk: the worker's version moves only
+// when a dispatch frame's whole parameter section — and the rest of the frame
+// — decoded. A section cut short, of the wrong length, or followed by a
+// malformed party list leaves the job unsynced, so the next paramless
+// dispatch is refused instead of training on a half-written vector.
 func TestCheckpointCommitsOnlyOnCoveringChunk(t *testing.T) {
-	w := &workerState{
-		opt:  WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1},
-		jobs: make(map[uint64]*workerJob),
+	full := []float64{1, 2, 3, 4, 5, 6}
+	good := dispatchFrame(1, 5, full, 0)
+	bad := map[string][]byte{
+		"truncated inside the section":      good[:dispatchHeadLen-4+8*3],
+		"truncated at the section's end":    good[:dispatchHeadLen-4+8*6],
+		"paramCount beyond the payload":     dispatchFrame(1, 5, make([]float64, 6))[:dispatchHeadLen-4+8],
+		"paramCount below the model's dim":  dispatchFrame(1, 5, full[:4], 0),
+		"paramCount above the model's dim":  dispatchFrame(1, 5, append(full[:6:6], 7), 0),
+		"party outside the range":           dispatchFrame(1, 5, full, 7),
+		"party list shorter than announced": good[:len(good)-1],
+		"trailing bytes":                    append(append([]byte(nil), good...), 0),
 	}
-	var e buf
-	e.u64(3)
-	e.u32(0)
-	e.u32(1)
-	e.u32(0)
-	if _, _, err := w.assign(e.bytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	chunk := func(version uint64, total, offset int, vals ...float64) []byte {
-		var c buf
-		c.u64(3)
-		c.u64(version)
-		c.u32(uint32(total))
-		c.u32(uint32(offset))
-		c.u32(uint32(len(vals)))
-		for _, v := range vals {
-			c.f64(v)
+	for name, frame := range bad {
+		w := testWorker(t, 9, 4)
+		if _, _, err := w.dispatch(dispatchFrame(1, 4, full, 0)); err != nil {
+			t.Fatal(err)
 		}
-		return append([]byte(nil), c.bytes()...)
-	}
-
-	if _, _, err := w.checkpoint(chunk(5, 4, 0, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.jobs[3].version; got != unsyncedVersion {
-		t.Fatalf("partial chunk committed version %d", got)
-	}
-	if _, _, err := w.checkpoint(chunk(5, 4, 2, 3, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.jobs[3].version; got != 5 {
-		t.Fatalf("covering chunk left version %d, want 5", got)
-	}
-	want := []float64{1, 2, 3, 4}
-	for i, v := range want {
-		if !bitsEqual(w.jobs[3].params[i], v) {
-			t.Fatalf("params[%d] = %v, want %v", i, w.jobs[3].params[i], v)
+		if _, _, err := w.dispatch(frame); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if got := w.jobs[9].version; got == 5 {
+			t.Fatalf("%s: version committed", name)
+		}
+		// Whatever was refused, the worker recovers on the next full frame.
+		typ, _, err := w.dispatch(good)
+		if err != nil || typ != ftPartialFold {
+			t.Fatalf("%s: recovery dispatch: type %d err %v", name, typ, err)
 		}
 	}
 
-	// Out-of-bounds chunk draws an error.
-	if _, _, err := w.checkpoint(chunk(6, 4, 3, 9, 9)); err == nil {
-		t.Fatal("out-of-bounds chunk accepted")
+	w := testWorker(t, 9, 4)
+	if _, _, err := w.dispatch(good); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.jobs[9].version; got != 5 {
+		t.Fatalf("covering section left version %d, want 5", got)
+	}
+	for i, v := range full {
+		if !bitsEqual(w.jobs[9].params[i], v) {
+			t.Fatalf("params[%d] = %v, want %v", i, w.jobs[9].params[i], v)
+		}
+	}
+	// A refused section that got as far as overwriting parameters must not
+	// leave the old version standing over them.
+	if _, _, err := w.dispatch(bad["party outside the range"]); err == nil {
+		t.Fatal("out-of-range party accepted")
+	}
+	if got := w.jobs[9].version; got != unsyncedVersion {
+		t.Fatalf("rejected params section left version %d, want unsynced", got)
 	}
 }
 
@@ -566,9 +614,17 @@ func TestMaxWavePartiesRespectsFrameBound(t *testing.T) {
 		if n < 1 {
 			t.Fatalf("dim %d: bound %d", dim, n)
 		}
-		foldBytes := n * (4 + 4 + 8 + 8 + 8*dim)
+		foldBytes := foldHeadLen + n*(foldPartyHeadLen+8*dim)
 		if n > 1 && foldBytes > wire.MaxFrame {
 			t.Fatalf("dim %d: %d parties would overflow the fold frame (%d bytes)", dim, n, foldBytes)
+		}
+		dispatchBytes := dispatchHeadLen + 8*dim + n*dispatchPartyLen
+		if n > 1 && dispatchBytes > wire.MaxFrame {
+			t.Fatalf("dim %d: %d parties would overflow the dispatch frame (%d bytes)", dim, n, dispatchBytes)
+		}
+		if more := n + 1; foldHeadLen+more*(foldPartyHeadLen+8*dim) <= wire.MaxFrame &&
+			dispatchHeadLen+8*dim+more*dispatchPartyLen <= wire.MaxFrame {
+			t.Fatalf("dim %d: bound %d, but %d parties fit both frames", dim, n, more)
 		}
 	}
 }

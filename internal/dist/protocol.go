@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"flips/internal/wire"
 )
@@ -26,31 +27,38 @@ import (
 // Version is the dist protocol's wire version byte. It is distinct from the
 // TEE protocol's version so a worker dialed at the wrong port fails with an
 // explicit version error instead of undefined framing. Version 3 dropped the
-// per-round stats broadcast (frame types 7 and 8 of version 2).
-const Version byte = 3
+// per-round stats broadcast; version 4 dropped the chunked checkpoint frames
+// (types 7 and 8): the global parameters ride the dispatch frame.
+const Version byte = 4
 
 // Frame types. Every coordinator→worker frame draws exactly one response
 // frame (strict request/response), so each side always knows whether it is
 // reading or writing; ftError may answer any request.
 const (
-	ftHello         byte = 1  // worker→coord: registration
-	ftHelloAck      byte = 2  // coord→worker: assigned worker ID
-	ftAssignShards  byte = 3  // coord→worker: job spec + contiguous party range
-	ftAssignAck     byte = 4  // worker→coord
-	ftDispatchWave  byte = 5  // coord→worker: one training wave
-	ftPartialFold   byte = 6  // worker→coord: the wave's local results
-	ftCheckpoint    byte = 7  // coord→worker: one chunk of global parameters
-	ftCheckpointAck byte = 8  // worker→coord
-	ftShutdown      byte = 9  // coord→worker: drain and exit
-	ftShutdownAck   byte = 10 // worker→coord
-	ftError         byte = 11 // either: string payload answering a request
+	ftHello        byte = 1  // worker→coord: registration
+	ftHelloAck     byte = 2  // coord→worker: assigned worker ID
+	ftAssignShards byte = 3  // coord→worker: job spec + contiguous party range
+	ftAssignAck    byte = 4  // worker→coord
+	ftDispatchWave byte = 5  // coord→worker: one training wave (+ the global parameters when the worker is behind)
+	ftPartialFold  byte = 6  // worker→coord: the wave's local results
+	ftShutdown     byte = 9  // coord→worker: drain and exit
+	ftShutdownAck  byte = 10 // worker→coord
+	ftError        byte = 11 // either: string payload answering a request
 )
 
-// checkpointChunkFloats bounds one parameter-sync chunk. 64Ki float64s is
-// 512 KiB on the wire — large enough to amortize frames, small enough that
-// neither side ever stages a full fleet-scale vector in one buffer beyond
-// the O(params) it already owns.
-const checkpointChunkFloats = 64 * 1024
+// Fixed sizes of the two wave frames, shared by the encoders, the decoders
+// and maxWaveParties.
+const (
+	// dispatchHeadLen: job, wave, version, the SGD block, paramCount and n.
+	dispatchHeadLen = 8 + 8 + 8 + (8 + 4 + 4 + 8 + 8) + 4 + 4
+	// dispatchPartyLen: party ID and its serialized RNG state.
+	dispatchPartyLen = 4 + 4*8
+	// foldHeadLen: job, wave, n, dim.
+	foldHeadLen = 8 + 8 + 4 + 4
+	// foldPartyHeadLen: numSamples, steps, meanLoss, sqLossMean — followed by
+	// the party's dim trained parameters.
+	foldPartyHeadLen = 4 + 4 + 8 + 8
+)
 
 // buf is an append-style binary encoder over a reusable byte slice. All
 // payload integers are big-endian, matching the frame header; floats travel
@@ -64,6 +72,25 @@ func (e *buf) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 func (e *buf) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *buf) raw(p []byte)  { e.b = append(e.b, p...) }
 func (e *buf) str(s string)  { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
+
+// f64s appends a whole vector: one growth, then plain word stores.
+func (e *buf) f64s(vs []float64) { putF64s(e.grow(8*len(vs)), vs) }
+
+// grow extends the buffer by n bytes and returns the new tail.
+func (e *buf) grow(n int) []byte {
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n)[:off+n]
+	return e.b[off:]
+}
+
+// putF64s writes vs into dst (at least 8·len(vs) bytes) as consecutive
+// big-endian IEEE-754 words — the bytes len(vs) f64 calls would append.
+func putF64s(dst []byte, vs []float64) {
+	dst = dst[:8*len(vs)]
+	for i, v := range vs {
+		binary.BigEndian.PutUint64(dst[8*i:8*i+8], math.Float64bits(v))
+	}
+}
 
 // reader is the matching decoder. The first malformed read poisons it; the
 // caller checks err once after decoding a whole payload instead of after
@@ -101,6 +128,18 @@ func (r *reader) u64() uint64 {
 }
 
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// f64s fills dst from the next 8·len(dst) bytes, bounds-checked once. A short
+// payload poisons the reader and leaves dst untouched.
+func (r *reader) f64s(dst []float64) {
+	src := r.bytes(8 * len(dst))
+	if src == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i : 8*i+8]))
+	}
+}
 
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
@@ -151,17 +190,18 @@ func expect(want, got byte, payload []byte) error {
 }
 
 // maxWaveParties bounds how many parties fit one dispatch/partial-fold frame
-// pair for a given parameter dimension: the fold reply is the larger side
-// (per party: numSamples, steps, two losses, the full parameter vector).
-// Waves beyond the bound are split into consecutive sub-dispatches — the
-// results are deposited index-addressed either way, so splitting cannot
-// reorder a single float operation.
+// pair for a given parameter dimension. The fold reply carries the full
+// trained vector per party; the dispatch carries the global vector once (on
+// the frames that sync a worker) plus an ID and RNG state per party. Waves
+// beyond the bound are split into consecutive sub-dispatches — the results
+// are deposited index-addressed either way, so splitting cannot reorder a
+// single float operation. A vector too large for one frame yields 1 and the
+// codec refuses the frame: such a model could not come back in a fold either.
 func maxWaveParties(paramDim int) int {
-	perParty := 4 + 4 + 8 + 8 + 8*paramDim // fold side
-	if d := 4 + 4*8; d > perParty {
-		perParty = d // dispatch side: id + rng state
+	n := (wire.MaxFrame - foldHeadLen) / (foldPartyHeadLen + 8*paramDim)
+	if d := (wire.MaxFrame - dispatchHeadLen - 8*paramDim) / dispatchPartyLen; d < n {
+		n = d
 	}
-	n := (wire.MaxFrame - 256) / perParty
 	if n < 1 {
 		n = 1
 	}

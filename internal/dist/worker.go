@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"time"
 
 	"flips/internal/fl"
@@ -43,23 +46,24 @@ type WorkerOptions struct {
 // finished job's shard. Eviction is LRU by assignment/dispatch touch.
 const maxRetainedJobs = 8
 
-// unsyncedVersion marks a job whose parameter vector has not been streamed
-// yet; any dispatch at this state draws an explicit error instead of
-// training against garbage.
+// unsyncedVersion marks a job whose parameter vector has not arrived yet (or
+// arrived in a frame that was then rejected); a dispatch that carries no
+// parameters at this state draws an explicit error instead of training
+// against garbage.
 const unsyncedVersion = ^uint64(0)
 
 // workerJob is one job's worker-side state.
 type workerJob struct {
 	setup     JobSetup
 	lo, hi    int
-	params    tensor.Vec
+	params    tensor.Vec // the global model at version; len is the model's dim
 	version   uint64
 	pool      *parallel.Pool
 	replicas  []model.Model
 	scratches []model.TrainScratch
-	locals    []model.LocalResult
-	rngs      []*rng.Source
+	rngs      []rng.Source
 	ids       []int
+	trained   []int // per party: the length of the vector it trained
 	touched   int64 // monotone counter for LRU eviction
 }
 
@@ -77,8 +81,8 @@ func RunWorker(addr string, opt WorkerOptions) error {
 }
 
 // ServeConn runs the worker protocol over an established connection: it
-// registers with a hello frame, then answers assign-shards, checkpoint and
-// dispatch-wave requests until shutdown or error.
+// registers with a hello frame, then answers assign-shards and dispatch-wave
+// requests until shutdown or error.
 func ServeConn(conn net.Conn, opt WorkerOptions) error {
 	if opt.Builder == nil {
 		return fmt.Errorf("dist worker: nil builder")
@@ -106,8 +110,6 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 		switch typ {
 		case ftAssignShards:
 			respType, resp, err = w.assign(payload)
-		case ftCheckpoint:
-			respType, resp, err = w.checkpoint(payload)
 		case ftDispatchWave:
 			respType, resp, err = w.dispatch(payload)
 		case ftShutdown:
@@ -190,6 +192,10 @@ func (w *workerState) assign(payload []byte) (byte, []byte, error) {
 		replicas:  make([]model.Model, width),
 		scratches: make([]model.TrainScratch, width),
 	}
+	// The first replica doubles as the job's dimension: every parameter
+	// section and every reply is sized against it.
+	j.replicas[0] = setup.Factory(rng.New(0))
+	j.params = tensor.NewVec(j.replicas[0].NumParams())
 	w.jobs[jobID] = j
 	w.touch(j)
 	w.evict()
@@ -213,49 +219,15 @@ func (w *workerState) evict() {
 	}
 }
 
-// checkpoint handles one ftCheckpoint chunk of the global parameter vector.
-// Chunks may arrive in any order within a version; the final covering chunk
-// (offset+count == total) commits the version.
-func (w *workerState) checkpoint(payload []byte) (byte, []byte, error) {
-	r := reader{b: payload}
-	jobID := r.u64()
-	version := r.u64()
-	total := int(r.u32())
-	offset := int(r.u32())
-	count := int(r.u32())
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	j, err := w.job(jobID)
-	if err != nil {
-		return 0, nil, err
-	}
-	if total < 0 || offset < 0 || count < 0 || offset+count > total {
-		return 0, nil, fmt.Errorf("bad checkpoint chunk [%d,%d) of %d", offset, offset+count, total)
-	}
-	if len(j.params) != total {
-		j.params = tensor.NewVec(total)
-	}
-	for i := 0; i < count; i++ {
-		j.params[offset+i] = r.f64()
-	}
-	if err := r.done(); err != nil {
-		return 0, nil, err
-	}
-	if offset+count == total {
-		j.version = version
-	} else {
-		j.version = unsyncedVersion
-	}
-	w.enc.reset()
-	w.enc.u64(jobID)
-	w.enc.u32(uint32(offset))
-	return ftCheckpointAck, w.enc.bytes(), nil
-}
-
-// dispatch handles ftDispatchWave: train the wave's parties against the
-// synced global parameters and answer with the partial-fold frame carrying
-// every local result in dispatch order.
+// dispatch handles ftDispatchWave: adopt the frame's global parameters if it
+// carries them, train the wave's parties against them and answer with the
+// partial-fold frame carrying every local result in dispatch order.
+//
+// A parameter section is decoded straight into j.params, so the job is marked
+// unsynced before the first word lands and the version is committed only once
+// the whole frame has decoded and checked out: a frame rejected for any reason
+// leaves the worker demanding parameters again rather than holding a vector
+// of mixed versions.
 func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 	r := reader{b: payload}
 	jobID := r.u64()
@@ -268,7 +240,7 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 		ProxMu:       r.f64(),
 		MaxGradNorm:  r.f64(),
 	}
-	n := int(r.u32())
+	paramCount := int(r.u32())
 	if r.err != nil {
 		return 0, nil, r.err
 	}
@@ -276,8 +248,30 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if j.version != version {
-		return 0, nil, fmt.Errorf("wave %d at version %d but worker params at %d", waveSeq, version, j.version)
+	dim := len(j.params)
+	switch {
+	case paramCount == 0:
+		if j.version != version {
+			return 0, nil, fmt.Errorf("wave %d at version %d but worker params at %d", waveSeq, version, j.version)
+		}
+	case paramCount != dim:
+		return 0, nil, fmt.Errorf("wave %d carries %d params, the job's model has %d", waveSeq, paramCount, dim)
+	default:
+		j.version = unsyncedVersion
+		r.f64s(j.params)
+	}
+	n := int(r.u32())
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	if len(payload)-r.off != n*dispatchPartyLen {
+		return 0, nil, fmt.Errorf("wave %d: %d payload bytes for %d parties", waveSeq, len(payload)-r.off, n)
+	}
+	// Refused before any training: the coordinator splits waves to fit, so an
+	// oversized reply is a peer that does not — answer it, don't die on Send.
+	replyLen := foldHeadLen + n*(foldPartyHeadLen+8*dim)
+	if replyLen > wire.MaxFrame {
+		return 0, nil, fmt.Errorf("wave %d: the %d-byte reply for %d parties of dim %d exceeds the %d-byte frame bound", waveSeq, replyLen, n, dim, wire.MaxFrame)
 	}
 	j.ids = j.ids[:0]
 	j.rngs = j.rngs[:0]
@@ -287,20 +281,30 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 		for k := range state {
 			state[k] = r.u64()
 		}
-		if r.err == nil && (id < j.lo || id >= j.hi) {
+		if id < j.lo || id >= j.hi {
 			return 0, nil, fmt.Errorf("party %d outside assigned range [%d,%d)", id, j.lo, j.hi)
 		}
 		j.ids = append(j.ids, id)
-		j.rngs = append(j.rngs, rng.FromState(state))
+		j.rngs = append(j.rngs, *rng.FromState(state))
 	}
-	if err := r.done(); err != nil {
-		return 0, nil, err
+	if paramCount != 0 {
+		j.version = version
 	}
 
-	if cap(j.locals) < n {
-		j.locals = make([]model.LocalResult, n)
-	}
-	j.locals = j.locals[:n]
+	// Each party's result is written where it will be sent from: the reply is
+	// sized once and party i owns the fixed byte range starting at i·stride
+	// of its body, so the pool's deposits are index-addressed like the
+	// in-process engine's locals[i] and any pool width produces the same
+	// bytes. The trained vector is read from the replica's live parameters —
+	// the wire copy is the only copy.
+	w.enc.reset()
+	w.enc.u64(jobID)
+	w.enc.u64(waveSeq)
+	w.enc.u32(uint32(n))
+	w.enc.u32(uint32(dim))
+	stride := foldPartyHeadLen + 8*dim
+	body := w.enc.grow(n * stride)
+	j.trained = slices.Grow(j.trained[:0], n)[:n]
 	// The same determinism shape as the in-process trainBatch: streams were
 	// pre-split by the coordinator in canonical order, each pool worker
 	// touches only its own replica, scratch and slice index.
@@ -312,25 +316,21 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 			j.replicas[wk] = local
 		}
 		local.SetParams(j.params)
-		j.locals[i] = model.TrainLocalScratch(local, party.Data, sgd, j.params, j.rngs[i], &j.scratches[wk])
-	})
-
-	w.enc.reset()
-	w.enc.u64(jobID)
-	w.enc.u64(waveSeq)
-	w.enc.u32(uint32(n))
-	w.enc.u32(uint32(len(j.params)))
-	for i := range j.locals {
-		lr := &j.locals[i]
-		if len(lr.Params) != len(j.params) {
-			return 0, nil, fmt.Errorf("party %d trained %d params, want %d", j.ids[i], len(lr.Params), len(j.params))
+		lr := model.TrainLocalInPlace(local, party.Data, sgd, j.params, &j.rngs[i], &j.scratches[wk])
+		j.trained[i] = len(lr.Params)
+		if len(lr.Params) != dim {
+			return
 		}
-		w.enc.u32(uint32(lr.NumSamples))
-		w.enc.u32(uint32(lr.Steps))
-		w.enc.f64(lr.MeanLoss)
-		w.enc.f64(lr.SqLossMean)
-		for _, v := range lr.Params {
-			w.enc.f64(v)
+		out := body[i*stride:][:stride]
+		binary.BigEndian.PutUint32(out[0:], uint32(lr.NumSamples))
+		binary.BigEndian.PutUint32(out[4:], uint32(lr.Steps))
+		binary.BigEndian.PutUint64(out[8:], math.Float64bits(lr.MeanLoss))
+		binary.BigEndian.PutUint64(out[16:], math.Float64bits(lr.SqLossMean))
+		putF64s(out[foldPartyHeadLen:], lr.Params)
+	})
+	for i, got := range j.trained {
+		if got != dim {
+			return 0, nil, fmt.Errorf("party %d trained %d params, want %d", j.ids[i], got, dim)
 		}
 	}
 	return ftPartialFold, w.enc.bytes(), nil

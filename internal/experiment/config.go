@@ -386,26 +386,107 @@ func Validate(setting Setting, scale Scale) error {
 	})
 }
 
+// fleetData is the part of a fleet that follows from the data alone: the test
+// set and parties [lo, hi) carrying only what local training reads of them —
+// ID and samples. The train set and its Dirichlet split do not outlive
+// buildData: holding them would keep a second copy of a feature-shifted
+// fleet's samples reachable for the rest of the build. Build derives the
+// rest (latencies, label distributions, devices, the selector) from it; a
+// shard worker needs nothing else.
+type fleetData struct {
+	// root has been split for the data (1, 2, 3, 5, in that order); Build
+	// continues splitting it, so the streams are the ones a single function
+	// would have drawn.
+	root      *rng.Source
+	latencies *rng.Source // root.Split(3): one draw per party, in ID order
+	test      *dataset.Dataset
+	parties   []*fl.Party // parties[i].ID == lo+i
+}
+
+// buildData materializes the samples of parties [lo, hi), feature-shifted.
+// Every step after the split is per party — a party's samples are its
+// partition indices, its style offset comes from the ID-th child of one
+// stream — so party i is the same whatever range produces it.
+func buildData(pl *plan, setting Setting, scale Scale, lo, hi int) (*fleetData, error) {
+	if lo < 0 || hi < lo || hi > scale.Parties {
+		return nil, fmt.Errorf("experiment: party range [%d,%d) outside the %d-party fleet", lo, hi, scale.Parties)
+	}
+	d := &fleetData{root: rng.New(setting.Seed)}
+	train, test, err := dataset.Generate(pl.spec, d.root.Split(1))
+	if err != nil {
+		return nil, err
+	}
+	part, err := partition.Dirichlet(train, scale.Parties, setting.Alpha, d.root.Split(2))
+	if err != nil {
+		return nil, err
+	}
+	d.test = test
+	d.parties = fl.PartyData(train, part, lo, hi)
+	d.latencies = d.root.Split(3)
+	if pl.profile.FeatureShiftSigma > 0 {
+		applyFeatureShift(d.parties, pl.spec.Dim, pl.profile.FeatureShiftSigma, d.root.Split(5))
+	}
+	return d, nil
+}
+
+// poison builds the setting's chaos injector (nil without a scenario) and
+// flips the labels of the faulty parties among `parties` — once, here at
+// build time; the injector's other hooks fire inside the engine. Party Data
+// slices hold per-party Sample copies, so only a flipped party sees its
+// labels move, and a party's flips come from the chaos seed's own per-party
+// stream: the same whatever range it is built in. A FaultNone spec still
+// yields an injector, so outage/surge-only scenarios work.
+func poison(parties []*fl.Party, setting Setting, scale Scale, classes int) (*chaos.Injector, error) {
+	if setting.Chaos == nil {
+		return nil, nil
+	}
+	inj, err := chaos.New(*setting.Chaos, scale.Parties)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range parties {
+		inj.FlipLabels(p.ID, p.Data, classes) // leaves a healthy party alone
+	}
+	return inj, nil
+}
+
+// BuildShard builds what a shard worker trains: parties [lo, hi) of the fleet
+// Build assembles for (setting, scale) — bit-equal in ID and Data, every other
+// field left zero — and the job's model factory. It is Build's own data path
+// run over a range, so a worker skips the fleet-wide work no worker reads.
+func BuildShard(setting Setting, scale Scale, lo, hi int) ([]*fl.Party, model.Factory, error) {
+	pl, err := newPlan(setting, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := buildData(pl, setting, scale, lo, hi)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := poison(d.parties, setting, scale, pl.cfg.NumClasses); err != nil {
+		return nil, nil, err
+	}
+	return d.parties, pl.cfg.Factory, nil
+}
+
 // Build assembles (but does not run) the FL job for a setting.
 func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	pl, err := newPlan(setting, scale)
 	if err != nil {
 		return nil, err
 	}
-	spec, profile := pl.spec, pl.profile
-	root := rng.New(setting.Seed)
-
-	train, test, err := dataset.Generate(spec, root.Split(1))
+	d, err := buildData(pl, setting, scale, 0, scale.Parties)
 	if err != nil {
 		return nil, err
 	}
-	part, err := partition.Dirichlet(train, scale.Parties, setting.Alpha, root.Split(2))
+	spec, profile, root, parties := pl.spec, pl.profile, d.root, d.parties
+	classes := pl.cfg.NumClasses
+	// Label distributions are what the parties were dealt: counted before any
+	// fault flips a label.
+	fl.ProfileParties(parties, classes, profile.LatencySigma, d.latencies)
+	faults, err := poison(parties, setting, scale, classes)
 	if err != nil {
 		return nil, err
-	}
-	parties := fl.BuildParties(train, part, profile.LatencySigma, root.Split(3))
-	if profile.FeatureShiftSigma > 0 {
-		applyFeatureShift(parties, spec.Dim, profile.FeatureShiftSigma, root.Split(5))
 	}
 	if setting.Device != nil {
 		// Devices draw from a fresh root split not used by the legacy path,
@@ -413,7 +494,6 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 		fl.AttachDevices(parties, *setting.Device, root.Split(7))
 	}
 
-	classes := pl.cfg.NumClasses
 	var paramDim int
 	if profile.Hidden > 0 {
 		paramDim = model.NewMLP(spec.Dim, profile.Hidden, classes, root.Split(6)).NumParams()
@@ -426,25 +506,13 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 		return nil, err
 	}
 	cfg := pl.cfg
-	cfg.Parties, cfg.Test, cfg.Selector = parties, test.Samples, sel
-	if setting.Chaos != nil {
-		inj, err := chaos.New(*setting.Chaos, scale.Parties)
-		if err != nil {
-			return nil, err
-		}
-		// Label flips poison the faulty parties' data once, here at build
-		// time (party Data slices hold per-party Sample copies, so only the
-		// flipped party sees its labels move); the injector's other hooks
-		// fire inside the engine. A FaultNone spec still passes through so
-		// outage/surge-only scenarios work.
-		for _, id := range inj.FaultyParties() {
-			inj.FlipLabels(id, parties[id].Data, classes)
-		}
-		cfg.Faults = inj
+	cfg.Parties, cfg.Test, cfg.Selector = parties, d.test.Samples, sel
+	if faults != nil {
+		cfg.Faults = faults
 	}
 	return &BuildResult{
 		Parties:  parties,
-		Test:     test,
+		Test:     d.test,
 		Config:   cfg,
 		Selector: sel,
 		Clusters: clusters,
@@ -453,7 +521,16 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 
 // applyFeatureShift adds each party's style offset to copies of its samples
 // (copies, because parties share sample structs with the source dataset).
+// Party i's offset stream is the i-th child split off r, so a range that
+// starts past party 0 first splits off — and drops — the children of the
+// parties before it.
 func applyFeatureShift(parties []*fl.Party, dim int, sigma float64, r *rng.Source) {
+	if len(parties) == 0 {
+		return
+	}
+	for id := 0; id < parties[0].ID; id++ {
+		r.Split(uint64(id) + 1)
+	}
 	for _, p := range parties {
 		pr := r.Split(uint64(p.ID) + 1)
 		off := make([]float64, dim)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flips/internal/chaos"
 	"flips/internal/dataset"
 	"flips/internal/fl"
 )
@@ -384,5 +385,56 @@ func TestHeadlineShape(t *testing.T) {
 	}
 	if flipsPeak < randomPeak-0.01 {
 		t.Fatalf("FLIPS peak %v below Random peak %v", flipsPeak, randomPeak)
+	}
+}
+
+// TestBuildRangeMatchesFullBuild pins the shard-rebuild contract of the paper
+// fleets: BuildShard over any range yields exactly the (ID, Data) of
+// Build(...).Parties[lo:hi] — for a feature-shifted MLP dataset, and with a
+// label-flip scenario poisoning half the fleet — and nothing else of a party.
+func TestBuildRangeMatchesFullBuild(t *testing.T) {
+	t.Parallel()
+	flips := chaos.Spec{Seed: 5, FaultFraction: 0.5, Fault: chaos.FaultLabelFlip}
+	for name, s := range map[string]Setting{
+		"feature-shifted": {Spec: dataset.FEMNIST(), Algorithm: AlgoFedYogi, Alpha: 0.3,
+			PartyFraction: 0.2, Strategy: StrategyFLIPS, Seed: 23},
+		"label-flipped": {Spec: dataset.ECG(), Algorithm: AlgoFedAvg, Alpha: 0.3,
+			PartyFraction: 0.2, Strategy: StrategyRandom, Chaos: &flips, Seed: 23},
+	} {
+		full, err := Build(s, tinyScale())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n := len(full.Parties)
+		for _, rg := range [][2]int{{0, n}, {0, 7}, {7, 19}, {19, n}, {5, 5}} {
+			lo, hi := rg[0], rg[1]
+			shard, factory, err := BuildShard(s, tinyScale(), lo, hi)
+			if err != nil {
+				t.Fatalf("%s [%d,%d): %v", name, lo, hi, err)
+			}
+			if factory == nil || len(shard) != hi-lo {
+				t.Fatalf("%s [%d,%d): %d parties, factory nil=%v", name, lo, hi, len(shard), factory == nil)
+			}
+			for k, p := range shard {
+				want := full.Parties[lo+k]
+				if p.ID != want.ID || len(p.Data) != len(want.Data) {
+					t.Fatalf("%s [%d,%d): party %d has ID %d and %d samples, want %d and %d",
+						name, lo, hi, lo+k, p.ID, len(p.Data), want.ID, len(want.Data))
+				}
+				if p.LabelDist != nil || p.Latency != 0 || p.Device != nil {
+					t.Fatalf("%s: shard party %d carries more than its data: %+v", name, p.ID, p)
+				}
+				for j := range p.Data {
+					if p.Data[j].Y != want.Data[j].Y || !sameVecBits(p.Data[j].X, want.Data[j].X) {
+						t.Fatalf("%s [%d,%d): party %d sample %d differs from the full build's", name, lo, hi, p.ID, j)
+					}
+				}
+			}
+		}
+		for _, rg := range [][2]int{{-1, 3}, {4, 2}, {0, n + 1}} {
+			if _, _, err := BuildShard(s, tinyScale(), rg[0], rg[1]); err == nil {
+				t.Fatalf("%s: range [%d,%d) accepted", name, rg[0], rg[1])
+			}
+		}
 	}
 }

@@ -47,24 +47,42 @@ func (p *Party) NumSamples() int { return len(p.Data) }
 // matching the paper's platform-heterogeneity setting; sigma=0 gives a
 // homogeneous fleet.
 func BuildParties(ds *dataset.Dataset, part *partition.Partition, latencySigma float64, r *rng.Source) []*Party {
-	parties := make([]*Party, part.NumParties())
-	for i, indices := range part.Parties {
+	parties := PartyData(ds, part, 0, part.NumParties())
+	ProfileParties(parties, ds.NumClasses(), latencySigma, r)
+	return parties
+}
+
+// PartyData materializes parties [lo, hi) of a partition with only what local
+// training reads of a party: its ID and its samples (party lo+i at index i).
+// It is all of a party a shard worker needs.
+func PartyData(ds *dataset.Dataset, part *partition.Partition, lo, hi int) []*Party {
+	parties := make([]*Party, hi-lo)
+	for k := range parties {
+		indices := part.Parties[lo+k]
 		data := make([]dataset.Sample, len(indices))
 		for j, idx := range indices {
 			data[j] = ds.Samples[idx]
 		}
-		latency := 1.0
-		if latencySigma > 0 {
-			latency = math.Exp(latencySigma * r.NormFloat64())
-		}
-		parties[i] = &Party{
-			ID:        i,
-			Data:      data,
-			LabelDist: partition.LabelDistribution(ds, indices),
-			Latency:   latency,
-		}
+		parties[k] = &Party{ID: lo + k, Data: data}
 	}
 	return parties
+}
+
+// ProfileParties completes PartyData(ds, part, 0, n) into the population the
+// aggregator works with: each party's label-count vector ld_i (paper §3.1),
+// counted over the samples it was dealt, and its latency, one draw per party
+// in ID order.
+func ProfileParties(parties []*Party, numClasses int, latencySigma float64, r *rng.Source) {
+	for _, p := range parties {
+		p.Latency = 1.0
+		if latencySigma > 0 {
+			p.Latency = math.Exp(latencySigma * r.NormFloat64())
+		}
+		p.LabelDist = tensor.NewVec(numClasses)
+		for _, s := range p.Data {
+			p.LabelDist[s.Y]++
+		}
+	}
 }
 
 // AttachDevices draws one device per party from cfg and attaches it,

@@ -94,7 +94,20 @@ func TrainLocal(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tens
 	return TrainLocalScratch(m, data, cfg, globalParams, r, &s)
 }
 
-// TrainLocalScratch is TrainLocal with caller-provided reusable buffers.
+// TrainLocalScratch is TrainLocal with caller-provided reusable buffers: the
+// training loop of TrainLocalInPlace, then the one clone that makes the result
+// the caller's to keep.
+func TrainLocalScratch(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tensor.Vec, r *rng.Source, scratch *TrainScratch) LocalResult {
+	res := TrainLocalInPlace(m, data, cfg, globalParams, r, scratch)
+	res.Params = res.Params.Clone()
+	return res
+}
+
+// TrainLocalInPlace is TrainLocalScratch without the result clone: for the
+// flat-backed built-in models res.Params is the model's live parameter
+// vector, valid only until m is next trained or overwritten. It serves a
+// caller that consumes the vector on the spot — a shard worker serialises it
+// into the reply frame — and would otherwise copy it twice.
 //
 // The loop is the simulator's hottest kernel and is zero-allocation at
 // steady state: all per-call buffers (gradient, permutation) come from the
@@ -106,18 +119,10 @@ func TrainLocal(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tens
 // golden suite in internal/fl/testdata pins this); buffer reuse is safe
 // because LossGradient zeroes its output and the shuffle order is reset to
 // the identity on every call.
-func TrainLocalScratch(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tensor.Vec, r *rng.Source, scratch *TrainScratch) LocalResult {
+func TrainLocalInPlace(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tensor.Vec, r *rng.Source, scratch *TrainScratch) LocalResult {
 	cfg = cfg.WithDefaults()
 	n := len(data)
 	res := LocalResult{NumSamples: n}
-	if n == 0 {
-		res.Params = m.Params()
-		return res
-	}
-	batch := cfg.BatchSize
-	if batch > n {
-		batch = n
-	}
 
 	// Flat-backed models train directly on their live parameter vector;
 	// other implementations fall back to the copy-in/copy-out protocol.
@@ -127,6 +132,14 @@ func TrainLocalScratch(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 		params = fm.paramsRef()
 	} else {
 		params = m.Params()
+	}
+	res.Params = params
+	if n == 0 {
+		return res
+	}
+	batch := cfg.BatchSize
+	if batch > n {
+		batch = n
 	}
 	scratch.ensure(len(params), n)
 	grad := scratch.grad
@@ -174,7 +187,6 @@ func TrainLocalScratch(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 		}
 	}
 
-	res.Params = params.Clone()
 	if res.Steps > 0 {
 		res.MeanLoss = lossSum / float64(res.Steps)
 		res.SqLossMean = sqLossSum / float64(res.Steps)

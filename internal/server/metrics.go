@@ -109,7 +109,7 @@ func writeDistMetrics(b *strings.Builder, registered int, jobs map[uint64][]dist
 	series("flipsd_dist_worker_parties", "Parties in the slot's contiguous shard range.", "gauge", func(st dist.WorkerStat) any {
 		return st.PartyHi - st.PartyLo
 	})
-	series("flipsd_dist_worker_lag_waves", "Dispatch waves the slot trails the job cursor (nonzero during reconnect replay).", "gauge", func(st dist.WorkerStat) any {
+	series("flipsd_dist_worker_lag_waves", "Waves dispatched to the slot and not yet completed (nonzero while a wave is in flight or being replayed).", "gauge", func(st dist.WorkerStat) any {
 		return st.LagWaves
 	})
 	series("flipsd_dist_worker_waves_total", "Training waves the slot has completed.", "counter", func(st dist.WorkerStat) any {

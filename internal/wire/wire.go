@@ -9,13 +9,17 @@
 // byte reaches the socket (a half-written frame would desynchronize the
 // stream forever), and an oversized receive fails from the header alone,
 // before the payload is read. Reads use io.ReadFull throughout, so a frame
-// split across arbitrarily many TCP segments reassembles correctly; writes
-// go through one buffered flush whose error surfaces short writes that the
-// old newline-delimited tee framing could only detect as JSON decode noise
-// on the peer.
+// split across arbitrarily many TCP segments reassembles correctly, and go
+// through a bufio.Reader, so the header and payload of a small frame arrive
+// in one read(2) (a payload larger than the buffer is still read straight
+// into the receive buffer, not staged twice); writes go through one
+// vectored write whose error surfaces short writes that the old
+// newline-delimited tee framing could only detect as JSON decode noise on
+// the peer.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,6 +36,11 @@ const MaxFrame = 16 * 1024 * 1024
 
 // headerLen is the fixed frame header: u32 length + version byte + type byte.
 const headerLen = 6
+
+// readBuffer sizes the codec's read-ahead: large enough that a dist dispatch
+// or a 16-party partial fold of a ~1k-float model is one read(2), small
+// enough to be noise per connection.
+const readBuffer = 64 * 1024
 
 // ErrFrameTooLarge reports a frame exceeding the 16 MiB payload limit, on
 // either side: senders fail before writing anything, receivers fail from the
@@ -55,6 +64,7 @@ func (e *BadVersionError) Error() string {
 // or single-reader loops).
 type Codec struct {
 	rw      io.ReadWriter
+	br      *bufio.Reader
 	version byte
 	// buf is the reusable receive buffer; Recv's returned payload aliases it
 	// and is valid only until the next Recv.
@@ -62,6 +72,10 @@ type Codec struct {
 	// Separate header scratch per direction, so a pipelined peer (send in
 	// flight while a read blocks) cannot tear the header bytes.
 	sendHead, recvHead [headerLen]byte
+	// sendVec backs sendBufs, the header+payload pair handed to writev; both
+	// live in the codec so Send allocates nothing.
+	sendVec  [2][]byte
+	sendBufs net.Buffers
 	// bytesIn/bytesOut count all frame bytes (headers included) through the
 	// codec; atomic so metrics scrapes can read them while I/O is in flight.
 	bytesIn, bytesOut atomic.Int64
@@ -70,7 +84,7 @@ type Codec struct {
 // NewCodec wraps rw (typically a net.Conn) with the frame codec for the
 // given protocol version.
 func NewCodec(rw io.ReadWriter, version byte) *Codec {
-	return &Codec{rw: rw, version: version}
+	return &Codec{rw: rw, br: bufio.NewReaderSize(rw, readBuffer), version: version}
 }
 
 // Send writes one frame. Payloads beyond MaxFrame fail with ErrFrameTooLarge
@@ -87,8 +101,10 @@ func (c *Codec) Send(typ byte, payload []byte) error {
 	// One writev-shaped write: net.Buffers lets the kernel coalesce header
 	// and payload without copying the payload into a staging buffer.
 	if conn, ok := c.rw.(net.Conn); ok {
-		bufs := net.Buffers{c.sendHead[:], payload}
-		n, err := bufs.WriteTo(conn)
+		c.sendVec[0], c.sendVec[1] = c.sendHead[:], payload
+		c.sendBufs = c.sendVec[:] // WriteTo consumes the slice header
+		n, err := c.sendBufs.WriteTo(conn)
+		c.sendVec[1] = nil // do not retain the caller's payload
 		c.bytesOut.Add(n)
 		if err != nil {
 			return fmt.Errorf("wire send: %w", err)
@@ -120,7 +136,7 @@ func (c *Codec) Send(typ byte, payload []byte) error {
 // clean close between frames; mid-frame truncation surfaces as
 // io.ErrUnexpectedEOF.
 func (c *Codec) Recv() (typ byte, payload []byte, err error) {
-	if _, err := io.ReadFull(c.rw, c.recvHead[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.recvHead[:]); err != nil {
 		return 0, nil, err
 	}
 	c.bytesIn.Add(headerLen)
@@ -133,7 +149,7 @@ func (c *Codec) Recv() (typ byte, payload []byte, err error) {
 		c.buf = make([]byte, length)
 	}
 	c.buf = c.buf[:length]
-	if _, err := io.ReadFull(c.rw, c.buf); err != nil {
+	if _, err := io.ReadFull(c.br, c.buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			// The header promised a payload: a close here is a truncation,
 			// not a clean end-of-stream.
