@@ -9,7 +9,10 @@
 //     arrivals/sec, p50/p99 job latency, shard locality — from GET /metrics.
 //     Jobs queue on a bounded buffer (-queue); a full buffer sheds load with
 //     429. SIGTERM drains gracefully: new jobs get 503 while every accepted
-//     job runs to completion, so an orderly shutdown never loses a job.
+//     job runs to completion, so an orderly shutdown never loses a job. A
+//     submitter is treated as slow, dead or hostile: request headers and
+//     bodies are bounded in time, and a stream follower that stops reading
+//     loses its connection at the first batch that cannot be written.
 //
 //     With -dist-listen the job server also runs a shard-worker coordinator:
 //     separate flipsd worker processes (started with -worker -connect) dial
@@ -21,9 +24,10 @@
 //
 //   - Shard worker (-worker -connect host:port): dials a coordinator and
 //     serves local-training waves until the coordinator sends a shutdown
-//     frame. Workers redial with backoff if the coordinator restarts;
-//     mid-wave worker loss is recovered by the coordinator via reassignment
-//     and replay of the wave, byte-identically.
+//     frame (an idle worker waits for its next request without a deadline:
+//     idle is not failed). Workers redial with backoff if the coordinator
+//     restarts; mid-wave worker loss is recovered by the coordinator via
+//     reassignment and replay of the wave, byte-identically.
 //
 //   - TEE clustering service (-mode tee): boots a simulated secure enclave
 //     with the label-distribution clustering code and serves the
@@ -31,7 +35,8 @@
 //     Figure 3). On startup it prints the enclave's code measurement and the
 //     hardware attestation public key; parties provision their attestation
 //     server with both and refuse to submit label distributions to any
-//     enclave that fails verification.
+//     enclave that fails verification. A client silent for five minutes is
+//     hung up on and dials again when it next needs the enclave.
 //
 //   - Selftest (-selftest [job.json]): deployment smoke — run one job through
 //     the full pipeline (clustering, selection, training) in-process and
@@ -145,6 +150,16 @@ func run(args []string, stdout, stderr io.Writer, stop chan os.Signal) error {
 	}
 }
 
+// An HTTP submitter is a peer like any other — slow, dead or hostile: its
+// request line and headers must arrive within readHeaderTimeout and the whole
+// request, a POST /jobs body (at most 1 MiB) included, within readTimeout, or
+// the connection is released. Variables only so the slow-loris test can
+// shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+)
+
 // serveJobs runs the simulation job server until a stop signal, then drains:
 // submission stops (503), every accepted job finishes, active status/stream
 // connections complete, and the drain summary reports the final counts. With
@@ -183,7 +198,9 @@ func serveJobs(stdout io.Writer, listen string, queueDepth, workers, jobPar int,
 		fmt.Fprintf(stdout, "flipsd: shard coordinator on %s (jobs train across %d worker slots)\n", distAddr, distWorkers)
 	}
 	srv := server.New(cfg)
-	hs := &http.Server{Handler: srv.Handler()}
+	// No WriteTimeout: it would cut a long job stream. A stream bounds each
+	// flushed batch instead (server.handleStream).
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -207,6 +208,22 @@ func TestServeAndShutdown(t *testing.T) {
 
 var jobsBanner = regexp.MustCompile(`serving simulation jobs on (http://[0-9.:]+)`)
 
+// awaitJobsBanner polls the daemon's output for the job server's banner and
+// returns the base URL it announces.
+func awaitJobsBanner(t *testing.T, out, errBuf *syncBuffer) string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if m := jobsBanner.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job server never came up; output:\n%s\n%s", out.String(), errBuf.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestJobsServeSubmitAndDrain boots the default job-server mode on an
 // ephemeral port, submits real simulation jobs over HTTP, then sends the
 // stop signal while they may still be queued or running. The drain summary
@@ -220,18 +237,7 @@ func TestJobsServeSubmitAndDrain(t *testing.T) {
 	go func() {
 		done <- run([]string{"-listen", "127.0.0.1:0", "-workers", "2", "-queue", "8"}, &out, &errBuf, stop)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	var base string
-	for base == "" {
-		if m := jobsBanner.FindStringSubmatch(out.String()); m != nil {
-			base = m[1]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job server never came up; output:\n%s\n%s", out.String(), errBuf.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	base := awaitJobsBanner(t, &out, &errBuf)
 
 	const jobs = 5
 	accepted := 0
@@ -281,6 +287,70 @@ func TestJobsServeSubmitAndDrain(t *testing.T) {
 	wantSummary := fmt.Sprintf("drained: accepted=%d done=%d failed=0", jobs, jobs)
 	if !strings.Contains(o, wantSummary) {
 		t.Fatalf("drain summary missing %q:\n%s", wantSummary, o)
+	}
+}
+
+// TestSlowLorisSubmitReleasesItsConnection: a POST /jobs that stalls inside
+// its headers, and one that announces a body and stalls inside it, are hung
+// up on once readHeaderTimeout / readTimeout pass — at which point a
+// well-behaved submission is still served and the drain balances. Serial: it
+// shortens the two timeouts before the daemon boots.
+func TestSlowLorisSubmitReleasesItsConnection(t *testing.T) {
+	oldHeader, oldRead := readHeaderTimeout, readTimeout
+	readHeaderTimeout, readTimeout = 200*time.Millisecond, 400*time.Millisecond
+	var out, errBuf syncBuffer
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-workers", "1"}, &out, &errBuf, stop)
+	}()
+	t.Cleanup(func() { readHeaderTimeout, readTimeout = oldHeader, oldRead })
+	base := awaitJobsBanner(t, &out, &errBuf)
+
+	for name, sent := range map[string]string{
+		"stalls in the headers": "POST /jobs HTTP/1.1\r\nHost: flipsd\r\nContent-Ty",
+		"stalls in the body":    "POST /jobs HTTP/1.1\r\nHost: flipsd\r\nContent-Length: 200\r\n\r\n{\"Dataset\":",
+	} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, sent); err != nil {
+			t.Fatal(err)
+		}
+		released := make(chan error, 1)
+		go func() {
+			// Whatever the server says first (nothing, or a 4xx for the body
+			// it could not finish reading), it must then hang up.
+			_, err := io.Copy(io.Discard, conn)
+			released <- err
+		}()
+		select {
+		case err := <-released:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: connection still held", name)
+		}
+	}
+
+	resp, err := http.Post(base+"/jobs", "application/json",
+		strings.NewReader(`{"Dataset":"mit-bih-ecg","Strategy":"random","Rounds":2,"Parties":6,"Seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("well-behaved submission after the slow ones: %d", resp.StatusCode)
+	}
+	stop <- os.Interrupt
+	if err := <-done; err != nil {
+		t.Fatalf("drain failed: %v\noutput:\n%s", err, out.String())
+	}
+	if o := out.String(); !strings.Contains(o, "drained: accepted=1 done=1 failed=0") {
+		t.Fatalf("drain summary:\n%s", o)
 	}
 }
 

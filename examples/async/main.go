@@ -8,33 +8,22 @@
 // selection strategy can reach the target in a fraction of the simulated
 // wall-clock.
 //
-//	go run ./examples/async            # full mode × staleness × strategy sweep
-//	go run ./examples/async -quick     # FLIPS under the three modes only
+//	go run ./examples/async
+//
+// The full mode × staleness × strategy sweep is `flipsbench -exp async`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"flips"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "compare only FLIPS across the three aggregation modes instead of the full sweep")
 	seed := flag.Uint64("seed", 1, "master random seed")
 	flag.Parse()
-
-	if !*quick {
-		fmt.Println("Aggregation-mode sweep: lognormal fleet, ECG workload, FedYogi")
-		fmt.Println("(sync vs buffered vs semisync x staleness, FLIPS vs Oort vs Random, time-to-accuracy)")
-		fmt.Println()
-		if err := flips.RunExperiment(os.Stdout, "async", flips.ExperimentOptions{Seed: *seed}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	fmt.Println("FLIPS under the three aggregation modes (lognormal fleet, 80% churn)")
 	fmt.Println()

@@ -7,33 +7,22 @@
 // outlier updates before averaging, at the price of ignoring some honest
 // ones.
 //
-//	go run ./examples/chaos            # byzantine-20% fold comparison
-//	go run ./examples/chaos -matrix    # full fault x fold x strategy sweep
+//	go run ./examples/chaos
+//
+// The full fault × fold × strategy matrix is `flipsbench -exp chaos`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"flips"
 )
 
 func main() {
-	matrix := flag.Bool("matrix", false, "run the full declarative fault-matrix sweep (outages, flash crowds, label flips, byzantine) instead of the byzantine fold comparison")
 	seed := flag.Uint64("seed", 1, "master random seed")
 	flag.Parse()
-
-	if *matrix {
-		fmt.Println("Chaos fault-matrix sweep: ECG workload, FedYogi over a lognormal churn fleet")
-		fmt.Println("(clean/outage/flash-crowd/label-flip/byzantine x folds x strategies, time-to-accuracy degradation)")
-		fmt.Println()
-		if err := flips.RunExperiment(os.Stdout, "chaos", flips.ExperimentOptions{Seed: *seed}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	fmt.Println("Aggregation folds under a 20% byzantine fleet (ECG workload, FedAvg)")
 	fmt.Println()

@@ -1,38 +1,27 @@
-// Heterogeneity: sweep round deadlines × device availability over a
-// heavy-tailed simulated fleet and compare FLIPS, Oort and Random on
+// Heterogeneity: run FLIPS, Oort and Random over a heavy-tailed simulated
+// fleet under 80% churn and a 2 s round deadline and compare them on
 // **time-to-target-accuracy** — the metric the device model makes
 // first-class. The paper's flat straggler drop can't express any of this:
 // here stragglers emerge from simulated compute/bandwidth wall-clock and
 // from churn or diurnal availability, so a strategy that wins on rounds can
 // still lose on simulated time by waiting out slow parties every round.
 //
-//	go run ./examples/heterogeneity            # full deadline × availability sweep
-//	go run ./examples/heterogeneity -quick     # single churn scenario comparison
+//	go run ./examples/heterogeneity
+//
+// The full deadline × availability sweep is `flipsbench -exp het`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"flips"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run only the churn scenario instead of the full sweep")
 	seed := flag.Uint64("seed", 1, "master random seed")
 	flag.Parse()
-
-	if !*quick {
-		fmt.Println("Device heterogeneity sweep: lognormal fleet, ECG workload, FedYogi")
-		fmt.Println("(availability x deadline, FLIPS vs Oort vs Random, time-to-accuracy)")
-		fmt.Println()
-		if err := flips.RunExperiment(os.Stdout, "het", flips.ExperimentOptions{Seed: *seed}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	fmt.Println("FLIPS vs Oort vs Random under 80% churn with a 2s round deadline")
 	fmt.Println()

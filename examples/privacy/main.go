@@ -8,33 +8,22 @@
 // reconstructed from the survivors' secret shares, and a round whose
 // survivors fall below the share threshold aborts without moving the model.
 //
-//	go run ./examples/privacy          # privacy-ladder comparison
-//	go run ./examples/privacy -sweep   # full arm x strategy sweep table
+//	go run ./examples/privacy
+//
+// The full arm × strategy sweep table is `flipsbench -exp privacy`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"flips"
 )
 
 func main() {
-	sweep := flag.Bool("sweep", false, "run the full privacy-ladder sweep (arms x strategies) instead of the single-fleet comparison")
 	seed := flag.Uint64("seed", 1, "master random seed")
 	flag.Parse()
-
-	if *sweep {
-		fmt.Println("Privacy-ladder sweep: ECG workload, FedYogi over a lognormal churn fleet")
-		fmt.Println("(plaintext/clip/masked/masked+dp x strategies, time-to-accuracy cost)")
-		fmt.Println()
-		if err := flips.RunExperiment(os.Stdout, "privacy", flips.ExperimentOptions{Seed: *seed}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	fmt.Println("The privacy ladder over a churn-prone device fleet (ECG workload, FedYogi)")
 	fmt.Println()

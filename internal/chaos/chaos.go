@@ -215,7 +215,6 @@ type Injector struct {
 	spec    Spec
 	parties int
 	faulty  []bool
-	ids     []int // faulty party IDs, ascending
 }
 
 // New builds an injector for a fleet of parties, drawing the faulty-party
@@ -243,12 +242,6 @@ func New(spec Spec, parties int) (*Injector, error) {
 			for _, id := range idx {
 				in.faulty[id] = true
 			}
-			// Ascending IDs, independent of the sampler's emission order.
-			for id, bad := range in.faulty {
-				if bad {
-					in.ids = append(in.ids, id)
-				}
-			}
 		}
 	}
 	return in, nil
@@ -256,10 +249,6 @@ func New(spec Spec, parties int) (*Injector, error) {
 
 // Spec returns the scenario (defaults filled in).
 func (in *Injector) Spec() Spec { return in.spec }
-
-// FaultyParties returns the faulty party IDs in ascending order. The slice
-// is owned by the injector; callers must not mutate it.
-func (in *Injector) FaultyParties() []int { return in.ids }
 
 // Region returns the contiguous party-ID band of party id — the same
 // arithmetic as the engine's shardOf, so region k and aggregation shard k

@@ -87,6 +87,15 @@ func TestSelectCoversAllClustersWhenTargetMultiple(t *testing.T) {
 	}
 }
 
+// PickCounts returns party id -> times picked, for the fairness tests.
+func (s *Selector) PickCounts() map[int]int {
+	out := make(map[int]int, len(s.partyItem))
+	for id, item := range s.partyItem {
+		out[id] = item.picks
+	}
+	return out
+}
+
 func TestSelectEquitableWithinCluster(t *testing.T) {
 	t.Parallel()
 	// One cluster of 6 parties, 2 picks per round: over 30 rounds each party
@@ -193,7 +202,7 @@ func TestOverprovisionAfterStragglers(t *testing.T) {
 		t.Fatal("test setup: no cluster-0 parties selected")
 	}
 	s.Observe(fb)
-	if s.StragglerRate() <= 0 {
+	if s.stragRate <= 0 {
 		t.Fatal("straggler rate not updated")
 	}
 	next := s.Select(1, 4)

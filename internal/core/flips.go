@@ -104,9 +104,6 @@ func (s *Selector) NumClusters() int { return len(s.clusters) }
 // NumParties returns the total party count.
 func (s *Selector) NumParties() int { return len(s.partyOf) }
 
-// StragglerRate returns the smoothed straggler-rate estimate strg.
-func (s *Selector) StragglerRate() float64 { return s.stragRate }
-
 // Name implements fl.Selector.
 func (s *Selector) Name() string { return "flips" }
 
@@ -265,16 +262,6 @@ func (s *Selector) Observe(fb fl.RoundFeedback) {
 		rate := float64(len(fb.Stragglers)) / float64(len(fb.Selected))
 		s.stragRate = 0.5*s.stragRate + 0.5*rate
 	}
-}
-
-// PickCounts returns party id -> times picked (diagnostics and fairness
-// tests).
-func (s *Selector) PickCounts() map[int]int {
-	out := make(map[int]int, len(s.partyItem))
-	for id, item := range s.partyItem {
-		out[id] = item.picks
-	}
-	return out
 }
 
 // DefaultMaxK is the Davies-Bouldin sweep bound when none is configured: a

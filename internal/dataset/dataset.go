@@ -40,15 +40,6 @@ func (d *Dataset) NumClasses() int { return len(d.LabelNames) }
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// LabelCounts returns a histogram over labels (length NumClasses).
-func (d *Dataset) LabelCounts() []int {
-	counts := make([]int, d.NumClasses())
-	for _, s := range d.Samples {
-		counts[s.Y]++
-	}
-	return counts
-}
-
 // Spec describes a synthetic dataset generator.
 type Spec struct {
 	// Name identifies the emulated dataset.

@@ -8,6 +8,15 @@ import (
 	"flips/internal/rng"
 )
 
+// LabelCounts returns a histogram over labels (length NumClasses).
+func (d *Dataset) LabelCounts() []int {
+	counts := make([]int, d.NumClasses())
+	for _, s := range d.Samples {
+		counts[s.Y]++
+	}
+	return counts
+}
+
 func TestBuiltinSpecsValid(t *testing.T) {
 	t.Parallel()
 	for _, spec := range AllSpecs() {

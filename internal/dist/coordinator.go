@@ -18,21 +18,23 @@ import (
 // Coordinator accepts shard-worker connections and hands them to jobs. It
 // owns only the worker registry; all engine state lives in the jobs (and in
 // the fl engine driving them), so the coordinator itself is O(workers).
+// Accepting, accept-error backoff, logging and shutdown of connections still
+// in their handshake are wire.Listener's; a registered worker's connection
+// belongs to the registry, then to whichever job slot seats it.
 type Coordinator struct {
 	// ErrorLog receives accept-loop and worker-failure notices (one line per
-	// burst). Nil logs via the standard logger.
+	// burst). Nil logs via the standard logger; set before Listen.
 	ErrorLog *log.Logger
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	listener net.Listener
-	workers  map[int]*workerConn // every registered, live worker
-	idle     []*workerConn       // registered workers not attached to a job slot
-	nextID   int
-	nextJob  uint64
-	closed   bool
-	done     chan struct{}
-	wg       sync.WaitGroup
+	ln *wire.Listener
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	workers map[int]*workerConn // every registered, live worker
+	idle    []*workerConn       // registered workers not attached to a job slot
+	nextID  int
+	nextJob uint64
+	closed  bool
 }
 
 // workerConn is one registered worker. All frame I/O after registration is
@@ -51,115 +53,55 @@ type workerConn struct {
 // connection broke. A variable only so the tests can shorten it.
 var frameTimeout = 2 * time.Minute
 
+const (
+	// helloTimeout bounds the registration handshake on both sides: the
+	// coordinator's wait for an accepted connection's hello and the worker's
+	// wait for the ack.
+	helloTimeout = 10 * time.Second
+	// shutdownTimeout bounds the best-effort shutdown exchange per worker.
+	shutdownTimeout = 250 * time.Millisecond
+)
+
 // roundTrip sends one request frame and reads its response, both under one
 // frameTimeout deadline. The response payload aliases the codec's receive
-// buffer — decode before the next call. A request the codec refuses as larger
-// than a frame is no fault of this worker and would be refused on any other:
-// it comes back as a fatalError, not as a transport failure.
+// buffer — decode before the next call. A request larger than a frame is no
+// fault of this worker and would be refused on any other: it comes back as a
+// fatalError, not as a transport failure.
 func (w *workerConn) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
-	if err := w.conn.SetDeadline(time.Now().Add(frameTimeout)); err != nil {
-		return 0, nil, err
+	if len(payload) > wire.MaxFrame {
+		return 0, nil, &fatalError{err: fmt.Errorf("dist: %d-byte request: %w", len(payload), wire.ErrFrameTooLarge)}
 	}
-	if err := w.codec.Send(typ, payload); err != nil {
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			err = &fatalError{err: fmt.Errorf("dist: %d-byte request: %w", len(payload), err)}
-		}
-		return 0, nil, err
-	}
-	return w.codec.Recv()
+	return wire.RoundTrip(w.conn, w.codec, frameTimeout, typ, payload)
 }
 
 // NewCoordinator constructs an idle coordinator; call Listen to serve.
 func NewCoordinator() *Coordinator {
-	c := &Coordinator{
-		workers: make(map[int]*workerConn),
-		done:    make(chan struct{}),
-	}
+	c := &Coordinator{workers: make(map[int]*workerConn)}
 	c.cond = sync.NewCond(&c.mu)
+	c.ln = wire.NewListener("dist coordinator", c.register)
 	return c
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.ErrorLog != nil {
-		c.ErrorLog.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }
 
 // Listen starts accepting workers on addr and returns the bound address.
 func (c *Coordinator) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("dist coordinator: %w", err)
-	}
-	c.mu.Lock()
-	c.listener = ln
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go c.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-// acceptLoop accepts and registers workers, with the same transient-error
-// backoff discipline as the TEE server: exponential instead of hot-spinning,
-// one log line per burst.
-func (c *Coordinator) acceptLoop(ln net.Listener) {
-	defer c.wg.Done()
-	const minBackoff, maxBackoff = 5 * time.Millisecond, time.Second
-	backoff := minBackoff
-	inBurst := false
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-c.done:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			if !inBurst {
-				c.logf("dist coordinator: accept: %v (backing off)", err)
-				inBurst = true
-			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-c.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		backoff = minBackoff
-		inBurst = false
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.register(conn)
-		}()
-	}
+	c.ln.ErrorLog = c.ErrorLog
+	return c.ln.Listen(addr)
 }
 
 // register performs the hello handshake and parks the worker in the idle
 // pool. A malformed handshake closes the connection without registration.
 func (c *Coordinator) register(conn net.Conn) {
 	codec := wire.NewCodec(conn, Version)
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, payload, err := codec.Recv()
-	_ = conn.SetReadDeadline(time.Time{})
+	// Covers the hello read and the ack write. It stays on a parked
+	// connection: every later exchange sets its own (wire.RoundTrip).
+	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
+	typ, _, err := codec.Recv() // hello carries no payload today; reserved
 	if err != nil || typ != ftHello {
 		if err == nil {
 			var e buf
 			e.str(fmt.Sprintf("expected hello, got frame type %d", typ))
 			_ = codec.Send(ftError, e.bytes())
 		}
-		_ = payload // hello carries no payload today; reserved
 		conn.Close()
 		return
 	}
@@ -265,23 +207,17 @@ func (c *Coordinator) AwaitWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// Close shuts down the listener, sends best-effort shutdown frames to every
-// registered worker, closes their connections and waits for the accept
-// machinery to drain. The done-before-snapshot ordering mirrors the TEE
-// server's Close: registration re-checks closed under the same mutex, so no
-// worker can slip past the snapshot.
+// Close stops accepting (connections still in their handshake are closed, not
+// registered), then sends best-effort shutdown frames to every registered
+// worker and closes their connections. closed is set first and registration
+// re-checks it under the same mutex, and the listener's Close returns only
+// once every handshake has ended, so no worker can slip past the snapshot.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.done)
-	}
-	ln := c.listener
+	c.closed = true
+	c.cond.Broadcast()
 	c.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
+	err := c.ln.Close()
 	c.mu.Lock()
 	workers := make([]*workerConn, 0, len(c.workers))
 	for _, w := range c.workers {
@@ -289,18 +225,13 @@ func (c *Coordinator) Close() error {
 	}
 	c.workers = make(map[int]*workerConn)
 	c.idle = nil
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, w := range workers {
-		// Best-effort graceful shutdown: a worker blocked mid-request will
-		// simply see the close instead.
-		_ = w.conn.SetDeadline(time.Now().Add(250 * time.Millisecond))
-		if e := w.codec.Send(ftShutdown, nil); e == nil {
-			_, _, _ = w.codec.Recv() // shutdown ack, best effort
-		}
+		// Best effort: a worker blocked mid-request, or one that does not
+		// ack inside the bound, sees the close below instead.
+		_, _, _ = wire.RoundTrip(w.conn, w.codec, shutdownTimeout, ftShutdown, nil)
 		w.conn.Close()
 	}
-	c.wg.Wait()
 	return err
 }
 
@@ -467,7 +398,7 @@ func (j *Job) dropWorker(s *slot, w *workerConn, cause error) {
 	}
 	s.mu.Unlock()
 	j.c.unregister(w)
-	j.c.logf("dist: job %d shard %d lost worker %d: %v", j.id, s.idx, w.id, cause)
+	j.c.ln.Logf("dist: job %d shard %d lost worker %d: %v", j.id, s.idx, w.id, cause)
 }
 
 // acquire returns the slot's attached worker, claiming and assigning a
@@ -487,7 +418,7 @@ func (j *Job) acquire(s *slot) (*workerConn, error) {
 		fresh := claimed[0]
 		if err := j.assign(s, fresh); err != nil {
 			j.c.unregister(fresh)
-			j.c.logf("dist: job %d shard %d replacement rejected: %v", j.id, s.idx, err)
+			j.c.ln.Logf("dist: job %d shard %d replacement rejected: %v", j.id, s.idx, err)
 			continue
 		}
 		return fresh, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -380,7 +381,7 @@ func TestSilentWorkerIsReplacedAfterFrameTimeout(t *testing.T) {
 }
 
 // echoBuilder builds data-free parties: training an empty party returns the
-// model's current parameters untouched, so a dispatch round-trip echoes back
+// model's current parameters unchanged, so a dispatch round-trip echoes back
 // exactly the parameter vector the worker holds.
 func echoBuilder(dim, classes int) Builder {
 	return func(spec []byte, lo, hi int) (JobSetup, error) {
@@ -459,8 +460,7 @@ func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
 func testWorker(t *testing.T, id uint64, hi int) *workerState {
 	t.Helper()
 	w := &workerState{
-		opt:  WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1},
-		jobs: make(map[uint64]*workerJob),
+		opt: WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1},
 	}
 	var e buf
 	e.u64(id)
@@ -515,7 +515,7 @@ func TestDispatchBeforeCheckpointFails(t *testing.T) {
 	if _, _, err := w.dispatch(dispatchFrame(4, 6, nil, 1)); err == nil {
 		t.Fatal("dispatch at a stale version with no parameters succeeded")
 	}
-	if got := w.jobs[9].version; got != 5 {
+	if got := w.job.version; got != 5 {
 		t.Fatalf("a refused paramless dispatch moved the version to %d", got)
 	}
 }
@@ -546,7 +546,7 @@ func TestCheckpointCommitsOnlyOnCoveringChunk(t *testing.T) {
 		if _, _, err := w.dispatch(frame); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
-		if got := w.jobs[9].version; got == 5 {
+		if got := w.job.version; got == 5 {
 			t.Fatalf("%s: version committed", name)
 		}
 		// Whatever was refused, the worker recovers on the next full frame.
@@ -560,12 +560,12 @@ func TestCheckpointCommitsOnlyOnCoveringChunk(t *testing.T) {
 	if _, _, err := w.dispatch(good); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.jobs[9].version; got != 5 {
+	if got := w.job.version; got != 5 {
 		t.Fatalf("covering section left version %d, want 5", got)
 	}
 	for i, v := range full {
-		if !bitsEqual(w.jobs[9].params[i], v) {
-			t.Fatalf("params[%d] = %v, want %v", i, w.jobs[9].params[i], v)
+		if !bitsEqual(w.job.params[i], v) {
+			t.Fatalf("params[%d] = %v, want %v", i, w.job.params[i], v)
 		}
 	}
 	// A refused section that got as far as overwriting parameters must not
@@ -573,35 +573,50 @@ func TestCheckpointCommitsOnlyOnCoveringChunk(t *testing.T) {
 	if _, _, err := w.dispatch(bad["party outside the range"]); err == nil {
 		t.Fatal("out-of-range party accepted")
 	}
-	if got := w.jobs[9].version; got != unsyncedVersion {
+	if got := w.job.version; got != unsyncedVersion {
 		t.Fatalf("rejected params section left version %d, want unsynced", got)
 	}
 }
 
-// TestWorkerJobCacheIsBounded: assigning more jobs than the retention cap
-// evicts the least-recently-touched one.
-func TestWorkerJobCacheIsBounded(t *testing.T) {
-	w := &workerState{
-		opt:  WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1},
-		jobs: make(map[uint64]*workerJob),
+// TestSecondAssignmentReplacesTheFirstJob: a connection holds the one job its
+// coordinator last assigned. A dispatch that names the job assigned before it
+// — or one never assigned — draws the explicit unknown-job error, not a wave
+// trained on a shard the coordinator no longer believes is there.
+func TestSecondAssignmentReplacesTheFirstJob(t *testing.T) {
+	w := testWorker(t, 9, 4)
+	six := []float64{1, 2, 3, 4, 5, 6}
+	if _, _, err := w.dispatch(dispatchFrame(1, 5, six, 0)); err != nil {
+		t.Fatal(err)
 	}
-	for id := uint64(0); id < maxRetainedJobs+3; id++ {
-		var e buf
-		e.u64(id)
-		e.u32(0)
-		e.u32(1)
-		e.u32(0)
-		if _, _, err := w.assign(e.bytes()); err != nil {
-			t.Fatal(err)
-		}
+	first := w.job
+	var e buf
+	e.u64(10)
+	e.u32(0)
+	e.u32(4)
+	e.u32(0)
+	if typ, _, err := w.assign(e.bytes()); err != nil || typ != ftAssignAck {
+		t.Fatalf("second assign: type %d err %v", typ, err)
 	}
-	if len(w.jobs) != maxRetainedJobs {
-		t.Fatalf("%d retained jobs, want %d", len(w.jobs), maxRetainedJobs)
+	if w.job == first || w.jobID != 10 {
+		t.Fatalf("worker still holds job %d's state after job 10 was assigned", w.jobID)
 	}
-	for id := uint64(0); id < 3; id++ {
-		if _, ok := w.jobs[id]; ok {
-			t.Fatalf("job %d should have been LRU-evicted", id)
-		}
+	_, _, err := w.dispatch(dispatchFrame(2, 5, six, 0)) // dispatchFrame addresses job 9
+	if err == nil || !strings.Contains(err.Error(), "unknown job 9") {
+		t.Fatalf("dispatch for the replaced job: err = %v, want unknown job 9", err)
+	}
+	// A refused assignment leaves no job at all: the coordinator drops a
+	// worker that cannot take one, so nothing may answer for the old ID.
+	w.opt.Builder = func([]byte, int, int) (JobSetup, error) { return JobSetup{}, fmt.Errorf("no such dataset") }
+	e.reset()
+	e.u64(11)
+	e.u32(0)
+	e.u32(4)
+	e.u32(0)
+	if _, _, err := w.assign(e.bytes()); err == nil {
+		t.Fatal("assignment with a failing builder accepted")
+	}
+	if w.job != nil {
+		t.Fatalf("job %d survived a refused reassignment", w.jobID)
 	}
 }
 

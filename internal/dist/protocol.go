@@ -130,7 +130,7 @@ func (r *reader) u64() uint64 {
 func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // f64s fills dst from the next 8·len(dst) bytes, bounds-checked once. A short
-// payload poisons the reader and leaves dst untouched.
+// payload poisons the reader and leaves dst unchanged.
 func (r *reader) f64s(dst []float64) {
 	src := r.bytes(8 * len(dst))
 	if src == nil {

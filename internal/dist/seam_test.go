@@ -147,7 +147,7 @@ func goldenMLPBuilder(spec []byte, lo, hi int) (JobSetup, error) {
 // assignGolden seats job 9 = the 12-party golden fleet on a bare worker state.
 func assignGolden(t *testing.T, builder Builder, width int) *workerState {
 	t.Helper()
-	w := &workerState{opt: WorkerOptions{Builder: builder, Parallelism: width}, jobs: make(map[uint64]*workerJob)}
+	w := &workerState{opt: WorkerOptions{Builder: builder, Parallelism: width}}
 	spec := mustGoldenSpec(t)
 	var e buf
 	e.u64(9)
@@ -169,8 +169,8 @@ func TestWorkerEncodesInPlaceMatchesClone(t *testing.T) {
 	for name, builder := range map[string]Builder{"logreg": goldenBuilder, "mlp": goldenMLPBuilder} {
 		for _, width := range []int{1, 4} {
 			w, ref := assignGolden(t, builder, width), assignGolden(t, builder, width)
-			dim := len(w.jobs[9].params)
-			init := w.jobs[9].setup.Factory(rng.New(41)).Params()
+			dim := len(w.job.params)
+			init := w.job.setup.Factory(rng.New(41)).Params()
 			for wave, ids := range [][]int{{3, 0, 11, 7, 7, 2, 5}, {1}, {10, 9, 8, 6, 4, 3, 2, 1, 0}} {
 				params := init.Clone()
 				params.ScaleInPlace(1 + float64(wave)/7)
@@ -180,7 +180,7 @@ func TestWorkerEncodesInPlaceMatchesClone(t *testing.T) {
 					t.Fatalf("%s width %d wave %d: type %d err %v", name, width, wave, typ, err)
 				}
 
-				rj := ref.jobs[9]
+				rj := ref.job
 				copy(rj.params, params)
 				states := make([][4]uint64, len(ids))
 				for i, id := range ids {
@@ -206,7 +206,7 @@ func TestWorkerEncodesInPlaceMatchesClone(t *testing.T) {
 // to make of the result is the engine's call, as it is in-process.
 func TestNaNParamsCrossTheSeam(t *testing.T) {
 	w := assignGolden(t, goldenBuilder, 2)
-	params := make([]float64, len(w.jobs[9].params))
+	params := make([]float64, len(w.job.params))
 	for i := range params {
 		params[i] = math.NaN()
 	}
@@ -235,7 +235,7 @@ func TestOversizedReplyIsRefusedBeforeTraining(t *testing.T) {
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("refusal took %v: the wave was trained first", el)
 	}
-	if got := w.jobs[9].version; got != unsyncedVersion {
+	if got := w.job.version; got != unsyncedVersion {
 		t.Fatalf("refused frame committed version %d", got)
 	}
 }
@@ -476,7 +476,7 @@ func FuzzDispatchFrame(f *testing.F) {
 			if dim != 6 || len(reply) != foldHeadLen+n*(foldPartyHeadLen+8*dim) {
 				t.Fatalf("fold of %d bytes announces n=%d dim=%d", len(reply), n, dim)
 			}
-			if w.jobs[9].version == unsyncedVersion {
+			if w.job.version == unsyncedVersion {
 				t.Fatal("worker trained a wave while unsynced")
 			}
 		}

@@ -41,11 +41,6 @@ type WorkerOptions struct {
 	Parallelism int
 }
 
-// maxRetainedJobs bounds the per-connection job cache: a long-lived worker
-// serving a multi-tenant coordinator would otherwise accumulate every
-// finished job's shard. Eviction is LRU by assignment/dispatch touch.
-const maxRetainedJobs = 8
-
 // unsyncedVersion marks a job whose parameter vector has not arrived yet (or
 // arrived in a frame that was then rejected); a dispatch that carries no
 // parameters at this state draws an explicit error instead of training
@@ -64,7 +59,6 @@ type workerJob struct {
 	rngs      []rng.Source
 	ids       []int
 	trained   []int // per party: the length of the vector it trained
-	touched   int64 // monotone counter for LRU eviction
 }
 
 // RunWorker dials the coordinator and serves shard-training requests until
@@ -88,18 +82,20 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 		return fmt.Errorf("dist worker: nil builder")
 	}
 	codec := wire.NewCodec(conn, Version)
-	if err := codec.Send(ftHello, nil); err != nil {
-		return err
-	}
-	typ, payload, err := codec.Recv()
+	typ, payload, err := wire.RoundTrip(conn, codec, helloTimeout, ftHello, nil)
 	if err != nil {
 		return fmt.Errorf("dist worker: handshake: %w", err)
 	}
 	if err := expect(ftHelloAck, typ, payload); err != nil {
 		return fmt.Errorf("dist worker: handshake: %w", err)
 	}
+	// From here on the wait for the coordinator's next request is deliberately
+	// unbounded: a registered worker idles for as long as no job seats it.
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return fmt.Errorf("dist worker: %w", err)
+	}
 
-	w := &workerState{codec: codec, opt: opt, jobs: make(map[uint64]*workerJob)}
+	w := &workerState{codec: codec, opt: opt}
 	for {
 		typ, payload, err := codec.Recv()
 		if err != nil {
@@ -136,26 +132,23 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 	}
 }
 
+// workerState is one connection's worker-side state. The coordinator seats a
+// connection in one job slot at a time and never reuses a job ID, so the job
+// last assigned is the only one a dispatch can address: an assignment
+// replaces it, and any other ID draws an error frame.
 type workerState struct {
 	codec *wire.Codec
 	opt   WorkerOptions
-	jobs  map[uint64]*workerJob
+	jobID uint64
+	job   *workerJob // nil until the first assignment
 	enc   buf
-	clock int64
 }
 
-func (w *workerState) touch(j *workerJob) {
-	w.clock++
-	j.touched = w.clock
-}
-
-func (w *workerState) job(id uint64) (*workerJob, error) {
-	j, ok := w.jobs[id]
-	if !ok {
+func (w *workerState) assigned(id uint64) (*workerJob, error) {
+	if w.job == nil || w.jobID != id {
 		return nil, fmt.Errorf("unknown job %d (assign-shards not received)", id)
 	}
-	w.touch(j)
-	return j, nil
+	return w.job, nil
 }
 
 // assign handles ftAssignShards: build the shard's parties from the spec and
@@ -172,6 +165,9 @@ func (w *workerState) assign(payload []byte) (byte, []byte, error) {
 	if lo < 0 || hi < lo {
 		return 0, nil, fmt.Errorf("bad shard range [%d,%d)", lo, hi)
 	}
+	// The previous job's shard is unreachable from here on whatever becomes of
+	// this assignment; let it go before the next one is built beside it.
+	w.job = nil
 	setup, err := w.opt.Builder(spec, lo, hi)
 	if err != nil {
 		return 0, nil, fmt.Errorf("build shard [%d,%d): %w", lo, hi, err)
@@ -196,27 +192,11 @@ func (w *workerState) assign(payload []byte) (byte, []byte, error) {
 	// section and every reply is sized against it.
 	j.replicas[0] = setup.Factory(rng.New(0))
 	j.params = tensor.NewVec(j.replicas[0].NumParams())
-	w.jobs[jobID] = j
-	w.touch(j)
-	w.evict()
+	w.jobID, w.job = jobID, j
 
 	w.enc.reset()
 	w.enc.u64(jobID)
 	return ftAssignAck, w.enc.bytes(), nil
-}
-
-// evict drops least-recently-touched jobs beyond the retention cap.
-func (w *workerState) evict() {
-	for len(w.jobs) > maxRetainedJobs {
-		var oldID uint64
-		oldTouch := int64(1<<63 - 1)
-		for id, j := range w.jobs {
-			if j.touched < oldTouch {
-				oldTouch, oldID = j.touched, id
-			}
-		}
-		delete(w.jobs, oldID)
-	}
 }
 
 // dispatch handles ftDispatchWave: adopt the frame's global parameters if it
@@ -244,7 +224,7 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 	if r.err != nil {
 		return 0, nil, r.err
 	}
-	j, err := w.job(jobID)
+	j, err := w.assigned(jobID)
 	if err != nil {
 		return 0, nil, err
 	}

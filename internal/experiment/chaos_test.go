@@ -177,8 +177,14 @@ func TestBuildWiresFoldAndChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty := make(map[int]bool)
-	for _, id := range inj.FaultyParties() {
-		faulty[id] = true
+	for id := range clean.Parties {
+		// With two classes a flip always lands on the other one, so a probe
+		// sample tells a faulty party from a clean one.
+		probe := []dataset.Sample{{Y: 0}}
+		inj.FlipLabels(id, probe, 2)
+		if probe[0].Y != 0 {
+			faulty[id] = true
+		}
 	}
 	if len(faulty) == 0 {
 		t.Fatal("label-flip scenario drew no faulty parties")

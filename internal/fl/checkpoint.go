@@ -100,15 +100,6 @@ func (c *Checkpoint) Marshal() ([]byte, error) {
 	return json.Marshal(c)
 }
 
-// UnmarshalCheckpoint parses a serialized checkpoint.
-func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("fl: checkpoint decode: %w", err)
-	}
-	return &c, nil
-}
-
 // validateResume checks a checkpoint against the resuming configuration.
 func (c *Checkpoint) validateResume(cfg *Config, paramLen int) error {
 	if c.Round < 0 || c.Round >= cfg.Rounds {

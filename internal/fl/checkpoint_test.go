@@ -1,10 +1,21 @@
 package fl
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"flips/internal/model"
 )
+
+// UnmarshalCheckpoint parses what Checkpoint.Marshal serialized.
+func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
+	var c Checkpoint
+	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, fmt.Errorf("fl: checkpoint decode: %w", err)
+	}
+	return &c, nil
+}
 
 // checkpointedConfig builds a deterministic job with checkpointing enabled.
 func checkpointedConfig(t *testing.T, sink func(*Checkpoint)) Config {

@@ -568,77 +568,6 @@ func TestRunRejectsOutOfRangeSelection(t *testing.T) {
 	}
 }
 
-func TestPersonalizeImprovesLocalAccuracy(t *testing.T) {
-	parties, test, spec := buildTestJob(t, 16, 20, 0.3)
-	ids := make([]int, 20)
-	for i := range ids {
-		ids[i] = i
-	}
-	res, err := Run(Config{
-		Parties:         parties,
-		Test:            test.Samples,
-		NumClasses:      len(spec.LabelNames),
-		Factory:         model.LogRegFactory(spec.Dim, len(spec.LabelNames)),
-		Optimizer:       NewFedYogi(),
-		Selector:        &fixedSelector{ids: ids},
-		Rounds:          15,
-		PartiesPerRound: 10,
-		SGD:             model.SGDConfig{LearningRate: 0.05, BatchSize: 16, LocalEpochs: 1},
-		Seed:            3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := model.NewLogReg(spec.Dim, len(spec.LabelNames))
-	global.SetParams(res.FinalParams)
-
-	// Group parties by dominant label as a cheap clustering. Build the
-	// cluster list in label order: map iteration order would randomize the
-	// per-cluster RNG streams inside Personalize and make the test flaky.
-	byLabel := map[int][]int{}
-	for _, p := range parties {
-		byLabel[p.LabelDist.ArgMax()] = append(byLabel[p.LabelDist.ArgMax()], p.ID)
-	}
-	var clusters [][]int
-	for label := 0; label < len(spec.LabelNames); label++ {
-		if members := byLabel[label]; len(members) > 0 {
-			clusters = append(clusters, members)
-		}
-	}
-
-	pres, err := Personalize(global, parties, clusters,
-		model.SGDConfig{LearningRate: 0.05, BatchSize: 16, LocalEpochs: 5},
-		0.3, len(spec.LabelNames), rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pres.PerCluster) != len(clusters) {
-		t.Fatalf("per-cluster entries %d", len(pres.PerCluster))
-	}
-	// Personalizing on cluster-local data must beat the global model on the
-	// same local holdouts (the clusters are label-homogeneous by design).
-	if pres.MeanPersonalized <= pres.MeanGlobal {
-		t.Fatalf("personalized %v not above global %v", pres.MeanPersonalized, pres.MeanGlobal)
-	}
-}
-
-func TestPersonalizeValidation(t *testing.T) {
-	parties, _, spec := buildTestJob(t, 17, 4, 0.5)
-	global := model.NewLogReg(spec.Dim, len(spec.LabelNames))
-	if _, err := Personalize(nil, parties, [][]int{{0}}, model.SGDConfig{}, 0.3, 5, rng.New(1)); err == nil {
-		t.Fatal("nil model accepted")
-	}
-	if _, err := Personalize(global, parties, nil, model.SGDConfig{}, 0.3, 5, rng.New(1)); err == nil {
-		t.Fatal("no clusters accepted")
-	}
-	if _, err := Personalize(global, parties, [][]int{{0}}, model.SGDConfig{}, 1.5, 5, rng.New(1)); err == nil {
-		t.Fatal("bad holdout accepted")
-	}
-	if _, err := Personalize(global, parties, [][]int{{99}}, model.SGDConfig{}, 0.3, 5, rng.New(1)); err == nil {
-		t.Fatal("unknown party accepted")
-	}
-}
-
 // TestUpdateFeedbackGatedByCapability: the engine materializes
 // RoundFeedback.Update only for selectors declaring the UpdateConsumer
 // capability; everyone else sees a nil map and pays nothing for it.

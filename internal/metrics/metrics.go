@@ -72,7 +72,7 @@ func BalancedAccuracyFromCounts(correct, total []int) float64 {
 }
 
 // PerLabelRecallFromCounts computes per-label recall from class counts, NaN
-// for labels absent from the counts. It matches model.PerLabelAccuracy.
+// for labels absent from the counts.
 func PerLabelRecallFromCounts(correct, total []int) []float64 {
 	out := make([]float64, len(total))
 	for c := range out {
@@ -89,35 +89,6 @@ func PerLabelRecallFromCounts(correct, total []int) []float64 {
 type Summary struct {
 	N                   int
 	Mean, Std, Min, Max float64
-}
-
-// Summarize computes summary statistics (sample standard deviation).
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	return s
 }
 
 // String renders the summary as "mean ± std [min, max] (n)".

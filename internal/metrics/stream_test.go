@@ -5,6 +5,36 @@ import (
 	"testing"
 )
 
+// Summarize is the two-pass reference the single-pass Stream is held to
+// (sample standard deviation).
+func Summarize(xs []float64) Summary {
+	s := Summary{N: len(xs)}
+	if len(xs) == 0 {
+		return s
+	}
+	s.Min, s.Max = xs[0], xs[0]
+	var sum float64
+	for _, x := range xs {
+		sum += x
+		if x < s.Min {
+			s.Min = x
+		}
+		if x > s.Max {
+			s.Max = x
+		}
+	}
+	s.Mean = sum / float64(len(xs))
+	if len(xs) > 1 {
+		var ss float64
+		for _, x := range xs {
+			d := x - s.Mean
+			ss += d * d
+		}
+		s.Std = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return s
+}
+
 func TestStreamMatchesSummarize(t *testing.T) {
 	t.Parallel()
 	cases := [][]float64{

@@ -285,15 +285,13 @@ func TestPerLabelAccuracy(t *testing.T) {
 		{X: tensor.Vec{0, 0}, Y: 0},
 		{X: tensor.Vec{0, 0}, Y: 1},
 	}
-	acc := PerLabelAccuracy(m, samples, 3)
-	if acc[0] != 1 {
-		t.Fatalf("label 0 recall %v", acc[0])
-	}
-	if acc[1] != 0 {
-		t.Fatalf("label 1 recall %v", acc[1])
-	}
-	if !math.IsNaN(acc[2]) {
-		t.Fatalf("absent label recall should be NaN, got %v", acc[2])
+	// Zero-init logreg predicts class 0 for everything: label 0 is recalled,
+	// label 1 is not, label 2 is absent.
+	correct, total := ClassCounts(m, samples, 3)
+	for c, want := range [][2]int{{1, 1}, {0, 1}, {0, 0}} {
+		if correct[c] != want[0] || total[c] != want[1] {
+			t.Fatalf("label %d: %d of %d correct, want %d of %d", c, correct[c], total[c], want[0], want[1])
+		}
 	}
 }
 

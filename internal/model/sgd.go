@@ -1,8 +1,6 @@
 package model
 
 import (
-	"math"
-
 	"flips/internal/dataset"
 	"flips/internal/rng"
 	"flips/internal/tensor"
@@ -216,21 +214,6 @@ func BalancedAccuracy(m Model, samples []dataset.Sample, numClasses int) float64
 		return 0
 	}
 	return sum / float64(present)
-}
-
-// PerLabelAccuracy returns per-label recall lA_i for each label, with NaN
-// for labels absent from the sample set.
-func PerLabelAccuracy(m Model, samples []dataset.Sample, numClasses int) []float64 {
-	correct, total := ClassCounts(m, samples, numClasses)
-	out := make([]float64, numClasses)
-	for c := range out {
-		if total[c] == 0 {
-			out[c] = math.NaN()
-			continue
-		}
-		out[c] = float64(correct[c]) / float64(total[c])
-	}
-	return out
 }
 
 // ClassCounts tallies per-label prediction outcomes: correct[c] is the count

@@ -28,15 +28,6 @@ type Partition struct {
 // NumParties returns the number of parties in the partition.
 func (p *Partition) NumParties() int { return len(p.Parties) }
 
-// TotalSamples returns the number of assigned samples across all parties.
-func (p *Partition) TotalSamples() int {
-	var n int
-	for _, idx := range p.Parties {
-		n += len(idx)
-	}
-	return n
-}
-
 // Dirichlet partitions ds across parties using per-label Dirichlet draws
 // with concentration alpha. Every party is guaranteed at least one sample
 // (zero-sample parties are topped up from the largest party) so that local

@@ -19,6 +19,15 @@ func makeDataset(t *testing.T, n int, seed uint64) *dataset.Dataset {
 	return train
 }
 
+// TotalSamples returns the number of assigned samples across all parties.
+func (p *Partition) TotalSamples() int {
+	var n int
+	for _, idx := range p.Parties {
+		n += len(idx)
+	}
+	return n
+}
+
 func assertExactCover(t *testing.T, ds *dataset.Dataset, p *Partition) {
 	t.Helper()
 	seen := make([]int, ds.Len())

@@ -47,12 +47,6 @@ type Config struct {
 	// oversubscribing the host — per-tenant fairness over per-job speed. A
 	// tenant may still request more via its own config.
 	JobParallelism int
-	// RetainJobs bounds finished jobs kept for status queries (default
-	// 4096); the oldest finished jobs are evicted beyond it.
-	RetainJobs int
-	// LatencyWindow is how many recent job latencies feed the p50/p99
-	// quantiles on /metrics (default 1024).
-	LatencyWindow int
 	// Now is the clock (default time.Now); tests inject a fake.
 	Now func() time.Time
 	// Run executes one job (default flips.RunSimulationStream); tests
@@ -67,18 +61,27 @@ type Config struct {
 	DistStats func() (registered int, jobs map[uint64][]dist.WorkerStat)
 }
 
+const (
+	// retainJobs bounds the jobs kept for status queries; the oldest finished
+	// jobs are evicted beyond it.
+	retainJobs = 4096
+	// latencyWindow is how many recent job latencies feed the p50/p99
+	// quantiles on /metrics.
+	latencyWindow = 1024
+)
+
+// streamWriteTimeout bounds the write of one flushed batch of a job stream. A
+// follower that stops reading fills its socket buffer; the batch that cannot
+// be written within the bound ends the stream and releases the connection. A
+// variable only so the test can shorten it.
+var streamWriteTimeout = 30 * time.Second
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
 	if c.JobParallelism <= 0 {
 		c.JobParallelism = 1
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 4096
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -181,7 +184,7 @@ func New(cfg Config) *Server {
 		queue:    parallel.NewQueue(cfg.Workers, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
 		arrivals: make([]time.Time, 0, 4096),
-		latency:  metrics.NewWindow(cfg.LatencyWindow),
+		latency:  metrics.NewWindow(latencyWindow),
 		started:  cfg.Now(),
 	}
 	mux := http.NewServeMux()
@@ -289,11 +292,11 @@ func (s *Server) recordArrivalLocked(t time.Time) {
 // evictLocked drops the oldest finished jobs beyond the retention bound.
 // Queued/running jobs are never evicted.
 func (s *Server) evictLocked() {
-	if len(s.jobs) <= s.cfg.RetainJobs {
+	if len(s.jobs) <= retainJobs {
 		return
 	}
 	kept := s.order[:0]
-	excess := len(s.jobs) - s.cfg.RetainJobs
+	excess := len(s.jobs) - retainJobs
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if excess > 0 && j != nil {
@@ -455,7 +458,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
 	writeEvent := func(ev StreamEvent) error {
 		if sse {
@@ -495,6 +498,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			return
 		}
+		// One deadline per flushed batch, not per event. A ResponseWriter
+		// with no connection under it (a test recorder) has none to set.
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		for i := range batch {
 			if writeEvent(StreamEvent{Round: &batch[i]}) != nil {
 				return
@@ -504,8 +510,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			_ = writeEvent(StreamEvent{Done: true, State: state, Error: errMsg, Result: result})
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if rc.Flush() != nil {
+			return
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -641,7 +642,7 @@ func TestMetricsDistExposition(t *testing.T) {
 	}
 }
 
-// TestEvictionKeepsActiveJobs pins retention: beyond RetainJobs, the oldest
+// TestEvictionKeepsActiveJobs pins retention: beyond retainJobs, the oldest
 // finished jobs disappear from the index while unfinished ones survive.
 func TestEvictionKeepsActiveJobs(t *testing.T) {
 	t.Parallel()
@@ -650,7 +651,7 @@ func TestEvictionKeepsActiveJobs(t *testing.T) {
 	blockFirst.Store(true)
 	s := New(Config{
 		Workers:    2,
-		RetainJobs: 3,
+		QueueDepth: 2 * retainJobs,
 		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			if blockFirst.CompareAndSwap(true, false) {
 				<-release
@@ -662,23 +663,27 @@ func TestEvictionKeepsActiveJobs(t *testing.T) {
 	defer ts.Close()
 
 	first, _ := submit(t, ts, validBody(t)) // runs, blocked
-	var rest []string
-	for i := 0; i < 5; i++ {
+	oldest, _ := submit(t, ts, validBody(t))
+	waitTerminal(t, ts, oldest.ID)
+	var last JobStatus
+	for i := 0; i < retainJobs; i++ {
 		st, resp := submit(t, ts, validBody(t))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %d", i, resp.StatusCode)
 		}
-		rest = append(rest, st.ID)
-		waitTerminal(t, ts, st.ID)
+		last = st
 	}
-	// 6 jobs total, retain 3: the blocked first job must still be present.
+	waitTerminal(t, ts, last.ID)
+	// retainJobs + 2 jobs, and eviction runs at submission: one more makes the
+	// two oldest excess. The blocked first job must still be present.
+	submit(t, ts, validBody(t))
 	if resp, err := http.Get(ts.URL + "/jobs/" + first.ID); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("active job evicted: %v %v", resp.StatusCode, err)
 	} else {
 		resp.Body.Close()
 	}
 	// The oldest *finished* job is gone.
-	resp, err := http.Get(ts.URL + "/jobs/" + rest[0])
+	resp, err := http.Get(ts.URL + "/jobs/" + oldest.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,4 +693,58 @@ func TestEvictionKeepsActiveJobs(t *testing.T) {
 	}
 	close(release)
 	s.Drain()
+}
+
+// TestFollowerThatNeverReadsIsReleased: a stream follower that sends its
+// request and then never reads fills its socket buffer; the batch that cannot
+// be written within streamWriteTimeout must end the handler and release the
+// connection instead of parking a goroutine on the write for as long as the
+// peer cares to stay. Serial: it shortens the timeout.
+func TestFollowerThatNeverReadsIsReleased(t *testing.T) {
+	old := streamWriteTimeout
+	streamWriteTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { streamWriteTimeout = old })
+
+	// ~25 MB of stream, several times what loopback socket buffers hold.
+	const rounds, perLabel = 300, 4096
+	release := make(chan struct{})
+	s := New(Config{
+		Workers: 1,
+		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			wide := make([]float64, perLabel)
+			for i := range wide {
+				wide[i] = 1 / float64(i+3)
+			}
+			for i := 1; i <= rounds; i++ {
+				onRound(flips.RoundPoint{Round: i, PerLabel: wide})
+			}
+			<-release
+			return &flips.SimulationResult{}, nil
+		},
+	})
+	defer s.Drain()
+	defer close(release)
+	streamReturned := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			close(streamReturned)
+		}
+	}))
+	defer ts.Close()
+
+	st, _ := submit(t, ts, validBody(t))
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "GET /jobs/%s/stream HTTP/1.1\r\nHost: flipsd\r\n\r\n", st.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-streamReturned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream handler still parked on a follower that never reads")
+	}
 }

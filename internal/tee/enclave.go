@@ -158,14 +158,6 @@ func (e *Enclave) Submit(sessionID string, ciphertext []byte) error {
 	return nil
 }
 
-// NumSubmissions reports how many parties have submitted distributions
-// (a count only; contents stay sealed).
-func (e *Enclave) NumSubmissions() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.lds)
-}
-
 // Cluster runs the measured clustering code over the submitted label
 // distributions and installs the FLIPS selector inside the enclave. seed
 // fixes the K-Means randomness for reproducibility.
@@ -266,11 +258,4 @@ func (e *Enclave) Wipe() {
 	}
 	e.selector = nil
 	e.wiped = true
-}
-
-// Wiped reports whether the enclave has been wiped (attestable state).
-func (e *Enclave) Wiped() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.wiped
 }

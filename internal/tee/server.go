@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"time"
@@ -55,130 +54,55 @@ type response struct {
 	Count   int    `json:"count,omitempty"`
 }
 
-// Server exposes an Enclave over TCP with newline-delimited JSON — the
-// deployment shape of Figure 3, where remote parties reach the aggregator's
-// TEE across the network. (Production would wrap this listener in TLS; the
-// payload privacy does not depend on it because label distributions are
-// already sealed to the enclave's channel key.)
+// requestTimeout bounds one client round trip (the slowest being "cluster",
+// which answers only after the enclave's K-Means sweep) and the server's write
+// of one reply; idleTimeout bounds how long an accepted connection may take to
+// deliver its next whole request frame. A peer silent past either is dropped —
+// a client that still needs the enclave dials again. Variables only so the
+// hostile-peer tests can shorten them.
+var (
+	requestTimeout = 2 * time.Minute
+	idleTimeout    = 5 * time.Minute
+)
+
+// Server exposes an Enclave over TCP, one JSON request and one JSON response
+// per wire frame — the deployment shape of Figure 3, where remote parties
+// reach the aggregator's TEE across the network. (Production would wrap this
+// listener in TLS; the payload privacy does not depend on it because label
+// distributions are already sealed to the enclave's channel key.)
 type Server struct {
 	enclave *Enclave
-
-	// ErrorLog receives transient accept-loop errors (one line per burst).
-	// Nil logs via the standard logger; set before Listen to redirect.
-	ErrorLog *log.Logger
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	done     chan struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	ln      *wire.Listener
 }
 
 // NewServer wraps an enclave for network serving.
 func NewServer(enclave *Enclave) *Server {
-	return &Server{
-		enclave: enclave,
-		conns:   make(map[net.Conn]struct{}),
-		done:    make(chan struct{}),
-	}
+	s := &Server{enclave: enclave}
+	s.ln = wire.NewListener("tee server", s.serveConn)
+	return s
 }
 
 // Listen starts serving on addr (e.g. "127.0.0.1:0") and returns the bound
 // address. Serving continues until Close.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("tee server: %w", err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
+func (s *Server) Listen(addr string) (string, error) { return s.ln.Listen(addr) }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.ErrorLog != nil {
-		s.ErrorLog.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	// Transient Accept errors (EMFILE, ECONNABORTED, ...) back off
-	// exponentially instead of hot-spinning, and log once per burst: the
-	// first error of a burst is reported, later ones are counted silently
-	// until an accept succeeds again.
-	const minBackoff, maxBackoff = 5 * time.Millisecond, time.Second
-	backoff := minBackoff
-	inBurst := false
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			if !inBurst {
-				s.logf("tee server: accept: %v (backing off)", err)
-				inBurst = true
-			}
-			timer := time.NewTimer(backoff)
-			select {
-			case <-s.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		backoff = minBackoff
-		inBurst = false
-		s.mu.Lock()
-		select {
-		case <-s.done:
-			s.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
+// Close stops the listener, closes active connections, and waits for all
+// serving goroutines to exit. Close is idempotent.
+func (s *Server) Close() error { return s.ln.Close() }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
+	defer conn.Close()
 	codec := wire.NewCodec(conn, wireVersion)
 	reply := func(resp response) bool {
 		payload, err := json.Marshal(resp)
 		if err != nil {
 			return false
 		}
+		_ = conn.SetWriteDeadline(time.Now().Add(requestTimeout))
 		return codec.Send(frameResp, payload) == nil
 	}
 	for {
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		typ, payload, err := codec.Recv()
 		if err != nil {
 			var bv *wire.BadVersionError
@@ -259,36 +183,6 @@ func (s *Server) handle(req request) response {
 	}
 }
 
-// Close stops the listener, closes active connections, and waits for all
-// serving goroutines to exit. Close is idempotent.
-//
-// Ordering matters: done is closed (under mu) and the listener shut down
-// *before* the connection set is snapshotted. The accept loop registers new
-// connections under the same mutex after re-checking done, so any connection
-// that wins registration against Close is already visible to the snapshot —
-// closing conns first would let a connection accepted mid-Close slip past
-// the snapshot and keep wg.Wait blocked on its serve goroutine forever.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.done)
-	}
-	ln := s.listener
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
 // RemoteEnclave is the client stub: it speaks the Server protocol and
 // implements EnclaveAPI for parties plus the aggregator-side operations.
 type RemoteEnclave struct {
@@ -325,15 +219,12 @@ func (r *RemoteEnclave) roundTrip(req request) (response, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.codec.Send(frameReq, payload); err != nil {
-		return response{}, fmt.Errorf("tee send: %w", err)
-	}
-	typ, body, err := r.codec.Recv()
+	typ, body, err := wire.RoundTrip(r.conn, r.codec, requestTimeout, frameReq, payload)
 	if err != nil {
 		if errors.Is(err, wire.ErrFrameTooLarge) {
 			return response{}, fmt.Errorf("tee recv: response %w", ErrFrameTooLarge)
 		}
-		return response{}, fmt.Errorf("tee recv: %w", err)
+		return response{}, fmt.Errorf("tee round trip: %w", err)
 	}
 	if typ != frameResp {
 		return response{}, fmt.Errorf("tee recv: unexpected frame type %d", typ)

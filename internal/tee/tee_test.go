@@ -31,6 +31,26 @@ func newTestEnclave(t *testing.T) (*Enclave, *AttestationServer) {
 	return enc, attest
 }
 
+// The enclave exports no view of its sealed state; the tests read it under
+// the enclave's own lock.
+func (e *Enclave) NumSubmissions() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.lds)
+}
+
+func (e *Enclave) numSessions() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.sessions)
+}
+
+func (e *Enclave) Wiped() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.wiped
+}
+
 func TestMeasurementDeterministicAndSensitive(t *testing.T) {
 	m1 := testCode().Measure()
 	m2 := testCode().Measure()

@@ -16,6 +16,11 @@
 // vectored write whose error surfaces short writes that the old
 // newline-delimited tee framing could only detect as JSON decode noise on
 // the peer.
+//
+// Beside the codec the package owns the rest of what it takes to be a TCP peer
+// here (listener.go): Listener, the one accept loop and shutdown discipline
+// both services run on, and RoundTrip, the deadline-bounded request/response
+// exchange both clients call.
 package wire
 
 import (
