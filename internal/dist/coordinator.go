@@ -50,7 +50,8 @@ type workerConn struct {
 // frameTimeout bounds one request/response exchange with a worker — the
 // slowest being an assignment, whose answer waits for the worker to build its
 // fleet. A worker that stays silent past it is treated like one whose
-// connection broke. A variable only so the tests can shorten it.
+// connection broke; a worker bounds each reply it writes by the same value
+// (ServeConn). A variable only so the tests can shorten it.
 var frameTimeout = 2 * time.Minute
 
 const (

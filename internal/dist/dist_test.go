@@ -462,16 +462,22 @@ func testWorker(t *testing.T, id uint64, hi int) *workerState {
 	w := &workerState{
 		opt: WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1},
 	}
+	typ, _, err := w.assign(assignFrame(id, hi))
+	if err != nil || typ != ftAssignAck {
+		t.Fatalf("assign: type %d err %v", typ, err)
+	}
+	return w
+}
+
+// assignFrame encodes an ftAssignShards payload: job id, parties [0, hi), no
+// spec.
+func assignFrame(id uint64, hi int) []byte {
 	var e buf
 	e.u64(id)
 	e.u32(0) // lo
 	e.u32(uint32(hi))
 	e.u32(0) // spec length
-	typ, _, err := w.assign(e.bytes())
-	if err != nil || typ != ftAssignAck {
-		t.Fatalf("assign: type %d err %v", typ, err)
-	}
-	return w
+	return e.bytes()
 }
 
 // dispatchFrame encodes an ftDispatchWave payload for job 9: params is the

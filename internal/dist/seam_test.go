@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -442,6 +444,72 @@ func TestHostileFoldRepliesNeverHang(t *testing.T) {
 		}
 		job.Close()
 		coord.Close()
+	}
+}
+
+// TestReplyToStalledCoordinatorTimesOut scripts a coordinator that registers
+// a worker, assigns it a job, dispatches a wave whose 10 MB reply cannot fit
+// the socket buffers, and never reads again while keeping the socket open.
+// The worker's reply must give up after frameTimeout and ServeConn return,
+// not block in Send for the connection's lifetime.
+func TestReplyToStalledCoordinatorTimesOut(t *testing.T) {
+	old := frameTimeout
+	frameTimeout = time.Second
+	t.Cleanup(func() { frameTimeout = old })
+
+	const dim, classes, parties = 40000, 2, 16 // 640 KB of parameters echoed per party
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		// A fixed send buffer: however the host tunes TCP, the reply outgrows it.
+		if err := conn.(*net.TCPConn).SetWriteBuffer(64 << 10); err != nil {
+			served <- err
+			return
+		}
+		served <- ServeConn(conn, WorkerOptions{Builder: echoBuilder(dim, classes), Parallelism: 1})
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	coord := wire.NewCodec(conn, Version)
+	if typ, _, err := coord.Recv(); err != nil || typ != ftHello {
+		t.Fatalf("hello: type %d err %v", typ, err)
+	}
+	if err := coord.Send(ftHelloAck, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Send(ftAssignShards, assignFrame(9, parties)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := coord.Recv(); err != nil || typ != ftAssignAck {
+		t.Fatalf("assignment: type %d err %v", typ, err)
+	}
+	ids := make([]int, parties)
+	for i := range ids {
+		ids[i] = i
+	}
+	if err := coord.Send(ftDispatchWave, dispatchFrame(1, 1, make([]float64, dim*classes+classes), ids...)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-served:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("ServeConn returned %v, want the reply's write deadline", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker still blocked replying to a coordinator that stopped reading")
 	}
 }
 

@@ -91,8 +91,16 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 	}
 	// From here on the wait for the coordinator's next request is deliberately
 	// unbounded: a registered worker idles for as long as no job seats it.
+	// Only replies are bounded — a coordinator that stopped reading costs the
+	// worker one frameTimeout, not the connection's lifetime.
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return fmt.Errorf("dist worker: %w", err)
+	}
+	reply := func(typ byte, payload []byte) error {
+		if err := conn.SetWriteDeadline(time.Now().Add(frameTimeout)); err != nil {
+			return err
+		}
+		return codec.Send(typ, payload)
 	}
 
 	w := &workerState{codec: codec, opt: opt}
@@ -109,7 +117,7 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 		case ftDispatchWave:
 			respType, resp, err = w.dispatch(payload)
 		case ftShutdown:
-			_ = codec.Send(ftShutdownAck, nil)
+			_ = reply(ftShutdownAck, nil)
 			wire.Drain(conn, 250*time.Millisecond)
 			return nil
 		default:
@@ -121,12 +129,12 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 			// elsewhere or abort the job.
 			w.enc.reset()
 			w.enc.str(err.Error())
-			if sendErr := codec.Send(ftError, w.enc.bytes()); sendErr != nil {
+			if sendErr := reply(ftError, w.enc.bytes()); sendErr != nil {
 				return fmt.Errorf("dist worker: %w", sendErr)
 			}
 			continue
 		}
-		if sendErr := codec.Send(respType, resp); sendErr != nil {
+		if sendErr := reply(respType, resp); sendErr != nil {
 			return fmt.Errorf("dist worker: %w", sendErr)
 		}
 	}

@@ -130,13 +130,15 @@ type partyKeys struct {
 type pairMiss struct{ i, j int }
 
 // maskWorker is the scratch one pool worker owns during a wave pass: a full
-// dim+1 accumulator for the masked sum, the Shamir coefficient buffer, and
-// the lowest-index error its items reported.
+// dim+1 accumulator for the masked sum, the generator state its pair masks
+// expand through, the Shamir coefficient buffer, and the lowest-index error
+// its items reported.
 type maskWorker struct {
-	acc   []uint64
-	coeff []uint64
-	err   error
-	errAt int
+	acc    []uint64
+	stream secagg.MaskStream
+	coeff  []uint64
+	err    error
+	errAt  int
 }
 
 func (mw *maskWorker) fail(item int, err error) {
@@ -171,8 +173,8 @@ type privacyState struct {
 	cohortKeys []partyKeys // its members' key material, by member index
 	holderXs   []uint64    // share evaluation points: the cohort's at enrolment, the recovery holders' at settlement
 	misses     []pairMiss  // its pairs that need a first-use agreement
-	sumSplit   int         // coordinate blocks per contributor in the sum pass
-	sumItems   int         // contributor × block items; the rest of the pass unmasks recSeeds
+	sumSplit   int         // coordinate ranges per contributor in the sum pass
+	sumItems   int         // contributor × range items; the rest of the pass unmasks recSeeds
 
 	agreePass, splitPass, sumPass func(worker, item int)
 
@@ -429,8 +431,9 @@ type waveResult struct {
 // nothing is applied.
 //
 // The sum runs on the pool in one pass whose items are the contributors
-// (split into coordinate blocks when there are fewer contributors than
-// workers) followed by the dropout seeds to unmask. Every item adds into its
+// (split into chunk-aligned coordinate ranges when there are fewer
+// contributors than workers and the vector spans several mask chunks)
+// followed by the dropout seeds to unmask. Every item adds into its
 // worker's own accumulator and the accumulators are added up afterwards;
 // addition in Z_2^64 is associative and commutative, so the sum is the same
 // bit for bit however the items were spread.
@@ -459,7 +462,7 @@ func (ps *privacyState) settleWave(w *maskWave) (waveResult, error) {
 	ps.wave = w
 	ps.sumSplit = 1
 	if width := ps.pool.Width(); nsurv < width {
-		ps.sumSplit = min((width+nsurv-1)/nsurv, ps.maskBlocks())
+		ps.sumSplit = min((width+nsurv-1)/nsurv, ps.maskChunks())
 	}
 	ps.sumItems = nsurv * ps.sumSplit
 	n := ps.sumItems + len(ps.recSeeds)
@@ -487,31 +490,33 @@ func (ps *privacyState) settleWave(w *maskWave) (waveResult, error) {
 	return waveResult{delta: out, weight: wsum, survivors: nsurv}, nil
 }
 
-// maskBlocks is the number of 4-word mask hash blocks in a masked vector's
-// dim+1 coordinates.
-func (ps *privacyState) maskBlocks() int { return (ps.dim + 4) / 4 }
+// maskChunks is the number of mask-stream chunks in a masked vector's dim+1
+// coordinates.
+func (ps *privacyState) maskChunks() int { return ps.dim/secagg.MaskChunk + 1 }
 
 // sumItem is one item of the settlement pass: a contributor's masked upload
-// over one coordinate block, or — past sumItems — one dropout seed to
+// over one coordinate range, or — past sumItems — one dropout seed to
 // unmask over the whole vector.
 func (ps *privacyState) sumItem(worker, item int) {
-	w, acc := ps.wave, ps.workers[worker].acc
+	w, mw := ps.wave, &ps.workers[worker]
 	if item >= ps.sumItems {
 		r := item - ps.sumItems
-		secagg.AddPairMask(acc, &ps.recSeeds[r], w.tag, 0, ps.dim+1, ps.recSigns[r])
+		mw.stream.AddPairMask(mw.acc, &ps.recSeeds[r], w.tag, 0, ps.dim+1, ps.recSigns[r])
 		return
 	}
-	// Blocks are cut on 4-word boundaries so no mask hash is computed twice.
-	blocks, b := ps.maskBlocks(), item%ps.sumSplit
-	lo, hi := b*blocks/ps.sumSplit*4, min((b+1)*blocks/ps.sumSplit*4, ps.dim+1)
-	ps.addMaskedUpload(acc, w, &w.contribs[item/ps.sumSplit], lo, hi)
+	// Ranges are cut on chunk boundaries so no mask chunk is keyed twice.
+	chunks, b := ps.maskChunks(), item%ps.sumSplit
+	lo := b * chunks / ps.sumSplit * secagg.MaskChunk
+	hi := min((b+1)*chunks/ps.sumSplit*secagg.MaskChunk, ps.dim+1)
+	ps.addMaskedUpload(mw, w, &w.contribs[item/ps.sumSplit], lo, hi)
 }
 
-// addMaskedUpload adds what an honest client uploads over [lo, hi) into acc:
-// its encoded weighted delta (index dim carries the weight) plus its
-// pairwise masks against every other cohort member — so masking cost is
-// accounted per party. Allocation-free.
-func (ps *privacyState) addMaskedUpload(acc []uint64, w *maskWave, cb *maskContrib, lo, hi int) {
+// addMaskedUpload adds what an honest client uploads over [lo, hi) into the
+// worker's accumulator: its encoded weighted delta (index dim carries the
+// weight) plus its pairwise masks against every other cohort member — so
+// masking cost is accounted per party. Allocation-free.
+func (ps *privacyState) addMaskedUpload(mw *maskWorker, w *maskWave, cb *maskContrib, lo, hi int) {
+	acc := mw.acc
 	for c := lo; c < hi; c++ {
 		x := cb.weight
 		if c < ps.dim {
@@ -533,7 +538,7 @@ func (ps *privacyState) addMaskedUpload(acc []uint64, w *maskWave, cb *maskContr
 		}
 		// Member a adds the pair mask when a < b, subtracts otherwise;
 		// survivor pairs cancel exactly in the uint64 sum.
-		secagg.AddPairMask(acc, &w.pairs[si*k+oj], w.tag, lo, hi, w.members[si] > w.members[oj])
+		mw.stream.AddPairMask(acc, &w.pairs[si*k+oj], w.tag, lo, hi, w.members[si] > w.members[oj])
 	}
 }
 

@@ -55,7 +55,7 @@ func BenchmarkMaskedFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for ci := range w.contribs {
-			ps.addMaskedUpload(ps.acc, w, &w.contribs[ci], 0, dim+1)
+			ps.addMaskedUpload(&ps.workers[0], w, &w.contribs[ci], 0, dim+1)
 		}
 	}
 	coords := float64(dim+1) * float64(k) // encoded coords × survivors per pass

@@ -703,14 +703,14 @@ func requireSettlesLikeReference(t *testing.T, ps *privacyState, w *maskWave, wh
 // TestSettleWaveMatchesReference is the bit-identity pin of the pool passes:
 // over seeded random waves — every cohort size class, dropout count up to
 // the threshold limit, the three threshold regimes, dimensions that end
-// inside and on a 4-word mask block, and pool widths that run settlement as
-// whole contributors (width ≤ survivors) and as contributor × coordinate
-// block (width > survivors) — enrolment equals the direct computation and
-// settleWave equals referenceSettle in the masked sum, the recovered seeds
-// and the decoded delta.
+// inside, on and one past a mask-stream chunk, and pool widths that run
+// settlement as whole contributors (width ≤ survivors) and as contributor ×
+// coordinate range (width > survivors) — enrolment equals the direct
+// computation and settleWave equals referenceSettle in the masked sum, the
+// recovered seeds and the decoded delta.
 func TestSettleWaveMatchesReference(t *testing.T) {
 	t.Parallel()
-	dims, maxK, reps := []int{1, 3, 4, 5, 187, 4096}, 48, 3
+	dims, maxK, reps := []int{1, 3, 4, 5, 187, secagg.MaskChunk - 1, secagg.MaskChunk, 4096}, 48, 3
 	if testing.Short() {
 		// X25519 under the race detector is ~1 ms an agreement.
 		dims, maxK, reps = dims[:5], 16, 1
@@ -723,7 +723,7 @@ func TestSettleWaveMatchesReference(t *testing.T) {
 				r := rng.New(uint64(dim)<<8 | uint64(width))
 				maxK := maxK
 				if dim == 4096 {
-					maxK = 12 // k²·dim/4 hashes per wave, twice
+					maxK = 12 // k²·dim mask words per wave, twice
 				}
 				// One state per cell: pairs that met in an earlier wave enrol
 				// from the cache, the rest by first-use agreement on the pool.
@@ -751,6 +751,40 @@ func TestSettleWaveMatchesReference(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestSettleWaveSplitsOnChunkEdges settles the waves masked_sync never
+// forms: one or two contributors (the third cohort member drops and is
+// unmasked) and a vector of three whole chunks or three and a bit, so a pool
+// wider than the survivors cuts each contributor into chunk-aligned ranges.
+// Every width must settle like the reference and decode the width-1 delta
+// bit for bit.
+func TestSettleWaveSplitsOnChunkEdges(t *testing.T) {
+	t.Parallel()
+	for _, dim := range []int{3*secagg.MaskChunk - 1, 3*secagg.MaskChunk + 5} {
+		for nsurv := 1; nsurv <= 2; nsurv++ {
+			var want tensor.Vec
+			for _, width := range []int{1, 2, 8} {
+				what := fmt.Sprintf("dim=%d survivors=%d width=%d", dim, nsurv, width)
+				cfg := &Config{Privacy: PrivacyConfig{Mask: true, Clip: 1, ShareThreshold: 1}, Seed: 7}
+				ps := newPrivacyState(cfg, dim, parallel.New(width))
+				w := randomWave(t, ps, rng.New(uint64(dim+nsurv)), 5, 3, 3-nsurv)
+				requireSettlesLikeReference(t, ps, w, what)
+				if split := ps.sumSplit > 1; split != (width > nsurv) {
+					t.Fatalf("%s: contributors split into %d ranges", what, ps.sumSplit)
+				}
+				got := ps.decoded[ps.ndecoded-1]
+				if want == nil {
+					want = got
+				}
+				for c := range want {
+					if !bitsEqual(got[c], want[c]) {
+						t.Fatalf("%s: decoded delta differs from width 1 at coordinate %d", what, c)
+					}
+				}
+			}
 		}
 	}
 }

@@ -73,6 +73,8 @@ func FuzzAddPairMaskRanges(f *testing.F) {
 	f.Add(uint16(166), []byte{40, 44, 40}, uint64(68), false)
 	f.Add(uint16(19), []byte{0, 3, 1, 0, 7}, uint64(4), true)
 	f.Add(uint16(1030), []byte{255, 255, 255, 255, 1}, uint64(1)<<63, false)
+	// [455, 1301) starts inside chunk 0 and crosses two chunk boundaries.
+	f.Add(uint16(1300), []byte{200, 0, 255}, uint64(22), true)
 	f.Fuzz(func(t *testing.T, n uint16, steps []byte, tag uint64, negate bool) {
 		size := int(n)%2048 + 1
 		var bounds []int

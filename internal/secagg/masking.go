@@ -4,9 +4,10 @@
 //   - fixed-point encoding of float64 model updates into the ring Z_{2^64}
 //     and its headroom check;
 //   - pairwise additive masks: every pair of parties derives a shared seed
-//     from a real X25519 key agreement and expands it into a mask stream one
-//     side adds and the other subtracts, so the masks cancel in the sum and
-//     the server learns only the aggregate;
+//     from a real X25519 key agreement and expands it into a mask stream — a
+//     ChaCha8 keystream rekeyed every MaskChunk words — that one side adds
+//     and the other subtracts, so the masks cancel in the sum and the server
+//     learns only the aggregate;
 //   - Shamir secret sharing over GF(2^64) (shamir.go), which lets a cohort
 //     escrow each member's mask-seed secret so the coordinator can
 //     reconstruct exactly the masks of parties that drop mid-round.
@@ -18,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 )
 
 // FixedPointScale converts floats to integers with ~9 decimal digits of
@@ -118,40 +120,71 @@ func PairSeed(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) ([32]byte, error) {
 	return sha256.Sum256(buf[:]), nil
 }
 
+// MaskChunk is the number of mask-stream words one generator keying covers.
+// Coordinate c of a stream lives in chunk c div MaskChunk; callers that split
+// one expansion over several ranges cut on multiples of it so no chunk is
+// keyed twice.
+const MaskChunk = 512
+
+// maskLabel domain-separates the mask chunk key from the package's other
+// SHA-256 derivations (DeriveSecret, PairSeed, shamirCoeff).
+const maskLabel = "flips-secagg-mask-v3"
+
+// MaskStream is the generator state pair-mask expansion runs through. The
+// zero value is ready to use and every expansion rekeys it, so nothing
+// carries over from one (seed, tag, range) to the next; it exists as a type
+// only because the ChaCha8 state (320 bytes) escapes to the heap when it is
+// a local, so each worker keeps one next to its accumulator. Not safe for
+// concurrent use.
+type MaskStream struct {
+	gen rand.ChaCha8
+}
+
 // AddPairMask adds (negate=false) or subtracts (negate=true) the pairwise
 // mask stream identified by (seed, tag) into acc over the coordinate range
 // [lo, hi). acc is indexed absolutely, so callers can expand disjoint ranges
 // of the same logical stream concurrently, or the same range into separate
 // accumulators that are later summed: the mask word for coordinate c is a
-// pure function of (seed, tag, c) — sha256 over a stack buffer, four 64-bit
-// words per hash — independent of range boundaries. Only the (at most two)
-// 4-word blocks that straddle lo or hi pay a per-word range test. tag is the
-// wave/round counter, giving every aggregation wave a fresh stream from the
-// same pair seed. Allocation-free.
-func AddPairMask(acc []uint64, seed *[32]byte, tag uint64, lo, hi int, negate bool) {
+// pure function of (seed, tag, c) — word c mod MaskChunk of the ChaCha8
+// keystream (math/rand/v2, C2SP chacha8rand) keyed with
+// SHA-256(maskLabel ‖ seed ‖ tag ‖ c div MaskChunk) — independent of range
+// boundaries. A range that starts inside a chunk generates and discards the
+// chunk's words before lo. tag is the wave/round counter, giving every
+// aggregation wave a fresh stream from the same pair seed. Allocation-free.
+func (ms *MaskStream) AddPairMask(acc []uint64, seed *[32]byte, tag uint64, lo, hi int, negate bool) {
 	if lo < 0 || hi > len(acc) || lo >= hi {
 		if lo >= hi {
 			return
 		}
 		panic(fmt.Sprintf("secagg: mask range [%d,%d) outside acc len %d", lo, hi, len(acc)))
 	}
-	var buf [48]byte
-	copy(buf[:32], seed[:])
-	binary.LittleEndian.PutUint64(buf[32:40], tag)
-	for blk := lo >> 2; blk <= (hi-1)>>2; blk++ {
-		binary.LittleEndian.PutUint64(buf[40:48], uint64(blk))
-		d := sha256.Sum256(buf[:])
-		first, last := max(blk<<2, lo), min(blk<<2+4, hi)
+	var buf [len(maskLabel) + 48]byte
+	n := copy(buf[:], maskLabel)
+	n += copy(buf[n:], seed[:])
+	binary.LittleEndian.PutUint64(buf[n:], tag)
+	for chunk := lo / MaskChunk; chunk <= (hi-1)/MaskChunk; chunk++ {
+		binary.LittleEndian.PutUint64(buf[n+8:], uint64(chunk))
+		ms.gen.Seed(sha256.Sum256(buf[:]))
+		base := chunk * MaskChunk
+		first, last := max(base, lo), min(base+MaskChunk, hi)
+		for range first - base {
+			ms.gen.Uint64()
+		}
 		a := acc[first:last]
-		m := d[(first&3)*8:]
 		if negate {
 			for w := range a {
-				a[w] -= binary.LittleEndian.Uint64(m[w*8:])
+				a[w] -= ms.gen.Uint64()
 			}
 		} else {
 			for w := range a {
-				a[w] += binary.LittleEndian.Uint64(m[w*8:])
+				a[w] += ms.gen.Uint64()
 			}
 		}
 	}
+}
+
+// AddPairMask is MaskStream.AddPairMask through a fresh generator state (one
+// allocation), for callers without per-worker scratch.
+func AddPairMask(acc []uint64, seed *[32]byte, tag uint64, lo, hi int, negate bool) {
+	new(MaskStream).AddPairMask(acc, seed, tag, lo, hi, negate)
 }

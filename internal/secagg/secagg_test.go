@@ -3,7 +3,9 @@ package secagg
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -122,7 +124,7 @@ func TestPairSeedSymmetric(t *testing.T) {
 
 func TestAddPairMaskCancelsAndShards(t *testing.T) {
 	seed := DeriveSecret(9, 0)
-	const dim = 19 // odd length exercises the partial final block
+	const dim = 19
 	acc := make([]uint64, dim)
 	// Opposite signs over the full range cancel exactly.
 	AddPairMask(acc, &seed, 4, 0, dim, false)
@@ -160,15 +162,21 @@ func TestAddPairMaskCancelsAndShards(t *testing.T) {
 }
 
 // maskStreamWordRef is the definition of the pair-mask stream, one word at a
-// time: coordinate c is little-endian word c mod 4 of
-// sha256(seed ‖ tag ‖ c div 4).
+// time and from scratch: coordinate c is output c mod 512 of a fresh ChaCha8
+// generator keyed with
+// sha256("flips-secagg-mask-v3" ‖ seed ‖ tag ‖ c div 512), tag and chunk
+// index little-endian.
 func maskStreamWordRef(seed *[32]byte, tag uint64, c int) uint64 {
-	var buf [48]byte
-	copy(buf[:32], seed[:])
-	binary.LittleEndian.PutUint64(buf[32:40], tag)
-	binary.LittleEndian.PutUint64(buf[40:48], uint64(c>>2))
-	d := sha256.Sum256(buf[:])
-	return binary.LittleEndian.Uint64(d[(c&3)*8:])
+	h := sha256.New()
+	h.Write([]byte("flips-secagg-mask-v3"))
+	h.Write(seed[:])
+	h.Write(binary.LittleEndian.AppendUint64(nil, tag))
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(c/512)))
+	gen := rand.NewChaCha8([32]byte(h.Sum(nil)))
+	for range c % 512 {
+		gen.Uint64()
+	}
+	return gen.Uint64()
 }
 
 // requireMaskPartition expands one stream over the consecutive ranges cut at
@@ -204,7 +212,7 @@ func requireMaskPartition(t *testing.T, seed *[32]byte, tag uint64, n int, bound
 }
 
 // TestAddPairMaskPartitions pins range independence: however [0, n) is cut
-// — inside a 4-word hash block, on its edges, into single words, with empty
+// — inside a keystream chunk, on its edges, into single words, with empty
 // ranges — the ranges add up to the one-call expansion.
 func TestAddPairMaskPartitions(t *testing.T) {
 	seed := DeriveSecret(11, 3)
@@ -224,9 +232,62 @@ func TestAddPairMaskPartitions(t *testing.T) {
 		{166, []int{41, 83, 125}},
 		{188, []int{1, 186, 187}},
 		{4097, []int{1024, 2048, 3072, 4096}},
+		{MaskChunk - 1, []int{0, 1, MaskChunk - 2}},
+		{MaskChunk, []int{MaskChunk - 1, MaskChunk}},
+		{MaskChunk + 1, []int{MaskChunk}},
+		{MaskChunk + 1, []int{MaskChunk - 1, MaskChunk - 1, MaskChunk, MaskChunk}},
+		{MaskChunk + 1, []int{7}},
+		{2*MaskChunk + 3, []int{MaskChunk, 2 * MaskChunk}},
+		{2*MaskChunk + 3, []int{MaskChunk - 1, MaskChunk + 1, 2*MaskChunk - 1, 2*MaskChunk + 1}},
+		{2*MaskChunk + 3, []int{5, 5, 2*MaskChunk + 2}},
 	} {
 		for _, negate := range []bool{false, true} {
 			requireMaskPartition(t, &seed, 7, tc.n, tc.bounds, negate)
 		}
+	}
+}
+
+// TestMaskStreamStateDoesNotLeak requires an expansion to depend on nothing
+// the generator state did before: a MaskStream that just expanded a
+// different (seed, tag) — stopping mid-chunk, mid-block — produces the words
+// a fresh state produces, which are the words package-level AddPairMask
+// produces.
+func TestMaskStreamStateDoesNotLeak(t *testing.T) {
+	seed, other := DeriveSecret(21, 1), DeriveSecret(21, 2)
+	const n = MaskChunk + 77
+	for _, r := range [][2]int{{0, n}, {3, 40}, {MaskChunk - 5, MaskChunk + 5}, {MaskChunk, n}} {
+		for _, negate := range []bool{false, true} {
+			var ms MaskStream
+			ms.AddPairMask(make([]uint64, n), &other, 9, 11, MaskChunk+13, !negate)
+			ms.AddPairMask(make([]uint64, n), &seed, 8, 0, 45, negate)
+			used, fresh := make([]uint64, n), make([]uint64, n)
+			ms.AddPairMask(used, &seed, 9, r[0], r[1], negate)
+			AddPairMask(fresh, &seed, 9, r[0], r[1], negate)
+			for c := range used {
+				if used[c] != fresh[c] {
+					t.Fatalf("range %v coordinate %d: a used MaskStream and a fresh one disagree", r, c)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAddPairMask measures one pair-mask expansion through per-worker
+// generator state: the masked_sync vector (165 parameters plus the weight,
+// inside one chunk) and a 16-chunk vector. Allocation-free, pinned by the CI
+// ratchet.
+func BenchmarkAddPairMask(b *testing.B) {
+	seed := DeriveSecret(1, 2)
+	for _, n := range []int{166, 8192} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var ms MaskStream
+			acc := make([]uint64, n)
+			b.SetBytes(int64(8 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms.AddPairMask(acc, &seed, uint64(i), 0, n, i&1 == 1)
+			}
+		})
 	}
 }

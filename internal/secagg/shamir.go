@@ -51,6 +51,29 @@ func gf64Mul(a, b uint64) uint64 {
 	return p
 }
 
+// gf64MulLimbs multiplies the four limbs of y by the common factor x in
+// GF(2^64), in place: one walk over the bits of x drives all four
+// shift-and-xor products in lockstep with a branch-free reduction, so the
+// limbs overlap in the pipeline and the loop runs only as long as x has bits
+// — a share evaluation point (party ID + 1) is a few bits wide. Each limb
+// equals gf64Mul(y[l], x).
+func gf64MulLimbs(y *[4]uint64, x uint64) {
+	a0, a1, a2, a3 := y[0], y[1], y[2], y[3]
+	var p0, p1, p2, p3 uint64
+	for ; x != 0; x >>= 1 {
+		m := -(x & 1)
+		p0 ^= a0 & m
+		p1 ^= a1 & m
+		p2 ^= a2 & m
+		p3 ^= a3 & m
+		a0 = a0<<1 ^ -(a0>>63)&gf64ReductionPoly
+		a1 = a1<<1 ^ -(a1>>63)&gf64ReductionPoly
+		a2 = a2<<1 ^ -(a2>>63)&gf64ReductionPoly
+		a3 = a3<<1 ^ -(a3>>63)&gf64ReductionPoly
+	}
+	y[0], y[1], y[2], y[3] = p0, p1, p2, p3
+}
+
 // gf64Inv inverts a nonzero element via Fermat: a^(2^64 − 2). Panics on
 // zero, which has no inverse — callers guarantee distinct share X
 // coordinates, the only way a zero denominator could arise.
@@ -93,9 +116,9 @@ func shamirCoeff(secret *[32]byte, tag uint64, k int) [4]uint64 {
 // SplitSecretInto shares secret among the holders named by xs (distinct,
 // nonzero evaluation points) with the given reconstruction threshold,
 // writing one Share per holder into dst (len(dst) == len(xs)). coeff is
-// reusable scratch with capacity ≥ 4·(threshold−1); the grown slice is
-// returned so callers can pool it. The polynomial coefficients are derived
-// from (secret, tag); the same inputs always produce the same shares.
+// reusable scratch with capacity ≥ 4·threshold; the grown slice is returned
+// so callers can pool it. The polynomial coefficients are derived from
+// (secret, tag); the same inputs always produce the same shares.
 func SplitSecretInto(dst []Share, secret *[32]byte, xs []uint64, threshold int, tag uint64, coeff []uint64) ([]uint64, error) {
 	if len(dst) != len(xs) {
 		return coeff, fmt.Errorf("secagg: share buffer len %d != holder count %d", len(dst), len(xs))
@@ -103,32 +126,32 @@ func SplitSecretInto(dst []Share, secret *[32]byte, xs []uint64, threshold int, 
 	if threshold < 1 || threshold > len(xs) {
 		return coeff, fmt.Errorf("secagg: threshold %d out of range [1,%d]", threshold, len(xs))
 	}
-	ncoeff := 4 * (threshold - 1)
+	// coeff[4k:4k+4] is the degree-k coefficient block; degree 0 is the
+	// secret itself.
+	ncoeff := 4 * threshold
 	if cap(coeff) < ncoeff {
 		coeff = make([]uint64, ncoeff)
 	}
 	coeff = coeff[:ncoeff]
+	for l := 0; l < 4; l++ {
+		coeff[l] = binary.LittleEndian.Uint64(secret[l*8 : l*8+8])
+	}
 	for k := 1; k < threshold; k++ {
 		c := shamirCoeff(secret, tag, k)
-		copy(coeff[(k-1)*4:], c[:])
-	}
-	var s [4]uint64
-	for l := 0; l < 4; l++ {
-		s[l] = binary.LittleEndian.Uint64(secret[l*8 : l*8+8])
+		copy(coeff[k*4:], c[:])
 	}
 	for i, x := range xs {
 		if x == 0 {
 			return coeff, fmt.Errorf("secagg: share evaluation point 0 at holder %d", i)
 		}
-		sh := Share{X: x}
-		for l := 0; l < 4; l++ {
-			// Horner from the highest-degree coefficient down to the secret.
-			var y uint64
-			for k := threshold - 1; k >= 1; k-- {
-				y = gf64Mul(y, x) ^ coeff[(k-1)*4+l]
+		// Horner from the highest-degree coefficient down to the secret, the
+		// four limb polynomials together.
+		sh := Share{X: x, Y: [4]uint64(coeff[ncoeff-4:])}
+		for k := threshold - 2; k >= 0; k-- {
+			gf64MulLimbs(&sh.Y, x)
+			for l, c := range coeff[k*4 : k*4+4] {
+				sh.Y[l] ^= c
 			}
-			y = gf64Mul(y, x) ^ s[l]
-			sh.Y[l] = y
 		}
 		dst[i] = sh
 	}
@@ -207,7 +230,8 @@ func (b *LagrangeBasis) Reset(xs []uint64) error {
 }
 
 // Combine reconstructs the 32-byte secret from one share per holder, in the
-// holder order given to Reset.
+// holder order given to Reset: the xor over holders of coef[i]·Y_i, each
+// product taken over the four limbs at once with coef[i] the common factor.
 func (b *LagrangeBasis) Combine(shares []Share) ([32]byte, error) {
 	var secret [32]byte
 	if len(shares) != len(b.xs) {
@@ -218,8 +242,10 @@ func (b *LagrangeBasis) Combine(shares []Share) ([32]byte, error) {
 		if shares[i].X != b.xs[i] {
 			return secret, fmt.Errorf("secagg: share %d has evaluation point %d, basis holder has %d", i, shares[i].X, b.xs[i])
 		}
+		y := shares[i].Y
+		gf64MulLimbs(&y, b.coef[i])
 		for l := 0; l < 4; l++ {
-			s[l] ^= gf64Mul(b.coef[i], shares[i].Y[l])
+			s[l] ^= y[l]
 		}
 	}
 	for l := 0; l < 4; l++ {

@@ -325,3 +325,138 @@ func TestLagrangeBasisValidation(t *testing.T) {
 		t.Fatalf("steady-state basis Reset+Combine allocates %.0f/op, want 0", allocs)
 	}
 }
+
+// referenceSplit is SplitSecretInto as a definition: every share limb is its
+// own polynomial, evaluated by Horner with one scalar gf64Mul per degree.
+func referenceSplit(secret *[32]byte, xs []uint64, threshold int, tag uint64) []Share {
+	coeff := make([][4]uint64, threshold) // coeff[k] is degree k; coeff[0] unused
+	for k := 1; k < threshold; k++ {
+		coeff[k] = shamirCoeff(secret, tag, k)
+	}
+	shares := make([]Share, len(xs))
+	for i, x := range xs {
+		shares[i].X = x
+		for l := 0; l < 4; l++ {
+			var y uint64
+			for k := threshold - 1; k >= 1; k-- {
+				y = gf64Mul(y, x) ^ coeff[k][l]
+			}
+			shares[i].Y[l] = gf64Mul(y, x) ^ binary.LittleEndian.Uint64(secret[l*8:])
+		}
+	}
+	return shares
+}
+
+// referenceCombine is LagrangeBasis.Combine with one scalar gf64Mul per
+// share limb.
+func referenceCombine(b *LagrangeBasis, shares []Share) [32]byte {
+	var secret [32]byte
+	for l := 0; l < 4; l++ {
+		var s uint64
+		for i := range shares {
+			s ^= gf64Mul(b.coef[i], shares[i].Y[l])
+		}
+		binary.LittleEndian.PutUint64(secret[l*8:], s)
+	}
+	return secret
+}
+
+// TestGF64MulLimbsMatchesScalar pins the lockstep kernel to gf64Mul limb by
+// limb, for party-ID-sized and full-width common factors and the edge
+// factors 0 and 1.
+func TestGF64MulLimbsMatchesScalar(t *testing.T) {
+	r := rng.New(0x4C)
+	for i := 0; i < 2000; i++ {
+		x := r.Uint64() >> uint(r.Intn(64))
+		if i < 2 {
+			x = uint64(i)
+		}
+		y := [4]uint64{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()}
+		if i%7 == 0 {
+			y[i%4] = 1 << 63
+		}
+		got := y
+		gf64MulLimbs(&got, x)
+		for l := range y {
+			if want := gf64Mul(y[l], x); got[l] != want {
+				t.Fatalf("limb %d of %#x · %#x = %#x, gf64Mul gives %#x", l, y, x, got[l], want)
+			}
+		}
+	}
+}
+
+// TestShamirMatchesLimbByLimbReference compares the lockstep split and
+// combine bit for bit with their limb-by-limb definitions: cohorts of 2, 40
+// and 130 holders, every threshold 1…k, evaluation points that are party IDs
+// up to 2^40, and reconstruction from the last threshold holders.
+func TestShamirMatchesLimbByLimbReference(t *testing.T) {
+	r := rng.New(0xC0)
+	var basis LagrangeBasis
+	var coeff []uint64
+	for _, k := range []int{2, 40, 130} {
+		xs := make([]uint64, k)
+		seen := map[uint64]bool{0: true}
+		for i := range xs {
+			x := uint64(0)
+			for seen[x] {
+				x = r.Uint64() >> uint(24+r.Intn(40)) // 1 … 40 bits
+			}
+			seen[x] = true
+			xs[i] = x
+		}
+		xs[0] = 1 << 40
+		got := make([]Share, k)
+		for threshold := 1; threshold <= k; threshold++ {
+			secret := DeriveSecret(uint64(k), threshold)
+			tag := uint64(threshold) * 3
+			var err error
+			if coeff, err = SplitSecretInto(got, &secret, xs, threshold, tag, coeff); err != nil {
+				t.Fatal(err)
+			}
+			want := referenceSplit(&secret, xs, threshold, tag)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d threshold=%d holder %d: share %v, limb-by-limb reference %v", k, threshold, i, got[i], want[i])
+				}
+			}
+			use := got[k-threshold:]
+			if err := basis.Reset(xs[k-threshold:]); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := basis.Combine(use)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec != secret || rec != referenceCombine(&basis, use) {
+				t.Fatalf("k=%d threshold=%d: Combine differs from the secret or the limb-by-limb reference", k, threshold)
+			}
+		}
+	}
+}
+
+// BenchmarkSplitSecret measures one member's escrow at the masked_sync
+// shape: a 40-member cohort with party-ID evaluation points and the majority
+// threshold, into reused share and coefficient storage. Allocation-free,
+// pinned by the CI ratchet.
+func BenchmarkSplitSecret(b *testing.B) {
+	b.Run("k=40", func(b *testing.B) {
+		const k = 40
+		secret := DeriveSecret(3, 4)
+		xs := make([]uint64, k)
+		for i := range xs {
+			xs[i] = uint64(i)*5 + 1
+		}
+		dst := make([]Share, k)
+		coeff, err := SplitSecretInto(dst, &secret, xs, k/2+1, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if coeff, err = SplitSecretInto(dst, &secret, xs, k/2+1, uint64(i), coeff); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
