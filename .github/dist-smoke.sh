@@ -4,8 +4,8 @@
 # processes, run a 10k-party job whose local training crosses the process
 # boundary, and check the full lifecycle:
 #
-#   1. The job completes (state "done") with training distributed across
-#      both workers.
+#   1. The job (.github/dist-smoke-job.json, submitted and followed by
+#      flipsload) completes with training distributed across both workers.
 #   2. /metrics exposes the registration gauge and the per-worker slot
 #      series (connectivity, waves, lag, byte counters), and no slot of the
 #      finished job reports a wave outstanding.
@@ -20,6 +20,7 @@ BIN=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
 go build -o "$BIN/flipsd" ./cmd/flipsd
+go build -o "$BIN/flipsload" ./cmd/flipsload
 
 wait_up() {
   for _ in $(seq 1 100); do
@@ -39,24 +40,10 @@ W1=$!
 "$BIN/flipsd" -worker -connect "$DIST" -parallel 2 &
 W2=$!
 
-echo "== submit a 10k-party job across the worker fleet =="
-ID=$(curl -fsS -X POST "http://$ADDR/jobs" -H 'Content-Type: application/json' \
-  -d '{"Dataset":"mit-bih-ecg","Strategy":"random","Parties":10000,"Rounds":4,"Seed":7}' |
-  grep -o '"ID":"[^"]*"' | head -1 | cut -d'"' -f4)
-test -n "$ID"
-
-STATE=""
-for _ in $(seq 1 600); do
-  STATE=$(curl -fsS "http://$ADDR/jobs/$ID" | grep -o '"State":"[^"]*"' | head -1 | cut -d'"' -f4)
-  if [ "$STATE" = "done" ]; then break; fi
-  if [ "$STATE" = "failed" ]; then
-    echo "job failed:" >&2
-    curl -fsS "http://$ADDR/jobs/$ID" >&2
-    exit 1
-  fi
-  sleep 0.5
-done
-test "$STATE" = "done"
+echo "== run a 10k-party job across the worker fleet =="
+# flipsload submits the job file, follows the job to its terminal event and
+# exits non-zero unless it finished "done".
+"$BIN/flipsload" -addr "http://$ADDR" -jobs 1 -concurrency 1 .github/dist-smoke-job.json
 
 echo "== per-worker series on /metrics =="
 curl -fsS "http://$ADDR/metrics" | tee "$BIN/metrics.txt" >/dev/null

@@ -4,9 +4,10 @@
 //   - Job server (default, -mode jobs): a long-running multi-tenant
 //     simulation service. Clients POST flips.SimulationConfig JSON to /jobs,
 //     poll GET /jobs/{id}, stream per-round progress from
-//     GET /jobs/{id}/stream (NDJSON, or SSE via Accept: text/event-stream),
-//     and scrape Prometheus metrics — queue depth, jobs in flight,
+//     GET /jobs/{id}/stream (NDJSON; server.Client is the client of all
+//     three), and scrape Prometheus metrics — queue depth, jobs in flight,
 //     arrivals/sec, p50/p99 job latency, shard locality — from GET /metrics.
+//     A job whose model diverges to a non-finite stat finishes "failed".
 //     Jobs queue on a bounded buffer (-queue); a full buffer sheds load with
 //     429. SIGTERM drains gracefully: new jobs get 503 while every accepted
 //     job runs to completion, so an orderly shutdown never loses a job. A
@@ -354,14 +355,9 @@ var selftestJob = flips.SimulationConfig{
 func runSelftest(stdout io.Writer, path string, par int) error {
 	cfg := selftestJob
 	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
+		var err error
+		if cfg, err = flips.DecodeSimulationConfigFile(path); err != nil {
 			return err
-		}
-		cfg, err = flips.DecodeSimulationConfig(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("job file %s: %w", path, err)
 		}
 	}
 	if cfg.Parallelism == 0 {

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flips"
+	"flips/internal/server"
 )
 
 // syncBuffer is a mutex-guarded bytes.Buffer: the serve test reads output
@@ -206,6 +209,17 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 }
 
+// smallJob is a real simulation that finishes in milliseconds.
+var smallJob = flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 2, Parties: 6, Seed: 1}
+
+// testCtx bounds one test's job-client calls.
+func testCtx(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 var jobsBanner = regexp.MustCompile(`serving simulation jobs on (http://[0-9.:]+)`)
 
 // awaitJobsBanner polls the daemon's output for the job server's banner and
@@ -240,20 +254,13 @@ func TestJobsServeSubmitAndDrain(t *testing.T) {
 	base := awaitJobsBanner(t, &out, &errBuf)
 
 	const jobs = 5
-	accepted := 0
+	client, ctx := &server.Client{Base: base}, testCtx(t)
 	for i := 0; i < jobs; i++ {
-		body := fmt.Sprintf(`{"Dataset":"mit-bih-ecg","Strategy":"random","Rounds":2,"Parties":6,"Seed":%d}`, i+1)
-		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
+		job := smallJob
+		job.Seed = uint64(i + 1)
+		if _, err := client.Submit(ctx, job); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		if resp.StatusCode == http.StatusAccepted {
-			accepted++
-		}
-		resp.Body.Close()
-	}
-	if accepted != jobs {
-		t.Fatalf("accepted %d of %d submissions", accepted, jobs)
 	}
 
 	// Metrics must be scrapeable while jobs are in flight.
@@ -336,14 +343,8 @@ func TestSlowLorisSubmitReleasesItsConnection(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(base+"/jobs", "application/json",
-		strings.NewReader(`{"Dataset":"mit-bih-ecg","Strategy":"random","Rounds":2,"Parties":6,"Seed":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("well-behaved submission after the slow ones: %d", resp.StatusCode)
+	if _, err := (&server.Client{Base: base}).Submit(testCtx(t), smallJob); err != nil {
+		t.Fatalf("well-behaved submission after the slow ones: %v", err)
 	}
 	stop <- os.Interrupt
 	if err := <-done; err != nil {
@@ -395,47 +396,26 @@ func TestJobsServeDistributed(t *testing.T) {
 		}()
 	}
 
-	body := `{"Dataset":"mit-bih-ecg","Strategy":"random","Rounds":6,"Seed":7}`
-	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	client, ctx := &server.Client{Base: base}, testCtx(t)
+	sub, err := client.Submit(ctx, flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 6, Seed: 7})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	var sub struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatalf("decode submission: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || sub.ID == "" {
-		t.Fatalf("submission not accepted: %d %+v", resp.StatusCode, sub)
-	}
 
-	scrape := func() string {
+	// Scrape as each round lands — the job is provably running then — and once
+	// more after the terminal event, accumulating the series seen.
+	seen := make(map[string]bool)
+	scrape := func() {
 		resp, err := http.Get(base + "/metrics")
 		if err != nil {
-			t.Fatalf("scrape /metrics: %v", err)
+			t.Errorf("scrape /metrics: %v", err)
+			return
 		}
 		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
+		m, err := io.ReadAll(resp.Body)
 		if err != nil {
-			t.Fatalf("read /metrics: %v", err)
+			t.Errorf("read /metrics: %v", err)
 		}
-		return string(b)
-	}
-
-	// Scrape while the job runs: the per-slot series only exist while a
-	// distributed job is active, so accumulate what we see until the job
-	// reaches a terminal state.
-	seen := make(map[string]bool)
-	var status struct {
-		State string
-		Error string
-	}
-	deadline = time.Now().Add(60 * time.Second)
-	for status.State != "done" && status.State != "failed" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", status.State)
-		}
-		m := scrape()
 		for _, name := range []string{
 			"flipsd_dist_workers_registered 2",
 			"flipsd_dist_worker_connected{",
@@ -443,23 +423,19 @@ func TestJobsServeDistributed(t *testing.T) {
 			"flipsd_dist_worker_bytes_in_total{",
 			"flipsd_dist_worker_lag_waves{",
 		} {
-			if strings.Contains(m, name) {
+			if strings.Contains(string(m), name) {
 				seen[name] = true
 			}
 		}
-		resp, err := http.Get(base + "/jobs/" + sub.ID)
-		if err != nil {
-			t.Fatalf("poll job: %v", err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-			t.Fatalf("decode status: %v", err)
-		}
-		resp.Body.Close()
-		time.Sleep(5 * time.Millisecond)
 	}
-	if status.State != "done" {
-		t.Fatalf("job failed: %s", status.Error)
+	final, err := client.Follow(ctx, sub.ID, func(flips.RoundPoint) { scrape() })
+	if err != nil {
+		t.Fatalf("follow: %v", err)
 	}
+	if final.State != server.StateDone {
+		t.Fatalf("job failed: %s", final.Error)
+	}
+	scrape()
 	if len(seen) != 5 {
 		t.Fatalf("missing /metrics series during the run; saw only %v", seen)
 	}

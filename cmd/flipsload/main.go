@@ -1,23 +1,29 @@
 // Command flipsload is a load generator and SLO gate for the flipsd job
 // server. It fires a fixed number of simulation jobs at the server from a
-// pool of concurrent submitters, follows each job to completion over the
-// streaming endpoint, and reports throughput and latency percentiles.
+// pool of concurrent submitters, follows each to its terminal event through
+// server.Client, and reports throughput and latency percentiles. The job is
+// the optional job file — a flips.SimulationConfig in the schema the job
+// server accepts, read by the same strict decoder, as `flipsd -selftest` does
+// — or the built-in defaultJob; job i runs its Seed + i. A job knob is a
+// SimulationConfig field, never a flipsload flag.
 //
 // The exit status is the gate: flipsload fails (non-zero) when any accepted
 // job is lost or finishes in error, when nothing was accepted at all, or
 // when an SLO flag is violated — -slo-p99 bounds the p99
 // submission-to-completion latency, -slo-arrivals floors the accepted
-// arrival rate. CI points this at a freshly built flipsd to smoke the
+// arrival rate. -timeout is each job's deadline over submit and follow
+// together, so a server that accepts and goes silent costs that long and the
+// job counts as lost. CI points this at a freshly built flipsd to smoke the
 // service under real concurrency.
 //
 // Usage:
 //
 //	flipsload -addr http://127.0.0.1:8080 -jobs 100 -concurrency 50 \
-//	    -slo-p99 30s -slo-arrivals 5
+//	    -slo-p99 30s -slo-arrivals 5 [job.json]
 package main
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,11 +32,12 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"flips"
 	"flips/internal/metrics"
+	"flips/internal/parallel"
+	"flips/internal/server"
 )
 
 func main() {
@@ -66,12 +73,7 @@ func run(args []string, stdout io.Writer) error {
 	addr := fs.String("addr", "http://127.0.0.1:8080", "flipsd job-server base URL")
 	jobs := fs.Int("jobs", 100, "total jobs to submit")
 	conc := fs.Int("concurrency", 50, "concurrent submitters (jobs in flight from the client side)")
-	dataset := fs.String("dataset", "mit-bih-ecg", "dataset for the generated jobs")
-	strategy := fs.String("strategy", "random", "party-selection strategy for the generated jobs")
-	rounds := fs.Int("rounds", 2, "FL rounds per job")
-	parties := fs.Int("parties", 6, "parties per job")
-	seed := fs.Uint64("seed", 1, "base seed; job i runs with seed+i")
-	timeout := fs.Duration("timeout", 2*time.Minute, "per-job completion deadline before it counts as lost")
+	timeout := fs.Duration("timeout", 2*time.Minute, "per-job deadline over submit and follow; past it the job counts as lost")
 	sloP99 := fs.Duration("slo-p99", 0, "fail when p99 job latency exceeds this (0 disables)")
 	sloArrivals := fs.Float64("slo-arrivals", 0, "fail when accepted arrivals/sec fall below this (0 disables)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
@@ -81,46 +83,28 @@ func run(args []string, stdout io.Writer) error {
 	if *jobs <= 0 || *conc <= 0 {
 		return fmt.Errorf("-jobs and -concurrency must be positive")
 	}
+	if fs.NArg() > 1 {
+		return fmt.Errorf("at most one job file, got %d arguments", fs.NArg())
+	}
+	job := defaultJob
+	if fs.NArg() == 1 {
+		var err error
+		if job, err = flips.DecodeSimulationConfigFile(fs.Arg(0)); err != nil {
+			return err
+		}
+	}
 
-	client := &http.Client{Transport: &http.Transport{
+	client := &server.Client{Base: *addr, HTTP: &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        *conc,
 		MaxIdleConnsPerHost: *conc,
-	}}
-
-	var (
-		mu       sync.Mutex
-		outcomes = make([]outcome, 0, *jobs)
-	)
-	record := func(o outcome) {
-		mu.Lock()
-		outcomes = append(outcomes, o)
-		mu.Unlock()
-	}
+	}}}
 
 	start := time.Now()
-	ids := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < *conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ids {
-				cfg := flips.SimulationConfig{
-					Dataset:  *dataset,
-					Strategy: *strategy,
-					Rounds:   *rounds,
-					Parties:  *parties,
-					Seed:     *seed + uint64(i),
-				}
-				record(fireJob(client, strings.TrimRight(*addr, "/"), cfg, *timeout))
-			}
-		}()
-	}
-	for i := 0; i < *jobs; i++ {
-		ids <- i
-	}
-	close(ids)
-	wg.Wait()
+	outcomes := parallel.Map(parallel.New(*conc), *jobs, func(i int) outcome {
+		cfg := job
+		cfg.Seed += uint64(i)
+		return followJob(client, cfg, *timeout)
+	})
 	wall := time.Since(start)
 
 	rep := report{Jobs: *jobs, WallSeconds: wall.Seconds()}
@@ -183,125 +167,30 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// submitResponse is the slice of server.JobStatus flipsload needs.
-type submitResponse struct {
-	ID string
-}
+// defaultJob is the job fired when no job file is given.
+var defaultJob = flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 2, Parties: 6, Seed: 1}
 
-// streamEvent mirrors server.StreamEvent's terminal fields.
-type streamEvent struct {
-	Done  bool
-	State string
-	Error string
-}
-
-// fireJob submits one job and follows it to a terminal state. Submission
-// shedding (429 during overload, 503 during drain) and transport errors are
-// "rejected": the server never owned the job. After acceptance the job is
-// tracked via the streaming endpoint — the server pushes the terminal event,
-// so during a drain the client observes the outcome before the listener goes
-// away. A job counts "lost" only when its outcome could not be observed by
-// any means within the deadline.
-func fireJob(client *http.Client, base string, cfg flips.SimulationConfig, timeout time.Duration) outcome {
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		return outcome{state: "rejected"}
-	}
+// followJob submits one job and follows it to its terminal event under one
+// deadline. A submission shed (429 overload, 503 drain), refused or never
+// answered is "rejected": the server never owned the job. After acceptance
+// the server pushes the terminal event, so during a drain the outcome is
+// observed before the listener goes away; a job is "lost" only when
+// server.Client could not observe it by stream, status poll or reconnect.
+func followJob(client *server.Client, cfg flips.SimulationConfig, timeout time.Duration) outcome {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
 	start := time.Now()
-	resp, err := client.Post(base+"/jobs", "application/json", strings.NewReader(string(body)))
+	sub, err := client.Submit(ctx, cfg)
 	if err != nil {
 		return outcome{state: "rejected"}
 	}
-	var sub submitResponse
-	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sub)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || decodeErr != nil || sub.ID == "" {
-		return outcome{state: "rejected"}
+	ev, err := client.Follow(ctx, sub.ID, nil)
+	switch {
+	case err != nil:
+		return outcome{state: "lost"}
+	case ev.State != server.StateDone:
+		fmt.Fprintf(os.Stderr, "flipsload: %s failed: %s\n", sub.ID, ev.Error)
+		return outcome{state: "failed", latency: time.Since(start)}
 	}
-
-	deadline := time.Now().Add(timeout)
-	// The stream replays before following, so reconnecting after a broken
-	// stream loses nothing. Retry connects briefly: during a drain the
-	// listener outlives the jobs, but a blip shouldn't orphan the job.
-	for attempt := 0; time.Now().Before(deadline); attempt++ {
-		if state, ok := followStream(client, base, sub.ID, deadline); ok {
-			return outcome{state: state, latency: time.Since(start)}
-		}
-		// Stream unavailable — fall back to one status poll before retrying.
-		if state, ok := pollStatus(client, base, sub.ID); ok {
-			return outcome{state: state, latency: time.Since(start)}
-		}
-		if attempt >= 4 {
-			break
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	return outcome{state: "lost"}
-}
-
-// followStream reads the job's NDJSON stream until the terminal event.
-// Returns ok=false when the stream could not be opened or ended without a
-// terminal event.
-func followStream(client *http.Client, base, id string, deadline time.Time) (string, bool) {
-	req, err := http.NewRequest(http.MethodGet, base+"/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return "", false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", false
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return "", false
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		if time.Now().After(deadline) {
-			return "", false
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev streamEvent
-		if json.Unmarshal([]byte(line), &ev) != nil {
-			continue
-		}
-		if ev.Done {
-			if ev.State == "done" {
-				return "done", true
-			}
-			return "failed", true
-		}
-	}
-	return "", false
-}
-
-// pollStatus makes one GET /jobs/{id}; terminal states resolve the job.
-func pollStatus(client *http.Client, base, id string) (string, bool) {
-	resp, err := client.Get(base + "/jobs/" + id)
-	if err != nil {
-		return "", false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", false
-	}
-	var st struct {
-		State string
-	}
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st) != nil {
-		return "", false
-	}
-	switch st.State {
-	case "done", "failed":
-		return st.State, true
-	}
-	return "", false
+	return outcome{state: "done", latency: time.Since(start)}
 }

@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"flips"
 	"flips/internal/server"
@@ -29,7 +35,6 @@ func TestLoadRunAgainstRealServer(t *testing.T) {
 	err := run([]string{
 		"-addr", ts.URL,
 		"-jobs", "8", "-concurrency", "4",
-		"-rounds", "2", "-parties", "6",
 		"-json",
 	}, &out)
 	if err != nil {
@@ -107,5 +112,115 @@ func TestLoadRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-concurrency", "-1"}, &out); err == nil {
 		t.Fatal("negative concurrency accepted")
+	}
+	// Job knobs live in the job file, not on the command line.
+	for _, gone := range []string{"-dataset", "-strategy", "-rounds", "-parties", "-seed"} {
+		if err := run([]string{gone, "1"}, &out); err == nil {
+			t.Fatalf("removed flag %s still accepted", gone)
+		}
+	}
+	if err := run([]string{"a.json", "b.json"}, &out); err == nil {
+		t.Fatal("two job files accepted")
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a rejected invocation wrote to stdout:\n%s", out.String())
+	}
+}
+
+// jobFile writes body as a job file and returns its path.
+func jobFile(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "job.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestJobFileIsTheJob: the positional job file is what gets submitted — every
+// field of it, with job i on Seed + i — and it is read by the decoder POST
+// /jobs uses: an unknown field or an invalid value is refused before anything
+// is sent, in an error naming the file.
+func TestJobFileIsTheJob(t *testing.T) {
+	t.Parallel()
+	var mu sync.Mutex
+	var got []flips.SimulationConfig
+	srv := server.New(server.Config{
+		Workers: 2,
+		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			mu.Lock()
+			got = append(got, cfg)
+			mu.Unlock()
+			return &flips.SimulationResult{}, nil
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	var out bytes.Buffer
+	job := jobFile(t, `{"Dataset":"femnist","Strategy":"oort","Fold":"median","Rounds":3,"Parties":9,"Seed":40}`)
+	if err := run([]string{"-addr", ts.URL, "-jobs", "3", "-concurrency", "1", job}, &out); err != nil {
+		t.Fatalf("flipsload failed: %v\n%s", err, out.String())
+	}
+	if len(got) != 3 {
+		t.Fatalf("server ran %d jobs, want 3", len(got))
+	}
+	for i, cfg := range got {
+		want := flips.SimulationConfig{Dataset: "femnist", Strategy: "oort", Fold: "median", Rounds: 3, Parties: 9,
+			Seed: 40 + uint64(i), Parallelism: 1} // Parallelism: the server's per-job default
+		if cfg != want {
+			t.Fatalf("job %d ran %+v, want %+v", i, cfg, want)
+		}
+	}
+
+	for body, want := range map[string]string{
+		`{"Dataset":"mit-bih-ecg","Selector":"oort"}`:  "unknown field",
+		`{"Dataset":"mit-bih-ecg","Fold":"geometric"}`: `unknown fold "geometric"`,
+		`{not json`: "malformed job config",
+	} {
+		bad := jobFile(t, body)
+		err := run([]string{"-addr", ts.URL, bad}, &out)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), bad) {
+			t.Errorf("job file %s: err = %v, want %q naming the file", body, err, want)
+		}
+	}
+	if err := run([]string{"-addr", ts.URL, filepath.Join(t.TempDir(), "missing.json")}, &out); err == nil {
+		t.Error("missing job file accepted")
+	}
+	if n := srv.Stats().Accepted; n != 3 {
+		t.Fatalf("a refused job file still submitted: %d accepted", n)
+	}
+}
+
+// TestTimeoutBoundsASilentServer: a server that accepts every job and then
+// never sends a byte of its stream (nor answers a poll) used to hang flipsload
+// forever — its http.Client had no timeout and -timeout was read only between
+// stream lines. -timeout is now each job's ctx: the run ends, every job lost.
+func TestTimeoutBoundsASilentServer(t *testing.T) {
+	t.Parallel()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			_, _ = io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintln(w, `{"ID":"job-000001","State":"queued"}`)
+			return
+		}
+		<-r.Context().Done() // stream and status alike: accepted, then silence
+	}))
+	defer ts.Close()
+
+	var out bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", ts.URL, "-jobs", "2", "-concurrency", "2", "-timeout", "300ms"}, &out)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "2 jobs lost") {
+			t.Fatalf("err = %v, want both jobs lost\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("flipsload still following a silent server 30s past a 300ms -timeout")
 	}
 }

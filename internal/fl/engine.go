@@ -59,7 +59,7 @@ type Config struct {
 	// Resume continues a job from an aggregator checkpoint (§7 fault
 	// tolerance). The configuration must match the checkpointed job (same
 	// seed, optimizer and model); a resumed run with a stateless selector
-	// reproduces the uninterrupted run exactly.
+	// reproduces it exactly (privacy and FedDyn state is not checkpointed).
 	Resume *Checkpoint
 	// CheckpointEvery emits a checkpoint to CheckpointSink every k rounds
 	// when both are set.
@@ -234,15 +234,15 @@ func (c *Config) ValidateShape(fleet FleetShape) error {
 			return fmt.Errorf("fl: masked aggregation overflows the fixed-point ring (total weight %v × clip %v): %w; shrink the cohort weight or the clip bound", fleet.TotalWeight, c.Privacy.Clip, err)
 		}
 	}
-	if c.Privacy.Mask || c.Privacy.Epsilon > 0 {
-		// Masking carries per-wave escrow state and the noise stream carries a
-		// step counter; neither survives a checkpoint round-trip, so a privacy
-		// run is checkpoint-free rather than silently divergent on resume.
+	if c.Privacy.Mask || c.Privacy.Epsilon > 0 || c.FedDynAlpha > 0 {
+		// Masking's per-wave escrow, the noise stream's step counter and
+		// FedDyn's per-party correction h_i are in no Checkpoint, so such a run
+		// is checkpoint-free rather than silently divergent on resume.
 		if c.Resume != nil {
-			return fmt.Errorf("fl: privacy masking/noise does not support resuming from a checkpoint")
+			return fmt.Errorf("fl: privacy masking/noise and FedDyn do not support resuming from a checkpoint")
 		}
 		if c.CheckpointEvery > 0 || c.CheckpointSink != nil {
-			return fmt.Errorf("fl: privacy masking/noise does not support checkpointing")
+			return fmt.Errorf("fl: privacy masking/noise and FedDyn do not support checkpointing")
 		}
 	}
 	switch p := c.policy().(type) {

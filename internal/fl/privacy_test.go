@@ -73,6 +73,13 @@ func TestPrivacyConfigValidation(t *testing.T) {
 			c.CheckpointSink = func(*Checkpoint) {}
 		}, "checkpointing"},
 		{"headroom overflow", func(c *Config) { c.Privacy.Clip = math.Ldexp(1, 40) }, "fixed-point ring"},
+		// FedDyn's per-party h_i is in no checkpoint either (accepted before).
+		{"feddyn with resume", func(c *Config) {
+			c.Privacy, c.FedDynAlpha, c.Resume = PrivacyConfig{}, 0.1, &Checkpoint{}
+		}, "FedDyn do not support resuming"},
+		{"feddyn with checkpointing", func(c *Config) {
+			c.Privacy, c.FedDynAlpha, c.CheckpointSink = PrivacyConfig{}, 0.1, func(*Checkpoint) {}
+		}, "FedDyn do not support checkpointing"},
 	}
 	for _, tc := range cases {
 		cfg := base()

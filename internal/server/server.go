@@ -7,7 +7,7 @@
 //	POST /jobs            submit a flips.SimulationConfig (JSON) → 202 + id
 //	GET  /jobs            list jobs (newest last)
 //	GET  /jobs/{id}       job status, result when finished
-//	GET  /jobs/{id}/stream  per-round RoundPoints as NDJSON (or SSE)
+//	GET  /jobs/{id}/stream  per-round RoundPoints as NDJSON
 //	GET  /metrics         Prometheus text: queue depth, in-flight, arrival
 //	                      rate, p50/p99 job latency, shard locality
 //	GET  /healthz         "ok" while accepting, "draining" during shutdown
@@ -16,15 +16,16 @@
 // buffer answers 429 so load sheds at the edge — and Drain implements
 // graceful shutdown: new submissions get 503 while every job already
 // accepted (queued or running) runs to completion, so an orderly SIGTERM
-// never loses a job.
+// never loses a job. Client (client.go) is the one submit-and-follow client
+// of these endpoints.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -135,8 +136,8 @@ type JobStatus struct {
 	Result *flips.SimulationResult `json:",omitempty"`
 }
 
-// StreamEvent is one NDJSON line (or SSE data payload) of a job stream:
-// either a round, or the terminal event carrying the job's outcome.
+// StreamEvent is one NDJSON line of a job stream: either a round, or the
+// terminal event carrying the job's outcome.
 type StreamEvent struct {
 	Round  *flips.RoundPoint       `json:",omitempty"`
 	Done   bool                    `json:",omitempty"`
@@ -360,14 +361,27 @@ func (s *Server) runJob(j *job) {
 }
 
 // runProtected invokes the runner with a panic barrier so one buggy job
-// marks itself failed instead of poisoning the worker pool.
+// marks itself failed instead of poisoning the worker pool. A round with a
+// non-finite stat never enters the job's log — Validate cannot foresee a model
+// that diverges, and encoding/json cannot carry NaN — and fails the job,
+// naming the round and the stat, whatever the runner then returns.
 func (s *Server) runProtected(j *job) (res *flips.SimulationResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("job panic: %v", r)
 		}
 	}()
-	return s.cfg.Run(j.cfg, func(p flips.RoundPoint) {
+	var diverged error
+	res, err = s.cfg.Run(j.cfg, func(p flips.RoundPoint) {
+		for i, v := range [...]float64{p.Accuracy, p.MeanLoss, p.RoundTime, p.SimTime} {
+			if diverged == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				stat := [...]string{"Accuracy", "MeanLoss", "RoundTime", "SimTime"}[i]
+				diverged = fmt.Errorf("round %d: non-finite %s (the model diverged)", p.Round, stat)
+			}
+		}
+		if diverged != nil {
+			return
+		}
 		p.PerLabel = append([]float64(nil), p.PerLabel...)
 		j.mu.Lock()
 		j.rounds = append(j.rounds, p)
@@ -381,6 +395,10 @@ func (s *Server) runProtected(j *job) (res *flips.SimulationResult, err error) {
 		s.shardStream.Push(float64(shards))
 		s.mu.Unlock()
 	})
+	if diverged != nil {
+		return nil, diverged
+	}
+	return res, err
 }
 
 func (s *Server) job(id string) *job {
@@ -441,38 +459,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream replays the job's round log and then follows it live, one
-// StreamEvent per NDJSON line (default) or per SSE data frame (when the
-// client sends Accept: text/event-stream), ending with the terminal event.
-// Clients connecting at any point of the job's life observe the complete
-// round sequence.
+// StreamEvent per NDJSON line, ending with the terminal event. Clients
+// connecting at any point of the job's life observe the complete round
+// sequence.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	writeEvent := func(ev StreamEvent) error {
-		if sse {
-			if _, err := fmt.Fprint(w, "data: "); err != nil {
-				return err
-			}
-			if err := enc.Encode(ev); err != nil {
-				return err
-			}
-			_, err := fmt.Fprint(w, "\n")
-			return err
-		}
-		return enc.Encode(ev)
-	}
 
 	// A canceled request must wake a handler parked in cond.Wait; holding
 	// j.mu for the broadcast pairs it with the wait-loop's ctx re-check.
@@ -502,12 +500,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// with no connection under it (a test recorder) has none to set.
 		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		for i := range batch {
-			if writeEvent(StreamEvent{Round: &batch[i]}) != nil {
+			if enc.Encode(StreamEvent{Round: &batch[i]}) != nil {
 				return
 			}
 		}
 		if terminal {
-			_ = writeEvent(StreamEvent{Done: true, State: state, Error: errMsg, Result: result})
+			_ = enc.Encode(StreamEvent{Done: true, State: state, Error: errMsg, Result: result})
 			return
 		}
 		if rc.Flush() != nil {

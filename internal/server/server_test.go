@@ -2,7 +2,7 @@ package server
 
 import (
 	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,64 +20,46 @@ import (
 	"flips/internal/dist"
 )
 
-// validBody is a real, fast SimulationConfig: submissions go through the
+// validJob is a real, fast SimulationConfig: submissions go through the
 // genuine flips.SimulationConfig.Validate even when the runner is faked.
-func validBody(t *testing.T) *bytes.Reader {
+var validJob = flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 2, Parties: 6, Seed: 1}
+
+// testCtx bounds one test's client calls.
+func testCtx(t *testing.T) context.Context {
 	t.Helper()
-	b, err := json.Marshal(flips.SimulationConfig{
-		Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 2, Parties: 6, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.NewReader(b)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
 
-func submit(t *testing.T, ts *httptest.Server, body io.Reader) (JobStatus, *http.Response) {
+func clientOf(ts *httptest.Server) *Client { return &Client{Base: ts.URL, HTTP: ts.Client()} }
+
+// submit posts validJob through the Client and requires a 202.
+func submit(t *testing.T, ts *httptest.Server) JobStatus {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", body)
+	st, err := clientOf(ts).Submit(testCtx(t), validJob)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("submit: %v", err)
 	}
-	defer resp.Body.Close()
-	var st JobStatus
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return st, resp
+	return st
 }
 
 func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	st, err := clientOf(ts).Status(testCtx(t), id)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %s: %d", id, resp.StatusCode)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
+// waitTerminal follows the job to its terminal event and returns its status.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st := getStatus(t, ts, id)
-		if st.State == StateDone || st.State == StateFailed {
-			return st
-		}
-		time.Sleep(2 * time.Millisecond)
+	if _, err := clientOf(ts).Follow(testCtx(t), id, nil); err != nil {
+		t.Fatalf("job %s never reached a terminal state: %v", id, err)
 	}
-	t.Fatalf("job %s never reached a terminal state", id)
-	return JobStatus{}
+	return getStatus(t, ts, id)
 }
 
 func TestJobLifecycle(t *testing.T) {
@@ -95,10 +77,7 @@ func TestJobLifecycle(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain()
 
-	st, resp := submit(t, ts, validBody(t))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
+	st := submit(t, ts)
 	if st.ID == "" || st.State != StateQueued {
 		t.Fatalf("submit response %+v", st)
 	}
@@ -147,30 +126,15 @@ func TestJobFailureIsReported(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain()
 
-	st, resp := submit(t, ts, validBody(t))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d", resp.StatusCode)
-	}
+	st := submit(t, ts)
 	final := waitTerminal(t, ts, st.ID)
 	if final.State != StateFailed || !strings.Contains(final.Error, "synthetic engine failure") || final.Result != nil {
 		t.Fatalf("final = %+v", final)
 	}
-	stream, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	var events []StreamEvent
-	for sc := bufio.NewScanner(stream.Body); sc.Scan(); {
-		var ev StreamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		events = append(events, ev)
-	}
-	if len(events) != 2 || events[0].Round == nil || !events[1].Done ||
-		events[1].State != StateFailed || !strings.Contains(events[1].Error, "synthetic engine failure") {
-		t.Fatalf("stream = %+v", events)
+	rounds := 0
+	ev, err := clientOf(ts).Follow(testCtx(t), st.ID, func(flips.RoundPoint) { rounds++ })
+	if err != nil || rounds != 1 || ev.State != StateFailed || !strings.Contains(ev.Error, "synthetic engine failure") {
+		t.Fatalf("stream = %d rounds, %+v, %v", rounds, ev, err)
 	}
 	if got := s.Stats(); got.Failed != 1 || got.Done != 0 {
 		t.Fatalf("stats = %+v", got)
@@ -187,7 +151,7 @@ func TestJobPanicMarksJobFailed(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	st, _ := submit(t, ts, validBody(t))
+	st := submit(t, ts)
 	final := waitTerminal(t, ts, st.ID)
 	if final.State != StateFailed || !strings.Contains(final.Error, "runner bug") {
 		t.Fatalf("final = %+v", final)
@@ -196,7 +160,7 @@ func TestJobPanicMarksJobFailed(t *testing.T) {
 	s.cfg.Run = func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 		return &flips.SimulationResult{}, nil
 	}
-	st2, _ := submit(t, ts, validBody(t))
+	st2 := submit(t, ts)
 	if final := waitTerminal(t, ts, st2.ID); final.State != StateDone {
 		t.Fatalf("job after panic = %+v", final)
 	}
@@ -221,7 +185,11 @@ func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 		`{"Dataset": "mit-bih-ecg", "Aggregation": "bogus"}`,
 		`{"Dataset": "mit-bih-ecg", "DeviceProfile": "quantum"}`,
 	} {
-		_, resp := submit(t, ts, strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
@@ -250,23 +218,17 @@ func TestSubmitShedsLoadWhenQueueFull(t *testing.T) {
 	defer ts.Close()
 
 	// One job occupies the worker; the 2-deep buffer takes two more.
-	if _, resp := submit(t, ts, validBody(t)); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: %d", resp.StatusCode)
-	}
+	submit(t, ts)
 	started.Wait()
-	code := func() int {
-		_, resp := submit(t, ts, validBody(t))
-		return resp.StatusCode
-	}
 	accepted, rejected := 0, 0
 	for i := 0; i < 5; i++ {
-		switch c := code(); c {
-		case http.StatusAccepted:
+		switch _, err := clientOf(ts).Submit(testCtx(t), validJob); {
+		case err == nil:
 			accepted++
-		case http.StatusTooManyRequests:
+		case errors.Is(err, ErrShed) && strings.Contains(err.Error(), "429"):
 			rejected++
 		default:
-			t.Fatalf("unexpected status %d", c)
+			t.Fatalf("unexpected refusal: %v", err)
 		}
 	}
 	if accepted != 2 || rejected != 3 {
@@ -299,11 +261,7 @@ func TestDrainLosesNoJob(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 20; i++ {
-		st, resp := submit(t, ts, validBody(t))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: %d", i, resp.StatusCode)
-		}
-		ids = append(ids, st.ID)
+		ids = append(ids, submit(t, ts).ID)
 	}
 
 	drained := make(chan struct{})
@@ -330,8 +288,8 @@ func TestDrainLosesNoJob(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, resp := submit(t, ts, validBody(t)); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit during drain: %d, want 503", resp.StatusCode)
+	if _, err := clientOf(ts).Submit(testCtx(t), validJob); !errors.Is(err, ErrShed) || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("submit during drain: %v, want ErrShed with the 503", err)
 	}
 
 	select {
@@ -365,7 +323,7 @@ func TestStreamReplaysAndFollows(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain()
 
-	st, _ := submit(t, ts, validBody(t))
+	st := submit(t, ts)
 	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +386,7 @@ func TestStreamFollowerWakesPerRound(t *testing.T) {
 	release := func() { once.Do(func() { close(finish) }) }
 	defer release() // before Drain, so a failing test does not hang in it
 
-	st, _ := submit(t, ts, validBody(t))
+	st := submit(t, ts)
 	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
@@ -476,36 +434,6 @@ func TestStreamFollowerWakesPerRound(t *testing.T) {
 	}
 }
 
-func TestStreamSSE(t *testing.T) {
-	t.Parallel()
-	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
-			onRound(flips.RoundPoint{Round: 1})
-			return &flips.SimulationResult{}, nil
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Drain()
-
-	st, _ := submit(t, ts, validBody(t))
-	waitTerminal(t, ts, st.ID)
-	req, _ := http.NewRequest("GET", ts.URL+"/jobs/"+st.ID+"/stream", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	if !strings.Contains(string(body), "data: {") || !strings.Contains(string(body), `"Done":true`) {
-		t.Fatalf("SSE body:\n%s", body)
-	}
-}
-
 func TestStreamUnknownJob404(t *testing.T) {
 	t.Parallel()
 	s := New(Config{})
@@ -546,7 +474,7 @@ func TestMetricsExposition(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		st, _ := submit(t, ts, validBody(t))
+		st := submit(t, ts)
 		waitTerminal(t, ts, st.ID)
 	}
 	s.Drain()
@@ -662,34 +590,23 @@ func TestEvictionKeepsActiveJobs(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	first, _ := submit(t, ts, validBody(t)) // runs, blocked
-	oldest, _ := submit(t, ts, validBody(t))
+	first := submit(t, ts) // runs, blocked
+	oldest := submit(t, ts)
 	waitTerminal(t, ts, oldest.ID)
 	var last JobStatus
 	for i := 0; i < retainJobs; i++ {
-		st, resp := submit(t, ts, validBody(t))
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: %d", i, resp.StatusCode)
-		}
-		last = st
+		last = submit(t, ts)
 	}
 	waitTerminal(t, ts, last.ID)
 	// retainJobs + 2 jobs, and eviction runs at submission: one more makes the
 	// two oldest excess. The blocked first job must still be present.
-	submit(t, ts, validBody(t))
-	if resp, err := http.Get(ts.URL + "/jobs/" + first.ID); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("active job evicted: %v %v", resp.StatusCode, err)
-	} else {
-		resp.Body.Close()
+	submit(t, ts)
+	if st := getStatus(t, ts, first.ID); st.State != StateRunning {
+		t.Fatalf("active job evicted or moved: %+v", st)
 	}
 	// The oldest *finished* job is gone.
-	resp, err := http.Get(ts.URL + "/jobs/" + oldest.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("oldest finished job still present: %d", resp.StatusCode)
+	if _, err := clientOf(ts).Status(testCtx(t), oldest.ID); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("oldest finished job still present: %v", err)
 	}
 	close(release)
 	s.Drain()
@@ -733,7 +650,7 @@ func TestFollowerThatNeverReadsIsReleased(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	st, _ := submit(t, ts, validBody(t))
+	st := submit(t, ts)
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -746,5 +663,49 @@ func TestFollowerThatNeverReadsIsReleased(t *testing.T) {
 	case <-streamReturned:
 	case <-time.After(30 * time.Second):
 		t.Fatal("stream handler still parked on a follower that never reads")
+	}
+}
+
+// TestDivergedJobFailsVisibly: a job Validate accepts whose model diverges (a
+// Laplace scale of 2·Clip/(n·1e-300) overflows the first noised fold) used to
+// be answered 202, finish "done", and then serve a 200 with an empty body and
+// a stream with no terminal event, because encoding/json refuses NaN. The
+// round hook now refuses the round: the job fails, naming the round and the
+// stat, and status and stream are well-formed to the end. Real runner.
+func TestDivergedJobFailsVisibly(t *testing.T) {
+	t.Parallel()
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+
+	c, ctx := clientOf(ts), testCtx(t)
+	st, err := c.Submit(ctx, flips.SimulationConfig{
+		Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 6, Parties: 12, Seed: 3, Clip: 1, Epsilon: 1e-300,
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	var rounds []int
+	ev, err := c.Follow(ctx, st.ID, func(p flips.RoundPoint) { rounds = append(rounds, p.Round) })
+	if err != nil {
+		t.Fatalf("follow: %v (rounds %v)", err, rounds)
+	}
+	const want = "round 4: non-finite MeanLoss (the model diverged)"
+	if !ev.Done || ev.State != StateFailed || ev.Error != want || ev.Result != nil {
+		t.Fatalf("terminal event = %+v, want failed with %q", ev, want)
+	}
+	if len(rounds) != 1 || rounds[0] != 2 {
+		t.Fatalf("streamed rounds %v, want only round 2, the one evaluated before the divergence", rounds)
+	}
+	final, err := c.Status(ctx, st.ID)
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if final.State != StateFailed || final.Error != want || final.Rounds != 1 || final.Result != nil {
+		t.Fatalf("status = %+v", final)
+	}
+	if got := s.Stats(); got.Failed != 1 || got.Done != 0 {
+		t.Fatalf("stats = %+v", got)
 	}
 }

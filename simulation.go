@@ -1,9 +1,11 @@
 package flips
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"flips/internal/chaos"
 	"flips/internal/dataset"
@@ -130,34 +132,11 @@ type SimulationConfig struct {
 	Seed uint64
 }
 
-// RoundPoint is one evaluated round of a simulation.
-type RoundPoint struct {
-	Round     int
-	Accuracy  float64 // balanced accuracy on the held-out global test set
-	PerLabel  []float64
-	CommBytes int64
-	// Invited and Completed count this round's cohort: how many parties
-	// were dispatched and how many arrivals the aggregation step folded.
-	Invited   int
-	Completed int
-	// MeanLoss is the cohort's mean local training loss.
-	MeanLoss float64
-	// RoundTime is this round's simulated wall-clock seconds; SimTime is
-	// the cumulative simulated wall-clock through this round (device-model
-	// durations, or the legacy latency proxy).
-	RoundTime float64
-	SimTime   float64
-	// ShardsTouched counts the distinct aggregation shards this round's
-	// completed parties fell into — the streaming shard-locality metric.
-	ShardsTouched int
-	// Rejected counts completed updates this aggregation step refused to
-	// fold because they carried non-finite (NaN/Inf) coordinates.
-	Rejected int
-	// MaskAborted reports that this aggregation step was abandoned because
-	// secure-aggregation dropout recovery fell below the share threshold:
-	// nothing was folded and the model did not move.
-	MaskAborted bool
-}
+// RoundPoint is one evaluated round of a simulation, the engine's own value:
+// the round hook, SimulationResult.History and the job server's stream all
+// carry it, so a per-round field is declared once (fl.RoundStats documents
+// each). PerLabel must be copied if a hook retains it.
+type RoundPoint = fl.RoundStats
 
 // SimulationResult summarizes a finished FL simulation.
 type SimulationResult struct {
@@ -203,11 +182,11 @@ func (c SimulationConfig) resolve() (experiment.Setting, experiment.Scale, error
 	scale.Parallelism = c.Parallelism
 	setting := experiment.Setting{
 		Spec:              spec,
-		Algorithm:         orDefault(c.Algorithm, experiment.AlgoFedYogi),
-		Strategy:          orDefault(c.Strategy, experiment.StrategyFLIPS),
+		Algorithm:         cmp.Or(c.Algorithm, experiment.AlgoFedYogi),
+		Strategy:          cmp.Or(c.Strategy, experiment.StrategyFLIPS),
 		CandidateFactor:   c.CandidateFactor,
-		Alpha:             orDefaultF(c.Alpha, 0.3),
-		PartyFraction:     orDefaultF(c.PartyFraction, 0.2),
+		Alpha:             cmp.Or(c.Alpha, 0.3),
+		PartyFraction:     cmp.Or(c.PartyFraction, 0.2),
 		StragglerRate:     c.StragglerRate,
 		Deadline:          c.Deadline,
 		Aggregation:       c.Aggregation,
@@ -304,8 +283,9 @@ func (c SimulationConfig) Validate() error {
 // DecodeSimulationConfig reads one job description — a JSON object with
 // SimulationConfig's field names — rejecting unknown fields and everything
 // Validate rejects. It is the only place a SimulationConfig is decoded from
-// JSON: the job server's POST /jobs body, the job file `flipsd -selftest`
-// takes and the job spec a shard worker is assigned all pass through it.
+// JSON: the job server's POST /jobs body, the job file `flipsd -selftest` and
+// `flipsload` take and the job spec a shard worker is assigned all pass
+// through it.
 func DecodeSimulationConfig(r io.Reader) (SimulationConfig, error) {
 	var cfg SimulationConfig
 	dec := json.NewDecoder(r)
@@ -319,6 +299,21 @@ func DecodeSimulationConfig(r io.Reader) (SimulationConfig, error) {
 	return cfg, nil
 }
 
+// DecodeSimulationConfigFile is DecodeSimulationConfig over a job file (the
+// argument `flipsd -selftest` and `flipsload` take), naming it in every error.
+func DecodeSimulationConfigFile(path string) (SimulationConfig, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return SimulationConfig{}, err
+	}
+	defer f.Close()
+	cfg, err := DecodeSimulationConfig(f)
+	if err != nil {
+		return SimulationConfig{}, fmt.Errorf("job file %s: %w", path, err)
+	}
+	return cfg, nil
+}
+
 // RunSimulation executes one FL job and returns its convergence history.
 func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 	return RunSimulationStream(cfg, nil)
@@ -326,7 +321,7 @@ func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 
 // RunSimulationStream is RunSimulation with a live per-round hook: onRound,
 // when non-nil, receives every evaluated round as it completes — the
-// streaming surface behind the job server's NDJSON/SSE round feed. The hook
+// streaming surface behind the job server's NDJSON round feed. The hook
 // runs on the engine goroutine, so it should hand off quickly; the PerLabel
 // slice must be copied if retained.
 func RunSimulationStream(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
@@ -341,15 +336,12 @@ func runSimulation(cfg SimulationConfig, onRound func(RoundPoint), attach experi
 	if err != nil {
 		return nil, err
 	}
-	var hook func(fl.RoundStats)
-	if onRound != nil {
-		hook = func(h fl.RoundStats) { onRound(roundPoint(h)) }
-	}
-	res, clusters, err := experiment.RunSettingClusters(setting, scale, hook, attach)
+	res, clusters, err := experiment.RunSettingClusters(setting, scale, onRound, attach)
 	if err != nil {
 		return nil, err
 	}
-	out := &SimulationResult{
+	return &SimulationResult{
+		History:        res.History,
 		PeakAccuracy:   res.PeakAccuracy,
 		RoundsToTarget: res.RoundsToTarget,
 		TimeToTarget:   res.TimeToTarget,
@@ -357,29 +349,7 @@ func runSimulation(cfg SimulationConfig, onRound func(RoundPoint), attach experi
 		TargetAccuracy: setting.TargetAccuracy,
 		TotalCommBytes: res.TotalCommBytes,
 		NumClusters:    len(clusters),
-	}
-	for _, h := range res.History {
-		out.History = append(out.History, roundPoint(h))
-	}
-	return out, nil
-}
-
-// roundPoint maps the engine's RoundStats onto the public round shape.
-func roundPoint(h fl.RoundStats) RoundPoint {
-	return RoundPoint{
-		Round:         h.Round,
-		Accuracy:      h.Accuracy,
-		PerLabel:      h.PerLabel,
-		CommBytes:     h.CommBytes,
-		Invited:       h.Invited,
-		Completed:     h.Completed,
-		MeanLoss:      h.MeanLoss,
-		RoundTime:     h.RoundTime,
-		SimTime:       h.SimTime,
-		ShardsTouched: h.ShardsTouched,
-		Rejected:      h.Rejected,
-		MaskAborted:   h.MaskAborted,
-	}
+	}, nil
 }
 
 // ExperimentOptions configures RunExperiment. The zero value runs at laptop
@@ -461,18 +431,4 @@ func Datasets() []string {
 // actually builds.
 func Strategies() []string {
 	return experiment.ExtendedStrategies()
-}
-
-func orDefault(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
-}
-
-func orDefaultF(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }
