@@ -209,7 +209,7 @@ func BenchmarkAblationClusterSignal(b *testing.B) {
 			grads := make([]tensor.Vec, len(built.Parties))
 			for pi, party := range built.Parties {
 				g := tensor.NewVec(m.NumParams())
-				m.Gradient(party.Data, g)
+				m.LossGradient(party.Data, g)
 				grads[pi] = g
 			}
 			k := len(built.Clusters) // same cluster count as the label path

@@ -907,12 +907,18 @@ var knownDiverging = []string{
 // TestValidateAgreesWithBuild's generator — 64 draws in -short, 256 otherwise,
 // of which about one in six survives every rule. Each job
 // DecodeSimulationConfig accepts must run without panicking and report one
-// result digest at Parallelism {1, 8} × Shards {1, 5}; so must the known
-// diverging shapes, NaNs included.
+// result digest at Parallelism {1, 8} × Shards {1, 5}, and once more through
+// DistRunner and two loopback shard workers — local training leaves the
+// process there, and runs under TrainLocalInPlace instead of
+// TrainLocalScratch; so must the known diverging shapes, NaNs included. A job
+// the runner refuses is counted and reported.
 func TestJobInvariance(t *testing.T) {
 	t.Parallel()
-	// invariant runs spec at the four shapes and reports whether its stats
-	// were finite; ok is false when the decoder refuses it.
+	runner := startRunner(t, 2)
+	refused := 0
+	// invariant runs spec at the four shapes and over the workers, and
+	// reports whether its stats were finite; ok is false when the decoder
+	// refuses it.
 	invariant := func(name string, spec []byte) (finite, ok bool) {
 		cfg, err := DecodeSimulationConfig(bytes.NewReader(spec))
 		if err != nil {
@@ -932,6 +938,14 @@ func TestJobInvariance(t *testing.T) {
 			} else if digest != first {
 				t.Errorf("%s %s: digest %x at Parallelism %d Shards %d, %x at 1/1", name, spec, digest, shape[0], shape[1], first)
 			}
+		}
+		res, err := runner.Run(cfg, nil)
+		if err != nil {
+			refused++
+			t.Logf("%s %s: refused by DistRunner: %v", name, spec, err)
+			runner = startRunner(t, 2) // a worker that refuses an assignment is dropped
+		} else if digest, _ := resultDigest(res); digest != first {
+			t.Errorf("%s %s: digest %x over 2 shard workers, %x in-process", name, spec, digest, first)
 		}
 		return finite, true
 	}
@@ -968,5 +982,8 @@ func TestJobInvariance(t *testing.T) {
 	if ran < draws/8 {
 		t.Fatalf("only %d of %d drawn jobs were accepted: the sweep no longer reaches the engine", ran, draws)
 	}
-	t.Logf("%d of %d drawn jobs accepted and run", ran, draws)
+	if refused > ran/4 {
+		t.Fatalf("DistRunner refused %d of %d accepted jobs: the worker arm no longer covers the sweep", refused, ran)
+	}
+	t.Logf("%d of %d drawn jobs accepted and run, %d of them refused by DistRunner", ran, draws, refused)
 }

@@ -19,8 +19,6 @@ func (c *constModel) Clone() model.Model                                { cc := 
 func (c *constModel) NumParams() int                                    { return c.params }
 func (c *constModel) Params() tensor.Vec                                { return tensor.NewVec(c.params) }
 func (c *constModel) SetParams(tensor.Vec)                              {}
-func (c *constModel) Loss([]dataset.Sample) float64                     { return 0 }
-func (c *constModel) Gradient([]dataset.Sample, tensor.Vec)             {}
 func (c *constModel) LossGradient([]dataset.Sample, tensor.Vec) float64 { return 0 }
 func (c *constModel) Predict(tensor.Vec) int                            { return c.class }
 

@@ -14,7 +14,7 @@ import (
 // Parameters live in a single flat backing vector; w and b are views sliced
 // into it, so Params/SetParams are single-copy and TrainLocal can update the
 // backing vector directly with no per-step copies (see DESIGN.md,
-// "Performance model"). The logits scratch buffer makes the forward pass
+// "Performance model"). The logits scratch buffers make the forward pass
 // allocation-free, which means one LogReg must not be shared across
 // goroutines — clone per worker, as the FL engine and the sharded evaluator
 // do.
@@ -23,7 +23,12 @@ type LogReg struct {
 	params       tensor.Vec  // flat backing: [W row-major..., b...]
 	w            *tensor.Mat // classes x dim, view into params
 	b            tensor.Vec  // classes, view into params
-	logitsBuf    tensor.Vec  // scratch, len classes
+	logitsBuf    tensor.Vec  // Predict's scratch, len classes
+	// LossGradient's scratch, one logits (then dL/dz) slot per sample of a
+	// block. Allocated by the first LossGradient and held by one pointer: a
+	// clone made to Predict — the sharded evaluator makes thousands per job
+	// — pays nothing for it.
+	blk *[blockSize]tensor.Vec
 }
 
 var _ Model = (*LogReg)(nil)
@@ -75,43 +80,24 @@ func (m *LogReg) SetParams(p tensor.Vec) {
 // paramsRef implements flatModel: the live backing vector.
 func (m *LogReg) paramsRef() tensor.Vec { return m.params }
 
-// logits computes W x + b into the scratch buffer and returns it.
-func (m *LogReg) logits(x tensor.Vec) tensor.Vec {
-	z := m.logitsBuf
+// logits computes W x + b into z.
+func (m *LogReg) logits(x, z tensor.Vec) {
 	m.w.MulVecInto(z, x)
 	z.AddInPlace(m.b)
-	return z
 }
 
 // Predict returns the most likely class for x.
 func (m *LogReg) Predict(x tensor.Vec) int {
-	return m.logits(x).ArgMax()
+	m.logits(x, m.logitsBuf)
+	return m.logitsBuf.ArgMax()
 }
 
-// Loss returns mean cross-entropy over the batch.
-func (m *LogReg) Loss(batch []dataset.Sample) float64 {
-	if len(batch) == 0 {
-		return 0
-	}
-	var total float64
-	for _, s := range batch {
-		p := m.logits(s.X)
-		p.SoftmaxInPlace()
-		total += -math.Log(math.Max(p[s.Y], 1e-12))
-	}
-	return total / float64(len(batch))
-}
-
-// Gradient writes the mean cross-entropy gradient into out.
-func (m *LogReg) Gradient(batch []dataset.Sample, out tensor.Vec) {
-	m.LossGradient(batch, out)
-}
-
-// LossGradient fuses Loss and Gradient over one shared forward pass: out
-// receives the mean cross-entropy gradient (zeroed first) and the mean loss
-// is returned. Per-sample softmax values, the loss accumulation order and
-// the gradient accumulation order are exactly those of Loss-then-Gradient,
-// so both results are bit-identical to the unfused pair.
+// LossGradient writes the mean cross-entropy gradient over the batch into
+// out, zeroed first, and returns the mean loss. The batch is walked in blocks
+// of blockSize samples — logits, softmax and loss per sample in batch order,
+// then one pass over the gradient for the whole block — which leaves every
+// element's chain of products as a sample-at-a-time pass forms it (see
+// MLP.LossGradient).
 func (m *LogReg) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(out) != m.NumParams() {
 		panic("model: LogReg.LossGradient length mismatch")
@@ -122,17 +108,30 @@ func (m *LogReg) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
+	if m.blk == nil {
+		slots := blockScratch(m.classes)
+		m.blk = &slots
+	}
 	wGrad := tensor.Mat{Rows: m.classes, Cols: m.dim, Data: out[:m.classes*m.dim]}
 	bGrad := out[m.classes*m.dim:]
-	inv := 1 / float64(len(batch))
+	count := float64(len(batch))
+	inv := 1 / count
 	var total float64
-	for _, s := range batch {
-		p := m.logits(s.X)
-		p.SoftmaxInPlace()
-		total += -math.Log(math.Max(p[s.Y], 1e-12))
-		p[s.Y] -= 1 // dL/dz = softmax - onehot
-		wGrad.AddOuterInPlace(inv, p, s.X)
-		bGrad.Axpy(inv, p)
+	var xs [blockSize]tensor.Vec
+	for len(batch) > 0 {
+		n := min(blockSize, len(batch))
+		ps := m.blk[:n]
+		for k, s := range batch[:n] {
+			p := ps[k]
+			m.logits(s.X, p)
+			p.SoftmaxInPlace()
+			total += -math.Log(math.Max(p[s.Y], 1e-12))
+			p[s.Y] -= 1 // dL/dz = softmax - onehot
+			xs[k] = s.X
+		}
+		wGrad.AddOuterInPlace(inv, ps, xs[:n])
+		axpyEach(bGrad, inv, ps)
+		batch = batch[n:]
 	}
-	return total / float64(len(batch))
+	return total / count
 }

@@ -13,9 +13,9 @@ import (
 // CNNs (LeNet-5, 1-D CNN) on our synthetic feature vectors.
 //
 // Like LogReg, all layers live in one flat backing vector with matrix/vector
-// views sliced into it, and the forward/backward scratch buffers (hidden
-// activations, logits, hidden-gradient) are reused across calls. One MLP must
-// therefore not be shared across goroutines — clone per worker.
+// views sliced into it, and the forward/backward scratch buffers are reused
+// across calls. One MLP must therefore not be shared across goroutines —
+// clone per worker.
 type MLP struct {
 	dim, hidden, classes int
 	params               tensor.Vec  // flat backing: [W1..., b1..., W2..., b2...]
@@ -23,7 +23,17 @@ type MLP struct {
 	b1                   tensor.Vec  // hidden, view
 	w2                   *tensor.Mat // classes x hidden, view
 	b2                   tensor.Vec  // classes, view
-	hBuf, zBuf, dhBuf    tensor.Vec  // scratch: hidden, logits, dL/dh
+	hBuf, zBuf           tensor.Vec  // Predict's scratch: hidden, logits
+	blk                  *mlpBlock   // LossGradient's scratch
+}
+
+// mlpBlock is LossGradient's scratch, one slot per sample of a block: hidden
+// activations, logits (then dL/dlogits) and dL/dh. It is allocated by the
+// first LossGradient and hangs off the model by one pointer, so a clone made
+// to Predict — the sharded evaluator makes thousands per job — pays nothing
+// for it.
+type mlpBlock struct {
+	h, z, dh [blockSize]tensor.Vec
 }
 
 var _ Model = (*MLP)(nil)
@@ -57,7 +67,6 @@ func (m *MLP) bind(backing tensor.Vec) {
 	m.b2 = backing[pos:]
 	m.hBuf = tensor.NewVec(m.hidden)
 	m.zBuf = tensor.NewVec(m.classes)
-	m.dhBuf = tensor.NewVec(m.hidden)
 }
 
 // MLPFactory adapts NewMLP to the Factory signature.
@@ -91,52 +100,29 @@ func (m *MLP) SetParams(p tensor.Vec) {
 // paramsRef implements flatModel: the live backing vector.
 func (m *MLP) paramsRef() tensor.Vec { return m.params }
 
-// forward computes hidden activations and logits into the scratch buffers.
-func (m *MLP) forward(x tensor.Vec) (h, z tensor.Vec) {
-	h = m.hBuf
+// forward computes hidden activations and logits into h and z.
+func (m *MLP) forward(x, h, z tensor.Vec) {
 	m.w1.MulVecInto(h, x)
-	h.AddInPlace(m.b1)
-	for i := range h {
-		if h[i] < 0 {
-			h[i] = 0
-		}
+	for i, b := range m.b1 {
+		h[i] = max(h[i]+b, 0) // ReLU, without a branch to mispredict; a NaN stays a NaN
 	}
-	z = m.zBuf
 	m.w2.MulVecInto(z, h)
 	z.AddInPlace(m.b2)
-	return h, z
 }
 
 // Predict returns the most likely class for x.
 func (m *MLP) Predict(x tensor.Vec) int {
-	_, z := m.forward(x)
-	return z.ArgMax()
+	m.forward(x, m.hBuf, m.zBuf)
+	return m.zBuf.ArgMax()
 }
 
-// Loss returns mean cross-entropy over the batch.
-func (m *MLP) Loss(batch []dataset.Sample) float64 {
-	if len(batch) == 0 {
-		return 0
-	}
-	var total float64
-	for _, s := range batch {
-		_, z := m.forward(s.X)
-		z.SoftmaxInPlace()
-		total += -math.Log(math.Max(z[s.Y], 1e-12))
-	}
-	return total / float64(len(batch))
-}
-
-// Gradient writes the mean cross-entropy gradient (backprop) into out.
-func (m *MLP) Gradient(batch []dataset.Sample, out tensor.Vec) {
-	m.LossGradient(batch, out)
-}
-
-// LossGradient fuses Loss and Gradient over one shared forward pass per
-// sample: out receives the mean cross-entropy gradient (zeroed first) and
-// the mean loss is returned. The forward pass, softmax, loss accumulation
-// and backprop accumulation orders match Loss-then-Gradient exactly, so
-// both results are bit-identical to the unfused pair.
+// LossGradient writes the mean cross-entropy gradient (backprop) over the
+// batch into out, zeroed first, and returns the mean loss. The batch is
+// walked in blocks of blockSize samples: forward pass, softmax and loss per
+// sample in batch order, then one pass over each gradient matrix for the
+// whole block (tensor.Mat.AddOuterInPlace). Every gradient element still adds
+// its per-sample products in batch order from +0, so the result is bit-equal
+// to a sample-at-a-time backward pass (DESIGN.md, "Float-order preservation").
 func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(out) != m.NumParams() {
 		panic("model: MLP.LossGradient length mismatch")
@@ -147,6 +133,9 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
+	if m.blk == nil {
+		m.blk = &mlpBlock{h: blockScratch(m.hidden), z: blockScratch(m.classes), dh: blockScratch(m.hidden)}
+	}
 	pos := 0
 	w1g := tensor.Mat{Rows: m.hidden, Cols: m.dim, Data: out[pos : pos+len(m.w1.Data)]}
 	pos += len(m.w1.Data)
@@ -156,28 +145,38 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	pos += len(m.w2.Data)
 	b2g := out[pos:]
 
-	inv := 1 / float64(len(batch))
+	count := float64(len(batch))
+	inv := 1 / count
 	var total float64
-	for _, s := range batch {
-		h, z := m.forward(s.X)
-		z.SoftmaxInPlace()
-		total += -math.Log(math.Max(z[s.Y], 1e-12))
-		z[s.Y] -= 1 // dL/dlogits
+	var xs [blockSize]tensor.Vec
+	for len(batch) > 0 {
+		n := min(blockSize, len(batch))
+		hs, zs, dhs := m.blk.h[:n], m.blk.z[:n], m.blk.dh[:n]
+		for k, s := range batch[:n] {
+			h, z, dh := hs[k], zs[k], dhs[k]
+			m.forward(s.X, h, z)
+			z.SoftmaxInPlace()
+			total += -math.Log(math.Max(z[s.Y], 1e-12))
+			z[s.Y] -= 1 // dL/dlogits
 
-		// Output layer.
-		w2g.AddOuterInPlace(inv, z, h)
-		b2g.Axpy(inv, z)
-
-		// Backprop through ReLU.
-		dh := m.dhBuf
-		m.w2.MulVecTInto(dh, z)
-		for i := range dh {
-			if h[i] <= 0 {
-				dh[i] = 0
+			// Backprop through ReLU: dh[i] = 0 where the unit is off. Half the
+			// units are, in no pattern, so the choice is made on the word's
+			// bits — which compiles to a conditional move — not by a branch.
+			m.w2.MulVecTInto(dh, z)
+			for i := range dh {
+				bits := math.Float64bits(dh[i])
+				if h[i] <= 0 {
+					bits = 0
+				}
+				dh[i] = math.Float64frombits(bits)
 			}
+			xs[k] = s.X
 		}
-		w1g.AddOuterInPlace(inv, dh, s.X)
-		b1g.Axpy(inv, dh)
+		w2g.AddOuterInPlace(inv, zs, hs)
+		axpyEach(b2g, inv, zs)
+		w1g.AddOuterInPlace(inv, dhs, xs[:n])
+		axpyEach(b1g, inv, dhs)
+		batch = batch[n:]
 	}
-	return total / float64(len(batch))
+	return total / count
 }

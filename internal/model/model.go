@@ -27,16 +27,13 @@ type Model interface {
 	// SetParams overwrites the parameters from a flat vector of length
 	// NumParams.
 	SetParams(p tensor.Vec)
-	// Loss returns the mean cross-entropy over the batch.
-	Loss(batch []dataset.Sample) float64
-	// Gradient accumulates the mean cross-entropy gradient over the batch
-	// into out (length NumParams). out is zeroed first.
-	Gradient(batch []dataset.Sample, out tensor.Vec)
-	// LossGradient computes Loss and Gradient in one shared forward pass:
-	// out (length NumParams, zeroed first) receives the mean gradient and
-	// the mean loss is returned. Implementations must be bit-identical to
-	// calling Loss then Gradient — TrainLocal's hot loop relies on that
-	// equivalence.
+	// LossGradient returns the mean cross-entropy over the batch and writes
+	// its gradient into out (length NumParams, zeroed first; 0 and a zero
+	// gradient for an empty batch). The float order is part of the contract,
+	// since every golden and history digest rides on it: the loss sums the
+	// per-sample losses in batch order, and each element of out accumulates
+	// its per-sample products in batch order starting from +0. How many
+	// samples an implementation takes per pass over out is its own business.
 	LossGradient(batch []dataset.Sample, out tensor.Vec) float64
 	// Predict returns the argmax class for x.
 	Predict(x tensor.Vec) int
@@ -56,16 +53,29 @@ type flatModel interface {
 // architecture and the initial global model.
 type Factory func(r *rng.Source) Model
 
-// Accuracy returns plain (unbalanced) accuracy of m on the samples.
-func Accuracy(m Model, samples []dataset.Sample) float64 {
-	if len(samples) == 0 {
-		return 0
+// blockSize is how many samples a built-in model's LossGradient takes through
+// its backward pass together: the four rank-1 updates tensor.Mat.AddOuterInPlace
+// applies per pass over a gradient matrix.
+const blockSize = 4
+
+// blockScratch returns blockSize vectors of length n, the per-sample slots of
+// one block, cut from a single allocation.
+func blockScratch(n int) (slots [blockSize]tensor.Vec) {
+	backing := tensor.NewVec(blockSize * n)
+	for k := range slots {
+		slots[k] = backing[k*n : (k+1)*n : (k+1)*n]
 	}
-	correct := 0
-	for _, s := range samples {
-		if m.Predict(s.X) == s.Y {
-			correct++
-		}
+	return slots
+}
+
+// axpyEach performs v += a*x for each x in order — a bias gradient's share of
+// one block — in one pass over v when the block is full.
+func axpyEach(v tensor.Vec, a float64, xs []tensor.Vec) {
+	if len(xs) == blockSize {
+		v.Axpy4(a, a, a, a, xs[0], xs[1], xs[2], xs[3])
+		return
 	}
-	return float64(correct) / float64(len(samples))
+	for _, x := range xs {
+		v.Axpy(a, x)
+	}
 }

@@ -22,12 +22,24 @@ func randomBatch(r *rng.Source, n, dim, classes int) []dataset.Sample {
 	return batch
 }
 
-// checkGradient verifies m.Gradient against central finite differences.
+// accuracy returns the plain (unbalanced) accuracy of m on the samples.
+func accuracy(m Model, samples []dataset.Sample) float64 {
+	correct := 0
+	for _, s := range samples {
+		if m.Predict(s.X) == s.Y {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(samples))
+}
+
+// checkGradient verifies the gradient LossGradient writes against central
+// finite differences of the loss it returns.
 func checkGradient(t *testing.T, m Model, batch []dataset.Sample, tol float64) {
 	t.Helper()
 	params := m.Params()
-	grad := tensor.NewVec(m.NumParams())
-	m.Gradient(batch, grad)
+	grad, scratch := tensor.NewVec(m.NumParams()), tensor.NewVec(m.NumParams())
+	m.LossGradient(batch, grad)
 
 	const h = 1e-5
 	// Spot-check a spread of coordinates (checking all is O(P²) work).
@@ -36,10 +48,10 @@ func checkGradient(t *testing.T, m Model, batch []dataset.Sample, tol float64) {
 		orig := params[i]
 		params[i] = orig + h
 		m.SetParams(params)
-		lossPlus := m.Loss(batch)
+		lossPlus := m.LossGradient(batch, scratch)
 		params[i] = orig - h
 		m.SetParams(params)
-		lossMinus := m.Loss(batch)
+		lossMinus := m.LossGradient(batch, scratch)
 		params[i] = orig
 		m.SetParams(params)
 
@@ -135,7 +147,7 @@ func TestLogRegLearnsSeparableData(t *testing.T) {
 	m := NewLogReg(train.Dim, train.NumClasses())
 	cfg := SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 8}
 	TrainLocal(m, train.Samples, cfg, nil, r.Split(1))
-	if acc := Accuracy(m, test.Samples); acc < 0.9 {
+	if acc := accuracy(m, test.Samples); acc < 0.9 {
 		t.Fatalf("logreg accuracy %v on separable data", acc)
 	}
 }
@@ -152,7 +164,7 @@ func TestMLPLearnsSeparableData(t *testing.T) {
 	TrainLocal(m, train.Samples, cfg, nil, r.Split(3))
 	// The threshold is slightly below the logreg test's: this seed's random
 	// prototypes include one close pair, putting the Bayes ceiling near 0.88.
-	if acc := Accuracy(m, test.Samples); acc < 0.85 {
+	if acc := accuracy(m, test.Samples); acc < 0.85 {
 		t.Fatalf("mlp accuracy %v on separable data", acc)
 	}
 }
@@ -165,9 +177,10 @@ func TestTrainLocalReducesLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewLogReg(train.Dim, train.NumClasses())
-	before := m.Loss(train.Samples)
+	grad := tensor.NewVec(m.NumParams())
+	before := m.LossGradient(train.Samples, grad)
 	TrainLocal(m, train.Samples, SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 3}, nil, r)
-	after := m.Loss(train.Samples)
+	after := m.LossGradient(train.Samples, grad)
 	if after >= before {
 		t.Fatalf("loss did not decrease: %v -> %v", before, after)
 	}
@@ -260,7 +273,7 @@ func TestBalancedAccuracyNeutralizesImbalance(t *testing.T) {
 	for y := 1; y < 4; y++ {
 		samples = append(samples, dataset.Sample{X: tensor.Vec{0, 0}, Y: y})
 	}
-	if acc := Accuracy(m, samples); acc < 0.96 {
+	if acc := accuracy(m, samples); acc < 0.96 {
 		t.Fatalf("plain accuracy %v", acc)
 	}
 	if bacc := BalancedAccuracy(m, samples, 4); math.Abs(bacc-0.25) > 1e-9 {
@@ -310,7 +323,7 @@ func TestGradientZeroAtOptimumProperty(t *testing.T) {
 		m.SetParams(p)
 		batch := randomBatch(r, 5, dim, classes)
 		grad := tensor.NewVec(m.NumParams())
-		m.Gradient(batch, grad)
+		m.LossGradient(batch, grad)
 		biasGrad := grad[classes*dim:]
 		return math.Abs(biasGrad.Sum()) < 1e-9
 	}

@@ -66,24 +66,48 @@ func (m *Mat) MulVecInto(dst, x Vec) {
 
 // MulVecTInto computes dst = mᵀ * x, for a column vector x of length Rows,
 // into the caller-provided dst of length Cols, allocating nothing. dst is
-// zeroed first, then accumulated by row axpy.
+// zeroed first, then accumulated by row axpy, four rows per pass over dst:
+// dst[j] adds x[i]·m[i][j] for i = 0, 1, 2, … in row order from +0, whatever
+// the blocking.
 func (m *Mat) MulVecTInto(dst, x Vec) {
 	assertSameLen(len(x), m.Rows)
 	assertSameLen(len(dst), m.Cols)
 	for i := range dst {
 		dst[i] = 0
 	}
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		dst.Axpy4(x[i], x[i+1], x[i+2], x[i+3], m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
+	}
+	for ; i < m.Rows; i++ {
 		dst.Axpy(x[i], m.Row(i))
 	}
 }
 
-// AddOuterInPlace performs m += scale * a ⊗ b (rank-1 update), where a has
-// length Rows and b has length Cols.
-func (m *Mat) AddOuterInPlace(scale float64, a, b Vec) {
-	assertSameLen(len(a), m.Rows)
-	assertSameLen(len(b), m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		m.Row(i).Axpy(scale*a[i], b)
+// AddOuterInPlace performs m += scale * a[k] ⊗ b[k] (a rank-1 update) for
+// k = 0, 1, 2, … in that order, where every a[k] has length Rows and every
+// b[k] length Cols. Pairs are taken four at a time, so each row of m is
+// loaded and stored once per four updates; a remainder of one to three pairs
+// is applied pair by pair. Either way element (i, j) adds the rounded
+// products (scale·a[k][i])·b[k][j] in k order.
+func (m *Mat) AddOuterInPlace(scale float64, a, b []Vec) {
+	assertSameLen(len(a), len(b))
+	for k := range a {
+		assertSameLen(len(a[k]), m.Rows)
+		assertSameLen(len(b[k]), m.Cols)
+	}
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		b0, b1, b2, b3 := b[k], b[k+1], b[k+2], b[k+3]
+		for i := 0; i < m.Rows; i++ {
+			m.Row(i).Axpy4(scale*a0[i], scale*a1[i], scale*a2[i], scale*a3[i], b0, b1, b2, b3)
+		}
+	}
+	for ; k < len(a); k++ {
+		ak, bk := a[k], b[k]
+		for i := 0; i < m.Rows; i++ {
+			m.Row(i).Axpy(scale*ak[i], bk)
+		}
 	}
 }

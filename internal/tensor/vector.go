@@ -1,8 +1,11 @@
 // Package tensor implements the small dense linear-algebra kernel the FLIPS
 // simulator is built on: float64 vectors and row-major matrices with the
 // handful of BLAS-1/2-style operations that logistic-regression and MLP
-// training require. It deliberately avoids cleverness (no SIMD, no
-// parallelism) in favour of exact determinism across runs and platforms.
+// training require. The rule is exact determinism across runs and platforms:
+// no SIMD, no math.FMA, no parallelism. Blocking — several rows or several
+// samples per pass over a vector — is allowed when every output element keeps
+// the chain of rounded multiplies and adds it had unblocked (DESIGN.md,
+// "Float-order preservation").
 package tensor
 
 import (
@@ -72,6 +75,22 @@ func (v Vec) Axpy(a float64, x Vec) {
 	assertSameLen(len(v), len(x))
 	for i := range v {
 		v[i] += a * x[i]
+	}
+}
+
+// Axpy4 performs v += a0*x0, v += a1*x1, v += a2*x2, v += a3*x3 in one pass:
+// v[j] = (((v[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j], one load and
+// one store of v[j] per four multiply-adds. Each element sees the same four
+// rounded products added in the same order as four Axpy calls, so the result
+// is bit-equal to them. v must not overlap any x.
+func (v Vec) Axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3 Vec) {
+	n := len(v)
+	assertSameLen(n, len(x0))
+	assertSameLen(n, len(x1))
+	assertSameLen(n, len(x2))
+	assertSameLen(n, len(x3))
+	for j := range v {
+		v[j] = (((v[j] + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]
 	}
 }
 
