@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"flips/internal/experiment"
+	"flips/internal/fl"
 	"flips/internal/rng"
 )
 
@@ -187,6 +188,9 @@ var badConfigs = []SimulationConfig{
 	{Dataset: "mit-bih-ecg", Epsilon: 2},                      // DP noise needs a clip bound
 	{Dataset: "mit-bih-ecg", ShareThreshold: 3},               // threshold is meaningless unmasked
 	{Dataset: "mit-bih-ecg", Mask: true, Clip: 1 << 40},       // clip overflows fixed-point headroom
+	{Dataset: "mit-bih-ecg", Rounds: -2},                      // zero is the default, negative a mistake
+	{Dataset: "mit-bih-ecg", Parties: -3},
+	{Dataset: "mit-bih-ecg", Parallelism: -4},
 }
 
 func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
@@ -986,4 +990,127 @@ func TestJobInvariance(t *testing.T) {
 		t.Fatalf("DistRunner refused %d of %d accepted jobs: the worker arm no longer covers the sweep", refused, ran)
 	}
 	t.Logf("%d of %d drawn jobs accepted and run, %d of them refused by DistRunner", ran, draws, refused)
+}
+
+// TestJobResume is the resume arm of ROADMAP 4(1): jobs drawn like
+// TestJobInvariance's, their aggregation re-drawn so every policy is reached
+// (buffered without a deadline, semisync with one) and the knobs no
+// checkpoint may carry (masking, DP noise, FedDyn) drawn around. Each
+// accepted job runs uninterrupted; then a second build of it runs to a
+// random round on the evaluation cadence,
+// checkpoints there, and the JSON round-tripped checkpoint resumes that same
+// build — same parties, injector and live selector, since a checkpoint holds
+// no selector state. The resumed run must report the uninterrupted run's
+// history after the checkpoint, its result fields and its final parameters,
+// bit for bit.
+func TestJobResume(t *testing.T) {
+	t.Parallel()
+	draws := 256
+	if testing.Short() {
+		draws = 64
+	}
+	r := rng.New(20261015)
+	resumed := map[string]int{}
+	for i := 0; i < draws; i++ {
+		cfg := sweepConfig(r)
+		cfg.Parties = []int{6, 12, 24}[r.Intn(3)]
+		cfg.Rounds = 3 + r.Intn(4)
+		switch r.Intn(3) {
+		case 0:
+			cfg.Aggregation = "sync"
+		case 1:
+			cfg.Aggregation, cfg.Deadline = "buffered", 0
+		default:
+			cfg.Aggregation, cfg.Deadline = "semisync", []float64{2, 60}[r.Intn(2)]
+		}
+		// Masking, DP noise and FedDyn keep state no checkpoint holds, so
+		// Validate refuses to resume them: draw around them.
+		if cfg.Mask, cfg.Epsilon, cfg.ShareThreshold = false, 0, 0; cfg.Algorithm == "feddyn" {
+			cfg.Algorithm = "fedavg"
+		}
+		spec, err := json.Marshal(cfg)
+		if err != nil {
+			continue
+		}
+		if cfg, err = DecodeSimulationConfig(bytes.NewReader(spec)); err != nil {
+			continue
+		}
+		setting, scale, err := cfg.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// On the evaluation cadence, the interrupted run's final-step
+		// evaluation is one the uninterrupted run makes too.
+		every := max(scale.EvalEvery, 1)
+		if scale.Rounds <= every {
+			continue
+		}
+		at := every * (1 + r.Intn((scale.Rounds-1)/every))
+		build := func() fl.Config {
+			built, err := experiment.Build(setting, scale)
+			if err != nil {
+				t.Fatalf("job %d %s: accepted, then failed to build: %v", i, spec, err)
+			}
+			return built.Config
+		}
+
+		full, err := fl.Run(build())
+		if err != nil {
+			t.Errorf("job %d %s: %v", i, spec, err)
+			continue
+		}
+		job := build()
+		head := job
+		var cp *fl.Checkpoint
+		head.Rounds, head.CheckpointEvery, head.CheckpointSink = at, at, func(c *fl.Checkpoint) { cp = c }
+		if _, err := fl.Run(head); err != nil {
+			t.Errorf("job %d %s: run to round %d: %v", i, spec, at, err)
+			continue
+		}
+		blob, err := cp.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Resume = new(fl.Checkpoint)
+		if err := json.Unmarshal(blob, job.Resume); err != nil {
+			t.Fatal(err)
+		}
+		tail, err := fl.Run(job)
+		if err != nil {
+			t.Errorf("job %d %s: resume at round %d: %v", i, spec, at, err)
+			continue
+		}
+
+		after := func(res *fl.Result) uint64 {
+			sr := &SimulationResult{
+				PeakAccuracy: res.PeakAccuracy, RoundsToTarget: res.RoundsToTarget, TimeToTarget: res.TimeToTarget,
+				SimTime: res.SimTime, TotalCommBytes: res.TotalCommBytes,
+			}
+			for _, p := range res.History {
+				if p.Round > at {
+					sr.History = append(sr.History, p)
+				}
+			}
+			digest, _ := resultDigest(sr)
+			return digest
+		}
+		if want, got := after(full), after(tail); got != want {
+			t.Errorf("job %d %s: resumed at round %d, digest %x; uninterrupted %x", i, spec, at, got, want)
+		}
+		for k := range full.FinalParams {
+			if k >= len(tail.FinalParams) || math.Float64bits(tail.FinalParams[k]) != math.Float64bits(full.FinalParams[k]) {
+				t.Errorf("job %d %s: resumed at round %d, final parameters diverge at %d", i, spec, at, k)
+				break
+			}
+		}
+		resumed[cfg.Aggregation]++
+	}
+	t.Logf("resumed per policy: %v", resumed)
+	if !testing.Short() {
+		for _, policy := range []string{"sync", "buffered", "semisync"} {
+			if resumed[policy] < 5 {
+				t.Fatalf("only %d %s jobs resumed: the sweep no longer covers the policy", resumed[policy], policy)
+			}
+		}
+	}
 }

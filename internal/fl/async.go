@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"flips/internal/tensor"
 )
 
 // defaultStalenessHalfLife is the staleness half-life (in server model
@@ -63,68 +61,48 @@ type Buffered struct {
 // Name implements AggregationPolicy.
 func (Buffered) Name() string { return "buffered" }
 
-func (p Buffered) run(c *eventCore) error {
-	cfg := c.cfg
+func (p Buffered) cycle(c *eventCore, step int) (cycleStats, error) {
 	k := p.K
 	if k == 0 {
-		k = max(1, cfg.PartiesPerRound/2)
+		k = max(1, c.cfg.PartiesPerRound/2)
 	}
-	halfLife := orHalfLife(p.StalenessHalfLife)
+	prevClock := c.clock
 
-	start := 0
-	if cfg.Resume != nil {
-		start = c.resumeAsync(cfg.Resume)
-	}
-
-	buffer := make([]*pendingUpdate, 0, k)
-	for step := start; step < cfg.Rounds; step++ {
-		c.decayLR(step)
-		prevClock := c.clock
-
-		// Refill the training pipeline to the step's cohort target (the
-		// nominal PartiesPerRound, or a chaos flash-crowd surge of it) of
-		// reserved parties (best-effort: stop on the first wave that
-		// dispatches nobody new — arrivals will free up parties for later
-		// cycles).
-		m := c.cohortTarget(step)
-		for c.inFlightCount < m {
-			n, err := c.dispatchWave(step, m-c.inFlightCount)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-		}
-
-		// Drain the next K arrivals, dispatching further waves whenever the
-		// queue runs dry (a partial refill under churn, or an all-offline
-		// stretch that only more waves can outlast). Popped parties stay
-		// reserved until the buffer is aggregated, so one party can never
-		// appear twice in the same buffer; K ≤ PartiesPerRound (validated)
-		// guarantees free candidates always remain for the top-up waves.
-		buffer = buffer[:0]
-		for len(buffer) < k {
-			// Top-up waves ask only for the residual pipeline capacity, so
-			// concurrency never exceeds the FedBuff M cap (the step's cohort
-			// target; buffered-but-unaggregated parties still hold slots).
-			if err := c.ensureQueued(step, m-c.inFlightCount); err != nil {
-				return err
-			}
-			buffer = append(buffer, c.popArrival())
-		}
-
-		meanLoss, err := c.aggregateAsync(step, buffer, halfLife, false)
+	// Refill the training pipeline to the step's cohort target (the nominal
+	// PartiesPerRound, or a chaos flash-crowd surge of it) of reserved
+	// parties (best-effort: stop on the first wave that dispatches nobody
+	// new — arrivals will free up parties for later cycles).
+	m := c.cohortTarget(step)
+	for c.inFlightCount < m {
+		n, err := c.dispatchWave(step, m-c.inFlightCount)
 		if err != nil {
-			return err
+			return cycleStats{}, err
 		}
-		c.res.SimTime = c.clock
-		c.res.TotalCommBytes += c.cycleBytes
-		c.maybeEval(step, len(c.cycleSelected), len(buffer), c.cycleBytes, meanLoss, c.clock-prevClock)
-		c.maybeCheckpoint(step, p, c.captureAsyncState)
-		c.resetCycle()
+		if n == 0 {
+			break
+		}
 	}
-	return nil
+
+	// Drain the next K arrivals, dispatching further waves whenever the
+	// queue runs dry (a partial refill under churn, or an all-offline
+	// stretch that only more waves can outlast). Popped parties stay
+	// reserved until the buffer is aggregated, so one party can never
+	// appear twice in the same buffer; K ≤ PartiesPerRound (validated)
+	// guarantees free candidates always remain for the top-up waves.
+	c.buffer = c.buffer[:0]
+	for len(c.buffer) < k {
+		// Top-up waves ask only for the residual pipeline capacity, so
+		// concurrency never exceeds the FedBuff M cap (the step's cohort
+		// target; buffered-but-unaggregated parties still hold slots).
+		if err := c.ensureQueued(step, m-c.inFlightCount); err != nil {
+			return cycleStats{}, err
+		}
+		c.buffer = append(c.buffer, c.popArrival())
+	}
+
+	st, err := c.aggregateAsync(step, orHalfLife(p.StalenessHalfLife), false)
+	st.roundTime = c.clock - prevClock
+	return st, err
 }
 
 // SemiSync is deadline-window aggregation: every window invites a fresh
@@ -142,47 +120,27 @@ type SemiSync struct {
 // Name implements AggregationPolicy.
 func (SemiSync) Name() string { return "semisync" }
 
-func (p SemiSync) run(c *eventCore) error {
-	cfg := c.cfg
-	halfLife := orHalfLife(p.StalenessHalfLife)
-
-	start := 0
-	if cfg.Resume != nil {
-		start = c.resumeAsync(cfg.Resume)
+func (p SemiSync) cycle(c *eventCore, step int) (cycleStats, error) {
+	// One selection wave per window; parties still training from earlier
+	// windows stay in flight and are not re-invited.
+	if _, err := c.dispatchWave(step, c.cohortTarget(step)); err != nil {
+		return cycleStats{}, err
 	}
 
-	buffer := make([]*pendingUpdate, 0, cfg.PartiesPerRound)
-	for round := start; round < cfg.Rounds; round++ {
-		c.decayLR(round)
-
-		// One selection wave per window; parties still training from
-		// earlier windows stay in flight and are not re-invited.
-		if _, err := c.dispatchWave(round, c.cohortTarget(round)); err != nil {
-			return err
-		}
-
-		// Collect everything that arrives inside the window, then snap the
-		// clock to the deadline — the server pays the full window whether or
-		// not anyone showed up (an empty window aggregates nothing but still
-		// counts as a round).
-		windowEnd := c.clock + cfg.Deadline
-		buffer = buffer[:0]
-		for c.queue.len() > 0 && c.queue.peek().time <= windowEnd {
-			buffer = append(buffer, c.popArrival())
-		}
-		c.clock = windowEnd
-
-		meanLoss, err := c.aggregateAsync(round, buffer, halfLife, true)
-		if err != nil {
-			return err
-		}
-		c.res.SimTime = c.clock
-		c.res.TotalCommBytes += c.cycleBytes
-		c.maybeEval(round, len(c.cycleSelected), len(buffer), c.cycleBytes, meanLoss, cfg.Deadline)
-		c.maybeCheckpoint(round, p, c.captureAsyncState)
-		c.resetCycle()
+	// Collect everything that arrives inside the window, then snap the
+	// clock to the deadline — the server pays the full window whether or
+	// not anyone showed up (an empty window aggregates nothing but still
+	// counts as a round).
+	windowEnd := c.clock + c.cfg.Deadline
+	c.buffer = c.buffer[:0]
+	for c.queue.len() > 0 && c.queue.peek().time <= windowEnd {
+		c.buffer = append(c.buffer, c.popArrival())
 	}
-	return nil
+	c.clock = windowEnd
+
+	st, err := c.aggregateAsync(step, orHalfLife(p.StalenessHalfLife), true)
+	st.roundTime = c.cfg.Deadline
+	return st, err
 }
 
 // dispatchWave runs one selection wave: it asks the selector for a full
@@ -201,7 +159,8 @@ func (p SemiSync) run(c *eventCore) error {
 // parallelism. The wave consumes root stream Split(wave+1) with the same
 // interior structure as a synchronous round (0x5A availability stream with
 // per-party children, then per-party 0x1000+id training streams, pre-split
-// in dispatch order on this goroutine).
+// in dispatch order on this goroutine) — a sync round is one wave of the
+// same cursor.
 //
 // The selector and the availability processes both see step — the
 // aggregation-step index, the same clock RoundFeedback.Round reports and
@@ -212,9 +171,7 @@ func (p SemiSync) run(c *eventCore) error {
 // fresh availability coins (an offline churn party can come online on a
 // retry) from its own stream, but against the step's probabilities.
 func (c *eventCore) dispatchWave(step, cap int) (int, error) {
-	wave := c.waves
-	c.waves++
-	wr := c.root.Split(uint64(wave) + 1)
+	tag, wr := c.nextWave()
 	ids, err := c.selectParties(step, c.cohortTarget(step))
 	if err != nil {
 		return 0, err
@@ -268,7 +225,7 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 	var mw *maskWave
 	if c.priv != nil && c.priv.pc.Mask && len(c.dispatched) > 0 {
 		var err error
-		if mw, err = c.priv.beginWave(uint64(wave)+1, c.version, c.dispatched); err != nil {
+		if mw, err = c.priv.beginWave(tag, c.version, c.dispatched); err != nil {
 			return 0, err
 		}
 		c.priv.waves = append(c.priv.waves, mw)
@@ -383,12 +340,12 @@ func (c *eventCore) popArrival() *pendingUpdate {
 	return up
 }
 
-// aggregateAsync folds the cycle's arrivals (in arrival order — the
-// deterministic event-queue order) into the global model with
-// staleness-discounted weights and delivers the arrival-driven feedback to
-// the selector. Returns the arrivals' mean training loss for the history
-// entry. An empty buffer applies nothing and leaves the model version
-// unchanged (staleness only accrues across real model updates).
+// aggregateAsync folds the cycle's arrivals in c.buffer (in arrival order —
+// the deterministic event-queue order) into the global model with
+// staleness-discounted weights and leaves the arrival-driven feedback in
+// c.fb. Returns the cycle's stats but its round time, which is the policy's.
+// An empty buffer applies nothing and leaves the model version unchanged
+// (staleness only accrues across real model updates).
 //
 // Under masking the fold unit is the wave, not the arrival: buffer entries
 // already contributed to their waves at pop time, and this step folds every
@@ -399,7 +356,7 @@ func (c *eventCore) popArrival() *pendingUpdate {
 // staleness discount uses the wave's dispatch version — every member shares
 // it, so the discount composes with masking without revealing anything
 // per-party.
-func (c *eventCore) aggregateAsync(step int, buffer []*pendingUpdate, halfLife float64, settleAll bool) (meanLoss float64, err error) {
+func (c *eventCore) aggregateAsync(step int, halfLife float64, settleAll bool) (cycleStats, error) {
 	needsUpdates := c.prepareFeedback(step)
 	if c.fb.Staleness == nil {
 		c.fb.Staleness = make(map[int]int, cap(c.completed))
@@ -408,7 +365,7 @@ func (c *eventCore) aggregateAsync(step int, buffer []*pendingUpdate, halfLife f
 	c.updates, c.weights = c.updates[:0], c.weights[:0]
 	var lossSum float64
 	counted := 0
-	for _, up := range buffer {
+	for _, up := range c.buffer {
 		id := up.party
 		staleness := c.version - up.version
 		if up.wave != nil {
@@ -435,19 +392,14 @@ func (c *eventCore) aggregateAsync(step int, buffer []*pendingUpdate, halfLife f
 	}
 	contributors := len(c.updates)
 	if c.priv != nil && c.priv.pc.Mask {
+		var err error
 		if contributors, err = c.settleMaskedWaves(halfLife, settleAll); err != nil {
-			return 0, err
+			return cycleStats{}, err
 		}
 	}
-	if len(c.updates) > 0 {
-		c.fold(nil)
-		if c.priv != nil {
-			c.priv.addNoise(c.delta, contributors)
-		}
-		c.applyDelta()
-	}
+	c.applyFold(nil, contributors)
 	// Release the aggregated parties back into the selectable pool.
-	for _, up := range buffer {
+	for _, up := range c.buffer {
 		c.inFlight.set(up.party, false)
 		c.inFlightCount--
 	}
@@ -466,11 +418,11 @@ func (c *eventCore) aggregateAsync(step int, buffer []*pendingUpdate, halfLife f
 	c.fb.Selected = c.cycleSelected
 	c.fb.Completed = c.completed
 	c.fb.Stragglers = c.stragglers
-	c.cfg.Selector.Observe(c.fb)
+	st := cycleStats{invited: len(c.cycleSelected), completed: len(c.buffer)}
 	if counted > 0 {
-		meanLoss = lossSum / float64(counted)
+		st.meanLoss = lossSum / float64(counted)
 	}
-	return meanLoss, nil
+	return st, nil
 }
 
 // settleMaskedWaves walks the active mask waves in dispatch order, settles
@@ -508,21 +460,6 @@ func (c *eventCore) settleMaskedWaves(halfLife float64, settleAll bool) (int, er
 	return survivors, nil
 }
 
-// resetCycle clears the per-aggregation-cycle accumulators and their dedupe
-// marks.
-func (c *eventCore) resetCycle() {
-	for _, id := range c.cycleSelected {
-		c.selectedMark.set(id, false)
-	}
-	for _, id := range c.cycleOffline {
-		c.offlineMark.set(id, false)
-	}
-	c.cycleSelected = c.cycleSelected[:0]
-	c.cycleOffline = c.cycleOffline[:0]
-	c.cycleBytes = 0
-	c.resetShards()
-}
-
 // captureAsyncState snapshots the event-clock state for a checkpoint: the
 // wave cursor, the simulated clock, the model version and every in-flight
 // update, serialized in event-queue pop order so resume can re-push them
@@ -547,37 +484,4 @@ func (c *eventCore) captureAsyncState() *AsyncState {
 		})
 	}
 	return st
-}
-
-// resumeAsync restores the event-clock state from an async checkpoint:
-// common state, clock, model version, the wave cursor (fast-forwarding the
-// root RNG stream by one split per consumed wave), and the in-flight queue.
-// Returns the aggregation step to resume at.
-func (c *eventCore) resumeAsync(cp *Checkpoint) int {
-	start := c.restoreCommon(cp)
-	as := cp.Async
-	c.clock = as.Clock
-	c.version = as.Version
-	c.waves = as.Waves
-	for w := 0; w < as.Waves; w++ {
-		c.root.Split(uint64(w) + 1)
-	}
-	for i := range as.InFlight {
-		pu := &as.InFlight[i]
-		up := &pendingUpdate{
-			party:    pu.Party,
-			update:   tensor.Vec(pu.Update).Clone(),
-			weight:   pu.Weight,
-			version:  pu.Version,
-			arrival:  pu.Arrival,
-			duration: pu.Duration,
-			meanLoss: pu.MeanLoss,
-			sqLoss:   pu.SqLoss,
-			steps:    pu.Steps,
-		}
-		c.push(up)
-		c.inFlight.set(pu.Party, true)
-		c.inFlightCount++
-	}
-	return start
 }

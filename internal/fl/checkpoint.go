@@ -15,8 +15,11 @@ import (
 // The checkpoint covers the global model, the server optimizer's moment
 // state, progress counters and accounting. Selector state is deliberately
 // not included: selection is a logically separate service (§3.4) that is
-// reconstructed from the (persisted) clusters on recovery; Random selection
-// is stateless and FLIPS's pick counts re-equalize within one rotation.
+// reconstructed from the (persisted) clusters on recovery. Every registered
+// selector is stateful (random's RNG, FLIPS's pick counts, Oort's
+// utilities), so a resumed run reproduces the uninterrupted one exactly
+// only when it is handed the selector as it stood at the checkpoint; a
+// selector rebuilt from scratch continues the job from its initial state.
 type Checkpoint struct {
 	// Round is the number of completed rounds; Run resumes at this round.
 	Round int `json:"round"`
@@ -50,8 +53,9 @@ type Checkpoint struct {
 	// Async carries the event-clock state of the asynchronous policies:
 	// the simulated clock, the selection-wave RNG cursor, and every
 	// in-flight update still traveling through the event queue. Nil for
-	// sync checkpoints (the sync barrier drains the queue every round, so
-	// there is nothing in flight at a round boundary).
+	// sync checkpoints: a sync round is one selection wave and leaves
+	// nothing in flight, so resume reads it as Waves = Round, Clock =
+	// SimTime.
 	Async *AsyncState `json:"async,omitempty"`
 }
 

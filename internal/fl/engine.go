@@ -58,8 +58,12 @@ type Config struct {
 	FedDynAlpha float64
 	// Resume continues a job from an aggregator checkpoint (§7 fault
 	// tolerance). The configuration must match the checkpointed job (same
-	// seed, optimizer and model); a resumed run with a stateless selector
-	// reproduces it exactly (privacy and FedDyn state is not checkpointed).
+	// seed, optimizer, model and aggregation policy). The checkpoint carries
+	// no selector state: the resumed run reproduces the uninterrupted one
+	// exactly when Selector is the selector as it stood at the checkpoint,
+	// and a selector built afresh continues from its initial state instead.
+	// Privacy masking/noise and FedDyn state is not checkpointed, so those
+	// runs refuse Resume.
 	Resume *Checkpoint
 	// CheckpointEvery emits a checkpoint to CheckpointSink every k rounds
 	// when both are set.
@@ -354,11 +358,15 @@ type Result struct {
 // Run executes the FL job and returns its result. The run is fully
 // deterministic given Config.Seed.
 //
-// Run is a thin shell over the discrete-event simulation core (events.go):
-// it validates the configuration, builds the shared engine state, resumes
-// from a checkpoint when configured, and hands control to the aggregation
-// policy — SyncRounds (default), Buffered or SemiSync — which drives
-// dispatching and aggregation through the deterministic event queue.
+// Run validates the configuration, builds the discrete-event simulation core
+// (events.go), resumes from a checkpoint when configured, and runs the
+// engine's one aggregation loop: per step, the learning-rate decay, one
+// cycle of the aggregation policy — SyncRounds (default), Buffered or
+// SemiSync — and the epilogue every cycle shares, in this order: the result
+// clock takes the cycle's simulated clock, the cycle's bytes are counted,
+// the selector observes the cycle's feedback, the model is evaluated on the
+// evaluation cadence, a checkpoint is taken on the checkpoint cadence, and
+// the per-cycle state is reset.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -368,13 +376,25 @@ func Run(cfg Config) (*Result, error) {
 	}
 	policy := cfg.policy()
 	c := newEventCore(&cfg)
+	start := 0
 	if cfg.Resume != nil {
 		if err := cfg.Resume.validateResume(&cfg, len(c.globalParams)); err != nil {
 			return nil, err
 		}
+		start = c.resume(cfg.Resume)
 	}
-	if err := policy.run(c); err != nil {
-		return nil, err
+	for step := start; step < cfg.Rounds; step++ {
+		c.decayLR(step)
+		st, err := policy.cycle(c, step)
+		if err != nil {
+			return nil, err
+		}
+		c.res.SimTime = c.clock
+		c.res.TotalCommBytes += c.cycleBytes
+		cfg.Selector.Observe(c.fb)
+		c.maybeEval(step, st)
+		c.maybeCheckpoint(step, policy)
+		c.resetCycle()
 	}
 	c.res.FinalParams = c.globalParams
 	return c.res, nil

@@ -12,21 +12,24 @@ import (
 
 // AggregationPolicy selects the engine's execution model: how local updates
 // are scheduled, collected and folded into the global model. The engine is a
-// discrete-event simulation core — trained updates travel as arrival events
-// through a deterministic queue keyed on simulated device time — and the
-// policy decides when the server aggregates:
+// discrete-event simulation core with one aggregation loop, in Run; a policy
+// is the body of one aggregation cycle — everything between the learning-rate
+// decay and the shared epilogue (clock, communication, selector feedback,
+// evaluation, checkpoint):
 //
 //   - SyncRounds: the classic synchronization round. All invited parties are
-//     dispatched together, the server waits for every completing party, and
-//     updates fold in selection order (the paper's model; reproduces the
+//     dispatched as one wave, the server waits for every completing party,
+//     and updates fold in selection order (the paper's model; reproduces the
 //     pre-event-core engine bit-for-bit).
 //   - Buffered: FedBuff-style asynchronous aggregation. A fixed number of
-//     parties train concurrently; the server folds every K arrivals with
-//     staleness-discounted weights and immediately refills the pipeline, so
-//     slow devices never stall fast ones.
-//   - SemiSync: deadline-driven windows. Whatever arrived by the deadline is
-//     aggregated; parties still training carry over into later windows
-//     instead of being dropped, their updates discounted by staleness.
+//     parties train concurrently, their updates travelling as arrival events
+//     through a deterministic queue keyed on simulated device time; the
+//     server folds every K arrivals with staleness-discounted weights and
+//     immediately refills the pipeline, so slow devices never stall fast ones.
+//   - SemiSync: deadline-driven windows over the same queue. Whatever arrived
+//     by the deadline is aggregated; parties still training carry over into
+//     later windows instead of being dropped, their updates discounted by
+//     staleness.
 //
 // The interface is sealed (policies need the unexported event core); the
 // three implementations above cover the synchronous, asynchronous and
@@ -36,7 +39,17 @@ type AggregationPolicy interface {
 	// checkpoints and reports.
 	Name() string
 
-	run(c *eventCore) error
+	// cycle runs aggregation step step: it dispatches, collects and folds,
+	// leaves the cycle's feedback in c.fb, its bytes in c.cycleBytes and the
+	// simulated clock at the cycle's end in c.clock, and reports what the
+	// history entry needs.
+	cycle(c *eventCore, step int) (cycleStats, error)
+}
+
+// cycleStats is what one aggregation cycle reports for its history entry.
+type cycleStats struct {
+	invited, completed  int
+	meanLoss, roundTime float64
 }
 
 // PolicyByName maps a policy name to its implementation: "" or "sync" →
@@ -55,19 +68,15 @@ func PolicyByName(name string, bufferSize int, halfLife float64) (AggregationPol
 	}
 }
 
-// pendingUpdate is one trained local update in flight between dispatch and
-// aggregation. Training runs eagerly at dispatch time (the simulated
-// duration is analytic, so the numeric result never depends on when the
-// arrival event is processed); the event queue then delivers the finished
-// update at its simulated arrival time.
+// pendingUpdate is one trained local update in flight between an async
+// dispatch and its aggregation. Training runs eagerly at dispatch time (the
+// simulated duration is analytic, so the numeric result never depends on
+// when the arrival event is processed); the event queue then delivers the
+// finished update at its simulated arrival time.
 type pendingUpdate struct {
 	party int
-	// update is the trained parameter payload. Its meaning is
-	// policy-defined: SyncRounds stores the raw trained parameters x_i (the
-	// historical WeightedAverageDelta fold subtracts the current global
-	// model, preserving the pre-event-core float order); the async policies
-	// store the dispatch-time delta x_i − m^(v) because by aggregation time
-	// the global model has moved on.
+	// update is the dispatch-time delta x_i − m^(v): by aggregation time the
+	// global model has moved on.
 	update tensor.Vec
 	// weight is the FedAvg aggregation weight n_i.
 	weight float64
@@ -181,8 +190,9 @@ type eventCore struct {
 
 	// Event-clock state. clock is the absolute simulated now; version counts
 	// applied aggregations (the staleness reference); waves counts selection
-	// waves, which is also the root-RNG split cursor (wave w draws from
-	// root.Split(w+1), so checkpoint resume can fast-forward the stream).
+	// waves — a sync round is one — which is also the root-RNG split cursor
+	// (wave w draws from root.Split(w+1), so checkpoint resume can
+	// fast-forward the stream).
 	queue   eventQueue
 	seq     uint64
 	clock   float64
@@ -208,7 +218,8 @@ type eventCore struct {
 	isStraggler shardedSlice[bool]
 	completed   []int
 	stragglers  []int
-	dispatched  []int // async: parties dispatched this wave
+	dispatched  []int            // async: parties dispatched this wave
+	buffer      []*pendingUpdate // async: the cycle's arrivals, in pop order
 	fb          RoundFeedback
 	partyRngs   []*rng.Source
 	rngStates   [][4]uint64 // serialized partyRngs for ShardTransport waves
@@ -216,12 +227,6 @@ type eventCore struct {
 	updates     []tensor.Vec
 	weights     []float64
 	delta       tensor.Vec // aggregation accumulator, len params
-	// pendingPool backs SyncRounds' per-round pendingUpdate records (async
-	// updates outlive the cycle and are allocated individually);
-	// pendingByParty indexes the drained records for the selection-order
-	// fold.
-	pendingPool    []pendingUpdate
-	pendingByParty shardedSlice[*pendingUpdate]
 
 	// Per-cycle shard-locality accounting: which shards this cycle's
 	// completed parties fell into (ShardsTouched in RoundStats).
@@ -290,7 +295,6 @@ func newEventCore(cfg *Config) *eventCore {
 		Duration: make(map[int]float64, cfg.PartiesPerRound),
 	}
 	c.delta = tensor.NewVec(len(c.globalParams))
-	c.pendingByParty = newShardedSlice[*pendingUpdate](c.space)
 	c.shardMark = make([]bool, c.space.count())
 	c.inFlight = newShardedSlice[bool](c.space)
 	c.selectedMark = newShardedSlice[bool](c.space)
@@ -302,7 +306,7 @@ func newEventCore(cfg *Config) *eventCore {
 }
 
 // markShard records the shard of a completed party for the cycle's
-// ShardsTouched metric. resetShards clears the marks for the next cycle.
+// ShardsTouched metric. resetCycle clears the marks for the next cycle.
 func (c *eventCore) markShard(id int) {
 	sh := c.space.shardOf(id)
 	if !c.shardMark[sh] {
@@ -311,17 +315,27 @@ func (c *eventCore) markShard(id int) {
 	}
 }
 
-func (c *eventCore) resetShards() {
+// resetCycle clears the per-aggregation-cycle accumulators and their dedupe
+// marks.
+func (c *eventCore) resetCycle() {
+	for _, id := range c.cycleSelected {
+		c.selectedMark.set(id, false)
+	}
+	for _, id := range c.cycleOffline {
+		c.offlineMark.set(id, false)
+	}
+	c.cycleSelected = c.cycleSelected[:0]
+	c.cycleOffline = c.cycleOffline[:0]
+	c.cycleBytes = 0
 	c.cycleRejected = 0
 	c.cycleMaskAborted = false
 	if c.priv != nil {
 		c.priv.endCycle()
 	}
-	if c.shardTouched == 0 {
-		return
+	if c.shardTouched > 0 {
+		clear(c.shardMark)
+		c.shardTouched = 0
 	}
-	clear(c.shardMark)
-	c.shardTouched = 0
 }
 
 // cohortTarget maps the nominal selection target through the fault
@@ -354,26 +368,43 @@ func (c *eventCore) admitUpdate(update tensor.Vec, weight float64) {
 	c.weights = append(c.weights, weight)
 }
 
-// fold folds the cycle's updates into c.delta across the configured shard
-// count. global is c.globalParams when the updates are raw trained parameters
-// (sync semantics: the current global model is subtracted inside) and nil
-// when they are pre-computed dispatch-time deltas (async semantics). Either
-// way the result is bit-identical to the sequential fold at every shard count
-// and parallelism. A non-mean Config.Fold routes through the robust folds
+// applyFold is the fold → noise → optimizer-apply sequence every policy ends
+// its aggregation with. It folds the cycle's updates into c.delta across the
+// configured shard count, adds the privacy chain's noise calibrated to
+// contributors, applies the delta through the server optimizer and bumps the
+// model version; with nothing to fold it applies nothing and the version
+// stays. global is c.globalParams when the updates are raw trained parameters
+// (sync plaintext: the current global model is subtracted inside) and nil
+// when they are deltas (async arrivals, decoded mask waves). Either way the
+// fold is bit-identical to the sequential one at every shard count and
+// parallelism; a non-mean Config.Fold routes through the robust folds
 // (robust.go), which carry the same invariance contract.
-func (c *eventCore) fold(global tensor.Vec) {
+func (c *eventCore) applyFold(global tensor.Vec, contributors int) {
+	if len(c.updates) == 0 {
+		return
+	}
 	shards := foldShards(c.space.count(), len(c.delta))
 	if c.cfg.Fold.Kind != FoldMean {
 		RobustDeltaShardedInto(c.cfg.Fold, c.delta, global, c.updates, c.pool, shards)
-		return
+	} else {
+		WeightedAverageDeltaShardedInto(c.delta, global, c.updates, c.weights, c.pool, shards)
 	}
-	WeightedAverageDeltaShardedInto(c.delta, global, c.updates, c.weights, c.pool, shards)
+	if c.priv != nil {
+		c.priv.addNoise(c.delta, contributors)
+	}
+	c.cfg.Optimizer.Apply(c.globalParams, c.delta)
+	c.global.SetParams(c.globalParams)
+	c.version++
 }
 
-// restoreCommon applies the policy-independent checkpoint state: global
-// parameters, optimizer moments, decayed learning rate and the result
-// accounting. Returns the number of completed aggregation steps.
-func (c *eventCore) restoreCommon(cp *Checkpoint) int {
+// resume restores a checkpoint: global parameters, optimizer moments,
+// decayed learning rate and the result accounting, then the event-clock
+// state — clock, model version, the wave cursor (fast-forwarding the root RNG
+// stream by one split per consumed wave) and the in-flight updates. A sync
+// checkpoint carries no event-clock state: a sync round is one wave and
+// leaves nothing in flight, so it resumes as Waves = Round at its SimTime.
+// Returns the aggregation step to resume at.
+func (c *eventCore) resume(cp *Checkpoint) int {
 	copy(c.globalParams, cp.GlobalParams)
 	c.global.SetParams(c.globalParams)
 	if adaptive, ok := c.cfg.Optimizer.(*Adaptive); ok {
@@ -390,7 +421,39 @@ func (c *eventCore) restoreCommon(cp *Checkpoint) int {
 	if c.res.RoundsToTarget >= 0 {
 		c.res.TimeToTarget = cp.TimeToTarget
 	}
+	as := cp.Async
+	if as == nil {
+		as = &AsyncState{Waves: cp.Round, Clock: cp.SimTime}
+	}
+	c.clock, c.version, c.waves = as.Clock, as.Version, as.Waves
+	for w := 0; w < as.Waves; w++ {
+		c.root.Split(uint64(w) + 1)
+	}
+	for i := range as.InFlight {
+		pu := &as.InFlight[i]
+		c.push(&pendingUpdate{
+			party:    pu.Party,
+			update:   tensor.Vec(pu.Update).Clone(),
+			weight:   pu.Weight,
+			version:  pu.Version,
+			arrival:  pu.Arrival,
+			duration: pu.Duration,
+			meanLoss: pu.MeanLoss,
+			sqLoss:   pu.SqLoss,
+			steps:    pu.Steps,
+		})
+		c.inFlight.set(pu.Party, true)
+		c.inFlightCount++
+	}
 	return cp.Round
+}
+
+// nextWave advances the selection-wave cursor and returns the new wave's tag
+// (its 1-based index, which doubles as the mask-stream round tag) and its
+// root stream root.Split(tag).
+func (c *eventCore) nextWave() (uint64, *rng.Source) {
+	c.waves++
+	return uint64(c.waves), c.root.Split(uint64(c.waves))
 }
 
 // decayLR applies the configured learning-rate decay at aggregation step r
@@ -516,30 +579,22 @@ func (c *eventCore) push(up *pendingUpdate) {
 	c.seq++
 }
 
-// applyDelta folds c.delta into the global model through the server
-// optimizer and bumps the model version.
-func (c *eventCore) applyDelta() {
-	c.cfg.Optimizer.Apply(c.globalParams, c.delta)
-	c.global.SetParams(c.globalParams)
-	c.version++
-}
-
 // maybeEval evaluates the global model and appends a history entry when
 // 0-based step hits the evaluation cadence (or is the final step). SimTime
-// is read from res.SimTime, which the policy keeps current; TimeToTarget is
-// therefore comparable across aggregation modes — it is the simulated
+// is read from res.SimTime, which Run's epilogue keeps current; TimeToTarget
+// is therefore comparable across aggregation modes — it is the simulated
 // event-clock value at the evaluation that first crossed the target.
-func (c *eventCore) maybeEval(step, invited, completed int, commBytes int64, meanLoss, roundTime float64) {
+func (c *eventCore) maybeEval(step int, st cycleStats) {
 	if (step+1)%c.cfg.EvalEvery != 0 && step != c.cfg.Rounds-1 {
 		return
 	}
 	stats := RoundStats{
 		Round:         step + 1,
-		Invited:       invited,
-		Completed:     completed,
-		CommBytes:     commBytes,
-		MeanLoss:      meanLoss,
-		RoundTime:     roundTime,
+		Invited:       st.invited,
+		Completed:     st.completed,
+		CommBytes:     c.cycleBytes,
+		MeanLoss:      st.meanLoss,
+		RoundTime:     st.roundTime,
 		SimTime:       c.res.SimTime,
 		ShardsTouched: c.shardTouched,
 		Rejected:      c.cycleRejected,
@@ -562,9 +617,9 @@ func (c *eventCore) maybeEval(step, invited, completed int, commBytes int64, mea
 }
 
 // maybeCheckpoint emits a checkpoint when 0-based step hits the checkpoint
-// cadence. async, when non-nil, snapshots the event-clock state (in-flight
-// updates, wave cursor) that asynchronous policies need to resume.
-func (c *eventCore) maybeCheckpoint(step int, policy AggregationPolicy, async func() *AsyncState) {
+// cadence. Every policy but SyncRounds, whose rounds leave nothing in flight,
+// also snapshots the event-clock state (in-flight updates, wave cursor).
+func (c *eventCore) maybeCheckpoint(step int, policy AggregationPolicy) {
 	cfg := c.cfg
 	if cfg.CheckpointEvery <= 0 || cfg.CheckpointSink == nil || (step+1)%cfg.CheckpointEvery != 0 {
 		return
@@ -585,8 +640,8 @@ func (c *eventCore) maybeCheckpoint(step int, policy AggregationPolicy, async fu
 	if adaptive, ok := cfg.Optimizer.(*Adaptive); ok {
 		cp.OptimizerMoment, cp.OptimizerSecondMoment = adaptive.State()
 	}
-	if async != nil {
-		cp.Async = async()
+	if _, sync := policy.(SyncRounds); !sync {
+		cp.Async = c.captureAsyncState()
 	}
 	cfg.CheckpointSink(cp)
 }

@@ -74,12 +74,14 @@ type SimulationConfig struct {
 	// PaperScale runs the full 200-party/400-round configuration instead of
 	// the laptop default.
 	PaperScale bool
-	// Rounds overrides the round budget when positive.
+	// Rounds overrides the round budget when positive (negative is refused).
 	Rounds int
-	// Parties overrides the population size when positive.
+	// Parties overrides the population size when positive (negative is
+	// refused).
 	Parties int
 	// Parallelism bounds concurrent local training, evaluation shards and
-	// repeat runs. Zero uses GOMAXPROCS; 1 forces the sequential path. The
+	// repeat runs. Zero uses GOMAXPROCS (the job server: its per-job
+	// default); 1 forces the sequential path; negative is refused. The
 	// result is bit-identical at every setting (see DESIGN.md).
 	Parallelism int
 	// Shards partitions the party population into deterministic contiguous
@@ -161,6 +163,11 @@ func (c SimulationConfig) resolve() (experiment.Setting, experiment.Scale, error
 			names = append(names, s.Name)
 		}
 		return experiment.Setting{}, experiment.Scale{}, fmt.Errorf("flips: unknown dataset %q (valid: %v)", c.Dataset, names)
+	}
+	// Zero means "the default" for these three; a negative value is a
+	// mistake, not a request for the default.
+	if c.Rounds < 0 || c.Parties < 0 || c.Parallelism < 0 {
+		return experiment.Setting{}, experiment.Scale{}, fmt.Errorf("flips: negative Rounds %d, Parties %d or Parallelism %d", c.Rounds, c.Parties, c.Parallelism)
 	}
 	scale := experiment.LaptopScale()
 	if c.PaperScale {
