@@ -913,11 +913,13 @@ var knownDiverging = []string{
 // DecodeSimulationConfig accepts must run without panicking and report one
 // result digest at Parallelism {1, 8} × Shards {1, 5}, and once more through
 // DistRunner and two loopback shard workers — local training leaves the
-// process there, and runs under TrainLocalInPlace instead of
-// TrainLocalScratch; so must the known diverging shapes, NaNs included. A job
-// the runner refuses is counted and reported.
+// process there, and results are decoded into the engine's vectors; so must
+// the known diverging shapes, NaNs included. A job
+// the runner refuses is counted and reported. Every arm but the first runs
+// with freed update vectors NaN-poisoned (poisonFreed), so an update vector
+// recycled before its last read shows up as a digest mismatch; the switch is
+// process-wide, hence no t.Parallel.
 func TestJobInvariance(t *testing.T) {
-	t.Parallel()
 	runner := startRunner(t, 2)
 	refused := 0
 	// invariant runs spec at the four shapes and over the workers, and
@@ -929,8 +931,10 @@ func TestJobInvariance(t *testing.T) {
 			return false, false
 		}
 		var first uint64
+		defer func() { poisonFreed = false }()
 		for i, shape := range [][2]int{{1, 1}, {8, 1}, {1, 5}, {8, 5}} {
 			cfg.Parallelism, cfg.Shards = shape[0], shape[1]
+			poisonFreed = i > 0
 			res, err := RunSimulation(cfg)
 			if err != nil {
 				t.Errorf("%s %s: accepted, then failed at Parallelism %d Shards %d: %v", name, spec, shape[0], shape[1], err)
@@ -1002,9 +1006,11 @@ func TestJobInvariance(t *testing.T) {
 // build — same parties, injector and live selector, since a checkpoint holds
 // no selector state. The resumed run must report the uninterrupted run's
 // history after the checkpoint, its result fields and its final parameters,
-// bit for bit.
+// bit for bit. The interrupted run and its resume run with freed update
+// vectors NaN-poisoned (poisonFreed), the uninterrupted one without; the
+// switch is process-wide, hence no t.Parallel.
 func TestJobResume(t *testing.T) {
-	t.Parallel()
+	t.Cleanup(func() { poisonFreed = false })
 	draws := 256
 	if testing.Short() {
 		draws = 64
@@ -1054,11 +1060,13 @@ func TestJobResume(t *testing.T) {
 			return built.Config
 		}
 
+		poisonFreed = false
 		full, err := fl.Run(build())
 		if err != nil {
 			t.Errorf("job %d %s: %v", i, spec, err)
 			continue
 		}
+		poisonFreed = true
 		job := build()
 		head := job
 		var cp *fl.Checkpoint

@@ -11,7 +11,6 @@ import (
 
 	"flips/internal/fl"
 	"flips/internal/model"
-	"flips/internal/tensor"
 	"flips/internal/wire"
 )
 
@@ -579,13 +578,12 @@ func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispa
 		lr.Steps = int(r.u32())
 		lr.MeanLoss = r.f64()
 		lr.SqLossMean = r.f64()
-		// The engine both mutates result params in place (delta building)
-		// and retains them past the wave (async pending updates queue the
-		// vector until arrival), so each deposit must own a freshly
-		// allocated vector — exactly like the in-process TrainLocalScratch
-		// clone. Reusing out's previous capacity here corrupts in-flight
-		// async deltas.
-		lr.Params = tensor.NewVec(dim)
+		// lr.Params arrives sized by the engine, which owns the vector and
+		// recycles it once its update is folded; the parameters decode
+		// straight into it.
+		if len(lr.Params) != dim {
+			return &fatalError{err: fmt.Errorf("dist: result slot %d holds %d parameters, want %d", i, len(lr.Params), dim)}
+		}
 		r.f64s(lr.Params)
 	}
 	if err := r.done(); err != nil {

@@ -424,7 +424,7 @@ func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
 		Version:   7,
 		SGD:       model.SGDConfig{LearningRate: 0.05, BatchSize: 16, LocalEpochs: 1},
 	}
-	out := make([]model.LocalResult, 2)
+	out := sizedResults(2, len(params))
 	if err := job.TrainWave(d, out); err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +453,16 @@ func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
 	if sent := job.Stats()[0].BytesOut - before; sent > 1024 {
 		t.Fatalf("second wave at the same version sent %d bytes: the parameters crossed again", sent)
 	}
+}
+
+// sizedResults is a wave's result slots as the engine hands them to
+// TrainWave: each Params sized to the parameter dimension, ready to fill.
+func sizedResults(n, dim int) []model.LocalResult {
+	out := make([]model.LocalResult, n)
+	for i := range out {
+		out[i].Params = tensor.NewVec(dim)
+	}
+	return out
 }
 
 // testWorker assigns job `id` with parties [0, hi) of a data-free LogReg(2,2)

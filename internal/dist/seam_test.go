@@ -265,7 +265,7 @@ func TestUnfittableModelFailsTheJob(t *testing.T) {
 		Version:   1,
 	}
 	done := make(chan error, 1)
-	go func() { done <- job.TrainWave(d, make([]model.LocalResult, 1)) }()
+	go func() { done <- job.TrainWave(d, sizedResults(1, len(d.Params))) }()
 	select {
 	case err := <-done:
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(wire.MaxFrame)) {
@@ -303,7 +303,7 @@ func TestLagCountsOnlyWavesSentToTheSlot(t *testing.T) {
 		RngStates: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}},
 		Params:    tensor.NewVec(6),
 	}
-	out := make([]model.LocalResult, 2)
+	out := sizedResults(2, len(d.Params))
 	for v := 0; v < 5; v++ {
 		d.Version = v
 		if err := job.TrainWave(d, out); err != nil {
@@ -386,7 +386,7 @@ func TestHostileFoldRepliesNeverHang(t *testing.T) {
 	wave := func(t *testing.T, job *Job) error {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- job.TrainWave(d, make([]model.LocalResult, 2)) }()
+		go func() { done <- job.TrainWave(d, sizedResults(2, len(d.Params))) }()
 		select {
 		case err := <-done:
 			return err
@@ -591,7 +591,7 @@ func BenchmarkDistWave(b *testing.B) {
 		d.IDs = append(d.IDs, id)
 		d.RngStates = append(d.RngStates, rng.New(uint64(id)).State())
 	}
-	out := make([]model.LocalResult, len(d.IDs))
+	out := sizedResults(len(d.IDs), len(d.Params))
 	wave := func() {
 		d.Version++
 		if err := job.TrainWave(d, out); err != nil {

@@ -241,8 +241,9 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 		}
 		d = perturbDuration(c.cfg, c.cfg.Parties[id], step, id, d)
 		// The pending update carries the dispatch-time delta: by the time it
-		// aggregates, the global model has moved on. lr.Params is a fresh
-		// clone, safe to mutate in place.
+		// aggregates, the global model has moved on. lr.Params is this
+		// party's own vector, safe to mutate in place; it travels with the
+		// update until the fold that consumes it is observed.
 		delta := lr.Params
 		delta.SubInPlace(c.globalParams)
 		if c.cfg.Faults != nil && c.cfg.Faults.Corrupts(id) {
@@ -254,7 +255,8 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 		if c.priv != nil && c.priv.pc.Clip > 0 {
 			clipDeltaInPlace(delta, c.priv.pc.Clip)
 		}
-		up := &pendingUpdate{
+		up := c.newPending()
+		*up = pendingUpdate{
 			party:    id,
 			update:   delta,
 			weight:   float64(lr.NumSamples),
@@ -443,6 +445,11 @@ func (c *eventCore) settleMaskedWaves(halfLife float64, settleAll bool) (int, er
 		res, err := c.priv.settleWave(w)
 		if err != nil {
 			return 0, err
+		}
+		// The masked sum has read every contribution: aborted or decoded,
+		// the contributed vectors are spent.
+		for i := range w.contribs {
+			c.spent = append(c.spent, w.contribs[i].delta)
 		}
 		if res.aborted {
 			c.cycleMaskAborted = true

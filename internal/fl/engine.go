@@ -534,16 +534,18 @@ func pickStragglers(cfg Config, invited []int, r *rng.Source, out []int) []int {
 // applyFedDyn applies the simplified FedDyn gradient-correction: each party
 // keeps state h_i updated as h_i ← h_i − α(x_i − m); the reported model is
 // x_i − h_i/α, which debiases persistent client drift. (Acar et al. 2021,
-// simplified to the parameter-space form.)
-func applyFedDyn(state map[int]tensor.Vec, id int, params, global tensor.Vec, alpha float64) tensor.Vec {
+// simplified to the parameter-space form.) The corrected model is written to
+// corrected, which first holds the drift x_i − m.
+func applyFedDyn(state map[int]tensor.Vec, id int, params, global tensor.Vec, alpha float64, corrected tensor.Vec) tensor.Vec {
 	h, ok := state[id]
 	if !ok {
 		h = tensor.NewVec(len(params))
 		state[id] = h
 	}
-	drift := params.Sub(global)
-	h.Axpy(-alpha, drift)
-	corrected := params.Clone()
+	copy(corrected, params)
+	corrected.SubInPlace(global)
+	h.Axpy(-alpha, corrected)
+	copy(corrected, params)
 	corrected.Axpy(-1/alpha, h)
 	// Blend: the corrected model is used for aggregation but bounded to
 	// avoid runaway corrections in early rounds.

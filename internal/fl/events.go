@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 
 	"flips/internal/metrics"
 	"flips/internal/model"
@@ -221,12 +222,21 @@ type eventCore struct {
 	dispatched  []int            // async: parties dispatched this wave
 	buffer      []*pendingUpdate // async: the cycle's arrivals, in pop order
 	fb          RoundFeedback
-	partyRngs   []*rng.Source
+	partyRngs   []rng.Source
 	rngStates   [][4]uint64 // serialized partyRngs for ShardTransport waves
 	locals      []model.LocalResult
 	updates     []tensor.Vec
 	weights     []float64
 	delta       tensor.Vec // aggregation accumulator, len params
+
+	// Update-vector recycling (DESIGN.md, "Update-vector lifetime"): free
+	// holds parameter-dimension vectors ready for the next trained party;
+	// spent collects the cycle's vectors whose last reader is the cycle, and
+	// resetCycle moves them to free after the selector has observed. freeUps
+	// recycles async pendingUpdate records the same way.
+	free    []tensor.Vec
+	spent   []tensor.Vec
+	freeUps []*pendingUpdate
 
 	// Per-cycle shard-locality accounting: which shards this cycle's
 	// completed parties fell into (ShardsTouched in RoundStats).
@@ -315,9 +325,57 @@ func (c *eventCore) markShard(id int) {
 	}
 }
 
+// poisonFreed, set only by tests, fills every update vector with NaN as it
+// returns to the free list, so a vector recycled while something still reads
+// it corrupts the run loudly instead of flipping a digest quietly.
+var poisonFreed bool
+
+// takeVec hands out a parameter-dimension vector from the free list, or a
+// fresh one when the list is empty. Its contents are stale: the taker
+// overwrites every coordinate.
+func (c *eventCore) takeVec() tensor.Vec {
+	if n := len(c.free); n > 0 {
+		v := c.free[n-1]
+		c.free = c.free[:n-1]
+		return v
+	}
+	return tensor.NewVec(len(c.globalParams))
+}
+
+// newPending hands out a zeroed pendingUpdate record, recycled when possible.
+func (c *eventCore) newPending() *pendingUpdate {
+	if n := len(c.freeUps); n > 0 {
+		up := c.freeUps[n-1]
+		c.freeUps = c.freeUps[:n-1]
+		return up
+	}
+	return new(pendingUpdate)
+}
+
 // resetCycle clears the per-aggregation-cycle accumulators and their dedupe
-// marks.
+// marks. It is also the one point where update vectors return to the free
+// list: it runs after the selector observed the cycle's feedback, whose
+// async Update map aliases the buffered updates. The cycle's arrival records
+// recycle here too; an arrival's vector goes with it unless a mask wave
+// still holds it as a contribution (settleMaskedWaves spends those).
 func (c *eventCore) resetCycle() {
+	for _, up := range c.buffer {
+		if up.wave == nil || up.maskDiscarded {
+			c.spent = append(c.spent, up.update)
+		}
+		*up = pendingUpdate{}
+		c.freeUps = append(c.freeUps, up)
+	}
+	c.buffer = c.buffer[:0]
+	if poisonFreed {
+		for _, v := range c.spent {
+			for i := range v {
+				v[i] = math.NaN()
+			}
+		}
+	}
+	c.free = append(c.free, c.spent...)
+	c.spent = c.spent[:0]
 	for _, id := range c.cycleSelected {
 		c.selectedMark.set(id, false)
 	}
@@ -531,6 +589,11 @@ func (c *eventCore) prepareFeedback(round int) (needsUpdates bool) {
 // (wr.Split(id+0x1000)); each worker then touches only its own replica, its
 // own scratch, its own pre-split stream and its own slice index.
 //
+// Every deposit owns a vector taken from the free list before the wave
+// starts: in process a worker trains its replica in place and copies the
+// result into it, and a transport fills it. The caller hands each vector on
+// to spent, or to a pending update, when it is done with the result.
+//
 // With a ShardTransport configured, the pre-split streams are serialized and
 // the whole wave is handed to the transport instead — the streams, global
 // parameters and SGD config pin the training to the identical computation,
@@ -538,19 +601,22 @@ func (c *eventCore) prepareFeedback(round int) (needsUpdates bool) {
 func (c *eventCore) trainBatch(ids []int, wr *rng.Source) error {
 	c.partyRngs = c.partyRngs[:0]
 	for _, id := range ids {
-		c.partyRngs = append(c.partyRngs, wr.Split(uint64(id)+0x1000))
+		c.partyRngs = append(c.partyRngs, *wr.Split(uint64(id) + 0x1000))
 	}
 	if cap(c.locals) < len(ids) {
 		c.locals = make([]model.LocalResult, len(ids))
 	}
 	c.locals = c.locals[:len(ids)]
+	for i := range c.locals {
+		c.locals[i] = model.LocalResult{Params: c.takeVec()}
+	}
 	if t := c.cfg.Transport; t != nil {
 		if cap(c.rngStates) < len(ids) {
 			c.rngStates = make([][4]uint64, len(ids))
 		}
 		c.rngStates = c.rngStates[:len(ids)]
-		for i, r := range c.partyRngs {
-			c.rngStates[i] = r.State()
+		for i := range c.partyRngs {
+			c.rngStates[i] = c.partyRngs[i].State()
 		}
 		return t.TrainWave(TrainDispatch{
 			IDs:       ids,
@@ -568,7 +634,11 @@ func (c *eventCore) trainBatch(ids []int, wr *rng.Source) error {
 			c.replicas[w] = local
 		}
 		local.SetParams(c.globalParams)
-		c.locals[i] = model.TrainLocalScratch(local, party.Data, c.sgd, c.globalParams, c.partyRngs[i], &c.scratches[w])
+		out := c.locals[i].Params
+		res := model.TrainLocalInPlace(local, party.Data, c.sgd, c.globalParams, &c.partyRngs[i], &c.scratches[w])
+		copy(out, res.Params)
+		res.Params = out
+		c.locals[i] = res
 	})
 	return nil
 }

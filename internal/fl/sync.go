@@ -89,9 +89,10 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 	// One pass in selection order — floating-point addition is not
 	// associative, and the byte-exact contract with the pre-event-core
 	// engine (and with sequential runs at every parallelism) pins this
-	// order. Each party's raw trained parameters (c.locals[i] is a
-	// per-party clone, safe to rewrite) are corrupted, timed, FedDyn-
-	// corrected, masked or clipped, admitted, and reported to the selector.
+	// order. Each party's raw trained parameters (c.locals[i] owns its
+	// vector, safe to rewrite) are corrupted, timed, FedDyn-corrected,
+	// masked or clipped, admitted, and reported to the selector. Nothing
+	// reads them past this round's fold, so every vector is spent here.
 	// The round wall-clock is the slowest completing party (max is
 	// order-insensitive); when a deadline is configured and anyone missed
 	// it, the full deadline elapsed.
@@ -101,6 +102,7 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 	for i, id := range completed {
 		lr := c.locals[i]
 		params := lr.Params
+		c.spent = append(c.spent, params)
 		// A corrupt party reports an attacked update: its trained delta is
 		// rewritten and re-based onto the current global model, so the
 		// raw-parameter fold sees global + corrupted-delta. Clean parties
@@ -121,7 +123,9 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 		}
 		c.markShard(id)
 		if cfg.FedDynAlpha > 0 {
-			params = applyFedDyn(c.dynState, id, params, c.globalParams, cfg.FedDynAlpha)
+			corrected := c.takeVec()
+			c.spent = append(c.spent, corrected)
+			params = applyFedDyn(c.dynState, id, params, c.globalParams, cfg.FedDynAlpha, corrected)
 		}
 		weight := float64(lr.NumSamples)
 		if mw != nil {

@@ -42,13 +42,15 @@ type TrainDispatch struct {
 // the same order regardless of where training ran).
 //
 // Contract: TrainWave deposits one result per dispatched party into out
-// (same order as d.IDs, len(out) == len(d.IDs)). Each result's Params must
-// be a freshly allocated vector — the engine mutates it in place when
-// building deltas and the async policies retain it in the event queue past
-// the wave, so even reusing out's previous capacity corrupts in-flight
-// updates. TrainWave must be deterministic: the same dispatch produces
-// bit-identical results, because workers run the same pure training kernel
-// on the same party data, parameters and RNG streams.
+// (same order as d.IDs, len(out) == len(d.IDs)). Each out[i].Params arrives
+// sized to the parameter dimension and owned by the engine: TrainWave fills
+// it in place and must not replace it or keep a reference to it. The engine
+// mutates the vector when building deltas, keeps it past the wave (async
+// updates queue it until arrival) and recycles it once the update's fold is
+// observed (DESIGN.md, "Update-vector lifetime"). TrainWave must be
+// deterministic: the same dispatch produces bit-identical results, because
+// workers run the same pure training kernel on the same party data,
+// parameters and RNG streams.
 type ShardTransport interface {
 	TrainWave(d TrainDispatch, out []model.LocalResult) error
 }

@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"flips/internal/dataset"
@@ -83,15 +82,4 @@ func PerLabelRecallFromCounts(correct, total []int) []float64 {
 		out[c] = float64(correct[c]) / float64(total[c])
 	}
 	return out
-}
-
-// Summary holds order statistics over repeated measurements.
-type Summary struct {
-	N                   int
-	Mean, Std, Min, Max float64
-}
-
-// String renders the summary as "mean ± std [min, max] (n)".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.3f ± %.3f [%.3f, %.3f] (n=%d)", s.Mean, s.Std, s.Min, s.Max, s.N)
 }

@@ -53,9 +53,3 @@ func (s *Stream) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 for an empty stream).
 func (s *Stream) Max() float64 { return s.max }
-
-// Summary converts the stream into the same Summary shape Summarize
-// produces, so streamed and materialized statistics render identically.
-func (s *Stream) Summary() Summary {
-	return Summary{N: s.n, Mean: s.Mean(), Std: s.Std(), Min: s.Min(), Max: s.Max()}
-}

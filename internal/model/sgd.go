@@ -105,7 +105,8 @@ func TrainLocalScratch(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 // flat-backed built-in models res.Params is the model's live parameter
 // vector, valid only until m is next trained or overwritten. It serves a
 // caller that consumes the vector on the spot — a shard worker serialises it
-// into the reply frame — and would otherwise copy it twice.
+// into the reply frame, the FL engine copies it into a recycled update
+// vector — and would otherwise copy it twice.
 //
 // The loop is the simulator's hottest kernel and is zero-allocation at
 // steady state: all per-call buffers (gradient, permutation) come from the

@@ -49,8 +49,15 @@ func FromState(s [4]uint64) *Source { return &Source{s: s} }
 // subsequent output. The label distinguishes siblings split from the same
 // parent state.
 func (r *Source) Split(label uint64) *Source {
+	child := r.split(label)
+	return &child
+}
+
+// split is Split by value. Kept out of Split so that Split inlines: a caller
+// that stores the child by value (*r.Split(label)) then allocates nothing.
+func (r *Source) split(label uint64) Source {
 	// Mix the label into a fresh seed drawn from the parent stream.
-	return New(r.Uint64() ^ (label * 0xd1342543de82ef95))
+	return *New(r.Uint64() ^ (label * 0xd1342543de82ef95))
 }
 
 // Uint64 returns the next 64 uniformly distributed bits (xoshiro256**).
