@@ -501,6 +501,35 @@ func TestSelftestReportsTimeToAccuracy(t *testing.T) {
 	}
 }
 
+// TestExampleJobFiles runs every checked-in examples/*.json the way its
+// README line says to, so a renamed or removed SimulationConfig field fails
+// here rather than in a reader's shell. Under -short each file is only
+// decoded.
+func TestExampleJobFiles(t *testing.T) {
+	t.Parallel()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no example job files")
+	}
+	for _, path := range paths {
+		if testing.Short() {
+			if _, err := flips.DecodeSimulationConfigFile(path); err != nil {
+				t.Error(err)
+			}
+			continue
+		}
+		var out, errBuf bytes.Buffer
+		if err := run([]string{"-selftest", path}, &out, &errBuf, make(chan os.Signal)); err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !strings.Contains(out.String(), "selftest: ok") {
+			t.Errorf("%s: selftest did not finish:\n%s", path, out.String())
+		}
+	}
+}
+
 // TestSelftestRunsRobustFold smokes a job file's Fold end to end: the selftest
 // must run the fold the file names and say so in its banner.
 func TestSelftestRunsRobustFold(t *testing.T) {

@@ -8,116 +8,13 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
+	"flips/internal/dataset"
 	"flips/internal/experiment"
 	"flips/internal/fl"
 	"flips/internal/rng"
 )
-
-func groupedLabelDists(groups, perGroup, labels int) [][]float64 {
-	out := make([][]float64, 0, groups*perGroup)
-	for g := 0; g < groups; g++ {
-		for i := 0; i < perGroup; i++ {
-			ld := make([]float64, labels)
-			ld[g%labels] = 100 + float64(i)
-			ld[(g+1)%labels] = 2
-			out = append(out, ld)
-		}
-	}
-	return out
-}
-
-func TestNewMiddlewareClustersAndSelects(t *testing.T) {
-	lds := groupedLabelDists(3, 8, 5)
-	m, err := NewMiddleware(lds, MiddlewareOptions{Seed: 1, Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	n, err := m.NumClusters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 2 || n > 5 {
-		t.Fatalf("found %d clusters", n)
-	}
-	sel, err := m.SelectParticipants(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 6 {
-		t.Fatalf("selected %d", len(sel))
-	}
-	seen := map[int]bool{}
-	for _, id := range sel {
-		if id < 0 || id >= len(lds) || seen[id] {
-			t.Fatalf("bad selection %v", sel)
-		}
-		seen[id] = true
-	}
-}
-
-func TestNewMiddlewareRejectsEmpty(t *testing.T) {
-	if _, err := NewMiddleware(nil, MiddlewareOptions{}); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := NewPrivateMiddleware(nil, MiddlewareOptions{}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestMiddlewareReportRoundOverprovisions(t *testing.T) {
-	lds := groupedLabelDists(2, 6, 4)
-	m, err := NewMiddleware(lds, MiddlewareOptions{Seed: 2, Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := m.SelectParticipants(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ReportRound(0, sel, sel[2:], sel[:2]); err != nil {
-		t.Fatal(err)
-	}
-	next, err := m.SelectParticipants(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(next) <= 4 {
-		t.Fatalf("no over-provisioning: %d", len(next))
-	}
-}
-
-func TestPrivateMiddlewareEndToEnd(t *testing.T) {
-	lds := groupedLabelDists(3, 6, 5)
-	m, err := NewPrivateMiddleware(lds, MiddlewareOptions{Seed: 3, Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := m.NumClusters()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 2 {
-		t.Fatalf("TEE clustering found %d clusters", n)
-	}
-	sel, err := m.SelectParticipants(0, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) != 6 {
-		t.Fatalf("selected %d", len(sel))
-	}
-	if err := m.ReportRound(0, sel, sel, nil); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	if _, err := m.SelectParticipants(1, 6); err == nil {
-		t.Fatal("selection succeeded after Close (TEE wipe)")
-	}
-}
 
 func TestRunSimulationDefaults(t *testing.T) {
 	res, err := RunSimulation(SimulationConfig{
@@ -191,6 +88,9 @@ var badConfigs = []SimulationConfig{
 	{Dataset: "mit-bih-ecg", Rounds: -2},                      // zero is the default, negative a mistake
 	{Dataset: "mit-bih-ecg", Parties: -3},
 	{Dataset: "mit-bih-ecg", Parallelism: -4},
+	{Dataset: "mit-bih-ecg", Aggregation: "semisync", Deadline: 2, BufferSize: 3}, // K is the buffered policy's
+	{Dataset: "mit-bih-ecg", StalenessHalfLife: 2},                                // sync has no staleness
+	{Dataset: "mit-bih-ecg", FaultScale: 5},                                       // no fault to scale
 }
 
 func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
@@ -317,6 +217,7 @@ func TestValidateAgreesWithBuild(t *testing.T) {
 		cfg := sweepConfig(r)
 		agreeConfig(fmt.Sprintf("sweep %d (%+v)", i, cfg), cfg)
 	}
+	t.Logf("%d accepted, %d rejected", accepted, rejected)
 	if accepted < 40 || rejected < 40 {
 		t.Fatalf("cases lean one way: %d accepted, %d rejected", accepted, rejected)
 	}
@@ -327,33 +228,47 @@ func TestValidateAgreesWithBuild(t *testing.T) {
 // every selector, policy, fold, privacy stage, device profile and fault model.
 func sweepConfig(r *rng.Source) SimulationConfig {
 	cfg := SimulationConfig{
-		Dataset:           pick(r, []string{"mit-bih-ecg", "mit-bih-ecg", "ham10000", "femnist", "fashion-mnist"}, []string{"cifar-zillion"}),
-		Algorithm:         pick(r, []string{"", "fedavg", "fedprox", "fedyogi", "fedadam", "fedadagrad", "feddyn", "fedsgd"}, []string{"fedmagic"}),
-		Strategy:          pick(r, append(Strategies(), ""), []string{"psychic"}),
-		CandidateFactor:   pick(r, []float64{0, 0, 1, 3}, []float64{0.5, -1}),
-		Alpha:             pick(r, []float64{0, 0.05, 0.6, 5}, []float64{-1, math.NaN(), math.Inf(1)}),
-		PartyFraction:     pick(r, []float64{0, 0.01, 0.3, 1}, []float64{1.5, -0.1}),
-		StragglerRate:     pick(r, []float64{0, 0, 0.2}, []float64{1, -0.1}),
-		DeviceProfile:     pick(r, []string{"", "uniform", "lognormal", "lognormal"}, []string{"quantum"}),
-		Availability:      pick(r, []string{"", "", "always-on", "churn", "diurnal"}, []string{"sometimes"}),
-		Deadline:          pick(r, []float64{0, 0, 0, 2, 60}, []float64{-1}),
-		Aggregation:       pick(r, []string{"", "", "sync", "buffered", "semisync"}, []string{"bogus"}),
-		BufferSize:        pick(r, []int{0, 0, 1, 2}, []int{-1, 100}),
-		StalenessHalfLife: pick(r, []float64{0, 0, 2}, []float64{-1}),
-		Rounds:            pick(r, []int{0, 1, 3}, []int{-2}),
-		Parties:           pick(r, []int{0, 1, 7, 40}, []int{-3}),
-		Shards:            pick(r, []int{0, 0, 4, 1000}, []int{-1}),
-		Fold:              pick(r, []string{"", "", "mean", "median", "trimmed-mean", "krum"}, []string{"geometric"}),
-		FaultModel:        pick(r, []string{"", "", "", "none", "label-flip", "scaled", "sign-flip", "byzantine"}, []string{"gremlins"}),
-		FaultScale:        pick(r, []float64{0, 0, 5}, []float64{-1}),
-		Mask:              r.Float64() < 0.25,
-		Clip:              pick(r, []float64{0, 0, 1, 1 << 30}, []float64{-1, 1 << 40}),
-		Epsilon:           pick(r, []float64{0, 0, 0, 2}, []float64{-1}),
-		ShareThreshold:    pick(r, []int{0, 0, 0, 2}, []int{-1}),
-		Seed:              r.Uint64(),
+		Dataset:         pick(r, []string{"mit-bih-ecg", "mit-bih-ecg", "ham10000", "femnist", "fashion-mnist"}, []string{"cifar-zillion"}),
+		Algorithm:       pick(r, []string{"", "fedavg", "fedprox", "fedyogi", "fedadam", "fedadagrad", "feddyn", "fedsgd"}, []string{"fedmagic"}),
+		Strategy:        pick(r, append(experiment.ExtendedStrategies(), ""), []string{"psychic"}),
+		CandidateFactor: pick(r, []float64{0, 0, 1, 3}, []float64{0.5, -1}),
+		Alpha:           pick(r, []float64{0, 0.05, 0.6, 5}, []float64{-1, math.NaN(), math.Inf(1)}),
+		PartyFraction:   pick(r, []float64{0, 0.01, 0.3, 1}, []float64{1.5, -0.1}),
+		StragglerRate:   pick(r, []float64{0, 0, 0.2}, []float64{1, -0.1}),
+		DeviceProfile:   pick(r, []string{"", "uniform", "lognormal", "lognormal"}, []string{"quantum"}),
+		Availability:    pick(r, []string{"", "", "always-on", "churn", "diurnal"}, []string{"sometimes"}),
+		Deadline:        pick(r, []float64{0, 0, 0, 2, 60}, []float64{-1}),
+		Aggregation:     pick(r, []string{"", "", "sync", "buffered", "semisync"}, []string{"bogus"}),
+		Rounds:          pick(r, []int{0, 1, 3}, []int{-2}),
+		Parties:         pick(r, []int{0, 1, 7, 40}, []int{-3}),
+		Shards:          pick(r, []int{0, 0, 4, 1000}, []int{-1}),
+		Fold:            pick(r, []string{"", "", "mean", "median", "trimmed-mean", "krum"}, []string{"geometric"}),
+		FaultModel:      pick(r, []string{"", "", "", "none", "label-flip", "scaled", "sign-flip", "byzantine"}, []string{"gremlins"}),
+		Mask:            r.Float64() < 0.25,
+		Clip:            pick(r, []float64{0, 0, 1, 1 << 30}, []float64{-1, 1 << 40}),
+		Epsilon:         pick(r, []float64{0, 0, 0, 2}, []float64{-1}),
+		ShareThreshold:  pick(r, []int{0, 0, 0, 2}, []int{-1}),
+		Seed:            r.Uint64(),
+	}
+	// A policy or fault knob is drawn with its policy or fault model;
+	// elsewhere it is set only as one of the rare illegal draws, which
+	// Validate refuses.
+	switch cfg.Aggregation {
+	case "buffered":
+		cfg.BufferSize = pick(r, []int{0, 0, 1, 2}, []int{-1, 100})
+		cfg.StalenessHalfLife = pick(r, []float64{0, 0, 2}, []float64{-1})
+	case "semisync":
+		cfg.BufferSize = pick(r, []int{0}, []int{2})
+		cfg.StalenessHalfLife = pick(r, []float64{0, 0, 2}, []float64{-1})
+	default:
+		cfg.BufferSize = pick(r, []int{0}, []int{2})
+		cfg.StalenessHalfLife = pick(r, []float64{0}, []float64{2})
 	}
 	if cfg.FaultModel != "" && cfg.FaultModel != "none" {
 		cfg.FaultFraction = pick(r, []float64{0.2, 0.2, 1}, []float64{0, 2})
+		cfg.FaultScale = pick(r, []float64{0, 0, 5}, []float64{-1})
+	} else {
+		cfg.FaultScale = pick(r, []float64{0}, []float64{5})
 	}
 	return cfg
 }
@@ -456,7 +371,7 @@ func TestRunSimulationUnknownDataset(t *testing.T) {
 }
 
 func TestRunSimulationAllStrategies(t *testing.T) {
-	for _, strategy := range Strategies() {
+	for _, strategy := range experiment.ExtendedStrategies() {
 		res, err := RunSimulation(SimulationConfig{
 			Dataset:  "fashion-mnist",
 			Strategy: strategy,
@@ -480,7 +395,7 @@ func TestRunTableWritesTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table at laptop scale")
 	}
-	if err := RunExperiment(&buf, "table23", ExperimentOptions{Seed: 1}); err != nil {
+	if err := experiment.Run(&buf, "table23", experiment.Options{Scale: experiment.LaptopScale(), Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -491,24 +406,25 @@ func TestRunTableWritesTable(t *testing.T) {
 
 func TestRunTableRejectsBadID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunExperiment(&buf, "table99", ExperimentOptions{Seed: 1}); err == nil {
+	if err := experiment.Run(&buf, "table99", experiment.Options{Scale: experiment.LaptopScale(), Seed: 1}); err == nil {
 		t.Fatal("bad table id accepted")
 	}
 }
 
 func TestRunFigureRejectsBadID(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunExperiment(&buf, "fig-nope", ExperimentOptions{Seed: 1}); err == nil {
+	if err := experiment.Run(&buf, "fig-nope", experiment.Options{Scale: experiment.LaptopScale(), Seed: 1}); err == nil {
 		t.Fatal("bad figure id accepted")
 	}
 }
 
 func TestRunTournamentWritesRanking(t *testing.T) {
 	var buf bytes.Buffer
-	err := RunExperiment(&buf, "tournament", ExperimentOptions{
+	scale := experiment.LaptopScale()
+	scale.Rounds, scale.Parties = 6, 16
+	err := experiment.Run(&buf, "tournament", experiment.Options{
+		Scale:     scale,
 		Selectors: []string{"random", "loss-prop"},
-		Rounds:    6,
-		Parties:   16,
 		Seed:      3,
 	})
 	if err != nil {
@@ -518,79 +434,36 @@ func TestRunTournamentWritesRanking(t *testing.T) {
 	if !strings.Contains(out, "Selector tournament") || !strings.Contains(out, "clean arm reached by") {
 		t.Fatalf("tournament output:\n%s", out)
 	}
-	if err := RunExperiment(&buf, "tournament", ExperimentOptions{Selectors: []string{"nope"}}); err == nil {
+	if err := experiment.Run(&buf, "tournament", experiment.Options{Scale: scale, Selectors: []string{"nope"}}); err == nil {
 		t.Fatal("unknown selector accepted")
 	}
 	// An option the named experiment does not use is refused, not dropped.
-	if err := RunExperiment(&buf, "het", ExperimentOptions{Selectors: []string{"random"}}); err == nil {
+	if err := experiment.Run(&buf, "het", experiment.Options{Scale: scale, Selectors: []string{"random"}}); err == nil {
 		t.Fatal("selector list accepted by an experiment that ignores it")
 	}
 }
 
+// TestDatasetAndStrategyLists: every built-in dataset and every registered
+// selector is a job the decoder accepts, and the artifact registry lists the
+// paper's tables and figures first.
 func TestDatasetAndStrategyLists(t *testing.T) {
-	if len(Datasets()) != 4 {
-		t.Fatalf("datasets %v", Datasets())
+	specs, strategies := dataset.AllSpecs(), experiment.ExtendedStrategies()
+	if len(specs) != 4 || len(strategies) != 13 {
+		t.Fatalf("%d datasets, %d strategies %v", len(specs), len(strategies), strategies)
 	}
-	if len(Strategies()) != 13 {
-		t.Fatalf("strategies %v", Strategies())
+	for _, spec := range specs {
+		if err := (SimulationConfig{Dataset: spec.Name, Rounds: 2, Parties: 8}).Validate(); err != nil {
+			t.Errorf("dataset %s: %v", spec.Name, err)
+		}
 	}
-	exps := Experiments()
-	if len(exps) != 24+10+8 || exps[0] != "table1" || exps[24] != "fig2" || exps[len(exps)-1] != "tee" {
-		t.Fatalf("experiments %v", exps)
+	for _, name := range strategies {
+		if err := (SimulationConfig{Dataset: "mit-bih-ecg", Strategy: name, Rounds: 2, Parties: 8}).Validate(); err != nil {
+			t.Errorf("strategy %s: %v", name, err)
+		}
 	}
-}
-
-// TestMiddlewareConcurrentRounds exercises the middleware the way an
-// embedding FL system with concurrent aggregator goroutines would: many
-// goroutines interleaving SelectParticipants, ReportRound and NumClusters on
-// one Middleware. Run with -race, this is the regression gate for the
-// documented "safe for concurrent use" contract.
-func TestMiddlewareConcurrentRounds(t *testing.T) {
-	t.Parallel()
-	lds := groupedLabelDists(3, 8, 5)
-	m, err := NewMiddleware(lds, MiddlewareOptions{Seed: 9, Repeats: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	const goroutines = 8
-	const roundsPer = 25
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < roundsPer; r++ {
-				round := g*roundsPer + r
-				sel, err := m.SelectParticipants(round, 6)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(sel) < 6 {
-					errs <- fmt.Errorf("round %d selected %d parties", round, len(sel))
-					return
-				}
-				// Report a third of the selection as stragglers so the
-				// adaptive over-provisioning state is exercised too.
-				cut := len(sel) / 3
-				if err := m.ReportRound(round, sel, sel[cut:], sel[:cut]); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := m.NumClusters(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	exps, err := experiment.Expand("all")
+	if err != nil || len(exps) != 24+10+8 || exps[0].Name != "table1" || exps[24].Name != "fig2" || exps[len(exps)-1].Name != "tee" {
+		t.Fatalf("experiments %v, %v", exps, err)
 	}
 }
 
@@ -765,8 +638,6 @@ func TestRunSimulationAggregationValidation(t *testing.T) {
 	}
 }
 
-// TestRunAsyncWritesTable smoke-tests the public aggregation-mode sweep
-// entry point.
 // TestRunSimulationRobustFoldUnderFaults drives the chaos seam through the
 // public API: a byzantine minority with a coordinate-wise median fold must
 // run to completion, stay bit-reproducible across parallelism widths, and
@@ -811,7 +682,7 @@ func TestRunChaosWritesTable(t *testing.T) {
 		t.Skip("chaos sweep runs the full fault matrix at laptop scale")
 	}
 	var buf bytes.Buffer
-	if err := RunExperiment(&buf, "chaos", ExperimentOptions{Seed: 3}); err != nil {
+	if err := experiment.Run(&buf, "chaos", experiment.Options{Scale: experiment.LaptopScale(), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Chaos fault-matrix sweep", "byzantine-20", "krum", "clean"} {
@@ -821,13 +692,15 @@ func TestRunChaosWritesTable(t *testing.T) {
 	}
 }
 
+// TestRunAsyncWritesTable smoke-tests the aggregation-mode sweep
+// `flipsbench -exp async` prints, at laptop scale.
 func TestRunAsyncWritesTable(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("async sweep is a multi-second run at laptop scale")
 	}
 	var buf bytes.Buffer
-	if err := RunExperiment(&buf, "async", ExperimentOptions{Seed: 3}); err != nil {
+	if err := experiment.Run(&buf, "async", experiment.Options{Scale: experiment.LaptopScale(), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Aggregation-mode sweep", "buffered H=1", "semisync H=4"} {
@@ -837,15 +710,15 @@ func TestRunAsyncWritesTable(t *testing.T) {
 	}
 }
 
-// TestRunHeterogeneityWritesTable smoke-tests the public sweep entry point
-// at a reduced scale via the short-mode path of the underlying runner.
+// TestRunHeterogeneityWritesTable smoke-tests the device-heterogeneity sweep
+// `flipsbench -exp het` prints, at laptop scale.
 func TestRunHeterogeneityWritesTable(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("het sweep is a multi-second run at laptop scale")
 	}
 	var buf bytes.Buffer
-	if err := RunExperiment(&buf, "het", ExperimentOptions{Seed: 3}); err != nil {
+	if err := experiment.Run(&buf, "het", experiment.Options{Scale: experiment.LaptopScale(), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "time to attain target accuracy") {
@@ -1016,18 +889,18 @@ func TestJobResume(t *testing.T) {
 		draws = 64
 	}
 	r := rng.New(20261015)
-	resumed := map[string]int{}
+	resumed, refused := map[string]int{}, 0
 	for i := 0; i < draws; i++ {
 		cfg := sweepConfig(r)
 		cfg.Parties = []int{6, 12, 24}[r.Intn(3)]
 		cfg.Rounds = 3 + r.Intn(4)
 		switch r.Intn(3) {
 		case 0:
-			cfg.Aggregation = "sync"
+			cfg.Aggregation, cfg.BufferSize, cfg.StalenessHalfLife = "sync", 0, 0
 		case 1:
 			cfg.Aggregation, cfg.Deadline = "buffered", 0
 		default:
-			cfg.Aggregation, cfg.Deadline = "semisync", []float64{2, 60}[r.Intn(2)]
+			cfg.Aggregation, cfg.Deadline, cfg.BufferSize = "semisync", []float64{2, 60}[r.Intn(2)], 0
 		}
 		// Masking, DP noise and FedDyn keep state no checkpoint holds, so
 		// Validate refuses to resume them: draw around them.
@@ -1039,6 +912,7 @@ func TestJobResume(t *testing.T) {
 			continue
 		}
 		if cfg, err = DecodeSimulationConfig(bytes.NewReader(spec)); err != nil {
+			refused++
 			continue
 		}
 		setting, scale, err := cfg.resolve()
@@ -1075,7 +949,7 @@ func TestJobResume(t *testing.T) {
 			t.Errorf("job %d %s: run to round %d: %v", i, spec, at, err)
 			continue
 		}
-		blob, err := cp.Marshal()
+		blob, err := json.Marshal(cp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1113,7 +987,7 @@ func TestJobResume(t *testing.T) {
 		}
 		resumed[cfg.Aggregation]++
 	}
-	t.Logf("resumed per policy: %v", resumed)
+	t.Logf("%d of %d drawn jobs refused; resumed per policy: %v", refused, draws, resumed)
 	if !testing.Short() {
 		for _, policy := range []string{"sync", "buffered", "semisync"} {
 			if resumed[policy] < 5 {

@@ -374,6 +374,9 @@ func TestClusterLabelDistributions(t *testing.T) {
 	if total != len(lds) {
 		t.Fatalf("clustered %d of %d parties", total, len(lds))
 	}
+	if _, err := ClusterLabelDistributions(nil, 10, 5, rng.New(7)); err == nil {
+		t.Fatal("clustered no label distributions")
+	}
 }
 
 func TestClusterWithK(t *testing.T) {

@@ -212,15 +212,6 @@ func buildRegistry() []Experiment {
 	)
 }
 
-// Names lists every registered experiment in run order.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, e := range registry {
-		names[i] = e.Name
-	}
-	return names
-}
-
 // Usage lists what an experiment spec accepts, generated from the registry:
 // each group as first..last, the ungrouped entries, then the aliases.
 func Usage() string {

@@ -191,7 +191,7 @@ func TestUsageAndExpand(t *testing.T) {
 		t.Fatalf("Usage() = %q, want %q", got, want)
 	}
 	all, err := Expand("all")
-	if err != nil || len(all) != len(Names()) {
+	if err != nil || len(all) != len(registry) {
 		t.Fatalf("Expand(all) = %v, %v", all, err)
 	}
 	if figs, err := Expand("all-figures"); err != nil || len(figs) != 10 {

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"flips/internal/device"
@@ -119,7 +121,7 @@ func TestAsyncResumeMidBuffer(t *testing.T) {
 
 		// Round-trip through the serialized form, as a recovering aggregator
 		// would.
-		raw, err := mid.Marshal()
+		raw, err := json.Marshal(mid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,5 +485,20 @@ func TestPolicyByName(t *testing.T) {
 	}
 	if _, err := PolicyByName("bogus", 0, 0); err == nil {
 		t.Fatal("bogus policy name accepted")
+	}
+	// A knob the policy has no use for is refused, not dropped.
+	for _, tc := range []struct {
+		name      string
+		k         int
+		halfLife  float64
+		knobInErr string
+	}{
+		{"sync", 4, 0, "BufferSize"},
+		{"", 0, 2, "StalenessHalfLife"},
+		{"semisync", 4, 2, "BufferSize"},
+	} {
+		if _, err := PolicyByName(tc.name, tc.k, tc.halfLife); err == nil || !strings.Contains(err.Error(), tc.knobInErr) {
+			t.Fatalf("%q with K %d, half-life %v: err %v, want one naming %s", tc.name, tc.k, tc.halfLife, err, tc.knobInErr)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"flips/internal/tensor"
@@ -20,6 +19,10 @@ import (
 // utilities), so a resumed run reproduces the uninterrupted one exactly
 // only when it is handed the selector as it stood at the checkpoint; a
 // selector rebuilt from scratch continues the job from its initial state.
+//
+// A Checkpoint round-trips through encoding/json (the paper suggests
+// "fault-tolerant cloud object stores or key-value stores" as the home for
+// FL job state; JSON keeps it portable).
 type Checkpoint struct {
 	// Round is the number of completed rounds; Run resumes at this round.
 	Round int `json:"round"`
@@ -95,13 +98,6 @@ type PendingUpdate struct {
 	MeanLoss float64   `json:"meanLoss"`
 	SqLoss   float64   `json:"sqLoss"`
 	Steps    int       `json:"steps"`
-}
-
-// Marshal serializes the checkpoint to JSON (the paper suggests
-// "fault-tolerant cloud object stores or key-value stores" as the home for
-// FL job state; JSON keeps it portable).
-func (c *Checkpoint) Marshal() ([]byte, error) {
-	return json.Marshal(c)
 }
 
 // validateResume checks a checkpoint against the resuming configuration.

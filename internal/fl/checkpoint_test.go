@@ -58,7 +58,7 @@ func TestResumeReproducesUninterruptedRun(t *testing.T) {
 
 	// Serialize/deserialize the mid-job checkpoint like a real recovery
 	// from an object store would.
-	blob, err := cps[0].Marshal()
+	blob, err := json.Marshal(cps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 		RoundsToTarget:        -1,
 		Seed:                  42,
 	}
-	blob, err := cp.Marshal()
+	blob, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

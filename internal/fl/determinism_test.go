@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -225,7 +226,7 @@ func TestParallelDeviceResumeMatchesSequential(t *testing.T) {
 		t.Fatalf("captured %d checkpoints", len(cps))
 	}
 
-	raw, err := cps[1].Marshal()
+	raw, err := json.Marshal(cps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestParallelResumeMatchesSequential(t *testing.T) {
 
 	// Round-trip the mid-job checkpoint through its serialized form, as a
 	// recovering aggregator would.
-	raw, err := cps[1].Marshal()
+	raw, err := json.Marshal(cps[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,17 @@ type cycleStats struct {
 
 // PolicyByName maps a policy name to its implementation: "" or "sync" →
 // SyncRounds, "buffered" → Buffered{K: bufferSize, StalenessHalfLife:
-// halfLife}, "semisync" → SemiSync{StalenessHalfLife: halfLife}.
+// halfLife}, "semisync" → SemiSync{StalenessHalfLife: halfLife}. A knob the
+// named policy has no use for is refused, not dropped.
 func PolicyByName(name string, bufferSize int, halfLife float64) (AggregationPolicy, error) {
+	if bufferSize != 0 && name != "buffered" {
+		return nil, fmt.Errorf("fl: BufferSize %d applies only to the buffered policy, not %q", bufferSize, name)
+	}
 	switch name {
 	case "", "sync":
+		if halfLife != 0 {
+			return nil, fmt.Errorf("fl: StalenessHalfLife %v applies only to the buffered and semisync policies, not %q", halfLife, name)
+		}
 		return SyncRounds{}, nil
 	case "buffered":
 		return Buffered{K: bufferSize, StalenessHalfLife: halfLife}, nil

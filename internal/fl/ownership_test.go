@@ -131,7 +131,7 @@ func TestOwnershipResume(t *testing.T) {
 		var cp *fl.Checkpoint
 		head.Rounds, head.CheckpointEvery, head.CheckpointSink = a.at, a.at, func(c *fl.Checkpoint) { cp = c }
 		mustRun(t, a.name+" head", head)
-		blob, err := cp.Marshal()
+		blob, err := json.Marshal(cp)
 		if err != nil {
 			t.Fatal(err)
 		}

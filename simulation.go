@@ -22,9 +22,8 @@ type SimulationConfig struct {
 	// Algorithm is one of "fedavg", "fedprox", "fedyogi", "fedadam",
 	// "fedadagrad", "feddyn", "fedsgd" (default "fedyogi").
 	Algorithm string
-	// Strategy is any selector name in the selection registry — see
-	// Strategies() for the accepted list: the paper's five ("random",
-	// "flips", "oort", "gradclus", "tifl"), "power-of-choice",
+	// Strategy is any selector name in the selection registry: the paper's
+	// five ("random", "flips", "oort", "gradclus", "tifl"), "power-of-choice",
 	// "cluster-proportional", the scored family ("grad-norm", "loss-prop",
 	// "divergence"), the deadline-aware pair ("soft-deadline",
 	// "hard-deadline") and "dpp" (default "flips").
@@ -65,11 +64,11 @@ type SimulationConfig struct {
 	// is comparable across modes.
 	Aggregation string
 	// BufferSize is the "buffered" policy's aggregation trigger K (0 uses
-	// half the per-round cohort).
+	// half the per-round cohort); refused under the other policies.
 	BufferSize int
 	// StalenessHalfLife is the async staleness discount half-life in server
 	// model versions — an update s versions stale keeps 2^(−s/H) of its
-	// weight (0 uses the default of 4).
+	// weight (0 uses the default of 4); refused under "sync".
 	StalenessHalfLife float64
 	// PaperScale runs the full 200-party/400-round configuration instead of
 	// the laptop default.
@@ -107,7 +106,7 @@ type SimulationConfig struct {
 	// FaultModel; required positive when FaultModel is set.
 	FaultFraction float64
 	// FaultScale scales "scaled" deltas and "byzantine" noise (0 uses the
-	// default of 10).
+	// default of 10); refused without a FaultModel.
 	FaultScale float64
 	// Mask enables Bonawitz-style pairwise secure-aggregation masking: the
 	// server only ever folds the cohort sum of fixed-point-encoded, masked
@@ -232,6 +231,8 @@ func (c SimulationConfig) resolve() (experiment.Setting, experiment.Scale, error
 		}
 	} else if c.FaultFraction != 0 {
 		return experiment.Setting{}, experiment.Scale{}, fmt.Errorf("flips: FaultFraction requires a fault model")
+	} else if c.FaultScale != 0 {
+		return experiment.Setting{}, experiment.Scale{}, fmt.Errorf("flips: FaultScale requires a fault model")
 	}
 	devCfg, err := c.resolveDevice()
 	if err != nil {
@@ -357,85 +358,4 @@ func runSimulation(cfg SimulationConfig, onRound func(RoundPoint), attach experi
 		TotalCommBytes: res.TotalCommBytes,
 		NumClusters:    len(clusters),
 	}, nil
-}
-
-// ExperimentOptions configures RunExperiment. The zero value runs at laptop
-// scale, seed 0, on every core.
-type ExperimentOptions struct {
-	// PaperScale runs the 200-party/400-round configuration instead of the
-	// laptop default.
-	PaperScale bool
-	// Rounds and Parties override the scale's round budget and population
-	// when positive.
-	Rounds, Parties int
-	// Parallelism bounds concurrent cells (0 = GOMAXPROCS, 1 = sequential);
-	// the rendered artifact is identical at every width.
-	Parallelism int
-	// Seed fixes the run.
-	Seed uint64
-	// Selectors names selectors from Strategies(): the tournament's
-	// competitors (empty enters all of them) or the scale sweep's one
-	// strategy (default "random").
-	Selectors []string
-	// Populations lists the scale and dist sweeps' fleet sizes (defaults 1k,
-	// 10k, 100k and 10k, 100k).
-	Populations []int
-}
-
-// Experiments lists every evaluation artifact RunExperiment can regenerate,
-// in the order a combined run produces them: the paper's "table1".."table24"
-// and "fig2".."fig13"; the sweeps beyond the paper — "het" (device
-// heterogeneity × round deadlines), "async" (sync / buffered / semi-sync
-// aggregation × staleness), "chaos" (fault matrix × robust folds), "privacy"
-// (clip / masking / masking+DP ladder) and "tournament" (every selector
-// ranked across fleet regimes), each a time-to-target-accuracy table; and
-// the simulator's own "scale" (parties × shards), "dist" (shard-worker
-// processes, checked bit-identical to in-process) and "tee" (§5.1
-// clustering inside the enclave).
-func Experiments() []string { return experiment.Names() }
-
-// RunExperiment regenerates the named artifacts — a name from Experiments(),
-// "all-tables", "all-figures", "all", or a comma-separated list of those —
-// and writes each one's text table, followed by a blank line, to w. The
-// output is a pure function of (name, opts). An option none of the named
-// experiments uses (Selectors for "het", say) is an error, not ignored.
-func RunExperiment(w io.Writer, name string, opts ExperimentOptions) error {
-	scale := experiment.LaptopScale()
-	if opts.PaperScale {
-		scale = experiment.PaperScale()
-	}
-	if opts.Rounds > 0 {
-		scale.Rounds = opts.Rounds
-	}
-	if opts.Parties > 0 {
-		scale.Parties = opts.Parties
-		// Dirichlet partitioning needs at least one sample per party.
-		if scale.TrainSize > 0 && scale.TrainSize < 2*scale.Parties {
-			scale.TrainSize = 2 * scale.Parties
-		}
-	}
-	scale.Parallelism = opts.Parallelism
-	return experiment.Run(w, name, experiment.Options{
-		Scale:     scale,
-		Seed:      opts.Seed,
-		Selectors: opts.Selectors,
-		Parties:   opts.Populations,
-	})
-}
-
-// Datasets lists the built-in workload names.
-func Datasets() []string {
-	specs := dataset.AllSpecs()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// Strategies lists the built-in participant-selection strategy names — the
-// selection registry's canonical order, so the list cannot drift from what
-// actually builds.
-func Strategies() []string {
-	return experiment.ExtendedStrategies()
 }
