@@ -9,7 +9,7 @@ import (
 // BenchmarkFlipsSelect measures the paper's own selector at fleet scale: 12
 // label clusters, a 40-party cohort, and per op one Select plus the Observe
 // that reports every tenth invited party a straggler — so over-provisioning
-// is live and the straggler heap is re-keyed every round. It answers ROADMAP
+// is live and the straggler counts move every round. It answers ROADMAP
 // direction 5(4): the pointer-item container/heap in heap.go costs tens of
 // microseconds per round whatever the population, so it stays as it is. CI
 // ratchets the allocs/op.

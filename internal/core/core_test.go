@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -280,7 +281,7 @@ func TestStragglerClearedOnCompletion(t *testing.T) {
 
 func TestHeapOrdering(t *testing.T) {
 	t.Parallel()
-	h := newPickHeap(false)
+	h := &pickHeap{}
 	items := []*pickItem{{id: 3, picks: 2}, {id: 1, picks: 0}, {id: 2, picks: 1}, {id: 0, picks: 0}}
 	for _, it := range items {
 		h.push(it)
@@ -294,14 +295,17 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-func TestMaxHeapOrdering(t *testing.T) {
+// TestStragglerOrder pins the over-provisioning order: clusters by
+// outstanding stragglers, most first, ties to the lower id.
+func TestStragglerOrder(t *testing.T) {
 	t.Parallel()
-	h := newPickHeap(true)
-	for _, it := range []*pickItem{{id: 0, picks: 1}, {id: 1, picks: 5}, {id: 2, picks: 3}} {
-		h.push(it)
+	s, err := NewSelector([][]int{{0}, {1}, {2}, {3}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.pop(); got.id != 1 {
-		t.Fatalf("max-heap top id %d", got.id)
+	copy(s.stragCount, []int{1, 5, 3, 5})
+	if got, want := s.stragglerOrder(), []int{1, 3, 2, 0}; !slices.Equal(got, want) {
+		t.Fatalf("straggler order %v, want %v", got, want)
 	}
 }
 
@@ -310,7 +314,7 @@ func TestHeapPropertyMatchesSort(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 1 + r.Intn(50)
-		h := newPickHeap(false)
+		h := &pickHeap{}
 		picks := make([]int, n)
 		for i := 0; i < n; i++ {
 			picks[i] = r.Intn(10)

@@ -10,7 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"flips/internal/cluster"
@@ -21,17 +23,15 @@ import (
 
 // Selector is the FLIPS participant-selection strategy.
 type Selector struct {
-	clusters  [][]int // cluster id -> member party ids
-	partyOf   map[int]int
-	clusterHp *pickHeap         // Hc: clusters by fewest picks
-	partyHp   map[int]*pickHeap // H[c]: parties by fewest picks
-	partyItem map[int]*pickItem // party id -> its heap item
-	clItem    map[int]*pickItem // cluster id -> its heap item
-	stragHp   *pickHeap         // H^r_sc: clusters by most stragglers
-	stragItem map[int]*pickItem // cluster id -> straggler-count item
-	straggler map[int]bool      // H^r_s: currently-outstanding stragglers
-	stragRate float64           // strg: smoothed straggler rate
-	active    bool              // Stragglers flag of Algorithm 1
+	clusters   [][]int // cluster id -> member party ids
+	partyOf    map[int]int
+	clusterHp  *pickHeap         // Hc: clusters by fewest picks
+	partyHp    []*pickHeap       // H[c]: each cluster's parties by fewest picks
+	partyItem  map[int]*pickItem // party id -> its heap item
+	stragCount []int             // H^r_sc: outstanding stragglers per cluster
+	straggler  map[int]bool      // H^r_s: currently-outstanding stragglers
+	stragRate  float64           // strg: smoothed straggler rate
+	active     bool              // Stragglers flag of Algorithm 1
 
 	// randomOverprovision is an ablation switch: when set, over-provisioned
 	// parties are drawn equitably from all clusters instead of from the
@@ -57,22 +57,17 @@ func NewSelector(clusters [][]int) (*Selector, error) {
 	s := &Selector{
 		clusters:  make([][]int, 0, len(clusters)),
 		partyOf:   make(map[int]int),
-		clusterHp: newPickHeap(false),
-		partyHp:   make(map[int]*pickHeap, len(clusters)),
+		clusterHp: &pickHeap{},
 		partyItem: make(map[int]*pickItem),
-		clItem:    make(map[int]*pickItem, len(clusters)),
-		stragHp:   newPickHeap(true),
-		stragItem: make(map[int]*pickItem, len(clusters)),
 		straggler: make(map[int]bool),
 	}
-	total := 0
-	for cid, members := range clusters {
+	for _, members := range clusters {
 		if len(members) == 0 {
 			continue
 		}
 		id := len(s.clusters)
 		s.clusters = append(s.clusters, append([]int(nil), members...))
-		ph := newPickHeap(false)
+		ph := &pickHeap{}
 		for _, p := range members {
 			if _, dup := s.partyOf[p]; dup {
 				return nil, fmt.Errorf("core: party %d appears in multiple clusters", p)
@@ -81,20 +76,14 @@ func NewSelector(clusters [][]int) (*Selector, error) {
 			item := &pickItem{id: p}
 			s.partyItem[p] = item
 			ph.push(item)
-			total++
 		}
-		s.partyHp[id] = ph
-		ci := &pickItem{id: id}
-		s.clItem[id] = ci
-		s.clusterHp.push(ci)
-		si := &pickItem{id: id}
-		s.stragItem[id] = si
-		s.stragHp.push(si)
-		_ = cid
+		s.partyHp = append(s.partyHp, ph)
+		s.clusterHp.push(&pickItem{id: id})
 	}
-	if total == 0 {
+	if len(s.clusters) == 0 {
 		return nil, fmt.Errorf("core: no parties in any cluster")
 	}
+	s.stragCount = make([]int, len(s.clusters))
 	return s, nil
 }
 
@@ -124,8 +113,12 @@ func (s *Selector) Select(_, target int) []int {
 	// stragglers, skipping known-straggler parties.
 	if s.active {
 		extra := int(s.stragRate * float64(target))
+		var order []int
+		if extra > 0 && !s.randomOverprovision {
+			order = s.stragglerOrder()
+		}
 		for i := 0; i < extra && len(selected) < s.NumParties(); i++ {
-			if p, ok := s.overprovisionPick(inRound); ok {
+			if p, ok := s.overprovisionPick(inRound, order); ok {
 				inRound[p] = true
 				selected = append(selected, p)
 			} else {
@@ -136,11 +129,28 @@ func (s *Selector) Select(_, target int) []int {
 	return selected
 }
 
+// stragglerOrder lists the cluster ids by outstanding stragglers, most
+// first, ties to the lower id. The counts change only in Observe, so one
+// order serves every over-provisioned pick of a Select.
+func (s *Selector) stragglerOrder() []int {
+	order := make([]int, len(s.clusters))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(s.stragCount[b], s.stragCount[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
 // overprovisionPick chooses one extra non-straggler party, preferring the
 // clusters with the most outstanding stragglers (Algorithm 1 line 29) and
-// falling back through clusters in descending straggler order when the top
-// cluster has no available member.
-func (s *Selector) overprovisionPick(inRound map[int]bool) (int, bool) {
+// falling back through clusters in that order when the top cluster has no
+// available member.
+func (s *Selector) overprovisionPick(inRound map[int]bool, order []int) (int, bool) {
 	if s.randomOverprovision && s.opRng != nil {
 		// Ablation mode: uniform over all available non-straggler parties.
 		candidates := make([]int, 0, len(s.partyOf))
@@ -158,16 +168,8 @@ func (s *Selector) overprovisionPick(inRound map[int]bool) (int, bool) {
 		s.partyHp[s.partyOf[pick]].fix(s.partyItem[pick])
 		return pick, true
 	}
-	order := make([]*pickItem, len(s.stragHp.items))
-	copy(order, s.stragHp.items)
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].picks != order[b].picks {
-			return order[a].picks > order[b].picks
-		}
-		return order[a].id < order[b].id
-	})
-	for _, ci := range order {
-		if p, ok := s.pickFromCluster(ci.id, inRound, true); ok {
+	for _, cid := range order {
+		if p, ok := s.pickFromCluster(cid, inRound, true); ok {
 			return p, true
 		}
 	}
@@ -238,19 +240,15 @@ func (s *Selector) Observe(fb fl.RoundFeedback) {
 			continue
 		}
 		s.straggler[id] = true
-		if item, ok := s.stragItem[s.partyOf[id]]; ok {
-			item.picks++
-			s.stragHp.fix(item)
-		}
+		s.stragCount[s.partyOf[id]]++
 	}
 	for _, id := range fb.Completed {
 		if !s.straggler[id] {
 			continue
 		}
 		delete(s.straggler, id)
-		if item, ok := s.stragItem[s.partyOf[id]]; ok && item.picks > 0 {
-			item.picks--
-			s.stragHp.fix(item)
+		if c := s.partyOf[id]; s.stragCount[c] > 0 {
+			s.stragCount[c]--
 		}
 	}
 	s.active = len(s.straggler) > 0
@@ -265,8 +263,13 @@ func (s *Selector) Observe(fb fl.RoundFeedback) {
 }
 
 // DefaultMaxK is the Davies-Bouldin sweep bound when none is configured: a
-// quarter of the parties, at least 2.
-func DefaultMaxK(parties int) int { return max(parties/4, 2) }
+// quarter of the parties, at least three (every party of a smaller fleet).
+func DefaultMaxK(parties int) int {
+	if k := parties / 4; k >= 3 {
+		return k
+	}
+	return min(3, parties)
+}
 
 // ClusterLabelDistributions builds the FLIPS clustering (paper §3.1): it
 // finds the optimal k on the Davies-Bouldin elbow and K-Means-partitions the
@@ -275,10 +278,7 @@ func ClusterLabelDistributions(lds []tensor.Vec, maxK, repeats int, r *rng.Sourc
 	if len(lds) == 0 {
 		return nil, fmt.Errorf("core: no label distributions")
 	}
-	points := make([]tensor.Vec, len(lds))
-	for i, ld := range lds {
-		points[i] = ld.Clone().Normalize()
-	}
+	points := normalized(lds)
 	if maxK <= 0 {
 		maxK = len(points)
 	}
@@ -289,27 +289,31 @@ func ClusterLabelDistributions(lds []tensor.Vec, maxK, repeats int, r *rng.Sourc
 	if err != nil {
 		return nil, err
 	}
-	res, err := cluster.KMeans(points, k, r.Split(2), cluster.KMeansOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return nonEmptyClusters(res.Clusters()), nil
+	return kMeansClusters(points, k, r.Split(2))
 }
 
 // ClusterWithK is ClusterLabelDistributions with a fixed k (for ablations).
 func ClusterWithK(lds []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
+	return kMeansClusters(normalized(lds), k, r)
+}
+
+// normalized returns label-proportion copies of the label distributions.
+func normalized(lds []tensor.Vec) []tensor.Vec {
 	points := make([]tensor.Vec, len(lds))
 	for i, ld := range lds {
 		points[i] = ld.Clone().Normalize()
 	}
+	return points
+}
+
+// kMeansClusters K-Means-partitions the points into k clusters and returns
+// the non-empty ones, members in ascending order.
+func kMeansClusters(points []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
 	res, err := cluster.KMeans(points, k, r, cluster.KMeansOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return nonEmptyClusters(res.Clusters()), nil
-}
-
-func nonEmptyClusters(cs [][]int) [][]int {
+	cs := res.Clusters()
 	out := make([][]int, 0, len(cs))
 	for _, c := range cs {
 		if len(c) > 0 {
@@ -317,5 +321,5 @@ func nonEmptyClusters(cs [][]int) [][]int {
 			out = append(out, c)
 		}
 	}
-	return out
+	return out, nil
 }

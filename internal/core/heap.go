@@ -11,27 +11,19 @@ type pickItem struct {
 	index int // heap index, maintained by the heap interface
 }
 
-// pickHeap is a binary heap of pickItems. Min-heaps order by fewest picks
-// (Algorithm 1's H and Hc); max-heaps order by most picks (the straggler
-// cluster heap H^r_sc orders by straggler count, reusing the same storage).
-// Ties break on lowest id for determinism.
+// pickHeap is a min-heap of pickItems by fewest picks (Algorithm 1's H and
+// Hc). Ties break on lowest id for determinism.
 type pickHeap struct {
 	items []*pickItem
-	max   bool
 }
 
 var _ heap.Interface = (*pickHeap)(nil)
-
-func newPickHeap(max bool) *pickHeap { return &pickHeap{max: max} }
 
 func (h *pickHeap) Len() int { return len(h.items) }
 
 func (h *pickHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
 	if a.picks != b.picks {
-		if h.max {
-			return a.picks > b.picks
-		}
 		return a.picks < b.picks
 	}
 	return a.id < b.id

@@ -211,18 +211,11 @@ type Device struct {
 	TraceRow int
 }
 
-// New draws one device from cfg using r. The draw order (compute, down, up,
-// phase) is fixed — part of the determinism contract. Trace-kind fleets
-// should use NewForParty so the device knows which trace row to replay; New
-// binds row 0.
-func New(cfg Config, r *rng.Source) *Device {
-	return NewForParty(cfg, 0, r)
-}
-
-// NewForParty draws one device from cfg for the party with the given ID.
-// The ID binds trace-kind devices to their availability-trace row; the
-// stochastic draws consume r exactly as New does, so trace and non-trace
-// fleets built from the same streams share compute/bandwidth profiles.
+// NewForParty draws one device from cfg for the party with the given ID. The
+// draw order (compute, down, up, phase) is fixed — part of the determinism
+// contract. The ID binds trace-kind devices to their availability-trace row and
+// nothing else, so trace and non-trace fleets built from the same streams
+// share compute/bandwidth profiles.
 func NewForParty(cfg Config, id int, r *rng.Source) *Device {
 	cfg = cfg.WithDefaults()
 	d := &Device{
@@ -236,17 +229,6 @@ func NewForParty(cfg Config, id int, r *rng.Source) *Device {
 		d.Phase = r.Float64()
 	}
 	return d
-}
-
-// Fleet draws n devices, one per party, each from its own pre-split child
-// stream (r.Split(id+1) in ID order), so adding parties or reordering
-// construction elsewhere cannot perturb an existing party's device.
-func Fleet(n int, cfg Config, r *rng.Source) []*Device {
-	out := make([]*Device, n)
-	for i := range out {
-		out[i] = NewForParty(cfg, i, r.Split(uint64(i)+1))
-	}
-	return out
 }
 
 func lognormal(median, sigma float64, r *rng.Source) float64 {

@@ -71,7 +71,7 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 
 func TestUniformFleetIsHomogeneous(t *testing.T) {
 	t.Parallel()
-	fleet := Fleet(8, Uniform(), rng.New(1))
+	fleet := drawFleet(8, Uniform(), rng.New(1))
 	for i, d := range fleet {
 		if d.ComputeSpeed != 200 || d.DownBps != 256*1024 || d.UpBps != 64*1024 {
 			t.Fatalf("device %d not at medians: %+v", i, d)
@@ -87,8 +87,8 @@ func TestUniformFleetIsHomogeneous(t *testing.T) {
 
 func TestLognormalFleetIsHeterogeneousAndDeterministic(t *testing.T) {
 	t.Parallel()
-	a := Fleet(32, Lognormal(), rng.New(7))
-	b := Fleet(32, Lognormal(), rng.New(7))
+	a := drawFleet(32, Lognormal(), rng.New(7))
+	b := drawFleet(32, Lognormal(), rng.New(7))
 	distinct := map[float64]bool{}
 	for i := range a {
 		if a[i].ComputeSpeed != b[i].ComputeSpeed || a[i].DownBps != b[i].DownBps || a[i].UpBps != b[i].UpBps {
@@ -102,7 +102,7 @@ func TestLognormalFleetIsHeterogeneousAndDeterministic(t *testing.T) {
 	if len(distinct) < 16 {
 		t.Fatalf("lognormal fleet has only %d distinct speeds", len(distinct))
 	}
-	c := Fleet(32, Lognormal(), rng.New(8))
+	c := drawFleet(32, Lognormal(), rng.New(8))
 	same := 0
 	for i := range a {
 		if a[i].ComputeSpeed == c[i].ComputeSpeed {
@@ -118,7 +118,7 @@ func TestChurnOnlineFrequencyMatchesProb(t *testing.T) {
 	t.Parallel()
 	cfg := Uniform()
 	cfg.Availability = Availability{Kind: Churn, OnlineProb: 0.3}
-	d := New(cfg, rng.New(3))
+	d := NewForParty(cfg, 0, rng.New(3))
 	r := rng.New(11)
 	online := 0
 	const rounds = 4000
@@ -137,7 +137,7 @@ func TestDiurnalProbBandAndPeriodicity(t *testing.T) {
 	t.Parallel()
 	cfg := Uniform()
 	cfg.Availability = Availability{Kind: Diurnal, Period: 24, MinProb: 0.2, MaxProb: 0.9}
-	d := New(cfg, rng.New(5))
+	d := NewForParty(cfg, 0, rng.New(5))
 	var lo, hi float64 = 1, 0
 	for round := 0; round < 48; round++ {
 		p := d.OnlineProb(round)
@@ -154,7 +154,7 @@ func TestDiurnalProbBandAndPeriodicity(t *testing.T) {
 		t.Fatalf("diurnal trace barely varies: [%v, %v]", lo, hi)
 	}
 	// Distinct parties get distinct phases.
-	fleet := Fleet(8, cfg, rng.New(6))
+	fleet := drawFleet(8, cfg, rng.New(6))
 	phases := map[float64]bool{}
 	for _, dev := range fleet {
 		phases[dev.Phase] = true
@@ -186,7 +186,7 @@ func TestOnlineDegenerateProbsConsumeNoRandomness(t *testing.T) {
 	t.Parallel()
 	cfg := Uniform()
 	cfg.Availability = Availability{Kind: Churn, OnlineProb: 1}
-	d := New(cfg, rng.New(2))
+	d := NewForParty(cfg, 0, rng.New(2))
 	r := rng.New(3)
 	before := r.Uint64()
 	r2 := rng.New(3)
@@ -197,4 +197,14 @@ func TestOnlineDegenerateProbsConsumeNoRandomness(t *testing.T) {
 	if r2.Uint64() != before {
 		t.Fatal("p=1 Online consumed randomness")
 	}
+}
+
+// drawFleet draws n devices the way fl.AttachDevices does: party i's from
+// NewForParty over its own pre-split child stream r.Split(i+1).
+func drawFleet(n int, cfg Config, r *rng.Source) []*Device {
+	out := make([]*Device, n)
+	for i := range out {
+		out[i] = NewForParty(cfg, i, r.Split(uint64(i)+1))
+	}
+	return out
 }

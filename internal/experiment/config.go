@@ -19,23 +19,16 @@ import (
 	"flips/internal/tensor"
 )
 
-// Strategy names accepted by Setting.Strategy. These are the selection
-// registry's names; ExtendedStrategies() enumerates the registry itself, so
-// the accepted set cannot drift from what actually builds.
+// The paper's five compared strategies, by selection-registry name. Any
+// registered name is accepted by Setting.Strategy; ExtendedStrategies()
+// enumerates the registry itself, so the accepted set cannot drift from what
+// actually builds.
 const (
-	StrategyRandom              = "random"
-	StrategyFLIPS               = "flips"
-	StrategyOort                = "oort"
-	StrategyGradClus            = "gradclus"
-	StrategyTiFL                = "tifl"
-	StrategyPowerOfChoice       = "power-of-choice"
-	StrategyClusterProportional = "cluster-proportional"
-	StrategyGradNorm            = "grad-norm"
-	StrategyLossProp            = "loss-prop"
-	StrategyDivergence          = "divergence"
-	StrategySoftDeadline        = "soft-deadline"
-	StrategyHardDeadline        = "hard-deadline"
-	StrategyDPP                 = "dpp"
+	StrategyRandom   = "random"
+	StrategyFLIPS    = "flips"
+	StrategyOort     = "oort"
+	StrategyGradClus = "gradclus"
+	StrategyTiFL     = "tifl"
 )
 
 // Algorithm names accepted by Setting.Algorithm.
@@ -122,8 +115,8 @@ type Setting struct {
 	// Deadline is the per-round reporting deadline in simulated seconds
 	// (device model only; 0 waits for every online party).
 	Deadline float64
-	// Strategy is one of the Strategy* constants (any name registered in
-	// the selection registry; see ExtendedStrategies).
+	// Strategy is a selection-registry name (see ExtendedStrategies; the
+	// paper's five are the Strategy* constants).
 	Strategy string
 	// CandidateFactor is the power-of-choice candidate over-sampling ratio
 	// d/Nr. 0 keeps the historical default of 2; values in (0, 1) are
@@ -288,8 +281,8 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 	if setting.PartyFraction <= 0 || setting.PartyFraction > 1 {
 		return nil, fmt.Errorf("experiment: party fraction %v out of (0,1]", setting.PartyFraction)
 	}
-	if f := setting.CandidateFactor; f < 0 || (f > 0 && f < 1) {
-		return nil, fmt.Errorf("experiment: candidate factor %v must be 0 (default 2) or >= 1", f)
+	if _, err := selection.ResolveCandidateFactor(setting.CandidateFactor); err != nil {
+		return nil, err
 	}
 	spec := setting.Spec
 	if scale.TrainSize > 0 {

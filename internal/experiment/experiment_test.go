@@ -126,9 +126,6 @@ func TestStrategyListsMatchRegistry(t *testing.T) {
 	}
 	for _, name := range []string{
 		StrategyRandom, StrategyFLIPS, StrategyOort, StrategyGradClus, StrategyTiFL,
-		StrategyPowerOfChoice, StrategyClusterProportional, StrategyGradNorm,
-		StrategyLossProp, StrategyDivergence, StrategySoftDeadline,
-		StrategyHardDeadline, StrategyDPP,
 	} {
 		if !registered[name] {
 			t.Fatalf("strategy constant %q is not in the selection registry", name)
@@ -142,7 +139,7 @@ func TestCandidateFactorValidation(t *testing.T) {
 	t.Parallel()
 	s := Setting{
 		Spec: dataset.ECG(), Algorithm: AlgoFedAvg, Alpha: 0.3,
-		PartyFraction: 0.2, Strategy: StrategyPowerOfChoice, Seed: 7,
+		PartyFraction: 0.2, Strategy: "power-of-choice", Seed: 7,
 	}
 	for _, ok := range []float64{0, 1, 1.5, 4} {
 		s.CandidateFactor = ok
@@ -166,7 +163,7 @@ func TestCandidateFactorDefaultBitIdentical(t *testing.T) {
 	run := func(factor float64) float64 {
 		res, err := runSetting(Setting{
 			Spec: dataset.ECG(), Algorithm: AlgoFedAvg, Alpha: 0.6,
-			PartyFraction: 0.25, Strategy: StrategyPowerOfChoice,
+			PartyFraction: 0.25, Strategy: "power-of-choice",
 			CandidateFactor: factor, TargetAccuracy: 0.9, Seed: 13,
 		}, tinyScale())
 		if err != nil {

@@ -8,8 +8,10 @@ import (
 
 	"flips/internal/cluster"
 	"flips/internal/dataset"
+	"flips/internal/fl"
 	"flips/internal/partition"
 	"flips/internal/rng"
+	"flips/internal/tensor"
 )
 
 // Series is one labeled convergence curve.
@@ -67,22 +69,11 @@ func (f *Figure) Render(w io.Writer) {
 // Davies-Bouldin score over the ECG parties' label distributions. It trains
 // nothing, so it is the one figure that is not a view of a grid.
 func figure2(s *session) (*Figure, error) {
-	scale, seed := s.Scale, s.Seed
-	spec := dataset.ECG()
-	if scale.TrainSize > 0 {
-		spec = spec.WithSizes(scale.TrainSize, max(scale.TestSize, 1))
-	}
-	root := rng.New(seed)
-	train, _, err := dataset.Generate(spec, root.Split(1))
+	lds, root, err := ecgLabelDists(s.Scale, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	part, err := partition.Dirichlet(train, scale.Parties, 0.3, root.Split(2))
-	if err != nil {
-		return nil, err
-	}
-	lds := partition.NormalizedLabelDistributions(train, part)
-	maxK := scale.Parties / 2
+	maxK := s.Scale.Parties / 2
 	curve, err := cluster.DBICurve(lds, maxK, 20, root.Split(3))
 	if err != nil {
 		return nil, err
@@ -100,6 +91,27 @@ func figure2(s *session) (*Figure, error) {
 		YLabel: "Davies-Bouldin score",
 		Panels: []Panel{{Name: "ecg-label-distributions", Series: []Series{series}}},
 	}, nil
+}
+
+// ecgLabelDists deals the ECG training set to scale.Parties parties at α 0.3
+// and returns their normalized label distributions — the clustering input of
+// Figure 2 and of the §5.1 TEE measurement — with the seed's root stream,
+// split so far for the data (1) and the partition (2).
+func ecgLabelDists(scale Scale, seed uint64) ([]tensor.Vec, *rng.Source, error) {
+	spec := dataset.ECG()
+	if scale.TrainSize > 0 {
+		spec = spec.WithSizes(scale.TrainSize, max(scale.TestSize, 1))
+	}
+	root := rng.New(seed)
+	train, _, err := dataset.Generate(spec, root.Split(1))
+	if err != nil {
+		return nil, nil, err
+	}
+	part, err := partition.Dirichlet(train, scale.Parties, 0.3, root.Split(2))
+	if err != nil {
+		return nil, nil, err
+	}
+	return fl.NormalizedLabelDists(fl.BuildParties(train, part, 0, nil)), root, nil
 }
 
 // gridView is the part of a figure drawn from one dataset's FedYogi paper

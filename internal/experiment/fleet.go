@@ -14,7 +14,6 @@ import (
 	"flips/internal/fl"
 	"flips/internal/model"
 	"flips/internal/rng"
-	"flips/internal/selection"
 	"flips/internal/tensor"
 )
 
@@ -97,23 +96,12 @@ func fleetCellConfig(sweep FleetSweep, parties, shards int) (fl.Config, error) {
 	if err != nil {
 		return fl.Config{}, err
 	}
-	// Resolve the strategy through the selection registry. DataSizes stays
-	// nil (the synthetic fleet is uniform), so the historical random/oort
-	// cells keep their exact RNG streams.
+	// The synthetic fleet gives every party the same data size, so Oort's
+	// utilities all carry one power-of-two factor and its draws are those of
+	// uniform sizes.
 	classes := len(spec.LabelNames)
-	sel, _, err := selection.Build(sweep.Strategy, selection.BuildContext{
-		NumParties: parties,
-		ParamDim:   model.NewLogReg(spec.Dim, classes).NumParams(),
-		RNG:        rng.New(sweep.Seed ^ 0x5CA1E),
-		Latencies: func() []float64 {
-			ls := make([]float64, parties)
-			for i, p := range pool {
-				ls[i] = p.Latency
-			}
-			return ls
-		},
-		LabelDists: func() []tensor.Vec { return fl.NormalizedLabelDists(pool) },
-	})
+	sel, _, err := buildSelector(Setting{Strategy: sweep.Strategy}, pool,
+		model.NewLogReg(spec.Dim, classes).NumParams(), rng.New(sweep.Seed^0x5CA1E))
 	if err != nil {
 		return fl.Config{}, fmt.Errorf("experiment: fleet sweep: %w", err)
 	}

@@ -102,7 +102,7 @@ func TestRunScaleRejectsUnknownStrategy(t *testing.T) {
 // label distributions — builds and runs a fleet-scale cell.
 func TestRunScaleAcceptsAnyRegisteredStrategy(t *testing.T) {
 	t.Parallel()
-	for _, strategy := range []string{StrategyTiFL, StrategyLossProp, StrategyDPP} {
+	for _, strategy := range []string{StrategyTiFL, "loss-prop", "dpp"} {
 		sweep := testSweep()
 		sweep.Parties = []int{300}
 		sweep.Shards = []int{2}

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"flips/internal/core"
-	"flips/internal/dataset"
-	"flips/internal/partition"
 	"flips/internal/rng"
 	"flips/internal/tee"
 )
@@ -38,20 +36,10 @@ func RunTEEOverhead(scale Scale, repeats int, seed uint64) (*TEEOverheadResult, 
 	if repeats < 1 {
 		repeats = 1
 	}
-	spec := dataset.ECG()
-	if scale.TrainSize > 0 {
-		spec = spec.WithSizes(scale.TrainSize, max(scale.TestSize, 1))
-	}
-	root := rng.New(seed)
-	train, _, err := dataset.Generate(spec, root.Split(1))
+	lds, _, err := ecgLabelDists(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	part, err := partition.Dirichlet(train, scale.Parties, 0.3, root.Split(2))
-	if err != nil {
-		return nil, err
-	}
-	lds := partition.NormalizedLabelDistributions(train, part)
 	maxK := core.DefaultMaxK(scale.Parties)
 	const kmRepeats = 20 // the paper's T
 

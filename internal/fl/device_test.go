@@ -63,7 +63,7 @@ func TestDeviceValidation(t *testing.T) {
 	cfg = base
 	cfg.Parties = append([]*Party(nil), parties...)
 	cfg.Parties[2] = &Party{ID: 2, Data: parties[2].Data, LabelDist: parties[2].LabelDist, Latency: 1,
-		Device: device.New(device.Uniform(), rng.New(9))}
+		Device: device.NewForParty(device.Uniform(), 0, rng.New(9))}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("mixed device attachment accepted")
 	}

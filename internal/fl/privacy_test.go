@@ -653,7 +653,7 @@ func requireReferenceEnrolment(t *testing.T, ps *privacyState, w *maskWave) {
 // members contribute random clipped deltas in a random arrival order.
 func randomWave(t *testing.T, ps *privacyState, r *rng.Source, tag uint64, k, ndrop int) *maskWave {
 	t.Helper()
-	cohort := r.Perm(64)[:k]
+	cohort := r.SampleWithoutReplacement(64, k)
 	for i := range cohort {
 		cohort[i] += 1000
 	}
@@ -661,7 +661,7 @@ func randomWave(t *testing.T, ps *privacyState, r *rng.Source, tag uint64, k, nd
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mi := range r.Perm(k)[:k-ndrop] {
+	for _, mi := range r.SampleWithoutReplacement(k, k-ndrop) {
 		delta := tensor.NewVec(ps.dim)
 		for c := range delta {
 			delta[c] = r.NormFloat64()

@@ -53,7 +53,7 @@ func ShardedClassCounts(m model.Model, samples []dataset.Sample, numClasses int,
 
 // BalancedAccuracyFromCounts computes the paper's §4.4 balanced accuracy
 // from class counts: the unweighted mean of per-label recalls over labels
-// present in the counts. It matches model.BalancedAccuracy exactly.
+// present in the counts.
 func BalancedAccuracyFromCounts(correct, total []int) float64 {
 	var sum float64
 	present := 0

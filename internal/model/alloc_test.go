@@ -61,10 +61,11 @@ func TestSGDStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTrainLocalStepsAddNoAllocs pins the full TrainLocal loop: extra epochs
-// multiply the step count but must not change the call's allocation count,
-// i.e. every per-step allocation is gone and only the fixed per-call setup
-// (gradient buffer, permutation, result clone) remains.
+// TestTrainLocalStepsAddNoAllocs pins the full local-training loop from a
+// fresh scratch: extra epochs multiply the step count but must not change the
+// call's allocation count, i.e. every per-step allocation is gone and only
+// the fixed per-call setup (gradient buffer, permutation, result clone)
+// remains.
 func TestTrainLocalStepsAddNoAllocs(t *testing.T) {
 	data := randomBatch(rng.New(10), 96, 16, 5)
 	for name, m := range steadyStateModels(t) {
@@ -73,12 +74,12 @@ func TestTrainLocalStepsAddNoAllocs(t *testing.T) {
 			measure := func(epochs int) float64 {
 				cfg := SGDConfig{LearningRate: 0.01, BatchSize: 16, LocalEpochs: epochs}
 				return testing.AllocsPerRun(20, func() {
-					TrainLocal(m, data, cfg, nil, rng.New(77))
+					TrainLocalScratch(m, data, cfg, nil, rng.New(77), &TrainScratch{})
 				})
 			}
 			one, eight := measure(1), measure(8)
 			if eight > one {
-				t.Fatalf("8-epoch TrainLocal allocated %v times vs %v for 1 epoch; steps are leaking allocations", eight, one)
+				t.Fatalf("8-epoch TrainLocalScratch allocated %v times vs %v for 1 epoch; steps are leaking allocations", eight, one)
 			}
 		})
 	}
@@ -107,9 +108,9 @@ func TestTrainLocalScratchReuse(t *testing.T) {
 	}
 }
 
-// TestTrainLocalScratchMatchesTrainLocal pins bit-equivalence: the scratch
-// path must reproduce the throwaway-buffer path exactly (same RNG
-// consumption, same float order).
+// TestTrainLocalScratchMatchesTrainLocal pins bit-equivalence: an oversized
+// scratch must reproduce a fresh one exactly (same RNG consumption, same
+// float order).
 func TestTrainLocalScratchMatchesTrainLocal(t *testing.T) {
 	data := randomBatch(rng.New(11), 64, 16, 5)
 	for name, m := range steadyStateModels(t) {
@@ -117,7 +118,7 @@ func TestTrainLocalScratchMatchesTrainLocal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := SGDConfig{LearningRate: 0.01, BatchSize: 16, LocalEpochs: 2}
 			start := m.Params()
-			a := TrainLocal(m, data, cfg, nil, rng.New(7))
+			a := TrainLocalScratch(m, data, cfg, nil, rng.New(7), &TrainScratch{})
 			m.SetParams(start)
 			var scratch TrainScratch
 			scratch.ensure(m.NumParams()+3, len(data)+5) // oversized scratch must not matter

@@ -114,7 +114,7 @@ func BenchmarkTrainLocal(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				TrainLocal(m, data, cfg, nil, rng.New(uint64(i)+1))
+				TrainLocalScratch(m, data, cfg, nil, rng.New(uint64(i)+1), &TrainScratch{})
 			}
 		})
 	}

@@ -146,7 +146,7 @@ func TestLogRegLearnsSeparableData(t *testing.T) {
 	}
 	m := NewLogReg(train.Dim, train.NumClasses())
 	cfg := SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 8}
-	TrainLocal(m, train.Samples, cfg, nil, r.Split(1))
+	TrainLocalScratch(m, train.Samples, cfg, nil, r.Split(1), &TrainScratch{})
 	if acc := accuracy(m, test.Samples); acc < 0.9 {
 		t.Fatalf("logreg accuracy %v on separable data", acc)
 	}
@@ -161,7 +161,7 @@ func TestMLPLearnsSeparableData(t *testing.T) {
 	}
 	m := NewMLP(train.Dim, 32, train.NumClasses(), r.Split(2))
 	cfg := SGDConfig{LearningRate: 0.05, BatchSize: 32, LocalEpochs: 20}
-	TrainLocal(m, train.Samples, cfg, nil, r.Split(3))
+	TrainLocalScratch(m, train.Samples, cfg, nil, r.Split(3), &TrainScratch{})
 	// The threshold is slightly below the logreg test's: this seed's random
 	// prototypes include one close pair, putting the Bayes ceiling near 0.88.
 	if acc := accuracy(m, test.Samples); acc < 0.85 {
@@ -179,7 +179,7 @@ func TestTrainLocalReducesLoss(t *testing.T) {
 	m := NewLogReg(train.Dim, train.NumClasses())
 	grad := tensor.NewVec(m.NumParams())
 	before := m.LossGradient(train.Samples, grad)
-	TrainLocal(m, train.Samples, SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 3}, nil, r)
+	TrainLocalScratch(m, train.Samples, SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 3}, nil, r, &TrainScratch{})
 	after := m.LossGradient(train.Samples, grad)
 	if after >= before {
 		t.Fatalf("loss did not decrease: %v -> %v", before, after)
@@ -189,7 +189,7 @@ func TestTrainLocalReducesLoss(t *testing.T) {
 func TestTrainLocalEmptyData(t *testing.T) {
 	t.Parallel()
 	m := NewLogReg(4, 3)
-	res := TrainLocal(m, nil, SGDConfig{}, nil, rng.New(1))
+	res := TrainLocalScratch(m, nil, SGDConfig{}, nil, rng.New(1), &TrainScratch{})
 	if res.NumSamples != 0 || res.Steps != 0 {
 		t.Fatalf("empty-data result %+v", res)
 	}
@@ -209,9 +209,9 @@ func TestProxTermPullsTowardGlobal(t *testing.T) {
 
 	run := func(mu float64) float64 {
 		m := NewLogReg(train.Dim, train.NumClasses())
-		res := TrainLocal(m, train.Samples,
+		res := TrainLocalScratch(m, train.Samples,
 			SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 5, ProxMu: mu},
-			global, rng.New(99))
+			global, rng.New(99), &TrainScratch{})
 		return res.Params.Dist(global)
 	}
 	if noProx, withProx := run(0), run(1.0); withProx >= noProx {
@@ -231,7 +231,7 @@ func TestGradientClipping(t *testing.T) {
 	// must be bounded by lr * clip.
 	cfg := SGDConfig{LearningRate: 1, BatchSize: len(train.Samples), LocalEpochs: 1, MaxGradNorm: 0.01}
 	before := m.Params()
-	res := TrainLocal(m, train.Samples, cfg, nil, r)
+	res := TrainLocalScratch(m, train.Samples, cfg, nil, r, &TrainScratch{})
 	if moved := res.Params.Dist(before); moved > 0.0100001 {
 		t.Fatalf("clipped step moved %v > lr*clip", moved)
 	}
@@ -246,48 +246,14 @@ func TestTrainLocalDeterministic(t *testing.T) {
 	}
 	run := func() tensor.Vec {
 		m := NewLogReg(train.Dim, train.NumClasses())
-		return TrainLocal(m, train.Samples,
-			SGDConfig{LearningRate: 0.05, BatchSize: 16, LocalEpochs: 2}, nil, rng.New(55)).Params
+		return TrainLocalScratch(m, train.Samples,
+			SGDConfig{LearningRate: 0.05, BatchSize: 16, LocalEpochs: 2}, nil, rng.New(55), &TrainScratch{}).Params
 	}
 	a, b := run(), run()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic training at param %d", i)
 		}
-	}
-}
-
-func TestBalancedAccuracyNeutralizesImbalance(t *testing.T) {
-	t.Parallel()
-	// A constant classifier predicting the majority class: plain accuracy is
-	// high on an imbalanced set, balanced accuracy is 1/numClasses... here
-	// exactly the recall structure: 100% on class 0, 0% elsewhere.
-	m := NewLogReg(2, 4)
-	p := m.Params()
-	p[len(p)-4] = 100 // huge bias for class 0
-	m.SetParams(p)
-	samples := make([]dataset.Sample, 0, 100)
-	for i := 0; i < 97; i++ {
-		samples = append(samples, dataset.Sample{X: tensor.Vec{0, 0}, Y: 0})
-	}
-	for y := 1; y < 4; y++ {
-		samples = append(samples, dataset.Sample{X: tensor.Vec{0, 0}, Y: y})
-	}
-	if acc := accuracy(m, samples); acc < 0.96 {
-		t.Fatalf("plain accuracy %v", acc)
-	}
-	if bacc := BalancedAccuracy(m, samples, 4); math.Abs(bacc-0.25) > 1e-9 {
-		t.Fatalf("balanced accuracy %v, want 0.25", bacc)
-	}
-}
-
-func TestBalancedAccuracySkipsAbsentLabels(t *testing.T) {
-	t.Parallel()
-	m := NewLogReg(2, 5)
-	samples := []dataset.Sample{{X: tensor.Vec{0, 0}, Y: 0}}
-	// Zero-init logreg ties all logits; ArgMax picks class 0 -> recall 1.
-	if bacc := BalancedAccuracy(m, samples, 5); bacc != 1 {
-		t.Fatalf("balanced accuracy %v with single present label", bacc)
 	}
 }
 

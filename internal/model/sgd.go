@@ -81,20 +81,13 @@ func (s *TrainScratch) ensure(paramDim, n int) {
 	s.perm = s.perm[:n]
 }
 
-// TrainLocal runs cfg.LocalEpochs epochs of minibatch SGD on data starting
-// from the model's current parameters and returns the resulting parameters.
-// globalParams (may be nil when ProxMu is 0) anchors the FedProx proximal
-// term. The model's parameters are mutated in place; callers pass a clone
-// (or per-worker replica) seeded with the round's global model. It is
-// TrainLocalScratch with a throwaway scratch.
-func TrainLocal(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tensor.Vec, r *rng.Source) LocalResult {
-	var s TrainScratch
-	return TrainLocalScratch(m, data, cfg, globalParams, r, &s)
-}
-
-// TrainLocalScratch is TrainLocal with caller-provided reusable buffers: the
-// training loop of TrainLocalInPlace, then the one clone that makes the result
-// the caller's to keep.
+// TrainLocalScratch runs cfg.LocalEpochs epochs of minibatch SGD on data
+// starting from the model's current parameters and returns the resulting
+// parameters: the training loop of TrainLocalInPlace, then the one clone
+// that makes the result the caller's to keep. globalParams (may be nil when
+// ProxMu is 0) anchors the FedProx proximal term. The model's parameters are
+// mutated in place; callers pass a clone (or per-worker replica) seeded with
+// the round's global model. scratch holds the reusable buffers.
 func TrainLocalScratch(m Model, data []dataset.Sample, cfg SGDConfig, globalParams tensor.Vec, r *rng.Source, scratch *TrainScratch) LocalResult {
 	res := TrainLocalInPlace(m, data, cfg, globalParams, r, scratch)
 	res.Params = res.Params.Clone()
@@ -191,30 +184,6 @@ func TrainLocalInPlace(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 		res.SqLossMean = sqLossSum / float64(res.Steps)
 	}
 	return res
-}
-
-// BalancedAccuracy computes the paper's §4.4 metric: the unweighted mean of
-// per-label recalls, Acc = (lA_1 + ... + lA_g)/g, which neutralizes label
-// imbalance in the test set. Labels absent from the test set are excluded
-// from the mean.
-func BalancedAccuracy(m Model, samples []dataset.Sample, numClasses int) float64 {
-	if len(samples) == 0 || numClasses == 0 {
-		return 0
-	}
-	correct, total := ClassCounts(m, samples, numClasses)
-	var sum float64
-	present := 0
-	for c := 0; c < numClasses; c++ {
-		if total[c] == 0 {
-			continue
-		}
-		sum += float64(correct[c]) / float64(total[c])
-		present++
-	}
-	if present == 0 {
-		return 0
-	}
-	return sum / float64(present)
 }
 
 // ClassCounts tallies per-label prediction outcomes: correct[c] is the count

@@ -83,7 +83,7 @@ func FuzzDirichletPartition(f *testing.F) {
 		// Label distributions sum back to the dataset's label histogram.
 		total := tensor.NewVec(classes)
 		for _, indices := range p.Parties {
-			ld := LabelDistribution(ds, indices)
+			ld := labelCounts(ds, indices)
 			if int(ld.Sum()) != len(indices) {
 				t.Fatalf("label distribution sums to %v for %d samples", ld.Sum(), len(indices))
 			}

@@ -4,8 +4,8 @@
 // label l a proportion vector p ~ Dir_N(alpha) decides how that label's
 // samples are split across the N parties. alpha→0 gives each party data from
 // essentially one label (extreme non-IID); alpha>=1 approaches IID. The
-// package also provides IID and label-shard partitioners and helpers to
-// compute the per-party label-distribution vectors FLIPS clusters on.
+// per-party label-distribution vectors FLIPS clusters on are counted by
+// fl.ProfileParties over the samples a partition deals.
 package partition
 
 import (
@@ -16,7 +16,6 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/rng"
-	"flips/internal/tensor"
 )
 
 // Partition assigns every sample index of a dataset to exactly one party.
@@ -77,37 +76,6 @@ func CheckDirichlet(samples, parties int, alpha float64) error {
 		return fmt.Errorf("partition: %d samples cannot cover %d parties", samples, parties)
 	}
 	return nil
-}
-
-// LabelDistribution returns the label-count vector ld_i = {l_1 ... l_g}
-// (paper §3.1) for the samples at the given indices.
-func LabelDistribution(ds *dataset.Dataset, indices []int) tensor.Vec {
-	ld := tensor.NewVec(ds.NumClasses())
-	for _, i := range indices {
-		ld[ds.Samples[i].Y]++
-	}
-	return ld
-}
-
-// LabelDistributions returns one label-count vector per party — the LD set
-// FLIPS submits to the TEE for clustering.
-func LabelDistributions(ds *dataset.Dataset, p *Partition) []tensor.Vec {
-	out := make([]tensor.Vec, p.NumParties())
-	for i, indices := range p.Parties {
-		out[i] = LabelDistribution(ds, indices)
-	}
-	return out
-}
-
-// NormalizedLabelDistributions returns per-party label *proportion* vectors,
-// which is what the clustering operates on so that party dataset size does
-// not dominate the label mix.
-func NormalizedLabelDistributions(ds *dataset.Dataset, p *Partition) []tensor.Vec {
-	out := LabelDistributions(ds, p)
-	for i := range out {
-		out[i].Normalize()
-	}
-	return out
 }
 
 // largestRemainderApportion converts fractional proportions over n items to

@@ -8,6 +8,7 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/rng"
+	"flips/internal/tensor"
 )
 
 func makeDataset(t *testing.T, n int, seed uint64) *dataset.Dataset {
@@ -17,6 +18,15 @@ func makeDataset(t *testing.T, n int, seed uint64) *dataset.Dataset {
 		t.Fatal(err)
 	}
 	return train
+}
+
+// labelCounts counts the labels of the samples at the given indices.
+func labelCounts(ds *dataset.Dataset, indices []int) tensor.Vec {
+	ld := tensor.NewVec(ds.NumClasses())
+	for _, i := range indices {
+		ld[ds.Samples[i].Y]++
+	}
+	return ld
 }
 
 // TotalSamples returns the number of assigned samples across all parties.
@@ -83,18 +93,17 @@ func TestDirichletSkewIncreasesAsAlphaDecreases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lds := NormalizedLabelDistributions(ds, p)
 		var mean float64
-		for _, ld := range lds {
+		for _, indices := range p.Parties {
 			var h float64
-			for _, q := range ld {
+			for _, q := range labelCounts(ds, indices).Normalize() {
 				if q > 0 {
 					h -= q * math.Log(q)
 				}
 			}
 			mean += h
 		}
-		return mean / float64(len(lds))
+		return mean / float64(len(p.Parties))
 	}
 	lo, hi := entropyAt(0.1), entropyAt(5)
 	if lo >= hi {
@@ -113,44 +122,6 @@ func TestDirichletValidation(t *testing.T) {
 	}
 	if _, err := Dirichlet(ds, 101, 0.3, rng.New(1)); err == nil {
 		t.Fatal("expected error for more parties than samples")
-	}
-}
-
-func TestLabelDistributionMatchesCounts(t *testing.T) {
-	t.Parallel()
-	ds := makeDataset(t, 1000, 9)
-	p, err := Dirichlet(ds, 25, 0.3, rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lds := LabelDistributions(ds, p)
-	if len(lds) != 25 {
-		t.Fatalf("got %d label distributions", len(lds))
-	}
-	for i, ld := range lds {
-		if int(ld.Sum()) != len(p.Parties[i]) {
-			t.Fatalf("party %d: LD sum %v != size %d", i, ld.Sum(), len(p.Parties[i]))
-		}
-		for _, idx := range p.Parties[i] {
-			y := ds.Samples[idx].Y
-			if ld[y] == 0 {
-				t.Fatalf("party %d: label %d present but LD count is 0", i, y)
-			}
-		}
-	}
-}
-
-func TestNormalizedLabelDistributionsSumToOne(t *testing.T) {
-	t.Parallel()
-	ds := makeDataset(t, 800, 10)
-	p, err := Dirichlet(ds, 20, 0.6, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ld := range NormalizedLabelDistributions(ds, p) {
-		if math.Abs(ld.Sum()-1) > 1e-9 {
-			t.Fatalf("party %d: normalized LD sums to %v", i, ld.Sum())
-		}
 	}
 }
 

@@ -119,29 +119,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	t.Parallel()
-	check := func(seed uint64) bool {
-		r := New(seed)
-		n := 1 + r.Intn(50)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDirichletSumsToOne(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {

@@ -244,7 +244,7 @@ func TestLagrangeBasisMatchesPerShareInversion(t *testing.T) {
 		}
 		// The reconstruction holders: a random threshold-sized subset in a
 		// random order.
-		pick := r.Perm(holders)[:threshold]
+		pick := r.SampleWithoutReplacement(holders, threshold)
 		pickXs := make([]uint64, threshold)
 		for i, h := range pick {
 			pickXs[i] = xs[h]

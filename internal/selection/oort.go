@@ -23,7 +23,7 @@ const scaleModeThreshold = 2048
 // The comparison baselines run at fixed published settings (DESIGN.md,
 // "Selector constants"): Oort's reference-implementation defaults, with the
 // 1.3× over-provisioning the FLIPS paper runs it at (§5.3). The scored family
-// shares the exploration schedule and the candidate band.
+// shares the exploration schedule and the candidate band (band.go).
 const (
 	// explorationFraction is the share of each round reserved for parties
 	// never tried before; it decays by explorationDecay per round down to
@@ -62,26 +62,19 @@ const (
 type Oort struct {
 	numParties int
 	r          *rng.Source
+	triedSet
 
-	utility   []float64
 	lastUsed  []int
-	tried     []bool
 	sawStrag  bool
-	explore   float64
 	dataSizes []float64
 
-	// Fleet-scale state (scaleMode only). untried is an unordered pool with
-	// untriedPos tracking each id's slot for O(1) swap-removal; heap holds
-	// the tried ids keyed by utility.
+	// Fleet-scale state (scaleMode only): the tried set keeps its heap, and
+	// untried is an unordered pool with untriedPos tracking each id's slot
+	// for O(1) swap-removal.
 	scaleMode  bool
 	untried    []int
 	untriedPos []int
-	heap       utilityHeap
 
-	// Reusable per-round scratch.
-	candIDs    []int
-	candScores []float64
-	frontier   []int
 	durScratch []float64
 }
 
@@ -98,11 +91,10 @@ func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source)
 	o := &Oort{
 		numParties: numParties,
 		r:          r,
-		utility:    make([]float64, numParties),
+		triedSet:   newTriedSet(numParties, numParties > scaleThreshold),
 		lastUsed:   make([]int, numParties),
-		tried:      make([]bool, numParties),
 		dataSizes:  make([]float64, numParties),
-		explore:    explorationFraction,
+		scaleMode:  numParties > scaleThreshold,
 	}
 	for i := range o.dataSizes {
 		if dataSizes != nil && i < len(dataSizes) {
@@ -111,15 +103,13 @@ func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source)
 			o.dataSizes[i] = 1
 		}
 	}
-	if numParties > scaleThreshold {
-		o.scaleMode = true
+	if o.scaleMode {
 		o.untried = make([]int, numParties)
 		o.untriedPos = make([]int, numParties)
 		for i := range o.untried {
 			o.untried[i] = i
 			o.untriedPos[i] = i
 		}
-		o.heap = newUtilityHeap(numParties)
 	}
 	return o
 }
@@ -127,128 +117,56 @@ func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source)
 // Name implements fl.Selector.
 func (s *Oort) Name() string { return "oort" }
 
-// Select implements fl.Selector.
+// Select implements fl.Selector: the request, over-provisioned 1.3× once
+// stragglers have been seen, is split between exploration, sampled uniformly
+// from the untried parties, and exploitation, drawn from the candidate band
+// scored with the staleness bonus. Below the scale threshold the band is
+// every tried party in ID order, found with the untried ones by one scan;
+// above it the untried parties are the swap-removed pool and the band the
+// bounded top of the utility heap, so the cost is independent of the
+// population size.
 func (s *Oort) Select(round, target int) []int {
-	if target > s.numParties {
-		target = s.numParties
-	}
+	target = min(target, s.numParties)
 	request := target
 	if s.sawStrag {
-		request = int(math.Ceil(overProvisionFactor * float64(target)))
-		if request > s.numParties {
-			request = s.numParties
+		request = min(int(math.Ceil(overProvisionFactor*float64(target))), s.numParties)
+	}
+	nExplore, nExploit := s.split(request)
+
+	pool := s.untried
+	if !s.scaleMode {
+		pool = nil
+		s.candIDs, s.candScores = s.candIDs[:0], s.candScores[:0]
+		for id, tried := range s.tried {
+			if tried {
+				s.candIDs = append(s.candIDs, id)
+				s.candScores = append(s.candScores, 0)
+			} else {
+				pool = append(pool, id)
+			}
 		}
 	}
-	if s.scaleMode {
-		return s.selectScale(round, request)
-	}
-
-	// Split the request between exploration (never-tried parties) and
-	// exploitation (highest utility among tried parties).
-	var untried, tried []int
-	for i := 0; i < s.numParties; i++ {
-		if s.tried[i] {
-			tried = append(tried, i)
-		} else {
-			untried = append(untried, i)
-		}
-	}
-	nExplore := int(math.Round(s.explore * float64(request)))
-	if nExplore > len(untried) {
-		nExplore = len(untried)
-	}
-	nExploit := request - nExplore
-	if nExploit > len(tried) {
-		// Not enough history yet: widen exploration.
-		nExplore = minInt(request, len(untried))
-		nExploit = minInt(request-nExplore, len(tried))
-	}
-
 	selected := make([]int, 0, request)
 	if nExplore > 0 {
-		for _, j := range s.r.SampleWithoutReplacement(len(untried), nExplore) {
-			selected = append(selected, untried[j])
+		for _, j := range s.r.SampleWithoutReplacement(len(pool), nExplore) {
+			selected = append(selected, pool[j])
 		}
 	}
 	if nExploit > 0 {
-		// Oort samples probabilistically among the high-utility candidates
-		// (its priority queue is randomized within a utility band) rather
-		// than deterministically taking the top-k, which avoids collapsing
-		// onto a few pathological high-loss parties. Picked candidates are
-		// swap-removed rather than zero-weighted: once every remaining
-		// score is zero, Categorical falls back to uniform sampling over
-		// the whole vector and a zeroed entry could be picked twice.
-		cand := append([]int(nil), tried...)
-		scores := make([]float64, len(cand))
-		logRound := math.Log(float64(round + 1))
-		for j, id := range cand {
-			scores[j] = s.scoreAt(id, round, logRound)
+		if s.scaleMode {
+			s.readBand(request, true)
 		}
-		for i := 0; i < nExploit && len(cand) > 0; i++ {
-			j := s.r.Categorical(scores)
-			selected = append(selected, cand[j])
-			last := len(cand) - 1
-			cand[j], scores[j] = cand[last], scores[last]
-			cand, scores = cand[:last], scores[:last]
-		}
-	}
-	return selected
-}
-
-// selectScale is the fleet-scale Select path: exploration samples the
-// swap-removed untried pool, exploitation reads a bounded top-utility
-// candidate band off the heap in place, scores it with the staleness bonus
-// and samples within it. Cost is independent of the population size.
-func (s *Oort) selectScale(round, request int) []int {
-	nUntried := len(s.untried)
-	nTried := s.heap.len()
-	nExplore := int(math.Round(s.explore * float64(request)))
-	if nExplore > nUntried {
-		nExplore = nUntried
-	}
-	nExploit := request - nExplore
-	if nExploit > nTried {
-		nExplore = minInt(request, nUntried)
-		nExploit = minInt(request-nExplore, nTried)
-	}
-
-	selected := make([]int, 0, request)
-	if nExplore > 0 {
-		for _, j := range s.r.SampleWithoutReplacement(nUntried, nExplore) {
-			selected = append(selected, s.untried[j])
-		}
-	}
-	if nExploit > 0 {
-		band := candidatePool
-		if band < 2*request {
-			band = 2 * request
-		}
-		if band > nTried {
-			band = nTried
-		}
-		s.candIDs, s.candScores, s.frontier = s.heap.top(band, s.candIDs[:0], s.candScores[:0], s.frontier)
 		logRound := math.Log(float64(round + 1))
 		for j, id := range s.candIDs {
 			s.candScores[j] = s.scoreAt(id, round, logRound)
 		}
-		ids, scores := s.candIDs, s.candScores
-		for i := 0; i < nExploit && len(ids) > 0; i++ {
-			j := s.r.Categorical(scores)
-			selected = append(selected, ids[j])
-			last := len(ids) - 1
-			ids[j], scores[j] = ids[last], scores[last]
-			ids, scores = ids[:last], scores[:last]
-		}
+		selected = s.draw(selected, nExploit, s.r)
 	}
 	return selected
 }
 
-// score combines statistical utility, staleness bonus and systemic penalty.
-func (s *Oort) score(id, round int) float64 {
-	return s.scoreAt(id, round, math.Log(float64(round+1)))
-}
-
-// scoreAt is score with log(round+1), the same for every candidate of a
+// scoreAt combines statistical utility, staleness bonus and systemic
+// penalty; logRound is log(round+1), the same for every candidate of a
 // Select, computed once by the caller.
 func (s *Oort) scoreAt(id, round int, logRound float64) float64 {
 	u := s.utility[id]
@@ -261,14 +179,9 @@ func (s *Oort) scoreAt(id, round int, logRound float64) float64 {
 }
 
 // markTried transitions a party into the tried set; in fleet-scale mode it
-// swap-removes the party from the untried pool and enters it into the
-// utility heap.
+// also swap-removes the party from the untried pool.
 func (s *Oort) markTried(id int) {
-	if s.tried[id] {
-		return
-	}
-	s.tried[id] = true
-	if !s.scaleMode {
+	if !s.triedSet.markTried(id) || !s.scaleMode {
 		return
 	}
 	j := s.untriedPos[id]
@@ -278,16 +191,6 @@ func (s *Oort) markTried(id int) {
 	s.untriedPos[moved] = j
 	s.untried = s.untried[:last]
 	s.untriedPos[id] = -1
-	s.heap.push(id, s.utility[id])
-}
-
-// setUtility writes a party's utility, re-keying its heap entry in
-// fleet-scale mode.
-func (s *Oort) setUtility(id int, u float64) {
-	s.utility[id] = u
-	if s.scaleMode {
-		s.heap.set(id, u)
-	}
 }
 
 // Observe implements fl.Selector. Feedback consumption is streaming: the
@@ -321,7 +224,7 @@ func (s *Oort) Observe(fb fl.RoundFeedback) {
 		s.markTried(id)
 		s.setUtility(id, s.utility[id]/slowPenalty)
 	}
-	s.explore = math.Max(explorationFloor, s.explore*explorationDecay)
+	s.decay()
 }
 
 // median sorts xs in place and returns its median (0 when empty).
@@ -335,11 +238,4 @@ func median(xs []float64) float64 {
 		return xs[mid]
 	}
 	return (xs[mid-1] + xs[mid]) / 2
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

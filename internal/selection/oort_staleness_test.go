@@ -7,12 +7,12 @@ import (
 	"flips/internal/rng"
 )
 
-// The staleness bonus in score() divides by age = round − lastUsed[id].
+// The staleness bonus in scoreAt divides by age = round − lastUsed[id].
 // Observe records lastUsed[id] = fb.Round, and nothing stops a caller from
 // invoking Select for the same step afterwards (the Selector interface makes
 // no ordering promise, and async policies re-select between aggregations), so
 // age reaches exactly 0 for just-observed parties. The age > 0 guard in
-// score must keep that division out; these tests pin it in both the
+// scoreAt must keep that division out; these tests pin it in both the
 // small-fleet scan path and the fleet-scale heap path.
 
 // observeThenScore drives one Observe at round then returns every tried
@@ -22,7 +22,7 @@ func observeThenScore(t *testing.T, s *Oort, ids []int, round int) []float64 {
 	s.Observe(feedbackWithLoss(round, ids, func(int) float64 { return 2 }))
 	scores := make([]float64, 0, len(ids))
 	for _, id := range ids {
-		scores = append(scores, s.score(id, round))
+		scores = append(scores, s.scoreAt(id, round, math.Log(float64(round+1))))
 	}
 	return scores
 }
@@ -92,7 +92,7 @@ func TestOortStalenessBonusPositiveAtPositiveAge(t *testing.T) {
 		t.Fatalf("observed party has utility %v", base)
 	}
 	for round := 1; round <= 4; round++ {
-		sc := s.score(2, round)
+		sc := s.scoreAt(2, round, math.Log(float64(round+1)))
 		if math.IsNaN(sc) || math.IsInf(sc, 0) {
 			t.Fatalf("round %d: score %v", round, sc)
 		}

@@ -13,28 +13,26 @@ import (
 // provided as an extension baseline beyond the paper's four comparisons.
 type PowerOfChoice struct {
 	numParties int
-	// CandidateFactor d/Nr (default 2).
-	CandidateFactor float64
-	r               *rng.Source
-	loss            []float64
+	factor     float64 // d/Nr
+	r          *rng.Source
+	loss       []float64
 }
 
 var _ fl.Selector = (*PowerOfChoice)(nil)
 
-// NewPowerOfChoice builds a Power-of-Choice selector.
+// NewPowerOfChoice builds a Power-of-Choice selector sampling
+// candidateFactor × target candidates per round; the registry builder checks
+// that the factor is at least 1.
 func NewPowerOfChoice(numParties int, candidateFactor float64, r *rng.Source) *PowerOfChoice {
-	if candidateFactor < 1 {
-		candidateFactor = 2
-	}
 	loss := make([]float64, numParties)
 	for i := range loss {
 		loss[i] = 1 // optimistic prior
 	}
 	return &PowerOfChoice{
-		numParties:      numParties,
-		CandidateFactor: candidateFactor,
-		r:               r,
-		loss:            loss,
+		numParties: numParties,
+		factor:     candidateFactor,
+		r:          r,
+		loss:       loss,
 	}
 }
 
@@ -46,7 +44,7 @@ func (s *PowerOfChoice) Select(_, target int) []int {
 	if target > s.numParties {
 		target = s.numParties
 	}
-	d := int(s.CandidateFactor * float64(target))
+	d := int(s.factor * float64(target))
 	if d < target {
 		d = target
 	}

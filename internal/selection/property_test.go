@@ -57,23 +57,23 @@ type selectorProps struct {
 }
 
 func exactLen(n, target int, _ bool) (int, int) {
-	k := minInt(target, n)
+	k := min(target, n)
 	return k, k
 }
 
 func oortLen(n, target int, sawStrag bool) (int, int) {
-	target = minInt(target, n)
+	target = min(target, n)
 	if !sawStrag {
 		return target, target
 	}
-	k := minInt(int(math.Ceil(1.3*float64(target))), n)
+	k := min(int(math.Ceil(1.3*float64(target))), n)
 	return k, k
 }
 
 // flipsLen: pickEquitable always fills min(target, n); outstanding
 // stragglers add up to int(stragRate·target) over-provisioned parties.
 func flipsLen(n, target int, _ bool) (int, int) {
-	return minInt(target, n), n
+	return min(target, n), n
 }
 
 // registryCaseProps declares the invariants for every registered selector.

@@ -44,6 +44,19 @@ type BuildContext struct {
 	CandidateFactor float64
 }
 
+// ResolveCandidateFactor applies the power-of-choice candidate-factor rule:
+// 0 is the default of 2, a factor of at least 1 is used as given, anything
+// else is refused.
+func ResolveCandidateFactor(f float64) (float64, error) {
+	switch {
+	case f == 0:
+		return 2, nil
+	case f >= 1:
+		return f, nil
+	}
+	return 0, fmt.Errorf("selection: power-of-choice candidate factor %v must be 0 (default 2) or >= 1", f)
+}
+
 // Builder constructs a selector from a build context. The second return
 // value carries the party clusters for cluster-based strategies (nil for
 // everything else) — the FLIPS pipeline reports cluster counts and the
@@ -93,12 +106,9 @@ var registry = []entry{
 		return NewTiFL(ctx.Latencies(), ctx.RNG), nil, nil
 	}},
 	{"power-of-choice", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		factor := ctx.CandidateFactor
-		if factor < 0 || (factor > 0 && factor < 1) {
-			return nil, nil, fmt.Errorf("selection: power-of-choice candidate factor %v must be 0 (default 2) or >= 1", factor)
-		}
-		if factor == 0 {
-			factor = 2
+		factor, err := ResolveCandidateFactor(ctx.CandidateFactor)
+		if err != nil {
+			return nil, nil, err
 		}
 		return NewPowerOfChoice(ctx.NumParties, factor, ctx.RNG), nil, nil
 	}},
@@ -196,11 +206,7 @@ func labelClusters(name string, ctx BuildContext) ([][]int, error) {
 		// A singleton population cannot be swept over k >= 2 clusters.
 		return [][]int{{0}}, nil
 	}
-	maxK := n / 4
-	if maxK < 3 {
-		maxK = minInt(3, n)
-	}
-	repeats := 5
+	maxK, repeats := core.DefaultMaxK(n), 5
 	if n > scaleModeThreshold {
 		if maxK > fleetMaxClusters {
 			maxK = fleetMaxClusters

@@ -99,7 +99,7 @@ func TestRegistryBuildsAtBothScales(t *testing.T) {
 				if uc, ok := sel.(fl.UpdateConsumer); ok {
 					needUpdates = uc.NeedsUpdates()
 				}
-				target := minInt(8, n)
+				target := min(8, n)
 				for round := 0; round < 2; round++ {
 					ids := sel.Select(round, target)
 					if len(ids) == 0 {

@@ -59,12 +59,7 @@ type Scored struct {
 	// deadline kinds. 0 means adaptive: the mean observed completion duration
 	// (every party fits until the first durations arrive).
 	fixedDeadline float64
-
-	utility []float64
-	tried   []bool
-	nTried  int
-	heap    utilityHeap
-	explore float64
+	triedSet
 
 	// Adaptive-deadline accumulator (deadline kinds only).
 	durSum   float64
@@ -72,9 +67,6 @@ type Scored struct {
 
 	// Reusable per-round scratch.
 	inRound     []bool
-	candIDs     []int
-	candScores  []float64
-	frontier    []int
 	obsScratch  []int
 	meanScratch tensor.Vec
 }
@@ -83,8 +75,8 @@ var _ fl.Selector = (*Scored)(nil)
 var _ fl.UpdateConsumer = (*Scored)(nil)
 
 // newScored builds the kind's selector: the exploration schedule and the
-// candidate band are Oort's (oort.go); deadline only matters to the deadline
-// kinds.
+// candidate band are the ones Oort uses (band.go); deadline only matters to
+// the deadline kinds.
 func newScored(kind scoredKind, numParties int, deadline float64, scaleThreshold int, r *rng.Source) *Scored {
 	return &Scored{
 		kind:          kind,
@@ -92,11 +84,8 @@ func newScored(kind scoredKind, numParties int, deadline float64, scaleThreshold
 		scaleMode:     numParties > scaleThreshold,
 		r:             r,
 		fixedDeadline: deadline,
-		utility:       make([]float64, numParties),
-		tried:         make([]bool, numParties),
-		heap:          newUtilityHeap(numParties),
+		triedSet:      newTriedSet(numParties, true),
 		inRound:       make([]bool, numParties),
-		explore:       explorationFraction,
 	}
 }
 
@@ -114,20 +103,8 @@ func (s *Scored) NeedsUpdates() bool {
 // score over the candidate band. Always returns exactly min(target, N)
 // parties.
 func (s *Scored) Select(_, target int) []int {
-	if target > s.numParties {
-		target = s.numParties
-	}
-	nUntried := s.numParties - s.nTried
-	nExplore := int(math.Round(s.explore * float64(target)))
-	if nExplore > nUntried {
-		nExplore = nUntried
-	}
-	nExploit := target - nExplore
-	if nExploit > s.nTried {
-		// Not enough history yet: widen exploration.
-		nExplore = minInt(target, nUntried)
-		nExploit = minInt(target-nExplore, s.nTried)
-	}
+	target = min(target, s.numParties)
+	nExplore, nExploit := s.split(target)
 
 	selected := make([]int, 0, target)
 	if nExplore > 0 {
@@ -156,28 +133,8 @@ func (s *Scored) Select(_, target int) []int {
 		}
 	}
 	if nExploit > 0 {
-		band := s.nTried
-		if s.scaleMode {
-			band = candidatePool
-			if band < 2*target {
-				band = 2 * target
-			}
-			if band > s.nTried {
-				band = s.nTried
-			}
-		}
-		// Read the band in (score desc, id asc) order — uniquely determined
-		// by the heap's strict total order regardless of internal layout —
-		// and sample within it.
-		s.candIDs, s.candScores, s.frontier = s.heap.top(band, s.candIDs[:0], s.candScores[:0], s.frontier)
-		ids, scores := s.candIDs, s.candScores
-		for i := 0; i < nExploit && len(ids) > 0; i++ {
-			j := s.r.Categorical(scores)
-			selected = append(selected, ids[j])
-			last := len(ids) - 1
-			ids[j], scores[j] = ids[last], scores[last]
-			ids, scores = ids[:last], scores[:last]
-		}
+		s.readBand(target, s.scaleMode)
+		selected = s.draw(selected, nExploit, s.r)
 	}
 	return selected
 }
@@ -204,10 +161,10 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 		switch s.kind {
 		case scoreGradNorm:
 			if u, ok := fb.Update[id]; ok {
-				s.setScore(id, u.Norm2())
+				s.setUtility(id, u.Norm2())
 			}
 		case scoreLossProp:
-			s.setScore(id, math.Max(fb.MeanLoss[id], 0))
+			s.setUtility(id, math.Max(fb.MeanLoss[id], 0))
 		case scoreDivergence:
 			if u, ok := fb.Update[id]; ok && len(u) == len(s.meanScratch) {
 				var sq float64
@@ -215,7 +172,7 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 					d := x - s.meanScratch[j]
 					sq += d * d
 				}
-				s.setScore(id, math.Sqrt(sq))
+				s.setUtility(id, math.Sqrt(sq))
 			}
 		case scoreSoftDeadline, scoreHardDeadline:
 			d, ok := fb.Duration[id]
@@ -230,7 +187,7 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 					fit = (deadline / d) * (deadline / d)
 				}
 			}
-			s.setScore(id, fit)
+			s.setUtility(id, fit)
 			s.durSum += d
 			s.durCount++
 		}
@@ -243,13 +200,13 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 			s.markTried(id)
 			switch s.kind {
 			case scoreSoftDeadline:
-				s.setScore(id, s.utility[id]/4)
+				s.setUtility(id, s.utility[id]/4)
 			case scoreHardDeadline:
-				s.setScore(id, 0)
+				s.setUtility(id, 0)
 			}
 		}
 	}
-	s.explore = math.Max(explorationFloor, s.explore*explorationDecay)
+	s.decay()
 }
 
 // deadline resolves the active deadline: the configured one, else the mean
@@ -289,20 +246,4 @@ func (s *Scored) roundMean(fb fl.RoundFeedback) {
 	if count > 1 {
 		s.meanScratch.ScaleInPlace(1 / float64(count))
 	}
-}
-
-// markTried enters a party into the tried set and the utility heap.
-func (s *Scored) markTried(id int) {
-	if s.tried[id] {
-		return
-	}
-	s.tried[id] = true
-	s.nTried++
-	s.heap.push(id, s.utility[id])
-}
-
-// setScore writes a party's score, re-keying its heap entry.
-func (s *Scored) setScore(id int, u float64) {
-	s.utility[id] = u
-	s.heap.set(id, u)
 }

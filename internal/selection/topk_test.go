@@ -255,8 +255,8 @@ func referenceSelect(s *Oort, ref *referenceHeap, round, target int) []int {
 	}
 	nExploit := request - nExplore
 	if nExploit > nTried {
-		nExplore = minInt(request, nUntried)
-		nExploit = minInt(request-nExplore, nTried)
+		nExplore = min(request, nUntried)
+		nExploit = min(request-nExplore, nTried)
 	}
 
 	selected := make([]int, 0, request)

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 
 	"flips/internal/core"
@@ -152,9 +154,20 @@ func (e *Enclave) Submit(sessionID string, ciphertext []byte) error {
 	if len(msg.Counts) == 0 {
 		return fmt.Errorf("tee: empty label distribution from party %d", msg.PartyID)
 	}
-	ld := make(tensor.Vec, len(msg.Counts))
-	copy(ld, msg.Counts)
-	e.lds[msg.PartyID] = ld
+	// Every vector must have the length of those accepted before it, or the
+	// clustering cannot compare them.
+	for _, ld := range e.lds {
+		if len(ld) != len(msg.Counts) {
+			return fmt.Errorf("tee: party %d submitted %d label counts, the job has %d", msg.PartyID, len(msg.Counts), len(ld))
+		}
+		break
+	}
+	for _, c := range msg.Counts {
+		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("tee: party %d submitted label count %v", msg.PartyID, c)
+		}
+	}
+	e.lds[msg.PartyID] = append(tensor.Vec(nil), msg.Counts...)
 	return nil
 }
 
@@ -170,20 +183,15 @@ func (e *Enclave) Cluster(seed uint64) error {
 	if len(e.lds) == 0 {
 		return fmt.Errorf("tee: no label distributions submitted")
 	}
-	// Dense party-id ordering: the selector speaks party IDs directly.
-	maxID := -1
-	for id := range e.lds {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	points := make([]tensor.Vec, 0, len(e.lds))
+	// Ascending party-id order: the selector speaks party IDs directly.
 	ids := make([]int, 0, len(e.lds))
-	for id := 0; id <= maxID; id++ {
-		if ld, ok := e.lds[id]; ok {
-			points = append(points, ld)
-			ids = append(ids, id)
-		}
+	for id := range e.lds {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	points := make([]tensor.Vec, len(ids))
+	for i, id := range ids {
+		points[i] = e.lds[id]
 	}
 	clusters, err := core.ClusterLabelDistributions(points, e.code.MaxK, e.code.Repeats, rng.New(seed))
 	if err != nil {

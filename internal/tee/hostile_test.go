@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -268,5 +269,70 @@ func TestTruncatedCiphertext(t *testing.T) {
 	})
 	if got := enclave.NumSubmissions(); got != 1 {
 		t.Fatalf("%d submissions recorded, want 1", got)
+	}
+}
+
+// TestMalformedSubmissions: three sealed, well-framed submissions whose
+// content the clustering cannot take as it is — a label vector shorter than
+// the ones accepted before it, a negative count, and a party ID at the top of
+// the int range. The first two are refused in an error response; the third is
+// accepted and clustered like any other party. After each, the honest
+// parties' cluster and select are still served by the same server: no panic,
+// no hang.
+func TestMalformedSubmissions(t *testing.T) {
+	t.Parallel()
+	honest := []tensor.Vec{{9, 1, 1}, {9, 2, 1}, {1, 9, 1}, {2, 9, 1}, {1, 1, 9}, {1, 2, 9}}
+	for _, tc := range []struct {
+		name    string
+		party   int
+		counts  tensor.Vec
+		refused bool
+	}{
+		{"shorter label vector", 6, tensor.Vec{5, 5}, true},
+		{"negative count", 6, tensor.Vec{5, -1, 5}, true},
+		{"party id at MaxInt64", math.MaxInt64, tensor.Vec{5, 5, 5}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			enclave, attest := newTestEnclave(t)
+			addr := startServer(t, enclave)
+			within(t, tc.name, func() {
+				remote, err := DialEnclave(addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer remote.Close()
+				if err := SubmitAll(remote, attest, honest); err != nil {
+					t.Error(err)
+					return
+				}
+				hostile := NewPartyClient(tc.party, attest)
+				if err := hostile.Handshake(remote); err != nil {
+					t.Error(err)
+					return
+				}
+				err = hostile.SubmitLabelDistribution(remote, tc.counts)
+				if tc.refused && err == nil {
+					t.Errorf("party %d's counts %v accepted", tc.party, tc.counts)
+				} else if !tc.refused && err != nil {
+					t.Errorf("party %d's counts %v refused: %v", tc.party, tc.counts, err)
+				}
+				if err := remote.Cluster(7); err != nil {
+					t.Errorf("cluster after the submission: %v", err)
+					return
+				}
+				if sel, err := remote.SelectParticipants(0, 3); err != nil || len(sel) != 3 {
+					t.Errorf("select after the submission: %v, %v", sel, err)
+				}
+			})
+			want := len(honest)
+			if !tc.refused {
+				want++
+			}
+			if got := enclave.NumSubmissions(); got != want {
+				t.Fatalf("%d submissions recorded, want %d", got, want)
+			}
+		})
 	}
 }
