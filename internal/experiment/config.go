@@ -618,14 +618,17 @@ type Attach func(built *BuildResult) (transport fl.ShardTransport, release func(
 // repeat's fleet. Repeats run concurrently, and scale.Parallelism is a total
 // budget divided between the repeat fan-out and each run's training workers
 // (repeat-width × training-width ≤ budget), so nested pools never multiply
-// past the requested concurrency. The reduction always folds in repeat order,
+// past the requested concurrency. Each run also adds one evaluator goroutine
+// outside the budget, idle unless a model snapshot is queued for it (see
+// fl.Config.Parallelism). The reduction always folds in repeat order,
 // so the averages are bit-identical at every width.
 //
 // onRound, when non-nil, receives every evaluated RoundStats of the *first*
 // repeat as it happens (later repeats re-run the same cell under different
 // seeds only to average the headline numbers, so streaming them would
 // interleave unrelated trajectories). The hook runs on the first repeat's
-// engine goroutine; see fl.Config.OnRound for its retention contract.
+// evaluator goroutine, in round order and never after this function returns;
+// see fl.Config.OnRound for its retention contract.
 // attach, when non-nil, routes every repeat's local training through the
 // transport it returns.
 func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats), attach Attach) (*fl.Result, [][]int, error) {

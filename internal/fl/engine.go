@@ -75,21 +75,25 @@ type Config struct {
 	// OnRound, when non-nil, receives every evaluated round's RoundStats the
 	// moment it is appended to the history — the streaming hook the job
 	// server uses to push per-round progress to clients while a job runs.
-	// It is called on the engine's goroutine, so it must not block for long;
-	// the PerLabel slice is owned by the history entry and must be copied if
-	// retained past the call.
+	// It is called on the run's evaluator goroutine, in round order, never
+	// concurrently with itself and never after Run returns; the engine keeps
+	// selecting and training meanwhile, but a hook that blocks for long
+	// stalls it once evalQueueCap snapshots wait. The PerLabel slice is owned
+	// by the history entry and must be copied if retained past the call.
 	OnRound func(RoundStats)
 	// TargetAccuracy records the first round whose balanced accuracy
 	// reaches this value (the paper's rounds-to-target metric).
 	TargetAccuracy float64
-	// Parallelism bounds the number of concurrent local-training workers and
-	// test-set evaluation shards. Zero (the default) uses GOMAXPROCS; 1
-	// forces the fully sequential path. Every width produces bit-identical
-	// Results: per-party RNG streams are pre-split on the caller's goroutine
-	// in the sequential order, training results are deposited into an
+	// Parallelism bounds the engine's worker pool: concurrent local-training
+	// workers and fold shards. Zero (the default) uses GOMAXPROCS; 1 forces
+	// the sequential path. At every width the run adds one evaluator goroutine,
+	// idle unless a model snapshot is queued, which scores the test set while
+	// the engine goes on. Every width produces bit-identical Results:
+	// per-party RNG streams are pre-split on the caller's goroutine in the
+	// sequential order, training results are deposited into an
 	// index-addressed slice, aggregation folds them in that same order, and
-	// evaluation shards merge integer counts (see DESIGN.md, "Parallel
-	// execution model").
+	// evaluation counts integers over snapshots in step order (see DESIGN.md,
+	// "Parallel execution model").
 	Parallelism int
 	// Shards partitions the party population into this many deterministic
 	// contiguous ID ranges for fleet-scale aggregation: the engine's dense
@@ -359,14 +363,18 @@ type Result struct {
 // deterministic given Config.Seed.
 //
 // Run validates the configuration, builds the discrete-event simulation core
-// (events.go), resumes from a checkpoint when configured, and runs the
-// engine's one aggregation loop: per step, the learning-rate decay, one
-// cycle of the aggregation policy — SyncRounds (default), Buffered or
-// SemiSync — and the epilogue every cycle shares, in this order: the result
-// clock takes the cycle's simulated clock, the cycle's bytes are counted,
-// the selector observes the cycle's feedback, the model is evaluated on the
-// evaluation cadence, a checkpoint is taken on the checkpoint cadence, and
-// the per-cycle state is reset.
+// (events.go), resumes from a checkpoint when configured, starts the run's
+// evaluator goroutine (evaluator.go) and runs the engine's one aggregation
+// loop: per step, the learning-rate decay, one cycle of the aggregation
+// policy — SyncRounds (default), Buffered or SemiSync — and the epilogue
+// every cycle shares, in this order: the result clock takes the cycle's
+// simulated clock, the cycle's bytes are counted, the selector observes the
+// cycle's feedback, a snapshot of the model is handed to the evaluator on the
+// evaluation cadence, a checkpoint is taken on the checkpoint cadence once
+// the evaluator has caught up, and the per-cycle state is reset. Run joins the
+// evaluator before it returns, on every path: the Result is complete, no
+// OnRound call happens after Run returns, and a panic during evaluation is
+// re-raised on Run's caller goroutine.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -383,6 +391,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		start = c.resume(cfg.Resume)
 	}
+	c.eval.start(c.global)
+	defer c.eval.stop()
 	for step := start; step < cfg.Rounds; step++ {
 		c.decayLR(step)
 		st, err := policy.cycle(c, step)
@@ -396,6 +406,7 @@ func Run(cfg Config) (*Result, error) {
 		c.maybeCheckpoint(step, policy)
 		c.resetCycle()
 	}
+	c.eval.stop()
 	c.res.FinalParams = c.globalParams
 	return c.res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"flips/internal/metrics"
 	"flips/internal/model"
 	"flips/internal/parallel"
 	"flips/internal/rng"
@@ -182,14 +181,19 @@ func (q *eventQueue) pop() event {
 
 // eventCore is the engine state shared by every aggregation policy: the
 // global model and optimizer, the simulated clock and event queue, the
-// worker pool with its per-worker model replicas and training scratch, and
-// the per-cycle reusable buffers that keep the round loop allocation-free.
+// worker pool with its per-worker model replicas and training scratch, the
+// evaluator, and the per-cycle reusable buffers that keep the round loop
+// allocation-free.
 type eventCore struct {
-	cfg          *Config
-	res          *Result
-	root         *rng.Source
+	cfg  *Config
+	res  *Result
+	root *rng.Source
+	// global is the architecture every replica is cloned from; the global
+	// model's parameters live in globalParams, and each replica is set from
+	// them (or from a snapshot of them) before use.
 	global       model.Model
 	globalParams tensor.Vec
+	eval         evaluator
 	sgd          model.SGDConfig
 	pool         *parallel.Pool
 	useDevices   bool
@@ -290,6 +294,7 @@ func newEventCore(cfg *Config) *eventCore {
 		paramBytes:   int64(global.NumParams()) * 8,
 		useDevices:   len(cfg.Parties) > 0 && cfg.Parties[0].Device != nil,
 	}
+	c.eval = evaluator{cfg: cfg, res: c.res, dim: len(c.globalParams)}
 	if cfg.FedDynAlpha > 0 {
 		c.dynState = make(map[int]tensor.Vec, len(cfg.Parties))
 	}
@@ -458,7 +463,6 @@ func (c *eventCore) applyFold(global tensor.Vec, contributors int) {
 		c.priv.addNoise(c.delta, contributors)
 	}
 	c.cfg.Optimizer.Apply(c.globalParams, c.delta)
-	c.global.SetParams(c.globalParams)
 	c.version++
 }
 
@@ -471,7 +475,6 @@ func (c *eventCore) applyFold(global tensor.Vec, contributors int) {
 // Returns the aggregation step to resume at.
 func (c *eventCore) resume(cp *Checkpoint) int {
 	copy(c.globalParams, cp.GlobalParams)
-	c.global.SetParams(c.globalParams)
 	if adaptive, ok := c.cfg.Optimizer.(*Adaptive); ok {
 		adaptive.SetState(cp.OptimizerMoment, cp.OptimizerSecondMoment)
 	}
@@ -656,16 +659,20 @@ func (c *eventCore) push(up *pendingUpdate) {
 	c.seq++
 }
 
-// maybeEval evaluates the global model and appends a history entry when
-// 0-based step hits the evaluation cadence (or is the final step). SimTime
-// is read from res.SimTime, which Run's epilogue keeps current; TimeToTarget
-// is therefore comparable across aggregation modes — it is the simulated
-// event-clock value at the evaluation that first crossed the target.
+// maybeEval hands the global model to the evaluator when 0-based step hits
+// the evaluation cadence (or is the final step): a copy of the parameters and
+// the step's history entry, stamped with res.SimTime, which Run's epilogue
+// keeps current. TimeToTarget is therefore comparable across aggregation
+// modes — it is the simulated event-clock value at the evaluation that first
+// crossed the target. The evaluator scores the snapshot while the next cycles
+// run (evaluator.go).
 func (c *eventCore) maybeEval(step int, st cycleStats) {
 	if (step+1)%c.cfg.EvalEvery != 0 && step != c.cfg.Rounds-1 {
 		return
 	}
-	stats := RoundStats{
+	j := c.eval.take()
+	copy(j.params, c.globalParams)
+	j.stats = RoundStats{
 		Round:         step + 1,
 		Invited:       st.invited,
 		Completed:     st.completed,
@@ -677,30 +684,21 @@ func (c *eventCore) maybeEval(step int, st cycleStats) {
 		Rejected:      c.cycleRejected,
 		MaskAborted:   c.cycleMaskAborted,
 	}
-	correct, total := metrics.ShardedClassCounts(c.global, c.cfg.Test, c.cfg.NumClasses, c.pool)
-	stats.Accuracy = metrics.BalancedAccuracyFromCounts(correct, total)
-	stats.PerLabel = metrics.PerLabelRecallFromCounts(correct, total)
-	c.res.History = append(c.res.History, stats)
-	if c.cfg.OnRound != nil {
-		c.cfg.OnRound(stats)
-	}
-	if stats.Accuracy > c.res.PeakAccuracy {
-		c.res.PeakAccuracy = stats.Accuracy
-	}
-	if c.cfg.TargetAccuracy > 0 && c.res.RoundsToTarget < 0 && stats.Accuracy >= c.cfg.TargetAccuracy {
-		c.res.RoundsToTarget = step + 1
-		c.res.TimeToTarget = c.res.SimTime
-	}
+	c.eval.hand(j)
 }
 
 // maybeCheckpoint emits a checkpoint when 0-based step hits the checkpoint
-// cadence. Every policy but SyncRounds, whose rounds leave nothing in flight,
-// also snapshots the event-clock state (in-flight updates, wave cursor).
+// cadence, after the evaluator has caught up. Every policy but SyncRounds,
+// whose rounds leave nothing in flight, also snapshots the event-clock state
+// (in-flight updates, wave cursor).
 func (c *eventCore) maybeCheckpoint(step int, policy AggregationPolicy) {
 	cfg := c.cfg
 	if cfg.CheckpointEvery <= 0 || cfg.CheckpointSink == nil || (step+1)%cfg.CheckpointEvery != 0 {
 		return
 	}
+	// The checkpoint carries the evaluation half of the result: every step
+	// handed to the evaluator so far must be scored first.
+	c.eval.wait()
 	cp := &Checkpoint{
 		Round:          step + 1,
 		GlobalParams:   c.globalParams.Clone(),

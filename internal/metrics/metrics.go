@@ -1,8 +1,8 @@
 // Package metrics provides the evaluation statistics the FLIPS harness
 // reports beyond raw balanced accuracy: summary statistics over repeated
-// measurements, and the sharded parallel evaluation path (per-class counts,
-// hence the per-label recall of Figure 13) the FL engine uses on the global
-// test set.
+// measurements, the balanced accuracy and per-label recall (Figure 13) the FL
+// engine's evaluator derives from per-class counts on the global test set,
+// and a sharded parallel counting path.
 package metrics
 
 import (
@@ -19,7 +19,10 @@ import (
 // model.ClassCounts over the whole set at every pool width — this is the
 // determinism contract of the parallel evaluation path. Models keep reusable
 // forward-pass scratch, so each concurrent shard evaluates its own Clone of
-// m (a parameter copy; Predict itself then allocates nothing).
+// m (a parameter copy; Predict itself then allocates nothing). The FL engine
+// no longer calls it — its evaluator overlaps one model.ClassCounts per
+// snapshot with the next cycles instead — but the benchmark's evaluation
+// probe does.
 func ShardedClassCounts(m model.Model, samples []dataset.Sample, numClasses int, pool *parallel.Pool) (correct, total []int) {
 	n := len(samples)
 	shards := pool.Width()

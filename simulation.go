@@ -330,8 +330,9 @@ func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 // RunSimulationStream is RunSimulation with a live per-round hook: onRound,
 // when non-nil, receives every evaluated round as it completes — the
 // streaming surface behind the job server's NDJSON round feed. The hook
-// runs on the engine goroutine, so it should hand off quickly; the PerLabel
-// slice must be copied if retained.
+// runs on the run's evaluator goroutine, in round order and never after this
+// function returns; it should hand off quickly, and the PerLabel slice must
+// be copied if retained.
 func RunSimulationStream(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
 	return runSimulation(cfg, onRound, nil)
 }
