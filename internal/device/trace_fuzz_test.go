@@ -19,26 +19,26 @@ import (
 func FuzzTraceSet(f *testing.F) {
 	f.Add([]byte("1,0,1\n0,1,0\n"))
 	f.Add([]byte("# comment\n\n1\n"))
-	f.Add([]byte("1,0,\n"))                               // trailing empty field
-	f.Add([]byte("2,0\n"))                                // latency multiplier 2
-	f.Add([]byte("1,NaN\n"))                              // NaN token
-	f.Add([]byte("1,Inf\n"))                              // Inf token
-	f.Add([]byte("-1,0\n"))                               // negative "timestamp"
-	f.Add([]byte("1.5,0\n"))                              // fractional multiplier
-	f.Add([]byte("0.25,1e2\n"))                           // speedup + exponent form
-	f.Add([]byte(""))                                     // empty trace
-	f.Add([]byte("\n\n# only comments\n"))                // no devices
-	f.Add([]byte(`{"devices": [[1,0,1],[0,1]]}`))         // valid JSON
-	f.Add([]byte(`{"devices": []}`))                      // JSON, no devices
-	f.Add([]byte(`{"devices": [[]]}`))                    // JSON, empty row
-	f.Add([]byte(`{"devices": [[1],[]]}`))                // JSON, trailing empty row
-	f.Add([]byte(`{"devices": [[2]]}`))                   // JSON multiplier
-	f.Add([]byte(`{"devices": [[1,-1]]}`))                // JSON, negative
-	f.Add([]byte(`{"devices": [[1.0, 0.0]]}`))            // JSON float slots
-	f.Add([]byte(`{"devices": [[0.5, 3.25]]}`))           // JSON multipliers
-	f.Add([]byte(`{"devices": [[1e309]]}`))               // JSON overflow
-	f.Add([]byte(`  {"devices": [[1]]}`))                 // leading whitespace
-	f.Add([]byte(`{"devices": [[9223372036854775807]]}`)) // int64 max
+	f.Add([]byte("1,0,\n"))                                // trailing empty field
+	f.Add([]byte("2,0\n"))                                 // latency multiplier 2
+	f.Add([]byte("1,NaN\n"))                               // NaN token
+	f.Add([]byte("1,Inf\n"))                               // Inf token
+	f.Add([]byte("-1,0\n"))                                // negative "timestamp"
+	f.Add([]byte("1.5,0\n"))                               // fractional multiplier
+	f.Add([]byte("0.25,1e2\n"))                            // speedup + exponent form
+	f.Add([]byte(""))                                      // empty trace
+	f.Add([]byte("\n\n# only comments\n"))                 // no devices
+	f.Add([]byte(`{"devices": [[1,0,1],[0,1]]}`))          // valid JSON
+	f.Add([]byte(`{"devices": []}`))                       // JSON, no devices
+	f.Add([]byte(`{"devices": [[]]}`))                     // JSON, empty row
+	f.Add([]byte(`{"devices": [[1],[]]}`))                 // JSON, trailing empty row
+	f.Add([]byte(`{"devices": [[2]]}`))                    // JSON multiplier
+	f.Add([]byte(`{"devices": [[1,-1]]}`))                 // JSON, negative
+	f.Add([]byte(`{"devices": [[1.0, 0.0]]}`))             // JSON float slots
+	f.Add([]byte(`{"devices": [[0.5, 3.25]]}`))            // JSON multipliers
+	f.Add([]byte(`{"devices": [[1e309]]}`))                // JSON overflow
+	f.Add([]byte(`  {"devices": [[1]]}`))                  // leading whitespace
+	f.Add([]byte(`{"devices": [[9223372036854775807]]}`))  // int64 max
 	f.Add([]byte("\xef\xbb\xbf" + `{"devices": [[1,0]]}`)) // BOM-prefixed JSON
 	f.Add([]byte("\xef\xbb\xbf1,0\n"))                     // BOM-prefixed CSV
 

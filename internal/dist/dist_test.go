@@ -181,7 +181,8 @@ func TestGoldenRunsAreWireInvariant(t *testing.T) {
 // killingTransport wraps a Job and severs one worker's connection right as a
 // chosen wave dispatches — the process-kill simulation for the recovery
 // test. The replacement worker is spawned at the same moment, so the slot
-// reattaches by replaying assignment + checkpoint + the identical wave.
+// reattaches by replaying the assignment and the identical wave, whose
+// dispatch frame carries the parameters.
 type killingTransport struct {
 	*Job
 	victim   net.Conn
@@ -203,7 +204,7 @@ func (k *killingTransport) TrainWave(d fl.TrainDispatch, out []model.LocalResult
 
 // TestWorkerKillMidWaveReplaysByteIdentical kills one of two workers
 // mid-run, lets a fresh worker register, and requires the recovered run —
-// shard assignment and parameter checkpoint replayed onto the replacement —
+// shard assignment and the wave's parameters replayed onto the replacement —
 // to be byte-identical to the undisturbed in-process run. Uses the chaos
 // golden: the most adversarial pinned trajectory (outages, surges, byzantine
 // faults, trimmed-mean fold).
@@ -393,11 +394,11 @@ func echoBuilder(dim, classes int) Builder {
 	}
 }
 
-// TestCheckpointChunkingStreamsLargeParams: a parameter vector larger than
-// the old 64 Ki-float checkpoint chunk crosses in the dispatch frame itself,
+// TestLargeParamsRideTheDispatchFrame: a parameter vector larger than the
+// 64 Ki-float chunk of protocol version 3 crosses in the dispatch frame itself,
 // and a data-free wave echoes it back bit-exactly — what the in-process
 // engine's TrainLocalScratch returns for the same parties.
-func TestCheckpointChunkingStreamsLargeParams(t *testing.T) {
+func TestLargeParamsRideTheDispatchFrame(t *testing.T) {
 	const dim, classes = 40000, 2 // 80002 params, 640 KB on the wire
 	coord, addr := startCoordinator(t)
 	startWorker(t, addr, WorkerOptions{Builder: echoBuilder(dim, classes), Parallelism: 1})
@@ -514,10 +515,10 @@ func dispatchFrame(wave, version uint64, params []float64, ids ...int) []byte {
 	return e.bytes()
 }
 
-// TestDispatchBeforeCheckpointFails: a dispatch that carries no parameters to
+// TestParamlessDispatchBeforeSyncFails: a dispatch that carries no parameters to
 // a worker that holds none draws an explicit protocol error, not garbage
 // training — and so does one at a version the worker is not at.
-func TestDispatchBeforeCheckpointFails(t *testing.T) {
+func TestParamlessDispatchBeforeSyncFails(t *testing.T) {
 	w := testWorker(t, 9, 4)
 	if _, _, err := w.dispatch(dispatchFrame(1, 0, nil)); err == nil {
 		t.Fatal("dispatch against unsynced params succeeded")
@@ -536,12 +537,12 @@ func TestDispatchBeforeCheckpointFails(t *testing.T) {
 	}
 }
 
-// TestCheckpointCommitsOnlyOnCoveringChunk: the worker's version moves only
+// TestVersionCommitsOnlyOnWholeDispatch: the worker's version moves only
 // when a dispatch frame's whole parameter section — and the rest of the frame
 // — decoded. A section cut short, of the wrong length, or followed by a
 // malformed party list leaves the job unsynced, so the next paramless
 // dispatch is refused instead of training on a half-written vector.
-func TestCheckpointCommitsOnlyOnCoveringChunk(t *testing.T) {
+func TestVersionCommitsOnlyOnWholeDispatch(t *testing.T) {
 	full := []float64{1, 2, 3, 4, 5, 6}
 	good := dispatchFrame(1, 5, full, 0)
 	bad := map[string][]byte{

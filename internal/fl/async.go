@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // defaultStalenessHalfLife is the staleness half-life (in server model
@@ -43,10 +42,10 @@ func orHalfLife(h float64) float64 {
 // each delta by n_i · 2^(−staleness/H). Aggregated parties are immediately
 // replaced from the selector, so fast devices cycle many times while a slow
 // device finishes once — no synchronization barrier, no wasted work.
-// Config.Rounds counts aggregation steps, so histories, evaluation cadence
-// and checkpoint cadence line up with the synchronous modes; SimTime is the
-// event clock at each step's K-th arrival, which makes TimeToTarget
-// comparable across policies.
+// Config.Rounds counts aggregation steps, so histories and the evaluation
+// cadence line up with the synchronous modes; SimTime is the event clock at
+// each step's K-th arrival, which makes TimeToTarget comparable across
+// policies.
 type Buffered struct {
 	// K is the buffer size: the server aggregates after every K arrivals.
 	// Zero defaults to max(1, PartiesPerRound/2); K must not exceed
@@ -465,30 +464,4 @@ func (c *eventCore) settleMaskedWaves(halfLife float64, settleAll bool) (int, er
 	}
 	c.priv.waves = kept
 	return survivors, nil
-}
-
-// captureAsyncState snapshots the event-clock state for a checkpoint: the
-// wave cursor, the simulated clock, the model version and every in-flight
-// update, serialized in event-queue pop order so resume can re-push them
-// with fresh sequence numbers and preserve arrival tie-breaks.
-func (c *eventCore) captureAsyncState() *AsyncState {
-	st := &AsyncState{Waves: c.waves, Clock: c.clock, Version: c.version}
-	items := make([]event, len(c.queue.items))
-	copy(items, c.queue.items)
-	sort.Slice(items, func(i, j int) bool { return eventBefore(items[i], items[j]) })
-	for _, ev := range items {
-		up := ev.up
-		st.InFlight = append(st.InFlight, PendingUpdate{
-			Party:    up.party,
-			Update:   append([]float64(nil), up.update...),
-			Weight:   up.weight,
-			Version:  up.version,
-			Arrival:  up.arrival,
-			Duration: up.duration,
-			MeanLoss: up.meanLoss,
-			SqLoss:   up.sqLoss,
-			Steps:    up.steps,
-		})
-	}
-	return st
 }

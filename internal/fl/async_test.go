@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -79,137 +78,6 @@ func TestAsyncRunMatchesSequential(t *testing.T) {
 					t.Fatalf("%s dev=%v seed %d: no simulated time accumulated", policy.Name(), mkDev, seed)
 				}
 			}
-		}
-	}
-}
-
-// TestAsyncResumeMidBuffer runs the checkpoint-resume contract for the async
-// policies: a checkpoint taken mid-job carries the event-clock state — the
-// wave cursor, the simulated clock and every in-flight update still
-// traveling through the event queue — and a Parallelism: 8 continuation from
-// its serialized form must be byte-identical to the uninterrupted sequential
-// run.
-func TestAsyncResumeMidBuffer(t *testing.T) {
-	t.Parallel()
-	for _, policy := range asyncPolicies() {
-		const seed = 29
-		uninterrupted, err := Run(asyncDeviceConfig(t, seed, 1, policy))
-		if err != nil {
-			t.Fatalf("%s: %v", policy.Name(), err)
-		}
-
-		var cps []*Checkpoint
-		cfg := asyncDeviceConfig(t, seed, 8, policy)
-		cfg.CheckpointEvery = 2
-		cfg.CheckpointSink = func(cp *Checkpoint) { cps = append(cps, cp) }
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("%s: %v", policy.Name(), err)
-		}
-		if len(cps) < 2 {
-			t.Fatalf("%s: captured %d checkpoints", policy.Name(), len(cps))
-		}
-		mid := cps[1]
-		if mid.Async == nil {
-			t.Fatalf("%s: checkpoint missing async event-clock state", policy.Name())
-		}
-		if mid.Aggregation != policy.Name() {
-			t.Fatalf("%s: checkpoint aggregation %q", policy.Name(), mid.Aggregation)
-		}
-		if len(mid.Async.InFlight) == 0 {
-			t.Fatalf("%s: mid-job checkpoint has no in-flight updates — the scenario is not exercising mid-buffer state", policy.Name())
-		}
-
-		// Round-trip through the serialized form, as a recovering aggregator
-		// would.
-		raw, err := json.Marshal(mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := UnmarshalCheckpoint(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		resumedCfg := asyncDeviceConfig(t, seed, 8, policy)
-		resumedCfg.Resume = cp
-		resumed, err := Run(resumedCfg)
-		if err != nil {
-			t.Fatalf("%s resume: %v", policy.Name(), err)
-		}
-
-		if !bitsEqual(resumed.SimTime, uninterrupted.SimTime) {
-			t.Fatalf("%s resumed sim time %v vs %v", policy.Name(), resumed.SimTime, uninterrupted.SimTime)
-		}
-		if !bitsEqual(resumed.TimeToTarget, uninterrupted.TimeToTarget) {
-			t.Fatalf("%s resumed time-to-target %v vs %v", policy.Name(), resumed.TimeToTarget, uninterrupted.TimeToTarget)
-		}
-		for i := range uninterrupted.FinalParams {
-			if !bitsEqual(uninterrupted.FinalParams[i], resumed.FinalParams[i]) {
-				t.Fatalf("%s resumed param %d: %v vs %v", policy.Name(), i, resumed.FinalParams[i], uninterrupted.FinalParams[i])
-			}
-		}
-		tail := uninterrupted.History[len(uninterrupted.History)-len(resumed.History):]
-		for i := range resumed.History {
-			if resumed.History[i].Round != tail[i].Round || !bitsEqual(resumed.History[i].Accuracy, tail[i].Accuracy) ||
-				!bitsEqual(resumed.History[i].SimTime, tail[i].SimTime) {
-				t.Fatalf("%s resumed history[%d] = %+v, want %+v", policy.Name(), i, resumed.History[i], tail[i])
-			}
-		}
-	}
-}
-
-// TestAsyncResumeRejectsPolicyMismatch pins the checkpoint guard: a
-// checkpoint written under one aggregation policy must not resume under
-// another, and async checkpoints without event-clock state are rejected.
-func TestAsyncResumeRejectsPolicyMismatch(t *testing.T) {
-	t.Parallel()
-	var cps []*Checkpoint
-	cfg := asyncConfig(t, 7, 1, Buffered{K: 2})
-	cfg.CheckpointEvery = 2
-	cfg.CheckpointSink = func(cp *Checkpoint) { cps = append(cps, cp) }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints captured")
-	}
-
-	syncCfg := asyncConfig(t, 7, 1, nil) // nil → SyncRounds
-	syncCfg.Resume = cps[0]
-	if _, err := Run(syncCfg); err == nil {
-		t.Fatal("buffered checkpoint resumed under sync policy")
-	}
-
-	broken := *cps[0]
-	broken.Async = nil
-	brokenCfg := asyncConfig(t, 7, 1, Buffered{K: 2})
-	brokenCfg.Resume = &broken
-	if _, err := Run(brokenCfg); err == nil {
-		t.Fatal("async checkpoint without event-clock state accepted")
-	}
-
-	// Corrupted event-clock state must be rejected by validation, not
-	// surface as an index panic mid-run.
-	corrupt := func(mutate func(*AsyncState)) *Checkpoint {
-		cp := *cps[0]
-		st := *cp.Async
-		st.InFlight = append([]PendingUpdate(nil), cp.Async.InFlight...)
-		mutate(&st)
-		cp.Async = &st
-		return &cp
-	}
-	if len(cps[0].Async.InFlight) == 0 {
-		t.Fatal("scenario has no in-flight updates to corrupt")
-	}
-	for name, cp := range map[string]*Checkpoint{
-		"out-of-range party": corrupt(func(st *AsyncState) { st.InFlight[0].Party = 10000 }),
-		"short update":       corrupt(func(st *AsyncState) { st.InFlight[0].Update = st.InFlight[0].Update[:1] }),
-		"negative waves":     corrupt(func(st *AsyncState) { st.Waves = -1 }),
-	} {
-		cfg := asyncConfig(t, 7, 1, Buffered{K: 2})
-		cfg.Resume = cp
-		if _, err := Run(cfg); err == nil {
-			t.Fatalf("checkpoint with %s accepted", name)
 		}
 	}
 }

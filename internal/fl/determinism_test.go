@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -198,132 +197,6 @@ func TestParallelDeviceRunMatchesSequential(t *testing.T) {
 			if sequential.SimTime <= 0 {
 				t.Fatalf("%v seed %d: device run accumulated no simulated time", avail.Kind, seed)
 			}
-		}
-	}
-}
-
-// TestParallelDeviceResumeMatchesSequential runs the checkpoint-resume
-// determinism contract under the device model: a Parallelism: 8 continuation
-// from a mid-job checkpoint — churn, deadline and the simulated clock all
-// active — must be byte-identical to the uninterrupted sequential run.
-func TestParallelDeviceResumeMatchesSequential(t *testing.T) {
-	t.Parallel()
-	const seed = 31
-	avail := device.Availability{Kind: device.Churn, OnlineProb: 0.75}
-	uninterrupted, err := Run(determinismDeviceConfig(t, seed, 1, avail))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var cps []*Checkpoint
-	cfg := determinismDeviceConfig(t, seed, 8, avail)
-	cfg.CheckpointEvery = 2
-	cfg.CheckpointSink = func(cp *Checkpoint) { cps = append(cps, cp) }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) < 2 {
-		t.Fatalf("captured %d checkpoints", len(cps))
-	}
-
-	raw, err := json.Marshal(cps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := UnmarshalCheckpoint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resumedCfg := determinismDeviceConfig(t, seed, 8, avail)
-	resumedCfg.Resume = cp
-	resumed, err := Run(resumedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !bitsEqual(resumed.SimTime, uninterrupted.SimTime) {
-		t.Fatalf("resumed sim time %v vs %v", resumed.SimTime, uninterrupted.SimTime)
-	}
-	if !bitsEqual(resumed.TimeToTarget, uninterrupted.TimeToTarget) {
-		t.Fatalf("resumed time-to-target %v vs %v", resumed.TimeToTarget, uninterrupted.TimeToTarget)
-	}
-	for i := range uninterrupted.FinalParams {
-		if !bitsEqual(uninterrupted.FinalParams[i], resumed.FinalParams[i]) {
-			t.Fatalf("resumed param %d: %v vs %v", i, resumed.FinalParams[i], uninterrupted.FinalParams[i])
-		}
-	}
-	tail := uninterrupted.History[len(uninterrupted.History)-len(resumed.History):]
-	for i := range resumed.History {
-		if resumed.History[i].Round != tail[i].Round || !bitsEqual(resumed.History[i].SimTime, tail[i].SimTime) {
-			t.Fatalf("resumed history[%d] = %+v, want %+v", i, resumed.History[i], tail[i])
-		}
-	}
-}
-
-// TestParallelResumeMatchesSequential resumes a checkpointed job with
-// Parallelism: 8 and requires the continuation to be byte-identical to the
-// uninterrupted sequential run: same final parameters, same accounting, and
-// the same evaluation trajectory over the resumed rounds.
-func TestParallelResumeMatchesSequential(t *testing.T) {
-	t.Parallel()
-	const seed = 23
-	uninterrupted, err := Run(determinismConfig(t, seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var cps []*Checkpoint
-	cfg := determinismConfig(t, seed, 8)
-	cfg.CheckpointEvery = 2
-	cfg.CheckpointSink = func(cp *Checkpoint) { cps = append(cps, cp) }
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) < 2 {
-		t.Fatalf("captured %d checkpoints", len(cps))
-	}
-
-	// Round-trip the mid-job checkpoint through its serialized form, as a
-	// recovering aggregator would.
-	raw, err := json.Marshal(cps[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := UnmarshalCheckpoint(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resumedCfg := determinismConfig(t, seed, 8)
-	resumedCfg.Resume = cp
-	resumed, err := Run(resumedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if want, got := len(uninterrupted.FinalParams), len(resumed.FinalParams); want != got {
-		t.Fatalf("param lengths %d vs %d", want, got)
-	}
-	for i := range uninterrupted.FinalParams {
-		if !bitsEqual(uninterrupted.FinalParams[i], resumed.FinalParams[i]) {
-			t.Fatalf("resumed param %d: %v vs %v", i, resumed.FinalParams[i], uninterrupted.FinalParams[i])
-		}
-	}
-	if resumed.TotalCommBytes != uninterrupted.TotalCommBytes {
-		t.Fatalf("resumed comm %d vs %d", resumed.TotalCommBytes, uninterrupted.TotalCommBytes)
-	}
-	if !bitsEqual(resumed.PeakAccuracy, uninterrupted.PeakAccuracy) {
-		t.Fatalf("resumed peak %v vs %v", resumed.PeakAccuracy, uninterrupted.PeakAccuracy)
-	}
-	if resumed.RoundsToTarget != uninterrupted.RoundsToTarget {
-		t.Fatalf("resumed rtt %d vs %d", resumed.RoundsToTarget, uninterrupted.RoundsToTarget)
-	}
-	// The resumed history must be the tail of the uninterrupted history.
-	tail := uninterrupted.History[len(uninterrupted.History)-len(resumed.History):]
-	for i := range resumed.History {
-		if resumed.History[i].Round != tail[i].Round || !bitsEqual(resumed.History[i].Accuracy, tail[i].Accuracy) {
-			t.Fatalf("resumed history[%d] = %+v, want %+v", i, resumed.History[i], tail[i])
 		}
 	}
 }

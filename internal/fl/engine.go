@@ -56,20 +56,6 @@ type Config struct {
 	// FedDynAlpha enables the (simplified) FedDyn dynamic-regularization
 	// local objective when positive.
 	FedDynAlpha float64
-	// Resume continues a job from an aggregator checkpoint (§7 fault
-	// tolerance). The configuration must match the checkpointed job (same
-	// seed, optimizer, model and aggregation policy). The checkpoint carries
-	// no selector state: the resumed run reproduces the uninterrupted one
-	// exactly when Selector is the selector as it stood at the checkpoint,
-	// and a selector built afresh continues from its initial state instead.
-	// Privacy masking/noise and FedDyn state is not checkpointed, so those
-	// runs refuse Resume.
-	Resume *Checkpoint
-	// CheckpointEvery emits a checkpoint to CheckpointSink every k rounds
-	// when both are set.
-	CheckpointEvery int
-	// CheckpointSink receives emitted checkpoints.
-	CheckpointSink func(*Checkpoint)
 	// EvalEvery evaluates the global model every k rounds (default 1).
 	EvalEvery int
 	// OnRound, when non-nil, receives every evaluated round's RoundStats the
@@ -242,17 +228,6 @@ func (c *Config) ValidateShape(fleet FleetShape) error {
 			return fmt.Errorf("fl: masked aggregation overflows the fixed-point ring (total weight %v × clip %v): %w; shrink the cohort weight or the clip bound", fleet.TotalWeight, c.Privacy.Clip, err)
 		}
 	}
-	if c.Privacy.Mask || c.Privacy.Epsilon > 0 || c.FedDynAlpha > 0 {
-		// Masking's per-wave escrow, the noise stream's step counter and
-		// FedDyn's per-party correction h_i are in no Checkpoint, so such a run
-		// is checkpoint-free rather than silently divergent on resume.
-		if c.Resume != nil {
-			return fmt.Errorf("fl: privacy masking/noise and FedDyn do not support resuming from a checkpoint")
-		}
-		if c.CheckpointEvery > 0 || c.CheckpointSink != nil {
-			return fmt.Errorf("fl: privacy masking/noise and FedDyn do not support checkpointing")
-		}
-	}
 	switch p := c.policy().(type) {
 	case SyncRounds:
 		if c.Deadline > 0 && !fleet.Devices {
@@ -363,18 +338,17 @@ type Result struct {
 // deterministic given Config.Seed.
 //
 // Run validates the configuration, builds the discrete-event simulation core
-// (events.go), resumes from a checkpoint when configured, starts the run's
-// evaluator goroutine (evaluator.go) and runs the engine's one aggregation
-// loop: per step, the learning-rate decay, one cycle of the aggregation
-// policy — SyncRounds (default), Buffered or SemiSync — and the epilogue
-// every cycle shares, in this order: the result clock takes the cycle's
-// simulated clock, the cycle's bytes are counted, the selector observes the
-// cycle's feedback, a snapshot of the model is handed to the evaluator on the
-// evaluation cadence, a checkpoint is taken on the checkpoint cadence once
-// the evaluator has caught up, and the per-cycle state is reset. Run joins the
-// evaluator before it returns, on every path: the Result is complete, no
-// OnRound call happens after Run returns, and a panic during evaluation is
-// re-raised on Run's caller goroutine.
+// (events.go), starts the run's evaluator goroutine (evaluator.go) and runs
+// the engine's one aggregation loop: per step, the learning-rate decay, one
+// cycle of the aggregation policy — SyncRounds (default), Buffered or
+// SemiSync — and the epilogue every cycle shares, in this order: the result
+// clock takes the cycle's simulated clock, the cycle's bytes are counted, the
+// selector observes the cycle's feedback, a snapshot of the model is handed
+// to the evaluator on the evaluation cadence, and the per-cycle state is
+// reset. Run joins the evaluator before it returns, on every path — its only
+// barrier: the Result is complete, no OnRound call happens after Run
+// returns, and a panic during evaluation is re-raised on Run's caller
+// goroutine.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -384,16 +358,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	policy := cfg.policy()
 	c := newEventCore(&cfg)
-	start := 0
-	if cfg.Resume != nil {
-		if err := cfg.Resume.validateResume(&cfg, len(c.globalParams)); err != nil {
-			return nil, err
-		}
-		start = c.resume(cfg.Resume)
-	}
 	c.eval.start(c.global)
 	defer c.eval.stop()
-	for step := start; step < cfg.Rounds; step++ {
+	for step := 0; step < cfg.Rounds; step++ {
 		c.decayLR(step)
 		st, err := policy.cycle(c, step)
 		if err != nil {
@@ -403,7 +370,6 @@ func Run(cfg Config) (*Result, error) {
 		c.res.TotalCommBytes += c.cycleBytes
 		cfg.Selector.Observe(c.fb)
 		c.maybeEval(step, st)
-		c.maybeCheckpoint(step, policy)
 		c.resetCycle()
 	}
 	c.eval.stop()

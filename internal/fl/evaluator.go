@@ -38,9 +38,8 @@ func (p *evalPanic) Error() string {
 // goroutine of its own, so the next cycles select and train while a snapshot
 // is evaluated (DESIGN.md, "One aggregation loop"). It is the only goroutine
 // Run starts besides the worker pool's and the only caller of
-// Config.OnRound. Between start and the engine's wait or stop it owns the
-// evaluation half of the Result: History, PeakAccuracy, RoundsToTarget and
-// TimeToTarget.
+// Config.OnRound. Between start and stop it owns the evaluation half of the
+// Result: History, PeakAccuracy, RoundsToTarget and TimeToTarget.
 //
 // Snapshots are scored one at a time, in handoff order, on one model replica,
 // and the counts are integers, so every history bit is that of an evaluation
@@ -56,16 +55,14 @@ type evaluator struct {
 	exited  chan struct{} // closed when the evaluator goroutine returns
 	failure *evalPanic    // written before exited closes
 
-	// Engine side: records ready for the next handoff, how many records
-	// exist, and how many are queued or being scored.
+	// Engine side: records ready for the next handoff and how many records
+	// exist.
 	idle []*evalJob
 	made int
-	busy int
 }
 
 // start launches the evaluator goroutine with a replica cloned from proto.
-// Run calls it after resume has restored the result accounting, since from
-// here on the evaluator writes the evaluation half of it.
+// From here on the evaluator writes the evaluation half of the result.
 func (e *evaluator) start(proto model.Model) {
 	e.replica = proto.Clone()
 	e.queue = make(chan *evalJob, evalQueueCap)
@@ -139,25 +136,15 @@ func (e *evaluator) take() *evalJob {
 // exist, and the queue holds that many.
 func (e *evaluator) hand(j *evalJob) {
 	e.queue <- j
-	e.busy++
-}
-
-// wait returns once every handed snapshot is scored, so the engine may read
-// the evaluation half of the result.
-func (e *evaluator) wait() {
-	for e.busy > 0 {
-		e.reclaim()
-	}
 }
 
 // reclaim waits for the evaluator to hand back one scored record and keeps it
 // for reuse, or raises the evaluator's panic. Called only while a record is
-// busy, so the evaluator is scoring or has panicked scoring it, and one of the
-// two happens.
+// queued or being scored, so the evaluator is scoring or has panicked scoring
+// it, and one of the two happens.
 func (e *evaluator) reclaim() {
 	select {
 	case j := <-e.scored:
-		e.busy--
 		e.idle = append(e.idle, j)
 	case <-e.exited:
 		e.raise()

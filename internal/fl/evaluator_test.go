@@ -15,8 +15,8 @@ import (
 
 // runInlineEval is Run with evaluation inline on the engine goroutine, as it
 // was before the evaluator: the same loop, each evaluated step scored by
-// metrics.ShardedClassCounts over the engine's pool before the checkpoint
-// reads the result. It is the reference the evaluator is held to.
+// metrics.ShardedClassCounts over the engine's pool before the next step
+// runs. It is the reference the evaluator is held to.
 func runInlineEval(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -26,14 +26,7 @@ func runInlineEval(cfg Config) (*Result, error) {
 	}
 	policy := cfg.policy()
 	c := newEventCore(&cfg)
-	start := 0
-	if cfg.Resume != nil {
-		if err := cfg.Resume.validateResume(&cfg, len(c.globalParams)); err != nil {
-			return nil, err
-		}
-		start = c.resume(cfg.Resume)
-	}
-	for step := start; step < cfg.Rounds; step++ {
+	for step := 0; step < cfg.Rounds; step++ {
 		c.decayLR(step)
 		st, err := policy.cycle(c, step)
 		if err != nil {
@@ -43,7 +36,6 @@ func runInlineEval(cfg Config) (*Result, error) {
 		c.res.TotalCommBytes += c.cycleBytes
 		cfg.Selector.Observe(c.fb)
 		inlineEval(c, step, st)
-		c.maybeCheckpoint(step, policy)
 		c.resetCycle()
 	}
 	c.res.FinalParams = c.globalParams
@@ -102,45 +94,41 @@ func awaitGoroutines(t *testing.T, want int) {
 // TestEvaluatorMatchesInlineUnderBackPressure holds the evaluator to the
 // inline reference when it is always behind: an OnRound that sleeps 2 ms on
 // every evaluated step fills the snapshot queue, so the engine blocks at
-// handoffs, and a checkpoint on every step makes each one a barrier. Every
-// checkpoint's evaluation fields and the whole history must equal the
-// reference's, bit for bit, under all three policies and at two widths; and
-// OnRound must see the rounds in order, one call at a time.
+// handoffs. The whole result, history and first target crossing included,
+// must equal the reference's, bit for bit, under all three policies and at
+// two widths; and OnRound must see the rounds in order, one call at a time.
 func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 	for _, policy := range []AggregationPolicy{SyncRounds{}, Buffered{K: 3, StalenessHalfLife: 2}, SemiSync{StalenessHalfLife: 2}} {
 		for _, width := range []int{1, 4} {
-			mk := func(sink func(*Checkpoint)) Config {
+			mk := func() Config {
 				cfg := asyncConfig(t, 5, width, policy)
 				if _, sync := policy.(SyncRounds); sync {
 					cfg = determinismConfig(t, 5, width)
 				}
 				cfg.Rounds = 12
 				cfg.EvalEvery = 1
-				cfg.CheckpointEvery = 1
-				cfg.CheckpointSink = sink
 				return cfg
 			}
 			// Aim the target at the reference's peak, so the first crossing,
-			// and with it RoundsToTarget, lands after the first checkpoints.
-			probe, err := runInlineEval(mk(nil))
+			// and with it RoundsToTarget, lands mid-run.
+			probe, err := runInlineEval(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
 			target := probe.PeakAccuracy
 
-			var wantCps, gotCps []*Checkpoint
-			ref := mk(func(cp *Checkpoint) { wantCps = append(wantCps, cp) })
+			ref := mk()
 			ref.TargetAccuracy = target
 			want, err := runInlineEval(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want.RoundsToTarget <= 1 {
-				t.Fatalf("%s width %d: target %v first reached at round %d; the barrier needs a mid-run crossing", policy.Name(), width, target, want.RoundsToTarget)
+				t.Fatalf("%s width %d: target %v first reached at round %d; the test needs a mid-run crossing", policy.Name(), width, target, want.RoundsToTarget)
 			}
 			t.Logf("%s width %d: target first reached at round %d of %d", policy.Name(), width, want.RoundsToTarget, ref.Rounds)
 
-			cfg := mk(func(cp *Checkpoint) { gotCps = append(gotCps, cp) })
+			cfg := mk()
 			cfg.TargetAccuracy = target
 			var inHook atomic.Int32
 			var seen []int
@@ -162,15 +150,8 @@ func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 					t.Fatalf("%s width %d: OnRound saw rounds %v, want 1…%d in order", policy.Name(), width, seen, cfg.Rounds)
 				}
 			}
-			if len(seen) != cfg.Rounds || len(gotCps) != len(wantCps) || len(gotCps) != cfg.Rounds {
-				t.Fatalf("%s width %d: %d OnRound calls, %d checkpoints (reference %d), want %d each", policy.Name(), width, len(seen), len(gotCps), len(wantCps), cfg.Rounds)
-			}
-			for i, w := range wantCps {
-				g := gotCps[i]
-				if !bitsEqual(g.PeakAccuracy, w.PeakAccuracy) || g.RoundsToTarget != w.RoundsToTarget || !bitsEqual(g.TimeToTarget, w.TimeToTarget) {
-					t.Fatalf("%s width %d: checkpoint %d carries (peak %v, rounds-to-target %d, time-to-target %v), reference (%v, %d, %v)",
-						policy.Name(), width, w.Round, g.PeakAccuracy, g.RoundsToTarget, g.TimeToTarget, w.PeakAccuracy, w.RoundsToTarget, w.TimeToTarget)
-				}
+			if len(seen) != cfg.Rounds {
+				t.Fatalf("%s width %d: %d OnRound calls, want %d", policy.Name(), width, len(seen), cfg.Rounds)
 			}
 		}
 	}
@@ -291,7 +272,7 @@ func TestEvaluationAllocs(t *testing.T) {
 		copy(j.params, c.globalParams)
 		j.stats = RoundStats{Round: 1}
 		c.eval.hand(j)
-		c.eval.wait()
+		c.eval.reclaim()
 	})
 	if allocs > 3 {
 		t.Fatalf("an evaluation allocates %v times, want at most 3 (correct, total, PerLabel)", allocs)

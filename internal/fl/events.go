@@ -15,7 +15,7 @@ import (
 // discrete-event simulation core with one aggregation loop, in Run; a policy
 // is the body of one aggregation cycle — everything between the learning-rate
 // decay and the shared epilogue (clock, communication, selector feedback,
-// evaluation, checkpoint):
+// evaluation):
 //
 //   - SyncRounds: the classic synchronization round. All invited parties are
 //     dispatched as one wave, the server waits for every completing party,
@@ -35,8 +35,8 @@ import (
 // three implementations above cover the synchronous, asynchronous and
 // semi-synchronous regimes of the mobile-FL literature.
 type AggregationPolicy interface {
-	// Name identifies the policy ("sync", "buffered", "semisync") in
-	// checkpoints and reports.
+	// Name identifies the policy: "sync", "buffered" or "semisync", the
+	// names PolicyByName takes.
 	Name() string
 
 	// cycle runs aggregation step step: it dispatches, collects and folds,
@@ -127,19 +127,13 @@ func (q *eventQueue) len() int { return len(q.items) }
 
 func (q *eventQueue) peek() event { return q.items[0] }
 
-// eventBefore is the queue's total order — time, then push sequence. It is
-// the single source of truth for event ordering: the heap and the
-// checkpoint serializer (captureAsyncState) both use it, so "InFlight in
-// pop order" can never drift from the live queue's tie-breaks.
-func eventBefore(a, b event) bool {
+// less is the queue's total order: time, then push sequence.
+func (q *eventQueue) less(i, j int) bool {
+	a, b := q.items[i], q.items[j]
 	if a.time != b.time {
 		return a.time < b.time
 	}
 	return a.seq < b.seq
-}
-
-func (q *eventQueue) less(i, j int) bool {
-	return eventBefore(q.items[i], q.items[j])
 }
 
 func (q *eventQueue) push(e event) {
@@ -203,8 +197,7 @@ type eventCore struct {
 	// Event-clock state. clock is the absolute simulated now; version counts
 	// applied aggregations (the staleness reference); waves counts selection
 	// waves — a sync round is one — which is also the root-RNG split cursor
-	// (wave w draws from root.Split(w+1), so checkpoint resume can
-	// fast-forward the stream).
+	// (wave w draws from root.Split(w+1)).
 	queue   eventQueue
 	seq     uint64
 	clock   float64
@@ -466,56 +459,6 @@ func (c *eventCore) applyFold(global tensor.Vec, contributors int) {
 	c.version++
 }
 
-// resume restores a checkpoint: global parameters, optimizer moments,
-// decayed learning rate and the result accounting, then the event-clock
-// state — clock, model version, the wave cursor (fast-forwarding the root RNG
-// stream by one split per consumed wave) and the in-flight updates. A sync
-// checkpoint carries no event-clock state: a sync round is one wave and
-// leaves nothing in flight, so it resumes as Waves = Round at its SimTime.
-// Returns the aggregation step to resume at.
-func (c *eventCore) resume(cp *Checkpoint) int {
-	copy(c.globalParams, cp.GlobalParams)
-	if adaptive, ok := c.cfg.Optimizer.(*Adaptive); ok {
-		adaptive.SetState(cp.OptimizerMoment, cp.OptimizerSecondMoment)
-	}
-	c.sgd.LearningRate = cp.LearningRate
-	c.res.TotalCommBytes = cp.TotalCommBytes
-	c.res.PeakAccuracy = cp.PeakAccuracy
-	c.res.RoundsToTarget = cp.RoundsToTarget
-	c.res.SimTime = cp.SimTime
-	// Pre-device checkpoints omit TimeToTarget (decoding to 0); the target
-	// is reached in time iff it is reached in rounds, so the rounds counter
-	// is authoritative.
-	if c.res.RoundsToTarget >= 0 {
-		c.res.TimeToTarget = cp.TimeToTarget
-	}
-	as := cp.Async
-	if as == nil {
-		as = &AsyncState{Waves: cp.Round, Clock: cp.SimTime}
-	}
-	c.clock, c.version, c.waves = as.Clock, as.Version, as.Waves
-	for w := 0; w < as.Waves; w++ {
-		c.root.Split(uint64(w) + 1)
-	}
-	for i := range as.InFlight {
-		pu := &as.InFlight[i]
-		c.push(&pendingUpdate{
-			party:    pu.Party,
-			update:   tensor.Vec(pu.Update).Clone(),
-			weight:   pu.Weight,
-			version:  pu.Version,
-			arrival:  pu.Arrival,
-			duration: pu.Duration,
-			meanLoss: pu.MeanLoss,
-			sqLoss:   pu.SqLoss,
-			steps:    pu.Steps,
-		})
-		c.inFlight.set(pu.Party, true)
-		c.inFlightCount++
-	}
-	return cp.Round
-}
-
 // nextWave advances the selection-wave cursor and returns the new wave's tag
 // (its 1-based index, which doubles as the mask-stream round tag) and its
 // root stream root.Split(tag).
@@ -685,38 +628,4 @@ func (c *eventCore) maybeEval(step int, st cycleStats) {
 		MaskAborted:   c.cycleMaskAborted,
 	}
 	c.eval.hand(j)
-}
-
-// maybeCheckpoint emits a checkpoint when 0-based step hits the checkpoint
-// cadence, after the evaluator has caught up. Every policy but SyncRounds,
-// whose rounds leave nothing in flight, also snapshots the event-clock state
-// (in-flight updates, wave cursor).
-func (c *eventCore) maybeCheckpoint(step int, policy AggregationPolicy) {
-	cfg := c.cfg
-	if cfg.CheckpointEvery <= 0 || cfg.CheckpointSink == nil || (step+1)%cfg.CheckpointEvery != 0 {
-		return
-	}
-	// The checkpoint carries the evaluation half of the result: every step
-	// handed to the evaluator so far must be scored first.
-	c.eval.wait()
-	cp := &Checkpoint{
-		Round:          step + 1,
-		GlobalParams:   c.globalParams.Clone(),
-		OptimizerName:  cfg.Optimizer.Name(),
-		Aggregation:    policy.Name(),
-		LearningRate:   c.sgd.LearningRate,
-		TotalCommBytes: c.res.TotalCommBytes,
-		PeakAccuracy:   c.res.PeakAccuracy,
-		RoundsToTarget: c.res.RoundsToTarget,
-		SimTime:        c.res.SimTime,
-		TimeToTarget:   c.res.TimeToTarget,
-		Seed:           cfg.Seed,
-	}
-	if adaptive, ok := cfg.Optimizer.(*Adaptive); ok {
-		cp.OptimizerMoment, cp.OptimizerSecondMoment = adaptive.State()
-	}
-	if _, sync := policy.(SyncRounds); !sync {
-		cp.Async = c.captureAsyncState()
-	}
-	cfg.CheckpointSink(cp)
 }

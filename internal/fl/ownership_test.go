@@ -2,7 +2,6 @@ package fl_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -100,52 +99,6 @@ func TestOwnershipGoldens(t *testing.T) {
 		cfg.Transport = cloneTransport{&cfg}
 		if got := runDigest(mustRun(t, name, cfg)); got != want[name] {
 			t.Errorf("%s poisoned over the clone-per-party transport differs from the unpoisoned run", name)
-		}
-	}
-}
-
-// TestOwnershipResume checkpoints every resumable golden halfway, resumes it
-// poisoned from the JSON round-tripped checkpoint — its in-flight async
-// updates included — and requires the uninterrupted unpoisoned tail.
-func TestOwnershipResume(t *testing.T) {
-	type arm struct {
-		name      string
-		full      *fl.Result
-		at, every int
-	}
-	var arms []arm
-	for name := range fl.GoldenConfigs() {
-		cfg := golden(t, name)
-		if cfg.Privacy.Enabled() || cfg.FedDynAlpha > 0 {
-			continue // state no checkpoint carries: Run refuses to resume it
-		}
-		every := max(cfg.EvalEvery, 1)
-		arms = append(arms, arm{name, mustRun(t, name, cfg), every * max(cfg.Rounds/every/2, 1), every})
-	}
-	if len(arms) < 4 {
-		t.Fatalf("only %d resumable goldens", len(arms))
-	}
-	fl.PoisonFreed(t)
-	for _, a := range arms {
-		head := golden(t, a.name)
-		var cp *fl.Checkpoint
-		head.Rounds, head.CheckpointEvery, head.CheckpointSink = a.at, a.at, func(c *fl.Checkpoint) { cp = c }
-		mustRun(t, a.name+" head", head)
-		blob, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job := golden(t, a.name)
-		job.Resume = new(fl.Checkpoint)
-		if err := json.Unmarshal(blob, job.Resume); err != nil {
-			t.Fatal(err)
-		}
-		tail := mustRun(t, a.name+" tail", job)
-		skip := a.at / a.every
-		wantTail := *a.full
-		wantTail.History = a.full.History[skip:]
-		if runDigest(tail) != runDigest(&wantTail) {
-			t.Errorf("%s resumed poisoned at round %d differs from the uninterrupted unpoisoned run", a.name, a.at)
 		}
 	}
 }

@@ -65,21 +65,7 @@ func TestPrivacyConfigValidation(t *testing.T) {
 		{"threshold without mask", func(c *Config) { c.Privacy = PrivacyConfig{ShareThreshold: 2} }, "without Mask"},
 		{"mask with robust fold", func(c *Config) { c.Fold = FoldConfig{Kind: FoldMedian} }, "mean fold"},
 		{"mask with feddyn", func(c *Config) { c.FedDynAlpha = 0.1 }, "FedDyn"},
-		{"mask with resume", func(c *Config) { c.Resume = &Checkpoint{} }, "resuming"},
-		{"mask with checkpointing", func(c *Config) { c.CheckpointEvery = 2; c.CheckpointSink = func(*Checkpoint) {} }, "checkpointing"},
-		{"noise with checkpointing", func(c *Config) {
-			c.Privacy = PrivacyConfig{Clip: 1, Epsilon: 3}
-			c.CheckpointEvery = 2
-			c.CheckpointSink = func(*Checkpoint) {}
-		}, "checkpointing"},
 		{"headroom overflow", func(c *Config) { c.Privacy.Clip = math.Ldexp(1, 40) }, "fixed-point ring"},
-		// FedDyn's per-party h_i is in no checkpoint either (accepted before).
-		{"feddyn with resume", func(c *Config) {
-			c.Privacy, c.FedDynAlpha, c.Resume = PrivacyConfig{}, 0.1, &Checkpoint{}
-		}, "FedDyn do not support resuming"},
-		{"feddyn with checkpointing", func(c *Config) {
-			c.Privacy, c.FedDynAlpha, c.CheckpointSink = PrivacyConfig{}, 0.1, func(*Checkpoint) {}
-		}, "FedDyn do not support checkpointing"},
 	}
 	for _, tc := range cases {
 		cfg := base()

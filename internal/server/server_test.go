@@ -184,6 +184,8 @@ func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 		`{"Dataset": "cifar-zillion"}`,                   // unknown dataset
 		`{"Dataset": "mit-bih-ecg", "Aggregation": "bogus"}`,
 		`{"Dataset": "mit-bih-ecg", "DeviceProfile": "quantum"}`,
+		`{"Dataset":"femnist"}{"Rounds":-5}`,     // a second document
+		`{"Dataset":"femnist"} trailing garbage`, // trailing data
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

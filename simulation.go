@@ -289,8 +289,8 @@ func (c SimulationConfig) Validate() error {
 }
 
 // DecodeSimulationConfig reads one job description — a JSON object with
-// SimulationConfig's field names — rejecting unknown fields and everything
-// Validate rejects. It is the only place a SimulationConfig is decoded from
+// SimulationConfig's field names — rejecting unknown fields, anything but
+// whitespace after the object, and everything Validate rejects. It is the only place a SimulationConfig is decoded from
 // JSON: the job server's POST /jobs body, the job file `flipsd -selftest` and
 // `flipsload` take and the job spec a shard worker is assigned all pass
 // through it.
@@ -300,6 +300,9 @@ func DecodeSimulationConfig(r io.Reader) (SimulationConfig, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
 		return SimulationConfig{}, fmt.Errorf("flips: malformed job config: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return SimulationConfig{}, fmt.Errorf("flips: malformed job config: trailing data after the JSON object")
 	}
 	if err := cfg.Validate(); err != nil {
 		return SimulationConfig{}, err
