@@ -12,6 +12,7 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/experiment"
+	"flips/internal/fl"
 	"flips/internal/rng"
 )
 
@@ -108,14 +109,19 @@ func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
 }
 
 // validateByBuilding is what Validate did while it still built the fleet:
-// assemble the whole job, then ask the engine. It is the oracle for the
-// fleet-free Validate.
+// assemble the whole job, then ask the engine about the fleet it got. It is
+// the oracle for the fleet-free Validate.
 func validateByBuilding(setting experiment.Setting, scale experiment.Scale) error {
 	built, err := experiment.Build(setting, scale)
 	if err != nil {
 		return err
 	}
-	return built.Config.Validate()
+	cfg := built.Config
+	shape := fl.FleetShape{Parties: len(cfg.Parties), Devices: len(cfg.Parties) > 0 && cfg.Parties[0].Device != nil}
+	for _, p := range cfg.Parties {
+		shape.TotalWeight += float64(p.NumSamples())
+	}
+	return cfg.ValidateShape(shape)
 }
 
 // TestValidateAgreesWithBuild: the fleet-free Validate accepts exactly the

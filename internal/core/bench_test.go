@@ -37,7 +37,7 @@ func BenchmarkFlipsSelect(b *testing.B) {
 					if j%10 == 9 {
 						fb.Stragglers = append(fb.Stragglers, id)
 					} else {
-						fb.Completed = append(fb.Completed, id)
+						fb.Completed = append(fb.Completed, fl.PartyReport{ID: id})
 					}
 				}
 				s.Observe(fb)

@@ -11,6 +11,15 @@ import (
 	"flips/internal/tensor"
 )
 
+// reports wraps completed party IDs in the engine's feedback records.
+func reports(ids ...int) []fl.PartyReport {
+	out := make([]fl.PartyReport, len(ids))
+	for i, id := range ids {
+		out[i].ID = id
+	}
+	return out
+}
+
 func mustSelector(t *testing.T, clusters [][]int) *Selector {
 	t.Helper()
 	s, err := NewSelector(clusters)
@@ -196,7 +205,7 @@ func TestOverprovisionAfterStragglers(t *testing.T) {
 		if id <= 5 {
 			fb.Stragglers = append(fb.Stragglers, id)
 		} else {
-			fb.Completed = append(fb.Completed, id)
+			fb.Completed = append(fb.Completed, fl.PartyReport{ID: id})
 		}
 	}
 	if len(fb.Stragglers) == 0 {
@@ -237,7 +246,7 @@ func TestOverprovisionFallsBackWhenClusterExhausted(t *testing.T) {
 		if id <= 3 {
 			fb.Stragglers = append(fb.Stragglers, id)
 		} else {
-			fb.Completed = append(fb.Completed, id)
+			fb.Completed = append(fb.Completed, fl.PartyReport{ID: id})
 		}
 	}
 	s.Observe(fb)
@@ -263,7 +272,7 @@ func TestStragglerClearedOnCompletion(t *testing.T) {
 	s.Observe(fl.RoundFeedback{
 		Round:      0,
 		Selected:   []int{0, 1},
-		Completed:  []int{1},
+		Completed:  reports(1),
 		Stragglers: []int{0},
 	})
 	if !s.active {
@@ -272,7 +281,7 @@ func TestStragglerClearedOnCompletion(t *testing.T) {
 	s.Observe(fl.RoundFeedback{
 		Round:     1,
 		Selected:  []int{0, 1},
-		Completed: []int{0, 1},
+		Completed: reports(0, 1),
 	})
 	if s.active {
 		t.Fatal("straggler flag should clear when all stragglers complete")
@@ -420,7 +429,7 @@ func TestRandomOverprovisionAblation(t *testing.T) {
 	s := mustSelector(t, [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}})
 	s.SetRandomOverprovision(true, rng.New(9))
 	sel := s.Select(0, 4)
-	fb := fl.RoundFeedback{Round: 0, Selected: sel, Stragglers: sel[:2], Completed: sel[2:]}
+	fb := fl.RoundFeedback{Round: 0, Selected: sel, Stragglers: sel[:2], Completed: reports(sel[2:]...)}
 	s.Observe(fb)
 	next := s.Select(1, 4)
 	if len(next) != 5 {

@@ -242,12 +242,12 @@ func (s *Selector) Observe(fb fl.RoundFeedback) {
 		s.straggler[id] = true
 		s.stragCount[s.partyOf[id]]++
 	}
-	for _, id := range fb.Completed {
-		if !s.straggler[id] {
+	for _, r := range fb.Completed {
+		if !s.straggler[r.ID] {
 			continue
 		}
-		delete(s.straggler, id)
-		if c := s.partyOf[id]; s.stragCount[c] > 0 {
+		delete(s.straggler, r.ID)
+		if c := s.partyOf[r.ID]; s.stragCount[c] > 0 {
 			s.stragCount[c]--
 		}
 	}

@@ -80,17 +80,13 @@ func TestBuildWiresPrivacy(t *testing.T) {
 	if built.Config.Privacy != s.Privacy {
 		t.Fatalf("privacy config %+v not threaded (got %+v)", s.Privacy, built.Config.Privacy)
 	}
-	if err := built.Config.Validate(); err != nil {
+	if err := Validate(s, tinyScale()); err != nil {
 		t.Fatalf("legal privacy config rejected: %v", err)
 	}
-	// Masking is only legal on the mean fold; the built config's validation
-	// is what the job server leans on to refuse such a submission.
+	// Masking is only legal on the mean fold; Validate is what the job
+	// server leans on to refuse such a submission.
 	s.Fold = "median"
-	bad, err := Build(s, tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bad.Config.Validate(); err == nil {
+	if err := Validate(s, tinyScale()); err == nil {
 		t.Fatal("masking over a robust fold validated")
 	}
 }

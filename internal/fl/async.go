@@ -60,7 +60,7 @@ type Buffered struct {
 // Name implements AggregationPolicy.
 func (Buffered) Name() string { return "buffered" }
 
-func (p Buffered) cycle(c *eventCore, step int) (cycleStats, error) {
+func (p Buffered) cycle(c *eventCore, step int) error {
 	k := p.K
 	if k == 0 {
 		k = max(1, c.cfg.PartiesPerRound/2)
@@ -75,7 +75,7 @@ func (p Buffered) cycle(c *eventCore, step int) (cycleStats, error) {
 	for c.inFlightCount < m {
 		n, err := c.dispatchWave(step, m-c.inFlightCount)
 		if err != nil {
-			return cycleStats{}, err
+			return err
 		}
 		if n == 0 {
 			break
@@ -94,14 +94,13 @@ func (p Buffered) cycle(c *eventCore, step int) (cycleStats, error) {
 		// concurrency never exceeds the FedBuff M cap (the step's cohort
 		// target; buffered-but-unaggregated parties still hold slots).
 		if err := c.ensureQueued(step, m-c.inFlightCount); err != nil {
-			return cycleStats{}, err
+			return err
 		}
 		c.buffer = append(c.buffer, c.popArrival())
 	}
 
-	st, err := c.aggregateAsync(step, orHalfLife(p.StalenessHalfLife), false)
-	st.roundTime = c.clock - prevClock
-	return st, err
+	c.round.RoundTime = c.clock - prevClock
+	return c.aggregateAsync(orHalfLife(p.StalenessHalfLife), false)
 }
 
 // SemiSync is deadline-window aggregation: every window invites a fresh
@@ -119,11 +118,11 @@ type SemiSync struct {
 // Name implements AggregationPolicy.
 func (SemiSync) Name() string { return "semisync" }
 
-func (p SemiSync) cycle(c *eventCore, step int) (cycleStats, error) {
+func (p SemiSync) cycle(c *eventCore, step int) error {
 	// One selection wave per window; parties still training from earlier
 	// windows stay in flight and are not re-invited.
 	if _, err := c.dispatchWave(step, c.cohortTarget(step)); err != nil {
-		return cycleStats{}, err
+		return err
 	}
 
 	// Collect everything that arrives inside the window, then snap the
@@ -136,10 +135,8 @@ func (p SemiSync) cycle(c *eventCore, step int) (cycleStats, error) {
 		c.buffer = append(c.buffer, c.popArrival())
 	}
 	c.clock = windowEnd
-
-	st, err := c.aggregateAsync(step, orHalfLife(p.StalenessHalfLife), true)
-	st.roundTime = c.cfg.Deadline
-	return st, err
+	c.round.RoundTime = c.cfg.Deadline
+	return c.aggregateAsync(orHalfLife(p.StalenessHalfLife), true)
 }
 
 // dispatchWave runs one selection wave: it asks the selector for a full
@@ -256,24 +253,20 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 		}
 		up := c.newPending()
 		*up = pendingUpdate{
-			party:    id,
-			update:   delta,
-			weight:   float64(lr.NumSamples),
-			version:  c.version,
-			arrival:  c.clock + d,
-			duration: d,
-			meanLoss: lr.MeanLoss,
-			sqLoss:   lr.SqLossMean,
-			steps:    lr.Steps,
-			wave:     mw,
-			waveIdx:  i,
+			report:  PartyReport{ID: id, MeanLoss: lr.MeanLoss, SqLoss: lr.SqLossMean, Duration: d},
+			update:  delta,
+			weight:  float64(lr.NumSamples),
+			version: c.version,
+			arrival: c.clock + d,
+			wave:    mw,
+			waveIdx: i,
 		}
 		c.push(up)
 		c.inFlight.set(id, true)
 		c.inFlightCount++
 		c.selectedMark.set(id, true)
 		c.cycleSelected = append(c.cycleSelected, id)
-		c.cycleBytes += c.paramBytes // model download at dispatch
+		c.round.CommBytes += c.paramBytes // model download at dispatch
 	}
 	return len(c.dispatched), nil
 }
@@ -314,7 +307,7 @@ func (c *eventCore) ensureQueued(step, target int) error {
 func (c *eventCore) popArrival() *pendingUpdate {
 	ev := c.queue.pop()
 	c.clock = ev.time
-	c.cycleBytes += c.paramBytes // update upload at arrival
+	c.round.CommBytes += c.paramBytes // update upload at arrival
 	up := ev.up
 	if up.wave != nil {
 		// Masked arrivals contribute to their wave the moment they pop: wave
@@ -331,7 +324,7 @@ func (c *eventCore) popArrival() *pendingUpdate {
 			w.nProcessed++
 			c.priv.maybeFree(w)
 		case !isFiniteVec(up.update):
-			c.cycleRejected++
+			c.round.Rejected++
 			up.maskDiscarded = true
 			c.priv.markRejected(w)
 		default:
@@ -343,8 +336,9 @@ func (c *eventCore) popArrival() *pendingUpdate {
 
 // aggregateAsync folds the cycle's arrivals in c.buffer (in arrival order —
 // the deterministic event-queue order) into the global model with
-// staleness-discounted weights and leaves the arrival-driven feedback in
-// c.fb. Returns the cycle's stats but its round time, which is the policy's.
+// staleness-discounted weights, leaves the arrival-driven feedback in c.fb
+// and sets the history entry's Invited and Completed (its round time is the
+// policy's).
 // An empty buffer applies nothing and leaves the model version unchanged
 // (staleness only accrues across real model updates).
 //
@@ -357,18 +351,10 @@ func (c *eventCore) popArrival() *pendingUpdate {
 // staleness discount uses the wave's dispatch version — every member shares
 // it, so the discount composes with masking without revealing anything
 // per-party.
-func (c *eventCore) aggregateAsync(step int, halfLife float64, settleAll bool) (cycleStats, error) {
-	needsUpdates := c.prepareFeedback(step)
-	if c.fb.Staleness == nil {
-		c.fb.Staleness = make(map[int]int, cap(c.completed))
-	}
-	c.completed = c.completed[:0]
+func (c *eventCore) aggregateAsync(halfLife float64, settleAll bool) error {
 	c.updates, c.weights = c.updates[:0], c.weights[:0]
-	var lossSum float64
-	counted := 0
 	for _, up := range c.buffer {
-		id := up.party
-		staleness := c.version - up.version
+		up.report.Staleness = c.version - up.version
 		if up.wave != nil {
 			if up.maskDiscarded {
 				// Consumed without contributing (late into a settled wave, or
@@ -377,31 +363,25 @@ func (c *eventCore) aggregateAsync(step int, halfLife float64, settleAll bool) (
 				continue
 			}
 		} else {
-			c.admitUpdate(up.update, up.weight*stalenessDiscount(staleness, halfLife))
+			c.admitUpdate(up.update, up.weight*stalenessDiscount(up.report.Staleness, halfLife))
 		}
-		c.markShard(id)
-		c.completed = append(c.completed, id)
-		c.fb.MeanLoss[id] = up.meanLoss
-		c.fb.SqLoss[id] = up.sqLoss
-		c.fb.Duration[id] = up.duration
-		c.fb.Staleness[id] = staleness
-		if needsUpdates {
-			c.fb.Update[id] = up.update
+		c.markShard(up.report.ID)
+		if c.needsUpdates {
+			up.report.Update = up.update
 		}
-		lossSum += up.meanLoss
-		counted++
+		c.fb.Completed = append(c.fb.Completed, up.report)
 	}
 	contributors := len(c.updates)
 	if c.priv != nil && c.priv.pc.Mask {
 		var err error
 		if contributors, err = c.settleMaskedWaves(halfLife, settleAll); err != nil {
-			return cycleStats{}, err
+			return err
 		}
 	}
 	c.applyFold(nil, contributors)
 	// Release the aggregated parties back into the selectable pool.
 	for _, up := range c.buffer {
-		c.inFlight.set(up.party, false)
+		c.inFlight.set(up.report.ID, false)
 		c.inFlightCount--
 	}
 	// Stragglers are the invitees that were offline at every draw this
@@ -417,13 +397,9 @@ func (c *eventCore) aggregateAsync(step int, halfLife float64, settleAll bool) (
 		}
 	}
 	c.fb.Selected = c.cycleSelected
-	c.fb.Completed = c.completed
 	c.fb.Stragglers = c.stragglers
-	st := cycleStats{invited: len(c.cycleSelected), completed: len(c.buffer)}
-	if counted > 0 {
-		st.meanLoss = lossSum / float64(counted)
-	}
-	return st, nil
+	c.round.Invited, c.round.Completed = len(c.cycleSelected), len(c.buffer)
+	return nil
 }
 
 // settleMaskedWaves walks the active mask waves in dispatch order, settles
@@ -451,7 +427,7 @@ func (c *eventCore) settleMaskedWaves(halfLife float64, settleAll bool) (int, er
 			c.spent = append(c.spent, w.contribs[i].delta)
 		}
 		if res.aborted {
-			c.cycleMaskAborted = true
+			c.round.MaskAborted = true
 		} else if res.delta != nil {
 			c.updates = append(c.updates, res.delta)
 			c.weights = append(c.weights, res.weight*stalenessDiscount(c.version-w.version, halfLife))

@@ -137,33 +137,21 @@ func TestSemiSyncWindows(t *testing.T) {
 // stale arrivals really do appear in later aggregation steps.
 func TestAsyncFeedbackIsArrivalDriven(t *testing.T) {
 	t.Parallel()
-	type obs struct {
-		round     int
-		staleness map[int]int
-	}
-	var seen []obs
+	stale := 0
 	sel := &feedbackSpySelector{inner: &rotatingSelector{n: 16}, observe: func(fb RoundFeedback) {
-		cp := make(map[int]int, len(fb.Staleness))
-		for id, s := range fb.Staleness {
-			cp[id] = s
+		for _, r := range fb.Completed {
+			if r.Staleness < 0 {
+				t.Errorf("negative staleness at round %d", fb.Round)
+			}
+			if r.Staleness > 0 {
+				stale++
+			}
 		}
-		seen = append(seen, obs{round: fb.Round, staleness: cp})
 	}}
 	cfg := asyncDeviceConfig(t, 19, 0, SemiSync{StalenessHalfLife: 2})
 	cfg.Selector = sel
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
-	}
-	stale := 0
-	for _, o := range seen {
-		for _, s := range o.staleness {
-			if s < 0 {
-				t.Fatalf("negative staleness at round %d", o.round)
-			}
-			if s > 0 {
-				stale++
-			}
-		}
 	}
 	if stale == 0 {
 		t.Fatal("no stale arrival observed; the scenario should produce deadline carry-overs")
@@ -228,8 +216,8 @@ func TestAsyncValidation(t *testing.T) {
 // with a full-sized buffer (K = pipeline) over a churn fleet, the drain must
 // re-dispatch mid-cycle whenever offline draws leave the pipeline short, and
 // a party must never appear twice in one aggregation buffer (popped parties
-// stay reserved until the fold) — the per-id feedback maps cannot represent
-// duplicates.
+// stay reserved until the fold) — a selector keying state by party ID would
+// count the duplicate twice.
 func TestBufferedNoDuplicateArrivalsInBuffer(t *testing.T) {
 	t.Parallel()
 	cfg := determinismConfig(t, 13, 0)
@@ -273,11 +261,11 @@ func (s *dupCheckSelector) Select(r, tgt int) []int { return s.inner.Select(r, t
 func (s *dupCheckSelector) Observe(fb RoundFeedback) {
 	s.observed++
 	seen := map[int]bool{}
-	for _, id := range fb.Completed {
-		if seen[id] {
-			s.t.Errorf("round %d: party %d appears twice in Completed", fb.Round, id)
+	for _, r := range fb.Completed {
+		if seen[r.ID] {
+			s.t.Errorf("round %d: party %d appears twice in Completed", fb.Round, r.ID)
 		}
-		seen[id] = true
+		seen[r.ID] = true
 	}
 	selected := map[int]bool{}
 	for _, id := range fb.Selected {

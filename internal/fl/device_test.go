@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"slices"
 	"testing"
 
 	"flips/internal/device"
@@ -105,12 +106,12 @@ func TestDeviceDeadlineDropsSlowParties(t *testing.T) {
 				t.Fatalf("round %d: fast party %d straggled under always-on availability", fb.Round, id)
 			}
 		}
-		for _, id := range fb.Completed {
-			if slow[id] {
-				t.Fatalf("round %d: slow party %d completed past the deadline", fb.Round, id)
+		for _, r := range fb.Completed {
+			if slow[r.ID] {
+				t.Fatalf("round %d: slow party %d completed past the deadline", fb.Round, r.ID)
 			}
-			if d := fb.Duration[id]; d <= 0 || d > deadline {
-				t.Fatalf("round %d: completed party %d duration %v outside (0, %v]", fb.Round, id, d, deadline)
+			if d := r.Duration; d <= 0 || d > deadline {
+				t.Fatalf("round %d: completed party %d duration %v outside (0, %v]", fb.Round, r.ID, d, deadline)
 			}
 		}
 		if len(fb.Stragglers) == 0 {
@@ -144,9 +145,9 @@ func TestDeviceChurnProducesOfflineStragglers(t *testing.T) {
 	totalStragglers := 0
 	for _, fb := range sel.observed {
 		totalStragglers += len(fb.Stragglers)
-		for _, id := range fb.Stragglers {
-			if _, ok := fb.Duration[id]; ok {
-				t.Fatalf("round %d: offline party %d has a duration", fb.Round, id)
+		for _, r := range fb.Completed {
+			if slices.Contains(fb.Stragglers, r.ID) {
+				t.Fatalf("round %d: offline party %d has a report", fb.Round, r.ID)
 			}
 		}
 	}
@@ -159,10 +160,8 @@ func TestDeviceChurnProducesOfflineStragglers(t *testing.T) {
 	paramBytes := int64(model.NewLogReg(len(cfg.Test[0].X), cfg.NumClasses).NumParams()) * 8
 	for i, fb := range sel.observed {
 		var slowest float64
-		for _, id := range fb.Completed {
-			if fb.Duration[id] > slowest {
-				slowest = fb.Duration[id]
-			}
+		for _, r := range fb.Completed {
+			slowest = max(slowest, r.Duration)
 		}
 		if !bitsEqual(res.History[i].RoundTime, slowest) {
 			t.Fatalf("round %d time %v, want slowest completer %v", fb.Round, res.History[i].RoundTime, slowest)
@@ -231,7 +230,7 @@ func TestTimeToTargetUnreachedIsMinusOne(t *testing.T) {
 	}
 }
 
-// TestDeviceFeedbackFeedsSelectors: Oort/TiFL's signal — fb.Duration — now
+// TestDeviceFeedbackFeedsSelectors: Oort/TiFL's signal — PartyReport.Duration —
 // carries the device-simulated duration, identical across rounds for an
 // always-on fleet (same workload every round).
 func TestDeviceFeedbackFeedsSelectors(t *testing.T) {
@@ -243,11 +242,14 @@ func TestDeviceFeedbackFeedsSelectors(t *testing.T) {
 	if len(sel.observed) < 2 {
 		t.Fatalf("observed %d rounds", len(sel.observed))
 	}
-	first := sel.observed[0]
+	first := map[int]float64{}
+	for _, r := range sel.observed[0].Completed {
+		first[r.ID] = r.Duration
+	}
 	for _, fb := range sel.observed[1:] {
-		for _, id := range fb.Completed {
-			if !bitsEqual(fb.Duration[id], first.Duration[id]) {
-				t.Fatalf("party %d duration drifted: %v vs %v", id, fb.Duration[id], first.Duration[id])
+		for _, r := range fb.Completed {
+			if !bitsEqual(r.Duration, first[r.ID]) {
+				t.Fatalf("party %d duration drifted: %v vs %v", r.ID, r.Duration, first[r.ID])
 			}
 		}
 	}

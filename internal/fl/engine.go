@@ -135,12 +135,6 @@ func (c *Config) policy() AggregationPolicy {
 	return c.Aggregation
 }
 
-// Validate checks the configuration without running the job — the same
-// checks Run performs, exported so front-ends (the public simulation layer,
-// servers) can surface configuration errors like fixed-point headroom
-// violations before committing to a run.
-func (c *Config) Validate() error { return c.validate() }
-
 // FleetShape is all that validation reads of the party pool. A front-end that
 // knows the shape its fleet will have — the experiment layer does, from the
 // setting alone — can run every configuration check through ValidateShape
@@ -175,9 +169,9 @@ func (c *Config) validate() error {
 	return c.ValidateShape(shape)
 }
 
-// ValidateShape is Validate for a fleet described by its shape instead of
-// c.Parties (which it does not read, nor the selector built over them): every
-// check Run performs on the configuration, none of them needing the data.
+// ValidateShape runs every check Run performs on the configuration, none of
+// them needing the data, against a fleet described by its shape instead of
+// c.Parties (which it does not read, nor the selector built over them).
 func (c *Config) ValidateShape(fleet FleetShape) error {
 	if fleet.Parties <= 0 {
 		return fmt.Errorf("fl: no parties")
@@ -343,12 +337,12 @@ type Result struct {
 // cycle of the aggregation policy — SyncRounds (default), Buffered or
 // SemiSync — and the epilogue every cycle shares, in this order: the result
 // clock takes the cycle's simulated clock, the cycle's bytes are counted, the
-// selector observes the cycle's feedback, a snapshot of the model is handed
-// to the evaluator on the evaluation cadence, and the per-cycle state is
-// reset. Run joins the evaluator before it returns, on every path — its only
-// barrier: the Result is complete, no OnRound call happens after Run
-// returns, and a panic during evaluation is re-raised on Run's caller
-// goroutine.
+// cycle's mean loss is taken over its reports, the selector observes the
+// cycle's feedback, a snapshot of the model is handed to the evaluator on the
+// evaluation cadence, and the per-cycle state is reset. Run joins the
+// evaluator before it returns, on every path — its only barrier: the Result
+// is complete, no OnRound call happens after Run returns, and a panic during
+// evaluation is re-raised on Run's caller goroutine.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -362,14 +356,21 @@ func Run(cfg Config) (*Result, error) {
 	defer c.eval.stop()
 	for step := 0; step < cfg.Rounds; step++ {
 		c.decayLR(step)
-		st, err := policy.cycle(c, step)
-		if err != nil {
+		if err := policy.cycle(c, step); err != nil {
 			return nil, err
 		}
 		c.res.SimTime = c.clock
-		c.res.TotalCommBytes += c.cycleBytes
+		c.res.TotalCommBytes += c.round.CommBytes
+		if n := len(c.fb.Completed); n > 0 {
+			var lossSum float64
+			for _, r := range c.fb.Completed {
+				lossSum += r.MeanLoss
+			}
+			c.round.MeanLoss = lossSum / float64(n)
+		}
+		c.fb.Round = step
 		cfg.Selector.Observe(c.fb)
-		c.maybeEval(step, st)
+		c.maybeEval(step)
 		c.resetCycle()
 	}
 	c.eval.stop()

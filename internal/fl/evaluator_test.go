@@ -28,14 +28,21 @@ func runInlineEval(cfg Config) (*Result, error) {
 	c := newEventCore(&cfg)
 	for step := 0; step < cfg.Rounds; step++ {
 		c.decayLR(step)
-		st, err := policy.cycle(c, step)
-		if err != nil {
+		if err := policy.cycle(c, step); err != nil {
 			return nil, err
 		}
 		c.res.SimTime = c.clock
-		c.res.TotalCommBytes += c.cycleBytes
+		c.res.TotalCommBytes += c.round.CommBytes
+		if n := len(c.fb.Completed); n > 0 {
+			var lossSum float64
+			for _, r := range c.fb.Completed {
+				lossSum += r.MeanLoss
+			}
+			c.round.MeanLoss = lossSum / float64(n)
+		}
+		c.fb.Round = step
 		cfg.Selector.Observe(c.fb)
-		inlineEval(c, step, st)
+		inlineEval(c, step)
 		c.resetCycle()
 	}
 	c.res.FinalParams = c.globalParams
@@ -44,22 +51,13 @@ func runInlineEval(cfg Config) (*Result, error) {
 
 // inlineEval is the engine's evaluation before it moved to the evaluator
 // goroutine, kept as the reference.
-func inlineEval(c *eventCore, step int, st cycleStats) {
+func inlineEval(c *eventCore, step int) {
 	if (step+1)%c.cfg.EvalEvery != 0 && step != c.cfg.Rounds-1 {
 		return
 	}
-	stats := RoundStats{
-		Round:         step + 1,
-		Invited:       st.invited,
-		Completed:     st.completed,
-		CommBytes:     c.cycleBytes,
-		MeanLoss:      st.meanLoss,
-		RoundTime:     st.roundTime,
-		SimTime:       c.res.SimTime,
-		ShardsTouched: c.shardTouched,
-		Rejected:      c.cycleRejected,
-		MaskAborted:   c.cycleMaskAborted,
-	}
+	stats := c.round
+	stats.Round = step + 1
+	stats.SimTime = c.res.SimTime
 	c.global.SetParams(c.globalParams)
 	correct, total := metrics.ShardedClassCounts(c.global, c.cfg.Test, c.cfg.NumClasses, c.pool)
 	stats.Accuracy = metrics.BalancedAccuracyFromCounts(correct, total)

@@ -40,16 +40,9 @@ type AggregationPolicy interface {
 	Name() string
 
 	// cycle runs aggregation step step: it dispatches, collects and folds,
-	// leaves the cycle's feedback in c.fb, its bytes in c.cycleBytes and the
-	// simulated clock at the cycle's end in c.clock, and reports what the
-	// history entry needs.
-	cycle(c *eventCore, step int) (cycleStats, error)
-}
-
-// cycleStats is what one aggregation cycle reports for its history entry.
-type cycleStats struct {
-	invited, completed  int
-	meanLoss, roundTime float64
+	// and leaves the cycle's feedback in c.fb, its history entry in c.round
+	// and the simulated clock at the cycle's end in c.clock.
+	cycle(c *eventCore, step int) error
 }
 
 // PolicyByName maps a policy name to its implementation: "" or "sync" →
@@ -81,7 +74,9 @@ func PolicyByName(name string, bufferSize int, halfLife float64) (AggregationPol
 // when the arrival event is processed); the event queue then delivers the
 // finished update at its simulated arrival time.
 type pendingUpdate struct {
-	party int
+	// report is the party's feedback record; aggregation stamps its
+	// staleness (and, for an update-consuming selector, its Update).
+	report PartyReport
 	// update is the dispatch-time delta x_i − m^(v): by aggregation time the
 	// global model has moved on.
 	update tensor.Vec
@@ -90,12 +85,8 @@ type pendingUpdate struct {
 	// version is the server model version at dispatch; staleness at
 	// aggregation is the number of versions applied since.
 	version int
-	// arrival is the absolute simulated arrival time; duration the party's
-	// simulated round wall-clock (compute + transfer, or the legacy
-	// latency × steps proxy).
-	arrival, duration float64
-	meanLoss, sqLoss  float64
-	steps             int
+	// arrival is the absolute simulated arrival time.
+	arrival float64
 	// wave links a masked update to its secure-aggregation cohort (nil when
 	// masking is off); waveIdx is the party's member index within the wave.
 	// maskDiscarded marks an arrival consumed without contributing — popped
@@ -233,6 +224,15 @@ type eventCore struct {
 	weights     []float64
 	delta       tensor.Vec // aggregation accumulator, len params
 
+	// needsUpdates: the selector consumes PartyReport.Update and masking is
+	// off. Asked once per run (UpdateConsumer answers are constant).
+	needsUpdates bool
+	// round is the cycle's history entry, written where each of its fields
+	// happens: the policy sets Invited, Completed and RoundTime, the helpers
+	// bump CommBytes, ShardsTouched, Rejected and MaskAborted, Run's
+	// epilogue sets MeanLoss and maybeEval stamps Round and SimTime.
+	round RoundStats
+
 	// Update-vector recycling (DESIGN.md, "Update-vector lifetime"): free
 	// holds parameter-dimension vectors ready for the next trained party;
 	// spent collects the cycle's vectors whose last reader is the cycle, and
@@ -243,23 +243,15 @@ type eventCore struct {
 	freeUps []*pendingUpdate
 
 	// Per-cycle shard-locality accounting: which shards this cycle's
-	// completed parties fell into (ShardsTouched in RoundStats).
-	shardMark    []bool
-	shardTouched int
+	// completed parties fell into (round.ShardsTouched counts them).
+	shardMark []bool
 
-	// cycleRejected counts this cycle's non-finite updates dropped at the
-	// fold boundary (Rejected in RoundStats).
-	cycleRejected int
-
-	// priv is the privacy middleware state (nil when no stage is enabled);
-	// cycleMaskAborted records a below-threshold wave abort for this cycle's
-	// RoundStats.
-	priv             *privacyState
-	cycleMaskAborted bool
+	// priv is the privacy middleware state (nil when no stage is enabled).
+	priv *privacyState
 
 	// Async bookkeeping: which parties are reserved (training, or arrived
 	// but not yet aggregated — their arrival event is or was queued), and
-	// the selection/offline/bytes accumulators for the current aggregation
+	// the selection/offline accumulators for the current aggregation
 	// cycle. selectedMark/offlineMark dedupe the accumulators across the
 	// cycle's waves, preserving the sync-mode feedback invariant that
 	// Stragglers is a duplicate-free subset of Selected.
@@ -269,7 +261,6 @@ type eventCore struct {
 	cycleOffline  []int
 	selectedMark  shardedSlice[bool]
 	offlineMark   shardedSlice[bool]
-	cycleBytes    int64
 }
 
 func newEventCore(cfg *Config) *eventCore {
@@ -304,10 +295,9 @@ func newEventCore(cfg *Config) *eventCore {
 	c.isStraggler = newShardedSlice[bool](c.space)
 	c.completed = make([]int, 0, cfg.PartiesPerRound)
 	c.stragglers = make([]int, 0, cfg.PartiesPerRound)
-	c.fb = RoundFeedback{
-		MeanLoss: make(map[int]float64, cfg.PartiesPerRound),
-		SqLoss:   make(map[int]float64, cfg.PartiesPerRound),
-		Duration: make(map[int]float64, cfg.PartiesPerRound),
+	c.fb.Completed = make([]PartyReport, 0, cfg.PartiesPerRound)
+	if uc, ok := cfg.Selector.(UpdateConsumer); ok {
+		c.needsUpdates = uc.NeedsUpdates()
 	}
 	c.delta = tensor.NewVec(len(c.globalParams))
 	c.shardMark = make([]bool, c.space.count())
@@ -316,6 +306,12 @@ func newEventCore(cfg *Config) *eventCore {
 	c.offlineMark = newShardedSlice[bool](c.space)
 	if cfg.Privacy.Enabled() {
 		c.priv = newPrivacyState(cfg, len(c.globalParams), c.pool)
+	}
+	// Under masking the server never sees individual updates — that is the
+	// point — so update-consuming selectors fall back to their metadata-only
+	// path regardless of what NeedsUpdates claims.
+	if cfg.Privacy.Mask {
+		c.needsUpdates = false
 	}
 	return c
 }
@@ -326,7 +322,7 @@ func (c *eventCore) markShard(id int) {
 	sh := c.space.shardOf(id)
 	if !c.shardMark[sh] {
 		c.shardMark[sh] = true
-		c.shardTouched++
+		c.round.ShardsTouched++
 	}
 }
 
@@ -360,9 +356,10 @@ func (c *eventCore) newPending() *pendingUpdate {
 // resetCycle clears the per-aggregation-cycle accumulators and their dedupe
 // marks. It is also the one point where update vectors return to the free
 // list: it runs after the selector observed the cycle's feedback, whose
-// async Update map aliases the buffered updates. The cycle's arrival records
-// recycle here too; an arrival's vector goes with it unless a mask wave
-// still holds it as a contribution (settleMaskedWaves spends those).
+// async reports' Update vectors alias the buffered updates. The cycle's
+// arrival records recycle here too; an arrival's vector goes with it unless
+// a mask wave still holds it as a contribution (settleMaskedWaves spends
+// those).
 func (c *eventCore) resetCycle() {
 	for _, up := range c.buffer {
 		if up.wave == nil || up.maskDiscarded {
@@ -389,16 +386,15 @@ func (c *eventCore) resetCycle() {
 	}
 	c.cycleSelected = c.cycleSelected[:0]
 	c.cycleOffline = c.cycleOffline[:0]
-	c.cycleBytes = 0
-	c.cycleRejected = 0
-	c.cycleMaskAborted = false
+	clear(c.fb.Completed) // drop the reports' Update references
+	c.fb.Completed = c.fb.Completed[:0]
 	if c.priv != nil {
 		c.priv.endCycle()
 	}
-	if c.shardTouched > 0 {
+	if c.round.ShardsTouched > 0 {
 		clear(c.shardMark)
-		c.shardTouched = 0
 	}
+	c.round = RoundStats{}
 }
 
 // cohortTarget maps the nominal selection target through the fault
@@ -424,7 +420,7 @@ func (c *eventCore) cohortTarget(step int) int {
 // permanently through the server optimizer's moment state.
 func (c *eventCore) admitUpdate(update tensor.Vec, weight float64) {
 	if !isFiniteVec(update) {
-		c.cycleRejected++
+		c.round.Rejected++
 		return
 	}
 	c.updates = append(c.updates, update)
@@ -506,35 +502,6 @@ func (c *eventCore) selectParties(round, target int) ([]int, error) {
 	return c.invited, nil
 }
 
-// prepareFeedback resets the reusable feedback maps for a new aggregation
-// cycle and re-gates Update materialization for the current selector.
-func (c *eventCore) prepareFeedback(round int) (needsUpdates bool) {
-	c.fb.Round = round
-	clear(c.fb.MeanLoss)
-	clear(c.fb.SqLoss)
-	clear(c.fb.Duration)
-	if c.fb.Staleness != nil {
-		clear(c.fb.Staleness)
-	}
-	if uc, ok := c.cfg.Selector.(UpdateConsumer); ok {
-		needsUpdates = uc.NeedsUpdates()
-	}
-	// Under masking the server never sees individual updates — that is the
-	// point — so update-consuming selectors fall back to their metadata-only
-	// path regardless of what NeedsUpdates claims.
-	if c.priv != nil && c.priv.pc.Mask {
-		needsUpdates = false
-	}
-	if !needsUpdates {
-		c.fb.Update = nil
-	} else if c.fb.Update == nil {
-		c.fb.Update = make(map[int]tensor.Vec, cap(c.completed))
-	} else {
-		clear(c.fb.Update)
-	}
-	return needsUpdates
-}
-
 // trainBatch trains the given parties concurrently against the current
 // global parameters and deposits results into c.locals (index-addressed, in
 // ids order). The determinism contract: Split mutates the parent source, so
@@ -604,28 +571,19 @@ func (c *eventCore) push(up *pendingUpdate) {
 
 // maybeEval hands the global model to the evaluator when 0-based step hits
 // the evaluation cadence (or is the final step): a copy of the parameters and
-// the step's history entry, stamped with res.SimTime, which Run's epilogue
-// keeps current. TimeToTarget is therefore comparable across aggregation
-// modes — it is the simulated event-clock value at the evaluation that first
-// crossed the target. The evaluator scores the snapshot while the next cycles
-// run (evaluator.go).
-func (c *eventCore) maybeEval(step int, st cycleStats) {
+// the cycle's history entry c.round, stamped with its 1-based round and
+// res.SimTime, which Run's epilogue keeps current. TimeToTarget is therefore
+// comparable across aggregation modes — it is the simulated event-clock value
+// at the evaluation that first crossed the target. The evaluator scores the
+// snapshot while the next cycles run (evaluator.go).
+func (c *eventCore) maybeEval(step int) {
 	if (step+1)%c.cfg.EvalEvery != 0 && step != c.cfg.Rounds-1 {
 		return
 	}
 	j := c.eval.take()
 	copy(j.params, c.globalParams)
-	j.stats = RoundStats{
-		Round:         step + 1,
-		Invited:       st.invited,
-		Completed:     st.completed,
-		CommBytes:     c.cycleBytes,
-		MeanLoss:      st.meanLoss,
-		RoundTime:     st.roundTime,
-		SimTime:       c.res.SimTime,
-		ShardsTouched: c.shardTouched,
-		Rejected:      c.cycleRejected,
-		MaskAborted:   c.cycleMaskAborted,
-	}
+	j.stats = c.round
+	j.stats.Round = step + 1
+	j.stats.SimTime = c.res.SimTime
 	c.eval.hand(j)
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // fixedSelector always returns the same parties (test double). It retains
-// every observed feedback, so it snapshots the engine-owned maps/slices per
-// the RoundFeedback ownership contract. Setting needUpdates exercises the
+// every observed feedback, so it snapshots the engine-owned slices per the
+// RoundFeedback ownership contract. Setting needUpdates exercises the
 // UpdateConsumer capability.
 type fixedSelector struct {
 	ids         []int
@@ -40,27 +40,12 @@ func (f *fixedSelector) Observe(fb RoundFeedback) {
 func cloneFeedback(fb RoundFeedback) RoundFeedback {
 	out := fb
 	out.Selected = append([]int(nil), fb.Selected...)
-	out.Completed = append([]int(nil), fb.Completed...)
+	out.Completed = append([]PartyReport(nil), fb.Completed...)
 	out.Stragglers = append([]int(nil), fb.Stragglers...)
-	out.MeanLoss = cloneFloatMap(fb.MeanLoss)
-	out.SqLoss = cloneFloatMap(fb.SqLoss)
-	out.Duration = cloneFloatMap(fb.Duration)
-	if fb.Update != nil {
-		out.Update = make(map[int]tensor.Vec, len(fb.Update))
-		for id, u := range fb.Update {
-			out.Update[id] = u.Clone()
+	for i := range out.Completed {
+		if u := out.Completed[i].Update; u != nil {
+			out.Completed[i].Update = u.Clone()
 		}
-	}
-	return out
-}
-
-func cloneFloatMap(m map[int]float64) map[int]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int]float64, len(m))
-	for k, v := range m {
-		out[k] = v
 	}
 	return out
 }
@@ -238,17 +223,16 @@ func TestStragglersDropped(t *testing.T) {
 		if len(fb.Completed)+len(fb.Stragglers) != len(fb.Selected) {
 			t.Fatalf("round %d: completed+stragglers != selected", fb.Round)
 		}
-		for _, id := range fb.Completed {
-			if _, ok := fb.MeanLoss[id]; !ok {
-				t.Fatalf("round %d: missing loss for completed party %d", fb.Round, id)
-			}
-			if _, ok := fb.Update[id]; !ok {
-				t.Fatalf("round %d: missing update for completed party %d", fb.Round, id)
-			}
-		}
+		straggled := map[int]bool{}
 		for _, id := range fb.Stragglers {
-			if _, ok := fb.MeanLoss[id]; ok {
-				t.Fatalf("round %d: straggler %d has loss feedback", fb.Round, id)
+			straggled[id] = true
+		}
+		for _, r := range fb.Completed {
+			if r.Update == nil {
+				t.Fatalf("round %d: missing update for completed party %d", fb.Round, r.ID)
+			}
+			if straggled[r.ID] {
+				t.Fatalf("round %d: straggler %d has a report", fb.Round, r.ID)
 			}
 		}
 	}
@@ -569,8 +553,8 @@ func TestRunRejectsOutOfRangeSelection(t *testing.T) {
 }
 
 // TestUpdateFeedbackGatedByCapability: the engine materializes
-// RoundFeedback.Update only for selectors declaring the UpdateConsumer
-// capability; everyone else sees a nil map and pays nothing for it.
+// PartyReport.Update only for selectors declaring the UpdateConsumer
+// capability; everyone else sees nil updates and pays nothing for them.
 func TestUpdateFeedbackGatedByCapability(t *testing.T) {
 	parties, test, spec := buildTestJob(t, 21, 8, 0.5)
 	run := func(needUpdates bool) *fixedSelector {
@@ -592,17 +576,16 @@ func TestUpdateFeedbackGatedByCapability(t *testing.T) {
 		return sel
 	}
 	for _, fb := range run(false).observed {
-		if fb.Update != nil {
-			t.Fatalf("round %d: selector without NeedsUpdates received Update map", fb.Round)
+		for _, r := range fb.Completed {
+			if r.Update != nil {
+				t.Fatalf("round %d: selector without NeedsUpdates received party %d's update", fb.Round, r.ID)
+			}
 		}
 	}
 	for _, fb := range run(true).observed {
-		if len(fb.Update) != len(fb.Completed) {
-			t.Fatalf("round %d: %d updates for %d completed parties", fb.Round, len(fb.Update), len(fb.Completed))
-		}
-		for id, u := range fb.Update {
-			if len(u) == 0 {
-				t.Fatalf("round %d: empty update for party %d", fb.Round, id)
+		for _, r := range fb.Completed {
+			if len(r.Update) == 0 {
+				t.Fatalf("round %d: empty update for party %d", fb.Round, r.ID)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // The ownership suite: with fl.PoisonFreed every update vector is NaN-filled
 // the moment it returns to the engine's free list, so a vector recycled while
-// anything still reads it — a fold, a mask wave, the selector's Update map,
+// anything still reads it — a fold, a mask wave, a report's Update,
 // an in-flight async update — poisons the run. Every arm here must report,
 // poisoned, exactly what the unpoisoned run reports. None of these tests may
 // run in parallel: the poison switch is process-wide.
@@ -105,8 +105,9 @@ func TestOwnershipGoldens(t *testing.T) {
 
 // ownershipJobs are small jobs, one per configuration whose vectors live
 // past the plain sync fold or take another route to it: the async policies
-// (buffered with an update-consuming selector, whose Update map aliases the
-// buffered updates), masked waves settling in their own round, at a later
+// (buffered and semisync with an update-consuming selector, whose reports'
+// Update vectors alias the buffered updates — under semisync a late window
+// arrival's too), masked waves settling in their own round, at a later
 // arrival, or at a window deadline with late stragglers still queued,
 // FedDyn's corrected vectors, and byzantine corrupt-delta parties on both
 // sides of the fold.
@@ -114,6 +115,7 @@ var ownershipJobs = []string{
 	`{"Dataset":"mit-bih-ecg","Strategy":"oort","DeviceProfile":"lognormal","Availability":"churn","Aggregation":"buffered","Rounds":8,"Parties":24,"Seed":5}`,
 	`{"Dataset":"mit-bih-ecg","Strategy":"gradclus","DeviceProfile":"lognormal","Aggregation":"buffered","Rounds":8,"Parties":24,"Seed":6}`,
 	`{"Dataset":"mit-bih-ecg","Strategy":"random","DeviceProfile":"lognormal","Aggregation":"semisync","Deadline":2,"Rounds":8,"Parties":24,"Seed":7}`,
+	`{"Dataset":"mit-bih-ecg","Strategy":"divergence","DeviceProfile":"lognormal","Aggregation":"semisync","Deadline":2,"Rounds":8,"Parties":24,"Seed":13}`,
 	`{"Dataset":"mit-bih-ecg","Strategy":"random","StragglerRate":0.2,"Mask":true,"Clip":1,"Rounds":6,"Parties":16,"Seed":8}`,
 	`{"Dataset":"mit-bih-ecg","Strategy":"oort","DeviceProfile":"lognormal","Availability":"churn","Aggregation":"buffered","Mask":true,"ShareThreshold":2,"Rounds":8,"Parties":24,"Seed":1}`,
 	`{"Dataset":"mit-bih-ecg","Strategy":"random","DeviceProfile":"lognormal","Aggregation":"semisync","Deadline":2,"Mask":true,"ShareThreshold":2,"Rounds":8,"Parties":24,"Seed":9}`,

@@ -70,7 +70,7 @@ func TestPrivacyConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base()
 		tc.mut(&cfg)
-		err := cfg.Validate()
+		err := cfg.validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -80,7 +80,7 @@ func TestPrivacyConfigValidation(t *testing.T) {
 	cfg := base()
 	cfg.Privacy = PrivacyConfig{Clip: 1}
 	cfg.Fold = FoldConfig{Kind: FoldMedian}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Fatalf("clip-only with robust fold rejected: %v", err)
 	}
 }
@@ -434,7 +434,7 @@ func TestPrivacyNoiseDeterministicAndApplied(t *testing.T) {
 
 // TestMaskHidesUpdatesFromSelector pins the masking feedback contract: an
 // update-consuming selector runs on its metadata-only path under masking —
-// the per-party Update map is never materialized.
+// no report carries its party's update.
 func TestMaskHidesUpdatesFromSelector(t *testing.T) {
 	t.Parallel()
 	cfg := privacySyncConfig(t)
@@ -467,8 +467,10 @@ func (s *updateRecordingSelector) Select(round, target int) []int {
 
 func (s *updateRecordingSelector) Observe(fb RoundFeedback) {
 	s.observed++
-	if len(fb.Update) > 0 {
-		s.sawUpdate = true
+	for _, r := range fb.Completed {
+		if r.Update != nil {
+			s.sawUpdate = true
+		}
 	}
 	s.inner.Observe(fb)
 }

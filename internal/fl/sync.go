@@ -20,15 +20,15 @@ type SyncRounds struct{}
 // Name implements AggregationPolicy.
 func (SyncRounds) Name() string { return "sync" }
 
-func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
+func (SyncRounds) cycle(c *eventCore, round int) error {
 	cfg := c.cfg
 	tag, roundRng := c.nextWave()
 	invited, err := c.selectParties(round, c.cohortTarget(round))
 	if err != nil {
-		return cycleStats{}, err
+		return err
 	}
 	if len(invited) == 0 {
-		return cycleStats{}, fmt.Errorf("fl: selector %q returned no parties at round %d", cfg.Selector.Name(), round)
+		return fmt.Errorf("fl: selector %q returned no parties at round %d", cfg.Selector.Name(), round)
 	}
 
 	// Under masking the invited cohort enrolls before anyone trains: the
@@ -39,7 +39,7 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 	var mw *maskWave
 	if c.priv != nil && c.priv.pc.Mask {
 		if mw, err = c.priv.beginWave(tag, c.version, invited); err != nil {
-			return cycleStats{}, err
+			return err
 		}
 	}
 
@@ -73,17 +73,14 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 		}
 	}
 	completed, stragglers := c.completed, c.stragglers
-
-	needsUpdates := c.prepareFeedback(round)
 	c.fb.Selected = invited
-	c.fb.Completed = completed
 	c.fb.Stragglers = stragglers
 
 	// Local training of all completed parties runs concurrently; worker
 	// replicas are lazily cloned once and re-seeded from the global
 	// parameters each use (see trainBatch for the determinism contract).
 	if err := c.trainBatch(completed, roundRng); err != nil {
-		return cycleStats{}, err
+		return err
 	}
 
 	// One pass in selection order — floating-point addition is not
@@ -97,7 +94,7 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 	// order-insensitive); when a deadline is configured and anyone missed
 	// it, the full deadline elapsed.
 	c.updates, c.weights = c.updates[:0], c.weights[:0]
-	var roundTime, lossSum float64
+	var roundTime float64
 	memberCursor := 0
 	for i, id := range completed {
 		lr := c.locals[i]
@@ -141,7 +138,7 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 				// An unencodable update never reaches the sum; the party
 				// becomes a dropout and its masks are reconstructed like
 				// any other.
-				c.cycleRejected++
+				c.round.Rejected++
 				c.priv.markRejected(mw)
 			} else {
 				clipDeltaInPlace(params, c.priv.pc.Clip)
@@ -154,13 +151,11 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 			}
 			c.admitUpdate(params, weight)
 		}
-		c.fb.MeanLoss[id] = lr.MeanLoss
-		c.fb.SqLoss[id] = lr.SqLossMean
-		c.fb.Duration[id] = d
-		if needsUpdates {
-			c.fb.Update[id] = params.Sub(c.globalParams)
+		report := PartyReport{ID: id, MeanLoss: lr.MeanLoss, SqLoss: lr.SqLossMean, Duration: d}
+		if c.needsUpdates {
+			report.Update = params.Sub(c.globalParams)
 		}
-		lossSum += lr.MeanLoss
+		c.fb.Completed = append(c.fb.Completed, report)
 	}
 	if c.useDevices && cfg.Deadline > 0 && len(stragglers) > 0 {
 		roundTime = cfg.Deadline
@@ -171,13 +166,13 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 	if mw != nil {
 		res, err := c.priv.settleWave(mw)
 		if err != nil {
-			return cycleStats{}, err
+			return err
 		}
 		// Every member was processed or dropped within the round, so the
 		// wave recycles unconditionally.
 		c.priv.freeWave(mw)
 		if res.aborted {
-			c.cycleMaskAborted = true
+			c.round.MaskAborted = true
 		} else if res.delta != nil {
 			// The decoded cohort mean folds as one synthetic update (the
 			// single-update weighted mean is exact), reusing the sharded
@@ -193,11 +188,7 @@ func (SyncRounds) cycle(c *eventCore, round int) (cycleStats, error) {
 	// (deadline-missers downloaded before timing out; offline parties
 	// never contacted the server); every completed party uploads an
 	// update.
-	c.cycleBytes = c.paramBytes * int64(downloads+len(completed))
-
-	st := cycleStats{invited: len(invited), completed: len(completed), roundTime: roundTime}
-	if len(completed) > 0 {
-		st.meanLoss = lossSum / float64(len(completed))
-	}
-	return st, nil
+	c.round.CommBytes += c.paramBytes * int64(downloads+len(completed))
+	c.round.Invited, c.round.Completed, c.round.RoundTime = len(invited), len(completed), roundTime
+	return nil
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"flips/internal/dataset"
 	"flips/internal/model"
@@ -21,45 +20,6 @@ func (c *constModel) Params() tensor.Vec                                { return
 func (c *constModel) SetParams(tensor.Vec)                              {}
 func (c *constModel) LossGradient([]dataset.Sample, tensor.Vec) float64 { return 0 }
 func (c *constModel) Predict(tensor.Vec) int                            { return c.class }
-
-func TestSummarize(t *testing.T) {
-	t.Parallel()
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary %+v", s)
-	}
-	// Sample std of 1..4 is sqrt(5/3).
-	if math.Abs(s.Std-math.Sqrt(5.0/3)) > 1e-12 {
-		t.Fatalf("std %v", s.Std)
-	}
-	if empty := Summarize(nil); empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty summary %+v", empty)
-	}
-	single := Summarize([]float64{7})
-	if single.Std != 0 || single.Mean != 7 {
-		t.Fatalf("single summary %+v", single)
-	}
-}
-
-func TestSummarizeProperties(t *testing.T) {
-	t.Parallel()
-	check := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64() * 10
-		}
-		s := Summarize(xs)
-		if s.Min > s.Mean || s.Mean > s.Max {
-			return false
-		}
-		return s.Std >= 0
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // labelModel predicts y = round(x[0]) so shard evaluation has a non-trivial
 // mix of hits and misses (test double).

@@ -6,9 +6,8 @@ import (
 )
 
 // Window is a fixed-capacity ring of the most recent observations with
-// order-statistic queries — the quantile counterpart of Stream for service
-// metrics (p50/p99 job latency) where the tail matters and a bounded memory
-// footprint is required. Pushing is O(1); Quantile sorts a scratch copy on
+// order-statistic queries, for service metrics (p50/p99 job latency) where
+// the tail matters and a bounded memory footprint is required. Pushing is O(1); Quantile sorts a scratch copy on
 // demand, so it costs O(n log n) per scrape, which is the right trade for a
 // metrics endpoint polled a few times a second at most.
 //

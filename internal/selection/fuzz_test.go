@@ -91,30 +91,22 @@ func FuzzSelectorFeedback(f *testing.F) {
 
 				// Split invited into completed/stragglers by data bytes and
 				// synthesize per-party feedback values from the same bytes.
-				fb := fl.RoundFeedback{
-					Round:    round,
-					Selected: ids,
-					MeanLoss: map[int]float64{},
-					SqLoss:   map[int]float64{},
-					Duration: map[int]float64{},
-					Update:   map[int]tensor.Vec{},
-				}
+				fb := fl.RoundFeedback{Round: round, Selected: ids}
 				for i, id := range ids {
 					b := byteAt(round*7 + i)
 					if b%4 == 0 {
 						fb.Stragglers = append(fb.Stragglers, id)
 						continue
 					}
-					fb.Completed = append(fb.Completed, id)
 					loss := float64(b) / 16
-					fb.MeanLoss[id] = loss
-					fb.SqLoss[id] = loss * loss
-					fb.Duration[id] = latencies[id] * float64(1+b%8)
 					up := tensor.NewVec(paramDim)
 					for j := range up {
 						up[j] = float64(int(b)-128) / 64
 					}
-					fb.Update[id] = up
+					fb.Completed = append(fb.Completed, fl.PartyReport{
+						ID: id, MeanLoss: loss, SqLoss: loss * loss,
+						Duration: latencies[id] * float64(1+b%8), Update: up,
+					})
 				}
 				sel.Observe(fb)
 			}

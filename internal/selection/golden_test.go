@@ -83,33 +83,21 @@ func renderSelections(t *testing.T) []byte {
 // both the party and the round, plus a 6-dimensional update when the selector
 // consumes them.
 func goldenFeedback(round int, ids []int, needUpdates bool) fl.RoundFeedback {
-	fb := fl.RoundFeedback{
-		Round:    round,
-		Selected: append([]int(nil), ids...),
-		MeanLoss: map[int]float64{},
-		SqLoss:   map[int]float64{},
-		Duration: map[int]float64{},
-	}
-	if needUpdates {
-		fb.Update = map[int]tensor.Vec{}
-	}
+	fb := fl.RoundFeedback{Round: round, Selected: append([]int(nil), ids...)}
 	for i, id := range ids {
 		if i%10 == 9 {
 			fb.Stragglers = append(fb.Stragglers, id)
 			continue
 		}
-		fb.Completed = append(fb.Completed, id)
 		loss := 0.1 + float64((id*7+round*3)%17)/8
-		fb.MeanLoss[id] = loss
-		fb.SqLoss[id] = loss*loss + 0.01
-		fb.Duration[id] = 0.5 + float64((id*13+round)%9)/4
+		r := fl.PartyReport{ID: id, MeanLoss: loss, SqLoss: loss*loss + 0.01, Duration: 0.5 + float64((id*13+round)%9)/4}
 		if needUpdates {
-			u := tensor.NewVec(6)
-			for j := range u {
-				u[j] = math.Sin(float64(id*6+j+round)) / (1 + float64(id%4))
+			r.Update = tensor.NewVec(6)
+			for j := range r.Update {
+				r.Update[j] = math.Sin(float64(id*6+j+round)) / (1 + float64(id%4))
 			}
-			fb.Update[id] = u
 		}
+		fb.Completed = append(fb.Completed, r)
 	}
 	return fb
 }

@@ -146,12 +146,12 @@ func (p *gradPool) gradient(id int) tensor.Vec {
 // so repeatedly re-selected parties keep their fresh gradients inside the
 // pool's recency band.
 func (p *gradPool) observe(fb fl.RoundFeedback) {
-	for _, id := range fb.Completed {
-		u, ok := fb.Update[id]
-		if !ok || len(u) != p.gradDim {
+	for _, r := range fb.Completed {
+		id := r.ID
+		if len(r.Update) != p.gradDim {
 			continue
 		}
-		p.grads[id] = u.Clone()
+		p.grads[id] = r.Update.Clone()
 		if !p.scaleMode {
 			continue
 		}

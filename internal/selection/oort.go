@@ -203,18 +203,16 @@ func (s *Oort) Observe(fb fl.RoundFeedback) {
 	}
 	// Median completed duration defines "slow" for the systemic penalty.
 	s.durScratch = s.durScratch[:0]
-	for _, id := range fb.Completed {
-		if d, ok := fb.Duration[id]; ok {
-			s.durScratch = append(s.durScratch, d)
-		}
+	for _, r := range fb.Completed {
+		s.durScratch = append(s.durScratch, r.Duration)
 	}
 	med := median(s.durScratch)
-	for _, id := range fb.Completed {
+	for _, r := range fb.Completed {
+		id := r.ID
 		s.markTried(id)
 		s.lastUsed[id] = fb.Round
-		sq := fb.SqLoss[id]
-		util := s.dataSizes[id] * math.Sqrt(math.Max(sq, 0))
-		if med > 0 && fb.Duration[id] > med*1.5 {
+		util := s.dataSizes[id] * math.Sqrt(math.Max(r.SqLoss, 0))
+		if med > 0 && r.Duration > med*1.5 {
 			util /= slowPenalty
 		}
 		s.setUtility(id, util)

@@ -26,17 +26,10 @@ func buildOortFleet(n int) *Oort {
 	s := NewOort(n, nil, rng.New(5))
 	const chunk = 1000
 	for round, lo := 0, 0; lo < n; round, lo = round+1, lo+chunk {
-		fb := fl.RoundFeedback{
-			Round:      round,
-			SqLoss:     make(map[int]float64, chunk),
-			Duration:   make(map[int]float64, chunk),
-			Stragglers: []int{lo},
-		}
+		fb := fl.RoundFeedback{Round: round, Stragglers: []int{lo}}
 		for id := lo + 1; id < lo+chunk && id < n; id++ {
-			fb.Completed = append(fb.Completed, id)
 			loss := 0.2 + float64(id*7919%1013)/100
-			fb.SqLoss[id] = loss * loss
-			fb.Duration[id] = 0.5 + float64(id%5)/4
+			fb.Completed = append(fb.Completed, fl.PartyReport{ID: id, SqLoss: loss * loss, Duration: 0.5 + float64(id%5)/4})
 		}
 		s.Observe(fb)
 	}
@@ -69,23 +62,19 @@ func BenchmarkOortObserve(b *testing.B) {
 	for _, size := range oortBenchSizes {
 		b.Run(size.name, func(b *testing.B) {
 			s := buildOortFleet(size.n)
-			fb := fl.RoundFeedback{
-				SqLoss:   make(map[int]float64, oortBenchCohort),
-				Duration: make(map[int]float64, oortBenchCohort),
-			}
+			var fb fl.RoundFeedback
 			for j := 0; j < oortBenchCohort; j++ {
 				id := (j*size.n/oortBenchCohort + 17) % size.n
 				if j%8 == 7 {
 					fb.Stragglers = append(fb.Stragglers, id)
 					continue
 				}
-				fb.Completed = append(fb.Completed, id)
-				fb.Duration[id] = 0.5 + float64(j%5)/4
+				fb.Completed = append(fb.Completed, fl.PartyReport{ID: id, Duration: 0.5 + float64(j%5)/4})
 			}
 			observe := func(i int) {
 				fb.Round = size.n + i
-				for j, id := range fb.Completed {
-					fb.SqLoss[id] = float64(1 + (i+j)%13)
+				for j := range fb.Completed {
+					fb.Completed[j].SqLoss = float64(1 + (i+j)%13)
 				}
 				s.Observe(fb)
 			}

@@ -64,9 +64,7 @@ func (s *PowerOfChoice) Select(_, target int) []int {
 
 // Observe implements fl.Selector.
 func (s *PowerOfChoice) Observe(fb fl.RoundFeedback) {
-	for _, id := range fb.Completed {
-		if l, ok := fb.MeanLoss[id]; ok {
-			s.loss[id] = l
-		}
+	for _, r := range fb.Completed {
+		s.loss[r.ID] = r.MeanLoss
 	}
 }

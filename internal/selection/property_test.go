@@ -3,6 +3,7 @@ package selection
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"flips/internal/fl"
@@ -228,16 +229,7 @@ func TestPropertySuiteCoversRegistry(t *testing.T) {
 // deterministic function of the party ID, and updates are materialized for
 // UpdateConsumer selectors.
 func scenarioFeedback(round int, sel []int, gradDim int, needUpdates bool) (fl.RoundFeedback, bool) {
-	fb := fl.RoundFeedback{
-		Round:    round,
-		Selected: append([]int(nil), sel...),
-		MeanLoss: map[int]float64{},
-		SqLoss:   map[int]float64{},
-		Duration: map[int]float64{},
-	}
-	if needUpdates {
-		fb.Update = map[int]tensor.Vec{}
-	}
+	fb := fl.RoundFeedback{Round: round, Selected: append([]int(nil), sel...)}
 	straggle := round%3 == 2 && len(sel) > 1
 	n := len(sel)
 	if straggle {
@@ -245,51 +237,35 @@ func scenarioFeedback(round int, sel []int, gradDim int, needUpdates bool) (fl.R
 		n--
 	}
 	for _, id := range sel[:n] {
-		fb.Completed = append(fb.Completed, id)
 		loss := 0.2 + float64(id%11)/10
-		fb.MeanLoss[id] = loss
-		fb.SqLoss[id] = loss * loss
-		fb.Duration[id] = 0.5 + float64(id%5)/4
+		r := fl.PartyReport{ID: id, MeanLoss: loss, SqLoss: loss * loss, Duration: 0.5 + float64(id%5)/4}
 		if needUpdates {
-			u := tensor.NewVec(gradDim)
-			for j := range u {
-				u[j] = math.Sin(float64(id*gradDim + j))
+			r.Update = tensor.NewVec(gradDim)
+			for j := range r.Update {
+				r.Update[j] = math.Sin(float64(id*gradDim + j))
 			}
-			fb.Update[id] = u
 		}
+		fb.Completed = append(fb.Completed, r)
 	}
 	return fb, straggle
 }
 
-// permuteFeedback re-indexes a feedback record: slices reversed and maps
-// rebuilt in reversed insertion order. Semantically identical content,
-// maximally different presentation.
+// permuteFeedback re-indexes a feedback record: every slice reversed, every
+// update cloned. Semantically identical content, maximally different
+// presentation.
 func permuteFeedback(fb fl.RoundFeedback) fl.RoundFeedback {
-	rev := func(xs []int) []int {
-		out := make([]int, len(xs))
-		for i, v := range xs {
-			out[len(xs)-1-i] = v
-		}
-		return out
-	}
 	out := fl.RoundFeedback{
 		Round:      fb.Round,
-		Selected:   rev(fb.Selected),
-		Completed:  rev(fb.Completed),
-		Stragglers: rev(fb.Stragglers),
-		MeanLoss:   map[int]float64{},
-		SqLoss:     map[int]float64{},
-		Duration:   map[int]float64{},
+		Selected:   slices.Clone(fb.Selected),
+		Completed:  slices.Clone(fb.Completed),
+		Stragglers: slices.Clone(fb.Stragglers),
 	}
-	if fb.Update != nil {
-		out.Update = map[int]tensor.Vec{}
-	}
-	for _, id := range out.Completed {
-		out.MeanLoss[id] = fb.MeanLoss[id]
-		out.SqLoss[id] = fb.SqLoss[id]
-		out.Duration[id] = fb.Duration[id]
-		if fb.Update != nil {
-			out.Update[id] = fb.Update[id].Clone()
+	slices.Reverse(out.Selected)
+	slices.Reverse(out.Completed)
+	slices.Reverse(out.Stragglers)
+	for i := range out.Completed {
+		if u := out.Completed[i].Update; u != nil {
+			out.Completed[i].Update = u.Clone()
 		}
 	}
 	return out

@@ -1,8 +1,9 @@
 package selection
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"flips/internal/fl"
 	"flips/internal/rng"
@@ -44,12 +45,12 @@ func (k scoredKind) String() string { return scoredNames[k] }
 // candidate band Categorically by score, and Observe re-keys heap entries in
 // O(log tried) from the round's feedback.
 //
-// State updates consume feedback through a sorted copy of the party lists,
-// so Observe — and therefore every later Select — is invariant to feedback
-// ordering. Below the scale threshold the candidate band is the whole tried
-// set; above it the band is bounded by candidatePool. Nothing else differs
-// between the modes, so the fleet-scale path's below-threshold twin is
-// bit-identical by construction.
+// State updates consume feedback through copies of the reports and the
+// stragglers sorted by party ID, so Observe — and therefore every later
+// Select — is invariant to feedback ordering. Below the scale threshold the
+// candidate band is the whole tried set; above it the band is bounded by
+// candidatePool. Nothing else differs between the modes, so the fleet-scale
+// path's below-threshold twin is bit-identical by construction.
 type Scored struct {
 	kind       scoredKind
 	numParties int
@@ -67,7 +68,8 @@ type Scored struct {
 
 	// Reusable per-round scratch.
 	inRound     []bool
-	obsScratch  []int
+	reports     []fl.PartyReport
+	stragglers  []int
 	meanScratch tensor.Vec
 }
 
@@ -143,8 +145,8 @@ func (s *Scored) Select(_, target int) []int {
 // processed in sorted-id order so the resulting state is independent of the
 // engine's feedback ordering.
 func (s *Scored) Observe(fb fl.RoundFeedback) {
-	s.obsScratch = append(s.obsScratch[:0], fb.Completed...)
-	sort.Ints(s.obsScratch)
+	s.reports = append(s.reports[:0], fb.Completed...)
+	slices.SortFunc(s.reports, func(a, b fl.PartyReport) int { return cmp.Compare(a.ID, b.ID) })
 
 	// The deadline kinds resolve the deadline before ingesting this round's
 	// durations, so a round is judged against the history that preceded it.
@@ -153,32 +155,30 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 		deadline = s.deadline()
 	}
 	if s.kind == scoreDivergence {
-		s.roundMean(fb)
+		s.roundMean()
 	}
 
-	for _, id := range s.obsScratch {
+	for _, r := range s.reports {
+		id := r.ID
 		s.markTried(id)
 		switch s.kind {
 		case scoreGradNorm:
-			if u, ok := fb.Update[id]; ok {
-				s.setUtility(id, u.Norm2())
+			if r.Update != nil {
+				s.setUtility(id, r.Update.Norm2())
 			}
 		case scoreLossProp:
-			s.setUtility(id, math.Max(fb.MeanLoss[id], 0))
+			s.setUtility(id, math.Max(r.MeanLoss, 0))
 		case scoreDivergence:
-			if u, ok := fb.Update[id]; ok && len(u) == len(s.meanScratch) {
+			if r.Update != nil && len(r.Update) == len(s.meanScratch) {
 				var sq float64
-				for j, x := range u {
+				for j, x := range r.Update {
 					d := x - s.meanScratch[j]
 					sq += d * d
 				}
 				s.setUtility(id, math.Sqrt(sq))
 			}
 		case scoreSoftDeadline, scoreHardDeadline:
-			d, ok := fb.Duration[id]
-			if !ok {
-				break
-			}
+			d := r.Duration
 			fit := 1.0
 			if d > deadline {
 				if s.kind == scoreHardDeadline {
@@ -194,9 +194,9 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 	}
 
 	if len(fb.Stragglers) > 0 {
-		s.obsScratch = append(s.obsScratch[:0], fb.Stragglers...)
-		sort.Ints(s.obsScratch)
-		for _, id := range s.obsScratch {
+		s.stragglers = append(s.stragglers[:0], fb.Stragglers...)
+		slices.Sort(s.stragglers)
+		for _, id := range s.stragglers {
 			s.markTried(id)
 			switch s.kind {
 			case scoreSoftDeadline:
@@ -224,12 +224,12 @@ func (s *Scored) deadline() float64 {
 // roundMean accumulates the mean of this round's updates into meanScratch.
 // The dimensionality follows the first usable update; mismatched vectors are
 // skipped (they cannot be averaged together).
-func (s *Scored) roundMean(fb fl.RoundFeedback) {
+func (s *Scored) roundMean() {
 	s.meanScratch = s.meanScratch[:0]
 	count := 0
-	for _, id := range s.obsScratch {
-		u, ok := fb.Update[id]
-		if !ok {
+	for _, r := range s.reports {
+		u := r.Update
+		if u == nil {
 			continue
 		}
 		if count == 0 {

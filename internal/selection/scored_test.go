@@ -51,13 +51,12 @@ func TestScoredRanksBySignal(t *testing.T) {
 		return tensor.Vec{scale, 0, 0}
 	}
 	fb := fl.RoundFeedback{
-		Round:     0,
-		Selected:  []int{0, 1},
-		Completed: []int{0, 1},
-		MeanLoss:  map[int]float64{0: 0.2, 1: 2.0},
-		SqLoss:    map[int]float64{0: 0.04, 1: 4.0},
-		Duration:  map[int]float64{0: 1.0, 1: 5.0},
-		Update:    map[int]tensor.Vec{0: mkUpdate(0.1), 1: mkUpdate(3.0)},
+		Round:    0,
+		Selected: []int{0, 1},
+		Completed: []fl.PartyReport{
+			{ID: 0, MeanLoss: 0.2, SqLoss: 0.04, Duration: 1.0, Update: mkUpdate(0.1)},
+			{ID: 1, MeanLoss: 2.0, SqLoss: 4.0, Duration: 5.0, Update: mkUpdate(3.0)},
+		},
 	}
 	check := func(name string, s *Scored, lo, hi int) {
 		if !(s.utility[hi] > s.utility[lo]) {
@@ -126,32 +125,20 @@ func TestScoredRanksBySignal(t *testing.T) {
 func buildScoredFleet(kind scoredKind, n int) (*Scored, fl.RoundFeedback) {
 	s := newScored(kind, n, 0, scaleModeThreshold, rng.New(5))
 	const cohort = 1000
-	ids := make([]int, cohort)
-	fb := fl.RoundFeedback{
-		MeanLoss: make(map[int]float64, cohort),
-		SqLoss:   make(map[int]float64, cohort),
-		Duration: make(map[int]float64, cohort),
-	}
-	if s.NeedsUpdates() {
-		fb.Update = make(map[int]tensor.Vec, cohort)
-	}
-	for i := range ids {
+	var fb fl.RoundFeedback
+	for i := 0; i < cohort; i++ {
 		id := (i * 97) % n
-		ids[i] = id
 		loss := 0.2 + float64(id%11)/10
-		fb.MeanLoss[id] = loss
-		fb.SqLoss[id] = loss * loss
-		fb.Duration[id] = 0.5 + float64(id%5)/4
-		if fb.Update != nil {
-			u := tensor.NewVec(8)
-			for j := range u {
-				u[j] = math.Sin(float64(id + j))
+		r := fl.PartyReport{ID: id, MeanLoss: loss, SqLoss: loss * loss, Duration: 0.5 + float64(id%5)/4}
+		if s.NeedsUpdates() {
+			r.Update = tensor.NewVec(8)
+			for j := range r.Update {
+				r.Update[j] = math.Sin(float64(id + j))
 			}
-			fb.Update[id] = u
 		}
+		fb.Selected = append(fb.Selected, id)
+		fb.Completed = append(fb.Completed, r)
 	}
-	fb.Selected = ids
-	fb.Completed = ids
 	s.Observe(fb)
 	return s, fb
 }

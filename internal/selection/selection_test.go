@@ -61,20 +61,10 @@ func TestRandomEventualCoverage(t *testing.T) {
 }
 
 func feedbackWithLoss(round int, ids []int, loss func(int) float64) fl.RoundFeedback {
-	fb := fl.RoundFeedback{
-		Round:     round,
-		Selected:  ids,
-		Completed: ids,
-		MeanLoss:  map[int]float64{},
-		SqLoss:    map[int]float64{},
-		Duration:  map[int]float64{},
-		Update:    map[int]tensor.Vec{},
-	}
+	fb := fl.RoundFeedback{Round: round, Selected: ids}
 	for _, id := range ids {
 		l := loss(id)
-		fb.MeanLoss[id] = l
-		fb.SqLoss[id] = l * l
-		fb.Duration[id] = 1
+		fb.Completed = append(fb.Completed, fl.PartyReport{ID: id, MeanLoss: l, SqLoss: l * l, Duration: 1})
 	}
 	return fb
 }
@@ -209,8 +199,7 @@ func TestGradClusObserveUpdatesGradients(t *testing.T) {
 	fb := fl.RoundFeedback{
 		Round:     0,
 		Selected:  []int{1},
-		Completed: []int{1},
-		Update:    map[int]tensor.Vec{1: update},
+		Completed: []fl.PartyReport{{ID: 1, Update: update}},
 	}
 	s.Observe(fb)
 	for i, v := range update {
@@ -245,8 +234,7 @@ func TestGradClusScaleRecency(t *testing.T) {
 	s := newGradClus(20, 3, 1, rng.New(21))
 	observe := func(id int) {
 		s.Observe(fl.RoundFeedback{
-			Completed: []int{id},
-			Update:    map[int]tensor.Vec{id: {1, 2, float64(id)}},
+			Completed: []fl.PartyReport{{ID: id, Update: tensor.Vec{1, 2, float64(id)}}},
 		})
 	}
 	observe(0)

@@ -164,12 +164,10 @@ func (s *TiFL) chooseTier() int {
 // Observe implements fl.Selector: refresh per-party loss estimates,
 // streaming the per-tier sums in fleet-scale mode.
 func (s *TiFL) Observe(fb fl.RoundFeedback) {
-	for _, id := range fb.Completed {
-		if l, ok := fb.MeanLoss[id]; ok {
-			if s.scaleMode {
-				s.tierLossSum[s.tierOf[id]] += l - s.loss[id]
-			}
-			s.loss[id] = l
+	for _, r := range fb.Completed {
+		if s.scaleMode {
+			s.tierLossSum[s.tierOf[r.ID]] += r.MeanLoss - s.loss[r.ID]
 		}
+		s.loss[r.ID] = r.MeanLoss
 	}
 }

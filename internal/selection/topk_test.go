@@ -329,27 +329,22 @@ func TestOortScaleMatchesReference(t *testing.T) {
 		}
 		assertUniqueInRange(t, a, n)
 
-		fb := fl.RoundFeedback{
-			Round:    round,
-			Selected: a,
-			SqLoss:   map[int]float64{},
-			Duration: map[int]float64{},
-		}
+		fb := fl.RoundFeedback{Round: round, Selected: a}
+		var touched []int
 		for i, id := range a {
 			if (i+round)%7 == 3 {
 				fb.Stragglers = append(fb.Stragglers, id)
 				continue
 			}
-			fb.Completed = append(fb.Completed, id)
+			touched = append(touched, id)
 			loss := float64((id+round/50)%4) / 2
-			fb.SqLoss[id] = loss * loss
-			fb.Duration[id] = 1 + float64((id+round)%5)
+			fb.Completed = append(fb.Completed, fl.PartyReport{ID: id, SqLoss: loss * loss, Duration: 1 + float64((id+round)%5)})
 		}
 		got.Observe(fb)
 		twin.Observe(fb)
 		// Mirror the tried set into the reference heap: markTried's push and
 		// setUtility's re-key.
-		for _, ids := range [][]int{fb.Completed, fb.Stragglers} {
+		for _, ids := range [][]int{touched, fb.Stragglers} {
 			for _, id := range ids {
 				u := twin.utility[id]
 				if it := refItems[id]; it == nil {

@@ -35,9 +35,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p50 := s.latency.Quantile(0.50)
 	p90 := s.latency.Quantile(0.90)
 	p99 := s.latency.Quantile(0.99)
-	latCount := s.latStream.Count()
-	latSum := s.latStream.Mean() * float64(latCount)
-	shardMean := s.shardStream.Mean()
+	latCount, latSum := s.latCount, s.latSum
+	var shardMean float64
+	if s.shardCount > 0 {
+		shardMean = s.shardSum / float64(s.shardCount)
+	}
 	s.mu.Unlock()
 
 	var b strings.Builder

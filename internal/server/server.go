@@ -172,8 +172,12 @@ type Server struct {
 	arrivals    []time.Time // ring of recent arrival times for the rate gauge
 	arrivalNext int
 	latency     *metrics.Window
-	latStream   metrics.Stream
-	shardStream metrics.Stream
+	// Running sums behind the latency summary's _sum/_count and the
+	// shard-locality mean.
+	latSum      float64
+	latCount    int
+	shardSum    float64
+	shardCount  int
 	roundsTotal int
 }
 
@@ -355,7 +359,8 @@ func (s *Server) runJob(j *job) {
 		s.doneCount++
 	}
 	s.latency.Push(latency)
-	s.latStream.Push(latency)
+	s.latSum += latency
+	s.latCount++
 	s.roundsTotal += rounds
 	s.mu.Unlock()
 }
@@ -392,7 +397,8 @@ func (s *Server) runProtected(j *job) (res *flips.SimulationResult, err error) {
 		shards := p.ShardsTouched
 		j.mu.Unlock()
 		s.mu.Lock()
-		s.shardStream.Push(float64(shards))
+		s.shardSum += float64(shards)
+		s.shardCount++
 		s.mu.Unlock()
 	})
 	if diverged != nil {

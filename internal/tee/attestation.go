@@ -78,12 +78,17 @@ func GenerateHardwareKey() (ed25519.PublicKey, ed25519.PrivateKey, error) {
 	return pub, priv, nil
 }
 
-// feedback adapts raw round outcomes to the selector's feedback type.
+// feedback adapts raw round outcomes to the selector's feedback type: each
+// completed ID becomes a report carrying only its ID.
 func feedback(round int, selected, completed, stragglers []int) fl.RoundFeedback {
+	reports := make([]fl.PartyReport, len(completed))
+	for i, id := range completed {
+		reports[i].ID = id
+	}
 	return fl.RoundFeedback{
 		Round:      round,
 		Selected:   selected,
-		Completed:  completed,
+		Completed:  reports,
 		Stragglers: stragglers,
 	}
 }
