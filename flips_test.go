@@ -91,20 +91,42 @@ var badConfigs = []SimulationConfig{
 	{Dataset: "mit-bih-ecg", Aggregation: "semisync", Deadline: 2, BufferSize: 3}, // K is the buffered policy's
 	{Dataset: "mit-bih-ecg", StalenessHalfLife: 2},                                // sync has no staleness
 	{Dataset: "mit-bih-ecg", FaultScale: 5},                                       // no fault to scale
+	{Dataset: "mit-bih-ecg", Deadline: 3},                                         // a sync deadline needs devices
+	{Dataset: "mit-bih-ecg", Deadline: 3, Aggregation: "buffered"},                // buffered has no deadline
 }
 
 func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
 	if err := (SimulationConfig{Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	decode := func(cfg SimulationConfig) error {
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeSimulationConfig(bytes.NewReader(raw))
+		return err
+	}
 	for _, cfg := range badConfigs {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("config %+v validated", cfg)
 		}
+		if err := decode(cfg); err == nil {
+			t.Fatalf("config %+v decoded", cfg)
+		}
 	}
-	// Masking alone is legal and Validate fills the default clip bound.
-	if err := (SimulationConfig{Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8, Mask: true}).Validate(); err != nil {
-		t.Fatalf("masked config rejected: %v", err)
+	for name, cfg := range map[string]SimulationConfig{
+		// Masking alone is legal and Validate fills the default clip bound.
+		"masked": {Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8, Mask: true},
+		// Semisync windows run on the legacy latency clock without devices.
+		"device-less semisync": {Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8, Aggregation: "semisync", Deadline: 3},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s config rejected: %v", name, err)
+		}
+		if err := decode(cfg); err != nil {
+			t.Fatalf("%s config refused by the decoder: %v", name, err)
+		}
 	}
 }
 
@@ -176,6 +198,7 @@ func TestValidateAgreesWithBuild(t *testing.T) {
 		"unknown algorithm":     with(func(c *SimulationConfig) { c.Algorithm = "fedmagic" }),
 		"buffer above cohort":   with(func(c *SimulationConfig) { c.Aggregation, c.BufferSize = "buffered", 5 }),
 		"semisync no deadline":  with(func(c *SimulationConfig) { c.Aggregation = "semisync" }),
+		"device-less semisync":  with(func(c *SimulationConfig) { c.Aggregation, c.Deadline = "semisync", 3 }),
 		"straggler rate":        with(func(c *SimulationConfig) { c.StragglerRate = 1 }),
 		"negative shards":       with(func(c *SimulationConfig) { c.Shards = -1 }),
 

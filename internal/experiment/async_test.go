@@ -6,6 +6,7 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/device"
+	"flips/internal/fl"
 )
 
 // TestBuildAggregationThreading pins the Setting → fl.Config mapping of the
@@ -22,8 +23,8 @@ func TestBuildAggregationThreading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := built.Config.Aggregation.Name(); got != "buffered" {
-		t.Fatalf("aggregation %q not threaded", got)
+	if got := built.Config.Aggregation; got != (fl.Buffered{K: 4, StalenessHalfLife: 2}) {
+		t.Fatalf("aggregation %#v not threaded", got)
 	}
 	s.Aggregation = "bogus"
 	if _, err := Build(s, tinyScale()); err == nil {

@@ -57,9 +57,6 @@ type Buffered struct {
 	StalenessHalfLife float64
 }
 
-// Name implements AggregationPolicy.
-func (Buffered) Name() string { return "buffered" }
-
 func (p Buffered) cycle(c *eventCore, step int) error {
 	k := p.K
 	if k == 0 {
@@ -114,9 +111,6 @@ type SemiSync struct {
 	// measured in server model versions. Zero defaults to 4.
 	StalenessHalfLife float64
 }
-
-// Name implements AggregationPolicy.
-func (SemiSync) Name() string { return "semisync" }
 
 func (p SemiSync) cycle(c *eventCore, step int) error {
 	// One selection wave per window; parties still training from earlier
@@ -187,17 +181,7 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 		if c.inFlight.get(id) {
 			continue
 		}
-		// Chaos-forced outages count as offline invitees, like a failed
-		// availability draw; the party's draw stream is simply not consumed
-		// (per-party streams are independent).
-		if c.cfg.Faults != nil && c.cfg.Faults.ForceOffline(step, id) {
-			if !c.offlineMark.get(id) {
-				c.offlineMark.set(id, true)
-				c.cycleOffline = append(c.cycleOffline, id)
-			}
-			continue
-		}
-		if c.useDevices && !c.cfg.Parties[id].Device.Online(step, ar.Split(uint64(id)+1)) {
+		if c.unreachable(step, id, ar) {
 			// Record each offline invitee once per cycle, however many waves
 			// re-draw it; if a later wave finds it online and dispatches it,
 			// aggregateAsync drops it from the straggler list.
@@ -229,13 +213,7 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 
 	for i, id := range c.dispatched {
 		lr := c.locals[i]
-		var d float64
-		if c.useDevices {
-			d = c.cfg.Parties[id].Device.RoundDuration(lr.NumSamples, c.sgd.LocalEpochs, c.paramBytes)
-		} else {
-			d = c.cfg.Parties[id].Latency * float64(lr.Steps)
-		}
-		d = perturbDuration(c.cfg, c.cfg.Parties[id], step, id, d)
+		d := c.duration(step, id, lr.Steps)
 		// The pending update carries the dispatch-time delta: by the time it
 		// aggregates, the global model has moved on. lr.Params is this
 		// party's own vector, safe to mutate in place; it travels with the
@@ -313,9 +291,7 @@ func (c *eventCore) popArrival() *pendingUpdate {
 		// Masked arrivals contribute to their wave the moment they pop: wave
 		// completeness must be known at the next settlement barrier, not at
 		// whichever aggregation cycle happens to drain this buffer entry.
-		w := up.wave
-		switch {
-		case w.settled:
+		if w := up.wave; w.settled {
 			// A straggler whose window already closed (SemiSync): its wave
 			// settled without it — the dropout masks were reconstructed away —
 			// so the payload is discarded, and the wave recycles once its last
@@ -323,12 +299,8 @@ func (c *eventCore) popArrival() *pendingUpdate {
 			up.maskDiscarded = true
 			w.nProcessed++
 			c.priv.maybeFree(w)
-		case !isFiniteVec(up.update):
-			c.round.Rejected++
-			up.maskDiscarded = true
-			c.priv.markRejected(w)
-		default:
-			c.priv.contribute(w, up.waveIdx, up.update, up.weight)
+		} else {
+			up.maskDiscarded = !c.admitMasked(w, up.waveIdx, up.update, up.weight)
 		}
 	}
 	return up
@@ -404,7 +376,8 @@ func (c *eventCore) aggregateAsync(halfLife float64, settleAll bool) error {
 
 // settleMaskedWaves walks the active mask waves in dispatch order, settles
 // every wave at its barrier (all members processed, or unconditionally when
-// settleAll closes the window) and appends each settled wave's decoded
+// settleAll closes the window — a SemiSync deadline, or the sync round,
+// whose one wave is never stale) and appends each settled wave's decoded
 // synthetic update to the fold buffers with the wave-level staleness
 // discount. Below-threshold waves abort: nothing decodes, nothing folds,
 // and the cycle surfaces MaskAborted. Returns the total survivor count of

@@ -67,15 +67,15 @@ func TestAsyncRunMatchesSequential(t *testing.T) {
 				}
 				sequential, err := Run(mk(1))
 				if err != nil {
-					t.Fatalf("%s dev=%v seed %d sequential: %v", policy.Name(), mkDev, seed, err)
+					t.Fatalf("%T dev=%v seed %d sequential: %v", policy, mkDev, seed, err)
 				}
 				parallel8, err := Run(mk(8))
 				if err != nil {
-					t.Fatalf("%s dev=%v seed %d parallel: %v", policy.Name(), mkDev, seed, err)
+					t.Fatalf("%T dev=%v seed %d parallel: %v", policy, mkDev, seed, err)
 				}
 				requireIdenticalResults(t, sequential, parallel8)
 				if sequential.SimTime <= 0 {
-					t.Fatalf("%s dev=%v seed %d: no simulated time accumulated", policy.Name(), mkDev, seed)
+					t.Fatalf("%T dev=%v seed %d: no simulated time accumulated", policy, mkDev, seed)
 				}
 			}
 		}
@@ -304,7 +304,7 @@ func TestAsyncRejectsEmptySelector(t *testing.T) {
 		cfg := asyncConfig(t, 3, 1, policy)
 		cfg.Selector = emptySelector{}
 		if _, err := Run(cfg); err == nil {
-			t.Fatalf("%s completed with an empty selector", policy.Name())
+			t.Fatalf("%T completed with an empty selector", policy)
 		}
 	}
 }
@@ -328,7 +328,7 @@ func TestStalenessDiscount(t *testing.T) {
 func TestPolicyByName(t *testing.T) {
 	t.Parallel()
 	p, err := PolicyByName("", 0, 0)
-	if err != nil || p.Name() != "sync" {
+	if err != nil || p != (SyncRounds{}) {
 		t.Fatalf("empty name: %v %v", p, err)
 	}
 	p, err = PolicyByName("buffered", 5, 2)

@@ -83,7 +83,7 @@ type Config struct {
 	Parallelism int
 	// Shards partitions the party population into this many deterministic
 	// contiguous ID ranges for fleet-scale aggregation: the engine's dense
-	// per-party state (dedupe bitmaps, durations, straggler and in-flight
+	// per-party state (dedupe bitmaps, in-flight and per-cycle selection
 	// flags) becomes shard-local and lazily allocated, and the aggregation
 	// fold is partitioned across shards on the worker pool. Results are
 	// bit-identical at every shard count (see DESIGN.md, "Sharded
@@ -376,66 +376,6 @@ func Run(cfg Config) (*Result, error) {
 	c.eval.stop()
 	c.res.FinalParams = c.globalParams
 	return c.res, nil
-}
-
-// simulateDeviceRound decides each invited party's fate from its device: a
-// party completes iff it is online this round and its simulated duration —
-// local compute over its dataset plus model download and upload — meets the
-// deadline (when one is set). completed and stragglers are caller-provided
-// buffers appended to and returned; durations is shard-local party-ID-indexed
-// storage and only entries for this round's completed parties are written.
-// downloads counts the online invited parties, who all fetched the model even
-// if they then missed the deadline.
-//
-// Determinism: parties are visited in invited order on the caller's
-// goroutine, and each availability draw comes from a per-party stream split
-// from r, so the outcome is independent of engine parallelism and of how
-// many draws any other party consumed.
-func simulateDeviceRound(cfg *Config, invited []int, sgd model.SGDConfig, paramBytes int64, round int, r *rng.Source, completed, stragglers []int, durations *shardedSlice[float64]) (completedOut, stragglersOut []int, downloads int) {
-	for _, id := range invited {
-		party := cfg.Parties[id]
-		// A chaos-forced outage looks exactly like a failed availability
-		// draw: the party never contacts the server. Its per-party stream is
-		// simply not drawn — streams are independent, so no other party's
-		// draw shifts.
-		if cfg.Faults != nil && cfg.Faults.ForceOffline(round, id) {
-			stragglers = append(stragglers, id)
-			continue
-		}
-		if !party.Device.Online(round, r.Split(uint64(id)+1)) {
-			stragglers = append(stragglers, id)
-			continue
-		}
-		downloads++
-		d := party.Device.RoundDuration(party.NumSamples(), sgd.LocalEpochs, paramBytes)
-		d = perturbDuration(cfg, party, round, id, d)
-		if cfg.Deadline > 0 && d > cfg.Deadline {
-			stragglers = append(stragglers, id)
-			continue
-		}
-		durations.set(id, d)
-		completed = append(completed, id)
-	}
-	return completed, stragglers, downloads
-}
-
-// perturbDuration applies the duration multipliers layered on top of the
-// analytic device round time: the trace slot's latency multiplier (device
-// layer) and the fault injector's latency factor (chaos layer). Both are
-// guarded against the neutral 1 so an unperturbed run's float bits cannot
-// move.
-func perturbDuration(cfg *Config, party *Party, round, id int, d float64) float64 {
-	if party.Device != nil {
-		if m := party.Device.LatencyAt(round); m != 1 {
-			d *= m
-		}
-	}
-	if cfg.Faults != nil {
-		if f := cfg.Faults.LatencyFactor(round, id); f != 1 {
-			d *= f
-		}
-	}
-	return d
 }
 
 // pickStragglers drops StragglerRate of the invited parties, biased toward

@@ -122,9 +122,9 @@ func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want.RoundsToTarget <= 1 {
-				t.Fatalf("%s width %d: target %v first reached at round %d; the test needs a mid-run crossing", policy.Name(), width, target, want.RoundsToTarget)
+				t.Fatalf("%T width %d: target %v first reached at round %d; the test needs a mid-run crossing", policy, width, target, want.RoundsToTarget)
 			}
-			t.Logf("%s width %d: target first reached at round %d of %d", policy.Name(), width, want.RoundsToTarget, ref.Rounds)
+			t.Logf("%T width %d: target first reached at round %d of %d", policy, width, want.RoundsToTarget, ref.Rounds)
 
 			cfg := mk()
 			cfg.TargetAccuracy = target
@@ -132,7 +132,7 @@ func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 			var seen []int
 			cfg.OnRound = func(st RoundStats) {
 				if inHook.Add(1) != 1 {
-					t.Errorf("%s width %d: OnRound called concurrently with itself", policy.Name(), width)
+					t.Errorf("%T width %d: OnRound called concurrently with itself", policy, width)
 				}
 				seen = append(seen, st.Round)
 				time.Sleep(2 * time.Millisecond)
@@ -145,11 +145,11 @@ func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 			requireIdenticalResults(t, want, got)
 			for i, r := range seen {
 				if r != i+1 {
-					t.Fatalf("%s width %d: OnRound saw rounds %v, want 1…%d in order", policy.Name(), width, seen, cfg.Rounds)
+					t.Fatalf("%T width %d: OnRound saw rounds %v, want 1…%d in order", policy, width, seen, cfg.Rounds)
 				}
 			}
 			if len(seen) != cfg.Rounds {
-				t.Fatalf("%s width %d: %d OnRound calls, want %d", policy.Name(), width, len(seen), cfg.Rounds)
+				t.Fatalf("%T width %d: %d OnRound calls, want %d", policy, width, len(seen), cfg.Rounds)
 			}
 		}
 	}

@@ -35,10 +35,6 @@ import (
 // three implementations above cover the synchronous, asynchronous and
 // semi-synchronous regimes of the mobile-FL literature.
 type AggregationPolicy interface {
-	// Name identifies the policy: "sync", "buffered" or "semisync", the
-	// names PolicyByName takes.
-	Name() string
-
 	// cycle runs aggregation step step: it dispatches, collects and folds,
 	// and leaves the cycle's feedback in c.fb, its history entry in c.round
 	// and the simulated clock at the cycle's end in c.clock.
@@ -208,21 +204,20 @@ type eventCore struct {
 	// Reusable per-cycle scratch. The per-party structures are sharded:
 	// reads of untouched shards return zeros without allocating, writes
 	// fault in one shard-sized block.
-	seen        shardedSlice[bool] // dedupe bitmap
-	invited     []int              // dedupe output, reused
-	durations   shardedSlice[float64]
-	isStraggler shardedSlice[bool]
-	completed   []int
-	stragglers  []int
-	dispatched  []int            // async: parties dispatched this wave
-	buffer      []*pendingUpdate // async: the cycle's arrivals, in pop order
-	fb          RoundFeedback
-	partyRngs   []rng.Source
-	rngStates   [][4]uint64 // serialized partyRngs for ShardTransport waves
-	locals      []model.LocalResult
-	updates     []tensor.Vec
-	weights     []float64
-	delta       tensor.Vec // aggregation accumulator, len params
+	seen         shardedSlice[bool] // selectParties dedupe, sync coin-flip marks; clear between uses
+	invited      []int              // dedupe output, reused
+	completed    []int
+	completedDur []float64 // sync device model: durations, parallel to completed
+	stragglers   []int
+	dispatched   []int            // async: parties dispatched this wave
+	buffer       []*pendingUpdate // async: the cycle's arrivals, in pop order
+	fb           RoundFeedback
+	partyRngs    []rng.Source
+	rngStates    [][4]uint64 // serialized partyRngs for ShardTransport waves
+	locals       []model.LocalResult
+	updates      []tensor.Vec
+	weights      []float64
+	delta        tensor.Vec // aggregation accumulator, len params
 
 	// needsUpdates: the selector consumes PartyReport.Update and masking is
 	// off. Asked once per run (UpdateConsumer answers are constant).
@@ -291,8 +286,6 @@ func newEventCore(cfg *Config) *eventCore {
 
 	c.space = newShardSpace(len(cfg.Parties), cfg.Shards)
 	c.seen = newShardedSlice[bool](c.space)
-	c.durations = newShardedSlice[float64](c.space)
-	c.isStraggler = newShardedSlice[bool](c.space)
 	c.completed = make([]int, 0, cfg.PartiesPerRound)
 	c.stragglers = make([]int, 0, cfg.PartiesPerRound)
 	c.fb.Completed = make([]PartyReport, 0, cfg.PartiesPerRound)
@@ -356,10 +349,10 @@ func (c *eventCore) newPending() *pendingUpdate {
 // resetCycle clears the per-aggregation-cycle accumulators and their dedupe
 // marks. It is also the one point where update vectors return to the free
 // list: it runs after the selector observed the cycle's feedback, whose
-// async reports' Update vectors alias the buffered updates. The cycle's
-// arrival records recycle here too; an arrival's vector goes with it unless
-// a mask wave still holds it as a contribution (settleMaskedWaves spends
-// those).
+// reports' Update vectors are engine-owned (sync: taken from the free list;
+// async: the buffered updates themselves). The cycle's arrival records
+// recycle here too; an arrival's vector goes with it unless a mask wave
+// still holds it as a contribution (settleMaskedWaves spends those).
 func (c *eventCore) resetCycle() {
 	for _, up := range c.buffer {
 		if up.wave == nil || up.maskDiscarded {
@@ -414,6 +407,44 @@ func (c *eventCore) cohortTarget(step int) int {
 	return t
 }
 
+// unreachable reports whether invited party id cannot be reached at step:
+// a chaos outage, or under the device model a failed availability draw from
+// the party's own stream ar.Split(id+1). Either way the party never contacts
+// the server. An outage draws nothing; per-party streams are independent, so
+// no other party's draw shifts. It is the engine's only reachability check,
+// for every policy.
+func (c *eventCore) unreachable(step, id int, ar *rng.Source) bool {
+	if c.cfg.Faults != nil && c.cfg.Faults.ForceOffline(step, id) {
+		return true
+	}
+	return c.useDevices && !c.cfg.Parties[id].Device.Online(step, ar.Split(uint64(id)+1))
+}
+
+// duration is party id's simulated round time at step, the engine's only
+// duration computation: local compute over its dataset plus model download
+// and upload under the device model, or the legacy latency proxy Latency ×
+// steps (the SGD steps it trained). The trace slot's latency multiplier and
+// the fault injector's latency factor scale it; both are guarded against the
+// neutral 1 so an unperturbed run's float bits cannot move.
+func (c *eventCore) duration(step, id, steps int) float64 {
+	p := c.cfg.Parties[id]
+	var d float64
+	if c.useDevices {
+		d = p.Device.RoundDuration(p.NumSamples(), c.sgd.LocalEpochs, c.paramBytes)
+		if m := p.Device.LatencyAt(step); m != 1 {
+			d *= m
+		}
+	} else {
+		d = p.Latency * float64(steps)
+	}
+	if c.cfg.Faults != nil {
+		if f := c.cfg.Faults.LatencyFactor(step, id); f != 1 {
+			d *= f
+		}
+	}
+	return d
+}
+
 // admitUpdate is the fold boundary's finiteness gate: a non-finite update
 // (NaN/Inf anywhere in the vector) is counted as rejected and kept out of
 // the fold — one poisoned delta would otherwise corrupt the global model
@@ -425,6 +456,22 @@ func (c *eventCore) admitUpdate(update tensor.Vec, weight float64) {
 	}
 	c.updates = append(c.updates, update)
 	c.weights = append(c.weights, weight)
+}
+
+// admitMasked is the masked fold boundary, for every policy: member idx of
+// wave w has been processed. A non-finite delta cannot be encoded; it counts
+// as rejected and leaves the member a dropout, whose masks settlement
+// reconstructs like any other. A finite (clipped) delta contributes to the
+// wave, which owns it from here: settleMaskedWaves spends it. Reports
+// whether the delta contributed.
+func (c *eventCore) admitMasked(w *maskWave, idx int, delta tensor.Vec, weight float64) bool {
+	w.nProcessed++
+	if !isFiniteVec(delta) {
+		c.round.Rejected++
+		return false
+	}
+	c.priv.contribute(w, idx, delta, weight)
+	return true
 }
 
 // applyFold is the fold → noise → optimizer-apply sequence every policy ends

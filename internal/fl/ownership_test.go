@@ -2,15 +2,20 @@ package fl_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"flips"
+	"flips/internal/chaos"
 	"flips/internal/dist"
 	"flips/internal/fl"
 	"flips/internal/model"
 	"flips/internal/rng"
+	"flips/internal/tensor"
 )
 
 // The ownership suite: with fl.PoisonFreed every update vector is NaN-filled
@@ -175,6 +180,68 @@ func TestOwnershipJobs(t *testing.T) {
 		}
 		if jobDigest(res) != want[i] {
 			t.Errorf("%s poisoned over 2 shard workers differs from the unpoisoned in-process run", spec)
+		}
+	}
+}
+
+// nanInjector NaN-poisons one party's reported delta and perturbs nothing
+// else.
+type nanInjector struct{ target int }
+
+func (nanInjector) ForceOffline(int, int) bool          { return false }
+func (nanInjector) LatencyFactor(int, int) float64      { return 1 }
+func (nanInjector) CohortTarget(_, target int) int      { return target }
+func (n nanInjector) Corrupts(id int) bool              { return id == n.target }
+func (nanInjector) CorruptDelta(_, _ int, d tensor.Vec) { d[0] = math.NaN() }
+
+// syncPin is a job pinned by the sha256 of its runDigest and the number of
+// updates it rejects.
+type syncPin struct {
+	name, digest string
+	rejected     int
+	cfg          fl.Config
+}
+
+// syncPins are the sync paths no golden covers: the legacy straggler
+// coin-flip with chaos outages stacked on it, and masked sync rounds whose
+// NaN-poisoned member is rejected and reconstructed as a dropout.
+func syncPins(t *testing.T) []syncPin {
+	t.Helper()
+	legacy := golden(t, "golden_legacy.json")
+	inj, err := chaos.New(chaos.Spec{Seed: 7, Regions: 4, OutageProb: 0.3, OutageLen: 2, DegradedProb: 0.2}, len(legacy.Parties))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy.Faults = inj
+	masked := golden(t, "golden_privacy.json")
+	masked.Rounds, masked.EvalEvery = 10, 1
+	masked.Faults = nanInjector{target: 0}
+	return []syncPin{
+		{"legacy+outages", "e775d147184f8eabecead30c1e26b46243d8816e8aa56bc7235c3839a3bc09aa", 0, legacy},
+		{"masked-sync+rejections", "8800c1048516e6142056b77a85e934ab97167fde07cfc76d76a382171fb696f7", 5, masked},
+	}
+}
+
+// TestSyncPins runs each pin plain and with freed vectors NaN-poisoned; both
+// must hash to the pinned digest and reject the pinned number of updates.
+func TestSyncPins(t *testing.T) {
+	for _, poisoned := range []bool{false, true} {
+		if poisoned {
+			fl.PoisonFreed(t)
+		}
+		for _, p := range syncPins(t) {
+			res := mustRun(t, p.name, p.cfg)
+			sum := sha256.Sum256([]byte(runDigest(res)))
+			if got := hex.EncodeToString(sum[:]); got != p.digest {
+				t.Errorf("%s (poisoned %v): digest %s, want %s", p.name, poisoned, got, p.digest)
+			}
+			rejected := 0
+			for _, h := range res.History {
+				rejected += h.Rejected
+			}
+			if rejected != p.rejected {
+				t.Errorf("%s (poisoned %v): %d updates rejected, want %d", p.name, poisoned, rejected, p.rejected)
+			}
 		}
 	}
 }

@@ -377,13 +377,6 @@ func (ps *privacyState) splitItem(worker, item int) {
 func (ps *privacyState) contribute(w *maskWave, memberIdx int, delta tensor.Vec, weight float64) {
 	w.arrived[memberIdx] = true
 	w.contribs = append(w.contribs, maskContrib{memberIdx: memberIdx, delta: delta, weight: weight})
-	w.nProcessed++
-}
-
-// markRejected records that a member's arrival was processed but unusable
-// (non-finite update): the member counts as a dropout for reconstruction.
-func (ps *privacyState) markRejected(w *maskWave) {
-	w.nProcessed++
 }
 
 func (ps *privacyState) freeWave(w *maskWave) {

@@ -83,7 +83,7 @@ func TestReportContract(t *testing.T) {
 	for _, policy := range []AggregationPolicy{SyncRounds{}, Buffered{K: 3}, SemiSync{}} {
 		for _, needUpdates := range []bool{false, true} {
 			for _, mask := range []bool{false, true} {
-				label := fmt.Sprintf("%s needUpdates=%v mask=%v", policy.Name(), needUpdates, mask)
+				label := fmt.Sprintf("%T needUpdates=%v mask=%v", policy, needUpdates, mask)
 				_, sync := policy.(SyncRounds)
 				cfg := determinismConfig(t, 31, 0)
 				if !sync {

@@ -18,7 +18,7 @@ type Selector interface {
 }
 
 // UpdateConsumer is an optional Selector capability. The engine materializes
-// PartyReport.Update delta vectors — an O(parties × params) allocation per
+// PartyReport.Update delta vectors — O(parties × params) work and memory per
 // round — only for selectors that implement it and return true (gradient
 // clustering does; the loss/latency-driven strategies never read Update).
 // The engine asks once, when the run starts: the answer must be a constant
@@ -69,7 +69,7 @@ type PartyReport struct {
 	// Under the async policies m is the model version the party downloaded
 	// at dispatch, not the current one. It is nil unless the selector
 	// declares the UpdateConsumer capability (and always nil under
-	// masking). Shared storage: treat as read-only and clone anything
-	// retained past Observe.
+	// masking). Engine-owned storage, recycled after Observe: treat as
+	// read-only and clone anything retained past it.
 	Update tensor.Vec
 }

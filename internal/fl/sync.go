@@ -17,9 +17,6 @@ import "fmt"
 // arrived", so no update is ever in flight between rounds.
 type SyncRounds struct{}
 
-// Name implements AggregationPolicy.
-func (SyncRounds) Name() string { return "sync" }
-
 func (SyncRounds) cycle(c *eventCore, round int) error {
 	cfg := c.cfg
 	tag, roundRng := c.nextWave()
@@ -43,34 +40,43 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 		}
 	}
 
-	c.completed, c.stragglers = c.completed[:0], c.stragglers[:0]
+	// Each invited party's fate, in invited order. The legacy model drops
+	// its StragglerRate coin-flip first (marked in the seen bitmap, which
+	// selectParties leaves clear) and charges every invitee a download;
+	// chaos outages stack on the flip afterwards, so the legacy RNG stream
+	// is untouched on clean runs. Under the device model a reachable party
+	// downloads the model and completes iff its duration meets the deadline
+	// (when one is set).
+	c.completed, c.completedDur, c.stragglers = c.completed[:0], c.completedDur[:0], c.stragglers[:0]
+	ar := roundRng.Split(0x5A)
 	downloads := len(invited)
 	if c.useDevices {
-		c.completed, c.stragglers, downloads = simulateDeviceRound(cfg, invited, c.sgd, c.paramBytes, round, roundRng.Split(0x5A), c.completed, c.stragglers, &c.durations)
+		downloads = 0
 	} else {
-		c.stragglers = pickStragglers(*cfg, invited, roundRng.Split(0x5A), c.stragglers)
+		c.stragglers = pickStragglers(*cfg, invited, ar, c.stragglers)
 		for _, id := range c.stragglers {
-			c.isStraggler.set(id, true)
+			c.seen.set(id, true)
 		}
-		// Chaos outages stack on the legacy coin-flip: forced-offline
-		// parties straggle too (after the flip so the legacy RNG stream
-		// is untouched on clean runs).
-		if cfg.Faults != nil {
-			for _, id := range invited {
-				if !c.isStraggler.get(id) && cfg.Faults.ForceOffline(round, id) {
-					c.isStraggler.set(id, true)
-					c.stragglers = append(c.stragglers, id)
-				}
+	}
+	for _, id := range invited {
+		if c.seen.get(id) {
+			c.seen.set(id, false)
+			continue
+		}
+		if c.unreachable(round, id, ar) {
+			c.stragglers = append(c.stragglers, id)
+			continue
+		}
+		if c.useDevices {
+			downloads++
+			d := c.duration(round, id, 0)
+			if cfg.Deadline > 0 && d > cfg.Deadline {
+				c.stragglers = append(c.stragglers, id)
+				continue
 			}
+			c.completedDur = append(c.completedDur, d)
 		}
-		for _, id := range invited {
-			if !c.isStraggler.get(id) {
-				c.completed = append(c.completed, id)
-			}
-		}
-		for _, id := range c.stragglers {
-			c.isStraggler.set(id, false)
-		}
+		c.completed = append(c.completed, id)
 	}
 	completed, stragglers := c.completed, c.stragglers
 	c.fb.Selected = invited
@@ -89,7 +95,8 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 	// order. Each party's raw trained parameters (c.locals[i] owns its
 	// vector, safe to rewrite) are corrupted, timed, FedDyn-corrected,
 	// masked or clipped, admitted, and reported to the selector. Nothing
-	// reads them past this round's fold, so every vector is spent here.
+	// reads them past this round's fold, so every vector is spent this
+	// cycle: here, or by the mask wave's settlement when it contributed.
 	// The round wall-clock is the slowest completing party (max is
 	// order-insensitive); when a deadline is configured and anyone missed
 	// it, the full deadline elapsed.
@@ -99,7 +106,9 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 	for i, id := range completed {
 		lr := c.locals[i]
 		params := lr.Params
-		c.spent = append(c.spent, params)
+		if mw == nil {
+			c.spent = append(c.spent, params)
+		}
 		// A corrupt party reports an attacked update: its trained delta is
 		// rewritten and re-based onto the current global model, so the
 		// raw-parameter fold sees global + corrupted-delta. Clean parties
@@ -111,9 +120,9 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 		}
 		var d float64
 		if c.useDevices {
-			d = c.durations.get(id)
+			d = c.completedDur[i]
 		} else {
-			d = perturbDuration(cfg, cfg.Parties[id], round, id, cfg.Parties[id].Latency*float64(lr.Steps))
+			d = c.duration(round, id, lr.Steps)
 		}
 		if d > roundTime {
 			roundTime = d
@@ -134,15 +143,9 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 				memberCursor++
 			}
 			params.SubInPlace(c.globalParams)
-			if !isFiniteVec(params) {
-				// An unencodable update never reaches the sum; the party
-				// becomes a dropout and its masks are reconstructed like
-				// any other.
-				c.round.Rejected++
-				c.priv.markRejected(mw)
-			} else {
-				clipDeltaInPlace(params, c.priv.pc.Clip)
-				c.priv.contribute(mw, memberCursor, params, weight)
+			clipDeltaInPlace(params, c.priv.pc.Clip)
+			if !c.admitMasked(mw, memberCursor, params, weight) {
+				c.spent = append(c.spent, params)
 			}
 			memberCursor++
 		} else {
@@ -153,7 +156,10 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 		}
 		report := PartyReport{ID: id, MeanLoss: lr.MeanLoss, SqLoss: lr.SqLossMean, Duration: d}
 		if c.needsUpdates {
-			report.Update = params.Sub(c.globalParams)
+			report.Update = c.takeVec()
+			copy(report.Update, params)
+			report.Update.SubInPlace(c.globalParams)
+			c.spent = append(c.spent, report.Update)
 		}
 		c.fb.Completed = append(c.fb.Completed, report)
 	}
@@ -164,30 +170,21 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 
 	global, contributors := c.globalParams, len(c.updates)
 	if mw != nil {
-		res, err := c.priv.settleWave(mw)
-		if err != nil {
+		// The round is the wave's barrier: no member arrives after it, so
+		// the wave settles fully processed, and it is never stale (its
+		// staleness discount is exactly 1).
+		mw.nProcessed = len(mw.members)
+		c.priv.waves = append(c.priv.waves, mw)
+		if contributors, err = c.settleMaskedWaves(0, true); err != nil {
 			return err
 		}
-		// Every member was processed or dropped within the round, so the
-		// wave recycles unconditionally.
-		c.priv.freeWave(mw)
-		if res.aborted {
-			c.round.MaskAborted = true
-		} else if res.delta != nil {
-			// The decoded cohort mean folds as one synthetic update (the
-			// single-update weighted mean is exact), reusing the sharded
-			// fold and optimizer seam unchanged.
-			c.updates = append(c.updates, res.delta)
-			c.weights = append(c.weights, res.weight)
-		}
-		global, contributors = nil, res.survivors
+		global = nil
 	}
 	c.applyFold(global, contributors)
 
-	// Communication: every reachable invited party downloads the model
-	// (deadline-missers downloaded before timing out; offline parties
-	// never contacted the server); every completed party uploads an
-	// update.
+	// Communication: the downloads counted above (deadline-missers
+	// downloaded before timing out; offline device parties never contacted
+	// the server); every completed party uploads an update.
 	c.round.CommBytes += c.paramBytes * int64(downloads+len(completed))
 	c.round.Invited, c.round.Completed, c.round.RoundTime = len(invited), len(completed), roundTime
 	return nil

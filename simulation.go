@@ -249,11 +249,6 @@ func (c SimulationConfig) resolveDevice() (*device.Config, error) {
 		if c.Availability != "" {
 			return nil, fmt.Errorf("flips: availability %q requires a device profile", c.Availability)
 		}
-		// Semi-sync windows are legal on the legacy (device-less) clock,
-		// where durations come from the unitless latency × steps proxy.
-		if c.Deadline != 0 && c.Aggregation != "semisync" {
-			return nil, fmt.Errorf("flips: deadline requires a device profile")
-		}
 		return nil, nil
 	}
 	var cfg device.Config
