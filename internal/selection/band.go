@@ -16,18 +16,18 @@ type triedSet struct {
 	utility []float64
 	tried   []bool
 	nTried  int
-	// heap holds the tried parties keyed by utility. It is nil (never
-	// allocated, never written) for an owner that scans the tried set in ID
-	// order instead: Oort below the scale threshold.
+	// heap holds the tried parties keyed by utility, the best of them in its
+	// persistent sorted band. It is nil (never allocated, never written) for
+	// an owner that scans the tried set in ID order instead: Oort below the
+	// scale threshold.
 	heap utilityHeap
 	// explore is the share of a request reserved for never-tried parties.
 	explore float64
 
-	// The band, reused across rounds: the candidates' ids and scores, and
-	// the heap read's frontier scratch.
+	// The candidates' ids and scores, copied off the heap's band each read
+	// and reused across rounds.
 	candIDs    []int
 	candScores []float64
-	frontier   []int
 }
 
 func newTriedSet(numParties int, heaped bool) triedSet {
@@ -56,12 +56,13 @@ func (t *triedSet) markTried(id int) bool {
 	return true
 }
 
-// setUtility writes a party's utility, re-keying its heap entry.
+// setUtility writes a party's utility, re-keying its heap entry first: the
+// heap finds a band entry by its old key, read here before the overwrite.
 func (t *triedSet) setUtility(id int, u float64) {
-	t.utility[id] = u
 	if t.heap.pos != nil {
-		t.heap.set(id, u)
+		t.heap.set(id, t.utility[id], u)
 	}
+	t.utility[id] = u
 }
 
 // decay shrinks the exploration share once per observed round, down to the
@@ -85,16 +86,17 @@ func (t *triedSet) split(request int) (nExplore, nExploit int) {
 	return nExplore, nExploit
 }
 
-// readBand reads the candidate band off the heap in (utility desc, id asc)
+// readBand copies the candidate band off the heap in (utility desc, id asc)
 // order — uniquely determined by the heap's strict total order regardless of
 // its layout. A bounded band is the top max(candidatePool, 2·request) tried
-// parties; an unbounded one is the whole tried set.
+// parties; an unbounded one is the whole tried set. The heap keeps its band
+// sorted between reads and patches it on every re-key, so a read is O(k).
 func (t *triedSet) readBand(request int, bounded bool) {
 	k := t.nTried
 	if bounded {
 		k = min(max(candidatePool, 2*request), t.nTried)
 	}
-	t.candIDs, t.candScores, t.frontier = t.heap.top(k, t.candIDs[:0], t.candScores[:0], t.frontier)
+	t.candIDs, t.candScores = t.heap.top(k, t.candIDs[:0], t.candScores[:0])
 }
 
 // draw appends n parties sampled from the band by score, without

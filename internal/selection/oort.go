@@ -41,8 +41,8 @@ const (
 	// median duration, and of stragglers (Oort's systemic utility).
 	slowPenalty = 2
 	// candidatePool bounds the fleet-scale exploitation band: each round reads
-	// the top max(candidatePool, 2·request) parties by utility off the heap
-	// instead of scoring every tried party.
+	// the top max(candidatePool, 2·request) parties by utility off the heap's
+	// band instead of scoring every tried party.
 	candidatePool = 256
 )
 
@@ -55,10 +55,11 @@ const (
 // Below the scale threshold the selector scans the full population per
 // round (bit-identical to the original implementation). Above it, it runs in
 // fleet-scale mode: tried parties live in a top-k utility heap and
-// exploitation samples from a bounded top-utility candidate band, untried
-// parties live in a swap-removed pool, and per-round cost is
-// O(candidates·log candidates + invited·log tried) regardless of population
-// size.
+// exploitation samples from a bounded top-utility candidate band, which the
+// heap keeps sorted between rounds; untried parties live in a swap-removed
+// pool. Per-round cost does not grow with the population: Select copies and
+// scores the band, O(candidates), and each Observe re-key costs
+// O(log tried + candidates) — a sift plus at most one band shift.
 type Oort struct {
 	numParties int
 	r          *rng.Source
@@ -195,8 +196,8 @@ func (s *Oort) markTried(id int) {
 
 // Observe implements fl.Selector. Feedback consumption is streaming: the
 // only per-call storage is the reusable duration scratch (O(completed)), and
-// every state update is an O(log tried) heap re-key — nothing scans or
-// allocates proportionally to the population.
+// every state update is a heap re-key that patches the band in place —
+// nothing scans or allocates proportionally to the population.
 func (s *Oort) Observe(fb fl.RoundFeedback) {
 	if len(fb.Stragglers) > 0 {
 		s.sawStrag = true

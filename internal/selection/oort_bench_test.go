@@ -9,10 +9,12 @@ import (
 
 // The benchmark's fleet_async job asks a 20k-party Oort for 32 parties per
 // selection; once stragglers have been seen the request is 42 and the
-// candidate band candidatePool.
+// candidate band candidatePool. Its buffered engine then refills the cohort
+// 16 parties (its buffer size K) at a time.
 const (
 	oortBenchTarget = 32
 	oortBenchCohort = 42
+	oortBenchRefill = 16
 )
 
 var oortBenchSizes = []struct {
@@ -88,7 +90,40 @@ func BenchmarkOortObserve(b *testing.B) {
 	}
 }
 
-// TestOortFleetWarm pins what the two benchmarks assume about their fixture.
+// BenchmarkOortStep measures the step the engine runs: Select(round, 16),
+// then Observe of that cohort with fresh losses and one straggler. Selected
+// parties come off the band, so their re-keys patch it; BenchmarkOortSelect,
+// whose band never changes, does not see that cost. CI ratchets its
+// allocations (the returned cohort) and fails when the 100k cell costs more
+// than 1.5× the 20k one.
+func BenchmarkOortStep(b *testing.B) {
+	for _, size := range oortBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			s := buildOortFleet(size.n)
+			var fb fl.RoundFeedback
+			step := func(round int) {
+				sel := s.Select(round, oortBenchRefill)
+				fb.Round, fb.Selected = round, sel
+				fb.Stragglers = append(fb.Stragglers[:0], sel[0])
+				fb.Completed = fb.Completed[:0]
+				for j, id := range sel[1:] {
+					loss := 0.2 + float64((round+j)%1013)/100
+					fb.Completed = append(fb.Completed, fl.PartyReport{ID: id, SqLoss: loss * loss, Duration: 0.5 + float64(j%5)/4})
+				}
+				s.Observe(fb)
+			}
+			round := size.n // past every warm-up round, so every candidate has aged
+			step(round)     // warm the feedback and duration scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				step(round + i)
+			}
+		})
+	}
+}
+
+// TestOortFleetWarm pins what the three benchmarks assume about their fixture.
 func TestOortFleetWarm(t *testing.T) {
 	t.Parallel()
 	s := buildOortFleet(3 * scaleModeThreshold)

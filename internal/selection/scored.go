@@ -42,8 +42,9 @@ func (k scoredKind) String() string { return scoredNames[k] }
 // (grad-norm, loss-prop, divergence, soft-deadline, hard-deadline): tried
 // parties live in a top-k utility heap keyed by the kind's score, each round
 // splits the request between exploring never-tried parties and sampling the
-// candidate band Categorically by score, and Observe re-keys heap entries in
-// O(log tried) from the round's feedback.
+// candidate band Categorically by score, and Observe re-keys heap entries —
+// O(log tried), plus at most one shift of the sorted band — from the round's
+// feedback.
 //
 // State updates consume feedback through copies of the reports and the
 // stragglers sorted by party ID, so Observe — and therefore every later

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
 	"slices"
@@ -26,10 +27,12 @@ type referenceHeap struct {
 
 func (h *referenceHeap) Len() int { return len(h.items) }
 
+// Less orders by utility descending with cmp.Compare, which puts NaN below
+// every number, then by lowest id.
 func (h *referenceHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	if a.util != b.util {
-		return a.util > b.util
+	if c := cmp.Compare(a.util, b.util); c != 0 {
+		return c > 0
 	}
 	return a.id < b.id
 }
@@ -91,53 +94,75 @@ func (tw *heapTwin) put(id int, u float64) {
 		tw.h.push(id, u)
 		return
 	}
+	tw.h.set(id, it.util, u)
 	if it.util != u {
 		it.util = u
 		heap.Fix(&tw.ref, it.index)
 	}
-	tw.h.set(id, u)
 }
 
-// checkInvariants verifies the heap property and that pos and items describe
-// each other.
-func (tw *heapTwin) checkInvariants(t *testing.T) {
+// sameUtil is utility equality with NaN equal to itself.
+func sameUtil(a, b float64) bool { return a == b || a != a && b != b }
+
+// checkHeap verifies a utilityHeap's structure: the band is sorted and its
+// tail orders before the heap root, the heap property holds, and pos gives
+// inBand for band entries, the slot for heap entries and -1 for the rest.
+func checkHeap(t *testing.T, h *utilityHeap) {
 	t.Helper()
-	h := &tw.h
-	if h.len() != tw.ref.Len() {
-		t.Fatalf("heap holds %d entries, reference %d", h.len(), tw.ref.Len())
+	seen := make([]bool, len(h.pos))
+	for i, e := range h.band {
+		if i > 0 && !h.band[i-1].before(e) {
+			t.Fatalf("band[%d] %+v does not order after band[%d] %+v", i, e, i-1, h.band[i-1])
+		}
+		if h.pos[e.id] != inBand || seen[e.id] {
+			t.Fatalf("band entry %+v: pos %d, held twice %v", e, h.pos[e.id], seen[e.id])
+		}
+		seen[e.id] = true
+	}
+	if n := len(h.band); n > 0 && len(h.items) > 0 && !h.band[n-1].before(h.items[0]) {
+		t.Fatalf("band tail %+v does not order before heap root %+v", h.band[n-1], h.items[0])
 	}
 	for i, e := range h.items {
 		if h.pos[e.id] != i {
 			t.Fatalf("pos[%d] = %d, entry sits at slot %d", e.id, h.pos[e.id], i)
 		}
-		if tw.refItem[e.id] == nil || tw.refItem[e.id].util != e.util {
-			t.Fatalf("entry %+v disagrees with reference item %+v", e, tw.refItem[e.id])
-		}
 		if i > 0 && e.before(h.items[(i-1)/2]) {
 			t.Fatalf("slot %d (%+v) orders before its parent %+v", i, e, h.items[(i-1)/2])
 		}
+		seen[e.id] = true
 	}
 	for id, p := range h.pos {
-		if p >= 0 && (p >= len(h.items) || h.items[p].id != id) {
-			t.Fatalf("pos[%d] = %d points at a different entry", id, p)
-		}
-		if (p < 0) != (tw.refItem[id] == nil) {
-			t.Fatalf("pos[%d] = %d but reference presence is %v", id, p, tw.refItem[id] != nil)
+		if (p != -1) != seen[id] || p < inBand || p >= len(h.items) {
+			t.Fatalf("pos[%d] = %d, entry held: %v", id, p, seen[id])
 		}
 	}
 }
 
-// checkTop compares top(k) with k reference pops and verifies that the call
-// wrote nothing: items, pos and a second top are unchanged.
+// checkInvariants verifies the heap's structure and that band and heap
+// together hold exactly the reference's entries.
+func (tw *heapTwin) checkInvariants(t *testing.T) {
+	t.Helper()
+	h := &tw.h
+	checkHeap(t, h)
+	if h.len() != tw.ref.Len() {
+		t.Fatalf("heap holds %d entries, reference %d", h.len(), tw.ref.Len())
+	}
+	for _, part := range [][]utilEntry{h.band, h.items} {
+		for _, e := range part {
+			if it := tw.refItem[e.id]; it == nil || !sameUtil(it.util, e.util) {
+				t.Fatalf("entry %+v disagrees with reference item %+v", e, it)
+			}
+		}
+	}
+}
+
+// checkTop compares top(k) with k reference pops, and a second top(k) with
+// the first.
 func (tw *heapTwin) checkTop(t *testing.T, k int) {
 	t.Helper()
 	h := &tw.h
-	itemsBefore := append([]utilEntry(nil), h.items...)
-	posBefore := append([]int(nil), h.pos...)
-
-	// Dirty, non-empty scratch: top must append after ids/utils' contents and
-	// ignore frontier's.
-	ids, utils, frontier := h.top(k, []int{-7}, []float64{-7}, []int{99, 98, 97})
+	// Non-empty slices: top must append after their contents.
+	ids, utils := h.top(k, []int{-7}, []float64{-7})
 	if ids[0] != -7 || utils[0] != -7 {
 		t.Fatalf("top(%d) overwrote the prefix it was asked to append to", k)
 	}
@@ -147,26 +172,24 @@ func (tw *heapTwin) checkTop(t *testing.T, k int) {
 		t.Fatalf("top(%d) of %d entries returned %d ids and %d utils, reference popped %d", k, h.len(), len(ids), len(utils), len(want))
 	}
 	for i, it := range want {
-		if ids[i] != it.id || utils[i] != it.util {
+		if ids[i] != it.id || !sameUtil(utils[i], it.util) {
 			t.Fatalf("top(%d)[%d] = (%d, %v), reference pop (%d, %v)", k, i, ids[i], utils[i], it.id, it.util)
 		}
 	}
-	if !slices.Equal(h.items, itemsBefore) || !slices.Equal(h.pos, posBefore) {
-		t.Fatalf("top(%d) wrote to the heap", k)
-	}
-	again, againUtils, _ := h.top(k, nil, nil, frontier)
-	if !slices.Equal(again, ids) || !slices.Equal(againUtils, utils) {
+	again, againUtils := h.top(k, nil, nil)
+	if !slices.Equal(again, ids) || !slices.EqualFunc(againUtils, utils, sameUtil) {
 		t.Fatalf("a second top(%d) differs from the first", k)
 	}
 }
 
 // runHeapOps interprets an op-byte stream against a heap twin over n party
-// ids. Utilities come from four values, zero among them, so most
-// comparisons are id tie-breaks; every mutation is followed by an invariant
-// check, and top is compared at the edge sizes on request and at the end.
+// ids. Utilities come from six values, zero, NaN and +Inf among them, so
+// most comparisons are id tie-breaks; every mutation is followed by an
+// invariant check, and top is compared at the edge sizes on request and at
+// the end.
 func runHeapOps(t *testing.T, n int, ops []byte) {
 	t.Helper()
-	utils := [4]float64{0, 0.5, 2, 2.5}
+	utils := [6]float64{0, 0.5, 2, 2.5, math.NaN(), math.Inf(1)}
 	tw := newHeapTwin(n)
 	topAtEdges := func() {
 		m := tw.h.len()
@@ -178,8 +201,8 @@ func runHeapOps(t *testing.T, n int, ops []byte) {
 		op, arg := ops[i], ops[i+1]
 		id := int(arg) % n
 		switch op % 4 {
-		case 0, 1: // push, or re-key to one of the four values
-			tw.put(id, utils[(op>>2)%4])
+		case 0, 1: // push, or re-key to one of the six values
+			tw.put(id, utils[(op>>2)%6])
 		case 2: // re-set to the current value: must change nothing
 			if it := tw.refItem[id]; it != nil {
 				tw.put(id, it.util)
@@ -359,5 +382,64 @@ func TestOortScaleMatchesReference(t *testing.T) {
 	}
 	if !got.sawStrag || len(got.untried) != 0 {
 		t.Fatalf("scenario never left exploration: sawStrag=%v, %d untried", got.sawStrag, len(got.untried))
+	}
+}
+
+// TestNaNUtilities feeds a fleet-scale Oort twin and a fleet-scale loss-prop
+// selector a NaN loss on every seventh report. NaN is a legal key: the heap
+// stays well-formed and holds every tried party, and one seed gives the same
+// selections twice.
+func TestNaNUtilities(t *testing.T) {
+	t.Parallel()
+	const n = 400
+	for _, tc := range []struct {
+		name string
+		make func() (fl.Selector, *triedSet)
+	}{
+		{"oort", func() (fl.Selector, *triedSet) {
+			s := newOort(n, nil, 10, rng.New(31))
+			return s, &s.triedSet
+		}},
+		{"loss-prop", func() (fl.Selector, *triedSet) {
+			s := newScored(scoreLossProp, n, 0, 10, rng.New(31))
+			return s, &s.triedSet
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() [][]int {
+				s, ts := tc.make()
+				var cohorts [][]int
+				reports := 0
+				for round := 0; round < 300; round++ {
+					sel := s.Select(round, 20)
+					assertUniqueInRange(t, sel, n)
+					cohorts = append(cohorts, sel)
+					fb := fl.RoundFeedback{Round: round, Selected: sel}
+					for i, id := range sel {
+						if (i+round)%9 == 4 {
+							fb.Stragglers = append(fb.Stragglers, id)
+							continue
+						}
+						loss := 0.5 + float64((id+round)%5)
+						if reports++; reports%7 == 0 {
+							loss = math.NaN()
+						}
+						fb.Completed = append(fb.Completed, fl.PartyReport{ID: id, SqLoss: loss, MeanLoss: loss, Duration: 1 + float64(id%3)})
+					}
+					s.Observe(fb)
+					checkHeap(t, &ts.heap)
+					if ts.heap.len() != ts.nTried {
+						t.Fatalf("round %d: heap holds %d entries, %d parties tried", round, ts.heap.len(), ts.nTried)
+					}
+				}
+				return cohorts
+			}
+			a, b := run(), run()
+			for round := range a {
+				if !slices.Equal(a[round], b[round]) {
+					t.Fatalf("round %d: one seed selected %v, then %v", round, a[round], b[round])
+				}
+			}
+		})
 	}
 }
