@@ -213,7 +213,7 @@ func BenchmarkAblationClusterSignal(b *testing.B) {
 				grads[pi] = g
 			}
 			k := len(built.Clusters) // same cluster count as the label path
-			assign, err := cluster.Agglomerative(cluster.CosineDistanceMatrix(grads), k, cluster.AverageLinkage)
+			assign, err := cluster.Agglomerative(cluster.CosineDistanceMatrix(grads), k)
 			if err != nil {
 				b.Fatal(err)
 			}

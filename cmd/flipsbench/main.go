@@ -14,7 +14,7 @@
 //	flipsbench -exp tournament             # every registered selector ranked across fleet regimes
 //	flipsbench -exp tournament -selector random,oort  # ... a chosen subset
 //	flipsbench -exp tee                    # TEE clustering: cluster counts (timings on stderr)
-//	flipsbench -exp scale -shards 64       # fleet-scale sweep (1k/10k/100k parties)
+//	flipsbench -exp scale                  # fleet-scale sweep (1k/10k/100k parties × 1/64 shards)
 //	flipsbench -exp scale -selector oort   # ... under a chosen selector
 //	flipsbench -exp dist                   # multi-process aggregation sweep (subprocess shard workers)
 //	flipsbench -exp all-tables             # every table (12 grids)
@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scaleName := fs.String("scale", "laptop", "experiment scale: laptop or paper")
 	seed := fs.Uint64("seed", 1, "master random seed")
 	par := fs.Int("parallel", 0, "worker-pool width for grid cells, repeats, local training and eval shards (0 = GOMAXPROCS, 1 = sequential; results are identical at every width)")
-	shards := fs.Int("shards", 0, "aggregation shard count for every experiment and the scale sweep (0 = single shard; results are identical at every value)")
 	scaleParties := fs.String("scale-parties", "", "comma-separated population sizes for the scale and dist sweeps (defaults 1000,10000,100000 / 10000,100000)")
 	distWorkerCounts := fs.String("dist-workers", "", "comma-separated shard-worker process counts for the dist sweep (default 1,2,4,8; the in-process baseline always runs)")
 	distWorkerConnect := fs.String("dist-worker-connect", "", "internal: run as a dist-sweep shard worker against this coordinator address")
@@ -135,7 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown scale %q (laptop or paper)", *scaleName)
 	}
 	opts.Scale.Parallelism = *par
-	opts.Scale.Shards = *shards
 
 	var err error
 	if *tracePath != "" {

@@ -95,7 +95,7 @@ func TestRunHetExperiment(t *testing.T) {
 
 func TestRunScaleExperiment(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	args := []string{"-exp", "scale", "-shards", "16", "-scale-parties", "300,3000", "-q"}
+	args := []string{"-exp", "scale", "-scale-parties", "300,3000", "-q"}
 	if err := run(args, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestRunScaleExperiment(t *testing.T) {
 	if !strings.Contains(got, "Fleet-scale sweep") {
 		t.Fatalf("output:\n%s", got)
 	}
-	if !strings.Contains(got, "3000\t16\t") {
-		t.Fatalf("missing 3000-party x 16-shard cell:\n%s", got)
+	if !strings.Contains(got, "3000\t64\t") {
+		t.Fatalf("missing 3000-party x 64-shard cell:\n%s", got)
 	}
 	// Stdout is a pure oracle: a second run prints the same bytes, and what
 	// the host measured is on the progress stream only.

@@ -14,6 +14,7 @@ import (
 	"flips/internal/experiment"
 	"flips/internal/fl"
 	"flips/internal/rng"
+	"flips/internal/selection"
 )
 
 func TestRunSimulationDefaults(t *testing.T) {
@@ -258,7 +259,7 @@ func sweepConfig(r *rng.Source) SimulationConfig {
 	cfg := SimulationConfig{
 		Dataset:         pick(r, []string{"mit-bih-ecg", "mit-bih-ecg", "ham10000", "femnist", "fashion-mnist"}, []string{"cifar-zillion"}),
 		Algorithm:       pick(r, []string{"", "fedavg", "fedprox", "fedyogi", "fedadam", "fedadagrad", "feddyn", "fedsgd"}, []string{"fedmagic"}),
-		Strategy:        pick(r, append(experiment.ExtendedStrategies(), ""), []string{"psychic"}),
+		Strategy:        pick(r, append(selection.Names(), ""), []string{"psychic"}),
 		CandidateFactor: pick(r, []float64{0, 0, 1, 3}, []float64{0.5, -1}),
 		Alpha:           pick(r, []float64{0, 0.05, 0.6, 5}, []float64{-1, math.NaN(), math.Inf(1)}),
 		PartyFraction:   pick(r, []float64{0, 0.01, 0.3, 1}, []float64{1.5, -0.1}),
@@ -399,7 +400,7 @@ func TestRunSimulationUnknownDataset(t *testing.T) {
 }
 
 func TestRunSimulationAllStrategies(t *testing.T) {
-	for _, strategy := range experiment.ExtendedStrategies() {
+	for _, strategy := range selection.Names() {
 		res, err := RunSimulation(SimulationConfig{
 			Dataset:  "fashion-mnist",
 			Strategy: strategy,
@@ -475,7 +476,7 @@ func TestRunTournamentWritesRanking(t *testing.T) {
 // selector is a job the decoder accepts, and the artifact registry lists the
 // paper's tables and figures first.
 func TestDatasetAndStrategyLists(t *testing.T) {
-	specs, strategies := dataset.AllSpecs(), experiment.ExtendedStrategies()
+	specs, strategies := dataset.AllSpecs(), selection.Names()
 	if len(specs) != 4 || len(strategies) != 13 {
 		t.Fatalf("%d datasets, %d strategies %v", len(specs), len(strategies), strategies)
 	}

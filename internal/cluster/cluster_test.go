@@ -42,7 +42,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
 	points, truth := blobPoints(4, 50, 8, 20, 0.5, r)
-	res, err := KMeans(points, 4, r.Split(9), KMeansOptions{})
+	res, err := KMeans(points, 4, r.Split(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestKMeansValidation(t *testing.T) {
 	t.Parallel()
 	r := rng.New(2)
-	if _, err := KMeans(nil, 1, r, KMeansOptions{}); err == nil {
+	if _, err := KMeans(nil, 1, r); err == nil {
 		t.Fatal("expected error for empty points")
 	}
 	pts := []tensor.Vec{{1}, {2}}
-	if _, err := KMeans(pts, 0, r, KMeansOptions{}); err == nil {
+	if _, err := KMeans(pts, 0, r); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := KMeans(pts, 3, r, KMeansOptions{}); err == nil {
+	if _, err := KMeans(pts, 3, r); err == nil {
 		t.Fatal("expected error for k>n")
 	}
 }
@@ -86,7 +86,7 @@ func TestKMeansK1(t *testing.T) {
 	t.Parallel()
 	r := rng.New(3)
 	points, _ := blobPoints(2, 20, 4, 5, 1, r)
-	res, err := KMeans(points, 1, r, KMeansOptions{})
+	res, err := KMeans(points, 1, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestKMeansAssignmentsNearest(t *testing.T) {
 		r := rng.New(seed)
 		k := 2 + r.Intn(4)
 		points, _ := blobPoints(k, 10+r.Intn(10), 3, 8, 1, r)
-		res, err := KMeans(points, k, r, KMeansOptions{})
+		res, err := KMeans(points, k, r)
 		if err != nil {
 			return false
 		}
@@ -131,11 +131,11 @@ func TestKMeansDeterministic(t *testing.T) {
 	t.Parallel()
 	r := rng.New(5)
 	points, _ := blobPoints(3, 30, 6, 10, 1, r)
-	a, err := KMeans(points, 3, rng.New(77), KMeansOptions{})
+	a, err := KMeans(points, 3, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(points, 3, rng.New(77), KMeansOptions{})
+	b, err := KMeans(points, 3, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 		// Take the best of a few restarts so the comparison is meaningful.
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := KMeans(points, k, r.Split(uint64(k*100+trial)), KMeansOptions{})
+			res, err := KMeans(points, k, r.Split(uint64(k*100+trial)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 	dbiAt := func(k int) float64 {
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := KMeans(points, k, r.Split(uint64(k*31+trial)), KMeansOptions{})
+			res, err := KMeans(points, k, r.Split(uint64(k*31+trial)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 func TestDaviesBouldinDegenerate(t *testing.T) {
 	t.Parallel()
 	points := []tensor.Vec{{1, 1}, {2, 2}}
-	res, err := KMeans(points, 1, rng.New(1), KMeansOptions{})
+	res, err := KMeans(points, 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,23 +267,21 @@ func TestAgglomerativeRecoversBlobs(t *testing.T) {
 	r := rng.New(9)
 	points, truth := blobPoints(3, 20, 5, 25, 0.5, r)
 	d := euclideanDistanceMatrix(points)
-	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		assign, err := Agglomerative(d, 3, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// All members of the same true blob should share a cluster id.
-		for c := 0; c < 3; c++ {
-			var want = -1
-			for i, tc := range truth {
-				if tc != c {
-					continue
-				}
-				if want == -1 {
-					want = assign[i]
-				} else if assign[i] != want {
-					t.Fatalf("linkage %v: blob %d split across clusters", linkage, c)
-				}
+	assign, err := Agglomerative(d, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All members of the same true blob should share a cluster id.
+	for c := 0; c < 3; c++ {
+		var want = -1
+		for i, tc := range truth {
+			if tc != c {
+				continue
+			}
+			if want == -1 {
+				want = assign[i]
+			} else if assign[i] != want {
+				t.Fatalf("blob %d split across clusters", c)
 			}
 		}
 	}
@@ -292,17 +290,17 @@ func TestAgglomerativeRecoversBlobs(t *testing.T) {
 func TestAgglomerativeValidation(t *testing.T) {
 	t.Parallel()
 	d := euclideanDistanceMatrix([]tensor.Vec{{1}, {2}})
-	if _, err := Agglomerative(d, 0, AverageLinkage); err == nil {
+	if _, err := Agglomerative(d, 0); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := Agglomerative(d, 3, AverageLinkage); err == nil {
+	if _, err := Agglomerative(d, 3); err == nil {
 		t.Fatal("expected error for k>n")
 	}
 	bad := tensor.NewMat(2, 3)
-	if _, err := Agglomerative(bad, 1, AverageLinkage); err == nil {
+	if _, err := Agglomerative(bad, 1); err == nil {
 		t.Fatal("expected error for non-square matrix")
 	}
-	if _, err := Agglomerative(tensor.NewMat(0, 0), 1, AverageLinkage); err == nil {
+	if _, err := Agglomerative(tensor.NewMat(0, 0), 1); err == nil {
 		t.Fatal("expected error for empty matrix")
 	}
 }
@@ -317,7 +315,7 @@ func TestAgglomerativeAssignmentsDense(t *testing.T) {
 			points[i] = tensor.Vec{r.NormFloat64(), r.NormFloat64()}
 		}
 		k := 1 + r.Intn(n)
-		assign, err := Agglomerative(euclideanDistanceMatrix(points), k, AverageLinkage)
+		assign, err := Agglomerative(euclideanDistanceMatrix(points), k)
 		if err != nil {
 			return false
 		}
@@ -359,7 +357,7 @@ func TestKMeansInertiaNonIncreasingAcrossIterations(t *testing.T) {
 	points, _ := blobPoints(4, 40, 6, 6, 2.0, r)
 	prev := math.Inf(1)
 	for iters := 1; iters <= 12; iters++ {
-		res, err := KMeans(points, 4, rng.New(99), KMeansOptions{MaxIterations: iters})
+		res, err := kmeans(points, 4, rng.New(99), iters)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func DBICurve(points []tensor.Vec, maxK, repeats int, r *rng.Source) ([]float64,
 	for k := 2; k <= maxK; k++ {
 		var sum float64
 		for t := 0; t < repeats; t++ {
-			res, err := KMeans(points, k, r.Split(uint64(k*1000+t)), KMeansOptions{})
+			res, err := KMeans(points, k, r.Split(uint64(k*1000+t)))
 			if err != nil {
 				return nil, err
 			}

@@ -6,26 +6,13 @@ import (
 	"flips/internal/tensor"
 )
 
-// Linkage selects how inter-cluster distance is computed during
-// agglomerative merging.
-type Linkage int
-
-const (
-	// AverageLinkage merges by mean pairwise distance (UPGMA).
-	AverageLinkage Linkage = iota + 1
-	// SingleLinkage merges by minimum pairwise distance.
-	SingleLinkage
-	// CompleteLinkage merges by maximum pairwise distance.
-	CompleteLinkage
-)
-
-// Agglomerative performs bottom-up hierarchical clustering of the points
-// down to exactly k clusters and returns per-point cluster assignments in
-// [0, k). The GradClus baseline (Fraboni et al. 2021, as compared against by
-// the FLIPS paper §4.1) hierarchically clusters party gradients with a
-// similarity matrix; we expose the distance-matrix variant so callers can
-// cluster on cosine distance of gradients.
-func Agglomerative(dist *tensor.Mat, k int, linkage Linkage) ([]int, error) {
+// Agglomerative performs bottom-up average-linkage (UPGMA) hierarchical
+// clustering of the points down to exactly k clusters and returns per-point
+// cluster assignments in [0, k). The GradClus baseline (Fraboni et al. 2021,
+// as compared against by the FLIPS paper §4.1) hierarchically clusters party
+// gradients with a similarity matrix; we expose the distance-matrix variant
+// so callers can cluster on cosine distance of gradients.
+func Agglomerative(dist *tensor.Mat, k int) ([]int, error) {
 	n := dist.Rows
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: no points")
@@ -39,7 +26,8 @@ func Agglomerative(dist *tensor.Mat, k int, linkage Linkage) ([]int, error) {
 
 	// active[i] reports whether cluster i still exists; members[i] lists its
 	// point indices. Cluster distances are maintained with Lance-Williams
-	// updates for the chosen linkage.
+	// updates: a merged cluster's distance to m is the size-weighted mean of
+	// its two parts' distances.
 	active := make([]bool, n)
 	members := make([][]int, n)
 	d := dist.Clone()
@@ -73,15 +61,7 @@ func Agglomerative(dist *tensor.Mat, k int, linkage Linkage) ([]int, error) {
 			if !active[m] || m == bi || m == bj {
 				continue
 			}
-			var nd float64
-			switch linkage {
-			case SingleLinkage:
-				nd = minF(d.At(bi, m), d.At(bj, m))
-			case CompleteLinkage:
-				nd = maxF(d.At(bi, m), d.At(bj, m))
-			default: // AverageLinkage
-				nd = (ni*d.At(bi, m) + nj*d.At(bj, m)) / (ni + nj)
-			}
+			nd := (ni*d.At(bi, m) + nj*d.At(bj, m)) / (ni + nj)
 			d.Set(bi, m, nd)
 			d.Set(m, bi, nd)
 		}
@@ -119,18 +99,4 @@ func CosineDistanceMatrix(points []tensor.Vec) *tensor.Mat {
 		}
 	}
 	return d
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -34,36 +34,28 @@ func (res *KMeansResult) Clusters() [][]int {
 	return out
 }
 
-// KMeansOptions configures a K-Means run.
-type KMeansOptions struct {
-	// MaxIterations bounds Lloyd iterations (default 100).
-	MaxIterations int
-	// Tolerance stops early when inertia improves by less than this
-	// fraction (default 1e-6).
-	Tolerance float64
-}
-
-func (o KMeansOptions) withDefaults() KMeansOptions {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 100
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
-	}
-	return o
-}
+// Lloyd's iteration stops after maxIterations, or earlier once the inertia
+// improves by less than the fraction tolerance of its previous value.
+const (
+	maxIterations = 100
+	tolerance     = 1e-6
+)
 
 // KMeans clusters points into k groups using k-means++ seeding followed by
 // Lloyd's algorithm. Points must be non-empty with uniform dimension and
 // 1 <= k <= len(points).
-func KMeans(points []tensor.Vec, k int, r *rng.Source, opts KMeansOptions) (*KMeansResult, error) {
+func KMeans(points []tensor.Vec, k int, r *rng.Source) (*KMeansResult, error) {
+	return kmeans(points, k, r, maxIterations)
+}
+
+// kmeans is KMeans with the Lloyd iteration cap as a parameter.
+func kmeans(points []tensor.Vec, k int, r *rng.Source, maxIter int) (*KMeansResult, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("cluster: no points")
 	}
 	if k < 1 || k > len(points) {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", k, len(points))
 	}
-	opts = opts.withDefaults()
 
 	centroids := seedPlusPlus(points, k, r)
 	assignments := make([]int, len(points))
@@ -71,7 +63,7 @@ func KMeans(points []tensor.Vec, k int, r *rng.Source, opts KMeansOptions) (*KMe
 	var inertia float64
 	var iter int
 
-	for iter = 0; iter < opts.MaxIterations; iter++ {
+	for iter = 0; iter < maxIter; iter++ {
 		// Assignment step.
 		inertia = 0
 		for i, p := range points {
@@ -106,7 +98,7 @@ func KMeans(points []tensor.Vec, k int, r *rng.Source, opts KMeansOptions) (*KMe
 			centroids[c] = sums[c]
 		}
 
-		if prevInertia-inertia <= opts.Tolerance*math.Max(prevInertia, 1) {
+		if prevInertia-inertia <= tolerance*math.Max(prevInertia, 1) {
 			break
 		}
 		prevInertia = inertia

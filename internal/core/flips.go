@@ -309,7 +309,7 @@ func normalized(lds []tensor.Vec) []tensor.Vec {
 // kMeansClusters K-Means-partitions the points into k clusters and returns
 // the non-empty ones, members in ascending order.
 func kMeansClusters(points []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
-	res, err := cluster.KMeans(points, k, r, cluster.KMeansOptions{})
+	res, err := cluster.KMeans(points, k, r)
 	if err != nil {
 		return nil, err
 	}

@@ -52,10 +52,9 @@ type Spec struct {
 	ClassPriors []float64
 	// Dim is the feature dimensionality.
 	Dim int
-	// Separation scales the distance between class prototypes.
+	// Separation scales the distance between class prototypes; the
+	// within-class noise is a unit Gaussian.
 	Separation float64
-	// Noise is the within-class standard deviation.
-	Noise float64
 	// TrainSize and TestSize set sample counts. The test set is drawn with
 	// *uniform* class priors so that the paper's balanced per-label accuracy
 	// metric (§4.4) has enough support for every class.
@@ -120,7 +119,7 @@ func Generate(spec Spec, r *rng.Source) (train, test *Dataset, err error) {
 			y := dr.Categorical(priors)
 			x := prototypes[y].Clone()
 			for j := range x {
-				x[j] += spec.Noise * dr.NormFloat64()
+				x[j] += dr.NormFloat64()
 			}
 			ds.Samples[i] = Sample{X: x, Y: y}
 		}

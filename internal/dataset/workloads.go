@@ -16,11 +16,10 @@ func ECG() Spec {
 		// arrhythmias, F and Q are rare.
 		ClassPriors: []float64{0.895, 0.030, 0.055, 0.012, 0.008},
 		Dim:         32,
-		// Separation/Noise are calibrated so that, at laptop scale, the
+		// Separation is calibrated so that, at laptop scale, the
 		// paper's qualitative ordering emerges: FLIPS reaches the target in
 		// ~0.2R rounds, Oort in ~0.5R, Random/TiFL/GradClus near or beyond R.
 		Separation: 2.4,
-		Noise:      1.0,
 		TrainSize:  20000,
 		TestSize:   2500,
 	}
@@ -37,7 +36,6 @@ func HAM10000() Spec {
 		ClassPriors: []float64{0.033, 0.051, 0.110, 0.011, 0.111, 0.670, 0.014},
 		Dim:         48,
 		Separation:  2.4,
-		Noise:       1.0,
 		TrainSize:   10015,
 		TestSize:    2100,
 	}
@@ -56,7 +54,6 @@ func FEMNIST() Spec {
 		},
 		Dim:        36,
 		Separation: 3.2,
-		Noise:      1.0,
 		TrainSize:  20000,
 		TestSize:   2000,
 	}
@@ -74,7 +71,6 @@ func FashionMNIST() Spec {
 		ClassPriors: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
 		Dim:         36,
 		Separation:  3.2,
-		Noise:       1.0,
 		TrainSize:   20000,
 		TestSize:    2000,
 	}

@@ -116,21 +116,24 @@ func (a Availability) WithDefaults() Availability {
 	return a
 }
 
+// The fleet's median device: training throughput in samples/second and
+// download/upload bandwidths in bytes/second, asymmetric like real last-mile
+// links.
+const (
+	computeMedian = 200
+	downMedian    = 256 * 1024
+	upMedian      = 64 * 1024
+)
+
 // Config describes the fleet-level heterogeneity distributions devices are
-// drawn from. Compute speed and bandwidths are lognormal: value =
-// median · exp(sigma·N(0,1)), giving the heavy tail of slow devices real
-// cross-device fleets exhibit; sigma 0 pins every device to the median.
+// drawn from. Compute speed and bandwidths are lognormal around the fleet
+// medians: value = median · exp(sigma·N(0,1)), giving the heavy tail of slow
+// devices real cross-device fleets exhibit; sigma 0 pins every device to the
+// median.
 type Config struct {
-	// ComputeMedian is the median training throughput in samples/second
-	// (default 200).
-	ComputeMedian float64
 	// ComputeSigma is the lognormal spread of compute speed (default 0,
 	// i.e. homogeneous).
 	ComputeSigma float64
-	// DownMedian / UpMedian are median download/upload bandwidths in
-	// bytes/second (defaults 256 KiB/s down, 64 KiB/s up — asymmetric like
-	// real last-mile links).
-	DownMedian, UpMedian float64
 	// DownSigma / UpSigma are the lognormal spreads of the bandwidths
 	// (default 0).
 	DownSigma, UpSigma float64
@@ -140,15 +143,6 @@ type Config struct {
 
 // WithDefaults fills zero fields with the package defaults.
 func (c Config) WithDefaults() Config {
-	if c.ComputeMedian == 0 {
-		c.ComputeMedian = 200
-	}
-	if c.DownMedian == 0 {
-		c.DownMedian = 256 * 1024
-	}
-	if c.UpMedian == 0 {
-		c.UpMedian = 64 * 1024
-	}
 	c.Availability = c.Availability.WithDefaults()
 	return c
 }
@@ -156,10 +150,6 @@ func (c Config) WithDefaults() Config {
 // Validate rejects non-physical configurations.
 func (c Config) Validate() error {
 	cfg := c.WithDefaults()
-	if cfg.ComputeMedian <= 0 || cfg.DownMedian <= 0 || cfg.UpMedian <= 0 {
-		return fmt.Errorf("device: non-positive median (compute=%v down=%v up=%v)",
-			cfg.ComputeMedian, cfg.DownMedian, cfg.UpMedian)
-	}
 	if cfg.ComputeSigma < 0 || cfg.DownSigma < 0 || cfg.UpSigma < 0 {
 		return fmt.Errorf("device: negative sigma")
 	}
@@ -219,9 +209,9 @@ type Device struct {
 func NewForParty(cfg Config, id int, r *rng.Source) *Device {
 	cfg = cfg.WithDefaults()
 	d := &Device{
-		ComputeSpeed: lognormal(cfg.ComputeMedian, cfg.ComputeSigma, r),
-		DownBps:      lognormal(cfg.DownMedian, cfg.DownSigma, r),
-		UpBps:        lognormal(cfg.UpMedian, cfg.UpSigma, r),
+		ComputeSpeed: lognormal(computeMedian, cfg.ComputeSigma, r),
+		DownBps:      lognormal(downMedian, cfg.DownSigma, r),
+		UpBps:        lognormal(upMedian, cfg.UpSigma, r),
 		Avail:        cfg.Availability,
 		TraceRow:     id,
 	}

@@ -40,9 +40,6 @@ func TestKindNames(t *testing.T) {
 func TestConfigDefaultsAndValidate(t *testing.T) {
 	t.Parallel()
 	c := Config{}.WithDefaults()
-	if c.ComputeMedian != 200 || c.DownMedian != 256*1024 || c.UpMedian != 64*1024 {
-		t.Fatalf("defaults %+v", c)
-	}
 	if c.Availability.OnlineProb != 0.85 || c.Availability.Period != 24 {
 		t.Fatalf("availability defaults %+v", c.Availability)
 	}
@@ -56,7 +53,6 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{ComputeMedian: -1},
 		{ComputeSigma: -0.5},
 		{Availability: Availability{Kind: Churn, OnlineProb: 1.5}},
 		{Availability: Availability{Kind: Diurnal, MinProb: 0.9, MaxProb: 0.2}},

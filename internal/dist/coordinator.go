@@ -538,7 +538,6 @@ func (j *Job) dispatchBatch(s *slot, w *workerConn, wave uint64, d fl.TrainDispa
 	s.enc.u32(uint32(d.SGD.BatchSize))
 	s.enc.u32(uint32(d.SGD.LocalEpochs))
 	s.enc.f64(d.SGD.ProxMu)
-	s.enc.f64(d.SGD.MaxGradNorm)
 	if withParams {
 		s.enc.u32(uint32(len(d.Params)))
 		s.enc.f64s(d.Params)

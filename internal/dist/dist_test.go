@@ -502,7 +502,6 @@ func dispatchFrame(wave, version uint64, params []float64, ids ...int) []byte {
 	e.u32(16)   // batch
 	e.u32(1)    // epochs
 	e.f64(0)    // prox mu
-	e.f64(0)    // max grad norm
 	e.u32(uint32(len(params)))
 	e.f64s(params)
 	e.u32(uint32(len(ids)))
@@ -513,6 +512,109 @@ func dispatchFrame(wave, version uint64, params []float64, ids ...int) []byte {
 		}
 	}
 	return e.bytes()
+}
+
+// TestFrameLengthsMatchTheirHeaders pins dispatchHeadLen, dispatchPartyLen
+// and the fold lengths to the encoders: a relay peer hands the coordinator's
+// real frames to a bare worker state machine and records each payload's
+// length. The first wave carries the parameters; the second, at the same
+// version, carries none.
+func TestFrameLengthsMatchTheirHeaders(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	peer := wire.NewCodec(conn, Version)
+	if err := peer.Send(ftHello, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := peer.Recv(); err != nil || typ != ftHelloAck {
+		t.Fatalf("hello: type %d err %v", typ, err)
+	}
+	type lengths struct{ dispatch, fold int }
+	waves := make(chan lengths, 2) // one per wave below
+	w := &workerState{opt: WorkerOptions{Builder: echoBuilder(2, 2), Parallelism: 1}}
+	go func() {
+		for {
+			typ, payload, err := peer.Recv()
+			if err != nil {
+				return
+			}
+			var rt byte
+			var rp []byte
+			switch typ {
+			case ftAssignShards:
+				rt, rp, err = w.assign(payload)
+			case ftDispatchWave:
+				rt, rp, err = w.dispatch(payload)
+				waves <- lengths{len(payload), len(rp)}
+			default:
+				return
+			}
+			if err != nil {
+				var e buf
+				e.str(err.Error())
+				rt, rp = ftError, e.bytes()
+			}
+			if peer.Send(rt, rp) != nil {
+				return
+			}
+		}
+	}()
+
+	if err := coord.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const n, dim = 3, 6 // echoBuilder(2, 2): 6 parameters
+	job, err := NewJob(coord, nil, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Close()
+	d := fl.TrainDispatch{
+		IDs:       []int{0, 1, 2},
+		RngStates: [][4]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}},
+		Params:    tensor.NewVec(dim),
+		Version:   1,
+	}
+	for i, paramBytes := range []int{8 * dim, 0} {
+		if err := job.TrainWave(d, sizedResults(n, dim)); err != nil {
+			t.Fatal(err)
+		}
+		got := <-waves
+		if want := dispatchHeadLen + paramBytes + n*dispatchPartyLen; got.dispatch != want {
+			t.Fatalf("wave %d: dispatch payload %d bytes, want %d", i, got.dispatch, want)
+		}
+		if want := foldHeadLen + n*(foldPartyHeadLen+8*dim); got.fold != want {
+			t.Fatalf("wave %d: fold payload %d bytes, want %d", i, got.fold, want)
+		}
+	}
+}
+
+// TestPreviousVersionPeerIsRefused: a worker speaking the previous protocol
+// version is never registered; the codec's version check drops it at hello.
+func TestPreviousVersionPeerIsRefused(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	peer := wire.NewCodec(conn, Version-1)
+	if err := peer.Send(ftHello, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := peer.Recv(); err == nil {
+		t.Fatalf("version %d hello answered with frame type %d", Version-1, typ)
+	}
+	if got := coord.WorkerCount(); got != 0 {
+		t.Fatalf("%d workers registered, want the version-%d peer refused", got, Version-1)
+	}
 }
 
 // TestParamlessDispatchBeforeSyncFails: a dispatch that carries no parameters to

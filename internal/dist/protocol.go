@@ -28,8 +28,9 @@ import (
 // TEE protocol's version so a worker dialed at the wrong port fails with an
 // explicit version error instead of undefined framing. Version 3 dropped the
 // per-round stats broadcast; version 4 dropped the chunked checkpoint frames
-// (types 7 and 8): the global parameters ride the dispatch frame.
-const Version byte = 4
+// (types 7 and 8): the global parameters ride the dispatch frame; version 5
+// dropped the SGD block's max-grad-norm word.
+const Version byte = 5
 
 // Frame types. Every coordinator→worker frame draws exactly one response
 // frame (strict request/response), so each side always knows whether it is
@@ -50,7 +51,7 @@ const (
 // and maxWaveParties.
 const (
 	// dispatchHeadLen: job, wave, version, the SGD block, paramCount and n.
-	dispatchHeadLen = 8 + 8 + 8 + (8 + 4 + 4 + 8 + 8) + 4 + 4
+	dispatchHeadLen = 8 + 8 + 8 + (8 + 4 + 4 + 8) + 4 + 4
 	// dispatchPartyLen: party ID and its serialized RNG state.
 	dispatchPartyLen = 4 + 4*8
 	// foldHeadLen: job, wave, n, dim.

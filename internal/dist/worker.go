@@ -226,7 +226,6 @@ func (w *workerState) dispatch(payload []byte) (byte, []byte, error) {
 		BatchSize:    int(r.u32()),
 		LocalEpochs:  int(r.u32()),
 		ProxMu:       r.f64(),
-		MaxGradNorm:  r.f64(),
 	}
 	paramCount := int(r.u32())
 	if r.err != nil {

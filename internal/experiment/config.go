@@ -20,7 +20,7 @@ import (
 )
 
 // The paper's five compared strategies, by selection-registry name. Any
-// registered name is accepted by Setting.Strategy; ExtendedStrategies()
+// registered name is accepted by Setting.Strategy; selection.Names()
 // enumerates the registry itself, so the accepted set cannot drift from what
 // actually builds.
 const (
@@ -47,12 +47,6 @@ func AllStrategies() []string {
 	return []string{StrategyRandom, StrategyFLIPS, StrategyOort, StrategyGradClus, StrategyTiFL}
 }
 
-// ExtendedStrategies lists every registered selection strategy in the
-// registry's canonical order — the paper's five first, then the extension
-// families. This is the accepted-name list for Setting.Strategy, the job
-// server's submission validator and the CLI -selector flags.
-func ExtendedStrategies() []string { return selection.Names() }
-
 // Scale bounds the compute of one experiment run.
 type Scale struct {
 	// Parties is the population size N (paper: 200).
@@ -73,10 +67,6 @@ type Scale struct {
 	// GOMAXPROCS; 1 forces the sequential path. Results are bit-identical
 	// at every width.
 	Parallelism int
-	// Shards is the sweep-wide default aggregation shard count (the
-	// flipsbench -shards flag); a Setting's own Shards takes precedence.
-	// Results are bit-identical at every value.
-	Shards int
 }
 
 // LaptopScale finishes a full table in seconds on a laptop while preserving
@@ -115,7 +105,7 @@ type Setting struct {
 	// Deadline is the per-round reporting deadline in simulated seconds
 	// (device model only; 0 waits for every online party).
 	Deadline float64
-	// Strategy is a selection-registry name (see ExtendedStrategies; the
+	// Strategy is a selection-registry name (see selection.Names; the
 	// paper's five are the Strategy* constants).
 	Strategy string
 	// CandidateFactor is the power-of-choice candidate over-sampling ratio
@@ -160,15 +150,22 @@ type Setting struct {
 	Seed uint64
 }
 
+// Every dataset shares these: the local learning rate decays by lrDecayFactor
+// every LRDecayEvery rounds, party latencies are lognormal with spread
+// latencySigma, and a legacy straggler is drawn with weight
+// latency^stragglerBias.
+const (
+	lrDecayFactor = 0.95
+	latencySigma  = 0.6
+	stragglerBias = 2
+)
+
 // TrainingProfile bundles the local-SGD hyperparameters per dataset, mirroring
 // the paper's §4.2 setup (lr 0.001 with decay every 20–30 rounds there; here
 // scaled to the synthetic substrate).
 type TrainingProfile struct {
-	SGD           model.SGDConfig
-	LRDecayEvery  int
-	LRDecayFactor float64
-	LatencySigma  float64
-	StragglerBias float64
+	SGD          model.SGDConfig
+	LRDecayEvery int
 	// FeatureShiftSigma adds a per-party offset vector ~N(0, σ²I) to every
 	// sample a party holds, modelling cross-device feature heterogeneity
 	// (writer style in FEMNIST, wearable/device variation for ECG,
@@ -192,11 +189,8 @@ type TrainingProfile struct {
 // convergence ordering emerges at laptop scale.
 func DefaultProfile(spec dataset.Spec) TrainingProfile {
 	p := TrainingProfile{
-		SGD:           model.SGDConfig{LearningRate: 0.03, BatchSize: 16, LocalEpochs: 1},
-		LRDecayEvery:  20,
-		LRDecayFactor: 0.95,
-		LatencySigma:  0.6,
-		StragglerBias: 2,
+		SGD:          model.SGDConfig{LearningRate: 0.03, BatchSize: 16, LocalEpochs: 1},
+		LRDecayEvery: 20,
 	}
 	p.AvgFamilySGD = model.SGDConfig{LearningRate: 0.25, BatchSize: 16, LocalEpochs: 2}
 	switch spec.Name {
@@ -334,10 +328,6 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 	if perRound < 1 {
 		perRound = 1
 	}
-	shards := setting.Shards
-	if shards == 0 {
-		shards = scale.Shards
-	}
 	return &plan{spec: spec, profile: profile, cfg: fl.Config{
 		NumClasses:      classes,
 		Factory:         factory,
@@ -346,15 +336,15 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 		PartiesPerRound: perRound,
 		SGD:             sgd,
 		LRDecayEvery:    profile.LRDecayEvery,
-		LRDecayFactor:   profile.LRDecayFactor,
+		LRDecayFactor:   lrDecayFactor,
 		StragglerRate:   setting.StragglerRate,
-		StragglerBias:   profile.StragglerBias,
+		StragglerBias:   stragglerBias,
 		Deadline:        setting.Deadline,
 		FedDynAlpha:     dynAlpha,
 		EvalEvery:       max(scale.EvalEvery, 1),
 		TargetAccuracy:  setting.TargetAccuracy,
 		Parallelism:     scale.Parallelism,
-		Shards:          shards,
+		Shards:          setting.Shards,
 		Aggregation:     policy,
 		Fold:            fold,
 		Privacy:         setting.Privacy,
@@ -476,7 +466,7 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	classes := pl.cfg.NumClasses
 	// Label distributions are what the parties were dealt: counted before any
 	// fault flips a label.
-	fl.ProfileParties(parties, classes, profile.LatencySigma, d.latencies)
+	fl.ProfileParties(parties, classes, latencySigma, d.latencies)
 	faults, err := poison(parties, setting, scale, classes)
 	if err != nil {
 		return nil, err

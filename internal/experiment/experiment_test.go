@@ -9,6 +9,7 @@ import (
 	"flips/internal/chaos"
 	"flips/internal/dataset"
 	"flips/internal/fl"
+	"flips/internal/selection"
 )
 
 // tinyScale keeps unit tests fast while exercising every code path.
@@ -88,7 +89,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestBuildAllStrategiesAndAlgorithms(t *testing.T) {
 	t.Parallel()
-	for _, strategy := range ExtendedStrategies() {
+	for _, strategy := range selection.Names() {
 		for _, algo := range []string{AlgoFedAvg, AlgoFedProx, AlgoFedYogi, AlgoFedAdam, AlgoFedAdagrad, AlgoFedDyn, AlgoFedSGD} {
 			s := Setting{
 				Spec: dataset.ECG(), Algorithm: algo, Alpha: 0.3,
@@ -114,10 +115,10 @@ func TestBuildAllStrategiesAndAlgorithms(t *testing.T) {
 // registrant breaks here, not at a user's CLI flag.
 func TestStrategyListsMatchRegistry(t *testing.T) {
 	t.Parallel()
-	ext := ExtendedStrategies()
+	ext := selection.Names()
 	for i, name := range AllStrategies() {
 		if i >= len(ext) || ext[i] != name {
-			t.Fatalf("AllStrategies()[%d]=%q is not a prefix of ExtendedStrategies() %v", i, name, ext)
+			t.Fatalf("AllStrategies()[%d]=%q is not a prefix of selection.Names() %v", i, name, ext)
 		}
 	}
 	registered := map[string]bool{}

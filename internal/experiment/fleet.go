@@ -289,7 +289,7 @@ func sameVecBits(a, b tensor.Vec) bool {
 }
 
 // fleetEntry registers one face of the fleet sweep: 8 buffered steps with 32
-// in flight over o.Parties (else parties) × the -shards value (else shards);
+// in flight over o.Parties (else parties) × shards;
 // a face that consumes them takes o.Selectors' one strategy (else random)
 // and o.Workers (else 1, 2, 4, 8).
 func fleetEntry(e Experiment, parties, shards []int, render func(io.Writer, FleetSweep, []FleetCell)) Experiment {
@@ -306,9 +306,6 @@ func fleetEntry(e Experiment, parties, shards []int, render func(io.Writer, Flee
 			Strategy: StrategyRandom, Seed: s.Seed, Parallelism: s.Scale.Parallelism}
 		if len(s.Parties) > 0 {
 			sweep.Parties = s.Parties
-		}
-		if s.Scale.Shards > 0 {
-			sweep.Shards = []int{s.Scale.Shards}
 		}
 		if e.Consumes&InSelectors != 0 && len(s.Selectors) > 0 {
 			sweep.Strategy = s.Selectors[0]

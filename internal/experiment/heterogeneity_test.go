@@ -30,7 +30,7 @@ func TestBuildWithDeviceAttachesFleet(t *testing.T) {
 		t.Fatalf("deadline %v not threaded", built.Config.Deadline)
 	}
 	// Invalid device configs are rejected at build time.
-	bad := device.Config{ComputeMedian: -1}
+	bad := device.Config{ComputeSigma: -1}
 	s.Device = &bad
 	if _, err := Build(s, tinyScale()); err == nil {
 		t.Fatal("invalid device config accepted")

@@ -7,6 +7,7 @@ import (
 
 	"flips/internal/chaos"
 	"flips/internal/device"
+	"flips/internal/selection"
 )
 
 // The selector tournament ranks selection strategies on time-to-target-
@@ -27,7 +28,7 @@ import (
 func tournamentSweep(o Options) (Sweep, error) {
 	selectors := o.Selectors
 	if len(selectors) == 0 {
-		selectors = ExtendedStrategies()
+		selectors = selection.Names()
 	}
 	base := ecgBase(0.6, 0.25, o.Seed)
 	base.Deadline = 3

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"flips/internal/selection"
 )
 
 // TestRunTournamentSmoke runs the full registered-selector tournament at the
@@ -19,7 +21,7 @@ func TestRunTournamentSmoke(t *testing.T) {
 	table := runSweep(t, tournamentSweep, Options{Scale: tinyScale(), Seed: 21,
 		Progress: func(s string) { lines = append(lines, s) }}, nil)
 	ranking := rank(table)
-	selectors := ExtendedStrategies()
+	selectors := selection.Names()
 	if len(ranking.Rows) != len(selectors) {
 		t.Fatalf("%d rows, want %d (every registered selector)", len(ranking.Rows), len(selectors))
 	}

@@ -33,7 +33,7 @@ type Config struct {
 	SGD model.SGDConfig
 	// LRDecayEvery / LRDecayFactor decay the local learning rate every k
 	// rounds, as the paper does ("a decay applied every 20/30 rounds").
-	// Zero disables decay.
+	// Zero disables decay; otherwise the factor must lie in (0, 1].
 	LRDecayEvery  int
 	LRDecayFactor float64
 	// StragglerRate drops this fraction of each round's invited parties
@@ -196,6 +196,12 @@ func (c *Config) ValidateShape(fleet FleetShape) error {
 	}
 	if c.Deadline < 0 {
 		return fmt.Errorf("fl: negative deadline %v", c.Deadline)
+	}
+	if c.LRDecayEvery < 0 {
+		return fmt.Errorf("fl: negative learning-rate decay period %d", c.LRDecayEvery)
+	}
+	if c.LRDecayEvery > 0 && !(c.LRDecayFactor > 0 && c.LRDecayFactor <= 1) {
+		return fmt.Errorf("fl: learning-rate decay factor %v out of (0,1]", c.LRDecayFactor)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("fl: negative shard count %d", c.Shards)

@@ -514,11 +514,7 @@ func (c *eventCore) nextWave() (uint64, *rng.Source) {
 // (0-based), matching the historical per-round schedule.
 func (c *eventCore) decayLR(r int) {
 	if c.cfg.LRDecayEvery > 0 && r > 0 && r%c.cfg.LRDecayEvery == 0 {
-		factor := c.cfg.LRDecayFactor
-		if factor <= 0 || factor > 1 {
-			factor = 0.9
-		}
-		c.sgd.LearningRate *= factor
+		c.sgd.LearningRate *= c.cfg.LRDecayFactor
 	}
 }
 

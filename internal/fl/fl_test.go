@@ -123,6 +123,10 @@ func TestRunValidation(t *testing.T) {
 		{"too many per round", func(c *Config) { c.PartiesPerRound = 99 }},
 		{"bad straggler rate", func(c *Config) { c.StragglerRate = 1 }},
 		{"bad classes", func(c *Config) { c.NumClasses = 0 }},
+		{"negative decay period", func(c *Config) { c.LRDecayEvery = -1 }},
+		{"zero decay factor", func(c *Config) { c.LRDecayEvery, c.LRDecayFactor = 2, 0 }},
+		{"decay factor above one", func(c *Config) { c.LRDecayEvery, c.LRDecayFactor = 2, 1.5 }},
+		{"NaN decay factor", func(c *Config) { c.LRDecayEvery, c.LRDecayFactor = 2, math.NaN() }},
 	}
 	for _, m := range mutations {
 		cfg := valid
@@ -430,22 +434,22 @@ func TestWeightedAverageDelta(t *testing.T) {
 	updates := []tensor.Vec{{2, 0}, {0, 4}}
 	weights := []float64{1, 3}
 	delta := tensor.Vec{9, 9} // dirty: the fold zeroes it first
-	WeightedAverageDeltaInto(delta, global, updates, weights)
+	WeightedAverageDeltaShardedInto(delta, global, updates, weights, nil, 1)
 	if math.Abs(delta[0]-0.5) > 1e-12 || math.Abs(delta[1]-3) > 1e-12 {
 		t.Fatalf("delta %v", delta)
 	}
 	// Identical updates average to themselves regardless of weights.
 	same := []tensor.Vec{{1, 1}, {1, 1}}
-	WeightedAverageDeltaInto(delta, global, same, []float64{5, 1})
+	WeightedAverageDeltaShardedInto(delta, global, same, []float64{5, 1}, nil, 1)
 	if delta[0] != 1 || delta[1] != 1 {
 		t.Fatalf("identical-update delta %v", delta)
 	}
 	// Empty and zero-weight cases are zero deltas.
-	if WeightedAverageDeltaInto(delta, global, nil, nil); delta[0] != 0 || delta[1] != 0 {
+	if WeightedAverageDeltaShardedInto(delta, global, nil, nil, nil, 1); delta[0] != 0 || delta[1] != 0 {
 		t.Fatal("empty update delta not zero")
 	}
 	delta[0] = 9
-	if WeightedAverageDeltaInto(delta, global, same, []float64{0, 0}); delta[0] != 0 {
+	if WeightedAverageDeltaShardedInto(delta, global, same, []float64{0, 0}, nil, 1); delta[0] != 0 {
 		t.Fatal("zero-weight delta not zero")
 	}
 }

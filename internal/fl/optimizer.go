@@ -151,23 +151,6 @@ func sign(x float64) float64 {
 	}
 }
 
-// WeightedAverageDeltaInto computes the FedAvg aggregation rule
-// x^(r) = (1/N) Σ n_i x_i over the completed updates, as the delta from the
-// current global parameters, into the caller-provided dst — the engine reuses
-// one buffer across rounds instead of allocating a parameter-sized vector per
-// round. weights are the per-update n_i; they are renormalized over whatever
-// subset completed, so dropped stragglers simply vanish from the average
-// (paper Algorithm 1 line 43).
-//
-// global, when non-nil, is subtracted from each update per coordinate (sync
-// semantics: updates are raw trained parameters). nil means updates are
-// already deltas x_i − m^(v_i), each taken against the model its party
-// downloaded (async semantics: by fold time the global model has moved on, so
-// subtracting the current one would be wrong): dst[i] = Σ_j (w_j/Σw) δ_j[i].
-func WeightedAverageDeltaInto(dst, global tensor.Vec, updates []tensor.Vec, weights []float64) {
-	meanDeltaRange(dst, global, updates, weights, totalWeight(weights), 0, len(dst))
-}
-
 // totalWeight sums a fold's weights in update order.
 func totalWeight(weights []float64) float64 {
 	var total float64
@@ -177,8 +160,8 @@ func totalWeight(weights []float64) float64 {
 	return total
 }
 
-// meanDeltaRange is the WeightedAverageDeltaInto fold over the coordinates
-// [lo, hi): the range is zeroed, then accumulated update-major,
+// meanDeltaRange is the WeightedAverageDeltaShardedInto fold over the
+// coordinates [lo, hi): the range is zeroed, then accumulated update-major,
 // coordinate-minor, so a coordinate sees the same operation sequence whatever
 // range it is folded in. total is totalWeight(weights); zero (no updates, or
 // none with weight) leaves the range zero.

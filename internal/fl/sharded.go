@@ -163,19 +163,31 @@ func paramRanges(n, shards int) []foldRange {
 	return out
 }
 
-// WeightedAverageDeltaShardedInto is WeightedAverageDeltaInto (either
-// semantics: global nil means pre-computed deltas) with the parameter axis
-// partitioned into shards contiguous ranges executed on pool. Each range
-// replays the complete update sequence in order over its own indices, so
-// every parameter's operation sequence — and therefore every result bit — is
-// identical to the sequential fold at any shard count and pool width.
-// shards <= 1 takes the sequential path directly.
+// WeightedAverageDeltaShardedInto computes the FedAvg aggregation rule
+// x^(r) = (1/N) Σ n_i x_i over the completed updates, as the delta from the
+// current global parameters, into the caller-provided dst — the engine reuses
+// one buffer across rounds instead of allocating a parameter-sized vector per
+// round. weights are the per-update n_i; they are renormalized over whatever
+// subset completed, so dropped stragglers simply vanish from the average
+// (paper Algorithm 1 line 43).
+//
+// global, when non-nil, is subtracted from each update per coordinate (sync
+// semantics: updates are raw trained parameters). nil means updates are
+// already deltas x_i − m^(v_i), each taken against the model its party
+// downloaded (async semantics: by fold time the global model has moved on, so
+// subtracting the current one would be wrong): dst[i] = Σ_j (w_j/Σw) δ_j[i].
+//
+// The parameter axis is partitioned into shards contiguous ranges executed on
+// pool. Each range replays the complete update sequence in order over its own
+// indices, so every parameter's operation sequence — and therefore every
+// result bit — is identical to the sequential fold at any shard count and
+// pool width. shards <= 1 folds the whole vector on the caller's goroutine.
 func WeightedAverageDeltaShardedInto(dst, global tensor.Vec, updates []tensor.Vec, weights []float64, pool *parallel.Pool, shards int) {
+	total := totalWeight(weights)
 	if shards <= 1 {
-		WeightedAverageDeltaInto(dst, global, updates, weights)
+		meanDeltaRange(dst, global, updates, weights, total, 0, len(dst))
 		return
 	}
-	total := totalWeight(weights)
 	ranges := paramRanges(len(dst), shards)
 	pool.ForEach(len(ranges), func(ri int) {
 		meanDeltaRange(dst, global, updates, weights, total, ranges[ri].lo, ranges[ri].hi)

@@ -219,24 +219,6 @@ func TestProxTermPullsTowardGlobal(t *testing.T) {
 	}
 }
 
-func TestGradientClipping(t *testing.T) {
-	t.Parallel()
-	r := rng.New(9)
-	train, _, err := dataset.Generate(dataset.ECG().WithSizes(300, 100), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewLogReg(train.Dim, train.NumClasses())
-	// A tiny clip norm with one large LR step: parameter movement per step
-	// must be bounded by lr * clip.
-	cfg := SGDConfig{LearningRate: 1, BatchSize: len(train.Samples), LocalEpochs: 1, MaxGradNorm: 0.01}
-	before := m.Params()
-	res := TrainLocalScratch(m, train.Samples, cfg, nil, r, &TrainScratch{})
-	if moved := res.Params.Dist(before); moved > 0.0100001 {
-		t.Fatalf("clipped step moved %v > lr*clip", moved)
-	}
-}
-
 func TestTrainLocalDeterministic(t *testing.T) {
 	t.Parallel()
 	r := rng.New(10)

@@ -19,8 +19,6 @@ type SGDConfig struct {
 	// (µ/2)·||x − m||², pulling the local model toward the round's global
 	// model m. Zero disables the term (plain FedAvg-style local SGD).
 	ProxMu float64
-	// MaxGradNorm clips the per-step gradient L2 norm when positive.
-	MaxGradNorm float64
 }
 
 // WithDefaults returns a copy of c with zero fields replaced by the package
@@ -165,11 +163,6 @@ func TrainLocalInPlace(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 				// ∇[(µ/2)||x−m||²] = µ(x−m)
 				for i := range grad {
 					grad[i] += cfg.ProxMu * (params[i] - globalParams[i])
-				}
-			}
-			if cfg.MaxGradNorm > 0 {
-				if norm := grad.Norm2(); norm > cfg.MaxGradNorm {
-					grad.ScaleInPlace(cfg.MaxGradNorm / norm)
 				}
 			}
 			params.Axpy(-cfg.LearningRate, grad)

@@ -42,12 +42,8 @@ type DPP struct {
 var _ fl.Selector = (*DPP)(nil)
 var _ fl.UpdateConsumer = (*DPP)(nil)
 
-// NewDPP builds a DPP selector. gradDim is the model parameter count
+// newDPP builds a DPP selector. gradDim is the model parameter count
 // (placeholder-gradient dimensionality).
-func NewDPP(numParties, gradDim int, r *rng.Source) *DPP {
-	return newDPP(numParties, gradDim, scaleModeThreshold, r)
-}
-
 func newDPP(numParties, gradDim, scaleThreshold int, r *rng.Source) *DPP {
 	return &DPP{
 		numParties: numParties,

@@ -24,24 +24,18 @@ type GradClus struct {
 	numParties int
 	r          *rng.Source
 	pool       *gradPool
-	linkage    cluster.Linkage
 }
 
 var _ fl.Selector = (*GradClus)(nil)
 var _ fl.UpdateConsumer = (*GradClus)(nil)
 
-// NewGradClus builds a GradClus selector. gradDim is the model parameter
+// newGradClus builds a GradClus selector. gradDim is the model parameter
 // count (placeholder-gradient dimensionality).
-func NewGradClus(numParties, gradDim int, r *rng.Source) *GradClus {
-	return newGradClus(numParties, gradDim, scaleModeThreshold, r)
-}
-
 func newGradClus(numParties, gradDim, scaleThreshold int, r *rng.Source) *GradClus {
 	return &GradClus{
 		numParties: numParties,
 		r:          r,
 		pool:       newGradPool(numParties, gradDim, scaleThreshold, r),
-		linkage:    cluster.AverageLinkage,
 	}
 }
 
@@ -64,7 +58,7 @@ func (s *GradClus) Select(_, target int) []int {
 		grads[i] = s.pool.gradient(id)
 	}
 	dist := cluster.CosineDistanceMatrix(grads)
-	assign, err := cluster.Agglomerative(dist, target, s.linkage)
+	assign, err := cluster.Agglomerative(dist, target)
 	if err != nil {
 		// Degenerate geometry cannot occur with a square matrix and
 		// validated target, but fall back to random rather than failing

@@ -15,9 +15,9 @@ import (
 // Below the threshold behavior is bit-identical to the pre-scale selectors;
 // above it, per-round cost and memory stop growing with the population (Oort
 // runs guided selection over ~1.3M clients this way — Lai et al., OSDI'21).
-// The exported constructors pass it to the unexported ones, whose
-// scaleThreshold parameter exists so the in-package tests can run a
-// fleet-scale twin at a testable size.
+// The registry passes it to every constructor, whose scaleThreshold
+// parameter exists so the in-package tests can run a fleet-scale twin at a
+// testable size.
 const scaleModeThreshold = 2048
 
 // The comparison baselines run at fixed published settings (DESIGN.md,
@@ -81,13 +81,9 @@ type Oort struct {
 
 var _ fl.Selector = (*Oort)(nil)
 
-// NewOort builds an Oort selector. dataSizes gives |B_i| per party (Oort
+// newOort builds an Oort selector. dataSizes gives |B_i| per party (Oort
 // weights statistical utility by the party's data volume); pass nil for
 // uniform sizes.
-func NewOort(numParties int, dataSizes []int, r *rng.Source) *Oort {
-	return newOort(numParties, dataSizes, scaleModeThreshold, r)
-}
-
 func newOort(numParties int, dataSizes []int, scaleThreshold int, r *rng.Source) *Oort {
 	o := &Oort{
 		numParties: numParties,

@@ -25,7 +25,7 @@ var oortBenchSizes = []struct {
 // buildOortFleet warms a fleet-scale Oort until every party has been tried
 // and a straggler seen, so Select is pure exploitation over a full heap.
 func buildOortFleet(n int) *Oort {
-	s := NewOort(n, nil, rng.New(5))
+	s := newOort(n, nil, scaleModeThreshold, rng.New(5))
 	const chunk = 1000
 	for round, lo := 0, 0; lo < n; round, lo = round+1, lo+chunk {
 		fb := fl.RoundFeedback{Round: round, Stragglers: []int{lo}}

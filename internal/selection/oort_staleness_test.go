@@ -30,7 +30,7 @@ func observeThenScore(t *testing.T, s *Oort, ids []int, round int) []float64 {
 func TestOortScoreAgeZeroSmallFleet(t *testing.T) {
 	t.Parallel()
 	const n = 16
-	s := NewOort(n, nil, rng.New(11))
+	s := newOort(n, nil, scaleModeThreshold, rng.New(11))
 	ids := []int{0, 3, 7}
 	for _, round := range []int{0, 4} {
 		for i, sc := range observeThenScore(t, s, ids, round) {
@@ -85,7 +85,7 @@ func TestOortScoreAgeZeroFleetScale(t *testing.T) {
 // the score above the raw utility.
 func TestOortStalenessBonusPositiveAtPositiveAge(t *testing.T) {
 	t.Parallel()
-	s := NewOort(8, nil, rng.New(13))
+	s := newOort(8, nil, scaleModeThreshold, rng.New(13))
 	s.Observe(feedbackWithLoss(0, []int{2}, func(int) float64 { return 2 }))
 	base := s.utility[2]
 	if base <= 0 {

@@ -94,16 +94,16 @@ var registry = []entry{
 		if ctx.DataSizes != nil {
 			sizes = ctx.DataSizes()
 		}
-		return NewOort(ctx.NumParties, sizes, ctx.RNG), nil, nil
+		return newOort(ctx.NumParties, sizes, scaleModeThreshold, ctx.RNG), nil, nil
 	}},
 	{"gradclus", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewGradClus(ctx.NumParties, ctx.ParamDim, ctx.RNG), nil, nil
+		return newGradClus(ctx.NumParties, ctx.ParamDim, scaleModeThreshold, ctx.RNG), nil, nil
 	}},
 	{"tifl", func(ctx BuildContext) (fl.Selector, [][]int, error) {
 		if ctx.Latencies == nil {
 			return nil, nil, fmt.Errorf("selection: selector %q needs per-party latencies", "tifl")
 		}
-		return NewTiFL(ctx.Latencies(), ctx.RNG), nil, nil
+		return newTiFL(ctx.Latencies(), scaleModeThreshold, ctx.RNG), nil, nil
 	}},
 	{"power-of-choice", func(ctx BuildContext) (fl.Selector, [][]int, error) {
 		factor, err := ResolveCandidateFactor(ctx.CandidateFactor)
@@ -129,7 +129,7 @@ var registry = []entry{
 	scoredEntry(scoreSoftDeadline),
 	scoredEntry(scoreHardDeadline),
 	{"dpp", func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return NewDPP(ctx.NumParties, ctx.ParamDim, ctx.RNG), nil, nil
+		return newDPP(ctx.NumParties, ctx.ParamDim, scaleModeThreshold, ctx.RNG), nil, nil
 	}},
 }
 

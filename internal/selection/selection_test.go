@@ -72,7 +72,7 @@ func feedbackWithLoss(round int, ids []int, loss func(int) float64) fl.RoundFeed
 func TestOortPrefersHighLossParties(t *testing.T) {
 	t.Parallel()
 	const n = 40
-	s := NewOort(n, nil, rng.New(4))
+	s := newOort(n, nil, scaleModeThreshold, rng.New(4))
 	// Feed several rounds of feedback: parties 0-9 have 10x the loss.
 	loss := func(id int) float64 {
 		if id < 10 {
@@ -103,7 +103,7 @@ func TestOortPrefersHighLossParties(t *testing.T) {
 
 func TestOortExploresUntriedParties(t *testing.T) {
 	t.Parallel()
-	s := NewOort(30, nil, rng.New(5))
+	s := newOort(30, nil, scaleModeThreshold, rng.New(5))
 	// Before any feedback every party is untried: selection must still fill.
 	sel := s.Select(0, 10)
 	if len(sel) != 10 {
@@ -114,7 +114,7 @@ func TestOortExploresUntriedParties(t *testing.T) {
 
 func TestOortOverprovisionsAfterStragglers(t *testing.T) {
 	t.Parallel()
-	s := NewOort(40, nil, rng.New(6))
+	s := newOort(40, nil, scaleModeThreshold, rng.New(6))
 	all := make([]int, 40)
 	for i := range all {
 		all[i] = i
@@ -132,7 +132,7 @@ func TestOortOverprovisionsAfterStragglers(t *testing.T) {
 
 func TestOortStragglersLoseUtility(t *testing.T) {
 	t.Parallel()
-	s := NewOort(10, nil, rng.New(7))
+	s := newOort(10, nil, scaleModeThreshold, rng.New(7))
 	fb := feedbackWithLoss(0, []int{0, 1}, func(int) float64 { return 2 })
 	fb.Stragglers = []int{2}
 	fb.Selected = []int{0, 1, 2}
@@ -158,7 +158,7 @@ func TestOortDataSizeWeighting(t *testing.T) {
 		sizes[i] = 10
 	}
 	sizes[3] = 1000
-	s := NewOort(10, sizes, rng.New(8))
+	s := newOort(10, sizes, scaleModeThreshold, rng.New(8))
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	s.Observe(feedbackWithLoss(0, all, func(int) float64 { return 1 }))
 	sel := s.Select(1, 1)
@@ -170,7 +170,7 @@ func TestOortDataSizeWeighting(t *testing.T) {
 func TestGradClusSelectsOnePerCluster(t *testing.T) {
 	t.Parallel()
 	const n, dim = 12, 6
-	s := NewGradClus(n, dim, rng.New(9))
+	s := newGradClus(n, dim, scaleModeThreshold, rng.New(9))
 	// Plant three orthogonal gradient directions, four parties each.
 	for i := 0; i < n; i++ {
 		g := tensor.NewVec(dim)
@@ -194,7 +194,7 @@ func TestGradClusSelectsOnePerCluster(t *testing.T) {
 
 func TestGradClusObserveUpdatesGradients(t *testing.T) {
 	t.Parallel()
-	s := NewGradClus(4, 3, rng.New(10))
+	s := newGradClus(4, 3, scaleModeThreshold, rng.New(10))
 	update := tensor.Vec{7, 8, 9}
 	fb := fl.RoundFeedback{
 		Round:     0,
@@ -217,7 +217,7 @@ func TestGradClusObserveUpdatesGradients(t *testing.T) {
 
 func TestGradClusColdStartRandomGradients(t *testing.T) {
 	t.Parallel()
-	s := NewGradClus(10, 5, rng.New(11))
+	s := newGradClus(10, 5, scaleModeThreshold, rng.New(11))
 	sel := s.Select(0, 4)
 	if len(sel) != 4 {
 		t.Fatalf("cold-start selected %d", len(sel))
@@ -279,7 +279,7 @@ func TestGradClusScaleRecency(t *testing.T) {
 func TestTiFLTiersByLatency(t *testing.T) {
 	t.Parallel()
 	latencies := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := NewTiFL(latencies, rng.New(12))
+	s := newTiFL(latencies, scaleModeThreshold, rng.New(12))
 	// Parties 0,1 are tier 0 (fastest); 8,9 tier 4 (slowest).
 	if s.tierOf[0] != 0 || s.tierOf[1] != 0 {
 		t.Fatalf("fastest parties in tier %d/%d", s.tierOf[0], s.tierOf[1])
@@ -295,7 +295,7 @@ func TestTiFLSelectsWithinOneTier(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := NewTiFL(latencies, rng.New(13))
+	s := newTiFL(latencies, scaleModeThreshold, rng.New(13))
 	sel := s.Select(0, 4) // tier size is exactly 4
 	if len(sel) != 4 {
 		t.Fatalf("selected %d", len(sel))
@@ -315,7 +315,7 @@ func TestTiFLTopsUpFromNeighbours(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := NewTiFL(latencies, rng.New(14))
+	s := newTiFL(latencies, scaleModeThreshold, rng.New(14))
 	sel := s.Select(0, 6) // tier size 2 < 6: must borrow neighbours
 	if len(sel) != 6 {
 		t.Fatalf("selected %d", len(sel))
@@ -329,7 +329,7 @@ func TestTiFLAdaptsTowardHighLossTiers(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := NewTiFL(latencies, rng.New(15))
+	s := newTiFL(latencies, scaleModeThreshold, rng.New(15))
 	// Five tiers of four parties, fastest first. Make the slowest tier's loss
 	// huge: at adaptivity 0.7 its weight is 0.3+0.7·100 against ≈0.3 each for
 	// the other four, so it should be chosen ≈98% of the time.
@@ -389,9 +389,9 @@ func TestAllSelectorsReturnValidSelections(t *testing.T) {
 		}
 		selectors := []fl.Selector{
 			NewRandom(n, r.Split(1)),
-			NewOort(n, nil, r.Split(2)),
-			NewGradClus(n, 4, r.Split(3)),
-			NewTiFL(latencies, r.Split(4)),
+			newOort(n, nil, scaleModeThreshold, r.Split(2)),
+			newGradClus(n, 4, scaleModeThreshold, r.Split(3)),
+			newTiFL(latencies, scaleModeThreshold, r.Split(4)),
 			NewPowerOfChoice(n, 2, r.Split(5)),
 		}
 		for _, s := range selectors {

@@ -51,12 +51,8 @@ type TiFL struct {
 
 var _ fl.Selector = (*TiFL)(nil)
 
-// NewTiFL builds a TiFL selector from profiled per-party latencies
+// newTiFL builds a TiFL selector from profiled per-party latencies
 // (the offline profiling phase of the TiFL system).
-func NewTiFL(latencies []float64, r *rng.Source) *TiFL {
-	return newTiFL(latencies, scaleModeThreshold, r)
-}
-
 func newTiFL(latencies []float64, scaleThreshold int, r *rng.Source) *TiFL {
 	n := len(latencies)
 	numTiers := min(tiflTiers, n)
