@@ -27,12 +27,13 @@ type MLP struct {
 	blk                  *mlpBlock   // LossGradient's scratch
 }
 
-// mlpBlock is LossGradient's scratch, one slot per sample of a block: hidden
-// activations, logits (then dL/dlogits) and dL/dh. It is allocated by the
-// first LossGradient and hangs off the model by one pointer, so a clone made
-// to Predict — the sharded evaluator makes thousands per job — pays nothing
-// for it.
+// mlpBlock is LossGradient's scratch: W1 transposed, and one slot per sample
+// of a block for hidden activations, logits (then dL/dlogits) and dL/dh. It is
+// allocated by the first LossGradient and hangs off the model by one pointer,
+// so a clone made to Predict — the sharded evaluator makes thousands per job —
+// pays nothing for it.
 type mlpBlock struct {
+	w1t      *tensor.Mat // dim x hidden
 	h, z, dh [blockSize]tensor.Vec
 }
 
@@ -100,9 +101,9 @@ func (m *MLP) SetParams(p tensor.Vec) {
 // paramsRef implements flatModel: the live backing vector.
 func (m *MLP) paramsRef() tensor.Vec { return m.params }
 
-// forward computes hidden activations and logits into h and z.
-func (m *MLP) forward(x, h, z tensor.Vec) {
-	m.w1.MulVecInto(h, x)
+// head finishes the forward pass from h = W1·x: hidden activations in place
+// in h, then logits into z.
+func (m *MLP) head(h, z tensor.Vec) {
 	for i, b := range m.b1 {
 		h[i] = max(h[i]+b, 0) // ReLU, without a branch to mispredict; a NaN stays a NaN
 	}
@@ -112,7 +113,8 @@ func (m *MLP) forward(x, h, z tensor.Vec) {
 
 // Predict returns the most likely class for x.
 func (m *MLP) Predict(x tensor.Vec) int {
-	m.forward(x, m.hBuf, m.zBuf)
+	m.w1.MulVecInto(m.hBuf, x)
+	m.head(m.hBuf, m.zBuf)
 	return m.zBuf.ArgMax()
 }
 
@@ -123,6 +125,9 @@ func (m *MLP) Predict(x tensor.Vec) int {
 // whole block (tensor.Mat.AddOuterInPlace). Every gradient element still adds
 // its per-sample products in batch order from +0, so the result is bit-equal
 // to a sample-at-a-time backward pass (DESIGN.md, "Float-order preservation").
+// The hidden layer's product is MulVecTInto over a copy of W1 transposed once
+// per call (the parameters change only between calls): per hidden unit the
+// same products, in column order, from +0 as W1's row dot product.
 func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(out) != m.NumParams() {
 		panic("model: MLP.LossGradient length mismatch")
@@ -134,8 +139,10 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		return 0
 	}
 	if m.blk == nil {
-		m.blk = &mlpBlock{h: blockScratch(m.hidden), z: blockScratch(m.classes), dh: blockScratch(m.hidden)}
+		m.blk = &mlpBlock{w1t: tensor.NewMat(m.dim, m.hidden), h: blockScratch(m.hidden), z: blockScratch(m.classes), dh: blockScratch(m.hidden)}
 	}
+	w1t := m.blk.w1t
+	m.w1.TransposeInto(w1t)
 	pos := 0
 	w1g := tensor.Mat{Rows: m.hidden, Cols: m.dim, Data: out[pos : pos+len(m.w1.Data)]}
 	pos += len(m.w1.Data)
@@ -154,7 +161,8 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		hs, zs, dhs := m.blk.h[:n], m.blk.z[:n], m.blk.dh[:n]
 		for k, s := range batch[:n] {
 			h, z, dh := hs[k], zs[k], dhs[k]
-			m.forward(s.X, h, z)
+			w1t.MulVecTInto(h, s.X)
+			m.head(h, z)
 			z.SoftmaxInPlace()
 			total += -math.Log(math.Max(z[s.Y], 1e-12))
 			z[s.Y] -= 1 // dL/dlogits

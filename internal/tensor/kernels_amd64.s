@@ -1,0 +1,287 @@
+// SSE2 kernels for Vec.Axpy, Vec.Axpy4 and Mat.MulVecTInto. Each lane of a
+// packed instruction computes exactly one output element's scalar chain: the
+// same rounded products, added to the same running value in the same order,
+// from the same start. There is no horizontal reduction and no fused
+// multiply-add, so every result is bit-equal to the Go loops in
+// kernels_other.go (DESIGN.md, "Float-order preservation"). SSE2 is the amd64
+// baseline; X15 is never written.
+
+#include "textflag.h"
+
+// func axpy(v []float64, a float64, x []float64)
+//
+// v[j] += a·x[j]. The caller has checked len(x) == len(v).
+TEXT ·axpy(SB), NOSPLIT, $0-56
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	MOVSD a+24(FP), X0
+	MOVQ x_base+32(FP), SI
+	UNPCKLPD X0, X0            // X0 = [a, a]
+	XORQ AX, AX                // j
+
+axpyLoop4:
+	MOVQ CX, DX
+	SUBQ AX, DX
+	CMPQ DX, $4
+	JL   axpyPair
+	MOVUPD (SI)(AX*8), X1
+	MOVUPD 16(SI)(AX*8), X2
+	MULPD X0, X1
+	MULPD X0, X2
+	MOVUPD (DI)(AX*8), X3
+	MOVUPD 16(DI)(AX*8), X4
+	ADDPD X1, X3
+	ADDPD X2, X4
+	MOVUPD X3, (DI)(AX*8)
+	MOVUPD X4, 16(DI)(AX*8)
+	ADDQ $4, AX
+	JMP  axpyLoop4
+
+axpyPair:
+	CMPQ DX, $2
+	JL   axpySingle
+	MOVUPD (SI)(AX*8), X1
+	MULPD X0, X1
+	MOVUPD (DI)(AX*8), X3
+	ADDPD X1, X3
+	MOVUPD X3, (DI)(AX*8)
+	ADDQ $2, AX
+	SUBQ $2, DX
+
+axpySingle:
+	CMPQ DX, $1
+	JL   axpyDone
+	MOVSD (SI)(AX*8), X1
+	MULSD X0, X1
+	MOVSD (DI)(AX*8), X3
+	ADDSD X1, X3
+	MOVSD X3, (DI)(AX*8)
+
+axpyDone:
+	RET
+
+// func axpy4(v []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64)
+//
+// v[j] = (((v[j] + a0·x0[j]) + a1·x1[j]) + a2·x2[j]) + a3·x3[j]. The caller
+// has checked that every x has len(v) elements.
+TEXT ·axpy4(SB), NOSPLIT, $0-152
+	MOVQ v_base+0(FP), DI
+	MOVQ v_len+8(FP), CX
+	MOVSD a0+24(FP), X0
+	MOVSD a1+32(FP), X1
+	MOVSD a2+40(FP), X2
+	MOVSD a3+48(FP), X3
+	MOVQ x0_base+56(FP), R8
+	MOVQ x1_base+80(FP), R9
+	MOVQ x2_base+104(FP), R10
+	MOVQ x3_base+128(FP), R11
+	UNPCKLPD X0, X0
+	UNPCKLPD X1, X1
+	UNPCKLPD X2, X2
+	UNPCKLPD X3, X3
+	XORQ AX, AX                // j
+
+axpy4Loop4:
+	MOVQ CX, DX
+	SUBQ AX, DX
+	CMPQ DX, $4
+	JL   axpy4Pair
+	MOVUPD (DI)(AX*8), X4      // v[j:j+2]
+	MOVUPD 16(DI)(AX*8), X5    // v[j+2:j+4]
+	MOVUPD (R8)(AX*8), X6
+	MOVUPD 16(R8)(AX*8), X7
+	MULPD X0, X6
+	MULPD X0, X7
+	ADDPD X6, X4
+	ADDPD X7, X5
+	MOVUPD (R9)(AX*8), X8
+	MOVUPD 16(R9)(AX*8), X9
+	MULPD X1, X8
+	MULPD X1, X9
+	ADDPD X8, X4
+	ADDPD X9, X5
+	MOVUPD (R10)(AX*8), X10
+	MOVUPD 16(R10)(AX*8), X11
+	MULPD X2, X10
+	MULPD X2, X11
+	ADDPD X10, X4
+	ADDPD X11, X5
+	MOVUPD (R11)(AX*8), X12
+	MOVUPD 16(R11)(AX*8), X13
+	MULPD X3, X12
+	MULPD X3, X13
+	ADDPD X12, X4
+	ADDPD X13, X5
+	MOVUPD X4, (DI)(AX*8)
+	MOVUPD X5, 16(DI)(AX*8)
+	ADDQ $4, AX
+	JMP  axpy4Loop4
+
+axpy4Pair:
+	CMPQ DX, $2
+	JL   axpy4Single
+	MOVUPD (DI)(AX*8), X4
+	MOVUPD (R8)(AX*8), X6
+	MULPD X0, X6
+	ADDPD X6, X4
+	MOVUPD (R9)(AX*8), X8
+	MULPD X1, X8
+	ADDPD X8, X4
+	MOVUPD (R10)(AX*8), X10
+	MULPD X2, X10
+	ADDPD X10, X4
+	MOVUPD (R11)(AX*8), X12
+	MULPD X3, X12
+	ADDPD X12, X4
+	MOVUPD X4, (DI)(AX*8)
+	ADDQ $2, AX
+	SUBQ $2, DX
+
+axpy4Single:
+	CMPQ DX, $1
+	JL   axpy4Done
+	MOVSD (DI)(AX*8), X4
+	MOVSD (R8)(AX*8), X6
+	MULSD X0, X6
+	ADDSD X6, X4
+	MOVSD (R9)(AX*8), X8
+	MULSD X1, X8
+	ADDSD X8, X4
+	MOVSD (R10)(AX*8), X10
+	MULSD X2, X10
+	ADDSD X10, X4
+	MOVSD (R11)(AX*8), X12
+	MULSD X3, X12
+	ADDSD X12, X4
+	MOVSD X4, (DI)(AX*8)
+
+axpy4Done:
+	RET
+
+// func mulVecT(dst, m, x []float64)
+//
+// dst[j] = x[0]·m[0][j] + x[1]·m[1][j] + … in row order from +0, for the
+// row-major len(x) × len(dst) matrix m. The caller has checked
+// len(m) == len(x)·len(dst). Columns are taken sixteen at a time in eight
+// accumulators X0–X7 that stay in registers for the whole pass over the rows,
+// then in pairs, then one scalar column.
+TEXT ·mulVecT(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX     // cols
+	MOVQ m_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ x_len+56(FP), BX      // rows
+	MOVQ CX, R8
+	SHLQ $3, R8                // row stride in bytes
+	XORQ R9, R9                // first column of the current block
+
+mulVecTBlock16:
+	MOVQ CX, AX
+	SUBQ R9, AX                // columns left
+	CMPQ AX, $16
+	JL   mulVecTPair
+	XORPD X0, X0
+	XORPD X1, X1
+	XORPD X2, X2
+	XORPD X3, X3
+	XORPD X4, X4
+	XORPD X5, X5
+	XORPD X6, X6
+	XORPD X7, X7
+	LEAQ (SI)(R9*8), R10       // &m[0][R9]
+	XORQ R11, R11              // row
+
+mulVecTRows16:
+	CMPQ R11, BX
+	JGE  mulVecTStore16
+	MOVSD (DX)(R11*8), X8
+	UNPCKLPD X8, X8            // X8 = [x[i], x[i]]
+	MOVUPD (R10), X9
+	MOVUPD 16(R10), X10
+	MOVUPD 32(R10), X11
+	MOVUPD 48(R10), X12
+	MULPD X8, X9
+	MULPD X8, X10
+	MULPD X8, X11
+	MULPD X8, X12
+	ADDPD X9, X0
+	ADDPD X10, X1
+	ADDPD X11, X2
+	ADDPD X12, X3
+	MOVUPD 64(R10), X9
+	MOVUPD 80(R10), X10
+	MOVUPD 96(R10), X11
+	MOVUPD 112(R10), X12
+	MULPD X8, X9
+	MULPD X8, X10
+	MULPD X8, X11
+	MULPD X8, X12
+	ADDPD X9, X4
+	ADDPD X10, X5
+	ADDPD X11, X6
+	ADDPD X12, X7
+	ADDQ R8, R10
+	INCQ R11
+	JMP  mulVecTRows16
+
+mulVecTStore16:
+	LEAQ (DI)(R9*8), R12
+	MOVUPD X0, (R12)
+	MOVUPD X1, 16(R12)
+	MOVUPD X2, 32(R12)
+	MOVUPD X3, 48(R12)
+	MOVUPD X4, 64(R12)
+	MOVUPD X5, 80(R12)
+	MOVUPD X6, 96(R12)
+	MOVUPD X7, 112(R12)
+	ADDQ $16, R9
+	JMP  mulVecTBlock16
+
+mulVecTPair:
+	CMPQ AX, $2
+	JL   mulVecTSingle
+	XORPD X0, X0
+	LEAQ (SI)(R9*8), R10
+	XORQ R11, R11
+
+mulVecTRows2:
+	CMPQ R11, BX
+	JGE  mulVecTStore2
+	MOVSD (DX)(R11*8), X8
+	UNPCKLPD X8, X8
+	MOVUPD (R10), X9
+	MULPD X8, X9
+	ADDPD X9, X0
+	ADDQ R8, R10
+	INCQ R11
+	JMP  mulVecTRows2
+
+mulVecTStore2:
+	MOVUPD X0, (DI)(R9*8)
+	ADDQ $2, R9
+	SUBQ $2, AX
+	JMP  mulVecTPair
+
+mulVecTSingle:
+	CMPQ AX, $1
+	JL   mulVecTDone
+	XORPD X0, X0
+	LEAQ (SI)(R9*8), R10
+	XORQ R11, R11
+
+mulVecTRows1:
+	CMPQ R11, BX
+	JGE  mulVecTStore1
+	MOVSD (DX)(R11*8), X8
+	MOVSD (R10), X9
+	MULSD X8, X9
+	ADDSD X9, X0
+	ADDQ R8, R10
+	INCQ R11
+	JMP  mulVecTRows1
+
+mulVecTStore1:
+	MOVSD X0, (DI)(R9*8)
+
+mulVecTDone:
+	RET

@@ -52,10 +52,10 @@ func (m *Mat) MulVecInto(dst, x Vec) {
 		r3 := m.Data[(i+3)*cols : (i+4)*cols]
 		var s0, s1, s2, s3 float64
 		for j, xj := range x {
-			s0 += r0[j] * xj
-			s1 += r1[j] * xj
-			s2 += r2[j] * xj
-			s3 += r3[j] * xj
+			s0 += float64(r0[j] * xj)
+			s1 += float64(r1[j] * xj)
+			s2 += float64(r2[j] * xj)
+			s3 += float64(r3[j] * xj)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
@@ -65,22 +65,40 @@ func (m *Mat) MulVecInto(dst, x Vec) {
 }
 
 // MulVecTInto computes dst = mᵀ * x, for a column vector x of length Rows,
-// into the caller-provided dst of length Cols, allocating nothing. dst is
-// zeroed first, then accumulated by row axpy, four rows per pass over dst:
-// dst[j] adds x[i]·m[i][j] for i = 0, 1, 2, … in row order from +0, whatever
-// the blocking.
+// into the caller-provided dst of length Cols, allocating nothing; dst must
+// not overlap x or m. dst[j] adds x[i]·m[i][j] for i = 0, 1, 2, … in row
+// order from +0 — the chain of zeroing dst and then applying
+// dst.Axpy(x[i], Row(i)) row by row — however many columns a pass over the
+// rows carries.
 func (m *Mat) MulVecTInto(dst, x Vec) {
 	assertSameLen(len(x), m.Rows)
 	assertSameLen(len(dst), m.Cols)
-	for i := range dst {
-		dst[i] = 0
+	assertSameLen(len(m.Data), m.Rows*m.Cols)
+	mulVecT(dst, m.Data, x)
+}
+
+// TransposeInto writes mᵀ into dst, which must be Cols x Rows and must not
+// overlap m. Rows of m are taken four at a time, so each row of dst is
+// written four contiguous words per pass.
+func (m *Mat) TransposeInto(dst *Mat) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("tensor: transpose of %dx%d into %dx%d", m.Rows, m.Cols, dst.Rows, dst.Cols))
 	}
+	assertSameLen(len(m.Data), m.Rows*m.Cols)
+	assertSameLen(len(dst.Data), dst.Rows*dst.Cols)
+	rows := m.Rows
 	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		dst.Axpy4(x[i], x[i+1], x[i+2], x[i+3], m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
+	for ; i+4 <= rows; i += 4 {
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		for j := range r0 {
+			d := dst.Data[j*rows+i : j*rows+i+4]
+			d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
+		}
 	}
-	for ; i < m.Rows; i++ {
-		dst.Axpy(x[i], m.Row(i))
+	for ; i < rows; i++ {
+		for j, x := range m.Row(i) {
+			dst.Data[j*rows+i] = x
+		}
 	}
 }
 

@@ -2,10 +2,15 @@
 // simulator is built on: float64 vectors and row-major matrices with the
 // handful of BLAS-1/2-style operations that logistic-regression and MLP
 // training require. The rule is exact determinism across runs and platforms:
-// no SIMD, no math.FMA, no parallelism. Blocking — several rows or several
-// samples per pass over a vector — is allowed when every output element keeps
-// the chain of rounded multiplies and adds it had unblocked (DESIGN.md,
-// "Float-order preservation").
+// every output element is one chain of rounded multiplies and adds, fixed by
+// the source. Every product that feeds an add is rounded by an explicit
+// float64 conversion, so no compiler fuses the two; there is no math.FMA and
+// no parallelism. Blocking — several rows or several samples per pass over a
+// vector — is allowed when every output element keeps the chain it had
+// unblocked. SIMD is allowed only lane-wise, with each lane one output
+// element's scalar chain and no horizontal reduction: Axpy, Axpy4 and
+// MulVecTInto are SSE2 assembly on amd64 (kernels_amd64.s) and the loops in
+// kernels_other.go elsewhere (DESIGN.md, "Float-order preservation").
 package tensor
 
 import (
@@ -70,12 +75,11 @@ func (v Vec) Scale(s float64) Vec {
 	return out
 }
 
-// Axpy performs v += a*x (the BLAS axpy kernel).
+// Axpy performs v += a*x (the BLAS axpy kernel). x may be v itself but must
+// not otherwise overlap it.
 func (v Vec) Axpy(a float64, x Vec) {
 	assertSameLen(len(v), len(x))
-	for i := range v {
-		v[i] += a * x[i]
-	}
+	axpy(v, a, x)
 }
 
 // Axpy4 performs v += a0*x0, v += a1*x1, v += a2*x2, v += a3*x3 in one pass:
@@ -89,9 +93,7 @@ func (v Vec) Axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3 Vec) {
 	assertSameLen(n, len(x1))
 	assertSameLen(n, len(x2))
 	assertSameLen(n, len(x3))
-	for j := range v {
-		v[j] = (((v[j] + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]
-	}
+	axpy4(v, a0, a1, a2, a3, x0, x1, x2, x3)
 }
 
 // Dot returns the inner product of v and other.
@@ -99,7 +101,7 @@ func (v Vec) Dot(other Vec) float64 {
 	assertSameLen(len(v), len(other))
 	var s float64
 	for i := range v {
-		s += v[i] * other[i]
+		s += float64(v[i] * other[i])
 	}
 	return s
 }
@@ -113,7 +115,7 @@ func (v Vec) SqDist(other Vec) float64 {
 	var s float64
 	for i := range v {
 		d := v[i] - other[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
