@@ -94,10 +94,10 @@ func (m *LogReg) Predict(x tensor.Vec) int {
 
 // LossGradient writes the mean cross-entropy gradient over the batch into
 // out, zeroed first, and returns the mean loss. The batch is walked in blocks
-// of blockSize samples — logits, softmax and loss per sample in batch order,
-// then one pass over the gradient for the whole block — which leaves every
-// element's chain of products as a sample-at-a-time pass forms it (see
-// MLP.LossGradient).
+// of blockSize samples — the block's logits (one MulVec4Into for a full
+// block), softmax and loss per sample in batch order, then one pass over the
+// gradient for the whole block — which leaves every element's chain of
+// products as a sample-at-a-time pass forms it (see MLP.LossGradient).
 func (m *LogReg) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(out) != m.NumParams() {
 		panic("model: LogReg.LossGradient length mismatch")
@@ -122,12 +122,14 @@ func (m *LogReg) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		n := min(blockSize, len(batch))
 		ps := m.blk[:n]
 		for k, s := range batch[:n] {
+			xs[k] = s.X
+		}
+		forwardBlock(m.w, m.b, ps, xs[:n])
+		for k, s := range batch[:n] {
 			p := ps[k]
-			m.logits(s.X, p)
 			p.SoftmaxInPlace()
 			total += -math.Log(math.Max(p[s.Y], 1e-12))
 			p[s.Y] -= 1 // dL/dz = softmax - onehot
-			xs[k] = s.X
 		}
 		wGrad.AddOuterInPlace(inv, ps, xs[:n])
 		axpyEach(bGrad, inv, ps)

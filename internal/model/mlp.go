@@ -101,12 +101,17 @@ func (m *MLP) SetParams(p tensor.Vec) {
 // paramsRef implements flatModel: the live backing vector.
 func (m *MLP) paramsRef() tensor.Vec { return m.params }
 
-// head finishes the forward pass from h = W1·x: hidden activations in place
-// in h, then logits into z.
-func (m *MLP) head(h, z tensor.Vec) {
+// activate turns h = W1·x into the hidden activations, in place.
+func (m *MLP) activate(h tensor.Vec) {
 	for i, b := range m.b1 {
 		h[i] = max(h[i]+b, 0) // ReLU, without a branch to mispredict; a NaN stays a NaN
 	}
+}
+
+// head finishes the forward pass from h = W1·x: hidden activations in place
+// in h, then logits into z.
+func (m *MLP) head(h, z tensor.Vec) {
+	m.activate(h)
 	m.w2.MulVecInto(z, h)
 	z.AddInPlace(m.b2)
 }
@@ -120,11 +125,13 @@ func (m *MLP) Predict(x tensor.Vec) int {
 
 // LossGradient writes the mean cross-entropy gradient (backprop) over the
 // batch into out, zeroed first, and returns the mean loss. The batch is
-// walked in blocks of blockSize samples: forward pass, softmax and loss per
-// sample in batch order, then one pass over each gradient matrix for the
-// whole block (tensor.Mat.AddOuterInPlace). Every gradient element still adds
-// its per-sample products in batch order from +0, so the result is bit-equal
-// to a sample-at-a-time backward pass (DESIGN.md, "Float-order preservation").
+// walked in blocks of blockSize samples: each sample's hidden layer, then the
+// block's logits (one MulVec4Into over W2 for a full block), then softmax and
+// loss per sample in batch order, then one pass over each gradient matrix for
+// the whole block (tensor.Mat.AddOuterInPlace). Every gradient element still
+// adds its per-sample products in batch order from +0, so the result is
+// bit-equal to a sample-at-a-time backward pass (DESIGN.md, "Float-order
+// preservation").
 // The hidden layer's product is MulVecTInto over a copy of W1 transposed once
 // per call (the parameters change only between calls): per hidden unit the
 // same products, in column order, from +0 as W1's row dot product.
@@ -160,9 +167,13 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		n := min(blockSize, len(batch))
 		hs, zs, dhs := m.blk.h[:n], m.blk.z[:n], m.blk.dh[:n]
 		for k, s := range batch[:n] {
+			w1t.MulVecTInto(hs[k], s.X)
+			m.activate(hs[k])
+			xs[k] = s.X
+		}
+		forwardBlock(m.w2, m.b2, zs, hs)
+		for k, s := range batch[:n] {
 			h, z, dh := hs[k], zs[k], dhs[k]
-			w1t.MulVecTInto(h, s.X)
-			m.head(h, z)
 			z.SoftmaxInPlace()
 			total += -math.Log(math.Max(z[s.Y], 1e-12))
 			z[s.Y] -= 1 // dL/dlogits
@@ -178,7 +189,6 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 				}
 				dh[i] = math.Float64frombits(bits)
 			}
-			xs[k] = s.X
 		}
 		w2g.AddOuterInPlace(inv, zs, hs)
 		axpyEach(b2g, inv, zs)

@@ -68,6 +68,23 @@ func blockScratch(n int) (slots [blockSize]tensor.Vec) {
 	return slots
 }
 
+// forwardBlock sets zs[k] = w·xs[k] + b for each sample of a block — its
+// logits, or its pre-activations — with one MulVec4Into when the block is
+// full and one MulVecInto per sample otherwise. Either way zs[k][i] is
+// Row(i).Dot(xs[k]) + b[i].
+func forwardBlock(w *tensor.Mat, b tensor.Vec, zs, xs []tensor.Vec) {
+	if len(zs) == blockSize {
+		w.MulVec4Into(zs[0], zs[1], zs[2], zs[3], xs[0], xs[1], xs[2], xs[3])
+	} else {
+		for k, z := range zs {
+			w.MulVecInto(z, xs[k])
+		}
+	}
+	for _, z := range zs {
+		z.AddInPlace(b)
+	}
+}
+
 // axpyEach performs v += a*x for each x in order — a bias gradient's share of
 // one block — in one pass over v when the block is full.
 func axpyEach(v tensor.Vec, a float64, xs []tensor.Vec) {

@@ -156,13 +156,15 @@ func TrainLocalInPlace(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 
 			loss := m.LossGradient(perm[start:end], grad)
 			lossSum += loss
-			sqLossSum += loss * loss
+			// float64(…) rounds a product before its add here and below, so
+			// no GOARCH fuses the two (DESIGN.md, "Float-order preservation").
+			sqLossSum += float64(loss * loss)
 			res.Steps++
 
 			if cfg.ProxMu > 0 && globalParams != nil {
 				// ∇[(µ/2)||x−m||²] = µ(x−m)
 				for i := range grad {
-					grad[i] += cfg.ProxMu * (params[i] - globalParams[i])
+					grad[i] += float64(cfg.ProxMu * (params[i] - globalParams[i]))
 				}
 			}
 			params.Axpy(-cfg.LearningRate, grad)

@@ -11,3 +11,6 @@ func axpy4(v []float64, a0, a1, a2, a3 float64, x0, x1, x2, x3 []float64)
 
 //go:noescape
 func mulVecT(dst, m, x []float64)
+
+//go:noescape
+func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64)

@@ -1,10 +1,10 @@
-// SSE2 kernels for Vec.Axpy, Vec.Axpy4 and Mat.MulVecTInto. Each lane of a
-// packed instruction computes exactly one output element's scalar chain: the
-// same rounded products, added to the same running value in the same order,
-// from the same start. There is no horizontal reduction and no fused
-// multiply-add, so every result is bit-equal to the Go loops in
+// SSE2 kernels for Vec.Axpy, Vec.Axpy4, Mat.MulVecTInto and Mat.MulVec4Into.
+// Each lane of a packed instruction computes exactly one output element's
+// scalar chain: the same rounded products, added to the same running value in
+// the same order, from the same start. There is no horizontal reduction and no
+// fused multiply-add, so every result is bit-equal to the Go loops in
 // kernels_other.go (DESIGN.md, "Float-order preservation"). SSE2 is the amd64
-// baseline; X15 is never written.
+// baseline; X15, R14, R15 and BP are never written.
 
 #include "textflag.h"
 
@@ -284,4 +284,163 @@ mulVecTStore1:
 	MOVSD X0, (DI)(R9*8)
 
 mulVecTDone:
+	RET
+
+// func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64)
+//
+// dk[i] = m[i][0]·xk[0] + m[i][1]·xk[1] + … in column order from +0, for
+// k = 0..3 and the row-major len(d0) × len(x0) matrix m: four matrix-vector
+// products in one pass over m. The caller has checked every length. Samples
+// ride in lanes: X10 = [x0[j], x1[j]] and X11 = [x2[j], x3[j]], so each lane
+// of a row's two accumulators is one (row, sample) chain. Rows are taken five
+// at a time in ten accumulators X0–X9 that stay in registers for the whole
+// pass over the columns, then one at a time in X0–X1; X12 and X13 are
+// scratch. The low lanes go to d0 and d2 with MOVSD, the high lanes to d1 and
+// d3 with MOVHPD, through base pointers reloaded from the frame.
+TEXT ·mulVec4(SB), NOSPLIT, $0-216
+	MOVQ m_base+96(FP), SI     // &m[r][0] of the current pass
+	MOVQ x0_base+120(FP), R8
+	MOVQ x1_base+144(FP), R9
+	MOVQ x2_base+168(FP), R10
+	MOVQ x3_base+192(FP), R11
+	MOVQ x0_len+128(FP), CX    // cols
+	XORQ BX, BX                // r, the first row of the current pass
+
+mulVec4Block5:
+	MOVQ d0_len+8(FP), AX      // rows
+	SUBQ BX, AX
+	CMPQ AX, $5
+	JL   mulVec4Single
+	MOVQ CX, AX
+	SHLQ $3, AX                // row stride in bytes
+	LEAQ (SI)(AX*1), DI
+	LEAQ (DI)(AX*1), DX
+	LEAQ (DX)(AX*1), R12
+	LEAQ (R12)(AX*1), R13
+	XORPD X0, X0
+	XORPD X1, X1
+	XORPD X2, X2
+	XORPD X3, X3
+	XORPD X4, X4
+	XORPD X5, X5
+	XORPD X6, X6
+	XORPD X7, X7
+	XORPD X8, X8
+	XORPD X9, X9
+	XORQ AX, AX                // j
+
+mulVec4Cols5:
+	CMPQ AX, CX
+	JGE  mulVec4Store5
+	MOVSD (R8)(AX*8), X10
+	MOVHPD (R9)(AX*8), X10     // X10 = [x0[j], x1[j]]
+	MOVSD (R10)(AX*8), X11
+	MOVHPD (R11)(AX*8), X11    // X11 = [x2[j], x3[j]]
+	MOVSD (SI)(AX*8), X12
+	UNPCKLPD X12, X12          // X12 = [m[r][j], m[r][j]]
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X0
+	ADDPD X13, X1
+	MOVSD (DI)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X2
+	ADDPD X13, X3
+	MOVSD (DX)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X4
+	ADDPD X13, X5
+	MOVSD (R12)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X6
+	ADDPD X13, X7
+	MOVSD (R13)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X8
+	ADDPD X13, X9
+	INCQ AX
+	JMP  mulVec4Cols5
+
+mulVec4Store5:
+	MOVQ d0_base+0(FP), AX
+	MOVSD X0, (AX)(BX*8)
+	MOVSD X2, 8(AX)(BX*8)
+	MOVSD X4, 16(AX)(BX*8)
+	MOVSD X6, 24(AX)(BX*8)
+	MOVSD X8, 32(AX)(BX*8)
+	MOVQ d1_base+24(FP), AX
+	MOVHPD X0, (AX)(BX*8)
+	MOVHPD X2, 8(AX)(BX*8)
+	MOVHPD X4, 16(AX)(BX*8)
+	MOVHPD X6, 24(AX)(BX*8)
+	MOVHPD X8, 32(AX)(BX*8)
+	MOVQ d2_base+48(FP), AX
+	MOVSD X1, (AX)(BX*8)
+	MOVSD X3, 8(AX)(BX*8)
+	MOVSD X5, 16(AX)(BX*8)
+	MOVSD X7, 24(AX)(BX*8)
+	MOVSD X9, 32(AX)(BX*8)
+	MOVQ d3_base+72(FP), AX
+	MOVHPD X1, (AX)(BX*8)
+	MOVHPD X3, 8(AX)(BX*8)
+	MOVHPD X5, 16(AX)(BX*8)
+	MOVHPD X7, 24(AX)(BX*8)
+	MOVHPD X9, 32(AX)(BX*8)
+	MOVQ CX, AX
+	SHLQ $3, AX
+	LEAQ (R13)(AX*1), SI       // &m[r+5][0]
+	ADDQ $5, BX
+	JMP  mulVec4Block5
+
+mulVec4Single:
+	CMPQ BX, d0_len+8(FP)
+	JGE  mulVec4Done
+	XORPD X0, X0
+	XORPD X1, X1
+	XORQ AX, AX
+
+mulVec4Cols1:
+	CMPQ AX, CX
+	JGE  mulVec4Store1
+	MOVSD (R8)(AX*8), X10
+	MOVHPD (R9)(AX*8), X10
+	MOVSD (R10)(AX*8), X11
+	MOVHPD (R11)(AX*8), X11
+	MOVSD (SI)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X0
+	ADDPD X13, X1
+	INCQ AX
+	JMP  mulVec4Cols1
+
+mulVec4Store1:
+	MOVQ d0_base+0(FP), AX
+	MOVSD X0, (AX)(BX*8)
+	MOVQ d1_base+24(FP), AX
+	MOVHPD X0, (AX)(BX*8)
+	MOVQ d2_base+48(FP), AX
+	MOVSD X1, (AX)(BX*8)
+	MOVQ d3_base+72(FP), AX
+	MOVHPD X1, (AX)(BX*8)
+	LEAQ (SI)(CX*8), SI        // &m[r+1][0]
+	INCQ BX
+	JMP  mulVec4Single
+
+mulVec4Done:
 	RET

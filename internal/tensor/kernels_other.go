@@ -36,3 +36,11 @@ func mulVecT(dst, m, x []float64) {
 		axpy(dst, x[i], m[i*cols:(i+1)*cols])
 	}
 }
+
+func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64) {
+	mat := Mat{Rows: len(d0), Cols: len(x0), Data: m}
+	mat.MulVecInto(d0, x0)
+	mat.MulVecInto(d1, x1)
+	mat.MulVecInto(d2, x2)
+	mat.MulVecInto(d3, x3)
+}

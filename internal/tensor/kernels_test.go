@@ -9,9 +9,10 @@ import (
 	"flips/internal/rng"
 )
 
-// The scalar loops Axpy, Axpy4 and MulVecTInto ran before they became SSE2
-// assembly on amd64: the chains the kernels must reproduce word for word.
-// The explicit conversions keep a fusing compiler from changing them.
+// The scalar loops Axpy, Axpy4, MulVecTInto and MulVec4Into ran before they
+// became SSE2 assembly on amd64: the chains the kernels must reproduce word
+// for word. The explicit conversions keep a fusing compiler from changing
+// them.
 
 func axpyReference(v Vec, a float64, x Vec) {
 	for j := range v {
@@ -31,6 +32,14 @@ func mulVecTReference(m *Mat, dst, x Vec) {
 	}
 	for i := 0; i < m.Rows; i++ {
 		axpyReference(dst, x[i], m.Row(i))
+	}
+}
+
+func mulVec4Reference(m *Mat, d, x [4]Vec) {
+	for k := range d {
+		for i := range d[k] {
+			d[k][i] = m.Row(i).Dot(x[k])
+		}
 	}
 }
 
@@ -93,10 +102,31 @@ func checkMulVecT(t *testing.T, what string, m *Mat, x Vec) {
 	checkGuards(t, "MulVecTInto "+what, gotBacking)
 }
 
-// TestKernelsMatchScalarReference pins Axpy, Axpy4 and MulVecTInto to the
-// scalar loops word for word: every length through four 16-column blocks
-// and their pair and single tails, inputs at an unaligned offset, data
-// salted with signed zeros, infinities, NaN and subnormals.
+// checkMulVec4 runs MulVec4Into on m and x against the scalar reference,
+// into outputs that hold data beforehand.
+func checkMulVec4(t *testing.T, what string, m *Mat, x [4]Vec) {
+	t.Helper()
+	var got, gotBacking, want [4]Vec
+	for k := range got {
+		got[k], gotBacking[k] = guarded(m.Rows)
+		for i := range got[k] {
+			got[k][i] = float64(i) - 0.5 // overwritten, never read
+		}
+		want[k] = NewVec(m.Rows)
+	}
+	m.MulVec4Into(got[0], got[1], got[2], got[3], x[0], x[1], x[2], x[3])
+	mulVec4Reference(m, want, x)
+	for k := range got {
+		sameKernelBits(t, fmt.Sprintf("MulVec4Into d%d %s", k, what), got[k], want[k])
+		checkGuards(t, fmt.Sprintf("MulVec4Into d%d %s", k, what), gotBacking[k])
+	}
+}
+
+// TestKernelsMatchScalarReference pins Axpy, Axpy4, MulVecTInto and
+// MulVec4Into to the scalar loops word for word: every length through four
+// 16-column blocks and their pair and single tails, every row count through
+// two five-row passes and each leftover count, inputs at an unaligned
+// offset, data salted with signed zeros, infinities, NaN and subnormals.
 func TestKernelsMatchScalarReference(t *testing.T) {
 	t.Parallel()
 	fill := saltedFill(47)
@@ -125,18 +155,37 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 			}
 		}
 	}
+	for _, cols := range []int{0, 1, 2, 3, 5, 31, 32, 33, 36} {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 31, 32, 33} {
+			for _, salted := range []bool{false, true} {
+				data, _ := guarded(rows * cols)
+				fill(data, salted)
+				var x [4]Vec
+				for k := range x {
+					x[k], _ = guarded(cols)
+					fill(x[k], salted)
+				}
+				checkMulVec4(t, fmt.Sprintf("%dx%d salted=%v", rows, cols, salted), &Mat{Rows: rows, Cols: cols, Data: data}, x)
+			}
+		}
+	}
 
 	v := NewVec(3)
 	m := NewMat(5, 3)
+	d := NewVec(5)
 	expectPanics(t, "a kernel", map[string]func(){
 		"Axpy x":             func() { v.Axpy(1, NewVec(4)) },
 		"MulVecTInto m.Data": func() { (&Mat{Rows: 5, Cols: 3, Data: m.Data[:14]}).MulVecTInto(v, NewVec(5)) },
+		"MulVec4Into x":      func() { m.MulVec4Into(d, d, d, d, v, v, v, NewVec(2)) },
+		"MulVec4Into d":      func() { m.MulVec4Into(d, NewVec(4), d, d, v, v, v, v) },
+		"MulVec4Into m.Data": func() { (&Mat{Rows: 5, Cols: 3, Data: m.Data[:14]}).MulVec4Into(d, d, d, d, v, v, v, v) },
 	})
 }
 
 // FuzzTensorKernels drives the same comparison from arbitrary bytes: the
 // first two pick the vector length and the matrix shape, the rest are the
-// coefficients' and the data's bit patterns while they last.
+// coefficients' and the data's bit patterns while they last. MulVecTInto and
+// MulVec4Into share the matrix.
 func FuzzTensorKernels(f *testing.F) {
 	f.Add([]byte{36, 32})
 	f.Add([]byte{5, 0x23, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
@@ -179,6 +228,13 @@ func FuzzTensorKernels(f *testing.F) {
 		fillWords(xm)
 		fillWords(m.Data)
 		checkMulVecT(t, fmt.Sprintf("%dx%d", rows, cols), m, xm)
+
+		var x4 [4]Vec
+		for k := range x4 {
+			x4[k], _ = guarded(cols)
+			fillWords(x4[k])
+		}
+		checkMulVec4(t, fmt.Sprintf("%dx%d", rows, cols), m, x4)
 	})
 }
 
@@ -211,8 +267,9 @@ func TestTransposeInto(t *testing.T) {
 
 // The kernels at the shapes the benchmark's jobs run them at — a FEMNIST MLP
 // gradient row (36 words), the hidden layer's forward product over W1
-// transposed (36x32) and the backward dh = W2ᵀz (10x32) — each beside its
-// scalar reference in the same run. CI gates each ratio at 0.75: with the Go
+// transposed (36x32), the backward dh = W2ᵀz (10x32), and a full block's
+// forward product over ECG's logistic regression (5x32) and the MLP's W2
+// (10x32) — each beside its scalar reference in the same run. CI gates each ratio at 0.75: with the Go
 // loops in place of the assembly, Axpy4 reads above 1.
 
 var benchSink Vec
@@ -264,3 +321,35 @@ func benchmarkMulVecT(b *testing.B, kernel func(m *Mat, dst, x Vec)) {
 func BenchmarkMulVecTInto(b *testing.B) { benchmarkMulVecT(b, (*Mat).MulVecTInto) }
 
 func BenchmarkMulVecTIntoReference(b *testing.B) { benchmarkMulVecT(b, mulVecTReference) }
+
+func benchmarkMulVec4(b *testing.B, kernel func(m *Mat, d, x [4]Vec)) {
+	for _, shape := range [][2]int{{5, 32}, {10, 32}} {
+		rows, cols := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			m := &Mat{Rows: rows, Cols: cols, Data: benchVecs(rows*cols, 1)[0]}
+			var d, x [4]Vec
+			copy(d[:], benchVecs(rows, 4))
+			copy(x[:], benchVecs(cols, 4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(m, d, x)
+			}
+			benchSink = d[0]
+		})
+	}
+}
+
+func BenchmarkMulVec4Into(b *testing.B) {
+	benchmarkMulVec4(b, func(m *Mat, d, x [4]Vec) { m.MulVec4Into(d[0], d[1], d[2], d[3], x[0], x[1], x[2], x[3]) })
+}
+
+// BenchmarkMulVec4IntoReference is the four MulVecInto calls a full block
+// made before MulVec4Into.
+func BenchmarkMulVec4IntoReference(b *testing.B) {
+	benchmarkMulVec4(b, func(m *Mat, d, x [4]Vec) {
+		for k := range d {
+			m.MulVecInto(d[k], x[k])
+		}
+	})
+}

@@ -64,6 +64,26 @@ func (m *Mat) MulVecInto(dst, x Vec) {
 	}
 }
 
+// MulVec4Into computes dk = m * xk for k = 0, 1, 2, 3 — four column vectors
+// of length Cols into four caller-provided vectors of length Rows — in one
+// pass over m, allocating nothing. No dk may overlap an x or m. Every dk[i]
+// is bit-equal to Row(i).Dot(xk): the samples ride in separate lanes, so each
+// (row, sample) pair keeps its own chain of products in column order from
+// +0, and the four samples' chains are independent of each other and share
+// every load of m.
+func (m *Mat) MulVec4Into(d0, d1, d2, d3, x0, x1, x2, x3 Vec) {
+	assertSameLen(len(x0), m.Cols)
+	assertSameLen(len(x1), m.Cols)
+	assertSameLen(len(x2), m.Cols)
+	assertSameLen(len(x3), m.Cols)
+	assertSameLen(len(d0), m.Rows)
+	assertSameLen(len(d1), m.Rows)
+	assertSameLen(len(d2), m.Rows)
+	assertSameLen(len(d3), m.Rows)
+	assertSameLen(len(m.Data), m.Rows*m.Cols)
+	mulVec4(d0, d1, d2, d3, m.Data, x0, x1, x2, x3)
+}
+
 // MulVecTInto computes dst = mᵀ * x, for a column vector x of length Rows,
 // into the caller-provided dst of length Cols, allocating nothing; dst must
 // not overlap x or m. dst[j] adds x[i]·m[i][j] for i = 0, 1, 2, … in row

@@ -8,9 +8,10 @@
 // no parallelism. Blocking — several rows or several samples per pass over a
 // vector — is allowed when every output element keeps the chain it had
 // unblocked. SIMD is allowed only lane-wise, with each lane one output
-// element's scalar chain and no horizontal reduction: Axpy, Axpy4 and
-// MulVecTInto are SSE2 assembly on amd64 (kernels_amd64.s) and the loops in
-// kernels_other.go elsewhere (DESIGN.md, "Float-order preservation").
+// element's scalar chain and no horizontal reduction: Axpy, Axpy4,
+// MulVecTInto and MulVec4Into are SSE2 assembly on amd64 (kernels_amd64.s)
+// and the loops in kernels_other.go elsewhere (DESIGN.md, "Float-order
+// preservation").
 package tensor
 
 import (
