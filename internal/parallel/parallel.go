@@ -9,6 +9,10 @@
 // pool itself guarantees only that every index in [0, n) is processed exactly
 // once; it makes no ordering promise between workers, which is why callers
 // must never fold results in completion order.
+//
+// A panic in a work item is not lost on a worker goroutine: the call
+// re-raises it on its caller as one *panicError carrying the value and the
+// panicking stack, however many pools it crossed on the way out.
 package parallel
 
 import (
@@ -52,10 +56,11 @@ func (e *panicError) Error() string {
 }
 
 // ForEach invokes fn(i) for every i in [0, n), running at most Width()
-// invocations concurrently. It blocks until all invocations return. If any
-// invocation panics, ForEach re-panics in the caller's goroutine with a
-// *panicError wrapping the first observed panic value; remaining items may
-// be skipped once a panic is observed.
+// invocations concurrently, one of them on the caller's goroutine. It blocks
+// until all invocations return. If any invocation panics, ForEach re-panics
+// in the caller's goroutine with a *panicError wrapping the first observed
+// panic value (a *panicError from a nested pool is re-raised as is, not
+// wrapped again); remaining items may be skipped once a panic is observed.
 //
 // When the pool width is 1 (or n <= 1), fn runs on the caller's goroutine in
 // index order — the exact sequential semantics, with no goroutine overhead.
@@ -64,82 +69,94 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 }
 
 // ForEachWorker is ForEach with worker identity: fn(worker, i) where worker
-// in [0, min(Width(), n)) names the goroutine executing the item. Two items
+// in [0, min(Width(), n)) names the worker executing the item. Two items
 // given the same worker id never run concurrently, so callers can key
 // reusable scratch state (model replicas, buffers) by worker id instead of
 // allocating per item. Work distribution across workers is unspecified —
-// results must not depend on which worker processed which item. The
-// sequential path (width 1 or n <= 1) runs everything as worker 0; panic
-// semantics match ForEach.
+// results must not depend on which worker processed which item.
+//
+// The caller is one of the workers: a call of W = min(Width(), n) workers
+// starts W-1 goroutines and runs the last worker id itself, so the calling
+// goroutine runs items instead of parking until the others finish. At
+// W == 1 nothing is started and everything runs as worker 0 in index order.
+// Panic semantics match ForEach: the first panic re-raises on the caller
+// once every started worker has stopped.
 func (p *Pool) ForEachWorker(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	if p.Width() == 1 || n == 1 {
+	workers := min(p.Width(), n)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, wrapped := r.(*panicError); wrapped {
-							panic(r)
-						}
-						buf := make([]byte, 64<<10)
-						buf = buf[:runtime.Stack(buf, false)]
-						panic(&panicError{value: r, stack: buf})
-					}
-				}()
-				fn(0, i)
-			}()
+			if failure := call(fn, 0, i); failure != nil {
+				panic(failure)
+			}
 		}
 		return
 	}
 
-	workers := p.Width()
-	if workers > n {
-		workers = n
+	f := &fanout{fn: fn, n: n}
+	f.wg.Add(workers - 1)
+	for w := 0; w < workers-1; w++ {
+		go f.helper(w)
 	}
+	f.work(workers - 1)
+	f.wg.Wait()
+	if f.failure != nil {
+		panic(f.failure)
+	}
+}
 
-	var (
-		next    atomic.Int64
-		panicMu sync.Mutex
-		failure *panicError
-		wg      sync.WaitGroup
-	)
-	aborted := func() bool {
-		panicMu.Lock()
-		defer panicMu.Unlock()
-		return failure != nil
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || aborted() {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							buf := make([]byte, 64<<10)
-							buf = buf[:runtime.Stack(buf, false)]
-							panicMu.Lock()
-							if failure == nil {
-								failure = &panicError{value: r, stack: buf}
-							}
-							panicMu.Unlock()
-						}
-					}()
-					fn(worker, i)
-				}()
+// fanout is the state one multi-worker ForEachWorker call shares between
+// the caller and its helper goroutines.
+type fanout struct {
+	fn      func(worker, i int)
+	n       int
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	aborted atomic.Bool
+	// failure is written once, by the worker that sets aborted, and read by
+	// the caller after wg.Wait.
+	failure *panicError
+}
+
+func (f *fanout) helper(worker int) {
+	defer f.wg.Done()
+	f.work(worker)
+}
+
+// work claims items until they run out or some worker has panicked.
+func (f *fanout) work(worker int) {
+	for !f.aborted.Load() {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			return
+		}
+		if failure := call(f.fn, worker, i); failure != nil {
+			if f.aborted.CompareAndSwap(false, true) {
+				f.failure = failure
 			}
-		}(w)
+			return
+		}
 	}
-	wg.Wait()
-	if failure != nil {
-		panic(failure)
-	}
+}
+
+// call runs fn(worker, i) and returns its panic, if any, as a *panicError
+// carrying the panicking stack. A *panicError raised by a nested pool passes
+// through unchanged, so a failure is wrapped once however deep it started.
+func call(fn func(worker, i int), worker, i int) (failure *panicError) {
+	defer func() {
+		if r := recover(); r != nil {
+			if inner, ok := r.(*panicError); ok {
+				failure = inner
+				return
+			}
+			buf := make([]byte, 64<<10)
+			failure = &panicError{value: r, stack: buf[:runtime.Stack(buf, false)]}
+		}
+	}()
+	fn(worker, i)
+	return nil
 }
 
 // Map runs fn over every index in [0, n) on pool p and returns the results

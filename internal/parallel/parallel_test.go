@@ -1,9 +1,13 @@
 package parallel
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
@@ -113,6 +117,34 @@ func TestForEachPropagatesPanic(t *testing.T) {
 	}
 }
 
+// TestForEachPropagatesNestedPanic: a panic two pools deep reaches the
+// outer caller wrapped once, whichever of the two pools fans out.
+func TestForEachPropagatesNestedPanic(t *testing.T) {
+	t.Parallel()
+	for _, outer := range []int{1, 2} {
+		for _, inner := range []int{1, 2} {
+			func() {
+				defer func() {
+					pe, ok := recover().(*panicError)
+					if !ok {
+						t.Fatalf("outer %d inner %d: did not recover one *panicError", outer, inner)
+					}
+					if pe.value != "boom" {
+						t.Fatalf("outer %d inner %d: panic value %v (%T), want \"boom\"", outer, inner, pe.value, pe.value)
+					}
+				}()
+				New(outer).ForEach(8, func(i int) {
+					New(inner).ForEach(8, func(j int) {
+						if i == 3 && j == 5 {
+							panic("boom")
+						}
+					})
+				})
+			}()
+		}
+	}
+}
+
 func TestForEachZeroAndNegativeN(t *testing.T) {
 	t.Parallel()
 	called := false
@@ -188,5 +220,92 @@ func TestForEachWorkerSequentialUsesWorkerZero(t *testing.T) {
 		if i != v {
 			t.Fatalf("sequential order broken: %v", got)
 		}
+	}
+}
+
+// goroutineHeader returns the "goroutine N" that opens the calling
+// goroutine's stack dump.
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	if i := bytes.Index(buf, []byte(" [")); i > 0 {
+		buf = buf[:i]
+	}
+	return string(buf)
+}
+
+// TestForEachWorkerCallerIsAWorker: a fanned-out call runs exactly one
+// worker id on the calling goroutine and each other id on a goroutine of
+// its own. Every item waits until all W items have started, so each of the
+// W workers holds exactly one.
+func TestForEachWorkerCallerIsAWorker(t *testing.T) {
+	t.Parallel()
+	for _, width := range []int{2, 4} {
+		caller := goroutineHeader()
+		ran := make([]string, width)
+		var started sync.WaitGroup
+		started.Add(width)
+		all := make(chan struct{})
+		go func() { started.Wait(); close(all) }()
+		New(width).ForEachWorker(width, func(w, _ int) {
+			ran[w] = goroutineHeader()
+			started.Done()
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				t.Errorf("width %d: only some workers started", width)
+			}
+		})
+		onCaller, seen := 0, map[string]bool{}
+		for w, g := range ran {
+			if g == caller {
+				onCaller++
+			}
+			if seen[g] {
+				t.Fatalf("width %d: worker %d shares %s with another worker", width, w, g)
+			}
+			seen[g] = true
+		}
+		if onCaller != 1 {
+			t.Fatalf("width %d: %d worker ids ran on the caller (%s), want 1: %q", width, onCaller, caller, ran)
+		}
+	}
+}
+
+func noop(int, int) {}
+
+// TestForEachWorkerAllocs: the width-1 loop allocates nothing, and a
+// fanned-out call allocates its shared state and one closure per helper.
+func TestForEachWorkerAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		width int
+		max   float64
+	}{{1, 0}, {2, 2}} {
+		p := New(tc.width)
+		if got := testing.AllocsPerRun(200, func() { p.ForEachWorker(16, noop) }); got > tc.max {
+			t.Errorf("width %d: %.1f allocs per call, want <= %.0f", tc.width, got, tc.max)
+		}
+	}
+}
+
+// BenchmarkForEachWorker: one 16-item call of small independent items, the
+// shape of the engine's per-wave training call at pool widths 1 and 2.
+func BenchmarkForEachWorker(b *testing.B) {
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			p := New(width)
+			var sums [16]float64
+			item := func(_, i int) {
+				s := 0.0
+				for k := 1; k <= 64; k++ {
+					s += float64(i) / float64(k)
+				}
+				sums[i] = s
+			}
+			b.ReportAllocs()
+			for it := 0; it < b.N; it++ {
+				p.ForEachWorker(len(sums), item)
+			}
+		})
 	}
 }

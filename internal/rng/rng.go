@@ -78,8 +78,11 @@ func (r *Source) Uint64() uint64 {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Float64 returns a uniform float64 in [0, 1).
+//
+// The float64 conversions here and in sampling.go round a product before it
+// feeds an add, so a compiler that fuses x*y + z (arm64) draws the amd64 bits.
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, mirroring
@@ -120,7 +123,7 @@ func (r *Source) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
