@@ -9,6 +9,7 @@
 package flips
 
 import (
+	"runtime"
 	"testing"
 
 	"flips/internal/cluster"
@@ -233,21 +234,30 @@ func BenchmarkAblationClusterSignal(b *testing.B) {
 }
 
 // BenchmarkFleetBuild builds the benchmark's fleet job (buffered oort over a
-// lognormal churn fleet) at 2k and 20k parties and reports ns/party: the
-// per-job set-up FLIPS pays once in front of round 1. A build linear in the
-// fleet keeps the two ns/party values close; a per-party rescan of the fleet
-// anywhere in dataset → partition → parties → devices → selector shows up as
-// their ratio.
+// lognormal churn fleet) at 2k and 20k parties, and the paper's FLIPS job
+// (femnist, 200 parties at PaperScale, the whole Davies-Bouldin sweep), and
+// reports ns/party and B/sample: the per-job set-up FLIPS pays once in front
+// of round 1. A build linear in the fleet keeps the two fleet cells' ns/party
+// close; a per-party rescan of the fleet anywhere in dataset → partition →
+// parties → devices → selector shows up as their ratio. B/sample is the
+// bytes allocated per train sample: one copy of the data is 8·Dim bytes of
+// feature vector and a Sample header per sample, and a second copy shows.
 func BenchmarkFleetBuild(b *testing.B) {
+	paper := SimulationConfig{
+		Dataset: "femnist", Algorithm: "fedyogi", Strategy: "flips", Alpha: 0.3, PartyFraction: 0.2,
+		DeviceProfile: "lognormal", Availability: "churn", PaperScale: true, Seed: 7,
+	}
 	for _, bc := range []struct {
-		name    string
-		parties int
-	}{{"2k", 2000}, {"20k", 20000}} {
+		name string
+		cfg  SimulationConfig
+	}{{"2k", fleetConfig(2000)}, {"20k", fleetConfig(20000)}, {"paper", paper}} {
 		b.Run(bc.name, func(b *testing.B) {
-			setting, scale, err := fleetConfig(bc.parties).resolve()
+			setting, scale, err := bc.cfg.resolve()
 			if err != nil {
 				b.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -255,7 +265,10 @@ func BenchmarkFleetBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.parties), "ns/party")
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(scale.Parties), "ns/party")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(scale.TrainSize), "B/sample")
 		})
 	}
 }

@@ -94,6 +94,8 @@ var badConfigs = []SimulationConfig{
 	{Dataset: "mit-bih-ecg", FaultScale: 5},                                       // no fault to scale
 	{Dataset: "mit-bih-ecg", Deadline: 3},                                         // a sync deadline needs devices
 	{Dataset: "mit-bih-ecg", Deadline: 3, Aggregation: "buffered"},                // buffered has no deadline
+	{Dataset: "mit-bih-ecg", Strategy: "flips", Parties: 2e9},                     // 4e9 train samples: above the data bound
+	{Dataset: "mit-bih-ecg", Parties: 5e7, Rounds: 1},                             // 1e8 train samples: above the data bound
 }
 
 func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
@@ -121,6 +123,8 @@ func TestValidateRejectsBadConfigsWithoutRunning(t *testing.T) {
 		"masked": {Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8, Mask: true},
 		// Semisync windows run on the legacy latency clock without devices.
 		"device-less semisync": {Dataset: "mit-bih-ecg", Rounds: 4, Parties: 8, Aggregation: "semisync", Deadline: 3},
+		// The largest fleet the scale sweep reproduces fits the data bound.
+		"1M parties": {Dataset: "mit-bih-ecg", Strategy: "flips", Parties: 1e6},
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s config rejected: %v", name, err)

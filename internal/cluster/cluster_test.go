@@ -42,7 +42,7 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
 	points, truth := blobPoints(4, 50, 8, 20, 0.5, r)
-	res, err := KMeans(points, 4, r.Split(9))
+	res, err := KMeans(tensor.MatFromRows(points), 4, r.Split(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 func TestKMeansValidation(t *testing.T) {
 	t.Parallel()
 	r := rng.New(2)
-	if _, err := KMeans(nil, 1, r); err == nil {
+	if _, err := KMeans(tensor.NewMat(0, 0), 1, r); err == nil {
 		t.Fatal("expected error for empty points")
 	}
 	pts := []tensor.Vec{{1}, {2}}
-	if _, err := KMeans(pts, 0, r); err == nil {
+	if _, err := KMeans(tensor.MatFromRows(pts), 0, r); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := KMeans(pts, 3, r); err == nil {
+	if _, err := KMeans(tensor.MatFromRows(pts), 3, r); err == nil {
 		t.Fatal("expected error for k>n")
 	}
 }
@@ -86,7 +86,7 @@ func TestKMeansK1(t *testing.T) {
 	t.Parallel()
 	r := rng.New(3)
 	points, _ := blobPoints(2, 20, 4, 5, 1, r)
-	res, err := KMeans(points, 1, r)
+	res, err := KMeans(tensor.MatFromRows(points), 1, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestKMeansAssignmentsNearest(t *testing.T) {
 		r := rng.New(seed)
 		k := 2 + r.Intn(4)
 		points, _ := blobPoints(k, 10+r.Intn(10), 3, 8, 1, r)
-		res, err := KMeans(points, k, r)
+		res, err := KMeans(tensor.MatFromRows(points), k, r)
 		if err != nil {
 			return false
 		}
@@ -131,11 +131,11 @@ func TestKMeansDeterministic(t *testing.T) {
 	t.Parallel()
 	r := rng.New(5)
 	points, _ := blobPoints(3, 30, 6, 10, 1, r)
-	a, err := KMeans(points, 3, rng.New(77))
+	a, err := KMeans(tensor.MatFromRows(points), 3, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(points, 3, rng.New(77))
+	b, err := KMeans(tensor.MatFromRows(points), 3, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 		// Take the best of a few restarts so the comparison is meaningful.
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := KMeans(points, k, r.Split(uint64(k*100+trial)))
+			res, err := KMeans(tensor.MatFromRows(points), k, r.Split(uint64(k*100+trial)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,11 +181,11 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 	dbiAt := func(k int) float64 {
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := KMeans(points, k, r.Split(uint64(k*31+trial)))
+			res, err := KMeans(tensor.MatFromRows(points), k, r.Split(uint64(k*31+trial)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := DaviesBouldin(points, res); d < best {
+			if d := dbiOf(points, res); d < best {
 				best = d
 			}
 		}
@@ -201,11 +201,11 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 func TestDaviesBouldinDegenerate(t *testing.T) {
 	t.Parallel()
 	points := []tensor.Vec{{1, 1}, {2, 2}}
-	res, err := KMeans(points, 1, rng.New(1))
+	res, err := KMeans(tensor.MatFromRows(points), 1, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := DaviesBouldin(points, res); d != 0 {
+	if d := dbiOf(points, res); d != 0 {
 		t.Fatalf("single-cluster DBI should be 0, got %v", d)
 	}
 }
@@ -235,10 +235,7 @@ func TestOptimalKOnBlobs(t *testing.T) {
 	r := rng.New(8)
 	trueK := 6
 	points, _ := blobPoints(trueK, 30, 5, 30, 0.3, r)
-	k, curve, err := OptimalK(points, 15, 5, r.Split(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	k, curve := OptimalK(tensor.MatFromRows(points), 15, 5, r.Split(1))
 	if len(curve) != 14 {
 		t.Fatalf("curve length %d", len(curve))
 	}
@@ -357,7 +354,7 @@ func TestKMeansInertiaNonIncreasingAcrossIterations(t *testing.T) {
 	points, _ := blobPoints(4, 40, 6, 6, 2.0, r)
 	prev := math.Inf(1)
 	for iters := 1; iters <= 12; iters++ {
-		res, err := kmeans(points, 4, rng.New(99), iters)
+		res, err := kmeans(tensor.MatFromRows(points), 4, rng.New(99), iters)
 		if err != nil {
 			t.Fatal(err)
 		}

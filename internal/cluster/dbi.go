@@ -7,23 +7,23 @@ import (
 	"flips/internal/tensor"
 )
 
-// DaviesBouldin computes the Davies-Bouldin index of a clustering: the mean
-// over clusters of the worst-case ratio (s_i + s_j) / d(c_i, c_j), where s_i
-// is the average distance of cluster i's members to its centroid. Lower is
-// better. Empty clusters are skipped.
+// daviesBouldin returns the Davies-Bouldin index of the clustering a run
+// left in the workspace: the mean over clusters of the worst-case ratio
+// (s_i + s_j) / d(c_i, c_j), where s_i is the average distance of cluster
+// i's members to its centroid. Lower is better. Empty clusters are skipped.
 //
 // The FLIPS paper uses this index as the purity metric for choosing the
 // number of label-distribution clusters (Eq. 3, Figure 2).
-func DaviesBouldin(points []tensor.Vec, res *KMeansResult) float64 {
-	k := len(res.Centroids)
+func (s *sweep) daviesBouldin(k int) float64 {
 	if k <= 1 {
 		return 0
 	}
-	scatter := make([]float64, k)
-	counts := make([]int, k)
-	for i, p := range points {
-		c := res.Assignments[i]
-		scatter[c] += p.Dist(res.Centroids[c])
+	pts, d, cent := s.pts, s.dim, s.cent[:k]
+	scatter, counts := s.scatter[:k], s.counts[:k]
+	clear(scatter)
+	clear(counts)
+	for i, c := range s.assign {
+		scatter[c] += pts[i*d : (i+1)*d].Dist(cent[c])
 		counts[c]++
 	}
 	live := 0
@@ -46,11 +46,11 @@ func DaviesBouldin(points []tensor.Vec, res *KMeansResult) float64 {
 			if j == i || counts[j] == 0 {
 				continue
 			}
-			d := res.Centroids[i].Dist(res.Centroids[j])
-			if d == 0 {
+			dist := cent[i].Dist(cent[j])
+			if dist == 0 {
 				continue
 			}
-			if ratio := (scatter[i] + scatter[j]) / d; ratio > worst {
+			if ratio := (scatter[i] + scatter[j]) / dist; ratio > worst {
 				worst = ratio
 			}
 		}
@@ -62,30 +62,35 @@ func DaviesBouldin(points []tensor.Vec, res *KMeansResult) float64 {
 // DBICurve evaluates the mean Davies-Bouldin index for each k in [2, maxK],
 // averaging `repeats` K-Means runs per k because K-Means is sensitive to
 // centroid initialization (the paper averages T=20 runs, §3.1). The returned
-// slice is indexed so curve[i] is the mean DBI at k = i+2.
+// slice is indexed so curve[i] is the mean DBI at k = i+2. Points must share
+// one dimension; the error is always nil.
 func DBICurve(points []tensor.Vec, maxK, repeats int, r *rng.Source) ([]float64, error) {
+	return dbiCurve(tensor.MatFromRows(points), maxK, repeats, r), nil
+}
+
+// dbiCurve is DBICurve over the rows of points, every fit in one workspace.
+func dbiCurve(points *tensor.Mat, maxK, repeats int, r *rng.Source) []float64 {
 	if maxK < 2 {
 		maxK = 2
 	}
-	if maxK > len(points) {
-		maxK = len(points)
+	if maxK > points.Rows {
+		maxK = points.Rows
 	}
 	if repeats < 1 {
 		repeats = 1
 	}
-	curve := make([]float64, 0, maxK-1)
+	s := newSweep(points, maxK)
+	curve := make([]float64, 0, max(maxK-1, 0))
 	for k := 2; k <= maxK; k++ {
 		var sum float64
 		for t := 0; t < repeats; t++ {
-			res, err := KMeans(points, k, r.Split(uint64(k*1000+t)))
-			if err != nil {
-				return nil, err
-			}
-			sum += DaviesBouldin(points, res)
+			tr := *r.Split(uint64(k*1000 + t))
+			s.run(k, &tr, maxIterations)
+			sum += s.daviesBouldin(k)
 		}
 		curve = append(curve, sum/float64(repeats))
 	}
-	return curve, nil
+	return curve
 }
 
 // ElbowK locates the paper's elbow point (Eq. 3, "the cluster size k for
@@ -147,12 +152,10 @@ func ElbowK(curve []float64) int {
 	return 2
 }
 
-// OptimalK runs the full paper §3.1 procedure: compute the DBI curve over
-// k in [2, maxK] with `repeats` restarts each, then choose the elbow point.
-func OptimalK(points []tensor.Vec, maxK, repeats int, r *rng.Source) (int, []float64, error) {
-	curve, err := DBICurve(points, maxK, repeats, r)
-	if err != nil {
-		return 0, nil, err
-	}
-	return ElbowK(curve), curve, nil
+// OptimalK runs the full paper §3.1 procedure over the rows of points:
+// compute the DBI curve over k in [2, maxK] with `repeats` restarts each,
+// then choose the elbow point.
+func OptimalK(points *tensor.Mat, maxK, repeats int, r *rng.Source) (int, []float64) {
+	curve := dbiCurve(points, maxK, repeats, r)
+	return ElbowK(curve), curve
 }

@@ -61,7 +61,7 @@ func Agglomerative(dist *tensor.Mat, k int) ([]int, error) {
 			if !active[m] || m == bi || m == bj {
 				continue
 			}
-			nd := (ni*d.At(bi, m) + nj*d.At(bj, m)) / (ni + nj)
+			nd := (float64(ni*d.At(bi, m)) + float64(nj*d.At(bj, m))) / (ni + nj)
 			d.Set(bi, m, nd)
 			d.Set(m, bi, nd)
 		}

@@ -258,7 +258,7 @@ func (s *Selector) Observe(fb fl.RoundFeedback) {
 	// the intended running average and use an EWMA with factor 1/2.
 	if len(fb.Selected) > 0 {
 		rate := float64(len(fb.Stragglers)) / float64(len(fb.Selected))
-		s.stragRate = 0.5*s.stragRate + 0.5*rate
+		s.stragRate = float64(0.5*s.stragRate) + float64(0.5*rate)
 	}
 }
 
@@ -280,15 +280,12 @@ func ClusterLabelDistributions(lds []tensor.Vec, maxK, repeats int, r *rng.Sourc
 	}
 	points := normalized(lds)
 	if maxK <= 0 {
-		maxK = len(points)
+		maxK = points.Rows
 	}
 	if repeats <= 0 {
 		repeats = 20 // the paper's T=20
 	}
-	k, _, err := cluster.OptimalK(points, maxK, repeats, r.Split(1))
-	if err != nil {
-		return nil, err
-	}
+	k, _ := cluster.OptimalK(points, maxK, repeats, r.Split(1))
 	return kMeansClusters(points, k, r.Split(2))
 }
 
@@ -297,18 +294,19 @@ func ClusterWithK(lds []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
 	return kMeansClusters(normalized(lds), k, r)
 }
 
-// normalized returns label-proportion copies of the label distributions.
-func normalized(lds []tensor.Vec) []tensor.Vec {
-	points := make([]tensor.Vec, len(lds))
-	for i, ld := range lds {
-		points[i] = ld.Clone().Normalize()
+// normalized returns the label distributions' proportions, one row per
+// party. Each row is a copy; the distributions are left as they are.
+func normalized(lds []tensor.Vec) *tensor.Mat {
+	points := tensor.MatFromRows(lds)
+	for i := 0; i < points.Rows; i++ {
+		points.Row(i).Normalize()
 	}
 	return points
 }
 
 // kMeansClusters K-Means-partitions the points into k clusters and returns
 // the non-empty ones, members in ascending order.
-func kMeansClusters(points []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
+func kMeansClusters(points *tensor.Mat, k int, r *rng.Source) ([][]int, error) {
 	res, err := cluster.KMeans(points, k, r)
 	if err != nil {
 		return nil, err

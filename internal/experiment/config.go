@@ -6,6 +6,7 @@ package experiment
 
 import (
 	"fmt"
+	"unsafe"
 
 	"flips/internal/chaos"
 	"flips/internal/dataset"
@@ -271,6 +272,20 @@ type plan struct {
 	cfg     fl.Config
 }
 
+// maxDataBytes bounds the samples a job may generate, so a submission cannot
+// ask for more memory than the host has: a 1M-party ECG job (2M train
+// samples, ≈0.58 GB) fits with headroom, and the bound sits well below the
+// 7 GiB reference box.
+const maxDataBytes = 2 << 30
+
+// dataBytes is what a job's generated data holds: one copy of every train and
+// test sample, its feature vector and its Sample header. Build keeps no
+// second copy (see applyFeatureShift).
+func dataBytes(spec dataset.Spec) float64 {
+	perSample := 8*spec.Dim + int(unsafe.Sizeof(dataset.Sample{}))
+	return (float64(spec.TrainSize) + float64(spec.TestSize)) * float64(perSample)
+}
+
 func newPlan(setting Setting, scale Scale) (*plan, error) {
 	if setting.PartyFraction <= 0 || setting.PartyFraction > 1 {
 		return nil, fmt.Errorf("experiment: party fraction %v out of (0,1]", setting.PartyFraction)
@@ -284,6 +299,10 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if b := dataBytes(spec); b > maxDataBytes {
+		return nil, fmt.Errorf("experiment: %d train + %d test samples of dimension %d need %.1f GiB, above the %d GiB data bound",
+			spec.TrainSize, spec.TestSize, spec.Dim, b/(1<<30), maxDataBytes>>30)
 	}
 	if err := partition.CheckDirichlet(spec.TrainSize, scale.Parties, setting.Alpha); err != nil {
 		return nil, err
@@ -371,11 +390,13 @@ func Validate(setting Setting, scale Scale) error {
 
 // fleetData is the part of a fleet that follows from the data alone: the test
 // set and parties [lo, hi) carrying only what local training reads of them —
-// ID and samples. The train set and its Dirichlet split do not outlive
-// buildData: holding them would keep a second copy of a feature-shifted
-// fleet's samples reachable for the rest of the build. Build derives the
-// rest (latencies, label distributions, devices, the selector) from it; a
-// shard worker needs nothing else.
+// ID and samples. A party's samples are copies of train set entries whose
+// feature vectors are the train set's own, packed party by party and shifted
+// in place, so the build holds one copy of the data. The train set and its
+// Dirichlet split do not outlive buildData: a shard worker's vectors outside
+// its range become garbage with them, and its heap stays proportional to its
+// range. Build derives the rest (latencies, label distributions, devices,
+// the selector) from it; a shard worker needs nothing else.
 type fleetData struct {
 	// root has been split for the data (1, 2, 3, 5, in that order); Build
 	// continues splitting it, so the streams are the ones a single function
@@ -386,7 +407,8 @@ type fleetData struct {
 	parties   []*fl.Party // parties[i].ID == lo+i
 }
 
-// buildData materializes the samples of parties [lo, hi), feature-shifted.
+// buildData materializes the samples of parties [lo, hi), packed and
+// feature-shifted.
 // Every step after the split is per party — a party's samples are its
 // partition indices, its style offset comes from the ID-th child of one
 // stream — so party i is the same whatever range produces it.
@@ -405,6 +427,7 @@ func buildData(pl *plan, setting Setting, scale Scale, lo, hi int) (*fleetData, 
 	}
 	d.test = test
 	d.parties = fl.PartyData(train, part, lo, hi)
+	packVectors(train, part.Parties[lo:hi], d.parties)
 	d.latencies = d.root.Split(3)
 	if pl.profile.FeatureShiftSigma > 0 {
 		applyFeatureShift(d.parties, pl.spec.Dim, pl.profile.FeatureShiftSigma, d.root.Split(5))
@@ -502,9 +525,66 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	}, nil
 }
 
-// applyFeatureShift adds each party's style offset to copies of its samples
-// (copies, because parties share sample structs with the source dataset).
-// Party i's offset stream is the i-th child split off r, so a range that
+// packVectors moves the feature vectors of the parties' samples into the
+// train set's leading vectors, party by party in Data order, and points each
+// sample at its new place: the range's k-th sample takes train.Samples[k].X.
+// owned[i] lists the train indices parties[i] was dealt, distinct across the
+// range. A party's vectors then sit in consecutive allocations, which local
+// training's walk over a party's samples reads faster than vectors scattered
+// across the train set; the train set's vectors past the range die with it.
+// Vectors move by swaps through one scratch row, so no value changes and
+// nothing the size of the data is allocated.
+func packVectors(train *dataset.Dataset, owned [][]int, parties []*fl.Party) {
+	slots := train.Samples
+	if len(slots) == 0 {
+		return
+	}
+	holder := make([]int, len(slots)) // the range sample whose vector slot j holds, or -1
+	for j := range holder {
+		holder[j] = -1
+	}
+	m := 0
+	for _, idx := range owned {
+		m += len(idx)
+	}
+	at := make([]int, 0, m) // the slot holding the range's k-th vector
+	for _, idx := range owned {
+		for _, i := range idx {
+			holder[i] = len(at)
+			at = append(at, i)
+		}
+	}
+	tmp := make(tensor.Vec, len(slots[0].X))
+	for k := range at {
+		w := at[k]
+		if w == k {
+			continue
+		}
+		dst, src := slots[k].X, slots[w].X
+		if h := holder[k]; h >= 0 {
+			copy(tmp, dst)
+			copy(dst, src)
+			copy(src, tmp)
+			at[h], holder[w] = w, h
+		} else {
+			copy(dst, src)
+			holder[w] = -1
+		}
+	}
+	k := 0
+	for _, p := range parties {
+		for j := range p.Data {
+			p.Data[j].X = slots[k].X
+			k++
+		}
+	}
+}
+
+// applyFeatureShift adds each party's style offset to its samples' feature
+// vectors in place. They are the train set's own vectors, which is safe:
+// Dirichlet deals every train index to exactly one party, so each vector is
+// shifted once, and the train set dies with buildData, so nothing else sees
+// it. Party i's offset stream is the i-th child split off r, so a range that
 // starts past party 0 first splits off — and drops — the children of the
 // parties before it.
 func applyFeatureShift(parties []*fl.Party, dim int, sigma float64, r *rng.Source) {
@@ -514,18 +594,16 @@ func applyFeatureShift(parties []*fl.Party, dim int, sigma float64, r *rng.Sourc
 	for id := 0; id < parties[0].ID; id++ {
 		r.Split(uint64(id) + 1)
 	}
+	off := make([]float64, dim)
 	for _, p := range parties {
 		pr := r.Split(uint64(p.ID) + 1)
-		off := make([]float64, dim)
 		for j := range off {
 			off[j] = sigma * pr.NormFloat64()
 		}
-		for i, s := range p.Data {
-			x := s.X.Clone()
-			for j := range x {
-				x[j] += off[j]
+		for _, s := range p.Data {
+			for j := range s.X {
+				s.X[j] += off[j]
 			}
-			p.Data[i].X = x
 		}
 	}
 }

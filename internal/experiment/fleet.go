@@ -85,7 +85,7 @@ func buildFleetRange(lo, hi int, seed uint64) ([]*fl.Party, *dataset.Dataset, da
 		for j := range data {
 			data[j] = train.Samples[(i*fleetSamplesPerParty+j)%n]
 		}
-		out[k] = &fl.Party{ID: i, Data: data, Latency: 0.5 + 0.1*float64(i%7)}
+		out[k] = &fl.Party{ID: i, Data: data, Latency: 0.5 + float64(0.1*float64(i%7))}
 	}
 	return out, test, spec, nil
 }

@@ -89,7 +89,7 @@ func largestRemainderApportion(props []float64, n int) []int {
 	fracs := make([]float64, len(props))
 	assigned := 0
 	for i, p := range props {
-		exact := p * float64(n)
+		exact := float64(p * float64(n))
 		counts[i] = int(exact)
 		fracs[i] = exact - float64(counts[i])
 		assigned += counts[i]

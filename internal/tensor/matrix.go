@@ -16,6 +16,20 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: NewVec(rows * cols)}
 }
 
+// MatFromRows copies equal-length rows into a new matrix, row i from rows[i].
+// A ragged row panics; no rows gives a 0x0 matrix.
+func MatFromRows(rows []Vec) *Mat {
+	if len(rows) == 0 {
+		return NewMat(0, 0)
+	}
+	m := NewMat(len(rows), len(rows[0]))
+	for i, r := range rows {
+		assertSameLen(len(r), m.Cols)
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
 // Row returns a mutable view of row i.
 func (m *Mat) Row(i int) Vec {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
