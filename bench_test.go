@@ -252,7 +252,7 @@ func BenchmarkFleetBuild(b *testing.B) {
 		cfg  SimulationConfig
 	}{{"2k", fleetConfig(2000)}, {"20k", fleetConfig(20000)}, {"paper", paper}} {
 		b.Run(bc.name, func(b *testing.B) {
-			setting, scale, err := bc.cfg.resolve()
+			setting, scale, err := bc.cfg.Resolve()
 			if err != nil {
 				b.Fatal(err)
 			}

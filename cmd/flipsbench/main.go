@@ -15,7 +15,7 @@
 //	flipsbench -exp tournament -selector random,oort  # ... a chosen subset
 //	flipsbench -exp tee                    # TEE clustering: cluster counts (timings on stderr)
 //	flipsbench -exp scale                  # fleet-scale sweep (1k/10k/100k parties × 1/64 shards)
-//	flipsbench -exp scale -selector oort   # ... under a chosen selector
+//	flipsbench -exp scale -selector flips  # ... under a chosen selector
 //	flipsbench -exp dist                   # multi-process aggregation sweep (subprocess shard workers)
 //	flipsbench -exp all-tables             # every table (12 grids)
 //	flipsbench -exp all-figures            # every figure
@@ -26,6 +26,9 @@
 // Every experiment is an entry of internal/experiment's registry; -exp is a
 // lookup into it, and a flag no selected experiment consumes (-trace without
 // async, -selector without tournament or scale, ...) is an error.
+// A scale or dist cell is a job as flipsd runs one (an ECG FedAvg
+// SimulationConfig, buffered, 8 steps, 32 in flight), and a dist worker
+// (-dist-worker-connect) serves its JSON with flipsd -worker's builder.
 //
 // Artifacts go to stdout and are a pure function of (flags, seed): two runs,
 // at any -parallel, print the same bytes. Banners, per-cell progress and
@@ -69,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	par := fs.Int("parallel", 0, "worker-pool width for grid cells, repeats, local training and eval shards (0 = GOMAXPROCS, 1 = sequential; results are identical at every width)")
 	scaleParties := fs.String("scale-parties", "", "comma-separated population sizes for the scale and dist sweeps (defaults 1000,10000,100000 / 10000,100000)")
 	distWorkerCounts := fs.String("dist-workers", "", "comma-separated shard-worker process counts for the dist sweep (default 1,2,4,8; the in-process baseline always runs)")
-	distWorkerConnect := fs.String("dist-worker-connect", "", "internal: run as a dist-sweep shard worker against this coordinator address")
+	distWorkerConnect := fs.String("dist-worker-connect", "", "internal: run as a dist-sweep shard worker against this coordinator address (the re-exec entry point; serves flipsd -worker's builder)")
 	quiet := fs.Bool("q", false, "suppress per-cell progress")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after GC) to this file at exit")
@@ -80,9 +83,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *distWorkerConnect != "" {
 		// Subprocess mode: serve shard-training waves for a dist-sweep
-		// coordinator until it sends the shutdown frame.
+		// coordinator until it sends the shutdown frame, with the one
+		// worker builder `flipsd -worker` serves.
 		return dist.RunWorker(*distWorkerConnect, dist.WorkerOptions{
-			Builder:     experiment.DistFleetBuilder(),
+			Builder:     experiment.DistWorkerBuilder(),
 			Parallelism: *par,
 		})
 	}

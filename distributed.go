@@ -1,42 +1,18 @@
 package flips
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 
 	"flips/internal/dist"
 	"flips/internal/experiment"
-	"flips/internal/fl"
 )
 
 // DistWorkerBuilder returns the dist.Builder a flipsd shard-worker process
-// serves jobs with: the job spec is the SimulationConfig JSON of one repeat
-// (DistRunner.Run), decoded and validated like any other submission — a spec
-// the job server would have refused draws an error frame, not a build — and
-// the worker rebuilds its assigned [lo, hi) party range of exactly the
-// coordinator's fleet from it (experiment.BuildShard is Build's data path over
-// a range, deterministic in (setting, scale)); the fleet-wide work only the
-// coordinator reads — latencies, label distributions, devices, the selector —
-// is never done.
-func DistWorkerBuilder() dist.Builder {
-	return func(spec []byte, lo, hi int) (dist.JobSetup, error) {
-		cfg, err := DecodeSimulationConfig(bytes.NewReader(spec))
-		if err != nil {
-			return dist.JobSetup{}, err
-		}
-		setting, scale, err := cfg.resolve()
-		if err != nil {
-			return dist.JobSetup{}, err
-		}
-		parties, factory, err := experiment.BuildShard(setting, scale, lo, hi)
-		if err != nil {
-			return dist.JobSetup{}, err
-		}
-		return dist.JobSetup{Parties: parties, Factory: factory}, nil
-	}
-}
+// serves jobs with: it decodes the repeat's SimulationConfig JSON exactly as
+// POST /jobs does and builds the worker's [lo, hi) party range of the
+// coordinator's fleet (experiment.DistWorkerBuilder, the one builder).
+func DistWorkerBuilder() dist.Builder { return experiment.DistWorkerBuilder() }
 
 // DistRunner runs simulation jobs with local training distributed across the
 // coordinator's shard-worker processes. Its Run method matches the job
@@ -79,23 +55,7 @@ func (r *DistRunner) Run(cfg SimulationConfig, onRound func(RoundPoint)) (*Simul
 	if r.Coord == nil || r.Workers <= 0 {
 		return nil, fmt.Errorf("flips: distributed runner needs a coordinator and a positive worker count")
 	}
-	return runSimulation(cfg, onRound, func(built *experiment.BuildResult) (fl.ShardTransport, func(), error) {
-		repeat := cfg
-		repeat.Seed = built.Config.Seed
-		spec, err := json.Marshal(repeat)
-		if err != nil {
-			return nil, nil, fmt.Errorf("flips: encode job spec: %w", err)
-		}
-		job, err := dist.NewJob(r.Coord, spec, len(built.Parties), r.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		handle := r.track(job)
-		return job, func() {
-			r.untrack(handle)
-			job.Close()
-		}, nil
-	})
+	return runSimulation(cfg, onRound, experiment.AttachDist(r.Coord, cfg, r.Workers, r.track))
 }
 
 // WorkerStats snapshots every active job's shard slots, tagged with a stable
@@ -115,7 +75,9 @@ func (r *DistRunner) WorkerStats() map[uint64][]dist.WorkerStat {
 	return out
 }
 
-func (r *DistRunner) track(job *dist.Job) *distJob {
+// track registers a job's slots for WorkerStats and returns the untrack to
+// run before the job closes.
+func (r *DistRunner) track(job *dist.Job) (untrack func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.jobs == nil {
@@ -124,7 +86,7 @@ func (r *DistRunner) track(job *dist.Job) *distJob {
 	r.jobSeq++
 	h := &distJob{id: r.jobSeq, job: job}
 	r.jobs[h] = struct{}{}
-	return h
+	return func() { r.untrack(h) }
 }
 
 // untrack moves a finishing job into the bounded recent ring, snapshotting

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"flips/internal/dist"
+	"flips/internal/experiment"
 )
 
 // distTestConfig is a small but non-trivial job: non-IID split, FedYogi
@@ -25,6 +26,12 @@ func distTestConfig() SimulationConfig {
 
 func startRunner(t *testing.T, workers int) *DistRunner {
 	t.Helper()
+	return startRunnerWith(t, workers, DistWorkerBuilder())
+}
+
+// startRunnerWith is startRunner over workers serving builder.
+func startRunnerWith(t *testing.T, workers int, builder dist.Builder) *DistRunner {
+	t.Helper()
 	coord := dist.NewCoordinator()
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
@@ -33,7 +40,7 @@ func startRunner(t *testing.T, workers int) *DistRunner {
 	t.Cleanup(func() { _ = coord.Close() })
 	for i := 0; i < workers; i++ {
 		go func() {
-			_ = dist.RunWorker(addr, dist.WorkerOptions{Builder: DistWorkerBuilder(), Parallelism: 1})
+			_ = dist.RunWorker(addr, dist.WorkerOptions{Builder: builder, Parallelism: 1})
 		}()
 	}
 	if err := coord.AwaitWorkers(workers, 10*time.Second); err != nil {
@@ -154,21 +161,30 @@ func TestDistRunnerAveragesRepeatsLikeInProcess(t *testing.T) {
 
 // TestDistWorkerBuilderRefusesWhatTheServerRefuses assigns a worker specs
 // POST /jobs would answer with 400. The worker must decode them with the same
-// strict decoder and answer with an error frame instead of building a fleet.
+// strict decoder and answer with an error frame instead of building a fleet —
+// the builder `flipsd -worker` serves and the one `flipsbench
+// -dist-worker-connect` serves alike.
 func TestDistWorkerBuilderRefusesWhatTheServerRefuses(t *testing.T) {
-	for name, tc := range map[string]struct{ spec, want string }{
-		"unknown field": {`{"Dataset":"mit-bih-ecg","Carburetor":true}`, "unknown field"},
-		"invalid":       {`{"Dataset":"mit-bih-ecg","Mask":true,"Fold":"median"}`, "mask"},
-		"not json":      {`{not json`, "malformed job config"},
+	for builderName, builder := range map[string]dist.Builder{
+		"flipsd -worker":                  DistWorkerBuilder(),
+		"flipsbench -dist-worker-connect": experiment.DistWorkerBuilder(),
 	} {
-		r := startRunner(t, 1)
-		_, err := dist.NewJob(r.Coord, []byte(tc.spec), 8, 1)
-		if err == nil || !strings.Contains(err.Error(), "peer error") || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: NewJob error %v, want the worker's error frame mentioning %q", name, err, tc.want)
+		for name, tc := range map[string]struct{ spec, want string }{
+			"unknown field":    {`{"Dataset":"mit-bih-ecg","Carburetor":true}`, "unknown field"},
+			"bare fleet spec":  {`{"Parties":50,"Seed":7,"Bogus":1}`, "unknown field"},
+			"invalid":          {`{"Dataset":"mit-bih-ecg","Mask":true,"Fold":"median"}`, "mask"},
+			"above data bound": {`{"Dataset":"mit-bih-ecg","Parties":5000000}`, "data bound"},
+			"not json":         {`{not json`, "malformed job config"},
+		} {
+			r := startRunnerWith(t, 1, builder)
+			_, err := dist.NewJob(r.Coord, []byte(tc.spec), 8, 1)
+			if err == nil || !strings.Contains(err.Error(), "peer error") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: NewJob error %v, want the worker's error frame mentioning %q", builderName, name, err, tc.want)
+			}
 		}
-	}
-	if _, err := DistWorkerBuilder()([]byte(`{"Dataset":"mit-bih-ecg","Parties":8,"Rounds":1}`), 0, 8); err != nil {
-		t.Fatalf("valid spec refused: %v", err)
+		if _, err := builder([]byte(`{"Dataset":"mit-bih-ecg","Parties":8,"Rounds":1}`), 0, 8); err != nil {
+			t.Fatalf("%s: valid spec refused: %v", builderName, err)
+		}
 	}
 }
 
@@ -187,12 +203,12 @@ func TestDistRunnerRejectsMisconfiguration(t *testing.T) {
 	}
 }
 
-// TestPartiesOverrideBumpsTrainSize pins the resolve() rule that keeps
+// TestPartiesOverrideBumpsTrainSize pins the Resolve rule that keeps
 // Dirichlet partitioning feasible for fleet-scale Parties overrides: the
 // training set grows to at least two samples per party.
 func TestPartiesOverrideBumpsTrainSize(t *testing.T) {
 	cfg := SimulationConfig{Dataset: "mit-bih-ecg", Parties: 10000}
-	_, scale, err := cfg.resolve()
+	_, scale, err := cfg.Resolve()
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}

@@ -170,7 +170,7 @@ func TestValidateAgreesWithBuild(t *testing.T) {
 	}
 	agreeConfig := func(name string, cfg SimulationConfig) {
 		t.Helper()
-		setting, scale, err := cfg.resolve()
+		setting, scale, err := cfg.Resolve()
 		if err != nil {
 			// Refused before either path is reached.
 			if cfg.Validate() == nil {
@@ -234,7 +234,7 @@ func TestValidateAgreesWithBuild(t *testing.T) {
 	}
 
 	// Shapes resolve never produces: fewer samples than parties, no parties.
-	setting, scale, err := small.resolve()
+	setting, scale, err := small.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func pick[T any](r *rng.Source, legal, illegal []T) T {
 // each would add a whole build's bytes — fails here.
 func TestOneBuildPerRepeat(t *testing.T) {
 	cfg := fleetConfig(2000)
-	setting, scale, err := cfg.resolve()
+	setting, scale, err := cfg.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,32 +6,60 @@ import (
 	"flips/internal/fl"
 )
 
-// BenchmarkFlipsSelect measures the paper's own selector at fleet scale: 12
-// label clusters, a 40-party cohort, and per op one Select plus the Observe
-// that reports every tenth invited party a straggler — so over-provisioning
-// is live and the straggler counts move every round. It answers ROADMAP
-// direction 5(4): the pointer-item container/heap in heap.go costs tens of
-// microseconds per round whatever the population, so it stays as it is. CI
-// ratchets the allocs/op.
+// BenchmarkFlipsSelect measures the paper's own selector at fleet scale, per
+// op one Select plus the Observe that reports every tenth invited party a
+// straggler — so over-provisioning is live and the straggler counts move
+// every round. Two shapes:
+//   - 12 equal label clusters and a 40-party cohort at 20k and 100k parties:
+//     the pointer-item container/heap in heap.go costs tens of microseconds
+//     per round whatever the population, so it stays as it is (ROADMAP
+//     direction 5(4));
+//   - the product's default 20 % cohort over the five unequal clusters a
+//     100k-party ECG fleet forms, at 5 % and 20 %: at 20 % the three small
+//     clusters run dry within one Select, and a Select that popped a dry
+//     cluster's whole heap on each of its turns read ~4 s per op here.
+//
+// CI ratchets the allocs/op, and the 20 % / 5 % time ratio (linear: ~4).
 func BenchmarkFlipsSelect(b *testing.B) {
-	const numClusters, cohort = 12, 40
-	for _, size := range []struct {
-		name string
-		n    int
-	}{{"20k", 20_000}, {"100k", 100_000}} {
-		b.Run(size.name, func(b *testing.B) {
-			clusters := make([][]int, numClusters)
-			for id := 0; id < size.n; id++ {
-				clusters[id%numClusters] = append(clusters[id%numClusters], id)
+	equal := func(n int) [][]int { // party id % 12
+		clusters := make([][]int, 12)
+		for id := 0; id < n; id++ {
+			clusters[id%12] = append(clusters[id%12], id)
+		}
+		return clusters
+	}
+	ecg100k := func() [][]int { // consecutive ids
+		var clusters [][]int
+		id := 0
+		for _, size := range []int{84_954, 5_297, 5_461, 3_202, 1_086} {
+			c := make([]int, size)
+			for j := range c {
+				c[j] = id
+				id++
 			}
-			s, err := NewSelector(clusters)
+			clusters = append(clusters, c)
+		}
+		return clusters
+	}
+	for _, bc := range []struct {
+		name     string
+		clusters [][]int
+		cohort   int
+	}{
+		{"20k", equal(20_000), 40},
+		{"100k", equal(100_000), 40},
+		{"100k-5pct", ecg100k(), 5_000},
+		{"100k-20pct", ecg100k(), 20_000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := NewSelector(bc.clusters)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var fb fl.RoundFeedback
 			round := func(i int) {
 				fb.Round = i
-				fb.Selected = s.Select(i, cohort)
+				fb.Selected = s.Select(i, bc.cohort)
 				fb.Completed, fb.Stragglers = fb.Completed[:0], fb.Stragglers[:0]
 				for j, id := range fb.Selected {
 					if j%10 == 9 {

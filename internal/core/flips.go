@@ -32,6 +32,7 @@ type Selector struct {
 	straggler  map[int]bool      // H^r_s: currently-outstanding stragglers
 	stragRate  float64           // strg: smoothed straggler rate
 	active     bool              // Stragglers flag of Algorithm 1
+	parked     []parked          // Select's scratch (see round), reused
 
 	// randomOverprovision is an ablation switch: when set, over-provisioned
 	// parties are drawn equitably from all clusters instead of from the
@@ -103,10 +104,12 @@ func (s *Selector) Select(_, target int) []int {
 	if target > s.NumParties() {
 		target = s.NumParties()
 	}
-	selected := make([]int, 0, target)
-	inRound := make(map[int]bool, target)
-
-	s.pickEquitable(target, inRound, &selected)
+	r := &round{
+		selected: make([]int, 0, target),
+		inRound:  make(map[int]bool, target),
+		parked:   s.parked[:0],
+	}
+	s.pickEquitable(target, r)
 
 	// Over-provisioning (Algorithm 1 lines 27–31): while stragglers are
 	// outstanding, add int(strg*Nr) parties from the clusters with the most
@@ -117,16 +120,44 @@ func (s *Selector) Select(_, target int) []int {
 		if extra > 0 && !s.randomOverprovision {
 			order = s.stragglerOrder()
 		}
-		for i := 0; i < extra && len(selected) < s.NumParties(); i++ {
-			if p, ok := s.overprovisionPick(inRound, order); ok {
-				inRound[p] = true
-				selected = append(selected, p)
-			} else {
+		for i := 0; i < extra && len(r.selected) < s.NumParties(); i++ {
+			p, ok := s.overprovisionPick(r, order)
+			if !ok {
 				break
 			}
+			r.take(p)
 		}
 	}
-	return selected
+	for _, pk := range r.parked {
+		s.partyHp[pk.cluster].push(pk.item)
+	}
+	s.parked = r.parked
+	return r.selected
+}
+
+// round is one Select's state: the parties picked so far, as a list and a
+// set, and the members it has popped off their clusters' heaps. A popped
+// member is either picked or passed over because it is in the round (or, for
+// an over-provisioned pick, straggling), and stays so for the rest of the
+// Select: it is parked instead of pushed back, and every parked member goes
+// back at the end. pickHeap's order is strict, so a heap pops what it would
+// have popped with them in it, less the members no pick could take — a
+// cluster the round has drained is an empty heap, not a full one popped
+// through on each of its turns — and the Select is linear in its cohort.
+type round struct {
+	selected []int
+	inRound  map[int]bool
+	parked   []parked
+}
+
+type parked struct {
+	cluster int
+	item    *pickItem
+}
+
+func (r *round) take(p int) {
+	r.inRound[p] = true
+	r.selected = append(r.selected, p)
 }
 
 // stragglerOrder lists the cluster ids by outstanding stragglers, most
@@ -150,12 +181,14 @@ func (s *Selector) stragglerOrder() []int {
 // clusters with the most outstanding stragglers (Algorithm 1 line 29) and
 // falling back through clusters in that order when the top cluster has no
 // available member.
-func (s *Selector) overprovisionPick(inRound map[int]bool, order []int) (int, bool) {
+func (s *Selector) overprovisionPick(r *round, order []int) (int, bool) {
 	if s.randomOverprovision && s.opRng != nil {
 		// Ablation mode: uniform over all available non-straggler parties.
+		// None of them is parked: the round parks only members it picked or
+		// found in the round.
 		candidates := make([]int, 0, len(s.partyOf))
 		for id := range s.partyOf {
-			if !inRound[id] && !s.straggler[id] {
+			if !r.inRound[id] && !s.straggler[id] {
 				candidates = append(candidates, id)
 			}
 		}
@@ -169,7 +202,7 @@ func (s *Selector) overprovisionPick(inRound map[int]bool, order []int) (int, bo
 		return pick, true
 	}
 	for _, cid := range order {
-		if p, ok := s.pickFromCluster(cid, inRound, true); ok {
+		if p, ok := s.pickFromCluster(cid, r, true); ok {
 			return p, true
 		}
 	}
@@ -178,19 +211,18 @@ func (s *Selector) overprovisionPick(inRound map[int]bool, order []int) (int, bo
 
 // pickEquitable performs the core round-robin: extract the least-picked
 // cluster, then the least-picked unused party within it.
-func (s *Selector) pickEquitable(n int, inRound map[int]bool, out *[]int) {
-	for len(*out) < n {
+func (s *Selector) pickEquitable(n int, r *round) {
+	for len(r.selected) < n {
 		// Extract-min cluster; retry clusters whose parties are all in
 		// the round already.
 		tried := 0
 		for ; tried < len(s.clusters); tried++ {
 			ci := s.clusterHp.pop()
-			p, ok := s.pickFromCluster(ci.id, inRound, false)
+			p, ok := s.pickFromCluster(ci.id, r, false)
 			ci.picks++
 			s.clusterHp.push(ci)
 			if ok {
-				inRound[p] = true
-				*out = append(*out, p)
+				r.take(p)
 				break
 			}
 		}
@@ -201,34 +233,21 @@ func (s *Selector) pickEquitable(n int, inRound map[int]bool, out *[]int) {
 }
 
 // pickFromCluster extracts the least-picked party of cluster cid that is not
-// yet in the round (and, when skipStragglers, not an outstanding straggler).
-// It increments the party's pick count on success.
-func (s *Selector) pickFromCluster(cid int, inRound map[int]bool, skipStragglers bool) (int, bool) {
+// yet in the round (and, when skipStragglers, not an outstanding straggler)
+// and increments its pick count. Every member it pops — the chosen one and
+// those it passes over — is parked for the rest of the round.
+func (s *Selector) pickFromCluster(cid int, r *round, skipStragglers bool) (int, bool) {
 	ph := s.partyHp[cid]
-	popped := make([]*pickItem, 0, 4)
-	var chosen *pickItem
 	for ph.Len() > 0 {
 		item := ph.pop()
-		popped = append(popped, item)
-		if inRound[item.id] {
+		r.parked = append(r.parked, parked{cid, item})
+		if r.inRound[item.id] || (skipStragglers && s.straggler[item.id]) {
 			continue
 		}
-		if skipStragglers && s.straggler[item.id] {
-			continue
-		}
-		chosen = item
-		break
+		item.picks++
+		return item.id, true
 	}
-	for _, item := range popped {
-		if item == chosen {
-			item.picks++
-		}
-		ph.push(item)
-	}
-	if chosen == nil {
-		return 0, false
-	}
-	return chosen.id, true
+	return 0, false
 }
 
 // Observe implements fl.Selector: Algorithm 1 lines 33–45. Stragglers are

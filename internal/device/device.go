@@ -237,7 +237,7 @@ func (d *Device) OnlineProb(round int) float64 {
 	case Diurnal:
 		mid := (d.Avail.MinProb + d.Avail.MaxProb) / 2
 		amp := (d.Avail.MaxProb - d.Avail.MinProb) / 2
-		return mid + amp*math.Sin(2*math.Pi*(float64(round)/d.Avail.Period+d.Phase))
+		return float64(mid) + float64(amp*math.Sin(2*math.Pi*(float64(round)/d.Avail.Period+d.Phase)))
 	case Trace:
 		if d.Avail.Trace.Online(d.TraceRow, round) {
 			return 1

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -11,9 +10,6 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/dist"
-	"flips/internal/fl"
-	"flips/internal/model"
-	"flips/internal/rng"
 	"flips/internal/tensor"
 )
 
@@ -61,97 +57,30 @@ type FleetCell struct {
 	ShardsTouched int
 }
 
-// fleetSamplesPerParty is the synthetic fleet's per-party data size.
-const fleetSamplesPerParty = 4
-
-// buildFleetRange materializes the parties with IDs in [lo, hi) of a
-// synthetic fleet in O(hi−lo): a small shared sample pool dealt to parties in
-// wrapped slices (the engine treats party data as read-only) and a
-// deterministic latency spread with no RNG, so a 100k-party construction
-// costs milliseconds, not a dataset generation. Party i is identical whatever
-// range produces it, which is what lets distributed shard workers rebuild
-// just their slice of the same fleet.
-func buildFleetRange(lo, hi int, seed uint64) ([]*fl.Party, *dataset.Dataset, dataset.Spec, error) {
-	spec := dataset.ECG().WithSizes(2048, 256)
-	train, test, err := dataset.Generate(spec, rng.New(seed))
-	if err != nil {
-		return nil, nil, spec, err
-	}
-	out := make([]*fl.Party, hi-lo)
-	n := len(train.Samples)
-	for k := range out {
-		i := lo + k
-		data := make([]dataset.Sample, fleetSamplesPerParty)
-		for j := range data {
-			data[j] = train.Samples[(i*fleetSamplesPerParty+j)%n]
-		}
-		out[k] = &fl.Party{ID: i, Data: data, Latency: 0.5 + float64(0.1*float64(i%7))}
-	}
-	return out, test, spec, nil
-}
-
-// fleetCellConfig assembles the buffered engine job for one sweep cell.
-func fleetCellConfig(sweep FleetSweep, parties, shards int) (fl.Config, error) {
-	pool, test, spec, err := buildFleetRange(0, parties, sweep.Seed)
-	if err != nil {
-		return fl.Config{}, err
-	}
-	// The synthetic fleet gives every party the same data size, so Oort's
-	// utilities all carry one power-of-two factor and its draws are those of
-	// uniform sizes.
-	classes := len(spec.LabelNames)
-	sel, _, err := buildSelector(Setting{Strategy: sweep.Strategy}, pool,
-		model.NewLogReg(spec.Dim, classes).NumParams(), rng.New(sweep.Seed^0x5CA1E))
-	if err != nil {
-		return fl.Config{}, fmt.Errorf("experiment: fleet sweep: %w", err)
-	}
+// fleetCell is the job one sweep cell runs, as a user would submit it: ECG,
+// FedAvg, buffered aggregation with sweep.PartiesPerRound in flight, and the
+// product's own fleet — Dirichlet-dealt samples, lognormal latencies, counted
+// label distributions. A dist worker rebuilds its range of it from the same
+// JSON a `flipsd -worker` is sent.
+func fleetCell(sweep FleetSweep, parties, shards int) SimulationConfig {
 	perRound := min(sweep.PartiesPerRound, parties)
-	return fl.Config{
-		Parties:         pool,
-		Test:            test.Samples,
-		NumClasses:      classes,
-		Factory:         model.LogRegFactory(spec.Dim, classes),
-		Optimizer:       &fl.FedAvg{},
-		Selector:        sel,
-		Rounds:          sweep.Rounds,
-		PartiesPerRound: perRound,
-		SGD:             model.SGDConfig{LearningRate: 0.05, BatchSize: 4, LocalEpochs: 1},
-		EvalEvery:       sweep.Rounds,
-		Parallelism:     sweep.Parallelism,
-		Shards:          shards,
-		Aggregation:     fl.Buffered{K: max(1, perRound/2)},
-		Seed:            sweep.Seed,
-	}, nil
-}
-
-// fleetSpec is the job spec a shard worker rebuilds its slice of the fleet
-// from — the arguments of buildFleetRange, which is deterministic in them.
-type fleetSpec struct {
-	Parties int
-	Seed    uint64
-}
-
-// DistFleetBuilder returns the worker-side builder for the sweep's fleet
-// specs: it regenerates the shared sample pool and materializes only the
-// assigned [lo, hi) party range, so a worker's heap is proportional to its
-// shard.
-func DistFleetBuilder() dist.Builder {
-	return func(spec []byte, lo, hi int) (dist.JobSetup, error) {
-		var s fleetSpec
-		if err := json.Unmarshal(spec, &s); err != nil {
-			return dist.JobSetup{}, fmt.Errorf("experiment: decode fleet spec: %w", err)
-		}
-		if hi > s.Parties {
-			return dist.JobSetup{}, fmt.Errorf("experiment: shard range [%d,%d) exceeds %d-party fleet", lo, hi, s.Parties)
-		}
-		parties, _, ds, err := buildFleetRange(lo, hi, s.Seed)
-		if err != nil {
-			return dist.JobSetup{}, err
-		}
-		return dist.JobSetup{
-			Parties: parties,
-			Factory: model.LogRegFactory(ds.Dim, len(ds.LabelNames)),
-		}, nil
+	fraction := float64(perRound) / float64(parties)
+	if int(fraction*float64(parties)) < perRound {
+		// The cohort is fraction × parties, truncated: step past a quotient
+		// that rounded down.
+		fraction = math.Nextafter(fraction, 1)
+	}
+	return SimulationConfig{
+		Dataset:       dataset.ECG().Name,
+		Algorithm:     AlgoFedAvg,
+		Strategy:      sweep.Strategy,
+		Aggregation:   "buffered",
+		Rounds:        sweep.Rounds,
+		Parties:       parties,
+		PartyFraction: fraction,
+		Shards:        shards,
+		Parallelism:   sweep.Parallelism,
+		Seed:          sweep.Seed,
 	}
 }
 
@@ -162,15 +91,15 @@ func DistFleetBuilder() dist.Builder {
 // workers back in-process.
 type WorkerSpawner func(addr string, n int) (stop func(), err error)
 
-// InProcessWorkers returns a spawner that serves workers on goroutines inside
+// inProcessWorkers returns a spawner that serves workers on goroutines inside
 // the coordinator process. Byte-identical to real processes (the protocol is
 // the same), but the coordinator heap on the progress line then includes
 // worker training.
-func InProcessWorkers(parallelism int) WorkerSpawner {
+func inProcessWorkers(parallelism int) WorkerSpawner {
 	return func(addr string, n int) (func(), error) {
 		for i := 0; i < n; i++ {
 			go func() {
-				_ = dist.RunWorker(addr, dist.WorkerOptions{Builder: DistFleetBuilder(), Parallelism: parallelism})
+				_ = dist.RunWorker(addr, dist.WorkerOptions{Builder: DistWorkerBuilder(), Parallelism: parallelism})
 			}()
 		}
 		// Workers exit on the coordinator's shutdown frames; nothing to stop.
@@ -178,33 +107,25 @@ func InProcessWorkers(parallelism int) WorkerSpawner {
 	}
 }
 
-// attachWorkers boots a coordinator, has spawn launch workers against it and
-// opens the cell's job; release tears all three down.
-func attachWorkers(spawn WorkerSpawner, workers, parties int, seed uint64) (job *dist.Job, release func(), err error) {
-	coord := dist.NewCoordinator()
+// startWorkers boots a coordinator and has spawn launch n workers against
+// it; stop tears both down.
+func startWorkers(spawn WorkerSpawner, n int) (coord *dist.Coordinator, stop func(), err error) {
+	coord = dist.NewCoordinator()
 	addr, err := coord.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
-	stop, err := spawn(addr, workers)
+	stopWorkers, err := spawn(addr, n)
 	if err != nil {
 		coord.Close()
 		return nil, nil, fmt.Errorf("spawn: %w", err)
 	}
-	teardown := func() { coord.Close(); stop() }
-	if err := coord.AwaitWorkers(workers, 60*time.Second); err != nil {
-		teardown()
+	stop = func() { coord.Close(); stopWorkers() }
+	if err := coord.AwaitWorkers(n, 60*time.Second); err != nil {
+		stop()
 		return nil, nil, err
 	}
-	spec, err := json.Marshal(fleetSpec{Parties: parties, Seed: seed})
-	if err == nil {
-		job, err = dist.NewJob(coord, spec, parties, workers)
-	}
-	if err != nil {
-		teardown()
-		return nil, nil, err
-	}
-	return job, func() { job.Close(); teardown() }, nil
+	return coord, stop, nil
 }
 
 // RunFleet executes the sweep: every (population, shards) cell in-process,
@@ -212,12 +133,11 @@ func attachWorkers(spawn WorkerSpawner, workers, parties int, seed uint64) (job 
 // from its in-process sibling. spawn launches the workers (nil = goroutines
 // in-process). Cells run sequentially — each is timed for its progress line
 // (progress may be nil), so sharing cores between cells would corrupt the
-// numbers. Only fl.Run is measured: the fleet and the worker handshakes are
-// set-up, the engine + seam transient is the number that must stay flat as
-// the fleet grows.
+// numbers. The time covers the cell's build and its run; the worker
+// handshakes are set-up and are not counted.
 func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]FleetCell, error) {
 	if spawn == nil {
-		spawn = InProcessWorkers(sweep.Parallelism)
+		spawn = inProcessWorkers(sweep.Parallelism)
 	}
 	var cells []FleetCell
 	for _, parties := range sweep.Parties {
@@ -225,32 +145,35 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 			var baseline tensor.Vec
 			for _, workers := range append([]int{0}, sweep.Workers...) {
 				what := fmt.Sprintf("fleet cell %dp/%ds/%dw", parties, shards, workers)
-				cfg, err := fleetCellConfig(sweep, parties, shards)
+				cfg := fleetCell(sweep, parties, shards)
+				setting, scale, err := cfg.Resolve()
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %w", what, err)
 				}
-				var job *dist.Job
-				release := func() {}
+				var attach Attach
+				var wire int64
+				stop := func() {}
 				if workers > 0 {
-					if job, release, err = attachWorkers(spawn, workers, parties, sweep.Seed); err != nil {
+					var coord *dist.Coordinator
+					if coord, stop, err = startWorkers(spawn, workers); err != nil {
 						return nil, fmt.Errorf("%s: %w", what, err)
 					}
-					cfg.Transport = job
+					attach = AttachDist(coord, cfg, workers, func(job *dist.Job) func() {
+						return func() {
+							for _, st := range job.Stats() {
+								wire += st.BytesIn + st.BytesOut
+							}
+						}
+					})
 				}
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
 				start := time.Now()
-				res, err := fl.Run(cfg)
+				res, _, err := RunSettingClusters(setting, scale, nil, attach)
 				elapsed := time.Since(start).Seconds()
 				runtime.ReadMemStats(&after)
-				var wire int64
-				if job != nil {
-					for _, st := range job.Stats() {
-						wire += st.BytesIn + st.BytesOut
-					}
-				}
-				release()
+				stop()
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", what, err)
 				}
@@ -266,8 +189,9 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 				cells = append(cells, cell)
 				if progress != nil {
 					steps := float64(cfg.Rounds) / elapsed
-					progress(fmt.Sprintf("%dp x %ds x %dw -> %.0f rounds/sec, %.0f arrivals/sec, %.1f MB allocated, %.1f MB peak heap, %d KB on wire",
-						parties, shards, workers, steps, steps*float64(cfg.Aggregation.(fl.Buffered).K),
+					arrivals := max(1, min(sweep.PartiesPerRound, parties)/2)
+					progress(fmt.Sprintf("%dp x %ds x %dw -> %.2f s to build and run, %.1f rounds/sec, %.0f arrivals/sec, %.1f MB allocated, %.1f MB peak heap, %d KB on wire",
+						parties, shards, workers, elapsed, steps, steps*float64(arrivals),
 						float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(after.HeapSys)/(1<<20), wire>>10))
 				}
 			}

@@ -122,22 +122,19 @@ func TestRunScaleAcceptsAnyRegisteredStrategy(t *testing.T) {
 // the same final accuracy trajectory (throughput differs; science must not).
 func TestScaleShardsAreBitInvariant(t *testing.T) {
 	t.Parallel()
-	a, err := fleetCellConfig(testSweep(), 500, 1)
-	if err != nil {
-		t.Fatal(err)
+	run := func(shards int) *fl.Result {
+		t.Helper()
+		setting, scale, err := fleetCell(testSweep(), 500, shards).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := RunSettingClusters(setting, scale, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	b, err := fleetCellConfig(testSweep(), 500, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := fl.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := fl.Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra, rb := run(1), run(32)
 	if len(ra.History) != len(rb.History) {
 		t.Fatal("history lengths diverge across shard counts")
 	}
@@ -146,9 +143,51 @@ func TestScaleShardsAreBitInvariant(t *testing.T) {
 			t.Fatalf("round %d diverges across shard counts", i)
 		}
 	}
-	for i := range ra.FinalParams {
-		if ra.FinalParams[i] != rb.FinalParams[i] {
-			t.Fatalf("final param %d diverges across shard counts", i)
+	if !sameVecBits(ra.FinalParams, rb.FinalParams) {
+		t.Fatal("final parameters diverge across shard counts")
+	}
+}
+
+// TestFleetCellIsTheProductsFleet pins that a sweep cell runs the fleet a
+// submission gets: every party's label distribution counts its samples, and
+// FLIPS at 10k parties finds more than one cluster — a fleet without label
+// histograms clusters zero-length rows into one.
+func TestFleetCellIsTheProductsFleet(t *testing.T) {
+	t.Parallel()
+	sweep := testSweep()
+	sweep.Strategy = StrategyFLIPS
+	cfg := fleetCell(sweep, 10_000, 64)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	setting, scale, err := cfg.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(setting, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Config.PartiesPerRound != sweep.PartiesPerRound {
+		t.Fatalf("cohort %d, want the sweep's %d in flight", built.Config.PartiesPerRound, sweep.PartiesPerRound)
+	}
+	for _, p := range built.Parties {
+		sum := 0.0
+		for _, c := range p.LabelDist {
+			sum += c
+		}
+		if int(sum) != p.NumSamples() || sum != float64(p.NumSamples()) {
+			t.Fatalf("party %d: label distribution sums to %v over %d samples", p.ID, sum, p.NumSamples())
+		}
+	}
+	if len(built.Clusters) < 2 {
+		t.Fatalf("FLIPS found %d cluster(s) in a 10k-party fleet", len(built.Clusters))
+	}
+	// The cohort fraction is exact at every population a sweep can be given.
+	for n := 1; n <= 5000; n++ {
+		c := fleetCell(sweep, n, 1)
+		if got, want := int(c.PartyFraction*float64(n)), min(sweep.PartiesPerRound, n); got != want || c.PartyFraction > 1 {
+			t.Fatalf("%d parties: fraction %v gives a cohort of %d, want %d", n, c.PartyFraction, got, want)
 		}
 	}
 }
@@ -192,19 +231,25 @@ func TestRunDistSweep(t *testing.T) {
 	}
 }
 
-// TestDistFleetBuilderMatchesRange pins the shard-rebuild contract: a worker
-// building [lo, hi) gets exactly the parties the full fleet has there.
-func TestDistFleetBuilderMatchesRange(t *testing.T) {
+// TestDistWorkerBuilderMatchesRange pins the shard-rebuild contract on the
+// sweep's own job: a worker handed a cell's JSON and [lo, hi) gets exactly
+// the parties the coordinator's build has there.
+func TestDistWorkerBuilderMatchesRange(t *testing.T) {
 	t.Parallel()
-	full, _, _, err := buildFleetRange(0, 50, 7)
+	cfg := fleetCell(testSweep(), 50, 1)
+	setting, scale, err := cfg.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := json.Marshal(fleetSpec{Parties: 50, Seed: 7})
+	full, err := Build(setting, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup, err := DistFleetBuilder()(spec, 20, 35)
+	spec, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := DistWorkerBuilder()(spec, 20, 35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,25 +257,20 @@ func TestDistFleetBuilderMatchesRange(t *testing.T) {
 		t.Fatalf("built %d parties, want 15", len(setup.Parties))
 	}
 	for k, p := range setup.Parties {
-		want := full[20+k]
-		if p.ID != want.ID || p.Latency != want.Latency || len(p.Data) != len(want.Data) {
+		want := full.Parties[20+k]
+		if p.ID != want.ID || len(p.Data) != len(want.Data) {
 			t.Fatalf("party %d mismatch: %+v vs %+v", p.ID, p, want)
 		}
 		for j := range p.Data {
-			if p.Data[j].Y != want.Data[j].Y {
-				t.Fatalf("party %d sample %d label mismatch", p.ID, j)
-			}
-			for x := range p.Data[j].X {
-				if p.Data[j].X[x] != want.Data[j].X[x] {
-					t.Fatalf("party %d sample %d feature mismatch", p.ID, j)
-				}
+			if p.Data[j].Y != want.Data[j].Y || !sameVecBits(p.Data[j].X, want.Data[j].X) {
+				t.Fatalf("party %d sample %d differs from the coordinator's", p.ID, j)
 			}
 		}
 	}
-	if _, err := DistFleetBuilder()(spec, 40, 60); err == nil {
+	if _, err := DistWorkerBuilder()(spec, 40, 60); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if _, err := DistFleetBuilder()([]byte("{"), 0, 1); err == nil {
+	if _, err := DistWorkerBuilder()([]byte("{"), 0, 1); err == nil {
 		t.Fatal("malformed spec accepted")
 	}
 }

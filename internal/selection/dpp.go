@@ -124,11 +124,11 @@ func (s *DPP) Select(_, target int) []int {
 				k = feats[best].Dot(feats[i])
 			}
 			for t := range cBest {
-				k -= cBest[t] * s.cis[i][t]
+				k -= float64(cBest[t] * s.cis[i][t])
 			}
 			e := k / dBest
 			s.cis[i] = append(s.cis[i], e)
-			di2[i] -= e * e
+			di2[i] -= float64(e * e)
 			if di2[i] < 0 {
 				di2[i] = 0
 			}

@@ -170,7 +170,7 @@ func (s *Oort) scoreAt(id, round int, logRound float64) float64 {
 	// Staleness exploration bonus (Oort Eq. 2's confidence term).
 	age := round - s.lastUsed[id]
 	if age > 0 && round > 0 {
-		u += stalenessWeight * u * math.Sqrt(logRound/float64(age))
+		u += float64(stalenessWeight * u * math.Sqrt(logRound/float64(age)))
 	}
 	return u
 }

@@ -174,7 +174,7 @@ func (s *Scored) Observe(fb fl.RoundFeedback) {
 				var sq float64
 				for j, x := range r.Update {
 					d := x - s.meanScratch[j]
-					sq += d * d
+					sq += float64(d * d)
 				}
 				s.setUtility(id, math.Sqrt(sq))
 			}

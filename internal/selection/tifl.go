@@ -152,7 +152,7 @@ func (s *TiFL) chooseTier() int {
 			}
 			meanLoss /= float64(len(members))
 		}
-		weights[tier] = (1-adaptivity)*1 + adaptivity*math.Max(meanLoss, 1e-6)
+		weights[tier] = float64((1-adaptivity)*1) + float64(adaptivity*math.Max(meanLoss, 1e-6))
 	}
 	return s.r.Categorical(weights)
 }
