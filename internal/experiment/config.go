@@ -670,9 +670,10 @@ func buildAlgorithm(name string, sgd model.SGDConfig) (fl.ServerOptimizer, model
 	}
 }
 
-// Attach hands one repeat's built job to an external training transport — a
-// dist.Job whose workers rebuild the same fleet from built.Config.Seed — and
-// returns the release to call once that repeat has run.
+// Attach prepares one repeat's built job before it runs: it may hand the job
+// to an external training transport — a dist.Job whose workers rebuild the
+// same fleet from built.Config.Seed — or return a nil one to train
+// in-process, and returns the release to call once that repeat has run.
 type Attach func(built *BuildResult) (transport fl.ShardTransport, release func(), err error)
 
 // RunSettingClusters builds and executes one cell, averaging scale.Repeats

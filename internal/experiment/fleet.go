@@ -10,6 +10,7 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/dist"
+	"flips/internal/fl"
 	"flips/internal/tensor"
 )
 
@@ -23,8 +24,8 @@ import (
 // counts, in-process) and `dist` (populations × worker counts at one shard
 // count). What either renders is a function of (flags, seed) alone, like
 // every other artifact; what depends on the host — steps and arrivals per
-// second, heap allocated and held, bytes on the wire — goes to the progress
-// line.
+// second, heap allocated and held, bytes on the wire, and where the run's
+// wall-clock went (fl.Phases) — goes to the progress line.
 
 // FleetSweep configures RunFleet.
 type FleetSweep struct {
@@ -166,11 +167,20 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 						}
 					})
 				}
+				// The cell's job has one repeat, so one probe serves it.
+				var phases fl.Phases
+				probed := func(built *BuildResult) (fl.ShardTransport, func(), error) {
+					built.Config.Phases = &phases
+					if attach == nil {
+						return nil, func() {}, nil
+					}
+					return attach(built)
+				}
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
 				start := time.Now()
-				res, _, err := RunSettingClusters(setting, scale, nil, attach)
+				res, _, err := RunSettingClusters(setting, scale, nil, probed)
 				elapsed := time.Since(start).Seconds()
 				runtime.ReadMemStats(&after)
 				stop()
@@ -190,9 +200,9 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 				if progress != nil {
 					steps := float64(cfg.Rounds) / elapsed
 					arrivals := max(1, min(sweep.PartiesPerRound, parties)/2)
-					progress(fmt.Sprintf("%dp x %ds x %dw -> %.2f s to build and run, %.1f rounds/sec, %.0f arrivals/sec, %.1f MB allocated, %.1f MB peak heap, %d KB on wire",
+					progress(fmt.Sprintf("%dp x %ds x %dw -> %.2f s to build and run, %.1f rounds/sec, %.0f arrivals/sec, %.1f MB allocated, %.1f MB peak heap, %d KB on wire; run phases: %v",
 						parties, shards, workers, elapsed, steps, steps*float64(arrivals),
-						float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(after.HeapSys)/(1<<20), wire>>10))
+						float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), float64(after.HeapSys)/(1<<20), wire>>10, &phases))
 				}
 			}
 		}

@@ -41,7 +41,7 @@ func TestRunScaleSweep(t *testing.T) {
 		if c.ShardsTouched < 1 || c.ShardsTouched > c.Shards {
 			t.Fatalf("cell %dp/%ds: shards touched %d", c.Parties, c.Shards, c.ShardsTouched)
 		}
-		for _, want := range []string{"rounds/sec", "arrivals/sec", "MB allocated", "MB peak heap"} {
+		for _, want := range []string{"rounds/sec", "arrivals/sec", "MB allocated", "MB peak heap", "run phases: select ", ", score "} {
 			if !strings.Contains(lines[i], want) {
 				t.Fatalf("progress line %q missing %q", lines[i], want)
 			}

@@ -383,6 +383,8 @@ func (c *eventCore) aggregateAsync(halfLife float64, settleAll bool) error {
 // and the cycle surfaces MaskAborted. Returns the total survivor count of
 // the settled waves — the contributor count DP noise is calibrated to.
 func (c *eventCore) settleMaskedWaves(halfLife float64, settleAll bool) (int, error) {
+	t0 := c.cfg.Phases.start()
+	defer c.cfg.Phases.stop(PhaseSettle, t0)
 	survivors := 0
 	kept := c.priv.waves[:0]
 	for _, w := range c.priv.waves {

@@ -200,3 +200,36 @@ func TestParallelDeviceRunMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallWavesTrainOnTheCaller pins the small-wave rule: a wave whose
+// training work is below minPoolWave runs on the engine goroutine alone —
+// worker 0's replica, none other cloned — at any pool width, and deposits
+// what a width-1 engine deposits.
+func TestSmallWavesTrainOnTheCaller(t *testing.T) {
+	cfg := goldenAsyncConfig(t)
+	cfg.Parallelism = 2
+	ids := []int{0, 1, 2}
+	train := func(cfg Config) *eventCore {
+		c := newEventCore(&cfg)
+		if work := c.waveWork(ids); work >= minPoolWave {
+			t.Fatalf("wave work %d is not below minPoolWave %d", work, minPoolWave)
+		}
+		if err := c.trainBatch(ids, rng.New(3)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	wide := train(cfg)
+	if wide.pool.Width() != 2 || wide.replicas[1] != nil {
+		t.Fatalf("a small wave on a width-%d pool cloned a second replica", wide.pool.Width())
+	}
+	cfg.Parallelism = 1
+	narrow := train(cfg)
+	for i := range ids {
+		for j, v := range wide.locals[i].Params {
+			if !bitsEqual(v, narrow.locals[i].Params[j]) {
+				t.Fatalf("party %d param %d: %v at width 2, %v at width 1", ids[i], j, v, narrow.locals[i].Params[j])
+			}
+		}
+	}
+}

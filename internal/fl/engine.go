@@ -61,25 +61,29 @@ type Config struct {
 	// OnRound, when non-nil, receives every evaluated round's RoundStats the
 	// moment it is appended to the history — the streaming hook the job
 	// server uses to push per-round progress to clients while a job runs.
-	// It is called on the run's evaluator goroutine, in round order, never
-	// concurrently with itself and never after Run returns; the engine keeps
-	// selecting and training meanwhile, but a hook that blocks for long
-	// stalls it once evalQueueCap snapshots wait. The PerLabel slice is owned
-	// by the history entry and must be copied if retained past the call.
+	// It is called on the run's evaluator goroutine, after the snapshot is
+	// scored, in round order, never concurrently with itself and never after
+	// Run returns. The engine keeps selecting and training meanwhile, but a
+	// hook that blocks for long stalls it at the next handoff once
+	// evalQueueCap snapshots wait (Phases shows that wait as PhaseHandoff).
+	// The PerLabel slice is owned by the history entry and must be copied if
+	// retained past the call.
 	OnRound func(RoundStats)
 	// TargetAccuracy records the first round whose balanced accuracy
 	// reaches this value (the paper's rounds-to-target metric).
 	TargetAccuracy float64
-	// Parallelism bounds the engine's worker pool: concurrent local-training
-	// workers and fold shards. Zero (the default) uses GOMAXPROCS; 1 forces
-	// the sequential path. At every width the run adds one evaluator goroutine,
-	// idle unless a model snapshot is queued, which scores the test set while
-	// the engine goes on. Every width produces bit-identical Results:
-	// per-party RNG streams are pre-split on the caller's goroutine in the
-	// sequential order, training results are deposited into an
-	// index-addressed slice, aggregation folds them in that same order, and
-	// evaluation counts integers over snapshots in step order (see DESIGN.md,
-	// "Parallel execution model").
+	// Parallelism bounds the engine's worker pool, whose caller — Run's
+	// goroutine — is one of its workers: in-process local training, fold
+	// shards and the mask passes. Zero (the default) uses GOMAXPROCS; 1 runs
+	// all of it on Run's goroutine, in index order, as does a training wave
+	// too small to share (minPoolWave). At every width the run adds one
+	// evaluator goroutine, idle unless a model snapshot is queued, which
+	// scores the whole test set on one model replica while the engine goes
+	// on. Every width produces bit-identical Results: per-party RNG streams
+	// are pre-split on Run's goroutine in the sequential order, training
+	// results are deposited into an index-addressed slice, aggregation folds
+	// them in that same order, and evaluation counts integers over snapshots
+	// in step order (see DESIGN.md, "Parallel execution model").
 	Parallelism int
 	// Shards partitions the party population into this many deterministic
 	// contiguous ID ranges for fleet-scale aggregation: the engine's dense
@@ -125,6 +129,12 @@ type Config struct {
 	Aggregation AggregationPolicy
 	// Seed makes the entire run reproducible.
 	Seed uint64
+	// Phases, when non-nil, accumulates the run's wall-clock time per phase:
+	// select, train, fold, settle, observe and the evaluation handoff on the
+	// engine goroutine, scoring on the evaluator's (see phases.go). It is a
+	// measurement, not a knob: nil costs no clock read and no allocation,
+	// and the Result is bit-identical either way.
+	Phases *Phases
 }
 
 // policy returns the configured aggregation policy, defaulting to SyncRounds.
@@ -375,11 +385,15 @@ func Run(cfg Config) (*Result, error) {
 			c.round.MeanLoss = lossSum / float64(n)
 		}
 		c.fb.Round = step
+		t0 := cfg.Phases.start()
 		cfg.Selector.Observe(c.fb)
+		cfg.Phases.stop(PhaseObserve, t0)
 		c.maybeEval(step)
 		c.resetCycle()
 	}
+	t0 := cfg.Phases.start()
 	c.eval.stop()
+	cfg.Phases.stop(PhaseHandoff, t0)
 	c.res.FinalParams = c.globalParams
 	return c.res, nil
 }

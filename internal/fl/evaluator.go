@@ -93,8 +93,10 @@ func (e *evaluator) loop() {
 // result: append the history entry, stream it, and advance the peak and the
 // first target crossing, stamped with the step's simulated clock.
 func (e *evaluator) score(j *evalJob) {
+	t0 := e.cfg.Phases.start()
 	e.replica.SetParams(j.params)
 	correct, total := model.ClassCounts(e.replica, e.cfg.Test, e.cfg.NumClasses)
+	e.cfg.Phases.stop(PhaseScore, t0)
 	st := j.stats
 	st.Accuracy = metrics.BalancedAccuracyFromCounts(correct, total)
 	st.PerLabel = metrics.PerLabelRecallFromCounts(correct, total)

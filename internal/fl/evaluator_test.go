@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"flips/internal/dataset"
 	"flips/internal/metrics"
 	"flips/internal/model"
 	"flips/internal/rng"
-	"flips/internal/tensor"
 )
 
 // runInlineEval is Run with evaluation inline on the engine goroutine, as it
@@ -155,9 +155,10 @@ func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 	}
 }
 
-// panickyModel is a model whose Predict panics once a counter shared by all
-// its clones passes limit; with limit = k × len(test) and only evaluation
-// calling Predict, the (k+1)-th evaluation panics.
+// panickyModel is a model whose PredictBlock panics once a count of
+// predicted samples shared by all its clones passes limit; with limit =
+// k × len(test) and only evaluation predicting, the (k+1)-th evaluation
+// panics at its first block.
 type panickyModel struct {
 	model.Model
 	predicts *atomic.Int64
@@ -168,11 +169,11 @@ func (m panickyModel) Clone() model.Model {
 	return panickyModel{Model: m.Model.Clone(), predicts: m.predicts, limit: m.limit}
 }
 
-func (m panickyModel) Predict(x tensor.Vec) int {
-	if m.predicts.Add(1) > m.limit {
+func (m panickyModel) PredictBlock(block []dataset.Sample) [model.BlockSize]int {
+	if m.predicts.Add(int64(len(block))) > m.limit {
 		panic("predict exploded")
 	}
-	return m.Model.Predict(x)
+	return m.Model.PredictBlock(block)
 }
 
 // TestEvaluationPanicReachesCaller pins the evaluator's panic barrier: a
@@ -200,7 +201,7 @@ func TestEvaluationPanicReachesCaller(t *testing.T) {
 	if !ok {
 		t.Fatalf("recovered %T (%v), want *evalPanic", recovered, recovered)
 	}
-	if !strings.Contains(ep.Error(), "predict exploded") || !strings.Contains(ep.Error(), "panickyModel.Predict") {
+	if !strings.Contains(ep.Error(), "predict exploded") || !strings.Contains(ep.Error(), "panickyModel.PredictBlock") {
 		t.Fatalf("panic lost its value or the evaluator's stack:\n%v", ep)
 	}
 	awaitGoroutines(t, before)

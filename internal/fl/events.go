@@ -489,6 +489,8 @@ func (c *eventCore) applyFold(global tensor.Vec, contributors int) {
 	if len(c.updates) == 0 {
 		return
 	}
+	t0 := c.cfg.Phases.start()
+	defer c.cfg.Phases.stop(PhaseFold, t0)
 	shards := foldShards(c.space.count(), len(c.delta))
 	if c.cfg.Fold.Kind != FoldMean {
 		RobustDeltaShardedInto(c.cfg.Fold, c.delta, global, c.updates, c.pool, shards)
@@ -523,7 +525,9 @@ func (c *eventCore) decayLR(r int) {
 // order) and range-checks them. The returned slice is engine-owned scratch,
 // valid until the next call.
 func (c *eventCore) selectParties(round, target int) ([]int, error) {
+	t0 := c.cfg.Phases.start()
 	ids := c.cfg.Selector.Select(round, target)
+	c.cfg.Phases.stop(PhaseSelect, t0)
 	c.invited = c.invited[:0]
 	for _, id := range ids {
 		if id < 0 || id >= len(c.cfg.Parties) {
@@ -562,6 +566,8 @@ func (c *eventCore) selectParties(round, target int) ([]int, error) {
 // parameters and SGD config pin the training to the identical computation,
 // so the deposited results are bit-equal either way.
 func (c *eventCore) trainBatch(ids []int, wr *rng.Source) error {
+	t0 := c.cfg.Phases.start()
+	defer c.cfg.Phases.stop(PhaseTrain, t0)
 	c.partyRngs = c.partyRngs[:0]
 	for _, id := range ids {
 		c.partyRngs = append(c.partyRngs, *wr.Split(uint64(id) + 0x1000))
@@ -589,7 +595,11 @@ func (c *eventCore) trainBatch(ids []int, wr *rng.Source) error {
 			SGD:       c.sgd,
 		}, c.locals)
 	}
-	c.pool.ForEachWorker(len(ids), func(w, i int) {
+	pool := c.pool
+	if c.waveWork(ids) < minPoolWave {
+		pool = callerOnly
+	}
+	pool.ForEachWorker(len(ids), func(w, i int) {
 		party := c.cfg.Parties[ids[i]]
 		local := c.replicas[w]
 		if local == nil {
@@ -604,6 +614,28 @@ func (c *eventCore) trainBatch(ids []int, wr *rng.Source) error {
 		c.locals[i] = res
 	})
 	return nil
+}
+
+// minPoolWave is the in-process training work, in parameter-sample passes
+// (waveWork), below which a wave trains on the engine goroutine alone: at
+// ≈ 1.5 ns a pass on the reference box, ≈ 25 µs, about what waking a pool
+// helper and waiting for it costs when the other processors are idle — as
+// they are between the evaluator's snapshots. The benchmark's fleet_async
+// job trains 16-party ECG waves of 0.8–13k; a 6-party golden round is 19k.
+// The width changes no result bit (see trainBatch).
+const minPoolWave = 1 << 14
+
+// callerOnly is the width-1 pool a wave below minPoolWave trains on.
+var callerOnly = parallel.New(1)
+
+// waveWork is the training work of a wave of the given parties: the samples
+// they hold × local epochs × the model's parameters.
+func (c *eventCore) waveWork(ids []int) int {
+	samples := 0
+	for _, id := range ids {
+		samples += c.cfg.Parties[id].NumSamples()
+	}
+	return samples * c.sgd.LocalEpochs * len(c.globalParams)
 }
 
 // push schedules an arrival event for up.
@@ -623,10 +655,12 @@ func (c *eventCore) maybeEval(step int) {
 	if (step+1)%c.cfg.EvalEvery != 0 && step != c.cfg.Rounds-1 {
 		return
 	}
+	t0 := c.cfg.Phases.start()
 	j := c.eval.take()
 	copy(j.params, c.globalParams)
 	j.stats = c.round
 	j.stats.Round = step + 1
 	j.stats.SimTime = c.res.SimTime
 	c.eval.hand(j)
+	c.cfg.Phases.stop(PhaseHandoff, t0)
 }

@@ -124,17 +124,17 @@ func (o *Adaptive) Apply(global, delta tensor.Vec) {
 		o.vt = tensor.NewVec(len(global))
 	}
 	for i, g := range delta {
-		o.mt[i] = b1*o.mt[i] + (1-b1)*g
-		g2 := g * g
+		o.mt[i] = float64(b1*o.mt[i]) + float64((1-b1)*g)
+		g2 := float64(g * g)
 		switch o.Kind {
 		case KindAdagrad:
 			o.vt[i] += g2
 		case KindAdam:
-			o.vt[i] = b2*o.vt[i] + (1-b2)*g2
+			o.vt[i] = float64(b2*o.vt[i]) + float64((1-b2)*g2)
 		case KindYogi:
 			// v_t ← v_t − (1−β2)·g²·sign(v_t − g²): additive, sign-controlled
 			// growth that is less sensitive to heavy-tailed pseudo-gradients.
-			o.vt[i] -= (1 - b2) * g2 * sign(o.vt[i]-g2)
+			o.vt[i] -= float64((1 - b2) * g2 * sign(o.vt[i]-g2))
 		}
 		global[i] += lr * o.mt[i] / (math.Sqrt(math.Max(o.vt[i], 0)) + eps)
 	}
@@ -178,13 +178,13 @@ func meanDeltaRange(dst, global tensor.Vec, updates []tensor.Vec, weights []floa
 		u = u[lo:hi]
 		if global == nil {
 			for i := range dst {
-				dst[i] += w * u[i]
+				dst[i] += float64(w * u[i])
 			}
 			continue
 		}
 		g := global[lo:hi]
 		for i := range dst {
-			dst[i] += w * (u[i] - g[i])
+			dst[i] += float64(w * (u[i] - g[i]))
 		}
 	}
 }

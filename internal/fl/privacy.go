@@ -603,13 +603,13 @@ func clipParamsInPlace(params, global tensor.Vec, clip float64) {
 	var sq float64
 	for i := range params {
 		d := params[i] - global[i]
-		sq += d * d
+		sq += float64(d * d)
 	}
 	n := math.Sqrt(sq)
 	if n > clip {
 		s := clip / n
 		for i := range params {
-			params[i] = global[i] + (params[i]-global[i])*s
+			params[i] = global[i] + float64((params[i]-global[i])*s)
 		}
 	}
 }

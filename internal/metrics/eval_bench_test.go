@@ -11,8 +11,8 @@ import (
 	"flips/internal/tensor"
 )
 
-// BenchmarkShardedEval measures the sharded test-set evaluation path the FL
-// engine runs after every evaluated round: ShardedClassCounts over a
+// BenchmarkShardedEval measures the sharded test-set evaluation path the
+// benchmark harness's evaluation probe runs: ShardedClassCounts over a
 // 4096-sample test set at pool width 1 (sequential) and 4.
 func BenchmarkShardedEval(b *testing.B) {
 	const (

@@ -16,13 +16,13 @@ import (
 // ShardedClassCounts evaluates m over samples split into contiguous shards,
 // one per pool worker, and merges the per-shard integer class counts. The
 // merge is integer addition, so the result is bit-identical to
-// model.ClassCounts over the whole set at every pool width — this is the
-// determinism contract of the parallel evaluation path. Models keep reusable
-// forward-pass scratch, so each concurrent shard evaluates its own Clone of
-// m (a parameter copy; Predict itself then allocates nothing). The FL engine
-// no longer calls it — its evaluator overlaps one model.ClassCounts per
-// snapshot with the next cycles instead — but the benchmark's evaluation
-// probe does.
+// model.ClassCounts over the whole set at every pool width. Models keep
+// reusable block scratch, so each concurrent shard evaluates its own Clone of
+// m (a parameter copy, whose first PredictBlock allocates its scratch). No
+// product path calls it: fl.Run's evaluator scores each snapshot with one
+// model.ClassCounts on one replica, overlapped with the next cycles
+// (DESIGN.md, "One aggregation loop"). The benchmark harness's evaluation
+// probe and the engine's inline-evaluation reference test do.
 func ShardedClassCounts(m model.Model, samples []dataset.Sample, numClasses int, pool *parallel.Pool) (correct, total []int) {
 	n := len(samples)
 	shards := pool.Width()

@@ -19,14 +19,24 @@ func (c *constModel) NumParams() int                                    { return
 func (c *constModel) Params() tensor.Vec                                { return tensor.NewVec(c.params) }
 func (c *constModel) SetParams(tensor.Vec)                              {}
 func (c *constModel) LossGradient([]dataset.Sample, tensor.Vec) float64 { return 0 }
-func (c *constModel) Predict(tensor.Vec) int                            { return c.class }
+func (c *constModel) PredictBlock(block []dataset.Sample) (classes [model.BlockSize]int) {
+	for k := range block {
+		classes[k] = c.class
+	}
+	return classes
+}
 
 // labelModel predicts y = round(x[0]) so shard evaluation has a non-trivial
 // mix of hits and misses (test double).
 type labelModel struct{ constModel }
 
-func (l *labelModel) Clone() model.Model       { ll := *l; return &ll }
-func (l *labelModel) Predict(x tensor.Vec) int { return int(x[0]) }
+func (l *labelModel) Clone() model.Model { ll := *l; return &ll }
+func (l *labelModel) PredictBlock(block []dataset.Sample) (classes [model.BlockSize]int) {
+	for k, s := range block {
+		classes[k] = int(s.X[0])
+	}
+	return classes
+}
 
 func shardEvalSamples(n, numClasses int, seed uint64) []dataset.Sample {
 	r := rng.New(seed)

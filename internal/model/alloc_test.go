@@ -135,21 +135,22 @@ func TestTrainLocalScratchMatchesTrainLocal(t *testing.T) {
 	}
 }
 
-// TestPredictZeroAllocs pins the evaluation path: Predict reuses the model's
-// forward scratch, so sharded evaluation costs one clone per shard and then
-// nothing per sample.
+// TestPredictZeroAllocs pins the evaluation path: PredictBlock reuses the
+// model's block scratch, allocated by its first call, so an evaluation costs
+// its two count slices and then nothing per sample — full blocks and a tail.
 func TestPredictZeroAllocs(t *testing.T) {
-	batch := randomBatch(rng.New(12), 8, 16, 5)
+	batch := randomBatch(rng.New(12), 11, 16, 5)
 	for name, m := range steadyStateModels(t) {
 		m := m
 		t.Run(name, func(t *testing.T) {
+			m.PredictBlock(batch[:1])
 			allocs := testing.AllocsPerRun(50, func() {
-				for _, s := range batch {
-					m.Predict(s.X)
+				for b := batch; len(b) > 0; b = b[min(BlockSize, len(b)):] {
+					m.PredictBlock(b[:min(BlockSize, len(b))])
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("Predict allocated %v times per 8 samples, want 0", allocs)
+				t.Fatalf("PredictBlock allocated %v times per 11 samples, want 0", allocs)
 			}
 		})
 	}

@@ -91,15 +91,66 @@ func BenchmarkLossGradientReference(b *testing.B) {
 }
 
 // BenchmarkClonePredict is what metrics.ShardedClassCounts pays per shard per
-// evaluation before its first prediction: a clone carries the parameters and
-// Predict's forward scratch, never LossGradient's block scratch.
+// evaluation before its first prediction: a clone carries the parameters, and
+// its first PredictBlock allocates the forward block scratch, never
+// LossGradient's own.
 func BenchmarkClonePredict(b *testing.B) {
-	x := randomBatch(rng.New(23), 1, benchDim, benchClasses)[0].X
+	block := randomBatch(rng.New(23), 1, benchDim, benchClasses)
 	for name, m := range benchModels(b) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = m.Clone().Predict(x)
+				_ = m.Clone().PredictBlock(block)
+			}
+		})
+	}
+}
+
+// classCountsCell is one BenchmarkClassCounts cell: a model off its initial
+// point and the 1,000-sample test set it is scored on.
+type classCountsCell struct {
+	m       Model
+	test    []dataset.Sample
+	classes int
+}
+
+// classCountsCells are the evaluations the benchmark's jobs run after every
+// evaluated round: the ECG logistic regression (32→5) and FEMNIST's MLP
+// (36→32→10).
+func classCountsCells() map[string]classCountsCell {
+	r := rng.New(29)
+	ecg := NewLogReg(32, 5)
+	for i, p := 0, ecg.paramsRef(); i < len(p); i++ {
+		p[i] = 0.1 * r.NormFloat64()
+	}
+	return map[string]classCountsCell{
+		"logreg-ecg":  {ecg, randomBatch(r, 1000, 32, 5), 5},
+		"mlp-femnist": {NewMLP(36, 32, 10, r.Split(1)), randomBatch(r, 1000, 36, 10), 10},
+	}
+}
+
+// BenchmarkClassCounts times one evaluation, four test samples per pass
+// through each forward product. It allocates the two count slices.
+func BenchmarkClassCounts(b *testing.B) {
+	for name, c := range classCountsCells() {
+		b.Run(name, func(b *testing.B) {
+			ClassCounts(c.m, c.test[:1], c.classes) // the block scratch is allocated by the first call
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ClassCounts(c.m, c.test, c.classes)
+			}
+		})
+	}
+}
+
+// BenchmarkClassCountsReference times the per-sample reference on the same
+// cells. CI gates each BenchmarkClassCounts cell at a fraction of it.
+func BenchmarkClassCountsReference(b *testing.B) {
+	for name, c := range classCountsCells() {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				referenceClassCounts(c.m, c.test, c.classes)
 			}
 		})
 	}

@@ -14,21 +14,19 @@ import (
 // Parameters live in a single flat backing vector; w and b are views sliced
 // into it, so Params/SetParams are single-copy and TrainLocal can update the
 // backing vector directly with no per-step copies (see DESIGN.md,
-// "Performance model"). The logits scratch buffers make the forward pass
+// "Performance model"). The logits scratch makes the forward pass
 // allocation-free, which means one LogReg must not be shared across
-// goroutines — clone per worker, as the FL engine and the sharded evaluator
-// do.
+// goroutines — clone per worker, as the FL engine and the evaluator do.
 type LogReg struct {
 	dim, classes int
 	params       tensor.Vec  // flat backing: [W row-major..., b...]
 	w            *tensor.Mat // classes x dim, view into params
 	b            tensor.Vec  // classes, view into params
-	logitsBuf    tensor.Vec  // Predict's scratch, len classes
-	// LossGradient's scratch, one logits (then dL/dz) slot per sample of a
-	// block. Allocated by the first LossGradient and held by one pointer: a
-	// clone made to Predict — the sharded evaluator makes thousands per job
-	// — pays nothing for it.
-	blk *[blockSize]tensor.Vec
+	// The block scratch of PredictBlock and LossGradient: one logits (then,
+	// in LossGradient, dL/dz) slot per sample of a block, cut from one
+	// allocation made by the first call that needs it. A clone allocates
+	// nothing for it until it predicts or trains.
+	blk [BlockSize]tensor.Vec
 }
 
 var _ Model = (*LogReg)(nil)
@@ -48,7 +46,6 @@ func (m *LogReg) bind(backing tensor.Vec) {
 	m.params = backing
 	m.w = &tensor.Mat{Rows: m.classes, Cols: m.dim, Data: backing[:m.classes*m.dim]}
 	m.b = backing[m.classes*m.dim:]
-	m.logitsBuf = tensor.NewVec(m.classes)
 }
 
 // LogRegFactory adapts NewLogReg to the Factory signature.
@@ -80,21 +77,26 @@ func (m *LogReg) SetParams(p tensor.Vec) {
 // paramsRef implements flatModel: the live backing vector.
 func (m *LogReg) paramsRef() tensor.Vec { return m.params }
 
-// logits computes W x + b into z.
-func (m *LogReg) logits(x, z tensor.Vec) {
-	m.w.MulVecInto(z, x)
-	z.AddInPlace(m.b)
+// block returns the block scratch, allocating it on first use.
+func (m *LogReg) block() *[BlockSize]tensor.Vec {
+	if m.blk[0] == nil {
+		m.blk = blockScratch(m.classes)
+	}
+	return &m.blk
 }
 
-// Predict returns the most likely class for x.
-func (m *LogReg) Predict(x tensor.Vec) int {
-	m.logits(x, m.logitsBuf)
-	return m.logitsBuf.ArgMax()
+// PredictBlock returns the most likely class of each sample of block: its
+// logits W x + b (one MulVec4Into for a full block), then their argmax.
+func (m *LogReg) PredictBlock(block []dataset.Sample) [BlockSize]int {
+	var xs [BlockSize]tensor.Vec
+	zs := m.block()[:len(block)]
+	forwardBlock(m.w, m.b, zs, features(&xs, block))
+	return argmaxEach(zs)
 }
 
 // LossGradient writes the mean cross-entropy gradient over the batch into
 // out, zeroed first, and returns the mean loss. The batch is walked in blocks
-// of blockSize samples — the block's logits (one MulVec4Into for a full
+// of BlockSize samples — the block's logits (one MulVec4Into for a full
 // block), softmax and loss per sample in batch order, then one pass over the
 // gradient for the whole block — which leaves every element's chain of
 // products as a sample-at-a-time pass forms it (see MLP.LossGradient).
@@ -108,23 +110,17 @@ func (m *LogReg) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	if m.blk == nil {
-		slots := blockScratch(m.classes)
-		m.blk = &slots
-	}
+	blk := m.block()
 	wGrad := tensor.Mat{Rows: m.classes, Cols: m.dim, Data: out[:m.classes*m.dim]}
 	bGrad := out[m.classes*m.dim:]
 	count := float64(len(batch))
 	inv := 1 / count
 	var total float64
-	var xs [blockSize]tensor.Vec
+	var xs [BlockSize]tensor.Vec
 	for len(batch) > 0 {
-		n := min(blockSize, len(batch))
-		ps := m.blk[:n]
-		for k, s := range batch[:n] {
-			xs[k] = s.X
-		}
-		forwardBlock(m.w, m.b, ps, xs[:n])
+		n := min(BlockSize, len(batch))
+		ps := blk[:n]
+		forwardBlock(m.w, m.b, ps, features(&xs, batch[:n]))
 		for k, s := range batch[:n] {
 			p := ps[k]
 			p.SoftmaxInPlace()

@@ -23,18 +23,21 @@ type MLP struct {
 	b1                   tensor.Vec  // hidden, view
 	w2                   *tensor.Mat // classes x hidden, view
 	b2                   tensor.Vec  // classes, view
-	hBuf, zBuf           tensor.Vec  // Predict's scratch: hidden, logits
-	blk                  *mlpBlock   // LossGradient's scratch
+	// The forward block scratch of PredictBlock and LossGradient: one slot
+	// per sample of a block for the hidden activations and for the logits
+	// (then, in LossGradient, dL/dlogits), allocated by the first call that
+	// needs them.
+	h, z [BlockSize]tensor.Vec
+	grad *mlpGrad // LossGradient's own scratch
 }
 
-// mlpBlock is LossGradient's scratch: W1 transposed, and one slot per sample
-// of a block for hidden activations, logits (then dL/dlogits) and dL/dh. It is
-// allocated by the first LossGradient and hangs off the model by one pointer,
-// so a clone made to Predict — the sharded evaluator makes thousands per job —
-// pays nothing for it.
-type mlpBlock struct {
-	w1t      *tensor.Mat // dim x hidden
-	h, z, dh [blockSize]tensor.Vec
+// mlpGrad is the scratch LossGradient needs beyond the forward block: W1
+// transposed, and one dL/dh slot per sample of a block. It is allocated by
+// the first LossGradient and hangs off the model by one pointer, so a clone
+// made to evaluate pays nothing for it.
+type mlpGrad struct {
+	w1t *tensor.Mat // dim x hidden
+	dh  [BlockSize]tensor.Vec
 }
 
 var _ Model = (*MLP)(nil)
@@ -66,8 +69,6 @@ func (m *MLP) bind(backing tensor.Vec) {
 	m.w2 = &tensor.Mat{Rows: m.classes, Cols: m.hidden, Data: backing[pos : pos+m.classes*m.hidden]}
 	pos += m.classes * m.hidden
 	m.b2 = backing[pos:]
-	m.hBuf = tensor.NewVec(m.hidden)
-	m.zBuf = tensor.NewVec(m.classes)
 }
 
 // MLPFactory adapts NewMLP to the Factory signature.
@@ -108,24 +109,32 @@ func (m *MLP) activate(h tensor.Vec) {
 	}
 }
 
-// head finishes the forward pass from h = W1·x: hidden activations in place
-// in h, then logits into z.
-func (m *MLP) head(h, z tensor.Vec) {
-	m.activate(h)
-	m.w2.MulVecInto(z, h)
-	z.AddInPlace(m.b2)
+// forward returns the forward block scratch's first n hidden and logit
+// slots, allocating the scratch on first use.
+func (m *MLP) forward(n int) (hs, zs []tensor.Vec) {
+	if m.h[0] == nil {
+		m.h, m.z = blockScratch(m.hidden), blockScratch(m.classes)
+	}
+	return m.h[:n], m.z[:n]
 }
 
-// Predict returns the most likely class for x.
-func (m *MLP) Predict(x tensor.Vec) int {
-	m.w1.MulVecInto(m.hBuf, x)
-	m.head(m.hBuf, m.zBuf)
-	return m.zBuf.ArgMax()
+// PredictBlock returns the most likely class of each sample of block: the
+// hidden layer W1 x (one MulVec4Into for a full block), its activations, the
+// logits W2 h + b2 (another MulVec4Into), then their argmax.
+func (m *MLP) PredictBlock(block []dataset.Sample) [BlockSize]int {
+	var xs [BlockSize]tensor.Vec
+	hs, zs := m.forward(len(block))
+	mulBlock(m.w1, hs, features(&xs, block))
+	for _, h := range hs {
+		m.activate(h)
+	}
+	forwardBlock(m.w2, m.b2, zs, hs)
+	return argmaxEach(zs)
 }
 
 // LossGradient writes the mean cross-entropy gradient (backprop) over the
 // batch into out, zeroed first, and returns the mean loss. The batch is
-// walked in blocks of blockSize samples: each sample's hidden layer, then the
+// walked in blocks of BlockSize samples: each sample's hidden layer, then the
 // block's logits (one MulVec4Into over W2 for a full block), then softmax and
 // loss per sample in batch order, then one pass over each gradient matrix for
 // the whole block (tensor.Mat.AddOuterInPlace). Every gradient element still
@@ -145,10 +154,10 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	if m.blk == nil {
-		m.blk = &mlpBlock{w1t: tensor.NewMat(m.dim, m.hidden), h: blockScratch(m.hidden), z: blockScratch(m.classes), dh: blockScratch(m.hidden)}
+	if m.grad == nil {
+		m.grad = &mlpGrad{w1t: tensor.NewMat(m.dim, m.hidden), dh: blockScratch(m.hidden)}
 	}
-	w1t := m.blk.w1t
+	w1t := m.grad.w1t
 	m.w1.TransposeInto(w1t)
 	pos := 0
 	w1g := tensor.Mat{Rows: m.hidden, Cols: m.dim, Data: out[pos : pos+len(m.w1.Data)]}
@@ -162,10 +171,11 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	count := float64(len(batch))
 	inv := 1 / count
 	var total float64
-	var xs [blockSize]tensor.Vec
+	var xs [BlockSize]tensor.Vec
 	for len(batch) > 0 {
-		n := min(blockSize, len(batch))
-		hs, zs, dhs := m.blk.h[:n], m.blk.z[:n], m.blk.dh[:n]
+		n := min(BlockSize, len(batch))
+		hs, zs := m.forward(n)
+		dhs := m.grad.dh[:n]
 		for k, s := range batch[:n] {
 			w1t.MulVecTInto(hs[k], s.X)
 			m.activate(hs[k])

@@ -35,8 +35,13 @@ type Model interface {
 	// its per-sample products in batch order starting from +0. How many
 	// samples an implementation takes per pass over out is its own business.
 	LossGradient(batch []dataset.Sample, out tensor.Vec) float64
-	// Predict returns the argmax class for x.
-	Predict(x tensor.Vec) int
+	// PredictBlock returns the argmax class of each sample's features in
+	// block, which holds at most BlockSize samples; the entries past
+	// len(block) are zero. Each class is the one a single-sample forward
+	// pass picks — every logit is Row(i).Dot(x) + b[i], and ties go to the
+	// lower class — however many samples an implementation takes per pass.
+	// It leaves the parameters untouched but may write the model's scratch.
+	PredictBlock(block []dataset.Sample) [BlockSize]int
 }
 
 // flatModel is the optional capability of models that store their parameters
@@ -53,42 +58,65 @@ type flatModel interface {
 // architecture and the initial global model.
 type Factory func(r *rng.Source) Model
 
-// blockSize is how many samples a built-in model's LossGradient takes through
-// its backward pass together: the four rank-1 updates tensor.Mat.AddOuterInPlace
+// BlockSize is how many samples a built-in model takes through one pass over
+// its parameters: the four samples tensor.Mat.MulVec4Into puts in lanes for a
+// forward product, and the four rank-1 updates tensor.Mat.AddOuterInPlace
 // applies per pass over a gradient matrix.
-const blockSize = 4
+const BlockSize = 4
 
-// blockScratch returns blockSize vectors of length n, the per-sample slots of
+// blockScratch returns BlockSize vectors of length n, the per-sample slots of
 // one block, cut from a single allocation.
-func blockScratch(n int) (slots [blockSize]tensor.Vec) {
-	backing := tensor.NewVec(blockSize * n)
+func blockScratch(n int) (slots [BlockSize]tensor.Vec) {
+	backing := tensor.NewVec(BlockSize * n)
 	for k := range slots {
 		slots[k] = backing[k*n : (k+1)*n : (k+1)*n]
 	}
 	return slots
 }
 
-// forwardBlock sets zs[k] = w·xs[k] + b for each sample of a block — its
-// logits, or its pre-activations — with one MulVec4Into when the block is
-// full and one MulVecInto per sample otherwise. Either way zs[k][i] is
-// Row(i).Dot(xs[k]) + b[i].
-func forwardBlock(w *tensor.Mat, b tensor.Vec, zs, xs []tensor.Vec) {
-	if len(zs) == blockSize {
+// mulBlock sets zs[k] = w·xs[k] for each sample of a block, with one
+// MulVec4Into when the block is full and one MulVecInto per sample otherwise.
+// Either way zs[k][i] is Row(i).Dot(xs[k]).
+func mulBlock(w *tensor.Mat, zs, xs []tensor.Vec) {
+	if len(zs) == BlockSize {
 		w.MulVec4Into(zs[0], zs[1], zs[2], zs[3], xs[0], xs[1], xs[2], xs[3])
-	} else {
-		for k, z := range zs {
-			w.MulVecInto(z, xs[k])
-		}
+		return
 	}
+	for k, z := range zs {
+		w.MulVecInto(z, xs[k])
+	}
+}
+
+// forwardBlock sets zs[k] = w·xs[k] + b for each sample of a block — its
+// logits, or its pre-activations: zs[k][i] is Row(i).Dot(xs[k]) + b[i].
+func forwardBlock(w *tensor.Mat, b tensor.Vec, zs, xs []tensor.Vec) {
+	mulBlock(w, zs, xs)
 	for _, z := range zs {
 		z.AddInPlace(b)
 	}
 }
 
+// features gathers the feature vectors of a block's samples into xs and
+// returns the filled prefix.
+func features(xs *[BlockSize]tensor.Vec, block []dataset.Sample) []tensor.Vec {
+	for k, s := range block {
+		xs[k] = s.X
+	}
+	return xs[:len(block)]
+}
+
+// argmaxEach returns the argmax class of each logit vector of a block.
+func argmaxEach(zs []tensor.Vec) (classes [BlockSize]int) {
+	for k, z := range zs {
+		classes[k] = z.ArgMax()
+	}
+	return classes
+}
+
 // axpyEach performs v += a*x for each x in order — a bias gradient's share of
 // one block — in one pass over v when the block is full.
 func axpyEach(v tensor.Vec, a float64, xs []tensor.Vec) {
-	if len(xs) == blockSize {
+	if len(xs) == BlockSize {
 		v.Axpy4(a, a, a, a, xs[0], xs[1], xs[2], xs[3])
 		return
 	}

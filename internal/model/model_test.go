@@ -24,11 +24,14 @@ func randomBatch(r *rng.Source, n, dim, classes int) []dataset.Sample {
 
 // accuracy returns the plain (unbalanced) accuracy of m on the samples.
 func accuracy(m Model, samples []dataset.Sample) float64 {
-	correct := 0
+	classes := 0
 	for _, s := range samples {
-		if m.Predict(s.X) == s.Y {
-			correct++
-		}
+		classes = max(classes, s.Y+1)
+	}
+	correct := 0
+	counts, _ := ClassCounts(m, samples, classes)
+	for _, c := range counts {
+		correct += c
 	}
 	return float64(correct) / float64(len(samples))
 }

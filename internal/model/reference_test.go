@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"flips/internal/dataset"
@@ -215,5 +216,156 @@ func FuzzLossGradientBlocks(f *testing.F) {
 		checkAgainstReference(t, m, batch, fmt.Sprintf("%T dim %d hidden %d classes %d batch %d", m, dim, hidden, classes, n))
 		// A second, shorter batch on the same model: its block scratch is warm.
 		checkAgainstReference(t, m, batch[:n/3], "warm model, shorter batch")
+	})
+}
+
+// referenceClassCounts is ClassCounts as it was before samples were scored in
+// blocks: one forward pass per sample through MulVecInto — the logits
+// Row(i).Dot(x) + b[i] — then the argmax, into scratch allocated once per
+// call. The blocked scorer must pick every class it picks.
+func referenceClassCounts(m Model, samples []dataset.Sample, numClasses int) (correct, total []int) {
+	correct = make([]int, numClasses)
+	total = make([]int, numClasses)
+	predict := referencePredictor(m)
+	for _, s := range samples {
+		total[s.Y]++
+		if predict(s.X) == s.Y {
+			correct[s.Y]++
+		}
+	}
+	return correct, total
+}
+
+// referencePredictor returns the per-sample Predict of m, with its own scratch.
+func referencePredictor(m Model) func(x tensor.Vec) int {
+	switch m := m.(type) {
+	case *LogReg:
+		z := tensor.NewVec(m.classes)
+		return func(x tensor.Vec) int {
+			m.w.MulVecInto(z, x)
+			z.AddInPlace(m.b)
+			return z.ArgMax()
+		}
+	case *MLP:
+		h, z := tensor.NewVec(m.hidden), tensor.NewVec(m.classes)
+		return func(x tensor.Vec) int {
+			m.w1.MulVecInto(h, x)
+			m.activate(h)
+			m.w2.MulVecInto(z, h)
+			z.AddInPlace(m.b2)
+			return z.ArgMax()
+		}
+	default:
+		panic(fmt.Sprintf("no reference Predict for %T", m))
+	}
+}
+
+// checkClassCounts scores samples with ClassCounts and with the reference and
+// requires the same counts, and the same class from every PredictBlock call —
+// with zeros past the block — as the per-sample pass picks.
+func checkClassCounts(t *testing.T, m Model, samples []dataset.Sample, numClasses int, what string) {
+	t.Helper()
+	gotC, gotT := ClassCounts(m, samples, numClasses)
+	wantC, wantT := referenceClassCounts(m, samples, numClasses)
+	if !slices.Equal(gotC, wantC) || !slices.Equal(gotT, wantT) {
+		t.Fatalf("%s: counts %v of %v, reference %v of %v", what, gotC, gotT, wantC, wantT)
+	}
+	predict := referencePredictor(m)
+	for lo := 0; lo < len(samples); lo += BlockSize {
+		block := samples[lo:min(lo+BlockSize, len(samples))]
+		got := m.PredictBlock(block)
+		for k := range got {
+			want := 0
+			if k < len(block) {
+				want = predict(block[k].X)
+			}
+			if got[k] != want {
+				t.Fatalf("%s: sample %d of the block at %d predicted %d, reference %d", what, k, lo, got[k], want)
+			}
+		}
+	}
+}
+
+// TestClassCountsMatchesReference pins the blocked scorer to the per-sample
+// one at the shapes the jobs evaluate — the ECG logistic regression (32→5)
+// and FEMNIST's MLP (36→32→10) — for every test-set length modulo the block,
+// on one model per shape reused across lengths: trained-looking parameters,
+// an all-zero model whose logits all tie (every sample is class 0), and
+// parameters salted with NaN and ±Inf, whose NaN logits the argmax must
+// treat as the per-sample pass does.
+func TestClassCountsMatchesReference(t *testing.T) {
+	t.Parallel()
+	salt := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for _, shape := range [][3]int{{32, 0, 5}, {36, 32, 10}} {
+		for _, params := range []string{"normal", "zero", "salted"} {
+			r := rng.New(61)
+			dim, hidden, classes := shape[0], shape[1], shape[2]
+			var m Model = NewLogReg(dim, classes)
+			if hidden > 0 {
+				m = NewMLP(dim, hidden, classes, r.Split(1))
+			}
+			p := m.(flatModel).paramsRef()
+			for i := range p {
+				switch params {
+				case "normal":
+					p[i] = 0.3 * r.NormFloat64()
+				case "zero":
+					p[i] = 0
+				case "salted":
+					p[i] = r.NormFloat64()
+					if r.Intn(10) == 0 {
+						p[i] = salt[r.Intn(len(salt))]
+					}
+				}
+			}
+			for _, n := range []int{100, 0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 1000} {
+				samples := randomBatch(r, n, dim, classes)
+				checkClassCounts(t, m, samples, classes, fmt.Sprintf("%T %v %s params, %d samples", m, shape, params, n))
+			}
+		}
+	}
+}
+
+// FuzzClassCounts feeds both models arbitrary shapes, test-set lengths and
+// float bit patterns — the fuzzer's bytes, eight to a word, as parameters and
+// features — and requires the blocked scorer to pick every class the
+// per-sample reference picks.
+func FuzzClassCounts(f *testing.F) {
+	f.Add([]byte{13, 32, 0, 5})
+	f.Add([]byte{9, 36, 32, 10})
+	f.Add([]byte{6, 3, 2, 4, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var head [4]int
+		for i := range head {
+			if i < len(data) {
+				head[i] = int(data[i])
+			}
+		}
+		data = data[min(len(head), len(data)):]
+		n, dim, hidden, classes := head[0]%41, 1+head[1]%40, head[2]%34, 1+head[3]%12
+		r := rng.New(67)
+		word := func() float64 {
+			if len(data) >= 8 {
+				w := binary.LittleEndian.Uint64(data)
+				data = data[8:]
+				return math.Float64frombits(w)
+			}
+			return r.NormFloat64()
+		}
+		var m Model = NewLogReg(dim, classes)
+		if hidden > 0 {
+			m = NewMLP(dim, hidden, classes, r.Split(1))
+		}
+		params := m.(flatModel).paramsRef()
+		for i := range params {
+			params[i] = word()
+		}
+		samples := randomBatch(r, n, dim, classes)
+		for _, s := range samples {
+			for j := range s.X {
+				s.X[j] = word()
+			}
+		}
+		checkClassCounts(t, m, samples, classes, fmt.Sprintf("%T dim %d hidden %d classes %d samples %d", m, dim, hidden, classes, n))
 	})
 }

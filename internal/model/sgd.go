@@ -185,18 +185,23 @@ func TrainLocalInPlace(m Model, data []dataset.Sample, cfg SGDConfig, globalPara
 // of label-c samples predicted correctly, total[c] the count of label-c
 // samples. Because the tallies are integers, counts taken over disjoint
 // shards of a sample set merge by addition into exactly the counts of the
-// whole set — the property the parallel evaluation path relies on. Predict
-// leaves the parameters untouched but writes the model's scratch buffers,
-// so concurrent shards must each run on their own Clone (as
-// metrics.ShardedClassCounts does).
+// whole set — the property metrics.ShardedClassCounts relies on. The samples
+// are scored BlockSize at a time through PredictBlock, which leaves the
+// parameters untouched but writes the model's scratch buffers, so concurrent
+// callers must each run on their own Clone.
 func ClassCounts(m Model, samples []dataset.Sample, numClasses int) (correct, total []int) {
 	correct = make([]int, numClasses)
 	total = make([]int, numClasses)
-	for _, s := range samples {
-		total[s.Y]++
-		if m.Predict(s.X) == s.Y {
-			correct[s.Y]++
+	for len(samples) > 0 {
+		block := samples[:min(BlockSize, len(samples))]
+		classes := m.PredictBlock(block)
+		for k, s := range block {
+			total[s.Y]++
+			if classes[k] == s.Y {
+				correct[s.Y]++
+			}
 		}
+		samples = samples[len(block):]
 	}
 	return correct, total
 }

@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"flips/internal/dataset"
@@ -81,9 +82,10 @@ func CheckDirichlet(samples, parties int, alpha float64) error {
 // largestRemainderApportion converts fractional proportions over n items to
 // integer counts summing exactly to n (Hamilton's method): every party gets
 // the floor of its exact share, and the items left over go one each to the
-// largest fractional remainders, ties to the lower index. One sort replaces
-// a rescan of all parties per leftover item, so a label costs O(N log N)
-// instead of O(N · leftover) — the leftover count is itself ~N/2.
+// largest fractional remainders, ties to the lower index. The parties that
+// receive one are selected, not sorted (selectFirst), so a label costs O(N)
+// on average instead of a rescan of all parties per leftover item — the
+// leftover count is itself ~N/2.
 func largestRemainderApportion(props []float64, n int) []int {
 	counts := make([]int, len(props))
 	fracs := make([]float64, len(props))
@@ -102,12 +104,7 @@ func largestRemainderApportion(props []float64, n int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(fracs[b], fracs[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	selectFirst(order, min(left, len(order)), fracs)
 	for _, i := range order[:min(left, len(order))] {
 		counts[i]++
 	}
@@ -118,6 +115,71 @@ func largestRemainderApportion(props []float64, n int) []int {
 		counts[0] += left - len(order)
 	}
 	return counts
+}
+
+// remainderFirst reports whether party a's remainder is handed an item before
+// party b's: the larger remainder first, NaN below every number (as
+// cmp.Compare orders it), and between equal remainders the lower index. The
+// order is strict and total over distinct parties.
+func remainderFirst(fracs []float64, a, b int) bool {
+	if c := cmp.Compare(fracs[a], fracs[b]); c != 0 {
+		return c > 0
+	}
+	return a < b
+}
+
+// selectFirst reorders order so that its first k entries are the k parties
+// that come first under remainderFirst, in no particular order. It is
+// quickselect: each pass partitions the window holding position k around a
+// median-of-three pivot and keeps the side k falls in, so it is linear on
+// average; a window still open after 2·log2(n) passes is sorted outright,
+// which bounds the worst case at O(n log n). remainderFirst is a strict total
+// order, so the k chosen are exactly the ones a full sort puts first.
+func selectFirst(order []int, k int, fracs []float64) {
+	lo, hi := 0, len(order)
+	for budget := 2 * bits.Len(uint(len(order))); lo < k && k < hi; budget-- {
+		if budget == 0 || hi-lo <= 16 {
+			slices.SortFunc(order[lo:hi], func(a, b int) int {
+				if remainderFirst(fracs, a, b) {
+					return -1
+				}
+				return 1
+			})
+			return
+		}
+		p := lo + partitionAround(order[lo:hi], fracs)
+		if p < k {
+			lo = p + 1
+		} else {
+			hi = p
+		}
+	}
+}
+
+// partitionAround moves the median of w's first, middle and last party to
+// its final place under remainderFirst, the parties before it to its left
+// and the rest to its right, and returns its index.
+func partitionAround(w []int, fracs []float64) int {
+	last, mid := len(w)-1, len(w)/2
+	if remainderFirst(fracs, w[mid], w[0]) {
+		w[mid], w[0] = w[0], w[mid]
+	}
+	if remainderFirst(fracs, w[last], w[mid]) {
+		w[last], w[mid] = w[mid], w[last]
+		if remainderFirst(fracs, w[mid], w[0]) {
+			w[mid], w[0] = w[0], w[mid]
+		}
+	}
+	w[mid], w[last] = w[last], w[mid]
+	pivot, i := w[last], 0
+	for j, party := range w[:last] {
+		if remainderFirst(fracs, party, pivot) {
+			w[i], w[j] = party, w[i]
+			i++
+		}
+	}
+	w[i], w[last] = pivot, w[i]
+	return i
 }
 
 // topUpEmptyParties moves one sample from the largest party (ties to the
