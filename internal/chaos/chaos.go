@@ -335,9 +335,8 @@ func (in *Injector) CorruptDelta(round, id int, delta tensor.Vec) {
 		delta.ScaleInPlace(-1)
 	case FaultByzantine:
 		r := rng.New(in.spec.Seed).Split(streamByzantine).Split(uint64(round) + 1).Split(uint64(id) + 1)
-		for i := range delta {
-			delta[i] = in.spec.FaultScale * r.NormFloat64()
-		}
+		r.Normals(delta)
+		delta.ScaleInPlace(in.spec.FaultScale)
 	}
 }
 

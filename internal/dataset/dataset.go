@@ -102,9 +102,7 @@ func Generate(spec Spec, r *rng.Source) (train, test *Dataset, err error) {
 	prototypes := make([]tensor.Vec, k)
 	for c := range prototypes {
 		p := tensor.NewVec(spec.Dim)
-		for i := range p {
-			p[i] = protoRng.NormFloat64()
-		}
+		protoRng.Normals(p)
 		norm := p.Norm2()
 		if norm > 0 {
 			p.ScaleInPlace(spec.Separation / norm)
@@ -117,9 +115,11 @@ func Generate(spec Spec, r *rng.Source) (train, test *Dataset, err error) {
 		ds.Samples = make([]Sample, n)
 		for i := 0; i < n; i++ {
 			y := dr.Categorical(priors)
-			x := prototypes[y].Clone()
+			x := tensor.NewVec(spec.Dim)
+			dr.Normals(x)
+			proto := prototypes[y]
 			for j := range x {
-				x[j] += dr.NormFloat64()
+				x[j] = proto[j] + x[j]
 			}
 			ds.Samples[i] = Sample{X: x, Y: y}
 		}

@@ -171,3 +171,37 @@ func TestPackVectors(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild times one job's build before its first round — data,
+// feature shift, partition, parties, devices, selector — at two job shapes:
+// the benchmark's 20k-party buffered Oort fleet (fleet_async), and a 60-party
+// FLIPS ECG job, the most common kind in server_mixed's windows.
+func BenchmarkBuild(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  SimulationConfig
+	}{
+		{"fleet-20k", SimulationConfig{
+			Dataset: "mit-bih-ecg", Strategy: "oort", Aggregation: "buffered",
+			DeviceProfile: "lognormal", Availability: "churn",
+			Parties: 20000, Rounds: 10000, PartyFraction: 0.0016, Shards: 64, Seed: 7,
+		}},
+		{"server-60", SimulationConfig{
+			Dataset: "mit-bih-ecg", Strategy: "flips", StragglerRate: 0.1,
+			Parties: 60, Rounds: 100, Seed: 7,
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			setting, scale, err := bc.cfg.Resolve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(setting, scale); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

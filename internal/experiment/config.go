@@ -594,12 +594,11 @@ func applyFeatureShift(parties []*fl.Party, dim int, sigma float64, r *rng.Sourc
 	for id := 0; id < parties[0].ID; id++ {
 		r.Split(uint64(id) + 1)
 	}
-	off := make([]float64, dim)
+	off := tensor.NewVec(dim)
 	for _, p := range parties {
 		pr := r.Split(uint64(p.ID) + 1)
-		for j := range off {
-			off[j] = sigma * pr.NormFloat64()
-		}
+		pr.Normals(off)
+		off.ScaleInPlace(sigma)
 		for _, s := range p.Data {
 			for j := range s.X {
 				s.X[j] += off[j]

@@ -233,3 +233,44 @@ func TestSmallWavesTrainOnTheCaller(t *testing.T) {
 		}
 	}
 }
+
+// wideWaveConfig is asyncConfig over a near-IID split (α = 10, every party
+// holding 16 samples or more) and a 32-unit hidden layer: even a one-party
+// wave's training work is above minPoolWave, so every wave of either async
+// policy trains across the pool.
+func wideWaveConfig(t *testing.T, seed uint64, parallelism int, policy AggregationPolicy) Config {
+	t.Helper()
+	cfg := asyncConfig(t, seed, parallelism, policy)
+	parties, test, spec := buildTestJob(t, seed, 16, 10)
+	cfg.Parties, cfg.Test = parties, test.Samples
+	cfg.Factory = model.MLPFactory(spec.Dim, 32, len(spec.LabelNames))
+	return cfg
+}
+
+// TestWideAsyncWavesMatchSequential is the width check the small-wave rule
+// took from the async goldens, whose waves now train on the caller: with
+// every possible wave above minPoolWave, a Buffered or SemiSync run at width
+// 8 is byte-identical to the run at width 1.
+func TestWideAsyncWavesMatchSequential(t *testing.T) {
+	t.Parallel()
+	for _, policy := range asyncPolicies() {
+		for _, seed := range []uint64{3, 17} {
+			probe := wideWaveConfig(t, seed, 8, policy)
+			c := newEventCore(&probe)
+			for id := range probe.Parties {
+				if work := c.waveWork([]int{id}); work < minPoolWave {
+					t.Fatalf("%T seed %d: party %d alone is a wave of work %d, below minPoolWave %d", policy, seed, id, work, minPoolWave)
+				}
+			}
+			sequential, err := Run(wideWaveConfig(t, seed, 1, policy))
+			if err != nil {
+				t.Fatalf("%T seed %d sequential: %v", policy, seed, err)
+			}
+			parallel8, err := Run(wideWaveConfig(t, seed, 8, policy))
+			if err != nil {
+				t.Fatalf("%T seed %d parallel: %v", policy, seed, err)
+			}
+			requireIdenticalResults(t, sequential, parallel8)
+		}
+	}
+}

@@ -47,14 +47,10 @@ var _ flatModel = (*MLP)(nil)
 func NewMLP(dim, hidden, classes int, r *rng.Source) *MLP {
 	m := &MLP{dim: dim, hidden: hidden, classes: classes}
 	m.bind(tensor.NewVec(hidden*dim + hidden + classes*hidden + classes))
-	scale1 := math.Sqrt(2 / float64(dim))
-	for i := range m.w1.Data {
-		m.w1.Data[i] = scale1 * r.NormFloat64()
-	}
-	scale2 := math.Sqrt(2 / float64(hidden))
-	for i := range m.w2.Data {
-		m.w2.Data[i] = scale2 * r.NormFloat64()
-	}
+	r.Normals(m.w1.Data)
+	m.w1.Data.ScaleInPlace(math.Sqrt(2 / float64(dim)))
+	r.Normals(m.w2.Data)
+	m.w2.Data.ScaleInPlace(math.Sqrt(2 / float64(hidden)))
 	return m
 }
 

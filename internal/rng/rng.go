@@ -9,10 +9,6 @@
 // operation derives stream-independent children).
 package rng
 
-import (
-	"math"
-)
-
 // Source is a deterministic pseudo-random number generator based on the
 // SplitMix64/xoshiro256** family. The zero value is not usable; construct
 // with New or Split.
@@ -116,18 +112,6 @@ func mul64(x, y uint64) (hi, lo uint64) {
 	hi = x1*y1 + w2 + w1>>32
 	lo = x * y
 	return hi, lo
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := float64(u*u) + float64(v*v)
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Shuffle performs a Fisher-Yates shuffle of n elements using swap.

@@ -228,6 +228,27 @@ func TestCategoricalRespectsWeights(t *testing.T) {
 	}
 }
 
+// TestCategoricalZeroTotalIsUniform pins the fallback for weights with no
+// positive entry: each draw is the Intn draw, so every index is reachable.
+func TestCategoricalZeroTotalIsUniform(t *testing.T) {
+	t.Parallel()
+	w := []float64{0, -1, 0, 0}
+	got, want := New(5), New(5)
+	seen := make([]bool, len(w))
+	for i := 0; i < 400; i++ {
+		c := got.Categorical(w)
+		if ref := want.Intn(len(w)); c != ref {
+			t.Fatalf("draw %d: Categorical gave %d, Intn %d", i, c, ref)
+		}
+		seen[c] = true
+	}
+	for c, ok := range seen {
+		if !ok {
+			t.Fatalf("index %d never drawn from an all-zero weight vector", c)
+		}
+	}
+}
+
 func TestSampleWithoutReplacementDistinct(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {

@@ -72,8 +72,12 @@ func (r *Source) Gamma(shape float64) float64 {
 }
 
 // Categorical samples an index from the (not necessarily normalized)
-// non-negative weight vector. It panics on an empty vector and returns the
-// last index if the weights sum to zero (caller-visible but deterministic).
+// non-negative weight vector. It panics on an empty vector. If no weight is
+// positive it draws an index uniformly, with one Intn(len(weights)) draw, so
+// any index can come back: a caller that zero-weights a pick to exclude it
+// must remove it instead (the selection band swap-removes its picks). The
+// last index comes back without matching a positive weight only when
+// rounding leaves u at or above the running total.
 func (r *Source) Categorical(weights []float64) int {
 	if len(weights) == 0 {
 		panic("rng: Categorical called with empty weights")

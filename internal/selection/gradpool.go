@@ -43,7 +43,7 @@ const gradPoolCap = 192
 
 // newGradPool builds the pool, consuming RNG exactly as the historical
 // GradClus constructor did: one Uint64 for the placeholder seed in scale
-// mode, else numParties·gradDim NormFloat64 draws in id-then-dim order.
+// mode, else numParties·gradDim normals in id-then-dim order.
 func newGradPool(numParties, gradDim, scaleThreshold int, r *rng.Source) *gradPool {
 	p := &gradPool{
 		numParties: numParties,
@@ -63,9 +63,7 @@ func newGradPool(numParties, gradDim, scaleThreshold int, r *rng.Source) *gradPo
 	}
 	for i := range p.grads {
 		v := tensor.NewVec(gradDim)
-		for j := range v {
-			v[j] = r.NormFloat64()
-		}
+		r.Normals(v)
 		p.grads[i] = v
 	}
 	return p
@@ -134,9 +132,7 @@ func (p *gradPool) gradient(id int) tensor.Vec {
 	}
 	pr := rng.New(p.phSeed ^ (uint64(id)+1)*0xd1342543de82ef95)
 	v := tensor.NewVec(p.gradDim)
-	for j := range v {
-		v[j] = pr.NormFloat64()
-	}
+	pr.Normals(v)
 	return v
 }
 
