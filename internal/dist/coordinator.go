@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -313,15 +312,7 @@ func NewJob(c *Coordinator, spec []byte, parties, workers int) (*Job, error) {
 	c.nextJob++
 	c.mu.Unlock()
 
-	j := &Job{c: c, id: id, spec: spec, parties: parties}
-	for i := 0; i < workers; i++ {
-		j.slots = append(j.slots, &slot{
-			idx:           i,
-			lo:            i * parties / workers,
-			hi:            (i + 1) * parties / workers,
-			syncedVersion: unsyncedVersion,
-		})
-	}
+	j := &Job{c: c, id: id, spec: spec, parties: parties, slots: evenSlots(parties, workers)}
 	claimed, err := c.claimIdle(workers)
 	if err != nil {
 		return nil, err
@@ -425,10 +416,30 @@ func (j *Job) acquire(s *slot) (*workerConn, error) {
 	}
 }
 
-// slotOf maps a party ID to its slot index. Ranges are the contiguous even
-// split from NewJob, so a binary search over the lower bounds suffices.
+// evenSlots splits the party-ID space [0, parties) into `workers`
+// contiguous ranges, slot i taking [i·parties/workers, (i+1)·parties/workers).
+func evenSlots(parties, workers int) []*slot {
+	slots := make([]*slot, workers)
+	for i := range slots {
+		slots[i] = &slot{
+			idx:           i,
+			lo:            i * parties / workers,
+			hi:            (i + 1) * parties / workers,
+			syncedVersion: unsyncedVersion,
+		}
+	}
+	return slots
+}
+
+// slotOf maps a party ID to its slot index, or to len(j.slots) for an ID
+// outside [0, parties). NewJob's even split gives slot k the IDs below
+// hi = (k+1)·P/W (P parties, W slots), so id lands in the least k with
+// (k+1)·P/W > id, that is (k+1)·P ≥ (id+1)·W: k = ((id+1)·W − 1) / P.
 func (j *Job) slotOf(id int) int {
-	return sort.Search(len(j.slots), func(i int) bool { return j.slots[i].hi > id })
+	if id < 0 || id >= j.parties {
+		return len(j.slots)
+	}
+	return ((id+1)*len(j.slots) - 1) / j.parties
 }
 
 // TrainWave implements fl.ShardTransport: partition the wave across the

@@ -844,3 +844,28 @@ func TestConcurrentJobsClaimWorkersTogether(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotOfMatchesEvenSplit checks slotOf's closed form against NewJob's
+// ranges by brute force, for every party count up to 300 and worker count
+// up to 40 (at most one worker per party, as NewJob clamps it): each ID lands
+// in the slot whose [lo, hi) holds it, and IDs below 0 or past the last
+// party map to len(slots), TrainWave's error path.
+func TestSlotOfMatchesEvenSplit(t *testing.T) {
+	t.Parallel()
+	for parties := 1; parties <= 300; parties++ {
+		for workers := 1; workers <= min(40, parties); workers++ {
+			j := &Job{parties: parties, slots: evenSlots(parties, workers)}
+			for id := -2; id < parties+3; id++ {
+				want := len(j.slots)
+				for k, s := range j.slots {
+					if s.lo <= id && id < s.hi {
+						want = k
+					}
+				}
+				if got := j.slotOf(id); got != want {
+					t.Fatalf("%d parties on %d workers: party %d in slot %d, want %d", parties, workers, id, got, want)
+				}
+			}
+		}
+	}
+}

@@ -214,18 +214,51 @@ func TestRobustFoldEmptyAndZeroShards(t *testing.T) {
 	}
 }
 
+// isFiniteReference is isFiniteVec as an early-exit loop over the
+// classification functions.
+func isFiniteReference(v tensor.Vec) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIsFiniteVec checks the branch-free gate against the early-exit
+// reference on every placement of each edge value — signed zeros,
+// subnormals, ±MaxFloat64, ±Inf and NaNs with several payloads and signs —
+// in vectors of every length through a few words.
 func TestIsFiniteVec(t *testing.T) {
 	t.Parallel()
-	if !isFiniteVec(tensor.Vec{0, -1, 2.5}) {
-		t.Error("finite vector rejected")
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if isFiniteVec(tensor.Vec{1, bad, 2}) {
-			t.Errorf("vector containing %v accepted", bad)
-		}
+	edges := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, math.MaxFloat64, -math.MaxFloat64, 1, -2.5,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN
+		math.Float64frombits(0xfff8000000000000), // negative quiet NaN
+		math.Float64frombits(0x7fffffffffffffff),
+		math.Float64frombits(0xfff0000000000001),
 	}
 	if !isFiniteVec(nil) {
 		t.Error("empty vector rejected")
+	}
+	for n := 1; n <= 5; n++ {
+		for pos := 0; pos < n; pos++ {
+			for _, e := range edges {
+				for _, fill := range []float64{1, 0, math.Copysign(0, -1), math.MaxFloat64} {
+					v := tensor.NewVec(n)
+					for i := range v {
+						v[i] = fill
+					}
+					v[pos] = e
+					if got, want := isFiniteVec(v), isFiniteReference(v); got != want {
+						t.Fatalf("%v (bits %#x) at %d of %d among %v: isFiniteVec %v, reference %v",
+							e, math.Float64bits(e), pos, n, fill, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

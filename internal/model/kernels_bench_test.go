@@ -92,8 +92,9 @@ func BenchmarkLossGradientReference(b *testing.B) {
 
 // BenchmarkClonePredict is what metrics.ShardedClassCounts pays per shard per
 // evaluation before its first prediction: a clone carries the parameters, and
-// its first PredictBlock allocates the forward block scratch, never
-// LossGradient's own.
+// its first PredictBlock allocates the MLP's hidden block scratch (a LogReg
+// predicts with none), never LossGradient's own. Its one-sample block runs
+// the scorer's four lanes on copies of that sample.
 func BenchmarkClonePredict(b *testing.B) {
 	block := randomBatch(rng.New(23), 1, benchDim, benchClasses)
 	for name, m := range benchModels(b) {

@@ -22,10 +22,9 @@ type LogReg struct {
 	params       tensor.Vec  // flat backing: [W row-major..., b...]
 	w            *tensor.Mat // classes x dim, view into params
 	b            tensor.Vec  // classes, view into params
-	// The block scratch of PredictBlock and LossGradient: one logits (then,
-	// in LossGradient, dL/dz) slot per sample of a block, cut from one
-	// allocation made by the first call that needs it. A clone allocates
-	// nothing for it until it predicts or trains.
+	// LossGradient's block scratch: one logits (then dL/dz) slot per sample
+	// of a block, cut from one allocation made by the first call. A clone
+	// allocates nothing for it until it trains; PredictBlock needs none.
 	blk [BlockSize]tensor.Vec
 }
 
@@ -85,13 +84,12 @@ func (m *LogReg) block() *[BlockSize]tensor.Vec {
 	return &m.blk
 }
 
-// PredictBlock returns the most likely class of each sample of block: its
-// logits W x + b (one MulVec4Into for a full block), then their argmax.
+// PredictBlock returns the most likely class of each sample of block: the
+// argmax of its logits W x + b, in one ArgMaxAffine4 pass over W.
 func (m *LogReg) PredictBlock(block []dataset.Sample) [BlockSize]int {
 	var xs [BlockSize]tensor.Vec
-	zs := m.block()[:len(block)]
-	forwardBlock(m.w, m.b, zs, features(&xs, block))
-	return argmaxEach(zs)
+	features(&xs, block)
+	return classify(m.w, m.b, &xs, len(block))
 }
 
 // LossGradient writes the mean cross-entropy gradient over the batch into

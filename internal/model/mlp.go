@@ -23,21 +23,20 @@ type MLP struct {
 	b1                   tensor.Vec  // hidden, view
 	w2                   *tensor.Mat // classes x hidden, view
 	b2                   tensor.Vec  // classes, view
-	// The forward block scratch of PredictBlock and LossGradient: one slot
-	// per sample of a block for the hidden activations and for the logits
-	// (then, in LossGradient, dL/dlogits), allocated by the first call that
-	// needs them.
-	h, z [BlockSize]tensor.Vec
+	// The hidden block scratch of PredictBlock and LossGradient: one slot of
+	// activations per sample of a block, allocated by the first call that
+	// needs it.
+	h    [BlockSize]tensor.Vec
 	grad *mlpGrad // LossGradient's own scratch
 }
 
-// mlpGrad is the scratch LossGradient needs beyond the forward block: W1
-// transposed, and one dL/dh slot per sample of a block. It is allocated by
-// the first LossGradient and hangs off the model by one pointer, so a clone
-// made to evaluate pays nothing for it.
+// mlpGrad is the scratch LossGradient needs beyond the hidden block: W1
+// transposed, and one logits (then dL/dlogits) slot and one dL/dh slot per
+// sample of a block. It is allocated by the first LossGradient and hangs off
+// the model by one pointer, so a clone made to evaluate pays nothing for it.
 type mlpGrad struct {
-	w1t *tensor.Mat // dim x hidden
-	dh  [BlockSize]tensor.Vec
+	w1t   *tensor.Mat // dim x hidden
+	z, dh [BlockSize]tensor.Vec
 }
 
 var _ Model = (*MLP)(nil)
@@ -105,27 +104,27 @@ func (m *MLP) activate(h tensor.Vec) {
 	}
 }
 
-// forward returns the forward block scratch's first n hidden and logit
-// slots, allocating the scratch on first use.
-func (m *MLP) forward(n int) (hs, zs []tensor.Vec) {
+// hiddenSlots returns the hidden block scratch's first n slots, allocating
+// the scratch on first use.
+func (m *MLP) hiddenSlots(n int) []tensor.Vec {
 	if m.h[0] == nil {
-		m.h, m.z = blockScratch(m.hidden), blockScratch(m.classes)
+		m.h = blockScratch(m.hidden)
 	}
-	return m.h[:n], m.z[:n]
+	return m.h[:n]
 }
 
 // PredictBlock returns the most likely class of each sample of block: the
-// hidden layer W1 x (one MulVec4Into for a full block), its activations, the
-// logits W2 h + b2 (another MulVec4Into), then their argmax.
+// hidden layer W1 x (one MulVec4Into for a full block), its activations,
+// then the argmax of the logits W2 h + b2 in one ArgMaxAffine4 pass over W2.
 func (m *MLP) PredictBlock(block []dataset.Sample) [BlockSize]int {
 	var xs [BlockSize]tensor.Vec
-	hs, zs := m.forward(len(block))
+	hs := m.hiddenSlots(len(block))
 	mulBlock(m.w1, hs, features(&xs, block))
 	for _, h := range hs {
 		m.activate(h)
 	}
-	forwardBlock(m.w2, m.b2, zs, hs)
-	return argmaxEach(zs)
+	hb := m.h
+	return classify(m.w2, m.b2, &hb, len(block))
 }
 
 // LossGradient writes the mean cross-entropy gradient (backprop) over the
@@ -151,7 +150,7 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		return 0
 	}
 	if m.grad == nil {
-		m.grad = &mlpGrad{w1t: tensor.NewMat(m.dim, m.hidden), dh: blockScratch(m.hidden)}
+		m.grad = &mlpGrad{w1t: tensor.NewMat(m.dim, m.hidden), z: blockScratch(m.classes), dh: blockScratch(m.hidden)}
 	}
 	w1t := m.grad.w1t
 	m.w1.TransposeInto(w1t)
@@ -170,8 +169,7 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 	var xs [BlockSize]tensor.Vec
 	for len(batch) > 0 {
 		n := min(BlockSize, len(batch))
-		hs, zs := m.forward(n)
-		dhs := m.grad.dh[:n]
+		hs, zs, dhs := m.hiddenSlots(n), m.grad.z[:n], m.grad.dh[:n]
 		for k, s := range batch[:n] {
 			w1t.MulVecTInto(hs[k], s.X)
 			m.activate(hs[k])

@@ -105,10 +105,21 @@ func features(xs *[BlockSize]tensor.Vec, block []dataset.Sample) []tensor.Vec {
 	return xs[:len(block)]
 }
 
-// argmaxEach returns the argmax class of each logit vector of a block.
-func argmaxEach(zs []tensor.Vec) (classes [BlockSize]int) {
-	for k, z := range zs {
-		classes[k] = z.ArgMax()
+// classify returns the argmax class of w·xs[k] + b for each of the first n
+// samples of a block in one tensor.Mat.ArgMaxAffine4 pass, and zeros past
+// them. A short block fills the spare slots of xs with its last sample
+// first, so every lane scores a real sample and the spare classes are
+// dropped.
+func classify(w *tensor.Mat, b tensor.Vec, xs *[BlockSize]tensor.Vec, n int) (classes [BlockSize]int) {
+	if n == 0 {
+		return classes
+	}
+	for k := n; k < BlockSize; k++ {
+		xs[k] = xs[n-1]
+	}
+	classes = w.ArgMaxAffine4(b, xs[0], xs[1], xs[2], xs[3])
+	for k := n; k < BlockSize; k++ {
+		classes[k] = 0
 	}
 	return classes
 }

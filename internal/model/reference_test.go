@@ -236,6 +236,19 @@ func referenceClassCounts(m Model, samples []dataset.Sample, numClasses int) (co
 	return correct, total
 }
 
+// argMax returns the index of the largest logit, the first on a tie; a NaN
+// never beats an earlier value. It is the argmax a per-sample forward pass
+// took before the block scorer folded it into tensor.Mat.ArgMaxAffine4.
+func argMax(z tensor.Vec) int {
+	best, bi := z[0], 0
+	for i := 1; i < len(z); i++ {
+		if z[i] > best {
+			best, bi = z[i], i
+		}
+	}
+	return bi
+}
+
 // referencePredictor returns the per-sample Predict of m, with its own scratch.
 func referencePredictor(m Model) func(x tensor.Vec) int {
 	switch m := m.(type) {
@@ -244,7 +257,7 @@ func referencePredictor(m Model) func(x tensor.Vec) int {
 		return func(x tensor.Vec) int {
 			m.w.MulVecInto(z, x)
 			z.AddInPlace(m.b)
-			return z.ArgMax()
+			return argMax(z)
 		}
 	case *MLP:
 		h, z := tensor.NewVec(m.hidden), tensor.NewVec(m.classes)
@@ -253,7 +266,7 @@ func referencePredictor(m Model) func(x tensor.Vec) int {
 			m.activate(h)
 			m.w2.MulVecInto(z, h)
 			z.AddInPlace(m.b2)
-			return z.ArgMax()
+			return argMax(z)
 		}
 	default:
 		panic(fmt.Sprintf("no reference Predict for %T", m))
@@ -367,5 +380,66 @@ func FuzzClassCounts(f *testing.F) {
 			}
 		}
 		checkClassCounts(t, m, samples, classes, fmt.Sprintf("%T dim %d hidden %d classes %d samples %d", m, dim, hidden, classes, n))
+	})
+}
+
+// FuzzPredictBlock scores one block of one to four samples with each model
+// and requires the per-sample reference's class for each sample, and zeros
+// past the block. Every parameter and feature is one fuzzer byte indexed
+// into a palette of values that collide — signed zeros, ±Inf, NaN, a
+// subnormal, ±MaxFloat64 and a few small integers — so exact ties between
+// logits, NaN logits and tails that pad spare lanes are the common case.
+func FuzzPredictBlock(f *testing.F) {
+	f.Add([]byte{3, 4, 0, 3})
+	f.Add([]byte{0, 3, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{2, 2, 2, 2, 7, 7, 7, 7, 0, 1, 0, 1, 8, 8})
+	palette := []float64{
+		0, math.Copysign(0, -1), 1, -1, 2, 0.5, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var head [4]int
+		for i := range head {
+			if i < len(data) {
+				head[i] = int(data[i])
+			}
+		}
+		data = data[min(len(head), len(data)):]
+		n, dim, hidden, classes := 1+head[0]%BlockSize, 1+head[1]%6, head[2]%5, 1+head[3]%7
+		word := func() float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			w := palette[int(data[0])%len(palette)]
+			data = data[1:]
+			return w
+		}
+		var m Model = NewLogReg(dim, classes)
+		if hidden > 0 {
+			m = NewMLP(dim, hidden, classes, rng.New(73))
+		}
+		params := m.(flatModel).paramsRef()
+		for i := range params {
+			params[i] = word()
+		}
+		block := make([]dataset.Sample, n)
+		for k := range block {
+			block[k].X = tensor.NewVec(dim)
+			for j := range block[k].X {
+				block[k].X[j] = word()
+			}
+		}
+		got := m.PredictBlock(block)
+		predict := referencePredictor(m)
+		for k := range got {
+			want := 0
+			if k < n {
+				want = predict(block[k].X)
+			}
+			if got[k] != want {
+				t.Fatalf("%T dim %d hidden %d classes %d: sample %d of %d predicted %d, reference %d (params %v)",
+					m, dim, hidden, classes, k, n, got[k], want, params)
+			}
+		}
 	})
 }

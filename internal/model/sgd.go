@@ -195,10 +195,11 @@ func ClassCounts(m Model, samples []dataset.Sample, numClasses int) (correct, to
 	for len(samples) > 0 {
 		block := samples[:min(BlockSize, len(samples))]
 		classes := m.PredictBlock(block)
-		for k, s := range block {
-			total[s.Y]++
-			if classes[k] == s.Y {
-				correct[s.Y]++
+		for k := range block {
+			y := block[k].Y
+			total[y]++
+			if classes[k] == y {
+				correct[y]++
 			}
 		}
 		samples = samples[len(block):]

@@ -25,9 +25,11 @@ type triedSet struct {
 	explore float64
 
 	// The candidates' ids and scores, copied off the heap's band each read
-	// and reused across rounds.
+	// and reused across rounds, and draw's running prefix of their positive
+	// scores.
 	candIDs    []int
 	candScores []float64
+	candPrefix []float64
 }
 
 func newTriedSet(numParties int, heaped bool) triedSet {
@@ -104,16 +106,76 @@ func (t *triedSet) readBand(request int, bounded bool) {
 // keeps the selection from collapsing onto a few pathological high-loss
 // parties (Oort's randomized priority band). Picked candidates are
 // swap-removed rather than zero-weighted: once every remaining score is zero,
-// Categorical falls back to uniform sampling over the whole vector and a
-// zeroed entry could be picked twice. The band itself keeps its length.
+// the pick is uniform over the whole band and a zeroed entry could be picked
+// twice. The band itself keeps its length.
+//
+// Each pick is exactly rng.Categorical over the remaining scores, RNG draws
+// included. Categorical adds the positive scores in index order from +0 to a
+// total (one Intn over the band if it is 0), draws u = Float64()·total, and
+// returns the first index whose running sum exceeds u, or the last index if
+// none does. Its running sum skips the non-positive scores but not a NaN,
+// which turns it NaN for good: no index from the first NaN on can match.
+// draw keeps the running sum of the positive scores for every index in
+// candPrefix, its last entry the total, and the first NaN's index in nan:
+// a pick is a binary search below nan, and a swap-removal re-sums only from
+// the removed slot onward, the same additions in the same order. A running
+// sum that reaches +Inf stays there, so u (+Inf, or NaN for 0·Inf) finds no
+// index above it and the pick is the last index, as in Categorical.
 func (t *triedSet) draw(selected []int, n int, r *rng.Source) []int {
 	ids, scores := t.candIDs, t.candScores
+	if cap(t.candPrefix) < len(scores) {
+		t.candPrefix = make([]float64, len(scores), cap(scores)) // grows when the band's scores did
+	}
+	prefix := t.candPrefix[:len(scores)]
+	nan := runningSum(prefix, scores, 0)
 	for i := 0; i < n && len(ids) > 0; i++ {
-		j := r.Categorical(scores)
-		selected = append(selected, ids[j])
 		last := len(ids) - 1
+		j := last
+		if total := prefix[last]; total == 0 {
+			j = r.Intn(len(ids))
+		} else {
+			u := r.Float64() * total
+			lo, hi := 0, nan
+			for lo < hi { // the first index below nan whose running sum exceeds u
+				mid := int(uint(lo+hi) >> 1)
+				if prefix[mid] > u {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			if lo < nan {
+				j = lo
+			}
+		}
+		selected = append(selected, ids[j])
 		ids[j], scores[j] = ids[last], scores[last]
-		ids, scores = ids[:last], scores[:last]
+		ids, scores, prefix = ids[:last], scores[:last], prefix[:last]
+		if f := runningSum(prefix, scores, j); nan >= j {
+			nan = f
+		}
 	}
 	return selected
+}
+
+// runningSum sets prefix[i], for i from `from` on, to the running sum of the
+// positive scores up to and including i, continuing from prefix[from-1] (from
+// +0 at the start) — the chain rng.Categorical adds for its total — and
+// returns the index of the first NaN score from `from` on, or len(scores).
+func runningSum(prefix, scores []float64, from int) (nan int) {
+	nan = len(scores)
+	prefix = prefix[:len(scores)]
+	var acc float64
+	if from > 0 {
+		acc = prefix[from-1]
+	}
+	for i := from; i < len(scores); i++ {
+		if w := scores[i]; w > 0 {
+			acc += w
+		} else if w != w {
+			nan = min(nan, i)
+		}
+		prefix[i] = acc
+	}
+	return nan
 }

@@ -14,3 +14,6 @@ func mulVecT(dst, m, x []float64)
 
 //go:noescape
 func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64)
+
+//go:noescape
+func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64)

@@ -444,3 +444,237 @@ mulVec4Store1:
 
 mulVec4Done:
 	RET
+
+// PICK folds one row's logits Z into the running (best, class) pair of two
+// lanes, BEST and IDX, with the row's index as a double in both lanes of
+// X14. MAXPD with Z first returns Z where Z > BEST and BEST otherwise (a tie,
+// or a NaN on either side, keeps BEST); CMPPD then sets each lane where the
+// old BEST is below that result, which is exactly where Z was taken. The
+// mask ANDed with the row index is the row there and +0 elsewhere, and rows
+// come in increasing order, so MAXPD into IDX takes the row exactly where
+// Z was taken. Z is left holding the new best; nothing else is written.
+#define PICK(Z, BEST, IDX) \
+	MAXPD BEST, Z;      \
+	CMPPD Z, BEST, $1;  \
+	ANDPD X14, BEST;    \
+	MAXPD BEST, IDX;    \
+	MOVAPD Z, BEST
+
+// ROW sets both lanes of X14 to the row index in R, as a double.
+#define ROW(R) \
+	CVTSQ2SD R, X14; \
+	UNPCKLPD X14, X14
+
+// BIAS adds b[BX+T] to both lane pairs of a row: Z0 + b, Z1 + b, the
+// order AddInPlace adds them in. AX holds &b[0]; X14 is scratch.
+#define BIAS(Z0, Z1, T) \
+	MOVSD T*8(AX)(BX*8), X14; \
+	UNPCKLPD X14, X14;        \
+	ADDPD X14, Z0;            \
+	ADDPD X14, Z1
+
+// func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64)
+//
+// c[k] = the index i of the largest m[i]·xk + b[i], for k = 0..3 and the
+// row-major len(b) × len(x0) matrix m, ties going to the lower index and a
+// NaN never displacing an earlier value: MulVec4Into's column-order chains,
+// then b[i] added, then an argmax that starts at row 0 and takes a later row
+// only where its logit is strictly larger. The caller has checked every
+// length and that m has at least one row. The column loop is mulVec4's, five
+// rows in X0–X9 per pass and then one at a time in X0–X1. The running best
+// logits and their row indices (doubles, converted on return) are X10/X11 and X12/X13
+// between rows; across a five-row pass, whose column loop needs X10–X13, they
+// wait in the frame: best at 0(SP) and 16(SP), indices at 32(SP) and 48(SP).
+TEXT ·argmaxAffine4(SB), NOSPLIT, $64-152
+	MOVQ m_base+8(FP), SI      // &m[r][0] of the current pass
+	MOVQ x0_base+56(FP), R8
+	MOVQ x1_base+80(FP), R9
+	MOVQ x2_base+104(FP), R10
+	MOVQ x3_base+128(FP), R11
+	MOVQ x0_len+64(FP), CX     // cols
+	XORPD X12, X12
+	MOVUPD X12, 32(SP)         // every class starts at row 0
+	MOVUPD X12, 48(SP)
+	XORQ BX, BX                // r, the first row of the current pass
+
+argmaxBlock5:
+	MOVQ b_len+40(FP), AX      // rows
+	SUBQ BX, AX
+	CMPQ AX, $5
+	JL   argmaxTail
+	MOVQ CX, AX
+	SHLQ $3, AX                // row stride in bytes
+	LEAQ (SI)(AX*1), DI
+	LEAQ (DI)(AX*1), DX
+	LEAQ (DX)(AX*1), R12
+	LEAQ (R12)(AX*1), R13
+	XORPD X0, X0
+	XORPD X1, X1
+	XORPD X2, X2
+	XORPD X3, X3
+	XORPD X4, X4
+	XORPD X5, X5
+	XORPD X6, X6
+	XORPD X7, X7
+	XORPD X8, X8
+	XORPD X9, X9
+	XORQ AX, AX                // j
+
+argmaxCols5:
+	CMPQ AX, CX
+	JGE  argmaxPick5
+	MOVSD (R8)(AX*8), X10
+	MOVHPD (R9)(AX*8), X10     // X10 = [x0[j], x1[j]]
+	MOVSD (R10)(AX*8), X11
+	MOVHPD (R11)(AX*8), X11    // X11 = [x2[j], x3[j]]
+	MOVSD (SI)(AX*8), X12
+	UNPCKLPD X12, X12          // X12 = [m[r][j], m[r][j]]
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X0
+	ADDPD X13, X1
+	MOVSD (DI)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X2
+	ADDPD X13, X3
+	MOVSD (DX)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X4
+	ADDPD X13, X5
+	MOVSD (R12)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X6
+	ADDPD X13, X7
+	MOVSD (R13)(AX*8), X12
+	UNPCKLPD X12, X12
+	MOVUPD X12, X13
+	MULPD X10, X12
+	MULPD X11, X13
+	ADDPD X12, X8
+	ADDPD X13, X9
+	INCQ AX
+	JMP  argmaxCols5
+
+argmaxPick5:
+	MOVQ CX, AX
+	SHLQ $3, AX
+	LEAQ (R13)(AX*1), SI       // &m[r+5][0]
+	MOVQ b_base+32(FP), AX
+	MOVUPD 0(SP), X10
+	MOVUPD 16(SP), X11
+	MOVUPD 32(SP), X12
+	MOVUPD 48(SP), X13
+	BIAS(X0, X1, 0)
+	CMPQ BX, $0
+	JNE  argmaxPickRow5
+	MOVAPD X0, X10             // row 0 starts the running best
+	MOVAPD X1, X11
+	JMP  argmaxRest5
+
+argmaxPickRow5:
+	ROW(BX)
+	PICK(X0, X10, X12)
+	PICK(X1, X11, X13)
+
+argmaxRest5:
+	LEAQ 1(BX), DI
+	BIAS(X2, X3, 1)
+	ROW(DI)
+	PICK(X2, X10, X12)
+	PICK(X3, X11, X13)
+	INCQ DI
+	BIAS(X4, X5, 2)
+	ROW(DI)
+	PICK(X4, X10, X12)
+	PICK(X5, X11, X13)
+	INCQ DI
+	BIAS(X6, X7, 3)
+	ROW(DI)
+	PICK(X6, X10, X12)
+	PICK(X7, X11, X13)
+	INCQ DI
+	BIAS(X8, X9, 4)
+	ROW(DI)
+	PICK(X8, X10, X12)
+	PICK(X9, X11, X13)
+	MOVUPD X10, 0(SP)
+	MOVUPD X11, 16(SP)
+	MOVUPD X12, 32(SP)
+	MOVUPD X13, 48(SP)
+	ADDQ $5, BX
+	JMP  argmaxBlock5
+
+	// One row at a time: the running pair stays in X10–X13, the samples'
+	// lanes go to X2–X3 and X4–X5 is scratch.
+argmaxTail:
+	MOVQ b_base+32(FP), AX
+	MOVUPD 0(SP), X10
+	MOVUPD 16(SP), X11
+	MOVUPD 32(SP), X12
+	MOVUPD 48(SP), X13
+
+argmaxSingle:
+	CMPQ BX, b_len+40(FP)
+	JGE  argmaxDone
+	XORPD X0, X0
+	XORPD X1, X1
+	XORQ DX, DX                // j
+
+argmaxCols1:
+	CMPQ DX, CX
+	JGE  argmaxPick1
+	MOVSD (R8)(DX*8), X2
+	MOVHPD (R9)(DX*8), X2
+	MOVSD (R10)(DX*8), X3
+	MOVHPD (R11)(DX*8), X3
+	MOVSD (SI)(DX*8), X4
+	UNPCKLPD X4, X4
+	MOVUPD X4, X5
+	MULPD X2, X4
+	MULPD X3, X5
+	ADDPD X4, X0
+	ADDPD X5, X1
+	INCQ DX
+	JMP  argmaxCols1
+
+argmaxPick1:
+	BIAS(X0, X1, 0)
+	CMPQ BX, $0
+	JNE  argmaxPickRow1
+	MOVAPD X0, X10
+	MOVAPD X1, X11
+	JMP  argmaxNext1
+
+argmaxPickRow1:
+	ROW(BX)
+	PICK(X0, X10, X12)
+	PICK(X1, X11, X13)
+
+argmaxNext1:
+	LEAQ (SI)(CX*8), SI        // &m[r+1][0]
+	INCQ BX
+	JMP  argmaxSingle
+
+argmaxDone:
+	MOVQ c+0(FP), DI
+	CVTTSD2SQ X12, AX
+	MOVQ AX, (DI)
+	PSHUFD $0xEE, X12, X12     // the high lane, moved low
+	CVTTSD2SQ X12, AX
+	MOVQ AX, 8(DI)
+	CVTTSD2SQ X13, AX
+	MOVQ AX, 16(DI)
+	PSHUFD $0xEE, X13, X13
+	CVTTSD2SQ X13, AX
+	MOVQ AX, 24(DI)
+	RET

@@ -44,3 +44,24 @@ func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64) {
 	mat.MulVecInto(d2, x2)
 	mat.MulVecInto(d3, x3)
 }
+
+func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64) {
+	cols := len(x0)
+	x1, x2, x3 = x1[:cols], x2[:cols], x3[:cols]
+	var best [4]float64
+	for i, bi := range b {
+		r := m[i*cols : (i+1)*cols]
+		var s [4]float64
+		for j, w := range r {
+			s[0] += float64(w * x0[j])
+			s[1] += float64(w * x1[j])
+			s[2] += float64(w * x2[j])
+			s[3] += float64(w * x3[j])
+		}
+		for k := range s {
+			if z := s[k] + bi; i == 0 || z > best[k] {
+				best[k], c[k] = z, i
+			}
+		}
+	}
+}

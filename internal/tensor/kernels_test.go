@@ -43,6 +43,18 @@ func mulVec4Reference(m *Mat, d, x [4]Vec) {
 	}
 }
 
+// argmaxAffine4Reference scores four samples as evaluation did before
+// ArgMaxAffine4, one at a time into the scratch z: the logits through
+// MulVecInto, b added in place, then the argmax in index order.
+func argmaxAffine4Reference(m *Mat, b, z Vec, x [4]Vec) (classes [4]int) {
+	for k := range x {
+		m.MulVecInto(z, x[k])
+		z.AddInPlace(b)
+		classes[k] = argMax(z)
+	}
+	return classes
+}
+
 // guarded returns a vector of length n cut at offset 1 from a backing with one
 // guard word on each side, so the unaligned loads run and a write past either
 // end shows in the guards.
@@ -122,11 +134,22 @@ func checkMulVec4(t *testing.T, what string, m *Mat, x [4]Vec) {
 	}
 }
 
+// checkArgMaxAffine4 runs ArgMaxAffine4 on m, b and x against the
+// per-sample reference, class for class.
+func checkArgMaxAffine4(t *testing.T, what string, m *Mat, b Vec, x [4]Vec) {
+	t.Helper()
+	got := m.ArgMaxAffine4(b, x[0], x[1], x[2], x[3])
+	if want := argmaxAffine4Reference(m, b, NewVec(m.Rows), x); got != want {
+		t.Fatalf("ArgMaxAffine4 %s: classes %v, the per-sample reference picks %v", what, got, want)
+	}
+}
+
 // TestKernelsMatchScalarReference pins Axpy, Axpy4, MulVecTInto and
-// MulVec4Into to the scalar loops word for word: every length through four
-// 16-column blocks and their pair and single tails, every row count through
-// two five-row passes and each leftover count, inputs at an unaligned
-// offset, data salted with signed zeros, infinities, NaN and subnormals.
+// MulVec4Into to the scalar loops word for word, and ArgMaxAffine4 to the
+// per-sample scorer class for class: every length through four 16-column
+// blocks and their pair and single tails, every row count through two
+// five-row passes and each leftover count, inputs at an unaligned offset,
+// data salted with signed zeros, infinities, NaN and subnormals.
 func TestKernelsMatchScalarReference(t *testing.T) {
 	t.Parallel()
 	fill := saltedFill(47)
@@ -166,6 +189,11 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 					fill(x[k], salted)
 				}
 				checkMulVec4(t, fmt.Sprintf("%dx%d salted=%v", rows, cols, salted), &Mat{Rows: rows, Cols: cols, Data: data}, x)
+				if rows > 0 {
+					b, _ := guarded(rows)
+					fill(b, salted)
+					checkArgMaxAffine4(t, fmt.Sprintf("%dx%d salted=%v", rows, cols, salted), &Mat{Rows: rows, Cols: cols, Data: data}, b, x)
+				}
 			}
 		}
 	}
@@ -179,13 +207,43 @@ func TestKernelsMatchScalarReference(t *testing.T) {
 		"MulVec4Into x":      func() { m.MulVec4Into(d, d, d, d, v, v, v, NewVec(2)) },
 		"MulVec4Into d":      func() { m.MulVec4Into(d, NewVec(4), d, d, v, v, v, v) },
 		"MulVec4Into m.Data": func() { (&Mat{Rows: 5, Cols: 3, Data: m.Data[:14]}).MulVec4Into(d, d, d, d, v, v, v, v) },
+		"ArgMaxAffine4 x":    func() { m.ArgMaxAffine4(d, v, v, NewVec(4), v) },
+		"ArgMaxAffine4 b":    func() { m.ArgMaxAffine4(NewVec(4), v, v, v, v) },
+		"ArgMaxAffine4 rows": func() { NewMat(0, 3).ArgMaxAffine4(Vec{}, v, v, v, v) },
 	})
+}
+
+// TestArgMaxAffine4Ties feeds ArgMaxAffine4 logits built to collide: one
+// input column with the four samples' features 1, −1, +0 and 0.5, and
+// weights and biases drawn from values whose sums tie exactly or go NaN —
+// signed zeros, infinities, NaN, subnormals, MaxFloat64 and a few small
+// integers. The reference decides every tie, NaN and all-NaN row the same
+// way or the test fails.
+func TestArgMaxAffine4Ties(t *testing.T) {
+	t.Parallel()
+	palette := []float64{
+		0, math.Copysign(0, -1), 1, -1, 2, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64,
+	}
+	x := [4]Vec{{1}, {-1}, {0}, {0.5}}
+	r := rng.New(71)
+	for trial := 0; trial < 20000; trial++ {
+		rows := 1 + r.Intn(13)
+		m, b := NewMat(rows, 1), NewVec(rows)
+		for i := 0; i < rows; i++ {
+			m.Data[i] = palette[r.Intn(len(palette))]
+			if trial%2 == 0 {
+				b[i] = palette[r.Intn(len(palette))]
+			}
+		}
+		checkArgMaxAffine4(t, fmt.Sprintf("trial %d: w %v b %v", trial, m.Data, b), m, b, x)
+	}
 }
 
 // FuzzTensorKernels drives the same comparison from arbitrary bytes: the
 // first two pick the vector length and the matrix shape, the rest are the
-// coefficients' and the data's bit patterns while they last. MulVecTInto and
-// MulVec4Into share the matrix.
+// coefficients' and the data's bit patterns while they last. MulVecTInto,
+// MulVec4Into and ArgMaxAffine4 share the matrix.
 func FuzzTensorKernels(f *testing.F) {
 	f.Add([]byte{36, 32})
 	f.Add([]byte{5, 0x23, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
@@ -235,6 +293,11 @@ func FuzzTensorKernels(f *testing.F) {
 			fillWords(x4[k])
 		}
 		checkMulVec4(t, fmt.Sprintf("%dx%d", rows, cols), m, x4)
+		if rows > 0 {
+			b := NewVec(rows)
+			fillWords(b)
+			checkArgMaxAffine4(t, fmt.Sprintf("%dx%d", rows, cols), m, b, x4)
+		}
 	})
 }
 
@@ -268,11 +331,15 @@ func TestTransposeInto(t *testing.T) {
 // The kernels at the shapes the benchmark's jobs run them at — a FEMNIST MLP
 // gradient row (36 words), the hidden layer's forward product over W1
 // transposed (36x32), the backward dh = W2ᵀz (10x32), and a full block's
-// forward product over ECG's logistic regression (5x32) and the MLP's W2
-// (10x32) — each beside its scalar reference in the same run. CI gates each ratio at 0.75: with the Go
-// loops in place of the assembly, Axpy4 reads above 1.
+// forward product, and its scoring, over ECG's logistic regression (5x32) and
+// the MLP's W2 (10x32) — each beside its scalar reference in the same run. CI
+// gates each ratio at 0.75: with the Go loops in place of the assembly,
+// Axpy4 reads above 1.
 
-var benchSink Vec
+var (
+	benchSink Vec
+	classSink int
+)
 
 func benchVecs(n, count int) []Vec {
 	r := rng.New(67)
@@ -353,3 +420,31 @@ func BenchmarkMulVec4IntoReference(b *testing.B) {
 		}
 	})
 }
+
+func benchmarkArgMaxAffine4(b *testing.B, score func(m *Mat, bias, z Vec, x [4]Vec) [4]int) {
+	for _, shape := range [][2]int{{5, 32}, {10, 32}} {
+		rows, cols := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			m := &Mat{Rows: rows, Cols: cols, Data: benchVecs(rows*cols, 1)[0]}
+			bias, z := benchVecs(rows, 1)[0], NewVec(rows)
+			var x [4]Vec
+			copy(x[:], benchVecs(cols, 4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				classSink += score(m, bias, z, x)[i&3]
+			}
+		})
+	}
+}
+
+func BenchmarkArgMaxAffine4(b *testing.B) {
+	benchmarkArgMaxAffine4(b, func(m *Mat, bias, _ Vec, x [4]Vec) [4]int {
+		return m.ArgMaxAffine4(bias, x[0], x[1], x[2], x[3])
+	})
+}
+
+// BenchmarkArgMaxAffine4Reference is the per-sample scoring a block took
+// before ArgMaxAffine4: four MulVecInto calls, each with its bias add and
+// argmax.
+func BenchmarkArgMaxAffine4Reference(b *testing.B) { benchmarkArgMaxAffine4(b, argmaxAffine4Reference) }

@@ -98,6 +98,29 @@ func (m *Mat) MulVec4Into(d0, d1, d2, d3, x0, x1, x2, x3 Vec) {
 	mulVec4(d0, d1, d2, d3, m.Data, x0, x1, x2, x3)
 }
 
+// ArgMaxAffine4 returns, for k = 0, 1, 2, 3, the index of the largest
+// element of m * xk + b — the class whose logit is largest, for a layer's
+// weights m (Rows classes × Cols inputs), its bias b (length Rows) and four
+// column vectors xk of length Cols — in one pass over m, allocating nothing.
+// It returns exactly what MulVec4Into, b added to each product in place, and
+// an argmax of each result in index order would: every logit is the same
+// Row(i).Dot(xk) + b[i], a tie goes to the lower index and a NaN never
+// displaces an earlier value (so a NaN logit at index 0 wins). m needs at
+// least one row.
+func (m *Mat) ArgMaxAffine4(b, x0, x1, x2, x3 Vec) (classes [4]int) {
+	if m.Rows == 0 {
+		panic("tensor: ArgMaxAffine4 of a matrix with no rows")
+	}
+	assertSameLen(len(x0), m.Cols)
+	assertSameLen(len(x1), m.Cols)
+	assertSameLen(len(x2), m.Cols)
+	assertSameLen(len(x3), m.Cols)
+	assertSameLen(len(b), m.Rows)
+	assertSameLen(len(m.Data), m.Rows*m.Cols)
+	argmaxAffine4(&classes, m.Data, b, x0, x1, x2, x3)
+	return classes
+}
+
 // MulVecTInto computes dst = mᵀ * x, for a column vector x of length Rows,
 // into the caller-provided dst of length Cols, allocating nothing; dst must
 // not overlap x or m. dst[j] adds x[i]·m[i][j] for i = 0, 1, 2, … in row

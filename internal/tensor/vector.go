@@ -154,21 +154,6 @@ func (v Vec) Normalize() Vec {
 	return v
 }
 
-// ArgMax returns the index of the largest element (first winner on ties).
-// It returns -1 for an empty vector.
-func (v Vec) ArgMax() int {
-	if len(v) == 0 {
-		return -1
-	}
-	best, bi := v[0], 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > best {
-			best, bi = v[i], i
-		}
-	}
-	return bi
-}
-
 // SoftmaxInPlace replaces v with softmax(v), using the max-subtraction trick
 // for numerical stability.
 func (v Vec) SoftmaxInPlace() {
