@@ -1,6 +1,7 @@
 package flips
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -55,7 +56,7 @@ func (r *DistRunner) Run(cfg SimulationConfig, onRound func(RoundPoint)) (*Simul
 	if r.Coord == nil || r.Workers <= 0 {
 		return nil, fmt.Errorf("flips: distributed runner needs a coordinator and a positive worker count")
 	}
-	return runSimulation(cfg, onRound, experiment.AttachDist(r.Coord, cfg, r.Workers, r.track))
+	return runSimulation(context.Background(), cfg, onRound, experiment.AttachDist(r.Coord, cfg, r.Workers, r.track))
 }
 
 // WorkerStats snapshots every active job's shard slots, tagged with a stable

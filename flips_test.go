@@ -2,11 +2,14 @@ package flips
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -824,13 +827,57 @@ var knownDiverging = []string{
 // DistRunner and two loopback shard workers — local training leaves the
 // process there, and results are decoded into the engine's vectors; so must
 // the known diverging shapes, NaNs included. A job
-// the runner refuses is counted and reported. Every arm but the first runs
+// the runner refuses is counted and reported. The prefix arm then stops each
+// job from its round hook (cancelling the run's context once 1–3 rounds are
+// delivered) at Parallelism {1, 2} × Shards {1, 5}: the run must return the
+// cancellation, and the rounds it delivered must be the uncancelled run's
+// first rounds, bit for bit. Every arm but the first runs
 // with freed update vectors NaN-poisoned (poisonFreed), so an update vector
 // recycled before its last read shows up as a digest mismatch; the switch is
 // process-wide, hence no t.Parallel.
 func TestJobInvariance(t *testing.T) {
 	runner := startRunner(t, 2)
-	refused := 0
+	refused, stopped := 0, 0
+	// prefix runs cfg to the end, then stops it once after rounds are
+	// delivered. A job is evaluated every second round, and the evaluator's
+	// queue lets the engine run at most four evaluations ahead of the hook,
+	// so at 2·(after+5) rounds the stop always lands before the last round.
+	prefix := func(name string, spec []byte, cfg SimulationConfig, after int) {
+		cfg.Rounds = 2 * (after + 5)
+		cfg.Parallelism, cfg.Shards = 1, 1
+		poisonFreed = false
+		full, err := RunSimulation(cfg)
+		if err != nil {
+			t.Errorf("%s %s: %d rounds: %v", name, spec, cfg.Rounds, err)
+			return
+		}
+		poisonFreed = true
+		for _, shape := range [][2]int{{1, 1}, {2, 1}, {1, 5}, {2, 5}} {
+			cfg.Parallelism, cfg.Shards = shape[0], shape[1]
+			ctx, cancel := context.WithCancel(context.Background())
+			var got []RoundPoint
+			_, err := runSimulation(ctx, cfg, func(p RoundPoint) {
+				p.PerLabel = slices.Clone(p.PerLabel)
+				if got = append(got, p); len(got) == after {
+					cancel()
+				}
+			}, nil)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s %s: stopped after round %d at Parallelism %d Shards %d: err = %v, want the cancellation", name, spec, after, shape[0], shape[1], err)
+				continue
+			}
+			if len(got) < after || len(got) >= len(full.History) {
+				t.Errorf("%s %s: stopped after round %d at Parallelism %d Shards %d: %d of %d rounds delivered", name, spec, after, shape[0], shape[1], len(got), len(full.History))
+				continue
+			}
+			d, _ := resultDigest(&SimulationResult{History: got})
+			if want, _ := resultDigest(&SimulationResult{History: full.History[:len(got)]}); d != want {
+				t.Errorf("%s %s: the %d rounds delivered before the stop at Parallelism %d Shards %d differ from the uncancelled run's", name, spec, len(got), shape[0], shape[1])
+			}
+		}
+		stopped++
+	}
 	// invariant runs spec at the four shapes and over the workers, and
 	// reports whether its stats were finite; ok is false when the decoder
 	// refuses it.
@@ -864,6 +911,7 @@ func TestJobInvariance(t *testing.T) {
 		} else if digest, _ := resultDigest(res); digest != first {
 			t.Errorf("%s %s: digest %x over 2 shard workers, %x in-process", name, spec, digest, first)
 		}
+		prefix(name, spec, cfg, 1+stopped%3)
 		return finite, true
 	}
 
@@ -911,7 +959,7 @@ func TestJobInvariance(t *testing.T) {
 	if refused > ran/4 {
 		t.Fatalf("DistRunner refused %d of %d accepted jobs: the worker arm no longer covers the sweep", refused, ran)
 	}
-	t.Logf("%d of %d drawn jobs accepted and run (per policy: %v), %d of them refused by DistRunner", ran, draws, perPolicy, refused)
+	t.Logf("%d of %d drawn jobs accepted and run (per policy: %v), %d of them refused by DistRunner, %d stopped part-way", ran, draws, perPolicy, refused, stopped)
 	if !testing.Short() {
 		for _, policy := range []string{"sync", "buffered", "semisync"} {
 			if perPolicy[policy] < 5 {

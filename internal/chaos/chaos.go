@@ -247,9 +247,6 @@ func New(spec Spec, parties int) (*Injector, error) {
 	return in, nil
 }
 
-// Spec returns the scenario (defaults filled in).
-func (in *Injector) Spec() Spec { return in.spec }
-
 // Region returns the contiguous party-ID band of party id — the same
 // arithmetic as the engine's shardOf, so region k and aggregation shard k
 // coincide when Regions == Shards.

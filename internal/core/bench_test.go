@@ -6,14 +6,46 @@ import (
 	"flips/internal/fl"
 )
 
+// equalClusters spreads n parties over 12 equal label clusters, party id
+// % 12.
+func equalClusters(n int) [][]int {
+	clusters := make([][]int, 12)
+	for id := 0; id < n; id++ {
+		clusters[id%12] = append(clusters[id%12], id)
+	}
+	return clusters
+}
+
+// BenchmarkNewSelector builds the selector over 12 equal label clusters of
+// 100k and 1M parties. Per op a few tables the size of the fleet and one
+// heap of ids per cluster, nothing per party: with a map entry and a heap
+// node per party it read ~1M allocs/op and ~225 MB at 1M. CI ratchets the
+// allocs/op.
+func BenchmarkNewSelector(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		parties int
+	}{{"100k", 100_000}, {"1M", 1_000_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			clusters := equalClusters(bc.parties)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewSelector(clusters); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFlipsSelect measures the paper's own selector at fleet scale, per
 // op one Select plus the Observe that reports every tenth invited party a
 // straggler — so over-provisioning is live and the straggler counts move
 // every round. Two shapes:
 //   - 12 equal label clusters and a 40-party cohort at 20k and 100k parties:
-//     the pointer-item container/heap in heap.go costs tens of microseconds
-//     per round whatever the population, so it stays as it is (ROADMAP
-//     direction 5(4));
+//     the typed id heaps cost microseconds per round whatever the
+//     population;
 //   - the product's default 20 % cohort over the five unequal clusters a
 //     100k-party ECG fleet forms, at 5 % and 20 %: at 20 % the three small
 //     clusters run dry within one Select, and a Select that popped a dry
@@ -21,13 +53,6 @@ import (
 //
 // CI ratchets the allocs/op, and the 20 % / 5 % time ratio (linear: ~4).
 func BenchmarkFlipsSelect(b *testing.B) {
-	equal := func(n int) [][]int { // party id % 12
-		clusters := make([][]int, 12)
-		for id := 0; id < n; id++ {
-			clusters[id%12] = append(clusters[id%12], id)
-		}
-		return clusters
-	}
 	ecg100k := func() [][]int { // consecutive ids
 		var clusters [][]int
 		id := 0
@@ -46,8 +71,8 @@ func BenchmarkFlipsSelect(b *testing.B) {
 		clusters [][]int
 		cohort   int
 	}{
-		{"20k", equal(20_000), 40},
-		{"100k", equal(100_000), 40},
+		{"20k", equalClusters(20_000), 40},
+		{"100k", equalClusters(100_000), 40},
 		{"100k-5pct", ecg100k(), 5_000},
 		{"100k-20pct", ecg100k(), 20_000},
 	} {

@@ -37,8 +37,20 @@ func TestNewSelectorValidation(t *testing.T) {
 	if _, err := NewSelector([][]int{{}, {}}); err == nil {
 		t.Fatal("expected error for all-empty clusters")
 	}
-	if _, err := NewSelector([][]int{{1, 2}, {2, 3}}); err == nil {
-		t.Fatal("expected error for duplicate party across clusters")
+	// Ids must be the dense 0..N-1, each in one cluster.
+	for _, clusters := range [][][]int{
+		{{0, 1}, {1, 2}}, // 1 twice, 3 parties
+		{{0, 0}},         // twice in one cluster
+		{{0, 4}, {1, 2}}, // 4 outside [0, 4)
+		{{-1, 0}},        // negative
+		{{0}, {}, {5}},   // sparse
+	} {
+		if _, err := NewSelector(clusters); err == nil {
+			t.Fatalf("NewSelector(%v) accepted ids that are not 0..N-1 once each", clusters)
+		}
+	}
+	if _, err := NewSelector([][]int{{3, 1}, {}, {0, 2}}); err != nil {
+		t.Fatalf("dense ids in any order: %v", err)
 	}
 }
 
@@ -98,13 +110,7 @@ func TestSelectCoversAllClustersWhenTargetMultiple(t *testing.T) {
 }
 
 // PickCounts returns party id -> times picked, for the fairness tests.
-func (s *Selector) PickCounts() map[int]int {
-	out := make(map[int]int, len(s.partyItem))
-	for id, item := range s.partyItem {
-		out[id] = item.picks
-	}
-	return out
-}
+func (s *Selector) PickCounts() []int { return slices.Clone(s.picks) }
 
 func TestSelectEquitableWithinCluster(t *testing.T) {
 	t.Parallel()
@@ -275,7 +281,7 @@ func TestStragglerClearedOnCompletion(t *testing.T) {
 		Completed:  reports(1),
 		Stragglers: []int{0},
 	})
-	if !s.active {
+	if s.stragglers == 0 {
 		t.Fatal("straggler flag should be set")
 	}
 	s.Observe(fl.RoundFeedback{
@@ -283,23 +289,21 @@ func TestStragglerClearedOnCompletion(t *testing.T) {
 		Selected:  []int{0, 1},
 		Completed: reports(0, 1),
 	})
-	if s.active {
+	if s.stragglers != 0 {
 		t.Fatal("straggler flag should clear when all stragglers complete")
 	}
 }
 
 func TestHeapOrdering(t *testing.T) {
 	t.Parallel()
-	h := &pickHeap{}
-	items := []*pickItem{{id: 3, picks: 2}, {id: 1, picks: 0}, {id: 2, picks: 1}, {id: 0, picks: 0}}
-	for _, it := range items {
-		h.push(it)
+	h := &pickHeap{picks: []int{0, 0, 1, 2}}
+	for _, id := range []int{3, 1, 2, 0} {
+		h.push(id)
 	}
 	want := []int{0, 1, 2, 3} // picks 0(id0), 0(id1), 1, 2
 	for _, w := range want {
-		got := h.pop()
-		if got.id != w {
-			t.Fatalf("pop order: got id %d want %d", got.id, w)
+		if got := h.pop(); got != w {
+			t.Fatalf("pop order: got id %d want %d", got, w)
 		}
 	}
 }
@@ -318,27 +322,35 @@ func TestStragglerOrder(t *testing.T) {
 	}
 }
 
+// TestHeapPropertyMatchesSort pops random keys, some of them grown in place
+// and fixed after the pushes, in (picks, id) order.
 func TestHeapPropertyMatchesSort(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 1 + r.Intn(50)
-		h := &pickHeap{}
-		picks := make([]int, n)
-		for i := 0; i < n; i++ {
-			picks[i] = r.Intn(10)
-			h.push(&pickItem{id: i, picks: picks[i]})
+		h := &pickHeap{picks: make([]int, n)}
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		r.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			h.picks[id] = r.Intn(10)
+			h.push(id)
+		}
+		for i := r.Intn(n); i > 0; i-- {
+			id := r.Intn(n)
+			h.picks[id] += 1 + r.Intn(3)
+			h.fix(id)
 		}
 		prevPicks, prevID := -1, -1
-		for h.Len() > 0 {
-			it := h.pop()
-			if it.picks < prevPicks {
+		for len(h.ids) > 0 {
+			id := h.pop()
+			if p := h.picks[id]; p < prevPicks || p == prevPicks && id < prevID {
 				return false
 			}
-			if it.picks == prevPicks && it.id < prevID {
-				return false
-			}
-			prevPicks, prevID = it.picks, it.id
+			prevPicks, prevID = h.picks[id], id
 		}
 		return true
 	}

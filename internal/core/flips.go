@@ -21,18 +21,32 @@ import (
 	"flips/internal/tensor"
 )
 
-// Selector is the FLIPS participant-selection strategy.
+// Selector is the FLIPS participant-selection strategy. Parties are the
+// engine's dense ids 0..N-1, and every per-party table is a slice indexed by
+// them.
 type Selector struct {
-	clusters   [][]int // cluster id -> member party ids
-	partyOf    map[int]int
-	clusterHp  *pickHeap         // Hc: clusters by fewest picks
-	partyHp    []*pickHeap       // H[c]: each cluster's parties by fewest picks
-	partyItem  map[int]*pickItem // party id -> its heap item
-	stragCount []int             // H^r_sc: outstanding stragglers per cluster
-	straggler  map[int]bool      // H^r_s: currently-outstanding stragglers
-	stragRate  float64           // strg: smoothed straggler rate
-	active     bool              // Stragglers flag of Algorithm 1
-	parked     []parked          // Select's scratch (see round), reused
+	clusterOf  []int      // party id -> cluster id
+	picks      []int      // party id -> times picked: H's key
+	visits     []int      // cluster id -> times extracted: Hc's key
+	clusterHp  pickHeap   // Hc: clusters by fewest picks
+	partyHp    []pickHeap // H[c]: each cluster's parties by fewest picks
+	stragCount []int      // H^r_sc: outstanding stragglers per cluster
+	straggler  []bool     // H^r_s: currently-outstanding stragglers
+	stragglers int        // |H^r_s|; Algorithm 1's Stragglers flag is > 0
+	stragRate  float64    // strg: smoothed straggler rate
+
+	// Select's scratch, reused: the parties picked this round, and the
+	// members it has popped off their clusters' heaps. A popped member is
+	// either picked or passed over because it is in the round (or, for an
+	// over-provisioned pick, straggling), and stays so for the rest of the
+	// Select: it is parked instead of pushed back, and every parked member
+	// goes back at the end. pickHeap's order is strict, so a heap pops what
+	// it would have popped with them in it, less the members no pick could
+	// take — a cluster the round has drained is an empty heap, not a full one
+	// popped through on each of its turns — and the Select is linear in its
+	// cohort.
+	inRound []bool
+	parked  []int
 
 	// randomOverprovision is an ablation switch: when set, over-provisioned
 	// parties are drawn equitably from all clusters instead of from the
@@ -53,46 +67,56 @@ func (s *Selector) SetRandomOverprovision(enable bool, r *rng.Source) {
 var _ fl.Selector = (*Selector)(nil)
 
 // NewSelector builds the FLIPS selector from party clusters (one slice of
-// party IDs per cluster). Party IDs must be unique across clusters.
+// party ids per cluster). Across the clusters the ids must be 0..N-1, each
+// once, for N parties in all.
 func NewSelector(clusters [][]int) (*Selector, error) {
+	n := 0
+	for _, members := range clusters {
+		n += len(members)
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("core: every cluster is empty")
+	}
 	s := &Selector{
-		clusters:  make([][]int, 0, len(clusters)),
-		partyOf:   make(map[int]int),
-		clusterHp: &pickHeap{},
-		partyItem: make(map[int]*pickItem),
-		straggler: make(map[int]bool),
+		clusterOf: make([]int, n),
+		picks:     make([]int, n),
+		straggler: make([]bool, n),
+		inRound:   make([]bool, n),
+	}
+	for p := range s.clusterOf {
+		s.clusterOf[p] = -1
 	}
 	for _, members := range clusters {
 		if len(members) == 0 {
 			continue
 		}
-		id := len(s.clusters)
-		s.clusters = append(s.clusters, append([]int(nil), members...))
-		ph := &pickHeap{}
 		for _, p := range members {
-			if _, dup := s.partyOf[p]; dup {
+			if p < 0 || p >= n {
+				return nil, fmt.Errorf("core: party %d outside [0, %d)", p, n)
+			}
+			if s.clusterOf[p] >= 0 {
 				return nil, fmt.Errorf("core: party %d appears in multiple clusters", p)
 			}
-			s.partyOf[p] = id
-			item := &pickItem{id: p}
-			s.partyItem[p] = item
-			ph.push(item)
+			s.clusterOf[p] = len(s.partyHp)
 		}
-		s.partyHp = append(s.partyHp, ph)
-		s.clusterHp.push(&pickItem{id: id})
+		ids := slices.Clone(members)
+		slices.Sort(ids) // every key is 0, so ascending ids are a heap
+		s.partyHp = append(s.partyHp, pickHeap{ids: ids, picks: s.picks})
 	}
-	if len(s.clusters) == 0 {
-		return nil, fmt.Errorf("core: no parties in any cluster")
+	s.visits = make([]int, len(s.partyHp))
+	s.clusterHp = pickHeap{ids: make([]int, len(s.partyHp)), picks: s.visits}
+	for c := range s.clusterHp.ids {
+		s.clusterHp.ids[c] = c
 	}
-	s.stragCount = make([]int, len(s.clusters))
+	s.stragCount = make([]int, len(s.partyHp))
 	return s, nil
 }
 
 // NumClusters returns the number of non-empty clusters |C|.
-func (s *Selector) NumClusters() int { return len(s.clusters) }
+func (s *Selector) NumClusters() int { return len(s.partyHp) }
 
 // NumParties returns the total party count.
-func (s *Selector) NumParties() int { return len(s.partyOf) }
+func (s *Selector) NumParties() int { return len(s.picks) }
 
 // Name implements fl.Selector.
 func (s *Selector) Name() string { return "flips" }
@@ -101,70 +125,46 @@ func (s *Selector) Name() string { return "flips" }
 // least-picked clusters, plus strg*Nr over-provisioned parties from the
 // straggliest clusters while stragglers are outstanding.
 func (s *Selector) Select(_, target int) []int {
-	if target > s.NumParties() {
-		target = s.NumParties()
-	}
-	r := &round{
-		selected: make([]int, 0, target),
-		inRound:  make(map[int]bool, target),
-		parked:   s.parked[:0],
-	}
-	s.pickEquitable(target, r)
+	target = min(target, s.NumParties())
+	selected := s.pickEquitable(make([]int, 0, target), target)
 
 	// Over-provisioning (Algorithm 1 lines 27–31): while stragglers are
 	// outstanding, add int(strg*Nr) parties from the clusters with the most
 	// stragglers, skipping known-straggler parties.
-	if s.active {
+	if s.stragglers > 0 {
 		extra := int(s.stragRate * float64(target))
 		var order []int
 		if extra > 0 && !s.randomOverprovision {
 			order = s.stragglerOrder()
 		}
-		for i := 0; i < extra && len(r.selected) < s.NumParties(); i++ {
-			p, ok := s.overprovisionPick(r, order)
+		for i := 0; i < extra && len(selected) < s.NumParties(); i++ {
+			p, ok := s.overprovisionPick(order)
 			if !ok {
 				break
 			}
-			r.take(p)
+			selected = s.take(selected, p)
 		}
 	}
-	for _, pk := range r.parked {
-		s.partyHp[pk.cluster].push(pk.item)
+	for _, p := range s.parked {
+		s.partyHp[s.clusterOf[p]].push(p)
 	}
-	s.parked = r.parked
-	return r.selected
+	for _, p := range selected {
+		s.inRound[p] = false
+	}
+	s.parked = s.parked[:0]
+	return selected
 }
 
-// round is one Select's state: the parties picked so far, as a list and a
-// set, and the members it has popped off their clusters' heaps. A popped
-// member is either picked or passed over because it is in the round (or, for
-// an over-provisioned pick, straggling), and stays so for the rest of the
-// Select: it is parked instead of pushed back, and every parked member goes
-// back at the end. pickHeap's order is strict, so a heap pops what it would
-// have popped with them in it, less the members no pick could take — a
-// cluster the round has drained is an empty heap, not a full one popped
-// through on each of its turns — and the Select is linear in its cohort.
-type round struct {
-	selected []int
-	inRound  map[int]bool
-	parked   []parked
-}
-
-type parked struct {
-	cluster int
-	item    *pickItem
-}
-
-func (r *round) take(p int) {
-	r.inRound[p] = true
-	r.selected = append(r.selected, p)
+func (s *Selector) take(selected []int, p int) []int {
+	s.inRound[p] = true
+	return append(selected, p)
 }
 
 // stragglerOrder lists the cluster ids by outstanding stragglers, most
 // first, ties to the lower id. The counts change only in Observe, so one
 // order serves every over-provisioned pick of a Select.
 func (s *Selector) stragglerOrder() []int {
-	order := make([]int, len(s.clusters))
+	order := make([]int, len(s.partyHp))
 	for i := range order {
 		order[i] = i
 	}
@@ -181,28 +181,27 @@ func (s *Selector) stragglerOrder() []int {
 // clusters with the most outstanding stragglers (Algorithm 1 line 29) and
 // falling back through clusters in that order when the top cluster has no
 // available member.
-func (s *Selector) overprovisionPick(r *round, order []int) (int, bool) {
+func (s *Selector) overprovisionPick(order []int) (int, bool) {
 	if s.randomOverprovision && s.opRng != nil {
-		// Ablation mode: uniform over all available non-straggler parties.
-		// None of them is parked: the round parks only members it picked or
-		// found in the round.
-		candidates := make([]int, 0, len(s.partyOf))
-		for id := range s.partyOf {
-			if !r.inRound[id] && !s.straggler[id] {
-				candidates = append(candidates, id)
+		// Ablation mode: uniform over all available non-straggler parties,
+		// in id order. None of them is parked: the round parks only members
+		// it picked or found in the round.
+		candidates := make([]int, 0, len(s.picks))
+		for p := range s.picks {
+			if !s.inRound[p] && !s.straggler[p] {
+				candidates = append(candidates, p)
 			}
 		}
 		if len(candidates) == 0 {
 			return 0, false
 		}
-		sort.Ints(candidates) // deterministic order before the random draw
 		pick := candidates[s.opRng.Intn(len(candidates))]
-		s.partyItem[pick].picks++
-		s.partyHp[s.partyOf[pick]].fix(s.partyItem[pick])
+		s.picks[pick]++
+		s.partyHp[s.clusterOf[pick]].fix(pick)
 		return pick, true
 	}
-	for _, cid := range order {
-		if p, ok := s.pickFromCluster(cid, r, true); ok {
+	for _, c := range order {
+		if p, ok := s.pickFromCluster(c, true); ok {
 			return p, true
 		}
 	}
@@ -210,42 +209,43 @@ func (s *Selector) overprovisionPick(r *round, order []int) (int, bool) {
 }
 
 // pickEquitable performs the core round-robin: extract the least-picked
-// cluster, then the least-picked unused party within it.
-func (s *Selector) pickEquitable(n int, r *round) {
-	for len(r.selected) < n {
+// cluster, then the least-picked unused party within it, until n are picked.
+func (s *Selector) pickEquitable(selected []int, n int) []int {
+	for len(selected) < n {
 		// Extract-min cluster; retry clusters whose parties are all in
 		// the round already.
 		tried := 0
-		for ; tried < len(s.clusters); tried++ {
-			ci := s.clusterHp.pop()
-			p, ok := s.pickFromCluster(ci.id, r, false)
-			ci.picks++
-			s.clusterHp.push(ci)
+		for ; tried < len(s.partyHp); tried++ {
+			c := s.clusterHp.pop()
+			p, ok := s.pickFromCluster(c, false)
+			s.visits[c]++
+			s.clusterHp.push(c)
 			if ok {
-				r.take(p)
+				selected = s.take(selected, p)
 				break
 			}
 		}
-		if tried == len(s.clusters) {
-			return // every party is already selected
+		if tried == len(s.partyHp) {
+			break // every party is already selected
 		}
 	}
+	return selected
 }
 
-// pickFromCluster extracts the least-picked party of cluster cid that is not
+// pickFromCluster extracts the least-picked party of cluster c that is not
 // yet in the round (and, when skipStragglers, not an outstanding straggler)
 // and increments its pick count. Every member it pops — the chosen one and
 // those it passes over — is parked for the rest of the round.
-func (s *Selector) pickFromCluster(cid int, r *round, skipStragglers bool) (int, bool) {
-	ph := s.partyHp[cid]
-	for ph.Len() > 0 {
-		item := ph.pop()
-		r.parked = append(r.parked, parked{cid, item})
-		if r.inRound[item.id] || (skipStragglers && s.straggler[item.id]) {
+func (s *Selector) pickFromCluster(c int, skipStragglers bool) (int, bool) {
+	h := &s.partyHp[c]
+	for len(h.ids) > 0 {
+		p := h.pop()
+		s.parked = append(s.parked, p)
+		if s.inRound[p] || (skipStragglers && s.straggler[p]) {
 			continue
 		}
-		item.picks++
-		return item.id, true
+		s.picks[p]++
+		return p, true
 	}
 	return 0, false
 }
@@ -259,18 +259,17 @@ func (s *Selector) Observe(fb fl.RoundFeedback) {
 			continue
 		}
 		s.straggler[id] = true
-		s.stragCount[s.partyOf[id]]++
+		s.stragglers++
+		s.stragCount[s.clusterOf[id]]++
 	}
 	for _, r := range fb.Completed {
 		if !s.straggler[r.ID] {
 			continue
 		}
-		delete(s.straggler, r.ID)
-		if c := s.partyOf[r.ID]; s.stragCount[c] > 0 {
-			s.stragCount[c]--
-		}
+		s.straggler[r.ID] = false
+		s.stragglers--
+		s.stragCount[s.clusterOf[r.ID]]--
 	}
-	s.active = len(s.straggler) > 0
 
 	// Smoothed straggler-rate estimate. Algorithm 1 line 45 writes
 	// strg = (strg*Nr + count)/Nr, which diverges as stated; we read it as

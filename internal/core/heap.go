@@ -1,68 +1,63 @@
 package core
 
-import "container/heap"
+import "slices"
 
-// pickItem tracks how often an entity (party or cluster) has been picked.
-// FLIPS's fairness guarantee — every party within a cluster gets an equal
-// opportunity — is enforced by always extracting the least-picked item.
-type pickItem struct {
-	id    int
-	picks int
-	index int // heap index, maintained by the heap interface
-}
-
-// pickHeap is a min-heap of pickItems by fewest picks (Algorithm 1's H and
-// Hc). Ties break on lowest id for determinism.
+// pickHeap is a min-heap of ids by fewest picks, ties to the lower id
+// (Algorithm 1's H and Hc). FLIPS's fairness guarantee — every party within
+// a cluster gets an equal opportunity — is enforced by always extracting the
+// least-picked id. The keys live in picks, a table indexed by id that the
+// selector shares with every heap over the same ids. The order is strict, so
+// a heap pops the same id whatever its layout.
 type pickHeap struct {
-	items []*pickItem
+	ids   []int
+	picks []int
 }
 
-var _ heap.Interface = (*pickHeap)(nil)
+func (h *pickHeap) less(i, j int) bool {
+	a, b := h.ids[i], h.ids[j]
+	return h.picks[a] < h.picks[b] || h.picks[a] == h.picks[b] && a < b
+}
 
-func (h *pickHeap) Len() int { return len(h.items) }
+func (h *pickHeap) push(id int) {
+	h.ids = append(h.ids, id)
+	h.up(len(h.ids) - 1)
+}
 
-func (h *pickHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.picks != b.picks {
-		return a.picks < b.picks
+func (h *pickHeap) pop() int {
+	id, last := h.ids[0], len(h.ids)-1
+	h.ids[0] = h.ids[last]
+	h.ids = h.ids[:last]
+	h.down(0)
+	return id
+}
+
+// fix restores the order after id's key grew while it was in the heap.
+func (h *pickHeap) fix(id int) { h.down(slices.Index(h.ids, id)) }
+
+func (h *pickHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.ids[i], h.ids[parent] = h.ids[parent], h.ids[i]
+		i = parent
 	}
-	return a.id < b.id
 }
 
-func (h *pickHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
-}
-
-// Push implements heap.Interface; use push() instead.
-func (h *pickHeap) Push(x any) {
-	item, ok := x.(*pickItem)
-	if !ok {
-		panic("core: pickHeap.Push called with non-pickItem")
+func (h *pickHeap) down(i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h.ids) {
+			return
+		}
+		if r := child + 1; r < len(h.ids) && h.less(r, child) {
+			child = r
+		}
+		if !h.less(child, i) {
+			return
+		}
+		h.ids[i], h.ids[child] = h.ids[child], h.ids[i]
+		i = child
 	}
-	item.index = len(h.items)
-	h.items = append(h.items, item)
 }
-
-// Pop implements heap.Interface; use pop() instead.
-func (h *pickHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	h.items = old[:n-1]
-	return item
-}
-
-func (h *pickHeap) push(item *pickItem) { heap.Push(h, item) }
-
-func (h *pickHeap) pop() *pickItem {
-	item, ok := heap.Pop(h).(*pickItem)
-	if !ok {
-		panic("core: pickHeap.pop type corruption")
-	}
-	return item
-}
-
-func (h *pickHeap) fix(item *pickItem) { heap.Fix(h, item.index) }

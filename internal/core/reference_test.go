@@ -16,13 +16,11 @@ import (
 // pick (cluster-aware over-provisioning only; the random ablation draws the
 // same candidates either way).
 func refSelect(s *Selector, target int) []int {
-	if target > s.NumParties() {
-		target = s.NumParties()
-	}
+	target = min(target, s.NumParties())
 	selected := make([]int, 0, target)
 	inRound := make(map[int]bool, target)
 	refPickEquitable(s, target, inRound, &selected)
-	if s.active {
+	if s.stragglers > 0 {
 		extra := int(s.stragRate * float64(target))
 		var order []int
 		if extra > 0 {
@@ -41,8 +39,8 @@ func refSelect(s *Selector, target int) []int {
 }
 
 func refOverprovisionPick(s *Selector, inRound map[int]bool, order []int) (int, bool) {
-	for _, cid := range order {
-		if p, ok := refPickFromCluster(s, cid, inRound, true); ok {
+	for _, c := range order {
+		if p, ok := refPickFromCluster(s, c, inRound, true); ok {
 			return p, true
 		}
 	}
@@ -52,49 +50,46 @@ func refOverprovisionPick(s *Selector, inRound map[int]bool, order []int) (int, 
 func refPickEquitable(s *Selector, n int, inRound map[int]bool, out *[]int) {
 	for len(*out) < n {
 		tried := 0
-		for ; tried < len(s.clusters); tried++ {
-			ci := s.clusterHp.pop()
-			p, ok := refPickFromCluster(s, ci.id, inRound, false)
-			ci.picks++
-			s.clusterHp.push(ci)
+		for ; tried < s.NumClusters(); tried++ {
+			c := s.clusterHp.pop()
+			p, ok := refPickFromCluster(s, c, inRound, false)
+			s.visits[c]++
+			s.clusterHp.push(c)
 			if ok {
 				inRound[p] = true
 				*out = append(*out, p)
 				break
 			}
 		}
-		if tried == len(s.clusters) {
+		if tried == s.NumClusters() {
 			return
 		}
 	}
 }
 
-func refPickFromCluster(s *Selector, cid int, inRound map[int]bool, skipStragglers bool) (int, bool) {
-	ph := s.partyHp[cid]
-	popped := make([]*pickItem, 0, 4)
-	var chosen *pickItem
-	for ph.Len() > 0 {
-		item := ph.pop()
-		popped = append(popped, item)
-		if inRound[item.id] {
+func refPickFromCluster(s *Selector, c int, inRound map[int]bool, skipStragglers bool) (int, bool) {
+	h := &s.partyHp[c]
+	popped := make([]int, 0, 4)
+	chosen := -1
+	for len(h.ids) > 0 {
+		p := h.pop()
+		popped = append(popped, p)
+		if inRound[p] {
 			continue
 		}
-		if skipStragglers && s.straggler[item.id] {
+		if skipStragglers && s.straggler[p] {
 			continue
 		}
-		chosen = item
+		chosen = p
 		break
 	}
-	for _, item := range popped {
-		if item == chosen {
-			item.picks++
-		}
-		ph.push(item)
+	if chosen >= 0 {
+		s.picks[chosen]++
 	}
-	if chosen == nil {
-		return 0, false
+	for _, p := range popped {
+		h.push(p)
 	}
-	return chosen.id, true
+	return max(chosen, 0), chosen >= 0
 }
 
 // TestSelectMatchesReference drives the selector and the reference through
@@ -125,7 +120,7 @@ func TestSelectMatchesReference(t *testing.T) {
 			}
 			ids := make([]int, total)
 			for i := range ids {
-				ids[i] = 3 * i // party IDs need not be dense
+				ids[i] = i
 			}
 			r.Shuffle(total, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			var clusters [][]int
@@ -159,14 +154,12 @@ func TestSelectMatchesReference(t *testing.T) {
 				got.Observe(fb)
 				want.Observe(fb)
 			}
-			for id, item := range want.partyItem {
-				if got.partyItem[id].picks != item.picks {
-					t.Fatalf("party %d: %d picks, reference %d", id, got.partyItem[id].picks, item.picks)
-				}
+			if !slices.Equal(got.picks, want.picks) {
+				t.Fatalf("pick counts %v, reference %v", got.picks, want.picks)
 			}
 			for c := range want.partyHp {
-				if got.partyHp[c].Len() != want.partyHp[c].Len() {
-					t.Fatalf("cluster %d heap holds %d members, reference %d", c, got.partyHp[c].Len(), want.partyHp[c].Len())
+				if len(got.partyHp[c].ids) != len(want.partyHp[c].ids) {
+					t.Fatalf("cluster %d heap holds %d members, reference %d", c, len(got.partyHp[c].ids), len(want.partyHp[c].ids))
 				}
 			}
 		})

@@ -5,6 +5,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"unsafe"
 
@@ -698,8 +699,9 @@ type Attach func(built *BuildResult) (transport fl.ShardTransport, release func(
 // evaluator goroutine, in round order and never after this function returns;
 // see fl.Config.OnRound for its retention contract.
 // attach, when non-nil, routes every repeat's local training through the
-// transport it returns.
-func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats), attach Attach) (*fl.Result, [][]int, error) {
+// transport it returns. Every repeat stops before its next round once ctx is
+// done (fl.Config.Context), and the cell returns ctx's error, wrapped.
+func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRound func(fl.RoundStats), attach Attach) (*fl.Result, [][]int, error) {
 	repeats := max(scale.Repeats, 1)
 	budget := parallel.New(scale.Parallelism).Width()
 	repWidth := min(budget, repeats)
@@ -723,6 +725,7 @@ func RunSettingClusters(setting Setting, scale Scale, onRound func(fl.RoundStats
 		if err != nil {
 			return repOut{err: err}
 		}
+		built.Config.Context = ctx
 		if rep == 0 {
 			built.Config.OnRound = onRound
 		}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func tinyScale() Scale {
 
 // runSetting runs one cell in-process without a round hook.
 func runSetting(setting Setting, scale Scale) (*fl.Result, error) {
-	res, _, err := RunSettingClusters(setting, scale, nil, nil)
+	res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, nil)
 	return res, err
 }
 

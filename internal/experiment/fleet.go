@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -180,7 +181,7 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 				runtime.GC()
 				runtime.ReadMemStats(&before)
 				start := time.Now()
-				res, _, err := RunSettingClusters(setting, scale, nil, probed)
+				res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, probed)
 				elapsed := time.Since(start).Seconds()
 				runtime.ReadMemStats(&after)
 				stop()

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -128,7 +129,7 @@ func TestScaleShardsAreBitInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := RunSettingClusters(setting, scale, nil, nil)
+		res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -135,6 +136,11 @@ type Config struct {
 	// measurement, not a knob: nil costs no clock read and no allocation,
 	// and the Result is bit-identical either way.
 	Phases *Phases
+	// Context, when non-nil, stops the run once it is done: Run checks it
+	// before each step and returns its error, wrapped, having joined the
+	// evaluator. The rounds OnRound received by then are the first rounds of
+	// the run that was not stopped, bit for bit.
+	Context context.Context
 }
 
 // policy returns the configured aggregation policy, defaulting to SyncRounds.
@@ -358,7 +364,8 @@ type Result struct {
 // evaluation cadence, and the per-cycle state is reset. Run joins the
 // evaluator before it returns, on every path — its only barrier: the Result
 // is complete, no OnRound call happens after Run returns, and a panic during
-// evaluation is re-raised on Run's caller goroutine.
+// evaluation is re-raised on Run's caller goroutine. A done Config.Context
+// ends the loop before its next step.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -371,6 +378,9 @@ func Run(cfg Config) (*Result, error) {
 	c.eval.start(c.global)
 	defer c.eval.stop()
 	for step := 0; step < cfg.Rounds; step++ {
+		if cfg.Context != nil && cfg.Context.Err() != nil {
+			return nil, fmt.Errorf("fl: run stopped before round %d: %w", step+1, cfg.Context.Err())
+		}
 		c.decayLR(step)
 		if err := policy.cycle(c, step); err != nil {
 			return nil, err

@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -254,6 +256,57 @@ func TestRunJoinsEvaluatorOnError(t *testing.T) {
 	}
 	if n := calls.Load(); n != 7 {
 		t.Fatalf("OnRound saw %d rounds, want the 7 completed before the failure", n)
+	}
+}
+
+// cancellingSelector rotates like the goldens' selector and cancels the
+// run's context while it selects step cancelAt.
+type cancellingSelector struct {
+	rotatingSelector
+	cancelAt int
+	cancel   context.CancelFunc
+}
+
+func (s *cancellingSelector) Select(round, target int) []int {
+	if round == s.cancelAt {
+		s.cancel()
+	}
+	return s.rotatingSelector.Select(round, target)
+}
+
+// TestRunStopsWhenContextDone pins the engine's cancellation check: a
+// context cancelled during step 7 lets step 7 finish and stops the run
+// before step 8, with an error that wraps context.Canceled, every finished
+// step streamed, none after Run returned, and no goroutine left behind.
+func TestRunStopsWhenContextDone(t *testing.T) {
+	cfg := determinismConfig(t, 4, 1)
+	cfg.Rounds = 10
+	cfg.EvalEvery = 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Context = ctx
+	cfg.Selector = &cancellingSelector{rotatingSelector: rotatingSelector{n: len(cfg.Parties)}, cancelAt: 7, cancel: cancel}
+	var returned, late atomic.Bool
+	var calls atomic.Int32
+	cfg.OnRound = func(RoundStats) {
+		time.Sleep(5 * time.Millisecond)
+		if returned.Load() {
+			late.Store(true)
+		}
+		calls.Add(1)
+	}
+	before := runtime.NumGoroutine()
+	res, err := Run(cfg)
+	returned.Store(true)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("Run = %v, %v; want no result and an error wrapping context.Canceled", res, err)
+	}
+	awaitGoroutines(t, before)
+	if late.Load() {
+		t.Fatal("OnRound was called after Run returned")
+	}
+	if n := calls.Load(); n != 8 {
+		t.Fatalf("OnRound saw %d rounds, want the 8 finished before the stop", n)
 	}
 }
 

@@ -491,7 +491,8 @@ func TestClipBoundsSyncContributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	initial := cfg.Factory(rng.New(cfg.Seed).Split(0xF0)).Params()
-	moved := res.FinalParams.Sub(initial)
+	moved := res.FinalParams.Clone()
+	moved.SubInPlace(initial)
 	if n := moved.Norm2(); n > 2*1e-3+1e-12 {
 		t.Fatalf("2 rounds under clip 1e-3 moved the model by %v; the clip stage is not binding", n)
 	}

@@ -58,6 +58,7 @@ type Enclave struct {
 	chanPriv *ecdh.PrivateKey
 	sessions map[string]*SecureChannel
 	lds      map[int]tensor.Vec
+	ids      []int // the clustered party ids, ascending; the selector's party i is ids[i]
 	selector *core.Selector
 	wiped    bool
 }
@@ -183,7 +184,7 @@ func (e *Enclave) Cluster(seed uint64) error {
 	if len(e.lds) == 0 {
 		return fmt.Errorf("tee: no label distributions submitted")
 	}
-	// Ascending party-id order: the selector speaks party IDs directly.
+	// Ascending party-id order: the selector speaks indices into ids.
 	ids := make([]int, 0, len(e.lds))
 	for id := range e.lds {
 		ids = append(ids, id)
@@ -197,20 +198,26 @@ func (e *Enclave) Cluster(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	// Map cluster-local indices back to party IDs.
-	mapped := make([][]int, len(clusters))
-	for c, members := range clusters {
-		mapped[c] = make([]int, len(members))
-		for i, idx := range members {
-			mapped[c][i] = ids[idx]
-		}
-	}
-	sel, err := core.NewSelector(mapped)
+	sel, err := core.NewSelector(clusters)
 	if err != nil {
 		return err
 	}
-	e.selector = sel
+	e.ids, e.selector = ids, sel
 	return nil
+}
+
+// indices maps party ids sent from outside to the selector's indices,
+// refusing an id that was never clustered.
+func (e *Enclave) indices(ids []int) ([]int, error) {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		j := sort.SearchInts(e.ids, id)
+		if j == len(e.ids) || e.ids[j] != id {
+			return nil, fmt.Errorf("tee: party %d was never clustered", id)
+		}
+		out[i] = j
+	}
+	return out, nil
 }
 
 // NumClusters reports |C| (aggregate information the aggregator may see).
@@ -234,7 +241,14 @@ func (e *Enclave) SelectParticipants(round, target int) ([]int, error) {
 	if e.selector == nil {
 		return nil, fmt.Errorf("tee: clustering has not run")
 	}
-	return e.selector.Select(round, target), nil
+	if target < 0 {
+		return nil, fmt.Errorf("tee: negative selection target %d", target)
+	}
+	picks := e.selector.Select(round, target)
+	for i, p := range picks {
+		picks[i] = e.ids[p]
+	}
+	return picks, nil
 }
 
 // ObserveRound forwards round feedback to the in-enclave selector so
@@ -248,7 +262,16 @@ func (e *Enclave) ObserveRound(selected, completed, stragglers []int, round int)
 	if e.selector == nil {
 		return fmt.Errorf("tee: clustering has not run")
 	}
-	e.selector.Observe(feedback(round, selected, completed, stragglers))
+	// Every id is mapped before any is observed, so a refused round changes
+	// nothing.
+	var mapped [3][]int
+	for k, ids := range [3][]int{selected, completed, stragglers} {
+		var err error
+		if mapped[k], err = e.indices(ids); err != nil {
+			return err
+		}
+	}
+	e.selector.Observe(feedback(round, mapped[0], mapped[1], mapped[2]))
 	return nil
 }
 
@@ -264,6 +287,6 @@ func (e *Enclave) Wipe() {
 	for id := range e.sessions {
 		delete(e.sessions, id)
 	}
-	e.selector = nil
+	e.ids, e.selector = nil, nil
 	e.wiped = true
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -335,4 +336,132 @@ func TestMalformedSubmissions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHostileSelectAndObserve: well-framed aggregator requests the selector
+// cannot take as they are — a select with target −1, and observes that name
+// a party the enclave never clustered (as a straggler, as completed, as
+// selected, beside a clustered one) — each draw an error reply on a
+// connection that stays usable, and the server stays up. A refused observe
+// changes nothing: the next select invites exactly its target, with no
+// over-provisioning for a straggler that was never clustered.
+func TestHostileSelectAndObserve(t *testing.T) {
+	t.Parallel()
+	enclave, attest := newTestEnclave(t)
+	addr := startServer(t, enclave)
+	within(t, "hostile select and observe", func() {
+		remote, err := DialEnclave(addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer remote.Close()
+		honest := []tensor.Vec{{9, 1, 1}, {9, 2, 1}, {1, 9, 1}, {2, 9, 1}, {1, 1, 9}, {1, 2, 9}}
+		if err := SubmitAll(remote, attest, honest); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := remote.Cluster(7); err != nil {
+			t.Error(err)
+			return
+		}
+		if sel, err := remote.SelectParticipants(0, -1); err == nil {
+			t.Errorf("select with target -1 answered %v", sel)
+		}
+		for _, tc := range []struct {
+			name                            string
+			selected, completed, stragglers []int
+		}{
+			{"straggler", []int{6}, nil, []int{6}},
+			{"completed", []int{6}, []int{6}, nil},
+			{"selected", []int{-1}, nil, nil},
+			{"beside a clustered one", []int{0, math.MaxInt64}, []int{0}, []int{math.MaxInt64}},
+		} {
+			err := remote.ObserveRound(tc.selected, tc.completed, tc.stragglers, 0)
+			if err == nil || !strings.Contains(err.Error(), "never clustered") {
+				t.Errorf("observe naming an unclustered party (%s): err = %v, want the refusal", tc.name, err)
+			}
+		}
+		if sel, err := remote.SelectParticipants(1, 4); err != nil || len(sel) != 4 {
+			t.Errorf("select after the refused requests: %v, %v; want 4 parties, none over-provisioned", sel, err)
+		}
+	})
+}
+
+// TestSparsePartyIDsRoundTrip: parties 5, 17, 2^40 and MaxInt64 — ids far
+// from the selector's dense indices, submitted out of order — cluster, select
+// and observe over TCP exactly as parties 0–3 with the same label
+// distributions do in-process, id for id, over-provisioning included.
+func TestSparsePartyIDsRoundTrip(t *testing.T) {
+	t.Parallel()
+	ids := []int{5, 17, 1 << 40, math.MaxInt64}
+	dists := []tensor.Vec{{9, 1}, {1, 9}, {8, 2}, {2, 8}}
+	dense, denseAttest := newTestEnclave(t)
+	if err := SubmitAll(dense, denseAttest, dists); err != nil {
+		t.Fatal(err)
+	}
+	if err := dense.Cluster(7); err != nil {
+		t.Fatal(err)
+	}
+	enclave, attest := newTestEnclave(t)
+	addr := startServer(t, enclave)
+	within(t, "sparse ids", func() {
+		remote, err := DialEnclave(addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer remote.Close()
+		for _, i := range []int{3, 0, 2, 1} {
+			party := NewPartyClient(ids[i], attest)
+			if err := party.Handshake(remote); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := party.SubmitLabelDistribution(remote, dists[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := remote.Cluster(7); err != nil {
+			t.Error(err)
+			return
+		}
+		overprovisioned := false
+		for round, target := range []int{1, 2, 2, 3, 1, 2} {
+			want, err := dense.SelectParticipants(round, target)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := remote.SelectParticipants(round, target)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, d := range want {
+				want[i] = ids[d]
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("round %d: selected %v, want %v", round, got, want)
+				return
+			}
+			overprovisioned = overprovisioned || len(got) > target
+			// The first invited party straggles, the rest complete.
+			if err := remote.ObserveRound(got, got[1:], got[:1], round); err != nil {
+				t.Errorf("round %d: observe: %v", round, err)
+				return
+			}
+			for i, id := range got {
+				want[i] = slices.Index(ids, id)
+			}
+			if err := dense.ObserveRound(want, want[1:], want[:1], round); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if !overprovisioned {
+			t.Error("no round over-provisioned: the stragglers never reached the selector")
+		}
+	})
 }

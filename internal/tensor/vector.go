@@ -48,32 +48,11 @@ func (v Vec) SubInPlace(other Vec) {
 	}
 }
 
-// Sub returns v - other as a new vector.
-func (v Vec) Sub(other Vec) Vec {
-	out := v.Clone()
-	out.SubInPlace(other)
-	return out
-}
-
-// Add returns v + other as a new vector.
-func (v Vec) Add(other Vec) Vec {
-	out := v.Clone()
-	out.AddInPlace(other)
-	return out
-}
-
 // ScaleInPlace multiplies every element of v by s.
 func (v Vec) ScaleInPlace(s float64) {
 	for i := range v {
 		v[i] *= s
 	}
-}
-
-// Scale returns s*v as a new vector.
-func (v Vec) Scale(s float64) Vec {
-	out := v.Clone()
-	out.ScaleInPlace(s)
-	return out
 }
 
 // Axpy performs v += a*x (the BLAS axpy kernel). x may be v itself but must

@@ -1,6 +1,7 @@
 package flips
 
 import (
+	"context"
 	"io"
 
 	"flips/internal/experiment"
@@ -57,18 +58,20 @@ func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 // function returns; it should hand off quickly, and the PerLabel slice must
 // be copied if retained.
 func RunSimulationStream(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
-	return runSimulation(cfg, onRound, nil)
+	return runSimulation(context.Background(), cfg, onRound, nil)
 }
 
 // runSimulation is the one run path: in-process when attach is nil, with each
 // repeat's local training on the transport attach returns when it is not
-// (DistRunner.Run).
-func runSimulation(cfg SimulationConfig, onRound func(RoundPoint), attach experiment.Attach) (*SimulationResult, error) {
+// (DistRunner.Run). Once ctx is done the job stops before its next round and
+// returns ctx's error, wrapped; the rounds onRound received by then are the
+// first rounds of the job that was not stopped.
+func runSimulation(ctx context.Context, cfg SimulationConfig, onRound func(RoundPoint), attach experiment.Attach) (*SimulationResult, error) {
 	setting, scale, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	res, clusters, err := experiment.RunSettingClusters(setting, scale, onRound, attach)
+	res, clusters, err := experiment.RunSettingClusters(ctx, setting, scale, onRound, attach)
 	if err != nil {
 		return nil, err
 	}
