@@ -225,10 +225,10 @@ func serveJobs(stdout io.Writer, listen string, queueDepth, workers, jobPar int,
 	defer cancel()
 	_ = hs.Shutdown(ctx)
 	st := srv.Stats()
-	fmt.Fprintf(stdout, "flipsd: drained: accepted=%d done=%d failed=%d rejected=%d\n",
-		st.Accepted, st.Done, st.Failed, st.Rejected)
-	if st.Done+st.Failed != st.Accepted {
-		return fmt.Errorf("drain lost jobs: accepted=%d but done+failed=%d", st.Accepted, st.Done+st.Failed)
+	fmt.Fprintf(stdout, "flipsd: drained: accepted=%d done=%d failed=%d cancelled=%d rejected=%d\n",
+		st.Accepted, st.Done, st.Failed, st.Cancelled, st.Rejected)
+	if ended := st.Done + st.Failed + st.Cancelled; ended != st.Accepted {
+		return fmt.Errorf("drain lost jobs: accepted=%d but done+failed+cancelled=%d", st.Accepted, ended)
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 	addr := fs.String("addr", "http://127.0.0.1:8080", "flipsd job-server base URL")
 	jobs := fs.Int("jobs", 100, "total jobs to submit")
 	conc := fs.Int("concurrency", 50, "concurrent submitters (jobs in flight from the client side)")
-	timeout := fs.Duration("timeout", 2*time.Minute, "per-job deadline over submit and follow; past it the job counts as lost")
+	timeout := fs.Duration("timeout", 2*time.Minute, "per-job deadline over submit and follow; past it the job is cancelled and counts as lost")
 	sloP99 := fs.Duration("slo-p99", 0, "fail when p99 job latency exceeds this (0 disables)")
 	sloArrivals := fs.Float64("slo-arrivals", 0, "fail when accepted arrivals/sec fall below this (0 disables)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
@@ -167,6 +167,10 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// cancelTimeout bounds the cancel flipsload sends for a job past its
+// deadline.
+const cancelTimeout = 2 * time.Second
+
 // defaultJob is the job fired when no job file is given.
 var defaultJob = flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "random", Rounds: 2, Parties: 6, Seed: 1}
 
@@ -175,7 +179,9 @@ var defaultJob = flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "rando
 // answered is "rejected": the server never owned the job. After acceptance
 // the server pushes the terminal event, so during a drain the outcome is
 // observed before the listener goes away; a job is "lost" only when
-// server.Client could not observe it by stream, status poll or reconnect.
+// server.Client could not observe it by stream, status poll or reconnect
+// within the deadline, and is then cancelled, best effort, within
+// cancelTimeout.
 func followJob(client *server.Client, cfg flips.SimulationConfig, timeout time.Duration) outcome {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -187,6 +193,11 @@ func followJob(client *server.Client, cfg flips.SimulationConfig, timeout time.D
 	ev, err := client.Follow(ctx, sub.ID, nil)
 	switch {
 	case err != nil:
+		cctx, ccancel := context.WithTimeout(context.Background(), cancelTimeout)
+		defer ccancel()
+		if _, cerr := client.Cancel(cctx, sub.ID); cerr != nil {
+			fmt.Fprintf(os.Stderr, "flipsload: cancel %s: %v\n", sub.ID, cerr)
+		}
 		return outcome{state: "lost"}
 	case ev.State != server.StateDone:
 		fmt.Fprintf(os.Stderr, "flipsload: %s failed: %s\n", sub.ID, ev.Error)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,7 +62,7 @@ func TestLoadRunGatesOnFailedJobs(t *testing.T) {
 	t.Parallel()
 	srv := server.New(server.Config{
 		Workers: 2,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			return nil, fmt.Errorf("injected failure")
 		},
 	})
@@ -85,7 +86,7 @@ func TestLoadRunGatesOnLatencySLO(t *testing.T) {
 	t.Parallel()
 	srv := server.New(server.Config{
 		Workers: 2,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			return &flips.SimulationResult{}, nil
 		},
 	})
@@ -147,7 +148,7 @@ func TestJobFileIsTheJob(t *testing.T) {
 	var got []flips.SimulationConfig
 	srv := server.New(server.Config{
 		Workers: 2,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			mu.Lock()
 			got = append(got, cfg)
 			mu.Unlock()
@@ -222,5 +223,35 @@ func TestTimeoutBoundsASilentServer(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("flipsload still following a silent server 30s past a 300ms -timeout")
+	}
+}
+
+// TestTimeoutCancelsTheJob: a job still running at its -timeout counts as
+// lost, and flipsload cancels it, so it stops holding a server worker: the
+// runner sees its context cancelled and the server counts the job cancelled.
+func TestTimeoutCancelsTheJob(t *testing.T) {
+	t.Parallel()
+	srv := server.New(server.Config{
+		Workers: 1,
+		Run: func(ctx context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	var out bytes.Buffer
+	err := run([]string{"-addr", ts.URL, "-jobs", "1", "-concurrency", "1", "-timeout", "300ms"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "1 jobs lost") {
+		t.Fatalf("err = %v, want the job lost\n%s", err, out.String())
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().Cancelled != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the job past its deadline was not cancelled: stats %+v", srv.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -51,12 +51,13 @@ const retainedJobStats = 4
 // seed; the coordinator keeps every other stage of the round — device
 // simulation, chaos, privacy, folds, server optimization, evaluation — and the
 // across-repeat reduction, so the result is byte-identical to the in-process
-// engine at any worker count.
-func (r *DistRunner) Run(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
+// engine at any worker count. Once ctx is done the job stops before its next
+// round and returns ctx's error, wrapped.
+func (r *DistRunner) Run(ctx context.Context, cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
 	if r.Coord == nil || r.Workers <= 0 {
 		return nil, fmt.Errorf("flips: distributed runner needs a coordinator and a positive worker count")
 	}
-	return runSimulation(context.Background(), cfg, onRound, experiment.AttachDist(r.Coord, cfg, r.Workers, r.track))
+	return runSimulation(ctx, cfg, onRound, experiment.AttachDist(r.Coord, cfg, r.Workers, r.track))
 }
 
 // WorkerStats snapshots every active job's shard slots, tagged with a stable

@@ -1,6 +1,7 @@
 package flips
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -83,7 +84,7 @@ func requireSameResult(t *testing.T, label string, want, got *SimulationResult) 
 func TestDistRunnerMatchesInProcess(t *testing.T) {
 	cfg := distTestConfig()
 	var points []RoundPoint
-	want, err := RunSimulationStream(cfg, func(p RoundPoint) { points = append(points, p) })
+	want, err := RunSimulationStream(context.Background(), cfg, func(p RoundPoint) { points = append(points, p) })
 	if err != nil {
 		t.Fatalf("in-process run: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestDistRunnerMatchesInProcess(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		r := startRunner(t, workers)
 		var streamed []RoundPoint
-		got, err := r.Run(cfg, func(p RoundPoint) { streamed = append(streamed, p) })
+		got, err := r.Run(context.Background(), cfg, func(p RoundPoint) { streamed = append(streamed, p) })
 		if err != nil {
 			t.Fatalf("distributed run (%d workers): %v", workers, err)
 		}
@@ -145,7 +146,7 @@ func TestDistRunnerAveragesRepeatsLikeInProcess(t *testing.T) {
 		if sameBits(firstPeak, want.PeakAccuracy) {
 			t.Fatalf("%s: the six-seed mean equals the first seed's peak; the job cannot tell one repeat from six", name)
 		}
-		got, err := r.Run(cfg, nil)
+		got, err := r.Run(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: distributed run: %v", name, err)
 		}
@@ -192,13 +193,13 @@ func TestDistWorkerBuilderRefusesWhatTheServerRefuses(t *testing.T) {
 // before any worker traffic.
 func TestDistRunnerRejectsMisconfiguration(t *testing.T) {
 	r := &DistRunner{}
-	if _, err := r.Run(distTestConfig(), nil); err == nil {
+	if _, err := r.Run(context.Background(), distTestConfig(), nil); err == nil {
 		t.Fatal("nil coordinator accepted")
 	}
 	r = startRunner(t, 1)
 	bad := distTestConfig()
 	bad.Dataset = "no-such-dataset"
-	if _, err := r.Run(bad, nil); err == nil {
+	if _, err := r.Run(context.Background(), bad, nil); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }

@@ -49,7 +49,7 @@ func TestRunSimulationDefaults(t *testing.T) {
 // with identical values.
 func TestRunSimulationStreamMatchesHistory(t *testing.T) {
 	var streamed []RoundPoint
-	res, err := RunSimulationStream(SimulationConfig{
+	res, err := RunSimulationStream(context.Background(), SimulationConfig{
 		Dataset: "mit-bih-ecg",
 		Rounds:  8,
 		Parties: 24,
@@ -343,7 +343,7 @@ func TestOneBuildPerRepeat(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunSimulationStream(cfg, func(RoundPoint) {}); err != nil {
+		if _, err := RunSimulationStream(context.Background(), cfg, func(RoundPoint) {}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -903,7 +903,7 @@ func TestJobInvariance(t *testing.T) {
 				t.Errorf("%s %s: digest %x at Parallelism %d Shards %d, %x at 1/1", name, spec, digest, shape[0], shape[1], first)
 			}
 		}
-		res, err := runner.Run(cfg, nil)
+		res, err := runner.Run(context.Background(), cfg, nil)
 		if err != nil {
 			refused++
 			t.Logf("%s %s: refused by DistRunner: %v", name, spec, err)

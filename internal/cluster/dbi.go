@@ -18,12 +18,15 @@ func (s *sweep) daviesBouldin(k int) float64 {
 	if k <= 1 {
 		return 0
 	}
-	pts, d, cent := s.pts, s.dim, s.cent[:k]
+	pts, d, cent, rowD := s.pts, s.dim, s.cent[:k], s.rowD
 	scatter, counts := s.scatter[:k], s.counts[:k]
 	clear(scatter)
 	clear(counts)
+	for u, i := range s.first {
+		rowD[u] = pts[i*d : (i+1)*d].Dist(cent[s.assign[i]])
+	}
 	for i, c := range s.assign {
-		scatter[c] += pts[i*d : (i+1)*d].Dist(cent[c])
+		scatter[c] = addLater(scatter[c], rowD[s.id[i]])
 		counts[c]++
 	}
 	live := 0

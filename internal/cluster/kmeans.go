@@ -5,12 +5,16 @@
 //
 // K-Means and the Davies-Bouldin sweep run on the rows of one row-major
 // tensor.Mat and keep their state in one sweep workspace, sized for the
-// largest k and reused by every Lloyd iteration, restart and k.
+// largest k and reused by every Lloyd iteration, restart and k. The
+// workspace measures each distinct row once per pass and reads the result
+// per point through the row's number (DESIGN.md, "The distinct-row sweep").
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"flips/internal/rng"
 	"flips/internal/tensor"
@@ -72,30 +76,69 @@ func kmeans(points *tensor.Mat, k int, r *rng.Source, maxIter int) (*KMeansResul
 
 // sweep is the workspace of K-Means runs over the rows of one matrix, for
 // any k up to len(cent). A run leaves its clustering in cent[:k] and assign.
-// The hot loops slice point i as pts[i*dim:(i+1)*dim] from locals and reach
-// centroids through row views, so no field is reloaded after each distance
-// call.
+//
+// Points whose rows are equal word for word get equal distances, so every
+// distance is measured once per distinct row (first[u], in order of first
+// occurrence) into a per-row slot, and each point reads its row's slot
+// through id. What sums over points — cluster sums, inertia, the k-means++
+// weights, the Davies-Bouldin scatter — still adds per point in index order,
+// and a sum that meets two NaNs keeps the later one (addLater), so every
+// result is bit-equal to measuring each point.
+// A pass costs O(U·k·d + N·d) for U distinct rows of N points, not O(N·k·d).
 type sweep struct {
 	pts        tensor.Vec // the points, row-major
 	dim        int
+	id         []int32      // each point's distinct row
+	first      []int        // each distinct row's first point, ascending
 	cent, sums []tensor.Vec // row views of two maxK x dim matrices
 	counts     []int
 	assign     []int
+	rowD       []float64 // per distinct row: a distance of this pass
+	rowC       []int     // per distinct row: its nearest centroid
 	d2         []float64 // k-means++: each point's squared distance to its nearest seed
 	scatter    []float64 // Davies-Bouldin: each cluster's mean member distance
 }
 
 func newSweep(points *tensor.Mat, maxK int) *sweep {
+	id, first := distinctRows(points)
 	return &sweep{
 		pts:     points.Data,
 		dim:     points.Cols,
+		id:      id,
+		first:   first,
 		cent:    rowViews(tensor.NewMat(maxK, points.Cols)),
 		sums:    rowViews(tensor.NewMat(maxK, points.Cols)),
 		counts:  make([]int, maxK),
 		assign:  make([]int, points.Rows),
+		rowD:    make([]float64, len(first)),
+		rowC:    make([]int, len(first)),
 		d2:      make([]float64, points.Rows),
 		scatter: make([]float64, maxK),
 	}
+}
+
+// distinctRows numbers the distinct rows of points in order of first
+// occurrence: id[i] is row i's number and first[u] the first row numbered u.
+// Two rows are the same when their words are bit for bit equal, so rows are
+// keyed by their words' bytes.
+func distinctRows(points *tensor.Mat) (id []int32, first []int) {
+	d := points.Cols
+	id = make([]int32, points.Rows)
+	seen := make(map[string]int32)
+	key := make([]byte, 8*d)
+	for i := range id {
+		for j, v := range points.Data[i*d : (i+1)*d] {
+			binary.LittleEndian.PutUint64(key[8*j:], math.Float64bits(v))
+		}
+		u, ok := seen[string(key)]
+		if !ok {
+			u = int32(len(first))
+			first = append(first, i)
+			seen[string(key)] = u
+		}
+		id[i] = u
+	}
+	return id, first
 }
 
 func rowViews(m *tensor.Mat) []tensor.Vec {
@@ -127,21 +170,33 @@ func (s *sweep) run(k int, r *rng.Source, maxIter int) (float64, int) {
 
 // seedPlusPlus implements k-means++ (Arthur & Vassilvitskii 2007): the first
 // centroid is uniform, each subsequent centroid is sampled proportional to
-// the squared distance to the nearest chosen centroid.
+// the squared distance to the nearest chosen centroid. Each point's squared
+// distance to its nearest seed is its row's slot of rowD, spread to d2 in
+// point order before each draw. Once no row's distance is positive (every
+// distinct row holds a seed), Categorical would draw one Intn(len(d2)), so
+// the draw is that Intn, without the spread.
 func (s *sweep) seedPlusPlus(k int, r *rng.Source) {
-	pts, d, d2 := s.pts, s.dim, s.d2
+	pts, d, rowD, d2 := s.pts, s.dim, s.rowD, s.d2
 	i0 := r.Intn(len(d2))
 	copy(s.cent[0], pts[i0*d:(i0+1)*d])
-	for i := range d2 {
-		d2[i] = pts[i*d : (i+1)*d].SqDist(s.cent[0])
+	for u, i := range s.first {
+		rowD[u] = pts[i*d : (i+1)*d].SqDist(s.cent[0])
 	}
 	for c := 1; c < k; c++ {
 		cent := s.cent[c]
-		ic := r.Categorical(d2)
+		var ic int
+		if slices.ContainsFunc(rowD, func(w float64) bool { return w > 0 }) {
+			for i, u := range s.id {
+				d2[i] = rowD[u]
+			}
+			ic = r.Categorical(d2)
+		} else {
+			ic = r.Intn(len(d2))
+		}
 		copy(cent, pts[ic*d:(ic+1)*d])
-		for i := range d2 {
-			if dd := pts[i*d : (i+1)*d].SqDist(cent); dd < d2[i] {
-				d2[i] = dd
+		for u, i := range s.first {
+			if dd := pts[i*d : (i+1)*d].SqDist(cent); dd < rowD[u] {
+				rowD[u] = dd
 			}
 		}
 	}
@@ -150,9 +205,8 @@ func (s *sweep) seedPlusPlus(k int, r *rng.Source) {
 // assignAll assigns every point to its nearest centroid, ties to the lower
 // index, and returns the inertia, summed in point order.
 func (s *sweep) assignAll(k int) float64 {
-	pts, d, cent, assign := s.pts, s.dim, s.cent[:k], s.assign
-	var inertia float64
-	for i := range assign {
+	pts, d, cent, rowD, rowC := s.pts, s.dim, s.cent[:k], s.rowD, s.rowC
+	for u, i := range s.first {
 		p := pts[i*d : (i+1)*d]
 		best, bestD := 0, p.SqDist(cent[0])
 		for c := 1; c < k; c++ {
@@ -160,10 +214,25 @@ func (s *sweep) assignAll(k int) float64 {
 				best, bestD = c, dd
 			}
 		}
-		assign[i] = best
-		inertia += bestD
+		rowC[u], rowD[u] = best, bestD
+	}
+	var inertia float64
+	for i, u := range s.id {
+		s.assign[i] = rowC[u]
+		inertia = addLater(inertia, rowD[u])
 	}
 	return inertia
+}
+
+// addLater returns sum + x, with x's NaN, quieted, when both are NaN. Which
+// NaN a plain add keeps is the compiler's choice of operand order, and it
+// differs between builds (DESIGN.md, "The distinct-row sweep"), so the
+// sweep's point-order distance sums fix it to the later operand.
+func addLater(sum, x float64) float64 {
+	if x != x {
+		return x + 0
+	}
+	return sum + x
 }
 
 // update moves each centroid to its members' mean: their sum in point order
@@ -195,12 +264,14 @@ func (s *sweep) update(k int) {
 }
 
 // farthestPoint returns the first point of greatest squared distance to its
-// assigned centroid.
+// assigned centroid. Copies of a row share its assignment and distance, and
+// distinct rows are scanned in order of first occurrence, so the first
+// occurrence found is the lowest-index point of that distance.
 func (s *sweep) farthestPoint() int {
 	pts, d := s.pts, s.dim
 	best, bestD := 0, -1.0
-	for i, c := range s.assign {
-		if dd := pts[i*d : (i+1)*d].SqDist(s.cent[c]); dd > bestD {
+	for _, i := range s.first {
+		if dd := pts[i*d : (i+1)*d].SqDist(s.cent[s.assign[i]]); dd > bestD {
 			best, bestD = i, dd
 		}
 	}

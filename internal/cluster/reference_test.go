@@ -68,9 +68,21 @@ func refAssign(points, centroids []tensor.Vec, assignments []int) float64 {
 			}
 		}
 		assignments[i] = best
-		inertia += bestD
+		inertia = refAdd(inertia, bestD)
 	}
 	return inertia
+}
+
+// refAdd is sum + x, keeping x's NaN, quieted, where both are NaN. A plain
+// add of a fresh distance to a running sum keeps the distance's NaN in a
+// normal build, but under fuzzing's coverage instrumentation the compiler
+// puts the sum first and keeps its NaN instead; the reference fixes the
+// operand so the flat sweep is held to one payload in every build.
+func refAdd(sum, x float64) float64 {
+	if x != x {
+		return x + 0
+	}
+	return sum + x
 }
 
 func refSeedPlusPlus(points []tensor.Vec, k int, r *rng.Source) []tensor.Vec {
@@ -112,7 +124,7 @@ func refDaviesBouldin(points []tensor.Vec, res *KMeansResult) float64 {
 	counts := make([]int, k)
 	for i, p := range points {
 		c := res.Assignments[i]
-		scatter[c] += p.Dist(res.Centroids[c])
+		scatter[c] = refAdd(scatter[c], p.Dist(res.Centroids[c]))
 		counts[c]++
 	}
 	live := 0
@@ -305,6 +317,32 @@ func TestKMeansMatchesReference(t *testing.T) {
 			}
 		}
 	})
+	t.Run("nan-weight", func(t *testing.T) {
+		// Seeded at point 0, the weights are 0, NaN, 1, 4: the NaN stops
+		// Categorical's running sum from ever passing the draw u ∈ [0, 5),
+		// so the second seed is the last point whatever u is. A draw that
+		// skipped the NaN would pick point 2 for u < 1.
+		points := []tensor.Vec{{0}, {math.NaN()}, {1}, {2}}
+		below := 0
+		for seed := uint64(0); seed < 64; seed++ {
+			r := rng.New(seed)
+			if r.Intn(len(points)) != 0 {
+				continue
+			}
+			if r.Float64()*5 < 1 {
+				below++
+			}
+			res, _ := refKMeans(points, 2, rng.New(seed), 0)
+			if res.Centroids[1][0] != 2 {
+				t.Fatalf("seed %d: reference seeded %v second", seed, res.Centroids[1][0])
+			}
+			checkKMeansMatches(t, points, 2, seed, 0) // the seeds themselves
+			checkKMeansMatches(t, points, 2, seed, maxIterations)
+		}
+		if below == 0 {
+			t.Fatal("no seed drew u < 1; the case proves nothing")
+		}
+	})
 	t.Run("one-point", func(t *testing.T) {
 		checkKMeansMatches(t, []tensor.Vec{{0.25, 0.75}}, 1, 1, maxIterations)
 		checkCurveMatches(t, []tensor.Vec{{0.25, 0.75}}, 4, 2, 1)
@@ -318,6 +356,7 @@ func FuzzKMeansFlat(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(3), uint8(4), false, []byte("flips k-means"))
 	f.Add(uint64(7), uint8(6), uint8(2), uint8(6), false, []byte{0, 0, 0, 0, 1, 0, 1, 0, 5, 5})
 	f.Add(uint64(3), uint8(9), uint8(2), uint8(3), true, []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 1})
+	f.Add(uint64(0), uint8(3), uint8(2), uint8(68), true, []byte("0\xff\xff\xff\x7f00")) // NaNs of four payloads meet in the inertia
 	f.Fuzz(func(t *testing.T, seed uint64, n, dim, k uint8, raw bool, data []byte) {
 		np, d := 1+int(n%32), 1+int(dim%6)
 		kk := 1 + int(k)%np

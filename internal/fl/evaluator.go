@@ -41,14 +41,14 @@ func (p *evalPanic) Error() string {
 // Config.OnRound. Between start and stop it owns the evaluation half of the
 // Result: History, PeakAccuracy, RoundsToTarget and TimeToTarget.
 //
-// Snapshots are scored one at a time, in handoff order, on one model replica,
-// and the counts are integers, so every history bit is that of an evaluation
-// run inline at the same step.
+// Snapshots are scored one at a time, in handoff order, by one model.Scorer,
+// whose counts are ClassCounts', so every history bit is that of an
+// evaluation run inline at the same step.
 type evaluator struct {
-	cfg     *Config
-	res     *Result
-	dim     int
-	replica model.Model
+	cfg    *Config
+	res    *Result
+	dim    int
+	scorer *model.Scorer
 
 	queue   chan *evalJob // engine → evaluator, in step order
 	scored  chan *evalJob // evaluator → engine, for reuse
@@ -61,10 +61,10 @@ type evaluator struct {
 	made int
 }
 
-// start launches the evaluator goroutine with a replica cloned from proto.
+// start launches the evaluator goroutine with a scorer of a clone of proto.
 // From here on the evaluator writes the evaluation half of the result.
 func (e *evaluator) start(proto model.Model) {
-	e.replica = proto.Clone()
+	e.scorer = model.NewScorer(proto, e.cfg.Test, e.cfg.NumClasses)
 	e.queue = make(chan *evalJob, evalQueueCap)
 	e.scored = make(chan *evalJob, evalQueueCap)
 	e.exited = make(chan struct{})
@@ -94,8 +94,7 @@ func (e *evaluator) loop() {
 // first target crossing, stamped with the step's simulated clock.
 func (e *evaluator) score(j *evalJob) {
 	t0 := e.cfg.Phases.start()
-	e.replica.SetParams(j.params)
-	correct, total := model.ClassCounts(e.replica, e.cfg.Test, e.cfg.NumClasses)
+	correct, total := e.scorer.Counts(j.params)
 	e.cfg.Phases.stop(PhaseScore, t0)
 	st := j.stats
 	st.Accuracy = metrics.BalancedAccuracyFromCounts(correct, total)

@@ -160,7 +160,8 @@ func TestEvaluatorMatchesInlineUnderBackPressure(t *testing.T) {
 // panickyModel is a model whose PredictBlock panics once a count of
 // predicted samples shared by all its clones passes limit; with limit =
 // k × len(test) and only evaluation predicting, the (k+1)-th evaluation
-// panics at its first block.
+// panics at its first block. It states no Bounds, so the evaluator's scorer
+// re-scores every sample at every evaluation.
 type panickyModel struct {
 	model.Model
 	predicts *atomic.Int64
@@ -171,7 +172,7 @@ func (m panickyModel) Clone() model.Model {
 	return panickyModel{Model: m.Model.Clone(), predicts: m.predicts, limit: m.limit}
 }
 
-func (m panickyModel) PredictBlock(block []dataset.Sample) [model.BlockSize]int {
+func (m panickyModel) PredictBlock(block []dataset.Sample) ([model.BlockSize]int, [model.BlockSize]float64) {
 	if m.predicts.Add(int64(len(block))) > m.limit {
 		panic("predict exploded")
 	}

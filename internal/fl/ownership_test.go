@@ -2,6 +2,7 @@ package fl_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -174,7 +175,7 @@ func TestOwnershipJobs(t *testing.T) {
 				t.Errorf("%s poisoned at parallelism %d shards %d differs from the unpoisoned run", spec, shape[0], shape[1])
 			}
 		}
-		res, err := runner.Run(cfgs[i], nil)
+		res, err := runner.Run(context.Background(), cfgs[i], nil)
 		if err != nil {
 			t.Fatalf("%s over 2 shard workers: %v", spec, err)
 		}

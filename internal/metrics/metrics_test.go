@@ -19,11 +19,11 @@ func (c *constModel) NumParams() int                                    { return
 func (c *constModel) Params() tensor.Vec                                { return tensor.NewVec(c.params) }
 func (c *constModel) SetParams(tensor.Vec)                              {}
 func (c *constModel) LossGradient([]dataset.Sample, tensor.Vec) float64 { return 0 }
-func (c *constModel) PredictBlock(block []dataset.Sample) (classes [model.BlockSize]int) {
+func (c *constModel) PredictBlock(block []dataset.Sample) (classes [model.BlockSize]int, _ [model.BlockSize]float64) {
 	for k := range block {
 		classes[k] = c.class
 	}
-	return classes
+	return classes, [model.BlockSize]float64{}
 }
 
 // labelModel predicts y = round(x[0]) so shard evaluation has a non-trivial
@@ -31,11 +31,11 @@ func (c *constModel) PredictBlock(block []dataset.Sample) (classes [model.BlockS
 type labelModel struct{ constModel }
 
 func (l *labelModel) Clone() model.Model { ll := *l; return &ll }
-func (l *labelModel) PredictBlock(block []dataset.Sample) (classes [model.BlockSize]int) {
+func (l *labelModel) PredictBlock(block []dataset.Sample) (classes [model.BlockSize]int, _ [model.BlockSize]float64) {
 	for k, s := range block {
 		classes[k] = int(s.X[0])
 	}
-	return classes
+	return classes, [model.BlockSize]float64{}
 }
 
 func shardEvalSamples(n, numClasses int, seed uint64) []dataset.Sample {

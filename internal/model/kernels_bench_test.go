@@ -101,7 +101,7 @@ func BenchmarkClonePredict(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = m.Clone().PredictBlock(block)
+				_, _ = m.Clone().PredictBlock(block)
 			}
 		})
 	}

@@ -84,12 +84,32 @@ func (m *LogReg) block() *[BlockSize]tensor.Vec {
 	return &m.blk
 }
 
-// PredictBlock returns the most likely class of each sample of block: the
-// argmax of its logits W x + b, in one ArgMaxAffine4 pass over W.
-func (m *LogReg) PredictBlock(block []dataset.Sample) [BlockSize]int {
+// PredictBlock returns the most likely class of each sample of block and its
+// margin: the argmax of its logits W x + b, in one ArgMaxAffine4 pass over W.
+func (m *LogReg) PredictBlock(block []dataset.Sample) ([BlockSize]int, [BlockSize]float64) {
 	var xs [BlockSize]tensor.Vec
 	features(&xs, block)
 	return classify(m.w, m.b, &xs, len(block))
+}
+
+// Bounds implements bounded. A logit moves by at most max_c ‖ΔW_c‖₂·‖x‖₂ +
+// max_c |Δb_c| (Cauchy–Schwarz); a computed one, d products summed from +0
+// and the bias added, sits within γ_{d+1}(max_c ‖W_c‖₂·‖x‖₂ + max_c |b_c|) of
+// the exact one, plus d+1 underflows; and no partial sum exceeds twice that
+// sum in magnitude.
+func (m *LogReg) Bounds(prev tensor.Vec) Bounds {
+	wn, bn := rowNormUp(m.w, nil), absMaxUp(m.b, nil)
+	g := gammaUp(m.dim + 1)
+	bd := Bounds{
+		Drift: Affine{math.Inf(1), math.Inf(1)},
+		Round: Affine{mulUp(g, wn), addUp(mulUp(g, bn), tiny(m.dim+1))},
+		Size:  Affine{2 * wn, 2 * bn},
+	}
+	if prev != nil {
+		nw := m.classes * m.dim
+		bd.Drift = Affine{rowNormUp(m.w, &tensor.Mat{Rows: m.classes, Cols: m.dim, Data: prev[:nw]}), absMaxUp(m.b, prev[nw:])}
+	}
+	return bd
 }
 
 // LossGradient writes the mean cross-entropy gradient over the batch into

@@ -113,10 +113,11 @@ func (m *MLP) hiddenSlots(n int) []tensor.Vec {
 	return m.h[:n]
 }
 
-// PredictBlock returns the most likely class of each sample of block: the
-// hidden layer W1 x (one MulVec4Into for a full block), its activations,
-// then the argmax of the logits W2 h + b2 in one ArgMaxAffine4 pass over W2.
-func (m *MLP) PredictBlock(block []dataset.Sample) [BlockSize]int {
+// PredictBlock returns the most likely class of each sample of block and its
+// margin: the hidden layer W1 x (one MulVec4Into for a full block), its
+// activations, then the argmax of the logits W2 h + b2 in one ArgMaxAffine4
+// pass over W2.
+func (m *MLP) PredictBlock(block []dataset.Sample) ([BlockSize]int, [BlockSize]float64) {
 	var xs [BlockSize]tensor.Vec
 	hs := m.hiddenSlots(len(block))
 	mulBlock(m.w1, hs, features(&xs, block))

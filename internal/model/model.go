@@ -11,6 +11,8 @@
 package model
 
 import (
+	"math"
+
 	"flips/internal/dataset"
 	"flips/internal/rng"
 	"flips/internal/tensor"
@@ -36,12 +38,16 @@ type Model interface {
 	// samples an implementation takes per pass over out is its own business.
 	LossGradient(batch []dataset.Sample, out tensor.Vec) float64
 	// PredictBlock returns the argmax class of each sample's features in
-	// block, which holds at most BlockSize samples; the entries past
-	// len(block) are zero. Each class is the one a single-sample forward
-	// pass picks — every logit is Row(i).Dot(x) + b[i], and ties go to the
-	// lower class — however many samples an implementation takes per pass.
-	// It leaves the parameters untouched but may write the model's scratch.
-	PredictBlock(block []dataset.Sample) [BlockSize]int
+	// block, which holds at most BlockSize samples, and its margin: the
+	// winning logit less the runner-up (the largest other logit by the same
+	// rule), or -Inf where that is NaN or ±Inf — with one class, or a NaN or
+	// infinite logit among the two. The entries past len(block) are zero.
+	// Each class is the one a single-sample forward pass picks — every logit
+	// is Row(i).Dot(x) + b[i], ties go to the lower class and a NaN never
+	// displaces an earlier logit — however many samples an implementation
+	// takes per pass. It leaves the parameters untouched but may write the
+	// model's scratch.
+	PredictBlock(block []dataset.Sample) (classes [BlockSize]int, margins [BlockSize]float64)
 }
 
 // flatModel is the optional capability of models that store their parameters
@@ -106,22 +112,27 @@ func features(xs *[BlockSize]tensor.Vec, block []dataset.Sample) []tensor.Vec {
 }
 
 // classify returns the argmax class of w·xs[k] + b for each of the first n
-// samples of a block in one tensor.Mat.ArgMaxAffine4 pass, and zeros past
-// them. A short block fills the spare slots of xs with its last sample
-// first, so every lane scores a real sample and the spare classes are
-// dropped.
-func classify(w *tensor.Mat, b tensor.Vec, xs *[BlockSize]tensor.Vec, n int) (classes [BlockSize]int) {
+// samples of a block and its margin, in one tensor.Mat.ArgMaxAffine4 pass,
+// and zeros past them. A margin that is NaN or ±Inf becomes -Inf. A short
+// block fills the spare slots of xs with its last sample first, so every
+// lane scores a real sample and the spare lanes are dropped.
+func classify(w *tensor.Mat, b tensor.Vec, xs *[BlockSize]tensor.Vec, n int) (classes [BlockSize]int, margins [BlockSize]float64) {
 	if n == 0 {
-		return classes
+		return classes, margins
 	}
 	for k := n; k < BlockSize; k++ {
 		xs[k] = xs[n-1]
 	}
-	classes = w.ArgMaxAffine4(b, xs[0], xs[1], xs[2], xs[3])
-	for k := n; k < BlockSize; k++ {
-		classes[k] = 0
+	classes, margins = w.ArgMaxAffine4(b, xs[0], xs[1], xs[2], xs[3])
+	for k := range margins {
+		switch {
+		case k >= n:
+			classes[k], margins[k] = 0, 0
+		case !(margins[k]-margins[k] == 0):
+			margins[k] = math.Inf(-1)
+		}
 	}
-	return classes
+	return classes, margins
 }
 
 // axpyEach performs v += a*x for each x in order — a bias gradient's share of

@@ -229,7 +229,7 @@ func referenceClassCounts(m Model, samples []dataset.Sample, numClasses int) (co
 	predict := referencePredictor(m)
 	for _, s := range samples {
 		total[s.Y]++
-		if predict(s.X) == s.Y {
+		if c, _ := predict(s.X); c == s.Y {
 			correct[s.Y]++
 		}
 	}
@@ -249,33 +249,69 @@ func argMax(z tensor.Vec) int {
 	return bi
 }
 
-// referencePredictor returns the per-sample Predict of m, with its own scratch.
-func referencePredictor(m Model) func(x tensor.Vec) int {
+// referenceMargin is class's logit less the largest other logit that a NaN
+// does not displace, -Inf when that difference is NaN or ±Inf (with one
+// class, or a NaN or infinite logit among the two).
+func referenceMargin(z tensor.Vec, class int) float64 {
+	second := math.Inf(-1)
+	for i, v := range z {
+		if i != class && v > second {
+			second = v
+		}
+	}
+	if m := z[class] - second; !math.IsNaN(m) && !math.IsInf(m, 0) {
+		return m
+	}
+	return math.Inf(-1)
+}
+
+// referencePredictor returns the per-sample Predict of m, with its own
+// scratch: a sample's class and margin.
+func referencePredictor(m Model) func(x tensor.Vec) (int, float64) {
 	switch m := m.(type) {
 	case *LogReg:
 		z := tensor.NewVec(m.classes)
-		return func(x tensor.Vec) int {
+		return func(x tensor.Vec) (int, float64) {
 			m.w.MulVecInto(z, x)
 			z.AddInPlace(m.b)
-			return argMax(z)
+			c := argMax(z)
+			return c, referenceMargin(z, c)
 		}
 	case *MLP:
 		h, z := tensor.NewVec(m.hidden), tensor.NewVec(m.classes)
-		return func(x tensor.Vec) int {
+		return func(x tensor.Vec) (int, float64) {
 			m.w1.MulVecInto(h, x)
 			m.activate(h)
 			m.w2.MulVecInto(z, h)
 			z.AddInPlace(m.b2)
-			return argMax(z)
+			c := argMax(z)
+			return c, referenceMargin(z, c)
 		}
 	default:
 		panic(fmt.Sprintf("no reference Predict for %T", m))
 	}
 }
 
+// checkBlock requires PredictBlock's class and margin for each sample of
+// block to be the per-sample pass's, and zeros past the block.
+func checkBlock(t *testing.T, m Model, predict func(tensor.Vec) (int, float64), block []dataset.Sample, what string) {
+	t.Helper()
+	classes, margins := m.PredictBlock(block)
+	for k := range classes {
+		var want int
+		var wantMargin float64
+		if k < len(block) {
+			want, wantMargin = predict(block[k].X)
+		}
+		if classes[k] != want || margins[k] != wantMargin {
+			t.Fatalf("%s: sample %d of %d predicted %d margin %v, reference %d margin %v", what, k, len(block), classes[k], margins[k], want, wantMargin)
+		}
+	}
+}
+
 // checkClassCounts scores samples with ClassCounts and with the reference and
-// requires the same counts, and the same class from every PredictBlock call —
-// with zeros past the block — as the per-sample pass picks.
+// requires the same counts, and the same class and margin from every
+// PredictBlock call — with zeros past the block — as the per-sample pass.
 func checkClassCounts(t *testing.T, m Model, samples []dataset.Sample, numClasses int, what string) {
 	t.Helper()
 	gotC, gotT := ClassCounts(m, samples, numClasses)
@@ -285,17 +321,7 @@ func checkClassCounts(t *testing.T, m Model, samples []dataset.Sample, numClasse
 	}
 	predict := referencePredictor(m)
 	for lo := 0; lo < len(samples); lo += BlockSize {
-		block := samples[lo:min(lo+BlockSize, len(samples))]
-		got := m.PredictBlock(block)
-		for k := range got {
-			want := 0
-			if k < len(block) {
-				want = predict(block[k].X)
-			}
-			if got[k] != want {
-				t.Fatalf("%s: sample %d of the block at %d predicted %d, reference %d", what, k, lo, got[k], want)
-			}
-		}
+		checkBlock(t, m, predict, samples[lo:min(lo+BlockSize, len(samples))], fmt.Sprintf("%s, block at %d", what, lo))
 	}
 }
 
@@ -429,17 +455,6 @@ func FuzzPredictBlock(f *testing.F) {
 				block[k].X[j] = word()
 			}
 		}
-		got := m.PredictBlock(block)
-		predict := referencePredictor(m)
-		for k := range got {
-			want := 0
-			if k < n {
-				want = predict(block[k].X)
-			}
-			if got[k] != want {
-				t.Fatalf("%T dim %d hidden %d classes %d: sample %d of %d predicted %d, reference %d (params %v)",
-					m, dim, hidden, classes, k, n, got[k], want, params)
-			}
-		}
+		checkBlock(t, m, referencePredictor(m), block, fmt.Sprintf("%T dim %d hidden %d classes %d (params %v)", m, dim, hidden, classes, params))
 	})
 }

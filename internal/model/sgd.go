@@ -194,7 +194,7 @@ func ClassCounts(m Model, samples []dataset.Sample, numClasses int) (correct, to
 	total = make([]int, numClasses)
 	for len(samples) > 0 {
 		block := samples[:min(BlockSize, len(samples))]
-		classes := m.PredictBlock(block)
+		classes, _ := m.PredictBlock(block)
 		for k := range block {
 			y := block[k].Y
 			total[y]++

@@ -99,6 +99,15 @@ func (c *Client) Status(ctx context.Context, id string) (st JobStatus, err error
 	return st, err
 }
 
+// Cancel sends DELETE /jobs/{id} and returns the job's status after it. A
+// queued job is cancelled at once; a running one may still read running and
+// reaches the cancelled state before its next round. A job that already
+// finished done or failed is a 409 error.
+func (c *Client) Cancel(ctx context.Context, id string) (st JobStatus, err error) {
+	err = c.doJSON(ctx, http.MethodDelete, "/jobs/"+id, nil, http.StatusOK, &st)
+	return st, err
+}
+
 // Follow reads the job's stream to its terminal event and returns it. onRound,
 // which may be nil, sees each round exactly once, in order: a broken stream
 // costs one Status poll (a job already terminal is answered from it, its
@@ -112,7 +121,7 @@ func (c *Client) Follow(ctx context.Context, id string, onRound func(flips.Round
 		if err == nil {
 			return ev, nil
 		}
-		if st, serr := c.Status(ctx, id); serr == nil && (st.State == StateDone || st.State == StateFailed) {
+		if st, serr := c.Status(ctx, id); serr == nil && terminal(st.State) {
 			return StreamEvent{Done: true, State: st.State, Error: st.Error, Result: st.Result}, nil
 		}
 		if cerr := ctx.Err(); cerr != nil || attempt == followRetries {

@@ -29,7 +29,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	depth := s.queue.Depth()
 	inFlight := s.inFlight
 	accepted, rejected := s.accepted, s.rejected
-	done, failed := s.doneCount, s.failedCount
+	done, failed, cancelled := s.doneCount, s.failedCount, s.cancelledCount
 	roundsTotal := s.roundsTotal
 	arrivalRate := s.arrivalRateLocked(now)
 	p50 := s.latency.Quantile(0.50)
@@ -58,6 +58,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("flipsd_jobs_rejected_total", "Jobs rejected with 429 (queue full).", float64(rejected))
 	counter("flipsd_jobs_done_total", "Jobs finished successfully.", float64(done))
 	counter("flipsd_jobs_failed_total", "Jobs finished with an error.", float64(failed))
+	counter("flipsd_jobs_cancelled_total", "Jobs cancelled by DELETE /jobs/{id}, queued or running.", float64(cancelled))
 	counter("flipsd_rounds_total", "Evaluated simulation rounds streamed across all jobs.", float64(roundsTotal))
 	gauge("flipsd_job_arrivals_per_sec", "Job arrival rate over the last 60s.", arrivalRate)
 	gauge("flipsd_round_shards_touched_mean", "Mean aggregation shards touched per evaluated round (shard locality).", shardMean)

@@ -8,6 +8,7 @@
 //	GET  /jobs            list jobs (newest last)
 //	GET  /jobs/{id}       job status, result when finished
 //	GET  /jobs/{id}/stream  per-round RoundPoints as NDJSON
+//	DELETE /jobs/{id}     cancel a queued or running job
 //	GET  /metrics         Prometheus text: queue depth, in-flight, arrival
 //	                      rate, p50/p99 job latency, shard locality
 //	GET  /healthz         "ok" while accepting, "draining" during shutdown
@@ -16,13 +17,15 @@
 // buffer answers 429 so load sheds at the edge — and Drain implements
 // graceful shutdown: new submissions get 503 while every job already
 // accepted (queued or running) runs to completion, so an orderly SIGTERM
-// never loses a job. Client (client.go) is the one submit-and-follow client
-// of these endpoints.
+// never loses a job. A cancelled job ends in the cancelled state: a queued
+// one never runs, a running one stops before its next round. Client
+// (client.go) is the one submit-and-follow client of these endpoints.
 package server
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -50,10 +53,11 @@ type Config struct {
 	JobParallelism int
 	// Now is the clock (default time.Now); tests inject a fake.
 	Now func() time.Time
-	// Run executes one job (default flips.RunSimulationStream); tests
-	// inject a fake to control timing and failure. flipsd swaps in the
-	// distributed runner when shard workers are configured.
-	Run func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error)
+	// Run executes one job (default flips.RunSimulationStream) until ctx,
+	// which DELETE /jobs/{id} cancels, is done; tests inject a fake to
+	// control timing and failure. flipsd swaps in the distributed runner
+	// when shard workers are configured.
+	Run func(ctx context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error)
 	// DistStats, when non-nil, snapshots the distributed shard-worker fleet
 	// for /metrics: how many workers are registered, and every recent job's
 	// shard slots keyed by the runner's job sequence number
@@ -93,19 +97,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job states.
+// Job states. Done, failed and cancelled are terminal.
 const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
+	StateQueued    = "queued"
+	StateRunning   = "running"
+	StateDone      = "done"
+	StateFailed    = "failed"
+	StateCancelled = "cancelled"
 )
+
+// terminal reports whether a job in state has its outcome.
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCancelled
+}
 
 // job is one submitted simulation with its streaming round log. cond (on mu)
 // wakes stream handlers whenever a round lands or the state turns terminal.
 type job struct {
-	id  string
-	cfg flips.SimulationConfig
+	id     string
+	cfg    flips.SimulationConfig
+	ctx    context.Context // the run's; cancel ends it
+	cancel context.CancelFunc
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -118,9 +130,7 @@ type job struct {
 	errMsg    string
 }
 
-func (j *job) terminalLocked() bool {
-	return j.state == StateDone || j.state == StateFailed
-}
+func (j *job) terminalLocked() bool { return terminal(j.state) }
 
 // JobStatus is the wire shape of GET /jobs/{id}.
 type JobStatus struct {
@@ -146,9 +156,11 @@ type StreamEvent struct {
 	Result *flips.SimulationResult `json:",omitempty"`
 }
 
-// Snapshot is a point-in-time counter read, for banners and tests.
+// Snapshot is a point-in-time counter read, for banners and tests. A job in
+// a terminal state is already counted in Done, Failed or Cancelled and no
+// longer in InFlight.
 type Snapshot struct {
-	Accepted, Rejected, Done, Failed, InFlight, QueueDepth int
+	Accepted, Rejected, Done, Failed, Cancelled, InFlight, QueueDepth int
 }
 
 // Server is the job server. Create with New, expose with Handler, shut down
@@ -158,20 +170,24 @@ type Server struct {
 	queue *parallel.Queue
 	mux   *http.ServeMux
 
-	mu          sync.Mutex
-	jobs        map[string]*job
-	order       []string // submission order, oldest first
-	nextID      int
-	draining    bool
-	started     time.Time
-	inFlight    int
-	accepted    int
-	rejected    int
-	doneCount   int
-	failedCount int
-	arrivals    []time.Time // ring of recent arrival times for the rate gauge
-	arrivalNext int
-	latency     *metrics.Window
+	// mu guards the fields below. Where a job's state changes with the
+	// counters, mu is taken before the job's own mu, and the counters move
+	// before the state is published.
+	mu             sync.Mutex
+	jobs           map[string]*job
+	order          []string // submission order, oldest first
+	nextID         int
+	draining       bool
+	started        time.Time
+	inFlight       int
+	accepted       int
+	rejected       int
+	doneCount      int
+	failedCount    int
+	cancelledCount int
+	arrivals       []time.Time // ring of recent arrival times for the rate gauge
+	arrivalNext    int
+	latency        *metrics.Window
 	// Running sums behind the latency summary's _sum/_count and the
 	// shard-locality mean.
 	latSum      float64
@@ -197,6 +213,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
+	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux = mux
@@ -225,6 +242,7 @@ func (s *Server) Stats() Snapshot {
 		Rejected:   s.rejected,
 		Done:       s.doneCount,
 		Failed:     s.failedCount,
+		Cancelled:  s.cancelledCount,
 		InFlight:   s.inFlight,
 		QueueDepth: s.queue.Depth(),
 	}
@@ -264,10 +282,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitted: s.cfg.Now(),
 	}
 	j.cond = sync.NewCond(&j.mu)
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	// Registration and queue submission happen under s.mu so a concurrent
 	// Drain cannot slip between them: either the submit wins and the drain
 	// waits for this job, or the drain wins and the submit is rejected.
 	if !s.queue.TrySubmit(func() { s.runJob(j) }) {
+		j.cancel()
 		s.rejected++
 		s.mu.Unlock()
 		writeError(w, http.StatusTooManyRequests, "job queue full (%d deep): retry later", s.cfg.QueueDepth)
@@ -320,49 +340,113 @@ func (s *Server) evictLocked() {
 }
 
 // runJob executes one job on a queue worker, streaming rounds into the job
-// log and folding service metrics on completion.
+// log and folding service metrics on completion. A job cancelled while queued
+// is already terminal and is skipped.
 func (s *Server) runJob(j *job) {
 	start := s.cfg.Now()
+	s.mu.Lock()
 	j.mu.Lock()
+	if j.state == StateCancelled {
+		j.mu.Unlock()
+		s.mu.Unlock()
+		return
+	}
+	s.inFlight++
 	j.state = StateRunning
 	j.started = start
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	s.mu.Lock()
-	s.inFlight++
 	s.mu.Unlock()
 
 	res, err := s.runProtected(j)
+	j.cancel()
 
 	finished := s.cfg.Now()
-	j.mu.Lock()
-	j.finished = finished
-	if err != nil {
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	} else {
-		j.state = StateDone
-		j.result = res
+	state := StateDone
+	switch {
+	case errors.Is(err, context.Canceled):
+		state = StateCancelled
+	case err != nil:
+		state = StateFailed
 	}
-	rounds := len(j.rounds)
-	j.cond.Broadcast()
+	j.mu.Lock()
+	rounds := len(j.rounds) // the runner has returned: no round lands after this
 	j.mu.Unlock()
 
 	// Job latency is submission→completion (queue wait included): the
 	// number a tenant experiences and the one the SLO smoke gates on.
 	latency := finished.Sub(j.submitted).Seconds()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.inFlight--
-	if err != nil {
-		s.failedCount++
-	} else {
-		s.doneCount++
-	}
+	s.countLocked(state)
 	s.latency.Push(latency)
 	s.latSum += latency
 	s.latCount++
 	s.roundsTotal += rounds
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.finished = finished
+	j.state = state
+	if err != nil {
+		j.errMsg = err.Error()
+	} else {
+		j.result = res
+	}
+	j.cond.Broadcast()
+}
+
+// countLocked counts one job reaching the terminal state.
+func (s *Server) countLocked(state string) {
+	switch state {
+	case StateDone:
+		s.doneCount++
+	case StateFailed:
+		s.failedCount++
+	case StateCancelled:
+		s.cancelledCount++
+	}
+}
+
+// cancel cancels job j and returns its status after. A queued job turns
+// cancelled at once and is skipped when a worker dequeues it; a running job
+// has its context cancelled and turns cancelled when its runner returns,
+// which fl.Run does before its next round. ok is false for a job that had
+// already finished done or failed.
+func (s *Server) cancel(j *job) (st JobStatus, ok bool) {
+	now := s.cfg.Now()
+	s.mu.Lock()
+	j.mu.Lock()
+	state := j.state
+	if state == StateQueued {
+		s.countLocked(StateCancelled)
+		j.state, j.finished, j.errMsg = StateCancelled, now, context.Canceled.Error()
+		j.cond.Broadcast()
+	}
+	j.mu.Unlock()
 	s.mu.Unlock()
+	if !terminal(state) {
+		j.cancel()
+	}
+	return j.status(), !terminal(state) || state == StateCancelled
+}
+
+// handleCancel serves DELETE /jobs/{id}: 200 with the job's status once the
+// cancel is in (a running job may still read running until it stops), 404
+// for an unknown job, 409 for one that already finished done or failed.
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	j := s.job(r.PathValue("id"))
+	if j == nil {
+		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		return
+	}
+	st, ok := s.cancel(j)
+	if !ok {
+		writeError(w, http.StatusConflict, "job %s already %s", st.ID, st.State)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 // runProtected invokes the runner with a panic barrier so one buggy job
@@ -377,7 +461,7 @@ func (s *Server) runProtected(j *job) (res *flips.SimulationResult, err error) {
 		}
 	}()
 	var diverged error
-	res, err = s.cfg.Run(j.cfg, func(p flips.RoundPoint) {
+	res, err = s.cfg.Run(j.ctx, j.cfg, func(p flips.RoundPoint) {
 		for i, v := range [...]float64{p.Accuracy, p.MeanLoss, p.RoundTime, p.SimTime} {
 			if diverged == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 				stat := [...]string{"Accuracy", "MeanLoss", "RoundTime", "SimTime"}[i]

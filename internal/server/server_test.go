@@ -66,7 +66,7 @@ func TestJobLifecycle(t *testing.T) {
 	t.Parallel()
 	s := New(Config{
 		Workers: 2,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			for i := 1; i <= 3; i++ {
 				onRound(flips.RoundPoint{Round: i, Accuracy: 0.2 * float64(i), ShardsTouched: 2})
 			}
@@ -117,7 +117,7 @@ func TestJobLifecycle(t *testing.T) {
 func TestJobFailureIsReported(t *testing.T) {
 	t.Parallel()
 	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			onRound(flips.RoundPoint{Round: 1, Accuracy: 0.3})
 			return nil, errors.New("synthetic engine failure")
 		},
@@ -144,7 +144,7 @@ func TestJobFailureIsReported(t *testing.T) {
 func TestJobPanicMarksJobFailed(t *testing.T) {
 	t.Parallel()
 	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			panic("runner bug")
 		},
 	})
@@ -157,7 +157,7 @@ func TestJobPanicMarksJobFailed(t *testing.T) {
 		t.Fatalf("final = %+v", final)
 	}
 	// The worker survived the panic: the next job runs normally.
-	s.cfg.Run = func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+	s.cfg.Run = func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 		return &flips.SimulationResult{}, nil
 	}
 	st2 := submit(t, ts)
@@ -170,7 +170,7 @@ func TestJobPanicMarksJobFailed(t *testing.T) {
 func TestSubmitRejectsMalformedConfigs(t *testing.T) {
 	t.Parallel()
 	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			return &flips.SimulationResult{}, nil
 		},
 	})
@@ -210,7 +210,7 @@ func TestSubmitShedsLoadWhenQueueFull(t *testing.T) {
 	s := New(Config{
 		Workers:    1,
 		QueueDepth: 2,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			once.Do(started.Done)
 			<-release
 			return &flips.SimulationResult{}, nil
@@ -252,7 +252,7 @@ func TestDrainLosesNoJob(t *testing.T) {
 	s := New(Config{
 		Workers:    2,
 		QueueDepth: 64,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			time.Sleep(3 * time.Millisecond)
 			ran.Add(1)
 			return &flips.SimulationResult{}, nil
@@ -313,7 +313,7 @@ func TestStreamReplaysAndFollows(t *testing.T) {
 	t.Parallel()
 	release := make(chan struct{})
 	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			onRound(flips.RoundPoint{Round: 1, Accuracy: 0.3})
 			onRound(flips.RoundPoint{Round: 2, Accuracy: 0.5})
 			<-release // hold the job open so the stream must follow live
@@ -373,7 +373,7 @@ func TestStreamFollowerWakesPerRound(t *testing.T) {
 	t.Parallel()
 	emit, finish := make(chan struct{}), make(chan struct{})
 	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			onRound(flips.RoundPoint{Round: 1, Accuracy: 0.3})
 			<-emit
 			onRound(flips.RoundPoint{Round: 2, Accuracy: 0.5})
@@ -467,7 +467,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	s := New(Config{
 		Now: clock,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			onRound(flips.RoundPoint{Round: 1, ShardsTouched: 4})
 			return &flips.SimulationResult{}, nil
 		},
@@ -523,7 +523,7 @@ func TestMetricsExposition(t *testing.T) {
 func TestMetricsDistExposition(t *testing.T) {
 	t.Parallel()
 	s := New(Config{
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			return &flips.SimulationResult{}, nil
 		},
 		DistStats: func() (int, map[uint64][]dist.WorkerStat) {
@@ -582,7 +582,7 @@ func TestEvictionKeepsActiveJobs(t *testing.T) {
 	s := New(Config{
 		Workers:    2,
 		QueueDepth: 2 * retainJobs,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			if blockFirst.CompareAndSwap(true, false) {
 				<-release
 			}
@@ -629,7 +629,7 @@ func TestFollowerThatNeverReadsIsReleased(t *testing.T) {
 	release := make(chan struct{})
 	s := New(Config{
 		Workers: 1,
-		Run: func(cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+		Run: func(_ context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
 			wide := make([]float64, perLabel)
 			for i := range wide {
 				wide[i] = 1 / float64(i+3)
@@ -709,5 +709,175 @@ func TestDivergedJobFailsVisibly(t *testing.T) {
 	}
 	if got := s.Stats(); got.Failed != 1 || got.Done != 0 {
 		t.Fatalf("stats = %+v", got)
+	}
+}
+
+// TestCancelQueuedAndRunningJobs cancels a queued job, which must never run,
+// and a running one, whose runner sees its context cancelled: both end
+// cancelled on the status and as the stream's terminal event, the counters
+// say so, and a second cancel, a finished job and an unknown id answer as
+// documented.
+func TestCancelQueuedAndRunningJobs(t *testing.T) {
+	t.Parallel()
+	var runs atomic.Int32
+	started := make(chan struct{}, 4)
+	s := New(Config{
+		Workers: 1,
+		Run: func(ctx context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			runs.Add(1)
+			if cfg.Seed == 9 {
+				return &flips.SimulationResult{}, nil
+			}
+			onRound(flips.RoundPoint{Round: 1, Accuracy: 0.5})
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, fmt.Errorf("stopped before round 2: %w", ctx.Err())
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+	c, ctx := clientOf(ts), testCtx(t)
+
+	running := submit(t, ts)
+	<-started
+	queued := submit(t, ts)
+	st, err := c.Cancel(ctx, queued.ID)
+	if err != nil || st.State != StateCancelled {
+		t.Fatalf("cancel of a queued job: %+v, %v", st, err)
+	}
+	if got := s.Stats(); got.Cancelled != 1 || got.InFlight != 1 {
+		t.Fatalf("stats after the queued cancel = %+v", got)
+	}
+	if st, err := c.Cancel(ctx, running.ID); err != nil || terminal(st.State) && st.State != StateCancelled {
+		t.Fatalf("cancel of a running job: %+v, %v", st, err)
+	}
+	for _, id := range []string{running.ID, queued.ID} {
+		ev, err := c.Follow(ctx, id, nil)
+		if err != nil || ev.State != StateCancelled || ev.Result != nil {
+			t.Fatalf("job %s: terminal event %+v, %v", id, ev, err)
+		}
+	}
+	if final := getStatus(t, ts, running.ID); final.Rounds != 1 || !strings.Contains(final.Error, "context canceled") {
+		t.Fatalf("cancelled running job status = %+v", final)
+	}
+	if got := s.Stats(); got.Cancelled != 2 || got.InFlight != 0 || got.Done != 0 || got.Failed != 0 {
+		t.Fatalf("stats = %+v", got)
+	}
+	if st, err := c.Cancel(ctx, queued.ID); err != nil || st.State != StateCancelled {
+		t.Fatalf("second cancel: %+v, %v", st, err)
+	}
+
+	cfg := validJob
+	cfg.Seed = 9
+	done, err := c.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, ts, done.ID)
+	if _, err := c.Cancel(ctx, done.ID); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("cancel of a finished job: %v, want a 409", err)
+	}
+	if _, err := c.Cancel(ctx, "job-999999"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("cancel of an unknown job: %v, want a 404", err)
+	}
+	s.Drain()
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("the runner ran %d jobs, want 2: the queued job was cancelled before it ran", n)
+	}
+	if got := s.Stats(); got.Accepted != got.Done+got.Failed+got.Cancelled {
+		t.Fatalf("books do not balance after the drain: %+v", got)
+	}
+}
+
+// TestCancelStopsARealJob cancels a long real job, run by the default runner,
+// once its first round has streamed: fl.Run stops before its next round, so
+// the job ends cancelled long before its last round.
+func TestCancelStopsARealJob(t *testing.T) {
+	t.Parallel()
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+	c, ctx := clientOf(ts), testCtx(t)
+
+	const rounds = 100000
+	st, err := c.Submit(ctx, flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "random", Rounds: rounds, Parties: 6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	seen := 0
+	ev, err := c.Follow(ctx, st.ID, func(flips.RoundPoint) {
+		seen++
+		once.Do(func() {
+			if _, err := c.Cancel(ctx, st.ID); err != nil {
+				t.Errorf("cancel: %v", err)
+			}
+		})
+	})
+	if err != nil || ev.State != StateCancelled {
+		t.Fatalf("terminal event %+v, %v", ev, err)
+	}
+	if seen == 0 || seen >= rounds {
+		t.Fatalf("the cancelled job streamed %d of %d rounds", seen, rounds)
+	}
+}
+
+// TestStatsCountEveryTerminalEvent reads Stats right after each terminal
+// stream event, for jobs that end done, failed and cancelled: the job must
+// already be counted and no longer in flight. The counters move before the
+// terminal state is published; run it under -race -count=20.
+func TestStatsCountEveryTerminalEvent(t *testing.T) {
+	t.Parallel()
+	s := New(Config{
+		Workers: 1,
+		Run: func(ctx context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			onRound(flips.RoundPoint{Round: 1})
+			switch cfg.Seed % 3 {
+			case 0:
+				return &flips.SimulationResult{}, nil
+			case 1:
+				return nil, errors.New("engine said no")
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+	c, ctx := clientOf(ts), testCtx(t)
+
+	var want Snapshot
+	for i := 0; i < 12; i++ {
+		cfg := validJob
+		cfg.Seed = uint64(i)
+		st, err := c.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Accepted++
+		ev, err := c.Follow(ctx, st.ID, func(flips.RoundPoint) {
+			if i%3 == 2 {
+				if _, err := c.Cancel(ctx, st.ID); err != nil {
+					t.Errorf("cancel: %v", err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.State {
+		case StateDone:
+			want.Done++
+		case StateFailed:
+			want.Failed++
+		case StateCancelled:
+			want.Cancelled++
+		}
+		if got := s.Stats(); got != want {
+			t.Fatalf("job %d ended %s; stats right after its terminal event = %+v, want %+v", i, ev.State, got, want)
+		}
 	}
 }

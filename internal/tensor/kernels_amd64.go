@@ -16,4 +16,4 @@ func mulVecT(dst, m, x []float64)
 func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64)
 
 //go:noescape
-func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64)
+func argmaxAffine4(c *[4]int, margin *[4]float64, m, b, x0, x1, x2, x3 []float64)

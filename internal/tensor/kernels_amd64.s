@@ -445,20 +445,29 @@ mulVec4Store1:
 mulVec4Done:
 	RET
 
-// PICK folds one row's logits Z into the running (best, class) pair of two
-// lanes, BEST and IDX, with the row's index as a double in both lanes of
-// X14. MAXPD with Z first returns Z where Z > BEST and BEST otherwise (a tie,
-// or a NaN on either side, keeps BEST); CMPPD then sets each lane where the
-// old BEST is below that result, which is exactly where Z was taken. The
-// mask ANDed with the row index is the row there and +0 elsewhere, and rows
-// come in increasing order, so MAXPD into IDX takes the row exactly where
-// Z was taken. Z is left holding the new best; nothing else is written.
-#define PICK(Z, BEST, IDX) \
-	MAXPD BEST, Z;      \
-	CMPPD Z, BEST, $1;  \
-	ANDPD X14, BEST;    \
-	MAXPD BEST, IDX;    \
-	MOVAPD Z, BEST
+// PICK folds one row's logits V of two lanes into their running (best,
+// runner-up, class) triple B, S, I, given the row's index as a double in both
+// lanes of X14; T is scratch. It leaves the new best in V, and B and X14
+// hold garbage. Per lane, with b the old best and s the old runner-up:
+//   - T = V where V > s and s otherwise (a tie or a NaN keeps s): the
+//     runner-up if V does not take the lead;
+//   - V = V where V > b and b otherwise (a tie or a NaN keeps b): the best;
+//   - S = the mask of b < V, set exactly where V took the lead (a NaN best
+//     is never below anything, so it is never displaced);
+//   - I = the larger of I and the row where the mask is set (+0 elsewhere;
+//     rows come in increasing order, so it takes the row exactly there);
+//   - S = b where the mask is set and T elsewhere: the new runner-up.
+#define PICK(V, B, S, I, T) \
+	MOVAPD V, T;        \
+	MAXPD S, T;         \
+	MAXPD B, V;         \
+	MOVAPD B, S;        \
+	CMPPD V, S, $1;     \
+	ANDPD S, B;         \
+	ANDPD S, X14;       \
+	MAXPD X14, I;       \
+	ANDNPD T, S;        \
+	ORPD B, S
 
 // ROW sets both lanes of X14 to the row index in R, as a double.
 #define ROW(R) \
@@ -473,32 +482,42 @@ mulVec4Done:
 	ADDPD X14, Z0;            \
 	ADDPD X14, Z1
 
-// func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64)
+// func argmaxAffine4(c *[4]int, margin *[4]float64, m, b, x0, x1, x2, x3 []float64)
 //
 // c[k] = the index i of the largest m[i]·xk + b[i], for k = 0..3 and the
 // row-major len(b) × len(x0) matrix m, ties going to the lower index and a
 // NaN never displacing an earlier value: MulVec4Into's column-order chains,
 // then b[i] added, then an argmax that starts at row 0 and takes a later row
-// only where its logit is strictly larger. The caller has checked every
-// length and that m has at least one row. The column loop is mulVec4's, five
-// rows in X0–X9 per pass and then one at a time in X0–X1. The running best
-// logits and their row indices (doubles, converted on return) are X10/X11 and X12/X13
-// between rows; across a five-row pass, whose column loop needs X10–X13, they
-// wait in the frame: best at 0(SP) and 16(SP), indices at 32(SP) and 48(SP).
-TEXT ·argmaxAffine4(SB), NOSPLIT, $64-152
-	MOVQ m_base+8(FP), SI      // &m[r][0] of the current pass
-	MOVQ x0_base+56(FP), R8
-	MOVQ x1_base+80(FP), R9
-	MOVQ x2_base+104(FP), R10
-	MOVQ x3_base+128(FP), R11
-	MOVQ x0_len+64(FP), CX     // cols
-	XORPD X12, X12
-	MOVUPD X12, 32(SP)         // every class starts at row 0
+// only where its logit is strictly larger. margin[k] = that logit less the
+// runner-up: the largest logit of the other rows by the same rule, starting
+// from margin[k] as the caller passes it in (the runner-up before any row).
+// The caller has checked every length and that m has at least one row. The
+// column loop is mulVec4's, five rows in X0–X9 per pass and then one at a
+// time in X0–X1. A pass folds its rows lane pair by lane pair: samples 0
+// and 1 (X0, X2, …, X8), then 2 and 3 (X1, X3, …, X9), each with its
+// (best, runner-up, class) triple in X10–X12 and X13 as scratch; between
+// passes the triples wait in the frame: best at 0(SP) and 16(SP), runner-up
+// at 32(SP) and 48(SP), classes (doubles, converted on return) at 64(SP)
+// and 80(SP).
+TEXT ·argmaxAffine4(SB), NOSPLIT, $96-160
+	MOVQ m_base+16(FP), SI     // &m[r][0] of the current pass
+	MOVQ x0_base+64(FP), R8
+	MOVQ x1_base+88(FP), R9
+	MOVQ x2_base+112(FP), R10
+	MOVQ x3_base+136(FP), R11
+	MOVQ x0_len+72(FP), CX     // cols
+	MOVQ margin+8(FP), DI
+	MOVUPD 0(DI), X12
+	MOVUPD X12, 32(SP)         // the runner-up before any row
+	MOVUPD 16(DI), X12
 	MOVUPD X12, 48(SP)
+	XORPD X12, X12
+	MOVUPD X12, 64(SP)         // every class starts at row 0
+	MOVUPD X12, 80(SP)
 	XORQ BX, BX                // r, the first row of the current pass
 
 argmaxBlock5:
-	MOVQ b_len+40(FP), AX      // rows
+	MOVQ b_len+48(FP), AX      // rows
 	SUBQ BX, AX
 	CMPQ AX, $5
 	JL   argmaxTail
@@ -569,62 +588,82 @@ argmaxPick5:
 	MOVQ CX, AX
 	SHLQ $3, AX
 	LEAQ (R13)(AX*1), SI       // &m[r+5][0]
-	MOVQ b_base+32(FP), AX
-	MOVUPD 0(SP), X10
-	MOVUPD 16(SP), X11
-	MOVUPD 32(SP), X12
-	MOVUPD 48(SP), X13
+	MOVQ b_base+40(FP), AX
 	BIAS(X0, X1, 0)
-	CMPQ BX, $0
-	JNE  argmaxPickRow5
-	MOVAPD X0, X10             // row 0 starts the running best
-	MOVAPD X1, X11
-	JMP  argmaxRest5
-
-argmaxPickRow5:
-	ROW(BX)
-	PICK(X0, X10, X12)
-	PICK(X1, X11, X13)
-
-argmaxRest5:
-	LEAQ 1(BX), DI
 	BIAS(X2, X3, 1)
-	ROW(DI)
-	PICK(X2, X10, X12)
-	PICK(X3, X11, X13)
-	INCQ DI
 	BIAS(X4, X5, 2)
-	ROW(DI)
-	PICK(X4, X10, X12)
-	PICK(X5, X11, X13)
-	INCQ DI
 	BIAS(X6, X7, 3)
-	ROW(DI)
-	PICK(X6, X10, X12)
-	PICK(X7, X11, X13)
-	INCQ DI
 	BIAS(X8, X9, 4)
+	LEAQ 1(BX), DX             // the pass's second row
+
+	// Samples 0 and 1. At row 0 the row's logits are the best as they are.
+	MOVUPD 0(SP), X10
+	MOVUPD 32(SP), X11
+	MOVUPD 64(SP), X12
+	CMPQ BX, $0
+	JE   argmaxRestA
+	ROW(BX)
+	PICK(X0, X10, X11, X12, X13)
+
+argmaxRestA:
+	MOVQ DX, DI
 	ROW(DI)
-	PICK(X8, X10, X12)
-	PICK(X9, X11, X13)
-	MOVUPD X10, 0(SP)
-	MOVUPD X11, 16(SP)
-	MOVUPD X12, 32(SP)
-	MOVUPD X13, 48(SP)
+	PICK(X2, X0, X11, X12, X13)
+	INCQ DI
+	ROW(DI)
+	PICK(X4, X2, X11, X12, X13)
+	INCQ DI
+	ROW(DI)
+	PICK(X6, X4, X11, X12, X13)
+	INCQ DI
+	ROW(DI)
+	PICK(X8, X6, X11, X12, X13)
+	MOVUPD X8, 0(SP)
+	MOVUPD X11, 32(SP)
+	MOVUPD X12, 64(SP)
+
+	// Samples 2 and 3, the same way.
+	MOVUPD 16(SP), X10
+	MOVUPD 48(SP), X11
+	MOVUPD 80(SP), X12
+	CMPQ BX, $0
+	JE   argmaxRestB
+	ROW(BX)
+	PICK(X1, X10, X11, X12, X13)
+
+argmaxRestB:
+	MOVQ DX, DI
+	ROW(DI)
+	PICK(X3, X1, X11, X12, X13)
+	INCQ DI
+	ROW(DI)
+	PICK(X5, X3, X11, X12, X13)
+	INCQ DI
+	ROW(DI)
+	PICK(X7, X5, X11, X12, X13)
+	INCQ DI
+	ROW(DI)
+	PICK(X9, X7, X11, X12, X13)
+	MOVUPD X9, 16(SP)
+	MOVUPD X11, 48(SP)
+	MOVUPD X12, 80(SP)
 	ADDQ $5, BX
 	JMP  argmaxBlock5
 
-	// One row at a time: the running pair stays in X10–X13, the samples'
-	// lanes go to X2–X3 and X4–X5 is scratch.
+	// One row at a time: the samples' lanes go to X0–X1 and X2–X5 is the
+	// column loop's scratch; the triples stay in X6–X8 (samples 0 and 1)
+	// and X9–X11 (samples 2 and 3), with X12 as scratch.
 argmaxTail:
-	MOVQ b_base+32(FP), AX
-	MOVUPD 0(SP), X10
-	MOVUPD 16(SP), X11
-	MOVUPD 32(SP), X12
-	MOVUPD 48(SP), X13
+	MOVQ b_base+40(FP), AX
+	MOVUPD 0(SP), X6
+	MOVUPD 32(SP), X7
+	MOVUPD 64(SP), X8
+	MOVUPD 16(SP), X9
+	MOVUPD 48(SP), X10
+	MOVUPD 80(SP), X11
 
 argmaxSingle:
-	CMPQ BX, b_len+40(FP)
+	CMPQ BX, b_len+48(FP)
 	JGE  argmaxDone
 	XORPD X0, X0
 	XORPD X1, X1
@@ -650,31 +689,34 @@ argmaxCols1:
 argmaxPick1:
 	BIAS(X0, X1, 0)
 	CMPQ BX, $0
-	JNE  argmaxPickRow1
-	MOVAPD X0, X10
-	MOVAPD X1, X11
-	JMP  argmaxNext1
-
-argmaxPickRow1:
+	JE   argmaxKeep1
 	ROW(BX)
-	PICK(X0, X10, X12)
-	PICK(X1, X11, X13)
+	PICK(X0, X6, X7, X8, X12)
+	ROW(BX)
+	PICK(X1, X9, X10, X11, X12)
 
-argmaxNext1:
+argmaxKeep1:
+	MOVAPD X0, X6              // the best, left in the row's lanes
+	MOVAPD X1, X9
 	LEAQ (SI)(CX*8), SI        // &m[r+1][0]
 	INCQ BX
 	JMP  argmaxSingle
 
 argmaxDone:
+	MOVQ margin+8(FP), DI
+	SUBPD X7, X6               // best − runner-up
+	SUBPD X10, X9
+	MOVUPD X6, 0(DI)
+	MOVUPD X9, 16(DI)
 	MOVQ c+0(FP), DI
-	CVTTSD2SQ X12, AX
+	CVTTSD2SQ X8, AX
 	MOVQ AX, (DI)
-	PSHUFD $0xEE, X12, X12     // the high lane, moved low
-	CVTTSD2SQ X12, AX
+	PSHUFD $0xEE, X8, X8       // the high lane, moved low
+	CVTTSD2SQ X8, AX
 	MOVQ AX, 8(DI)
-	CVTTSD2SQ X13, AX
+	CVTTSD2SQ X11, AX
 	MOVQ AX, 16(DI)
-	PSHUFD $0xEE, X13, X13
-	CVTTSD2SQ X13, AX
+	PSHUFD $0xEE, X11, X11
+	CVTTSD2SQ X11, AX
 	MOVQ AX, 24(DI)
 	RET

@@ -45,10 +45,11 @@ func mulVec4(d0, d1, d2, d3, m, x0, x1, x2, x3 []float64) {
 	mat.MulVecInto(d3, x3)
 }
 
-func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64) {
+func argmaxAffine4(c *[4]int, margin *[4]float64, m, b, x0, x1, x2, x3 []float64) {
 	cols := len(x0)
 	x1, x2, x3 = x1[:cols], x2[:cols], x3[:cols]
 	var best [4]float64
+	second := *margin
 	for i, bi := range b {
 		r := m[i*cols : (i+1)*cols]
 		var s [4]float64
@@ -59,9 +60,17 @@ func argmaxAffine4(c *[4]int, m, b, x0, x1, x2, x3 []float64) {
 			s[3] += float64(w * x3[j])
 		}
 		for k := range s {
-			if z := s[k] + bi; i == 0 || z > best[k] {
-				best[k], c[k] = z, i
+			switch z := s[k] + bi; {
+			case i == 0:
+				best[k], c[k] = z, 0
+			case z > best[k]:
+				best[k], second[k], c[k] = z, best[k], i
+			case z > second[k]:
+				second[k] = z
 			}
 		}
+	}
+	for k := range best {
+		margin[k] = best[k] - second[k]
 	}
 }

@@ -45,14 +45,23 @@ func mulVec4Reference(m *Mat, d, x [4]Vec) {
 
 // argmaxAffine4Reference scores four samples as evaluation did before
 // ArgMaxAffine4, one at a time into the scratch z: the logits through
-// MulVecInto, b added in place, then the argmax in index order.
-func argmaxAffine4Reference(m *Mat, b, z Vec, x [4]Vec) (classes [4]int) {
+// MulVecInto, b added in place, then the argmax in index order and the
+// margin over the largest other logit a NaN does not displace (-Inf before
+// any).
+func argmaxAffine4Reference(m *Mat, b, z Vec, x [4]Vec) (classes [4]int, margins [4]float64) {
 	for k := range x {
 		m.MulVecInto(z, x[k])
 		z.AddInPlace(b)
-		classes[k] = argMax(z)
+		c := argMax(z)
+		second := math.Inf(-1)
+		for i, v := range z {
+			if i != c && v > second {
+				second = v
+			}
+		}
+		classes[k], margins[k] = c, z[c]-second
 	}
-	return classes
+	return classes, margins
 }
 
 // guarded returns a vector of length n cut at offset 1 from a backing with one
@@ -135,12 +144,14 @@ func checkMulVec4(t *testing.T, what string, m *Mat, x [4]Vec) {
 }
 
 // checkArgMaxAffine4 runs ArgMaxAffine4 on m, b and x against the
-// per-sample reference, class for class.
+// per-sample reference, class for class and margin for margin (two NaNs
+// equal).
 func checkArgMaxAffine4(t *testing.T, what string, m *Mat, b Vec, x [4]Vec) {
 	t.Helper()
-	got := m.ArgMaxAffine4(b, x[0], x[1], x[2], x[3])
-	if want := argmaxAffine4Reference(m, b, NewVec(m.Rows), x); got != want {
-		t.Fatalf("ArgMaxAffine4 %s: classes %v, the per-sample reference picks %v", what, got, want)
+	got, gotMargins := m.ArgMaxAffine4(b, x[0], x[1], x[2], x[3])
+	want, wantMargins := argmaxAffine4Reference(m, b, NewVec(m.Rows), x)
+	if got != want || sameBits(gotMargins[:], wantMargins[:]) >= 0 {
+		t.Fatalf("ArgMaxAffine4 %s: classes %v margins %v, the per-sample reference %v %v", what, got, gotMargins, want, wantMargins)
 	}
 }
 
@@ -421,7 +432,7 @@ func BenchmarkMulVec4IntoReference(b *testing.B) {
 	})
 }
 
-func benchmarkArgMaxAffine4(b *testing.B, score func(m *Mat, bias, z Vec, x [4]Vec) [4]int) {
+func benchmarkArgMaxAffine4(b *testing.B, score func(m *Mat, bias, z Vec, x [4]Vec) ([4]int, [4]float64)) {
 	for _, shape := range [][2]int{{5, 32}, {10, 32}} {
 		rows, cols := shape[0], shape[1]
 		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
@@ -432,14 +443,15 @@ func benchmarkArgMaxAffine4(b *testing.B, score func(m *Mat, bias, z Vec, x [4]V
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				classSink += score(m, bias, z, x)[i&3]
+				classes, _ := score(m, bias, z, x)
+				classSink += classes[i&3]
 			}
 		})
 	}
 }
 
 func BenchmarkArgMaxAffine4(b *testing.B) {
-	benchmarkArgMaxAffine4(b, func(m *Mat, bias, _ Vec, x [4]Vec) [4]int {
+	benchmarkArgMaxAffine4(b, func(m *Mat, bias, _ Vec, x [4]Vec) ([4]int, [4]float64) {
 		return m.ArgMaxAffine4(bias, x[0], x[1], x[2], x[3])
 	})
 }

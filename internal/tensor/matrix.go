@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Mat is a dense row-major matrix.
 type Mat struct {
@@ -101,13 +104,14 @@ func (m *Mat) MulVec4Into(d0, d1, d2, d3, x0, x1, x2, x3 Vec) {
 // ArgMaxAffine4 returns, for k = 0, 1, 2, 3, the index of the largest
 // element of m * xk + b — the class whose logit is largest, for a layer's
 // weights m (Rows classes × Cols inputs), its bias b (length Rows) and four
-// column vectors xk of length Cols — in one pass over m, allocating nothing.
-// It returns exactly what MulVec4Into, b added to each product in place, and
-// an argmax of each result in index order would: every logit is the same
-// Row(i).Dot(xk) + b[i], a tie goes to the lower index and a NaN never
-// displaces an earlier value (so a NaN logit at index 0 wins). m needs at
-// least one row.
-func (m *Mat) ArgMaxAffine4(b, x0, x1, x2, x3 Vec) (classes [4]int) {
+// column vectors xk of length Cols — and its margin, that logit less the
+// runner-up, in one pass over m, allocating nothing. Every logit is
+// Row(i).Dot(xk) + b[i], the value MulVec4Into and a bias added in place
+// give; a tie goes to the lower index and a NaN never displaces an earlier
+// value (so a NaN logit at index 0 wins). The runner-up is the largest of the
+// other logits by the same rule, and -Inf with one row; the margin is their
+// difference as computed, so it may be NaN or ±Inf. m needs at least one row.
+func (m *Mat) ArgMaxAffine4(b, x0, x1, x2, x3 Vec) (classes [4]int, margins [4]float64) {
 	if m.Rows == 0 {
 		panic("tensor: ArgMaxAffine4 of a matrix with no rows")
 	}
@@ -117,8 +121,10 @@ func (m *Mat) ArgMaxAffine4(b, x0, x1, x2, x3 Vec) (classes [4]int) {
 	assertSameLen(len(x3), m.Cols)
 	assertSameLen(len(b), m.Rows)
 	assertSameLen(len(m.Data), m.Rows*m.Cols)
-	argmaxAffine4(&classes, m.Data, b, x0, x1, x2, x3)
-	return classes
+	inf := math.Inf(-1)
+	margins = [4]float64{inf, inf, inf, inf} // the runner-up before any row
+	argmaxAffine4(&classes, &margins, m.Data, b, x0, x1, x2, x3)
+	return classes, margins
 }
 
 // MulVecTInto computes dst = mᵀ * x, for a column vector x of length Rows,

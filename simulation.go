@@ -48,17 +48,18 @@ func DecodeSimulationConfigFile(path string) (SimulationConfig, error) {
 
 // RunSimulation executes one FL job and returns its convergence history.
 func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
-	return RunSimulationStream(cfg, nil)
+	return RunSimulationStream(context.Background(), cfg, nil)
 }
 
-// RunSimulationStream is RunSimulation with a live per-round hook: onRound,
-// when non-nil, receives every evaluated round as it completes — the
-// streaming surface behind the job server's NDJSON round feed. The hook
-// runs on the run's evaluator goroutine, in round order and never after this
-// function returns; it should hand off quickly, and the PerLabel slice must
-// be copied if retained.
-func RunSimulationStream(cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
-	return runSimulation(context.Background(), cfg, onRound, nil)
+// RunSimulationStream is RunSimulation with a context and a live per-round
+// hook: onRound, when non-nil, receives every evaluated round as it
+// completes — the streaming surface behind the job server's NDJSON round
+// feed. The hook runs on the run's evaluator goroutine, in round order and
+// never after this function returns; it should hand off quickly, and the
+// PerLabel slice must be copied if retained. Once ctx is done the job stops
+// before its next round and returns ctx's error, wrapped.
+func RunSimulationStream(ctx context.Context, cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
+	return runSimulation(ctx, cfg, onRound, nil)
 }
 
 // runSimulation is the one run path: in-process when attach is nil, with each
