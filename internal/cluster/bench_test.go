@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func BenchmarkOptimalK(b *testing.B) {
 		b.Run(fmt.Sprintf("%dk", c.n/1000), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				OptimalK(points, c.maxK, c.repeats, rng.New(uint64(i)))
+				OptimalK(context.Background(), points, c.maxK, c.repeats, rng.New(uint64(i)), rng.New(uint64(i)+1))
 			}
 		})
 	}

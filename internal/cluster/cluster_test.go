@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -235,7 +236,11 @@ func TestOptimalKOnBlobs(t *testing.T) {
 	r := rng.New(8)
 	trueK := 6
 	points, _ := blobPoints(trueK, 30, 5, 30, 0.3, r)
-	k, curve := OptimalK(tensor.MatFromRows(points), 15, 5, r.Split(1))
+	res, curve, err := OptimalK(context.Background(), tensor.MatFromRows(points), 15, 5, r.Split(1), r.Split(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(res.Centroids)
 	if len(curve) != 14 {
 		t.Fatalf("curve length %d", len(curve))
 	}

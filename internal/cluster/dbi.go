@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"fmt"
 	"math"
 
 	"flips/internal/rng"
@@ -68,32 +70,36 @@ func (s *sweep) daviesBouldin(k int) float64 {
 // slice is indexed so curve[i] is the mean DBI at k = i+2. Points must share
 // one dimension; the error is always nil.
 func DBICurve(points []tensor.Vec, maxK, repeats int, r *rng.Source) ([]float64, error) {
-	return dbiCurve(tensor.MatFromRows(points), maxK, repeats, r), nil
+	m := tensor.MatFromRows(points)
+	return dbiCurve(context.Background(), newSweep(m, sweepK(m, maxK)), repeats, r)
 }
 
-// dbiCurve is DBICurve over the rows of points, every fit in one workspace.
-func dbiCurve(points *tensor.Mat, maxK, repeats int, r *rng.Source) []float64 {
-	if maxK < 2 {
-		maxK = 2
-	}
-	if maxK > points.Rows {
-		maxK = points.Rows
-	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	s := newSweep(points, maxK)
+// sweepK is the largest k a Davies-Bouldin sweep up to maxK fits over the
+// rows of points: maxK, at least 2, at most the row count.
+func sweepK(points *tensor.Mat, maxK int) int {
+	return min(max(maxK, 2), points.Rows)
+}
+
+// dbiCurve is DBICurve over k in [2, len(s.cent)], every fit in the
+// workspace s. It checks ctx before each (k, restart) fit and returns ctx's
+// error once it is done.
+func dbiCurve(ctx context.Context, s *sweep, repeats int, r *rng.Source) ([]float64, error) {
+	maxK := len(s.cent)
+	repeats = max(repeats, 1)
 	curve := make([]float64, 0, max(maxK-1, 0))
 	for k := 2; k <= maxK; k++ {
 		var sum float64
 		for t := 0; t < repeats; t++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			tr := *r.Split(uint64(k*1000 + t))
 			s.run(k, &tr, maxIterations)
 			sum += s.daviesBouldin(k)
 		}
 		curve = append(curve, sum/float64(repeats))
 	}
-	return curve
+	return curve, nil
 }
 
 // ElbowK locates the paper's elbow point (Eq. 3, "the cluster size k for
@@ -156,9 +162,21 @@ func ElbowK(curve []float64) int {
 }
 
 // OptimalK runs the full paper §3.1 procedure over the rows of points:
-// compute the DBI curve over k in [2, maxK] with `repeats` restarts each,
-// then choose the elbow point.
-func OptimalK(points *tensor.Mat, maxK, repeats int, r *rng.Source) (int, []float64) {
-	curve := dbiCurve(points, maxK, repeats, r)
-	return ElbowK(curve), curve
+// compute the DBI curve over k in [2, maxK] with `repeats` restarts each
+// (drawn from r), choose the elbow point k, and fit K-Means at k (drawn from
+// fit). The sweep and the fit share one workspace, so the points' distinct
+// rows are numbered once; the fit is the one KMeans(points, k, fit) returns.
+// The sweep checks ctx before each fit, and a done ctx ends it with ctx's
+// error.
+func OptimalK(ctx context.Context, points *tensor.Mat, maxK, repeats int, r, fit *rng.Source) (*KMeansResult, []float64, error) {
+	if points.Rows == 0 {
+		return nil, nil, fmt.Errorf("cluster: no points")
+	}
+	s := newSweep(points, sweepK(points, maxK))
+	curve, err := dbiCurve(ctx, s, repeats, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.fit(ElbowK(curve), fit, maxIterations)
+	return res, curve, err
 }

@@ -64,10 +64,18 @@ func kmeans(points *tensor.Mat, k int, r *rng.Source, maxIter int) (*KMeansResul
 	if k < 1 || k > points.Rows {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", k, points.Rows)
 	}
-	s := newSweep(points, k)
+	return newSweep(points, k).fit(k, r, maxIter)
+}
+
+// fit is one K-Means run in the workspace, its result holding the
+// workspace's centroids and assignment. k must fit the workspace.
+func (s *sweep) fit(k int, r *rng.Source, maxIter int) (*KMeansResult, error) {
+	if k < 1 || k > len(s.cent) {
+		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", k, len(s.cent))
+	}
 	inertia, iters := s.run(k, r, maxIter)
 	return &KMeansResult{
-		Centroids:   s.cent,
+		Centroids:   s.cent[:k],
 		Assignments: s.assign,
 		Inertia:     inertia,
 		Iterations:  iters,
@@ -172,9 +180,11 @@ func (s *sweep) run(k int, r *rng.Source, maxIter int) (float64, int) {
 // centroid is uniform, each subsequent centroid is sampled proportional to
 // the squared distance to the nearest chosen centroid. Each point's squared
 // distance to its nearest seed is its row's slot of rowD, spread to d2 in
-// point order before each draw. Once no row's distance is positive (every
-// distinct row holds a seed), Categorical would draw one Intn(len(d2)), so
-// the draw is that Intn, without the spread.
+// point order before each draw, which is Categorical's through its
+// branchless loops: d2 is zero at every point a seed covers, scattered among
+// the positive ones. Once no row's distance is positive (every distinct row
+// holds a seed), Categorical would draw one Intn(len(d2)), so the draw is
+// that Intn, without the spread.
 func (s *sweep) seedPlusPlus(k int, r *rng.Source) {
 	pts, d, rowD, d2 := s.pts, s.dim, s.rowD, s.d2
 	i0 := r.Intn(len(d2))
@@ -189,7 +199,7 @@ func (s *sweep) seedPlusPlus(k int, r *rng.Source) {
 			for i, u := range s.id {
 				d2[i] = rowD[u]
 			}
-			ic = r.Categorical(d2)
+			ic = r.CategoricalBranchless(d2)
 		} else {
 			ic = r.Intn(len(d2))
 		}

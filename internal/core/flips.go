@@ -11,6 +11,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -291,8 +292,16 @@ func DefaultMaxK(parties int) int {
 
 // ClusterLabelDistributions builds the FLIPS clustering (paper §3.1): it
 // finds the optimal k on the Davies-Bouldin elbow and K-Means-partitions the
-// normalized label distributions, returning per-cluster party-ID lists.
+// normalized label distributions, returning per-cluster party-ID lists. It is
+// ClusterLabelDistributionsContext with a context that is never done.
 func ClusterLabelDistributions(lds []tensor.Vec, maxK, repeats int, r *rng.Source) ([][]int, error) {
+	return ClusterLabelDistributionsContext(context.Background(), lds, maxK, repeats, r)
+}
+
+// ClusterLabelDistributionsContext is ClusterLabelDistributions stopped by
+// ctx: the Davies-Bouldin sweep checks it before each K-Means fit and returns
+// its error once it is done.
+func ClusterLabelDistributionsContext(ctx context.Context, lds []tensor.Vec, maxK, repeats int, r *rng.Source) ([][]int, error) {
 	if len(lds) == 0 {
 		return nil, fmt.Errorf("core: no label distributions")
 	}
@@ -303,13 +312,20 @@ func ClusterLabelDistributions(lds []tensor.Vec, maxK, repeats int, r *rng.Sourc
 	if repeats <= 0 {
 		repeats = 20 // the paper's T=20
 	}
-	k, _ := cluster.OptimalK(points, maxK, repeats, r.Split(1))
-	return kMeansClusters(points, k, r.Split(2))
+	res, _, err := cluster.OptimalK(ctx, points, maxK, repeats, r.Split(1), r.Split(2))
+	if err != nil {
+		return nil, err
+	}
+	return nonEmptyClusters(res), nil
 }
 
 // ClusterWithK is ClusterLabelDistributions with a fixed k (for ablations).
 func ClusterWithK(lds []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
-	return kMeansClusters(normalized(lds), k, r)
+	res, err := cluster.KMeans(normalized(lds), k, r)
+	if err != nil {
+		return nil, err
+	}
+	return nonEmptyClusters(res), nil
 }
 
 // normalized returns the label distributions' proportions, one row per
@@ -322,13 +338,9 @@ func normalized(lds []tensor.Vec) *tensor.Mat {
 	return points
 }
 
-// kMeansClusters K-Means-partitions the points into k clusters and returns
-// the non-empty ones, members in ascending order.
-func kMeansClusters(points *tensor.Mat, k int, r *rng.Source) ([][]int, error) {
-	res, err := cluster.KMeans(points, k, r)
-	if err != nil {
-		return nil, err
-	}
+// nonEmptyClusters returns a K-Means result's non-empty clusters, members in
+// ascending order.
+func nonEmptyClusters(res *cluster.KMeansResult) [][]int {
 	cs := res.Clusters()
 	out := make([][]int, 0, len(cs))
 	for _, c := range cs {
@@ -337,5 +349,5 @@ func kMeansClusters(points *tensor.Mat, k int, r *rng.Source) ([][]int, error) {
 			out = append(out, c)
 		}
 	}
-	return out, nil
+	return out
 }

@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"flips/internal/dataset"
@@ -125,7 +129,7 @@ func TestBuildHoldsOneCopyOfTheData(t *testing.T) {
 
 		var shards []*fl.Party
 		for _, rg := range [][2]int{{0, 9}, {9, scale.Parties}} {
-			shard, _, err := BuildShard(s, scale, rg[0], rg[1])
+			shard, _, err := BuildShard(context.Background(), s, scale, rg[0], rg[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,5 +207,43 @@ func BenchmarkBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestBuildStopsWhenCancelled cancels builds from outside. A build whose
+// context is already done stops before its first stage. A 2,000-party FLIPS
+// ECG job — its Davies-Bouldin sweep is ~2,500 K-Means fits and seconds long
+// — cancelled 100 ms in stops at the sweep's next fit, and the cell returns
+// the context's error, wrapped.
+func TestBuildStopsWhenCancelled(t *testing.T) {
+	t.Parallel()
+	setting, scale, err := SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "flips", Rounds: 20, Parties: 2000, Seed: 1}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := BuildContext(done, setting, scale); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "before generate") {
+		t.Fatalf("build under a done context: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled time.Time
+	timer := time.AfterFunc(100*time.Millisecond, func() {
+		cancelled = time.Now()
+		cancel()
+	})
+	defer timer.Stop()
+	start := time.Now()
+	_, _, err = RunSettingClusters(ctx, setting, scale, func(fl.RoundStats) { t.Error("a round ran after the build was cancelled") }, nil)
+	end := time.Now()
+	if !errors.Is(err, context.Canceled) || err == context.Canceled {
+		t.Fatalf("cancelled job returned %v, want context.Canceled wrapped", err)
+	}
+	// One fit at this size takes milliseconds (the largest k about 20 ms on
+	// a 2-core box); the bound leaves room for a loaded or race-checked run
+	// and stays far below the sweep's seconds.
+	if lag := end.Sub(cancelled); lag > time.Second {
+		t.Fatalf("the build ran %v past its cancel (%v in all)", lag, end.Sub(start))
 	}
 }

@@ -413,17 +413,26 @@ type fleetData struct {
 // Every step after the split is per party — a party's samples are its
 // partition indices, its style offset comes from the ID-th child of one
 // stream — so party i is the same whatever range produces it.
-func buildData(pl *plan, setting Setting, scale Scale, lo, hi int) (*fleetData, error) {
+func buildData(ctx context.Context, pl *plan, setting Setting, scale Scale, lo, hi int) (*fleetData, error) {
 	if lo < 0 || hi < lo || hi > scale.Parties {
 		return nil, fmt.Errorf("experiment: party range [%d,%d) outside the %d-party fleet", lo, hi, scale.Parties)
+	}
+	if err := stopped(ctx, "generate"); err != nil {
+		return nil, err
 	}
 	d := &fleetData{root: rng.New(setting.Seed)}
 	train, test, err := dataset.Generate(pl.spec, d.root.Split(1))
 	if err != nil {
 		return nil, err
 	}
+	if err := stopped(ctx, "partition"); err != nil {
+		return nil, err
+	}
 	part, err := partition.Dirichlet(train, scale.Parties, setting.Alpha, d.root.Split(2))
 	if err != nil {
+		return nil, err
+	}
+	if err := stopped(ctx, "pack"); err != nil {
 		return nil, err
 	}
 	d.test = test
@@ -434,6 +443,15 @@ func buildData(pl *plan, setting Setting, scale Scale, lo, hi int) (*fleetData, 
 		applyFeatureShift(d.parties, pl.spec.Dim, pl.profile.FeatureShiftSigma, d.root.Split(5))
 	}
 	return d, nil
+}
+
+// stopped returns ctx's error, wrapped with the build stage it stops before,
+// once ctx is done, and nil until then.
+func stopped(ctx context.Context, stage string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("experiment: build stopped before %s: %w", stage, err)
+	}
+	return nil
 }
 
 // poison builds the setting's chaos injector (nil without a scenario) and
@@ -461,12 +479,13 @@ func poison(parties []*fl.Party, setting Setting, scale Scale, classes int) (*ch
 // Build assembles for (setting, scale) — bit-equal in ID and Data, every other
 // field left zero — and the job's model factory. It is Build's own data path
 // run over a range, so a worker skips the fleet-wide work no worker reads.
-func BuildShard(setting Setting, scale Scale, lo, hi int) ([]*fl.Party, model.Factory, error) {
+// Like BuildContext it stops between its stages once ctx is done.
+func BuildShard(ctx context.Context, setting Setting, scale Scale, lo, hi int) ([]*fl.Party, model.Factory, error) {
 	pl, err := newPlan(setting, scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := buildData(pl, setting, scale, lo, hi)
+	d, err := buildData(ctx, pl, setting, scale, lo, hi)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -476,14 +495,26 @@ func BuildShard(setting Setting, scale Scale, lo, hi int) ([]*fl.Party, model.Fa
 	return d.parties, pl.cfg.Factory, nil
 }
 
-// Build assembles (but does not run) the FL job for a setting.
+// Build assembles (but does not run) the FL job for a setting. It is
+// BuildContext with a context that is never done.
 func Build(setting Setting, scale Scale) (*BuildResult, error) {
+	return BuildContext(context.Background(), setting, scale)
+}
+
+// BuildContext assembles (but does not run) the FL job for a setting. It
+// checks ctx between its stages — generate, partition, pack, profile,
+// devices, selector — and the FLIPS clustering sweep checks it between
+// K-Means fits; a done ctx ends the build with ctx's error, wrapped.
+func BuildContext(ctx context.Context, setting Setting, scale Scale) (*BuildResult, error) {
 	pl, err := newPlan(setting, scale)
 	if err != nil {
 		return nil, err
 	}
-	d, err := buildData(pl, setting, scale, 0, scale.Parties)
+	d, err := buildData(ctx, pl, setting, scale, 0, scale.Parties)
 	if err != nil {
+		return nil, err
+	}
+	if err := stopped(ctx, "profile"); err != nil {
 		return nil, err
 	}
 	spec, profile, root, parties := pl.spec, pl.profile, d.root, d.parties
@@ -493,6 +524,9 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 	fl.ProfileParties(parties, classes, latencySigma, d.latencies)
 	faults, err := poison(parties, setting, scale, classes)
 	if err != nil {
+		return nil, err
+	}
+	if err := stopped(ctx, "devices"); err != nil {
 		return nil, err
 	}
 	if setting.Device != nil {
@@ -508,8 +542,14 @@ func Build(setting Setting, scale Scale) (*BuildResult, error) {
 		paramDim = model.NewLogReg(spec.Dim, classes).NumParams()
 	}
 
-	sel, clusters, err := buildSelector(setting, parties, paramDim, root.Split(4))
+	if err := stopped(ctx, "selector"); err != nil {
+		return nil, err
+	}
+	sel, clusters, err := buildSelector(ctx, setting, parties, paramDim, root.Split(4))
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("experiment: build stopped in the selector: %w", err)
+		}
 		return nil, err
 	}
 	cfg := pl.cfg
@@ -612,9 +652,10 @@ func applyFeatureShift(parties []*fl.Party, dim int, sigma float64, r *rng.Sourc
 // registry. The context's signal accessors are closures, so a strategy pays
 // only for the signals its builder reads — and each strategy's RNG
 // consumption is byte-identical to the historical hardwired switch.
-func buildSelector(setting Setting, parties []*fl.Party, paramDim int, r *rng.Source) (fl.Selector, [][]int, error) {
+func buildSelector(ctx context.Context, setting Setting, parties []*fl.Party, paramDim int, r *rng.Source) (fl.Selector, [][]int, error) {
 	n := len(parties)
-	ctx := selection.BuildContext{
+	bc := selection.BuildContext{
+		Context:    ctx,
 		NumParties: n,
 		ParamDim:   paramDim,
 		RNG:        r,
@@ -644,7 +685,7 @@ func buildSelector(setting Setting, parties []*fl.Party, paramDim int, r *rng.So
 		Deadline:        setting.Deadline,
 		CandidateFactor: setting.CandidateFactor,
 	}
-	return selection.Build(setting.Strategy, ctx)
+	return selection.Build(setting.Strategy, bc)
 }
 
 func buildAlgorithm(name string, sgd model.SGDConfig) (fl.ServerOptimizer, model.SGDConfig, float64, error) {
@@ -699,8 +740,9 @@ type Attach func(built *BuildResult) (transport fl.ShardTransport, release func(
 // evaluator goroutine, in round order and never after this function returns;
 // see fl.Config.OnRound for its retention contract.
 // attach, when non-nil, routes every repeat's local training through the
-// transport it returns. Every repeat stops before its next round once ctx is
-// done (fl.Config.Context), and the cell returns ctx's error, wrapped.
+// transport it returns. Every repeat's build stops between its stages and
+// every run before its next round once ctx is done (BuildContext,
+// fl.Config.Context), and the cell returns ctx's error, wrapped.
 func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRound func(fl.RoundStats), attach Attach) (*fl.Result, [][]int, error) {
 	repeats := max(scale.Repeats, 1)
 	budget := parallel.New(scale.Parallelism).Width()
@@ -721,7 +763,7 @@ func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRou
 			ch.Seed += offset
 			s.Chaos = &ch
 		}
-		built, err := Build(s, innerScale)
+		built, err := BuildContext(ctx, s, innerScale)
 		if err != nil {
 			return repOut{err: err}
 		}

@@ -407,7 +407,7 @@ func TestBuildRangeMatchesFullBuild(t *testing.T) {
 		n := len(full.Parties)
 		for _, rg := range [][2]int{{0, n}, {0, 7}, {7, 19}, {19, n}, {5, 5}} {
 			lo, hi := rg[0], rg[1]
-			shard, factory, err := BuildShard(s, tinyScale(), lo, hi)
+			shard, factory, err := BuildShard(context.Background(), s, tinyScale(), lo, hi)
 			if err != nil {
 				t.Fatalf("%s [%d,%d): %v", name, lo, hi, err)
 			}
@@ -431,7 +431,7 @@ func TestBuildRangeMatchesFullBuild(t *testing.T) {
 			}
 		}
 		for _, rg := range [][2]int{{-1, 3}, {4, 2}, {0, n + 1}} {
-			if _, _, err := BuildShard(s, tinyScale(), rg[0], rg[1]); err == nil {
+			if _, _, err := BuildShard(context.Background(), s, tinyScale(), rg[0], rg[1]); err == nil {
 				t.Fatalf("%s: range [%d,%d) accepted", name, rg[0], rg[1])
 			}
 		}

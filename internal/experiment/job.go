@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -321,7 +322,7 @@ func DistWorkerBuilder() dist.Builder {
 		if err != nil {
 			return dist.JobSetup{}, err
 		}
-		parties, factory, err := BuildShard(setting, scale, lo, hi)
+		parties, factory, err := BuildShard(context.Background(), setting, scale, lo, hi)
 		if err != nil {
 			return dist.JobSetup{}, err
 		}

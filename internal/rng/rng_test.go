@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -319,4 +320,78 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatalf("draw %d diverged after state round trip: %x vs %x", i, a, b)
 		}
 	}
+}
+
+// categoricalPalette mixes what CategoricalBranchless must treat as
+// Categorical's branches do: ±0, negatives, subnormals, NaN (which the total
+// skips and the scan does not), ±Inf, and weights whose sum overflows.
+var categoricalPalette = []float64{
+	0, math.Copysign(0, -1), -1, 1, 0.25, 3, math.SmallestNonzeroFloat64, 0x1p-1040,
+	math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, 1e-300,
+}
+
+// checkCategorical draws from weights with CategoricalBranchless and
+// Categorical, each from its own copy of the seed, and fails unless the
+// picks and the RNG's end positions match.
+func checkCategorical(t *testing.T, weights []float64, seed uint64, draws int) {
+	t.Helper()
+	got, want := New(seed), New(seed)
+	for d := 0; d < draws; d++ {
+		if g, w := got.CategoricalBranchless(weights), want.Categorical(weights); g != w {
+			t.Fatalf("weights %v, draw %d: CategoricalBranchless %d, Categorical %d", weights, d, g, w)
+		}
+	}
+	if *got != *want {
+		t.Fatalf("weights %v: the RNG ends at another position than the reference's", weights)
+	}
+}
+
+// TestCategoricalBranchlessMatchesCategorical checks CategoricalBranchless
+// against Categorical on weight vectors of 1-40 entries drawn from the
+// palette, from all-positive to all-non-positive.
+func TestCategoricalBranchlessMatchesCategorical(t *testing.T) {
+	t.Parallel()
+	gen := New(61)
+	for n := 1; n <= 40; n++ {
+		for trial := 0; trial < 50; trial++ {
+			w := make([]float64, n)
+			for i := range w {
+				if gen.Intn(3) == 0 {
+					w[i] = categoricalPalette[gen.Intn(len(categoricalPalette))]
+				} else {
+					w[i] = gen.Float64()
+				}
+			}
+			checkCategorical(t, w, gen.Uint64(), 8)
+		}
+	}
+}
+
+// FuzzCategoricalBranchless compares CategoricalBranchless with Categorical
+// on weight vectors read from the fuzzer's bytes: each byte picks a palette
+// weight or, past the palette, a uniform one from the seed's stream; words in
+// raw overwrite the leading weights bit for bit.
+func FuzzCategoricalBranchless(f *testing.F) {
+	f.Add(uint64(1), []byte{3, 4, 0, 5}, []byte{})
+	f.Add(uint64(2), []byte{8, 3, 3, 3}, []byte{})
+	f.Add(uint64(3), []byte{0, 1, 2, 9, 11}, []byte{})
+	f.Add(uint64(4), []byte{10, 12, 3}, []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, kinds, raw []byte) {
+		if len(kinds) == 0 || len(kinds) > 512 {
+			return
+		}
+		gen := New(seed)
+		w := make([]float64, len(kinds))
+		for i, k := range kinds {
+			if int(k) < len(categoricalPalette) {
+				w[i] = categoricalPalette[k]
+			} else {
+				w[i] = gen.Float64() * float64(k)
+			}
+		}
+		for i := 0; i < len(w) && 8*i+8 <= len(raw); i++ {
+			w[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkCategorical(t, w, gen.Uint64(), 4)
+	})
 }

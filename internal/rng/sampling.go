@@ -75,18 +75,78 @@ func (r *Source) Gamma(shape float64) float64 {
 // non-negative weight vector. It panics on an empty vector. If no weight is
 // positive it draws an index uniformly, with one Intn(len(weights)) draw, so
 // any index can come back: a caller that zero-weights a pick to exclude it
-// must remove it instead (the selection band swap-removes its picks). The
-// last index comes back without matching a positive weight only when
-// rounding leaves u at or above the running total.
+// must remove it instead (the selection band swap-removes its picks).
+// Otherwise it draws f = Float64() and returns CategoricalAt(weights, f).
 func (r *Source) Categorical(weights []float64) int {
 	if len(weights) == 0 {
 		panic("rng: Categorical called with empty weights")
 	}
+	total := positiveSum(weights)
+	if total == 0 {
+		return r.Intn(len(weights))
+	}
+	return scan(weights, r.Float64()*total)
+}
+
+// CategoricalAt is the index Categorical returns from weights with a
+// positive total when its uniform draw is f, which must lie in [0, 1) as
+// Float64's draws do. The total adds the positive weights in index order
+// from +0 and skips the rest, NaN included; u = f·total; the scan adds the
+// same weights in the same order and returns the first index whose running
+// sum exceeds u. A NaN weight is not skipped there: it turns the running sum
+// NaN for good, so no index from the first NaN on matches, and the last index
+// comes back — as it does when rounding leaves u at or above the running
+// total. A running sum that reaches +Inf stays there, so u (+Inf, or NaN for
+// 0·Inf) finds no index either.
+func CategoricalAt(weights []float64, f float64) int {
+	return scan(weights, f*positiveSum(weights))
+}
+
+// positiveSum is Categorical's total.
+func positiveSum(weights []float64) float64 {
 	var total float64
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
+	}
+	return total
+}
+
+// scan is Categorical's scan for the draw u.
+func scan(weights []float64, u float64) int {
+	var acc float64
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// CategoricalBranchless is Categorical — the same pick from the same draws —
+// through loops with no branch on a weight's sign: a skipped weight is added
+// as +0, which leaves a sum that is +0 or above it unchanged bit for bit, and
+// a NaN still turns the scan's running sum NaN. It is for weights that mix
+// zeros and positives in no pattern, such as k-means++'s distances with a
+// zero at every point a seed already covers, where Categorical's branch
+// mispredicts; on all-positive weights that branch always predicts and
+// Categorical is the faster one.
+func (r *Source) CategoricalBranchless(weights []float64) int {
+	if len(weights) == 0 {
+		panic("rng: CategoricalBranchless called with empty weights")
+	}
+	var total float64
+	for _, w := range weights {
+		var keep uint64
+		if w > 0 {
+			keep = ^uint64(0)
+		}
+		total += math.Float64frombits(math.Float64bits(w) & keep)
 	}
 	if total == 0 {
 		return r.Intn(len(weights))
@@ -94,10 +154,11 @@ func (r *Source) Categorical(weights []float64) int {
 	u := r.Float64() * total
 	var acc float64
 	for i, w := range weights {
-		if w <= 0 {
-			continue
+		var keep uint64
+		if !(w <= 0) { // positive or NaN
+			keep = ^uint64(0)
 		}
-		acc += w
+		acc += math.Float64frombits(math.Float64bits(w) & keep)
 		if u < acc {
 			return i
 		}

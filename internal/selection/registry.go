@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -17,6 +18,9 @@ import (
 // randomness, so a strategy's RNG draws are exactly the draws its builder
 // makes.
 type BuildContext struct {
+	// Context stops a builder's long work (the FLIPS clustering sweep checks
+	// it between K-Means fits); nil never stops it.
+	Context context.Context
 	// NumParties is the population size N.
 	NumParties int
 	// ParamDim is the model parameter count (gradient dimensionality for
@@ -213,5 +217,9 @@ func labelClusters(name string, ctx BuildContext) ([][]int, error) {
 		}
 		repeats = fleetClusterRepeats
 	}
-	return core.ClusterLabelDistributions(lds, maxK, repeats, ctx.RNG.Split(1))
+	stop := ctx.Context
+	if stop == nil {
+		stop = context.Background()
+	}
+	return core.ClusterLabelDistributionsContext(stop, lds, maxK, repeats, ctx.RNG.Split(1))
 }

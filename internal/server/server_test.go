@@ -824,6 +824,48 @@ func TestCancelStopsARealJob(t *testing.T) {
 	}
 }
 
+// TestCancelStopsAJobInItsBuild cancels a real job while it is still being
+// built: a 2,000-party FLIPS job spends seconds in its clustering sweep
+// before round 1. The build stops at the sweep's next fit, the job ends
+// cancelled, and no round was streamed.
+func TestCancelStopsAJobInItsBuild(t *testing.T) {
+	t.Parallel()
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+	c, ctx := clientOf(ts), testCtx(t)
+
+	st, err := c.Submit(ctx, flips.SimulationConfig{Dataset: "mit-bih-ecg", Strategy: "flips", Rounds: 20, Parties: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st.State != StateRunning {
+		if terminal(st.State) {
+			t.Fatalf("the job ended %s before it could be cancelled", st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		st = getStatus(t, ts, st.ID)
+	}
+	time.Sleep(50 * time.Millisecond) // into the build
+	cancelled := time.Now()
+	if _, err := c.Cancel(ctx, st.ID); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	seen := 0
+	ev, err := c.Follow(ctx, st.ID, func(flips.RoundPoint) { seen++ })
+	if err != nil || ev.State != StateCancelled || ev.Result != nil {
+		t.Fatalf("terminal event %+v, %v", ev, err)
+	}
+	if seen != 0 {
+		t.Fatalf("the job cancelled in its build streamed %d rounds", seen)
+	}
+	// A build that ran its sweep to the end would take seconds here.
+	if lag := time.Since(cancelled); lag > time.Second {
+		t.Fatalf("the job ended %v after its cancel", lag)
+	}
+}
+
 // TestStatsCountEveryTerminalEvent reads Stats right after each terminal
 // stream event, for jobs that end done, failed and cancelled: the job must
 // already be counted and no longer in flight. The counters move before the
