@@ -10,7 +10,8 @@
 //     A job whose model diverges to a non-finite stat finishes "failed".
 //     Jobs queue on a bounded buffer (-queue); a full buffer sheds load with
 //     429. SIGTERM drains gracefully: new jobs get 503 while every accepted
-//     job runs to completion, so an orderly shutdown never loses a job. A
+//     job runs to completion, for at most two minutes, after which what is
+//     left is cancelled; an orderly shutdown never loses a job. A
 //     submitter is treated as slow, dead or hostile: request headers and
 //     bodies are bounded in time, and a stream follower that stops reading
 //     loses its connection at the first batch that cannot be written.
@@ -162,7 +163,8 @@ var (
 )
 
 // serveJobs runs the simulation job server until a stop signal, then drains:
-// submission stops (503), every accepted job finishes, active status/stream
+// submission stops (503), every accepted job finishes or, past the drain's
+// bound, is cancelled, active status/stream
 // connections complete, and the drain summary reports the final counts. With
 // distListen set it also runs the shard-worker coordinator and executes every
 // job's local training across the registered worker processes; the

@@ -2,6 +2,7 @@ package flips
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -116,6 +117,25 @@ func TestDistRunnerMatchesInProcess(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDistRunnerCancelReleasesWorkers cancels a long distributed job from
+// its first streamed round: Run returns the cancel, wrapped, and the next job
+// claims both workers and runs to its end.
+func TestDistRunnerCancelReleasesWorkers(t *testing.T) {
+	r := startRunner(t, 2)
+	long := distTestConfig()
+	long.Rounds = 100000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := r.Run(ctx, long, func(RoundPoint) { cancel() }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled distributed run returned %v, want context.Canceled wrapped", err)
+	}
+	bounded, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	if _, err := r.Run(bounded, distTestConfig(), nil); err != nil {
+		t.Fatalf("the next job after a cancelled one: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -145,17 +146,28 @@ func (c *Coordinator) unregister(w *workerConn) {
 }
 
 // claimIdle blocks until n idle workers are available (or the coordinator
-// closes) and detaches them from the pool together. Taking them one at a time
-// would let two jobs that each want the whole pool hold half of it and wait
-// for the other half forever.
-func (c *Coordinator) claimIdle(n int) ([]*workerConn, error) {
+// closes, or ctx is done) and detaches them from the pool together. Taking
+// them one at a time would let two jobs that each want the whole pool hold
+// half of it and wait for the other half forever.
+func (c *Coordinator) claimIdle(ctx context.Context, n int) ([]*workerConn, error) {
+	// A done ctx must wake a claim parked in cond.Wait; holding c.mu for the
+	// broadcast pairs it with the wait loop's ctx re-check.
+	stopWake := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.cond.Broadcast()
+	})
+	defer stopWake()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.idle) < n && !c.closed {
+	for len(c.idle) < n && !c.closed && ctx.Err() == nil {
 		c.cond.Wait()
 	}
 	if c.closed {
 		return nil, fmt.Errorf("dist: coordinator closed")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("dist: waiting for %d idle workers: %w", n, err)
 	}
 	claimed := append([]*workerConn(nil), c.idle[:n]...)
 	c.idle = c.idle[n:]
@@ -282,6 +294,7 @@ type slot struct {
 // goroutine; its own concurrency is the per-slot fan-out inside TrainWave.
 type Job struct {
 	c       *Coordinator
+	ctx     context.Context // ends every wait for a worker once done
 	id      uint64
 	spec    []byte
 	parties int
@@ -293,11 +306,21 @@ type Job struct {
 
 var _ fl.ShardTransport = (*Job)(nil)
 
-// NewJob claims `workers` registered workers, partitions the contiguous
-// party-ID space [0, parties) into that many shard ranges, and streams the
-// spec to each worker. The spec must let every worker's Builder reconstruct
-// its party range deterministically.
+// NewJob is NewJobContext under context.Background(): its claim, and every
+// later wait for a replacement worker, lasts until a worker frees up or the
+// coordinator closes.
 func NewJob(c *Coordinator, spec []byte, parties, workers int) (*Job, error) {
+	return NewJobContext(context.Background(), c, spec, parties, workers)
+}
+
+// NewJobContext claims `workers` registered workers, partitions the
+// contiguous party-ID space [0, parties) into that many shard ranges, and
+// streams the spec to each worker. The spec must let every worker's Builder
+// reconstruct its party range deterministically. Once ctx is done, the claim
+// and every later wait for a replacement worker return ctx's error, wrapped,
+// and so does the next TrainWave: a cancelled job lets go of its workers at
+// its next wave boundary, when its owner closes it.
+func NewJobContext(ctx context.Context, c *Coordinator, spec []byte, parties, workers int) (*Job, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("dist: job needs at least one worker, got %d", workers)
 	}
@@ -312,8 +335,8 @@ func NewJob(c *Coordinator, spec []byte, parties, workers int) (*Job, error) {
 	c.nextJob++
 	c.mu.Unlock()
 
-	j := &Job{c: c, id: id, spec: spec, parties: parties, slots: evenSlots(parties, workers)}
-	claimed, err := c.claimIdle(workers)
+	j := &Job{c: c, ctx: ctx, id: id, spec: spec, parties: parties, slots: evenSlots(parties, workers)}
+	claimed, err := c.claimIdle(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +416,8 @@ func (j *Job) dropWorker(s *slot, w *workerConn, cause error) {
 }
 
 // acquire returns the slot's attached worker, claiming and assigning a
-// replacement (blocking until one registers) when the slot is vacant.
+// replacement (blocking until one registers, or the job's ctx is done) when
+// the slot is vacant.
 func (j *Job) acquire(s *slot) (*workerConn, error) {
 	s.mu.Lock()
 	w := s.w
@@ -402,7 +426,7 @@ func (j *Job) acquire(s *slot) (*workerConn, error) {
 		return w, nil
 	}
 	for {
-		claimed, err := j.c.claimIdle(1)
+		claimed, err := j.c.claimIdle(j.ctx, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -447,8 +471,12 @@ func (j *Job) slotOf(id int) int {
 // results index-addressed into out. Worker failures mid-wave detach the
 // worker and replay the slot's assignment — the spec, then the identical
 // sub-wave with the parameters back on its frame — onto a replacement, so a
-// disturbed run produces bit-identical results to an undisturbed one.
+// disturbed run produces bit-identical results to an undisturbed one. A job
+// whose ctx is done dispatches no further wave.
 func (j *Job) TrainWave(d fl.TrainDispatch, out []model.LocalResult) error {
+	if err := j.ctx.Err(); err != nil {
+		return fmt.Errorf("dist: job %d: %w", j.id, err)
+	}
 	j.waveSeq++
 	wave := j.waveSeq
 

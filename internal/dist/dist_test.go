@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -804,6 +806,138 @@ func TestCoordinatorCloseUnblocksJobCreation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("NewJob still blocked after Close")
+	}
+}
+
+// TestCancelledClaimReturns: a job waiting for the one worker another job
+// holds returns its context's cancellation, wrapped, within a second of the
+// cancel, and claims nothing: the worker goes to the next job once freed.
+func TestCancelledClaimReturns(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	if err := coord.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	spec := mustGoldenSpec(t)
+	holder, err := NewJob(coord, spec, 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := NewJobContext(ctx, coord, spec, 12, 1)
+		errCh <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled claim returned %v, want context.Canceled wrapped", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a cancelled claim still waited a second later")
+	}
+	holder.Close()
+	bounded, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	next, err := NewJobContext(bounded, coord, spec, 12, 1)
+	if err != nil {
+		t.Fatalf("the freed worker did not go to the next job: %v", err)
+	}
+	next.Close()
+}
+
+// stoppingTransport wraps a Job and, as a chosen wave dispatches, runs act
+// (a cancel, a worker kill) before passing the wave on.
+type stoppingTransport struct {
+	*Job
+	at, wave int
+	act      func()
+}
+
+func (s *stoppingTransport) TrainWave(d fl.TrainDispatch, out []model.LocalResult) error {
+	if s.wave++; s.wave == s.at {
+		s.act()
+	}
+	return s.Job.TrainWave(d, out)
+}
+
+// TestCancelledJobReleasesItsWorkers cancels a two-worker job's context as
+// its third wave dispatches, with nothing else watching the context: the
+// job dispatches no further wave, the run returns the cancel, and once the
+// job closes the coordinator's idle pool holds both workers again.
+func TestCancelledJobReleasesItsWorkers(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	for i := 0; i < 2; i++ {
+		startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	}
+	if err := coord.AwaitWorkers(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	job, err := NewJobContext(ctx, coord, mustGoldenSpec(t), 12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := fl.GoldenChaosConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Transport = &stoppingTransport{Job: job, at: 3, act: cancel}
+	if _, err := fl.Run(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled wrapped", err)
+	}
+	for _, st := range job.Stats() {
+		if st.Waves > 2 {
+			t.Fatalf("slot %d completed %d waves after a cancel at the third", st.Slot, st.Waves)
+		}
+	}
+	job.Close()
+	coord.mu.Lock()
+	idle := len(coord.idle)
+	coord.mu.Unlock()
+	if idle != 2 {
+		t.Fatalf("%d idle workers after the cancelled job closed, want 2", idle)
+	}
+}
+
+// TestCancelledReplacementWaitReturns kills a one-worker job's only worker
+// as its second wave dispatches, with no replacement to come: the slot waits
+// for one until the job's context is cancelled, then the run returns the
+// cancel, wrapped, within a second.
+func TestCancelledReplacementWaitReturns(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	victim := startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	if err := coord.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	job, err := NewJobContext(ctx, coord, mustGoldenSpec(t), 12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Close()
+	cfg, err := fl.GoldenChaosConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cancelled time.Time
+	cfg.Transport = &stoppingTransport{Job: job, at: 2, act: func() {
+		victim.Close()
+		time.AfterFunc(50*time.Millisecond, func() {
+			cancelled = time.Now()
+			cancel()
+		})
+	}}
+	if _, err := fl.Run(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run with a cancelled replacement wait returned %v, want context.Canceled wrapped", err)
+	}
+	if took := time.Since(cancelled); took > time.Second {
+		t.Fatalf("the run returned %v after the cancel", took)
 	}
 }
 

@@ -714,8 +714,10 @@ func buildAlgorithm(name string, sgd model.SGDConfig) (fl.ServerOptimizer, model
 // Attach prepares one repeat's built job before it runs: it may hand the job
 // to an external training transport — a dist.Job whose workers rebuild the
 // same fleet from built.Config.Seed — or return a nil one to train
-// in-process, and returns the release to call once that repeat has run.
-type Attach func(built *BuildResult) (transport fl.ShardTransport, release func(), err error)
+// in-process, and returns the release to call once that repeat has run. ctx
+// is the repeat's: a transport stops waiting for its resources once it is
+// done.
+type Attach func(ctx context.Context, built *BuildResult) (transport fl.ShardTransport, release func(), err error)
 
 // RunSettingClusters builds and executes one cell, averaging scale.Repeats
 // seeds: the package's only repeat loop and across-seed reduction. The
@@ -772,7 +774,7 @@ func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRou
 			built.Config.OnRound = onRound
 		}
 		if attach != nil {
-			transport, release, err := attach(built)
+			transport, release, err := attach(ctx, built)
 			if err != nil {
 				return repOut{err: err}
 			}

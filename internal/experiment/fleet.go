@@ -41,9 +41,9 @@ type FleetSweep struct {
 	// concurrency M of the buffered pipeline.
 	Rounds, PartiesPerRound int
 	// Strategy picks the selector by registry name; any registered selector
-	// is accepted — see selection.Names(). Every selector has a fleet-scale
-	// path above the 2048-party scale threshold, so per-round cost stays O(cohort +
-	// pool), not O(population).
+	// is accepted — see selection.Names(). Most selectors' per-round cost
+	// stays O(cohort + pool) at fleet scale, not O(population); TiFL's is
+	// O(parties/tiers) per step, one rescan of each tier a round reported to.
 	Strategy string
 	// Seed fixes the run; Parallelism bounds the engine worker pool (0 =
 	// GOMAXPROCS).
@@ -170,12 +170,12 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 				}
 				// The cell's job has one repeat, so one probe serves it.
 				var phases fl.Phases
-				probed := func(built *BuildResult) (fl.ShardTransport, func(), error) {
+				probed := func(ctx context.Context, built *BuildResult) (fl.ShardTransport, func(), error) {
 					built.Config.Phases = &phases
 					if attach == nil {
 						return nil, func() {}, nil
 					}
-					return attach(built)
+					return attach(ctx, built)
 				}
 				var before, after runtime.MemStats
 				runtime.GC()

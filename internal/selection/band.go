@@ -90,14 +90,11 @@ func (t *triedSet) split(request int) (nExplore, nExploit int) {
 
 // readBand copies the candidate band off the heap in (utility desc, id asc)
 // order — uniquely determined by the heap's strict total order regardless of
-// its layout. A bounded band is the top max(candidatePool, 2·request) tried
-// parties; an unbounded one is the whole tried set. The heap keeps its band
-// sorted between reads and patches it on every re-key, so a read is O(k).
-func (t *triedSet) readBand(request int, bounded bool) {
-	k := t.nTried
-	if bounded {
-		k = min(max(candidatePool, 2*request), t.nTried)
-	}
+// its layout: the top max(candidatePool, 2·request) tried parties, or all of
+// them while there are fewer. The heap keeps its band sorted between reads
+// and patches it on every re-key, so a read is O(k).
+func (t *triedSet) readBand(request int) {
+	k := min(max(candidatePool, 2*request), t.nTried)
 	t.candIDs, t.candScores = t.heap.top(k, t.candIDs[:0], t.candScores[:0])
 }
 

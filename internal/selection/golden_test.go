@@ -19,8 +19,8 @@ import (
 // split, the candidate band, the straggler order) were factored out, and a
 // refactor of the selection layer must leave it byte-unchanged. The 3000-party
 // half runs every fleet-scale path — Oort's heap band and untried pool, the
-// Scored family's bounded band, TiFL's streaming tiers, the bounded
-// clustering pools and the capped label-clustering sweep.
+// bounded clustering pools and the capped label-clustering sweep — and TiFL
+// and the Scored family at fleet size.
 func TestSelectionsGolden(t *testing.T) {
 	t.Parallel()
 	want, err := os.ReadFile(filepath.Join("testdata", "selections.golden"))

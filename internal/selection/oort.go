@@ -8,16 +8,17 @@ import (
 	"flips/internal/rng"
 )
 
-// scaleModeThreshold is the population size above which the adaptive
-// selectors switch from their exact small-fleet algorithms (full scans /
-// full pairwise clustering) to the bounded fleet-scale structures (top-k
-// utility heaps, swap-removed exploration pools, bounded clustering pools).
-// Below the threshold behavior is bit-identical to the pre-scale selectors;
-// above it, per-round cost and memory stop growing with the population (Oort
-// runs guided selection over ~1.3M clients this way — Lai et al., OSDI'21).
-// The registry passes it to every constructor, whose scaleThreshold
-// parameter exists so the in-package tests can run a fleet-scale twin at a
-// testable size.
+// scaleModeThreshold is the population size above which Oort, GradClus/DPP
+// and the label-clustering builders switch from their exact small-fleet
+// algorithms (full scans / full pairwise clustering / the full k sweep) to
+// bounded fleet-scale ones (a top-k utility heap and swap-removed untried
+// pool, a bounded gradient pool, a capped sweep); TiFL and the Scored family
+// run one algorithm at every size. Below the threshold behavior is
+// bit-identical to the pre-scale selectors; above it, per-round cost and
+// memory stop growing with the population (Oort runs guided selection over
+// ~1.3M clients this way — Lai et al., OSDI'21). The Oort, GradClus and DPP
+// constructors take it as scaleThreshold so the in-package tests can run a
+// fleet-scale twin at a testable size.
 const scaleModeThreshold = 2048
 
 // The comparison baselines run at fixed published settings (DESIGN.md,
@@ -40,9 +41,9 @@ const (
 	// slowPenalty divides the utility of parties slower than 1.5× the round's
 	// median duration, and of stragglers (Oort's systemic utility).
 	slowPenalty = 2
-	// candidatePool bounds the fleet-scale exploitation band: each round reads
-	// the top max(candidatePool, 2·request) parties by utility off the heap's
-	// band instead of scoring every tried party.
+	// candidatePool bounds the Scored and fleet-scale Oort band: each round
+	// reads the top max(candidatePool, 2·request) parties by utility off the
+	// heap's band instead of scoring every tried party.
 	candidatePool = 256
 )
 
@@ -151,7 +152,7 @@ func (s *Oort) Select(round, target int) []int {
 	}
 	if nExploit > 0 {
 		if s.scaleMode {
-			s.readBand(request, true)
+			s.readBand(request)
 		}
 		logRound := math.Log(float64(round + 1))
 		for j, id := range s.candIDs {

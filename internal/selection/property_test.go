@@ -30,13 +30,14 @@ import (
 // The registry half of the suite enumerates selection.Names() and fails if a
 // registered selector has no registryCaseProps entry: a selector cannot be
 // added to the registry without declaring its invariants here and passing
-// them. Fleet-scale twins are exercised at small n by passing the unexported
-// constructors a scale threshold of 1 — plus one pre-warmed 640-party scenario
-// whose tried set outgrows candidatePool and gradPoolCap, so the band and
-// pool bounds actually engage; the pool-based ones (Oort's untried pool, GradClus/DPP's recency
-// list, TiFL's streaming tiers) are order-sensitive by construction, so they
-// assert determinism but not permutation invariance — the Scored family's
-// scale mode shares all state with its exact mode and stays fully invariant.
+// them. A pre-warmed 640-party scenario whose tried set outgrows
+// candidatePool and gradPoolCap makes the band and pool bounds engage. The
+// registry's TiFL and Scored builds, which run one algorithm at every size,
+// meet it as their "-scale" cases. Oort's, GradClus's and DPP's fleet-scale
+// twins are exercised at small n by passing the unexported constructors a
+// scale threshold of 1, and meet it too; their pools (Oort's untried pool,
+// GradClus/DPP's recency list) are order-sensitive by construction, so they
+// assert determinism but not permutation invariance.
 
 type selectorCase struct {
 	name string
@@ -46,15 +47,18 @@ type selectorCase struct {
 	wantLen func(n, target int, sawStrag bool) (int, int)
 	// orderInvariant asserts the re-indexed-feedback invariance too.
 	orderInvariant bool
-	// fleetTwin marks a forced fleet-scale twin, which also runs the
-	// pre-warmed large scenario.
-	fleetTwin bool
+	// small runs the six randomized small scenarios; fleet runs the
+	// pre-warmed large one.
+	small, fleet bool
 }
 
 // selectorProps declares a registered selector's invariants for the suite.
 type selectorProps struct {
 	wantLen        func(n, target int, sawStrag bool) (int, int)
 	orderInvariant bool
+	// fleet adds a "-scale" case: the registry build meeting the pre-warmed
+	// large scenario.
+	fleet bool
 }
 
 func exactLen(n, target int, _ bool) (int, int) {
@@ -84,14 +88,14 @@ var registryCaseProps = map[string]selectorProps{
 	"flips":                {wantLen: flipsLen, orderInvariant: true},
 	"oort":                 {wantLen: oortLen, orderInvariant: true},
 	"gradclus":             {wantLen: exactLen, orderInvariant: true},
-	"tifl":                 {wantLen: exactLen, orderInvariant: true},
+	"tifl":                 {wantLen: exactLen, orderInvariant: true, fleet: true},
 	"power-of-choice":      {wantLen: exactLen, orderInvariant: true},
 	"cluster-proportional": {wantLen: exactLen, orderInvariant: true},
-	"grad-norm":            {wantLen: exactLen, orderInvariant: true},
-	"loss-prop":            {wantLen: exactLen, orderInvariant: true},
-	"divergence":           {wantLen: exactLen, orderInvariant: true},
-	"soft-deadline":        {wantLen: exactLen, orderInvariant: true},
-	"hard-deadline":        {wantLen: exactLen, orderInvariant: true},
+	"grad-norm":            {wantLen: exactLen, orderInvariant: true, fleet: true},
+	"loss-prop":            {wantLen: exactLen, orderInvariant: true, fleet: true},
+	"divergence":           {wantLen: exactLen, orderInvariant: true, fleet: true},
+	"soft-deadline":        {wantLen: exactLen, orderInvariant: true, fleet: true},
+	"hard-deadline":        {wantLen: exactLen, orderInvariant: true, fleet: true},
 	"dpp":                  {wantLen: exactLen, orderInvariant: true},
 }
 
@@ -133,14 +137,14 @@ func testBuildContext(n int, seed uint64) BuildContext {
 }
 
 func selectorCases(t *testing.T) []selectorCase {
-	var cases []selectorCase
+	var cases, scaled []selectorCase
 	for _, name := range Names() {
 		props, ok := registryCaseProps[name]
 		if !ok {
 			t.Fatalf("selector %q is registered but has no property-suite entry — add it to registryCaseProps", name)
 		}
 		name := name
-		cases = append(cases, selectorCase{
+		c := selectorCase{
 			name: name,
 			build: func(n int, seed uint64) fl.Selector {
 				sel, _, err := Build(name, testBuildContext(n, seed))
@@ -151,7 +155,13 @@ func selectorCases(t *testing.T) []selectorCase {
 			},
 			wantLen:        props.wantLen,
 			orderInvariant: props.orderInvariant,
-		})
+			small:          true,
+		}
+		cases = append(cases, c)
+		if props.fleet {
+			c.name, c.small, c.fleet = name+"-scale", false, true
+			scaled = append(scaled, c)
+		}
 	}
 	// Fleet-scale twins, forced with a scale threshold of 1.
 	cases = append(cases,
@@ -161,19 +171,6 @@ func selectorCases(t *testing.T) []selectorCase {
 				return newOort(n, nil, 1, rng.New(seed))
 			},
 			wantLen: oortLen,
-		},
-		selectorCase{
-			name: "tifl-scale",
-			build: func(n int, seed uint64) fl.Selector {
-				r := rng.New(seed)
-				lr := r.Split(1)
-				ls := make([]float64, n)
-				for i := range ls {
-					ls[i] = 0.1 + lr.Float64()
-				}
-				return newTiFL(ls, 1, r.Split(2))
-			},
-			wantLen: exactLen,
 		},
 		selectorCase{
 			name: "gradclus-scale",
@@ -190,21 +187,10 @@ func selectorCases(t *testing.T) []selectorCase {
 			wantLen: exactLen,
 		},
 	)
-	for _, kind := range scoredKinds {
-		kind := kind
-		cases = append(cases, selectorCase{
-			name: kind.String() + "-scale",
-			build: func(n int, seed uint64) fl.Selector {
-				return newScored(kind, n, 0, 1, rng.New(seed))
-			},
-			wantLen:        exactLen,
-			orderInvariant: true,
-		})
-	}
 	for i := len(Names()); i < len(cases); i++ {
-		cases[i].fleetTwin = true
+		cases[i].small, cases[i].fleet = true, true
 	}
-	return cases
+	return append(cases, scaled...)
 }
 
 // TestPropertySuiteCoversRegistry enforces the registry-admission rule: every
@@ -283,12 +269,12 @@ func TestSelectorInvariantSuite(t *testing.T) {
 				n, target, warm int
 			}
 			var scenarios []scenario
-			for seed := uint64(1); seed <= 6; seed++ {
+			for seed := uint64(1); tc.small && seed <= 6; seed++ {
 				scen := rng.New(seed * 0x51)
 				n := 8 + scen.Intn(40)
 				scenarios = append(scenarios, scenario{seed: seed, n: n, target: 1 + scen.Intn(n)})
 			}
-			if tc.fleetTwin {
+			if tc.fleet {
 				// 400 tried parties against a 40-party request: the candidate
 				// band (256) and the gradient pool (192) are both bounded.
 				scenarios = append(scenarios, scenario{seed: 7, n: 640, target: 40, warm: 400})

@@ -107,7 +107,7 @@ var registry = []entry{
 		if ctx.Latencies == nil {
 			return nil, nil, fmt.Errorf("selection: selector %q needs per-party latencies", "tifl")
 		}
-		return newTiFL(ctx.Latencies(), scaleModeThreshold, ctx.RNG), nil, nil
+		return newTiFL(ctx.Latencies(), ctx.RNG), nil, nil
 	}},
 	{"power-of-choice", func(ctx BuildContext) (fl.Selector, [][]int, error) {
 		factor, err := ResolveCandidateFactor(ctx.CandidateFactor)
@@ -140,7 +140,7 @@ var registry = []entry{
 // scoredEntry is the registry row of one Scored kind, named by the kind.
 func scoredEntry(kind scoredKind) entry {
 	return entry{kind.String(), func(ctx BuildContext) (fl.Selector, [][]int, error) {
-		return newScored(kind, ctx.NumParties, ctx.Deadline, scaleModeThreshold, ctx.RNG), nil, nil
+		return newScored(kind, ctx.NumParties, ctx.Deadline, ctx.RNG), nil, nil
 	}}
 }
 

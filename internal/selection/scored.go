@@ -48,14 +48,12 @@ func (k scoredKind) String() string { return scoredNames[k] }
 //
 // State updates consume feedback through copies of the reports and the
 // stragglers sorted by party ID, so Observe — and therefore every later
-// Select — is invariant to feedback ordering. Below the scale threshold the
-// candidate band is the whole tried set; above it the band is bounded by
-// candidatePool. Nothing else differs between the modes, so the fleet-scale
-// path's below-threshold twin is bit-identical by construction.
+// Select — is invariant to feedback ordering. The candidate band is the top
+// max(candidatePool, 2·request) tried parties at every fleet size: the whole
+// tried set until more than candidatePool parties have been tried.
 type Scored struct {
 	kind       scoredKind
 	numParties int
-	scaleMode  bool
 	r          *rng.Source
 	// fixedDeadline is the reporting deadline in simulated seconds for the
 	// deadline kinds. 0 means adaptive: the mean observed completion duration
@@ -80,11 +78,10 @@ var _ fl.UpdateConsumer = (*Scored)(nil)
 // newScored builds the kind's selector: the exploration schedule and the
 // candidate band are the ones Oort uses (band.go); deadline only matters to
 // the deadline kinds.
-func newScored(kind scoredKind, numParties int, deadline float64, scaleThreshold int, r *rng.Source) *Scored {
+func newScored(kind scoredKind, numParties int, deadline float64, r *rng.Source) *Scored {
 	return &Scored{
 		kind:          kind,
 		numParties:    numParties,
-		scaleMode:     numParties > scaleThreshold,
 		r:             r,
 		fixedDeadline: deadline,
 		triedSet:      newTriedSet(numParties, true),
@@ -136,7 +133,7 @@ func (s *Scored) Select(_, target int) []int {
 		}
 	}
 	if nExploit > 0 {
-		s.readBand(target, s.scaleMode)
+		s.readBand(target)
 		selected = s.draw(selected, nExploit, s.r)
 	}
 	return selected

@@ -1,7 +1,6 @@
 package selection
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -11,35 +10,6 @@ import (
 )
 
 var scoredKinds = []scoredKind{scoreGradNorm, scoreLossProp, scoreDivergence, scoreSoftDeadline, scoreHardDeadline}
-
-// TestScoredThresholdForcingBitIdentical is the PR 4–5 twin rule for the
-// Scored family: a threshold-1 (forced fleet-scale) instance whose candidate
-// band (candidatePool ≥ n here) covers the tried set must produce byte-identical
-// trajectories to the default-threshold exact instance — the scale threshold
-// only bounds the band, it must not touch state or RNG consumption.
-func TestScoredThresholdForcingBitIdentical(t *testing.T) {
-	t.Parallel()
-	const n, target, gradDim = 40, 9, 6
-	for _, kind := range scoredKinds {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			t.Parallel()
-			exact := newScored(kind, n, 0, scaleModeThreshold, rng.New(11))
-			forced := newScored(kind, n, 0, 1, rng.New(11))
-			needUpdates := exact.NeedsUpdates()
-			for round := 0; round < 8; round++ {
-				a := exact.Select(round, target)
-				b := forced.Select(round, target)
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("round %d: exact and forced fleet-scale twins diverged:\n%v\n%v", round, a, b)
-				}
-				fb, _ := scenarioFeedback(round, a, gradDim, needUpdates)
-				exact.Observe(fb)
-				forced.Observe(fb)
-			}
-		})
-	}
-}
 
 // TestScoredRanksBySignal pins each kind's scoring direction with a
 // hand-built feedback round: the party with the stronger signal must carry
@@ -64,16 +34,16 @@ func TestScoredRanksBySignal(t *testing.T) {
 		}
 	}
 
-	gn := newScored(scoreGradNorm, n, 0, scaleModeThreshold, rng.New(1))
+	gn := newScored(scoreGradNorm, n, 0, rng.New(1))
 	gn.Observe(fb)
 	check("grad-norm", gn, 0, 1)
 
-	lp := newScored(scoreLossProp, n, 0, scaleModeThreshold, rng.New(1))
+	lp := newScored(scoreLossProp, n, 0, rng.New(1))
 	lp.Observe(fb)
 	check("loss-prop", lp, 0, 1)
 
 	// Divergence: party 1's update is far from the round mean ((0.1+3)/2).
-	dv := newScored(scoreDivergence, n, 0, scaleModeThreshold, rng.New(1))
+	dv := newScored(scoreDivergence, n, 0, rng.New(1))
 	dv.Observe(fb)
 	if math.Abs(dv.utility[0]-dv.utility[1]) > 1e-12 {
 		t.Errorf("divergence: two-party round should score both parties equally far from the mean: %v vs %v",
@@ -81,14 +51,14 @@ func TestScoredRanksBySignal(t *testing.T) {
 	}
 
 	// Deadline kinds: fixed deadline 2.0; party 0 fits, party 1 overshoots.
-	sd := newScored(scoreSoftDeadline, n, 2, scaleModeThreshold, rng.New(1))
+	sd := newScored(scoreSoftDeadline, n, 2, rng.New(1))
 	sd.Observe(fb)
 	check("soft-deadline", sd, 1, 0)
 	if want := (2.0 / 5.0) * (2.0 / 5.0); math.Abs(sd.utility[1]-want) > 1e-12 {
 		t.Errorf("soft-deadline overshoot score %v, want %v", sd.utility[1], want)
 	}
 
-	hd := newScored(scoreHardDeadline, n, 2, scaleModeThreshold, rng.New(1))
+	hd := newScored(scoreHardDeadline, n, 2, rng.New(1))
 	hd.Observe(fb)
 	if hd.utility[1] != 0 {
 		t.Errorf("hard-deadline: overshooting party scored %v, want 0", hd.utility[1])
@@ -99,7 +69,7 @@ func TestScoredRanksBySignal(t *testing.T) {
 
 	// Adaptive deadline: resolved from history *before* this round's
 	// durations are ingested — the first round judges everyone against +Inf.
-	ad := newScored(scoreHardDeadline, n, 0, scaleModeThreshold, rng.New(1))
+	ad := newScored(scoreHardDeadline, n, 0, rng.New(1))
 	ad.Observe(fb)
 	if ad.utility[0] != 1 || ad.utility[1] != 1 {
 		t.Errorf("adaptive hard-deadline first round scored %v/%v, want 1/1", ad.utility[0], ad.utility[1])
@@ -123,7 +93,7 @@ func TestScoredRanksBySignal(t *testing.T) {
 // buildScoredFleet warms a fleet-scale Scored selector with enough observed
 // history that Select exercises the bounded candidate band.
 func buildScoredFleet(kind scoredKind, n int) (*Scored, fl.RoundFeedback) {
-	s := newScored(kind, n, 0, scaleModeThreshold, rng.New(5))
+	s := newScored(kind, n, 0, rng.New(5))
 	const cohort = 1000
 	var fb fl.RoundFeedback
 	for i := 0; i < cohort; i++ {

@@ -279,7 +279,7 @@ func TestGradClusScaleRecency(t *testing.T) {
 func TestTiFLTiersByLatency(t *testing.T) {
 	t.Parallel()
 	latencies := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := newTiFL(latencies, scaleModeThreshold, rng.New(12))
+	s := newTiFL(latencies, rng.New(12))
 	// Parties 0,1 are tier 0 (fastest); 8,9 tier 4 (slowest).
 	if s.tierOf[0] != 0 || s.tierOf[1] != 0 {
 		t.Fatalf("fastest parties in tier %d/%d", s.tierOf[0], s.tierOf[1])
@@ -295,7 +295,7 @@ func TestTiFLSelectsWithinOneTier(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := newTiFL(latencies, scaleModeThreshold, rng.New(13))
+	s := newTiFL(latencies, rng.New(13))
 	sel := s.Select(0, 4) // tier size is exactly 4
 	if len(sel) != 4 {
 		t.Fatalf("selected %d", len(sel))
@@ -315,7 +315,7 @@ func TestTiFLTopsUpFromNeighbours(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := newTiFL(latencies, scaleModeThreshold, rng.New(14))
+	s := newTiFL(latencies, rng.New(14))
 	sel := s.Select(0, 6) // tier size 2 < 6: must borrow neighbours
 	if len(sel) != 6 {
 		t.Fatalf("selected %d", len(sel))
@@ -329,7 +329,7 @@ func TestTiFLAdaptsTowardHighLossTiers(t *testing.T) {
 	for i := range latencies {
 		latencies[i] = float64(i)
 	}
-	s := newTiFL(latencies, scaleModeThreshold, rng.New(15))
+	s := newTiFL(latencies, rng.New(15))
 	// Five tiers of four parties, fastest first. Make the slowest tier's loss
 	// huge: at adaptivity 0.7 its weight is 0.3+0.7·100 against ≈0.3 each for
 	// the other four, so it should be chosen ≈98% of the time.
@@ -346,7 +346,7 @@ func TestTiFLAdaptsTowardHighLossTiers(t *testing.T) {
 	slowest := 0
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		if s.chooseTier() == 4 {
+		if s.r.Categorical(s.tierWeights()) == 4 {
 			slowest++
 		}
 	}
@@ -391,7 +391,7 @@ func TestAllSelectorsReturnValidSelections(t *testing.T) {
 			NewRandom(n, r.Split(1)),
 			newOort(n, nil, scaleModeThreshold, r.Split(2)),
 			newGradClus(n, 4, scaleModeThreshold, r.Split(3)),
-			newTiFL(latencies, scaleModeThreshold, r.Split(4)),
+			newTiFL(latencies, r.Split(4)),
 			NewPowerOfChoice(n, 2, r.Split(5)),
 		}
 		for _, s := range selectors {

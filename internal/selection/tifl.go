@@ -33,19 +33,17 @@ const (
 // neighbour top-ups are sampled as a virtual concatenation (identical RNG
 // consumption and output to the historical pool-copy implementation), so a
 // fleet-scale tier of tens of thousands of parties costs nothing to draw
-// from. Above the scale threshold, tier mean losses are additionally maintained
-// as streaming sums updated per observed party.
+// from. A tier's weight comes from a rescan of its members' losses in
+// member order at every fleet size, redone only for the tiers an Observe
+// touched, so a step costs one rescan of each touched tier.
 type TiFL struct {
 	r      *rng.Source
 	tiers  [][]int // tier -> party ids, fastest first
 	tierOf []int
 	loss   []float64 // last observed mean loss per party
 
-	// scaleMode switches chooseTier to the incremental tierLossSum instead
-	// of rescanning tier members.
-	scaleMode   bool
-	tierLossSum []float64
-
+	weights    []float64 // each tier's weight, current where fresh is set
+	fresh      []bool
 	segScratch [][]int // reusable virtual-concatenation segment list
 }
 
@@ -53,15 +51,18 @@ var _ fl.Selector = (*TiFL)(nil)
 
 // newTiFL builds a TiFL selector from profiled per-party latencies
 // (the offline profiling phase of the TiFL system).
-func newTiFL(latencies []float64, scaleThreshold int, r *rng.Source) *TiFL {
+func newTiFL(latencies []float64, r *rng.Source) *TiFL {
 	n := len(latencies)
 	numTiers := min(tiflTiers, n)
 	t := &TiFL{
-		r:      r,
-		tierOf: make([]int, n),
-		loss:   make([]float64, n),
+		r:       r,
+		tierOf:  make([]int, n),
+		loss:    make([]float64, n),
+		weights: make([]float64, numTiers),
+		fresh:   make([]bool, numTiers),
 	}
-	// Quantile tiering: sort by latency, cut into equal tiers.
+	// Quantile tiering: sort by latency, cut into equal tiers (numTiers ≤ n,
+	// so each gets a member).
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -81,13 +82,6 @@ func newTiFL(latencies []float64, scaleThreshold int, r *rng.Source) *TiFL {
 	for i := range t.loss {
 		t.loss[i] = 1 // optimistic prior so fresh tiers stay eligible
 	}
-	if n > scaleThreshold {
-		t.scaleMode = true
-		t.tierLossSum = make([]float64, numTiers)
-		for tier, members := range t.tiers {
-			t.tierLossSum[tier] = float64(len(members)) // prior loss of 1 each
-		}
-	}
 	return t
 }
 
@@ -101,7 +95,7 @@ func (s *TiFL) Name() string { return "tifl" }
 // with the exact RNG consumption and index mapping of the historical
 // implementation.
 func (s *TiFL) Select(_, target int) []int {
-	tier := s.chooseTier()
+	tier := s.r.Categorical(s.tierWeights())
 	segs := append(s.segScratch[:0], s.tiers[tier])
 	total := len(s.tiers[tier])
 	// Top up from adjacent tiers if this tier is too small.
@@ -133,37 +127,32 @@ func (s *TiFL) Select(_, target int) []int {
 	return out
 }
 
-// chooseTier blends uniform and loss-weighted tier selection.
-func (s *TiFL) chooseTier() int {
+// tierWeights returns the tier choice's weights, a blend of uniform and
+// loss-weighted choice, recomputing those of the tiers that are not fresh.
+func (s *TiFL) tierWeights() []float64 {
 	// A variable, so 1−adaptivity is float64 arithmetic rather than an exact
 	// constant expression: the blend weights keep their historical bits.
 	adaptivity := tiflAdaptivity
-	weights := make([]float64, len(s.tiers))
 	for tier, members := range s.tiers {
-		if len(members) == 0 {
+		if s.fresh[tier] {
 			continue
 		}
 		var meanLoss float64
-		if s.scaleMode {
-			meanLoss = s.tierLossSum[tier] / float64(len(members))
-		} else {
-			for _, id := range members {
-				meanLoss += s.loss[id]
-			}
-			meanLoss /= float64(len(members))
+		for _, id := range members {
+			meanLoss += s.loss[id]
 		}
-		weights[tier] = float64((1-adaptivity)*1) + float64(adaptivity*math.Max(meanLoss, 1e-6))
+		meanLoss /= float64(len(members))
+		s.weights[tier] = float64((1-adaptivity)*1) + float64(adaptivity*math.Max(meanLoss, 1e-6))
+		s.fresh[tier] = true
 	}
-	return s.r.Categorical(weights)
+	return s.weights
 }
 
-// Observe implements fl.Selector: refresh per-party loss estimates,
-// streaming the per-tier sums in fleet-scale mode.
+// Observe implements fl.Selector: refresh per-party loss estimates, leaving
+// their tiers' weights to be recomputed.
 func (s *TiFL) Observe(fb fl.RoundFeedback) {
 	for _, r := range fb.Completed {
-		if s.scaleMode {
-			s.tierLossSum[s.tierOf[r.ID]] += r.MeanLoss - s.loss[r.ID]
-		}
 		s.loss[r.ID] = r.MeanLoss
+		s.fresh[s.tierOf[r.ID]] = false
 	}
 }

@@ -401,7 +401,7 @@ func TestNaNUtilities(t *testing.T) {
 			return s, &s.triedSet
 		}},
 		{"loss-prop", func() (fl.Selector, *triedSet) {
-			s := newScored(scoreLossProp, n, 0, 10, rng.New(31))
+			s := newScored(scoreLossProp, n, 0, rng.New(31))
 			return s, &s.triedSet
 		}},
 	} {

@@ -16,10 +16,11 @@
 // Jobs run on a bounded parallel.Queue: submission never blocks — a full
 // buffer answers 429 so load sheds at the edge — and Drain implements
 // graceful shutdown: new submissions get 503 while every job already
-// accepted (queued or running) runs to completion, so an orderly SIGTERM
-// never loses a job. A cancelled job ends in the cancelled state: a queued
-// one never runs, a running one stops before its next round. Client
-// (client.go) is the one submit-and-follow client of these endpoints.
+// accepted (queued or running) runs to completion, for at most drainTimeout;
+// whatever is left then is cancelled. An orderly SIGTERM never loses a job:
+// each ends done, failed or cancelled. A cancelled job ends in the cancelled
+// state: a queued one never runs, a running one stops before its next round.
+// Client (client.go) is the one submit-and-follow client of these endpoints.
 package server
 
 import (
@@ -80,6 +81,11 @@ const (
 // be written within the bound ends the stream and releases the connection. A
 // variable only so the test can shorten it.
 var streamWriteTimeout = 30 * time.Second
+
+// drainTimeout bounds how long Drain lets accepted jobs run on before it
+// cancels every one still queued or running. A variable only so the test can
+// shorten it.
+var drainTimeout = 2 * time.Minute
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -224,13 +230,30 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Drain stops accepting jobs (POST answers 503) and blocks until every job
-// already accepted has finished. Status, stream and metrics endpoints keep
+// already accepted has finished. Once drainTimeout has passed it cancels
+// every job still queued or running, then waits for their runners: those jobs
+// end cancelled and are counted. Status, stream and metrics endpoints keep
 // serving throughout, so clients can collect results during the drain.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
+	bound := time.AfterFunc(drainTimeout, s.cancelAll)
+	defer bound.Stop()
 	s.queue.Drain()
+}
+
+// cancelAll cancels every job not yet in a terminal state.
+func (s *Server) cancelAll() {
+	s.mu.Lock()
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		jobs = append(jobs, j)
+	}
+	s.mu.Unlock()
+	for _, j := range jobs {
+		s.cancel(j)
+	}
 }
 
 // Stats reads the counters.

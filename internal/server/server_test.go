@@ -309,6 +309,54 @@ func TestDrainLosesNoJob(t *testing.T) {
 	}
 }
 
+// TestDrainCancelsWhatOutlastsItsBound drains a server whose running job
+// never finishes on its own and whose second job is still queued behind it:
+// once drainTimeout has passed, Drain cancels both and returns, each ends
+// cancelled, and the books balance.
+func TestDrainCancelsWhatOutlastsItsBound(t *testing.T) {
+	old := drainTimeout
+	drainTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { drainTimeout = old })
+	started := make(chan struct{}, 1)
+	s := New(Config{
+		Workers: 1,
+		Run: func(ctx context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, fmt.Errorf("stopped: %w", ctx.Err())
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	stuck := submit(t, ts)
+	<-started
+	queued := submit(t, ts)
+	begin := time.Now()
+	drained := make(chan struct{})
+	go func() {
+		s.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not end a job that never finishes")
+	}
+	if took := time.Since(begin); took < drainTimeout {
+		t.Fatalf("Drain returned after %v, before its %v bound", took, drainTimeout)
+	}
+	for _, id := range []string{stuck.ID, queued.ID} {
+		if st := getStatus(t, ts, id); st.State != StateCancelled {
+			t.Fatalf("job %s state %q after a bounded drain, want cancelled", id, st.State)
+		}
+	}
+	if got := s.Stats(); got.Accepted != 2 || got.Cancelled != 2 || got.InFlight != 0 ||
+		got.Accepted != got.Done+got.Failed+got.Cancelled {
+		t.Fatalf("books after a bounded drain: %+v", got)
+	}
+}
+
 func TestStreamReplaysAndFollows(t *testing.T) {
 	t.Parallel()
 	release := make(chan struct{})
