@@ -48,11 +48,12 @@ const retainedJobStats = 4
 // every repeat's local training attached to its own dist.Job. Each repeat's
 // party space is split into Workers contiguous shard ranges, each assigned to
 // a claimed worker along with the job description carrying that repeat's
-// seed; the coordinator keeps every other stage of the round — device
-// simulation, chaos, privacy, folds, server optimization, evaluation — and the
-// across-repeat reduction, so the result is byte-identical to the in-process
-// engine at any worker count. Once ctx is done the job stops before its next
-// round and returns ctx's error, wrapped.
+// seed, and the workers build their ranges while the coordinator builds the
+// repeat's fleet. The coordinator keeps every other stage of the round —
+// device simulation, chaos, privacy, folds, server optimization, evaluation —
+// and the across-repeat reduction, so the result is byte-identical to the
+// in-process engine at any worker count. Once ctx is done the job stops
+// before its next round and returns ctx's error, wrapped.
 func (r *DistRunner) Run(ctx context.Context, cfg SimulationConfig, onRound func(RoundPoint)) (*SimulationResult, error) {
 	if r.Coord == nil || r.Workers <= 0 {
 		return nil, fmt.Errorf("flips: distributed runner needs a coordinator and a positive worker count")

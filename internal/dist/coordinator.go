@@ -196,26 +196,30 @@ func (c *Coordinator) WorkerCount() int {
 }
 
 // AwaitWorkers blocks until at least n workers are registered, or the
-// timeout expires, or the coordinator closes.
+// timeout expires, or the coordinator closes. It waits on the registry's
+// cond: a registration wakes it, and so do Close and a timer that fires at
+// the timeout, as a done ctx wakes claimIdle.
 func (c *Coordinator) AwaitWorkers(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	// The condition variable has no timed wait; poll at a cadence far finer
-	// than any realistic worker startup.
-	for {
+	expired := false
+	timer := time.AfterFunc(timeout, func() {
 		c.mu.Lock()
-		have, closed := len(c.workers), c.closed
-		c.mu.Unlock()
-		if closed {
-			return fmt.Errorf("dist: coordinator closed")
-		}
-		if have >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: %d of %d workers after %v", have, n, timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
+		defer c.mu.Unlock()
+		expired = true
+		c.cond.Broadcast()
+	})
+	defer timer.Stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.workers) < n && !c.closed && !expired {
+		c.cond.Wait()
 	}
+	switch {
+	case c.closed:
+		return fmt.Errorf("dist: coordinator closed")
+	case len(c.workers) < n:
+		return fmt.Errorf("dist: %d of %d workers after %v", len(c.workers), n, timeout)
+	}
+	return nil
 }
 
 // Close stops accepting (connections still in their handshake are closed, not

@@ -809,6 +809,54 @@ func TestCoordinatorCloseUnblocksJobCreation(t *testing.T) {
 	}
 }
 
+// TestAwaitWorkersWakes: AwaitWorkers returns once the n-th worker has
+// registered, not before; with too few it returns the timeout error at its
+// timeout; and Close unblocks a wait that no worker will end.
+func TestAwaitWorkersWakes(t *testing.T) {
+	coord, addr := startCoordinator(t)
+	awaited := make(chan error, 1)
+	go func() { awaited <- coord.AwaitWorkers(2, time.Minute) }()
+	startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	for coord.WorkerCount() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-awaited:
+		t.Fatalf("AwaitWorkers(2) returned %v with one worker registered", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	startWorker(t, addr, WorkerOptions{Builder: goldenBuilder})
+	select {
+	case err := <-awaited:
+		if err != nil {
+			t.Fatalf("AwaitWorkers(2) with two workers registered: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AwaitWorkers(2) still blocked with two workers registered")
+	}
+
+	start := time.Now()
+	err := coord.AwaitWorkers(3, 50*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "2 of 3 workers after 50ms") {
+		t.Fatalf("AwaitWorkers(3) with two workers: %v, want the timeout error", err)
+	}
+	if took := time.Since(start); took < 50*time.Millisecond || took > 5*time.Second {
+		t.Fatalf("AwaitWorkers with a 50ms timeout returned after %v", took)
+	}
+
+	// Close ends the wait whether it lands before or after the call parks.
+	go func() { awaited <- coord.AwaitWorkers(3, time.Minute) }()
+	coord.Close()
+	select {
+	case err := <-awaited:
+		if err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("AwaitWorkers across Close returned %v, want the closed error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AwaitWorkers still blocked after Close")
+	}
+}
+
 // TestCancelledClaimReturns: a job waiting for the one worker another job
 // holds returns its context's cancellation, wrapped, within a second of the
 // cancel, and claims nothing: the worker goes to the next job once freed.

@@ -235,7 +235,7 @@ func TestBuildStopsWhenCancelled(t *testing.T) {
 	})
 	defer timer.Stop()
 	start := time.Now()
-	_, _, err = RunSettingClusters(ctx, setting, scale, func(fl.RoundStats) { t.Error("a round ran after the build was cancelled") }, nil)
+	_, _, err = RunSettingClusters(ctx, setting, scale, func(fl.RoundStats) { t.Error("a round ran after the build was cancelled") }, nil, nil)
 	end := time.Now()
 	if !errors.Is(err, context.Canceled) || err == context.Canceled {
 		t.Fatalf("cancelled job returned %v, want context.Canceled wrapped", err)

@@ -6,6 +6,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"unsafe"
 
@@ -711,13 +712,17 @@ func buildAlgorithm(name string, sgd model.SGDConfig) (fl.ServerOptimizer, model
 	}
 }
 
-// Attach prepares one repeat's built job before it runs: it may hand the job
-// to an external training transport — a dist.Job whose workers rebuild the
-// same fleet from built.Config.Seed — or return a nil one to train
-// in-process, and returns the release to call once that repeat has run. ctx
-// is the repeat's: a transport stops waiting for its resources once it is
-// done.
-type Attach func(ctx context.Context, built *BuildResult) (transport fl.ShardTransport, release func(), err error)
+// Attach readies one repeat's training transport — a dist.Job whose workers
+// rebuild the repeat's fleet from its seed — or returns a nil one to train
+// in-process, and returns the release to call once that repeat has run. It
+// is handed only what a worker needs before the fleet exists, the repeat's
+// seed and party count, because RunSettingClusters starts it on its own
+// goroutine before the repeat's build and joins it after: the workers build
+// while the coordinator builds. ctx is the repeat's set-up context: it is
+// done once the repeat's ctx is, or once the coordinator's build fails, and
+// a transport stops waiting for its resources then. An error cancels the
+// coordinator's build at its next stage check.
+type Attach func(ctx context.Context, seed uint64, parties int) (transport fl.ShardTransport, release func(), err error)
 
 // RunSettingClusters builds and executes one cell, averaging scale.Repeats
 // seeds: the package's only repeat loop and across-seed reduction. The
@@ -740,17 +745,26 @@ type Attach func(ctx context.Context, built *BuildResult) (transport fl.ShardTra
 // seeds only to average the headline numbers, so streaming them would
 // interleave unrelated trajectories). The hook runs on the first repeat's
 // evaluator goroutine, in round order and never after this function returns;
-// see fl.Config.OnRound for its retention contract.
+// see fl.Config.OnRound for its retention contract. phases, when non-nil,
+// probes the first repeat's run the same way (fl.Config.Phases).
 // attach, when non-nil, routes every repeat's local training through the
-// transport it returns. Every repeat's build stops between its stages and
-// every run before its next round once ctx is done (BuildContext,
-// fl.Config.Context), and the cell returns ctx's error, wrapped.
-func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRound func(fl.RoundStats), attach Attach) (*fl.Result, [][]int, error) {
+// transport it returns, readied while the repeat builds (setUp); the cell is
+// validated first, so a job the plan refuses never reaches a worker. Every
+// repeat's build stops between its stages and every run before its next
+// round once ctx is done (BuildContext, fl.Config.Context), and the cell
+// returns ctx's error, wrapped.
+func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRound func(fl.RoundStats), phases *fl.Phases, attach Attach) (*fl.Result, [][]int, error) {
 	repeats := max(scale.Repeats, 1)
 	budget := parallel.New(scale.Parallelism).Width()
 	repWidth := min(budget, repeats)
 	innerScale := scale
 	innerScale.Parallelism = max(budget/repWidth, 1)
+	if attach != nil {
+		// A repeat's seed offset moves no refusal, so one check covers them.
+		if err := Validate(setting, innerScale); err != nil {
+			return nil, nil, err
+		}
+	}
 	type repOut struct {
 		res      *fl.Result
 		clusters [][]int
@@ -765,21 +779,18 @@ func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRou
 			ch.Seed += offset
 			s.Chaos = &ch
 		}
-		built, err := BuildContext(ctx, s, innerScale)
+		built, transport, release, err := setUp(ctx, s.Seed, innerScale.Parties, attach, func(ctx context.Context) (*BuildResult, error) {
+			return BuildContext(ctx, s, innerScale)
+		})
 		if err != nil {
 			return repOut{err: err}
 		}
+		defer release()
 		built.Config.Context = ctx
+		built.Config.Transport = transport
 		if rep == 0 {
 			built.Config.OnRound = onRound
-		}
-		if attach != nil {
-			transport, release, err := attach(ctx, built)
-			if err != nil {
-				return repOut{err: err}
-			}
-			defer release()
-			built.Config.Transport = transport
+			built.Config.Phases = phases
 		}
 		res, err := fl.Run(built.Config)
 		return repOut{res: res, clusters: built.Clusters, err: err}
@@ -810,4 +821,51 @@ func RunSettingClusters(ctx context.Context, setting Setting, scale Scale, onRou
 		first.TimeToTarget = -1
 	}
 	return first, outs[0].clusters, nil
+}
+
+// setUp readies one repeat: build assembles the coordinator's fleet while
+// attach, when non-nil, readies the transport on its own goroutine, so the
+// repeat's first round waits for the slower of the two, not for their sum.
+// Both run under one set-up context that the first failure cancels: a failed
+// assignment stops the build at its next stage check, and a failed build
+// stops a claim still waiting for workers. The join releases a transport
+// whose build failed. The error returned is the side's that failed first; a
+// done ctx stops both, and the build's error then says so. release ends the
+// set-up context too, so it is called once the repeat has run.
+func setUp(ctx context.Context, seed uint64, parties int, attach Attach, build func(context.Context) (*BuildResult, error)) (built *BuildResult, transport fl.ShardTransport, release func(), err error) {
+	if attach == nil {
+		built, err = build(ctx)
+		return built, nil, func() {}, err
+	}
+	setup, stop := context.WithCancelCause(ctx)
+	type attached struct {
+		transport fl.ShardTransport
+		release   func()
+		err       error
+	}
+	done := make(chan attached, 1)
+	go func() {
+		var a attached
+		a.transport, a.release, a.err = attach(setup, seed, parties)
+		if a.err != nil {
+			stop(a.err)
+		}
+		done <- a
+	}()
+	built, err = build(setup)
+	if err != nil {
+		stop(err)
+	}
+	a := <-done
+	if err == nil && a.err == nil {
+		return built, a.transport, func() { a.release(); stop(nil) }, nil
+	}
+	if a.err == nil {
+		a.release()
+	}
+	stop(nil)
+	if a.err != nil && (err == nil || errors.Is(context.Cause(setup), a.err)) {
+		return nil, nil, nil, a.err
+	}
+	return nil, nil, nil, err
 }

@@ -20,7 +20,7 @@ func tinyScale() Scale {
 
 // runSetting runs one cell in-process without a round hook.
 func runSetting(setting Setting, scale Scale) (*fl.Result, error) {
-	res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, nil)
+	res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, nil, nil)
 	return res, err
 }
 

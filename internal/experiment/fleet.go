@@ -170,18 +170,11 @@ func RunFleet(sweep FleetSweep, spawn WorkerSpawner, progress func(string)) ([]F
 				}
 				// The cell's job has one repeat, so one probe serves it.
 				var phases fl.Phases
-				probed := func(ctx context.Context, built *BuildResult) (fl.ShardTransport, func(), error) {
-					built.Config.Phases = &phases
-					if attach == nil {
-						return nil, func() {}, nil
-					}
-					return attach(ctx, built)
-				}
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
 				start := time.Now()
-				res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, probed)
+				res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, &phases, attach)
 				elapsed := time.Since(start).Seconds()
 				runtime.ReadMemStats(&after)
 				stop()

@@ -129,7 +129,7 @@ func TestScaleShardsAreBitInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, nil)
+		res, _, err := RunSettingClusters(context.Background(), setting, scale, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

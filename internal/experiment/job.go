@@ -335,17 +335,17 @@ func DistWorkerBuilder() dist.Builder {
 // whose spec is cfg at the repeat's seed, so DistWorkerBuilder rebuilds that
 // repeat's fleet; its party space is split into `workers` contiguous ranges.
 // opened, when non-nil, is handed each job and returns what to run just
-// before the job closes. Once the repeat's ctx is done, the job stops
-// waiting for workers and dispatches no further wave.
+// before the job closes. Once the repeat's set-up context is done, the job
+// stops waiting for workers and dispatches no further wave.
 func AttachDist(coord *dist.Coordinator, cfg SimulationConfig, workers int, opened func(*dist.Job) (closing func())) Attach {
-	return func(ctx context.Context, built *BuildResult) (fl.ShardTransport, func(), error) {
+	return func(ctx context.Context, seed uint64, parties int) (fl.ShardTransport, func(), error) {
 		repeat := cfg
-		repeat.Seed = built.Config.Seed
+		repeat.Seed = seed
 		spec, err := json.Marshal(repeat)
 		if err != nil {
 			return nil, nil, fmt.Errorf("flips: encode job spec: %w", err)
 		}
-		job, err := dist.NewJobContext(ctx, coord, spec, len(built.Parties), workers)
+		job, err := dist.NewJobContext(ctx, coord, spec, parties, workers)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -159,7 +159,7 @@ func (s Sweep) runCells(scale Scale, idx []int, progress func(string)) ([]Cell, 
 			}
 		}
 		what := strings.Join(row.Labels, " ") + " " + col.Labels[0]
-		res, _, err := RunSettingClusters(context.Background(), setting, cellScale, nil, nil)
+		res, _, err := RunSettingClusters(context.Background(), setting, cellScale, nil, nil, nil)
 		if err != nil {
 			return out{err: fmt.Errorf("run %s: %w", what, err)}
 		}

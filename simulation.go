@@ -72,7 +72,7 @@ func runSimulation(ctx context.Context, cfg SimulationConfig, onRound func(Round
 	if err != nil {
 		return nil, err
 	}
-	res, clusters, err := experiment.RunSettingClusters(ctx, setting, scale, onRound, attach)
+	res, clusters, err := experiment.RunSettingClusters(ctx, setting, scale, onRound, nil, attach)
 	if err != nil {
 		return nil, err
 	}
