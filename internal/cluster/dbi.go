@@ -94,7 +94,7 @@ func dbiCurve(ctx context.Context, s *sweep, repeats int, r *rng.Source) ([]floa
 				return nil, err
 			}
 			tr := *r.Split(uint64(k*1000 + t))
-			s.run(k, &tr, maxIterations)
+			s.run(k, &tr, MaxIterations)
 			sum += s.daviesBouldin(k)
 		}
 		curve = append(curve, sum/float64(repeats))
@@ -177,6 +177,6 @@ func OptimalK(ctx context.Context, points *tensor.Mat, maxK, repeats int, r, fit
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := s.fit(ElbowK(curve), fit, maxIterations)
+	res, err := s.fit(ElbowK(curve), fit, MaxIterations)
 	return res, curve, err
 }

@@ -42,10 +42,11 @@ func (res *KMeansResult) Clusters() [][]int {
 	return out
 }
 
-// Lloyd's iteration stops after maxIterations, or earlier once the inertia
+// Lloyd's iteration stops after MaxIterations, or earlier once the inertia
 // improves by less than the fraction tolerance of its previous value.
+// MaxIterations also bounds a job's clustering work before it is built.
 const (
-	maxIterations = 100
+	MaxIterations = 100
 	tolerance     = 1e-6
 )
 
@@ -53,7 +54,7 @@ const (
 // followed by Lloyd's algorithm. Points must be non-empty and
 // 1 <= k <= points.Rows.
 func KMeans(points *tensor.Mat, k int, r *rng.Source) (*KMeansResult, error) {
-	return kmeans(points, k, r, maxIterations)
+	return kmeans(points, k, r, MaxIterations)
 }
 
 // kmeans is KMeans with the Lloyd iteration cap as a parameter.

@@ -174,7 +174,7 @@ func refDBICurve(points []tensor.Vec, maxK, repeats int, r *rng.Source) []float6
 	for k := 2; k <= maxK; k++ {
 		var sum float64
 		for t := 0; t < repeats; t++ {
-			res, _ := refKMeans(points, k, r.Split(uint64(k*1000+t)), maxIterations)
+			res, _ := refKMeans(points, k, r.Split(uint64(k*1000+t)), MaxIterations)
 			sum += refDaviesBouldin(points, res)
 		}
 		curve = append(curve, sum/float64(repeats))
@@ -258,7 +258,7 @@ func TestKMeansMatchesReference(t *testing.T) {
 			r := rng.New(seed)
 			points, _ := blobPoints(2+int(seed%4), 15, 5, 3, 1.5, r)
 			for _, k := range []int{1, 2, 3, 7, len(points)} {
-				checkKMeansMatches(t, points, k, seed*17, maxIterations)
+				checkKMeansMatches(t, points, k, seed*17, MaxIterations)
 				checkKMeansMatches(t, points, k, seed*17, 2) // stopped before convergence
 			}
 			checkCurveMatches(t, points, 12, 4, seed)
@@ -276,7 +276,7 @@ func TestKMeansMatchesReference(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 4, 8, len(points)} {
 			for seed := uint64(0); seed < 4; seed++ {
-				checkKMeansMatches(t, points, k, seed, maxIterations)
+				checkKMeansMatches(t, points, k, seed, MaxIterations)
 			}
 		}
 		checkCurveMatches(t, points, 10, 5, 3)
@@ -288,7 +288,7 @@ func TestKMeansMatchesReference(t *testing.T) {
 		points := []tensor.Vec{{0, 0}, {0, 0}, {0, 0}, {1, 0}, {1, 0}, {5, 5}}
 		reseeds := 0
 		for seed := uint64(0); seed < 16; seed++ {
-			reseeds += checkKMeansMatches(t, points, len(points), seed, maxIterations)
+			reseeds += checkKMeansMatches(t, points, len(points), seed, MaxIterations)
 		}
 		if reseeds == 0 {
 			t.Fatal("no run re-seeded an empty cluster; the case proves nothing")
@@ -337,14 +337,14 @@ func TestKMeansMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: reference seeded %v second", seed, res.Centroids[1][0])
 			}
 			checkKMeansMatches(t, points, 2, seed, 0) // the seeds themselves
-			checkKMeansMatches(t, points, 2, seed, maxIterations)
+			checkKMeansMatches(t, points, 2, seed, MaxIterations)
 		}
 		if below == 0 {
 			t.Fatal("no seed drew u < 1; the case proves nothing")
 		}
 	})
 	t.Run("one-point", func(t *testing.T) {
-		checkKMeansMatches(t, []tensor.Vec{{0.25, 0.75}}, 1, 1, maxIterations)
+		checkKMeansMatches(t, []tensor.Vec{{0.25, 0.75}}, 1, 1, MaxIterations)
 		checkCurveMatches(t, []tensor.Vec{{0.25, 0.75}}, 4, 2, 1)
 	})
 }
@@ -384,7 +384,7 @@ func FuzzKMeansFlat(f *testing.F) {
 				}
 			}
 		}
-		checkKMeansMatches(t, points, kk, seed, maxIterations)
+		checkKMeansMatches(t, points, kk, seed, MaxIterations)
 		checkCurveMatches(t, points, min(np, 6), 2, seed)
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 
+	"flips/internal/fmath"
 	"flips/internal/rng"
 )
 
@@ -225,7 +226,7 @@ func lognormal(median, sigma float64, r *rng.Source) float64 {
 	if sigma <= 0 {
 		return median
 	}
-	return median * math.Exp(sigma*r.NormFloat64())
+	return median * fmath.Exp(sigma*r.NormFloat64())
 }
 
 // OnlineProb returns the device's online probability at the given round —
@@ -237,7 +238,7 @@ func (d *Device) OnlineProb(round int) float64 {
 	case Diurnal:
 		mid := (d.Avail.MinProb + d.Avail.MaxProb) / 2
 		amp := (d.Avail.MaxProb - d.Avail.MinProb) / 2
-		return float64(mid) + float64(amp*math.Sin(2*math.Pi*(float64(round)/d.Avail.Period+d.Phase)))
+		return float64(mid) + float64(amp*fmath.Sin(2*math.Pi*(float64(round)/d.Avail.Period+d.Phase)))
 	case Trace:
 		if d.Avail.Trace.Online(d.TraceRow, round) {
 			return 1

@@ -8,9 +8,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"flips/internal/chaos"
+	"flips/internal/cluster"
 	"flips/internal/dataset"
 	"flips/internal/device"
 	"flips/internal/fl"
@@ -271,6 +273,7 @@ type BuildResult struct {
 type plan struct {
 	spec    dataset.Spec
 	profile TrainingProfile
+	params  int // the model's parameter count
 	cfg     fl.Config
 }
 
@@ -341,15 +344,15 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 	}
 
 	classes := len(spec.LabelNames)
-	factory := model.LogRegFactory(spec.Dim, classes)
+	factory, params := model.LogRegFactory(spec.Dim, classes), model.LogRegParams(spec.Dim, classes)
 	if profile.Hidden > 0 {
-		factory = model.MLPFactory(spec.Dim, profile.Hidden, classes)
+		factory, params = model.MLPFactory(spec.Dim, profile.Hidden, classes), model.MLPParams(spec.Dim, profile.Hidden, classes)
 	}
 	perRound := int(setting.PartyFraction * float64(scale.Parties))
 	if perRound < 1 {
 		perRound = 1
 	}
-	return &plan{spec: spec, profile: profile, cfg: fl.Config{
+	pl := &plan{spec: spec, profile: profile, params: params, cfg: fl.Config{
 		NumClasses:      classes,
 		Factory:         factory,
 		Optimizer:       opt,
@@ -370,7 +373,55 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 		Fold:            fold,
 		Privacy:         setting.Privacy,
 		Seed:            setting.Seed,
-	}}, nil
+	}}
+	work, bytes := pl.cost(setting.Strategy, scale.Parties)
+	if work > maxJobWork {
+		return nil, fmt.Errorf("experiment: job work term %.3g (rounds x cohort x local steps x parameters, plus the clustering sweep) is above the %.0e work bound", work, maxJobWork)
+	}
+	if bytes > maxJobBytes {
+		return nil, fmt.Errorf("experiment: job byte term %.1f GiB (data, per-party state, model and update vectors) is above the %d GiB byte bound", bytes/(1<<30), maxJobBytes>>30)
+	}
+	return pl, nil
+}
+
+// A job is admitted only if its cost terms stay under these bounds, so no
+// submission can hold a worker for days or ask for more heap than the host
+// has. Every job the repo runs sits far below both: a paper-scale artifact
+// cell's work is at most ≈2.4·10¹⁰ (400 rounds of a full 200-party cohort
+// at two epochs of the largest model) and a 1M-party FLIPS scale cell is
+// ≈2.4·10⁹ work and ≈0.8 GiB (DESIGN.md, "Admission by cost").
+const (
+	maxJobWork  = 1e12
+	maxJobBytes = 3 << 30
+)
+
+// partyBytes is the live heap one party holds beside its samples: its
+// fl.Party, label distribution and device, the engine's per-party shard
+// state and the selector's. Measured after GC mid-run at 10k–300k parties
+// (buffered, 64 shards): 139–146 B for random, 171–185 for flips, 187–200 for
+// oort.
+const partyBytes = 200
+
+// cost returns the plan's two admission terms for a fleet of parties under
+// the named selector, before anything is built:
+//   - work, in parameter-sample steps: rounds × cohort × local steps (epochs
+//     × the mean party's samples) × parameters, plus the clustering sweep's
+//     bound, maxK × restarts × parties × Lloyd passes, for a selector whose
+//     build clusters;
+//   - bytes of live heap: the generated data, partyBytes per party, and one
+//     parameter vector per cohort member plus the engine's own model and
+//     optimizer vectors.
+func (pl *plan) cost(strategy string, parties int) (work, bytes float64) {
+	params := float64(pl.params)
+	cohort := float64(pl.cfg.PartiesPerRound)
+	steps := float64(pl.cfg.SGD.LocalEpochs) * math.Ceil(float64(pl.spec.TrainSize)/float64(parties))
+	work = float64(float64(pl.cfg.Rounds) * cohort * steps * params)
+	if maxK, restarts := selection.SweepBound(strategy, parties); maxK > 0 {
+		work += float64(float64(maxK) * float64(restarts) * float64(parties) * cluster.MaxIterations)
+	}
+	const engineVectors = 8 // global model, optimizer moments, fold accumulators
+	bytes = float64(dataBytes(pl.spec)) + float64(partyBytes*float64(parties)) + float64(8*params*(cohort+engineVectors))
+	return work, bytes
 }
 
 // Validate reports whether Build followed by fl.Run would accept the job,

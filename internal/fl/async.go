@@ -2,7 +2,8 @@ package fl
 
 import (
 	"fmt"
-	"math"
+
+	"flips/internal/fmath"
 )
 
 // defaultStalenessHalfLife is the staleness half-life (in server model
@@ -26,7 +27,7 @@ func stalenessDiscount(staleness int, halfLife float64) float64 {
 	if staleness <= 0 {
 		return 1
 	}
-	return math.Exp2(-float64(staleness) / halfLife)
+	return fmath.Exp2(-float64(staleness) / halfLife)
 }
 
 func orHalfLife(h float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"flips/internal/dataset"
+	"flips/internal/fmath"
 	"flips/internal/model"
 	"flips/internal/rng"
 	"flips/internal/secagg"
@@ -438,7 +439,7 @@ func pickStragglers(cfg Config, invited []int, r *rng.Source, out []int) []int {
 	weights := make([]float64, len(invited))
 	chosen := make([]bool, len(invited))
 	for i, id := range invited {
-		weights[i] = math.Pow(cfg.Parties[id].Latency, cfg.StragglerBias)
+		weights[i] = fmath.Pow(cfg.Parties[id].Latency, cfg.StragglerBias)
 	}
 	for picks := 0; picks < k; picks++ {
 		var mass float64

@@ -7,10 +7,9 @@
 package fl
 
 import (
-	"math"
-
 	"flips/internal/dataset"
 	"flips/internal/device"
+	"flips/internal/fmath"
 	"flips/internal/partition"
 	"flips/internal/rng"
 	"flips/internal/tensor"
@@ -76,7 +75,7 @@ func ProfileParties(parties []*Party, numClasses int, latencySigma float64, r *r
 	for _, p := range parties {
 		p.Latency = 1.0
 		if latencySigma > 0 {
-			p.Latency = math.Exp(latencySigma * r.NormFloat64())
+			p.Latency = fmath.Exp(latencySigma * r.NormFloat64())
 		}
 		p.LabelDist = tensor.NewVec(numClasses)
 		for _, s := range p.Data {

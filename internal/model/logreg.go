@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"flips/internal/dataset"
+	"flips/internal/fmath"
 	"flips/internal/rng"
 	"flips/internal/tensor"
 )
@@ -60,7 +61,11 @@ func (m *LogReg) Clone() Model {
 }
 
 // NumParams returns classes*dim + classes.
-func (m *LogReg) NumParams() int { return m.classes*m.dim + m.classes }
+func (m *LogReg) NumParams() int { return LogRegParams(m.dim, m.classes) }
+
+// LogRegParams is the parameter count of a dim → classes logistic
+// regression, known before one is built.
+func LogRegParams(dim, classes int) int { return classes*dim + classes }
 
 // Params returns a copy of [W row-major..., b...].
 func (m *LogReg) Params() tensor.Vec { return m.params.Clone() }
@@ -142,7 +147,7 @@ func (m *LogReg) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		for k, s := range batch[:n] {
 			p := ps[k]
 			p.SoftmaxInPlace()
-			total += -math.Log(math.Max(p[s.Y], 1e-12))
+			total += -fmath.Log(math.Max(p[s.Y], 1e-12))
 			p[s.Y] -= 1 // dL/dz = softmax - onehot
 		}
 		wGrad.AddOuterInPlace(inv, ps, xs[:n])

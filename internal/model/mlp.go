@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"flips/internal/dataset"
+	"flips/internal/fmath"
 	"flips/internal/rng"
 	"flips/internal/tensor"
 )
@@ -79,8 +80,12 @@ func (m *MLP) Clone() Model {
 }
 
 // NumParams returns the total parameter count.
-func (m *MLP) NumParams() int {
-	return m.hidden*m.dim + m.hidden + m.classes*m.hidden + m.classes
+func (m *MLP) NumParams() int { return MLPParams(m.dim, m.hidden, m.classes) }
+
+// MLPParams is the parameter count of a dim → hidden → classes MLP, known
+// before one is built.
+func MLPParams(dim, hidden, classes int) int {
+	return hidden*dim + hidden + classes*hidden + classes
 }
 
 // Params returns a copy of [W1..., b1..., W2..., b2...].
@@ -180,7 +185,7 @@ func (m *MLP) LossGradient(batch []dataset.Sample, out tensor.Vec) float64 {
 		for k, s := range batch[:n] {
 			h, z, dh := hs[k], zs[k], dhs[k]
 			z.SoftmaxInPlace()
-			total += -math.Log(math.Max(z[s.Y], 1e-12))
+			total += -fmath.Log(math.Max(z[s.Y], 1e-12))
 			z[s.Y] -= 1 // dL/dlogits
 
 			// Backprop through ReLU: dh[i] = 0 where the unit is off. Half the

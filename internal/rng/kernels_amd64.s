@@ -1,7 +1,7 @@
 // The SSE2 kernel for Source.Normals' transform. Each lane computes one
-// normal's scalar chain, polar(u, s) = u·√(−2·logPolar(s)/s), with the same
-// IEEE operations in the same order as the Go code in normal.go: frexp by
-// masking the bits, the √2/2 fold by a compare mask, then the log's
+// normal's scalar chain, polar(u, s) = u·√(−2·ln(s)/s), with the same IEEE
+// operations in the same order as the Go code in normal.go and fmath.Log:
+// frexp by masking the bits, the √2/2 fold by a compare mask, then the log's
 // polynomial, the division and the square root. There is no fused
 // multiply-add, so every result is bit-equal to the Go loop in
 // kernels_other.go (DESIGN.md, "Normal draws"). SSE2 is the amd64 baseline;
@@ -101,7 +101,7 @@ polarLanes:
 	CVTPL2PD X2, X2            // X2 = k
 	// if f1 < √2/2 { k -= 1; f1 *= 2 }: a lane mask ANDed with 1.
 	MOVAPD X1, X3
-	CMPPD  HSQRT2, X3, $1      // X3 = f1 < √2/2
+	CMPPD  HSQRT2, X3, $1      // X3 = f1 < √2/2 (fmath.Log folds f1 = √2/2 too: same bits on [2⁻¹⁰⁴, 1))
 	ANDPD  ONE, X3             // 0 or 1
 	SUBPD  X3, X2              // k
 	ADDPD  ONE, X3             // 1 or 2

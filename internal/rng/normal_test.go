@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
+
+	"flips/internal/fmath"
 )
 
 // polarTransformReference is the Go loop kernels_other.go runs on every
@@ -21,8 +22,8 @@ func sameFloatBits(a, b float64) bool { return math.Float64bits(a) == math.Float
 
 // TestNormFloat64Digest pins the bits of 16 streams of 65,536 normals each,
 // and the state each stream ends in, as they were drawn through math.Log on
-// amd64. It holds on every GOARCH: the transform is logPolar, not the host's
-// libm.
+// amd64. It holds on every GOARCH: the transform's logarithm is fmath.Log,
+// not the host's libm.
 func TestNormFloat64Digest(t *testing.T) {
 	t.Parallel()
 	h := sha256.New()
@@ -44,19 +45,18 @@ func TestNormFloat64Digest(t *testing.T) {
 	}
 }
 
-// TestLogPolarMatchesMathLog checks the ported logarithm against math.Log,
-// which on amd64 is the assembly it ports: on the polar domain's edges and
-// exponents, at the √2/2 fold, and over every positive normal exponent.
+// TestLogPolarMatchesMathLog checks the logarithm the polar transform takes,
+// fmath.Log, against the bits math.Log gave on amd64, where it is the
+// assembly fmath.Log ports: on the polar domain's edges and exponents, at the
+// √2/2 fold, and over every positive normal exponent. The bits are pinned as
+// a digest, so every GOARCH checks them.
 func TestLogPolarMatchesMathLog(t *testing.T) {
 	t.Parallel()
-	if runtime.GOARCH != "amd64" {
-		t.Skip("math.Log is GOROOT's log_amd64.s only on amd64")
-	}
+	h := sha256.New()
+	var w [8]byte
 	check := func(x float64) {
-		if got, want := logPolar(x), math.Log(x); !sameFloatBits(got, want) {
-			t.Fatalf("logPolar(%v) = %v (%#x), math.Log gives %v (%#x)",
-				x, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(fmath.Log(x)))
+		h.Write(w[:])
 	}
 	for _, x := range []float64{0x1p-104, 0x1p-1022, math.Nextafter(1, 0), 0.5, 1, 2, math.MaxFloat64} {
 		check(x)
@@ -73,6 +73,10 @@ func TestLogPolarMatchesMathLog(t *testing.T) {
 		b := r.Uint64()&(1<<52-1) | uint64(1+r.Intn(0x7FE))<<52
 		check(math.Float64frombits(b))
 		check(polarS(r.Uint64()))
+	}
+	const want = "ecc92d2ff2f332741f272fc285031868ab3dbf851dda0fc7c7f050f4858e9ff3"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("fmath.Log digest %s, want %s (math.Log's on amd64)", got, want)
 	}
 }
 
@@ -160,6 +164,13 @@ func TestPolarTransformMatchesGoLoop(t *testing.T) {
 			checkPolarTransform(t, []float64{u, -u}, []float64{s, s})
 			checkPolarTransform(t, []float64{0.5, u, u}, []float64{0.5, s, math.Nextafter(s, 0)})
 		}
+	}
+	// At f1 = √2/2 exactly the kernel's compare does not fold and
+	// fmath.Log's does; the two chains round to the same bits at every
+	// exponent of the domain.
+	for e := -104; e < 0; e++ {
+		s := math.Ldexp(hSqrt2, e)
+		checkPolarTransform(t, []float64{-1, 0.5}, []float64{s, s})
 	}
 	r := New(3)
 	for n := 0; n <= 67; n++ {

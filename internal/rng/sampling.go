@@ -1,6 +1,10 @@
 package rng
 
-import "math"
+import (
+	"math"
+
+	"flips/internal/fmath"
+)
 
 // Dirichlet draws a sample from a symmetric Dirichlet distribution with
 // concentration alpha over dim categories. The returned proportions sum to 1.
@@ -50,7 +54,7 @@ func (r *Source) Gamma(shape float64) float64 {
 		for u == 0 {
 			u = r.Float64()
 		}
-		return r.Gamma(shape+1) * math.Pow(u, 1/shape)
+		return r.Gamma(shape+1) * fmath.Pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
@@ -65,7 +69,7 @@ func (r *Source) Gamma(shape float64) float64 {
 		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
+		if u > 0 && fmath.Log(u) < float64(0.5*x*x)+float64(d*(1-v+fmath.Log(v))) {
 			return d * v
 		}
 	}
@@ -233,7 +237,7 @@ func (r *Source) sampleSparse(n, k int) []int {
 func (r *Source) Laplace(b float64) float64 {
 	u := r.Float64() - 0.5
 	if u < 0 {
-		return b * math.Log(1+2*u)
+		return b * fmath.Log(1+2*u)
 	}
-	return -b * math.Log(1-2*u)
+	return -b * fmath.Log(1-2*u)
 }

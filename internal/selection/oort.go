@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"flips/internal/fl"
+	"flips/internal/fmath"
 	"flips/internal/rng"
 )
 
@@ -154,7 +155,7 @@ func (s *Oort) Select(round, target int) []int {
 		if s.scaleMode {
 			s.readBand(request)
 		}
-		logRound := math.Log(float64(round + 1))
+		logRound := fmath.Log(float64(round + 1))
 		for j, id := range s.candIDs {
 			s.candScores[j] = s.scoreAt(id, round, logRound)
 		}

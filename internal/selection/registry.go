@@ -198,6 +198,26 @@ const (
 	fleetClusterRepeats = 2
 )
 
+// sweepBound is the Davies-Bouldin sweep labelClusters runs over n parties:
+// the largest k and the K-Means restarts per k.
+func sweepBound(n int) (maxK, repeats int) {
+	if n > scaleModeThreshold {
+		return min(core.DefaultMaxK(n), fleetMaxClusters), fleetClusterRepeats
+	}
+	return core.DefaultMaxK(n), 5
+}
+
+// SweepBound returns the Davies-Bouldin sweep the named selector's build runs
+// over n parties — the largest k and the K-Means restarts per k — or 0, 0
+// for a selector whose build does not cluster (every one but the two that
+// call labelClusters).
+func SweepBound(name string, n int) (maxK, repeats int) {
+	if (name != "flips" && name != "cluster-proportional") || n <= 1 {
+		return 0, 0
+	}
+	return sweepBound(n)
+}
+
 // labelClusters runs the FLIPS label-distribution clustering for a build
 // context, using ctx.RNG.Split(1) exactly as the historical builder did.
 func labelClusters(name string, ctx BuildContext) ([][]int, error) {
@@ -210,13 +230,7 @@ func labelClusters(name string, ctx BuildContext) ([][]int, error) {
 		// A singleton population cannot be swept over k >= 2 clusters.
 		return [][]int{{0}}, nil
 	}
-	maxK, repeats := core.DefaultMaxK(n), 5
-	if n > scaleModeThreshold {
-		if maxK > fleetMaxClusters {
-			maxK = fleetMaxClusters
-		}
-		repeats = fleetClusterRepeats
-	}
+	maxK, repeats := sweepBound(n)
 	stop := ctx.Context
 	if stop == nil {
 		stop = context.Background()

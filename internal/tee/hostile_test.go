@@ -291,7 +291,7 @@ func TestMalformedSubmissions(t *testing.T) {
 	}{
 		{"shorter label vector", 6, tensor.Vec{5, 5}, true},
 		{"negative count", 6, tensor.Vec{5, -1, 5}, true},
-		{"party id at MaxInt64", math.MaxInt64, tensor.Vec{5, 5, 5}, false},
+		{"party id at MaxInt64", math.MaxInt, tensor.Vec{5, 5, 5}, false}, // MaxInt32 on 32-bit GOARCHes
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -375,7 +375,7 @@ func TestHostileSelectAndObserve(t *testing.T) {
 			{"straggler", []int{6}, nil, []int{6}},
 			{"completed", []int{6}, []int{6}, nil},
 			{"selected", []int{-1}, nil, nil},
-			{"beside a clustered one", []int{0, math.MaxInt64}, []int{0}, []int{math.MaxInt64}},
+			{"beside a clustered one", []int{0, math.MaxInt}, []int{0}, []int{math.MaxInt}},
 		} {
 			err := remote.ObserveRound(tc.selected, tc.completed, tc.stragglers, 0)
 			if err == nil || !strings.Contains(err.Error(), "never clustered") {
@@ -388,13 +388,14 @@ func TestHostileSelectAndObserve(t *testing.T) {
 	})
 }
 
-// TestSparsePartyIDsRoundTrip: parties 5, 17, 2^40 and MaxInt64 — ids far
-// from the selector's dense indices, submitted out of order — cluster, select
+// TestSparsePartyIDsRoundTrip: parties 5, 17, 2^40 and MaxInt64 (2^8 and
+// MaxInt32 where int is 32 bits) — ids far from the selector's dense indices,
+// submitted out of order — cluster, select
 // and observe over TCP exactly as parties 0–3 with the same label
 // distributions do in-process, id for id, over-provisioning included.
 func TestSparsePartyIDsRoundTrip(t *testing.T) {
 	t.Parallel()
-	ids := []int{5, 17, 1 << 40, math.MaxInt64}
+	ids := []int{5, 17, math.MaxInt>>23 + 1, math.MaxInt}
 	dists := []tensor.Vec{{9, 1}, {1, 9}, {8, 2}, {2, 8}}
 	dense, denseAttest := newTestEnclave(t)
 	if err := SubmitAll(dense, denseAttest, dists); err != nil {

@@ -167,6 +167,22 @@ func TestSoftmaxProperties(t *testing.T) {
 	}
 }
 
+// BenchmarkSoftmax times one softmax over 62 logits (FEMNIST's class count),
+// the loss's fmath.Exp per class; it allocates nothing.
+func BenchmarkSoftmax(b *testing.B) {
+	r := rng.New(1)
+	logits := NewVec(62)
+	for i := range logits {
+		logits[i] = 4 * r.NormFloat64()
+	}
+	v := NewVec(len(logits))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(v, logits)
+		v.SoftmaxInPlace()
+	}
+}
+
 func TestLengthMismatchPanics(t *testing.T) {
 	t.Parallel()
 	defer func() {

@@ -17,6 +17,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"flips/internal/fmath"
 )
 
 // Vec is a dense float64 vector.
@@ -134,7 +136,9 @@ func (v Vec) Normalize() Vec {
 }
 
 // SoftmaxInPlace replaces v with softmax(v), using the max-subtraction trick
-// for numerical stability.
+// for numerical stability. The exponential is fmath.Exp, whose one fused op
+// is an explicit, correctly rounded math.FMA, so the bits are the same on
+// every host.
 func (v Vec) SoftmaxInPlace() {
 	if len(v) == 0 {
 		return
@@ -147,7 +151,7 @@ func (v Vec) SoftmaxInPlace() {
 	}
 	var sum float64
 	for i := range v {
-		v[i] = math.Exp(v[i] - m)
+		v[i] = fmath.Exp(v[i] - m)
 		sum += v[i]
 	}
 	for i := range v {
