@@ -275,6 +275,7 @@ type plan struct {
 	profile TrainingProfile
 	params  int // the model's parameter count
 	cfg     fl.Config
+	work    float64 // the job's admission work term (cost)
 }
 
 // maxDataBytes bounds the samples a job may generate, so a submission cannot
@@ -306,8 +307,8 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 		return nil, err
 	}
 	if b := dataBytes(spec); b > maxDataBytes {
-		return nil, fmt.Errorf("experiment: %d train + %d test samples of dimension %d need %.1f GiB, above the %d GiB data bound",
-			spec.TrainSize, spec.TestSize, spec.Dim, b/(1<<30), maxDataBytes>>30)
+		return nil, fmt.Errorf("%w: %d train + %d test samples of dimension %d need %.1f GiB, above the %d GiB data bound",
+			ErrOverBound, spec.TrainSize, spec.TestSize, spec.Dim, b/(1<<30), maxDataBytes>>30)
 	}
 	if err := partition.CheckDirichlet(spec.TrainSize, scale.Parties, setting.Alpha); err != nil {
 		return nil, err
@@ -374,24 +375,31 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 		Privacy:         setting.Privacy,
 		Seed:            setting.Seed,
 	}}
-	work, bytes := pl.cost(setting.Strategy, scale.Parties)
-	if work > maxJobWork {
-		return nil, fmt.Errorf("experiment: job work term %.3g (rounds x cohort x local steps x parameters, plus the clustering sweep) is above the %.0e work bound", work, maxJobWork)
+	var bytes float64
+	pl.work, bytes = pl.cost(setting.Strategy, scale)
+	if pl.work > maxJobWork {
+		return nil, fmt.Errorf("%w: job work term %.3g (repeats x rounds x cohort x local steps x parameters, plus the clustering sweep) is above the %.0e work bound", ErrOverBound, pl.work, maxJobWork)
 	}
 	if bytes > maxJobBytes {
-		return nil, fmt.Errorf("experiment: job byte term %.1f GiB (data, per-party state, model and update vectors) is above the %d GiB byte bound", bytes/(1<<30), maxJobBytes>>30)
+		return nil, fmt.Errorf("%w: job byte term %.1f GiB (data, per-party state, model and update vectors of the repeats that run at once) is above the %d GiB byte bound", ErrOverBound, bytes/(1<<30), maxJobBytes>>30)
 	}
 	return pl, nil
 }
 
+// ErrOverBound is wrapped by every refusal of a well-formed job whose data or
+// cost term is above its bound, so a caller can tell a job that is too large
+// from one that is malformed.
+var ErrOverBound = errors.New("experiment: job too large")
+
 // A job is admitted only if its cost terms stay under these bounds, so no
 // submission can hold a worker for days or ask for more heap than the host
-// has. Every job the repo runs sits far below both: a paper-scale artifact
-// cell's work is at most ≈2.4·10¹⁰ (400 rounds of a full 200-party cohort
-// at two epochs of the largest model) and a 1M-party FLIPS scale cell is
-// ≈2.4·10⁹ work and ≈0.8 GiB (DESIGN.md, "Admission by cost").
+// has. Every job the repo runs sits at least 10x below the work bound and 2x
+// below the byte bound: a paper-scale artifact cell's work is at most
+// ≈1.45·10¹¹ (six repeats of 400 rounds of a full 200-party cohort at two
+// epochs of the largest model) and a 1M-party FLIPS scale cell is ≈2.4·10⁹
+// work and ≈0.8 GiB (DESIGN.md, "Admission by cost").
 const (
-	maxJobWork  = 1e12
+	maxJobWork  = 2e12
 	maxJobBytes = 3 << 30
 )
 
@@ -402,16 +410,25 @@ const (
 // oort.
 const partyBytes = 200
 
-// cost returns the plan's two admission terms for a fleet of parties under
-// the named selector, before anything is built:
-//   - work, in parameter-sample steps: rounds × cohort × local steps (epochs
-//     × the mean party's samples) × parameters, plus the clustering sweep's
-//     bound, maxK × restarts × parties × Lloyd passes, for a selector whose
-//     build clusters;
-//   - bytes of live heap: the generated data, partyBytes per party, and one
-//     parameter vector per cohort member plus the engine's own model and
-//     optimizer vectors.
-func (pl *plan) cost(strategy string, parties int) (work, bytes float64) {
+// cost returns the plan's two admission terms for scale.Repeats runs over a
+// fleet of scale.Parties parties under the named selector, before anything is
+// built:
+//   - work, in parameter-sample steps, for every repeat: rounds × cohort ×
+//     local steps (epochs × the mean party's samples) × parameters, plus the
+//     clustering sweep's bound, maxK × restarts × parties × Lloyd passes, for
+//     a selector whose build clusters;
+//   - bytes of live heap, for every repeat that runs at once
+//     (min(Repeats, Parallelism), Parallelism 0 read as Repeats so the bound
+//     does not depend on the host's core count): the generated data,
+//     partyBytes per party, and one parameter vector per cohort member plus
+//     the engine's own model and optimizer vectors.
+func (pl *plan) cost(strategy string, scale Scale) (work, bytes float64) {
+	parties := scale.Parties
+	repeats := max(scale.Repeats, 1)
+	concurrent := repeats
+	if scale.Parallelism > 0 {
+		concurrent = min(repeats, scale.Parallelism)
+	}
 	params := float64(pl.params)
 	cohort := float64(pl.cfg.PartiesPerRound)
 	steps := float64(pl.cfg.SGD.LocalEpochs) * math.Ceil(float64(pl.spec.TrainSize)/float64(parties))
@@ -421,7 +438,7 @@ func (pl *plan) cost(strategy string, parties int) (work, bytes float64) {
 	}
 	const engineVectors = 8 // global model, optimizer moments, fold accumulators
 	bytes = float64(dataBytes(pl.spec)) + float64(partyBytes*float64(parties)) + float64(8*params*(cohort+engineVectors))
-	return work, bytes
+	return float64(repeats) * work, float64(concurrent) * bytes
 }
 
 // Validate reports whether Build followed by fl.Run would accept the job,
@@ -430,11 +447,17 @@ func (pl *plan) cost(strategy string, parties int) (work, bytes float64) {
 // devices on all of them or none, and the train set's size as its total
 // weight, which is all fl.Config's own validation reads of it.
 func Validate(setting Setting, scale Scale) error {
+	_, err := admit(setting, scale)
+	return err
+}
+
+// admit is Validate returning the admitted job's work term.
+func admit(setting Setting, scale Scale) (work float64, err error) {
 	pl, err := newPlan(setting, scale)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return pl.cfg.ValidateShape(fl.FleetShape{
+	return pl.work, pl.cfg.ValidateShape(fl.FleetShape{
 		Parties:     scale.Parties,
 		Devices:     setting.Device != nil,
 		TotalWeight: float64(pl.spec.TrainSize),

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -24,7 +25,7 @@ func planCost(t *testing.T, cfg SimulationConfig) (work, bytes float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pl.cost(setting.Strategy, scale.Parties)
+	return pl.cost(setting.Strategy, scale)
 }
 
 // cpuTime is the CPU time this process has used, user and system: unlike
@@ -102,12 +103,27 @@ func TestCostTermsTrackMeasuredCosts(t *testing.T) {
 func TestAdmissionBounds(t *testing.T) {
 	t.Parallel()
 	err := SimulationConfig{Dataset: "mit-bih-ecg", Rounds: 2e9}.Validate()
-	if err == nil || !strings.Contains(err.Error(), "work term") || !strings.Contains(err.Error(), "1e+12 work bound") {
+	if err == nil || !strings.Contains(err.Error(), "work term") || !strings.Contains(err.Error(), "2e+12 work bound") {
 		t.Fatalf("Rounds 2e9: Validate error %v, want the work term refused at its bound", err)
 	}
 	err = SimulationConfig{Dataset: "femnist", Parties: 300000, PartyFraction: 1, Rounds: 1}.Validate()
 	if err == nil || !strings.Contains(err.Error(), "byte term") || !strings.Contains(err.Error(), "3 GiB byte bound") {
 		t.Fatalf("a 300k-party full cohort: Validate error %v, want the byte term refused at its bound", err)
+	}
+	// Admission prices every repeat a job runs: six for a PaperScale job.
+	// One repeat of each job below is under both bounds. Six are over the
+	// work bound, and six at once over the byte bound, unless Parallelism
+	// lets fewer run together.
+	err = SimulationConfig{Dataset: "femnist", PaperScale: true, Rounds: 16000, PartyFraction: 1}.Validate()
+	if !errors.Is(err, ErrOverBound) || !strings.Contains(err.Error(), "work term") {
+		t.Fatalf("six repeats of 16000 full-cohort femnist rounds: Validate error %v, want the work term refused", err)
+	}
+	err = SimulationConfig{Dataset: "mit-bih-ecg", PaperScale: true, Parties: 600000, Rounds: 1}.Validate()
+	if !errors.Is(err, ErrOverBound) || !strings.Contains(err.Error(), "byte term") {
+		t.Fatalf("six 600k-party repeats at once: Validate error %v, want the byte term refused", err)
+	}
+	if err := (SimulationConfig{Dataset: "mit-bih-ecg", PaperScale: true, Parties: 600000, Rounds: 1, Parallelism: 2}).Validate(); err != nil {
+		t.Fatalf("two 600k-party repeats at once: %v", err)
 	}
 
 	admitted := map[string]SimulationConfig{

@@ -88,11 +88,10 @@ type SimulationConfig struct {
 	// result is bit-identical at every setting (see DESIGN.md).
 	Parallelism int
 	// Shards partitions the party population into deterministic contiguous
-	// shards for fleet-scale aggregation: per-party engine state becomes
-	// shard-local and lazily allocated, and the aggregation fold is
-	// partitioned across the worker pool. Results are bit-identical at
-	// every value (see DESIGN.md, "Sharded aggregation"); raise it for
-	// 100k+-party populations. Zero keeps a single shard.
+	// ID ranges, the buckets each round's ShardsTouched counts (a locality
+	// metric). It stores and folds nothing by shard, so results are
+	// bit-identical at every value (see DESIGN.md, "Sharded aggregation").
+	// Zero keeps a single shard.
 	Shards int
 	// Fold selects the aggregation fold: "" or "mean" (the paper's
 	// example-weighted FedAvg average), "trimmed-mean", "median" or "krum".
@@ -262,11 +261,21 @@ func (c SimulationConfig) resolveDevice() (*device.Config, error) {
 // size, device model and train-set size. The job server uses it to answer a
 // malformed submission with 400 instead of accepting a job doomed to fail.
 func (c SimulationConfig) Validate() error {
+	_, err := c.Cost()
+	return err
+}
+
+// Cost is the job's admission work term, in parameter-sample steps over all
+// its repeats (DESIGN.md, "Admission by cost"), or Validate's refusal. A
+// refusal on a data, work or byte bound wraps ErrOverBound. The job server
+// admits a job only while the summed Cost of its queued and running jobs
+// stays under its budget.
+func (c SimulationConfig) Cost() (float64, error) {
 	setting, scale, err := c.Resolve()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return Validate(setting, scale)
+	return admit(setting, scale)
 }
 
 // DecodeSimulationConfig reads one job description — a JSON object with

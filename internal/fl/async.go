@@ -179,15 +179,15 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 		if len(c.dispatched) >= cap {
 			break
 		}
-		if c.inFlight.get(id) {
+		if c.inFlight.has(id) {
 			continue
 		}
 		if c.unreachable(step, id, ar) {
 			// Record each offline invitee once per cycle, however many waves
 			// re-draw it; if a later wave finds it online and dispatches it,
 			// aggregateAsync drops it from the straggler list.
-			if !c.offlineMark.get(id) {
-				c.offlineMark.set(id, true)
+			if !c.offlineMark.has(id) {
+				c.offlineMark.add(id)
 				c.cycleOffline = append(c.cycleOffline, id)
 			}
 			continue
@@ -241,9 +241,9 @@ func (c *eventCore) dispatchWave(step, cap int) (int, error) {
 			waveIdx: i,
 		}
 		c.push(up)
-		c.inFlight.set(id, true)
+		c.inFlight.add(id)
 		c.inFlightCount++
-		c.selectedMark.set(id, true)
+		c.selectedMark.add(id)
 		c.cycleSelected = append(c.cycleSelected, id)
 		c.round.CommBytes += c.paramBytes // model download at dispatch
 	}
@@ -354,7 +354,7 @@ func (c *eventCore) aggregateAsync(halfLife float64, settleAll bool) error {
 	c.applyFold(nil, contributors)
 	// Release the aggregated parties back into the selectable pool.
 	for _, up := range c.buffer {
-		c.inFlight.set(up.report.ID, false)
+		c.inFlight.remove(up.report.ID)
 		c.inFlightCount--
 	}
 	// Stragglers are the invitees that were offline at every draw this
@@ -364,7 +364,7 @@ func (c *eventCore) aggregateAsync(halfLife float64, settleAll bool) error {
 	// (|Stragglers| / |Selected|) never exceed 1.
 	c.stragglers = c.stragglers[:0]
 	for _, id := range c.cycleOffline {
-		if !c.selectedMark.get(id) {
+		if !c.selectedMark.has(id) {
 			c.stragglers = append(c.stragglers, id)
 			c.cycleSelected = append(c.cycleSelected, id)
 		}

@@ -88,14 +88,11 @@ type Config struct {
 	// in step order (see DESIGN.md, "Parallel execution model").
 	Parallelism int
 	// Shards partitions the party population into this many deterministic
-	// contiguous ID ranges for fleet-scale aggregation: the engine's dense
-	// per-party state (dedupe bitmaps, in-flight and per-cycle selection
-	// flags) becomes shard-local and lazily allocated, and the aggregation
-	// fold is partitioned across shards on the worker pool. Results are
-	// bit-identical at every shard count (see DESIGN.md, "Sharded
-	// aggregation"); the knob trades nothing but memory locality and merge
-	// parallelism. Zero or 1 keeps a single shard; values above the party
-	// count are clamped.
+	// contiguous ID ranges, the buckets RoundStats.ShardsTouched counts. It
+	// is a label, not a layout: no state is stored and no fold is split by
+	// shard, so results are bit-identical at every shard count (see
+	// DESIGN.md, "Sharded aggregation"). Zero or 1 keeps a single shard;
+	// values above the party count are clamped.
 	Shards int
 	// Fold selects the aggregation fold combining each cycle's local
 	// updates into the global delta: the zero value is the weighted FedAvg
@@ -309,9 +306,8 @@ type RoundStats struct {
 	// SimTime is the cumulative simulated seconds through this round,
 	// including unevaluated rounds since the previous entry.
 	SimTime float64
-	// ShardsTouched counts the distinct aggregation shards this cycle's
-	// completed parties fell into — the streaming locality metric of the
-	// sharded engine. With a single shard (Shards <= 1) it is 1 whenever
+	// ShardsTouched counts the distinct shards (Config.Shards) this cycle's
+	// completed parties fell into — the streaming locality metric. With a single shard (Shards <= 1) it is 1 whenever
 	// anything completed and 0 otherwise.
 	ShardsTouched int
 	// Rejected counts this cycle's non-finite (NaN/Inf) local updates
@@ -485,9 +481,9 @@ func pickStragglers(cfg Config, invited []int, r *rng.Source, out []int) []int {
 // x_i − h_i/α, which debiases persistent client drift. (Acar et al. 2021,
 // simplified to the parameter-space form.) The corrected model is written to
 // corrected, which first holds the drift x_i − m.
-func applyFedDyn(state map[int]tensor.Vec, id int, params, global tensor.Vec, alpha float64, corrected tensor.Vec) tensor.Vec {
-	h, ok := state[id]
-	if !ok {
+func applyFedDyn(state []tensor.Vec, id int, params, global tensor.Vec, alpha float64, corrected tensor.Vec) tensor.Vec {
+	h := state[id]
+	if h == nil {
 		h = tensor.NewVec(len(params))
 		state[id] = h
 	}

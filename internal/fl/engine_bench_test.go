@@ -81,11 +81,11 @@ func BenchmarkEngineAsync(b *testing.B) {
 	b.ReportMetric(float64(arrivals)/b.Elapsed().Seconds(), "arrivals/sec")
 }
 
-// BenchmarkEngineSharded measures the fleet-scale sharded engine: buffered
+// BenchmarkEngineSharded measures the engine at fleet scale: buffered
 // aggregation (K=8, 16 in flight) over synthetic 10k- and 100k-party fleets
 // at 64 shards, sequential workers. Party construction happens outside the
 // timer; the measured loop is pure engine — selection over the full
-// population, dispatch, the event queue and the sharded fold. The ratchet
+// population, dispatch, the event queue and the fold. The ratchet
 // (CI bench-alloc-smoke) pins allocs/op so per-party O(population) work
 // cannot silently creep back into the cycle path; rounds/sec and
 // arrivals/sec are the fleet-scale throughput lines in BENCH_5.json.

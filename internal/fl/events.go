@@ -179,7 +179,7 @@ type eventCore struct {
 	pool         *parallel.Pool
 	useDevices   bool
 	paramBytes   int64
-	dynState     map[int]tensor.Vec
+	dynState     []tensor.Vec // FedDyn h_i by party id, allocated at the party's first completion
 
 	// Event-clock state. clock is the absolute simulated now; version counts
 	// applied aggregations (the staleness reference); waves counts selection
@@ -196,16 +196,13 @@ type eventCore struct {
 	replicas  []model.Model
 	scratches []model.TrainScratch
 
-	// space is the deterministic party-to-shard mapping (Config.Shards); all
-	// dense per-party state below is shard-local and lazily allocated, so a
-	// fleet-scale run only materializes the shards selection touches.
+	// space is the deterministic party-to-shard mapping (Config.Shards),
+	// read only to count round.ShardsTouched.
 	space shardSpace
 
-	// Reusable per-cycle scratch. The per-party structures are sharded:
-	// reads of untouched shards return zeros without allocating, writes
-	// fault in one shard-sized block.
-	seen         shardedSlice[bool] // selectParties dedupe, sync coin-flip marks; clear between uses
-	invited      []int              // dedupe output, reused
+	// Reusable per-cycle scratch.
+	seen         partySet // selectParties dedupe, sync coin-flip marks; clear between uses
+	invited      []int    // dedupe output, reused
 	completed    []int
 	completedDur []float64 // sync device model: durations, parallel to completed
 	stragglers   []int
@@ -250,12 +247,12 @@ type eventCore struct {
 	// cycle. selectedMark/offlineMark dedupe the accumulators across the
 	// cycle's waves, preserving the sync-mode feedback invariant that
 	// Stragglers is a duplicate-free subset of Selected.
-	inFlight      shardedSlice[bool]
+	inFlight      partySet
 	inFlightCount int
 	cycleSelected []int
 	cycleOffline  []int
-	selectedMark  shardedSlice[bool]
-	offlineMark   shardedSlice[bool]
+	selectedMark  partySet
+	offlineMark   partySet
 }
 
 func newEventCore(cfg *Config) *eventCore {
@@ -275,7 +272,7 @@ func newEventCore(cfg *Config) *eventCore {
 	}
 	c.eval = evaluator{cfg: cfg, res: c.res, dim: len(c.globalParams)}
 	if cfg.FedDynAlpha > 0 {
-		c.dynState = make(map[int]tensor.Vec, len(cfg.Parties))
+		c.dynState = make([]tensor.Vec, len(cfg.Parties))
 	}
 	// Pin the worker width for the whole run: Pool.Width() re-reads
 	// GOMAXPROCS per call, and the per-worker replica table must not be
@@ -285,7 +282,7 @@ func newEventCore(cfg *Config) *eventCore {
 	c.scratches = make([]model.TrainScratch, c.pool.Width())
 
 	c.space = newShardSpace(len(cfg.Parties), cfg.Shards)
-	c.seen = newShardedSlice[bool](c.space)
+	c.seen = newPartySet(len(cfg.Parties))
 	c.completed = make([]int, 0, cfg.PartiesPerRound)
 	c.stragglers = make([]int, 0, cfg.PartiesPerRound)
 	c.fb.Completed = make([]PartyReport, 0, cfg.PartiesPerRound)
@@ -294,9 +291,9 @@ func newEventCore(cfg *Config) *eventCore {
 	}
 	c.delta = tensor.NewVec(len(c.globalParams))
 	c.shardMark = make([]bool, c.space.count())
-	c.inFlight = newShardedSlice[bool](c.space)
-	c.selectedMark = newShardedSlice[bool](c.space)
-	c.offlineMark = newShardedSlice[bool](c.space)
+	c.inFlight = newPartySet(len(cfg.Parties))
+	c.selectedMark = newPartySet(len(cfg.Parties))
+	c.offlineMark = newPartySet(len(cfg.Parties))
 	if cfg.Privacy.Enabled() {
 		c.priv = newPrivacyState(cfg, len(c.globalParams), c.pool)
 	}
@@ -372,10 +369,10 @@ func (c *eventCore) resetCycle() {
 	c.free = append(c.free, c.spent...)
 	c.spent = c.spent[:0]
 	for _, id := range c.cycleSelected {
-		c.selectedMark.set(id, false)
+		c.selectedMark.remove(id)
 	}
 	for _, id := range c.cycleOffline {
-		c.offlineMark.set(id, false)
+		c.offlineMark.remove(id)
 	}
 	c.cycleSelected = c.cycleSelected[:0]
 	c.cycleOffline = c.cycleOffline[:0]
@@ -475,27 +472,24 @@ func (c *eventCore) admitMasked(w *maskWave, idx int, delta tensor.Vec, weight f
 }
 
 // applyFold is the fold → noise → optimizer-apply sequence every policy ends
-// its aggregation with. It folds the cycle's updates into c.delta across the
-// configured shard count, adds the privacy chain's noise calibrated to
+// its aggregation with. It folds the cycle's updates into c.delta in one
+// pass, adds the privacy chain's noise calibrated to
 // contributors, applies the delta through the server optimizer and bumps the
 // model version; with nothing to fold it applies nothing and the version
 // stays. global is c.globalParams when the updates are raw trained parameters
 // (sync plaintext: the current global model is subtracted inside) and nil
-// when they are deltas (async arrivals, decoded mask waves). Either way the
-// fold is bit-identical to the sequential one at every shard count and
-// parallelism; a non-mean Config.Fold routes through the robust folds
-// (robust.go), which carry the same invariance contract.
+// when they are deltas (async arrivals, decoded mask waves). A non-mean
+// Config.Fold routes through the robust folds (robust.go).
 func (c *eventCore) applyFold(global tensor.Vec, contributors int) {
 	if len(c.updates) == 0 {
 		return
 	}
 	t0 := c.cfg.Phases.start()
 	defer c.cfg.Phases.stop(PhaseFold, t0)
-	shards := foldShards(c.space.count(), len(c.delta))
 	if c.cfg.Fold.Kind != FoldMean {
-		RobustDeltaShardedInto(c.cfg.Fold, c.delta, global, c.updates, c.pool, shards)
+		RobustDeltaShardedInto(c.cfg.Fold, c.delta, global, c.updates, nil, 1)
 	} else {
-		WeightedAverageDeltaShardedInto(c.delta, global, c.updates, c.weights, c.pool, shards)
+		WeightedAverageDeltaShardedInto(c.delta, global, c.updates, c.weights, nil, 1)
 	}
 	if c.priv != nil {
 		c.priv.addNoise(c.delta, contributors)
@@ -533,18 +527,18 @@ func (c *eventCore) selectParties(round, target int) ([]int, error) {
 		if id < 0 || id >= len(c.cfg.Parties) {
 			// Unwind the seen bitmap before erroring.
 			for _, ok := range c.invited {
-				c.seen.set(ok, false)
+				c.seen.remove(ok)
 			}
 			return nil, fmt.Errorf("fl: selector %q returned out-of-range party %d at round %d",
 				c.cfg.Selector.Name(), id, round)
 		}
-		if !c.seen.get(id) {
-			c.seen.set(id, true)
+		if !c.seen.has(id) {
+			c.seen.add(id)
 			c.invited = append(c.invited, id)
 		}
 	}
 	for _, id := range c.invited {
-		c.seen.set(id, false)
+		c.seen.remove(id)
 	}
 	return c.invited, nil
 }

@@ -191,11 +191,10 @@ func TestGoldenSemiSyncRun(t *testing.T) {
 	checkGolden(t, "golden_semisync.json", goldenSemiSyncConfig(t))
 }
 
-// TestGoldenRunsAreShardInvariant is the sharded engine's byte-exactness
-// pin: every golden trajectory must reproduce byte-for-byte at Shards 1
-// through 8 (sequential and parallel), because shard-local storage is pure
-// index translation and the delta fold shards the parameter axis without
-// reordering any per-index float operation. Skipped under -update so the
+// TestGoldenRunsAreShardInvariant pins Shards as a label: every golden
+// trajectory must reproduce byte-for-byte at Shards 1 through 8 (sequential
+// and parallel), because no state is stored and no fold is split by shard.
+// Skipped under -update so the
 // golden files are only ever regenerated from the canonical unsharded runs.
 func TestGoldenRunsAreShardInvariant(t *testing.T) {
 	t.Parallel()

@@ -150,41 +150,3 @@ func sign(x float64) float64 {
 		return 0
 	}
 }
-
-// totalWeight sums a fold's weights in update order.
-func totalWeight(weights []float64) float64 {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	return total
-}
-
-// meanDeltaRange is the WeightedAverageDeltaShardedInto fold over the
-// coordinates [lo, hi): the range is zeroed, then accumulated update-major,
-// coordinate-minor, so a coordinate sees the same operation sequence whatever
-// range it is folded in. total is totalWeight(weights); zero (no updates, or
-// none with weight) leaves the range zero.
-func meanDeltaRange(dst, global tensor.Vec, updates []tensor.Vec, weights []float64, total float64, lo, hi int) {
-	dst = dst[lo:hi]
-	for i := range dst {
-		dst[i] = 0
-	}
-	if total == 0 {
-		return
-	}
-	for j, u := range updates {
-		w := weights[j] / total
-		u = u[lo:hi]
-		if global == nil {
-			for i := range dst {
-				dst[i] += float64(w * u[i])
-			}
-			continue
-		}
-		g := global[lo:hi]
-		for i := range dst {
-			dst[i] += float64(w * (u[i] - g[i]))
-		}
-	}
-}

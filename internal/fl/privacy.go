@@ -20,7 +20,7 @@ import (
 // ciphertext-like ring elements), clipping bounds each party's contribution
 // before it is encoded, and noise perturbs the folded delta after decoding.
 // Every stage composes with every aggregation policy (SyncRounds, Buffered,
-// SemiSync) and with parameter-axis sharded folds; a zero PrivacyConfig is
+// SemiSync) and every Shards value; a zero PrivacyConfig is
 // the identity chain and leaves the engine's float behavior byte-identical
 // to a build without the middleware.
 type PrivacyConfig struct {
@@ -163,7 +163,7 @@ type privacyState struct {
 	dim  int // model parameter count; masked vectors carry dim+1 coordinates
 	pool *parallel.Pool
 
-	keys      map[int]partyKeys
+	keys      []partyKeys // by party id, grown at enrolment; zero for a party never enrolled
 	pairSeeds map[uint64][32]byte
 
 	acc     []uint64     // the settled wave's masked sum, dim+1; worker 0 accumulates into it
@@ -200,7 +200,6 @@ func newPrivacyState(cfg *Config, dim int, pool *parallel.Pool) *privacyState {
 		pool: pool,
 	}
 	if ps.pc.Mask {
-		ps.keys = make(map[int]partyKeys)
 		ps.pairSeeds = make(map[uint64][32]byte)
 		ps.acc = make([]uint64, dim+1)
 		ps.workers = []maskWorker{{acc: ps.acc}}
@@ -212,7 +211,10 @@ func newPrivacyState(cfg *Config, dim int, pool *parallel.Pool) *privacyState {
 // keysFor returns party id's deterministic key material, caching across
 // waves (ECDH key expansion is the expensive part of a party's first wave).
 func (ps *privacyState) keysFor(id int) (partyKeys, error) {
-	if pk, ok := ps.keys[id]; ok {
+	if id >= len(ps.keys) {
+		ps.keys = append(ps.keys, make([]partyKeys, id+1-len(ps.keys))...)
+	}
+	if pk := ps.keys[id]; pk.pub != nil {
 		return pk, nil
 	}
 	pk := partyKeys{secret: secagg.DeriveSecret(ps.seed, id)}

@@ -11,9 +11,8 @@ import (
 
 // Byzantine-robust aggregation folds (ISSUE 7). The chaos engine's faulty
 // parties attack exactly one seam: the fold that combines local updates into
-// the global delta. These folds replace the weighted average there, behind
-// the same parameter-axis sharding as the FedAvg folds in sharded.go, with
-// the same bit-exactness contract: every shard count and every pool width
+// the global delta. These folds replace the weighted average there, and like
+// it they run in one pass, so every shard count and every pool width
 // produces identical bits (see DESIGN.md, "Chaos engine").
 //
 // The robust folds are unweighted — deliberately. FedAvg's n_i weighting
@@ -93,78 +92,63 @@ func (f FoldConfig) validate() error {
 	return nil
 }
 
-// RobustDeltaShardedInto folds updates into dst under a robust fold, with
-// the parameter axis partitioned into shards contiguous ranges executed on
-// pool. global, when non-nil, is subtracted from each update per coordinate
-// (sync semantics: updates are raw trained parameters); nil means updates
-// are already deltas (async semantics).
+// RobustDeltaShardedInto folds updates into dst under a robust fold, in one
+// pass on the caller's goroutine. global, when non-nil, is subtracted from
+// each update per coordinate (sync semantics: updates are raw trained
+// parameters); nil means updates are already deltas (async semantics).
 //
-// Shard invariance: trimmed mean and median are per-coordinate — each
-// coordinate gathers its update values in update order, sorts, and reduces,
-// entirely within the one range that owns it — so any contiguous range
-// partition performs the identical operation sequence per coordinate.
-// sort.Float64s is deterministic for a given input sequence, and the inputs
-// carry no NaNs (non-finite updates are rejected before the fold), so the
-// reduction consumes an identical value sequence at every shard count. Krum
-// scores the full vectors sequentially on the caller's goroutine (ties
-// break to the lowest update index) and only the winner's copy is sharded.
+// Trimmed mean and median are per-coordinate: each coordinate gathers its
+// update values in update order, sorts, and reduces. sort.Float64s is
+// deterministic for a given input sequence, and the inputs carry no NaNs
+// (non-finite updates are rejected before the fold). Krum scores the full
+// vectors (ties break to the lowest update index) and copies the winner.
+// pool and shards are unused; they remain only because benchmark/probes.go
+// calls this signature and that directory is frozen.
 func RobustDeltaShardedInto(fold FoldConfig, dst, global tensor.Vec, updates []tensor.Vec, pool *parallel.Pool, shards int) {
-	if shards < 1 {
-		shards = 1
-	}
 	if len(updates) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
-	ranges := paramRanges(len(dst), shards)
 
 	if fold.Kind == FoldKrum {
 		win := updates[krumWinner(updates)]
-		pool.ForEach(len(ranges), func(ri int) {
-			r := ranges[ri]
-			if global == nil {
-				copy(dst[r.lo:r.hi], win[r.lo:r.hi])
-				return
-			}
-			for i := r.lo; i < r.hi; i++ {
-				dst[i] = win[i] - global[i]
-			}
-		})
+		if global == nil {
+			copy(dst, win)
+			return
+		}
+		for i := range dst {
+			dst[i] = win[i] - global[i]
+		}
 		return
 	}
 
 	n := len(updates)
 	k := int(trimFraction * float64(n)) // per tail; trimFraction < 0.5 ⇒ n−2k ≥ 1
-	pool.ForEach(len(ranges), func(ri int) {
-		r := ranges[ri]
-		vals := make([]float64, n)
-		for i := r.lo; i < r.hi; i++ {
-			for j, u := range updates {
-				v := u[i]
-				if global != nil {
-					v -= global[i]
-				}
-				vals[j] = v
+	vals := make([]float64, n)
+	for i := range dst {
+		for j, u := range updates {
+			v := u[i]
+			if global != nil {
+				v -= global[i]
 			}
-			sort.Float64s(vals)
-			switch fold.Kind {
-			case FoldMedian:
-				if n%2 == 1 {
-					dst[i] = vals[n/2]
-				} else {
-					dst[i] = (vals[n/2-1] + vals[n/2]) / 2
-				}
-			case FoldTrimmedMean:
-				var sum float64
-				for _, v := range vals[k : n-k] {
-					sum += v
-				}
-				dst[i] = sum / float64(n-2*k)
-			}
+			vals[j] = v
 		}
-	})
+		sort.Float64s(vals)
+		switch fold.Kind {
+		case FoldMedian:
+			if n%2 == 1 {
+				dst[i] = vals[n/2]
+			} else {
+				dst[i] = (vals[n/2-1] + vals[n/2]) / 2
+			}
+		case FoldTrimmedMean:
+			var sum float64
+			for _, v := range vals[k : n-k] {
+				sum += v
+			}
+			dst[i] = sum / float64(n-2*k)
+		}
+	}
 }
 
 // krumWinner returns the index of the Krum-selected update: the one whose

@@ -6,7 +6,6 @@ import (
 
 	"flips/internal/chaos"
 	"flips/internal/parallel"
-	"flips/internal/rng"
 	"flips/internal/tensor"
 )
 
@@ -158,48 +157,6 @@ func TestKrumFoldValues(t *testing.T) {
 	}
 	if w := krumWinner([]tensor.Vec{{7}}); w != 0 {
 		t.Errorf("krum singleton winner %d, want 0", w)
-	}
-}
-
-// TestRobustFoldShardInvariance is the unit-level bit-exactness pin for the
-// robust folds: every fold must produce identical bits at every shard count
-// and pool width, in both delta and raw-parameter modes.
-func TestRobustFoldShardInvariance(t *testing.T) {
-	t.Parallel()
-	const dim, n = 257, 9
-	r := rng.New(0xB057)
-	updates := make([]tensor.Vec, n)
-	for j := range updates {
-		updates[j] = tensor.NewVec(dim)
-		for i := range updates[j] {
-			updates[j][i] = r.NormFloat64() * float64(j+1)
-		}
-	}
-	global := tensor.NewVec(dim)
-	for i := range global {
-		global[i] = r.NormFloat64()
-	}
-
-	for _, fold := range []FoldConfig{
-		{Kind: FoldTrimmedMean},
-		{Kind: FoldMedian},
-		{Kind: FoldKrum},
-	} {
-		for _, g := range []tensor.Vec{nil, global} {
-			want := foldInto(t, fold, g, updates, parallel.New(1), 1)
-			for _, shards := range []int{2, 3, 5, 8, 64} {
-				for _, width := range []int{1, 4} {
-					got := foldInto(t, fold, g, updates, parallel.New(width), shards)
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("fold %v shards=%d width=%d global=%v: coordinate %d bits %#x, want %#x",
-								fold.Kind, shards, width, g != nil, i,
-								math.Float64bits(got[i]), math.Float64bits(want[i]))
-						}
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"flips/internal/dataset"
 	"flips/internal/model"
-	"flips/internal/parallel"
 	"flips/internal/rng"
 	"flips/internal/tensor"
 )
@@ -25,7 +24,9 @@ func TestShardSpaceMapping(t *testing.T) {
 		// the bounds tile [0, parties) without gaps or overlap.
 		next := 0
 		for sh := 0; sh < sp.count(); sh++ {
-			lo, hi := sp.bounds(sh)
+			// Shard s owns [ceil(s·N/S), ceil((s+1)·N/S)).
+			lo := (sh*tc.parties + sp.count() - 1) / sp.count()
+			hi := ((sh+1)*tc.parties + sp.count() - 1) / sp.count()
 			if lo != next {
 				t.Fatalf("space(%d,%d): shard %d starts at %d, want %d", tc.parties, tc.shards, sh, lo, next)
 			}
@@ -45,41 +46,36 @@ func TestShardSpaceMapping(t *testing.T) {
 	}
 }
 
-func TestShardedSliceLazyBlocks(t *testing.T) {
+// TestPartySet checks the packed flags against a []bool reference over
+// random adds and removes, word edges included.
+func TestPartySet(t *testing.T) {
 	t.Parallel()
-	sp := newShardSpace(1000, 10)
-	v := newShardedSlice[float64](sp)
-	// Reads of untouched shards return zeros without materializing blocks.
-	for _, id := range []int{0, 499, 999} {
-		if got := v.get(id); got != 0 {
-			t.Fatalf("zero read returned %v", got)
+	r := rng.New(7)
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		set, ref := newPartySet(n), make([]bool, n)
+		for step := 0; step < 20*n; step++ {
+			id := r.Intn(n)
+			if r.Intn(2) == 0 {
+				set.add(id)
+				ref[id] = true
+			} else {
+				set.remove(id)
+				ref[id] = false
+			}
+			if probe := r.Intn(n); set.has(probe) != ref[probe] {
+				t.Fatalf("n=%d step %d: has(%d) = %v, want %v", n, step, probe, set.has(probe), ref[probe])
+			}
 		}
-	}
-	if v.touched() != 0 {
-		t.Fatalf("reads materialized %d blocks", v.touched())
-	}
-	v.set(437, 2.5)
-	if v.touched() != 1 {
-		t.Fatalf("one write materialized %d blocks", v.touched())
-	}
-	if got := v.get(437); got != 2.5 {
-		t.Fatalf("read back %v", got)
-	}
-	// Neighbours in the same shard read zero; other shards stay nil.
-	if got := v.get(438); got != 0 {
-		t.Fatalf("neighbour read %v", got)
-	}
-	v.set(0, 1)
-	v.set(999, 3)
-	if v.touched() != 3 {
-		t.Fatalf("three shards expected, got %d", v.touched())
+		for id := range ref {
+			if set.has(id) != ref[id] {
+				t.Fatalf("n=%d: has(%d) = %v, want %v", n, id, set.has(id), ref[id])
+			}
+		}
 	}
 }
 
-// TestShardedFoldsAreBitExact pins the fold half of the sharded byte-exactness
-// contract: at every shard count and pool width, both sharded folds must
-// reproduce the sequential result bit-for-bit, because each parameter index
-// sees the identical operation sequence.
+// TestShardedFoldsAreBitExact pins the mean fold bit for bit against its
+// definition, written one coordinate at a time.
 func TestShardedFoldsAreBitExact(t *testing.T) {
 	t.Parallel()
 	r := rng.New(99)
@@ -100,9 +96,8 @@ func TestShardedFoldsAreBitExact(t *testing.T) {
 	}
 
 	// The reference is the definition, one coordinate at a time: the same
-	// operation sequence per coordinate as the range kernel's update-major
-	// loops, written independently of it. shards 1 below is the sequential
-	// fold.
+	// operation sequence per coordinate as the fold's update-major loops,
+	// written independently of it.
 	reference := func(global tensor.Vec) tensor.Vec {
 		var total float64
 		for _, w := range weights {
@@ -122,21 +117,16 @@ func TestShardedFoldsAreBitExact(t *testing.T) {
 	}
 	wantAvg, wantDelta := reference(global), reference(nil)
 
-	for _, shards := range []int{1, 2, 3, 8, 64, 200} {
-		for _, width := range []int{1, 4} {
-			pool := parallel.New(width)
-			gotAvg := tensor.NewVec(dim)
-			WeightedAverageDeltaShardedInto(gotAvg, global, updates, weights, pool, shards)
-			gotDelta := tensor.NewVec(dim)
-			WeightedAverageDeltaShardedInto(gotDelta, nil, updates, weights, pool, shards)
-			for i := range wantAvg {
-				if math.Float64bits(wantAvg[i]) != math.Float64bits(gotAvg[i]) {
-					t.Fatalf("shards=%d width=%d: avg fold bit-diverges at %d", shards, width, i)
-				}
-				if math.Float64bits(wantDelta[i]) != math.Float64bits(gotDelta[i]) {
-					t.Fatalf("shards=%d width=%d: delta fold bit-diverges at %d", shards, width, i)
-				}
-			}
+	gotAvg := tensor.NewVec(dim)
+	WeightedAverageDeltaShardedInto(gotAvg, global, updates, weights, nil, 1)
+	gotDelta := tensor.NewVec(dim)
+	WeightedAverageDeltaShardedInto(gotDelta, nil, updates, weights, nil, 1)
+	for i := range wantAvg {
+		if math.Float64bits(wantAvg[i]) != math.Float64bits(gotAvg[i]) {
+			t.Fatalf("avg fold bit-diverges at %d", i)
+		}
+		if math.Float64bits(wantDelta[i]) != math.Float64bits(gotDelta[i]) {
+			t.Fatalf("delta fold bit-diverges at %d", i)
 		}
 	}
 
@@ -145,37 +135,20 @@ func TestShardedFoldsAreBitExact(t *testing.T) {
 	for i := range dirty {
 		dirty[i] = 1
 	}
-	WeightedAverageDeltaShardedInto(dirty, global, nil, nil, parallel.New(2), 8)
+	WeightedAverageDeltaShardedInto(dirty, global, nil, nil, nil, 1)
 	for i := range dirty {
 		if dirty[i] != 0 {
-			t.Fatal("empty sharded fold left stale data")
+			t.Fatal("empty fold left stale data")
 		}
 	}
 	zeroW := make([]float64, nUpdates)
 	for i := range dirty {
 		dirty[i] = 1
 	}
-	WeightedAverageDeltaShardedInto(dirty, nil, updates, zeroW, parallel.New(2), 8)
+	WeightedAverageDeltaShardedInto(dirty, nil, updates, zeroW, nil, 1)
 	for i := range dirty {
 		if dirty[i] != 0 {
-			t.Fatal("zero-mass sharded fold left stale data")
-		}
-	}
-}
-
-func TestFoldShardsClamp(t *testing.T) {
-	t.Parallel()
-	cases := []struct{ shards, dim, want int }{
-		{1, 100, 1},           // single shard stays single
-		{64, 100, 1},          // tiny model: goroutine dispatch not worth it
-		{64, minFoldRange, 1}, // exactly one range's worth
-		{64, 8 * minFoldRange, 8},
-		{4, 1 << 20, 4}, // big model: honor the knob
-		{0, 1 << 20, 1},
-	}
-	for _, tc := range cases {
-		if got := foldShards(tc.shards, tc.dim); got != tc.want {
-			t.Fatalf("foldShards(%d, %d) = %d, want %d", tc.shards, tc.dim, got, tc.want)
+			t.Fatal("zero-mass fold left stale data")
 		}
 	}
 }

@@ -55,12 +55,12 @@ func (SyncRounds) cycle(c *eventCore, round int) error {
 	} else {
 		c.stragglers = pickStragglers(*cfg, invited, ar, c.stragglers)
 		for _, id := range c.stragglers {
-			c.seen.set(id, true)
+			c.seen.add(id)
 		}
 	}
 	for _, id := range invited {
-		if c.seen.get(id) {
-			c.seen.set(id, false)
+		if c.seen.has(id) {
+			c.seen.remove(id)
 			continue
 		}
 		if c.unreachable(round, id, ar) {

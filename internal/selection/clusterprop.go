@@ -17,6 +17,7 @@ type ClusterProportional struct {
 	clusters [][]int
 	weights  []float64
 	r        *rng.Source
+	inRound  []bool // by party id: picked this Select; all false between calls
 }
 
 var _ fl.Selector = (*ClusterProportional)(nil)
@@ -34,6 +35,13 @@ func NewClusterProportional(clusters [][]int, r *rng.Source) (*ClusterProportion
 	if len(s.clusters) == 0 {
 		return nil, fmt.Errorf("selection: no parties in any cluster")
 	}
+	size := 0
+	for _, c := range s.clusters {
+		for _, id := range c {
+			size = max(size, id+1)
+		}
+	}
+	s.inRound = make([]bool, size)
 	return s, nil
 }
 
@@ -51,13 +59,12 @@ func (s *ClusterProportional) Select(_, target int) []int {
 		target = total
 	}
 	selected := make([]int, 0, target)
-	inRound := make(map[int]bool, target)
 	for len(selected) < target {
 		c := s.clusters[s.r.Categorical(s.weights)]
 		// Uniform member; skip if exhausted this round.
 		free := make([]int, 0, len(c))
 		for _, id := range c {
-			if !inRound[id] {
+			if !s.inRound[id] {
 				free = append(free, id)
 			}
 		}
@@ -65,8 +72,11 @@ func (s *ClusterProportional) Select(_, target int) []int {
 			continue
 		}
 		id := free[s.r.Intn(len(free))]
-		inRound[id] = true
+		s.inRound[id] = true
 		selected = append(selected, id)
+	}
+	for _, id := range selected {
+		s.inRound[id] = false
 	}
 	return selected
 }

@@ -26,14 +26,14 @@ type gradPool struct {
 	// last-observation order (newest at the end; re-observed parties move to
 	// the back via -1 tombstones, compacted when they dominate); phSeed
 	// derives placeholder gradients statelessly per party. inPool is the
-	// pool dedupe scratch.
+	// pool dedupe scratch, all false between calls.
 	scaleMode  bool
 	observed   []int
 	obsPos     []int // party id -> index in observed (-1 if never observed)
 	tombstones int
 	isObserved []bool
 	phSeed     uint64
-	inPool     map[int]bool
+	inPool     []bool
 }
 
 // gradPoolCap bounds the fleet-scale pool: each round works over at most
@@ -58,7 +58,7 @@ func newGradPool(numParties, gradDim, scaleThreshold int, r *rng.Source) *gradPo
 			p.obsPos[i] = -1
 		}
 		p.phSeed = r.Uint64()
-		p.inPool = make(map[int]bool)
+		p.inPool = make([]bool, numParties)
 		return p
 	}
 	for i := range p.grads {
@@ -90,7 +90,6 @@ func (p *gradPool) pool(target int, r *rng.Source) []int {
 		size = p.numParties
 	}
 	pool := make([]int, 0, size)
-	clear(p.inPool)
 	// Newest observations first: their gradients are freshest. The observed
 	// list is in last-observation order with tombstones for moved entries.
 	obsCap := size / 2
@@ -118,6 +117,9 @@ func (p *gradPool) pool(target int, r *rng.Source) []int {
 			p.inPool[id] = true
 			pool = append(pool, id)
 		}
+	}
+	for _, id := range pool {
+		p.inPool[id] = false
 	}
 	return pool
 }

@@ -28,7 +28,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	depth := s.queue.Depth()
 	inFlight := s.inFlight
-	accepted, rejected := s.accepted, s.rejected
+	accepted, refused, work := s.accepted, s.refused, s.work
 	done, failed, cancelled := s.doneCount, s.failedCount, s.cancelledCount
 	roundsTotal := s.roundsTotal
 	arrivalRate := s.arrivalRateLocked(now)
@@ -55,7 +55,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("flipsd_queue_capacity", "Bound of the job queue.", float64(s.cfg.QueueDepth))
 	gauge("flipsd_jobs_inflight", "Jobs currently running.", float64(inFlight))
 	counter("flipsd_jobs_accepted_total", "Jobs accepted into the queue.", float64(accepted))
-	counter("flipsd_jobs_rejected_total", "Jobs rejected with 429 (queue full).", float64(rejected))
+	counter("flipsd_jobs_rejected_total", "Jobs rejected with 429 (queue full or over the work budget).", float64(refused[refusedQueueFull]+refused[refusedBudget]))
+	fmt.Fprintf(&b, "# HELP flipsd_jobs_refused_total Submissions refused, by reason: invalid and over_bound answer 400, queue_full and budget 429, draining 503.\n# TYPE flipsd_jobs_refused_total counter\n")
+	for reason, n := range refused {
+		fmt.Fprintf(&b, "flipsd_jobs_refused_total{reason=%q} %d\n", refusalNames[reason], n)
+	}
+	gauge("flipsd_work_held", "Summed work term of the queued and running jobs (parameter-sample steps), held under the server's work budget.", work)
 	counter("flipsd_jobs_done_total", "Jobs finished successfully.", float64(done))
 	counter("flipsd_jobs_failed_total", "Jobs finished with an error.", float64(failed))
 	counter("flipsd_jobs_cancelled_total", "Jobs cancelled by DELETE /jobs/{id}, queued or running.", float64(cancelled))

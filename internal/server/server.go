@@ -10,11 +10,16 @@
 //	GET  /jobs/{id}/stream  per-round RoundPoints as NDJSON
 //	DELETE /jobs/{id}     cancel a queued or running job
 //	GET  /metrics         Prometheus text: queue depth, in-flight, arrival
-//	                      rate, p50/p99 job latency, shard locality
+//	                      rate, p50/p99 job latency, shard locality,
+//	                      refusals by reason
 //	GET  /healthz         "ok" while accepting, "draining" during shutdown
 //
-// Jobs run on a bounded parallel.Queue: submission never blocks — a full
-// buffer answers 429 so load sheds at the edge — and Drain implements
+// A submission is admitted by cost: a malformed job, or one above the
+// experiment layer's per-job bounds, is refused with 400, and one whose work
+// (SimulationConfig.Cost) would lift the summed work of the queued and
+// running jobs above workBudget is refused with 429. Jobs run on a bounded
+// parallel.Queue: submission never blocks — a full buffer answers 429 so
+// load sheds at the edge — and Drain implements
 // graceful shutdown: new submissions get 503 while every job already
 // accepted (queued or running) runs to completion, for at most drainTimeout;
 // whatever is left then is cancelled. An orderly SIGTERM never loses a job:
@@ -35,6 +40,7 @@ import (
 
 	"flips"
 	"flips/internal/dist"
+	"flips/internal/experiment"
 	"flips/internal/metrics"
 	"flips/internal/parallel"
 )
@@ -75,6 +81,25 @@ const (
 	// quantiles on /metrics.
 	latencyWindow = 1024
 )
+
+// workBudget bounds the summed work term (SimulationConfig.Cost, in
+// parameter-sample steps) of the jobs queued and running at once. It is five
+// of the largest jobs the per-job bound admits (2·10¹²), a few hours of one
+// core's training at ≈1 ns a step; a submission that would lift the sum
+// above it is refused with 429 until running jobs finish.
+const workBudget = 1e13
+
+// Refusal reasons, the label values of flipsd_jobs_refused_total.
+const (
+	refusedInvalid   = iota // 400: malformed, or Validate refused it
+	refusedOverBound        // 400: above a per-job data, work or byte bound
+	refusedQueueFull        // 429: the queue is full
+	refusedBudget           // 429: over workBudget
+	refusedDraining         // 503: the server is draining
+	refusalReasons
+)
+
+var refusalNames = [refusalReasons]string{"invalid", "over_bound", "queue_full", "budget", "draining"}
 
 // streamWriteTimeout bounds the write of one flushed batch of a job stream. A
 // follower that stops reading fills its socket buffer; the batch that cannot
@@ -122,6 +147,7 @@ func terminal(state string) bool {
 type job struct {
 	id     string
 	cfg    flips.SimulationConfig
+	work   float64         // cfg.Cost(), held against workBudget until the job ends
 	ctx    context.Context // the run's; cancel ends it
 	cancel context.CancelFunc
 
@@ -164,7 +190,8 @@ type StreamEvent struct {
 
 // Snapshot is a point-in-time counter read, for banners and tests. A job in
 // a terminal state is already counted in Done, Failed or Cancelled and no
-// longer in InFlight.
+// longer in InFlight. Rejected counts the submissions shed with 429: queue
+// full or over the work budget.
 type Snapshot struct {
 	Accepted, Rejected, Done, Failed, Cancelled, InFlight, QueueDepth int
 }
@@ -187,7 +214,8 @@ type Server struct {
 	started        time.Time
 	inFlight       int
 	accepted       int
-	rejected       int
+	refused        [refusalReasons]int
+	work           float64 // summed work of the queued and running jobs
 	doneCount      int
 	failedCount    int
 	cancelledCount int
@@ -262,7 +290,7 @@ func (s *Server) Stats() Snapshot {
 	defer s.mu.Unlock()
 	return Snapshot{
 		Accepted:   s.accepted,
-		Rejected:   s.rejected,
+		Rejected:   s.refused[refusedQueueFull] + s.refused[refusedBudget],
 		Done:       s.doneCount,
 		Failed:     s.failedCount,
 		Cancelled:  s.cancelledCount,
@@ -281,26 +309,50 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// refuse counts a refused submission and answers it.
+func (s *Server) refuse(w http.ResponseWriter, reason, code int, format string, args ...any) {
+	s.mu.Lock()
+	s.refused[reason]++
+	s.mu.Unlock()
+	writeError(w, code, format, args...)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	cfg, err := flips.DecodeSimulationConfig(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	var work float64
+	if err == nil {
+		if cfg.Parallelism == 0 {
+			cfg.Parallelism = s.cfg.JobParallelism
+		}
+		work, err = cfg.Cost()
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = s.cfg.JobParallelism
+	if err != nil {
+		reason := refusedInvalid
+		if errors.Is(err, experiment.ErrOverBound) {
+			reason = refusedOverBound
+		}
+		s.refuse(w, reason, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "draining: no new jobs accepted")
+		s.refuse(w, refusedDraining, http.StatusServiceUnavailable, "draining: no new jobs accepted")
+		return
+	}
+	if s.work+work > workBudget {
+		held := s.work
+		s.mu.Unlock()
+		s.refuse(w, refusedBudget, http.StatusTooManyRequests,
+			"work budget: queued and running jobs hold %.3g of the %.0e work budget and this job needs %.3g: retry later", held, float64(workBudget), work)
 		return
 	}
 	s.nextID++
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.nextID),
 		cfg:       cfg,
+		work:      work,
 		state:     StateQueued,
 		submitted: s.cfg.Now(),
 	}
@@ -311,11 +363,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// waits for this job, or the drain wins and the submit is rejected.
 	if !s.queue.TrySubmit(func() { s.runJob(j) }) {
 		j.cancel()
-		s.rejected++
 		s.mu.Unlock()
-		writeError(w, http.StatusTooManyRequests, "job queue full (%d deep): retry later", s.cfg.QueueDepth)
+		s.refuse(w, refusedQueueFull, http.StatusTooManyRequests, "job queue full (%d deep): retry later", s.cfg.QueueDepth)
 		return
 	}
+	s.work += work
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.accepted++
@@ -402,7 +454,7 @@ func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.inFlight--
-	s.countLocked(state)
+	s.endLocked(j, state)
 	s.latency.Push(latency)
 	s.latSum += latency
 	s.latCount++
@@ -420,8 +472,10 @@ func (s *Server) runJob(j *job) {
 	j.cond.Broadcast()
 }
 
-// countLocked counts one job reaching the terminal state.
-func (s *Server) countLocked(state string) {
+// endLocked counts job j reaching the terminal state and releases its work
+// from the budget.
+func (s *Server) endLocked(j *job, state string) {
+	s.work -= j.work
 	switch state {
 	case StateDone:
 		s.doneCount++
@@ -443,7 +497,7 @@ func (s *Server) cancel(j *job) (st JobStatus, ok bool) {
 	j.mu.Lock()
 	state := j.state
 	if state == StateQueued {
-		s.countLocked(StateCancelled)
+		s.endLocked(j, StateCancelled)
 		j.state, j.finished, j.errMsg = StateCancelled, now, context.Canceled.Error()
 		j.cond.Broadcast()
 	}

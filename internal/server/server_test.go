@@ -971,3 +971,101 @@ func TestStatsCountEveryTerminalEvent(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRefusalsByReason refuses one submission for each reason and
+// reads the counts back from /metrics: a malformed job and one above a
+// per-job bound answer 400, a job over the work budget and one that finds
+// the queue full 429, and a submission during the drain 503. A job's work
+// leaves the budget when it ends.
+func TestSubmitRefusalsByReason(t *testing.T) {
+	t.Parallel()
+	release, started := make(chan struct{}), make(chan struct{}, 16)
+	s := New(Config{
+		Workers:    1,
+		QueueDepth: 8,
+		Run: func(ctx context.Context, cfg flips.SimulationConfig, onRound func(flips.RoundPoint)) (*flips.SimulationResult, error) {
+			started <- struct{}{}
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return &flips.SimulationResult{}, nil
+		},
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	metric := func(name string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s:\n%s", name, body)
+		return ""
+	}
+
+	if code, msg := post(`{"Dataset":"nope"}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown dataset: %d %s", code, msg)
+	}
+	if code, msg := post(`{"Dataset":"mit-bih-ecg","Rounds":2000000000}`); code != http.StatusBadRequest || !strings.Contains(msg, "work bound") {
+		t.Fatalf("2e9 rounds: %d %s, want 400 naming the work bound", code, msg)
+	}
+	// Six repeats of 8000 full-cohort femnist rounds: 1.45e12 of work each,
+	// so six fit the budget and the seventh does not.
+	const big = `{"Dataset":"femnist","PaperScale":true,"Rounds":8000,"PartyFraction":1}`
+	for i := 0; i < 6; i++ {
+		if code, msg := post(big); code != http.StatusAccepted {
+			t.Fatalf("big job %d: %d %s", i, code, msg)
+		}
+		if i == 0 {
+			<-started // the worker holds it: the queue is empty again
+		}
+	}
+	if code, msg := post(big); code != http.StatusTooManyRequests || !strings.Contains(msg, "1e+13 work budget") {
+		t.Fatalf("seventh big job: %d %s, want 429 naming the work budget", code, msg)
+	}
+	// One big job runs and five wait; three small ones fill the 8-deep queue.
+	for i := 0; i < 3; i++ {
+		submit(t, ts)
+	}
+	if _, err := clientOf(ts).Submit(testCtx(t), validJob); !errors.Is(err, ErrShed) || !strings.Contains(err.Error(), "queue full") {
+		t.Fatalf("a submission to a full queue: %v", err)
+	}
+	if held := metric("flipsd_work_held"); !strings.HasPrefix(held, "8.7") {
+		t.Fatalf("flipsd_work_held %s with six big jobs held, want 8.7e+12 and change", held)
+	}
+
+	close(release)
+	s.Drain()
+	if code, msg := post(big); code != http.StatusServiceUnavailable {
+		t.Fatalf("a submission during the drain: %d %s", code, msg)
+	}
+	for reason, want := range map[string]string{"invalid": "1", "over_bound": "1", "budget": "1", "queue_full": "1", "draining": "1"} {
+		if got := metric(`flipsd_jobs_refused_total{reason="` + reason + `"}`); got != want {
+			t.Errorf("refused %s: %s, want %s", reason, got, want)
+		}
+	}
+	if got := metric("flipsd_work_held"); got != "0" {
+		t.Errorf("flipsd_work_held %s after the drain, want 0", got)
+	}
+	if st := s.Stats(); st.Accepted != 9 || st.Done != 9 || st.Rejected != 2 {
+		t.Fatalf("stats after drain: %+v", st)
+	}
+}
