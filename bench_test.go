@@ -117,75 +117,9 @@ func BenchmarkAblationClusterSampling(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFixedK compares the Davies-Bouldin elbow k against badly
-// chosen fixed cluster counts (DESIGN.md ablation 2; paper §3.1's "when k is
-// small… when k is large…").
-func BenchmarkAblationFixedK(b *testing.B) {
-	scale := ablationScale()
-	runFixedK := func(b *testing.B, k int) {
-		for i := 0; i < b.N; i++ {
-			built, err := experiment.Build(ecgSetting(0), scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lds := fl.NormalizedLabelDists(built.Parties)
-			clusters, err := core.ClusterWithK(lds, k, rng.New(benchSeed))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sel, err := core.NewSelector(clusters)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rtt, peak := runWithSelector(b, ecgSetting(0), scale, sel)
-			b.ReportMetric(rtt, "rounds")
-			b.ReportMetric(100*peak, "peak-%")
-		}
-	}
-	b.Run("elbow", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rtt, peak := runWithSelector(b, ecgSetting(0), scale, nil)
-			b.ReportMetric(rtt, "rounds")
-			b.ReportMetric(100*peak, "peak-%")
-		}
-	})
-	b.Run("k=2", func(b *testing.B) { runFixedK(b, 2) })
-	b.Run("k=15", func(b *testing.B) { runFixedK(b, 15) })
-}
-
-// BenchmarkAblationOverprovision compares FLIPS's straggler-cluster-aware
-// over-provisioning against uniform random replacement under 20% stragglers
-// (DESIGN.md ablation 3).
-func BenchmarkAblationOverprovision(b *testing.B) {
-	scale := ablationScale()
-	b.Run("cluster-aware", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rtt, peak := runWithSelector(b, ecgSetting(0.2), scale, nil)
-			b.ReportMetric(rtt, "rounds")
-			b.ReportMetric(100*peak, "peak-%")
-		}
-	})
-	b.Run("random", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			built, err := experiment.Build(ecgSetting(0.2), scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sel, err := core.NewSelector(built.Clusters)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sel.SetRandomOverprovision(true, rng.New(benchSeed))
-			rtt, peak := runWithSelector(b, ecgSetting(0.2), scale, sel)
-			b.ReportMetric(rtt, "rounds")
-			b.ReportMetric(100*peak, "peak-%")
-		}
-	})
-}
-
 // BenchmarkAblationClusterSignal isolates the clustering signal: the same
 // equitable selection policy on label-distribution clusters vs clusters of
-// the parties' true initial gradients (DESIGN.md ablation 4, the
+// the parties' true initial gradients (DESIGN.md ablation 2, the
 // FLIPS-vs-GradClus comparison with selection policy held fixed).
 func BenchmarkAblationClusterSignal(b *testing.B) {
 	scale := ablationScale()

@@ -247,16 +247,62 @@ func TestValidateAgreesWithBuild(t *testing.T) {
 	agree("no parties", setting, scale)
 
 	// A seeded sweep: every knob drawn from values that are mostly legal, so
-	// the sweep lands on both sides of most rules.
+	// the sweep lands on both sides of most rules and of the admission
+	// bounds. A draw over a bound is judged by Validate alone: building it
+	// is what the bound exists to prevent.
 	r := rng.New(20260928)
-	for i := 0; i < 200; i++ {
+	overWork, overBytes := 0, 0
+	for i := 0; i < 256; i++ {
 		cfg := sweepConfig(r)
-		agreeConfig(fmt.Sprintf("sweep %d (%+v)", i, cfg), cfg)
+		name := fmt.Sprintf("sweep %d (%+v)", i, cfg)
+		work, err := cfg.Cost()
+		switch {
+		case err == nil && work > jobWorkBound:
+			t.Errorf("%s: admitted at work %.3g, above the %.0e bound", name, work, jobWorkBound)
+		case errors.Is(err, experiment.ErrOverBound):
+			rejected++
+			switch msg := err.Error(); {
+			case strings.Contains(msg, "work term"):
+				overWork++
+				checkHalvingAdmits(t, name, cfg)
+			case strings.Contains(msg, "byte term"), strings.Contains(msg, "data bound"):
+				overBytes++
+			default:
+				t.Errorf("%s: refusal %q names no bound", name, msg)
+			}
+			continue
+		}
+		agreeConfig(name, cfg)
 	}
-	t.Logf("%d accepted, %d rejected", accepted, rejected)
+	t.Logf("%d accepted, %d rejected (%d over the work bound, %d over the byte or data bound)", accepted, rejected, overWork, overBytes)
+	if overWork == 0 || overBytes == 0 {
+		t.Errorf("the sweep never crossed the work bound (%d) or the byte bound (%d)", overWork, overBytes)
+	}
 	if accepted < 40 || rejected < 40 {
 		t.Fatalf("cases lean one way: %d accepted, %d rejected", accepted, rejected)
 	}
+}
+
+// jobWorkBound is the admission work bound (experiment.maxJobWork).
+const jobWorkBound = 2e12
+
+// checkHalvingAdmits halves a work-refused job's Rounds until Validate admits
+// it: rounds are the work term's one free factor, so no other refusal may
+// appear on the way.
+func checkHalvingAdmits(t *testing.T, name string, cfg SimulationConfig) {
+	t.Helper()
+	for cfg.Rounds > 1 {
+		cfg.Rounds /= 2
+		err := cfg.Validate()
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, experiment.ErrOverBound) || !strings.Contains(err.Error(), "work term") {
+			t.Errorf("%s: at %d rounds: %v", name, cfg.Rounds, err)
+			return
+		}
+	}
+	t.Errorf("%s: still over the work bound at one round", name)
 }
 
 // sweepConfig draws one job with every knob taken from values that are mostly
@@ -305,6 +351,19 @@ func sweepConfig(r *rng.Source) SimulationConfig {
 		cfg.FaultScale = pick(r, []float64{0, 0, 5}, []float64{-1})
 	} else {
 		cfg.FaultScale = pick(r, []float64{0}, []float64{5})
+	}
+	// One draw in eight is long: 2^16 rounds sit under the work bound, 2^27
+	// mostly over it. One in eight is wide: 2^20 parties over six paper-scale
+	// repeats need more than the byte bound, so a wide draw is never built,
+	// and one or three rounds keep it under the work bound. No draw is both,
+	// so halving a long draw's rounds reaches admission.
+	switch r.Intn(8) {
+	case 0:
+		cfg.Rounds = []int{1 << 16, 1 << 27}[r.Intn(2)]
+		cfg.PaperScale = r.Intn(4) == 0
+	case 1:
+		cfg.Parties, cfg.PaperScale = 1<<20, true
+		cfg.Rounds = []int{1, 3}[r.Intn(2)]
 	}
 	return cfg
 }
@@ -931,6 +990,7 @@ func TestJobInvariance(t *testing.T) {
 		cfg := sweepConfig(r)
 		cfg.Parties = []int{6, 12, 24}[r.Intn(3)]
 		cfg.Rounds = 2 + r.Intn(5)
+		cfg.PaperScale = false // laptop scale evaluates every second round
 		switch r.Intn(3) {
 		case 0:
 			cfg.Aggregation, cfg.BufferSize, cfg.StalenessHalfLife = "sync", 0, 0

@@ -39,11 +39,16 @@ func blobPoints(k, perCluster, dim int, sep, noise float64, r *rng.Source) ([]te
 	return points, truth
 }
 
+// fitK is one K-Means fit of points at k, in a workspace sized for k.
+func fitK(points []tensor.Vec, k int, r *rng.Source, maxIter int) (*KMeansResult, error) {
+	return newSweep(tensor.MatFromRows(points), k).fit(k, r, maxIter)
+}
+
 func TestKMeansRecoversBlobs(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
 	points, truth := blobPoints(4, 50, 8, 20, 0.5, r)
-	res, err := KMeans(tensor.MatFromRows(points), 4, r.Split(9))
+	res, err := fitK(points, 4, r.Split(9), MaxIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +73,20 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	}
 }
 
+// TestKMeansValidation pins the workspace's k check and the sweep's refusal of
+// no points.
 func TestKMeansValidation(t *testing.T) {
 	t.Parallel()
 	r := rng.New(2)
-	if _, err := KMeans(tensor.NewMat(0, 0), 1, r); err == nil {
-		t.Fatal("expected error for empty points")
-	}
-	pts := []tensor.Vec{{1}, {2}}
-	if _, err := KMeans(tensor.MatFromRows(pts), 0, r); err == nil {
+	s := newSweep(tensor.MatFromRows([]tensor.Vec{{1}, {2}}), 2)
+	if _, err := s.fit(0, r, MaxIterations); err == nil {
 		t.Fatal("expected error for k=0")
 	}
-	if _, err := KMeans(tensor.MatFromRows(pts), 3, r); err == nil {
-		t.Fatal("expected error for k>n")
+	if _, err := s.fit(3, r, MaxIterations); err == nil {
+		t.Fatal("expected error for k beyond the workspace")
+	}
+	if _, _, err := OptimalK(context.Background(), tensor.NewMat(0, 0), 2, 1, r, r); err == nil {
+		t.Fatal("expected error for empty points")
 	}
 }
 
@@ -87,7 +94,7 @@ func TestKMeansK1(t *testing.T) {
 	t.Parallel()
 	r := rng.New(3)
 	points, _ := blobPoints(2, 20, 4, 5, 1, r)
-	res, err := KMeans(tensor.MatFromRows(points), 1, r)
+	res, err := fitK(points, 1, r, MaxIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestKMeansAssignmentsNearest(t *testing.T) {
 		r := rng.New(seed)
 		k := 2 + r.Intn(4)
 		points, _ := blobPoints(k, 10+r.Intn(10), 3, 8, 1, r)
-		res, err := KMeans(tensor.MatFromRows(points), k, r)
+		res, err := fitK(points, k, r, MaxIterations)
 		if err != nil {
 			return false
 		}
@@ -132,11 +139,11 @@ func TestKMeansDeterministic(t *testing.T) {
 	t.Parallel()
 	r := rng.New(5)
 	points, _ := blobPoints(3, 30, 6, 10, 1, r)
-	a, err := KMeans(tensor.MatFromRows(points), 3, rng.New(77))
+	a, err := fitK(points, 3, rng.New(77), MaxIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := KMeans(tensor.MatFromRows(points), 3, rng.New(77))
+	b, err := fitK(points, 3, rng.New(77), MaxIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +166,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 		// Take the best of a few restarts so the comparison is meaningful.
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := KMeans(tensor.MatFromRows(points), k, r.Split(uint64(k*100+trial)))
+			res, err := fitK(points, k, r.Split(uint64(k*100+trial)), MaxIterations)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +189,7 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 	dbiAt := func(k int) float64 {
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := KMeans(tensor.MatFromRows(points), k, r.Split(uint64(k*31+trial)))
+			res, err := fitK(points, k, r.Split(uint64(k*31+trial)), MaxIterations)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +209,7 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 func TestDaviesBouldinDegenerate(t *testing.T) {
 	t.Parallel()
 	points := []tensor.Vec{{1, 1}, {2, 2}}
-	res, err := KMeans(tensor.MatFromRows(points), 1, rng.New(1))
+	res, err := fitK(points, 1, rng.New(1), MaxIterations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +366,7 @@ func TestKMeansInertiaNonIncreasingAcrossIterations(t *testing.T) {
 	points, _ := blobPoints(4, 40, 6, 6, 2.0, r)
 	prev := math.Inf(1)
 	for iters := 1; iters <= 12; iters++ {
-		res, err := kmeans(tensor.MatFromRows(points), 4, rng.New(99), iters)
+		res, err := fitK(points, 4, rng.New(99), iters)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,7 +165,8 @@ func ElbowK(curve []float64) int {
 // compute the DBI curve over k in [2, maxK] with `repeats` restarts each
 // (drawn from r), choose the elbow point k, and fit K-Means at k (drawn from
 // fit). The sweep and the fit share one workspace, so the points' distinct
-// rows are numbered once; the fit is the one KMeans(points, k, fit) returns.
+// rows are numbered once; the fit is the one a fresh workspace sized for k
+// returns.
 // The sweep checks ctx before each fit, and a done ctx ends it with ctx's
 // error.
 func OptimalK(ctx context.Context, points *tensor.Mat, maxK, repeats int, r, fit *rng.Source) (*KMeansResult, []float64, error) {

@@ -1,13 +1,15 @@
-// Package cluster implements the clustering machinery FLIPS builds on:
-// Lloyd's K-Means with k-means++ seeding, the Davies-Bouldin index, the
-// elbow-point rule the paper uses to pick the optimal k (Eq. 3, Figure 2),
-// and agglomerative hierarchical clustering (used by the GradClus baseline).
+// Package cluster implements the clustering machinery FLIPS builds on: the
+// paper's §3.1 procedure (OptimalK: a Davies-Bouldin curve over Lloyd's
+// K-Means with k-means++ seeding, the elbow-point rule that picks k from it,
+// Eq. 3 and Figure 2, and the fit at that k), and agglomerative hierarchical
+// clustering (used by the GradClus baseline). K-Means runs only inside the
+// sweep (DBICurve, OptimalK): no caller fits a k of its own choosing.
 //
-// K-Means and the Davies-Bouldin sweep run on the rows of one row-major
-// tensor.Mat and keep their state in one sweep workspace, sized for the
-// largest k and reused by every Lloyd iteration, restart and k. The
-// workspace measures each distinct row once per pass and reads the result
-// per point through the row's number (DESIGN.md, "The distinct-row sweep").
+// The sweep runs on the rows of one row-major tensor.Mat and keeps its state
+// in one workspace, sized for the largest k and reused by every Lloyd
+// iteration, restart and k, the final fit included. The workspace measures
+// each distinct row once per pass and reads the result per point through the
+// row's number (DESIGN.md, "The distinct-row sweep").
 package cluster
 
 import (
@@ -49,24 +51,6 @@ const (
 	MaxIterations = 100
 	tolerance     = 1e-6
 )
-
-// KMeans clusters the rows of points into k groups using k-means++ seeding
-// followed by Lloyd's algorithm. Points must be non-empty and
-// 1 <= k <= points.Rows.
-func KMeans(points *tensor.Mat, k int, r *rng.Source) (*KMeansResult, error) {
-	return kmeans(points, k, r, MaxIterations)
-}
-
-// kmeans is KMeans with the Lloyd iteration cap as a parameter.
-func kmeans(points *tensor.Mat, k int, r *rng.Source, maxIter int) (*KMeansResult, error) {
-	if points.Rows == 0 {
-		return nil, fmt.Errorf("cluster: no points")
-	}
-	if k < 1 || k > points.Rows {
-		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", k, points.Rows)
-	}
-	return newSweep(points, k).fit(k, r, maxIter)
-}
 
 // fit is one K-Means run in the workspace, its result holding the
 // workspace's centroids and assignment. k must fit the workspace.

@@ -202,7 +202,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // reference's re-seed count.
 func checkKMeansMatches(t *testing.T, points []tensor.Vec, k int, seed uint64, maxIter int) int {
 	t.Helper()
-	got, err := kmeans(tensor.MatFromRows(points), k, rng.New(seed), maxIter)
+	got, err := fitK(points, k, rng.New(seed), maxIter)
 	if err != nil {
 		t.Fatal(err)
 	}

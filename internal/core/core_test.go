@@ -322,8 +322,7 @@ func TestStragglerOrder(t *testing.T) {
 	}
 }
 
-// TestHeapPropertyMatchesSort pops random keys, some of them grown in place
-// and fixed after the pushes, in (picks, id) order.
+// TestHeapPropertyMatchesSort pops random keys in (picks, id) order.
 func TestHeapPropertyMatchesSort(t *testing.T) {
 	t.Parallel()
 	check := func(seed uint64) bool {
@@ -338,11 +337,6 @@ func TestHeapPropertyMatchesSort(t *testing.T) {
 		for _, id := range ids {
 			h.picks[id] = r.Intn(10)
 			h.push(id)
-		}
-		for i := r.Intn(n); i > 0; i-- {
-			id := r.Intn(n)
-			h.picks[id] += 1 + r.Intn(3)
-			h.fix(id)
 		}
 		prevPicks, prevID := -1, -1
 		for len(h.ids) > 0 {
@@ -404,18 +398,6 @@ func TestClusterLabelDistributions(t *testing.T) {
 	}
 }
 
-func TestClusterWithK(t *testing.T) {
-	t.Parallel()
-	lds := []tensor.Vec{{1, 0}, {1, 0.1}, {0, 1}, {0.1, 1}}
-	clusters, err := ClusterWithK(lds, 2, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(clusters) != 2 {
-		t.Fatalf("got %d clusters", len(clusters))
-	}
-}
-
 func TestSelectDeterministic(t *testing.T) {
 	t.Parallel()
 	build := func() *Selector {
@@ -432,30 +414,6 @@ func TestSelectDeterministic(t *testing.T) {
 			if sa[i] != sb[i] {
 				t.Fatalf("round %d: selections diverge", round)
 			}
-		}
-	}
-}
-
-func TestRandomOverprovisionAblation(t *testing.T) {
-	t.Parallel()
-	s := mustSelector(t, [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}})
-	s.SetRandomOverprovision(true, rng.New(9))
-	sel := s.Select(0, 4)
-	fb := fl.RoundFeedback{Round: 0, Selected: sel, Stragglers: sel[:2], Completed: reports(sel[2:]...)}
-	s.Observe(fb)
-	next := s.Select(1, 4)
-	if len(next) != 5 {
-		t.Fatalf("expected 4+1 parties, got %d", len(next))
-	}
-	extra := next[4]
-	for _, st := range fb.Stragglers {
-		if extra == st {
-			t.Fatalf("random over-provision picked outstanding straggler %d", extra)
-		}
-	}
-	for _, id := range next[:4] {
-		if id == extra {
-			t.Fatalf("extra duplicates equitable pick %d", extra)
 		}
 	}
 }

@@ -48,21 +48,6 @@ type Selector struct {
 	// cohort.
 	inRound []bool
 	parked  []int
-
-	// randomOverprovision is an ablation switch: when set, over-provisioned
-	// parties are drawn equitably from all clusters instead of from the
-	// straggler-heavy clusters (Algorithm 1 line 29). Benchmarks use it to
-	// isolate the value of cluster-aware replacement.
-	randomOverprovision bool
-	opRng               *rng.Source
-}
-
-// SetRandomOverprovision toggles the ablation mode that replaces straggler-
-// cluster-aware over-provisioning with uniform random replacement. r seeds
-// the random draws (required when enable is true).
-func (s *Selector) SetRandomOverprovision(enable bool, r *rng.Source) {
-	s.randomOverprovision = enable
-	s.opRng = r
 }
 
 var _ fl.Selector = (*Selector)(nil)
@@ -135,7 +120,7 @@ func (s *Selector) Select(_, target int) []int {
 	if s.stragglers > 0 {
 		extra := int(s.stragRate * float64(target))
 		var order []int
-		if extra > 0 && !s.randomOverprovision {
+		if extra > 0 {
 			order = s.stragglerOrder()
 		}
 		for i := 0; i < extra && len(selected) < s.NumParties(); i++ {
@@ -183,24 +168,6 @@ func (s *Selector) stragglerOrder() []int {
 // falling back through clusters in that order when the top cluster has no
 // available member.
 func (s *Selector) overprovisionPick(order []int) (int, bool) {
-	if s.randomOverprovision && s.opRng != nil {
-		// Ablation mode: uniform over all available non-straggler parties,
-		// in id order. None of them is parked: the round parks only members
-		// it picked or found in the round.
-		candidates := make([]int, 0, len(s.picks))
-		for p := range s.picks {
-			if !s.inRound[p] && !s.straggler[p] {
-				candidates = append(candidates, p)
-			}
-		}
-		if len(candidates) == 0 {
-			return 0, false
-		}
-		pick := candidates[s.opRng.Intn(len(candidates))]
-		s.picks[pick]++
-		s.partyHp[s.clusterOf[pick]].fix(pick)
-		return pick, true
-	}
 	for _, c := range order {
 		if p, ok := s.pickFromCluster(c, true); ok {
 			return p, true
@@ -313,15 +280,6 @@ func ClusterLabelDistributionsContext(ctx context.Context, lds []tensor.Vec, max
 		repeats = 20 // the paper's T=20
 	}
 	res, _, err := cluster.OptimalK(ctx, points, maxK, repeats, r.Split(1), r.Split(2))
-	if err != nil {
-		return nil, err
-	}
-	return nonEmptyClusters(res), nil
-}
-
-// ClusterWithK is ClusterLabelDistributions with a fixed k (for ablations).
-func ClusterWithK(lds []tensor.Vec, k int, r *rng.Source) ([][]int, error) {
-	res, err := cluster.KMeans(normalized(lds), k, r)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // pickHeap is a min-heap of ids by fewest picks, ties to the lower id
 // (Algorithm 1's H and Hc). FLIPS's fairness guarantee — every party within
 // a cluster gets an equal opportunity — is enforced by always extracting the
@@ -30,9 +28,6 @@ func (h *pickHeap) pop() int {
 	h.down(0)
 	return id
 }
-
-// fix restores the order after id's key grew while it was in the heap.
-func (h *pickHeap) fix(id int) { h.down(slices.Index(h.ids, id)) }
 
 func (h *pickHeap) up(i int) {
 	for i > 0 {

@@ -135,10 +135,6 @@ func newTraceSet(rows [][]float64) (*TraceSet, error) {
 // NumDevices returns the number of traced devices.
 func (t *TraceSet) NumDevices() int { return len(t.rows) }
 
-// rowLen returns the slot count of trace row `row` (wrapped modulo the trace
-// size) — the period after which Online repeats for that device.
-func (t *TraceSet) rowLen(row int) int { return len(t.rows[mod(row, len(t.rows))]) }
-
 // Online reports whether trace row `row` (wrapped modulo the trace size) is
 // online at slot `slot` (wrapped modulo the row length).
 func (t *TraceSet) Online(row, slot int) bool {

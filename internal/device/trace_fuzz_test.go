@@ -74,7 +74,7 @@ func FuzzTraceSet(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		for row := 0; row < ts.NumDevices(); row++ {
-			slots := ts.rowLen(row)
+			slots := len(ts.rows[row])
 			for s := 0; s < slots; s++ {
 				if s > 0 {
 					buf.WriteByte(',')
@@ -96,7 +96,7 @@ func FuzzTraceSet(f *testing.F) {
 			t.Fatalf("round-trip device count %d != %d", again.NumDevices(), ts.NumDevices())
 		}
 		for row := 0; row < ts.NumDevices(); row++ {
-			for s := 0; s < ts.rowLen(row); s++ {
+			for s := 0; s < len(ts.rows[row]); s++ {
 				if again.Online(row, s) != ts.Online(row, s) {
 					t.Fatalf("round-trip schedule drift at row %d slot %d", row, s)
 				}

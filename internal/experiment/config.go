@@ -375,6 +375,15 @@ func newPlan(setting Setting, scale Scale) (*plan, error) {
 		Privacy:         setting.Privacy,
 		Seed:            setting.Seed,
 	}}
+	// The engine's own refusals come before the size bounds, so a malformed
+	// job is refused as malformed however large it is.
+	if err := pl.cfg.ValidateShape(fl.FleetShape{
+		Parties:     scale.Parties,
+		Devices:     setting.Device != nil,
+		TotalWeight: float64(spec.TrainSize),
+	}); err != nil {
+		return nil, err
+	}
 	var bytes float64
 	pl.work, bytes = pl.cost(setting.Strategy, scale)
 	if pl.work > maxJobWork {
@@ -457,11 +466,7 @@ func admit(setting Setting, scale Scale) (work float64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	return pl.work, pl.cfg.ValidateShape(fl.FleetShape{
-		Parties:     scale.Parties,
-		Devices:     setting.Device != nil,
-		TotalWeight: float64(pl.spec.TrainSize),
-	})
+	return pl.work, nil
 }
 
 // fleetData is the part of a fleet that follows from the data alone: the test

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -49,7 +50,7 @@ func RunTEEOverhead(scale Scale, repeats int, seed uint64) (*TEEOverheadResult, 
 	start := time.Now()
 	var plainClusters [][]int
 	for i := 0; i < repeats; i++ {
-		plainClusters, err = core.ClusterLabelDistributions(lds, maxK, kmRepeats, rng.New(seed))
+		plainClusters, err = core.ClusterLabelDistributionsContext(context.Background(), lds, maxK, kmRepeats, rng.New(seed))
 		if err != nil {
 			return nil, err
 		}

@@ -13,10 +13,9 @@ import (
 //
 // A Window is not goroutine-safe; guard it with the owner's mutex.
 type Window struct {
-	buf   []float64
-	next  int
-	full  bool
-	count int // total observations ever pushed
+	buf  []float64
+	next int
+	full bool
 }
 
 // NewWindow returns a window retaining the last capacity observations
@@ -30,7 +29,6 @@ func NewWindow(capacity int) *Window {
 
 // Push folds one observation in, evicting the oldest once full.
 func (w *Window) Push(x float64) {
-	w.count++
 	if !w.full {
 		w.buf = append(w.buf, x)
 		if len(w.buf) == cap(w.buf) {
@@ -44,12 +42,6 @@ func (w *Window) Push(x float64) {
 		w.next = 0
 	}
 }
-
-// Len reports how many observations the window currently retains.
-func (w *Window) Len() int { return len(w.buf) }
-
-// Count reports the total observations ever pushed, including evicted ones.
-func (w *Window) Count() int { return w.count }
 
 // Quantile returns the q-quantile (q in [0,1]) of the retained observations
 // by the nearest-rank method, or NaN for an empty window. Quantile(0) is the

@@ -223,9 +223,6 @@ func normUp(s float64, n int) float64 {
 	return math.Nextafter(math.Sqrt(v), math.Inf(1))
 }
 
-// frobUp returns an upper bound on ‖v − w‖₂ (‖v‖₂ for a nil w).
-func frobUp(v, w tensor.Vec) float64 { return normUp(sumSq(v, w), len(v)) }
-
 // rowNormUp returns an upper bound on the largest ‖m_i − w_i‖₂ over the rows
 // i of m (of ‖m_i‖₂ for a nil w). A NaN anywhere makes it NaN.
 func rowNormUp(m, w *tensor.Mat) float64 {

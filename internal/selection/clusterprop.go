@@ -18,6 +18,7 @@ type ClusterProportional struct {
 	weights  []float64
 	r        *rng.Source
 	inRound  []bool // by party id: picked this Select; all false between calls
+	picked   []int  // by cluster: members picked this Select; all 0 between calls
 }
 
 var _ fl.Selector = (*ClusterProportional)(nil)
@@ -42,6 +43,7 @@ func NewClusterProportional(clusters [][]int, r *rng.Source) (*ClusterProportion
 		}
 	}
 	s.inRound = make([]bool, size)
+	s.picked = make([]int, len(s.clusters))
 	return s, nil
 }
 
@@ -60,24 +62,32 @@ func (s *ClusterProportional) Select(_, target int) []int {
 	}
 	selected := make([]int, 0, target)
 	for len(selected) < target {
-		c := s.clusters[s.r.Categorical(s.weights)]
-		// Uniform member; skip if exhausted this round.
-		free := make([]int, 0, len(c))
-		for _, id := range c {
-			if !s.inRound[id] {
-				free = append(free, id)
-			}
-		}
-		if len(free) == 0 {
+		ci := s.r.Categorical(s.weights)
+		c := s.clusters[ci]
+		// Uniform free member, counted in cluster order; skip the cluster
+		// if this round has exhausted it.
+		free := len(c) - s.picked[ci]
+		if free == 0 {
 			continue
 		}
-		id := free[s.r.Intn(len(free))]
-		s.inRound[id] = true
-		selected = append(selected, id)
+		k := s.r.Intn(free)
+		for _, id := range c {
+			if s.inRound[id] {
+				continue
+			}
+			if k == 0 {
+				s.inRound[id] = true
+				s.picked[ci]++
+				selected = append(selected, id)
+				break
+			}
+			k--
+		}
 	}
 	for _, id := range selected {
 		s.inRound[id] = false
 	}
+	clear(s.picked)
 	return selected
 }
 

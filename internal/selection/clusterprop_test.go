@@ -56,3 +56,24 @@ func TestClusterProportionalFavorsLargeClusters(t *testing.T) {
 		t.Fatalf("large cluster picked %.2f of rounds, want ~0.9", frac)
 	}
 }
+
+// BenchmarkClusterProportionalSelect draws a 200-party round from 10
+// clusters of 2,000 parties each. A pick walks its cluster to the drawn free
+// member, so the only allocation is the returned slice.
+func BenchmarkClusterProportionalSelect(b *testing.B) {
+	clusters := make([][]int, 10)
+	for c := range clusters {
+		for i := 0; i < 2000; i++ {
+			clusters[c] = append(clusters[c], c*2000+i)
+		}
+	}
+	s, err := NewClusterProportional(clusters, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drawSink = s.Select(i, 200)
+	}
+}

@@ -55,8 +55,6 @@ func newUtilityHeap(numParties int) utilityHeap {
 	return utilityHeap{pos: pos}
 }
 
-func (h *utilityHeap) len() int { return len(h.band) + len(h.items) }
-
 // push enters a party that is not in the heap yet.
 func (h *utilityHeap) push(id int, u float64) {
 	h.items = append(h.items, utilEntry{util: u, id: id})

@@ -11,6 +11,9 @@ import (
 	"flips/internal/rng"
 )
 
+// len counts the parties in the heap, band included.
+func (h *utilityHeap) len() int { return len(h.band) + len(h.items) }
+
 // refItem and referenceHeap are the pointer heap utilityHeap replaced: one
 // heap-allocated item per party behind container/heap, the candidate band
 // dug out by popping and pushed back afterwards. They stay here as the

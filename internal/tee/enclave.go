@@ -1,6 +1,7 @@
 package tee
 
 import (
+	"context"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -194,7 +195,7 @@ func (e *Enclave) Cluster(seed uint64) error {
 	for i, id := range ids {
 		points[i] = e.lds[id]
 	}
-	clusters, err := core.ClusterLabelDistributions(points, e.code.MaxK, e.code.Repeats, rng.New(seed))
+	clusters, err := core.ClusterLabelDistributionsContext(context.Background(), points, e.code.MaxK, e.code.Repeats, rng.New(seed))
 	if err != nil {
 		return err
 	}

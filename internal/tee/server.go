@@ -186,8 +186,6 @@ func (s *Server) handle(req request) response {
 // RemoteEnclave is the client stub: it speaks the Server protocol and
 // implements EnclaveAPI for parties plus the aggregator-side operations.
 type RemoteEnclave struct {
-	addr string
-
 	mu    sync.Mutex
 	conn  net.Conn
 	codec *wire.Codec
@@ -201,7 +199,7 @@ func DialEnclave(addr string) (*RemoteEnclave, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tee dial: %w", err)
 	}
-	return &RemoteEnclave{addr: addr, conn: conn, codec: wire.NewCodec(conn, wireVersion)}, nil
+	return &RemoteEnclave{conn: conn, codec: wire.NewCodec(conn, wireVersion)}, nil
 }
 
 // Close closes the connection.
