@@ -357,6 +357,61 @@ func TestCosineDistanceMatrix(t *testing.T) {
 	}
 }
 
+func TestCosineDistance(t *testing.T) {
+	t.Parallel()
+	a := tensor.Vec{1, 0}
+	for _, tc := range []struct {
+		name string
+		b    tensor.Vec
+		want float64
+	}{
+		{"orthogonal", tensor.Vec{0, 1}, 1},
+		{"parallel", tensor.Vec{2, 0}, 0},
+		{"zero vector", tensor.Vec{0, 0}, 1},
+		{"antiparallel", tensor.Vec{-3, 0}, 2},
+	} {
+		if got := CosineDistance(a, tc.b, a.Norm2(), tc.b.Norm2()); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: distance %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCosineDistanceMatrixMatchesPerPairNorms: with each norm taken once,
+// every entry is still bit-equal to the distance with both norms recomputed
+// for its pair, as the matrix was built before, zero and non-finite vectors
+// included.
+func TestCosineDistanceMatrixMatchesPerPairNorms(t *testing.T) {
+	t.Parallel()
+	r := rng.New(5)
+	pts := make([]tensor.Vec, 40)
+	for i := range pts {
+		pts[i] = tensor.NewVec(17)
+		r.Normals(pts[i])
+	}
+	pts[3] = tensor.NewVec(17) // zero norm
+	pts[7][2] = math.NaN()
+	pts[9][0] = math.Inf(1)
+	perPair := func(a, b tensor.Vec) float64 {
+		na, nb := a.Norm2(), b.Norm2()
+		if na == 0 || nb == 0 {
+			return 1
+		}
+		return 1 - a.Dot(b)/(na*nb)
+	}
+	d := CosineDistanceMatrix(pts)
+	for i := range pts {
+		for j := range pts {
+			want := 0.0
+			if i != j {
+				want = perPair(pts[i], pts[j])
+			}
+			if got := d.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d[%d][%d] = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+}
+
 func TestKMeansInertiaNonIncreasingAcrossIterations(t *testing.T) {
 	t.Parallel()
 	// DESIGN.md invariant: Lloyd iterations never increase the objective.

@@ -87,16 +87,32 @@ func Agglomerative(dist *tensor.Mat, k int) ([]int, error) {
 }
 
 // CosineDistanceMatrix builds the pairwise matrix d[i][j] = 1 - cos(x_i, x_j)
-// used to hierarchically cluster gradient vectors.
+// used to hierarchically cluster gradient vectors. Each point's norm is taken
+// once, not once per pair.
 func CosineDistanceMatrix(points []tensor.Vec) *tensor.Mat {
 	n := len(points)
+	norms := make([]float64, n)
+	for i, p := range points {
+		norms[i] = p.Norm2()
+	}
 	d := tensor.NewMat(n, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := 1 - points[i].CosineSim(points[j])
+			v := CosineDistance(points[i], points[j], norms[i], norms[j])
 			d.Set(i, j, v)
 			d.Set(j, i, v)
 		}
 	}
 	return d
+}
+
+// CosineDistance is 1 - cos(a, b) given the norms na = |a| and nb = |b|; a
+// zero vector has similarity 0 with every vector, so distance 1. It is
+// symmetric bit for bit, since each product of the dot and the norms
+// commutes.
+func CosineDistance(a, b tensor.Vec, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
+		return 1
+	}
+	return 1 - a.Dot(b)/(na*nb)
 }

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 
 	"flips/internal/fmath"
 )
@@ -209,27 +211,61 @@ func (r *Source) sampleDense(n, k int) []int {
 }
 
 // sampleSparse runs the same partial Fisher-Yates over a virtual identity
-// permutation, tracking only displaced positions in a map. The sequence of
-// Intn draws and the produced indices are bit-identical to sampleDense —
-// position x holds x until a swap moves something there — with O(k) memory
-// instead of O(n).
+// permutation, tracking only displaced positions. The sequence of Intn draws
+// and the produced indices are bit-identical to sampleDense — position x
+// holds x until a swap moves something there — with O(k) memory instead of
+// O(n). Step i reads positions i and j ≥ i and never reads a position below
+// i+1 again, so only j's new value is recorded: at most k entries, in an
+// open-addressing table of at least 2k slots drawn from a pool and cleared
+// over the part this call uses, so a call allocates only its result.
 func (r *Source) sampleSparse(n, k int) []int {
-	swapped := make(map[int]int, 2*k)
-	at := func(x int) int {
-		if v, ok := swapped[x]; ok {
-			return v
+	size := 2
+	for size < 2*k {
+		size <<= 1
+	}
+	tp := sparseTables.Get().(*[]sparseSlot)
+	if cap(*tp) < size {
+		*tp = make([]sparseSlot, size)
+	}
+	t := (*tp)[:size]
+	clear(t)
+	shift := 64 - bits.TrailingZeros(uint(size))
+	// find returns x's slot: the one holding it, or the empty slot it would
+	// take. Keys are stored as x+1, so a zero key marks an empty slot.
+	find := func(x int) *sparseSlot {
+		h := (uint64(x) * 0x9e3779b97f4a7c15) >> shift
+		for {
+			if e := &t[h]; e.key == 0 || e.key == x+1 {
+				return e
+			}
+			h = (h + 1) & uint64(size-1)
 		}
-		return x
 	}
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
-		vi, vj := at(i), at(j)
+		vi, vj := i, j
+		if e := find(i); e.key != 0 {
+			vi = e.val
+		}
+		e := find(j)
+		if e.key != 0 {
+			vj = e.val
+		}
 		out[i] = vj
-		swapped[i], swapped[j] = vj, vi
+		if j != i {
+			e.key, e.val = j+1, vi
+		}
 	}
+	sparseTables.Put(tp)
 	return out
 }
+
+// sparseSlot is one entry of sampleSparse's table: a displaced position
+// (plus one; zero is empty) and the value now there.
+type sparseSlot struct{ key, val int }
+
+var sparseTables = sync.Pool{New: func() any { return new([]sparseSlot) }}
 
 // Laplace draws from the Laplace distribution with scale b (mean 0) by
 // inverse-CDF sampling — the noise of the (ε, 0)-differential-privacy

@@ -31,6 +31,36 @@ func TestSampleSparseMatchesDense(t *testing.T) {
 	}
 }
 
+// TestSampleAcrossTheSparseThreshold: SampleWithoutReplacement on either
+// side of the 1,024 threshold, and sampleSparse below it, give sampleDense's
+// indices from the same Intn draws, call after call on one source — each
+// call reuses the pooled table a larger or smaller call left behind.
+func TestSampleAcrossTheSparseThreshold(t *testing.T) {
+	t.Parallel()
+	a, b, c := New(41), New(41), New(41)
+	for call := 0; call < 400; call++ {
+		n := sparseSampleThreshold - 8 + call%17
+		k := []int{0, 1, 2, 31, 32, 33, 511, n / 2, n - 1, n}[call%10]
+		if call%37 == 0 {
+			n = 20000 + call
+		}
+		dense := a.sampleDense(n, k)
+		sampled := b.SampleWithoutReplacement(n, k)
+		sparse := c.sampleSparse(n, k)
+		for i := range dense {
+			if sampled[i] != dense[i] || sparse[i] != dense[i] {
+				t.Fatalf("call %d (n=%d k=%d): index %d: dense %d, SampleWithoutReplacement %d, sparse %d", call, n, k, i, dense[i], sampled[i], sparse[i])
+			}
+		}
+		if len(sampled) != k || len(sparse) != k {
+			t.Fatalf("call %d (n=%d k=%d): lengths %d, %d", call, n, k, len(sampled), len(sparse))
+		}
+	}
+	if x, y, z := a.Uint64(), b.Uint64(), c.Uint64(); x != y || x != z {
+		t.Fatal("RNG streams diverged")
+	}
+}
+
 // TestSampleWithoutReplacementValidAtScale sanity-checks distinctness and
 // range on the sparse path.
 func TestSampleWithoutReplacementValidAtScale(t *testing.T) {

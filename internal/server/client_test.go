@@ -78,7 +78,7 @@ func TestFollowAStreamThatGoesSilent(t *testing.T) {
 	t.Parallel()
 	c := hostile(t, func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasSuffix(r.URL.Path, "/stream") {
-			writeJSON(w, http.StatusOK, JobStatus{ID: "job-000001", State: StateRunning})
+			writeStatus(w, http.StatusOK, JobStatus{ID: "job-000001", State: StateRunning})
 			return
 		}
 		roundLine(w, 1)
@@ -105,7 +105,7 @@ func TestFollowReconnectsPastATruncatedStream(t *testing.T) {
 	var streams atomic.Int32
 	c := hostile(t, func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasSuffix(r.URL.Path, "/stream") {
-			writeJSON(w, http.StatusOK, JobStatus{ID: "job-000001", State: StateRunning})
+			writeStatus(w, http.StatusOK, JobStatus{ID: "job-000001", State: StateRunning})
 			return
 		}
 		if streams.Add(1) == 1 {
@@ -142,7 +142,7 @@ func TestFollowFallsBackToTheStatusPoll(t *testing.T) {
 			writeError(w, http.StatusInternalServerError, "stream broken")
 			return
 		}
-		writeJSON(w, http.StatusOK, JobStatus{ID: "job-000001", State: StateFailed, Error: "engine said no"})
+		writeStatus(w, http.StatusOK, JobStatus{ID: "job-000001", State: StateFailed, Error: "engine said no"})
 	})
 	watchdog(t, func() {
 		ev, err := c.Follow(testCtx(t), "job-000001", nil)

@@ -30,7 +30,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -107,6 +106,12 @@ var refusalNames = [refusalReasons]string{"invalid", "over_bound", "queue_full",
 // variable only so the test can shorten it.
 var streamWriteTimeout = 30 * time.Second
 
+// streamHold is how long a job stream waits after each flush before it takes
+// the next batch, so the rounds that land meanwhile go out in one write and
+// one flush rather than one each. The first batch is flushed at once; the
+// job's terminal state and the follower hanging up cut a hold short.
+const streamHold = 2 * time.Millisecond
+
 // drainTimeout bounds how long Drain lets accepted jobs run on before it
 // cancels every one still queued or running. A variable only so the test can
 // shorten it.
@@ -143,13 +148,16 @@ func terminal(state string) bool {
 }
 
 // job is one submitted simulation with its streaming round log. cond (on mu)
-// wakes stream handlers whenever a round lands or the state turns terminal.
+// wakes stream handlers whenever a round lands or the state turns terminal;
+// done is closed when the state turns terminal. An entry of rounds is never
+// changed once appended, so a follower may read rounds[:n] outside mu.
 type job struct {
 	id     string
 	cfg    flips.SimulationConfig
 	work   float64         // cfg.Cost(), held against workBudget until the job ends
 	ctx    context.Context // the run's; cancel ends it
 	cancel context.CancelFunc
+	done   chan struct{}
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -299,14 +307,23 @@ func (s *Server) Stats() Snapshot {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON answers with one JSON body that put appends. A body put cannot
+// encode is empty, as encoding/json leaves it.
+func writeJSON(w http.ResponseWriter, code int, put func(*jsonWriter) error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	jw := newJSONWriter(w)
+	_ = put(&jw)
+	_ = jw.close()
+}
+
+func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
+	writeJSON(w, code, func(jw *jsonWriter) error { return jw.status(&st) })
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	msg := fmt.Sprintf(format, args...)
+	writeJSON(w, code, func(jw *jsonWriter) error { return jw.errorBody(msg) })
 }
 
 // refuse counts a refused submission and answers it.
@@ -357,6 +374,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitted: s.cfg.Now(),
 	}
 	j.cond = sync.NewCond(&j.mu)
+	j.done = make(chan struct{})
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 	// Registration and queue submission happen under s.mu so a concurrent
 	// Drain cannot slip between them: either the submit wins and the drain
@@ -375,7 +393,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.evictLocked()
 	s.mu.Unlock()
 
-	writeJSON(w, http.StatusAccepted, JobStatus{ID: j.id, State: StateQueued, SubmittedAt: j.submitted})
+	writeStatus(w, http.StatusAccepted, JobStatus{ID: j.id, State: StateQueued, SubmittedAt: j.submitted})
 }
 
 // recordArrivalLocked appends to the arrival ring (capacity fixed at the
@@ -469,6 +487,7 @@ func (s *Server) runJob(j *job) {
 	} else {
 		j.result = res
 	}
+	close(j.done)
 	j.cond.Broadcast()
 }
 
@@ -499,6 +518,7 @@ func (s *Server) cancel(j *job) (st JobStatus, ok bool) {
 	if state == StateQueued {
 		s.endLocked(j, StateCancelled)
 		j.state, j.finished, j.errMsg = StateCancelled, now, context.Canceled.Error()
+		close(j.done)
 		j.cond.Broadcast()
 	}
 	j.mu.Unlock()
@@ -523,7 +543,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s already %s", st.ID, st.State)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	writeStatus(w, http.StatusOK, st)
 }
 
 // runProtected invokes the runner with a panic barrier so one buggy job
@@ -595,7 +615,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeStatus(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -605,12 +625,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
 		if j := s.job(id); j != nil {
-			st := j.status()
-			st.Result = nil // listing stays light; fetch one job for the payload
-			out = append(out, st)
+			out = append(out, j.status())
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, func(jw *jsonWriter) error { return jw.list(out) })
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -628,7 +646,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handleStream replays the job's round log and then follows it live, one
 // StreamEvent per NDJSON line, ending with the terminal event. Clients
 // connecting at any point of the job's life observe the complete round
-// sequence.
+// sequence. Each wake writes everything appended since the last one as one
+// batch and flushes it; after a flush the handler holds for streamHold, so a
+// job that rounds faster than that reaches its follower in a few large writes.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -637,7 +657,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
+	jw := newJSONWriter(w)
+	defer jw.close()
 
 	// A canceled request must wake a handler parked in cond.Wait; holding
 	// j.mu for the broadcast pairs it with the wait-loop's ctx re-check.
@@ -649,14 +670,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	})
 	defer stopWake()
 
+	var hold *time.Timer
 	next := 0
 	for {
 		j.mu.Lock()
 		for next >= len(j.rounds) && !j.terminalLocked() && ctx.Err() == nil {
 			j.cond.Wait()
 		}
-		batch := append([]flips.RoundPoint(nil), j.rounds[next:]...)
-		next += len(batch)
+		// The batch aliases the log: appended entries never change, and the
+		// capacity bound keeps the runner's next append out of it.
+		n := len(j.rounds)
+		batch := j.rounds[next:n:n]
+		next = n
 		terminal := j.terminalLocked()
 		state, errMsg, result := j.state, j.errMsg, j.result
 		j.mu.Unlock()
@@ -667,15 +692,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// with no connection under it (a test recorder) has none to set.
 		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		for i := range batch {
-			if enc.Encode(StreamEvent{Round: &batch[i]}) != nil {
+			if jw.event(&StreamEvent{Round: &batch[i]}) != nil {
 				return
 			}
 		}
 		if terminal {
-			_ = enc.Encode(StreamEvent{Done: true, State: state, Error: errMsg, Result: result})
+			_ = jw.event(&StreamEvent{Done: true, State: state, Error: errMsg, Result: result})
 			return
 		}
-		if rc.Flush() != nil {
+		if jw.flush() != nil || rc.Flush() != nil {
+			return
+		}
+		// The hold runs only after a flush, and a hold that ends early ends
+		// the stream's last wait (terminal) or the stream, so the timer is
+		// only ever reset after it fired.
+		if hold == nil {
+			hold = time.NewTimer(streamHold)
+			defer hold.Stop()
+		} else {
+			hold.Reset(streamHold)
+		}
+		select {
+		case <-hold.C:
+		case <-j.done:
+		case <-ctx.Done():
 			return
 		}
 	}

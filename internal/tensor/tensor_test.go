@@ -80,24 +80,6 @@ func TestDistMatchesNormOfDiff(t *testing.T) {
 	}
 }
 
-func TestCosineSim(t *testing.T) {
-	t.Parallel()
-	a := Vec{1, 0}
-	b := Vec{0, 1}
-	if got := a.CosineSim(b); got != 0 {
-		t.Fatalf("orthogonal cosine = %v", got)
-	}
-	if got := a.CosineSim(Vec{2, 0}); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("parallel cosine = %v", got)
-	}
-	if got := a.CosineSim(Vec{0, 0}); got != 0 {
-		t.Fatalf("zero-vector cosine = %v", got)
-	}
-	if got := a.CosineSim(Vec{-3, 0}); !almostEqual(got, -1, 1e-12) {
-		t.Fatalf("antiparallel cosine = %v", got)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	t.Parallel()
 	v := Vec{2, 2, 4}

@@ -105,16 +105,6 @@ func (v Vec) SqDist(other Vec) float64 {
 // Dist returns the Euclidean distance between v and other.
 func (v Vec) Dist(other Vec) float64 { return math.Sqrt(v.SqDist(other)) }
 
-// CosineSim returns the cosine similarity of v and other; zero vectors have
-// similarity 0 by convention.
-func (v Vec) CosineSim(other Vec) float64 {
-	nv, no := v.Norm2(), other.Norm2()
-	if nv == 0 || no == 0 {
-		return 0
-	}
-	return v.Dot(other) / (nv * no)
-}
-
 // Sum returns the sum of all elements.
 func (v Vec) Sum() float64 {
 	var s float64
