@@ -1,6 +1,7 @@
 package flips
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -13,19 +14,23 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// The three lists of declarations that need no product caller. An entry is
+// The three lists of what needs no product caller or reader. An entry is
 // spelled the way declKey spells it: the package path relative to the
 // module with internal/ dropped, then the name ("experiment.Build",
-// "(*dist.Job).ObserveRound"); a standard-library interface by its import
-// path. A stale entry fails the test too: one that names nothing, or one
-// whose declaration has gained a product caller.
+// "(*dist.Job).ObserveRound"); a field or parameter adds its name to its
+// type's or function's ("experiment.BuildResult.Parties"); a
+// standard-library interface is spelled by its import path. A stale entry
+// fails the test too: one that names nothing, or one whose declaration has
+// gained a product caller, whose field a product reader, or whose
+// parameter a read.
 var (
-	// harnessOnly is what only benchmark/ calls. The harness stops calling
-	// each (ROADMAP direction 1(b)); the change that deletes a name deletes
-	// its entry.
+	// harnessOnly is what only benchmark/ calls, reads or passes. The
+	// harness stops using each (ROADMAP direction 1(b)); the change that
+	// deletes a name deletes its entry.
 	harnessOnly = []string{
 		"experiment.Build",
 		"dist.NewJob",
@@ -37,6 +42,11 @@ var (
 		"secagg.CombineShares",
 		"secagg.AddPairMask",
 		"core.ClusterLabelDistributions",
+		"experiment.BuildResult.Parties",
+		"fl.WeightedAverageDeltaShardedInto.pool",
+		"fl.WeightedAverageDeltaShardedInto.shards",
+		"fl.RobustDeltaShardedInto.pool",
+		"fl.RobustDeltaShardedInto.shards",
 	}
 
 	// goldenFixtures are the golden jobs internal/fl's and internal/dist's
@@ -66,6 +76,26 @@ var (
 	}
 )
 
+// analysis type-checks the module once for the tests below.
+var analysis = sync.OnceValues(func() (findings, error) {
+	m, err := checkModule(".")
+	if err != nil {
+		return findings{}, err
+	}
+	return m.analyze(), nil
+})
+
+func report(t *testing.T, msgs func(findings) []string) {
+	t.Helper()
+	f, err := analysis()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range msgs(f) {
+		t.Error(msg)
+	}
+}
+
 // TestEveryDeclarationHasAProductCaller type-checks every non-test package
 // of the module outside benchmark/ and fails on each package-level func,
 // type, var or const, and each method no interface requires, that no
@@ -75,20 +105,40 @@ var (
 // type-checked objects, so a name another package or type shares does not
 // stand in for a caller.
 func TestEveryDeclarationHasAProductCaller(t *testing.T) {
-	m, err := checkModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range m.uncalled() {
-		t.Error(msg)
-	}
+	report(t, func(f findings) []string { return f.decls })
+}
+
+// TestEveryFieldHasAProductReader fails on each struct field that no
+// non-test code outside benchmark/ reads. Any use reads a field but one
+// alone on the left of = or := and a composite literal's key; every field
+// of a struct a map is keyed by is read. An embedded field is read through
+// what it promotes, and is not checked.
+func TestEveryFieldHasAProductReader(t *testing.T) {
+	report(t, func(f findings) []string { return f.fields })
+}
+
+// TestEveryParameterIsRead fails on each named parameter its function's
+// body does not read, as the field rule counts reads. A signature something
+// else sets is exempt: a method an interface requires, a function used as a
+// value (the http handlers), and a function literal that is not bound to a
+// name by := or an untyped var.
+func TestEveryParameterIsRead(t *testing.T) {
+	report(t, func(f findings) []string { return f.params })
+}
+
+// TestPublicSurfaceHasOutsideCallers fails on each exported package-level
+// name of package flips that no other non-test package outside benchmark/
+// references: the public surface is what the binaries and internal/server
+// call.
+func TestPublicSurfaceHasOutsideCallers(t *testing.T) {
+	report(t, func(f findings) []string { return f.surface })
 }
 
 const modulePath = "flips"
 
 // declKey names a package-level object or method as the lists spell it.
 func declKey(obj types.Object) string {
-	rel := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/"), "internal/")
+	rel := pkgKey(obj.Pkg())
 	if f, ok := obj.(*types.Func); ok {
 		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
 			typ, star := recv.Type(), ""
@@ -99,6 +149,11 @@ func declKey(obj types.Object) string {
 		}
 	}
 	return rel + "." + obj.Name()
+}
+
+// pkgKey spells a module package as the lists do.
+func pkgKey(pkg *types.Package) string {
+	return strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), modulePath+"/"), "internal/")
 }
 
 // modulePkg is one type-checked package of the module.
@@ -246,9 +301,14 @@ func recvTypeName(f *types.Func) *types.TypeName {
 	return typ.(*types.Named).Obj()
 }
 
-// uncalled returns one message per declaration with no product caller and
-// per stale list entry, sorted.
-func (m *moduleChecker) uncalled() []string {
+// findings is what the guard's rules report, one sorted list of messages
+// per rule. A stale list entry is reported under the rule it exempts from.
+type findings struct {
+	decls, fields, params, surface []string
+}
+
+// analyze applies every rule to the type-checked module.
+func (m *moduleChecker) analyze() findings {
 	exempt := map[string]bool{}
 	for _, k := range slices.Concat(harnessOnly, goldenFixtures) {
 		exempt[k] = true
@@ -257,15 +317,39 @@ func (m *moduleChecker) uncalled() []string {
 	// Every declaration the rule covers, and every product use of one: a
 	// use inside the declaration of what it uses does not count, and one
 	// inside an exempt declaration counts only once that declaration has a
-	// product use itself (which makes its entry stale).
+	// product use itself (which makes its entry stale). A field's use counts
+	// only where it reads the field.
 	declared := map[types.Object]bool{}
 	used := map[types.Object]bool{}
+	fields := map[*types.Var]string{} // every struct field, by key
+	valueUse := map[types.Object]bool{}
+	outside := map[types.Object]bool{} // package flips's objects used by another package
+	var params []param
 	var ifaces []*types.Interface
-	type exemptDecl struct{ objs, uses []types.Object }
+	type exemptDecl struct {
+		objs, uses []types.Object
+		node       ast.Node
+	}
 	var pending []exemptDecl
 	for _, mp := range m.pkgs {
 		main := mp.pkg.Name() == "main"
+		mp.fieldKeys(fields)
 		for _, f := range mp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if mt, ok := n.(*ast.MapType); ok {
+					key := ast.Unparen(mt.Key)
+					if sel, ok := key.(*ast.SelectorExpr); ok {
+						key = sel.Sel
+					}
+					if t := mp.info.TypeOf(key); t != nil {
+						readAll(t, used)
+					}
+				}
+				return true
+			})
+			w := mp.writes(f)
+			called := calledIdents(f)
+			params = append(params, mp.params(f, w)...)
 			for _, d := range mp.decls(f) {
 				skip := false
 				for _, obj := range d.objs {
@@ -282,19 +366,25 @@ func (m *moduleChecker) uncalled() []string {
 				}
 				var uses []types.Object
 				ast.Inspect(d.node, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						obj := mp.info.Uses[id]
-						if f, ok := obj.(*types.Func); ok {
-							obj = f.Origin()
-						}
-						if obj != nil && !slices.Contains(d.objs, obj) {
-							uses = append(uses, obj)
-						}
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					obj := origin(mp.info.Uses[id])
+					if obj == nil || slices.Contains(d.objs, obj) || w[id] {
+						return true
+					}
+					uses = append(uses, obj)
+					if _, ok := obj.(*types.Func); ok && !called[id] {
+						valueUse[obj] = true
+					}
+					if obj.Pkg() != nil && obj.Pkg().Path() == modulePath && mp.pkg.Path() != modulePath {
+						outside[obj] = true
 					}
 					return true
 				})
 				if skip {
-					pending = append(pending, exemptDecl{d.objs, uses})
+					pending = append(pending, exemptDecl{d.objs, uses, d.node})
 					continue
 				}
 				for _, obj := range uses {
@@ -317,9 +407,9 @@ func (m *moduleChecker) uncalled() []string {
 
 	// The listed standard-library interfaces, each of which some module
 	// type must implement.
+	var out findings
 	stdUsed := map[string]bool{}
 	stdIfaces := map[string]*types.Interface{}
-	var msgs []string
 	for _, name := range stdInterfaces {
 		obj := types.Universe.Lookup(name)
 		if i := strings.LastIndex(name, "."); i >= 0 {
@@ -328,7 +418,7 @@ func (m *moduleChecker) uncalled() []string {
 			}
 		}
 		if obj == nil {
-			msgs = append(msgs, fmt.Sprintf("stdInterfaces lists %s, which names no interface", name))
+			out.decls = append(out.decls, fmt.Sprintf("stdInterfaces lists %s, which names no interface", name))
 			continue
 		}
 		stdIfaces[name] = obj.Type().Underlying().(*types.Interface)
@@ -355,32 +445,265 @@ func (m *moduleChecker) uncalled() []string {
 		}
 		return required
 	}
+	isMethod := func(obj types.Object) bool {
+		f, ok := obj.(*types.Func)
+		return ok && f.Type().(*types.Signature).Recv() != nil
+	}
 
 	keys := map[string]types.Object{}
 	for obj := range declared {
 		key := declKey(obj)
 		keys[key] = obj
-		if used[obj] || exempt[key] {
-			continue
+		if !used[obj] && !exempt[key] && !(isMethod(obj) && requiredBy(obj.(*types.Func))) {
+			out.decls = append(out.decls, fmt.Sprintf("%s: %s has no product caller: delete it, or list it if only the harness or the golden fixtures call it", m.fset.Position(obj.Pos()), key))
 		}
-		if f, ok := obj.(*types.Func); ok && f.Type().(*types.Signature).Recv() != nil && requiredBy(f) {
-			continue
+		if obj.Pkg().Path() == modulePath && obj.Exported() && !isMethod(obj) && !outside[obj] && !exempt[key] {
+			out.surface = append(out.surface, fmt.Sprintf("%s: %s is exported but no package outside flips references it: unexport or delete it", m.fset.Position(obj.Pos()), key))
 		}
-		msgs = append(msgs, fmt.Sprintf("%s: %s has no product caller: delete it, or list it if only the harness or the golden fixtures call it", m.fset.Position(obj.Pos()), key))
+	}
+	// A field declared inside an exempt declaration that still has no
+	// product use is exempt with it.
+	inExempt := func(obj types.Object) bool {
+		return slices.ContainsFunc(pending, func(d exemptDecl) bool {
+			return d.objs != nil && d.node.Pos() <= obj.Pos() && obj.Pos() < d.node.End()
+		})
+	}
+	for field, key := range fields {
+		keys[key] = field
+		if !used[field] && !exempt[key] && !inExempt(field) {
+			out.fields = append(out.fields, fmt.Sprintf("%s: field %s is never read: delete it, or list it if only the harness reads it", m.fset.Position(field.Pos()), key))
+		}
+	}
+	read := map[types.Object]bool{}
+	for _, p := range params {
+		if p.key != "" {
+			keys[p.key] = p.obj
+		}
+		fixed := p.fixed || p.fn != nil && (valueUse[p.fn] || isMethod(p.fn) && requiredBy(p.fn))
+		switch {
+		case p.read:
+			read[p.obj] = true
+		case !fixed && !exempt[p.key]:
+			out.params = append(out.params, fmt.Sprintf("%s: parameter %s is never read: delete it, or list it if only the harness passes it", m.fset.Position(p.obj.Pos()), cmp.Or(p.key, p.obj.Name())))
+		}
 	}
 	for _, k := range slices.Concat(harnessOnly, goldenFixtures) {
-		switch obj, ok := keys[k]; {
+		obj, ok := keys[k]
+		list := &out.decls
+		if v, isVar := obj.(*types.Var); isVar && v.IsField() {
+			list = &out.fields
+		} else if isVar {
+			list = &out.params
+		}
+		switch {
 		case !ok:
-			msgs = append(msgs, fmt.Sprintf("stale entry %s names no declaration", k))
-		case used[obj]:
-			msgs = append(msgs, fmt.Sprintf("stale entry %s: %s has a product caller", k, m.fset.Position(obj.Pos())))
+			*list = append(*list, fmt.Sprintf("stale entry %s names no declaration, field or parameter", k))
+		case list == &out.params && read[obj]:
+			*list = append(*list, fmt.Sprintf("stale entry %s: %s is read", k, m.fset.Position(obj.Pos())))
+		case list != &out.params && used[obj]:
+			*list = append(*list, fmt.Sprintf("stale entry %s: %s has a product reader", k, m.fset.Position(obj.Pos())))
 		}
 	}
 	for _, name := range stdInterfaces {
 		if _, ok := stdIfaces[name]; ok && !stdUsed[name] {
-			msgs = append(msgs, fmt.Sprintf("stale entry %s: no module method needs it", name))
+			out.decls = append(out.decls, fmt.Sprintf("stale entry %s: no module method needs it", name))
 		}
 	}
-	slices.Sort(msgs)
-	return msgs
+	for _, msgs := range []([]string){out.decls, out.fields, out.params, out.surface} {
+		slices.Sort(msgs)
+	}
+	return out
+}
+
+// origin maps an instantiated generic function or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// fieldKeys names every field declared in the package: the type's key and
+// the field's name, one more name per anonymous struct it sits in. A field
+// of a struct no named type declares is keyed by its package alone.
+func (mp *modulePkg) fieldKeys(keys map[*types.Var]string) {
+	var walk func(st *types.Struct, prefix string)
+	walk = func(st *types.Struct, prefix string) {
+		for i := range st.NumFields() {
+			f := st.Field(i)
+			if f.Embedded() {
+				continue // an embedded type is read through its promoted members
+			}
+			keys[f] = prefix + "." + f.Name()
+			if inner, ok := f.Type().(*types.Struct); ok {
+				walk(inner, keys[f])
+			}
+		}
+	}
+	rel := pkgKey(mp.pkg) + "."
+	for _, obj := range mp.info.Defs {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !v.Embedded() {
+			if _, ok := keys[v]; !ok {
+				keys[v] = rel + v.Name()
+			}
+		}
+	}
+	for _, obj := range mp.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				walk(st, rel+tn.Name())
+			}
+		}
+	}
+}
+
+// readAll marks every field of a struct type read, as a map keyed by it
+// reads them all to hash and compare a key.
+func readAll(t types.Type, used map[types.Object]bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			f := u.Field(i)
+			used[f.Origin()] = true
+			readAll(f.Type(), used)
+		}
+	case *types.Array:
+		readAll(u.Elem(), used)
+	}
+}
+
+// writes returns the identifiers in f that only write what they name: a
+// field or variable alone on the left of = or :=, and a composite literal's
+// field key.
+func (mp *modulePkg) writes(f *ast.File) map[*ast.Ident]bool {
+	w := map[*ast.Ident]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+				break
+			}
+			for _, lhs := range n.Lhs {
+				switch e := ast.Unparen(lhs).(type) {
+				case *ast.Ident:
+					w[e] = true
+				case *ast.SelectorExpr:
+					w[e.Sel] = true
+				}
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := mp.info.Uses[id].(*types.Var); ok && v.IsField() {
+					w[id] = true
+				}
+			}
+		}
+		return true
+	})
+	return w
+}
+
+// calledIdents returns the identifiers in f that name the function a call
+// calls; any other use of a function is a use as a value.
+func calledIdents(f *ast.File) map[*ast.Ident]bool {
+	called := map[*ast.Ident]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			fun := ast.Unparen(call.Fun)
+			switch e := fun.(type) {
+			case *ast.IndexExpr:
+				fun = e.X
+			case *ast.IndexListExpr:
+				fun = e.X
+			}
+			switch e := fun.(type) {
+			case *ast.Ident:
+				called[e] = true
+			case *ast.SelectorExpr:
+				called[e.Sel] = true
+			}
+		}
+		return true
+	})
+	return called
+}
+
+// param is one named parameter of a function with a body.
+type param struct {
+	obj   types.Object
+	key   string      // declKey of its function and its name; "" in a literal
+	fn    *types.Func // its declared function; nil for a literal
+	fixed bool        // a literal whose context sets its signature
+	read  bool
+}
+
+// params lists the named parameters of f's functions, and whether the body
+// reads each. A function literal's signature is its own only where it is
+// bound to a name by := or an untyped var; elsewhere the call, field or
+// return it is passed to sets it.
+func (mp *modulePkg) params(f *ast.File, w map[*ast.Ident]bool) []param {
+	free := map[*ast.FuncLit]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		var rhs []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				rhs = n.Rhs
+			}
+		case *ast.ValueSpec:
+			if n.Type == nil {
+				rhs = n.Values
+			}
+		}
+		for _, e := range rhs {
+			if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
+				free[lit] = true
+			}
+		}
+		return true
+	})
+	var out []param
+	ast.Inspect(f, func(n ast.Node) bool {
+		var typ *ast.FuncType
+		var body *ast.BlockStmt
+		var fn *types.Func
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			typ, body, fn = n.Type, n.Body, mp.info.Defs[n.Name].(*types.Func)
+		case *ast.FuncLit:
+			typ, body = n.Type, n.Body
+		default:
+			return true
+		}
+		if body == nil {
+			return true
+		}
+		reads := map[types.Object]bool{}
+		ast.Inspect(body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !w[id] {
+				reads[mp.info.Uses[id]] = true
+			}
+			return true
+		})
+		for _, field := range typ.Params.List {
+			for _, name := range field.Names {
+				obj := mp.info.Defs[name]
+				if obj == nil || obj.Name() == "_" {
+					continue
+				}
+				p := param{obj: obj, fn: fn, read: reads[obj]}
+				if fn != nil {
+					p.key = declKey(fn) + "." + obj.Name()
+				} else {
+					p.fixed = !free[n.(*ast.FuncLit)]
+				}
+				out = append(out, p)
+			}
+		}
+		return true
+	})
+	return out
 }

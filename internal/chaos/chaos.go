@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"flips/internal/dataset"
+	"flips/internal/partition"
 	"flips/internal/rng"
 	"flips/internal/tensor"
 )
@@ -247,11 +248,11 @@ func New(spec Spec, parties int) (*Injector, error) {
 	return in, nil
 }
 
-// Region returns the contiguous party-ID band of party id — the same
-// arithmetic as the engine's shardOf, so region k and aggregation shard k
-// coincide when Regions == Shards.
+// Region returns the contiguous party-ID band of party id — partition.Blocks,
+// as the engine's shards, so region k and aggregation shard k coincide when
+// Regions == Shards.
 func (in *Injector) Region(id int) int {
-	return id * in.spec.Regions / in.parties
+	return partition.Blocks{N: in.parties, K: in.spec.Regions}.Of(id)
 }
 
 // regionWeather draws party id's region weather for the window containing

@@ -39,19 +39,26 @@ func blobPoints(k, perCluster, dim int, sep, noise float64, r *rng.Source) ([]te
 	return points, truth
 }
 
+// kmFit is one K-Means fit with the objective (Eq. 2 of the paper) and the
+// Lloyd iteration count its run returns.
+type kmFit struct {
+	*KMeansResult
+	Inertia    float64
+	Iterations int
+}
+
 // fitK is one K-Means fit of points at k, in a workspace sized for k.
-func fitK(points []tensor.Vec, k int, r *rng.Source, maxIter int) (*KMeansResult, error) {
-	return newSweep(tensor.MatFromRows(points), k).fit(k, r, maxIter)
+func fitK(points []tensor.Vec, k int, r *rng.Source, maxIter int) *kmFit {
+	s := newSweep(tensor.MatFromRows(points), k)
+	inertia, iters := s.run(k, r, maxIter)
+	return &kmFit{&KMeansResult{Centroids: s.cent[:k], Assignments: s.assign}, inertia, iters}
 }
 
 func TestKMeansRecoversBlobs(t *testing.T) {
 	t.Parallel()
 	r := rng.New(1)
 	points, truth := blobPoints(4, 50, 8, 20, 0.5, r)
-	res, err := fitK(points, 4, r.Split(9), MaxIterations)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fitK(points, 4, r.Split(9), MaxIterations)
 	// Check purity: each found cluster should be dominated by one true blob.
 	for _, members := range res.Clusters() {
 		if len(members) == 0 {
@@ -94,10 +101,7 @@ func TestKMeansK1(t *testing.T) {
 	t.Parallel()
 	r := rng.New(3)
 	points, _ := blobPoints(2, 20, 4, 5, 1, r)
-	res, err := fitK(points, 1, r, MaxIterations)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fitK(points, 1, r, MaxIterations)
 	// Single centroid must be the mean of all points.
 	mean := tensor.NewVec(4)
 	for _, p := range points {
@@ -115,10 +119,7 @@ func TestKMeansAssignmentsNearest(t *testing.T) {
 		r := rng.New(seed)
 		k := 2 + r.Intn(4)
 		points, _ := blobPoints(k, 10+r.Intn(10), 3, 8, 1, r)
-		res, err := fitK(points, k, r, MaxIterations)
-		if err != nil {
-			return false
-		}
+		res := fitK(points, k, r, MaxIterations)
 		// Invariant: every point is assigned to its nearest centroid.
 		for i, p := range points {
 			assigned := p.SqDist(res.Centroids[res.Assignments[i]])
@@ -139,14 +140,8 @@ func TestKMeansDeterministic(t *testing.T) {
 	t.Parallel()
 	r := rng.New(5)
 	points, _ := blobPoints(3, 30, 6, 10, 1, r)
-	a, err := fitK(points, 3, rng.New(77), MaxIterations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fitK(points, 3, rng.New(77), MaxIterations)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := fitK(points, 3, rng.New(77), MaxIterations)
+	b := fitK(points, 3, rng.New(77), MaxIterations)
 	for i := range a.Assignments {
 		if a.Assignments[i] != b.Assignments[i] {
 			t.Fatalf("assignment %d differs across identical runs", i)
@@ -166,10 +161,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 		// Take the best of a few restarts so the comparison is meaningful.
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := fitK(points, k, r.Split(uint64(k*100+trial)), MaxIterations)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := fitK(points, k, r.Split(uint64(k*100+trial)), MaxIterations)
 			if res.Inertia < best {
 				best = res.Inertia
 			}
@@ -189,11 +181,8 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 	dbiAt := func(k int) float64 {
 		best := math.Inf(1)
 		for trial := 0; trial < 5; trial++ {
-			res, err := fitK(points, k, r.Split(uint64(k*31+trial)), MaxIterations)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := dbiOf(points, res); d < best {
+			res := fitK(points, k, r.Split(uint64(k*31+trial)), MaxIterations)
+			if d := dbiOf(points, res.KMeansResult); d < best {
 				best = d
 			}
 		}
@@ -209,11 +198,8 @@ func TestDaviesBouldinPrefersTrueK(t *testing.T) {
 func TestDaviesBouldinDegenerate(t *testing.T) {
 	t.Parallel()
 	points := []tensor.Vec{{1, 1}, {2, 2}}
-	res, err := fitK(points, 1, rng.New(1), MaxIterations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := dbiOf(points, res); d != 0 {
+	res := fitK(points, 1, rng.New(1), MaxIterations)
+	if d := dbiOf(points, res.KMeansResult); d != 0 {
 		t.Fatalf("single-cluster DBI should be 0, got %v", d)
 	}
 }
@@ -421,10 +407,7 @@ func TestKMeansInertiaNonIncreasingAcrossIterations(t *testing.T) {
 	points, _ := blobPoints(4, 40, 6, 6, 2.0, r)
 	prev := math.Inf(1)
 	for iters := 1; iters <= 12; iters++ {
-		res, err := fitK(points, 4, rng.New(99), iters)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := fitK(points, 4, rng.New(99), iters)
 		if res.Inertia > prev+1e-9 {
 			t.Fatalf("inertia rose from %v to %v at cap %d", prev, res.Inertia, iters)
 		}

@@ -28,11 +28,6 @@ type KMeansResult struct {
 	Centroids []tensor.Vec
 	// Assignments maps each input point to its cluster in [0, K).
 	Assignments []int
-	// Inertia is the sum of squared distances of points to their centroid
-	// (the K-Means objective, Eq. 2 of the paper).
-	Inertia float64
-	// Iterations is how many Lloyd iterations ran before convergence.
-	Iterations int
 }
 
 // Clusters groups point indices by cluster id.
@@ -58,13 +53,8 @@ func (s *sweep) fit(k int, r *rng.Source, maxIter int) (*KMeansResult, error) {
 	if k < 1 || k > len(s.cent) {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1,%d]", k, len(s.cent))
 	}
-	inertia, iters := s.run(k, r, maxIter)
-	return &KMeansResult{
-		Centroids:   s.cent[:k],
-		Assignments: s.assign,
-		Inertia:     inertia,
-		Iterations:  iters,
-	}, nil
+	s.run(k, r, maxIter)
+	return &KMeansResult{Centroids: s.cent[:k], Assignments: s.assign}, nil
 }
 
 // sweep is the workspace of K-Means runs over the rows of one matrix, for

@@ -14,7 +14,7 @@ import (
 // Lloyd pass, a clone per seed and re-seed. It also counts re-seeds, so a
 // test can prove it reached the empty-cluster path.
 
-func refKMeans(points []tensor.Vec, k int, r *rng.Source, maxIter int) (res *KMeansResult, reseeds int) {
+func refKMeans(points []tensor.Vec, k int, r *rng.Source, maxIter int) (res *kmFit, reseeds int) {
 	centroids := refSeedPlusPlus(points, k, r)
 	assignments := make([]int, len(points))
 	prevInertia := math.Inf(1)
@@ -30,7 +30,7 @@ func refKMeans(points []tensor.Vec, k int, r *rng.Source, maxIter int) (res *KMe
 		prevInertia = inertia
 	}
 	inertia = refAssign(points, centroids, assignments)
-	return &KMeansResult{Centroids: centroids, Assignments: assignments, Inertia: inertia, Iterations: iter + 1}, reseeds
+	return &kmFit{&KMeansResult{Centroids: centroids, Assignments: assignments}, inertia, iter + 1}, reseeds
 }
 
 // refUpdate moves centroids to their members' means in place and returns
@@ -175,7 +175,7 @@ func refDBICurve(points []tensor.Vec, maxK, repeats int, r *rng.Source) []float6
 		var sum float64
 		for t := 0; t < repeats; t++ {
 			res, _ := refKMeans(points, k, r.Split(uint64(k*1000+t)), MaxIterations)
-			sum += refDaviesBouldin(points, res)
+			sum += refDaviesBouldin(points, res.KMeansResult)
 		}
 		curve = append(curve, sum/float64(repeats))
 	}
@@ -202,10 +202,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // reference's re-seed count.
 func checkKMeansMatches(t *testing.T, points []tensor.Vec, k int, seed uint64, maxIter int) int {
 	t.Helper()
-	got, err := fitK(points, k, rng.New(seed), maxIter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := fitK(points, k, rng.New(seed), maxIter)
 	want, reseeds := refKMeans(points, k, rng.New(seed), maxIter)
 	if got.Iterations != want.Iterations {
 		t.Fatalf("k=%d seed=%d: %d iterations, reference %d", k, seed, got.Iterations, want.Iterations)
@@ -228,7 +225,7 @@ func checkKMeansMatches(t *testing.T, points []tensor.Vec, k int, seed uint64, m
 			}
 		}
 	}
-	if g, w := dbiOf(points, got), refDaviesBouldin(points, want); !sameBits(g, w) {
+	if g, w := dbiOf(points, got.KMeansResult), refDaviesBouldin(points, want.KMeansResult); !sameBits(g, w) {
 		t.Fatalf("k=%d seed=%d: Davies-Bouldin %v, reference %v", k, seed, g, w)
 	}
 	return reseeds

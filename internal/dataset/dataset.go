@@ -28,9 +28,7 @@ type Sample struct {
 
 // Dataset is a labeled collection of feature vectors.
 type Dataset struct {
-	Name       string
 	LabelNames []string
-	Dim        int
 	Samples    []Sample
 }
 
@@ -111,7 +109,7 @@ func Generate(spec Spec, r *rng.Source) (train, test *Dataset, err error) {
 	}
 
 	draw := func(dr *rng.Source, n int, priors []float64) *Dataset {
-		ds := &Dataset{Name: spec.Name, LabelNames: spec.LabelNames, Dim: spec.Dim}
+		ds := &Dataset{LabelNames: spec.LabelNames}
 		ds.Samples = make([]Sample, n)
 		for i := 0; i < n; i++ {
 			y := dr.Categorical(priors)

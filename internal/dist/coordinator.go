@@ -11,6 +11,7 @@ import (
 
 	"flips/internal/fl"
 	"flips/internal/model"
+	"flips/internal/partition"
 	"flips/internal/wire"
 )
 
@@ -43,7 +44,6 @@ type workerConn struct {
 	id    int
 	conn  net.Conn
 	codec *wire.Codec
-	enc   buf
 }
 
 // frameTimeout bounds one request/response exchange with a worker — the
@@ -445,14 +445,16 @@ func (j *Job) acquire(s *slot) (*workerConn, error) {
 }
 
 // evenSlots splits the party-ID space [0, parties) into `workers`
-// contiguous ranges, slot i taking [i·parties/workers, (i+1)·parties/workers).
+// contiguous ranges, slot i taking partition.Blocks' block i: the engine's
+// shard i when Workers == Shards.
 func evenSlots(parties, workers int) []*slot {
+	space := partition.Blocks{N: parties, K: workers}
 	slots := make([]*slot, workers)
 	for i := range slots {
 		slots[i] = &slot{
 			idx:           i,
-			lo:            i * parties / workers,
-			hi:            (i + 1) * parties / workers,
+			lo:            space.Start(i),
+			hi:            space.Start(i + 1),
 			syncedVersion: unsyncedVersion,
 		}
 	}
@@ -460,14 +462,12 @@ func evenSlots(parties, workers int) []*slot {
 }
 
 // slotOf maps a party ID to its slot index, or to len(j.slots) for an ID
-// outside [0, parties). NewJob's even split gives slot k the IDs below
-// hi = (k+1)·P/W (P parties, W slots), so id lands in the least k with
-// (k+1)·P/W > id, that is (k+1)·P ≥ (id+1)·W: k = ((id+1)·W − 1) / P.
+// outside [0, parties).
 func (j *Job) slotOf(id int) int {
 	if id < 0 || id >= j.parties {
 		return len(j.slots)
 	}
-	return ((id+1)*len(j.slots) - 1) / j.parties
+	return partition.Blocks{N: j.parties, K: len(j.slots)}.Of(id)
 }
 
 // TrainWave implements fl.ShardTransport: partition the wave across the

@@ -13,6 +13,7 @@ import (
 
 	"flips/internal/fl"
 	"flips/internal/model"
+	"flips/internal/partition"
 	"flips/internal/rng"
 	"flips/internal/tensor"
 	"flips/internal/wire"
@@ -1027,21 +1028,24 @@ func TestConcurrentJobsClaimWorkersTogether(t *testing.T) {
 	}
 }
 
-// TestSlotOfMatchesEvenSplit checks slotOf's closed form against NewJob's
-// ranges by brute force, for every party count up to 300 and worker count
-// up to 40 (at most one worker per party, as NewJob clamps it): each ID lands
-// in the slot whose [lo, hi) holds it, and IDs below 0 or past the last
-// party map to len(slots), TrainWave's error path.
+// TestSlotOfMatchesEvenSplit checks slotOf and NewJob's ranges against the
+// rule the engine's shards use (partition.Blocks), by brute force, for every
+// party count up to 300 and worker count up to 40 (at most one worker per
+// party, as NewJob clamps it): each ID lands in the slot Blocks assigns,
+// whose [lo, hi) holds it, and IDs below 0 or past the last party map to
+// len(slots), TrainWave's error path.
 func TestSlotOfMatchesEvenSplit(t *testing.T) {
 	t.Parallel()
 	for parties := 1; parties <= 300; parties++ {
 		for workers := 1; workers <= min(40, parties); workers++ {
 			j := &Job{parties: parties, slots: evenSlots(parties, workers)}
+			space := partition.Blocks{N: parties, K: workers}
 			for id := -2; id < parties+3; id++ {
 				want := len(j.slots)
-				for k, s := range j.slots {
-					if s.lo <= id && id < s.hi {
-						want = k
+				if id >= 0 && id < parties {
+					want = space.Of(id)
+					if s := j.slots[want]; id < s.lo || id >= s.hi {
+						t.Fatalf("%d parties on %d workers: party %d outside its slot %d's [%d, %d)", parties, workers, id, want, s.lo, s.hi)
 					}
 				}
 				if got := j.slotOf(id); got != want {

@@ -103,7 +103,7 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 		return codec.Send(typ, payload)
 	}
 
-	w := &workerState{codec: codec, opt: opt}
+	w := &workerState{opt: opt}
 	for {
 		typ, payload, err := codec.Recv()
 		if err != nil {
@@ -145,7 +145,6 @@ func ServeConn(conn net.Conn, opt WorkerOptions) error {
 // last assigned is the only one a dispatch can address: an assignment
 // replaces it, and any other ID draws an error frame.
 type workerState struct {
-	codec *wire.Codec
 	opt   WorkerOptions
 	jobID uint64
 	job   *workerJob // nil until the first assignment

@@ -75,7 +75,7 @@ func TestRunAsyncShapeAndRender(t *testing.T) {
 			t.Fatalf("row %v has %d cells", row.Labels, len(table.Cells[r]))
 		}
 		for c, cell := range table.Cells[r] {
-			if cell.SimTime <= 0 {
+			if simTime(cell) <= 0 {
 				t.Fatalf("row %v strategy %s: no simulated time", row.Labels, table.Cols[c].Name)
 			}
 		}
@@ -105,4 +105,13 @@ func TestRunAsyncTraceAvailability(t *testing.T) {
 	if out := rendered(table); !strings.Contains(out, "trace (3 devices)") {
 		t.Fatalf("render missing trace note:\n%s", out)
 	}
+}
+
+// simTime is the simulated clock at a cell's last evaluated round, 0 for a
+// cell with no history.
+func simTime(c Cell) float64 {
+	if len(c.History) == 0 {
+		return 0
+	}
+	return c.History[len(c.History)-1].SimTime
 }

@@ -125,7 +125,7 @@ func TestBuildHoldsOneCopyOfTheData(t *testing.T) {
 		for _, p := range full.Parties {
 			withTest = append(withTest, p.Data...)
 		}
-		checkNoSharedBacking(t, spec.Name+" Build with its test set", append(withTest, full.Test.Samples...))
+		checkNoSharedBacking(t, spec.Name+" Build with its test set", append(withTest, full.Config.Test...))
 
 		var shards []*fl.Party
 		for _, rg := range [][2]int{{0, 9}, {9, scale.Parties}} {

@@ -39,8 +39,8 @@ func TestRunChaosSweepSmoke(t *testing.T) {
 			if c.PeakAccuracy <= 0 || c.PeakAccuracy > 1 {
 				t.Fatalf("row %v peak accuracy %v", row.Labels, c.PeakAccuracy)
 			}
-			if c.SimTime <= 0 {
-				t.Fatalf("row %v sim time %v", row.Labels, c.SimTime)
+			if simTime(c) <= 0 {
+				t.Fatalf("row %v sim time %v", row.Labels, simTime(c))
 			}
 			if len(c.Counts) != 1 || c.Counts[0] < 0 {
 				t.Fatalf("row %v rejected-update counter %v", row.Labels, c.Counts)

@@ -259,9 +259,7 @@ func RoundsFor(spec dataset.Spec, scale Scale) int {
 // and the TEE pipeline can reuse the construction.
 type BuildResult struct {
 	Parties  []*fl.Party
-	Test     *dataset.Dataset
 	Config   fl.Config
-	Selector fl.Selector
 	Clusters [][]int // non-nil only for FLIPS
 }
 
@@ -639,9 +637,7 @@ func BuildContext(ctx context.Context, setting Setting, scale Scale) (*BuildResu
 	}
 	return &BuildResult{
 		Parties:  parties,
-		Test:     d.test,
 		Config:   cfg,
-		Selector: sel,
 		Clusters: clusters,
 	}, nil
 }

@@ -100,7 +100,7 @@ func TestBuildAllStrategiesAndAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", strategy, algo, err)
 			}
-			if built.Selector.Name() == "" {
+			if built.Config.Selector.Name() == "" {
 				t.Fatalf("%s/%s: empty selector name", strategy, algo)
 			}
 			if strategy == StrategyFLIPS && len(built.Clusters) == 0 {

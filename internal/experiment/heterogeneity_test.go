@@ -99,7 +99,7 @@ func TestRunHeterogeneityShapeAndRender(t *testing.T) {
 			t.Fatalf("row %v has %d cells", row.Labels, len(table.Cells[r]))
 		}
 		for c, cell := range table.Cells[r] {
-			if cell.SimTime <= 0 {
+			if simTime(cell) <= 0 {
 				t.Fatalf("row %v strategy %s: no simulated time", row.Labels, table.Cols[c].Name)
 			}
 		}

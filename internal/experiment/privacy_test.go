@@ -29,8 +29,8 @@ func TestRunPrivacySweepSmoke(t *testing.T) {
 			if cell.PeakAccuracy <= 0 || cell.PeakAccuracy > 1 {
 				t.Fatalf("cell %v/%s peak accuracy %v", row.Labels, table.Cols[c].Name, cell.PeakAccuracy)
 			}
-			if cell.SimTime <= 0 {
-				t.Fatalf("cell %v/%s sim time %v", row.Labels, table.Cols[c].Name, cell.SimTime)
+			if simTime(cell) <= 0 {
+				t.Fatalf("cell %v/%s sim time %v", row.Labels, table.Cols[c].Name, simTime(cell))
 			}
 		}
 	}

@@ -74,7 +74,6 @@ type Cell struct {
 	TimeToTarget   float64
 	RoundsToTarget int
 	PeakAccuracy   float64
-	SimTime        float64
 	// History is the run's evaluated rounds (the first repeat's): what a
 	// convergence figure draws of the cell.
 	History []fl.RoundStats
@@ -167,7 +166,6 @@ func (s Sweep) runCells(scale Scale, idx []int, progress func(string)) ([]Cell, 
 			TimeToTarget:   res.TimeToTarget,
 			RoundsToTarget: res.RoundsToTarget,
 			PeakAccuracy:   res.PeakAccuracy,
-			SimTime:        res.SimTime,
 			History:        res.History,
 			Counts:         make([]int, len(s.Counters)),
 			Ratio:          math.NaN(),

@@ -6,6 +6,7 @@ import (
 
 	"flips/internal/model"
 	"flips/internal/parallel"
+	"flips/internal/partition"
 	"flips/internal/rng"
 	"flips/internal/tensor"
 )
@@ -198,7 +199,7 @@ type eventCore struct {
 
 	// space is the deterministic party-to-shard mapping (Config.Shards),
 	// read only to count round.ShardsTouched.
-	space shardSpace
+	space partition.Blocks
 
 	// Reusable per-cycle scratch.
 	seen         partySet // selectParties dedupe, sync coin-flip marks; clear between uses
@@ -290,7 +291,7 @@ func newEventCore(cfg *Config) *eventCore {
 		c.needsUpdates = uc.NeedsUpdates()
 	}
 	c.delta = tensor.NewVec(len(c.globalParams))
-	c.shardMark = make([]bool, c.space.count())
+	c.shardMark = make([]bool, c.space.K)
 	c.inFlight = newPartySet(len(cfg.Parties))
 	c.selectedMark = newPartySet(len(cfg.Parties))
 	c.offlineMark = newPartySet(len(cfg.Parties))
@@ -309,7 +310,7 @@ func newEventCore(cfg *Config) *eventCore {
 // markShard records the shard of a completed party for the cycle's
 // ShardsTouched metric. resetCycle clears the marks for the next cycle.
 func (c *eventCore) markShard(id int) {
-	sh := c.space.shardOf(id)
+	sh := c.space.Of(id)
 	if !c.shardMark[sh] {
 		c.shardMark[sh] = true
 		c.round.ShardsTouched++

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"flips/internal/parallel"
+	"flips/internal/partition"
 	"flips/internal/tensor"
 )
 
@@ -13,34 +14,19 @@ import (
 // delta fold runs in one pass over the parameter vector, so no shard count
 // can move a result bit.
 
-// shardSpace maps dense party IDs [0, parties) onto contiguous shards.
-// Shard s owns IDs [ceil(s·N/S), ceil((s+1)·N/S)) — balanced within one, and
-// a pure function of (parties, shards), so the assignment is identical on
-// every run, machine and parallelism.
-type shardSpace struct {
-	parties int
-	shards  int
-}
-
-// newShardSpace builds the shard mapping. shards is clamped to [1, parties]
-// so degenerate knob values (0, negative, more shards than parties) behave
-// like the nearest meaningful configuration.
-func newShardSpace(parties, shards int) shardSpace {
+// newShardSpace maps dense party IDs [0, parties) onto contiguous shards,
+// partition.Blocks' rule: a pure function of (parties, shards), so the
+// assignment is identical on every run, machine and parallelism. shards is
+// clamped to [1, parties] so degenerate knob values (0, negative, more
+// shards than parties) behave like the nearest meaningful configuration.
+func newShardSpace(parties, shards int) partition.Blocks {
 	if shards < 1 {
 		shards = 1
 	}
 	if parties > 0 && shards > parties {
 		shards = parties
 	}
-	return shardSpace{parties: parties, shards: shards}
-}
-
-// count returns the number of shards.
-func (s shardSpace) count() int { return s.shards }
-
-// shardOf returns the shard owning party id.
-func (s shardSpace) shardOf(id int) int {
-	return id * s.shards / s.parties
+	return partition.Blocks{N: parties, K: shards}
 }
 
 // partySet is one flag per party, packed 64 to a word: the engine's dedupe

@@ -17,16 +17,16 @@ func TestShardSpaceMapping(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sp := newShardSpace(tc.parties, tc.shards)
-		if sp.count() < 1 || sp.count() > tc.parties {
-			t.Fatalf("space(%d,%d): %d shards", tc.parties, tc.shards, sp.count())
+		if sp.K < 1 || sp.K > tc.parties {
+			t.Fatalf("space(%d,%d): %d shards", tc.parties, tc.shards, sp.K)
 		}
 		// Every id maps into exactly the shard whose bounds contain it, and
 		// the bounds tile [0, parties) without gaps or overlap.
 		next := 0
-		for sh := 0; sh < sp.count(); sh++ {
+		for sh := 0; sh < sp.K; sh++ {
 			// Shard s owns [ceil(s·N/S), ceil((s+1)·N/S)).
-			lo := (sh*tc.parties + sp.count() - 1) / sp.count()
-			hi := ((sh+1)*tc.parties + sp.count() - 1) / sp.count()
+			lo := (sh*tc.parties + sp.K - 1) / sp.K
+			hi := ((sh+1)*tc.parties + sp.K - 1) / sp.K
 			if lo != next {
 				t.Fatalf("space(%d,%d): shard %d starts at %d, want %d", tc.parties, tc.shards, sh, lo, next)
 			}
@@ -34,7 +34,7 @@ func TestShardSpaceMapping(t *testing.T) {
 				t.Fatalf("space(%d,%d): shard %d empty [%d,%d)", tc.parties, tc.shards, sh, lo, hi)
 			}
 			for id := lo; id < hi; id++ {
-				if got := sp.shardOf(id); got != sh {
+				if got := sp.Of(id); got != sh {
 					t.Fatalf("space(%d,%d): id %d in shard %d, bounds say %d", tc.parties, tc.shards, id, got, sh)
 				}
 			}

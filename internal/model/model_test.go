@@ -143,11 +143,12 @@ func TestSetParamsPanicsOnBadLength(t *testing.T) {
 func TestLogRegLearnsSeparableData(t *testing.T) {
 	t.Parallel()
 	r := rng.New(5)
-	train, test, err := dataset.Generate(dataset.FEMNIST().WithSizes(2000, 500), r)
+	spec := dataset.FEMNIST().WithSizes(2000, 500)
+	train, test, err := dataset.Generate(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewLogReg(train.Dim, train.NumClasses())
+	m := NewLogReg(spec.Dim, train.NumClasses())
 	cfg := SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 8}
 	TrainLocalScratch(m, train.Samples, cfg, nil, r.Split(1), &TrainScratch{})
 	if acc := accuracy(m, test.Samples); acc < 0.9 {
@@ -158,11 +159,12 @@ func TestLogRegLearnsSeparableData(t *testing.T) {
 func TestMLPLearnsSeparableData(t *testing.T) {
 	t.Parallel()
 	r := rng.New(6)
-	train, test, err := dataset.Generate(dataset.FEMNIST().WithSizes(2000, 500), r)
+	spec := dataset.FEMNIST().WithSizes(2000, 500)
+	train, test, err := dataset.Generate(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMLP(train.Dim, 32, train.NumClasses(), r.Split(2))
+	m := NewMLP(spec.Dim, 32, train.NumClasses(), r.Split(2))
 	cfg := SGDConfig{LearningRate: 0.05, BatchSize: 32, LocalEpochs: 20}
 	TrainLocalScratch(m, train.Samples, cfg, nil, r.Split(3), &TrainScratch{})
 	// The threshold is slightly below the logreg test's: this seed's random
@@ -175,11 +177,12 @@ func TestMLPLearnsSeparableData(t *testing.T) {
 func TestTrainLocalReducesLoss(t *testing.T) {
 	t.Parallel()
 	r := rng.New(7)
-	train, _, err := dataset.Generate(dataset.ECG().WithSizes(1000, 100), r)
+	spec := dataset.ECG().WithSizes(1000, 100)
+	train, _, err := dataset.Generate(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewLogReg(train.Dim, train.NumClasses())
+	m := NewLogReg(spec.Dim, train.NumClasses())
 	grad := tensor.NewVec(m.NumParams())
 	before := m.LossGradient(train.Samples, grad)
 	TrainLocalScratch(m, train.Samples, SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 3}, nil, r, &TrainScratch{})
@@ -204,14 +207,15 @@ func TestTrainLocalEmptyData(t *testing.T) {
 func TestProxTermPullsTowardGlobal(t *testing.T) {
 	t.Parallel()
 	r := rng.New(8)
-	train, _, err := dataset.Generate(dataset.ECG().WithSizes(600, 100), r)
+	spec := dataset.ECG().WithSizes(600, 100)
+	train, _, err := dataset.Generate(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	global := tensor.NewVec(NewLogReg(train.Dim, train.NumClasses()).NumParams())
+	global := tensor.NewVec(NewLogReg(spec.Dim, train.NumClasses()).NumParams())
 
 	run := func(mu float64) float64 {
-		m := NewLogReg(train.Dim, train.NumClasses())
+		m := NewLogReg(spec.Dim, train.NumClasses())
 		res := TrainLocalScratch(m, train.Samples,
 			SGDConfig{LearningRate: 0.1, BatchSize: 32, LocalEpochs: 5, ProxMu: mu},
 			global, rng.New(99), &TrainScratch{})
@@ -225,12 +229,13 @@ func TestProxTermPullsTowardGlobal(t *testing.T) {
 func TestTrainLocalDeterministic(t *testing.T) {
 	t.Parallel()
 	r := rng.New(10)
-	train, _, err := dataset.Generate(dataset.HAM10000().WithSizes(500, 100), r)
+	spec := dataset.HAM10000().WithSizes(500, 100)
+	train, _, err := dataset.Generate(spec, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() tensor.Vec {
-		m := NewLogReg(train.Dim, train.NumClasses())
+		m := NewLogReg(spec.Dim, train.NumClasses())
 		return TrainLocalScratch(m, train.Samples,
 			SGDConfig{LearningRate: 0.05, BatchSize: 16, LocalEpochs: 2}, nil, rng.New(55), &TrainScratch{}).Params
 	}

@@ -17,7 +17,7 @@ func fuzzDataset(n, classes int, seed uint64) *dataset.Dataset {
 	for i := range labels {
 		labels[i] = string(rune('a' + i%26))
 	}
-	ds := &dataset.Dataset{Name: "fuzz", LabelNames: labels, Dim: 1}
+	ds := &dataset.Dataset{LabelNames: labels}
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
 		ds.Samples = append(ds.Samples, dataset.Sample{X: tensor.Vec{0}, Y: r.Intn(classes)})

@@ -238,3 +238,23 @@ func topUpEmptyParties(p *Partition, r *rng.Source) {
 		siftDown(0)
 	}
 }
+
+// Blocks cuts the id space [0, N) into K contiguous blocks: id lies in
+// block ⌊id·K/N⌋, so block b holds [⌈b·N/K⌉, ⌈(b+1)·N/K⌉), balanced within
+// one. The engine's shards, the chaos regions and the dist workers' slots
+// all cut the party space this way, so at equal counts their block b holds
+// the same parties. Both methods stay in the integer domain of the product
+// N·K.
+type Blocks struct{ N, K int }
+
+// Of returns the block holding id, for id in [0, N).
+func (s Blocks) Of(id int) int { return id * s.K / s.N }
+
+// Start returns block b's first id, for b in [0, K]; Start(K) is N.
+func (s Blocks) Start(b int) int {
+	lo := b * s.N / s.K
+	if lo*s.K < b*s.N {
+		lo++
+	}
+	return lo
+}

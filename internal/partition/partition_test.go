@@ -402,3 +402,36 @@ func TestDirichletMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestBlocksStartBoundsOf checks that Start cuts the blocks Of assigns, by
+// brute force for every id space up to 300 and block count up to 40 (more
+// blocks than ids included): each id lies in [Start(b), Start(b+1)) of its
+// block b, Start(0) is 0 and Start(K) is N. The largest cases keep N·K
+// just below 2³¹, the domain a 32-bit int holds.
+func TestBlocksStartBoundsOf(t *testing.T) {
+	t.Parallel()
+	check := func(s Blocks, ids []int) {
+		if s.Start(0) != 0 || s.Start(s.K) != s.N {
+			t.Fatalf("%+v: blocks span [%d, %d)", s, s.Start(0), s.Start(s.K))
+		}
+		for _, id := range ids {
+			b := s.Of(id)
+			if b < 0 || b >= s.K || id < s.Start(b) || id >= s.Start(b+1) {
+				t.Fatalf("%+v: id %d in block %d, which spans [%d, %d)", s, id, b, s.Start(b), s.Start(b+1))
+			}
+		}
+	}
+	for n := 1; n <= 300; n++ {
+		ids := make([]int, n)
+		for id := range ids {
+			ids[id] = id
+		}
+		for k := 1; k <= 40; k++ {
+			check(Blocks{N: n, K: k}, ids)
+		}
+	}
+	const edge = 46340 // 46340² < 2³¹ - 1
+	for _, s := range []Blocks{{N: edge, K: edge}, {N: edge, K: 7}, {N: 7, K: edge}} {
+		check(s, []int{0, 1, s.N / 2, s.N - 2, s.N - 1})
+	}
+}

@@ -35,6 +35,7 @@ type GradClus struct {
 	pool       *gradPool
 
 	dist  *tensor.Mat // nil until the first Select below the threshold
+	work  *tensor.Mat // dist's copy that the clustering merges in
 	norms []float64
 	stale []int  // parties whose gradient changed since dist was current
 	dirty []bool // membership of stale
@@ -75,7 +76,9 @@ func (s *GradClus) Select(_, target int) []int {
 		}
 		dist = cluster.CosineDistanceMatrix(grads)
 	} else {
-		dist = s.distances()
+		fresh := s.distances()
+		dist = s.work
+		copy(dist.Data, fresh.Data)
 	}
 	assign, err := cluster.Agglomerative(dist, target)
 	if err != nil {
@@ -110,7 +113,7 @@ func (s *GradClus) distances() *tensor.Mat {
 	grads := s.pool.grads
 	if s.dist == nil {
 		n := len(grads)
-		s.dist = tensor.NewMat(n, n)
+		s.dist, s.work = tensor.NewMat(n, n), tensor.NewMat(n, n)
 		s.norms = make([]float64, n)
 		s.dirty = make([]bool, n)
 		for id := range grads {

@@ -197,11 +197,10 @@ type StreamEvent struct {
 }
 
 // Snapshot is a point-in-time counter read, for banners and tests. A job in
-// a terminal state is already counted in Done, Failed or Cancelled and no
-// longer in InFlight. Rejected counts the submissions shed with 429: queue
-// full or over the work budget.
+// a terminal state is counted in Done, Failed or Cancelled. Rejected counts
+// the submissions shed with 429: queue full or over the work budget.
 type Snapshot struct {
-	Accepted, Rejected, Done, Failed, Cancelled, InFlight, QueueDepth int
+	Accepted, Rejected, Done, Failed, Cancelled int
 }
 
 // Server is the job server. Create with New, expose with Handler, shut down
@@ -297,13 +296,11 @@ func (s *Server) Stats() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Snapshot{
-		Accepted:   s.accepted,
-		Rejected:   s.refused[refusedQueueFull] + s.refused[refusedBudget],
-		Done:       s.doneCount,
-		Failed:     s.failedCount,
-		Cancelled:  s.cancelledCount,
-		InFlight:   s.inFlight,
-		QueueDepth: s.queue.Depth(),
+		Accepted:  s.accepted,
+		Rejected:  s.refused[refusedQueueFull] + s.refused[refusedBudget],
+		Done:      s.doneCount,
+		Failed:    s.failedCount,
+		Cancelled: s.cancelledCount,
 	}
 }
 

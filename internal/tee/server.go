@@ -46,7 +46,6 @@ type request struct {
 }
 
 type response struct {
-	OK      bool   `json:"ok"`
 	Error   string `json:"error,omitempty"`
 	Quote   *Quote `json:"quote,omitempty"`
 	Session string `json:"session,omitempty"`
@@ -141,43 +140,43 @@ func (s *Server) handle(req request) response {
 	switch req.Op {
 	case "quote":
 		q := s.enclave.Quote(req.Nonce)
-		return response{OK: true, Quote: &q}
+		return response{Quote: &q}
 	case "open":
 		session, err := s.enclave.OpenSession(req.Pub)
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{OK: true, Session: session}
+		return response{Session: session}
 	case "submit":
 		if err := s.enclave.Submit(req.Session, req.Ciphertext); err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{OK: true}
+		return response{}
 	case "cluster":
 		if err := s.enclave.Cluster(req.Seed); err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{OK: true}
+		return response{}
 	case "numclusters":
 		n, err := s.enclave.NumClusters()
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{OK: true, Count: n}
+		return response{Count: n}
 	case "select":
 		parties, err := s.enclave.SelectParticipants(req.Round, req.Target)
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{OK: true, Parties: parties}
+		return response{Parties: parties}
 	case "observe":
 		if err := s.enclave.ObserveRound(req.Selected, req.Completed, req.Stragglers, req.Round); err != nil {
 			return response{Error: err.Error()}
 		}
-		return response{OK: true}
+		return response{}
 	case "wipe":
 		s.enclave.Wipe()
-		return response{OK: true}
+		return response{}
 	default:
 		return response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}

@@ -142,7 +142,7 @@ func TestRemoteOversizedSubmitFailsFast(t *testing.T) {
 
 	// The frame was never sent, so the stream is still framed correctly.
 	resp, err := remote.roundTrip(request{Op: "quote", Nonce: []byte("n")})
-	if err != nil || !resp.OK {
+	if err != nil || resp.Quote == nil {
 		t.Fatalf("connection unusable after rejected oversized submit: %v", err)
 	}
 }

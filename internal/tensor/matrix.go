@@ -44,11 +44,6 @@ func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
-}
-
 // MulVecInto computes dst = m * x, for a column vector x of length Cols,
 // into the caller-provided dst of length Rows, allocating nothing. Each dst
 // element is overwritten with a row dot product; dst must not overlap x.

@@ -363,7 +363,7 @@ func TestAddOuterInPlaceMatchesRankOneUpdates(t *testing.T) {
 				rows, cols := shape[0], shape[1]
 				got := NewMat(rows, cols)
 				fill(got.Data, salted)
-				want := got.Clone()
+				want := &Mat{Rows: rows, Cols: cols, Data: got.Data.Clone()}
 				a, b := make([]Vec, pairs), make([]Vec, pairs)
 				for k := range a {
 					a[k], b[k] = NewVec(rows), NewVec(cols)
@@ -433,16 +433,6 @@ func TestAddOuterInPlace(t *testing.T) {
 				t.Fatalf("AddOuter (%d,%d) = %v want %v", i, j, m.At(i, j), want[i][j])
 			}
 		}
-	}
-}
-
-func TestMatClone(t *testing.T) {
-	t.Parallel()
-	m := &Mat{Rows: 1, Cols: 2, Data: Vec{1, 2}}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Mat.Clone shares storage")
 	}
 }
 
